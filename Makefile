@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet fmt bench bench-all clean
+.PHONY: all build test test-race flake vet fmt bench bench-all clean
 
 all: build vet test
 
@@ -14,6 +14,15 @@ test:
 # kernel must stay clean under the race detector.
 test-race:
 	$(GO) test -race -short ./...
+
+# flake is the flake budget: the cross-transport conformance table many
+# times over (its kill cases raced the scheduler until they were made
+# causal), then the three packages whose tests run goroutine fleets over
+# real sockets, repeatedly under the race detector. A failure here is a
+# test that passes "most runs".
+flake:
+	$(GO) test -count 20 -run TestEngineConformance ./internal/engine
+	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster
 
 vet:
 	$(GO) vet ./...

@@ -213,6 +213,10 @@ func (cl *Cluster) resolveSpeculationLocked(j *job, winner *Task) {
 		for k, t := range h.inflight {
 			if t.Job == winner.Job && t.Seq == winner.Seq && t != winner {
 				delete(h.inflight, k)
+				if h.revoked == nil {
+					h.revoked = make(map[taskKey]*Task)
+				}
+				h.revoked[k] = t // still streaming sets until its holder reports it
 				j.inflight--
 			}
 		}

@@ -163,7 +163,9 @@ func TestAdaptiveMuShaping(t *testing.T) {
 // a profiled-fast idle worker receives a speculative duplicate (same
 // seq, fresh attempt), the first completion wins, and the loser's late
 // completion is refused as stale — the dirty-value guarantee that the
-// committed result is written exactly once.
+// committed result is written exactly once. The job's operands outlive
+// the win: the loser streams sets until it reports, and only then are
+// they released.
 func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	cl, _ := adaptiveCluster(AdaptiveConfig{SpeculationFactor: 1.5})
 	defer cl.Close()
@@ -217,6 +219,15 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 		t.Fatalf("spec wins = %d, want 1", st.SpecWins)
 	}
 
+	// The straggler is still mid-stream on its revoked copy: the finished
+	// job keeps every matrix until it lets go.
+	if got := retained(t, cl, id); got != 3 {
+		t.Fatalf("finished job retains %d matrices while the loser streams, want 3", got)
+	}
+	if _, _, err := cl.TaskSet(orig, 1); err != nil {
+		t.Fatalf("loser's set request after the job finished: %v", err)
+	}
+
 	// The straggler finally reports: its copy was revoked when the winner
 	// committed, so the late completion must be refused as stale.
 	lateBlocks, _, err := cl.TaskChunk(orig)
@@ -225,6 +236,12 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	}
 	if err := cl.Complete("slow", orig, lateBlocks); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("loser's completion = %v, want ErrStaleTask", err)
+	}
+	if got := retained(t, cl, id); got != 1 {
+		t.Fatalf("job retains %d matrices after the loser let go, want the result only", got)
+	}
+	if _, _, err := cl.TaskSet(orig, 1); !errors.Is(err, ErrStaleJob) {
+		t.Fatalf("set request on the released job = %v, want ErrStaleJob", err)
 	}
 }
 

@@ -47,6 +47,11 @@ var (
 	// graceful shutdown; resubmitting an already-accepted idempotency key
 	// still attaches.
 	ErrDraining = errors.New("cluster: draining, not accepting new jobs")
+	// ErrStaleJob marks a task-data request (TaskChunk, TaskSet) for a
+	// job whose matrices were already released: the job is terminal and
+	// the asking session no longer counts as holding its task (declared
+	// dead or replaced while still connected).
+	ErrStaleJob = errors.New("cluster: job matrices released")
 	// ErrWorkerQuarantined refuses a worker whose results failed
 	// verification past the strike threshold; the verdict is journaled,
 	// so it also refuses the worker after a master restart.
@@ -240,8 +245,8 @@ func New(cfg Config) *Cluster {
 	return cl
 }
 
-// SubmitJob admits a job and returns its ID. The cluster owns the spec's
-// matrices until the job completes or fails.
+// SubmitJob admits a job and returns its ID. The cluster references the
+// spec's matrices until it releases the job (see JobSpec).
 func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 	id, _, err := cl.SubmitJobKeyed(0, spec)
 	return id, err
@@ -258,7 +263,13 @@ func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 // matrices) is fsync'd before the job is admitted; an append failure
 // refuses the submission rather than accepting work that would not
 // survive a crash.
-func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (JobID, bool, error) {
+func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached bool, err error) {
+	// A pooled spec that is not admitted has no other owner.
+	defer func() {
+		if err != nil || attached {
+			spec.recycle(cl.pool)
+		}
+	}()
 	if err := validateSpec(spec); err != nil {
 		return 0, false, err
 	}
@@ -283,7 +294,7 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (JobID, bool, error)
 	if cl.logErr != nil {
 		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", cl.logErr)
 	}
-	id := cl.nextID
+	id = cl.nextID
 	if cl.log != nil {
 		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul && spec.Planner == nil)); err != nil {
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
@@ -316,10 +327,11 @@ func (cl *Cluster) JobResult(id JobID) (*matrix.Blocked, error) {
 	}
 	switch j.state {
 	case Done:
-		if j.spec.Kind == LU {
-			return j.spec.M, nil
+		res := j.spec.result()
+		if res == nil {
+			return nil, fmt.Errorf("cluster: job %d result already released", id)
 		}
-		return j.spec.C, nil
+		return res, nil
 	case Failed:
 		if j.err != nil {
 			return nil, j.err
@@ -327,6 +339,20 @@ func (cl *Cluster) JobResult(id JobID) (*matrix.Blocked, error) {
 		return nil, fmt.Errorf("cluster: job %d failed", id)
 	default:
 		return nil, fmt.Errorf("cluster: job %d not finished (%s)", id, j.state)
+	}
+}
+
+// ForgetResult tells the cluster that an unkeyed job's result has been
+// delivered or can no longer be asked for, so it may go with the
+// operands when the job is released; the TCP server calls it once the
+// reply is flushed or the submitting connection is gone. Keyed jobs
+// ignore it: a retry must be able to re-attach and fetch the result.
+func (cl *Cluster) ForgetResult(id JobID) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if j := cl.jobs[id]; j != nil && j.key == 0 {
+		j.resultFree = true
+		cl.releaseLocked(j)
 	}
 }
 
@@ -642,6 +668,11 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 	for k, t := range w.inflight {
 		delete(w.inflight, k)
 		cl.requeueLocked(t, false)
+		cl.releaseLocked(cl.jobs[t.Job]) // a dead worker holds nothing
+	}
+	for k, t := range w.revoked {
+		delete(w.revoked, k)
+		cl.releaseLocked(cl.jobs[t.Job])
 	}
 	// C tiles the dead worker had acknowledged but not flushed died with
 	// its result cache; requeue exactly those tasks so the lost updates
@@ -1057,6 +1088,7 @@ func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
 	}
 	cur, ok := w.inflight[t.key()]
 	if !ok || cur != t {
+		cl.letGoLocked(w, t)
 		return ErrStaleTask
 	}
 	j := cl.jobs[t.Job]
@@ -1080,6 +1112,7 @@ func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
 		// and memory this completion frees must still wake dispatchers
 		// blocked in NextTask — returning without a Broadcast strands
 		// them until some unrelated event happens to fire one.
+		cl.releaseLocked(j)
 		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
@@ -1101,10 +1134,7 @@ func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
 	// First copy of a speculated seq to finish: revoke the other copies
 	// before accounting, so the losers' late reports all read as stale.
 	cl.resolveSpeculationLocked(j, t)
-	dst := j.spec.C
-	if j.spec.Kind == LU {
-		dst = j.spec.M
-	}
+	dst := j.spec.result()
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			copy(dst.Block(ch.I0+i, ch.J0+jj).Data, blocks[i*ch.Cols+jj])
@@ -1145,6 +1175,7 @@ func (cl *Cluster) AckTask(id string, t *Task) error {
 	}
 	cur, ok := w.inflight[t.key()]
 	if !ok || cur != t {
+		cl.letGoLocked(w, t)
 		return ErrStaleTask
 	}
 	ch := t.Chunk
@@ -1160,6 +1191,7 @@ func (cl *Cluster) AckTask(id string, t *Task) error {
 		// Job failed or closed while the task was out; the worker's now
 		// untracked tiles will be skipped at flush time. The freed slot
 		// must still wake blocked dispatchers (see Complete).
+		cl.releaseLocked(j)
 		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
@@ -1239,10 +1271,7 @@ func (cl *Cluster) CommitFlushEpoch(id string, epoch uint64, ids []uint64, block
 				return fmt.Errorf("cluster: flush block for id %#x has %d elements, want %d",
 					bid, len(blocks[n]), q*q)
 			}
-			dst := j.spec.C
-			if j.spec.Kind == LU {
-				dst = j.spec.M
-			}
+			dst := j.spec.result()
 			copy(dst.Block(bi, bj).Data, blocks[n])
 		}
 		delete(w.dirtyTiles, bid)
@@ -1281,7 +1310,8 @@ func (cl *Cluster) CommitFlushEpoch(id string, epoch uint64, ids []uint64, block
 // --- task data (transport API) -------------------------------------------
 
 // TaskChunk copies the task's C tile out of the job's matrix: the
-// downlink transfer. It returns the row-major block payloads and q.
+// downlink transfer. It returns the row-major block payloads and q, or
+// ErrStaleJob once the job's matrices are released.
 func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -1289,9 +1319,9 @@ func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
 	if j == nil {
 		return nil, 0, fmt.Errorf("cluster: unknown job %d", t.Job)
 	}
-	src := j.spec.C
-	if j.spec.Kind == LU {
-		src = j.spec.M
+	src := j.spec.result()
+	if src == nil {
+		return nil, 0, fmt.Errorf("cluster: chunk of task %d/%d: %w", t.Job, t.Seq, ErrStaleJob)
 	}
 	ch := t.Chunk
 	q := src.Q
@@ -1307,13 +1337,17 @@ func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
 // TaskSet copies the k-th update set for the task: Rows A blocks and Cols
 // B blocks. For LU tasks (k is the panel stage) the A blocks are the
 // negated L panel so the worker's generic C += A·B update computes the
-// trailing subtraction.
+// trailing subtraction. Once the job's operands are released it returns
+// ErrStaleJob.
 func (cl *Cluster) TaskSet(t *Task, k int) (aBlks, bBlks [][]float64, err error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	j := cl.jobs[t.Job]
 	if j == nil {
 		return nil, nil, fmt.Errorf("cluster: unknown job %d", t.Job)
+	}
+	if (j.spec.Kind == MatMul && j.spec.A == nil) || (j.spec.Kind == LU && j.spec.M == nil) {
+		return nil, nil, fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
 	}
 	ch := t.Chunk
 	cp := func(src []float64, negate bool) []float64 {
@@ -1354,10 +1388,7 @@ func (cl *Cluster) taskQ(j *job) int {
 	if j == nil {
 		return 0
 	}
-	if j.spec.Kind == LU {
-		return j.spec.M.Q
-	}
-	return j.spec.C.Q
+	return j.q
 }
 
 // --- internal state transitions ------------------------------------------
@@ -1434,4 +1465,51 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 	}
 	j.dirty = 0
 	close(j.doneCh)
+	cl.releaseLocked(j)
+}
+
+// releaseLocked drops what a terminal job no longer needs, so master
+// memory follows the jobs in flight rather than the jobs ever served.
+// The operands and the verify projection cache go once no live worker
+// incarnation holds one of the job's tasks (a revoked speculation loser
+// and the tasks of a failed job keep streaming sets until their holder
+// lets go); the result goes with them when nobody can ask for it
+// anymore (ForgetResult). The light record — id, state, error,
+// counters, comm totals — stays. Every path on which a worker lets go
+// of a task, or the submitter of the result, ends here.
+func (cl *Cluster) releaseLocked(j *job) {
+	if j == nil || (j.state != Done && j.state != Failed) {
+		return
+	}
+	for _, w := range cl.reg.workers {
+		if w.dead {
+			continue
+		}
+		for _, t := range w.inflight {
+			if t.Job == j.id {
+				return
+			}
+		}
+		for _, t := range w.revoked {
+			if t.Job == j.id {
+				return
+			}
+		}
+	}
+	dropMatrix(&j.spec.A, j.spec.Pooled, cl.pool)
+	dropMatrix(&j.spec.B, j.spec.Pooled, cl.pool)
+	j.vcache = nil
+	if j.resultFree {
+		j.spec.recycle(cl.pool)
+	}
+}
+
+// letGoLocked retires a revoked copy whose holder has just reported it
+// (a stale completion or ack from a speculation loser): the job may now
+// be releasable.
+func (cl *Cluster) letGoLocked(w *workerState, t *Task) {
+	if w.revoked[t.key()] == t {
+		delete(w.revoked, t.key())
+		cl.releaseLocked(cl.jobs[t.Job])
+	}
 }

@@ -117,6 +117,9 @@ func (f *EngineFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 		return nil, fmt.Errorf("cluster: set for unknown assignment %v", id)
 	}
 	aBlks, bBlks, err := f.cl.TaskSet(task, k)
+	if errors.Is(err, ErrStaleJob) {
+		return nil, fmt.Errorf("%w: %v", engine.ErrStaleAssign, err)
+	}
 	if err != nil {
 		return nil, err
 	}

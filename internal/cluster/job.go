@@ -65,8 +65,10 @@ func (s JobState) String() string {
 	}
 }
 
-// JobSpec describes one job. The cluster owns the referenced matrices from
-// SubmitJob until the job leaves the Running state.
+// JobSpec describes one job. The cluster references the matrices from
+// SubmitJob until it releases the job (see Cluster.releaseLocked): the
+// operands once the job is terminal and no live worker still holds one
+// of its tasks, the result once nobody can ask for it anymore.
 type JobSpec struct {
 	Kind JobKind
 	// MatMul operands: C is updated in place.
@@ -81,6 +83,39 @@ type JobSpec struct {
 	Mu int
 	// Planner orders the chunk pool; nil uses MaxReusePlanner.
 	Planner Planner
+	// Pooled says the matrices' blocks were taken from the cluster's
+	// BlockPool (the TCP server decodes submissions straight into them):
+	// they are the cluster's from SubmitJob on and go back to the pool
+	// when the job is released, or at once when the submission is
+	// refused or attaches to an existing job. Matrices submitted without
+	// it belong to the caller and are only un-referenced.
+	Pooled bool
+}
+
+// result is the matrix the job's result lands in: C, or M for LU.
+func (s *JobSpec) result() *matrix.Blocked {
+	if s.Kind == LU {
+		return s.M
+	}
+	return s.C
+}
+
+// recycle forgets the spec's matrices; a pooled spec's blocks go back
+// to the pool.
+func (s *JobSpec) recycle(pool *engine.BlockPool) {
+	for _, m := range []**matrix.Blocked{&s.C, &s.A, &s.B, &s.M} {
+		dropMatrix(m, s.Pooled, pool)
+	}
+}
+
+// dropMatrix forgets *m; pooled blocks go back to the pool.
+func dropMatrix(m **matrix.Blocked, pooled bool, pool *engine.BlockPool) {
+	if *m != nil && pooled {
+		for _, b := range (*m).Blocks {
+			pool.Put(b.Data)
+		}
+	}
+	*m = nil
 }
 
 // Status is a point-in-time snapshot of a job.
@@ -100,6 +135,9 @@ type Status struct {
 	// caches. Sessions report on exit, so in-flight work is not yet
 	// counted.
 	Comm engine.CommStats
+	// Retained counts the matrices (operands and result) the cluster
+	// still references for the job; 0 once it is fully released.
+	Retained int
 }
 
 // taskKey identifies one task attempt globally.
@@ -148,6 +186,7 @@ func (t *Task) key() taskKey { return taskKey{t.Job, t.Seq, t.Attempt} }
 type job struct {
 	id       JobID
 	spec     JobSpec
+	q        int // block edge; outlives the matrices
 	state    JobState
 	pending  []*Task // ready to assign (head is next)
 	inflight int
@@ -207,6 +246,9 @@ type job struct {
 	// cached B·r products, operand norms); nil until the verification
 	// policy first touches the job, never journaled.
 	vcache *verifyCache
+	// resultFree marks a job whose result nobody can ask for anymore
+	// (ForgetResult): it goes with the operands at release.
+	resultFree bool
 }
 
 func validateSpec(spec JobSpec) error {
@@ -249,6 +291,7 @@ func newJob(id JobID, spec JobSpec, adaptive bool) *job {
 	j := &job{id: id, spec: spec, doneCh: make(chan struct{})}
 	switch spec.Kind {
 	case MatMul:
+		j.q = spec.C.Q
 		pr := core.Problem{R: spec.C.BR, S: spec.C.BC, T: spec.A.BC, Q: spec.A.Q}
 		if adaptive && spec.Planner == nil {
 			j.cutter = sim.NewCutter(pr.R, pr.S)
@@ -267,6 +310,7 @@ func newJob(id JobID, spec JobSpec, adaptive bool) *job {
 		}
 		j.total = len(j.pending)
 	case LU:
+		j.q = spec.M.Q
 		j.luBlocks = spec.M.BR
 		// Stage 0 is opened by the caller (factorStage) once the job is
 		// admitted; total grows as stages unlock.
@@ -373,12 +417,18 @@ func (j *job) finished() bool {
 }
 
 func (j *job) status() Status {
-	return Status{
+	st := Status{
 		ID: j.id, Kind: j.spec.Kind, State: j.state,
 		TasksTotal: j.total, TasksDone: j.done,
 		Requeues: j.requeues, Quarantined: j.quarantined, Err: j.err,
 		Comm: j.comm,
 	}
+	for _, m := range []*matrix.Blocked{j.spec.C, j.spec.A, j.spec.B, j.spec.M} {
+		if m != nil {
+			st.Retained++
+		}
+	}
+	return st
 }
 
 func minInt(a, b int) int {

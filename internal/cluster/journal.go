@@ -31,7 +31,10 @@ package cluster
 // compaction) is the whole job table serialized verbatim — counters,
 // pending task descriptors, cutter free rectangles, matrices — and is
 // applied without re-running admission, so an LU job's already-factored
-// panels are never factored twice.
+// panels are never factored twice. A terminal job's released operands
+// are written as absent, and a job whose result was released too is left
+// out altogether — nobody can ask for it, and a log that re-wrote every
+// job ever served would grow without bound.
 
 import (
 	"encoding/binary"
@@ -173,10 +176,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 		return
 	}
 	ch := t.Chunk
-	dst := j.spec.C
-	if j.spec.Kind == LU {
-		dst = j.spec.M
-	}
+	dst := j.spec.result()
 	e := &recEnc{}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
@@ -272,6 +272,13 @@ func (cl *Cluster) Recover() (RecoveryStats, error) {
 			rs.Failed++
 		default:
 			rs.Resumed++
+			continue
+		}
+		// Whoever submitted a terminal unkeyed job died with the previous
+		// incarnation: nobody can ask for its result anymore.
+		if j.key == 0 {
+			j.resultFree = true
+			cl.releaseLocked(j)
 		}
 	}
 	cl.cond.Broadcast()
@@ -358,10 +365,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 			d.skipFloats(rows * cols * cl.taskQ(j) * cl.taskQ(j))
 			return d.err // already applied (double replay) or job terminal
 		}
-		dst := j.spec.C
-		if j.spec.Kind == LU {
-			dst = j.spec.M
-		}
+		dst := j.spec.result()
 		if i0 < 0 || j0 < 0 || rows < 1 || cols < 1 || i0+rows > dst.BR || j0+cols > dst.BC {
 			return fmt.Errorf("cluster: chunk record %d/%d out of the job grid", id, seq)
 		}
@@ -457,11 +461,16 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 // snapshot is what a crash right now should recover to, and those
 // chunks' commits have not landed.
 func (cl *Cluster) encodeSnapshotLocked() []byte {
+	var kept []*job
+	for _, id := range cl.order {
+		if j := cl.jobs[id]; j.spec.result() != nil {
+			kept = append(kept, j)
+		}
+	}
 	e := &recEnc{}
 	e.u32(uint32(cl.nextID))
-	e.u32(uint32(len(cl.order)))
-	for _, id := range cl.order {
-		j := cl.jobs[id]
+	e.u32(uint32(len(kept)))
+	for _, j := range kept {
 		e.u32(uint32(j.id))
 		e.u64(j.key)
 		e.u8(byte(j.spec.Kind))
@@ -586,6 +595,14 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 			j.spec.A = d.mat()
 			j.spec.B = d.mat()
 		}
+		res := j.spec.result()
+		if d.err == nil && res == nil {
+			d.err = errors.New("cluster: snapshot job without its result matrix")
+		}
+		if d.err != nil {
+			return fmt.Errorf("cluster: snapshot job %d: %w", i, d.err)
+		}
+		j.q = res.Q
 		j.nextSeq = int(d.u32())
 		j.total = int(d.u32())
 		j.done = int(d.u32())
@@ -620,15 +637,7 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 			for r := 0; r < nr; r++ {
 				rects[r] = [4]int{int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())}
 			}
-			gr := 0
-			if j.spec.C != nil {
-				gr = j.spec.C.BR
-			}
-			gc := 0
-			if j.spec.C != nil {
-				gc = j.spec.C.BC
-			}
-			j.cutter = sim.NewCutterFromRects(gr, gc, rects)
+			j.cutter = sim.NewCutterFromRects(res.BR, res.BC, rects)
 		}
 		if d.err != nil {
 			return fmt.Errorf("cluster: snapshot job %d: %w", i, d.err)
@@ -706,7 +715,12 @@ func (e *recEnc) floats(v []float64) {
 	}
 }
 
+// mat writes a matrix; nil (a released operand) is written as the 0×0
+// matrix of q = 0, which no real matrix encodes to.
 func (e *recEnc) mat(m *matrix.Blocked) {
+	if m == nil {
+		m = &matrix.Blocked{}
+	}
 	e.u32(uint32(m.BR))
 	e.u32(uint32(m.BC))
 	e.u32(uint32(m.Q))
@@ -790,8 +804,8 @@ func (d *recDec) mat() *matrix.Blocked {
 	br := int(d.u32())
 	bc := int(d.u32())
 	q := int(d.u32())
-	if d.err != nil {
-		return nil
+	if d.err != nil || (br == 0 && bc == 0 && q == 0) {
+		return nil // truncated, or a released operand
 	}
 	if br < 1 || bc < 1 || q < 1 || br > maxSnapshotDim || bc > maxSnapshotDim || q > maxSnapshotDim {
 		d.err = fmt.Errorf("cluster: implausible matrix %dx%d blocks q=%d in journal", br, bc, q)

@@ -100,6 +100,11 @@ type workerState struct {
 	lastSeen time.Time
 	dead     bool
 	inflight map[taskKey]*Task
+	// revoked holds speculation losers: copies taken out of inflight when
+	// another copy of their seq won, which the worker is still computing
+	// (and streaming sets for) until it reports them. They pin their
+	// job's operands like in-flight tasks do.
+	revoked  map[taskKey]*Task
 	done     int
 	sessions int
 	// lastAt remembers the coordinates of the worker's previous chunk

@@ -1,0 +1,286 @@
+package cluster
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/matrix"
+)
+
+// retained reads a job's Status.Retained.
+func retained(t *testing.T, cl *Cluster, id JobID) int {
+	t.Helper()
+	st, err := cl.JobStatus(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Retained
+}
+
+// completeAll drains the job's tasks through worker id with the
+// reference values, returning the last task served (for poking at the
+// task-data API afterwards).
+func completeAll(t *testing.T, cl *Cluster, worker string, id JobID, ref *matrix.Blocked) *Task {
+	t.Helper()
+	var last *Task
+	for {
+		st, err := cl.JobStatus(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == Done {
+			return last
+		}
+		last = pullTask(t, cl, worker)
+		if err := cl.Complete(worker, last, refChunk(last, ref)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFinishedJobReleasesOperandsKeepsResult: the in-process contract
+// (SubmitJob → Wait → JobResult, what the bench's traced pass runs).
+// Operands and the verify cache go when the job finishes; the result
+// stays until ForgetResult says nobody will ask; the caller's matrices
+// are only un-referenced, never written or recycled; and the task-data
+// API answers a released job with the typed stale error.
+func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
+	cl, _ := manualCluster(Config{Verify: VerifyPolicy{Mode: VerifyAll}})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 51)
+	aCopy := a.Clone()
+	refB := matrix.Partition(ref, 4)
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := retained(t, cl, id); got != 3 {
+		t.Fatalf("running job retains %d matrices, want 3", got)
+	}
+	if _, err := cl.JoinWorker("w1", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	last := completeAll(t, cl, "w1", id, refB)
+	if got := retained(t, cl, id); got != 1 {
+		t.Fatalf("finished job retains %d matrices, want 1 (the result)", got)
+	}
+	cl.mu.Lock()
+	vc := cl.jobs[id].vcache
+	cl.mu.Unlock()
+	if vc != nil {
+		t.Fatal("verify projection cache outlived the job")
+	}
+	res, err := cl.JobResult(id)
+	if err != nil {
+		t.Fatalf("JobResult after release of the operands: %v", err)
+	}
+	if d := res.Assemble().MaxDiff(ref); d != 0 {
+		t.Fatalf("result differs by %g", d)
+	}
+	if !a.Equal(aCopy, 0) {
+		t.Fatal("caller-owned operand was modified by the release")
+	}
+	if _, _, err := cl.TaskSet(last, 0); !errors.Is(err, ErrStaleJob) {
+		t.Fatalf("TaskSet on released operands = %v, want ErrStaleJob", err)
+	}
+	if _, _, err := cl.TaskChunk(last); err != nil {
+		t.Fatalf("TaskChunk while the result is retained: %v", err)
+	}
+
+	cl.ForgetResult(id)
+	if got := retained(t, cl, id); got != 0 {
+		t.Fatalf("forgotten job retains %d matrices, want 0", got)
+	}
+	if _, err := cl.JobResult(id); err == nil {
+		t.Fatal("JobResult served a released result")
+	}
+	if _, _, err := cl.TaskChunk(last); !errors.Is(err, ErrStaleJob) {
+		t.Fatalf("TaskChunk on a released job = %v, want ErrStaleJob", err)
+	}
+	// The feed turns it into the engine's revoked-assignment error, which
+	// RunFeeder answers with a filler set instead of ending the session.
+	feed := NewEngineFeed(cl, "w1", 0)
+	feed.tasks[taskAssignID(last)] = last
+	if _, err := feed.Set(taskAssignID(last), 0); !errors.Is(err, engine.ErrStaleAssign) {
+		t.Fatalf("EngineFeed.Set on a released job = %v, want engine.ErrStaleAssign", err)
+	}
+	// The light record is lifetime-accurate.
+	if st := cl.Jobs(); len(st) != 1 || st[0].State != Done || st[0].TasksDone != 4 {
+		t.Fatalf("job table after release = %+v", st)
+	}
+	if st := cl.ClusterStats(); st.JobsDone != 1 {
+		t.Fatalf("jobs done = %d, want 1", st.JobsDone)
+	}
+}
+
+// TestKeyedJobKeepsResultForReattach: ForgetResult is for unkeyed jobs;
+// a keyed job's result survives it, and a resubmission attaches.
+func TestKeyedJobKeepsResultForReattach(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 53)
+	id, _, err := cl.SubmitJobKeyed(7, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.JoinWorker("w1", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, cl, "w1", id, matrix.Partition(ref, 4))
+	cl.ForgetResult(id)
+	if got := retained(t, cl, id); got != 1 {
+		t.Fatalf("keyed job retains %d matrices after ForgetResult, want 1", got)
+	}
+	// A pooled resubmission of the key attaches; its freshly decoded
+	// operands have no owner and go back to the pool.
+	dup := JobSpec{Kind: MatMul, Mu: 2, Pooled: true,
+		C: pooledCopy(cl, c), A: pooledCopy(cl, a), B: pooledCopy(cl, b)}
+	rid, attached, err := cl.SubmitJobKeyed(7, dup)
+	if err != nil || !attached || rid != id {
+		t.Fatalf("keyed resubmit = %d, %v, %v", rid, attached, err)
+	}
+	res, err := cl.JobResult(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Assemble().MaxDiff(ref); d != 0 {
+		t.Fatalf("re-attached result differs by %g", d)
+	}
+}
+
+// pooledCopy clones m into blocks taken from the cluster's pool, the
+// way the TCP server decodes a submission.
+func pooledCopy(cl *Cluster, m *matrix.Blocked) *matrix.Blocked {
+	out := &matrix.Blocked{BR: m.BR, BC: m.BC, Q: m.Q}
+	for _, b := range m.Blocks {
+		out.Blocks = append(out.Blocks, &matrix.Block{I: b.I, J: b.J, Q: b.Q, Data: cl.pool.GetCopy(b.Data)})
+	}
+	return out
+}
+
+// TestFailedJobReleasesOnlyAfterHoldersLetGo: a job that fails while a
+// live worker still holds one of its tasks keeps its operands — the
+// worker streams sets for it until it reports — and releases them on
+// that report.
+func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
+	cl, _ := manualCluster(Config{MaxAttempts: 1})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 57)
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"doomed", "holder"} {
+		if _, err := cl.JoinWorker(w, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pullTask(t, cl, "doomed")
+	held := pullTask(t, cl, "holder")
+	cl.WorkerLost("doomed") // MaxAttempts 1: the requeue quarantines the job
+	if st := waitStatus(t, cl, id); st.State != Failed {
+		t.Fatalf("job = %+v, want failed", st)
+	}
+	cl.ForgetResult(id)
+	if got := retained(t, cl, id); got != 3 {
+		t.Fatalf("failed job retains %d matrices while a worker holds its task, want 3", got)
+	}
+	if _, _, err := cl.TaskSet(held, 1); err != nil {
+		t.Fatalf("holder's set request on the failed job: %v", err)
+	}
+	if err := cl.Complete("holder", held, refChunk(held, matrix.Partition(ref, 4))); err != nil {
+		t.Fatal(err)
+	}
+	if got := retained(t, cl, id); got != 0 {
+		t.Fatalf("failed job retains %d matrices after its last holder reported, want 0", got)
+	}
+}
+
+// TestCompactLogSkipsReleasedJobs: a snapshot taken mid-run must not
+// dereference released matrices — released unkeyed jobs are left out of
+// it, a finished keyed job is written with its operands absent and its
+// result intact, and a running job resumes from it.
+func TestCompactLogSkipsReleasedJobs(t *testing.T) {
+	dir := t.TempDir()
+	jnA, logA := openLog(t, dir)
+	clA, _ := manualCluster(Config{Log: logA})
+	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	// One job after the other, so every pulled task belongs to the job
+	// being driven: an unkeyed one finished and forgotten, a keyed one
+	// finished, and a third left with one chunk committed and one task
+	// in flight across the snapshot.
+	var refs [3]*matrix.Dense
+	var ids [3]JobID
+	for n := range ids {
+		c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, int64(61+3*n))
+		key := uint64(0)
+		if n == 1 {
+			key = 4242
+		}
+		id, _, err := clA.SubmitJobKeyed(key, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[n], refs[n] = id, ref
+		if n < 2 {
+			completeAll(t, clA, "w1", id, matrix.Partition(ref, 4))
+			continue
+		}
+		task := pullTask(t, clA, "w1")
+		if err := clA.Complete("w1", task, refChunk(task, matrix.Partition(ref, 4))); err != nil {
+			t.Fatal(err)
+		}
+		pullTask(t, clA, "w1")
+	}
+	gone, keyed, running := ids[0], ids[1], ids[2]
+	clA.ForgetResult(gone)
+	if got := retained(t, clA, gone); got != 0 {
+		t.Fatalf("unkeyed finished job retains %d matrices, want 0", got)
+	}
+	if err := clA.CompactLog(); err != nil {
+		t.Fatalf("CompactLog with released jobs in the table: %v", err)
+	}
+	if n := len(clA.Jobs()); n != 3 {
+		t.Fatalf("live job table has %d records after compaction, want all 3", n)
+	}
+	jnA.Close()
+
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	clB, _ := manualCluster(Config{Log: logB})
+	defer clB.Close()
+	rs, err := clB.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Snapshots != 1 || rs.Jobs != 2 || rs.Done != 1 || rs.Resumed != 1 {
+		t.Fatalf("RecoveryStats = %+v, want the keyed and the running job only", rs)
+	}
+	if _, err := clB.JobStatus(gone); err == nil {
+		t.Fatal("released job was written to the snapshot")
+	}
+	if got := retained(t, clB, keyed); got != 1 {
+		t.Fatalf("recovered keyed job retains %d matrices, want its result only", got)
+	}
+	res, err := clB.JobResult(keyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Assemble().MaxDiff(refs[1]); d != 0 {
+		t.Fatalf("keyed result after compaction differs by %g", d)
+	}
+	if _, err := clB.JoinWorker("w2", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, clB, "w2", running, matrix.Partition(refs[2], 4))
+	res, err = clB.JobResult(running)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Assemble().MaxDiff(refs[2]); d != 0 {
+		t.Fatalf("resumed job after compaction differs by %g", d)
+	}
+}

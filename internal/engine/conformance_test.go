@@ -86,10 +86,21 @@ func buildInputs(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) 
 		matrix.Partition(cd, q), matrix.Partition(ref, q)
 }
 
+// advertisedMem makes a master-side transport advertise a worker memory
+// (engine.MemAdvertiser), so a conformance row can run the delta
+// protocol at a chosen cache budget on either fleet.
+type advertisedMem struct {
+	engine.Transport
+	mem int
+}
+
+func (a advertisedMem) AdvertisedMem() int { return a.mem }
+
 // runEngine drives one full multiply through RunMaster + n RunWorker
-// goroutines over the given fleet.
+// goroutines over the given fleet. mem > 0 is the memory every worker
+// advertises, in blocks.
 func runEngine(t *testing.T, fleet transportFleet, r, tt, s, q int, workers int,
-	wcfg engine.WorkerConfig, pooled, copyAssigns, resident bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, masterErr error) {
+	wcfg engine.WorkerConfig, mem int, pooled, copyAssigns, resident bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, masterErr error) {
 	t.Helper()
 	a, b, c, want := buildInputs(t, r, tt, s, q)
 	var pool *engine.BlockPool
@@ -97,7 +108,17 @@ func runEngine(t *testing.T, fleet transportFleet, r, tt, s, q int, workers int,
 		pool = engine.NewBlockPool()
 	}
 	masters, workerEnds := fleet(t, workers, q, pool)
+	if mem > 0 {
+		for w := range masters {
+			masters[w] = advertisedMem{masters[w], mem}
+		}
+	}
 	reports = make([]engine.WorkerReport, workers)
+	// In a kill case the healthy workers start only once the doomed one
+	// is gone: alone on the grid it is certain to be handed the
+	// assignment that severs it, whatever the scheduler does with two
+	// cores.
+	doomedGone := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -105,8 +126,11 @@ func runEngine(t *testing.T, fleet transportFleet, r, tt, s, q int, workers int,
 			defer wg.Done()
 			cfg := wcfg
 			cfg.Pool = pool
-			if cfg.FailAfter > 0 && w != 0 {
+			if w == 0 {
+				defer close(doomedGone)
+			} else if cfg.FailAfter > 0 {
 				cfg.FailAfter = 0 // only worker 0 is doomed
+				<-doomedGone
 			}
 			reports[w], _ = engine.RunWorker(workerEnds[w], cfg)
 		}(w)
@@ -134,6 +158,7 @@ func TestEngineConformance(t *testing.T) {
 		name        string
 		r, tt, s, q int
 		workers     int
+		mem         int // advertised worker memory in blocks; 0 = unadvertised
 		mod         func(*engine.WorkerConfig)
 		pooled      bool
 		resident    bool
@@ -153,6 +178,11 @@ func TestEngineConformance(t *testing.T) {
 		{name: "ragged-chunks", r: 5, tt: 2, s: 7, q: 4, workers: 2, pooled: true},
 		{name: "more-workers-than-chunks", r: 2, tt: 2, s: 2, q: 4, workers: 5, pooled: true},
 		{name: "unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+		// Memory just above one 2×2 footprint (12 blocks at the cache
+		// staging depth) with two tiles in flight: the announced cache
+		// capacity drops to 0, below every Set's own four tracked blocks.
+		{name: "tight-memory-two-slots", r: 6, tt: 4, s: 6, q: 4, workers: 2, mem: 13, pooled: true,
 			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
 		{name: "kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, wantErr: true,
 			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
@@ -179,7 +209,7 @@ func TestEngineConformance(t *testing.T) {
 				// mutates what it receives); TCP serializes and shares.
 				copyAssigns := fl.name == "channel"
 				c, want, reports, err := runEngine(t, fl.build, tc.r, tc.tt, tc.s, tc.q,
-					tc.workers, wcfg, tc.pooled, copyAssigns, tc.resident)
+					tc.workers, wcfg, tc.mem, tc.pooled, copyAssigns, tc.resident)
 				if tc.wantErr {
 					if err == nil {
 						t.Fatal("doomed worker did not fail the master")
@@ -189,8 +219,8 @@ func TestEngineConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("master: %v", err)
 				}
-				if !c.Equal(want, 1e-9) {
-					t.Fatal("wrong product")
+				if !c.Equal(want, 0) {
+					t.Fatal("product not bit-exact")
 				}
 				var updates, flushed int64
 				for _, rep := range reports {
@@ -228,7 +258,7 @@ func TestEngineBitExactAcrossTransports(t *testing.T) {
 	for _, fl := range fleets {
 		for _, pooled := range []bool{true, false} {
 			for _, resident := range []bool{false, true} {
-				c, _, _, err := runEngine(t, fl.build, 6, 4, 6, 4, 2, cfg, pooled, fl.name == "channel", resident)
+				c, _, _, err := runEngine(t, fl.build, 6, 4, 6, 4, 2, cfg, 0, pooled, fl.name == "channel", resident)
 				if err != nil {
 					t.Fatalf("%s pooled=%v resident=%v: %v", fl.name, pooled, resident, err)
 				}
@@ -257,6 +287,9 @@ type scriptedFeed struct {
 	next    int
 	done    map[engine.AssignID]*engineChunk
 	lost    bool
+	// stale marks revoked assignments whose operands the feed let go of:
+	// Set answers ErrStaleAssign, Complete refuses the result as stale.
+	stale   map[engine.AssignID]bool
 	wake    chan struct{} // closed by Lost to unblock Next
 	allDone chan struct{} // closed when every chunk completed
 }
@@ -328,6 +361,9 @@ func (f *scriptedFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("scripted feed: set for unknown assignment %v", id)
 	}
+	if f.stale[id] {
+		return nil, fmt.Errorf("scripted feed: %v: %w", id, engine.ErrStaleAssign)
+	}
 	set := &engine.Set{K: k}
 	for i := 0; i < ch.rows; i++ {
 		set.A = append(set.A, f.a.Block(ch.i0+i, k).Data)
@@ -349,6 +385,13 @@ func (f *scriptedFeed) Complete(id engine.AssignID, blocks [][]float64) error {
 		}
 	}
 	if ch == nil || f.done[id] != nil {
+		return engine.ErrStaleResult
+	}
+	if f.stale[id] {
+		f.done[id] = ch
+		if len(f.done) == len(f.chunks) {
+			close(f.allDone)
+		}
 		return engine.ErrStaleResult
 	}
 	for i := 0; i < ch.rows; i++ {
@@ -434,5 +477,57 @@ func TestFeederConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFeederStaleSetKeepsSession: a set request for an assignment whose
+// operands the feed has let go of (ErrStaleAssign) is answered with a
+// filler set instead of ending the session — the worker runs the doomed
+// assignment to its end, the result is refused as stale, every other
+// tile is bit-exact and the session still ends with a clean Bye.
+func TestFeederStaleSetKeepsSession(t *testing.T) {
+	for _, fl := range fleets {
+		t.Run(fl.name, func(t *testing.T) {
+			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
+			orig := c.Clone()
+			pool := engine.NewBlockPool()
+			master, worker := feederPair(t, fl.name, pool)
+			feed := newScriptedFeed(c, a, b, 2)
+			revoked := feed.chunks[1]
+			feed.stale = map[engine.AssignID]bool{revoked.id: true}
+			feederDone := make(chan error, 1)
+			go func() {
+				// Mem 13 with two 2×2 tiles in flight announces Cap 0, so a
+				// filler that skipped the builder would desync the caches.
+				_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: 2, Pool: pool, Mem: 13})
+				feederDone <- err
+			}()
+			rep, err := engine.RunWorker(worker, engine.WorkerConfig{
+				StageCap: 2, Slots: 2, Cores: 1, PullSets: true, Pool: pool,
+			})
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if err := <-feederDone; err != nil {
+				t.Fatalf("feeder: %v", err)
+			}
+			if rep.Assignments != len(feed.chunks) {
+				t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(feed.chunks))
+			}
+			for i := 0; i < c.BR; i++ {
+				for j := 0; j < c.BC; j++ {
+					ref := want
+					if i >= revoked.i0 && i < revoked.i0+revoked.rows && j >= revoked.j0 && j < revoked.j0+revoked.cols {
+						ref = orig // the stale result never landed
+					}
+					got, exp := c.Block(i, j).Data, ref.Block(i, j).Data
+					for e := range got {
+						if got[e] != exp[e] {
+							t.Fatalf("tile (%d,%d) element %d = %g, want %g", i, j, e, got[e], exp[e])
+						}
+					}
+				}
+			}
+		})
 	}
 }

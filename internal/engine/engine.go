@@ -50,6 +50,12 @@ var (
 	// ErrStaleResult marks a completion the feed no longer wants (the
 	// assignment was revoked); the feeder drops it and frees the slot.
 	ErrStaleResult = errors.New("engine: stale result")
+	// ErrStaleAssign is returned by Feed.Set for an assignment the feed
+	// revoked and whose operands it no longer holds. The worker is still
+	// owed a set, so the feeder answers with a filler of the right shape:
+	// the doomed assignment runs to its end, its result is refused as
+	// stale, and the session lives on.
+	ErrStaleAssign = errors.New("engine: stale assignment")
 	// ErrFlushWanted is returned by Feed.Next when the feed has no task to
 	// hand out until the worker flushes its accumulated C blocks: the
 	// feeder sends Flush instead of an assignment and retries Next once

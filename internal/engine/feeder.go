@@ -17,6 +17,8 @@ import (
 //
 // Complete may return ErrStaleResult (possibly wrapped) for a result
 // the feed no longer wants; the feeder drops it and frees the slot.
+// Set may return ErrStaleAssign (possibly wrapped) once the feed has let
+// go of a revoked assignment's operands; the feeder sends a filler set.
 //
 // Lost is called exactly once, as soon as the feeder knows the session
 // is over (connection death or drain), whatever the cause; the feed
@@ -291,6 +293,9 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 				return fstats, fmt.Errorf("engine: protocol violation: set request with no sets left to stream")
 			}
 			set, err := feed.Set(cur.id, cur.sent)
+			if errors.Is(err, ErrStaleAssign) {
+				set, err = fillerSet(cur, cfg.Pool), nil
+			}
 			if err != nil {
 				return fstats, err
 			}
@@ -401,4 +406,25 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 	// death); the reader already declared the worker lost, requeuing
 	// everything still in outq.
 	return fstats, nil
+}
+
+// fillerSet builds the update set a revoked assignment is still owed
+// when its operands are gone (ErrStaleAssign): zeroed blocks of the
+// right shape under untracked IDs, so neither end's operand cache
+// changes and the builder still announces the capacity both mirror.
+func fillerSet(oa *outAssign, pool *BlockPool) *Set {
+	set := pool.GetSet()
+	set.K, set.Owned = oa.sent, true
+	zero := func() []float64 {
+		blk := pool.Get(oa.q * oa.q)
+		clear(blk)
+		return blk
+	}
+	for i := 0; i < oa.rows; i++ {
+		set.A, set.AIDs = append(set.A, zero()), append(set.AIDs, 0)
+	}
+	for j := 0; j < oa.cols; j++ {
+		set.B, set.BIDs = append(set.B, zero()), append(set.BIDs, 0)
+	}
+	return set
 }

@@ -303,9 +303,11 @@ func (c *blockCache) insert(id uint64, buf []float64, owned bool, pool *BlockPoo
 	c.pushFront(e)
 }
 
-// evictTo drops least-recently-used entries until at most cap remain,
-// releasing owned buffers to the pool.
-func (c *blockCache) evictTo(cap int, pool *BlockPool) {
+// evictTo drops least-recently-used entries until at most cap remain.
+// The owned buffers of the evicted entries are appended to freed and
+// returned: the caller decides when they go back to the pool (the
+// worker must not recycle a buffer the update in hand still reads).
+func (c *blockCache) evictTo(cap int, freed [][]float64) [][]float64 {
 	if cap < 0 {
 		cap = 0
 	}
@@ -314,17 +316,18 @@ func (c *blockCache) evictTo(cap int, pool *BlockPool) {
 		c.unlink(e)
 		delete(c.m, e.id)
 		if e.owned {
-			pool.Put(e.buf)
+			freed = append(freed, e.buf)
 		}
 		e.buf = nil
 		lruEntryPool.Put(e)
 	}
+	return freed
 }
 
 // release drains the cache (returning owned buffers to the pool) and
 // recycles it for the next session.
 func (c *blockCache) release(pool *BlockPool) {
-	c.evictTo(0, pool)
+	pool.PutAll(c.evictTo(0, nil))
 	blockCachePool.Put(c)
 }
 
@@ -382,7 +385,7 @@ func (sb *SetBuilder) Filter(set *Set, inflight int, pool *BlockPool) *Set {
 	set.Cap = CacheBudget(sb.Mem, inflight)
 	sb.filterHalf(set.A, set.AIDs, set.Owned, pool)
 	sb.filterHalf(set.B, set.BIDs, set.Owned, pool)
-	sb.mirror.evictTo(set.Cap, nil)
+	sb.mirror.evictTo(set.Cap, nil) // the mirror holds IDs only: nothing to free
 	return set
 }
 
@@ -419,6 +422,12 @@ func (sb *SetBuilder) filterHalf(blocks [][]float64, ids []uint64, owned bool, p
 type opCache struct {
 	cache *blockCache
 	pool  *BlockPool
+	// evicted holds the buffers the last resolve evicted. The Set that
+	// resolve returned may still point at them (whenever Cap is below
+	// the Set's own tracked-block count), so they go back to the pool
+	// only once that Set has been applied: at the next resolve, or at
+	// session end.
+	evicted [][]float64
 }
 
 func newOpCache(pool *BlockPool) *opCache {
@@ -428,10 +437,16 @@ func newOpCache(pool *BlockPool) *opCache {
 // resolve applies a delta Set against the cache: shipped blocks are
 // pinned (transferring ownership to the cache when the Set owns them),
 // manifest references are filled from residency, and the cache is then
-// evicted down to the announced capacity. Sets without a manifest pass
-// through untouched (the caller releases them after applying, as
-// before). It returns the number of blocks served from the cache.
+// evicted down to the announced capacity — IDs at once, in lock-step
+// with the master's mirror; buffers only at the next resolve, after
+// the caller has applied this Set (see evicted). Sets without a
+// manifest pass through untouched (the caller releases them after
+// applying, as before). It returns the number of blocks served from
+// the cache.
 func (oc *opCache) resolve(set *Set) (hits int64, err error) {
+	// The previous Set has been applied by now: its evictions are free.
+	oc.pool.PutAll(oc.evicted)
+	oc.evicted = oc.evicted[:0]
 	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
 		return 0, nil
 	}
@@ -448,7 +463,7 @@ func (oc *opCache) resolve(set *Set) (hits int64, err error) {
 		return hits, err
 	}
 	hits += h
-	oc.cache.evictTo(set.Cap, oc.pool)
+	oc.evicted = oc.cache.evictTo(set.Cap, oc.evicted)
 	return hits, nil
 }
 
@@ -503,6 +518,8 @@ func releaseUncached(set *Set, pool *BlockPool) {
 // release drains every resident block and recycles the cache (session
 // end).
 func (oc *opCache) release() {
+	oc.pool.PutAll(oc.evicted)
+	oc.evicted = nil
 	if oc.cache != nil {
 		oc.cache.release(oc.pool)
 		oc.cache = nil

@@ -403,3 +403,50 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 		oc.release()
 	}
 }
+
+// TestResolveKeepsEvictedOperandsUntilApplied is the tight-memory
+// use-after-release reproducer: with Cap below the Set's own tracked
+// block count, resolve evicts blocks the Set it just returned still
+// points at. Their buffers must not reach the pool before the update
+// is applied — the reader goroutine's next decode takes them straight
+// back out and overwrites the operands under the kernel.
+func TestResolveKeepsEvictedOperandsUntilApplied(t *testing.T) {
+	pool := NewBlockPool()
+	oc := newOpCache(pool)
+	defer oc.release()
+	a, b := pool.Get(4), pool.Get(4)
+	for i := range a {
+		a[i], b[i] = 1, 2
+	}
+	set := &Set{
+		A: [][]float64{a}, B: [][]float64{b},
+		AIDs: []uint64{ABlockID(0, 0, 0)}, BIDs: []uint64{BBlockID(0, 0, 0)},
+		Cap: 0, Owned: true,
+	}
+	if _, err := oc.resolve(set); err != nil {
+		t.Fatal(err)
+	}
+	if len(oc.cache.m) != 0 {
+		t.Fatalf("cache holds %d ids after resolving at Cap 0, want 0 (the mirror evicted them)", len(oc.cache.m))
+	}
+	// What the reader's decode of the next Set does while this one is
+	// being applied.
+	for n := 0; n < 2; n++ {
+		next := pool.Get(4)
+		for i := range next {
+			next[i] = -1
+		}
+	}
+	for i := range a {
+		if set.A[0][i] != 1 || set.B[0][i] != 2 {
+			t.Fatalf("operands overwritten before the update was applied: A=%v B=%v", set.A[0], set.B[0])
+		}
+	}
+	// The next resolve is the release point.
+	if _, err := oc.resolve(&Set{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(oc.evicted) != 0 {
+		t.Fatalf("%d evicted buffers still held after the next resolve", len(oc.evicted))
+	}
+}

@@ -265,7 +265,8 @@ assignments:
 			// update: shipped blocks pin (ownership moves to the cache),
 			// manifest references fill in from residency, and the cache
 			// evicts to the announced capacity in lock-step with the
-			// master's mirror.
+			// master's mirror. Evicted buffers stay out of the pool until
+			// the next resolve, so the update below may still read them.
 			hits, err := cache.resolve(set)
 			if err != nil {
 				return fail(err)

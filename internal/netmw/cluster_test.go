@@ -298,13 +298,13 @@ func TestSubmissionSizeCheckNoOverflow(t *testing.T) {
 	hdr := JobHeader{Kind: WireMatMul, R: 32768, T: 16384, S: 32768, Q: 32768, Mu: 1}
 	payload := make([]byte, jobHeaderLen)
 	hdr.encode(payload)
-	if _, _, err := decodeJobSubmission(payload); err == nil {
+	if _, _, err := readSubmission(bytes.NewReader(payload), len(payload), nil); err == nil {
 		t.Fatal("wrapping job size accepted with an empty payload")
 	}
 	// A second wrap shape: all three operand terms individually huge.
 	hdr = JobHeader{Kind: WireLU, R: 32768, T: 32768, S: 32768, Q: 32768, Mu: 1}
 	hdr.encode(payload)
-	if _, _, err := decodeJobSubmission(payload); err == nil {
+	if _, _, err := readSubmission(bytes.NewReader(payload), len(payload), nil); err == nil {
 		t.Fatal("huge LU size accepted with an empty payload")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"time"
@@ -223,6 +224,41 @@ type errJobRejected struct{ msg string }
 
 func (e *errJobRejected) Error() string { return e.msg }
 
+// submission is one job on its way to an mmserve cluster: header,
+// operands in wire order, and the operand the result lands in. Nothing
+// is assembled: every attempt streams the frame from the matrices.
+type submission struct {
+	hdr      JobHeader
+	operands []*matrix.Blocked
+	dst      *matrix.Blocked
+}
+
+func matMulSubmission(c, a, b *matrix.Blocked, mu int, key uint64) *submission {
+	return &submission{hdr: JobHeader{
+		Kind: WireMatMul, R: uint32(c.BR), T: uint32(a.BC), S: uint32(c.BC),
+		Q: uint32(c.Q), Mu: uint32(mu), Key: key,
+	}, operands: []*matrix.Blocked{c, a, b}, dst: c}
+}
+
+func luSubmission(m *matrix.Blocked, mu int, key uint64) *submission {
+	return &submission{hdr: JobHeader{
+		Kind: WireLU, R: uint32(m.BR), T: uint32(m.BR), S: uint32(m.BC),
+		Q: uint32(m.Q), Mu: uint32(mu), Key: key,
+	}, operands: []*matrix.Blocked{m}, dst: m}
+}
+
+// frameLen is the MsgSubmit payload length; the wire's limit is an error.
+func (sub *submission) frameLen() (int, error) {
+	n := uint64(jobHeaderLen) // 64-bit: three operands can pass 2³¹ together
+	for _, m := range sub.operands {
+		n += uint64(blockedBytes(m))
+	}
+	if n > maxPayload {
+		return 0, fmt.Errorf("netmw: job of %d bytes exceeds the %d-byte submit limit", n, maxPayload)
+	}
+	return int(n), nil
+}
+
 // SubmitMatMulDurable submits C ← C + A·B to an mmserve cluster with
 // at-most-once semantics across retries and master restarts: every
 // attempt carries the same idempotency key, so a resubmission after a
@@ -230,58 +266,26 @@ func (e *errJobRejected) Error() string { return e.msg }
 // job from its journal) attaches to the original job instead of running
 // it again. Blocks until the job completes, copying the result into c.
 func SubmitMatMulDurable(addr string, c, a, b *matrix.Blocked, mu int, opts SubmitOptions) error {
-	hdr := JobHeader{
-		Kind: WireMatMul, R: uint32(c.BR), T: uint32(a.BC), S: uint32(c.BC),
-		Q: uint32(c.Q), Mu: uint32(mu), Key: submitKey(opts.Key),
-	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, c)
-	payload = encodeBlocked(payload, a)
-	payload = encodeBlocked(payload, b)
-	return submitDurable(addr, payload, c, opts)
+	return matMulSubmission(c, a, b, mu, submitKey(opts.Key)).durable(addr, opts)
 }
 
 // SubmitLUDurable submits an in-place LU factorization of m with the
 // same at-most-once retry semantics as SubmitMatMulDurable.
 func SubmitLUDurable(addr string, m *matrix.Blocked, mu int, opts SubmitOptions) error {
-	hdr := JobHeader{
-		Kind: WireLU, R: uint32(m.BR), T: uint32(m.BR), S: uint32(m.BC),
-		Q: uint32(m.Q), Mu: uint32(mu), Key: submitKey(opts.Key),
-	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, m)
-	return submitDurable(addr, payload, m, opts)
+	return luSubmission(m, mu, submitKey(opts.Key)).durable(addr, opts)
 }
 
 // SubmitMatMulTCP submits C ← C + A·B to an mmserve cluster and blocks
 // until the job completes, copying the result back into c. One attempt,
 // unkeyed — the legacy fire-once client.
 func SubmitMatMulTCP(addr string, c, a, b *matrix.Blocked, mu int, timeout time.Duration) error {
-	hdr := JobHeader{
-		Kind: WireMatMul, R: uint32(c.BR), T: uint32(a.BC), S: uint32(c.BC),
-		Q: uint32(c.Q), Mu: uint32(mu),
-	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, c)
-	payload = encodeBlocked(payload, a)
-	payload = encodeBlocked(payload, b)
-	return submit(addr, payload, c, timeout)
+	return matMulSubmission(c, a, b, mu, 0).roundTrip(addr, timeout)
 }
 
 // SubmitLUTCP submits an in-place LU factorization of m to an mmserve
 // cluster and blocks until it completes.
 func SubmitLUTCP(addr string, m *matrix.Blocked, mu int, timeout time.Duration) error {
-	hdr := JobHeader{
-		Kind: WireLU, R: uint32(m.BR), T: uint32(m.BR), S: uint32(m.BC),
-		Q: uint32(m.Q), Mu: uint32(mu),
-	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, m)
-	return submit(addr, payload, m, timeout)
+	return luSubmission(m, mu, 0).roundTrip(addr, timeout)
 }
 
 // submitKey returns key, or a fresh random nonzero key when key is 0.
@@ -299,14 +303,17 @@ func submitKey(key uint64) uint64 {
 	return key
 }
 
-// submitDurable runs the keyed retry loop: transport failures back off
-// and resubmit under the same key; a server answer — result or job
-// error — is final.
-func submitDurable(addr string, payload []byte, dst *matrix.Blocked, opts SubmitOptions) error {
+// durable runs the keyed retry loop: transport failures back off and
+// resubmit under the same key; a server answer — result or job error —
+// is final.
+func (sub *submission) durable(addr string, opts SubmitOptions) error {
+	if _, err := sub.frameLen(); err != nil {
+		return err // no retry makes the job smaller
+	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	var err error
 	for attempt := 0; ; attempt++ {
-		err = submit(addr, payload, dst, opts.Timeout)
+		err = sub.roundTrip(addr, opts.Timeout)
 		if err == nil {
 			return nil
 		}
@@ -323,8 +330,14 @@ func submitDurable(addr string, payload []byte, dst *matrix.Blocked, opts Submit
 	}
 }
 
-// submit runs one submission round trip and decodes the result into dst.
-func submit(addr string, payload []byte, dst *matrix.Blocked, timeout time.Duration) error {
+// roundTrip runs one submission attempt. The result is staged and copied
+// into dst only once its last byte has arrived, so a reply cut short
+// leaves dst untouched — dst is an operand a durable retry resubmits.
+func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
+	frame, err := sub.frameLen() // refuse before dialling
+	if err != nil {
+		return err
+	}
 	if timeout == 0 {
 		timeout = 2 * time.Minute
 	}
@@ -336,38 +349,52 @@ func submit(addr string, payload []byte, dst *matrix.Blocked, timeout time.Durat
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(conn, 1<<20)
-	if err := writeMsg(w, MsgSubmit, payload); err != nil {
-		return err
+	w := bufio.NewWriterSize(conn, hopBuf)
+	var raw [jobHeaderLen]byte
+	sub.hdr.encode(raw[:])
+	// A bufio.Writer's first error is sticky: Flush reports it.
+	writeMsgHeader(w, MsgSubmit, frame)
+	w.Write(raw[:])
+	for _, m := range sub.operands {
+		writeBlocked(w, m)
 	}
 	if err := w.Flush(); err != nil {
-		return err
+		return fmt.Errorf("netmw: submit write: %w", err)
 	}
-	t, resp, err := readMsg(bufio.NewReaderSize(conn, 1<<20))
+
+	var mh [msgHeaderLen]byte
+	t, n, err := readMsgHeader(conn, &mh)
 	if err != nil {
 		return fmt.Errorf("netmw: submit read: %w", err)
 	}
 	if t != MsgJobDone {
 		return fmt.Errorf("netmw: submit got unexpected message %d", t)
 	}
+	rawDone := make([]byte, min(n, jobDoneHeaderLen))
+	if _, err := io.ReadFull(conn, rawDone); err != nil {
+		return fmt.Errorf("netmw: submit read: %w", err)
+	}
 	var hdr JobDoneHeader
-	if err := hdr.decode(resp); err != nil {
+	if err := hdr.decode(rawDone); err != nil {
 		return err
 	}
-	body := resp[jobDoneHeaderLen:]
+	n -= jobDoneHeaderLen
 	if hdr.Code != 0 {
-		return fmt.Errorf("netmw: job %d failed: %w", hdr.Job, &errJobRejected{msg: string(body)})
-	}
-	q := dst.Q
-	for i := 0; i < dst.BR; i++ {
-		for j := 0; j < dst.BC; j++ {
-			fs, rest, err := getFloats(body, q*q)
-			if err != nil {
-				return err
-			}
-			copy(dst.Block(i, j).Data, fs)
-			body = rest
+		msg, err := readPayload(conn, n)
+		if err != nil {
+			return fmt.Errorf("netmw: submit read: %w", err)
 		}
+		return fmt.Errorf("netmw: job %d failed: %w", hdr.Job, &errJobRejected{msg: string(msg)})
+	}
+	if want := blockedBytes(sub.dst); n != want {
+		return fmt.Errorf("netmw: job %d answered with %d result bytes, want %d", hdr.Job, n, want)
+	}
+	staged := make([]float64, n/8)
+	if err := readFloats(conn, staged); err != nil {
+		return fmt.Errorf("netmw: submit read: %w", err)
+	}
+	for _, b := range sub.dst.Blocks {
+		staged = staged[copy(b.Data, staged):]
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package netmw
 
 import (
 	"encoding/binary"
-	"fmt"
+	"io"
 	"math"
 )
 
@@ -13,7 +13,8 @@ import (
 // little-endian architectures (floats_le.go) that moves whole blocks
 // with one copy — the fast wire path that makes encode/decode
 // bandwidth, not loop overhead, the limit. Big-endian builds fall back
-// to the loop (floats_generic.go).
+// to the loop (floats_generic.go). writeFloats/readFloats are the same
+// pair over a stream: the client hop never assembles a frame buffer.
 
 // putFloatsPortable appends the little-endian encoding of fs to buf,
 // one element at a time. This loop is the normative definition of the
@@ -35,6 +36,22 @@ func getFloatsPortableInto(dst []float64, buf []byte) {
 	}
 }
 
+// writeFloatsPortable writes the little-endian encoding of fs to w.
+func writeFloatsPortable(w io.Writer, fs []float64) error {
+	_, err := w.Write(putFloatsPortable(nil, fs))
+	return err
+}
+
+// readFloatsPortable fills dst with len(dst) doubles read from r.
+func readFloatsPortable(r io.Reader, dst []float64) error {
+	buf := make([]byte, 8*len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	getFloatsPortableInto(dst, buf)
+	return nil
+}
+
 // EncodeFloats, EncodeFloatsPortable, DecodeFloatsInto and
 // DecodeFloatsPortableInto expose the two codec paths for the
 // benchmark harness (BenchmarkTransportCodec tracks the bulk path's
@@ -52,13 +69,3 @@ func DecodeFloatsInto(dst []float64, buf []byte) { getFloatsInto(dst, buf) }
 
 // DecodeFloatsPortableInto decodes len(dst) doubles via the portable loop.
 func DecodeFloatsPortableInto(dst []float64, buf []byte) { getFloatsPortableInto(dst, buf) }
-
-// getFloats decodes n doubles from buf, returning the floats and the rest.
-func getFloats(buf []byte, n int) ([]float64, []byte, error) {
-	if len(buf) < 8*n {
-		return nil, nil, fmt.Errorf("netmw: short float payload: have %d bytes, want %d", len(buf), 8*n)
-	}
-	fs := make([]float64, n)
-	getFloatsInto(fs, buf)
-	return fs, buf[8*n:], nil
-}

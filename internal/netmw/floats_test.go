@@ -1,6 +1,7 @@
 package netmw
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,9 @@ import (
 // diverge from it. The property runs across sizes (empty through
 // several blocks), byte offsets (the decode source is arbitrarily
 // aligned inside a frame) and hostile bit patterns (NaN payloads,
-// signed zeros, infinities, subnormals). CI runs it under the race
-// detector alongside the engine conformance suite.
+// signed zeros, infinities, subnormals), and covers the stream pair
+// (writeFloats/readFloats) the client hop moves matrices with. CI runs
+// it under the race detector alongside the engine conformance suite.
 func TestFloatCodecEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []uint64{
@@ -30,6 +32,38 @@ func TestFloatCodecEquivalence(t *testing.T) {
 				fs[i] = math.Float64frombits(special[i])
 			} else {
 				fs[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+
+		// Stream equivalence: the same bytes out, the same bits back, and
+		// a short stream is an error on both paths.
+		want := putFloatsPortable(nil, fs)
+		var fastW, slowW bytes.Buffer
+		if err := writeFloats(&fastW, fs); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFloatsPortable(&slowW, fs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fastW.Bytes(), want) || !bytes.Equal(slowW.Bytes(), want) {
+			t.Fatalf("n=%d: streamed encodings differ from the portable definition", n)
+		}
+		sFast, sSlow := make([]float64, n), make([]float64, n)
+		if err := readFloats(bytes.NewReader(want), sFast); err != nil {
+			t.Fatal(err)
+		}
+		if err := readFloatsPortable(bytes.NewReader(want), sSlow); err != nil {
+			t.Fatal(err)
+		}
+		for i := range fs {
+			if math.Float64bits(sFast[i]) != math.Float64bits(fs[i]) || math.Float64bits(sSlow[i]) != math.Float64bits(fs[i]) {
+				t.Fatalf("n=%d: streamed element %d did not round-trip", n, i)
+			}
+		}
+		if n > 0 {
+			if readFloats(bytes.NewReader(want[:len(want)-1]), sFast) == nil ||
+				readFloatsPortable(bytes.NewReader(want[:len(want)-1]), sSlow) == nil {
+				t.Fatalf("n=%d: short stream read without error", n)
 			}
 		}
 

@@ -301,9 +301,9 @@ func FuzzDecodeMsg(f *testing.F) {
 				}
 			}
 		case 3:
-			spec, _, err := decodeJobSubmission(payload)
+			spec, _, err := readSubmission(bytes.NewReader(payload), len(payload), pool)
 			if err == nil && spec.Kind == 0 && spec.C == nil {
-				t.Fatal("decodeJobSubmission returned an empty spec without error")
+				t.Fatal("readSubmission returned an empty spec without error")
 			}
 		case 4:
 			// the MsgSet path: the delta-manifest decoder against a

@@ -363,50 +363,43 @@ func splitCRC(payload []byte) ([]byte, error) {
 	return body, nil
 }
 
-// writeMsg frames and writes one message.
-func writeMsg(w io.Writer, t MsgType, payload []byte) error {
-	var hdr [5]byte
+// writeMsgHeader writes the frame header of an n-byte payload the caller
+// streams after it.
+func writeMsgHeader(w io.Writer, t MsgType, n int) error {
+	var hdr [msgHeaderLen]byte
 	hdr[0] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(n))
+	_, err := w.Write(hdr[:])
+	return err
 }
 
 // maxPayload bounds a single message to keep a corrupted length prefix
-// from provoking a giant allocation (256 MiB is far above any legal
-// message: the largest is a chunk of µ² blocks).
+// from provoking a giant allocation. The largest legal message is a job
+// submission — all of C, A and B in one MsgSubmit frame — so this is
+// also the submit limit: 3n² doubles fit up to n = 3344 (the bench's
+// dense_large, n = 2048, is a 96 MiB frame).
 const maxPayload = 256 << 20
 
-// readStep bounds the per-iteration allocation of readMsg: payloads grow
+// readStep bounds the per-iteration allocation of readPayload: payloads grow
 // as their bytes actually arrive, so a corrupted length prefix cannot
 // provoke a giant up-front allocation for data that never comes.
 const readStep = 1 << 20
 
-// readMsg reads one framed message.
-func readMsg(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
+// readMsgHeader reads a frame header into the caller's scratch and
+// returns the message type and the bounds-checked length of the payload
+// that follows.
+func readMsgHeader(r io.Reader, hdr *[msgHeaderLen]byte) (MsgType, int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
 	// The length stays unsigned until it has passed the bound check, so
 	// a ≥ 2³¹ prefix cannot slip through as a negative int on 32-bit
 	// platforms.
 	n32 := binary.LittleEndian.Uint32(hdr[1:])
 	if n32 > maxPayload {
-		return 0, nil, fmt.Errorf("netmw: oversized payload %d bytes", n32)
+		return 0, 0, fmt.Errorf("netmw: oversized payload %d bytes", n32)
 	}
-	payload, err := readPayload(r, int(n32))
-	if err != nil {
-		return 0, nil, err
-	}
-	return MsgType(hdr[0]), payload, nil
+	return MsgType(hdr[0]), int(n32), nil
 }
 
 // readPayload reads an n-byte payload with bounded-step growth.
@@ -448,40 +441,34 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 	return payload, nil
 }
 
-// readMsgReuse is readMsg with a caller-owned scratch buffer: when the
-// scratch can hold the payload it is reused (the steady-state path
-// allocates nothing), otherwise the incremental-growth path of readMsg
-// runs and the grown buffer becomes the new scratch. The returned
-// payload aliases the scratch and must be fully consumed before the
-// next call.
 // msgHeaderLen is the frame header: 1 type byte + 4 length bytes.
 const msgHeaderLen = 5
 
-func readMsgReuse(r io.Reader, scratch []byte, hdr *[5]byte) (MsgType, []byte, []byte, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, scratch, err
-	}
-	n32 := binary.LittleEndian.Uint32(hdr[1:])
-	if n32 > maxPayload {
-		return 0, nil, scratch, fmt.Errorf("netmw: oversized payload %d bytes", n32)
-	}
-	n := int(n32)
-	if n <= cap(scratch) {
-		payload := scratch[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, scratch, err
-		}
-		return MsgType(hdr[0]), payload, scratch, nil
-	}
-	// Larger than anything seen on this connection so far: grow with the
-	// same bounded-step discipline as readMsg (a corrupted length prefix
-	// must not provoke a giant allocation for bytes that never come),
-	// then keep the result as the new scratch.
-	payload, err := readPayload(r, n)
+// readMsgReuse reads one framed message into a caller-owned scratch
+// buffer: when the scratch can hold the payload it is reused (the
+// steady-state path allocates nothing), otherwise readPayload's
+// bounded-step growth runs (a corrupted length prefix must not provoke a
+// giant allocation for bytes that never come) and the grown buffer
+// becomes the new scratch. The returned payload aliases the scratch and
+// must be fully consumed before the next call.
+func readMsgReuse(r io.Reader, scratch []byte, hdr *[msgHeaderLen]byte) (MsgType, []byte, []byte, error) {
+	t, n, err := readMsgHeader(r, hdr)
 	if err != nil {
 		return 0, nil, scratch, err
 	}
-	return MsgType(hdr[0]), payload, payload, nil
+	if n > cap(scratch) {
+		// Larger than anything seen on this connection so far.
+		payload, err := readPayload(r, n)
+		if err != nil {
+			return 0, nil, scratch, err
+		}
+		return t, payload, payload, nil
+	}
+	payload := scratch[:n]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, scratch, err
+	}
+	return t, payload, scratch, nil
 }
 
 // decodeBlocksInto decodes nblocks blocks of q² doubles into pooled

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -159,23 +160,32 @@ func (s *ClusterServer) expiryLoop() {
 	}
 }
 
-// handle dispatches one connection by its first message.
+// hopBuf sizes the buffered IO of the client hop, both ends: blocks at
+// or above it (q ≥ 91) move straight between socket and block memory.
+const hopBuf = 64 << 10
+
+// handle dispatches one connection by its first message, read unbuffered
+// so each role picks its own buffering.
 func (s *ClusterServer) handle(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 1<<20)
-	w := bufio.NewWriterSize(conn, 1<<20)
-	t, payload, err := readMsg(r)
+	var hdr [msgHeaderLen]byte
+	t, n, err := readMsgHeader(conn, &hdr)
 	if err != nil {
 		return
 	}
 	switch t {
 	case MsgRegister:
+		r := bufio.NewReaderSize(conn, 1<<20)
+		payload, err := readPayload(r, n)
+		if err != nil {
+			return
+		}
 		var ri RegisterInfo
 		if err := ri.decode(payload); err != nil {
 			return
 		}
-		s.workerSession(conn, r, w, ri)
+		s.workerSession(conn, r, bufio.NewWriterSize(conn, 1<<20), ri)
 	case MsgSubmit:
-		s.clientSession(w, payload)
+		s.clientSession(bufio.NewReaderSize(conn, hopBuf), bufio.NewWriterSize(conn, hopBuf), n)
 	}
 }
 
@@ -238,25 +248,29 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	s.cl.ReportWireEpoch(id, epoch, ws.BytesOut, ws.BytesIn, time.Since(began))
 }
 
-// clientSession serves one MsgSubmit: build the job, run it to
-// completion, answer with the result blocks or the error. A keyed
-// submission is idempotent: when the key names an already-accepted job
-// (including one recovered from the journal after a restart) the session
-// attaches to it instead of starting a duplicate, and the reply carries
-// the canonical result held by the cluster — not the freshly decoded
-// operands of this resubmission.
-func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
-	reply := func(job cluster.JobID, code uint32, body []byte) {
-		out := make([]byte, jobDoneHeaderLen, jobDoneHeaderLen+len(body))
-		(&JobDoneHeader{Job: uint32(job), Code: code}).encode(out)
-		out = append(out, body...)
-		if writeMsg(w, MsgJobDone, out) == nil {
+// clientSession serves one MsgSubmit whose n-byte payload is still on
+// the wire: stream the operands in, run the job to completion, stream
+// the result blocks (or the error) out. A keyed submission is
+// idempotent: when the key names an already-accepted job (including one
+// recovered from the journal after a restart) the session attaches to
+// it instead of starting a duplicate, and the reply carries the
+// canonical result held by the cluster, not this resubmission's.
+func (s *ClusterServer) clientSession(r io.Reader, w *bufio.Writer, n int) {
+	fail := func(job cluster.JobID, err error) {
+		msg := err.Error()
+		if writeJobDone(w, job, 1, len(msg)) == nil {
+			w.WriteString(msg)
 			w.Flush()
 		}
 	}
-	spec, key, err := decodeJobSubmission(payload)
+	body := &io.LimitedReader{R: r, N: int64(n)}
+	spec, key, err := readSubmission(body, n, s.pool)
 	if err != nil {
-		reply(0, 1, []byte(err.Error()))
+		// Take a refused job's unread operands off the wire so the peer
+		// reads the reason, not a reset; a truncated frame has no peer.
+		if _, derr := io.Copy(io.Discard, body); derr == nil && body.N == 0 {
+			fail(0, err)
+		}
 		return
 	}
 	id, _, err := s.cl.SubmitJobKeyed(key, spec)
@@ -266,13 +280,15 @@ func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
 		// shutdown is exactly the transient fault that loop exists for.
 		// The journal preserves the job; the resubmitted key resumes it.
 		if !errors.Is(err, cluster.ErrClosed) {
-			reply(0, 1, []byte(err.Error()))
+			fail(0, err)
 		}
 		return
 	}
+	// However this session ends, an unkeyed job's result has no reader left.
+	defer s.cl.ForgetResult(id)
 	done, err := s.cl.Done(id)
 	if err != nil {
-		reply(id, 1, []byte(err.Error()))
+		fail(id, err)
 		return
 	}
 	select {
@@ -283,99 +299,101 @@ func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
 	res, err := s.cl.JobResult(id)
 	if err != nil {
 		if !errors.Is(err, cluster.ErrClosed) {
-			reply(id, 1, []byte(err.Error()))
+			fail(id, err)
 		}
 		return
 	}
-	body := encodeBlocked(nil, res)
-	reply(id, 0, body)
+	if writeJobDone(w, id, 0, blockedBytes(res)) == nil && writeBlocked(w, res) == nil {
+		w.Flush()
+	}
 }
 
-// decodeJobSubmission parses a MsgSubmit payload into a JobSpec backed by
-// freshly allocated matrices, plus the client's idempotency key.
-func decodeJobSubmission(payload []byte) (cluster.JobSpec, uint64, error) {
-	var hdr JobHeader
-	if err := hdr.decode(payload); err != nil {
+// writeJobDone starts a MsgJobDone frame whose body — n bytes of result
+// blocks or error text — the caller streams after it.
+func writeJobDone(w io.Writer, job cluster.JobID, code uint32, n int) error {
+	if err := writeMsgHeader(w, MsgJobDone, jobDoneHeaderLen+n); err != nil {
+		return err
+	}
+	var hdr [jobDoneHeaderLen]byte
+	(&JobDoneHeader{Job: uint32(job), Code: code}).encode(hdr[:])
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+func blockedBytes(m *matrix.Blocked) int { return len(m.Blocks) * m.Q * m.Q * 8 }
+
+// writeBlocked streams every block of m in row-major block order.
+func writeBlocked(w io.Writer, m *matrix.Blocked) error {
+	for _, b := range m.Blocks {
+		if err := writeFloats(w, b.Data); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSubmission streams the n-byte payload of a MsgSubmit from r into a
+// pooled JobSpec, plus the client's idempotency key. Every block is read
+// straight into its final buffer, taken from the pool only when its
+// bytes are next on the wire: a hostile header never provokes more
+// allocation than the bytes that arrived plus one block.
+func readSubmission(r io.Reader, n int, pool *engine.BlockPool) (cluster.JobSpec, uint64, error) {
+	raw := make([]byte, min(n, jobHeaderLen))
+	if _, err := io.ReadFull(r, raw); err != nil {
 		return cluster.JobSpec{}, 0, err
 	}
-	rest := payload[jobHeaderLen:]
-	r, t, sd, q := int(hdr.R), int(hdr.T), int(hdr.S), int(hdr.Q)
-	if r < 1 || t < 1 || sd < 1 || q < 1 ||
-		r > maxWireDim || t > maxWireDim || sd > maxWireDim || q > maxWireDim {
-		return cluster.JobSpec{}, 0, fmt.Errorf("netmw: bad job dimensions %dx%dx%d q=%d", r, t, sd, q)
+	var hdr JobHeader
+	if err := hdr.decode(raw); err != nil {
+		return cluster.JobSpec{}, 0, err
 	}
-	// Size the declared operands before allocating them: a hostile
-	// header must not provoke matrix allocations for bytes that never
-	// arrived. Each per-operand product is ≤ 2³⁰·2³³ = 2⁶³ (maxWireDim
-	// bounds every factor), so it cannot wrap uint64 on its own; each is
-	// checked against the payload length before entering the sum, which
-	// keeps the sum far below overflow too.
-	perBlock := uint64(q) * uint64(q) * 8
-	var operands []uint64
+	rest := uint64(n - jobHeaderLen)
+	rd, t, sd, q := int(hdr.R), int(hdr.T), int(hdr.S), int(hdr.Q)
+	if rd < 1 || t < 1 || sd < 1 || q < 1 ||
+		rd > maxWireDim || t > maxWireDim || sd > maxWireDim || q > maxWireDim {
+		return cluster.JobSpec{}, 0, fmt.Errorf("netmw: bad job dimensions %dx%dx%d q=%d", rd, t, sd, q)
+	}
+	spec := cluster.JobSpec{Mu: int(hdr.Mu), Pooled: true}
+	type operand struct {
+		dst    **matrix.Blocked
+		br, bc int
+	}
+	var operands []operand
 	switch hdr.Kind {
 	case WireMatMul:
-		operands = []uint64{uint64(r) * uint64(sd), uint64(r) * uint64(t), uint64(t) * uint64(sd)}
+		spec.Kind = cluster.MatMul
+		operands = []operand{{&spec.C, rd, sd}, {&spec.A, rd, t}, {&spec.B, t, sd}}
 	case WireLU:
-		operands = []uint64{uint64(r) * uint64(r)}
+		spec.Kind = cluster.LU
+		operands = []operand{{&spec.M, rd, rd}}
 	default:
 		return cluster.JobSpec{}, 0, fmt.Errorf("netmw: unknown job kind %d", hdr.Kind)
 	}
+	// Size the declared operands against the frame before taking a
+	// block. Each product is ≤ 2³⁰·2³³ = 2⁶³ (maxWireDim bounds every
+	// factor) and is checked against the frame length before the next
+	// enters the sum, so nothing wraps uint64.
 	var need uint64
-	for _, nblocks := range operands {
-		sz := nblocks * perBlock
-		need += sz
-		if sz > uint64(len(rest)) || need > uint64(len(rest)) {
-			return cluster.JobSpec{}, 0, fmt.Errorf("netmw: job payload %d bytes, need %d", len(rest), need)
+	for _, op := range operands {
+		sz := uint64(op.br) * uint64(op.bc) * uint64(q) * uint64(q) * 8
+		if need += sz; sz > rest || need > rest {
+			break
 		}
 	}
-	switch hdr.Kind {
-	case WireMatMul:
-		var c, a, b *matrix.Blocked
-		var err error
-		if c, rest, err = decodeBlocked(rest, r, sd, q); err != nil {
-			return cluster.JobSpec{}, 0, err
-		}
-		if a, rest, err = decodeBlocked(rest, r, t, q); err != nil {
-			return cluster.JobSpec{}, 0, err
-		}
-		if b, _, err = decodeBlocked(rest, t, sd, q); err != nil {
-			return cluster.JobSpec{}, 0, err
-		}
-		return cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: int(hdr.Mu)}, hdr.Key, nil
-	case WireLU:
-		m, _, err := decodeBlocked(rest, r, r, q)
-		if err != nil {
-			return cluster.JobSpec{}, 0, err
-		}
-		return cluster.JobSpec{Kind: cluster.LU, M: m, Mu: int(hdr.Mu)}, hdr.Key, nil
-	default:
-		return cluster.JobSpec{}, 0, fmt.Errorf("netmw: unknown job kind %d", hdr.Kind)
+	if need != rest {
+		return cluster.JobSpec{}, 0, fmt.Errorf("netmw: job payload %d bytes, operands need %d", rest, need)
 	}
-}
-
-// encodeBlocked appends every block of m in row-major block order.
-func encodeBlocked(buf []byte, m *matrix.Blocked) []byte {
-	for i := 0; i < m.BR; i++ {
-		for j := 0; j < m.BC; j++ {
-			buf = putFloats(buf, m.Block(i, j).Data)
-		}
-	}
-	return buf
-}
-
-// decodeBlocked reads br×bc blocks of q² doubles, returning the matrix
-// and the remaining bytes.
-func decodeBlocked(buf []byte, br, bc, q int) (*matrix.Blocked, []byte, error) {
-	m := matrix.NewBlocked(br, bc, q)
-	for i := 0; i < br; i++ {
-		for j := 0; j < bc; j++ {
-			fs, rest, err := getFloats(buf, q*q)
-			if err != nil {
-				return nil, nil, err
+	for _, op := range operands {
+		m := &matrix.Blocked{BR: op.br, BC: op.bc, Q: q}
+		*op.dst = m
+		for i := 0; i < op.br; i++ {
+			for j := 0; j < op.bc; j++ {
+				blk := &matrix.Block{I: i, J: j, Q: q, Data: pool.Get(q * q)}
+				m.Blocks = append(m.Blocks, blk) // grows with arrival, never ahead of it
+				if err := readFloats(r, blk.Data); err != nil {
+					return cluster.JobSpec{}, 0, err
+				}
 			}
-			copy(m.Block(i, j).Data, fs)
-			buf = rest
 		}
 	}
-	return m, buf, nil
+	return spec, hdr.Key, nil
 }

@@ -445,60 +445,9 @@ func BenchmarkAblationChunk(b *testing.B) {
 
 // --- kernels ------------------------------------------------------------------
 
-// BenchmarkPackedKernel is the kernel headline series: at each paper-
-// relevant block size q it prices the packed register-blocked kernel
-// (BlockUpdate's dispatched hot path) against the historical axpy
-// kernel (GemmZeroSkip, the pre-packing arithmetic) and the parallel
-// packed form, on identical inputs per iteration. Metrics:
-// Gflops-packed / Gflops-axpy / speedup (packed over axpy) and
-// Gflops-par / speedup-par (parallel over sequential packed; ~1× on a
-// single-core machine). Packed and parallel results are asserted
-// bit-identical.
-func BenchmarkPackedKernel(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	for _, q := range []int{64, 80, 100, 128, 256} {
-		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
-			a := make([]float64, q*q)
-			bb := make([]float64, q*q)
-			for i := range a {
-				a[i] = float64(i%9) - 4
-				bb[i] = float64(i%7) - 3
-			}
-			c1 := make([]float64, q*q)
-			c2 := make([]float64, q*q)
-			c3 := make([]float64, q*q)
-			var packedT, axpyT, parT time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range c1 {
-					c1[j], c2[j], c3[j] = 0, 0, 0
-				}
-				t0 := time.Now()
-				blas.BlockUpdate(c1, a, bb, q)
-				packedT += time.Since(t0)
-				t0 = time.Now()
-				blas.GemmZeroSkip(q, q, q, a, q, bb, q, c2, q)
-				axpyT += time.Since(t0)
-				t0 = time.Now()
-				blas.ParallelBlockUpdate(c3, a, bb, q, workers)
-				parT += time.Since(t0)
-			}
-			b.StopTimer()
-			for j := range c1 {
-				if c1[j] != c3[j] {
-					b.Fatalf("parallel packed kernel diverges at %d: %g != %g", j, c3[j], c1[j])
-				}
-			}
-			flops := 2 * float64(q) * float64(q) * float64(q) * float64(b.N)
-			b.ReportMetric(flops/packedT.Seconds()/1e9, "Gflops-packed")
-			b.ReportMetric(flops/axpyT.Seconds()/1e9, "Gflops-axpy")
-			b.ReportMetric(flops/parT.Seconds()/1e9, "Gflops-par")
-			b.ReportMetric(axpyT.Seconds()/packedT.Seconds(), "speedup")
-			b.ReportMetric(packedT.Seconds()/parT.Seconds(), "speedup-par")
-			b.ReportMetric(float64(workers), "cores")
-		})
-	}
-}
+// The kernel headline series, BenchmarkPackedKernel, lives in
+// internal/blas: it needs one row per micro-kernel the host supports,
+// and forcing a kernel is a test-only override inside that package.
 
 // BenchmarkParallelKernel prices the multi-core packed kernel against
 // the single-threaded GemmBlocked on the same inputs, per iteration, so

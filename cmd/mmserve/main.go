@@ -25,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/cluster"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -188,8 +189,8 @@ func main() {
 	if jn != nil {
 		jn.Close()
 	}
-	fmt.Printf("mmserve: shutting down — %d jobs done, %d failed (%d quarantined), %d workers lost, %d requeues\n",
-		st.JobsDone, st.JobsFailed, st.JobsQuarantined, st.WorkersLost, st.Requeues)
+	fmt.Printf("mmserve: shutting down — %d jobs done, %d failed (%d quarantined), %d workers lost, %d requeues, kernel=%s\n",
+		st.JobsDone, st.JobsFailed, st.JobsQuarantined, st.WorkersLost, st.Requeues, blas.KernelName())
 	if st.Speculations > 0 {
 		fmt.Printf("mmserve: straggler re-dispatch: %d duplicates launched, %d won the race\n",
 			st.Speculations, st.SpecWins)

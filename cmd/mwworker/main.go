@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/netmw"
 	"repro/internal/platform"
 )
@@ -99,8 +100,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("mwworker: %s served %d tasks, %d block updates over %d sessions\n",
-			wn, rep.Tasks, rep.Updates, rep.Sessions)
+		fmt.Printf("mwworker: %s served %d tasks, %d block updates over %d sessions, kernel=%s\n",
+			wn, rep.Tasks, rep.Updates, rep.Sessions, blas.KernelName())
 		fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
 			rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
 		return
@@ -114,7 +115,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mwworker: processed %d chunks, %d block updates\n", rep.Chunks, rep.Updates)
+	fmt.Printf("mwworker: processed %d chunks, %d block updates, kernel=%s\n", rep.Chunks, rep.Updates, blas.KernelName())
 	fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
 		rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
 }

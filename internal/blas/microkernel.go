@@ -2,9 +2,9 @@ package blas
 
 import "math"
 
-// The micro-kernel computes an MR×NR (4×8) tile of C ← C + Ap·Bp from
-// packed micro-panels: ap holds kc steps of MR A values, bp holds kc
-// steps of NR B values, and C is row-major with stride ldc.
+// A micro-kernel computes an mr×nr tile of C ← C + Ap·Bp from packed
+// micro-panels: ap holds kc steps of mr A values, bp holds kc steps of
+// nr B values, and C is row-major with stride ldc.
 //
 // Bit-exactness contract: every C element is updated as one chain of
 // fused multiply-adds in ascending-k order,
@@ -12,36 +12,69 @@ import "math"
 //	c = fma(a[k], b[k], c)   for k = 0, 1, …, kc−1,
 //
 // with a single rounding per step (IEEE-754 fusedMultiplyAdd). The
-// reference Gemm applies the identical chain element-by-element, so the
-// packed kernel, the reference kernel, the Go fallback and the AVX2
-// assembly kernel all produce bit-identical results — the invariant the
-// property tests in packed_test.go pin with exact == comparisons.
-// Storing C back between kc slabs does not perturb the chain: float64
-// stores are exact.
+// reference Gemm applies the identical chain element-by-element, and the
+// tile shape never enters an element's chain, so the packed kernel, the
+// reference kernel, the Go fallback and both assembly kernels (AVX2 4×8,
+// AVX-512 8×16) all produce bit-identical results — the invariant the
+// property tests in packed_test.go pin with exact == comparisons, once
+// per kernel the host can run. Storing C back between kc slabs does not
+// perturb the chain: float64 stores are exact.
 
-// microKernel updates one full MR×NR tile. kc ≥ 1; ap and bp must hold
-// kc·MR and kc·NR packed elements.
-func microKernel(kc int, ap, bp []float64, c []float64, ldc int) {
-	if haveAsmKernel {
-		kern4x8asm(kc, &ap[0], &bp[0], &c[0], ldc)
-		return
-	}
-	microKernelGo(kc, ap, bp, c, ldc)
+// kernel describes one micro-kernel: its register-tile geometry and the
+// routine that updates a full tile (run, in the per-architecture files).
+// The packers, the macro-kernel and the panel sharding all read mr/nr
+// from the selected descriptor, so a kernel brings its own tile shape.
+type kernel struct {
+	name   string
+	mr, nr int
+	impl   kernelImpl
 }
 
-// microKernelGo is the portable fallback: the same 4×8 tile computed as
-// two 2×8 register sub-tiles (16 accumulators each fit the scalar
-// register file without spills). math.FMA performs the identical
-// correctly-rounded fused multiply-add as the hardware kernel — in
-// software on CPUs without an FMA unit — so the fallback is bit-exact
-// with the assembly path.
+// kernelImpl names the tile routine kernel.run dispatches to. It is a
+// tag rather than a func value so the calls stay static: an indirect
+// call would force every edge tile's stack scratch onto the heap.
+type kernelImpl uint8
+
+const (
+	implGo     kernelImpl = iota // math.FMA, 4×8
+	implAVX2                     // VFMADD231PD on YMM, 4×8
+	implAVX512                   // VFMADD231PD on ZMM, 8×16
+)
+
+var goKernel = kernel{name: "go-fma-4x8", mr: 4, nr: 8, impl: implGo}
+
+// maxMR×maxNR bounds every kernel's tile; microKernelEdge sizes its
+// scratch tile from it.
+const (
+	maxMR = 8
+	maxNR = 16
+)
+
+// kern is the micro-kernel every packed path runs: the fastest one the
+// CPU supports, chosen once at init from CPUID/XGETBV and nothing else
+// (supportedKernels lists them fastest first). Tests substitute each
+// supported kernel in turn; production code never writes it.
+var kern = supportedKernels()[0]
+
+// MR×NR is the selected kernel's register tile.
+var MR, NR = kern.mr, kern.nr
+
+// KernelName identifies the selected micro-kernel, for benchmark records
+// and the worker and server exit lines.
+func KernelName() string { return kern.name }
+
+// microKernelGo is the portable kernel: a 4×8 tile computed as two 2×8
+// register sub-tiles (16 accumulators each fit the scalar register file
+// without spills). math.FMA performs the identical correctly-rounded
+// fused multiply-add as the hardware kernels — in software on CPUs
+// without an FMA unit — so it is bit-exact with the assembly paths.
 func microKernelGo(kc int, ap, bp []float64, c []float64, ldc int) {
 	kern2x8go(kc, ap, bp, c, ldc)
 	kern2x8go(kc, ap[2:], bp, c[2*ldc:], ldc)
 }
 
-// kern2x8go updates rows {0,1} of a micro-tile: ap is indexed at stride
-// MR (the packed panel holds all four rows), bp at stride NR.
+// kern2x8go updates rows {0,1} of a 4×8 micro-tile: ap is indexed at
+// stride 4 (the packed panel holds all four rows), bp at stride 8.
 func kern2x8go(kc int, ap, bp []float64, c []float64, ldc int) {
 	c00, c01, c02, c03 := c[0], c[1], c[2], c[3]
 	c04, c05, c06, c07 := c[4], c[5], c[6], c[7]
@@ -74,8 +107,8 @@ func kern2x8go(kc int, ap, bp []float64, c []float64, ldc int) {
 		b = bp[ob+7]
 		c07 = math.FMA(a0, b, c07)
 		c17 = math.FMA(a1, b, c17)
-		oa += MR
-		ob += NR
+		oa += 4
+		ob += 8
 	}
 	c[0], c[1], c[2], c[3] = c00, c01, c02, c03
 	c[4], c[5], c[6], c[7] = c04, c05, c06, c07
@@ -83,20 +116,21 @@ func kern2x8go(kc int, ap, bp []float64, c []float64, ldc int) {
 	c[ldc+4], c[ldc+5], c[ldc+6], c[ldc+7] = c14, c15, c16, c17
 }
 
-// microKernelEdge updates a partial iw×jw tile (iw ≤ MR, jw ≤ NR)
-// through an MR×NR scratch tile: the live C values are staged in, the
+// microKernelEdge updates a partial iw×jw tile (iw ≤ mr, jw ≤ nr)
+// through an mr×nr scratch tile: the live C values are staged in, the
 // full kernel runs on the scratch, and only the live results are copied
 // back. The copies are exact, so edge tiles keep the same per-element
 // fused chains; the dead scratch lanes absorb the zero-padded packing
 // lanes and are discarded.
-func microKernelEdge(kc int, ap, bp []float64, c []float64, ldc, iw, jw int) {
-	var tile [MR * NR]float64
+func microKernelEdge(k *kernel, kc int, ap, bp []float64, c []float64, ldc, iw, jw int) {
+	var tile [maxMR * maxNR]float64
+	nr := k.nr
 	for i := 0; i < iw; i++ {
-		copy(tile[i*NR:i*NR+jw], c[i*ldc:i*ldc+jw])
+		copy(tile[i*nr:i*nr+jw], c[i*ldc:i*ldc+jw])
 	}
-	microKernel(kc, ap, bp, tile[:], NR)
+	k.run(kc, ap, bp, tile[:], nr)
 	for i := 0; i < iw; i++ {
-		copy(c[i*ldc:i*ldc+jw], tile[i*NR:i*NR+jw])
+		copy(c[i*ldc:i*ldc+jw], tile[i*nr:i*nr+jw])
 	}
 }
 

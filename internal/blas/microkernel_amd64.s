@@ -1,7 +1,8 @@
-// AVX2+FMA 4×8 GEMM micro-kernel and the CPUID/XGETBV probes that gate
-// it. See microkernel.go for the bit-exactness contract: each of the 32
-// C-tile elements is one ascending-k chain of fused multiply-adds, which
-// VFMADD231PD performs lane-wise exactly like math.FMA.
+// The AVX2+FMA 4×8 and AVX-512 8×16 GEMM micro-kernels and the
+// CPUID/XGETBV probes that gate them. See microkernel.go for the
+// bit-exactness contract: each C-tile element is one ascending-k chain
+// of fused multiply-adds, which VFMADD231PD performs lane-wise exactly
+// like math.FMA, on YMM and ZMM alike.
 
 #include "textflag.h"
 
@@ -66,8 +67,8 @@ loop:
 	VBROADCASTSD 24(SI), Y13
 	VFMADD231PD Y8, Y13, Y6
 	VFMADD231PD Y9, Y13, Y7
-	ADDQ $32, SI           // MR doubles
-	ADDQ $64, DI           // NR doubles
+	ADDQ $32, SI           // mr doubles
+	ADDQ $64, DI           // nr doubles
 	DECQ CX
 	JNZ  loop
 
@@ -79,5 +80,117 @@ loop:
 	VMOVUPD Y5, 32(R10)
 	VMOVUPD Y6, (R11)
 	VMOVUPD Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+// func kern8x16asm(kc int, ap, bp, c *float64, ldc int)
+//
+// Register plan: Z0–Z15 hold the 8×16 C tile (two ZMM per row), Z16/Z17
+// the current 16 packed B values, Z18–Z21 broadcasts of the packed A
+// values (four in rotation, so a broadcast never waits for the FMAs
+// that read the previous one). The k loop issues 16 FMAs on 2 loads +
+// 8 broadcasts: 16 independent accumulator chains cover the FMA
+// latency on both ZMM FMA ports. Row r of C is at DX + r·ldc; the
+// eight row pointers live in DX, R9–R13, BX and AX.
+TEXT ·kern8x16asm(SB), NOSPLIT, $0-40
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R8
+	SHLQ $3, R8            // row stride in bytes
+
+	LEAQ (DX)(R8*1), R9    // row 1
+	LEAQ (DX)(R8*2), R10   // row 2
+	LEAQ (R9)(R8*2), R11   // row 3
+	LEAQ (DX)(R8*4), R12   // row 4
+	LEAQ (R9)(R8*4), R13   // row 5
+	LEAQ (R10)(R8*4), BX   // row 6
+	LEAQ (R11)(R8*4), AX   // row 7
+
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD (R9), Z2
+	VMOVUPD 64(R9), Z3
+	VMOVUPD (R10), Z4
+	VMOVUPD 64(R10), Z5
+	VMOVUPD (R11), Z6
+	VMOVUPD 64(R11), Z7
+	VMOVUPD (R12), Z8
+	VMOVUPD 64(R12), Z9
+	VMOVUPD (R13), Z10
+	VMOVUPD 64(R13), Z11
+	VMOVUPD (BX), Z12
+	VMOVUPD 64(BX), Z13
+	VMOVUPD (AX), Z14
+	VMOVUPD 64(AX), Z15
+
+	// The tile below this one is the macro-kernel's next stop: start
+	// pulling its C rows in now, under this tile's k loop.
+	PREFETCHT0 (DX)(R8*8)
+	PREFETCHT0 64(DX)(R8*8)
+	PREFETCHT0 (R9)(R8*8)
+	PREFETCHT0 64(R9)(R8*8)
+	PREFETCHT0 (R10)(R8*8)
+	PREFETCHT0 64(R10)(R8*8)
+	PREFETCHT0 (R11)(R8*8)
+	PREFETCHT0 64(R11)(R8*8)
+	PREFETCHT0 (R12)(R8*8)
+	PREFETCHT0 64(R12)(R8*8)
+	PREFETCHT0 (R13)(R8*8)
+	PREFETCHT0 64(R13)(R8*8)
+	PREFETCHT0 (BX)(R8*8)
+	PREFETCHT0 64(BX)(R8*8)
+	PREFETCHT0 (AX)(R8*8)
+	PREFETCHT0 64(AX)(R8*8)
+
+loop512:
+	VMOVUPD (DI), Z16      // b[k][0:8]
+	VMOVUPD 64(DI), Z17    // b[k][8:16]
+	VBROADCASTSD (SI), Z18
+	VFMADD231PD Z16, Z18, Z0
+	VFMADD231PD Z17, Z18, Z1
+	VBROADCASTSD 8(SI), Z19
+	VFMADD231PD Z16, Z19, Z2
+	VFMADD231PD Z17, Z19, Z3
+	VBROADCASTSD 16(SI), Z20
+	VFMADD231PD Z16, Z20, Z4
+	VFMADD231PD Z17, Z20, Z5
+	VBROADCASTSD 24(SI), Z21
+	VFMADD231PD Z16, Z21, Z6
+	VFMADD231PD Z17, Z21, Z7
+	VBROADCASTSD 32(SI), Z18
+	VFMADD231PD Z16, Z18, Z8
+	VFMADD231PD Z17, Z18, Z9
+	VBROADCASTSD 40(SI), Z19
+	VFMADD231PD Z16, Z19, Z10
+	VFMADD231PD Z17, Z19, Z11
+	VBROADCASTSD 48(SI), Z20
+	VFMADD231PD Z16, Z20, Z12
+	VFMADD231PD Z17, Z20, Z13
+	VBROADCASTSD 56(SI), Z21
+	VFMADD231PD Z16, Z21, Z14
+	VFMADD231PD Z17, Z21, Z15
+	ADDQ $64, SI           // mr doubles
+	ADDQ $128, DI          // nr doubles
+	DECQ CX
+	JNZ  loop512
+
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (R9)
+	VMOVUPD Z3, 64(R9)
+	VMOVUPD Z4, (R10)
+	VMOVUPD Z5, 64(R10)
+	VMOVUPD Z6, (R11)
+	VMOVUPD Z7, 64(R11)
+	VMOVUPD Z8, (R12)
+	VMOVUPD Z9, 64(R12)
+	VMOVUPD Z10, (R13)
+	VMOVUPD Z11, 64(R13)
+	VMOVUPD Z12, (BX)
+	VMOVUPD Z13, 64(BX)
+	VMOVUPD Z14, (AX)
+	VMOVUPD Z15, 64(AX)
 	VZEROUPPER
 	RET

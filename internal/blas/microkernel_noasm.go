@@ -2,16 +2,13 @@
 
 package blas
 
-// haveAsmKernel is false off amd64: the portable math.FMA fallback runs
-// (bit-identical; on arm64 and friends math.FMA is a single hardware
-// instruction, so the fallback is itself a register-blocked FMA kernel).
-const haveAsmKernel = false
+// Off amd64 the portable math.FMA kernel is the only one (bit-identical;
+// on arm64 and friends math.FMA is a single hardware instruction, so it
+// is itself a register-blocked FMA kernel).
 
-// kern4x8asm is never called when haveAsmKernel is false; this stub
-// keeps the portable build compiling.
-func kern4x8asm(kc int, ap, bp, c *float64, ldc int) {
-	panic("blas: assembly micro-kernel unavailable")
+func supportedKernels() []kernel { return []kernel{goKernel} }
+
+// run updates one full 4×8 tile.
+func (k *kernel) run(kc int, ap, bp []float64, c []float64, ldc int) {
+	microKernelGo(kc, ap, bp, c, ldc)
 }
-
-// KernelName identifies the active micro-kernel implementation.
-func KernelName() string { return "go-fma-4x8" }

@@ -3,14 +3,17 @@ package blas
 import "sync"
 
 // Blocking parameters of the packed GEMM, in the Goto/BLIS taxonomy.
-// The micro-kernel computes an MR×NR tile of C; packing reorders operand
-// panels so the kernel streams both packed arrays with unit stride.
+// The micro-kernel computes an mr×nr tile of C (the selected kernel's
+// geometry, see microkernel.go); packing reorders operand panels so the
+// kernel streams both packed arrays with unit stride.
 //
-//   - kcBlock bounds the depth of one packed slab: a kcBlock×NR B
-//     micro-panel (16 KiB) stays L1-resident while the kernel sweeps the
-//     A panels across it.
+//   - kcBlock bounds the depth of one packed slab: a kcBlock×nr B
+//     micro-panel (16 KiB at nr = 8, 32 KiB at nr = 16) stays
+//     L1-resident while the kernel sweeps the A panels across it; the
+//     A panels (8 or 16 KiB each) stream from L2.
 //   - mcBlock bounds the row extent of one packed A slab so the whole
-//     mcBlock×kcBlock panel (≤ 192 KiB) stays L2-resident.
+//     mcBlock×kcBlock panel (≤ 192 KiB) stays L2-resident; it is a
+//     multiple of every kernel's mr.
 //   - ncBlock bounds the column extent of one packed B slab (the L3-ish
 //     level; it mostly caps the packing arena size).
 //
@@ -19,11 +22,6 @@ import "sync"
 // in ascending order, one fused multiply-add at a time (see
 // microkernel.go for the exactness argument).
 const (
-	// MR×NR is the register micro-tile: 4 rows × 8 columns of C held in
-	// registers (8 YMM accumulators in the AVX2 kernel).
-	MR = 4
-	NR = 8
-
 	mcBlock = 96
 	kcBlock = 256
 	ncBlock = 2048
@@ -113,44 +111,45 @@ func (p *PackPool) Put(b []float64) {
 }
 
 // packSizeA returns the arena length for an mb×kb packed A slab:
-// ceil(mb/MR) micro-panels of kb·MR elements each.
-func packSizeA(mb, kb int) int { return (mb + MR - 1) / MR * MR * kb }
+// ceil(mb/mr) micro-panels of kb·mr elements each.
+func packSizeA(mb, kb int) int { mr := kern.mr; return (mb + mr - 1) / mr * mr * kb }
 
 // packSizeB returns the arena length for a kb×nb packed B slab:
-// ceil(nb/NR) micro-panels of kb·NR elements each.
-func packSizeB(kb, nb int) int { return (nb + NR - 1) / NR * NR * kb }
+// ceil(nb/nr) micro-panels of kb·nr elements each.
+func packSizeB(kb, nb int) int { nr := kern.nr; return (nb + nr - 1) / nr * nr * kb }
 
-// packA packs the mb×kb block at a (row-major, stride lda) into MR-row
-// micro-panels: panel i0/MR holds, for each k ascending, the MR values
-// a[i0..i0+MR)[k] contiguously. Rows beyond mb are zero-padded so the
+// packHook, when set, is called once per packA and once per packB call.
+// Only tests set it (to count the packs an update set costs).
+var packHook func()
+
+// packA packs the mb×kb block at a (row-major, stride lda) into mr-row
+// micro-panels: panel i0/mr holds, for each k ascending, the mr values
+// a[i0..i0+mr)[k] contiguously. Rows beyond mb are zero-padded so the
 // micro-kernel never branches on the edge; the padded lanes feed zero
 // products into accumulator lanes whose results are discarded. When neg
 // is true the packed values are negated (exact sign flips), which is how
 // GemmSub reuses the adding kernel for C ← C − A·B.
 func packA(mb, kb int, a []float64, lda int, dst []float64, neg bool) {
-	for i0 := 0; i0 < mb; i0 += MR {
-		rows := mb - i0
-		if rows > MR {
-			rows = MR
-		}
+	if packHook != nil {
+		packHook()
+	}
+	mr := kern.mr
+	for i0 := 0; i0 < mb; i0 += mr {
+		rows := min(mr, mb-i0)
 		off := i0 * kb
-		if rows == MR && !neg {
-			// Full panel: transpose MR rows in one sweep.
-			r0 := a[(i0+0)*lda:]
-			r1 := a[(i0+1)*lda:]
-			r2 := a[(i0+2)*lda:]
-			r3 := a[(i0+3)*lda:]
-			d := dst[off : off+MR*kb]
-			for k := 0; k < kb; k++ {
-				d[k*MR+0] = r0[k]
-				d[k*MR+1] = r1[k]
-				d[k*MR+2] = r2[k]
-				d[k*MR+3] = r3[k]
+		if rows == mr && !neg {
+			// Full panel: transpose mr rows in one sweep.
+			switch mr {
+			case 8:
+				packA8(kb, a[i0*lda:], lda, dst[off:off+8*kb])
+				continue
+			case 4:
+				packA4(kb, a[i0*lda:], lda, dst[off:off+4*kb])
+				continue
 			}
-			continue
 		}
 		for k := 0; k < kb; k++ {
-			d := dst[off+k*MR : off+k*MR+MR]
+			d := dst[off+k*mr : off+k*mr+mr]
 			for r := 0; r < rows; r++ {
 				v := a[(i0+r)*lda+k]
 				if neg {
@@ -158,37 +157,68 @@ func packA(mb, kb int, a []float64, lda int, dst []float64, neg bool) {
 				}
 				d[r] = v
 			}
-			for r := rows; r < MR; r++ {
+			for r := rows; r < mr; r++ {
 				d[r] = 0
 			}
 		}
 	}
 }
 
-// packB packs the kb×nb block at b (row-major, stride ldb) into NR-column
-// micro-panels: panel j0/NR holds, for each k ascending, the NR values
-// b[k][j0..j0+NR) contiguously. Columns beyond nb are zero-padded (same
-// discarded-lane argument as packA).
+// packA4 transposes 4 full rows of length kb into one micro-panel.
+func packA4(kb int, a []float64, lda int, d []float64) {
+	r0 := a[0*lda:][:kb]
+	r1 := a[1*lda:][:kb]
+	r2 := a[2*lda:][:kb]
+	r3 := a[3*lda:][:kb]
+	d = d[:4*kb]
+	for k := 0; k < kb; k++ {
+		o := d[k*4 : k*4+4 : k*4+4]
+		o[0], o[1], o[2], o[3] = r0[k], r1[k], r2[k], r3[k]
+	}
+}
+
+// packA8 transposes 8 full rows of length kb into one micro-panel.
+func packA8(kb int, a []float64, lda int, d []float64) {
+	r0 := a[0*lda:][:kb]
+	r1 := a[1*lda:][:kb]
+	r2 := a[2*lda:][:kb]
+	r3 := a[3*lda:][:kb]
+	r4 := a[4*lda:][:kb]
+	r5 := a[5*lda:][:kb]
+	r6 := a[6*lda:][:kb]
+	r7 := a[7*lda:][:kb]
+	d = d[:8*kb]
+	for k := 0; k < kb; k++ {
+		o := d[k*8 : k*8+8 : k*8+8]
+		o[0], o[1], o[2], o[3] = r0[k], r1[k], r2[k], r3[k]
+		o[4], o[5], o[6], o[7] = r4[k], r5[k], r6[k], r7[k]
+	}
+}
+
+// packB packs the kb×nb block at b (row-major, stride ldb) into nr-column
+// micro-panels: panel j0/nr holds, for each k ascending, the nr values
+// b[k][j0..j0+nr) contiguously. Columns beyond nb are zero-padded (same
+// discarded-lane argument as packA). The full panels are filled row by
+// row of B: the source is then read front to back, and each nr-wide cut
+// lands in its panel as whole cache lines.
 func packB(kb, nb int, b []float64, ldb int, dst []float64) {
-	for j0 := 0; j0 < nb; j0 += NR {
-		cols := nb - j0
-		if cols > NR {
-			cols = NR
+	if packHook != nil {
+		packHook()
+	}
+	nr := kern.nr
+	full := nb / nr * nr
+	for k := 0; k < kb; k++ {
+		row := b[k*ldb : k*ldb+full]
+		for j0 := 0; j0 < full; j0 += nr {
+			copy(dst[j0*kb+k*nr:j0*kb+k*nr+nr], row[j0:j0+nr])
 		}
-		off := j0 * kb
-		if cols == NR {
-			for k := 0; k < kb; k++ {
-				copy(dst[off+k*NR:off+k*NR+NR], b[k*ldb+j0:k*ldb+j0+NR])
-			}
-			continue
-		}
+	}
+	if cols := nb - full; cols > 0 {
+		off := full * kb
 		for k := 0; k < kb; k++ {
-			d := dst[off+k*NR : off+k*NR+NR]
-			src := b[k*ldb+j0 : k*ldb+j0+cols]
-			for j := 0; j < cols; j++ {
-				d[j] = src[j]
-			}
-			for j := cols; j < NR; j++ {
+			d := dst[off+k*nr : off+k*nr+nr]
+			copy(d, b[k*ldb+full:k*ldb+nb])
+			for j := cols; j < nr; j++ {
 				d[j] = 0
 			}
 		}

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -14,10 +15,6 @@ import (
 // the historical kernels live at the bottom of this file so the
 // rewritten TRSM/zero-skip paths stay pinned to their old arithmetic.
 
-// randDims yields shapes that straddle the micro-tile (MR×NR), the
-// dispatch cutoff and the mc/kc/nc slab edges.
-var packedDims = []int{1, 2, 3, MR, MR + 1, NR - 1, NR, NR + 3, 17, 31, 64, 95, 100, kcBlock, kcBlock + 5}
-
 // unalignedSlice returns a randomly-offset window so packed operands
 // exercise arbitrary (including 8-byte-odd) alignments under VMOVUPD.
 func unalignedSlice(rng *rand.Rand, n int) []float64 {
@@ -27,6 +24,11 @@ func unalignedSlice(rng *rand.Rand, n int) []float64 {
 }
 
 func TestPackedGemmBitExact(t *testing.T) {
+	forEachKernel(t, testPackedGemmBitExact)
+}
+
+func testPackedGemmBitExact(t *testing.T) {
+	packedDims := kernelDims()
 	rng := rand.New(rand.NewSource(41))
 	maxWorkers := 2 * runtime.GOMAXPROCS(0)
 	if maxWorkers < 4 {
@@ -80,35 +82,12 @@ func TestPackedGemmBitExact(t *testing.T) {
 	}
 }
 
-// TestMicroKernelAsmMatchesGo pins the assembly micro-kernel to the
-// portable math.FMA fallback, tile by tile. Skipped where the assembly
-// kernel is unavailable (then the fallback IS the kernel).
-func TestMicroKernelAsmMatchesGo(t *testing.T) {
-	if !haveAsmKernel {
-		t.Skip("assembly micro-kernel unavailable on this CPU")
-	}
-	rng := rand.New(rand.NewSource(43))
-	for _, kc := range []int{1, 2, 7, 64, kcBlock} {
-		ap := make([]float64, kc*MR)
-		bp := make([]float64, kc*NR)
-		fillRand(rng, ap)
-		fillRand(rng, bp)
-		ldc := NR + rng.Intn(5)
-		c0 := make([]float64, MR*ldc)
-		fillRand(rng, c0)
-		asm := append([]float64(nil), c0...)
-		kern4x8asm(kc, &ap[0], &bp[0], &asm[0], ldc)
-		goc := append([]float64(nil), c0...)
-		microKernelGo(kc, ap, bp, goc, ldc)
-		for i := range asm {
-			if asm[i] != goc[i] {
-				t.Fatalf("kc=%d: asm and Go kernels diverge at %d: %g != %g", kc, i, asm[i], goc[i])
-			}
-		}
-	}
+func TestGemmSubBitExact(t *testing.T) {
+	forEachKernel(t, testGemmSubBitExact)
 }
 
-func TestGemmSubBitExact(t *testing.T) {
+func testGemmSubBitExact(t *testing.T) {
+	packedDims := kernelDims()
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 60; trial++ {
 		m := packedDims[rng.Intn(len(packedDims))]
@@ -139,53 +118,29 @@ func TestGemmSubBitExact(t *testing.T) {
 }
 
 // TestUpdateChunkBitExact drives the chunk-level pack-reuse kernel (the
-// runtimes' per-step work) against per-block BlockUpdate.
+// runtimes' per-step work) against per-block BlockUpdate at the small
+// and odd block sizes, including the sub-cutoff reference path; the
+// paper-scale sizes and the pack count are TestUpdateChunkPacksOnce.
 func TestUpdateChunkBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, q := range []int{1, 5, 16, 33, 80} {
-		for rows := 1; rows <= 3; rows++ {
-			for cols := 1; cols <= 3; cols++ {
-				aBlks := make([][]float64, rows)
-				for i := range aBlks {
-					aBlks[i] = unalignedSlice(rng, q*q)
-					fillRand(rng, aBlks[i])
-				}
-				bBlks := make([][]float64, cols)
-				for j := range bBlks {
-					bBlks[j] = unalignedSlice(rng, q*q)
-					fillRand(rng, bBlks[j])
-				}
-				base := make([][]float64, rows*cols)
-				for i := range base {
-					base[i] = unalignedSlice(rng, q*q)
-					fillRand(rng, base[i])
-				}
-				clone := func() [][]float64 {
-					out := make([][]float64, len(base))
-					for i := range base {
-						out[i] = append([]float64(nil), base[i]...)
-					}
-					return out
-				}
-				want := clone()
-				for i := 0; i < rows; i++ {
-					for j := 0; j < cols; j++ {
-						BlockUpdate(want[i*cols+j], aBlks[i], bBlks[j], q)
-					}
-				}
-				got := clone()
-				UpdateChunk(got, aBlks, bBlks, rows, cols, q)
-				for bi := range got {
-					for i := range got[bi] {
-						if got[bi][i] != want[bi][i] {
-							t.Fatalf("q=%d rows=%d cols=%d block %d elem %d: UpdateChunk %g want %g",
-								q, rows, cols, bi, i, got[bi][i], want[bi][i])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(53))
+		for _, q := range []int{1, 5, 16, 33, 80} {
+			for rows := 1; rows <= 3; rows++ {
+				for cols := 1; cols <= 3; cols++ {
+					aBlks, bBlks, base := chunkOperands(rng, rows, cols, q)
+					want := cloneBlocks(base)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < cols; j++ {
+							BlockUpdate(want[i*cols+j], aBlks[i], bBlks[j], q)
 						}
 					}
+					got := cloneBlocks(base)
+					UpdateChunk(got, aBlks, bBlks, rows, cols, q)
+					equalBlocks(t, fmt.Sprintf("q=%d rows=%d cols=%d UpdateChunk", q, rows, cols), got, want)
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestPackPoolReuse pins the arena recycling: a released arena comes

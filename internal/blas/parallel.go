@@ -2,7 +2,7 @@
 //
 // Work is sharded over packed panels, not raw rows: per (jc, pc) slab
 // the B panel is packed once and shared read-only, and workers consume
-// MR-row A panels from an atomic cursor, each packing its own panel
+// mr-row A panels (the selected kernel's mr) from an atomic cursor, each packing its own panel
 // into a pooled arena before running the macro-kernel. C row spans are
 // disjoint across panels, so no reduction and no synchronization beyond
 // the per-slab join is needed — and because every C element is one
@@ -35,7 +35,7 @@ func DefaultWorkers(workers int) int {
 // below it.
 const parallelRowFlopCutoff = 2 * 64 * 64 * 64
 
-// parallelPanelStride caps how many MR-row A panels a worker claims per
+// parallelPanelStride caps how many mr-row A panels a worker claims per
 // cursor fetch: large enough to amortize the atomic, small enough to
 // load-balance ragged shard sizes. panelStride shrinks it when the
 // panel count is small so every worker still receives work (q = 100 has
@@ -66,7 +66,7 @@ func ParallelGemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []f
 		return
 	}
 	workers = DefaultWorkers(workers)
-	if panels := (m + MR - 1) / MR; workers > panels {
+	if panels := (m + kern.mr - 1) / kern.mr; workers > panels {
 		workers = panels
 	}
 	if workers <= 1 || 2*m*n*k < parallelRowFlopCutoff {
@@ -86,7 +86,8 @@ func parallelGemmPacked(m, n, k int, a []float64, lda int, b []float64, ldb int,
 		kc = k
 	}
 	bbuf := packPool.Get(packSizeB(kc, nc))
-	panels := (m + MR - 1) / MR
+	mr := kern.mr
+	panels := (m + mr - 1) / mr
 	stride := panelStride(panels, workers)
 	if groups := (panels + stride - 1) / stride; workers > groups {
 		workers = groups // never spawn a goroutine with no work group
@@ -106,14 +107,14 @@ func parallelGemmPacked(m, n, k int, a []float64, lda int, b []float64, ldb int,
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					abuf := packPool.Get(packSizeA(stride*MR, kb))
+					abuf := packPool.Get(packSizeA(stride*mr, kb))
 					for {
 						p0 := int(cursor.Add(int64(stride))) - stride
 						if p0 >= panels {
 							break
 						}
-						lo := p0 * MR
-						hi := min(m, (p0+stride)*MR)
+						lo := p0 * mr
+						hi := min(m, (p0+stride)*mr)
 						packA(hi-lo, kb, a[lo*lda+pc:], lda, abuf, false)
 						macroKernel(hi-lo, nb, kb, abuf, bbuf, c[lo*ldc+jc:], ldc)
 					}
@@ -138,12 +139,13 @@ func ParallelBlockUpdate(cij, aik, bkj []float64, q, workers int) {
 
 // ParallelUpdateChunk applies Cij ← Cij + Ai·Bj to every block of a
 // rows×cols chunk, the per-step work of all three runtimes. Every Ai
-// and Bj is packed exactly once (as in UpdateChunk) and the independent
-// block macro-multiplications fan out across workers goroutines over an
-// atomic cursor; when the chunk has fewer blocks than workers (µ = 1
-// chunks), the surplus cores shard panels inside each block instead.
-// cBlocks is row-major (rows*cols), aBlks has rows entries, bBlks has
-// cols entries. Results are bit-identical to UpdateChunk.
+// and Bj is packed exactly once (as in UpdateChunk): the rows + cols
+// packs fan out across workers goroutines, and after a barrier the
+// independent block macro-multiplications do, all reading the shared
+// packs. When the chunk has fewer blocks than workers (µ = 1 chunks),
+// the surplus cores shard panels inside each block instead. cBlocks is
+// row-major (rows*cols), aBlks has rows entries, bBlks has cols entries.
+// Results are bit-identical to UpdateChunk.
 func ParallelUpdateChunk(cBlocks, aBlks, bBlks [][]float64, rows, cols, q, workers int) {
 	workers = DefaultWorkers(workers)
 	nb := rows * cols
@@ -185,32 +187,52 @@ func ParallelUpdateChunk(cBlocks, aBlks, bBlks [][]float64, rows, cols, q, worke
 		wg.Wait()
 		return
 	}
-	// Dynamic block queue: an atomic cursor load-balances uneven shards
-	// (edge chunks are smaller) without any per-block goroutine. Each
-	// worker packs per block into its own pooled pair of arenas, so the
-	// transient arena footprint stays at two blocks per core — bounded
-	// and µ-independent, same contract as UpdateChunk.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
+	// Two phases over the same goroutines, each a dynamic queue on an
+	// atomic cursor (edge chunks are smaller, so shards are uneven):
+	// first the rows + cols packs, then — once every pack is complete,
+	// which the barrier guarantees — the rows·cols block products, which
+	// only read the packs. The arenas are shared, so the transient
+	// footprint is rows + cols packed blocks for the whole call, no
+	// more than UpdateChunk's cols + 1 per core once there are two.
+	packs := make([][]float64, rows+cols)
+	for p := range packs {
+		if p < rows {
+			packs[p] = packPool.Get(packSizeA(q, q))
+		} else {
+			packs[p] = packPool.Get(packSizeB(q, q))
+		}
+	}
+	var packCursor, blockCursor atomic.Int64
+	var packed, done sync.WaitGroup
+	packed.Add(workers)
+	done.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			abuf := packPool.Get(packSizeA(q, q))
-			bbuf := packPool.Get(packSizeB(q, q))
+			defer done.Done()
 			for {
-				idx := int(cursor.Add(1)) - 1
+				p := int(packCursor.Add(1)) - 1
+				if p >= len(packs) {
+					break
+				}
+				if p < rows {
+					packA(q, q, aBlks[p], q, packs[p], false)
+				} else {
+					packB(q, q, bBlks[p-rows], q, packs[p])
+				}
+			}
+			packed.Done()
+			packed.Wait()
+			for {
+				idx := int(blockCursor.Add(1)) - 1
 				if idx >= nb {
 					break
 				}
-				i, j := idx/cols, idx%cols
-				packA(q, q, aBlks[i], q, abuf, false)
-				packB(q, q, bBlks[j], q, bbuf)
-				macroKernel(q, q, q, abuf, bbuf, cBlocks[idx], q)
+				macroKernel(q, q, q, packs[idx/cols], packs[rows+idx%cols], cBlocks[idx], q)
 			}
-			packPool.Put(abuf)
-			packPool.Put(bbuf)
 		}()
 	}
-	wg.Wait()
+	done.Wait()
+	for _, buf := range packs {
+		packPool.Put(buf)
+	}
 }

@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -20,14 +21,18 @@ func fillRand(rng *rand.Rand, s []float64) {
 // sequential Gemm oracle. Exactness, not tolerance: the parallel kernel
 // must accumulate every C element in the same order as the oracle.
 func TestParallelGemmMatchesOracle(t *testing.T) {
+	forEachKernel(t, testParallelGemmMatchesOracle)
+}
+
+func testParallelGemmMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	maxWorkers := 2 * runtime.GOMAXPROCS(0)
 	if maxWorkers < 4 {
 		maxWorkers = 4
 	}
-	// Dimensions straddle the micro-tile (MR/NR), the packed-path
-	// dispatch cutoff and the kc slab edges.
-	dims := []int{1, 3, MR - 1, MR + 1, NR, NR + 1, 63, 64, 65, 2*64 + 17, 192}
+	// Dimensions straddle the selected kernel's micro-tile (mr/nr), the
+	// packed-path dispatch cutoff and the kc slab edges.
+	dims := []int{1, 3, MR - 1, MR + 1, NR, NR + 1, 63, 64, 65, 2*64 + 17, kcBlock + MR + 1}
 	for trial := 0; trial < 60; trial++ {
 		m := dims[rng.Intn(len(dims))]
 		n := dims[rng.Intn(len(dims))]
@@ -72,6 +77,10 @@ func TestParallelGemmMatchesOracle(t *testing.T) {
 // TestParallelBlockUpdateExact checks the q×q block form across odd q
 // values and worker counts.
 func TestParallelBlockUpdateExact(t *testing.T) {
+	forEachKernel(t, testParallelBlockUpdateExact)
+}
+
+func testParallelBlockUpdateExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, q := range []int{1, 2, 16, 63, 64, 73, 100} {
 		a := make([]float64, q*q)
@@ -99,52 +108,26 @@ func TestParallelBlockUpdateExact(t *testing.T) {
 // including the µ=1 single-block case that falls back to in-block row
 // sharding, for worker counts around the block count.
 func TestParallelUpdateChunkExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const q = 33
-	for rows := 1; rows <= 3; rows++ {
-		for cols := 1; cols <= 3; cols++ {
-			aBlks := make([][]float64, rows)
-			for i := range aBlks {
-				aBlks[i] = make([]float64, q*q)
-				fillRand(rng, aBlks[i])
-			}
-			bBlks := make([][]float64, cols)
-			for j := range bBlks {
-				bBlks[j] = make([]float64, q*q)
-				fillRand(rng, bBlks[j])
-			}
-			base := make([][]float64, rows*cols)
-			for i := range base {
-				base[i] = make([]float64, q*q)
-				fillRand(rng, base[i])
-			}
-			clone := func() [][]float64 {
-				out := make([][]float64, len(base))
-				for i := range base {
-					out[i] = append([]float64(nil), base[i]...)
-				}
-				return out
-			}
-			want := clone()
-			for i := 0; i < rows; i++ {
-				for j := 0; j < cols; j++ {
-					BlockUpdate(want[i*cols+j], aBlks[i], bBlks[j], q)
-				}
-			}
-			for _, workers := range []int{1, 2, rows * cols, rows*cols + 3} {
-				got := clone()
-				ParallelUpdateChunk(got, aBlks, bBlks, rows, cols, q, workers)
-				for bi := range got {
-					for i := range got[bi] {
-						if got[bi][i] != want[bi][i] {
-							t.Fatalf("rows=%d cols=%d workers=%d block %d elem %d: got %g want %g",
-								rows, cols, workers, bi, i, got[bi][i], want[bi][i])
-						}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		const q = 33
+		for rows := 1; rows <= 3; rows++ {
+			for cols := 1; cols <= 3; cols++ {
+				aBlks, bBlks, base := chunkOperands(rng, rows, cols, q)
+				want := cloneBlocks(base)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < cols; j++ {
+						BlockUpdate(want[i*cols+j], aBlks[i], bBlks[j], q)
 					}
+				}
+				for _, workers := range []int{1, 2, rows * cols, rows*cols + 3} {
+					got := cloneBlocks(base)
+					ParallelUpdateChunk(got, aBlks, bBlks, rows, cols, q, workers)
+					equalBlocks(t, fmt.Sprintf("rows=%d cols=%d workers=%d", rows, cols, workers), got, want)
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDefaultBlockSizeParallelizes pins the cutoff boundary: the

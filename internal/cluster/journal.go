@@ -144,7 +144,9 @@ func (cl *Cluster) appendLogLocked(rec []byte) error {
 }
 
 func encodeAccepted(id JobID, key uint64, spec JobSpec, adaptive bool) []byte {
-	e := &recEnc{}
+	// Sized up front: grown by append, the record of a job's operands
+	// left several times its own size in garbage per submit.
+	e := &recEnc{buf: make([]byte, 0, 32+matLen(spec.M)+matLen(spec.C)+matLen(spec.A)+matLen(spec.B))}
 	e.u8(evAccepted)
 	e.u32(uint32(id))
 	e.u64(key)
@@ -177,7 +179,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	}
 	ch := t.Chunk
 	dst := j.spec.result()
-	e := &recEnc{}
+	e := &recEnc{buf: make([]byte, 0, 32+8*ch.Rows*ch.Cols*dst.Q*dst.Q)}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
 	e.u32(uint32(t.Seq))
@@ -713,6 +715,14 @@ func (e *recEnc) floats(v []float64) {
 	for _, f := range v {
 		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 	}
+}
+
+// matLen is the encoded length of m as mat writes it.
+func matLen(m *matrix.Blocked) int {
+	if m == nil {
+		return 12
+	}
+	return 12 + 8*m.BR*m.BC*m.Q*m.Q
 }
 
 // mat writes a matrix; nil (a released operand) is written as the 0×0

@@ -629,3 +629,25 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	clC.Close()
 	<-done
 }
+
+// TestAcceptedRecordSizedUpFront pins the journal's biggest record to
+// one buffer: grown by append, a job's operand record left several times
+// its own size in garbage per submit — about 40 MB for a 6 MiB record —
+// and a durable master spent its time collecting it.
+func TestAcceptedRecordSizedUpFront(t *testing.T) {
+	mk := func(br, bc int) *matrix.Blocked {
+		d := matrix.NewDense(br*16, bc*16)
+		matrix.DeterministicFill(d, int64(br+bc))
+		return matrix.Partition(d, 16)
+	}
+	mm := JobSpec{Kind: MatMul, C: mk(3, 2), A: mk(3, 4), B: mk(4, 2), Mu: 2}
+	luSpec := JobSpec{Kind: LU, M: mk(3, 3), Mu: 2}
+	released := JobSpec{Kind: MatMul, C: mk(3, 2), Mu: 2} // A and B dropped: written as 0×0
+	for _, spec := range []JobSpec{mm, luSpec, released} {
+		rec := encodeAccepted(7, 99, spec, false)
+		want := 32 + matLen(spec.M) + matLen(spec.C) + matLen(spec.A) + matLen(spec.B)
+		if cap(rec) != want || len(rec) > want {
+			t.Fatalf("%v record: len %d cap %d, want one buffer of cap %d", spec.Kind, len(rec), cap(rec), want)
+		}
+	}
+}

@@ -53,6 +53,11 @@ type MemAdvertiser interface {
 	AdvertisedMem() int
 }
 
+// byeGrace bounds how long a master that finished cleanly waits for a
+// worker to hang up after Bye before closing the link itself. Only a
+// wedged peer ever costs it; a live one hangs up within a round trip.
+const byeGrace = 5 * time.Second
+
 // masterReq is one worker request surfaced by a reader goroutine.
 type masterReq struct {
 	worker int
@@ -76,7 +81,8 @@ type assignState struct {
 // FIFO, chunks are handed out from the pool in order, update sets route
 // to each worker's oldest incomplete assignment, and results retire the
 // front of its queue. On return every worker has been sent Bye (best
-// effort on failure) and every transport is closed.
+// effort on failure) and every transport is closed — after a clean run,
+// by the worker's own hang-up where it comes within byeGrace.
 func RunMaster(c, a, b *matrix.Blocked, pool []*sim.Chunk, links []Transport, cfg MasterConfig) (MasterStats, error) {
 	var stats MasterStats
 	// The locality-aware pick removes chunks from arbitrary positions;
@@ -92,7 +98,9 @@ func RunMaster(c, a, b *matrix.Blocked, pool []*sim.Chunk, links []Transport, cf
 	// never fills them (at most StageCap+3 requests and Slots results
 	// outstanding), but every queue send also selects on quit so a peer
 	// that pipelines unsolicited frames can't strand its reader — and
-	// finish — on a full channel forever.
+	// finish — on a full channel forever. Once quit is closed a reader
+	// keeps reading and drops what it reads, until the peer hangs up or
+	// the link is closed under it: see finish.
 	quit := make(chan struct{})
 	reqs := make(chan masterReq, len(links)*32)
 	errs := make(chan error, len(links))
@@ -115,13 +123,11 @@ func RunMaster(c, a, b *matrix.Blocked, pool []*sim.Chunk, links []Transport, cf
 					select {
 					case reqs <- masterReq{worker: w, kind: m.Kind}:
 					case <-quit:
-						return
 					}
 				case *Result, *FlushResult:
 					select {
 					case results[w] <- m:
 					case <-quit:
-						return
 					}
 				default:
 					errs <- fmt.Errorf("engine: master got unexpected %T from worker %d", m, w)
@@ -131,19 +137,45 @@ func RunMaster(c, a, b *matrix.Blocked, pool []*sim.Chunk, links []Transport, cf
 		}(w, tr)
 	}
 	var collectComm func()
-	finish := func() {
+	// finish ends the run: Bye to every worker, links closed, readers
+	// joined. After a clean run the master does not hang up first. A
+	// worker it no longer needs may still have frames in flight (a slow
+	// one's Hello and first request, when the fast ones finished a small
+	// job without it); closing a socket with those unread resets the
+	// connection, the worker's write fails, and it reports an error for
+	// a run that succeeded. So the readers keep draining, each worker
+	// hangs up on reading Bye, and only a worker that has not within
+	// byeGrace is closed on. A failed run closes at once: its workers'
+	// errors are no misreport.
+	finish := func(clean bool) {
 		close(quit)
 		for _, tr := range links {
 			tr.Send(Bye{}) // best effort: the peer may already be gone
+		}
+		joined := 0
+		if clean {
+			grace := time.NewTimer(byeGrace)
+		hangups:
+			for joined < len(links) {
+				select {
+				case <-readersDone:
+					joined++
+				case <-grace.C:
+					break hangups
+				}
+			}
+			grace.Stop()
+		}
+		for _, tr := range links {
 			tr.Close()
 		}
-		for range links {
+		for ; joined < len(links); joined++ {
 			<-readersDone
 		}
 		collectComm()
 	}
 	fail := func(err error) (MasterStats, error) {
-		finish()
+		finish(false)
 		return stats, err
 	}
 
@@ -324,7 +356,7 @@ func RunMaster(c, a, b *matrix.Blocked, pool []*sim.Chunk, links []Transport, cf
 			return fail(fmt.Errorf("engine: worker %d flushed but left %d blocks dirty", w, len(dirty[w])))
 		}
 	}
-	finish()
+	finish(true)
 	return stats, nil
 }
 

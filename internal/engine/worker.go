@@ -68,7 +68,8 @@ type WorkerReport struct {
 }
 
 // RunWorker executes the worker side of the protocol until the master
-// says Bye (returns nil) or the transport fails (returns the error).
+// says Bye (returns nil) or the transport fails (returns the error),
+// and closes the transport on the way out.
 //
 // The session is a two-stage pipeline: a reader goroutine stages
 // incoming messages (assignments into a Slots-deep queue, update sets
@@ -320,7 +321,10 @@ assignments:
 			}
 		}
 	}
-	// assigns closed: clean Bye, or reader error.
+	// assigns closed: clean Bye, or reader error. Either way the session
+	// is over and the worker hangs up — after Bye the master is waiting
+	// for exactly that before it lets go of the link (RunMaster's finish).
+	tr.Close()
 	select {
 	case err := <-readErr:
 		return rep, err

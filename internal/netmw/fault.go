@@ -67,9 +67,10 @@ func (t *FaultTransport) Send(m engine.Msg) error {
 		return err
 	}
 	if d.CorruptOperand {
-		// Only Assign payloads are flipped: Set blocks feed the TCP
-		// transport's encode-once broadcast cache, so a flip there would
-		// replay to every worker and destroy per-worker fault attribution.
+		// Only Assign payloads are flipped: Set blocks are the job's own
+		// operand blocks, sent from their memory to every worker that
+		// needs them, so a flip there would replay to the whole fleet and
+		// destroy per-worker fault attribution.
 		if a, ok := m.(*engine.Assign); ok && corruptBlocks(a.Blocks, d.CorruptPick) {
 			t.plan.CorruptionApplied(false)
 		}

@@ -14,3 +14,22 @@ func getFloatsInto(dst []float64, buf []byte) { getFloatsPortableInto(dst, buf) 
 func writeFloats(w io.Writer, fs []float64) error { return writeFloatsPortable(w, fs) }
 
 func readFloats(r io.Reader, dst []float64) error { return readFloatsPortable(r, dst) }
+
+// blockArena holds the wire copies of one frame's blocks: here memory
+// is not the wire format, so a gathered write sends encoded copies.
+// reset sizes it for the whole frame up front, so the slices wire hands
+// out stay valid until the frame is written.
+type blockArena struct{ buf []byte }
+
+func (a *blockArena) reset(n int) {
+	if cap(a.buf) < n {
+		a.buf = make([]byte, 0, n)
+	}
+	a.buf = a.buf[:0]
+}
+
+func (a *blockArena) wire(blk []float64) []byte {
+	off := len(a.buf)
+	a.buf = putFloatsPortable(a.buf, blk)
+	return a.buf[off:]
+}

@@ -44,3 +44,11 @@ func readFloats(r io.Reader, dst []float64) error {
 func getFloatsInto(dst []float64, buf []byte) {
 	copy(rawBytes(dst), buf[:8*len(dst)])
 }
+
+// blockArena is empty here: a block's wire bytes are its memory, so a
+// gathered write points its iovec at the block itself.
+type blockArena struct{}
+
+func (blockArena) reset(int) {}
+
+func (blockArena) wire(blk []float64) []byte { return rawBytes(blk) }

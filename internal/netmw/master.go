@@ -77,10 +77,6 @@ func ServeListener(c, a, b *matrix.Blocked, cfg MasterConfig, ln net.Listener) (
 	rep := MasterReport{Addr: ln.Addr().String()}
 
 	pool := engine.NewBlockPool()
-	// One encode cache across the fleet: an operand block broadcast to
-	// several workers is serialized once, then gathered into each
-	// connection's writev.
-	enc := newFrameCache()
 	links := make([]engine.Transport, 0, cfg.Workers)
 	deadline := time.Now().Add(cfg.Timeout)
 	for len(links) < cfg.Workers {
@@ -96,7 +92,7 @@ func ServeListener(c, a, b *matrix.Blocked, cfg MasterConfig, ln net.Listener) (
 			}
 			return rep, fmt.Errorf("netmw: accept (have %d/%d workers): %w", len(links), cfg.Workers, err)
 		}
-		links = append(links, newMasterTransport(conn, c.Q, pool, enc))
+		links = append(links, NewMasterTransport(conn, c.Q, pool))
 	}
 
 	start := time.Now()

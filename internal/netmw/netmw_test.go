@@ -234,3 +234,65 @@ type errEOF struct{}
 func (errEOF) Error() string { return "EOF" }
 
 func bytesReader(b []byte) *sliceReader { return &sliceReader{b: b} }
+
+// TestMasterLetsUnneededWorkerHangUpFirst is R4's scenario made causal:
+// a job one worker finishes alone, and a second worker so slow that its
+// Hello and first request are only written once the master has already
+// said Bye. The master used to close that socket with the frames
+// unread, which resets the connection and fails the worker's next write
+// (EPIPE) on a run that succeeded. Now Bye goes out and the master
+// keeps reading until the worker hangs up: the late frames are written
+// without error, and ServeListener does not return while the worker
+// still holds its end.
+func TestMasterLetsUnneededWorkerHangUpFirst(t *testing.T) {
+	a, b, c, want := build(t, 2, 2, 2, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ServeListener(c, a, b, MasterConfig{Workers: 2, Mu: 2, Timeout: 30 * time.Second}, ln)
+		done <- err
+	}()
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	fast := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(WorkerConfig{Addr: addr, Memory: 100, StageCap: 2, Timeout: 30 * time.Second})
+		fast <- err
+	}()
+	if mt, _, err := readMsg(slow); err != nil || mt != MsgBye {
+		t.Fatalf("slow worker read %v, %v; want Bye", mt, err)
+	}
+	if err := <-fast; err != nil {
+		t.Fatalf("fast worker: %v", err)
+	}
+	// The job is done and the master has said goodbye; only now does the
+	// slow worker get its first frames out.
+	hello := []byte{100, 0, 0, 0}
+	for i := 0; i < 3; i++ {
+		if err := writeMsg(slow, MsgHello, hello); err != nil {
+			t.Fatalf("late hello: %v", err)
+		}
+		if err := writeMsg(slow, MsgReq, []byte{ReqChunk}); err != nil {
+			t.Fatalf("late request %d: %v", i, err)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("master returned (%v) before its worker hung up", err)
+	default:
+	}
+	slow.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("master: %v", err)
+	}
+	if !c.Equal(want, 1e-9) {
+		t.Fatal("wrong product")
+	}
+}

@@ -334,20 +334,13 @@ func (h *JobDoneHeader) decode(buf []byte) error {
 // (the connection is severed and the work resent), while a CRC-clean
 // payload that fails Freivalds verification is attributed to the
 // worker's compute. Castagnoli is hardware-accelerated on every
-// platform the stdlib cares about, so the cost is memory-bandwidth
-// noise next to the float encode itself.
+// platform the stdlib cares about, so the cost is one read of the
+// payload at memory bandwidth.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrPayloadCRC reports a bulk payload whose trailing CRC32C does not
 // match its bytes — wire corruption, not a worker compute fault.
 var ErrPayloadCRC = errors.New("netmw: payload checksum mismatch")
-
-// appendCRC appends the CRC32C of buf[start:] to buf as 4 LE bytes.
-func appendCRC(buf []byte, start int) []byte {
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(buf[start:], crcTable))
-	return append(buf, sum[:]...)
-}
 
 // splitCRC verifies a payload's trailing CRC32C and returns the payload
 // with the checksum stripped.

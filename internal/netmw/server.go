@@ -40,7 +40,6 @@ type ClusterServer struct {
 	ln   net.Listener
 	cfg  ClusterServerConfig
 	pool *engine.BlockPool // the cluster's pool, shared by all sessions
-	enc  *frameCache       // shared encode cache: broadcast blocks serialize once
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -58,7 +57,6 @@ func ServeCluster(cl *cluster.Cluster, cfg ClusterServerConfig) (*ClusterServer,
 	s := &ClusterServer{
 		cl: cl, ln: ln, cfg: cfg,
 		pool:  cl.BlockPool(),
-		enc:   newFrameCache(),
 		conns: make(map[net.Conn]struct{}),
 		stop:  make(chan struct{}),
 	}
@@ -218,7 +216,7 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	// the deferred call covers feeder-side exits (protocol violations)
 	// and is a no-op once the incarnation is already gone.
 	defer feed.Lost()
-	tr := newServerTransport(conn, r, w, s.pool, s.enc, func() error { return s.cl.Heartbeat(id) })
+	tr := newServerTransport(conn, r, w, s.pool, func() error { return s.cl.Heartbeat(id) })
 	var link engine.Transport = tr
 	if s.cfg.WrapTransport != nil {
 		link = s.cfg.WrapTransport(id, tr)

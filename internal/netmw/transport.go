@@ -18,9 +18,10 @@ import (
 // staging, prefetch, slot gating) lives in internal/engine; these types
 // only frame, encode and decode — and recycle buffers, so the
 // steady-state path allocates per connection, not per message: frames
-// are read into a per-connection scratch buffer, payloads are encoded
-// into another, and block payloads decode into pooled q² buffers that
-// their consumers release (see engine.BlockPool).
+// are read into a per-connection scratch buffer, a frame's own bytes
+// are built in another, block payloads are sent from block memory
+// (writeBlockFrame) and decode into pooled q² buffers that their
+// consumers release (see engine.BlockPool).
 
 // connIO bundles the shared per-connection state of every transport.
 type connIO struct {
@@ -28,13 +29,11 @@ type connIO struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 	pool *engine.BlockPool
-	// enc, when set, is the shared encode cache: an operand block
-	// broadcast to many workers is serialized once (framecache.go).
-	enc *frameCache
 
 	wmu      sync.Mutex  // serializes writers (dispatcher/event loop/heartbeat)
 	wbuf     []byte      // frame scratch (header + payload), reused under wmu
-	wpayload []byte      // block-payload arena for gathered set writes, under wmu
+	wcuts    []blockCut  // where a block frame's blocks splice into wbuf, under wmu
+	warena   blockArena  // wire copies of blocks where memory is not the wire format, under wmu
 	wiovec   net.Buffers // gathered-write vector, backing array reused under wmu
 	rscratch []byte      // frame scratch, single reader goroutine
 	rhdr     [5]byte     // frame-header scratch, single reader goroutine
@@ -107,107 +106,93 @@ func (c *connIO) readFrame() (MsgType, []byte, error) {
 
 func (c *connIO) Close() error { return c.conn.Close() }
 
-// sendSet frames a delta Set — header, block-ID manifest, then only the
-// payloads the worker lacks — releasing owned operand buffers once
-// serialized and recycling the message. The frame is written with a
-// gathered write (net.Buffers → writev on TCP): the header+manifest
-// scratch and each block's payload go out as separate iovecs, so block
-// bytes are never concatenated into a per-message buffer, and payloads
-// of blocks in the shared encode cache are reused across workers.
-func (c *connIO) sendSet(set *engine.Set) error {
-	err := c.writeSetFrame(set)
-	if err == nil {
-		c.pool.PutSet(set)
-	}
-	return err
+// blockCut marks where one block's doubles belong in a frame: after the
+// first at bytes of the frame's own bytes.
+type blockCut struct {
+	at  int
+	blk []float64
 }
 
-func (c *connIO) writeSetFrame(set *engine.Set) error {
+// blockFrame is a block-carrying frame under construction: buf holds
+// the frame's own bytes in stream order (frame header, message header,
+// manifests, per-block prefixes) and block marks where a block's
+// payload goes between them.
+type blockFrame struct{ c *connIO }
+
+// bytes appends to the frame's own bytes.
+func (f blockFrame) bytes(p ...byte) { f.c.wbuf = append(f.c.wbuf, p...) }
+
+// u16, u32 and u64 append one little-endian field.
+func (f blockFrame) u16(v uint16) { f.c.wbuf = binary.LittleEndian.AppendUint16(f.c.wbuf, v) }
+func (f blockFrame) u32(v uint32) { f.c.wbuf = binary.LittleEndian.AppendUint32(f.c.wbuf, v) }
+func (f blockFrame) u64(v uint64) { f.c.wbuf = binary.LittleEndian.AppendUint64(f.c.wbuf, v) }
+
+// grow appends n zero bytes and returns them for an encode-in-place.
+func (f blockFrame) grow(n int) []byte {
+	off := len(f.c.wbuf)
+	f.c.wbuf = append(f.c.wbuf, make([]byte, n)...)
+	return f.c.wbuf[off:]
+}
+
+// block places blk's doubles next in the stream.
+func (f blockFrame) block(blk []float64) {
+	f.c.wcuts = append(f.c.wcuts, blockCut{at: len(f.c.wbuf), blk: blk})
+}
+
+// blocks places a block list next in the stream.
+func (f blockFrame) blocks(blks [][]float64) {
+	for _, blk := range blks {
+		f.block(blk)
+	}
+}
+
+// writeBlockFrame frames and writes one message that carries block
+// payloads — every bulk frame: Set, Job/Task C tiles, Result,
+// TaskResult, FlushResult — with a gathered write (net.Buffers → writev
+// on TCP). fill lays the frame out; the frame's own bytes and each
+// block go out as separate iovecs, and on little-endian builds a
+// block's iovec is a view of the block's memory, so a payload is never
+// copied in user space (elsewhere it is the arena copy, see
+// blockArena). The trailing payload CRC32C is accumulated over exactly
+// the bytes written, in stream order.
+//
+// The blocks are read until the write returns and never after: callers
+// release owned blocks only then, and a block mutated once Send has
+// returned cannot reach the peer.
+func (c *connIO) writeBlockFrame(t MsgType, fill func(f blockFrame)) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	nA, nB := len(set.A), len(set.B)
-	if nA > int(^uint16(0)) || nB > int(^uint16(0)) {
-		return fmt.Errorf("netmw: set with %d+%d operands does not fit the wire", nA, nB)
+	c.wbuf = append(c.wbuf[:0], byte(t), 0, 0, 0, 0)
+	c.wcuts = c.wcuts[:0]
+	fill(blockFrame{c})
+	blockBytes := 0
+	for _, ct := range c.wcuts {
+		blockBytes += 8 * len(ct.blk)
 	}
-	hdr := c.wbuf[:0]
-	hdr = append(hdr, byte(MsgSet), 0, 0, 0, 0) // frame header, length patched below
-	var word [8]byte
-	binary.LittleEndian.PutUint32(word[:4], uint32(set.K))
-	hdr = append(hdr, word[:4]...)
-	binary.LittleEndian.PutUint32(word[:4], capOnWire(set.Cap))
-	hdr = append(hdr, word[:4]...)
-	binary.LittleEndian.PutUint16(word[:2], uint16(nA))
-	hdr = append(hdr, word[:2]...)
-	binary.LittleEndian.PutUint16(word[:2], uint16(nB))
-	hdr = append(hdr, word[:2]...)
-
-	// Size the payload arena up front so the per-block slices taken from
-	// it below stay valid (no reallocation mid-gather). The extra 4 bytes
-	// hold the trailing payload CRC.
-	need := 4
-	for _, blk := range set.A {
-		need += 8 * len(blk)
-	}
-	for _, blk := range set.B {
-		need += 8 * len(blk)
-	}
-	if cap(c.wpayload) < need {
-		c.wpayload = make([]byte, 0, need)
-	}
-	arena := c.wpayload[:0]
-
-	iov := append(c.wiovec[:0], nil) // hdr goes in slot 0 once its length is known
-	payloadBytes := 0
-	for half := 0; half < 2; half++ {
-		blocks, ids := set.A, set.AIDs
-		if half == 1 {
-			blocks, ids = set.B, set.BIDs
+	// The CRC slot is the last append: from here wbuf does not move, so
+	// the vector may point into it.
+	buf := append(c.wbuf, 0, 0, 0, 0)
+	c.wbuf = buf
+	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-msgHeaderLen+blockBytes))
+	c.warena.reset(blockBytes)
+	iov := c.wiovec[:0]
+	var sum uint32
+	from := 0
+	for i, ct := range c.wcuts {
+		if ct.at > from {
+			iov = append(iov, buf[from:ct.at])
+			// The frame header is outside the checksum.
+			sum = crc32.Update(sum, crcTable, buf[max(from, msgHeaderLen):ct.at])
+			from = ct.at
 		}
-		for i, blk := range blocks {
-			var id uint64
-			if i < len(ids) {
-				id = ids[i]
-			}
-			binary.LittleEndian.PutUint64(word[:], id)
-			hdr = append(hdr, word[:]...)
-			if blk == nil {
-				hdr = append(hdr, 0) // resident on the worker: manifest only
-				continue
-			}
-			hdr = append(hdr, 1)
-			var bs []byte
-			if c.enc != nil && id != 0 {
-				bs = c.enc.encoded(id, blk)
-			} else {
-				off := len(arena)
-				arena = putFloats(arena, blk)
-				bs = arena[off:]
-			}
-			iov = append(iov, bs)
-			payloadBytes += len(bs)
-			if set.Owned {
-				c.pool.Put(blk)
-			}
-		}
-	}
-	// Payload CRC32C, accumulated over the bytes as they will appear on
-	// the wire (header past the frame bytes, then each gathered block
-	// iovec) and shipped as a trailing 4-byte iovec cut from the arena —
-	// pre-sized above, so this append cannot reallocate the arena out
-	// from under the block slices already in the vector.
-	sum := crc32.Update(0, crcTable, hdr[msgHeaderLen:])
-	for _, bs := range iov[1:] {
+		bs := c.warena.wire(ct.blk)
+		iov = append(iov, bs)
 		sum = crc32.Update(sum, crcTable, bs)
+		c.wcuts[i].blk = nil // the scratch must not pin a pooled block
 	}
-	crcOff := len(arena)
-	binary.LittleEndian.PutUint32(word[:4], sum)
-	arena = append(arena, word[:4]...)
-	iov = append(iov, arena[crcOff:])
-	payloadBytes += 4
-	c.wpayload = arena
-	c.wbuf = hdr
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(hdr)-5+payloadBytes))
-	iov[0] = hdr
+	sum = crc32.Update(sum, crcTable, buf[max(from, msgHeaderLen):len(buf)-4])
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], sum)
+	iov = append(iov, buf[from:])
 	c.wiovec = iov
 	if err := c.w.Flush(); err != nil { // order against bufio frames
 		return err
@@ -217,6 +202,56 @@ func (c *connIO) writeSetFrame(set *engine.Set) error {
 	// the connection for reuse.
 	n, err := iov.WriteTo(c.conn)
 	c.bytesOut.Add(n)
+	return err
+}
+
+// sendSet frames a delta Set — header, block-ID manifest, then only the
+// payloads the worker lacks — releasing owned operand buffers once
+// written and recycling the message.
+func (c *connIO) sendSet(set *engine.Set) error {
+	nA, nB := len(set.A), len(set.B)
+	if nA > int(^uint16(0)) || nB > int(^uint16(0)) {
+		return fmt.Errorf("netmw: set with %d+%d operands does not fit the wire", nA, nB)
+	}
+	err := c.writeBlockFrame(MsgSet, func(f blockFrame) {
+		f.u32(uint32(set.K))
+		f.u32(capOnWire(set.Cap))
+		f.u16(uint16(nA))
+		f.u16(uint16(nB))
+		manifest := func(blocks [][]float64, ids []uint64) {
+			for i, blk := range blocks {
+				var id uint64
+				if i < len(ids) {
+					id = ids[i]
+				}
+				f.u64(id)
+				if blk == nil {
+					f.bytes(0) // resident on the worker: manifest only
+				} else {
+					f.bytes(1)
+				}
+			}
+		}
+		manifest(set.A, set.AIDs)
+		manifest(set.B, set.BIDs)
+		for _, blk := range set.A {
+			if blk != nil {
+				f.block(blk)
+			}
+		}
+		for _, blk := range set.B {
+			if blk != nil {
+				f.block(blk)
+			}
+		}
+	})
+	if set.Owned {
+		c.pool.PutAll(set.A)
+		c.pool.PutAll(set.B)
+	}
+	if err == nil {
+		c.pool.PutSet(set)
+	}
 	return err
 }
 
@@ -231,27 +266,12 @@ func capOnWire(cap int) uint32 {
 	return uint32(cap)
 }
 
-// appendBlocks encodes a block list and releases it if owned.
-func (c *connIO) appendBlocks(buf []byte, blocks [][]float64, owned bool) []byte {
-	for _, blk := range blocks {
-		buf = putFloats(buf, blk)
-	}
-	if owned {
-		c.pool.PutAll(blocks)
-	}
-	return buf
-}
-
-// appendCFlags encodes an assignment's result-residency tail prefix:
-// the uint16 flag count then the flag bytes. A nil/empty flag list is
-// the legacy dense protocol (count 0, full payload follows). C-tile
-// payloads never go through the shared encode cache — unlike operand
-// blocks they are mutable state, different per assignment.
-func appendCFlags(buf []byte, flags []byte) []byte {
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(flags)))
-	buf = append(buf, n[:]...)
-	return append(buf, flags...)
+// cFlags lays out an assignment's result-residency tail prefix: the
+// uint16 flag count then the flag bytes. A nil/empty flag list is the
+// legacy dense protocol (count 0, full payload follows).
+func (f blockFrame) cFlags(flags []byte) {
+	f.u16(uint16(len(flags)))
+	f.bytes(flags...)
 }
 
 // checkCFlagsOnWire rejects flag lists that do not fit the uint16 count
@@ -265,29 +285,59 @@ func checkCFlagsOnWire(flags []byte) error {
 
 // sendFlushResult frames a flush manifest — uint32 block count, then
 // per block a uint64 tile ID, a uint32 element count and the raw
-// doubles — releasing owned buffers once serialized.
+// doubles — releasing owned buffers once written.
 func (c *connIO) sendFlushResult(fr *engine.FlushResult) error {
 	if len(fr.IDs) != len(fr.Blocks) {
 		return fmt.Errorf("netmw: flush manifest has %d ids but %d blocks", len(fr.IDs), len(fr.Blocks))
 	}
-	err := c.writeFrame(MsgFlushResult, func(buf []byte) []byte {
-		off := len(buf)
-		var word [8]byte
-		binary.LittleEndian.PutUint32(word[:4], uint32(len(fr.IDs)))
-		buf = append(buf, word[:4]...)
-		binary.LittleEndian.PutUint64(word[:], uint64(fr.ComputeNS))
-		buf = append(buf, word[:]...)
+	err := c.writeBlockFrame(MsgFlushResult, func(f blockFrame) {
+		f.u32(uint32(len(fr.IDs)))
+		f.u64(uint64(fr.ComputeNS))
 		for i, id := range fr.IDs {
-			binary.LittleEndian.PutUint64(word[:], id)
-			buf = append(buf, word[:]...)
-			binary.LittleEndian.PutUint32(word[:4], uint32(len(fr.Blocks[i])))
-			buf = append(buf, word[:4]...)
-			buf = putFloats(buf, fr.Blocks[i])
+			f.u64(id)
+			f.u32(uint32(len(fr.Blocks[i])))
+			f.block(fr.Blocks[i])
 		}
-		return appendCRC(buf, off)
 	})
-	if err == nil && fr.Owned {
+	if fr.Owned {
 		c.pool.PutAll(fr.Blocks)
+	}
+	return err
+}
+
+// sendAssign frames an assignment (MsgJob or MsgTask): the dialect's
+// fixed header, encoded in place by encodeHdr, the C-flag tail prefix,
+// then the shipped C tiles — releasing owned tiles once written and
+// recycling the message. C tiles are mutable job state, read here and
+// not after Send returns.
+func (c *connIO) sendAssign(t MsgType, m *engine.Assign, hdrLen int, encodeHdr func([]byte)) error {
+	err := c.writeBlockFrame(t, func(f blockFrame) {
+		encodeHdr(f.grow(hdrLen))
+		f.cFlags(m.CFlags)
+		f.blocks(m.Blocks)
+	})
+	if m.Owned {
+		c.pool.PutAll(m.Blocks)
+	}
+	if err == nil {
+		c.pool.PutAssign(m)
+	}
+	return err
+}
+
+// sendResult frames a result (MsgResult or MsgTaskResult): the dialect's
+// fixed header then the C blocks — releasing owned blocks once written
+// and recycling the message.
+func (c *connIO) sendResult(t MsgType, m *engine.Result, hdrLen int, encodeHdr func([]byte)) error {
+	err := c.writeBlockFrame(t, func(f blockFrame) {
+		encodeHdr(f.grow(hdrLen))
+		f.blocks(m.Blocks)
+	})
+	if m.Owned {
+		c.pool.PutAll(m.Blocks)
+	}
+	if err == nil {
+		c.pool.PutResult(m)
 	}
 	return err
 }
@@ -470,15 +520,7 @@ type masterTransport struct {
 // q is the run's block edge, needed to cut flat result payloads back
 // into pooled blocks. pool may be nil (no recycling).
 func NewMasterTransport(conn net.Conn, q int, pool *engine.BlockPool) engine.Transport {
-	return newMasterTransport(conn, q, pool, nil)
-}
-
-// newMasterTransport is NewMasterTransport with a shared encode cache
-// (the master serving W workers encodes each broadcast block once).
-func newMasterTransport(conn net.Conn, q int, pool *engine.BlockPool, enc *frameCache) *masterTransport {
-	io := newConnIO(conn, nil, nil, pool)
-	io.enc = enc
-	return &masterTransport{connIO: io, q: q}
+	return &masterTransport{connIO: newConnIO(conn, nil, nil, pool), q: q}
 }
 
 // AdvertisedMem implements engine.MemAdvertiser: the worker's hello
@@ -497,18 +539,7 @@ func (t *masterTransport) Send(m engine.Msg) error {
 			ID: m.ID.A, I0: uint32(m.I0), J0: uint32(m.J0),
 			Rows: uint32(m.Rows), Cols: uint32(m.Cols), T: uint32(m.Steps), Q: uint32(m.Q),
 		}
-		err := t.writeFrame(MsgJob, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, make([]byte, chunkHeaderLen)...)
-			hdr.encode(buf[off:])
-			buf = appendCFlags(buf, m.CFlags)
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutAssign(m)
-		}
-		return err
+		return t.sendAssign(MsgJob, m, chunkHeaderLen, hdr.encode)
 	case *engine.Set:
 		return t.sendSet(m)
 	case engine.Flush:
@@ -622,16 +653,7 @@ func (t *workerTransport) Send(m engine.Msg) error {
 	case *engine.Result:
 		var idb [4]byte
 		binary.LittleEndian.PutUint32(idb[:], m.ID.A)
-		err := t.writeFrame(MsgResult, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, idb[:]...)
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutResult(m)
-		}
-		return err
+		return t.sendResult(MsgResult, m, len(idb), func(buf []byte) { copy(buf, idb[:]) })
 	case *engine.FlushResult:
 		return t.sendFlushResult(m)
 	default:
@@ -721,17 +743,7 @@ func (t *clusterWorkerTransport) Send(m engine.Msg) error {
 			Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
 			Updates: uint64(m.Updates), ComputeNS: uint64(m.ComputeNS),
 		}
-		err := t.writeFrame(MsgTaskResult, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, make([]byte, taskResultHeaderLen)...)
-			hdr.encode(buf[off:])
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutResult(m)
-		}
-		return err
+		return t.sendResult(MsgTaskResult, m, taskResultHeaderLen, hdr.encode)
 	case *engine.FlushResult:
 		return t.sendFlushResult(m)
 	default:
@@ -793,14 +805,12 @@ type serverTransport struct {
 // connection (post-registration). onHeartbeat consumes MsgHeartbeat
 // frames; returning an error severs the connection. pool may be nil.
 func NewServerTransport(conn net.Conn, pool *engine.BlockPool, onHeartbeat func() error) engine.Transport {
-	return newServerTransport(conn, nil, nil, pool, nil, onHeartbeat)
+	return newServerTransport(conn, nil, nil, pool, onHeartbeat)
 }
 
-func newServerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool, enc *frameCache, onHeartbeat func() error) *serverTransport {
-	io := newConnIO(conn, r, w, pool)
-	io.enc = enc
+func newServerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool, onHeartbeat func() error) *serverTransport {
 	return &serverTransport{
-		connIO:      io,
+		connIO:      newConnIO(conn, r, w, pool),
 		onHeartbeat: onHeartbeat,
 		geom:        make(map[engine.AssignID]int),
 	}
@@ -820,18 +830,7 @@ func (t *serverTransport) Send(m engine.Msg) error {
 		t.mu.Lock()
 		t.geom[m.ID] = m.Q
 		t.mu.Unlock()
-		err := t.writeFrame(MsgTask, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, make([]byte, taskHeaderLen)...)
-			hdr.encode(buf[off:])
-			buf = appendCFlags(buf, m.CFlags)
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutAssign(m)
-		}
-		return err
+		return t.sendAssign(MsgTask, m, taskHeaderLen, hdr.encode)
 	case *engine.Set:
 		return t.sendSet(m)
 	case engine.Flush:

@@ -1,8 +1,10 @@
 package matmul
 
 import (
+	"errors"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -184,23 +186,41 @@ func TestTCPRoundTrip(t *testing.T) {
 		res, err = ServeTCP(c, a, b, addr, 2, 2)
 		done <- err
 	}()
+	// A worker redials until the master has rebound the address, and only
+	// then: a refused dial is the one error worth retrying. Any other is
+	// the run's own (a worker reset by a master that no longer needed it
+	// used to hide here, behind a retry nobody answered).
+	stop := make(chan struct{}) // the master is gone: stop redialing
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for try := 0; try < 50; try++ {
-				if err := WorkTCP(addr, 100, 2); err == nil {
+			for {
+				err := WorkTCP(addr, 100, 2)
+				if err == nil {
 					return
 				}
+				var op *net.OpError
+				if !errors.As(err, &op) || op.Op != "dial" {
+					t.Errorf("worker: %v", err)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
 			}
-			t.Error("worker never connected")
 		}()
 	}
-	if err := <-done; err != nil {
+	err = <-done
+	close(stop)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if !c.Equal(want, 1e-9) {
 		t.Fatal("wrong product over TCP")
 	}

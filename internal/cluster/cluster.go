@@ -174,10 +174,10 @@ type Cluster struct {
 	nextID  JobID
 	closed  bool
 	requeue int
-	// pool recycles the block buffers TaskChunk and TaskSet copy out of
-	// the job matrices; the transports release them once serialized (or
-	// once applied, on the in-process path), so steady-state dispatch
-	// stops allocating per transfer.
+	// pool recycles the block buffers TaskChunk (and TaskSet, for LU)
+	// copy out of the job matrices; the transports release them once
+	// serialized (or once applied, on the in-process path), so
+	// steady-state dispatch stops allocating per transfer.
 	pool *engine.BlockPool
 	// est is the live per-worker speed/bandwidth estimator; it locks
 	// itself, so reporting paths need not hold cl.mu.
@@ -1334,10 +1334,13 @@ func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
 	return out, q, nil
 }
 
-// TaskSet copies the k-th update set for the task: Rows A blocks and Cols
-// B blocks. For LU tasks (k is the panel stage) the A blocks are the
-// negated L panel so the worker's generic C += A·B update computes the
-// trailing subtraction. Once the job's operands are released it returns
+// TaskSet returns the k-th update set for the task: Rows A blocks and
+// Cols B blocks. For matmul they are the job's own blocks, by reference
+// — read-only, and valid while the caller holds the task (EngineFeed's
+// hold keeps the job from being released under it). For LU tasks (k is
+// the panel stage) they are pooled copies, the A blocks the negated L
+// panel so the worker's generic C += A·B update computes the trailing
+// subtraction. Once the job's operands are released it returns
 // ErrStaleJob.
 func (cl *Cluster) TaskSet(t *Task, k int) (aBlks, bBlks [][]float64, err error) {
 	cl.mu.Lock()
@@ -1350,38 +1353,43 @@ func (cl *Cluster) TaskSet(t *Task, k int) (aBlks, bBlks [][]float64, err error)
 		return nil, nil, fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
 	}
 	ch := t.Chunk
-	cp := func(src []float64, negate bool) []float64 {
-		buf := cl.pool.Get(len(src))
-		if negate {
-			for i, v := range src {
-				buf[i] = -v
-			}
-		} else {
-			copy(buf, src)
-		}
-		return buf
-	}
 	switch j.spec.Kind {
 	case MatMul:
 		if k < 0 || k >= j.spec.A.BC {
 			return nil, nil, fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
 		}
 		for i := 0; i < ch.Rows; i++ {
-			aBlks = append(aBlks, cp(j.spec.A.Block(ch.I0+i, k).Data, false))
+			aBlks = append(aBlks, j.spec.A.Block(ch.I0+i, k).Data)
 		}
 		for jj := 0; jj < ch.Cols; jj++ {
-			bBlks = append(bBlks, cp(j.spec.B.Block(k, ch.J0+jj).Data, false))
+			bBlks = append(bBlks, j.spec.B.Block(k, ch.J0+jj).Data)
 		}
 	case LU:
 		kk := t.K
 		for i := 0; i < ch.Rows; i++ {
-			aBlks = append(aBlks, cp(j.spec.M.Block(ch.I0+i, kk).Data, true))
+			src := j.spec.M.Block(ch.I0+i, kk).Data
+			buf := cl.pool.Get(len(src))
+			for e, v := range src {
+				buf[e] = -v
+			}
+			aBlks = append(aBlks, buf)
 		}
 		for jj := 0; jj < ch.Cols; jj++ {
-			bBlks = append(bBlks, cp(j.spec.M.Block(kk, ch.J0+jj).Data, false))
+			bBlks = append(bBlks, cl.pool.GetCopy(j.spec.M.Block(kk, ch.J0+jj).Data))
 		}
 	}
 	return aBlks, bBlks, nil
+}
+
+// feedHold counts a task an EngineFeed session starts (delta +1) or
+// stops (delta −1) holding; letting go may release a terminal job.
+func (cl *Cluster) feedHold(t *Task, delta int) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if j := cl.jobs[t.Job]; j != nil {
+		j.feedHeld += delta
+		cl.releaseLocked(j)
+	}
 }
 
 func (cl *Cluster) taskQ(j *job) int {
@@ -1477,8 +1485,12 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 // anymore (ForgetResult). The light record — id, state, error,
 // counters, comm totals — stays. Every path on which a worker lets go
 // of a task, or the submitter of the result, ends here.
+//
+// A task an EngineFeed session holds counts even when its incarnation
+// is dead: matmul Sets reference the job's own blocks (TaskSet), and a
+// session declared lost can still be writing one to its socket.
 func (cl *Cluster) releaseLocked(j *job) {
-	if j == nil || (j.state != Done && j.state != Failed) {
+	if j == nil || (j.state != Done && j.state != Failed) || j.feedHeld > 0 {
 		return
 	}
 	for _, w := range cl.reg.workers {

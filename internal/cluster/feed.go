@@ -16,15 +16,23 @@ import (
 // whatever it held. The AssignID is the wire (Job, Seq, Attempt)
 // triple; the map back to the live *Task pointers the scheduler expects
 // is kept here.
+//
+// The feed holds each task from Next until Complete or Acked, or until
+// Close: while it does, the task's job keeps its operands (see
+// Cluster.releaseLocked), because matmul Sets reference them.
 type EngineFeed struct {
 	cl    *Cluster
 	id    string
 	epoch uint64
 
 	mu      sync.Mutex
-	tasks   map[engine.AssignID]*Task
+	tasks   map[engine.AssignID]*Task // the tasks held
+	closed  bool
 	nextErr error // the non-clean error Next ended on, if any
 }
+
+// errFeedClosed ends a Next that returned after Close.
+var errFeedClosed = errors.New("cluster: engine feed closed")
 
 // NewEngineFeed builds the Feed for one (worker, epoch) incarnation, as
 // returned by JoinWorker.
@@ -76,7 +84,15 @@ func (f *EngineFeed) Next() (*engine.Assign, error) {
 	}
 	id := taskAssignID(task)
 	f.mu.Lock()
+	if f.closed {
+		// The session is over and nothing will ever let go of a hold
+		// taken now.
+		f.mu.Unlock()
+		f.cl.pool.PutAll(blocks)
+		return nil, errFeedClosed
+	}
 	f.tasks[id] = task
+	f.cl.feedHold(task, +1)
 	f.mu.Unlock()
 	as := &engine.Assign{
 		ID: id,
@@ -104,8 +120,10 @@ func (f *EngineFeed) Next() (*engine.Assign, error) {
 }
 
 // Set materializes the k-th update set of a held assignment, stamped
-// with the job-scoped block IDs the delta protocol tracks. For LU tasks
-// the operands are the stage-t.K panels: those blocks are final once
+// with the job-scoped block IDs the delta protocol tracks. A matmul set
+// is unowned: its blocks are the job's own, which the hold keeps alive
+// until the task is let go of. For LU tasks (pooled copies, owned) the
+// operands are the stage-t.K panels: those blocks are final once
 // the stage is factored (later stages only touch the trailing
 // submatrix), and the A-role IDs never collide with B-role IDs, so the
 // negated L panel caches as safely as a matmul operand.
@@ -123,7 +141,7 @@ func (f *EngineFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := &engine.Set{K: k, A: aBlks, B: bBlks, Owned: true}
+	set := &engine.Set{K: k, A: aBlks, B: bBlks, Owned: task.Kind == LU}
 	ch, kk := task.Chunk, k
 	if task.Kind == LU {
 		kk = task.K
@@ -140,13 +158,11 @@ func (f *EngineFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 // Complete retires a held assignment with its result blocks; a task the
 // scheduler already reassigned is reported stale, not fatal.
 func (f *EngineFeed) Complete(id engine.AssignID, blocks [][]float64) error {
-	f.mu.Lock()
-	task := f.tasks[id]
-	delete(f.tasks, id)
-	f.mu.Unlock()
+	task := f.take(id)
 	if task == nil {
 		return engine.ErrStaleResult
 	}
+	defer f.cl.feedHold(task, -1)
 	if err := f.cl.Complete(f.id, task, blocks); err != nil {
 		if errors.Is(err, ErrStaleTask) {
 			return engine.ErrStaleResult
@@ -161,13 +177,11 @@ func (f *EngineFeed) Complete(id engine.AssignID, blocks [][]float64) error {
 // dirty until a flush commits them. A task the scheduler already
 // reassigned is reported stale, not fatal.
 func (f *EngineFeed) Acked(id engine.AssignID) error {
-	f.mu.Lock()
-	task := f.tasks[id]
-	delete(f.tasks, id)
-	f.mu.Unlock()
+	task := f.take(id)
 	if task == nil {
 		return engine.ErrStaleResult
 	}
+	defer f.cl.feedHold(task, -1)
 	if err := f.cl.AckTask(f.id, task); err != nil {
 		if errors.Is(err, ErrStaleTask) {
 			return engine.ErrStaleResult
@@ -196,4 +210,27 @@ func (f *EngineFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 // whatever the worker held and wakes any blocked Next call.
 func (f *EngineFeed) Lost() {
 	f.cl.WorkerLostEpoch(f.id, f.epoch)
+}
+
+// take stops holding a task, returning it (nil if not held).
+func (f *EngineFeed) take(id engine.AssignID) *Task {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	task := f.tasks[id]
+	delete(f.tasks, id)
+	return task
+}
+
+// Close ends the session's holds. Call it once nothing can read a Set
+// of the session anymore: after RunFeeder has returned (its Sends are
+// done) and, on the in-process pipe, after the worker has too.
+func (f *EngineFeed) Close() {
+	f.mu.Lock()
+	f.closed = true
+	held := f.tasks
+	f.tasks = nil
+	f.mu.Unlock()
+	for _, task := range held {
+		f.cl.feedHold(task, -1)
+	}
 }

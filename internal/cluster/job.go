@@ -249,6 +249,10 @@ type job struct {
 	// resultFree marks a job whose result nobody can ask for anymore
 	// (ForgetResult): it goes with the operands at release.
 	resultFree bool
+	// feedHeld counts the job's tasks held by EngineFeed sessions, dead
+	// incarnations included: a session may still be writing a Set that
+	// references the job's A/B blocks, so the operands outlive it.
+	feedHeld int
 }
 
 func validateSpec(spec JobSpec) error {

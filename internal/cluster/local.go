@@ -46,15 +46,18 @@ func RunLocalWorker(cl *Cluster, cfg LocalWorkerConfig) error {
 		PullSets: true,
 		Pool:     cl.pool,
 	})
+	// The worker's exit closed the pipe, so the feeder is done or about
+	// to be. Only then has the last Set been read, and the session's
+	// holds on its jobs' operands may go.
+	fe := <-feedErr
+	feed.Close()
 	if err != nil {
 		// Surface the scheduler's verdict (dead, replaced, a TaskSet or
 		// Complete failure, …) rather than the pipe closure it caused.
-		// The worker's exit closed the pipe, so the feeder is done or
-		// about to be — the receive cannot block for long.
 		if schedErr := feed.TakeNextErr(); schedErr != nil {
 			return schedErr
 		}
-		if fe := <-feedErr; fe != nil {
+		if fe != nil {
 			return fe
 		}
 	}

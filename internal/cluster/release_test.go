@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -282,5 +284,116 @@ func TestCompactLogSkipsReleasedJobs(t *testing.T) {
 	}
 	if d := res.Assemble().MaxDiff(refs[2]); d != 0 {
 		t.Fatalf("resumed job after compaction differs by %g", d)
+	}
+}
+
+// TestFeedHoldOutlivesDeadIncarnation: a session holding a task keeps
+// the job's operands while it holds it, even once its incarnation is
+// declared dead and the job finished elsewhere — matmul Sets reference
+// the job's blocks, and the session may still be writing one. The
+// operands go when the session lets go (Close), not before.
+func TestFeedHoldOutlivesDeadIncarnation(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 59)
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, err := cl.JoinWorker("held", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := NewEngineFeed(cl, "held", epoch)
+	as, err := feed.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := feed.Set(as.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Owned {
+		t.Fatal("a matmul set is owned: it should reference the job's operands")
+	}
+	if &set.A[0][0] != &a.Block(as.I0, 0).Data[0] {
+		t.Fatal("a matmul set's A block is not the job's own")
+	}
+	feed.Lost()
+	if _, err := cl.JoinWorker("w2", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, cl, "w2", id, matrix.Partition(ref, 4))
+	cl.ForgetResult(id)
+	if got := retained(t, cl, id); got != 3 {
+		t.Fatalf("job retains %d matrices while a dead session holds its task, want 3", got)
+	}
+	feed.Close()
+	if got := retained(t, cl, id); got != 0 {
+		t.Fatalf("job retains %d matrices after the session let go, want 0", got)
+	}
+}
+
+// TestNextAfterCloseTakesNoHold: a Next blocked in the scheduler when
+// the session closes must not leave a hold behind when it returns, or
+// the job's memory is never released.
+func TestNextAfterCloseTakesNoHold(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	epoch, err := cl.JoinWorker("late", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := NewEngineFeed(cl, "late", epoch)
+	next := make(chan error, 1)
+	go func() {
+		_, err := feed.Next()
+		next <- err
+	}()
+	feed.Close()
+	c, a, b, ref := blockedInputs(t, 4, 4, 4, 4, 61)
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-next; err == nil {
+		t.Fatal("Next after Close handed out an assignment")
+	}
+	cl.WorkerLost("late")
+	if _, err := cl.JoinWorker("w2", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, cl, "w2", id, matrix.Partition(ref, 4))
+	cl.ForgetResult(id)
+	if got := retained(t, cl, id); got != 0 {
+		t.Fatalf("job retains %d matrices: a Next that returned after Close kept a hold", got)
+	}
+}
+
+// TestRunLocalWorkerWaitsForItsFeeder: RunLocalWorker returns only once
+// its feeder goroutine has, on the clean path too — the session's holds
+// may only go after the feeder's last Send.
+func TestRunLocalWorkerWaitsForItsFeeder(t *testing.T) {
+	feeders := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "cluster.RunLocalWorker.func")
+	}
+	for i := 0; i < 20; i++ {
+		cl, _ := manualCluster(Config{})
+		c, a, b, _ := blockedInputs(t, 8, 8, 8, 4, int64(63+i))
+		id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			cl.Wait(id)
+			cl.Close()
+		}()
+		if err := RunLocalWorker(cl, LocalWorkerConfig{ID: "w1", Mem: 64}); err != nil {
+			t.Fatal(err)
+		}
+		if n := feeders(); n != 0 {
+			t.Fatalf("run %d: %d feeder goroutines outlived RunLocalWorker", i, n)
+		}
 	}
 }

@@ -17,12 +17,17 @@ import "sync"
 // A nil *BlockPool is valid and means "no pooling": Get falls back to
 // plain allocation and Put discards, which is what the unpooled arm of
 // BenchmarkTransport measures.
+//
+// Under the poolcheck build tag the pool checks its own hand-offs
+// instead (pool_check.go): a released buffer is poisoned with NaNs, and
+// releasing one twice panics.
 type BlockPool struct {
 	mu    sync.RWMutex
 	pools map[int]*sync.Pool
 	// headers recycles the *[]float64 boxes that carry buffers in and
 	// out of the size-class pools.
 	headers sync.Pool
+	check   poolCheck // empty without the poolcheck tag
 }
 
 // NewBlockPool builds an empty pool; size classes appear on first use.
@@ -32,36 +37,16 @@ func NewBlockPool() *BlockPool {
 	return p
 }
 
-func (p *BlockPool) class(n int) *sync.Pool {
-	p.mu.RLock()
-	sp := p.pools[n]
-	p.mu.RUnlock()
-	if sp != nil {
-		return sp
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sp = p.pools[n]; sp == nil {
-		sp = &sync.Pool{}
-		p.pools[n] = sp
-	}
-	return sp
-}
-
 // Get returns a buffer of length n with arbitrary contents; the caller
 // must overwrite it fully before reading.
 func (p *BlockPool) Get(n int) []float64 {
 	if p == nil || n <= 0 {
 		return make([]float64, n)
 	}
-	w, _ := p.class(n).Get().(*[]float64)
-	if w == nil {
-		return make([]float64, n)
+	if b := p.take(n); b != nil {
+		return b
 	}
-	b := *w
-	*w = nil
-	p.headers.Put(w)
-	return b
+	return make([]float64, n)
 }
 
 // GetCopy returns a pooled buffer holding a copy of src.
@@ -78,9 +63,7 @@ func (p *BlockPool) Put(b []float64) {
 	if p == nil || len(b) == 0 {
 		return
 	}
-	w := p.headers.Get().(*[]float64)
-	*w = b
-	p.class(len(b)).Put(w)
+	p.give(b)
 }
 
 // PutAll releases every buffer of a block list.

@@ -33,3 +33,15 @@ func (a *blockArena) wire(blk []float64) []byte {
 	a.buf = putFloatsPortable(a.buf, blk)
 	return a.buf[off:]
 }
+
+// read fills blk from r through the arena, decoding with the portable
+// loop, and returns the wire bytes (valid until the next use).
+func (a *blockArena) read(r io.Reader, blk []float64) ([]byte, error) {
+	a.reset(8 * len(blk))
+	bs := a.buf[:8*len(blk)]
+	if _, err := io.ReadFull(r, bs); err != nil {
+		return nil, err
+	}
+	getFloatsPortableInto(blk, bs)
+	return bs, nil
+}

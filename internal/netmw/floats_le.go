@@ -52,3 +52,11 @@ type blockArena struct{}
 func (blockArena) reset(int) {}
 
 func (blockArena) wire(blk []float64) []byte { return rawBytes(blk) }
+
+// read fills blk from r straight into its memory and returns its wire
+// bytes (that memory).
+func (blockArena) read(r io.Reader, blk []float64) ([]byte, error) {
+	bs := rawBytes(blk)
+	_, err := io.ReadFull(r, bs)
+	return bs, err
+}

@@ -3,6 +3,7 @@ package netmw
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/engine"
@@ -93,14 +94,29 @@ func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
 	return out
 }
 
+// frameOver streams payload as the body of a frame declaring n payload
+// bytes, the way a connection's reader hands a block frame to the
+// decoders.
+func frameOver(payload []byte, n int, pool *engine.BlockPool) *frameReader {
+	f := &frameReader{r: bytes.NewReader(payload), pool: pool}
+	f.start(n)
+	return f
+}
+
+// fixedQ answers a result header with a known block size.
+func fixedQ(q int) func([]byte, *engine.Result) (int, error) {
+	return func([]byte, *engine.Result) (int, error) { return q, nil }
+}
+
 // FuzzDecodeMsg drives every payload decoder of the wire protocol with
 // arbitrary bytes, selected by the first byte: malformed frames must
 // error, never panic and never allocate unboundedly. It covers the live
-// transport decode paths — the pooled worker-side decoders (jobs,
+// transport decode paths — the streaming worker-side decoders (jobs,
 // tasks, update sets via the geometry FIFO, flush requests have no
-// payload), the master-side flat result, flush-manifest and request
+// payload), the master-side result, flush-manifest and request
 // decoders, the server-side ones (registration, job submissions) and
-// the client-side job-done headers.
+// the client-side job-done headers. Block frames are streamed over a
+// bytes.Reader with the payload's length declared.
 func FuzzDecodeMsg(f *testing.F) {
 	pool := engine.NewBlockPool()
 	// Seed with one well-formed payload per decoder so the corpus starts
@@ -184,8 +200,9 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{4}, encodeSetPayload([]byte{0, 0, 1, 0}, 0, 8,
 		[]uint64{aid, bid}, []byte{1, 1}, 1, 1, []float64{1, 2})...))
 
-	// q-selector (q 2) then one flat result block (CRC past the selector)
-	flat := appendCRC(putFloats([]byte{1}, []float64{1, 2, 3, 4}), 1)
+	// q-selector (q 2), the chunk id, then one result block (CRC past
+	// the selector)
+	flat := appendCRC(putFloats([]byte{1, 9, 0, 0, 0}, []float64{1, 2, 3, 4}), 1)
 	f.Add(append([]byte{7}, flat...))
 
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
@@ -256,39 +273,16 @@ func FuzzDecodeMsg(f *testing.F) {
 			}
 		}
 		switch sel % 9 {
-		case 0:
-			// the workerTransport MsgJob path: CRC strip, then header +
-			// flagged block body
-			payload, err := splitCRC(payload)
-			if err != nil {
-				return
+		case 0, 1:
+			// the workerTransport MsgJob and clusterWorkerTransport MsgTask
+			// paths: header + flagged block body
+			hdrLen, decodeHdr := chunkHeaderLen, decodeChunkHdr
+			if sel%9 == 1 {
+				hdrLen, decodeHdr = taskHeaderLen, decodeTaskHdr
 			}
-			var hdr ChunkHeader
-			if err := hdr.decode(payload); err != nil {
-				return
-			}
-			as := &engine.Assign{}
-			err = decodeAssignBlocks(as, payload[chunkHeaderLen:],
-				int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T), pool)
+			as, err := readAssign(frameOver(payload, len(payload), pool), hdrLen, decodeHdr)
 			if err == nil {
-				checkAssign(as, int(hdr.Rows), int(hdr.Cols))
-				pool.PutAll(as.Blocks)
-			}
-		case 1:
-			// the clusterWorkerTransport MsgTask path
-			payload, err := splitCRC(payload)
-			if err != nil {
-				return
-			}
-			var hdr TaskHeader
-			if err := hdr.decode(payload); err != nil {
-				return
-			}
-			as := &engine.Assign{}
-			err = decodeAssignBlocks(as, payload[taskHeaderLen:],
-				int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps), pool)
-			if err == nil {
-				checkAssign(as, int(hdr.Rows), int(hdr.Cols))
+				checkAssign(as, as.Rows, as.Cols)
 				pool.PutAll(as.Blocks)
 			}
 		case 2:
@@ -323,7 +317,7 @@ func FuzzDecodeMsg(f *testing.F) {
 			q := int(payload[2]%8) + 1
 			steps := int(payload[3]%3) + 1
 			g.push(rows, cols, q, steps)
-			set, err := decodeSetPooled(payload[4:], &g, pool)
+			set, err := readSet(frameOver(payload[4:], len(payload)-4, pool), &g)
 			if err == nil {
 				if len(set.A) != rows || len(set.B) != cols {
 					t.Fatalf("MsgSet decode produced %dx%d operands for %dx%d", len(set.A), len(set.B), rows, cols)
@@ -355,23 +349,26 @@ func FuzzDecodeMsg(f *testing.F) {
 			var hdr JobDoneHeader
 			hdr.decode(payload)
 		case 7:
-			// the masterTransport MsgResult path: CRC strip then flat blocks
-			// cut by the run's q, plus the one-byte request decoder
+			// the masterTransport MsgResult path: the chunk id then whole
+			// blocks of the run's q, plus the one-byte request decoder
 			if len(payload) < 1 {
 				return
 			}
 			q := int(payload[0]%8) + 1
-			if body, err := splitCRC(payload[1:]); err == nil {
-				if blocks, err := decodeFlatBlocks(nil, body, q, pool); err == nil {
-					pool.PutAll(blocks)
+			if res, err := readResult(frameOver(payload[1:], len(payload)-1, pool), 4, fixedQ(q)); err == nil {
+				for _, blk := range res.Blocks {
+					if len(blk) != q*q {
+						t.Fatalf("result decode produced a %d-element block for q=%d", len(blk), q)
+					}
 				}
+				pool.PutAll(res.Blocks)
 			}
 			decodeRequest(payload)
 		case 8:
 			// the masterTransport MsgFlushResult path: a successful decode
 			// must carry a well-formed C-tile id and a plausible payload for
 			// every block it returns.
-			fr, err := decodeFlushResult(payload, pool)
+			fr, err := readFlushResult(frameOver(payload, len(payload), pool))
 			if err != nil {
 				return
 			}
@@ -392,40 +389,62 @@ func FuzzDecodeMsg(f *testing.F) {
 }
 
 // FuzzPayloadCRCRejectsBitFlips pins the checksum's whole point: flip
-// any single bit of a well-formed, CRC-sealed MsgSet or MsgFlushResult
-// payload — body, manifest, or the checksum field itself — and the
-// decoder must reject it (CRC32C detects every 1-bit error) without
-// panicking. This is the wire-corruption half of the integrity story;
-// post-decode corruption is the Freivalds verifier's job.
+// any single bit of a well-formed, CRC-sealed block frame — MsgSet,
+// MsgFlushResult, MsgTask or MsgResult; header, manifest, flags, body or
+// the checksum field itself — and the streaming decoder must reject it
+// as ErrPayloadCRC (CRC32C detects every 1-bit error), without
+// panicking and with every block it took back in the pool. A flip that
+// breaks validation part way is still a checksum fault: the decoder
+// drains the frame and judges the checksum first. This is the
+// wire-corruption half of the integrity story; post-decode corruption
+// is the Freivalds verifier's job.
 func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
-	f.Add(uint16(0), false)
-	f.Add(uint16(99), false)
-	f.Add(uint16(0), true)
-	f.Add(uint16(201), true)
-	f.Fuzz(func(t *testing.T, pos uint16, isSet bool) {
+	f.Add(uint16(0), uint8(0))
+	f.Add(uint16(99), uint8(0))
+	f.Add(uint16(0), uint8(1))
+	f.Add(uint16(201), uint8(1))
+	f.Add(uint16(70), uint8(2))
+	f.Add(uint16(300), uint8(2))
+	f.Add(uint16(5), uint8(3))
+	f.Fuzz(func(t *testing.T, pos uint16, kind uint8) {
 		pool := engine.NewBlockPool()
 		var payload []byte
-		if isSet {
+		switch kind % 4 {
+		case 0:
 			payload = encodeSetPayload(nil, 3, 8,
-				[]uint64{0, 0}, []byte{1, 1}, 1, 1,
+				[]uint64{0, engine.BBlockID(1, 3, 0)}, []byte{1, 1}, 1, 1,
 				[]float64{1, 2, 3, 4, 5, 6, 7, 8})
-		} else {
+		case 1:
 			cid := engine.CBlockID(1, 0, 0)
 			payload = appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)
+		case 2:
+			hdr := make([]byte, taskHeaderLen)
+			(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 2, Q: 2}).encode(hdr)
+			payload = encodeAssignBody(hdr, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})
+		case 3:
+			payload = appendCRC(putFloats([]byte{7, 0, 0, 0}, []float64{1, 2, 3, 4, 5, 6, 7, 8}), 0)
 		}
 		bit := int(pos) % (len(payload) * 8)
 		payload[bit/8] ^= 1 << (bit % 8)
-		if isSet {
+		fr := frameOver(payload, len(payload), pool)
+		var err error
+		switch kind % 4 {
+		case 0:
 			var g geomFIFO
 			g.push(1, 1, 2, 1)
-			if set, err := decodeSetPooled(payload, &g, pool); err == nil {
-				pool.PutAll(set.A)
-				pool.PutAll(set.B)
-				pool.PutSet(set)
-				t.Fatalf("set decoder accepted a payload with bit %d flipped", bit)
-			}
-		} else if _, err := decodeFlushResult(payload, pool); err == nil {
-			t.Fatalf("flush decoder accepted a payload with bit %d flipped", bit)
+			_, err = readSet(fr, &g)
+		case 1:
+			_, err = readFlushResult(fr)
+		case 2:
+			_, err = readAssign(fr, taskHeaderLen, decodeTaskHdr)
+		case 3:
+			_, err = readResult(fr, 4, fixedQ(2))
+		}
+		if !errors.Is(err, ErrPayloadCRC) {
+			t.Fatalf("frame kind %d with bit %d flipped: err = %v, want ErrPayloadCRC", kind%4, bit, err)
+		}
+		if fr.left != 0 {
+			t.Fatalf("frame kind %d with bit %d flipped: %d bytes left unread", kind%4, bit, fr.left)
 		}
 	})
 }

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"repro/internal/engine"
 )
 
 // MsgType tags a protocol message.
@@ -342,20 +340,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // match its bytes — wire corruption, not a worker compute fault.
 var ErrPayloadCRC = errors.New("netmw: payload checksum mismatch")
 
-// splitCRC verifies a payload's trailing CRC32C and returns the payload
-// with the checksum stripped.
-func splitCRC(payload []byte) ([]byte, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("netmw: %d-byte payload too short to carry its checksum: %w", len(payload), ErrPayloadCRC)
-	}
-	body := payload[:len(payload)-4]
-	want := binary.LittleEndian.Uint32(payload[len(payload)-4:])
-	if crc32.Checksum(body, crcTable) != want {
-		return nil, ErrPayloadCRC
-	}
-	return body, nil
-}
-
 // writeMsgHeader writes the frame header of an n-byte payload the caller
 // streams after it.
 func writeMsgHeader(w io.Writer, t MsgType, n int) error {
@@ -436,49 +420,3 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // msgHeaderLen is the frame header: 1 type byte + 4 length bytes.
 const msgHeaderLen = 5
-
-// readMsgReuse reads one framed message into a caller-owned scratch
-// buffer: when the scratch can hold the payload it is reused (the
-// steady-state path allocates nothing), otherwise readPayload's
-// bounded-step growth runs (a corrupted length prefix must not provoke a
-// giant allocation for bytes that never come) and the grown buffer
-// becomes the new scratch. The returned payload aliases the scratch and
-// must be fully consumed before the next call.
-func readMsgReuse(r io.Reader, scratch []byte, hdr *[msgHeaderLen]byte) (MsgType, []byte, []byte, error) {
-	t, n, err := readMsgHeader(r, hdr)
-	if err != nil {
-		return 0, nil, scratch, err
-	}
-	if n > cap(scratch) {
-		// Larger than anything seen on this connection so far.
-		payload, err := readPayload(r, n)
-		if err != nil {
-			return 0, nil, scratch, err
-		}
-		return t, payload, payload, nil
-	}
-	payload := scratch[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, scratch, err
-	}
-	return t, payload, scratch, nil
-}
-
-// decodeBlocksInto decodes nblocks blocks of q² doubles into pooled
-// buffers (engine.BlockPool.Get tolerates a nil pool), appending them
-// to dst — typically a recycled message's header, so the steady state
-// allocates neither the buffers nor the header. It returns the extended
-// header and the remaining bytes.
-func decodeBlocksInto(dst [][]float64, buf []byte, nblocks, q int, pool *engine.BlockPool) ([][]float64, []byte, error) {
-	n := q * q
-	if uint64(len(buf)) < uint64(nblocks)*uint64(n)*8 {
-		return nil, nil, fmt.Errorf("netmw: short block payload: have %d bytes, want %d blocks of q=%d", len(buf), nblocks, q)
-	}
-	for i := 0; i < nblocks; i++ {
-		blk := pool.Get(n)
-		getFloatsInto(blk, buf)
-		dst = append(dst, blk)
-		buf = buf[8*n:]
-	}
-	return dst, buf, nil
-}

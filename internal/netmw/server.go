@@ -172,7 +172,7 @@ func (s *ClusterServer) handle(conn net.Conn) {
 	}
 	switch t {
 	case MsgRegister:
-		r := bufio.NewReaderSize(conn, 1<<20)
+		r := bufio.NewReaderSize(conn, connBuf)
 		payload, err := readPayload(r, n)
 		if err != nil {
 			return
@@ -181,7 +181,7 @@ func (s *ClusterServer) handle(conn net.Conn) {
 		if err := ri.decode(payload); err != nil {
 			return
 		}
-		s.workerSession(conn, r, bufio.NewWriterSize(conn, 1<<20), ri)
+		s.workerSession(conn, r, bufio.NewWriterSize(conn, connBuf), ri)
 	case MsgSubmit:
 		s.clientSession(bufio.NewReaderSize(conn, hopBuf), bufio.NewWriterSize(conn, hopBuf), n)
 	}
@@ -214,7 +214,10 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	feed := cluster.NewEngineFeed(s.cl, id, epoch)
 	// RunFeeder's reader calls feed.Lost the moment the connection dies;
 	// the deferred call covers feeder-side exits (protocol violations)
-	// and is a no-op once the incarnation is already gone.
+	// and is a no-op once the incarnation is already gone. Close runs
+	// after RunFeeder has returned, when no Send can be reading a Set of
+	// this session anymore.
+	defer feed.Close()
 	defer feed.Lost()
 	tr := newServerTransport(conn, r, w, s.pool, func() error { return s.cl.Heartbeat(id) })
 	var link engine.Transport = tr

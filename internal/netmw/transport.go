@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,11 +18,11 @@ import (
 // engine.Msg values to frames and back. All protocol *logic* (routing,
 // staging, prefetch, slot gating) lives in internal/engine; these types
 // only frame, encode and decode — and recycle buffers, so the
-// steady-state path allocates per connection, not per message: frames
-// are read into a per-connection scratch buffer, a frame's own bytes
-// are built in another, block payloads are sent from block memory
-// (writeBlockFrame) and decode into pooled q² buffers that their
-// consumers release (see engine.BlockPool).
+// steady-state path allocates per connection, not per message: a
+// frame's own bytes are built and read in per-connection scratch
+// buffers, and block payloads are sent from block memory
+// (writeBlockFrame) and read into pooled q² buffers (recv.go) that
+// their consumers release (see engine.BlockPool).
 
 // connIO bundles the shared per-connection state of every transport.
 type connIO struct {
@@ -35,8 +36,9 @@ type connIO struct {
 	wcuts    []blockCut  // where a block frame's blocks splice into wbuf, under wmu
 	warena   blockArena  // wire copies of blocks where memory is not the wire format, under wmu
 	wiovec   net.Buffers // gathered-write vector, backing array reused under wmu
-	rscratch []byte      // frame scratch, single reader goroutine
+	rscratch []byte      // control-frame scratch, single reader goroutine
 	rhdr     [5]byte     // frame-header scratch, single reader goroutine
+	rframe   frameReader // block-frame reader, single reader goroutine
 
 	bytesOut atomic.Int64 // bytes written to the peer (egress accounting)
 	bytesIn  atomic.Int64 // bytes read from the peer (ingress accounting)
@@ -52,12 +54,14 @@ type WireStats struct {
 
 func newConnIO(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *connIO {
 	if r == nil {
-		r = bufio.NewReaderSize(conn, 1<<20)
+		r = bufio.NewReaderSize(conn, connBuf)
 	}
 	if w == nil {
-		w = bufio.NewWriterSize(conn, 1<<20)
+		w = bufio.NewWriterSize(conn, connBuf)
 	}
-	return &connIO{conn: conn, r: r, w: w, pool: pool}
+	c := &connIO{conn: conn, r: r, w: w, pool: pool}
+	c.rframe.r, c.rframe.pool = r, pool
+	return c
 }
 
 // writeFrame frames and flushes one message built by fill, which
@@ -92,16 +96,39 @@ func (c *connIO) Stats() WireStats {
 	return WireStats{BytesOut: c.bytesOut.Load(), BytesIn: c.bytesIn.Load()}
 }
 
-// readFrame reads one frame into the connection scratch buffer. The
-// payload aliases the scratch and must be fully consumed before the
-// next readFrame.
-func (c *connIO) readFrame() (MsgType, []byte, error) {
-	t, payload, scratch, err := readMsgReuse(c.r, c.rscratch, &c.rhdr)
-	c.rscratch = scratch
+// readHead reads the next frame header. The n-byte payload is then read
+// by readFrame (control frames) or streamed through blockFrame.
+func (c *connIO) readHead() (MsgType, int, error) {
+	t, n, err := readMsgHeader(c.r, &c.rhdr)
 	if err == nil {
-		c.bytesIn.Add(int64(msgHeaderLen + len(payload)))
+		c.bytesIn.Add(int64(msgHeaderLen + n))
 	}
-	return t, payload, err
+	return t, n, err
+}
+
+// readFrame reads a control frame's n-byte payload into the connection
+// scratch buffer, which it reuses when it is large enough; otherwise
+// readPayload's bounded-step growth runs (a corrupted length prefix
+// must not provoke a giant allocation for bytes that never come) and
+// the grown buffer becomes the new scratch. The payload aliases the
+// scratch and must be fully consumed before the next read.
+func (c *connIO) readFrame(n int) ([]byte, error) {
+	if n > cap(c.rscratch) {
+		payload, err := readPayload(c.r, n)
+		if err == nil {
+			c.rscratch = payload
+		}
+		return payload, err
+	}
+	payload := c.rscratch[:n]
+	_, err := io.ReadFull(c.r, payload)
+	return payload, err
+}
+
+// blockFrame starts streaming a block-carrying frame's n-byte payload.
+func (c *connIO) blockFrame(n int) *frameReader {
+	c.rframe.start(n)
+	return &c.rframe
 }
 
 func (c *connIO) Close() error { return c.conn.Close() }
@@ -342,167 +369,6 @@ func (c *connIO) sendResult(t MsgType, m *engine.Result, hdrLen int, encodeHdr f
 	return err
 }
 
-// decodeFlushResult decodes a MsgFlushResult payload with strict
-// validation: the declared count must match the bytes present, every ID
-// must be a well-formed C-tile ID and every element count plausible —
-// a mismatch errors before trusting any length for an allocation.
-func decodeFlushResult(payload []byte, pool *engine.BlockPool) (*engine.FlushResult, error) {
-	payload, err := splitCRC(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("netmw: short flush result payload (%d bytes)", len(payload))
-	}
-	count := int(binary.LittleEndian.Uint32(payload))
-	computeNS := int64(binary.LittleEndian.Uint64(payload[4:]))
-	payload = payload[12:]
-	if count > maxWireDim*maxWireDim {
-		return nil, fmt.Errorf("netmw: flush result declares %d blocks", count)
-	}
-	if computeNS < 0 {
-		return nil, fmt.Errorf("netmw: flush result declares negative compute time")
-	}
-	fr := &engine.FlushResult{Owned: true, ComputeNS: computeNS}
-	for i := 0; i < count; i++ {
-		if len(payload) < 12 {
-			return nil, fmt.Errorf("netmw: flush result truncated at block %d", i)
-		}
-		id := binary.LittleEndian.Uint64(payload)
-		n := int(binary.LittleEndian.Uint32(payload[8:]))
-		payload = payload[12:]
-		if _, _, _, ok := engine.CBlockCoords(id); !ok {
-			return nil, fmt.Errorf("netmw: flush result block %d has malformed tile id %#x", i, id)
-		}
-		if n < 1 || n > maxWireDim*maxWireDim {
-			return nil, fmt.Errorf("netmw: flush result block %d declares %d elements", i, n)
-		}
-		if len(payload) < 8*n {
-			return nil, fmt.Errorf("netmw: flush result block %d payload truncated (%d of %d bytes)",
-				i, len(payload), 8*n)
-		}
-		blk := pool.Get(n)
-		getFloatsInto(blk, payload)
-		payload = payload[8*n:]
-		fr.IDs = append(fr.IDs, id)
-		fr.Blocks = append(fr.Blocks, blk)
-	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("netmw: flush result has %d trailing bytes", len(payload))
-	}
-	return fr, nil
-}
-
-// geomEntry tracks the declared geometry of one in-flight assignment on
-// the worker side, so update-set frames (which carry no geometry of
-// their own) decode against the assignment they belong to. Assignments
-// are computed FIFO and the master streams sets to the oldest
-// incomplete one, so a FIFO of (geometry, sets remaining) suffices.
-type geomEntry struct {
-	rows, cols, q int
-	left          int
-}
-
-type geomFIFO struct{ q []geomEntry }
-
-func (g *geomFIFO) push(rows, cols, q, steps int) {
-	g.q = append(g.q, geomEntry{rows: rows, cols: cols, q: q, left: steps})
-}
-
-// front returns the oldest entry with sets left to receive.
-func (g *geomFIFO) front() *geomEntry {
-	for len(g.q) > 0 && g.q[0].left == 0 {
-		g.q = g.q[1:]
-	}
-	if len(g.q) == 0 {
-		return nil
-	}
-	return &g.q[0]
-}
-
-// decodeSetPooled decodes a delta MsgSet payload against the front
-// geometry, into pooled buffers. The manifest is validated strictly:
-// entry counts must match the open assignment's geometry, flags must be
-// 0 or 1, a cache reference must carry a well-formed tracked ID, and
-// the payload must hold exactly the flagged blocks — a count or
-// geometry mismatch errors before any block-sized allocation, and the
-// decoder never reads past the declared entries.
-func decodeSetPooled(payload []byte, g *geomFIFO, pool *engine.BlockPool) (*engine.Set, error) {
-	// Wire integrity first: a checksum mismatch is transport corruption
-	// regardless of what the manifest would have decoded to.
-	payload, err := splitCRC(payload)
-	if err != nil {
-		return nil, err
-	}
-	fr := g.front()
-	if fr == nil {
-		return nil, fmt.Errorf("netmw: update set with no open assignment")
-	}
-	if len(payload) < setHeaderLen {
-		return nil, fmt.Errorf("netmw: short set payload (%d bytes)", len(payload))
-	}
-	rows, cols, q := fr.rows, fr.cols, fr.q
-	nA := int(binary.LittleEndian.Uint16(payload[8:]))
-	nB := int(binary.LittleEndian.Uint16(payload[10:]))
-	if nA != rows || nB != cols {
-		return nil, fmt.Errorf("netmw: set manifest is %d+%d entries, open assignment wants %d+%d",
-			nA, nB, rows, cols)
-	}
-	entries := payload[setHeaderLen:]
-	manifestLen := setEntryLen * (nA + nB)
-	if len(entries) < manifestLen {
-		return nil, fmt.Errorf("netmw: set manifest truncated (%d of %d bytes)", len(entries), manifestLen)
-	}
-	blocks := entries[manifestLen:]
-	included := 0
-	for e := 0; e < nA+nB; e++ {
-		id := binary.LittleEndian.Uint64(entries[e*setEntryLen:])
-		flag := entries[e*setEntryLen+8]
-		switch {
-		case flag > 1:
-			return nil, fmt.Errorf("netmw: set manifest entry %d has flag %d", e, flag)
-		case flag == 1:
-			included++
-		case id == 0:
-			return nil, fmt.Errorf("netmw: set manifest entry %d references an untracked block without payload", e)
-		}
-		if id != 0 && !engine.ValidBlockID(id) {
-			return nil, fmt.Errorf("netmw: set manifest entry %d has malformed block id %#x", e, id)
-		}
-	}
-	if err := checkBlockPayload(len(blocks), included, q); err != nil {
-		return nil, err
-	}
-	if len(blocks) != included*q*q*8 {
-		return nil, fmt.Errorf("netmw: set payload is %d bytes for %d flagged blocks of q=%d",
-			len(blocks), included, q)
-	}
-	set := pool.GetSet()
-	set.K = int(binary.LittleEndian.Uint32(payload))
-	set.Cap = int(binary.LittleEndian.Uint32(payload[4:]))
-	set.Owned = true
-	for e := 0; e < nA+nB; e++ {
-		id := binary.LittleEndian.Uint64(entries[:8])
-		flag := entries[8]
-		entries = entries[setEntryLen:]
-		var blk []float64 // nil = resolved from the resident cache
-		if flag == 1 {
-			blk = pool.Get(q * q)
-			getFloatsInto(blk, blocks)
-			blocks = blocks[8*q*q:]
-		}
-		if e < nA {
-			set.A = append(set.A, blk)
-			set.AIDs = append(set.AIDs, id)
-		} else {
-			set.B = append(set.B, blk)
-			set.BIDs = append(set.BIDs, id)
-		}
-	}
-	fr.left--
-	return set, nil
-}
-
 // --- single-job master side ----------------------------------------------
 
 // masterTransport is the master end of the single-job TCP protocol: it
@@ -553,45 +419,45 @@ func (t *masterTransport) Send(m engine.Msg) error {
 
 func (t *masterTransport) Recv() (engine.Msg, error) {
 	for {
-		mt, payload, err := t.readFrame()
+		mt, n, err := t.readHead()
 		if err != nil {
 			return nil, err
 		}
 		switch mt {
 		case MsgHello:
+			payload, err := t.readFrame(n)
+			if err != nil {
+				return nil, err
+			}
 			if len(payload) >= 4 {
 				t.helloMem.Store(int64(binary.LittleEndian.Uint32(payload)))
 			}
 			continue
 		case MsgReq:
+			payload, err := t.readFrame(n)
+			if err != nil {
+				return nil, err
+			}
 			req, err := decodeRequest(payload)
 			if err != nil {
 				return nil, err
 			}
 			return req, nil
 		case MsgResult:
-			if payload, err = splitCRC(payload); err != nil {
-				return nil, err
-			}
-			if len(payload) < 4 {
-				return nil, fmt.Errorf("netmw: short result payload (%d bytes)", len(payload))
-			}
-			id := binary.LittleEndian.Uint32(payload)
-			res := t.pool.GetResult()
-			var err error
-			res.Blocks, err = decodeFlatBlocks(res.Blocks, payload[4:], t.q, t.pool)
-			if err != nil {
-				return nil, err
-			}
-			res.ID = engine.AssignID{A: id}
-			res.Owned = true
-			return res, nil
+			return readResult(t.blockFrame(n), 4, t.decodeResultHdr)
 		case MsgFlushResult:
-			return decodeFlushResult(payload, t.pool)
+			return readFlushResult(t.blockFrame(n))
 		default:
 			return nil, fmt.Errorf("netmw: unexpected message %d from worker", mt)
 		}
 	}
+}
+
+// decodeResultHdr reads a MsgResult header: the chunk id. Results come
+// in the run's block size.
+func (t *masterTransport) decodeResultHdr(head []byte, res *engine.Result) (int, error) {
+	res.ID = engine.AssignID{A: binary.LittleEndian.Uint32(head)}
+	return t.q, nil
 }
 
 // decodeRequest validates a MsgReq payload.
@@ -600,20 +466,6 @@ func decodeRequest(payload []byte) (*engine.Request, error) {
 		return nil, fmt.Errorf("netmw: bad request payload")
 	}
 	return engine.RequestOf(engine.ReqKind(payload[0])), nil
-}
-
-// decodeFlatBlocks cuts a flat float payload into pooled q²-blocks
-// appended to dst (a recycled header).
-func decodeFlatBlocks(dst [][]float64, rest []byte, q int, pool *engine.BlockPool) ([][]float64, error) {
-	if q < 1 || q > maxWireDim {
-		return nil, fmt.Errorf("netmw: bad block size q=%d", q)
-	}
-	bs := q * q * 8
-	if len(rest)%bs != 0 {
-		return nil, fmt.Errorf("netmw: result payload %d bytes is not whole q=%d blocks", len(rest), q)
-	}
-	blocks, _, err := decodeBlocksInto(dst, rest, len(rest)/bs, q, pool)
-	return blocks, err
 }
 
 // --- single-job worker side ----------------------------------------------
@@ -662,39 +514,38 @@ func (t *workerTransport) Send(m engine.Msg) error {
 }
 
 func (t *workerTransport) Recv() (engine.Msg, error) {
-	mt, payload, err := t.readFrame()
+	mt, n, err := t.readHead()
 	if err != nil {
 		return nil, err
 	}
 	switch mt {
 	case MsgBye:
-		return engine.Bye{}, nil
+		_, err := t.readFrame(n)
+		return engine.Bye{}, err
 	case MsgFlush:
-		return engine.Flush{}, nil
+		_, err := t.readFrame(n)
+		return engine.Flush{}, err
 	case MsgJob:
-		if payload, err = splitCRC(payload); err != nil {
+		as, err := readAssign(t.blockFrame(n), chunkHeaderLen, decodeChunkHdr)
+		if err != nil {
 			return nil, err
 		}
-		var hdr ChunkHeader
-		if err := hdr.decode(payload); err != nil {
-			return nil, err
-		}
-		as := t.pool.GetAssign()
-		if err := decodeAssignBlocks(as, payload[chunkHeaderLen:],
-			int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T), t.pool); err != nil {
-			return nil, err
-		}
-		t.geom.push(int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T))
-		as.ID = engine.AssignID{A: hdr.ID}
-		as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
-		as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T)
-		as.Owned = true
+		t.geom.push(as.Rows, as.Cols, as.Q, as.Steps)
 		return as, nil
 	case MsgSet:
-		return decodeSetPooled(payload, &t.geom, t.pool)
+		return readSet(t.blockFrame(n), &t.geom)
 	default:
 		return nil, fmt.Errorf("netmw: worker got unexpected message %d", mt)
 	}
+}
+
+// decodeChunkHdr unpacks a MsgJob header into its assignment.
+func decodeChunkHdr(head []byte, as *engine.Assign) {
+	var hdr ChunkHeader
+	hdr.decode(head)
+	as.ID = engine.AssignID{A: hdr.ID}
+	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
+	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T)
 }
 
 // --- cluster worker side -------------------------------------------------
@@ -752,40 +603,39 @@ func (t *clusterWorkerTransport) Send(m engine.Msg) error {
 }
 
 func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
-	mt, payload, err := t.readFrame()
+	mt, n, err := t.readHead()
 	if err != nil {
 		return nil, err
 	}
 	switch mt {
 	case MsgBye:
-		return engine.Bye{}, nil
+		_, err := t.readFrame(n)
+		return engine.Bye{}, err
 	case MsgFlush:
-		return engine.Flush{}, nil
+		_, err := t.readFrame(n)
+		return engine.Flush{}, err
 	case MsgTask:
-		if payload, err = splitCRC(payload); err != nil {
+		as, err := readAssign(t.blockFrame(n), taskHeaderLen, decodeTaskHdr)
+		if err != nil {
 			return nil, err
 		}
-		var hdr TaskHeader
-		if err := hdr.decode(payload); err != nil {
-			return nil, err
-		}
-		as := t.pool.GetAssign()
-		if err := decodeAssignBlocks(as, payload[taskHeaderLen:],
-			int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps), t.pool); err != nil {
-			return nil, err
-		}
-		t.geom.push(int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps))
-		as.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
-		as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
-		as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps)
-		as.CJob = hdr.Job
-		as.Owned = true
+		t.geom.push(as.Rows, as.Cols, as.Q, as.Steps)
 		return as, nil
 	case MsgSet:
-		return decodeSetPooled(payload, &t.geom, t.pool)
+		return readSet(t.blockFrame(n), &t.geom)
 	default:
 		return nil, fmt.Errorf("netmw: cluster worker got unexpected message %d", mt)
 	}
+}
+
+// decodeTaskHdr unpacks a MsgTask header into its assignment.
+func decodeTaskHdr(head []byte, as *engine.Assign) {
+	var hdr TaskHeader
+	hdr.decode(head)
+	as.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
+	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
+	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps)
+	as.CJob = hdr.Job
 }
 
 // --- cluster server side -------------------------------------------------
@@ -844,12 +694,15 @@ func (t *serverTransport) Send(m engine.Msg) error {
 
 func (t *serverTransport) Recv() (engine.Msg, error) {
 	for {
-		mt, payload, err := t.readFrame()
+		mt, n, err := t.readHead()
 		if err != nil {
 			return nil, err
 		}
 		switch mt {
 		case MsgHeartbeat:
+			if _, err := t.readFrame(n); err != nil {
+				return nil, err
+			}
 			if err := t.onHeartbeat(); err != nil {
 				// Stale incarnation (declared dead, or replaced by a
 				// reconnect): drop the connection so the peer
@@ -858,43 +711,42 @@ func (t *serverTransport) Recv() (engine.Msg, error) {
 				return nil, err
 			}
 		case MsgReq:
+			payload, err := t.readFrame(n)
+			if err != nil {
+				return nil, err
+			}
 			if len(payload) != 1 || payload[0] != ReqSet {
 				return nil, fmt.Errorf("netmw: bad worker request")
 			}
 			return engine.RequestSet, nil
 		case MsgTaskResult:
-			if payload, err = splitCRC(payload); err != nil {
-				return nil, err
-			}
-			var hdr TaskResultHeader
-			if err := hdr.decode(payload); err != nil {
-				return nil, err
-			}
-			id := engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
-			t.mu.Lock()
-			q, ok := t.geom[id]
-			delete(t.geom, id)
-			t.mu.Unlock()
-			if !ok {
-				return nil, fmt.Errorf("netmw: result for unknown assignment %v", id)
-			}
-			res := t.pool.GetResult()
-			res.Blocks, err = decodeFlatBlocks(res.Blocks, payload[taskResultHeaderLen:], q, t.pool)
-			if err != nil {
-				return nil, err
-			}
-			res.ID = id
-			res.Owned = true
-			// Clamp to int64 so a hostile peer cannot smuggle negative
-			// timing into the estimator.
-			if hdr.Updates <= 1<<62 && hdr.ComputeNS <= 1<<62 {
-				res.Updates, res.ComputeNS = int64(hdr.Updates), int64(hdr.ComputeNS)
-			}
-			return res, nil
+			return readResult(t.blockFrame(n), taskResultHeaderLen, t.decodeTaskResultHdr)
 		case MsgFlushResult:
-			return decodeFlushResult(payload, t.pool)
+			return readFlushResult(t.blockFrame(n))
 		default:
 			return nil, fmt.Errorf("netmw: unexpected message %d from cluster worker", mt)
 		}
 	}
+}
+
+// decodeTaskResultHdr reads a MsgTaskResult header: the assignment it
+// answers, whose block size the session recorded when it sent the task,
+// and the worker's timing for it.
+func (t *serverTransport) decodeTaskResultHdr(head []byte, res *engine.Result) (int, error) {
+	var hdr TaskResultHeader
+	hdr.decode(head)
+	res.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
+	t.mu.Lock()
+	q, ok := t.geom[res.ID]
+	delete(t.geom, res.ID)
+	t.mu.Unlock()
+	if !ok {
+		return 0, fmt.Errorf("netmw: result for unknown assignment %v", res.ID)
+	}
+	// Clamp to int64 so a hostile peer cannot smuggle negative timing
+	// into the estimator.
+	if hdr.Updates <= 1<<62 && hdr.ComputeNS <= 1<<62 {
+		res.Updates, res.ComputeNS = int64(hdr.Updates), int64(hdr.ComputeNS)
+	}
+	return q, nil
 }

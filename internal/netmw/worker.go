@@ -1,7 +1,6 @@
 package netmw
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -40,77 +39,6 @@ type WorkerReport struct {
 	Flushed int64
 }
 
-// decodeBlockListInto validates a wire-declared rows×cols×q geometry
-// plus a step count against the bytes actually present, then decodes
-// the rows·cols blocks of q² doubles into pooled buffers appended to a
-// recycled header — the legacy dense body of an assignment frame.
-func decodeBlockListInto(dst [][]float64, rest []byte, rows, cols, q, steps int, pool *engine.BlockPool) ([][]float64, error) {
-	if err := checkGeometry(rows, cols, q); err != nil {
-		return nil, err
-	}
-	if steps < 0 || steps > maxWireDim {
-		return nil, fmt.Errorf("netmw: implausible step count %d", steps)
-	}
-	if err := checkBlockPayload(len(rest), rows*cols, q); err != nil {
-		return nil, err
-	}
-	blocks, _, err := decodeBlocksInto(dst, rest, rows*cols, q, pool)
-	return blocks, err
-}
-
-// decodeAssignBlocks decodes an assignment frame's body — the uint16
-// C-flag count, the flag bytes, then the payloads of exactly the
-// CShip-flagged tiles — into the recycled assignment. Count 0 is the
-// legacy dense protocol: CFlags stays empty and every tile's payload
-// follows. Shared by the job (MsgJob) and task (MsgTask) transport
-// decoders, so validation fixes land in one place. The manifest is
-// validated strictly: the count must match the geometry, flags must
-// name a known residency state, and the payload must hold exactly the
-// shipped blocks — all checked before any geometry-sized allocation.
-func decodeAssignBlocks(as *engine.Assign, rest []byte, rows, cols, q, steps int, pool *engine.BlockPool) error {
-	if err := checkGeometry(rows, cols, q); err != nil {
-		return err
-	}
-	if len(rest) < 2 {
-		return fmt.Errorf("netmw: assignment payload missing C-flag count")
-	}
-	nflags := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	if nflags == 0 {
-		var err error
-		as.Blocks, err = decodeBlockListInto(as.Blocks, rest, rows, cols, q, steps, pool)
-		return err
-	}
-	if nflags != rows*cols {
-		return fmt.Errorf("netmw: assignment carries %d C flags for a %dx%d tile", nflags, rows, cols)
-	}
-	if len(rest) < nflags {
-		return fmt.Errorf("netmw: assignment C-flag list truncated (%d of %d bytes)", len(rest), nflags)
-	}
-	ship := 0
-	for i, f := range rest[:nflags] {
-		switch f {
-		case engine.CShip:
-			ship++
-		case engine.CResident, engine.CZero:
-		default:
-			return fmt.Errorf("netmw: assignment C flag %d has unknown state %d", i, f)
-		}
-	}
-	as.CFlags = append(as.CFlags[:0], rest[:nflags]...)
-	rest = rest[nflags:]
-	if err := checkBlockPayload(len(rest), ship, q); err != nil {
-		return err
-	}
-	if len(rest) != ship*q*q*8 {
-		return fmt.Errorf("netmw: assignment payload is %d bytes for %d shipped blocks of q=%d",
-			len(rest), ship, q)
-	}
-	var err error
-	as.Blocks, _, err = decodeBlocksInto(as.Blocks, rest, ship, q, pool)
-	return err
-}
-
 // maxWireDim caps every wire-declared dimension (blocks per chunk side,
 // block size q, step counts). Any legal message under maxPayload stays
 // far below it, and the cap keeps hostile headers from overflowing the
@@ -125,21 +53,6 @@ func checkGeometry(rows, cols, q int) error {
 	}
 	if q < 1 || q > maxWireDim {
 		return fmt.Errorf("netmw: bad block size q=%d", q)
-	}
-	return nil
-}
-
-// checkBlockPayload rejects payloads whose declared geometry does not
-// match the bytes on the wire, before any geometry-sized allocation.
-// Callers validate the factors of nblocks via checkGeometry first, so
-// the products below cannot overflow.
-func checkBlockPayload(have, nblocks, q int) error {
-	if q < 1 || q > maxWireDim || nblocks < 0 || nblocks > maxWireDim*maxWireDim {
-		return fmt.Errorf("netmw: bad block geometry (%d blocks of q=%d)", nblocks, q)
-	}
-	need := uint64(nblocks) * uint64(q) * uint64(q) * 8
-	if uint64(have) < need {
-		return fmt.Errorf("netmw: block payload %d bytes, need %d", have, need)
 	}
 	return nil
 }

@@ -168,15 +168,21 @@ func (j *Journal) append(rec []byte, flag byte) error {
 			return err
 		}
 	}
-	frame := make([]byte, frameHeaderLen+len(rec))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(rec)))
-	frame[8] = flag
-	copy(frame[frameHeaderLen:], rec)
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
-	if _, err := j.cur.Write(frame); err != nil {
+	// The header and the record go out as two writes straight from where
+	// they are: a record is never copied into a frame buffer (an accept
+	// record carries a job's operands). A crash between the writes leaves
+	// the torn tail Open already drops.
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rec)))
+	hdr[8] = flag
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.Update(0, crcTable, hdr[8:]), crcTable, rec))
+	if _, err := j.cur.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	j.curSize += int64(len(frame))
+	if _, err := j.cur.Write(rec); err != nil {
+		return fmt.Errorf("store: append: %w", err)
+	}
+	j.curSize += int64(frameHeaderLen + len(rec))
 	if !j.opts.NoSync {
 		if err := j.opts.Sync(j.cur); err != nil {
 			return fmt.Errorf("store: fsync: %w", err)

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -53,6 +55,61 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	if st.Records != 3 || st.Torn != 0 || st.Snapshots != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// oldFrame is the frame encoder append used before it wrote the header
+// and the record in place: one buffer, the record copied into it, the
+// CRC over flag ‖ record.
+func oldFrame(rec []byte, flag byte) []byte {
+	frame := make([]byte, frameHeaderLen+len(rec))
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(rec)))
+	frame[8] = flag
+	copy(frame[frameHeaderLen:], rec)
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
+	return frame
+}
+
+// TestAppendSegmentsByteIdentical pins the segment format across the
+// in-place append: data and snapshot records of every size land as the
+// bytes the copying encoder wrote.
+func TestAppendSegmentsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var want []byte
+	for _, n := range []int{0, 1, 9, 1000, 70000} {
+		rec := make([]byte, n)
+		rng.Read(rec)
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, oldFrame(rec, flagData)...)
+	}
+	segment := func(seq int) []byte {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, segmentName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if !bytes.Equal(segment(1), want) {
+		t.Fatal("data segment differs from the copying encoder's frames")
+	}
+	// Compact starts segment 2 with the snapshot record alone.
+	snap := []byte("snapshot record")
+	if err := j.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(segment(2), oldFrame(snap, flagSnapshot)) {
+		t.Fatal("snapshot segment differs from the copying encoder's frame")
 	}
 }
 

@@ -23,9 +23,7 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/homog"
 	"repro/internal/lu"
-	"repro/internal/lupar"
 	"repro/internal/matrix"
-	"repro/internal/mw"
 	"repro/internal/ooc"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -205,7 +203,8 @@ func BenchmarkFig11RealRuntime(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := matrix.NewBlocked(8, 16, q)
-		if _, err := mw.Multiply(c, a, bb, mw.Config{Workers: 4, Mu: 2, StageCap: 2, Mode: mw.Demand}); err != nil {
+		spec := cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: bb, Mu: 2}
+		if _, _, err := cluster.RunOneJob(spec, 4, cluster.LocalWorkerConfig{ID: "fig11-"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -564,25 +563,6 @@ func BenchmarkGridOuterProductReal(b *testing.B) {
 		if err := grid.OuterProduct(c, a, bb, 3); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- real parallel LU (§7) ----------------------------------------------------
-
-func BenchmarkLUParallelReal(b *testing.B) {
-	n := 256
-	src := matrix.NewDense(n, n)
-	lu.DiagonallyDominant(src, 3)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(8 * n * n))
-			for i := 0; i < b.N; i++ {
-				a := src.Clone()
-				if _, err := lupar.Factor(a, lupar.Config{Workers: workers, Panel: 32}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command mmserve runs the long-running fault-tolerant cluster scheduler:
-// it accepts mwworker processes (-cluster mode) over TCP, takes concurrent
+// it accepts mwworker processes over TCP, takes concurrent
 // matrix-product and LU job submissions, detects dead workers by heartbeat
 // expiry, and reschedules their lost work onto the survivors.
 //

@@ -1,11 +1,8 @@
-// Command mwworker runs one distributed matrix-product worker.
-//
-// Against an mwmaster (the default, single-job mode) it serves chunks
-// with the demand-driven protocol and exits when the master says goodbye.
-// With -cluster it joins a long-running mmserve scheduler instead:
-// registering under a stable name, heartbeating, serving tasks from many
-// concurrent jobs, and reconnecting (re-registering) when the connection
-// drops.
+// Command mwworker runs one distributed matrix-product worker. It joins
+// a long-running mmserve scheduler: registering under a stable name,
+// heartbeating, serving tasks from many concurrent jobs, and
+// reconnecting (re-registering) when the connection drops. A single
+// product is a job submitted to that scheduler (mmserve -submit).
 package main
 
 import (
@@ -26,18 +23,18 @@ func fatalUsage(format string, args ...any) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "master (or -cluster server) address")
+	addr := flag.String("addr", "127.0.0.1:7071", "mmserve address")
 	memMB := flag.Int("mem", 64, "memory budget in MiB to advertise")
 	q := flag.Int("q", 64, "block size used to convert the budget to blocks")
 	stage := flag.Int("stage", 2, "staging update sets (1 = no overlap, 2 = double buffering)")
 	cores := flag.Int("cores", 0, "kernel goroutines per block-update sweep (0 = one per core)")
-	prefetch := flag.Bool("prefetch", true, "receive the next chunk/task while the current one computes")
-	slots := flag.Int("slots", 2, "cluster: tasks pipelined concurrently (1 disables task prefetch)")
-	clusterMode := flag.Bool("cluster", false, "serve an mmserve cluster scheduler instead of a one-shot master")
-	name := flag.String("name", "", "cluster: stable worker name (default host:pid)")
-	hbEvery := flag.Duration("hb", 2*time.Second, "cluster: heartbeat cadence")
-	reconnect := flag.Int("reconnect", 10, "cluster: reconnect attempts after a connection loss")
-	backoff := flag.Duration("backoff", time.Second, "cluster: pause between reconnect attempts")
+	slots := flag.Int("slots", 2, "tasks pipelined concurrently (1 disables task prefetch)")
+	// Accepted and ignored: serving an mmserve scheduler is the only mode.
+	flag.Bool("cluster", true, "accepted for compatibility; has no effect")
+	name := flag.String("name", "", "stable worker name (default host:pid)")
+	hbEvery := flag.Duration("hb", 2*time.Second, "heartbeat cadence")
+	reconnect := flag.Int("reconnect", 10, "reconnect attempts after a connection loss")
+	backoff := flag.Duration("backoff", time.Second, "pause between reconnect attempts")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -67,55 +64,36 @@ func main() {
 	if *backoff < 0 {
 		fatalUsage("-backoff must be ≥ 0, got %v", *backoff)
 	}
-	if *clusterMode && *hbEvery <= 0 {
+	if *hbEvery <= 0 {
 		// A silent worker is indistinguishable from a dead one: the
 		// server's expiry sweep would declare an idle beaconless worker
-		// lost, so heartbeats are mandatory in cluster mode.
-		fatalUsage("-hb must be positive in cluster mode, got %v", *hbEvery)
+		// lost, so heartbeats are mandatory.
+		fatalUsage("-hb must be positive, got %v", *hbEvery)
 	}
 	m := platform.MemoryBlocks(int64(*memMB)<<20, *q)
 	if m < 1 {
 		fatalUsage("-mem %d MiB holds no %d×%d blocks", *memMB, *q, *q)
 	}
 
-	if *clusterMode {
-		wn := *name
-		if wn == "" {
-			host, err := os.Hostname()
-			if err != nil {
-				host = "worker"
-			}
-			wn = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		ws := *slots
-		if !*prefetch {
-			ws = 1 // no task pipelining without prefetch
-		}
-		rep, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
-			Addr: *addr, Name: wn, Memory: m, StageCap: *stage,
-			Slots: ws, Cores: *cores,
-			HeartbeatEvery: *hbEvery, Reconnect: *reconnect, Backoff: *backoff,
-		})
+	wn := *name
+	if wn == "" {
+		host, err := os.Hostname()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
-			os.Exit(1)
+			host = "worker"
 		}
-		fmt.Printf("mwworker: %s served %d tasks, %d block updates over %d sessions, kernel=%s\n",
-			wn, rep.Tasks, rep.Updates, rep.Sessions, blas.KernelName())
-		fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
-			rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
-		return
+		wn = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-
-	rep, err := netmw.RunWorker(netmw.WorkerConfig{
-		Addr: *addr, Memory: m, StageCap: *stage,
-		Prefetch: *prefetch, Cores: *cores,
+	rep, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
+		Addr: *addr, Name: wn, Memory: m, StageCap: *stage,
+		Slots: *slots, Cores: *cores,
+		HeartbeatEvery: *hbEvery, Reconnect: *reconnect, Backoff: *backoff,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mwworker: processed %d chunks, %d block updates, kernel=%s\n", rep.Chunks, rep.Updates, blas.KernelName())
+	fmt.Printf("mwworker: %s served %d tasks, %d block updates over %d sessions, kernel=%s\n",
+		wn, rep.Tasks, rep.Updates, rep.Sessions, blas.KernelName())
 	fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
 		rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
 }

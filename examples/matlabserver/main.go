@@ -44,7 +44,7 @@ func main() {
 
 	start := time.Now()
 	res, err := matmul.MultiplyLocal(c, a, b, matmul.LocalConfig{
-		Workers: workers, Memory: m, Demand: true,
+		Workers: workers, Memory: m,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -54,8 +54,7 @@ func GemmPacked(m, n, k int, a []float64, lda int, b []float64, ldb int, c []flo
 // GemmSub computes C ← C − A·B through the same dispatched kernels as
 // GemmBlocked: packing negates A on the fly (an exact sign flip), so the
 // subtraction costs no extra pass and no scratch matrix. It is the panel
-// update of the LU factorizations; lu.Factor and lupar.Factor share it,
-// which keeps their packed factors bit-identical to each other.
+// update of lu.Factor.
 func GemmSub(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	gemmCheckDims("GemmSub", m, n, k, lda, ldb, ldc)
 	if m <= 0 || n <= 0 || k <= 0 {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // adaptiveCluster builds a manual-clock cluster with adaptive chunk
@@ -224,7 +226,7 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("finished job retains %d matrices while the loser streams, want 3", got)
 	}
-	if _, _, err := cl.TaskSet(orig, 1); err != nil {
+	if err := cl.TaskSet(orig, 1, &engine.Set{}); err != nil {
 		t.Fatalf("loser's set request after the job finished: %v", err)
 	}
 
@@ -240,7 +242,7 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	if got := retained(t, cl, id); got != 1 {
 		t.Fatalf("job retains %d matrices after the loser let go, want the result only", got)
 	}
-	if _, _, err := cl.TaskSet(orig, 1); !errors.Is(err, ErrStaleJob) {
+	if err := cl.TaskSet(orig, 1, &engine.Set{}); !errors.Is(err, ErrStaleJob) {
 		t.Fatalf("set request on the released job = %v, want ErrStaleJob", err)
 	}
 }

@@ -1334,35 +1334,35 @@ func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
 	return out, q, nil
 }
 
-// TaskSet returns the k-th update set for the task: Rows A blocks and
-// Cols B blocks. For matmul they are the job's own blocks, by reference
-// — read-only, and valid while the caller holds the task (EngineFeed's
-// hold keeps the job from being released under it). For LU tasks (k is
-// the panel stage) they are pooled copies, the A blocks the negated L
-// panel so the worker's generic C += A·B update computes the trailing
-// subtraction. Once the job's operands are released it returns
-// ErrStaleJob.
-func (cl *Cluster) TaskSet(t *Task, k int) (aBlks, bBlks [][]float64, err error) {
+// TaskSet appends the k-th update set for the task to set: Rows A
+// blocks and Cols B blocks. For matmul they are the job's own blocks,
+// by reference — read-only, and valid while the caller holds the task
+// (EngineFeed's hold keeps the job from being released under it). For
+// LU tasks (k is the panel stage) they are pooled copies, the A blocks
+// the negated L panel so the worker's generic C += A·B update computes
+// the trailing subtraction. Once the job's operands are released it
+// returns ErrStaleJob and appends nothing.
+func (cl *Cluster) TaskSet(t *Task, k int, set *engine.Set) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	j := cl.jobs[t.Job]
 	if j == nil {
-		return nil, nil, fmt.Errorf("cluster: unknown job %d", t.Job)
+		return fmt.Errorf("cluster: unknown job %d", t.Job)
 	}
 	if (j.spec.Kind == MatMul && j.spec.A == nil) || (j.spec.Kind == LU && j.spec.M == nil) {
-		return nil, nil, fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
+		return fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
 	}
 	ch := t.Chunk
 	switch j.spec.Kind {
 	case MatMul:
 		if k < 0 || k >= j.spec.A.BC {
-			return nil, nil, fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
+			return fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
 		}
 		for i := 0; i < ch.Rows; i++ {
-			aBlks = append(aBlks, j.spec.A.Block(ch.I0+i, k).Data)
+			set.A = append(set.A, j.spec.A.Block(ch.I0+i, k).Data)
 		}
 		for jj := 0; jj < ch.Cols; jj++ {
-			bBlks = append(bBlks, j.spec.B.Block(k, ch.J0+jj).Data)
+			set.B = append(set.B, j.spec.B.Block(k, ch.J0+jj).Data)
 		}
 	case LU:
 		kk := t.K
@@ -1372,13 +1372,13 @@ func (cl *Cluster) TaskSet(t *Task, k int) (aBlks, bBlks [][]float64, err error)
 			for e, v := range src {
 				buf[e] = -v
 			}
-			aBlks = append(aBlks, buf)
+			set.A = append(set.A, buf)
 		}
 		for jj := 0; jj < ch.Cols; jj++ {
-			bBlks = append(bBlks, cl.pool.GetCopy(j.spec.M.Block(kk, ch.J0+jj).Data))
+			set.B = append(set.B, cl.pool.GetCopy(j.spec.M.Block(kk, ch.J0+jj).Data))
 		}
 	}
-	return aBlks, bBlks, nil
+	return nil
 }
 
 // feedHold counts a task an EngineFeed session starts (delta +1) or

@@ -120,11 +120,12 @@ func (f *EngineFeed) Next() (*engine.Assign, error) {
 }
 
 // Set materializes the k-th update set of a held assignment, stamped
-// with the job-scoped block IDs the delta protocol tracks. A matmul set
-// is unowned: its blocks are the job's own, which the hold keeps alive
-// until the task is let go of. For LU tasks (pooled copies, owned) the
-// operands are the stage-t.K panels: those blocks are final once
-// the stage is factored (later stages only touch the trailing
+// with the job-scoped block IDs the delta protocol tracks, in a Set
+// from the cluster's pool (its consumer recycles it there). A matmul
+// set is unowned: its blocks are the job's own, which the hold keeps
+// alive until the task is let go of. For LU tasks (pooled copies,
+// owned) the operands are the stage-t.K panels: those blocks are final
+// once the stage is factored (later stages only touch the trailing
 // submatrix), and the A-role IDs never collide with B-role IDs, so the
 // negated L panel caches as safely as a matmul operand.
 func (f *EngineFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
@@ -134,24 +135,20 @@ func (f *EngineFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	if task == nil {
 		return nil, fmt.Errorf("cluster: set for unknown assignment %v", id)
 	}
-	aBlks, bBlks, err := f.cl.TaskSet(task, k)
-	if errors.Is(err, ErrStaleJob) {
-		return nil, fmt.Errorf("%w: %v", engine.ErrStaleAssign, err)
-	}
-	if err != nil {
+	set := f.cl.pool.GetSet()
+	if err := f.cl.TaskSet(task, k, set); err != nil {
+		f.cl.pool.PutSet(set)
+		if errors.Is(err, ErrStaleJob) {
+			return nil, fmt.Errorf("%w: %v", engine.ErrStaleAssign, err)
+		}
 		return nil, err
 	}
-	set := &engine.Set{K: k, A: aBlks, B: bBlks, Owned: task.Kind == LU}
-	ch, kk := task.Chunk, k
+	set.K, set.Owned = k, task.Kind == LU
+	kk := k
 	if task.Kind == LU {
 		kk = task.K
 	}
-	for i := 0; i < ch.Rows; i++ {
-		set.AIDs = append(set.AIDs, engine.ABlockID(uint32(task.Job), ch.I0+i, kk))
-	}
-	for j := 0; j < ch.Cols; j++ {
-		set.BIDs = append(set.BIDs, engine.BBlockID(uint32(task.Job), kk, ch.J0+j))
-	}
+	engine.StampIDs(set, uint32(task.Job), task.Chunk, kk)
 	return set, nil
 }
 

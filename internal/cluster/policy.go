@@ -13,7 +13,7 @@ import (
 // geometry bounds each worker's in-flight state (one chunk plus staging
 // sets), so the planner is also what keeps recovery cheap. The existing
 // schedulers plug in here: MaxReusePlanner is the §4.1/§5 maximum re-use
-// order shared with internal/mw, LargestFirstPlanner is the
+// order of internal/homog, LargestFirstPlanner is the
 // heterogeneity-motivated variant (internal/hetero's principle of feeding
 // big consumers first applied to ragged chunk grids).
 type Planner interface {

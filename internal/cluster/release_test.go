@@ -83,7 +83,7 @@ func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	if !a.Equal(aCopy, 0) {
 		t.Fatal("caller-owned operand was modified by the release")
 	}
-	if _, _, err := cl.TaskSet(last, 0); !errors.Is(err, ErrStaleJob) {
+	if err := cl.TaskSet(last, 0, &engine.Set{}); !errors.Is(err, ErrStaleJob) {
 		t.Fatalf("TaskSet on released operands = %v, want ErrStaleJob", err)
 	}
 	if _, _, err := cl.TaskChunk(last); err != nil {
@@ -188,7 +188,7 @@ func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("failed job retains %d matrices while a worker holds its task, want 3", got)
 	}
-	if _, _, err := cl.TaskSet(held, 1); err != nil {
+	if err := cl.TaskSet(held, 1, &engine.Set{}); err != nil {
 		t.Fatalf("holder's set request on the failed job: %v", err)
 	}
 	if err := cl.Complete("holder", held, refChunk(held, matrix.Partition(ref, 4))); err != nil {

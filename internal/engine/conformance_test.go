@@ -1,9 +1,10 @@
 // Conformance suite: one table of lifecycle, ordering, prefetch,
-// staging and kill-mid-chunk cases, executed against BOTH transports —
-// the in-process channel pipe (engine.Pipe) and the TCP framing
-// (internal/netmw's transports) — so the two runtimes can never drift
-// apart again: any behavioral difference between "the same engine over
-// channels" and "the same engine over sockets" fails here first.
+// staging and kill-mid-chunk cases, each driving RunFeeder sessions and
+// RunWorker goroutines over BOTH transports — the in-process channel
+// pipe (engine.Pipe) and the TCP framing (internal/netmw's server and
+// worker transports) — so the two can never drift apart: any
+// behavioral difference between "the same engine over channels" and
+// "the same engine over sockets" fails here first.
 package engine_test
 
 import (
@@ -12,64 +13,16 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/homog"
 	"repro/internal/matrix"
 	"repro/internal/netmw"
+	"repro/internal/sim"
 )
 
-// transportFleet abstracts "n connected master/worker transport pairs"
-// over the two implementations.
-type transportFleet func(t *testing.T, n, q int, pool *engine.BlockPool) (masters, workers []engine.Transport)
-
-func pipeFleet(t *testing.T, n, q int, pool *engine.BlockPool) (masters, workers []engine.Transport) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		m, w := engine.Pipe()
-		masters = append(masters, m)
-		workers = append(workers, w)
-	}
-	return masters, workers
-}
-
-func tcpFleet(t *testing.T, n, q int, pool *engine.BlockPool) (masters, workers []engine.Transport) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, n)
-	go func() {
-		for i := 0; i < n; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted <- conn
-		}
-	}()
-	for i := 0; i < n; i++ {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers = append(workers, netmw.NewWorkerTransport(conn, pool))
-		masters = append(masters, netmw.NewMasterTransport(<-accepted, q, pool))
-	}
-	return masters, workers
-}
-
-var fleets = []struct {
-	name  string
-	build transportFleet
-}{
-	{"channel", pipeFleet},
-	{"tcp", tcpFleet},
-}
+var fleets = []string{"channel", "tcp"}
 
 // buildInputs creates deterministic A, B, C and the expected C + A·B.
 func buildInputs(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) {
@@ -86,340 +39,11 @@ func buildInputs(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) 
 		matrix.Partition(cd, q), matrix.Partition(ref, q)
 }
 
-// advertisedMem makes a master-side transport advertise a worker memory
-// (engine.MemAdvertiser), so a conformance row can run the delta
-// protocol at a chosen cache budget on either fleet.
-type advertisedMem struct {
-	engine.Transport
-	mem int
-}
-
-func (a advertisedMem) AdvertisedMem() int { return a.mem }
-
-// runEngine drives one full multiply through RunMaster + n RunWorker
-// goroutines over the given fleet. mem > 0 is the memory every worker
-// advertises, in blocks.
-func runEngine(t *testing.T, fleet transportFleet, r, tt, s, q int, workers int,
-	wcfg engine.WorkerConfig, mem int, pooled, copyAssigns, resident bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, masterErr error) {
+// feederPair builds one connected feeder/worker transport pair on the
+// named fleet.
+func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, worker engine.Transport) {
 	t.Helper()
-	a, b, c, want := buildInputs(t, r, tt, s, q)
-	var pool *engine.BlockPool
-	if pooled {
-		pool = engine.NewBlockPool()
-	}
-	masters, workerEnds := fleet(t, workers, q, pool)
-	if mem > 0 {
-		for w := range masters {
-			masters[w] = advertisedMem{masters[w], mem}
-		}
-	}
-	reports = make([]engine.WorkerReport, workers)
-	// In a kill case the healthy workers start only once the doomed one
-	// is gone: alone on the grid it is certain to be handed the
-	// assignment that severs it, whatever the scheduler does with two
-	// cores.
-	doomedGone := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cfg := wcfg
-			cfg.Pool = pool
-			if w == 0 {
-				defer close(doomedGone)
-			} else if cfg.FailAfter > 0 {
-				cfg.FailAfter = 0 // only worker 0 is doomed
-				<-doomedGone
-			}
-			reports[w], _ = engine.RunWorker(workerEnds[w], cfg)
-		}(w)
-	}
-	pr := core.Problem{R: r, S: s, T: tt, Q: q}
-	_, chunks := homog.ChunkGrid(pr, 2)
-	_, masterErr = engine.RunMaster(c, a, b, chunks, masters, engine.MasterConfig{
-		Timeout: 30 * time.Second, CopyAssigns: copyAssigns, Pool: pool,
-		ResidentResults: resident,
-	})
-	wg.Wait()
-	return c, want, reports, masterErr
-}
-
-// TestEngineConformance is the cross-transport table. Every case runs
-// on the channel pipe and on TCP framing; lifecycle cases must produce
-// the oracle product and the exact update count, the kill case must
-// fail the master (single-job runs have no recovery) without hanging.
-func TestEngineConformance(t *testing.T) {
-	demand := engine.WorkerConfig{
-		StageCap: 1, Slots: 1, Cores: 1,
-		PullAssigns: true, PullSets: true, PullResults: true,
-	}
-	cases := []struct {
-		name        string
-		r, tt, s, q int
-		workers     int
-		mem         int // advertised worker memory in blocks; 0 = unadvertised
-		mod         func(*engine.WorkerConfig)
-		pooled      bool
-		resident    bool
-		wantErr     bool
-	}{
-		{name: "lifecycle-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true},
-		{name: "lifecycle-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
-		{name: "ordering-staged-sets", r: 5, tt: 6, s: 5, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
-		{name: "prefetch-double-buffer", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		{name: "prefetch-single-worker-drains-pool", r: 5, tt: 2, s: 7, q: 4, workers: 1, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
-		{name: "multicore-kernel", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Cores = 4; c.Slots = 2; c.StageCap = 2 }},
-		{name: "ragged-chunks", r: 5, tt: 2, s: 7, q: 4, workers: 2, pooled: true},
-		{name: "more-workers-than-chunks", r: 2, tt: 2, s: 2, q: 4, workers: 5, pooled: true},
-		{name: "unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		// Memory just above one 2×2 footprint (12 blocks at the cache
-		// staging depth) with two tiles in flight: the announced cache
-		// capacity drops to 0, below every Set's own four tracked blocks.
-		{name: "tight-memory-two-slots", r: 6, tt: 4, s: 6, q: 4, workers: 2, mem: 13, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		{name: "kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, wantErr: true,
-			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
-		// The single-flush result path: C tiles stay resident on the
-		// workers and come back once through flush manifests at job end.
-		{name: "resident-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true, resident: true},
-		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, resident: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
-		{name: "resident-prefetch", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, resident: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		{name: "resident-unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false, resident: true},
-		{name: "resident-kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
-			resident: true, wantErr: true,
-			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
-	}
-	for _, fl := range fleets {
-		for _, tc := range cases {
-			t.Run(fl.name+"/"+tc.name, func(t *testing.T) {
-				wcfg := demand
-				if tc.mod != nil {
-					tc.mod(&wcfg)
-				}
-				// The channel path must copy assignments (the worker
-				// mutates what it receives); TCP serializes and shares.
-				copyAssigns := fl.name == "channel"
-				c, want, reports, err := runEngine(t, fl.build, tc.r, tc.tt, tc.s, tc.q,
-					tc.workers, wcfg, tc.mem, tc.pooled, copyAssigns, tc.resident)
-				if tc.wantErr {
-					if err == nil {
-						t.Fatal("doomed worker did not fail the master")
-					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("master: %v", err)
-				}
-				if !c.Equal(want, 0) {
-					t.Fatal("product not bit-exact")
-				}
-				var updates, flushed int64
-				for _, rep := range reports {
-					updates += rep.Updates
-					flushed += rep.Flushed
-				}
-				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates != want {
-					t.Fatalf("updates = %d, want %d", updates, want)
-				}
-				if tc.resident {
-					// Every C tile flows back exactly once, through a flush.
-					if want := int64(tc.r) * int64(tc.s); flushed != want {
-						t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
-					}
-				} else if flushed != 0 {
-					t.Fatalf("dense run flushed %d blocks", flushed)
-				}
-			})
-		}
-	}
-}
-
-// TestEngineBitExactAcrossTransports pins the strongest invariant: the
-// channel run, the TCP run, the pooled and the unpooled run, with dense
-// per-chunk results or the resident single-flush path, all produce
-// bit-identical floats (the engine fixes the accumulation order;
-// transports only move bytes, and a flush commits the same serial FMA
-// chain a dense result would have carried).
-func TestEngineBitExactAcrossTransports(t *testing.T) {
-	cfg := engine.WorkerConfig{
-		StageCap: 2, Slots: 2, Cores: 2,
-		PullAssigns: true, PullSets: true, PullResults: true,
-	}
-	var results []*matrix.Dense
-	for _, fl := range fleets {
-		for _, pooled := range []bool{true, false} {
-			for _, resident := range []bool{false, true} {
-				c, _, _, err := runEngine(t, fl.build, 6, 4, 6, 4, 2, cfg, 0, pooled, fl.name == "channel", resident)
-				if err != nil {
-					t.Fatalf("%s pooled=%v resident=%v: %v", fl.name, pooled, resident, err)
-				}
-				results = append(results, c.Assemble())
-			}
-		}
-	}
-	first := results[0]
-	for i, d := range results[1:] {
-		for r := 0; r < first.Rows; r++ {
-			for cc := 0; cc < first.Cols; cc++ {
-				if first.At(r, cc) != d.At(r, cc) {
-					t.Fatalf("run %d differs at (%d,%d): %g != %g", i+1, r, cc, d.At(r, cc), first.At(r, cc))
-				}
-			}
-		}
-	}
-}
-
-// scriptedFeed is a minimal Feed over a fixed task list, for driving
-// RunFeeder through both transports without a cluster.
-type scriptedFeed struct {
-	mu      sync.Mutex
-	c, a, b *matrix.Blocked
-	chunks  []*engineChunk
-	next    int
-	done    map[engine.AssignID]*engineChunk
-	lost    bool
-	// stale marks revoked assignments whose operands the feed let go of:
-	// Set answers ErrStaleAssign, Complete refuses the result as stale.
-	stale   map[engine.AssignID]bool
-	wake    chan struct{} // closed by Lost to unblock Next
-	allDone chan struct{} // closed when every chunk completed
-}
-
-type engineChunk struct {
-	id         engine.AssignID
-	i0, j0     int
-	rows, cols int
-	steps      int
-}
-
-func newScriptedFeed(c, a, b *matrix.Blocked, mu int) *scriptedFeed {
-	pr := core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}
-	_, pool := homog.ChunkGrid(pr, mu)
-	f := &scriptedFeed{c: c, a: a, b: b,
-		done: make(map[engine.AssignID]*engineChunk),
-		wake: make(chan struct{}), allDone: make(chan struct{})}
-	for _, ch := range pool {
-		f.chunks = append(f.chunks, &engineChunk{
-			id: engine.AssignID{A: uint32(ch.ID)}, i0: ch.I0, j0: ch.J0,
-			rows: ch.Rows, cols: ch.Cols, steps: len(ch.Steps),
-		})
-	}
-	return f
-}
-
-func (f *scriptedFeed) Next() (*engine.Assign, error) {
-	f.mu.Lock()
-	if f.next < len(f.chunks) {
-		ch := f.chunks[f.next]
-		f.next++
-		blocks := make([][]float64, ch.rows*ch.cols)
-		for i := 0; i < ch.rows; i++ {
-			for j := 0; j < ch.cols; j++ {
-				src := f.c.Block(ch.i0+i, ch.j0+j).Data
-				buf := make([]float64, len(src))
-				copy(buf, src)
-				blocks[i*ch.cols+j] = buf
-			}
-		}
-		f.mu.Unlock()
-		return &engine.Assign{
-			ID: ch.id, I0: ch.i0, J0: ch.j0,
-			Rows: ch.rows, Cols: ch.cols, Q: f.c.Q, Steps: ch.steps,
-			Blocks: blocks, Owned: true,
-		}, nil
-	}
-	f.mu.Unlock()
-	// Block until everything completes (clean shutdown) or the session
-	// is lost.
-	select {
-	case <-f.allDone:
-		return nil, fmt.Errorf("scripted feed drained: %w", engine.ErrFeedDone)
-	case <-f.wake:
-		return nil, errors.New("scripted feed: session lost")
-	}
-}
-
-func (f *scriptedFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var ch *engineChunk
-	for _, cand := range f.chunks {
-		if cand.id == id {
-			ch = cand
-			break
-		}
-	}
-	if ch == nil {
-		return nil, fmt.Errorf("scripted feed: set for unknown assignment %v", id)
-	}
-	if f.stale[id] {
-		return nil, fmt.Errorf("scripted feed: %v: %w", id, engine.ErrStaleAssign)
-	}
-	set := &engine.Set{K: k}
-	for i := 0; i < ch.rows; i++ {
-		set.A = append(set.A, f.a.Block(ch.i0+i, k).Data)
-	}
-	for j := 0; j < ch.cols; j++ {
-		set.B = append(set.B, f.b.Block(k, ch.j0+j).Data)
-	}
-	return set, nil
-}
-
-func (f *scriptedFeed) Complete(id engine.AssignID, blocks [][]float64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var ch *engineChunk
-	for _, cand := range f.chunks {
-		if cand.id == id {
-			ch = cand
-			break
-		}
-	}
-	if ch == nil || f.done[id] != nil {
-		return engine.ErrStaleResult
-	}
-	if f.stale[id] {
-		f.done[id] = ch
-		if len(f.done) == len(f.chunks) {
-			close(f.allDone)
-		}
-		return engine.ErrStaleResult
-	}
-	for i := 0; i < ch.rows; i++ {
-		for j := 0; j < ch.cols; j++ {
-			copy(f.c.Block(ch.i0+i, ch.j0+j).Data, blocks[i*ch.cols+j])
-		}
-	}
-	f.done[id] = ch
-	if len(f.done) == len(f.chunks) {
-		close(f.allDone)
-	}
-	return nil
-}
-
-func (f *scriptedFeed) Lost() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.lost {
-		f.lost = true
-		close(f.wake)
-	}
-}
-
-// feederPair builds one connected feeder/worker transport pair per
-// implementation (the TCP pair uses the cluster dialect's framing).
-func feederPair(t *testing.T, fl string, pool *engine.BlockPool) (master, worker engine.Transport) {
-	t.Helper()
-	if fl == "channel" {
+	if fleet == "channel" {
 		return engine.Pipe()
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -443,25 +67,460 @@ func feederPair(t *testing.T, fl string, pool *engine.BlockPool) (master, worker
 	return master, worker
 }
 
-// TestFeederConformance drives the pushed-task dialect (RunFeeder +
-// RunWorker with PullSets only) over both transports: the product must
-// match the oracle and the session must end with a clean Bye.
+// testJob is a scripted one-job scheduler behind the engine's Feed
+// interface: the job's µ-chunks in one FIFO shared by every worker
+// session (one testFeed each), requeued when a session is lost. With
+// resident set, tasks go out under the resident result protocol (zero
+// tiles as CZero flags, the rest CShip) and each session flushes once
+// the FIFO runs dry; otherwise tiles ship down and return dense. stale
+// marks revoked assignments whose operands the job let go of: Set
+// answers ErrStaleAssign, and the result is refused.
+type testJob struct {
+	mu       sync.Mutex
+	cond     *sync.Cond
+	c, a, b  *matrix.Blocked
+	resident bool
+	chunks   []*sim.Chunk
+	pending  []*sim.Chunk
+	left     int // chunks not yet committed
+	stale    map[engine.AssignID]bool
+}
+
+func newTestJob(c, a, b *matrix.Blocked, mu int, resident bool) *testJob {
+	_, chunks := homog.ChunkGrid(core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}, mu)
+	j := &testJob{c: c, a: a, b: b, resident: resident, chunks: chunks,
+		pending: append([]*sim.Chunk(nil), chunks...), left: len(chunks)}
+	j.cond = sync.NewCond(&j.mu)
+	return j
+}
+
+func chunkID(ch *sim.Chunk) engine.AssignID { return engine.AssignID{B: uint32(ch.ID)} }
+
+// session opens one worker session's feed.
+func (j *testJob) session() *testFeed {
+	return &testFeed{job: j, held: make(map[engine.AssignID]*sim.Chunk),
+		dirty: make(map[uint64]*sim.Chunk), flushLeft: make(map[*sim.Chunk]int)}
+}
+
+// testFeed is one session's view of a testJob: the chunks it holds in
+// flight and, under the resident protocol, the acknowledged tiles its
+// worker holds dirty.
+type testFeed struct {
+	job          *testJob
+	held         map[engine.AssignID]*sim.Chunk
+	dirty        map[uint64]*sim.Chunk // C block ID → chunk, acked and unflushed
+	flushLeft    map[*sim.Chunk]int    // dirty tiles per acked chunk
+	flushPending bool
+	lost         bool
+}
+
+func (f *testFeed) Next() (*engine.Assign, error) {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for {
+		switch {
+		case f.lost:
+			return nil, errors.New("test feed: session lost")
+		case j.left == 0:
+			return nil, fmt.Errorf("test job done: %w", engine.ErrFeedDone)
+		case len(j.pending) > 0:
+			ch := j.pending[0]
+			j.pending = j.pending[1:]
+			f.held[chunkID(ch)] = ch
+			return j.assign(ch), nil
+		case len(f.dirty) > 0 && !f.flushPending:
+			f.flushPending = true
+			return nil, engine.ErrFlushWanted
+		}
+		j.cond.Wait()
+	}
+}
+
+// assign copies a chunk's C tile into an owned Assign.
+func (j *testJob) assign(ch *sim.Chunk) *engine.Assign {
+	as := &engine.Assign{ID: chunkID(ch), I0: ch.I0, J0: ch.J0,
+		Rows: ch.Rows, Cols: ch.Cols, Q: j.c.Q, Steps: len(ch.Steps), Owned: true}
+	for i := 0; i < ch.Rows; i++ {
+		for jj := 0; jj < ch.Cols; jj++ {
+			src := j.c.Block(ch.I0+i, ch.J0+jj).Data
+			if j.resident {
+				if engine.AllZeroBits(src) {
+					as.CFlags = append(as.CFlags, engine.CZero)
+					continue
+				}
+				as.CFlags = append(as.CFlags, engine.CShip)
+			}
+			as.Blocks = append(as.Blocks, append([]float64(nil), src...))
+		}
+	}
+	return as
+}
+
+func (f *testFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ch := f.held[id]
+	if ch == nil {
+		return nil, fmt.Errorf("test feed: set for unknown assignment %v", id)
+	}
+	if j.stale[id] {
+		return nil, fmt.Errorf("test feed: %v: %w", id, engine.ErrStaleAssign)
+	}
+	set := &engine.Set{K: k}
+	for i := 0; i < ch.Rows; i++ {
+		set.A = append(set.A, j.a.Block(ch.I0+i, k).Data)
+	}
+	for jj := 0; jj < ch.Cols; jj++ {
+		set.B = append(set.B, j.b.Block(k, ch.J0+jj).Data)
+	}
+	engine.StampIDs(set, 0, ch, k)
+	return set, nil
+}
+
+func (f *testFeed) Complete(id engine.AssignID, blocks [][]float64) error {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer j.cond.Broadcast()
+	ch := f.held[id]
+	if ch == nil {
+		return engine.ErrStaleResult
+	}
+	delete(f.held, id)
+	j.left--
+	if j.stale[id] {
+		return engine.ErrStaleResult // retired, but the result never lands
+	}
+	for i := 0; i < ch.Rows; i++ {
+		for jj := 0; jj < ch.Cols; jj++ {
+			copy(j.c.Block(ch.I0+i, ch.J0+jj).Data, blocks[i*ch.Cols+jj])
+		}
+	}
+	return nil
+}
+
+func (f *testFeed) Acked(id engine.AssignID) error {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer j.cond.Broadcast()
+	ch := f.held[id]
+	if ch == nil {
+		return engine.ErrStaleResult
+	}
+	delete(f.held, id)
+	for i := 0; i < ch.Rows; i++ {
+		for jj := 0; jj < ch.Cols; jj++ {
+			f.dirty[engine.CBlockID(0, ch.I0+i, ch.J0+jj)] = ch
+		}
+	}
+	f.flushLeft[ch] = ch.Rows * ch.Cols
+	return nil
+}
+
+func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer j.cond.Broadcast()
+	f.flushPending = false
+	for n, id := range ids {
+		ch := f.dirty[id]
+		if ch == nil {
+			return fmt.Errorf("test feed: flushed C block %#x was not dirty", id)
+		}
+		_, bi, bj, _ := engine.CBlockCoords(id)
+		copy(j.c.Block(bi, bj).Data, blocks[n])
+		delete(f.dirty, id)
+		if f.flushLeft[ch]--; f.flushLeft[ch] == 0 {
+			delete(f.flushLeft, ch)
+			j.left--
+		}
+	}
+	return nil
+}
+
+// requeue puts lost chunks back at the head of the FIFO.
+func (j *testJob) requeue(ch *sim.Chunk) { j.pending = append([]*sim.Chunk{ch}, j.pending...) }
+
+// Lost requeues everything the session held: its chunks in flight and
+// the chunks whose tiles died dirty in its worker's result cache.
+func (f *testFeed) Lost() {
+	j := f.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer j.cond.Broadcast()
+	if f.lost {
+		return
+	}
+	f.lost = true
+	for id, ch := range f.held {
+		delete(f.held, id)
+		j.requeue(ch)
+	}
+	for ch := range f.flushLeft {
+		j.requeue(ch)
+	}
+	clear(f.flushLeft)
+	clear(f.dirty)
+}
+
+// runEngine drives one full multiply of a testJob through one RunFeeder
+// session and one RunWorker goroutine per worker, over the named fleet.
+// Every session's feeder keeps the worker's Slots in flight; mem > 0 is
+// the memory every worker advertises, in blocks. With FailAfter set,
+// worker 0 is doomed: it runs alone until the hook severs it, and the
+// others start only then.
+func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
+	wcfg engine.WorkerConfig, mem int, pooled, resident bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, feedErr error) {
+	t.Helper()
+	a, b, c, want := buildInputs(t, r, tt, s, q)
+	var pool *engine.BlockPool
+	if pooled {
+		pool = engine.NewBlockPool()
+	}
+	job := newTestJob(c, a, b, 2, resident)
+	reports = make([]engine.WorkerReport, workers)
+	feedErrs := make([]error, workers)
+	// In a kill case the healthy workers start only once the doomed one
+	// is gone: alone on the grid it is certain to be handed the
+	// assignment that severs it.
+	doomedGone := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		master, worker := feederPair(t, fleet, pool)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, feedErrs[w] = engine.RunFeeder(master, job.session(), engine.FeederConfig{
+				Slots: wcfg.Slots, Pool: pool, Mem: mem,
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			cfg := wcfg
+			cfg.Pool = pool
+			if w == 0 {
+				defer close(doomedGone)
+			} else if cfg.FailAfter > 0 {
+				cfg.FailAfter = 0 // only worker 0 is doomed
+				<-doomedGone
+			}
+			reports[w], _ = engine.RunWorker(worker, cfg)
+		}()
+	}
+	wg.Wait()
+	return c, want, reports, errors.Join(feedErrs...)
+}
+
+// TestEngineConformance is the cross-transport table. Every case runs
+// on the channel pipe and on TCP framing and must produce the oracle
+// product bit for bit and the exact update count. Resident cases flush
+// every C tile exactly once; dense cases flush nothing. A kill case
+// loses worker 0 mid-job and must complete on the survivors: what the
+// doomed worker committed stays, what died with it — its assignment in
+// hand and, on the resident path, the tiles it held dirty — is
+// recomputed exactly once.
+func TestEngineConformance(t *testing.T) {
+	base := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1}
+	cases := []struct {
+		name        string
+		r, tt, s, q int
+		workers     int
+		mem         int // advertised worker memory in blocks; 0 = unadvertised
+		mod         func(*engine.WorkerConfig)
+		pooled      bool
+		resident    bool
+	}{
+		{name: "lifecycle-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true},
+		{name: "lifecycle-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
+		{name: "ordering-staged-sets", r: 5, tt: 6, s: 5, q: 4, workers: 2, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
+		{name: "prefetch-double-buffer", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+		{name: "prefetch-single-worker-drains-pool", r: 5, tt: 2, s: 7, q: 4, workers: 1, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
+		{name: "multicore-kernel", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.Cores = 4; c.Slots = 2; c.StageCap = 2 }},
+		{name: "ragged-chunks", r: 5, tt: 2, s: 7, q: 4, workers: 2, pooled: true},
+		{name: "more-workers-than-chunks", r: 2, tt: 2, s: 2, q: 4, workers: 5, pooled: true},
+		{name: "unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+		// Memory just above one 2×2 footprint (12 blocks at the cache
+		// staging depth) with two tiles in flight: the announced cache
+		// capacity drops to 0, below every Set's own four tracked blocks.
+		{name: "tight-memory-two-slots", r: 6, tt: 4, s: 6, q: 4, workers: 2, mem: 13, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+		{name: "kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
+		// The single-flush result path: C tiles stay resident on the
+		// workers and come back once through flush manifests.
+		{name: "resident-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true, resident: true},
+		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, resident: true,
+			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
+		{name: "resident-prefetch", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, resident: true,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+		{name: "resident-unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false, resident: true},
+		{name: "resident-kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, resident: true,
+			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
+	}
+	for _, fl := range fleets {
+		for _, tc := range cases {
+			t.Run(fl+"/"+tc.name, func(t *testing.T) {
+				wcfg := base
+				if tc.mod != nil {
+					tc.mod(&wcfg)
+				}
+				c, want, reports, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q,
+					tc.workers, wcfg, tc.mem, tc.pooled, tc.resident)
+				if err != nil {
+					t.Fatalf("feeder: %v", err)
+				}
+				if !c.Equal(want, 0) {
+					t.Fatal("product not bit-exact")
+				}
+				var updates, flushed, lost int64
+				for _, rep := range reports {
+					updates += rep.Updates
+					flushed += rep.Flushed
+				}
+				if wcfg.FailAfter > 0 && tc.resident {
+					// The doomed worker's one finished tile was still dirty:
+					// it died unflushed and was recomputed.
+					lost = reports[0].Updates
+				}
+				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates-lost != want {
+					t.Fatalf("updates = %d (%d recomputed), want %d", updates, lost, want)
+				}
+				if tc.resident {
+					// Every C tile flows back exactly once, through a flush.
+					if want := int64(tc.r) * int64(tc.s); flushed != want {
+						t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
+					}
+				} else if flushed != 0 {
+					t.Fatalf("dense run flushed %d blocks", flushed)
+				}
+			})
+		}
+	}
+}
+
+// TestEngineBitExactAcrossTransports pins the strongest invariant: the
+// channel run, the TCP run, the pooled and the unpooled run, with dense
+// per-chunk results or the resident single-flush path, all produce
+// bit-identical floats (the engine fixes the accumulation order;
+// transports only move bytes, and a flush commits the same serial FMA
+// chain a dense result would have carried).
+func TestEngineBitExactAcrossTransports(t *testing.T) {
+	cfg := engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 2}
+	var results []*matrix.Dense
+	for _, fl := range fleets {
+		for _, pooled := range []bool{true, false} {
+			for _, resident := range []bool{false, true} {
+				c, _, _, err := runEngine(t, fl, 6, 4, 6, 4, 2, cfg, 0, pooled, resident)
+				if err != nil {
+					t.Fatalf("%s pooled=%v resident=%v: %v", fl, pooled, resident, err)
+				}
+				results = append(results, c.Assemble())
+			}
+		}
+	}
+	first := results[0]
+	for i, d := range results[1:] {
+		for r := 0; r < first.Rows; r++ {
+			for cc := 0; cc < first.Cols; cc++ {
+				if first.At(r, cc) != d.At(r, cc) {
+					t.Fatalf("run %d differs at (%d,%d): %g != %g", i+1, r, cc, d.At(r, cc), first.At(r, cc))
+				}
+			}
+		}
+	}
+}
+
+// TestDemandPipelined drives the prefetch pipeline (the next tile
+// streams while the current one computes) with and without multi-core
+// kernels on both transports: the exact product and the exact update
+// count are preserved.
+func TestDemandPipelined(t *testing.T) {
+	for _, fl := range fleets {
+		t.Run(fl, func(t *testing.T) {
+			for _, tc := range []struct{ r, tt, s, q, workers, stage, cores int }{
+				{4, 4, 4, 8, 1, 1, 1}, // single worker drains the pool alone
+				{4, 4, 4, 8, 2, 2, 2}, // multi-core kernels
+				{7, 3, 5, 4, 3, 2, 4}, // ragged chunks
+				{6, 6, 6, 4, 2, 1, 0},
+				{2, 2, 2, 8, 4, 2, 3}, // more workers than chunks
+				{8, 5, 8, 4, 2, 2, 2},
+			} {
+				wcfg := engine.WorkerConfig{StageCap: tc.stage, Slots: 2, Cores: tc.cores}
+				c, want, reports, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q, tc.workers, wcfg, 0, true, false)
+				if err != nil {
+					t.Fatalf("%+v: feeder: %v", tc, err)
+				}
+				if !c.Equal(want, 0) {
+					t.Fatalf("%+v: product not bit-exact", tc)
+				}
+				var updates int64
+				for _, rep := range reports {
+					updates += rep.Updates
+				}
+				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates != want {
+					t.Fatalf("%+v: %d updates, want %d", tc, updates, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefetchMatchesUnprefetched pins bit-exactness across the worker
+// discipline: one tile at a time on a sequential kernel and two tiles in
+// flight on a sharded kernel produce identical floats.
+func TestPrefetchMatchesUnprefetched(t *testing.T) {
+	for _, fl := range fleets {
+		t.Run(fl, func(t *testing.T) {
+			c1, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
+				engine.WorkerConfig{StageCap: 2, Slots: 1, Cores: 1}, 0, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
+				engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 4}, 0, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d1, d2 := c1.Assemble(), c2.Assemble()
+			for i := 0; i < d1.Rows; i++ {
+				for j := 0; j < d1.Cols; j++ {
+					if d1.At(i, j) != d2.At(i, j) {
+						t.Fatalf("pipelined result differs at (%d,%d): %g != %g", i, j, d2.At(i, j), d1.At(i, j))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFeederConformance drives one worker session of the pushed-task
+// protocol (RunFeeder + RunWorker) over both transports: the product
+// must match the oracle and the session must end with a clean Bye.
 func TestFeederConformance(t *testing.T) {
 	for _, fl := range fleets {
 		for _, slots := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/slots-%d", fl.name, slots), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/slots-%d", fl, slots), func(t *testing.T) {
 				a, b, c, want := buildInputs(t, 6, 4, 6, 4)
 				pool := engine.NewBlockPool()
-				master, worker := feederPair(t, fl.name, pool)
-				feed := newScriptedFeed(c, a, b, 2)
+				master, worker := feederPair(t, fl, pool)
+				job := newTestJob(c, a, b, 2, false)
 				feederDone := make(chan error, 1)
 				go func() {
-					_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: slots, Pool: pool})
+					_, err := engine.RunFeeder(master, job.session(), engine.FeederConfig{Slots: slots, Pool: pool})
 					feederDone <- err
 				}()
 				rep, err := engine.RunWorker(worker, engine.WorkerConfig{
-					StageCap: 2, Slots: slots, Cores: 2,
-					PullSets: true, Pool: pool,
+					StageCap: 2, Slots: slots, Cores: 2, Pool: pool,
 				})
 				if err != nil {
 					t.Fatalf("worker: %v", err)
@@ -472,8 +531,8 @@ func TestFeederConformance(t *testing.T) {
 				if !c.Equal(want, 1e-9) {
 					t.Fatal("wrong product")
 				}
-				if rep.Assignments != len(feed.chunks) {
-					t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(feed.chunks))
+				if rep.Assignments != len(job.chunks) {
+					t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(job.chunks))
 				}
 			})
 		}
@@ -487,23 +546,23 @@ func TestFeederConformance(t *testing.T) {
 // tile is bit-exact and the session still ends with a clean Bye.
 func TestFeederStaleSetKeepsSession(t *testing.T) {
 	for _, fl := range fleets {
-		t.Run(fl.name, func(t *testing.T) {
+		t.Run(fl, func(t *testing.T) {
 			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
 			orig := c.Clone()
 			pool := engine.NewBlockPool()
-			master, worker := feederPair(t, fl.name, pool)
-			feed := newScriptedFeed(c, a, b, 2)
-			revoked := feed.chunks[1]
-			feed.stale = map[engine.AssignID]bool{revoked.id: true}
+			master, worker := feederPair(t, fl, pool)
+			job := newTestJob(c, a, b, 2, false)
+			revoked := job.chunks[1]
+			job.stale = map[engine.AssignID]bool{chunkID(revoked): true}
 			feederDone := make(chan error, 1)
 			go func() {
 				// Mem 13 with two 2×2 tiles in flight announces Cap 0, so a
 				// filler that skipped the builder would desync the caches.
-				_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: 2, Pool: pool, Mem: 13})
+				_, err := engine.RunFeeder(master, job.session(), engine.FeederConfig{Slots: 2, Pool: pool, Mem: 13})
 				feederDone <- err
 			}()
 			rep, err := engine.RunWorker(worker, engine.WorkerConfig{
-				StageCap: 2, Slots: 2, Cores: 1, PullSets: true, Pool: pool,
+				StageCap: 2, Slots: 2, Cores: 1, Pool: pool,
 			})
 			if err != nil {
 				t.Fatalf("worker: %v", err)
@@ -511,13 +570,13 @@ func TestFeederStaleSetKeepsSession(t *testing.T) {
 			if err := <-feederDone; err != nil {
 				t.Fatalf("feeder: %v", err)
 			}
-			if rep.Assignments != len(feed.chunks) {
-				t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(feed.chunks))
+			if rep.Assignments != len(job.chunks) {
+				t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(job.chunks))
 			}
 			for i := 0; i < c.BR; i++ {
 				for j := 0; j < c.BC; j++ {
 					ref := want
-					if i >= revoked.i0 && i < revoked.i0+revoked.rows && j >= revoked.j0 && j < revoked.j0+revoked.cols {
+					if i >= revoked.I0 && i < revoked.I0+revoked.Rows && j >= revoked.J0 && j < revoked.J0+revoked.Cols {
 						ref = orig // the stale result never landed
 					}
 					got, exp := c.Block(i, j).Data, ref.Block(i, j).Data

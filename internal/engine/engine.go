@@ -1,30 +1,23 @@
 // Package engine is the one demand-driven master/worker engine behind
-// every runtime in the repository: the in-process goroutine runtime
-// (internal/mw), the single-job TCP runtime (internal/netmw) and the
-// cluster service (internal/cluster via internal/netmw/server.go) all
-// drive the same protocol logic through a small Transport interface,
-// so the paper's one-port model (§2.2), the staging discipline and the
-// demand-driven ODDOML routing (§8.2) are implemented exactly once.
+// every product the repository runs: the cluster service
+// (internal/cluster) drives it over TCP (internal/netmw) and over
+// in-process pipes (cluster.RunLocalWorker) through a small Transport
+// interface, so the paper's one-port model (§2.2), the staging
+// discipline and the demand-driven ODDOML routing (§8.2) are
+// implemented exactly once. A single product is a one-job cluster.
 //
-// The engine splits the protocol into three roles:
+// The engine has two roles:
 //
 //   - RunWorker is the worker program: a reader/compute pipeline that
 //     stages incoming update sets (StageCap), pipelines whole
 //     assignments (Slots), and shards each block-update sweep across
-//     Cores goroutines. Pull* flags select the request discipline, which
-//     is what distinguishes the three runtimes' wire dialects: the
-//     single-job demand protocol pulls assignments, sets and result
-//     pickups; the cluster protocol pulls only sets (tasks are pushed);
-//     static plan replay pulls nothing.
-//   - RunMaster is the single-job demand master: it owns the matrices,
-//     serves worker requests strictly first-come first-served from a
-//     shared FIFO, keeps a per-worker queue of in-flight assignments
-//     (so prefetching workers hold two), and routes update sets to the
-//     oldest incomplete assignment.
-//   - RunFeeder is the pushed-task master of the cluster service: it
-//     keeps up to Slots assignments in flight to one worker, pulling
-//     them from a Feed (the cluster scheduler), and routes set requests
-//     and results exactly like RunMaster routes them.
+//     Cores goroutines. Assignments are pushed to it; it requests each
+//     update set as a staging slot frees, and returns results
+//     unannounced.
+//   - RunFeeder is the master side of one worker session: it keeps up
+//     to Slots assignments in flight, pulling them from a Feed (the
+//     cluster scheduler), routes set requests to the oldest incomplete
+//     assignment, and retires results and flushes.
 //
 // Messages carry q×q block payloads as [][]float64. Buffer ownership is
 // explicit: a message whose Owned flag is set hands its buffers to the
@@ -63,21 +56,8 @@ var (
 	ErrFlushWanted = errors.New("engine: flush wanted")
 )
 
-// ReqKind is the kind of a worker request.
-type ReqKind byte
-
-// Request kinds: the worker asks for its next assignment, for the next
-// update set of its oldest incomplete assignment, or announces a result
-// pickup. The numeric values are the single-job wire encoding.
-const (
-	ReqAssign ReqKind = iota
-	ReqSet
-	ReqResult
-)
-
-// AssignID names one assignment on the wire. The single-job runtimes use
-// only A (the chunk id); the cluster protocol uses the (Job, Seq,
-// Attempt) triple so stale completions are detectable.
+// AssignID names one assignment on the wire: the (Job, Seq, Attempt)
+// triple, so stale completions are detectable.
 type AssignID struct {
 	A, B, C uint32
 }
@@ -127,7 +107,7 @@ type Assign struct {
 	// up once, in a FlushResult. Empty CFlags is the legacy dense
 	// protocol: Blocks is the full tile and the Result returns it.
 	CFlags []byte
-	// CJob scopes the C block IDs (0 for the single-job runtimes).
+	// CJob scopes the C block IDs.
 	CJob uint32
 }
 
@@ -153,34 +133,14 @@ type Set struct {
 	Owned bool
 }
 
-// Request is a worker-to-master demand: serve me a transfer of the given
-// kind as soon as the port is free.
-type Request struct {
-	Kind ReqKind
-}
+// Request is a worker-to-master demand: serve me the next update set of
+// my oldest incomplete assignment as soon as the port is free.
+type Request struct{}
 
-// Shared immutable Request instances: requests carry nothing but their
-// kind, so every sender and every transport returns these instead of
-// allocating one per message (the demand protocol sends a request per
-// update set — on the steady-state path that is one allocation per
-// message saved).
-var (
-	RequestAssign = &Request{Kind: ReqAssign}
-	RequestSet    = &Request{Kind: ReqSet}
-	RequestResult = &Request{Kind: ReqResult}
-)
-
-// RequestOf returns the shared instance for a kind.
-func RequestOf(kind ReqKind) *Request {
-	switch kind {
-	case ReqAssign:
-		return RequestAssign
-	case ReqSet:
-		return RequestSet
-	default:
-		return RequestResult
-	}
-}
+// RequestSet is the shared Request instance: a request carries nothing,
+// so every sender and every transport uses this one instead of
+// allocating one per update set.
+var RequestSet = &Request{}
 
 // Result returns a finished assignment's C blocks, plus the worker-side
 // compute timing for the assignment: Updates block updates took

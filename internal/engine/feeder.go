@@ -77,13 +77,10 @@ type FeederConfig struct {
 	// Mem is the worker's advertised memory in blocks; the resident
 	// cache is budgeted from it (CacheBudget). 0 = unadvertised.
 	Mem int
-	// DisableDelta ships full update sets (the pre-delta protocol).
-	DisableDelta bool
 }
 
 // FeederStats summarizes one feeder session's delta accounting, in
-// total and attributed per job (AssignID.A is the job number in the
-// cluster dialect).
+// total and attributed per job (AssignID.A is the job number).
 type FeederStats struct {
 	Comm   CommStats
 	PerJob map[uint32]CommStats
@@ -125,12 +122,12 @@ type feederEvent struct {
 	flush  *FlushResult
 }
 
-// RunFeeder drives one worker session of the cluster dialect: a
-// dispatcher goroutine keeps up to Slots assignments in flight (pulled
-// from the feed), the reader surfaces worker frames, and the event loop
-// routes set requests to the oldest incomplete assignment and retires
-// results — the same demand-driven staging discipline RunMaster serves,
-// with the scheduler deciding what each assignment is.
+// RunFeeder drives one worker session: a dispatcher goroutine keeps up
+// to Slots assignments in flight (pulled from the feed), the reader
+// surfaces worker frames, and the event loop routes set requests to the
+// oldest incomplete assignment and retires results — the paper's
+// demand-driven staging discipline (§8.2), with the scheduler deciding
+// what each assignment is.
 //
 // On a clean feed shutdown the worker's in-flight assignments drain
 // before Bye lands, so a pipelined worker sees a goodbye at an
@@ -147,7 +144,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 	if slots < 1 {
 		slots = 1
 	}
-	builder := SetBuilder{Mem: cfg.Mem, Disable: cfg.DisableDelta}
+	builder := SetBuilder{Mem: cfg.Mem}
 	defer func() {
 		fstats.Comm = builder.Stats
 		builder.Release()
@@ -177,10 +174,6 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			}
 			switch m := m.(type) {
 			case *Request:
-				if m.Kind != ReqSet {
-					tr.Close()
-					return
-				}
 				events <- feederEvent{req: true}
 			case *Result:
 				events <- feederEvent{result: m}

@@ -56,7 +56,7 @@ func CacheBudget(mem, inflight int) int {
 // Block IDs name operand and result blocks within one session. An ID
 // packs the block role (A, B or C — an LU panel block shipped negated
 // in A-role must never collide with the same coordinates in B-role), a
-// job number (0 for the single-job runtimes) and the block coordinates.
+// job number and the block coordinates.
 // ID 0 is reserved for "untracked": the block is always shipped and
 // never cached (the valid bit keeps A(0,0) of job 0 from encoding as 0).
 const (
@@ -336,14 +336,9 @@ func (c *blockCache) release(pool *BlockPool) {
 // fully-materialized Sets into deltas. It is not safe for concurrent
 // use; each session's event loop owns its builder.
 type SetBuilder struct {
-	// Job scopes the block IDs (0 for the single-job runtimes).
-	Job uint32
 	// Mem is the worker's advertised memory in blocks (0 = unknown,
 	// which budgets DefaultCacheBlocks).
 	Mem int
-	// Disable turns the builder into a pass-through that ships full
-	// sets (the pre-delta protocol, kept for measurement).
-	Disable bool
 
 	Stats  CommStats
 	mirror *blockCache
@@ -351,8 +346,8 @@ type SetBuilder struct {
 
 // StampIDs fills a Set's manifest for a chunk's k-th update set: A-role
 // IDs for rows I0..I0+Rows-1 at column k, B-role IDs for row k at
-// columns J0..J0+Cols-1. Feeds whose sets are not plain (chunk, k)
-// slices (LU panels) stamp their own IDs instead.
+// columns J0..J0+Cols-1 (an LU task's sets are its stage's panels, so
+// its k is the stage).
 func StampIDs(set *Set, job uint32, ch *sim.Chunk, k int) {
 	for i := 0; i < ch.Rows; i++ {
 		set.AIDs = append(set.AIDs, ABlockID(job, ch.I0+i, k))
@@ -368,11 +363,10 @@ func StampIDs(set *Set, job uint32, ch *sim.Chunk, k int) {
 // enter the mirror, and the Set's Cap announces the capacity the worker
 // must mirror — CacheBudget of the advertised memory minus inflight,
 // the summed footprint of the worker's in-flight assignments. Sets
-// without a manifest (or a disabled builder) pass through as full sets,
-// counted but untouched.
+// without a manifest pass through as full sets, counted but untouched.
 func (sb *SetBuilder) Filter(set *Set, inflight int, pool *BlockPool) *Set {
 	sb.Stats.SetsSent++
-	if sb.Disable || (len(set.AIDs) == 0 && len(set.BIDs) == 0) {
+	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
 		set.AIDs = set.AIDs[:0]
 		set.BIDs = set.BIDs[:0]
 		set.Cap = 0
@@ -541,9 +535,6 @@ func newResultCache(pool *BlockPool) *resultCache {
 	return &resultCache{m: make(map[uint64][]float64), pool: pool}
 }
 
-// get returns the dirty block for id, or nil.
-func (rc *resultCache) get(id uint64) []float64 { return rc.m[id] }
-
 // take removes and returns the dirty block for id, or nil. A taken
 // block is busy — it no longer flushes until re-inserted.
 func (rc *resultCache) take(id uint64) []float64 {
@@ -564,9 +555,6 @@ func (rc *resultCache) insert(id uint64, buf []float64) {
 	}
 	rc.m[id] = buf
 }
-
-// size returns the number of dirty blocks held.
-func (rc *resultCache) size() int { return len(rc.m) }
 
 // drain removes every dirty block, returning IDs sorted ascending with
 // the blocks in matching order. Sorting makes the flush manifest
@@ -603,49 +591,4 @@ func (rc *resultCache) release() {
 // subtracts from the advertised memory.
 func InflightFootprint(rows, cols int) int {
 	return core.ChunkFootprint(rows, cols, CacheStage)
-}
-
-// PickChunk selects the next chunk for a worker from the pool as a
-// reuse-optimal tour: prefer a chunk in the same block-row as the
-// worker's previous chunk (its A-row operands are resident), nearest in
-// J0 so consecutive chunks share B columns too; then the same
-// block-column (B resident), nearest in I0; then the chunk nearest in
-// block-Manhattan distance, which keeps the tour from teleporting
-// across the grid and cold-missing both operand rows and columns. Ties
-// break to the lowest index (FIFO fairness). It returns the index into
-// pool.
-func PickChunk(pool []*sim.Chunk, last *sim.Chunk) int {
-	if last == nil || len(pool) == 0 {
-		return 0
-	}
-	best, bestTier, bestDist := 0, 3, 0
-	for idx, ch := range pool {
-		tier, dist := tourScore(ch, last)
-		if tier < bestTier || (tier == bestTier && dist < bestDist) {
-			best, bestTier, bestDist = idx, tier, dist
-		}
-	}
-	return best
-}
-
-// tourScore ranks a candidate chunk against the worker's previous one:
-// tier 0 = same block-row (distance |ΔJ0|), tier 1 = same block-column
-// (distance |ΔI0|), tier 2 = elsewhere (block-Manhattan distance).
-func tourScore(ch, last *sim.Chunk) (tier, dist int) {
-	di, dj := absInt(ch.I0-last.I0), absInt(ch.J0-last.J0)
-	switch {
-	case di == 0:
-		return 0, dj
-	case dj == 0:
-		return 1, di
-	default:
-		return 2, di + dj
-	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

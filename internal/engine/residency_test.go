@@ -117,7 +117,7 @@ func TestMirroredLRU(t *testing.T) {
 	const q = 2
 	pool := NewBlockPool()
 	for _, mem := range []int{0, 10, 16, 40} {
-		sb := SetBuilder{Job: 3, Mem: mem}
+		sb := SetBuilder{Mem: mem}
 		oc := newOpCache(pool)
 		// Random 2x2 chunks over an 8x8 grid, 200 sets.
 		for step := 0; step < 200; step++ {
@@ -238,35 +238,6 @@ func TestResolveRejectsUnknownReference(t *testing.T) {
 	}
 	if _, err := oc.resolve(set); err == nil {
 		t.Fatal("unknown cache reference resolved")
-	}
-}
-
-// TestPickChunkLocality pins the tour order: the nearest chunk in the
-// same block-row first, then the nearest in the same block-column, else
-// the chunk at minimum Manhattan distance.
-func TestPickChunkLocality(t *testing.T) {
-	mk := func(i0, j0 int) *sim.Chunk { return &sim.Chunk{I0: i0, J0: j0} }
-	pool := []*sim.Chunk{mk(2, 0), mk(4, 0), mk(0, 2), mk(0, 0)}
-	if got := PickChunk(pool, nil); got != 0 {
-		t.Fatalf("cold pick = %d, want head", got)
-	}
-	if got := PickChunk(pool, mk(0, 4)); got != 2 {
-		t.Fatalf("same-row pick = %d, want 2", got)
-	}
-	if got := PickChunk(pool, mk(6, 2)); got != 2 {
-		t.Fatalf("same-col pick = %d, want 2 (J0 match)", got)
-	}
-	// No row/column affinity anywhere: nearest by Manhattan distance.
-	// |Δ| from (6,6): idx0 = 4+6, idx1 = 2+6, idx2 = 6+4, idx3 = 6+6.
-	if got := PickChunk(pool, mk(6, 6)); got != 1 {
-		t.Fatalf("no-affinity pick = %d, want 1 (nearest Manhattan)", got)
-	}
-	// Same-row candidates compete by column stride: from (2,9) both
-	// idx0 (2,0) and a farther same-row pick would match tier 0; idx0
-	// is the only row match and must win over the closer-by-distance
-	// column matches.
-	if got := PickChunk(pool, mk(2, 9)); got != 0 {
-		t.Fatalf("row-over-distance pick = %d, want 0", got)
 	}
 }
 

@@ -8,18 +8,7 @@ import (
 	"repro/internal/blas"
 )
 
-// WorkerConfig configures one engine worker session. The Pull* flags
-// select the request discipline and are what distinguishes the three
-// runtimes' dialects of the one protocol:
-//
-//   - demand single-job (mw demand, netmw): PullAssigns, PullSets and
-//     PullResults all true — the worker announces every transfer it can
-//     accept and the master serves strictly first-come first-served;
-//   - cluster (netmw cluster worker, cluster local worker): only
-//     PullSets — the server pushes up to Slots tasks, results return
-//     unannounced;
-//   - static plan replay (mw static): none — the master's plan fixes
-//     the whole communication order, the worker just consumes.
+// WorkerConfig configures one engine worker session.
 type WorkerConfig struct {
 	// StageCap is how many update sets the worker stages ahead of the
 	// compute (the paper's staging buffers; 1 or 2). Minimum 1.
@@ -36,10 +25,6 @@ type WorkerConfig struct {
 	// emulate slower processors deterministically. Spinning forces the
 	// sequential kernel.
 	Spin time.Duration
-
-	PullAssigns bool // request assignments (and re-request after each)
-	PullSets    bool // request update sets as staging slots free
-	PullResults bool // announce each result pickup before sending it
 
 	// Pool receives the buffers of Owned messages once they are
 	// consumed; nil disables pooling.
@@ -75,7 +60,9 @@ type WorkerReport struct {
 // incoming messages (assignments into a Slots-deep queue, update sets
 // into a StageCap-deep queue) while this goroutine computes, so
 // transfers overlap compute exactly as the paper's µ²+4µ layout
-// reserves space for.
+// reserves space for. Assignments are pushed by the master; the worker
+// requests each assignment's update sets, StageCap ahead and one more
+// as each is consumed, and sends each result unannounced.
 func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 1
@@ -87,9 +74,7 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 
 	assigns := make(chan *Assign, cfg.Slots)
 	// The reader's hand is the last staging slot: with a StageCap-1 deep
-	// channel, at most StageCap sets are resident ahead of the compute,
-	// and a pushing master (static replay over the synchronous pipe)
-	// blocks exactly when the paper's staging area is full.
+	// channel, at most StageCap sets are resident ahead of the compute.
 	sets := make(chan *Set, cfg.StageCap-1)
 	// Flush requests bypass the assignment queue: the compute loop
 	// answers them between chunks and between update sets, so a master
@@ -105,11 +90,11 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	go func() {
 		defer close(assigns)
 		defer close(sets)
-		// In every dialect an assignment's frame precedes its update
-		// sets, so a set arriving when the announced assignments have no
-		// steps left is a protocol violation — erroring here keeps a
-		// master that floods unsolicited sets from wedging the session
-		// on a full staging queue.
+		// An assignment's frame precedes its update sets, so a set
+		// arriving when the announced assignments have no steps left is
+		// a protocol violation — erroring here keeps a master that floods
+		// unsolicited sets from wedging the session on a full staging
+		// queue.
 		var stepsSeen, setsSeen int64
 		for {
 			m, err := tr.Recv()
@@ -154,7 +139,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 		tr.Close() // unblock the reader
 		return rep, err
 	}
-	request := func(kind ReqKind) error { return tr.Send(RequestOf(kind)) }
 
 	// The operand cache holds the session's resident A/B blocks, keyed
 	// by manifest ID, in exact mirror of the master's per-session LRU.
@@ -178,11 +162,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 		return tr.Send(&FlushResult{IDs: ids, Blocks: blocks, Owned: true, ComputeNS: sessComputeNS})
 	}
 
-	if cfg.PullAssigns {
-		if err := request(ReqAssign); err != nil {
-			return fail(err)
-		}
-	}
 assignments:
 	for {
 		var as *Assign
@@ -213,22 +192,12 @@ assignments:
 				return fail(err)
 			}
 		}
-		if cfg.PullAssigns && cfg.Slots > 1 {
-			// double-buffer: the next tile's transfer overlaps this
-			// tile's compute
-			if err := request(ReqAssign); err != nil {
-				return fail(err)
-			}
-		}
 		updates0 := rep.Updates
 		var asNS int64
-		pre := 0
-		if cfg.PullSets {
-			pre = min(cfg.StageCap, as.Steps)
-			for k := 0; k < pre; k++ {
-				if err := request(ReqSet); err != nil {
-					return fail(err)
-				}
+		pre := min(cfg.StageCap, as.Steps)
+		for k := 0; k < pre; k++ {
+			if err := tr.Send(RequestSet); err != nil {
+				return fail(err)
 			}
 		}
 		for k := 0; k < as.Steps; k++ {
@@ -256,9 +225,9 @@ assignments:
 					return rep, fmt.Errorf("engine: master hung up mid-assignment")
 				}
 			}
-			if cfg.PullSets && k+pre < as.Steps {
+			if k+pre < as.Steps {
 				// a staging slot just freed: request the next set
-				if err := request(ReqSet); err != nil {
+				if err := tr.Send(RequestSet); err != nil {
 					return fail(err)
 				}
 			}
@@ -284,11 +253,6 @@ assignments:
 			cfg.Pool.PutSet(set)
 		}
 
-		if cfg.PullResults {
-			if err := request(ReqResult); err != nil {
-				return fail(err)
-			}
-		}
 		sessComputeNS += asNS
 		res := cfg.Pool.GetResult()
 		res.Updates, res.ComputeNS = rep.Updates-updates0, asNS
@@ -315,15 +279,9 @@ assignments:
 			return fail(err)
 		}
 		rep.Assignments++
-		if cfg.PullAssigns && cfg.Slots == 1 {
-			if err := request(ReqAssign); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	// assigns closed: clean Bye, or reader error. Either way the session
-	// is over and the worker hangs up — after Bye the master is waiting
-	// for exactly that before it lets go of the link (RunMaster's finish).
+	// is over and the worker hangs up.
 	tr.Close()
 	select {
 	case err := <-readErr:

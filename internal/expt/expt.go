@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/bounds"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/greedy"
 	"repro/internal/grid"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/mw"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/steady"
@@ -259,8 +259,9 @@ func Fig10(w io.Writer) error {
 	return nil
 }
 
-// Fig11 measures run-to-run variation of the real goroutine runtime, the
-// analogue of the paper's repeated MPI runs (max gap ≈ 6 %).
+// Fig11 measures run-to-run variation of the real runtime — a one-job
+// cluster of in-process workers — the analogue of the paper's repeated
+// MPI runs (max gap ≈ 6 %).
 func Fig11(w io.Writer) error {
 	const runs = 5
 	q := 64
@@ -272,14 +273,15 @@ func Fig11(w io.Writer) error {
 	a := matrix.Partition(ad, q)
 	b := matrix.Partition(bd, q)
 
-	fmt.Fprintln(w, "Figure 11 — variation over 5 identical runs (goroutine runtime, demand-driven)")
+	fmt.Fprintln(w, "Figure 11 — variation over 5 identical runs (in-process one-job cluster, demand-driven)")
 	var times []float64
 	for i := 0; i < runs; i++ {
 		cd := matrix.NewDense(r*q, sCols*q)
 		matrix.DeterministicFill(cd, 3)
 		c := matrix.Partition(cd, q)
 		start := time.Now()
-		_, err := mw.Multiply(c, a, b, mw.Config{Workers: 4, Mu: 3, StageCap: 2, Mode: mw.Demand})
+		_, _, err := cluster.RunOneJob(cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: 3},
+			4, cluster.LocalWorkerConfig{ID: "fig11-"})
 		if err != nil {
 			return err
 		}

@@ -47,8 +47,7 @@ func Factor(a *matrix.Dense, panel int) error {
 		blas.TrsmLowerLeft(pb, rem, piv, lda, a.Data[k0*lda+k0+pb:], lda)
 		// (d) core update: A22 ← A22 − A21·A12. GemmSub negates A while
 		// packing (no scratch panel) and runs the packed register
-		// kernel; lupar.Factor uses the same entry, which keeps the two
-		// factorizations bit-identical.
+		// kernel.
 		blas.GemmSub(rem, rem, pb,
 			a.Data[(k0+pb)*lda+k0:], lda,
 			a.Data[k0*lda+k0+pb:], lda,

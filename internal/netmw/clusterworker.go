@@ -80,9 +80,9 @@ var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 // RunClusterWorker joins an mmserve cluster, serves tasks until the
 // server says Bye, and reconnects (re-registering under the same name)
 // when the connection drops. Each session is a thin shell over the
-// engine: a TCP transport speaking the cluster dialect (tasks pushed,
-// sets pulled, results unannounced) under engine.RunWorker, plus the
-// registration handshake and the heartbeat beacon.
+// engine: a TCP transport (tasks pushed, sets pulled, results
+// unannounced) under engine.RunWorker, plus the registration handshake
+// and the heartbeat beacon.
 func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	if cfg.Name == "" {
 		return ClusterWorkerReport{}, fmt.Errorf("netmw: cluster worker needs a name")
@@ -181,7 +181,6 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 		StageCap: cfg.StageCap, Slots: cfg.Slots,
 		Cores:     blas.DefaultWorkers(cfg.Cores),
 		Spin:      cfg.Spin,
-		PullSets:  true,
 		Pool:      pool,
 		FailAfter: cfg.failAfterTasks,
 	})

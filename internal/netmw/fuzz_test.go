@@ -27,10 +27,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	writeMsg(&ok, MsgSet, putFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
 	f.Add(ok.Bytes())
 	// truncated header / truncated payload / hostile length prefix
-	f.Add([]byte{byte(MsgJob)})
-	f.Add([]byte{byte(MsgJob), 10, 0, 0, 0, 1, 2})
+	f.Add([]byte{byte(MsgTask)})
+	f.Add([]byte{byte(MsgTask), 10, 0, 0, 0, 1, 2})
 	f.Add([]byte{byte(MsgTask), 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{byte(MsgResult), 0, 0, 0, 0x10}) // 256 MiB prefix, no data
+	f.Add([]byte{byte(MsgTaskResult), 0, 0, 0, 0x10}) // 256 MiB prefix, no data
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -68,10 +68,10 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 	return appendCRC(putFloats(out, payload), len(prefix))
 }
 
-// encodeAssignBody appends the C-flag tail of an assignment frame to a
-// header: the uint16 flag count, the flag bytes, then the payload
-// doubles (the shipped tiles — or, with no flags, the legacy dense
-// body) and the payload CRC covering header and tail alike.
+// encodeAssignBody appends the C-flag tail of a task frame to a header:
+// the uint16 flag count, the flag bytes, then the payload doubles (the
+// shipped tiles — or, with no flags, the dense body) and the payload
+// CRC covering header and tail alike.
 func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	out := appendCFlags(hdr, flags)
 	return appendCRC(putFloats(out, payload), 0)
@@ -111,21 +111,21 @@ func fixedQ(q int) func([]byte, *engine.Result) (int, error) {
 // FuzzDecodeMsg drives every payload decoder of the wire protocol with
 // arbitrary bytes, selected by the first byte: malformed frames must
 // error, never panic and never allocate unboundedly. It covers the live
-// transport decode paths — the streaming worker-side decoders (jobs,
-// tasks, update sets via the geometry FIFO, flush requests have no
-// payload), the master-side result, flush-manifest and request
-// decoders, the server-side ones (registration, job submissions) and
-// the client-side job-done headers. Block frames are streamed over a
-// bytes.Reader with the payload's length declared.
+// transport decode paths — the streaming worker-side decoders (tasks,
+// update sets via the geometry FIFO, flush requests have no payload),
+// the server-side task-result and flush-manifest decoders, the
+// registration and job-submission ones, and the client-side job-done
+// headers. Block frames are streamed over a bytes.Reader with the
+// payload's length declared.
 func FuzzDecodeMsg(f *testing.F) {
 	pool := engine.NewBlockPool()
 	// Seed with one well-formed payload per decoder so the corpus starts
-	// on the happy paths. Assignment bodies carry the C-flag tail: count
-	// 0 is the legacy dense body, a count matching the geometry flags
-	// each tile as shipped / resident / zero.
-	jobHdr := ChunkHeader{ID: 1, I0: 0, J0: 0, Rows: 1, Cols: 1, T: 2, Q: 2}
-	jp := make([]byte, chunkHeaderLen)
-	jobHdr.encode(jp)
+	// on the happy paths. Task bodies carry the C-flag tail: count 0 is
+	// the dense body, a count matching the geometry flags each tile as
+	// shipped / resident / zero.
+	denseHdr := TaskHeader{Job: 1, Seq: 0, Attempt: 0, Steps: 2, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
+	jp := make([]byte, taskHeaderLen)
+	denseHdr.encode(jp)
 	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CZero}, nil)...))
@@ -200,14 +200,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{4}, encodeSetPayload([]byte{0, 0, 1, 0}, 0, 8,
 		[]uint64{aid, bid}, []byte{1, 1}, 1, 1, []float64{1, 2})...))
 
-	// q-selector (q 2), the chunk id, then one result block (CRC past
-	// the selector)
-	flat := appendCRC(putFloats([]byte{1, 9, 0, 0, 0}, []float64{1, 2, 3, 4}), 1)
-	f.Add(append([]byte{7}, flat...))
-
+	// q-selector (q 2), the task result header, then one result block
+	// (CRC past the selector)
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
 	rp := make([]byte, taskResultHeaderLen)
 	trh.encode(rp)
+	flat := appendCRC(putFloats(append([]byte{1}, rp...), []float64{1, 2, 3, 4}), 1)
+	f.Add(append([]byte{7}, flat...))
+
 	f.Add(append([]byte{5}, rp...))
 
 	jd := JobDoneHeader{Job: 7, Code: 0}
@@ -239,11 +239,11 @@ func FuzzDecodeMsg(f *testing.F) {
 	wp := make([]byte, jobHeaderLen)
 	wrap.encode(wp)
 	f.Add(append([]byte{3}, wp...))
-	// and a chunk header doing the same (CRC-sealed so the hostile
+	// and a task header doing the same (CRC-sealed so the hostile
 	// dimensions reach the geometry checks, not the checksum gate)
-	evilJob := ChunkHeader{Rows: 1 << 31, Cols: 1 << 31, T: 1 << 31, Q: 1 << 31}
-	ejp := make([]byte, chunkHeaderLen)
-	evilJob.encode(ejp)
+	evilTask := TaskHeader{Rows: 1 << 31, Cols: 1 << 31, Steps: 1 << 31, Q: 1 << 31}
+	ejp := make([]byte, taskHeaderLen)
+	evilTask.encode(ejp)
 	f.Add(append([]byte{0}, appendCRC(ejp, 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -251,9 +251,9 @@ func FuzzDecodeMsg(f *testing.F) {
 			return
 		}
 		sel, payload := data[0], data[1:]
-		// checkAssign validates a successful assignment decode: the legacy
-		// dense body must yield one block per tile, a flag tail exactly the
-		// shipped tiles.
+		// checkAssign validates a successful task decode: the dense body
+		// must yield one block per tile, a flag tail exactly the shipped
+		// tiles.
 		checkAssign := func(as *engine.Assign, rows, cols int) {
 			want := rows * cols
 			if len(as.CFlags) != 0 {
@@ -274,13 +274,9 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		switch sel % 9 {
 		case 0, 1:
-			// the workerTransport MsgJob and clusterWorkerTransport MsgTask
-			// paths: header + flagged block body
-			hdrLen, decodeHdr := chunkHeaderLen, decodeChunkHdr
-			if sel%9 == 1 {
-				hdrLen, decodeHdr = taskHeaderLen, decodeTaskHdr
-			}
-			as, err := readAssign(frameOver(payload, len(payload), pool), hdrLen, decodeHdr)
+			// the clusterWorkerTransport MsgTask path: header + flagged
+			// block body
+			as, err := readTask(frameOver(payload, len(payload), pool))
 			if err == nil {
 				checkAssign(as, as.Rows, as.Cols)
 				pool.PutAll(as.Blocks)
@@ -349,13 +345,13 @@ func FuzzDecodeMsg(f *testing.F) {
 			var hdr JobDoneHeader
 			hdr.decode(payload)
 		case 7:
-			// the masterTransport MsgResult path: the chunk id then whole
-			// blocks of the run's q, plus the one-byte request decoder
+			// the serverTransport MsgTaskResult path: the header then whole
+			// blocks of the q the session recorded for the task
 			if len(payload) < 1 {
 				return
 			}
 			q := int(payload[0]%8) + 1
-			if res, err := readResult(frameOver(payload[1:], len(payload)-1, pool), 4, fixedQ(q)); err == nil {
+			if res, err := readTaskResult(frameOver(payload[1:], len(payload)-1, pool), fixedQ(q)); err == nil {
 				for _, blk := range res.Blocks {
 					if len(blk) != q*q {
 						t.Fatalf("result decode produced a %d-element block for q=%d", len(blk), q)
@@ -363,9 +359,8 @@ func FuzzDecodeMsg(f *testing.F) {
 				}
 				pool.PutAll(res.Blocks)
 			}
-			decodeRequest(payload)
 		case 8:
-			// the masterTransport MsgFlushResult path: a successful decode
+			// the serverTransport MsgFlushResult path: a successful decode
 			// must carry a well-formed C-tile id and a plausible payload for
 			// every block it returns.
 			fr, err := readFlushResult(frameOver(payload, len(payload), pool))
@@ -390,7 +385,7 @@ func FuzzDecodeMsg(f *testing.F) {
 
 // FuzzPayloadCRCRejectsBitFlips pins the checksum's whole point: flip
 // any single bit of a well-formed, CRC-sealed block frame — MsgSet,
-// MsgFlushResult, MsgTask or MsgResult; header, manifest, flags, body or
+// MsgFlushResult, MsgTask or MsgTaskResult; header, manifest, flags, body or
 // the checksum field itself — and the streaming decoder must reject it
 // as ErrPayloadCRC (CRC32C detects every 1-bit error), without
 // panicking and with every block it took back in the pool. A flip that
@@ -422,7 +417,9 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 			(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 2, Q: 2}).encode(hdr)
 			payload = encodeAssignBody(hdr, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})
 		case 3:
-			payload = appendCRC(putFloats([]byte{7, 0, 0, 0}, []float64{1, 2, 3, 4, 5, 6, 7, 8}), 0)
+			hdr := make([]byte, taskResultHeaderLen)
+			(&TaskResultHeader{Job: 7, Seq: 1, Updates: 2, ComputeNS: 3}).encode(hdr)
+			payload = appendCRC(putFloats(hdr, []float64{1, 2, 3, 4, 5, 6, 7, 8}), 0)
 		}
 		bit := int(pos) % (len(payload) * 8)
 		payload[bit/8] ^= 1 << (bit % 8)
@@ -436,9 +433,9 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 		case 1:
 			_, err = readFlushResult(fr)
 		case 2:
-			_, err = readAssign(fr, taskHeaderLen, decodeTaskHdr)
+			_, err = readTask(fr)
 		case 3:
-			_, err = readResult(fr, 4, fixedQ(2))
+			_, err = readTaskResult(fr, fixedQ(2))
 		}
 		if !errors.Is(err, ErrPayloadCRC) {
 			t.Fatalf("frame kind %d with bit %d flipped: err = %v, want ErrPayloadCRC", kind%4, bit, err)

@@ -137,7 +137,7 @@ func randBlocks(rng *rand.Rand, n, q int) [][]float64 {
 }
 
 // TestGatheredFramesByteIdentical pins the wire: every block-carrying
-// frame — Set, Job, Task, Result, TaskResult, FlushResult — written from
+// frame — Set, Task, TaskResult, FlushResult — written from
 // block memory is byte for byte the frame the copying encoder produced,
 // over TCP (writev) and over net.Pipe (the per-buffer fallback), at a
 // block size below and one above a socket buffer. And the blocks are
@@ -161,13 +161,13 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				B:    [][]float64{nil, ab[2]},
 				BIDs: []uint64{engine.BBlockID(1, 7, 0), engine.BBlockID(1, 7, 1)},
 			}
-			dense := &engine.Assign{ID: engine.AssignID{A: 9}, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: q, Steps: 3, Blocks: randBlocks(rng, 2, q)}
+			dense := &engine.Assign{ID: engine.AssignID{A: 9, B: 2}, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: q, Steps: 3, Blocks: randBlocks(rng, 2, q)}
 			task := &engine.Assign{
 				ID: engine.AssignID{A: 3, B: 5, C: 1}, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: q, Steps: 4,
 				CFlags: []byte{engine.CShip, engine.CZero, engine.CResident, engine.CShip},
 				Blocks: randBlocks(rng, 2, q),
 			}
-			result := &engine.Result{ID: engine.AssignID{A: 9}, Blocks: randBlocks(rng, 2, q)}
+			result := &engine.Result{ID: engine.AssignID{A: 9, B: 2}, Blocks: randBlocks(rng, 2, q)}
 			taskResult := &engine.Result{ID: engine.AssignID{A: 3, B: 5, C: 1}, Updates: 16, ComputeNS: 12345, Blocks: randBlocks(rng, 4, q)}
 			ack := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99}
 			flush := &engine.FlushResult{
@@ -177,11 +177,12 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 			}
 			emptyFlush := &engine.FlushResult{ComputeNS: 1}
 
-			jobHdr := make([]byte, chunkHeaderLen)
-			(&ChunkHeader{ID: 9, I0: 2, J0: 4, Rows: 1, Cols: 2, T: 3, Q: uint32(q)}).encode(jobHdr)
+			denseHdr := make([]byte, taskHeaderLen)
+			(&TaskHeader{Job: 9, Seq: 2, Steps: 3, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: uint32(q)}).encode(denseHdr)
 			taskHdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 3, Seq: 5, Attempt: 1, Steps: 4, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: uint32(q)}).encode(taskHdr)
-			resHdr := binary.LittleEndian.AppendUint32(nil, 9)
+			resHdr := make([]byte, taskResultHeaderLen)
+			(&TaskResultHeader{Job: 9, Seq: 2}).encode(resHdr)
 			taskResHdr := make([]byte, taskResultHeaderLen)
 			(&TaskResultHeader{Job: 3, Seq: 5, Attempt: 1, Updates: 16, ComputeNS: 12345}).encode(taskResHdr)
 			ackHdr := make([]byte, taskResultHeaderLen)
@@ -195,14 +196,14 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				want   []byte
 				blocks [][]float64
 			}{
-				{"master Set", func(c net.Conn) engine.Transport { return NewMasterTransport(c, q, pool) }, set, oldSetFrame(set), ab[:3]},
-				{"master Job", func(c net.Conn) engine.Transport { return NewMasterTransport(c, q, pool) }, dense, oldAssignFrame(MsgJob, jobHdr, dense), dense.Blocks},
+				{"server Set", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, set, oldSetFrame(set), ab[:3]},
+				{"server dense Task", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, dense, oldAssignFrame(MsgTask, denseHdr, dense), dense.Blocks},
 				{"server Task", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, task, oldAssignFrame(MsgTask, taskHdr, task), task.Blocks},
-				{"worker Result", func(c net.Conn) engine.Transport { return NewWorkerTransport(c, pool) }, result, oldResultFrame(MsgResult, resHdr, result), result.Blocks},
+				{"cluster worker dense TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, result, oldResultFrame(MsgTaskResult, resHdr, result), result.Blocks},
 				{"cluster worker TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, taskResult, oldResultFrame(MsgTaskResult, taskResHdr, taskResult), taskResult.Blocks},
 				{"cluster worker ack", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, ack, oldResultFrame(MsgTaskResult, ackHdr, ack), nil},
 				{"cluster worker FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, flush, oldFlushFrame(flush), flush.Blocks},
-				{"worker empty FlushResult", func(c net.Conn) engine.Transport { return NewWorkerTransport(c, pool) }, emptyFlush, oldFlushFrame(emptyFlush), nil},
+				{"cluster worker empty FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, emptyFlush, oldFlushFrame(emptyFlush), nil},
 			}
 			for _, tc := range cases {
 				local, remote := pair(t)
@@ -269,7 +270,7 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 	defer remote.Close()
 	gate := &gateConn{Conn: local, entered: make(chan struct{}, 1), open: make(chan struct{})}
 	pool := engine.NewBlockPool()
-	tr := NewWorkerTransport(gate, pool)
+	tr := NewClusterWorkerTransport(gate, pool)
 	blocks := [][]float64{pool.Get(q * q), pool.Get(q * q), pool.Get(q * q), pool.Get(q * q)}
 	inFlight := map[*float64]bool{}
 	for n, blk := range blocks {
@@ -287,14 +288,14 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 		}
 	}
 	close(gate.open)
-	frame := make([]byte, msgHeaderLen+4+4*8*q*q+4)
+	frame := make([]byte, msgHeaderLen+taskResultHeaderLen+4*8*q*q+4)
 	if _, err := io.ReadFull(remote, frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
-	body := frame[msgHeaderLen+4 : len(frame)-4]
+	body := frame[msgHeaderLen+taskResultHeaderLen : len(frame)-4]
 	for n := 0; n < 4; n++ {
 		var got [1]float64
 		getFloatsInto(got[:], body[n*8*q*q:])

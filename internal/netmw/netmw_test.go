@@ -1,186 +1,217 @@
 package netmw
 
 import (
+	"bytes"
+	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/matrix"
 )
 
-// launch runs a master and n in-process workers over loopback TCP and
-// returns the master report.
-func launch(t *testing.T, c, a, b *matrix.Blocked, n, mu, stage int) MasterReport {
-	return launchWith(t, c, a, b, n, mu, stage, false, 1)
+func TestWorkerDialError(t *testing.T) {
+	if _, err := RunClusterWorker(ClusterWorkerConfig{Addr: "127.0.0.1:1", Name: "w", Timeout: 200 * time.Millisecond}); err == nil {
+		t.Fatal("dial to closed port succeeded")
+	}
 }
 
-func launchWith(t *testing.T, c, a, b *matrix.Blocked, n, mu, stage int, prefetch bool, cores int) MasterReport {
+// launch runs one product over loopback TCP: a served cluster, n workers
+// configured like wcfg joining it, and the job submitted once all of them
+// have registered. Every worker must leave cleanly on the server's
+// goodbye; launch then returns the job's final status and the workers'
+// reports.
+func launch(t *testing.T, c, a, b *matrix.Blocked, n, mu int, wcfg ClusterWorkerConfig) (cluster.Status, []ClusterWorkerReport) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cl, srv := startCluster(t)
+	type exit struct {
+		rep ClusterWorkerReport
+		err error
 	}
-	addr := ln.Addr().String()
-
-	var rep MasterReport
-	var masterErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cfg := MasterConfig{Workers: n, Mu: mu, Timeout: 30 * time.Second}
-		rep, masterErr = ServeListener(c, a, b, cfg, ln)
-	}()
-	var wg sync.WaitGroup
+	exits := make(chan exit, n)
 	for i := 0; i < n; i++ {
-		wg.Add(1)
+		cfg := wcfg
+		cfg.Addr, cfg.Name = srv.Addr(), fmt.Sprintf("w%d", i)
 		go func() {
-			defer wg.Done()
-			if _, err := RunWorker(WorkerConfig{Addr: addr, Memory: 100, StageCap: stage, Prefetch: prefetch, Cores: cores, Timeout: 30 * time.Second}); err != nil {
-				t.Errorf("worker: %v", err)
-			}
+			rep, err := RunClusterWorker(cfg)
+			exits <- exit{rep, err}
 		}()
 	}
-	<-done
-	wg.Wait()
-	if masterErr != nil {
-		t.Fatalf("master: %v", masterErr)
+	for deadline := time.Now().Add(time.Minute); len(cl.Workers()) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never joined")
+		}
 	}
-	return rep
+	if err := SubmitMatMulTCP(srv.Addr(), c, a, b, mu, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	srv.Close()
+	reps := make([]ClusterWorkerReport, 0, n)
+	for i := 0; i < n; i++ {
+		e := <-exits
+		if e.err != nil {
+			t.Errorf("worker: %v", e.err)
+		}
+		reps = append(reps, e.rep)
+	}
+	// Every session has reported by now, so the job's accounting is whole.
+	return cl.Jobs()[0], reps
 }
 
-func build(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) {
+// checkProduct pins a launched product: bit-exact against the oracle,
+// the job done with no task recomputed, and every block update performed
+// by exactly one worker.
+func checkProduct(t *testing.T, c, a *matrix.Blocked, want *matrix.Dense, st cluster.Status, reps []ClusterWorkerReport) {
 	t.Helper()
-	ad := matrix.NewDense(r*q, tt*q)
-	bd := matrix.NewDense(tt*q, s*q)
-	cd := matrix.NewDense(r*q, s*q)
-	matrix.DeterministicFill(ad, 11)
-	matrix.DeterministicFill(bd, 12)
-	matrix.DeterministicFill(cd, 13)
-	ref := cd.Clone()
-	matrix.MulNaive(ref, ad, bd)
-	return matrix.Partition(ad, q), matrix.Partition(bd, q),
-		matrix.Partition(cd, q), matrix.Partition(ref, q)
+	if !c.Assemble().Equal(want, 0) {
+		t.Fatal("product not bit-exact")
+	}
+	if st.State != cluster.Done || st.TasksDone != st.TasksTotal || st.Requeues != 0 {
+		t.Fatalf("job %+v", st)
+	}
+	var updates int64
+	for _, rep := range reps {
+		updates += rep.Updates
+	}
+	if n := int64(c.BR) * int64(a.BC) * int64(c.BC); updates != n {
+		t.Fatalf("workers performed %d block updates, want %d", updates, n)
+	}
 }
 
 func TestDistributedSingleWorker(t *testing.T) {
-	a, b, c, want := build(t, 4, 3, 4, 8)
-	rep := launch(t, c, a, b, 1, 2, 2)
-	if !c.Equal(want, 1e-9) {
-		t.Fatal("wrong product")
-	}
-	if rep.Result.Blocks == 0 {
+	c, a, b, want := matmulInputs(t, 32, 24, 32, 8, 11)
+	st, reps := launch(t, c, a, b, 1, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2})
+	checkProduct(t, c, a, want, st, reps)
+	if st.Comm.BlocksShipped == 0 {
 		t.Fatal("no blocks accounted")
 	}
 }
 
 func TestDistributedThreeWorkers(t *testing.T) {
-	a, b, c, want := build(t, 6, 4, 9, 4)
-	rep := launch(t, c, a, b, 3, 2, 2)
-	if !c.Equal(want, 1e-9) {
-		t.Fatal("wrong product")
-	}
-	if rep.Result.Enrolled != 3 {
-		t.Fatalf("enrolled %d", rep.Result.Enrolled)
+	c, a, b, want := matmulInputs(t, 24, 16, 36, 4, 11)
+	st, reps := launch(t, c, a, b, 3, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2})
+	checkProduct(t, c, a, want, st, reps)
+	for i, rep := range reps {
+		if rep.Sessions != 1 {
+			t.Fatalf("worker %d: %d sessions, want all three served one session each", i, rep.Sessions)
+		}
 	}
 }
 
+// TestDistributedRaggedNoOverlap: µ = 3 over a 5×7 grid leaves ragged
+// chunks at the edges; every C tile is still updated by exactly one task.
 func TestDistributedRaggedNoOverlap(t *testing.T) {
-	a, b, c, want := build(t, 5, 2, 7, 4)
-	launch(t, c, a, b, 2, 3, 1)
-	if !c.Equal(want, 1e-9) {
-		t.Fatal("wrong product")
-	}
+	c, a, b, want := matmulInputs(t, 20, 8, 28, 4, 11)
+	st, reps := launch(t, c, a, b, 2, 3, ClusterWorkerConfig{Memory: 100, StageCap: 1})
+	checkProduct(t, c, a, want, st, reps)
 }
 
-// TestDistributedPipelined drives the prefetching, multi-core worker
-// pipeline: chunks double-buffer over the socket while the kernel shards
-// updates across goroutines. The result must equal the oracle exactly
-// (same accumulation order as the sequential kernel).
+// TestDistributedPipelined drives the double-buffered, multi-core
+// worker pipeline: the next task's tile streams over the socket while
+// the kernel shards the current one's updates across goroutines. The
+// result must equal the oracle exactly (same accumulation order as the
+// sequential kernel).
 func TestDistributedPipelined(t *testing.T) {
-	a, b, c, want := build(t, 6, 4, 9, 4)
-	rep := launchWith(t, c, a, b, 2, 2, 2, true, 4)
-	if !c.Equal(want, 1e-9) {
-		t.Fatal("wrong product")
-	}
-	if rep.Result.Blocks == 0 {
+	c, a, b, want := matmulInputs(t, 24, 16, 36, 4, 11)
+	st, reps := launch(t, c, a, b, 2, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2, Slots: 2, Cores: 4})
+	checkProduct(t, c, a, want, st, reps)
+	if st.Comm.BlocksShipped == 0 {
 		t.Fatal("no blocks accounted")
 	}
-	// single worker with prefetch drains the whole pool alone
-	a2, b2, c2, want2 := build(t, 5, 2, 7, 4)
-	launchWith(t, c2, a2, b2, 1, 3, 1, true, 2)
-	if !c2.Equal(want2, 1e-9) {
-		t.Fatal("wrong product (single prefetching worker)")
+	// A single pipelining worker drains the whole grid alone.
+	c, a, b, want = matmulInputs(t, 20, 8, 28, 4, 13)
+	st, reps = launch(t, c, a, b, 1, 3, ClusterWorkerConfig{Memory: 100, StageCap: 1, Slots: 2, Cores: 2})
+	checkProduct(t, c, a, want, st, reps)
+}
+
+// TestWireNumbering pins the wire encoding: every message type keeps its
+// number, MsgReq's payload byte is 1, and the numbers of the retired
+// single-job frames (1 = hello, 2 = job, 4 = result) stay unused — a
+// frame carrying one is refused by both ends of a worker session.
+func TestWireNumbering(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  MsgType
+		want byte
+	}{
+		{"MsgSet", MsgSet, 3},
+		{"MsgReq", MsgReq, 5},
+		{"MsgBye", MsgBye, 6},
+		{"MsgRegister", MsgRegister, 7},
+		{"MsgHeartbeat", MsgHeartbeat, 8},
+		{"MsgTask", MsgTask, 9},
+		{"MsgTaskResult", MsgTaskResult, 10},
+		{"MsgSubmit", MsgSubmit, 11},
+		{"MsgJobDone", MsgJobDone, 12},
+		{"MsgFlush", MsgFlush, 13},
+		{"MsgFlushResult", MsgFlushResult, 14},
+	} {
+		if byte(tc.got) != tc.want {
+			t.Errorf("%s = %d on the wire, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+	if ReqSet != 1 {
+		t.Errorf("ReqSet = %d on the wire, want 1", ReqSet)
+	}
+	for _, retired := range []MsgType{1, 2, 4} {
+		for _, end := range []string{"server", "worker"} {
+			local, remote := net.Pipe()
+			go writeMsg(remote, retired, []byte{0, 0, 0, 0})
+			var err error
+			if end == "server" {
+				_, err = NewServerTransport(local, nil, func() error { return nil }).Recv()
+			} else {
+				_, err = NewClusterWorkerTransport(local, nil).Recv()
+			}
+			if err == nil {
+				t.Errorf("%s transport accepted a frame of retired type %d", end, retired)
+			}
+			local.Close()
+			remote.Close()
+		}
 	}
 }
 
-func TestServeValidation(t *testing.T) {
-	a, b, c, _ := build(t, 2, 2, 2, 4)
-	if _, err := Serve(c, a, b, MasterConfig{Addr: "127.0.0.1:0", Workers: 0, Mu: 1}); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-	if _, err := Serve(c, a, b, MasterConfig{Addr: "127.0.0.1:0", Workers: 1, Mu: 0}); err == nil {
-		t.Fatal("µ=0 accepted")
-	}
-	bad := matrix.NewBlocked(3, 3, 4)
-	if _, err := Serve(c, bad, b, MasterConfig{Addr: "127.0.0.1:0", Workers: 1, Mu: 1}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-// TestMasterSurvivesShortResult sends a malformed (3-byte) MsgResult
-// frame from a hand-rolled peer: the master must fail the run with an
-// error, not panic on the undersized payload.
+// TestMasterSurvivesShortResult sends a malformed (3-byte) MsgTaskResult
+// frame from a hand-rolled worker: the server must sever that session —
+// declaring the worker lost, so its task is requeued — instead of
+// panicking on the undersized payload, and the job must still finish,
+// bit-exact, on a healthy worker.
 func TestMasterSurvivesShortResult(t *testing.T) {
-	a, b, c, _ := build(t, 2, 2, 2, 4)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
+	cl, srv := startCluster(t)
+	addr := srv.Addr()
+	c, a, b, ref := matmulInputs(t, 8, 8, 8, 4, 5)
 	done := make(chan error, 1)
-	go func() {
-		_, err := ServeListener(c, a, b, MasterConfig{Workers: 1, Mu: 1, Timeout: 10 * time.Second}, ln)
-		done <- err
-	}()
+	go func() { done <- SubmitMatMulTCP(addr, c, a, b, 2, time.Minute) }()
+
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeMsg(conn, MsgReq, []byte{ReqChunk}); err != nil {
+	if err := writeMsg(conn, MsgRegister, (&RegisterInfo{Name: "rogue", Mem: 64}).encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, MsgReq, []byte{ReqResult}); err != nil {
+	if mt, _, err := readMsg(conn); err != nil || mt != MsgTask {
+		t.Fatalf("rogue worker read %v, %v; want a task", mt, err)
+	}
+	if err := writeMsg(conn, MsgTaskResult, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, MsgResult, []byte{1, 2, 3}); err != nil {
+	if mt, _, err := readMsg(conn); err == nil {
+		t.Fatalf("server answered a 3-byte result with message %d; want the session severed", mt)
+	}
+	waitCond(t, cl, "the rogue worker declared lost", func() bool {
+		return cl.ClusterStats().WorkersLost == 1
+	})
+	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "healthy", Memory: 64})
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
-		t.Fatal("master accepted a 3-byte result payload")
-	}
-}
-
-func TestWorkerDialError(t *testing.T) {
-	if _, err := RunWorker(WorkerConfig{Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}); err == nil {
-		t.Fatal("dial to closed port succeeded")
-	}
-}
-
-func TestChunkHeaderRoundTrip(t *testing.T) {
-	h := ChunkHeader{ID: 1, I0: 2, J0: 3, Rows: 4, Cols: 5, T: 6, Q: 7}
-	buf := make([]byte, chunkHeaderLen)
-	h.encode(buf)
-	var g ChunkHeader
-	if err := g.decode(buf); err != nil {
-		t.Fatal(err)
-	}
-	if g != h {
-		t.Fatalf("roundtrip %+v != %+v", g, h)
-	}
-	if err := g.decode(buf[:10]); err == nil {
-		t.Fatal("short header accepted")
+	if d := c.Assemble().MaxDiff(ref); d != 0 {
+		t.Fatalf("result differs by %g", d)
 	}
 }
 
@@ -207,92 +238,12 @@ func TestFloatsRoundTrip(t *testing.T) {
 func TestReadMsgRejectsOversizedPayload(t *testing.T) {
 	// a corrupted length prefix must not provoke a giant allocation
 	var buf [5]byte
-	buf[0] = byte(MsgJob)
+	buf[0] = byte(MsgTask)
 	buf[1] = 0xff
 	buf[2] = 0xff
 	buf[3] = 0xff
 	buf[4] = 0x7f
-	if _, _, err := readMsg(bytesReader(buf[:])); err == nil {
+	if _, _, err := readMsg(bytes.NewReader(buf[:])); err == nil {
 		t.Fatal("oversized payload accepted")
-	}
-}
-
-// bytesReader avoids importing bytes for one call site.
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, errEOF{}
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-type errEOF struct{}
-
-func (errEOF) Error() string { return "EOF" }
-
-func bytesReader(b []byte) *sliceReader { return &sliceReader{b: b} }
-
-// TestMasterLetsUnneededWorkerHangUpFirst is R4's scenario made causal:
-// a job one worker finishes alone, and a second worker so slow that its
-// Hello and first request are only written once the master has already
-// said Bye. The master used to close that socket with the frames
-// unread, which resets the connection and fails the worker's next write
-// (EPIPE) on a run that succeeded. Now Bye goes out and the master
-// keeps reading until the worker hangs up: the late frames are written
-// without error, and ServeListener does not return while the worker
-// still holds its end.
-func TestMasterLetsUnneededWorkerHangUpFirst(t *testing.T) {
-	a, b, c, want := build(t, 2, 2, 2, 4)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	done := make(chan error, 1)
-	go func() {
-		_, err := ServeListener(c, a, b, MasterConfig{Workers: 2, Mu: 2, Timeout: 30 * time.Second}, ln)
-		done <- err
-	}()
-	slow, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	fast := make(chan error, 1)
-	go func() {
-		_, err := RunWorker(WorkerConfig{Addr: addr, Memory: 100, StageCap: 2, Timeout: 30 * time.Second})
-		fast <- err
-	}()
-	if mt, _, err := readMsg(slow); err != nil || mt != MsgBye {
-		t.Fatalf("slow worker read %v, %v; want Bye", mt, err)
-	}
-	if err := <-fast; err != nil {
-		t.Fatalf("fast worker: %v", err)
-	}
-	// The job is done and the master has said goodbye; only now does the
-	// slow worker get its first frames out.
-	hello := []byte{100, 0, 0, 0}
-	for i := 0; i < 3; i++ {
-		if err := writeMsg(slow, MsgHello, hello); err != nil {
-			t.Fatalf("late hello: %v", err)
-		}
-		if err := writeMsg(slow, MsgReq, []byte{ReqChunk}); err != nil {
-			t.Fatalf("late request %d: %v", i, err)
-		}
-	}
-	select {
-	case err := <-done:
-		t.Fatalf("master returned (%v) before its worker hung up", err)
-	default:
-	}
-	slow.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("master: %v", err)
-	}
-	if !c.Equal(want, 1e-9) {
-		t.Fatal("wrong product")
 	}
 }

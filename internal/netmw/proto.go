@@ -1,15 +1,20 @@
-// Package netmw is the distributed master-worker runtime: the same
-// demand-driven protocol as the in-process runtime (package mw), but with
-// workers in separate processes connected to the master over TCP. It is
-// the repository's stand-in for the paper's MPI deployment across real
-// machines.
+// Package netmw is the TCP face of the cluster service: the wire
+// protocol, the server that accepts workers and job submissions for a
+// cluster.Cluster (ServeCluster), the reconnecting worker
+// (RunClusterWorker) and the submitting client (SubmitMatMulTCP and
+// friends). Workers run in separate processes, the repository's
+// stand-in for the paper's MPI deployment across real machines. Each
+// worker session is the engine's RunFeeder/RunWorker pair over one
+// connection (internal/engine); this package only frames, encodes and
+// decodes.
 //
 // Wire format: every message is a 1-byte type, a 4-byte little-endian
 // payload length, and the payload. Float payloads are raw little-endian
-// IEEE-754 doubles. The master writes to all workers from a single
-// goroutine, so the one-port model holds at the application layer (§2.2;
-// the paper cites Saif & Parashar for the observation that large
-// asynchronous sends serialize anyway).
+// IEEE-754 doubles. Frames to one worker are written one at a time;
+// sessions of different workers write concurrently, and the master's
+// one port (§2.2) is its network interface (the paper cites Saif &
+// Parashar for the observation that large asynchronous sends serialize
+// anyway).
 package netmw
 
 import (
@@ -23,17 +28,12 @@ import (
 // MsgType tags a protocol message.
 type MsgType byte
 
-// Protocol message types.
+// Protocol message types. The numbers are the wire encoding and never
+// change. 1, 2 and 4 are reserved: they were the frames of a retired
+// single-job dialect (hello, job, result) and are never reused, so a
+// peer still speaking it fails on its first frame instead of being
+// misread.
 const (
-	// MsgHello is sent by a worker on connect: payload is its memory
-	// capacity in blocks (uint32).
-	MsgHello MsgType = iota + 1
-	// MsgJob carries a C chunk to a worker: ChunkHeader, a uint16 C-flag
-	// count (0 = legacy dense: every tile's payload follows), then for
-	// the resident protocol Rows*Cols flag bytes (engine.CShip /
-	// CResident / CZero) and the payloads of exactly the CShip tiles in
-	// row-major flag order.
-	MsgJob
 	// MsgSet carries one delta update set: uint32 k, uint32 cache
 	// capacity, uint16 A-entry and B-entry counts (which must match the
 	// open assignment's Rows and Cols), then one 9-byte manifest entry
@@ -43,70 +43,45 @@ const (
 	// payloads of the flagged blocks in manifest order (A then B). A
 	// full (pre-delta) set is the degenerate case: every entry flagged,
 	// IDs 0.
-	MsgSet
-	// MsgResult returns a finished chunk: uint32 chunk id, then the
-	// blocks.
-	MsgResult
-	// MsgReq is a worker request: 1 byte kind (0 = chunk, 1 = update
-	// set, 2 = result pickup).
-	MsgReq
+	MsgSet MsgType = 3
+	// MsgReq is a worker's request for the next update set: 1 byte,
+	// always ReqSet.
+	MsgReq MsgType = 5
 	// MsgBye tells a worker to shut down.
-	MsgBye
-
-	// Cluster-service messages (the long-running mmserve protocol, layered
-	// on the same framing).
-
-	// MsgRegister is sent by a cluster worker on connect (and on every
+	MsgBye MsgType = 6
+	// MsgRegister is sent by a worker on connect (and on every
 	// reconnect): RegisterInfo payload.
-	MsgRegister
+	MsgRegister MsgType = 7
 	// MsgHeartbeat is a worker liveness beacon; empty payload.
-	MsgHeartbeat
-	// MsgTask assigns one cluster task: TaskHeader, then the same C-flag
-	// tail as MsgJob (uint16 count, flags, shipped payloads). The worker
-	// streams its update sets with MsgReq(ReqSet) as in the single-job
-	// protocol.
-	MsgTask
+	MsgHeartbeat MsgType = 8
+	// MsgTask assigns one task: TaskHeader, a uint16 C-flag count (0 =
+	// dense: every tile's payload follows), then for the resident
+	// protocol Rows*Cols flag bytes (engine.CShip / CResident / CZero)
+	// and the payloads of exactly the CShip tiles in row-major flag
+	// order. The worker streams its update sets with MsgReq.
+	MsgTask MsgType = 9
 	// MsgTaskResult returns a finished task: TaskResultHeader then the
-	// updated C blocks.
-	MsgTaskResult
+	// updated C blocks (none for a resident task's acknowledgement).
+	MsgTaskResult MsgType = 10
 	// MsgSubmit is a client job submission: JobHeader then the operand
 	// blocks (C, A, B for matmul; M for LU).
-	MsgSubmit
+	MsgSubmit MsgType = 11
 	// MsgJobDone answers a submission: JobDoneHeader, then either the
 	// result blocks (Code 0) or an error string.
-	MsgJobDone
-
-	// Result-residency messages (PR: single-flush result path).
-
+	MsgJobDone MsgType = 12
 	// MsgFlush asks the worker to drain its resident result cache; empty
 	// payload. The worker answers with MsgFlushResult.
-	MsgFlush
+	MsgFlush MsgType = 13
 	// MsgFlushResult carries a flush manifest: uint32 block count, a
 	// uint64 session-cumulative compute-nanoseconds counter, then per
 	// block a uint64 C-tile ID (engine.CBlockID), a uint32 element
 	// count and the raw little-endian doubles. An empty manifest (count
 	// 0) is a valid answer.
-	MsgFlushResult
+	MsgFlushResult MsgType = 14
 )
 
-// Request kinds carried by MsgReq.
-const (
-	ReqChunk byte = iota
-	ReqSet
-	ReqResult
-)
-
-// ChunkHeader describes a chunk on the wire.
-type ChunkHeader struct {
-	ID     uint32
-	I0, J0 uint32
-	Rows   uint32
-	Cols   uint32
-	T      uint32
-	Q      uint32
-}
-
-const chunkHeaderLen = 7 * 4
+// ReqSet is MsgReq's one payload byte.
+const ReqSet byte = 1
 
 // Delta-Set layout constants: the fixed header (k, cap, nA, nB) and the
 // per-block manifest entry (id, flag).
@@ -114,30 +89,6 @@ const (
 	setHeaderLen = 4 + 4 + 2 + 2
 	setEntryLen  = 8 + 1
 )
-
-func (h *ChunkHeader) encode(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:], h.ID)
-	binary.LittleEndian.PutUint32(buf[4:], h.I0)
-	binary.LittleEndian.PutUint32(buf[8:], h.J0)
-	binary.LittleEndian.PutUint32(buf[12:], h.Rows)
-	binary.LittleEndian.PutUint32(buf[16:], h.Cols)
-	binary.LittleEndian.PutUint32(buf[20:], h.T)
-	binary.LittleEndian.PutUint32(buf[24:], h.Q)
-}
-
-func (h *ChunkHeader) decode(buf []byte) error {
-	if len(buf) < chunkHeaderLen {
-		return fmt.Errorf("netmw: short chunk header (%d bytes)", len(buf))
-	}
-	h.ID = binary.LittleEndian.Uint32(buf[0:])
-	h.I0 = binary.LittleEndian.Uint32(buf[4:])
-	h.J0 = binary.LittleEndian.Uint32(buf[8:])
-	h.Rows = binary.LittleEndian.Uint32(buf[12:])
-	h.Cols = binary.LittleEndian.Uint32(buf[16:])
-	h.T = binary.LittleEndian.Uint32(buf[20:])
-	h.Q = binary.LittleEndian.Uint32(buf[24:])
-	return nil
-}
 
 // RegisterInfo is a cluster worker's registration.
 type RegisterInfo struct {
@@ -325,8 +276,8 @@ func (h *JobDoneHeader) decode(buf []byte) error {
 	return nil
 }
 
-// Bulk float payloads — assignments (MsgJob/MsgTask), update sets
-// (MsgSet) and results (MsgResult/MsgTaskResult/MsgFlushResult) — carry
+// Bulk float payloads — tasks (MsgTask), update sets (MsgSet) and
+// results (MsgTaskResult/MsgFlushResult) — carry
 // a trailing 4-byte little-endian CRC32C over the rest of the payload.
 // The checksum classifies faults: a CRC mismatch is transport corruption
 // (the connection is severed and the work resent), while a CRC-clean
@@ -420,3 +371,10 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // msgHeaderLen is the frame header: 1 type byte + 4 length bytes.
 const msgHeaderLen = 5
+
+// maxWireDim caps every wire-declared dimension (blocks per chunk side,
+// block size q, step counts). Any legal message under maxPayload stays
+// far below it, and the cap keeps hostile headers from overflowing the
+// size arithmetic of the decoders or provoking geometry-sized
+// allocations for bytes that never arrive.
+const maxWireDim = 1 << 15

@@ -10,8 +10,8 @@ import (
 	"repro/internal/engine"
 )
 
-// The receive side of every block-carrying frame — Set, Job/Task C
-// tiles, Result, TaskResult, FlushResult — mirrors the send side: the
+// The receive side of every block-carrying frame — Set, Task,
+// TaskResult, FlushResult — mirrors the send side: the
 // frame's own bytes (header, manifest, flags, per-block prefixes) are
 // read into a small scratch and validated against the open geometry,
 // and each block is then read from the connection straight into a pool
@@ -235,18 +235,27 @@ func readSetInto(f *frameReader, fr *geomEntry, set *engine.Set) error {
 	return nil
 }
 
-// --- Job / Task ---------------------------------------------------------------
+// --- Task ---------------------------------------------------------------------
 
-// readAssign decodes an assignment frame (MsgJob or MsgTask): the
-// dialect's hdrLen-byte header, which decodeHdr unpacks into the
-// assignment, the uint16 C-flag count, the flag bytes, then the payloads
-// of exactly the CShip-flagged tiles. Count 0 is the legacy dense
-// protocol: CFlags stays empty and every tile's payload follows. The
-// geometry, the flags and the frame length are all checked before a
-// block is taken.
-func readAssign(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Assign)) (*engine.Assign, error) {
+// checkGeometry validates a wire-declared chunk geometry.
+func checkGeometry(rows, cols, q int) error {
+	if rows < 1 || cols < 1 || rows > maxWireDim || cols > maxWireDim {
+		return fmt.Errorf("netmw: bad chunk geometry %dx%d blocks", rows, cols)
+	}
+	if q < 1 || q > maxWireDim {
+		return fmt.Errorf("netmw: bad block size q=%d", q)
+	}
+	return nil
+}
+
+// readTask decodes a MsgTask frame: the task header, the uint16 C-flag
+// count, the flag bytes, then the payloads of exactly the CShip-flagged
+// tiles. Count 0 is the dense protocol: CFlags stays empty and every
+// tile's payload follows. The geometry, the flags and the frame length
+// are all checked before a block is taken.
+func readTask(f *frameReader) (*engine.Assign, error) {
 	as := f.pool.GetAssign()
-	err := readAssignInto(f, hdrLen, decodeHdr, as)
+	err := readTaskInto(f, as)
 	if err = f.end(err); err != nil {
 		f.pool.PutAll(as.Blocks)
 		as.Blocks = nil
@@ -257,12 +266,17 @@ func readAssign(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Assig
 	return as, nil
 }
 
-func readAssignInto(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Assign), as *engine.Assign) error {
-	head, err := f.take(hdrLen+2, "assignment header")
+func readTaskInto(f *frameReader, as *engine.Assign) error {
+	head, err := f.take(taskHeaderLen+2, "task header")
 	if err != nil {
 		return err
 	}
-	decodeHdr(head, as)
+	var hdr TaskHeader
+	hdr.decode(head)
+	as.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
+	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
+	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps)
+	as.CJob = hdr.Job
 	if err := checkGeometry(as.Rows, as.Cols, as.Q); err != nil {
 		return err
 	}
@@ -270,7 +284,7 @@ func readAssignInto(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.A
 		return fmt.Errorf("netmw: implausible step count %d", as.Steps)
 	}
 	ship := as.Rows * as.Cols
-	if nflags := int(binary.LittleEndian.Uint16(head[hdrLen:])); nflags != 0 {
+	if nflags := int(binary.LittleEndian.Uint16(head[taskHeaderLen:])); nflags != 0 {
 		if nflags != ship {
 			return fmt.Errorf("netmw: assignment carries %d C flags for a %dx%d tile", nflags, as.Rows, as.Cols)
 		}
@@ -304,15 +318,15 @@ func readAssignInto(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.A
 	return nil
 }
 
-// --- Result / TaskResult ------------------------------------------------------
+// --- TaskResult -----------------------------------------------------------------
 
-// readResult decodes a result frame (MsgResult or MsgTaskResult): the
-// dialect's hdrLen-byte header, which decodeHdr unpacks into the result
-// and answers with the block edge q of the assignment it names, then
-// whole q×q blocks to the end of the frame.
-func readResult(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Result) (int, error)) (*engine.Result, error) {
+// readTaskResult decodes a MsgTaskResult frame: the result header, which
+// decodeHdr unpacks into the result and answers with the block edge q
+// of the assignment it names, then whole q×q blocks to the end of the
+// frame.
+func readTaskResult(f *frameReader, decodeHdr func([]byte, *engine.Result) (int, error)) (*engine.Result, error) {
 	res := f.pool.GetResult()
-	err := readResultInto(f, hdrLen, decodeHdr, res)
+	err := readTaskResultInto(f, decodeHdr, res)
 	if err = f.end(err); err != nil {
 		f.pool.PutAll(res.Blocks)
 		res.Blocks = nil
@@ -323,8 +337,8 @@ func readResult(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Resul
 	return res, nil
 }
 
-func readResultInto(f *frameReader, hdrLen int, decodeHdr func([]byte, *engine.Result) (int, error), res *engine.Result) error {
-	head, err := f.take(hdrLen, "result header")
+func readTaskResultInto(f *frameReader, decodeHdr func([]byte, *engine.Result) (int, error), res *engine.Result) error {
+	head, err := f.take(taskResultHeaderLen, "result header")
 	if err != nil {
 		return err
 	}

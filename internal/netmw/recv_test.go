@@ -53,14 +53,14 @@ func blockFrameCases(q int) []blockFrameCase {
 			return append(s.A, s.B...), nil
 		}},
 		{"Task", body(oldAssignFrame(MsgTask, taskHdr, task)), func(f *frameReader) ([][]float64, error) {
-			as, err := readAssign(f, taskHeaderLen, decodeTaskHdr)
+			as, err := readTask(f)
 			if err != nil {
 				return nil, err
 			}
 			return as.Blocks, nil
 		}},
 		{"TaskResult", body(oldResultFrame(MsgTaskResult, resHdr, res)), func(f *frameReader) ([][]float64, error) {
-			r, err := readResult(f, taskResultHeaderLen, fixedQ(q))
+			r, err := readTaskResult(f, fixedQ(q))
 			if err != nil {
 				return nil, err
 			}

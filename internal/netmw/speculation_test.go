@@ -2,6 +2,7 @@ package netmw
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,45 +30,37 @@ func waitCond(t *testing.T, cl *cluster.Cluster, what string, f func() bool) {
 	}
 }
 
-// TestClusterTCPSpeculationKillStraggler is the end-to-end straggler
-// scenario over real sockets: spun-down workers earn slow profiles, a
-// fast worker drains the rest of the grid and speculatively duplicates
-// a straggler's in-flight chunk, and both stragglers are then killed
-// while the race is on. The duplicate must win, the dead incarnations'
-// late traffic must be refused through the stale-epoch paths, and the
-// assembled result must be bit-exact.
-//
-// The speculative window near the job's end is real wall-clock timing
-// (spin-emulated heterogeneity on whatever cores CI grants), so a run
-// can finish before the window opens; the scenario is retried a couple
-// of times before that counts as a failure.
-func TestClusterTCPSpeculationKillStraggler(t *testing.T) {
-	for attempt := 1; ; attempt++ {
-		if trySpeculationScenario(t) {
-			return
-		}
-		if attempt == 3 {
-			t.Fatal("no speculative window opened in 3 attempts")
-		}
-		t.Logf("attempt %d: job drained before a speculative window opened; retrying", attempt)
-	}
+// resultTap reports every Result a worker session delivers, before the
+// feeder sees it; seen may block, which parks the Result in Recv.
+type resultTap struct {
+	engine.Transport
+	seen func(*engine.Result)
 }
 
-// speculationRace boots the straggler scenario up to the moment a
-// speculative duplicate is in flight: two spun-down stragglers with slow
-// profiles, one fast worker that drains the grid and duplicates a
-// straggler's chunk. ok is false when the job drained before a
-// speculative window opened (the job is then already waited for).
-// tap, when set, sees every Result a worker session delivers before the
-// feeder does.
-func speculationRace(t *testing.T, tap func(*cluster.Cluster, *engine.Result)) (
-	cl *cluster.Cluster, c *matrix.Blocked, ref *matrix.Dense, done chan error, ok bool) {
+func (rt resultTap) Recv() (engine.Msg, error) {
+	m, err := rt.Transport.Recv()
+	if res, ok := m.(*engine.Result); ok && err == nil {
+		rt.seen(res)
+	}
+	return m, err
+}
+
+// stragglerRace is the straggler scenario over real sockets, made
+// causal. The cluster's clock is frozen, so a task's estimated remaining
+// time never runs out: whether an idle worker duplicates it depends on
+// the workers' measured speeds alone, not on how fast this machine runs
+// the test. Two spun-down stragglers earn slow profiles; from then on
+// every Result they send is parked in the server's Recv until hold
+// returns, so each is stuck holding one in-flight task. Only once both
+// are stuck does a fast worker join: it drains the rest of the grid and,
+// finding nothing fresh, duplicates the stuck tasks.
+func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
+	cl *cluster.Cluster, c *matrix.Blocked, ref *matrix.Dense, done chan error) {
 	// MaxMu pins every chunk to 1×1: adaptive shaping would otherwise
-	// equalize per-chunk wall time across speeds (its whole job), which
-	// closes the idle window speculation needs. With fixed-size chunks
-	// the fast worker drains the grid and must then race the stragglers.
+	// hand the fast worker the whole remaining grid in a few chunks.
 	cl = cluster.New(cluster.Config{
 		HeartbeatTimeout: time.Hour,
+		Clock:            cluster.NewManualClock(time.Unix(0, 0)),
 		Adaptive: cluster.AdaptiveConfig{
 			Enabled:           true,
 			ChunkTarget:       100 * time.Millisecond,
@@ -75,13 +68,22 @@ func speculationRace(t *testing.T, tap func(*cluster.Cluster, *engine.Result)) (
 			MaxMu:             1,
 		},
 	})
-	cfg := ClusterServerConfig{Addr: "127.0.0.1:0"}
-	if tap != nil {
-		cfg.WrapTransport = func(name string, tr engine.Transport) engine.Transport {
-			return resultTap{tr, func(res *engine.Result) { tap(cl, res) }}
-		}
-	}
-	srv, err := ServeCluster(cl, cfg)
+	var parking atomic.Bool
+	parked := make(chan string, 16)
+	srv, err := ServeCluster(cl, ClusterServerConfig{
+		Addr: "127.0.0.1:0",
+		WrapTransport: func(name string, tr engine.Transport) engine.Transport {
+			if name == "fast" {
+				return tr
+			}
+			return resultTap{tr, func(res *engine.Result) {
+				if parking.Load() {
+					parked <- name
+					hold(cl, res)
+				}
+			}}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +94,14 @@ func speculationRace(t *testing.T, tap func(*cluster.Cluster, *engine.Result)) (
 	addr := srv.Addr()
 
 	c, a, b, ref := matmulInputs(t, 32, 16, 32, 4, 77) // 8×8 grid of 4×4 blocks, T = 4
-
 	done = make(chan error, 1)
 	go func() { done <- SubmitMatMulTCP(addr, c, a, b, 1, time.Minute) }()
 
-	// Two stragglers join alone first: 100ms of spin per block update
-	// (~10 updates/s), so each 1×1 chunk takes ~400ms. Two of them make
-	// the end-of-job race likely — speculation only misses when both
-	// happen to be moments from finishing as the grid runs dry.
+	// 20ms of spin per block update: ~80ms per 1×1 chunk, against well
+	// under a millisecond on the fast worker.
 	for _, name := range []string{"slow1", "slow2"} {
 		go RunClusterWorker(ClusterWorkerConfig{
-			Addr: addr, Name: name, Memory: 64, Spin: 100 * time.Millisecond,
+			Addr: addr, Name: name, Memory: 64, Spin: 20 * time.Millisecond,
 		})
 	}
 	waitCond(t, cl, "straggler profiles", func() bool {
@@ -114,42 +113,45 @@ func speculationRace(t *testing.T, tap func(*cluster.Cluster, *engine.Result)) (
 		}
 		return profiled == 2
 	})
-
-	// The fast worker is 20× quicker; once the cutter runs dry it goes
-	// idle and the scheduler offers it a straggler's in-flight chunk
-	// (~20ms to duplicate versus ~400ms to wait out).
-	go RunClusterWorker(ClusterWorkerConfig{
-		Addr: addr, Name: "fast", Memory: 64, Spin: 5 * time.Millisecond,
-	})
-	missed := false
-	waitCond(t, cl, "speculative dispatch", func() bool {
-		st := cl.ClusterStats()
-		if st.Speculations > 0 {
-			return true
+	parking.Store(true)
+	stuck := map[string]bool{}
+	for len(stuck) < 2 {
+		select {
+		case name := <-parked:
+			stuck[name] = true
+		case <-time.After(30 * time.Second):
+			t.Fatalf("stragglers parked a result: %v, want both", stuck)
 		}
-		// Job over without a duplicate: the window never opened.
-		missed = st.JobsRunning == 0 && st.JobsQueued == 0
-		return missed
-	})
-	if missed {
-		<-done
-		return cl, c, ref, done, false
 	}
-	return cl, c, ref, done, true
+	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "fast", Memory: 64})
+	return cl, c, ref, done
 }
 
-func trySpeculationScenario(t *testing.T) bool {
-	cl, c, ref, done, ok := speculationRace(t, nil)
-	if !ok {
-		return false
-	}
+// TestClusterTCPSpeculationKillStraggler: the fast worker duplicates a
+// stuck straggler's chunk, and both stragglers are then killed while
+// the race is on. The duplicate must win, the dead incarnations' late
+// traffic must be refused through the stale-epoch paths, and the
+// assembled result must be bit-exact. The stragglers' results stay
+// parked until both are dead, so the window cannot close before a
+// duplicate is in flight.
+func TestClusterTCPSpeculationKillStraggler(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	cl, c, ref, done := stragglerRace(t, func(*cluster.Cluster, *engine.Result) { <-release })
+	t.Cleanup(unpark) // before the server's Close, which waits for the sessions
 
+	waitCond(t, cl, "speculative dispatch", func() bool {
+		return cl.ClusterStats().Speculations > 0
+	})
 	// Kill both stragglers mid-race: the duplicated chunk's holder dies
-	// while the duplicate is computing, and the bystander straggler's
-	// chunk must be re-cut and recomputed. Everything the dead
-	// incarnations send from here on must bounce off the epoch checks.
+	// while the duplicate is computing (or just after it won), and the
+	// bystander straggler's chunk must be re-cut and recomputed.
+	// Everything the dead incarnations send from here on must bounce off
+	// the epoch checks.
 	cl.WorkerLost("slow1")
 	cl.WorkerLost("slow2")
+	unpark()
 
 	if err := <-done; err != nil {
 		t.Fatalf("job failed: %v", err)
@@ -167,64 +169,35 @@ func trySpeculationScenario(t *testing.T) bool {
 	if st.JobsDone != 1 {
 		t.Fatalf("jobs done = %d, want 1", st.JobsDone)
 	}
-	return true
-}
-
-// resultTap reports every Result a worker session delivers, before the
-// feeder sees it.
-type resultTap struct {
-	engine.Transport
-	seen func(*engine.Result)
-}
-
-func (rt resultTap) Recv() (engine.Msg, error) {
-	m, err := rt.Transport.Recv()
-	if res, ok := m.(*engine.Result); ok && err == nil {
-		rt.seen(res)
-	}
-	return m, err
 }
 
 // TestClusterTCPSpeculationLoserOutlivesJob is the release half of the
-// straggler scenario: nobody is killed, so the duplicate wins and the
-// job finishes — its client answered, its result forgotten — while the
-// losing straggler is still mid-stream on the revoked copy. The
-// finished job must keep every matrix until that loser reports (its
-// remaining set requests are served from them), release them all once it
-// has, and the loser's session must survive to serve again.
+// straggler scenario: nobody is killed, so the duplicates win and the
+// job finishes — its client answered, its result forgotten — while both
+// losing stragglers still hold their revoked copies, their results
+// parked until the job is Done. The finished job must keep every
+// matrix until a loser reports (its remaining set requests are served
+// from them), release them all once both have, and the losers' sessions
+// must survive to serve again.
 func TestClusterTCPSpeculationLoserOutlivesJob(t *testing.T) {
-	for attempt := 1; ; attempt++ {
-		if trySpeculationLoserScenario(t) {
-			return
-		}
-		if attempt == 3 {
-			t.Fatal("no loser outlived its job in 3 attempts")
-		}
-		t.Logf("attempt %d: no straggler was mid-stream when the job finished; retrying", attempt)
-	}
-}
-
-func trySpeculationLoserScenario(t *testing.T) bool {
 	var mu sync.Mutex
-	lateResults, early := 0, 0
-	// A Result arriving for a job that is already done is a loser letting
-	// go — and it has not let go until the feeder hands this Result to
-	// the scheduler, after Recv returns. Until then the job is pinned.
-	cl, c, ref, done, ok := speculationRace(t, func(cl *cluster.Cluster, res *engine.Result) {
-		st, err := cl.JobStatus(cluster.JobID(res.ID.A))
-		if err != nil || st.State != cluster.Done {
+	late, early := 0, 0
+	// A loser has not let go until the feeder hands its Result to the
+	// scheduler, after Recv returns. Until then the job is pinned.
+	cl, c, ref, done := stragglerRace(t, func(cl *cluster.Cluster, res *engine.Result) {
+		jobDone, err := cl.Done(cluster.JobID(res.ID.A))
+		if err != nil {
 			return
 		}
+		<-jobDone
+		st, err := cl.JobStatus(cluster.JobID(res.ID.A))
 		mu.Lock()
 		defer mu.Unlock()
-		lateResults++
-		if st.Retained != 3 {
+		late++
+		if err != nil || st.State != cluster.Done || st.Retained != 3 {
 			early++
 		}
 	})
-	if !ok {
-		return false
-	}
 	if err := <-done; err != nil {
 		t.Fatalf("job failed: %v", err)
 	}
@@ -233,22 +206,22 @@ func trySpeculationLoserScenario(t *testing.T) bool {
 	}
 	waitReleased(t, cl, func(cluster.Status) int { return 0 })
 	mu.Lock()
-	late, tooEarly := lateResults, early
+	gotLate, tooEarly := late, early
 	mu.Unlock()
-	if late == 0 {
-		return false // every straggler had reported before the job finished
+	if gotLate != 2 {
+		t.Fatalf("%d losers reported after the job finished, want both stragglers", gotLate)
 	}
 	if tooEarly != 0 {
-		t.Fatalf("%d of %d losers found their job's matrices released before they let go", tooEarly, late)
+		t.Fatalf("%d of %d losers found their job's matrices released before they let go", tooEarly, gotLate)
 	}
 	st := cl.ClusterStats()
-	if st.SpecWins < 1 || st.WorkersLost != 0 {
-		t.Fatalf("spec wins = %d, workers lost = %d; want a win and no loss", st.SpecWins, st.WorkersLost)
+	if st.Speculations != 2 || st.SpecWins != 2 || st.WorkersLost != 0 {
+		t.Fatalf("speculations = %d, wins = %d, workers lost = %d; want two won duplicates and no loss",
+			st.Speculations, st.SpecWins, st.WorkersLost)
 	}
 	for _, w := range cl.Workers() {
 		if w.Dead || w.Sessions != 1 {
 			t.Fatalf("worker %s: dead=%v sessions=%d; every session must survive the release", w.ID, w.Dead, w.Sessions)
 		}
 	}
-	return true
 }

@@ -24,7 +24,7 @@ import (
 // (writeBlockFrame) and read into pooled q² buffers (recv.go) that
 // their consumers release (see engine.BlockPool).
 
-// connIO bundles the shared per-connection state of every transport.
+// connIO bundles the per-connection state both transports share.
 type connIO struct {
 	conn net.Conn
 	r    *bufio.Reader
@@ -36,6 +36,7 @@ type connIO struct {
 	wcuts    []blockCut  // where a block frame's blocks splice into wbuf, under wmu
 	warena   blockArena  // wire copies of blocks where memory is not the wire format, under wmu
 	wiovec   net.Buffers // gathered-write vector, backing array reused under wmu
+	wsend    net.Buffers // the header of wiovec a write consumes, under wmu
 	rscratch []byte      // control-frame scratch, single reader goroutine
 	rhdr     [5]byte     // frame-header scratch, single reader goroutine
 	rframe   frameReader // block-frame reader, single reader goroutine
@@ -174,14 +175,13 @@ func (f blockFrame) blocks(blks [][]float64) {
 }
 
 // writeBlockFrame frames and writes one message that carries block
-// payloads — every bulk frame: Set, Job/Task C tiles, Result,
-// TaskResult, FlushResult — with a gathered write (net.Buffers → writev
-// on TCP). fill lays the frame out; the frame's own bytes and each
-// block go out as separate iovecs, and on little-endian builds a
-// block's iovec is a view of the block's memory, so a payload is never
-// copied in user space (elsewhere it is the arena copy, see
-// blockArena). The trailing payload CRC32C is accumulated over exactly
-// the bytes written, in stream order.
+// payloads — every bulk frame: Set, Task, TaskResult, FlushResult —
+// with a gathered write (net.Buffers → writev on TCP). fill lays the
+// frame out; the frame's own bytes and each block go out as separate
+// iovecs, and on little-endian builds a block's iovec is a view of the
+// block's memory, so a payload is never copied in user space (elsewhere
+// it is the arena copy, see blockArena). The trailing payload CRC32C is
+// accumulated over exactly the bytes written, in stream order.
 //
 // The blocks are read until the write returns and never after: callers
 // release owned blocks only then, and a block mutated once Send has
@@ -224,10 +224,11 @@ func (c *connIO) writeBlockFrame(t MsgType, fill func(f blockFrame)) error {
 	if err := c.w.Flush(); err != nil { // order against bufio frames
 		return err
 	}
-	// WriteTo consumes the vector (a writev per syscall batch on TCP);
-	// it advances the local header while the backing array stays with
-	// the connection for reuse.
-	n, err := iov.WriteTo(c.conn)
+	// WriteTo consumes the vector it is called on (a writev per syscall
+	// batch on TCP): it advances wsend, a field so that the call
+	// allocates nothing, while wiovec keeps the backing array for reuse.
+	c.wsend = iov
+	n, err := c.wsend.WriteTo(c.conn)
 	c.bytesOut.Add(n)
 	return err
 }
@@ -295,7 +296,7 @@ func capOnWire(cap int) uint32 {
 
 // cFlags lays out an assignment's result-residency tail prefix: the
 // uint16 flag count then the flag bytes. A nil/empty flag list is the
-// legacy dense protocol (count 0, full payload follows).
+// dense protocol (count 0, full payload follows).
 func (f blockFrame) cFlags(flags []byte) {
 	f.u16(uint16(len(flags)))
 	f.bytes(flags...)
@@ -332,14 +333,21 @@ func (c *connIO) sendFlushResult(fr *engine.FlushResult) error {
 	return err
 }
 
-// sendAssign frames an assignment (MsgJob or MsgTask): the dialect's
-// fixed header, encoded in place by encodeHdr, the C-flag tail prefix,
-// then the shipped C tiles — releasing owned tiles once written and
-// recycling the message. C tiles are mutable job state, read here and
-// not after Send returns.
-func (c *connIO) sendAssign(t MsgType, m *engine.Assign, hdrLen int, encodeHdr func([]byte)) error {
-	err := c.writeBlockFrame(t, func(f blockFrame) {
-		encodeHdr(f.grow(hdrLen))
+// sendTask frames an assignment as MsgTask: the task header, the C-flag
+// tail prefix, then the shipped C tiles — releasing owned tiles once
+// written and recycling the message. C tiles are mutable job state,
+// read here and not after Send returns.
+func (c *connIO) sendTask(m *engine.Assign) error {
+	if err := checkCFlagsOnWire(m.CFlags); err != nil {
+		return err
+	}
+	hdr := TaskHeader{
+		Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
+		Steps: uint32(m.Steps), I0: uint32(m.I0), J0: uint32(m.J0),
+		Rows: uint32(m.Rows), Cols: uint32(m.Cols), Q: uint32(m.Q),
+	}
+	err := c.writeBlockFrame(MsgTask, func(f blockFrame) {
+		hdr.encode(f.grow(taskHeaderLen))
 		f.cFlags(m.CFlags)
 		f.blocks(m.Blocks)
 	})
@@ -352,12 +360,16 @@ func (c *connIO) sendAssign(t MsgType, m *engine.Assign, hdrLen int, encodeHdr f
 	return err
 }
 
-// sendResult frames a result (MsgResult or MsgTaskResult): the dialect's
-// fixed header then the C blocks — releasing owned blocks once written
-// and recycling the message.
-func (c *connIO) sendResult(t MsgType, m *engine.Result, hdrLen int, encodeHdr func([]byte)) error {
-	err := c.writeBlockFrame(t, func(f blockFrame) {
-		encodeHdr(f.grow(hdrLen))
+// sendTaskResult frames a result as MsgTaskResult: the header naming
+// the assignment and carrying the worker's timing, then the C blocks —
+// releasing owned blocks once written and recycling the message.
+func (c *connIO) sendTaskResult(m *engine.Result) error {
+	hdr := TaskResultHeader{
+		Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
+		Updates: uint64(m.Updates), ComputeNS: uint64(m.ComputeNS),
+	}
+	err := c.writeBlockFrame(MsgTaskResult, func(f blockFrame) {
+		hdr.encode(f.grow(taskResultHeaderLen))
 		f.blocks(m.Blocks)
 	})
 	if m.Owned {
@@ -369,190 +381,11 @@ func (c *connIO) sendResult(t MsgType, m *engine.Result, hdrLen int, encodeHdr f
 	return err
 }
 
-// --- single-job master side ----------------------------------------------
+// --- worker side -----------------------------------------------------------
 
-// masterTransport is the master end of the single-job TCP protocol: it
-// frames assignments as MsgJob and update sets as MsgSet, and surfaces
-// worker requests and results. MsgHello is consumed in Recv: the
-// advertised capacity is recorded and exposed through MemAdvertiser so
-// the engine can budget the worker's resident operand cache from it.
-type masterTransport struct {
-	*connIO
-	q        int
-	helloMem atomic.Int64
-}
-
-// NewMasterTransport wraps the master side of one worker connection.
-// q is the run's block edge, needed to cut flat result payloads back
-// into pooled blocks. pool may be nil (no recycling).
-func NewMasterTransport(conn net.Conn, q int, pool *engine.BlockPool) engine.Transport {
-	return &masterTransport{connIO: newConnIO(conn, nil, nil, pool), q: q}
-}
-
-// AdvertisedMem implements engine.MemAdvertiser: the worker's hello
-// capacity in blocks (0 until the hello arrives; the hello precedes the
-// worker's first request on the connection, so any set the engine
-// builds sees the real value).
-func (t *masterTransport) AdvertisedMem() int { return int(t.helloMem.Load()) }
-
-func (t *masterTransport) Send(m engine.Msg) error {
-	switch m := m.(type) {
-	case *engine.Assign:
-		if err := checkCFlagsOnWire(m.CFlags); err != nil {
-			return err
-		}
-		hdr := ChunkHeader{
-			ID: m.ID.A, I0: uint32(m.I0), J0: uint32(m.J0),
-			Rows: uint32(m.Rows), Cols: uint32(m.Cols), T: uint32(m.Steps), Q: uint32(m.Q),
-		}
-		return t.sendAssign(MsgJob, m, chunkHeaderLen, hdr.encode)
-	case *engine.Set:
-		return t.sendSet(m)
-	case engine.Flush:
-		return t.writeFrame(MsgFlush, nil)
-	case engine.Bye:
-		return t.writeFrame(MsgBye, nil)
-	default:
-		return fmt.Errorf("netmw: master transport cannot send %T", m)
-	}
-}
-
-func (t *masterTransport) Recv() (engine.Msg, error) {
-	for {
-		mt, n, err := t.readHead()
-		if err != nil {
-			return nil, err
-		}
-		switch mt {
-		case MsgHello:
-			payload, err := t.readFrame(n)
-			if err != nil {
-				return nil, err
-			}
-			if len(payload) >= 4 {
-				t.helloMem.Store(int64(binary.LittleEndian.Uint32(payload)))
-			}
-			continue
-		case MsgReq:
-			payload, err := t.readFrame(n)
-			if err != nil {
-				return nil, err
-			}
-			req, err := decodeRequest(payload)
-			if err != nil {
-				return nil, err
-			}
-			return req, nil
-		case MsgResult:
-			return readResult(t.blockFrame(n), 4, t.decodeResultHdr)
-		case MsgFlushResult:
-			return readFlushResult(t.blockFrame(n))
-		default:
-			return nil, fmt.Errorf("netmw: unexpected message %d from worker", mt)
-		}
-	}
-}
-
-// decodeResultHdr reads a MsgResult header: the chunk id. Results come
-// in the run's block size.
-func (t *masterTransport) decodeResultHdr(head []byte, res *engine.Result) (int, error) {
-	res.ID = engine.AssignID{A: binary.LittleEndian.Uint32(head)}
-	return t.q, nil
-}
-
-// decodeRequest validates a MsgReq payload.
-func decodeRequest(payload []byte) (*engine.Request, error) {
-	if len(payload) != 1 || payload[0] > ReqResult {
-		return nil, fmt.Errorf("netmw: bad request payload")
-	}
-	return engine.RequestOf(engine.ReqKind(payload[0])), nil
-}
-
-// --- single-job worker side ----------------------------------------------
-
-// workerTransport is the worker end of the single-job TCP protocol.
-type workerTransport struct {
-	*connIO
-	geom geomFIFO
-}
-
-// NewWorkerTransport wraps the worker side of a connection to a
-// single-job master. pool may be nil.
-func NewWorkerTransport(conn net.Conn, pool *engine.BlockPool) engine.Transport {
-	return &workerTransport{connIO: newConnIO(conn, nil, nil, pool)}
-}
-
-// newWorkerTransport is NewWorkerTransport over existing buffered IO.
-func newWorkerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *workerTransport {
-	return &workerTransport{connIO: newConnIO(conn, r, w, pool)}
-}
-
-// sendHello advertises the worker's capacity before the engine starts.
-func (t *workerTransport) sendHello(memory int) error {
-	return t.writeFrame(MsgHello, func(buf []byte) []byte {
-		var mb [4]byte
-		binary.LittleEndian.PutUint32(mb[:], uint32(memory))
-		return append(buf, mb[:]...)
-	})
-}
-
-func (t *workerTransport) Send(m engine.Msg) error {
-	switch m := m.(type) {
-	case *engine.Request:
-		return t.writeFrame(MsgReq, func(buf []byte) []byte {
-			return append(buf, byte(m.Kind))
-		})
-	case *engine.Result:
-		var idb [4]byte
-		binary.LittleEndian.PutUint32(idb[:], m.ID.A)
-		return t.sendResult(MsgResult, m, len(idb), func(buf []byte) { copy(buf, idb[:]) })
-	case *engine.FlushResult:
-		return t.sendFlushResult(m)
-	default:
-		return fmt.Errorf("netmw: worker transport cannot send %T", m)
-	}
-}
-
-func (t *workerTransport) Recv() (engine.Msg, error) {
-	mt, n, err := t.readHead()
-	if err != nil {
-		return nil, err
-	}
-	switch mt {
-	case MsgBye:
-		_, err := t.readFrame(n)
-		return engine.Bye{}, err
-	case MsgFlush:
-		_, err := t.readFrame(n)
-		return engine.Flush{}, err
-	case MsgJob:
-		as, err := readAssign(t.blockFrame(n), chunkHeaderLen, decodeChunkHdr)
-		if err != nil {
-			return nil, err
-		}
-		t.geom.push(as.Rows, as.Cols, as.Q, as.Steps)
-		return as, nil
-	case MsgSet:
-		return readSet(t.blockFrame(n), &t.geom)
-	default:
-		return nil, fmt.Errorf("netmw: worker got unexpected message %d", mt)
-	}
-}
-
-// decodeChunkHdr unpacks a MsgJob header into its assignment.
-func decodeChunkHdr(head []byte, as *engine.Assign) {
-	var hdr ChunkHeader
-	hdr.decode(head)
-	as.ID = engine.AssignID{A: hdr.ID}
-	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
-	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T)
-}
-
-// --- cluster worker side -------------------------------------------------
-
-// clusterWorkerTransport is the worker end of the cluster protocol:
-// tasks are pushed (MsgTask), only update sets are pulled, results
-// return as MsgTaskResult carrying the (Job, Seq, Attempt) identity.
+// clusterWorkerTransport is the worker end of a session: tasks are
+// pushed (MsgTask), update sets are pulled (MsgReq), results return as
+// MsgTaskResult carrying the (Job, Seq, Attempt) identity.
 type clusterWorkerTransport struct {
 	*connIO
 	geom geomFIFO
@@ -583,18 +416,11 @@ func (t *clusterWorkerTransport) sendHeartbeat() error {
 func (t *clusterWorkerTransport) Send(m engine.Msg) error {
 	switch m := m.(type) {
 	case *engine.Request:
-		if m.Kind != engine.ReqSet {
-			return fmt.Errorf("netmw: cluster workers only request update sets, got kind %d", m.Kind)
-		}
 		return t.writeFrame(MsgReq, func(buf []byte) []byte {
 			return append(buf, ReqSet)
 		})
 	case *engine.Result:
-		hdr := TaskResultHeader{
-			Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
-			Updates: uint64(m.Updates), ComputeNS: uint64(m.ComputeNS),
-		}
-		return t.sendResult(MsgTaskResult, m, taskResultHeaderLen, hdr.encode)
+		return t.sendTaskResult(m)
 	case *engine.FlushResult:
 		return t.sendFlushResult(m)
 	default:
@@ -615,7 +441,7 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 		_, err := t.readFrame(n)
 		return engine.Flush{}, err
 	case MsgTask:
-		as, err := readAssign(t.blockFrame(n), taskHeaderLen, decodeTaskHdr)
+		as, err := readTask(t.blockFrame(n))
 		if err != nil {
 			return nil, err
 		}
@@ -628,19 +454,9 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 	}
 }
 
-// decodeTaskHdr unpacks a MsgTask header into its assignment.
-func decodeTaskHdr(head []byte, as *engine.Assign) {
-	var hdr TaskHeader
-	hdr.decode(head)
-	as.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
-	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
-	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps)
-	as.CJob = hdr.Job
-}
+// --- server side -----------------------------------------------------------
 
-// --- cluster server side -------------------------------------------------
-
-// serverTransport is the server end of one cluster worker session.
+// serverTransport is the server end of one worker session.
 // Heartbeats are consumed inside Recv through the onHeartbeat hook; a
 // hook error severs the connection (the peer re-registers).
 type serverTransport struct {
@@ -669,18 +485,10 @@ func newServerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *e
 func (t *serverTransport) Send(m engine.Msg) error {
 	switch m := m.(type) {
 	case *engine.Assign:
-		if err := checkCFlagsOnWire(m.CFlags); err != nil {
-			return err
-		}
-		hdr := TaskHeader{
-			Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
-			Steps: uint32(m.Steps), I0: uint32(m.I0), J0: uint32(m.J0),
-			Rows: uint32(m.Rows), Cols: uint32(m.Cols), Q: uint32(m.Q),
-		}
 		t.mu.Lock()
 		t.geom[m.ID] = m.Q
 		t.mu.Unlock()
-		return t.sendAssign(MsgTask, m, taskHeaderLen, hdr.encode)
+		return t.sendTask(m)
 	case *engine.Set:
 		return t.sendSet(m)
 	case engine.Flush:
@@ -720,7 +528,7 @@ func (t *serverTransport) Recv() (engine.Msg, error) {
 			}
 			return engine.RequestSet, nil
 		case MsgTaskResult:
-			return readResult(t.blockFrame(n), taskResultHeaderLen, t.decodeTaskResultHdr)
+			return readTaskResult(t.blockFrame(n), t.decodeTaskResultHdr)
 		case MsgFlushResult:
 			return readFlushResult(t.blockFrame(n))
 		default:

@@ -14,9 +14,11 @@
 //   - Scheduling/simulation: the seven comparison algorithms of the
 //     paper's experiments (Simulate), the heterogeneous incremental
 //     algorithms (SimulateHeterogeneous), and parallel LU (SimulateLU).
-//   - Execution: real products on the in-process goroutine runtime
-//     (MultiplyLocal) and over TCP (ServeTCP / WorkTCP), plus the real
-//     block LU factorization (FactorLU).
+//   - Execution: real products with real data movement, plus the real
+//     block LU factorization (FactorLU). MultiplyLocal runs one product
+//     on a one-job cluster of in-process workers; over TCP, a product is
+//     a job submitted to a served cluster (ServeClusterTCP,
+//     WorkClusterTCP, SubmitMatMulTCP).
 //   - Service: the long-running fault-tolerant multi-job scheduler
 //     (NewCluster, SubmitJob, JobStatus) with heartbeat failure
 //     detection, served in-process or over TCP (ServeClusterTCP).
@@ -27,18 +29,18 @@ package matmul
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/blas"
 	"repro/internal/bounds"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/hetalg"
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/mw"
-	"repro/internal/netmw"
 	"repro/internal/ooc"
 	"repro/internal/platform"
 	"repro/internal/steady"
@@ -173,72 +175,46 @@ func SteadyStateThroughput(pl *Platform) (rho float64, feasible bool, err error)
 
 // LocalConfig configures MultiplyLocal.
 type LocalConfig struct {
-	Workers  int
-	Mu       int  // chunk side; 0 derives it from Memory via MuOverlap
-	Memory   int  // per-worker blocks, used when Mu == 0
-	StageCap int  // 1 or 2 (default 2)
-	Demand   bool // demand-driven instead of the static Algorithm 1 order
+	Workers int
+	Mu      int // chunk side; 0 derives it from Memory via MuOverlap
+	// Memory is each worker's advertised capacity in blocks: it derives
+	// µ when Mu is 0 and caps what the scheduler hands a worker (0 =
+	// unconstrained).
+	Memory int
 	// Cores shards each worker's block updates across this many kernel
 	// goroutines (0 or 1 = sequential). Results are bit-identical.
 	Cores int
-	// Prefetch double-buffers chunks in demand mode: the next C chunk
-	// streams to a worker while the current one computes.
-	Prefetch bool
 }
 
-// MultiplyLocal computes C ← C + A·B on the in-process goroutine runtime
-// with real data movement, the library's stand-in for an MPI deployment.
+// MultiplyLocal computes C ← C + A·B with real data movement on a
+// one-job cluster of in-process workers, the library's stand-in for an
+// MPI deployment: the same scheduler, feeder and worker engine the TCP
+// service runs, over in-process pipes. Result.Blocks counts the blocks
+// that crossed the master's port with payload.
 func MultiplyLocal(c, a, b *Blocked, cfg LocalConfig) (Result, error) {
 	mu := cfg.Mu
 	if mu == 0 {
 		mu = platform.MuOverlap(cfg.Memory)
 	}
-	stage := cfg.StageCap
-	if stage == 0 {
-		stage = 2
+	start := time.Now()
+	st, workers, err := cluster.RunOneJob(
+		cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: mu},
+		cfg.Workers, cluster.LocalWorkerConfig{ID: "local-", Mem: cfg.Memory, Cores: cfg.Cores})
+	if err != nil {
+		return Result{}, err
 	}
-	mode := mw.Static
-	if cfg.Demand {
-		mode = mw.Demand
+	res := Result{
+		Algorithm: "local",
+		Makespan:  time.Since(start).Seconds(),
+		Blocks:    st.Comm.BlocksShipped + st.Comm.CDown + st.Comm.CUp,
+		Updates:   Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}.Updates(),
 	}
-	rep, err := mw.Multiply(c, a, b, mw.Config{
-		Workers: cfg.Workers, Mu: mu, StageCap: stage, Mode: mode,
-		Cores: cfg.Cores, Prefetch: cfg.Prefetch,
-	})
-	return rep.Result, err
-}
-
-// ServeTCP runs the distributed master on addr, waiting for the given
-// number of WorkTCP workers, and performs C ← C + A·B.
-func ServeTCP(c, a, b *Blocked, addr string, workers, mu int) (Result, error) {
-	rep, err := netmw.Serve(c, a, b, netmw.MasterConfig{Addr: addr, Workers: workers, Mu: mu})
-	return rep.Result, err
-}
-
-// WorkerOptions configures WorkTCPWith.
-type WorkerOptions struct {
-	MemoryBlocks int // advertised capacity
-	StageCap     int // staged update sets (1 or 2)
-	// Prefetch double-buffers chunks: the next C chunk streams down
-	// while the current one computes.
-	Prefetch bool
-	// Cores is the kernel parallelism; 0 means one shard per core.
-	Cores int
-}
-
-// WorkTCP runs one distributed worker against a ServeTCP master.
-func WorkTCP(addr string, memoryBlocks, stageCap int) error {
-	return WorkTCPWith(addr, WorkerOptions{MemoryBlocks: memoryBlocks, StageCap: stageCap})
-}
-
-// WorkTCPWith runs one distributed worker with the full option set:
-// pipelined chunk prefetch and the multi-core tiled kernel.
-func WorkTCPWith(addr string, opts WorkerOptions) error {
-	_, err := netmw.RunWorker(netmw.WorkerConfig{
-		Addr: addr, Memory: opts.MemoryBlocks, StageCap: opts.StageCap,
-		Prefetch: opts.Prefetch, Cores: opts.Cores,
-	})
-	return err
+	for _, w := range workers {
+		if w.Done > 0 {
+			res.Enrolled++
+		}
+	}
+	return res, nil
 }
 
 // FactorLU factors the n×n dense matrix in place (packed L\U, no
@@ -270,11 +246,12 @@ func DeterministicFill(d *Dense, seed int64) { matrix.DeterministicFill(d, seed)
 // verification.
 func MulReference(c, a, b *Dense) { matrix.MulNaive(c, a, b) }
 
-// KernelName identifies the active GEMM micro-kernel implementation
-// ("avx2fma-4x8" when the AVX2+FMA assembly kernel passed its runtime
-// CPUID gate, "go-fma-4x8" for the portable fused-multiply-add
-// fallback). Both produce bit-identical results; the name is for
-// benchmark records and operational visibility.
+// KernelName identifies the GEMM micro-kernel the host runs, picked
+// once at start-up from CPUID: "avx512-8x16" when the AVX-512 assembly
+// kernel passed its runtime gate, else "avx2fma-4x8" for the AVX2+FMA
+// one, else "go-fma-4x8", the portable fused-multiply-add fallback. All
+// three produce bit-identical results; the name is for benchmark
+// records and operational visibility.
 func KernelName() string { return blas.KernelName() }
 
 // MulParallel computes C ← C + A·B with the multi-core packed kernel:

@@ -1,12 +1,10 @@
 package matmul
 
 import (
-	"errors"
+	"fmt"
 	"math"
-	"net"
-	"runtime"
-	"sync"
 	"testing"
+	"time"
 )
 
 func utk8(memMB int) *Platform {
@@ -125,7 +123,7 @@ func buildBlocked(t *testing.T, r, tt, s, q int) (a, b, c, want *Blocked) {
 
 func TestMultiplyLocal(t *testing.T) {
 	a, b, c, want := buildBlocked(t, 6, 4, 6, 8)
-	res, err := MultiplyLocal(c, a, b, LocalConfig{Workers: 3, Mu: 2, Demand: true})
+	res, err := MultiplyLocal(c, a, b, LocalConfig{Workers: 3, Mu: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +132,9 @@ func TestMultiplyLocal(t *testing.T) {
 	}
 	if res.Updates != 6*4*6 {
 		t.Fatalf("updates %d", res.Updates)
+	}
+	if res.Enrolled < 1 || res.Enrolled > 3 || res.Blocks == 0 {
+		t.Fatalf("enrolled %d workers, %d blocks through the port", res.Enrolled, res.Blocks)
 	}
 }
 
@@ -170,61 +171,53 @@ func TestSimulateLU(t *testing.T) {
 	}
 }
 
+// TestTCPRoundTrip runs one product over loopback TCP the one way the
+// library offers: a served cluster, two workers joining it, and a
+// client submitting the job. The result must be exact, and both workers
+// must leave cleanly on the server's goodbye.
 func TestTCPRoundTrip(t *testing.T) {
 	a, b, c, want := buildBlocked(t, 4, 3, 4, 8)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	cl := NewCluster(ClusterConfig{HeartbeatTimeout: time.Hour})
+	defer cl.Close()
+	svc, err := ServeClusterTCP(cl, "127.0.0.1:0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close() // ServeTCP rebinds; tiny race-window is fine on loopback
-
-	done := make(chan error, 1)
-	var res Result
-	go func() {
-		var err error
-		res, err = ServeTCP(c, a, b, addr, 2, 2)
-		done <- err
-	}()
-	// A worker redials until the master has rebound the address, and only
-	// then: a refused dial is the one error worth retrying. Any other is
-	// the run's own (a worker reset by a master that no longer needed it
-	// used to hide here, behind a retry nobody answered).
-	stop := make(chan struct{}) // the master is gone: stop redialing
-	var wg sync.WaitGroup
+	defer svc.Close()
+	workers := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				err := WorkTCP(addr, 100, 2)
-				if err == nil {
-					return
-				}
-				var op *net.OpError
-				if !errors.As(err, &op) || op.Op != "dial" {
-					t.Errorf("worker: %v", err)
-					return
-				}
-				select {
-				case <-stop:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
+			workers <- WorkClusterTCP(svc.Addr(), ClusterWorkerOptions{
+				Name: fmt.Sprintf("w%d", i), MemoryBlocks: 100, StageCap: 2,
+			})
 		}()
 	}
-	err = <-done
-	close(stop)
-	wg.Wait()
-	if err != nil {
+	// Submit only once both workers have joined: a job one worker can
+	// finish alone would otherwise let the server close on the other
+	// mid-handshake, or before it has dialed at all.
+	for deadline := time.Now().Add(time.Minute); len(cl.Workers()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never joined")
+		}
+	}
+	if err := SubmitMatMulTCP(svc.Addr(), c, a, b, 2, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Equal(want, 1e-9) {
 		t.Fatal("wrong product over TCP")
 	}
-	if res.Blocks == 0 {
+	cl.Close()
+	svc.Close()
+	for i := 0; i < 2; i++ {
+		if err := <-workers; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+	var shipped int64
+	for _, w := range cl.Workers() {
+		shipped += w.BlocksShipped
+	}
+	if shipped == 0 {
 		t.Fatal("no transfer accounting")
 	}
 }

@@ -23,11 +23,14 @@ test-race:
 # that passes "most runs". Last, the same three under the poolcheck
 # tag: a block released twice panics and a block read after release
 # reads NaN poison, so a by-reference hand-off that frees too early
-# fails loudly instead of passing on recycled floats.
+# fails loudly instead of passing on recycled floats. Then the adaptive
+# policy and every test that asserts a dispatcher stays parked, 50
+# times over under the race detector.
 flake:
 	$(GO) test -count 20 -run TestEngineConformance ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
+	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestFlush|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain' ./internal/cluster ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -716,48 +716,17 @@ func BenchmarkClusterRecoverySim(b *testing.B) {
 	b.ReportMetric(ratio, "recovery-overhead")
 }
 
-// BenchmarkClusterFleetAdaptive is the ISSUE's acceptance scenario as a
-// pinned benchmark series: a 100-worker fleet in three speed classes
-// with 10% churn, run through the online-adaptive loop and through the
-// FIFO + fixed-µ baseline, each reported as its makespan over the LP
-// lower bound (vs-lp). The simulation is deterministic, so these
-// metrics are exact, not sampled.
+// BenchmarkClusterFleetAdaptive is the simulator's churn-fleet scenario
+// (sim.ChurnFleet) as a pinned benchmark series: a 100-worker fleet in
+// three speed classes with 10% churn, run through the online-adaptive
+// rules and through the FIFO + fixed-µ baseline, each reported as its
+// makespan over the LP lower bound (vs-lp). The simulation is
+// deterministic, so these metrics are exact, not sampled.
 func BenchmarkClusterFleetAdaptive(b *testing.B) {
-	const nw, grid, depth = 100, 120, 64
-	workers := make([]sim.FleetWorker, nw)
-	rates := make([]float64, nw)
-	for i := range workers {
-		speed, bw := 100.0, 5000.0
-		switch i % 3 {
-		case 1:
-			speed, bw = 400, 10000
-		case 2:
-			speed, bw = 1600, 20000
-		}
-		workers[i] = sim.FleetWorker{Speed: speed, Bandwidth: bw, Latency: 0.005, Mem: 80}
-		rates[i] = bounds.FleetWorkerRate(speed, bw, 80, depth)
-	}
-	var events []sim.FleetEvent
-	for k := 0; k < nw/10; k++ {
-		if k%2 == 0 {
-			events = append(events, sim.FleetEvent{At: 4, Worker: (3*k + 2) % nw, Kind: sim.FleetSlowdown, Factor: 0.1})
-		} else {
-			events = append(events, sim.FleetEvent{At: 6, Worker: (3*k + 1) % nw, Kind: sim.FleetLeave})
-		}
-	}
-	lb := bounds.FleetMakespanLB(int64(grid)*int64(grid)*int64(depth), rates)
 	for _, mode := range []string{"adaptive", "baseline"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := sim.FleetConfig{
-				Workers: workers, R: grid, S: grid, T: depth,
-				Mu: 8, Events: events,
-			}
-			if mode == "adaptive" {
-				cfg.Adaptive = true
-				cfg.Mu = 2
-				cfg.ChunkTarget = 0.25
-				cfg.SpeculationFactor = 1.5
-			}
+			cfg := sim.ChurnFleet(100, 120, 64, mode == "adaptive")
+			lb := cfg.LowerBound()
 			var res sim.FleetResult
 			for i := 0; i < b.N; i++ {
 				var err error

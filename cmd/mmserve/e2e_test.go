@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -47,6 +48,28 @@ func mmserveBinary(t *testing.T) string {
 		t.Fatal(buildOnce.err)
 	}
 	return buildOnce.bin
+}
+
+// checkGoroutines fails the test when goroutines it started — the
+// in-process workers and clients, the server's output reader — outlive
+// the server's exit: once the test's other cleanups have run, the count
+// must settle back to what it was when checkGoroutines was called,
+// within a bounded wait. On failure every stack is dumped, so a leaked
+// reader fails here instead of surfacing in a soak.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines left after the server exited, %d before the test started:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // serverProc is one running mmserve process.
@@ -127,6 +150,7 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 		t.Skip("process-level e2e: skipped in -short")
 	}
 	bin := mmserveBinary(t)
+	checkGoroutines(t)
 	storeDir := t.TempDir()
 
 	srv1 := startServer(t, bin, "-addr", "127.0.0.1:0", "-store", storeDir,
@@ -239,6 +263,7 @@ func TestE2ESigtermDrainsRunningJob(t *testing.T) {
 		t.Skip("process-level e2e: skipped in -short")
 	}
 	bin := mmserveBinary(t)
+	checkGoroutines(t)
 	storeDir := t.TempDir()
 	srv := startServer(t, bin, "-addr", "127.0.0.1:0", "-store", storeDir,
 		"-hb-timeout", "1h", "-drain-timeout", "1m")

@@ -1,6 +1,6 @@
 // Command mmsim simulates one scheduling algorithm on one platform and
 // problem, and optionally renders the Gantt chart. With -fleet it
-// instead replays the cluster's online-adaptive scheduling loop
+// instead runs the cluster's online-adaptive scheduling rules
 // (profile-driven chunk shaping + speculative straggler re-dispatch)
 // over a large heterogeneous fleet with churn, against the LP bound.
 package main
@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"repro/internal/algorithms"
-	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/hetero"
 	"repro/internal/platform"
@@ -112,63 +111,26 @@ func main() {
 
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// runFleet simulates the cluster's adaptive scheduling loop (or the
-// FIFO + fixed-µ baseline) on a three-speed-class fleet with 10% churn
-// — the ISSUE's acceptance fleet — and reports the makespan against
-// the LP lower bound.
+// runFleet runs the simulator's churn-fleet scenario (sim.ChurnFleet:
+// three speed classes, 10% churn) through the cluster's adaptive rules,
+// or through the FIFO + fixed-µ baseline, and reports the makespan
+// against the LP lower bound.
 func runFleet(n, grid, depth int, baseline, gantt bool, svgPath string) {
-	workers := make([]sim.FleetWorker, n)
-	for i := range workers {
-		// Three speed classes, 16× spread end to end, each behind a link
-		// fast enough that the fleet is compute-bound in aggregate.
-		speed, bw := 100.0, 5000.0
-		switch i % 3 {
-		case 1:
-			speed, bw = 400, 10000
-		case 2:
-			speed, bw = 1600, 20000
-		}
-		workers[i] = sim.FleetWorker{Speed: speed, Bandwidth: bw, Latency: 0.005, Mem: 80}
-	}
-	// 10% churn: alternating mid-run slowdowns (stragglers) and leaves.
-	var events []sim.FleetEvent
-	for k := 0; k < n/10; k++ {
-		if k%2 == 0 {
-			events = append(events, sim.FleetEvent{At: 4, Worker: (3*k + 2) % n, Kind: sim.FleetSlowdown, Factor: 0.1})
-		} else {
-			events = append(events, sim.FleetEvent{At: 6, Worker: (3*k + 1) % n, Kind: sim.FleetLeave})
-		}
-	}
-	var tr *trace.Trace
+	cfg := sim.ChurnFleet(n, grid, depth, !baseline)
 	if gantt || svgPath != "" {
-		tr = &trace.Trace{}
-	}
-	cfg := sim.FleetConfig{
-		Workers: workers, R: grid, S: grid, T: depth,
-		Mu: 8, Events: events, Trace: tr,
-	}
-	if !baseline {
-		cfg.Adaptive = true
-		cfg.Mu = 2 // unprofiled fallback; profiles take over after one chunk
-		cfg.ChunkTarget = 0.25
-		cfg.SpeculationFactor = 1.5
+		cfg.Trace = &trace.Trace{}
 	}
 	res, err := sim.RunFleet(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rates := make([]float64, len(workers))
-	for i, w := range workers {
-		rates[i] = bounds.FleetWorkerRate(w.Speed, w.Bandwidth, w.Mem, depth)
-	}
-	total := int64(grid) * int64(grid) * int64(depth)
-	lb := bounds.FleetMakespanLB(total, rates)
+	lb := cfg.LowerBound()
 	mode := "adaptive"
 	if baseline {
 		mode = "baseline"
 	}
 	fmt.Printf("fleet:    %d workers (3 classes), %d churn events, C %d×%d blocks over T=%d\n",
-		n, len(events), grid, grid, depth)
+		n, len(cfg.Events), grid, grid, depth)
 	fmt.Printf("mode:     %s\n", mode)
 	fmt.Printf("makespan: %.3f s  (LP bound %.3f s, ratio %.2f×)\n", res.Makespan, lb, res.Makespan/lb)
 	fmt.Printf("work:     %d chunks, %d updates committed, %d wasted, %d requeues\n",
@@ -177,10 +139,10 @@ func runFleet(n, grid, depth int, baseline, gantt bool, svgPath string) {
 		fmt.Printf("spec:     %d duplicates launched, %d won the race\n", res.Speculations, res.SpecWins)
 	}
 	if gantt {
-		fmt.Println(tr.ASCII(110))
+		fmt.Println(cfg.Trace.ASCII(110))
 	}
 	if svgPath != "" {
-		if err := os.WriteFile(svgPath, []byte(tr.SVG(trace.SVGOptions{})), 0o644); err != nil {
+		if err := os.WriteFile(svgPath, []byte(cfg.Trace.SVG(trace.SVGOptions{})), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("wrote", svgPath)

@@ -1,47 +1,15 @@
 package cluster
 
 import (
-	"math"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/sim"
 )
 
-// AdaptiveConfig tunes the online-adaptive scheduling layer: per-worker
-// chunk shaping from live speed/bandwidth profiles and speculative
-// re-dispatch of straggling tasks.
-type AdaptiveConfig struct {
-	// Enabled turns on adaptive chunk shaping: matmul jobs without an
-	// explicit planner keep their C grid in a lazy cutter and each
-	// dispatch carves a chunk sized to the asking worker's measured
-	// speed and advertised memory (falling back to the job's µ while the
-	// worker is unprofiled). Off, every job is pre-cut at its global µ
-	// exactly as before.
-	Enabled bool
-	// ChunkTarget is the wall time one adaptive chunk should take on its
-	// worker: µ is chosen so µ²·T updates ≈ speed·ChunkTarget. Larger
-	// targets amortize more per-chunk overhead; smaller ones bound the
-	// work a loss can cost. Default 250ms.
-	ChunkTarget time.Duration
-	// SpeculationFactor arms straggler re-dispatch: an otherwise idle
-	// worker duplicates an in-flight task when the holder's estimated
-	// remaining time exceeds SpeculationFactor × the idle worker's full
-	// ETA (compute + transfer). First finished copy wins; the loser's
-	// late results are refused through the usual stale-task/epoch paths.
-	// 0 disables speculation. Values below ~1.5 speculate aggressively.
-	SpeculationFactor float64
-	// MaxMu clamps the adaptive chunk side (0 = only memory and the grid
-	// clamp it).
-	MaxMu int
-	// Alpha is the estimator's EWMA weight (default 0.25).
-	Alpha float64
-}
-
-// ReportCompute is ReportComputeEpoch without an incarnation pin.
-func (cl *Cluster) ReportCompute(id string, updates, elapsedNS int64) {
-	cl.ReportComputeEpoch(id, 0, updates, elapsedNS)
-}
+// AdaptiveConfig tunes the online-adaptive scheduling layer. It is the
+// fleet simulator's configuration too: both decide chunk sides and
+// speculation through sim.AdaptiveConfig's ChunkSide and StragglerGain.
+type AdaptiveConfig = sim.AdaptiveConfig
 
 // ReportComputeEpoch folds one task's worker-side compute timing into
 // the worker's live speed profile. The epoch pins the sample to one
@@ -71,61 +39,19 @@ func (cl *Cluster) ReportWireEpoch(id string, epoch uint64, bytesOut, bytesIn in
 	cl.est.ObserveTransfer(id, epoch, bytesOut+bytesIn, elapsed)
 }
 
-// WorkerProfile returns the live speed/bandwidth estimate for a worker;
-// ok is false before any sample lands.
-func (cl *Cluster) WorkerProfile(id string) (stats.Profile, bool) {
-	return cl.est.Profile(id)
-}
-
-// adaptiveMuLocked picks the chunk side for a fresh cut on worker w:
-// sized so the chunk takes about ChunkTarget on the worker's measured
-// speed, clamped to what its free memory holds (footprint µ²+2µ at
-// stage 1) and to MaxMu. An unprofiled worker gets the job's µ — the
-// submit-time guess — until its first timing sample lands. Returns 0
-// when even a 1×1 chunk does not fit the free memory.
-func (cl *Cluster) adaptiveMuLocked(w *workerState, j *job, held int) int {
-	memMu := math.MaxInt
-	if w.mem > 0 {
-		memMu = core.MaxChunkSide(w.mem-held, 1)
-		if memMu < 1 {
-			return 0
-		}
-	}
-	mu := j.spec.Mu
-	if p, ok := cl.est.Profile(w.id); ok && p.UpdatesPerSec > 0 && j.gridT > 0 {
-		target := cl.cfg.Adaptive.ChunkTarget.Seconds()
-		if target > 0 {
-			mu = int(math.Sqrt(p.UpdatesPerSec * target / float64(j.gridT)))
-		}
-	}
-	if mu < 1 {
-		mu = 1
-	}
-	if mu > memMu {
-		mu = memMu
-	}
-	if mx := cl.cfg.Adaptive.MaxMu; mx > 0 && mu > mx {
-		mu = mx
-	}
-	return mu
-}
-
 // speculateLocked looks for an in-flight task worth duplicating onto
-// the idle worker w: the holder's estimated remaining time (from its
-// live profile and the task's dispatch timestamp) must exceed
-// SpeculationFactor × w's full ETA including operand transfer. At most
-// one duplicate per seq; the first finished copy wins and revokes the
-// others (resolveSpeculationLocked). Returns the duplicate to dispatch,
-// or nil.
+// the idle worker w: among the tasks StragglerGain fires on (from the
+// live profiles and the task's dispatch timestamp), the one a duplicate
+// saves the most time on. At most one duplicate per seq, within the
+// attempt budget; the first finished copy wins and revokes the others
+// (resolveSpeculationLocked). Returns the duplicate to dispatch, or nil;
+// the flag reports a worthwhile duplicate that only w's memory blocks.
 func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
-	factor := cl.cfg.Adaptive.SpeculationFactor
-	if !cl.cfg.Adaptive.Enabled || factor <= 0 {
+	ad := cl.cfg.Adaptive
+	if !ad.Enabled || ad.SpeculationFactor <= 0 {
 		return nil, false
 	}
-	my, ok := cl.est.Profile(w.id)
-	if !ok || my.UpdatesPerSec <= 0 {
-		return nil, false // unprofiled workers earn speed on fresh work first
-	}
+	my, _ := cl.est.Profile(w.id)
 	now := cl.clock.Now()
 	var best *Task
 	var bestGain float64
@@ -134,10 +60,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 		if h == w || h.dead {
 			continue
 		}
-		hp, ok := cl.est.Profile(h.id)
-		if !ok || hp.UpdatesPerSec <= 0 {
-			continue
-		}
+		hp, _ := cl.est.Profile(h.id)
 		for _, t := range h.inflight {
 			j := cl.jobs[t.Job]
 			if j == nil || j.state != Running || j.specActive[t.Seq] {
@@ -147,21 +70,14 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 			if j.attempts[t.Seq]+1 >= cl.cfg.MaxAttempts {
 				continue
 			}
-			upd := float64(t.updates())
-			holderETA := upd/hp.UpdatesPerSec - now.Sub(t.started).Seconds()
-			if holderETA <= 0 {
-				continue // about to finish; a duplicate only wastes work
+			blocks := int64(t.Chunk.Blocks)
+			for _, s := range t.Chunk.Steps {
+				blocks += int64(s.Blocks)
 			}
-			myETA := upd / my.UpdatesPerSec
-			if my.BytesPerSec > 0 {
-				blocks := int64(t.Chunk.Blocks)
-				for _, s := range t.Chunk.Steps {
-					blocks += int64(s.Blocks)
-				}
-				q := int64(cl.taskQ(j))
-				myETA += float64(blocks*q*q*8)/my.BytesPerSec + my.LatencySec
-			}
-			if holderETA <= factor*myETA {
+			q := int64(cl.taskQ(j))
+			gain, ok := ad.StragglerGain(hp, my, float64(t.updates()), float64(blocks*q*q*8),
+				now.Sub(t.started).Seconds())
+			if !ok {
 				continue
 			}
 			if w.mem > 0 && held+footprint(t) > w.mem {
@@ -171,7 +87,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 				memBlocked = true
 				continue
 			}
-			if gain := holderETA - myETA; best == nil || gain > bestGain {
+			if best == nil || gain > bestGain {
 				best, bestGain = t, gain
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -109,10 +110,10 @@ func TestReconnectWireAccounting(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMuShaping pins the planner rule µ ≈ √(speed·target/T):
-// unprofiled workers fall back to the job's µ, profiled workers get
-// chunks sized to their measured speed, and the memory and MaxMu clamps
-// bound the result.
+// TestAdaptiveMuShaping pins the cluster's use of the µ rule
+// (sim.AdaptiveConfig.ChunkSide): unprofiled workers fall back to the
+// job's µ, profiled workers get chunks sized to their measured speed,
+// and advertised memory bounds the result.
 func TestAdaptiveMuShaping(t *testing.T) {
 	// 12×12-block C grid, T = 4 update steps, q = 2; job µ = 2.
 	submit := func(t *testing.T, cl *Cluster) {
@@ -125,7 +126,6 @@ func TestAdaptiveMuShaping(t *testing.T) {
 	cases := []struct {
 		name    string
 		mem     int
-		maxMu   int
 		updates int64 // profile: updates in 1s; 0 = unprofiled
 		wantR   int
 		wantC   int
@@ -133,12 +133,11 @@ func TestAdaptiveMuShaping(t *testing.T) {
 		{name: "unprofiled falls back to job µ", mem: 64, wantR: 2, wantC: 2},
 		{name: "fast worker gets a wide chunk", mem: 100, updates: 100, wantR: 5, wantC: 5},
 		{name: "slow worker gets a unit chunk", mem: 64, updates: 4, wantR: 1, wantC: 1},
-		{name: "MaxMu clamps a fast worker", mem: 100, maxMu: 3, updates: 100, wantR: 3, wantC: 3},
 		{name: "memory clamps a fast worker", mem: 8, updates: 100, wantR: 2, wantC: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cl, _ := adaptiveCluster(AdaptiveConfig{MaxMu: tc.maxMu})
+			cl, _ := adaptiveCluster(AdaptiveConfig{})
 			defer cl.Close()
 			submit(t, cl)
 			if _, err := cl.JoinWorker("w", tc.mem, 1); err != nil {
@@ -146,7 +145,7 @@ func TestAdaptiveMuShaping(t *testing.T) {
 			}
 			if tc.updates > 0 {
 				// µ = √(updates/s · 1s / T=4).
-				cl.ReportCompute("w", tc.updates, int64(time.Second))
+				cl.ReportComputeEpoch("w", 0, tc.updates, int64(time.Second))
 				if wi := snapshotWorker(t, cl, "w"); wi.Profile.ComputeSamples != 1 {
 					t.Fatalf("profile not exposed in snapshot: %+v", wi.Profile)
 				}
@@ -181,19 +180,19 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	if _, err := cl.JoinWorker("slow", 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	cl.ReportCompute("slow", 40, int64(time.Second)) // 40 upd/s → µ=√(40/2)=4
+	cl.ReportComputeEpoch("slow", 0, 40, int64(time.Second)) // 40 upd/s → µ=√(40/2)=4
 	orig := pullTask(t, cl, "slow")
 	if orig.Chunk.Rows != 2 || orig.Chunk.Cols != 2 {
 		t.Fatalf("holder chunk %dx%d, want the whole 2x2 grid", orig.Chunk.Rows, orig.Chunk.Cols)
 	}
 
 	// A fast idle worker shows up: nothing left to cut, so the scheduler
-	// speculates the straggler's chunk onto it. holderETA = 8/40 = 200ms
-	// vs myETA = 8/8000 = 1ms — far beyond the 1.5× trigger.
+	// speculates the straggler's chunk onto it: 8/40 = 200ms left on the
+	// holder vs 8/8000 = 1ms on the idle worker — far beyond 1.5×.
 	if _, err := cl.JoinWorker("fast", 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	cl.ReportCompute("fast", 8000, int64(time.Second))
+	cl.ReportComputeEpoch("fast", 0, 8000, int64(time.Second))
 	dup := pullTask(t, cl, "fast")
 	if dup.Job != orig.Job || dup.Seq != orig.Seq {
 		t.Fatalf("fast worker got task %d/%d, want a duplicate of %d/%d",
@@ -260,7 +259,7 @@ func TestSpeculationSkipsNearDoneHolder(t *testing.T) {
 	if _, err := cl.JoinWorker("slow", 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	cl.ReportCompute("slow", 40, int64(time.Second))
+	cl.ReportComputeEpoch("slow", 0, 40, int64(time.Second))
 	if tk := pullTask(t, cl, "slow"); tk == nil {
 		t.Fatal("no task")
 	}
@@ -270,7 +269,7 @@ func TestSpeculationSkipsNearDoneHolder(t *testing.T) {
 	if _, err := cl.JoinWorker("fast", 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	cl.ReportCompute("fast", 8000, int64(time.Second))
+	cl.ReportComputeEpoch("fast", 0, 8000, int64(time.Second))
 	got := make(chan *Task, 1)
 	go func() {
 		tk, err := cl.NextTask("fast")
@@ -279,10 +278,11 @@ func TestSpeculationSkipsNearDoneHolder(t *testing.T) {
 		}
 		close(got)
 	}()
+	waitParked(t, cl, 1)
 	select {
 	case tk := <-got:
 		t.Fatalf("speculated %v onto fast worker despite a near-done holder", tk)
-	case <-time.After(100 * time.Millisecond):
+	default:
 	}
 	if st := cl.ClusterStats(); st.Speculations != 0 {
 		t.Fatalf("speculations = %d, want 0", st.Speculations)
@@ -323,12 +323,14 @@ func TestAdaptiveRecutOnLoss(t *testing.T) {
 // TestAdaptiveJobBitExact runs a whole adaptive job through real local
 // workers: profiles form from live timings, chunks are carved per
 // worker, and the assembled result still matches the naive reference
-// exactly (the adaptation layer must never touch numerics).
+// exactly (the adaptation layer must never touch numerics). Memory for
+// a 4×4 chunk and its staging set, no more, keeps a fast worker from
+// taking the whole 6×6 grid in one chunk.
 func TestAdaptiveJobBitExact(t *testing.T) {
-	cl, _ := adaptiveCluster(AdaptiveConfig{SpeculationFactor: 2, MaxMu: 4})
+	cl, _ := adaptiveCluster(AdaptiveConfig{SpeculationFactor: 2})
 	defer cl.Close()
 	for _, id := range []string{"w1", "w2", "w3"} {
-		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: 64})
+		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: core.ChunkFootprint(4, 4, 1)})
 	}
 	c, a, b, ref := blockedInputs(t, 24, 16, 24, 4, 35)
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})

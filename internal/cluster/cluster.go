@@ -11,9 +11,10 @@
 // most one chunk per lost worker — no checkpointing, no worker-to-worker
 // state transfer.
 //
-// Transports drive the cluster through a pull API: Join/Heartbeat/Leave
-// manage membership, NextTask blocks until work is available, TaskChunk
-// and TaskSet materialize the transfers, Complete stores a finished chunk.
+// Transports drive the cluster through a pull API: Join, Heartbeat and
+// WorkerLost manage membership, NextTask blocks until work is available,
+// TaskChunk and TaskSet materialize the transfers, Complete stores a
+// finished chunk.
 // The in-process runner (RunLocalWorker) and the TCP runtime
 // (internal/netmw) are both thin shells over this API, so recovery logic
 // is tested deterministically without sockets or wall-clock sleeps
@@ -199,6 +200,9 @@ type Cluster struct {
 	// wakeAt is the earliest armed backoff wake-up (real clock only), so
 	// nextTask does not stack a timer per blocked call.
 	wakeAt time.Time
+	// parks counts the times a NextTask caller blocked in cond.Wait, so a
+	// test can tell that a dispatcher has provably parked.
+	parks int
 
 	// verify is the normalized verification policy; vfy holds the reusable
 	// Freivalds state; quarantined records parked workers by id (worker
@@ -224,9 +228,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
 	}
-	if cfg.Adaptive.ChunkTarget <= 0 {
-		cfg.Adaptive.ChunkTarget = 250 * time.Millisecond
-	}
 	cl := &Cluster{
 		cfg:         cfg,
 		clock:       cfg.Clock,
@@ -234,7 +235,7 @@ func New(cfg Config) *Cluster {
 		jobs:        make(map[JobID]*job),
 		keys:        make(map[uint64]JobID),
 		pool:        engine.NewBlockPool(),
-		est:         stats.NewEstimator(cfg.Adaptive.Alpha),
+		est:         stats.NewEstimator(),
 		log:         cfg.Log,
 		verify:      cfg.Verify.normalized(),
 		quarantined: make(map[string]quarantineInfo),
@@ -288,15 +289,12 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 	if cl.draining {
 		return 0, false, ErrDraining
 	}
-	if cl.log != nil && spec.Planner != nil {
-		return 0, false, errors.New("cluster: jobs with custom planners cannot be journaled (replay would re-plan with the default order)")
-	}
 	if cl.logErr != nil {
 		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", cl.logErr)
 	}
 	id = cl.nextID
 	if cl.log != nil {
-		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul && spec.Planner == nil)); err != nil {
+		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul)); err != nil {
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
 		}
 	}
@@ -461,15 +459,6 @@ func (cl *Cluster) Workers() []WorkerInfo {
 	return out
 }
 
-// ReportComm folds one finished session's delta-protocol accounting
-// into the worker's lifetime totals (kept across reconnects) and into
-// each job's totals, for the server's status output. It is
-// ReportCommEpoch without an incarnation pin — use the epoch form when
-// the session knows which incarnation it served.
-func (cl *Cluster) ReportComm(id string, fstats engine.FeederStats) {
-	cl.ReportCommEpoch(id, 0, fstats)
-}
-
 // ReportCommEpoch folds one finished session's delta-protocol
 // accounting into the worker's records and each job's totals. Lifetime
 // totals are per worker name — they always accumulate, so operability
@@ -608,12 +597,6 @@ func (cl *Cluster) Heartbeat(id string) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	return cl.reg.heartbeat(id, cl.clock.Now())
-}
-
-// Leave deregisters a worker gracefully; any task it still held is
-// requeued.
-func (cl *Cluster) Leave(id string) {
-	cl.WorkerLost(id)
 }
 
 // WorkerLost declares a worker dead immediately (connection drop),
@@ -815,6 +798,7 @@ func (cl *Cluster) nextTask(id string, epoch uint64) (*Task, error) {
 			w.lastSeen = cl.clock.Now()
 			return nil, engine.ErrFlushWanted
 		}
+		cl.parks++
 		cl.cond.Wait()
 	}
 }
@@ -862,7 +846,7 @@ func (cl *Cluster) needFlushLocked(w *workerState) bool {
 // the next task from fitting its memory.
 //
 // Within the selected job the pick is locality-aware (the dispatch-time
-// companion of MaxReusePlanner's static order; see localPickLocked). A
+// companion of the max-reuse pre-cut order; see localPickLocked). A
 // locality pick that does not fit the worker's memory falls back to the
 // head task, preserving the head's fail-fast semantics.
 func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
@@ -938,7 +922,8 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 			}
 			// Adaptive shaping: carve a chunk sized to this worker's
 			// measured speed and free memory out of the job's grid.
-			mu := cl.adaptiveMuLocked(w, j, held)
+			p, _ := cl.est.Profile(w.id)
+			mu := cl.cfg.Adaptive.ChunkSide(p, j.gridT, j.spec.Mu, w.mem, held)
 			if mu < 1 {
 				if len(w.dirty) > 0 {
 					memBlocked = true

@@ -41,6 +41,26 @@ func waitStatus(t *testing.T, cl *Cluster, id JobID) Status {
 	}
 }
 
+// waitParked waits until NextTask callers have blocked in cond.Wait n
+// times in all, so a check that a pull does not return runs after the
+// dispatcher provably parked rather than after a guessed delay.
+func waitParked(t *testing.T, cl *Cluster, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cl.mu.Lock()
+		parks := cl.parks
+		cl.mu.Unlock()
+		if parks >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("NextTask parked %d times, want %d", parks, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func blockedInputs(t *testing.T, nA, nAB, nB, q int, seed int64) (c, a, b *matrix.Blocked, ref *matrix.Dense) {
 	t.Helper()
 	ad := matrix.NewDense(nA, nAB)
@@ -170,7 +190,7 @@ func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c2, A: a2, B: b2, Mu: 3, Planner: LargestFirstPlanner{}})
+	j2, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c2, A: a2, B: b2, Mu: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +332,7 @@ func TestMultiSlotDispatch(t *testing.T) {
 	if t1.Seq == t2.Seq {
 		t.Fatal("same task dispatched twice")
 	}
-	// Third pull must block on the memory budget: poll the registry.
+	// Third pull must block on the memory budget.
 	got := make(chan *Task, 1)
 	go func() {
 		t3, err := cl.NextTask("multi")
@@ -321,10 +341,11 @@ func TestMultiSlotDispatch(t *testing.T) {
 		}
 		close(got)
 	}()
+	waitParked(t, cl, 1)
 	select {
 	case t3 := <-got:
 		t.Fatalf("third task %v dispatched past the memory budget", t3)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	for _, w := range cl.Workers() {
 		if w.ID == "multi" {
@@ -371,10 +392,11 @@ func TestSlotCapBlocksPulls(t *testing.T) {
 		cl.NextTask("solo")
 		close(got)
 	}()
+	waitParked(t, cl, 1)
 	select {
 	case <-got:
 		t.Fatal("single-slot worker pulled a second task")
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	cl.Close() // unblock the goroutine
 	<-got

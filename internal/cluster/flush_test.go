@@ -225,10 +225,11 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 		}
 		close(got)
 	}()
+	waitParked(t, cl, 1)
 	select {
 	case tk := <-got:
 		t.Fatalf("second pull returned %v past the memory budget", tk)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 
 	cl.WorkerLost("x") // burns job 1's only attempt
@@ -238,7 +239,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	// Let the dispatcher absorb the loss broadcast, rescan (job 1 is
 	// dead, job 2 still does not fit) and park again, so the completion
 	// below is provably the only thing left to wake it.
-	time.Sleep(50 * time.Millisecond)
+	waitParked(t, cl, 2)
 	// w now completes its job-1 task. The job is dead, so the result is
 	// discarded — but the completion frees 8 blocks, and the blocked pull
 	// must wake and take the job-2 task.
@@ -280,10 +281,11 @@ func TestEngineFeedLostUnblocksNext(t *testing.T) {
 		_, err := feed.Next()
 		ret <- err
 	}()
+	waitParked(t, cl, 1)
 	select {
 	case err := <-ret:
 		t.Fatalf("Next returned %v before the loss", err)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	feed.Lost()
 	select {

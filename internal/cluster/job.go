@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/homog"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 )
@@ -81,8 +82,6 @@ type JobSpec struct {
 	// advertised memory holds it plus one staging set (µ² + 2µ ≤ m); a
 	// chunk no live worker can hold fails the job. Required ≥ 1.
 	Mu int
-	// Planner orders the chunk pool; nil uses MaxReusePlanner.
-	Planner Planner
 	// Pooled says the matrices' blocks were taken from the cluster's
 	// BlockPool (the TCP server decodes submissions straight into them):
 	// they are the cluster's from SubmitJob on and go back to the pool
@@ -212,8 +211,8 @@ type job struct {
 	// Adaptive chunk shaping: cutter holds the uncut remainder of a
 	// matmul C grid — chunks are carved per worker at dispatch time
 	// instead of pre-cut at one global µ. gridT is the shared update
-	// depth (A's block columns). Pre-cut jobs (LU, explicit planner,
-	// adaptation off) leave cutter nil.
+	// depth (A's block columns). Pre-cut jobs (LU, adaptation off) leave
+	// cutter nil.
 	cutter *sim.Cutter
 	gridT  int
 	// recuts counts regions returned to the cutter after a loss; bounded
@@ -286,27 +285,24 @@ func validateSpec(spec JobSpec) error {
 }
 
 // newJob builds the job record and its initial task pool. With adaptive
-// chunk shaping, a matmul job without an explicit planner keeps its C
-// grid in a lazy cutter and tasks are carved per worker at dispatch
-// time; total then grows as chunks are cut, like LU stages. An explicit
-// planner opts the job out of adaptive shaping (its static order is the
-// caller's choice).
+// chunk shaping, a matmul job keeps its C grid in a lazy cutter and
+// tasks are carved per worker at dispatch time; total then grows as
+// chunks are cut, like LU stages. Otherwise the grid is pre-cut at the
+// job's µ in the column-panel order of the maximum re-use algorithm
+// (Algorithm 1, homog.ChunkGrid).
 func newJob(id JobID, spec JobSpec, adaptive bool) *job {
 	j := &job{id: id, spec: spec, doneCh: make(chan struct{})}
 	switch spec.Kind {
 	case MatMul:
 		j.q = spec.C.Q
 		pr := core.Problem{R: spec.C.BR, S: spec.C.BC, T: spec.A.BC, Q: spec.A.Q}
-		if adaptive && spec.Planner == nil {
+		if adaptive {
 			j.cutter = sim.NewCutter(pr.R, pr.S)
 			j.gridT = pr.T
 			return j
 		}
-		planner := spec.Planner
-		if planner == nil {
-			planner = MaxReusePlanner{}
-		}
-		for _, ch := range planner.Plan(pr, spec.Mu) {
+		_, pool := homog.ChunkGrid(pr, spec.Mu)
+		for _, ch := range pool {
 			j.pending = append(j.pending, &Task{
 				Job: id, Seq: j.nextSeq, Kind: MatMul, Chunk: ch, Steps: pr.T,
 			})

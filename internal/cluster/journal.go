@@ -9,7 +9,7 @@ package cluster
 //
 //   - accepted carries the job id, idempotency key and the operand
 //     matrices verbatim. Replaying it re-runs the same deterministic
-//     admission path as SubmitJob (planner pre-cut or adaptive cutter,
+//     admission path as SubmitJob (max-reuse pre-cut or adaptive cutter,
 //     LU stage-0 panel factorization), so the rebuilt task pool is
 //     identical to the live one.
 //   - chunk is appended when a chunk's result lands in the job matrix

@@ -132,6 +132,7 @@ func TestClusterMessagesThroughFraming(t *testing.T) {
 
 func startCluster(t *testing.T) (*cluster.Cluster, *ClusterServer) {
 	t.Helper()
+	checkGoroutines(t)
 	// A long heartbeat timeout keeps wall-clock expiry out of the test;
 	// failure detection here comes from connection drops.
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
@@ -310,9 +311,11 @@ func TestSubmissionSizeCheckNoOverflow(t *testing.T) {
 }
 
 // TestClusterTCPCloseMidTaskIsClean shuts the cluster down while a
-// pipelined worker is (likely) mid-task: the worker must still see a
-// goodbye at a task boundary and exit cleanly rather than burning its
-// reconnect budget on a reset connection.
+// pipelined worker holds a task: the worker must still see a goodbye at
+// a task boundary and exit cleanly rather than burning its reconnect
+// budget on a reset connection. A millisecond of spin per block update
+// keeps the 16-task job running for about half a second, so the close
+// lands mid-job.
 func TestClusterTCPCloseMidTaskIsClean(t *testing.T) {
 	cl, srv := startCluster(t)
 	addr := srv.Addr()
@@ -334,11 +337,18 @@ func TestClusterTCPCloseMidTaskIsClean(t *testing.T) {
 	go func() {
 		_, err := RunClusterWorker(ClusterWorkerConfig{
 			Addr: addr, Name: "busy", Memory: 256, Slots: 2, StageCap: 2,
-			Reconnect: 3, Backoff: 50 * time.Millisecond,
+			Spin: time.Millisecond, Reconnect: 3, Backoff: 50 * time.Millisecond,
 		})
 		wdone <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let it get into a task
+	waitCond(t, cl, "the worker to hold a task", func() bool {
+		for _, w := range cl.Workers() {
+			if w.ID == "busy" && w.Inflight > 0 {
+				return true
+			}
+		}
+		return false
+	})
 	cl.Close()
 	srv.Close()
 	if err := <-wdone; err != nil {

@@ -20,6 +20,7 @@ import (
 // the scheduler must account one lost worker with all its held chunks
 // requeued.
 func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
+	checkGoroutines(t)
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
 	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0", MaxSlots: 4})
 	if err != nil {

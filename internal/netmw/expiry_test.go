@@ -14,6 +14,7 @@ import (
 // expiry must declare it lost, requeue BOTH held chunks, and the job must
 // finish on a healthy worker.
 func TestExpiryRequeuesFrozenMultiSlotWorker(t *testing.T) {
+	checkGoroutines(t)
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: 200 * time.Millisecond})
 	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0", ExpiryEvery: 50 * time.Millisecond})
 	if err != nil {
@@ -46,18 +47,7 @@ func TestExpiryRequeuesFrozenMultiSlotWorker(t *testing.T) {
 		}
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := cl.ClusterStats()
-		if st.WorkersLost >= 1 {
-			t.Logf("expiry fired: %+v", st)
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("expiry never fired: %+v workers=%+v", st, cl.Workers())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitCond(t, cl, "heartbeat expiry", func() bool { return cl.ClusterStats().WorkersLost >= 1 })
 	// and the job must still finish on a healthy worker
 	go RunClusterWorker(ClusterWorkerConfig{Addr: srv.Addr(), Name: "healthy", Memory: 64, Slots: 2})
 	if err := <-done; err != nil {

@@ -74,6 +74,7 @@ func TestFaultPlanDeterministicAndCounted(t *testing.T) {
 // clients resubmit through master-visible errors. All jobs must still
 // finish bit-exact, with at least one injected drop actually exercised.
 func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
+	checkGoroutines(t)
 	plan := sim.NewFaultPlan(sim.FaultConfig{
 		Seed:      7,
 		DropProb:  0.004, // ~1 kill per few hundred messages: several per run
@@ -139,6 +140,7 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 // configured number of strikes and refused re-registration, while the
 // honest workers absorb the requeued work.
 func TestClusterTCPCorruptWorkerQuarantine(t *testing.T) {
+	checkGoroutines(t)
 	const strikes = 2
 	plan := sim.NewFaultPlan(sim.FaultConfig{Seed: 9, CorruptResultProb: 1.0})
 	cl := cluster.New(cluster.Config{
@@ -216,6 +218,7 @@ func TestClusterTCPCorruptWorkerQuarantine(t *testing.T) {
 // fresh server and completes. (Full journal-backed restart is exercised
 // end to end in cmd/mmserve.)
 func TestDurableSubmitRetriesAcrossServerRestart(t *testing.T) {
+	checkGoroutines(t)
 	cl1 := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
 	srv1, err := ServeCluster(cl1, ClusterServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {

@@ -313,6 +313,7 @@ func waitReleased(t *testing.T, cl *cluster.Cluster, want func(cluster.Status) i
 // result and stays re-attachable; and compacting the journal while all
 // this runs neither trips over a released job nor writes one.
 func TestClusterTCPRetainsOnlyJobsInFlight(t *testing.T) {
+	checkGoroutines(t)
 	dir := t.TempDir()
 	jn, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -419,6 +420,7 @@ func TestClusterTCPRetainsOnlyJobsInFlight(t *testing.T) {
 // doomed task to the end, instead of the session dying mid-assignment on
 // a nil matrix or a protocol error.
 func TestSetRequestForReleasedJobKeepsSession(t *testing.T) {
+	checkGoroutines(t)
 	clk := cluster.NewManualClock(time.Unix(0, 0))
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Minute, Clock: clk})
 	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0"})

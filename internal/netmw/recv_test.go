@@ -171,6 +171,7 @@ func (p *parkSet) Send(m engine.Msg) error {
 // blocks may reach the pool — the pool's next taker would write into
 // the bytes the parked write is still sending.
 func TestParkedSetPinsItsJobsOperands(t *testing.T) {
+	checkGoroutines(t)
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
 	park := &parkSet{parked: make(chan [][]float64, 1), open: make(chan struct{})}
 	srv, err := ServeCluster(cl, ClusterServerConfig{

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 )
@@ -56,8 +57,7 @@ func (rt resultTap) Recv() (engine.Msg, error) {
 // finding nothing fresh, duplicates the stuck tasks.
 func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 	cl *cluster.Cluster, c *matrix.Blocked, ref *matrix.Dense, done chan error) {
-	// MaxMu pins every chunk to 1×1: adaptive shaping would otherwise
-	// hand the fast worker the whole remaining grid in a few chunks.
+	checkGoroutines(t)
 	cl = cluster.New(cluster.Config{
 		HeartbeatTimeout: time.Hour,
 		Clock:            cluster.NewManualClock(time.Unix(0, 0)),
@@ -65,9 +65,12 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 			Enabled:           true,
 			ChunkTarget:       100 * time.Millisecond,
 			SpeculationFactor: 1.05,
-			MaxMu:             1,
 		},
 	})
+	// Every worker advertises room for a 1×1 chunk and its staging set,
+	// not a 2×2 one: adaptive shaping would otherwise hand the fast
+	// worker the whole remaining grid in a few chunks.
+	mem := core.ChunkFootprint(2, 2, 1) - 1
 	var parking atomic.Bool
 	parked := make(chan string, 16)
 	srv, err := ServeCluster(cl, ClusterServerConfig{
@@ -101,7 +104,7 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 	// under a millisecond on the fast worker.
 	for _, name := range []string{"slow1", "slow2"} {
 		go RunClusterWorker(ClusterWorkerConfig{
-			Addr: addr, Name: name, Memory: 64, Spin: 20 * time.Millisecond,
+			Addr: addr, Name: name, Memory: mem, Spin: 20 * time.Millisecond,
 		})
 	}
 	waitCond(t, cl, "straggler profiles", func() bool {
@@ -123,7 +126,7 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 			t.Fatalf("stragglers parked a result: %v, want both", stuck)
 		}
 	}
-	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "fast", Memory: 64})
+	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "fast", Memory: mem})
 	return cl, c, ref, done
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/bounds"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -14,11 +14,12 @@ import (
 // This file scales the simulator from the paper's one-port testbed to
 // commodity fleets: hundreds of heterogeneous workers, each behind its
 // own link (switched network — the master NIC is not the bottleneck),
-// with churn injected mid-job. It replays the live cluster's adaptive
-// scheduling loop — EWMA speed profiles (internal/stats), per-worker
-// chunk shaping over the lazy cutter, and speculative straggler
-// re-dispatch — against the FIFO + fixed-µ baseline the cluster used
-// before adaptation, at task granularity and fully deterministically.
+// with churn injected mid-job. It runs the live cluster's adaptive
+// scheduling — EWMA speed profiles (internal/stats), per-worker chunk
+// shaping over the lazy cutter, and speculative straggler re-dispatch,
+// decided by the very rules the cluster calls (ChunkSide,
+// StragglerGain) — against the FIFO + fixed-µ baseline, at task
+// granularity and fully deterministically.
 
 // FleetWorker describes one simulated worker.
 type FleetWorker struct {
@@ -56,18 +57,13 @@ type FleetConfig struct {
 	// Mu is the global chunk side: the baseline's fixed size, and the
 	// adaptive scheduler's fallback while a worker is unprofiled.
 	Mu int
-	// Adaptive turns on the live loop: EWMA profiles drive per-worker µ
-	// (ChunkTarget seconds per chunk) and speculative re-dispatch
-	// (SpeculationFactor, 0 = off). Off, the run is the FIFO + locality
-	// baseline: chunks pre-cut at Mu in row-band order, first idle
-	// worker served first.
-	Adaptive          bool
-	ChunkTarget       float64 // seconds per adaptive chunk (default 0.25)
-	SpeculationFactor float64
-	MaxMu             int     // clamp on adaptive µ (0 = no clamp)
-	Alpha             float64 // estimator EWMA weight (default 0.25)
-	Events            []FleetEvent
-	Trace             *trace.Trace
+	// Adaptive is the cluster's adaptive configuration. Enabled, EWMA
+	// profiles drive per-worker µ and speculative re-dispatch; off, the
+	// run is the FIFO + locality baseline: chunks pre-cut at Mu in
+	// row-band order, first idle worker served first.
+	Adaptive AdaptiveConfig
+	Events   []FleetEvent
+	Trace    *trace.Trace
 }
 
 // FleetResult reports one run.
@@ -115,6 +111,7 @@ type fleetWorkerState struct {
 	factor float64
 	active *fleetCopy
 	lane   string
+	prof   stats.Profile // the estimator's view, refreshed per sample
 }
 
 // RunFleet simulates one fleet run to completion. The run is
@@ -129,10 +126,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Mu < 1 {
 		return FleetResult{}, fmt.Errorf("sim: fleet µ must be ≥ 1")
 	}
-	if cfg.ChunkTarget <= 0 {
-		cfg.ChunkTarget = 0.25
-	}
-	est := stats.NewEstimator(cfg.Alpha)
+	est := stats.NewEstimator()
 
 	ws := make([]*fleetWorkerState, len(cfg.Workers))
 	for i, w := range cfg.Workers {
@@ -166,7 +160,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		res       FleetResult
 		cutter    *Cutter      // adaptive: uncut remainder of C
 		queue     []*fleetTask // baseline: pre-cut FIFO pool
-		tasks     []*fleetTask // every task ever carved, by seq
+		tasks     []*fleetTask // carved tasks not yet retired, by seq
 		remaining = cfg.R * cfg.S
 		nextSeq   int
 		now       float64
@@ -181,7 +175,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		tasks = append(tasks, t)
 		return t
 	}
-	if cfg.Adaptive {
+	if cfg.Adaptive.Enabled {
 		cutter = NewCutter(cfg.R, cfg.S)
 	} else {
 		c := NewCutter(cfg.R, cfg.S) // row-band order = the locality tour
@@ -189,28 +183,6 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			i0, j0, rows, cols, _ := c.Cut(cfg.Mu)
 			queue = append(queue, newTask(i0, j0, rows, cols))
 		}
-	}
-
-	// muFor mirrors the cluster's adaptiveMuLocked: profile-driven µ with
-	// the job µ as the unprofiled fallback, clamped by memory and MaxMu.
-	muFor := func(st *fleetWorkerState) int {
-		memMu := math.MaxInt
-		if st.cfg.Mem > 0 {
-			memMu = core.MaxChunkSide(st.cfg.Mem, 1)
-			if memMu < 1 {
-				return 0
-			}
-		}
-		mu := cfg.Mu
-		if p, ok := est.Profile(st.name); ok && p.UpdatesPerSec > 0 {
-			mu = int(math.Sqrt(p.UpdatesPerSec * cfg.ChunkTarget / float64(cfg.T)))
-		}
-		mu = max(mu, 1)
-		mu = min(mu, memMu)
-		if cfg.MaxMu > 0 {
-			mu = min(mu, cfg.MaxMu)
-		}
-		return mu
 	}
 
 	dispatch := func(st *fleetWorkerState, w int, tk *fleetTask, spec bool) {
@@ -229,46 +201,33 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 	}
 
-	// speculate mirrors the cluster's speculateLocked: an idle profiled
-	// worker duplicates the in-flight chunk whose holder's estimated
-	// remaining time most exceeds SpeculationFactor × its own full ETA.
+	// speculate picks the in-flight chunk an idle worker should
+	// duplicate: the one StragglerGain says a copy would save the most
+	// time on. The profile's bandwidth is in blocks/s here, so the
+	// transfer is the chunk's wire blocks. The scan drops the tasks it
+	// finds retired for good: committed, or lost and re-cut.
 	speculate := func(st *fleetWorkerState, w int) *fleetTask {
-		if cfg.SpeculationFactor <= 0 {
-			return nil
-		}
-		my, ok := est.Profile(st.name)
-		if !ok || my.UpdatesPerSec <= 0 {
-			return nil
-		}
 		var best *fleetTask
 		var bestGain float64
+		live := tasks[:0]
 		for _, tk := range tasks {
-			if tk.done || len(tk.copies) != 1 {
+			if tk.done || len(tk.copies) == 0 {
+				continue
+			}
+			live = append(live, tk)
+			if len(tk.copies) != 1 {
 				continue
 			}
 			c := tk.copies[0]
 			if c.worker == w || !ws[c.worker].alive {
 				continue
 			}
-			hp, ok := est.Profile(ws[c.worker].name)
-			if !ok || hp.UpdatesPerSec <= 0 {
-				continue
-			}
-			holderETA := float64(tk.updates)/hp.UpdatesPerSec - (now - c.start)
-			if holderETA <= 0 {
-				continue
-			}
-			myETA := st.cfg.Latency + float64(tk.updates)/my.UpdatesPerSec
-			if my.BytesPerSec > 0 {
-				myETA += float64(tk.blocks) / my.BytesPerSec
-			}
-			if holderETA <= cfg.SpeculationFactor*myETA {
-				continue
-			}
-			if gain := holderETA - myETA; best == nil || gain > bestGain {
+			gain, ok := cfg.Adaptive.StragglerGain(ws[c.worker].prof, st.prof, float64(tk.updates), float64(tk.blocks), now-c.start)
+			if ok && (best == nil || gain > bestGain) {
 				best, bestGain = tk, gain
 			}
 		}
+		tasks = live
 		return best
 	}
 
@@ -277,9 +236,9 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		if !st.alive || st.active != nil {
 			return
 		}
-		if cfg.Adaptive {
+		if cfg.Adaptive.Enabled {
 			if !cutter.Empty() {
-				mu := muFor(st)
+				mu := cfg.Adaptive.ChunkSide(st.prof, cfg.T, cfg.Mu, st.cfg.Mem, 0)
 				if mu < 1 {
 					return
 				}
@@ -327,6 +286,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		// slowdown it may have suffered, which is what steers future µ.
 		est.ObserveCompute(st.name, 0, tk.updates, secsToDur(c.compEnd-c.commEnd))
 		est.ObserveTransfer(st.name, 0, tk.blocks, secsToDur(c.commEnd-c.start))
+		st.prof, _ = est.Profile(st.name)
 		for i, o := range tk.copies {
 			if o == c {
 				tk.copies = append(tk.copies[:i], tk.copies[i+1:]...)
@@ -365,7 +325,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			return // committed already, or a duplicate carries the work
 		}
 		res.Requeues++
-		if cfg.Adaptive {
+		if cfg.Adaptive.Enabled {
 			cutter.Free(tk.i0, tk.j0, tk.rows, tk.cols) // re-cut for survivors
 		} else {
 			queue = append(queue, tk)
@@ -426,3 +386,52 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 // secsToDur converts simulated seconds to the time.Duration the shared
 // estimator consumes, at nanosecond resolution.
 func secsToDur(s float64) time.Duration { return time.Duration(s * 1e9) }
+
+// ChurnFleet builds the pinned heterogeneous-fleet scenario: n workers
+// in three speed classes (100/400/1600 updates/s, interleaved by index,
+// a 16× spread end to end) behind class-proportional links fast enough
+// that the fleet is compute-bound in aggregate, 80 blocks of memory
+// each (µ ≤ 8), and 10% churn — half the churned workers throttle to a
+// tenth of their speed at t = 4 s (stragglers, from the fast class), half
+// leave at t = 6 s (from the medium class) — over a grid×grid-block C
+// updated in depth steps. The baseline runs one global µ sized to the
+// fleet memory for maximum operand reuse (µ = 8); the adaptive run
+// starts from a modest submit-time guess (µ = 2), lets live profiles
+// shape per-worker chunks at the default chunk target, and speculates
+// at factor 1.5.
+func ChurnFleet(n, grid, depth int, adaptive bool) FleetConfig {
+	cfg := FleetConfig{Workers: make([]FleetWorker, n), R: grid, S: grid, T: depth, Mu: 8}
+	for i := range cfg.Workers {
+		speed, bw := 100.0, 5000.0
+		switch i % 3 {
+		case 1:
+			speed, bw = 400, 10000
+		case 2:
+			speed, bw = 1600, 20000
+		}
+		cfg.Workers[i] = FleetWorker{Speed: speed, Bandwidth: bw, Latency: 0.005, Mem: 80}
+	}
+	for k := 0; k < n/10; k++ {
+		if k%2 == 0 {
+			cfg.Events = append(cfg.Events, FleetEvent{At: 4, Worker: (3*k + 2) % n, Kind: FleetSlowdown, Factor: 0.1})
+		} else {
+			cfg.Events = append(cfg.Events, FleetEvent{At: 6, Worker: (3*k + 1) % n, Kind: FleetLeave})
+		}
+	}
+	if adaptive {
+		cfg.Mu = 2
+		cfg.Adaptive = AdaptiveConfig{Enabled: true, SpeculationFactor: 1.5}
+	}
+	return cfg
+}
+
+// LowerBound is the LP makespan floor of the run: every block update of
+// the product spread over the fleet's aggregate steady-state rate
+// (bounds.FleetWorkerRate per worker, at its memory's best µ).
+func (cfg FleetConfig) LowerBound() float64 {
+	rates := make([]float64, len(cfg.Workers))
+	for i, w := range cfg.Workers {
+		rates[i] = bounds.FleetWorkerRate(w.Speed, w.Bandwidth, w.Mem, cfg.T)
+	}
+	return bounds.FleetMakespanLB(int64(cfg.R)*int64(cfg.S)*int64(cfg.T), rates)
+}

@@ -3,91 +3,26 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/bounds"
 	"repro/internal/trace"
 )
-
-// threeSpeedFleet builds the acceptance fleet: n workers in three speed
-// classes (100/400/1600 updates/s, interleaved by index) with
-// class-proportional links, 80 blocks of memory each (µ ≤ 8).
-func threeSpeedFleet(n int) []FleetWorker {
-	ws := make([]FleetWorker, n)
-	for i := range ws {
-		switch i % 3 {
-		case 0:
-			ws[i] = FleetWorker{Speed: 100, Bandwidth: 5000}
-		case 1:
-			ws[i] = FleetWorker{Speed: 400, Bandwidth: 10000}
-		default:
-			ws[i] = FleetWorker{Speed: 1600, Bandwidth: 20000}
-		}
-		ws[i].Latency = 0.005
-		ws[i].Mem = 80
-	}
-	return ws
-}
-
-// tenPercentChurn injects events on 10% of the fleet: half the churned
-// workers throttle to a tenth of their speed mid-job, half leave.
-func tenPercentChurn(n int) []FleetEvent {
-	var evs []FleetEvent
-	churned := n / 10
-	for k := 0; k < churned; k++ {
-		// Spread over distinct workers: slowdowns hit the fast class
-		// (worst stragglers), leaves hit the medium class.
-		if k%2 == 0 {
-			evs = append(evs, FleetEvent{At: 4, Worker: (3*k + 2) % n, Kind: FleetSlowdown, Factor: 0.1})
-		} else {
-			evs = append(evs, FleetEvent{At: 6, Worker: (3*k + 1) % n, Kind: FleetLeave})
-		}
-	}
-	return evs
-}
-
-// acceptanceConfig is the ISSUE's pinned scenario: 100 workers, 3 speed
-// classes, 10% churn, a 120×120×64-block product. The baseline runs the
-// pre-adaptive cluster's configuration — one global µ sized to the
-// fleet memory for maximum operand reuse (µ=8 for 80 blocks). The
-// adaptive run starts from a modest submit-time guess (µ=2) and lets
-// live profiles shape per-worker chunks, with speculation armed.
-func acceptanceConfig(adaptive bool) FleetConfig {
-	cfg := FleetConfig{
-		Workers: threeSpeedFleet(100),
-		R:       120, S: 120, T: 64,
-		Events: tenPercentChurn(100),
-	}
-	if adaptive {
-		cfg.Adaptive = true
-		cfg.Mu = 2
-		cfg.ChunkTarget = 0.25
-		cfg.SpeculationFactor = 1.5
-	} else {
-		cfg.Mu = 8
-	}
-	return cfg
-}
 
 // TestFleetAdaptiveBeatsBaselineWithinLPBound pins the acceptance
 // criterion: on the 100-worker heterogeneous fleet with churn, adaptive
 // scheduling lands within 1.5× the LP lower bound and at least 25%
 // ahead of the FIFO + fixed-µ baseline.
 func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
-	base, err := RunFleet(acceptanceConfig(false))
+	base, err := RunFleet(ChurnFleet(100, 120, 64, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	adpt, err := RunFleet(acceptanceConfig(true))
+	cfg := ChurnFleet(100, 120, 64, true)
+	adpt, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := acceptanceConfig(true)
-	rates := make([]float64, len(cfg.Workers))
-	for i, w := range cfg.Workers {
-		rates[i] = bounds.FleetWorkerRate(w.Speed, w.Bandwidth, w.Mem, cfg.T)
-	}
 	total := int64(cfg.R) * int64(cfg.S) * int64(cfg.T)
-	lb := bounds.FleetMakespanLB(total, rates)
+	lb := cfg.LowerBound()
 	t.Logf("LP bound %.2fs, adaptive %.2fs (%.2fx), baseline %.2fs (%.2fx)",
 		lb, adpt.Makespan, adpt.Makespan/lb, base.Makespan, base.Makespan/lb)
 	t.Logf("adaptive: %d chunks, %d requeues, %d speculations (%d wins), %d wasted updates",
@@ -119,11 +54,11 @@ func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
 // TestFleetDeterministic pins that identical configs replay identically
 // — the property every regression bisect on this simulator relies on.
 func TestFleetDeterministic(t *testing.T) {
-	a, err := RunFleet(acceptanceConfig(true))
+	a, err := RunFleet(ChurnFleet(100, 120, 64, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFleet(acceptanceConfig(true))
+	b, err := RunFleet(ChurnFleet(100, 120, 64, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +71,7 @@ func TestFleetDeterministic(t *testing.T) {
 // churn under the race detector (the estimator is the only shared
 // state; a data race here means the scheduler loop leaked one).
 func TestFleetChurn200Race(t *testing.T) {
-	cfg := FleetConfig{
-		Workers: threeSpeedFleet(200),
-		R:       80, S: 80, T: 32,
-		Mu: 2, Adaptive: true, ChunkTarget: 0.25, SpeculationFactor: 1.5,
-		Events: tenPercentChurn(200),
-	}
-	res, err := RunFleet(cfg)
+	res, err := RunFleet(ChurnFleet(200, 80, 32, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +83,11 @@ func TestFleetChurn200Race(t *testing.T) {
 // TestFleet500WorkersWithJoins stretches to the upper end of the scale
 // requirement, with a third of the fleet joining mid-job.
 func TestFleet500WorkersWithJoins(t *testing.T) {
-	ws := threeSpeedFleet(500)
-	for i := range ws {
+	cfg := ChurnFleet(500, 100, 32, true)
+	for i := range cfg.Workers {
 		if i%3 == 2 && i > 100 {
-			ws[i].JoinAt = 1.5 // late-joining fast workers
+			cfg.Workers[i].JoinAt = 1.5 // late-joining fast workers
 		}
-	}
-	cfg := FleetConfig{
-		Workers: ws,
-		R:       100, S: 100, T: 32,
-		Mu: 2, Adaptive: true, ChunkTarget: 0.25, SpeculationFactor: 1.5,
-		Events: tenPercentChurn(500),
 	}
 	res, err := RunFleet(cfg)
 	if err != nil {
@@ -180,13 +103,9 @@ func TestFleet500WorkersWithJoins(t *testing.T) {
 // speculative duplicates appear as Spec spans.
 func TestFleetTraceRecordsSpeculation(t *testing.T) {
 	tr := &trace.Trace{}
-	cfg := FleetConfig{
-		Workers: threeSpeedFleet(12),
-		R:       24, S: 24, T: 32,
-		Mu: 2, Adaptive: true, ChunkTarget: 0.25, SpeculationFactor: 1.5,
-		Events: []FleetEvent{{At: 1, Worker: 2, Kind: FleetSlowdown, Factor: 0.02}},
-		Trace:  tr,
-	}
+	cfg := ChurnFleet(12, 24, 32, true)
+	cfg.Events = []FleetEvent{{At: 1, Worker: 2, Kind: FleetSlowdown, Factor: 0.02}}
+	cfg.Trace = tr
 	res, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)

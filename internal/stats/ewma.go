@@ -6,27 +6,25 @@ import (
 	"time"
 )
 
+// ewmaAlpha is the weight of a new observation in every EWMA.
+const ewmaAlpha = 0.25
+
 // EWMA is an exponentially-weighted moving average: the online estimator
 // the adaptive scheduler uses to track per-worker rates. The first
 // observation seeds the value; later observations fold in with weight
-// Alpha, so the estimate tracks drift (a worker slowing down mid-job)
-// while damping single-task noise.
+// ewmaAlpha, so the estimate tracks drift (a worker slowing down
+// mid-job) while damping single-task noise.
 type EWMA struct {
-	Alpha float64 // weight of a new observation (0 < Alpha ≤ 1)
-	v     float64
-	n     int
+	v float64
+	n int
 }
 
 // Observe folds one sample into the average.
 func (e *EWMA) Observe(x float64) {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.25
-	}
 	if e.n == 0 {
 		e.v = x
 	} else {
-		e.v = a*x + (1-a)*e.v
+		e.v = ewmaAlpha*x + (1-ewmaAlpha)*e.v
 	}
 	e.n++
 }
@@ -38,9 +36,8 @@ func (e *EWMA) Value() float64 { return e.v }
 func (e *EWMA) Samples() int { return e.n }
 
 // Profile is a point-in-time snapshot of one worker's estimated rates:
-// compute speed from per-task timings, wire bandwidth from the per-conn
-// byte counters, and per-transfer latency where the transport measures
-// it. A worker with zero samples in a dimension has a zero estimate
+// compute speed from per-task timings and wire bandwidth from the
+// per-conn byte counters. A worker with zero samples in a dimension has a zero estimate
 // there — consumers must treat that as "unknown", not "infinitely slow".
 type Profile struct {
 	Worker string
@@ -48,22 +45,14 @@ type Profile struct {
 
 	UpdatesPerSec float64 // block updates per second (compute speed)
 	BytesPerSec   float64 // wire bytes per second (link bandwidth)
-	LatencySec    float64 // fixed per-transfer overhead, where measured
 
 	ComputeSamples int
 	CommSamples    int
 }
 
-// Gflops converts the block-update rate into Gflop/s for q×q blocks
-// (one block update is a rank-q update: 2q³ flops).
-func (p Profile) Gflops(q int) float64 {
-	fq := float64(q)
-	return p.UpdatesPerSec * 2 * fq * fq * fq / 1e9
-}
-
 func (p Profile) String() string {
-	return fmt.Sprintf("speed=%.3g upd/s bw=%.3g B/s lat=%.3gs (samples %d/%d)",
-		p.UpdatesPerSec, p.BytesPerSec, p.LatencySec, p.ComputeSamples, p.CommSamples)
+	return fmt.Sprintf("speed=%.3g upd/s bw=%.3g B/s (samples %d/%d)",
+		p.UpdatesPerSec, p.BytesPerSec, p.ComputeSamples, p.CommSamples)
 }
 
 // Estimator maintains live per-worker profiles for the adaptive
@@ -78,22 +67,17 @@ func (p Profile) String() string {
 // (single-session callers and simulators).
 type Estimator struct {
 	mu      sync.Mutex
-	alpha   float64
 	workers map[string]*workerEst
 }
 
 type workerEst struct {
-	epoch          uint64
-	speed, bw, lat EWMA
+	epoch     uint64
+	speed, bw EWMA
 }
 
-// NewEstimator builds an estimator with the given EWMA weight
-// (0 < alpha ≤ 1; out-of-range values fall back to 0.25).
-func NewEstimator(alpha float64) *Estimator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.25
-	}
-	return &Estimator{alpha: alpha, workers: make(map[string]*workerEst)}
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
+	return &Estimator{workers: make(map[string]*workerEst)}
 }
 
 // get returns the record for id, creating it on first use, and applies
@@ -102,9 +86,6 @@ func (e *Estimator) get(id string, epoch uint64) *workerEst {
 	w := e.workers[id]
 	if w == nil {
 		w = &workerEst{}
-		w.speed.Alpha = e.alpha
-		w.bw.Alpha = e.alpha
-		w.lat.Alpha = e.alpha
 		e.workers[id] = w
 	}
 	if epoch != 0 {
@@ -142,19 +123,6 @@ func (e *Estimator) ObserveTransfer(id string, epoch uint64, bytes int64, elapse
 	}
 }
 
-// ObserveLatency folds one measured per-transfer fixed overhead into the
-// worker's latency estimate.
-func (e *Estimator) ObserveLatency(id string, epoch uint64, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if w := e.get(id, epoch); w != nil {
-		w.lat.Observe(d.Seconds())
-	}
-}
-
 // Profile snapshots the worker's current estimate; ok is false when the
 // worker has never been observed.
 func (e *Estimator) Profile(id string) (Profile, bool) {
@@ -169,35 +137,7 @@ func (e *Estimator) Profile(id string) (Profile, bool) {
 		Epoch:          w.epoch,
 		UpdatesPerSec:  w.speed.Value(),
 		BytesPerSec:    w.bw.Value(),
-		LatencySec:     w.lat.Value(),
 		ComputeSamples: w.speed.Samples(),
 		CommSamples:    w.bw.Samples(),
 	}, true
-}
-
-// Profiles snapshots every observed worker.
-func (e *Estimator) Profiles() []Profile {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Profile, 0, len(e.workers))
-	for id, w := range e.workers {
-		out = append(out, Profile{
-			Worker:         id,
-			Epoch:          w.epoch,
-			UpdatesPerSec:  w.speed.Value(),
-			BytesPerSec:    w.bw.Value(),
-			LatencySec:     w.lat.Value(),
-			ComputeSamples: w.speed.Samples(),
-			CommSamples:    w.bw.Samples(),
-		})
-	}
-	return out
-}
-
-// Forget drops a worker's record entirely (a permanently departed
-// worker; reconnecting under the same id starts cold).
-func (e *Estimator) Forget(id string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.workers, id)
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race flake vet fmt bench bench-all clean
+.PHONY: all build test test-race flake vet fmt loc bench bench-all clean
 
 all: build vet test
 
@@ -25,18 +25,26 @@ test-race:
 # reads NaN poison, so a by-reference hand-off that frees too early
 # fails loudly instead of passing on recycled floats. Then the adaptive
 # policy and every test that asserts a dispatcher stays parked, 50
-# times over under the race detector.
+# times over under the race detector. Last, the worker-session tests —
+# a stale incarnation acting on its successor, and the session hold
+# that is the only pin on a finished job's operands.
 flake:
 	$(GO) test -count 20 -run TestEngineConformance ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
-	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestFlush|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain' ./internal/cluster ./internal/sim
+	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain' ./internal/cluster ./internal/sim
+	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner' ./internal/cluster
 
 vet:
 	$(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go lines of every package directory, whatever
+# the build tags, and their total: the figures each CHANGES entry quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # bench records the performance series tracked across PRs: the cluster
 # benchmarks to BENCH_cluster.json (including the 100-worker fleet's

@@ -70,7 +70,7 @@ func (r transportRun) logicalBlocks() int64 {
 // runTransportOnce runs C ← C + A·B as the only job of a fresh cluster,
 // served by one worker session over loopback TCP — the production
 // session (the server transport under engine.RunFeeder with the
-// cluster's EngineFeed, a pipelined engine.RunWorker with two slots and
+// worker's cluster.Session, a pipelined engine.RunWorker with two slots and
 // two staged sets behind the cluster-worker transport) wired by hand so
 // that its block pool is the caller's: one that outlives the run, as a
 // served cluster's does, or nil to run both transports, the feeder and
@@ -82,7 +82,7 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 	if err != nil {
 		tb.Fatal(err)
 	}
-	epoch, err := cl.JoinWorker("w", 0, 2)
+	sess, err := cl.JoinWorker("w", 0, 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -105,11 +105,10 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 			StageCap: 2, Slots: 2, Cores: 1, Pool: pool,
 		})
 	}()
-	srv := netmw.NewServerTransport(<-accepted, pool, func() error { return nil })
-	feed := cluster.NewEngineFeed(cl, "w", epoch)
+	srv := netmw.NewServerTransport(<-accepted, pool, sess.Heartbeat)
 	fed := make(chan engine.FeederStats, 1)
 	go func() {
-		fstats, _ := engine.RunFeeder(srv, feed, engine.FeederConfig{Slots: 2, Pool: pool})
+		fstats, _ := engine.RunFeeder(srv, sess, engine.FeederConfig{Slots: 2, Pool: pool})
 		fed <- fstats
 	}()
 	st, err := cl.Wait(id)
@@ -118,7 +117,7 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 	}
 	cl.Close() // the feed's clean end: the feeder says Bye
 	fstats := <-fed
-	feed.Close()
+	sess.Close(cluster.SessionReport{Feeder: fstats})
 	wg.Wait()
 	return transportRun{comm: fstats.Comm, egress: srv.(byteCounter).BytesOut()}
 }

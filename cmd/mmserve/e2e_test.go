@@ -72,6 +72,17 @@ func checkGoroutines(t *testing.T) {
 	})
 }
 
+// waitCond polls f until it returns true, failing the test after a
+// minute.
+func waitCond(t *testing.T, what string, f func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); !f(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // serverProc is one running mmserve process.
 type serverProc struct {
 	cmd  *exec.Cmd
@@ -191,21 +202,14 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 
 	// Watch the journal (read-only, live-writer-safe) until several
 	// chunks have committed with no job finished, then SIGKILL.
-	deadline := time.Now().Add(time.Minute)
-	for {
+	waitCond(t, "mid-job progress in the journal", func() bool {
 		chunks, done, err := cluster.ReplayChunkCommits(storeDir)
-		if err == nil && len(chunks) >= 5 && done == 0 {
-			break
-		}
 		if err == nil && done > 0 {
 			t.Logf("a job finished before the kill (chunks=%d done=%d); killing anyway", len(chunks), done)
-			break
+			return true
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("journal never showed mid-job progress (err=%v)", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return err == nil && len(chunks) >= 5
+	})
 	if err := srv1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,20 +288,10 @@ func TestE2ESigtermDrainsRunningJob(t *testing.T) {
 	}()
 
 	// SIGTERM once the job is demonstrably mid-flight.
-	deadline := time.Now().Add(time.Minute)
-	for {
+	waitCond(t, "progress in the journal", func() bool {
 		chunks, done, err := cluster.ReplayChunkCommits(storeDir)
-		if err == nil && len(chunks) >= 3 && done == 0 {
-			break
-		}
-		if err == nil && done > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("journal never showed progress")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return err == nil && (len(chunks) >= 3 || done > 0)
+	})
 	srv.cmd.Process.Signal(syscall.SIGTERM)
 
 	if err := <-errCh; err != nil {

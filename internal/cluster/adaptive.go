@@ -1,43 +1,11 @@
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // AdaptiveConfig tunes the online-adaptive scheduling layer. It is the
 // fleet simulator's configuration too: both decide chunk sides and
 // speculation through sim.AdaptiveConfig's ChunkSide and StragglerGain.
 type AdaptiveConfig = sim.AdaptiveConfig
-
-// ReportComputeEpoch folds one task's worker-side compute timing into
-// the worker's live speed profile. The epoch pins the sample to one
-// incarnation (stale sessions are dropped by the estimator) while the
-// learned profile itself survives reconnects.
-func (cl *Cluster) ReportComputeEpoch(id string, epoch uint64, updates, elapsedNS int64) {
-	cl.est.ObserveCompute(id, epoch, updates, time.Duration(elapsedNS))
-}
-
-// ReportWireEpoch folds one finished session's wire-byte accounting
-// into the worker's lifetime totals (carried across reconnects), its
-// current-incarnation counters (epoch-pinned, so a stale session's
-// teardown cannot pollute the live incarnation), and the worker's live
-// bandwidth profile. Sessions report exactly once, at teardown, so
-// lifetime totals count every byte exactly once across reconnects.
-func (cl *Cluster) ReportWireEpoch(id string, epoch uint64, bytesOut, bytesIn int64, elapsed time.Duration) {
-	cl.mu.Lock()
-	if w := cl.reg.workers[id]; w != nil {
-		w.wireOut += bytesOut
-		w.wireIn += bytesIn
-		if epoch == 0 || w.epoch == epoch {
-			w.sessWireOut += bytesOut
-			w.sessWireIn += bytesIn
-		}
-	}
-	cl.mu.Unlock()
-	cl.est.ObserveTransfer(id, epoch, bytesOut+bytesIn, elapsed)
-}
 
 // speculateLocked looks for an in-flight task worth duplicating onto
 // the idle worker w: among the tasks StragglerGain fires on (from the
@@ -113,10 +81,12 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 }
 
 // resolveSpeculationLocked runs when the first copy of a speculated seq
-// finishes (Complete or AckTask accepted the winner): every other
-// in-flight copy is revoked, so the losers' later completions, acks and
-// flushes all take the stale paths — ErrStaleTask here, skipped ids in
-// CommitFlushEpoch — and the committed value is written exactly once.
+// finishes (a session's Complete or Acked accepted the winner): every
+// other in-flight copy is revoked, so the losers' later completions,
+// acks and flushes all take the stale paths — ErrStaleTask there,
+// skipped ids in CommitFlush — and the committed value is written
+// exactly once. A loser's session still holds its copy, and so the
+// job's operands, until it reports it.
 func (cl *Cluster) resolveSpeculationLocked(j *job, winner *Task) {
 	if !j.specActive[winner.Seq] {
 		return
@@ -129,10 +99,6 @@ func (cl *Cluster) resolveSpeculationLocked(j *job, winner *Task) {
 		for k, t := range h.inflight {
 			if t.Job == winner.Job && t.Seq == winner.Seq && t != winner {
 				delete(h.inflight, k)
-				if h.revoked == nil {
-					h.revoked = make(map[taskKey]*Task)
-				}
-				h.revoked[k] = t // still streaming sets until its holder reports it
 				j.inflight--
 			}
 		}

@@ -20,45 +20,21 @@ func adaptiveCluster(extra AdaptiveConfig) (*Cluster, *ManualClock) {
 	return manualCluster(Config{Adaptive: extra})
 }
 
-// pullTask runs NextTask with a timeout so a scheduling bug cannot hang
-// the suite.
-func pullTask(t *testing.T, cl *Cluster, id string) *Task {
-	t.Helper()
-	type res struct {
-		tk  *Task
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		tk, err := cl.NextTask(id)
-		ch <- res{tk, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("NextTask(%s): %v", id, r.err)
-		}
-		return r.tk
-	case <-time.After(10 * time.Second):
-		t.Fatalf("NextTask(%s): timed out", id)
-		return nil
-	}
+// wire is a session report of connection bytes over one second.
+func wire(out, in int64) SessionReport {
+	return SessionReport{WireOut: out, WireIn: in, Elapsed: time.Second}
 }
 
-// TestReconnectWireAccounting is satellite (a)'s scheduler half: wire
-// bytes reported once per session accumulate exactly once in the
-// lifetime totals across a reconnect, session counters restart cold,
-// and a stale incarnation's late teardown report cannot pollute the
-// live session's counters.
+// TestReconnectWireAccounting is the scheduler half of the wire-byte
+// accounting: bytes reported once per session accumulate exactly once
+// in the lifetime totals across a reconnect, session counters restart
+// cold, and a replaced incarnation's late teardown report cannot
+// pollute the live session's counters.
 func TestReconnectWireAccounting(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
 
-	e1, err := cl.JoinWorker("w", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportWireEpoch("w", e1, 1000, 500, time.Second)
+	join(t, cl, "w", 64, 1).Close(wire(1000, 500))
 	wi := snapshotWorker(t, cl, "w")
 	if wi.WireBytesOut != 1000 || wi.WireBytesIn != 500 {
 		t.Fatalf("lifetime wire = %d/%d, want 1000/500", wi.WireBytesOut, wi.WireBytesIn)
@@ -70,11 +46,10 @@ func TestReconnectWireAccounting(t *testing.T) {
 		t.Fatalf("profile bandwidth = %v B/s, want 1500", wi.Profile.BytesPerSec)
 	}
 
-	// Reconnect: lifetime carries, session resets.
-	e2, err := cl.JoinWorker("w", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reconnect, and reconnect again while the second session is still
+	// tearing down: lifetime carries, session resets.
+	stale := join(t, cl, "w", 64, 1)
+	live := join(t, cl, "w", 64, 1)
 	wi = snapshotWorker(t, cl, "w")
 	if wi.WireBytesOut != 1000 || wi.WireBytesIn != 500 {
 		t.Fatalf("reconnect reset lifetime wire: %d/%d", wi.WireBytesOut, wi.WireBytesIn)
@@ -86,7 +61,7 @@ func TestReconnectWireAccounting(t *testing.T) {
 	// The replaced incarnation's teardown report drains late: its bytes
 	// are real (lifetime counts them once) but must not land on the new
 	// incarnation's cold session counters.
-	cl.ReportWireEpoch("w", e1, 200, 100, time.Second)
+	stale.Close(wire(200, 100))
 	wi = snapshotWorker(t, cl, "w")
 	if wi.WireBytesOut != 1200 || wi.WireBytesIn != 600 {
 		t.Fatalf("lifetime after stale report = %d/%d, want 1200/600 (counted once)",
@@ -98,7 +73,7 @@ func TestReconnectWireAccounting(t *testing.T) {
 	}
 
 	// The live incarnation's report lands in both scopes.
-	cl.ReportWireEpoch("w", e2, 40, 10, time.Second)
+	live.Close(wire(40, 10))
 	wi = snapshotWorker(t, cl, "w")
 	if wi.WireBytesOut != 1240 || wi.WireBytesIn != 610 {
 		t.Fatalf("lifetime after live report = %d/%d, want 1240/610",
@@ -140,17 +115,15 @@ func TestAdaptiveMuShaping(t *testing.T) {
 			cl, _ := adaptiveCluster(AdaptiveConfig{})
 			defer cl.Close()
 			submit(t, cl)
-			if _, err := cl.JoinWorker("w", tc.mem, 1); err != nil {
-				t.Fatal(err)
-			}
+			w := join(t, cl, "w", tc.mem, 1)
 			if tc.updates > 0 {
 				// µ = √(updates/s · 1s / T=4).
-				cl.ReportComputeEpoch("w", 0, tc.updates, int64(time.Second))
+				w.ObserveCompute(engine.AssignID{}, tc.updates, int64(time.Second))
 				if wi := snapshotWorker(t, cl, "w"); wi.Profile.ComputeSamples != 1 {
 					t.Fatalf("profile not exposed in snapshot: %+v", wi.Profile)
 				}
 			}
-			tk := pullTask(t, cl, "w")
+			tk := pullTask(t, w)
 			if tk.Chunk.Rows != tc.wantR || tk.Chunk.Cols != tc.wantC {
 				t.Fatalf("chunk %dx%d at (%d,%d), want %dx%d",
 					tk.Chunk.Rows, tk.Chunk.Cols, tk.Chunk.I0, tk.Chunk.J0, tc.wantR, tc.wantC)
@@ -177,11 +150,9 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("slow", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportComputeEpoch("slow", 0, 40, int64(time.Second)) // 40 upd/s → µ=√(40/2)=4
-	orig := pullTask(t, cl, "slow")
+	slow := join(t, cl, "slow", 64, 1)
+	slow.ObserveCompute(engine.AssignID{}, 40, int64(time.Second)) // 40 upd/s → µ=√(40/2)=4
+	orig := pullTask(t, slow)
 	if orig.Chunk.Rows != 2 || orig.Chunk.Cols != 2 {
 		t.Fatalf("holder chunk %dx%d, want the whole 2x2 grid", orig.Chunk.Rows, orig.Chunk.Cols)
 	}
@@ -189,11 +160,9 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	// A fast idle worker shows up: nothing left to cut, so the scheduler
 	// speculates the straggler's chunk onto it: 8/40 = 200ms left on the
 	// holder vs 8/8000 = 1ms on the idle worker — far beyond 1.5×.
-	if _, err := cl.JoinWorker("fast", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportComputeEpoch("fast", 0, 8000, int64(time.Second))
-	dup := pullTask(t, cl, "fast")
+	fast := join(t, cl, "fast", 64, 1)
+	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
+	dup := pullTask(t, fast)
 	if dup.Job != orig.Job || dup.Seq != orig.Seq {
 		t.Fatalf("fast worker got task %d/%d, want a duplicate of %d/%d",
 			dup.Job, dup.Seq, orig.Job, orig.Seq)
@@ -206,11 +175,7 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	}
 
 	// The fast copy finishes first and wins.
-	blocks, _, err := cl.TaskChunk(dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Complete("fast", dup, blocks); err != nil {
+	if err := fast.Complete(dup.key(), refChunk(dup, c)); err != nil {
 		t.Fatalf("winner's completion rejected: %v", err)
 	}
 	if st := waitStatus(t, cl, id); st.State != Done {
@@ -225,23 +190,19 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("finished job retains %d matrices while the loser streams, want 3", got)
 	}
-	if err := cl.TaskSet(orig, 1, &engine.Set{}); err != nil {
+	if _, err := slow.Set(orig.key(), 1); err != nil {
 		t.Fatalf("loser's set request after the job finished: %v", err)
 	}
 
 	// The straggler finally reports: its copy was revoked when the winner
 	// committed, so the late completion must be refused as stale.
-	lateBlocks, _, err := cl.TaskChunk(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Complete("slow", orig, lateBlocks); !errors.Is(err, ErrStaleTask) {
+	if err := slow.Complete(orig.key(), refChunk(orig, c)); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("loser's completion = %v, want ErrStaleTask", err)
 	}
 	if got := retained(t, cl, id); got != 1 {
 		t.Fatalf("job retains %d matrices after the loser let go, want the result only", got)
 	}
-	if err := cl.TaskSet(orig, 1, &engine.Set{}); !errors.Is(err, ErrStaleJob) {
+	if err := setOf(cl, orig, 1); !errors.Is(err, ErrStaleJob) {
 		t.Fatalf("set request on the released job = %v, want ErrStaleJob", err)
 	}
 }
@@ -256,23 +217,19 @@ func TestSpeculationSkipsNearDoneHolder(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("slow", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportComputeEpoch("slow", 0, 40, int64(time.Second))
-	if tk := pullTask(t, cl, "slow"); tk == nil {
+	slow := join(t, cl, "slow", 64, 1)
+	slow.ObserveCompute(engine.AssignID{}, 40, int64(time.Second))
+	if tk := pullTask(t, slow); tk == nil {
 		t.Fatal("no task")
 	}
 	// The holder has been at it past its own ETA: remaining ≤ 0, a
 	// duplicate can only waste work.
 	clk.Advance(time.Second)
-	if _, err := cl.JoinWorker("fast", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportComputeEpoch("fast", 0, 8000, int64(time.Second))
+	fast := join(t, cl, "fast", 64, 1)
+	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
 	got := make(chan *Task, 1)
 	go func() {
-		tk, err := cl.NextTask("fast")
+		tk, err := next(fast)
 		if err == nil {
 			got <- tk
 		}
@@ -301,13 +258,11 @@ func TestAdaptiveRecutOnLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("w1", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	if tk := pullTask(t, cl, "w1"); tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
+	w1 := join(t, cl, "w1", 64, 1)
+	if tk := pullTask(t, w1); tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
 		t.Fatalf("unprofiled chunk %dx%d, want job µ=2", tk.Chunk.Rows, tk.Chunk.Cols)
 	}
-	cl.WorkerLost("w1") // region goes back to the cutter
+	w1.Lost() // region goes back to the cutter
 	if st := cl.ClusterStats(); st.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", st.Requeues)
 	}

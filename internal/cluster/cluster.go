@@ -11,12 +11,15 @@
 // most one chunk per lost worker — no checkpointing, no worker-to-worker
 // state transfer.
 //
-// Transports drive the cluster through a pull API: Join, Heartbeat and
-// WorkerLost manage membership, NextTask blocks until work is available,
-// TaskChunk and TaskSet materialize the transfers, Complete stores a
-// finished chunk.
-// The in-process runner (RunLocalWorker) and the TCP runtime
-// (internal/netmw) are both thin shells over this API, so recovery logic
+// A worker incarnation is one Session: JoinWorker registers the worker
+// and returns it, and it is the engine.Feed the transport's
+// engine.RunFeeder runs — Next pulls the incarnation's tasks, Set and
+// Complete/Acked/CommitFlush move the data, Heartbeat proves liveness,
+// Lost and Close end it. Every call is bound to the incarnation, so a
+// session whose worker was declared dead or replaced by a reconnect can
+// neither pull work for, nor commit into, nor kill its successor. The
+// in-process runner (RunLocalWorker) and the TCP runtime
+// (internal/netmw) are both thin shells over Session, so recovery logic
 // is tested deterministically without sockets or wall-clock sleeps
 // (ManualClock + CheckExpiry).
 package cluster
@@ -34,25 +37,27 @@ import (
 	"repro/internal/stats"
 )
 
-// Sentinel errors of the transport API.
+// Sentinel errors of the cluster and its sessions.
 var (
 	// ErrClosed is returned once the cluster shut down.
 	ErrClosed = errors.New("cluster: closed")
 	// ErrStaleTask marks a completion for a task no longer assigned to the
-	// reporting worker (it was requeued after the worker was declared dead).
-	ErrStaleTask = errors.New("cluster: stale task completion")
-	// ErrUnknownWorker marks a call from a worker that is not registered
-	// (or was declared dead); the transport should re-register.
+	// reporting session (it was requeued after the worker was declared
+	// dead, or revoked by a speculative duplicate's win). It is an
+	// engine.ErrStaleResult, which the feeder drops.
+	ErrStaleTask = fmt.Errorf("cluster: stale task completion: %w", engine.ErrStaleResult)
+	// ErrUnknownWorker marks a call from a session whose incarnation was
+	// declared dead or replaced; the transport should re-register.
 	ErrUnknownWorker = errors.New("cluster: unknown or dead worker")
 	// ErrDraining rejects new submissions while the cluster drains for a
 	// graceful shutdown; resubmitting an already-accepted idempotency key
 	// still attaches.
 	ErrDraining = errors.New("cluster: draining, not accepting new jobs")
-	// ErrStaleJob marks a task-data request (TaskChunk, TaskSet) for a
-	// job whose matrices were already released: the job is terminal and
-	// the asking session no longer counts as holding its task (declared
-	// dead or replaced while still connected).
-	ErrStaleJob = errors.New("cluster: job matrices released")
+	// ErrStaleJob marks a set request for a job whose operands were
+	// already released. A session's hold keeps the operands of every task
+	// it holds, so a set it asks for never meets it; it is an
+	// engine.ErrStaleAssign, which the feeder answers with a filler set.
+	ErrStaleJob = fmt.Errorf("cluster: job matrices released: %w", engine.ErrStaleAssign)
 	// ErrWorkerQuarantined refuses a worker whose results failed
 	// verification past the strike threshold; the verdict is journaled,
 	// so it also refuses the worker after a master restart.
@@ -175,7 +180,7 @@ type Cluster struct {
 	nextID  JobID
 	closed  bool
 	requeue int
-	// pool recycles the block buffers TaskChunk (and TaskSet, for LU)
+	// pool recycles the block buffers sessions (Next, and Set for LU)
 	// copy out of the job matrices; the transports release them once
 	// serialized (or once applied, on the in-process path), so
 	// steady-state dispatch stops allocating per transfer.
@@ -198,9 +203,9 @@ type Cluster struct {
 	// resubmits of accepted jobs still attach.
 	draining bool
 	// wakeAt is the earliest armed backoff wake-up (real clock only), so
-	// nextTask does not stack a timer per blocked call.
+	// Next does not stack a timer per blocked call.
 	wakeAt time.Time
-	// parks counts the times a NextTask caller blocked in cond.Wait, so a
+	// parks counts the times a Next caller blocked in cond.Wait, so a
 	// test can tell that a dispatcher has provably parked.
 	parks int
 
@@ -240,8 +245,8 @@ func New(cfg Config) *Cluster {
 		verify:      cfg.Verify.normalized(),
 		quarantined: make(map[string]quarantineInfo),
 	}
-	cl.vfy.v = blas.NewTileVerifier(cl.verify.Seed)
-	cl.vfy.sample = cl.verify.Seed ^ 0xa5a5a5a55a5a5a5a
+	cl.vfy.v = blas.NewTileVerifier(verifySeed)
+	cl.vfy.sample = verifySeed ^ 0xa5a5a5a55a5a5a5a
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
@@ -442,8 +447,8 @@ func (cl *Cluster) Done(id JobID) (<-chan struct{}, error) {
 }
 
 // BlockPool exposes the cluster's block-buffer pool so transports
-// release the buffers TaskChunk/TaskSet hand out back where they came
-// from (releasing into a different pool works but defeats recycling).
+// release the buffers sessions hand out back where they came from
+// (releasing into a different pool works but defeats recycling).
 func (cl *Cluster) BlockPool() *engine.BlockPool { return cl.pool }
 
 // Workers snapshots the registry.
@@ -457,34 +462,6 @@ func (cl *Cluster) Workers() []WorkerInfo {
 		}
 	}
 	return out
-}
-
-// ReportCommEpoch folds one finished session's delta-protocol
-// accounting into the worker's records and each job's totals. Lifetime
-// totals are per worker name — they always accumulate, so operability
-// stats survive reconnect blips. Session counters are per incarnation:
-// they only accumulate when the reporting session's epoch still names
-// the live record (epoch 0 skips the check), so a stale session that
-// was replaced by a reconnect cannot pollute the new incarnation's
-// cold-cache hit rate.
-func (cl *Cluster) ReportCommEpoch(id string, epoch uint64, fstats engine.FeederStats) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if w := cl.reg.workers[id]; w != nil {
-		w.blocksShipped += fstats.Comm.BlocksShipped
-		w.blocksSkipped += fstats.Comm.BlocksSkipped
-		w.bytesSaved += fstats.Comm.BytesSaved
-		if epoch == 0 || w.epoch == epoch {
-			w.sessShipped += fstats.Comm.BlocksShipped
-			w.sessSkipped += fstats.Comm.BlocksSkipped
-			w.sessSaved += fstats.Comm.BytesSaved
-		}
-	}
-	for jobNum, comm := range fstats.PerJob {
-		if j := cl.jobs[JobID(jobNum)]; j != nil {
-			j.comm.Add(comm)
-		}
-	}
 }
 
 // ClusterStats summarizes the service.
@@ -529,7 +506,7 @@ func (cl *Cluster) ClusterStats() Stats {
 }
 
 // Close shuts the service down: unfinished jobs fail with ErrClosed and
-// every blocked NextTask returns ErrClosed.
+// every session's Next ends the feed (engine.ErrFeedDone).
 func (cl *Cluster) Close() {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -551,79 +528,32 @@ func (cl *Cluster) Close() {
 	cl.cond.Broadcast()
 }
 
-// --- membership (transport API) ------------------------------------------
-
-// Join registers a single-slot worker under id with mem blocks of
-// advertised memory. See JoinWorker.
-func (cl *Cluster) Join(id string, mem int) error {
-	_, err := cl.JoinWorker(id, mem, 1)
-	return err
-}
+// --- membership ----------------------------------------------------------
 
 // JoinWorker registers a worker under id with mem blocks of advertised
 // memory and slots concurrently held tasks (a multi-core worker that
-// pipelines its transfers asks for > 1; values < 1 mean 1). Re-joining
-// an existing id replaces the old incarnation; any tasks the old
-// incarnation held are requeued first (the reconnect path).
-//
-// The returned epoch names this incarnation: a transport session passes
-// it back to NextTaskEpoch and WorkerLostEpoch so a stale session
-// (whose worker already re-registered under the same id) can neither
-// pull tasks on behalf of the new incarnation nor kill it during its
-// own teardown.
-func (cl *Cluster) JoinWorker(id string, mem, slots int) (uint64, error) {
+// pipelines its transfers asks for > 1; values < 1 mean 1), and returns
+// the new incarnation's Session. Re-joining an existing id replaces the
+// old incarnation: it is declared dead, so any tasks it held are
+// requeued (the reconnect path) and its session, still tearing down,
+// can no longer act on the worker.
+func (cl *Cluster) JoinWorker(id string, mem, slots int) (*Session, error) {
 	if id == "" {
-		return 0, fmt.Errorf("cluster: empty worker id")
+		return nil, fmt.Errorf("cluster: empty worker id")
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
 	if _, bad := cl.quarantined[id]; bad {
-		return 0, fmt.Errorf("%w: %q", ErrWorkerQuarantined, id)
+		return nil, fmt.Errorf("%w: %q", ErrWorkerQuarantined, id)
 	}
 	if old := cl.reg.workers[id]; old != nil && !old.dead {
 		cl.loseWorkerLocked(old)
 	}
 	w := cl.reg.join(id, mem, slots, cl.clock.Now())
-	return w.epoch, nil
-}
-
-// Heartbeat refreshes a worker's liveness; transports call it whenever the
-// peer proves it is alive. It fails for unknown or dead workers so the
-// peer can be told to re-register.
-func (cl *Cluster) Heartbeat(id string) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.reg.heartbeat(id, cl.clock.Now())
-}
-
-// WorkerLost declares a worker dead immediately (connection drop),
-// whatever its incarnation. Its in-flight tasks are requeued onto the
-// survivors.
-func (cl *Cluster) WorkerLost(id string) {
-	cl.workerLost(id, 0)
-}
-
-// WorkerLostEpoch declares one specific incarnation dead: it is a no-op
-// when the id has since re-registered (a stale session's teardown must
-// not kill the live incarnation that replaced it).
-func (cl *Cluster) WorkerLostEpoch(id string, epoch uint64) {
-	cl.workerLost(id, epoch)
-}
-
-func (cl *Cluster) workerLost(id string, epoch uint64) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	w := cl.reg.workers[id]
-	if w == nil || w.dead {
-		return
-	}
-	if epoch != 0 && w.epoch != epoch {
-		return // superseded incarnation: the live one is not ours to kill
-	}
-	cl.loseWorkerLocked(w)
+	return &Session{cl: cl, w: w, held: make(map[engine.AssignID]*Task)}, nil
 }
 
 // CheckExpiry declares every worker dead whose last heartbeat is older
@@ -645,17 +575,14 @@ func (cl *Cluster) CheckExpiry() []string {
 	return ids
 }
 
+// loseWorkerLocked declares an incarnation dead and requeues its work;
+// its session keeps holding what it held until it lets go.
 func (cl *Cluster) loseWorkerLocked(w *workerState) {
 	w.dead = true
 	cl.reg.lost++
 	for k, t := range w.inflight {
 		delete(w.inflight, k)
 		cl.requeueLocked(t, false)
-		cl.releaseLocked(cl.jobs[t.Job]) // a dead worker holds nothing
-	}
-	for k, t := range w.revoked {
-		delete(w.revoked, k)
-		cl.releaseLocked(cl.jobs[t.Job])
 	}
 	// C tiles the dead worker had acknowledged but not flushed died with
 	// its result cache; requeue exactly those tasks so the lost updates
@@ -743,65 +670,7 @@ func (cl *Cluster) quarantineLocked(j *job, err error) {
 	cl.failJobLocked(j, err)
 }
 
-// --- dispatch (transport API) --------------------------------------------
-
-// NextTask blocks until a task is available for the worker, a flush of
-// the worker's resident results is wanted (engine.ErrFlushWanted with a
-// nil task), the worker is declared dead (ErrUnknownWorker), or the
-// cluster closes (ErrClosed). Pulling a task counts as a heartbeat.
-//
-// After ErrFlushWanted the caller must eventually deliver a flush
-// manifest via CommitFlushEpoch (an empty manifest is fine); until it
-// does, NextTask blocks rather than demanding a second flush.
-func (cl *Cluster) NextTask(id string) (*Task, error) {
-	return cl.nextTask(id, 0)
-}
-
-// NextTaskEpoch is NextTask pinned to one incarnation: it returns
-// ErrUnknownWorker once the id has re-registered, so a stale session
-// cannot pull (and then strand) tasks on the new incarnation's account.
-func (cl *Cluster) NextTaskEpoch(id string, epoch uint64) (*Task, error) {
-	return cl.nextTask(id, epoch)
-}
-
-func (cl *Cluster) nextTask(id string, epoch uint64) (*Task, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for {
-		if cl.closed {
-			return nil, ErrClosed
-		}
-		if _, bad := cl.quarantined[id]; bad {
-			return nil, ErrWorkerQuarantined
-		}
-		w := cl.reg.workers[id]
-		if w == nil || w.dead || (epoch != 0 && w.epoch != epoch) {
-			return nil, ErrUnknownWorker
-		}
-		t, flush := cl.takeLocked(w)
-		if t != nil {
-			t.started = cl.clock.Now()
-			w.inflight[t.key()] = t
-			w.lastSeen = t.started
-			// With speculation armed, a dispatch is itself a scheduling
-			// event: an idle worker blocked here may now see a straggler
-			// candidate it could duplicate (e.g. this task is the job's
-			// last region and this worker is slow). Wake the waiters to
-			// re-evaluate; a spurious wake just parks again.
-			if cl.cfg.Adaptive.Enabled && cl.cfg.Adaptive.SpeculationFactor > 0 {
-				cl.cond.Broadcast()
-			}
-			return t, nil
-		}
-		if flush && !w.flushPending {
-			w.flushPending = true
-			w.lastSeen = cl.clock.Now()
-			return nil, engine.ErrFlushWanted
-		}
-		cl.parks++
-		cl.cond.Wait()
-	}
-}
+// --- dispatch ------------------------------------------------------------
 
 // footprint is the blocks a worker must hold to serve the task: the C
 // tile plus one staging update set — the memory contract of the paper's
@@ -1014,7 +883,7 @@ func earlier(a, b time.Time) time.Time {
 }
 
 // armBackoffWakeLocked schedules a Broadcast when the earliest skipped
-// backoff expires, so dispatchers blocked in NextTask re-evaluate
+// backoff expires, so dispatchers blocked in Next re-evaluate
 // without polling. Real clock only — ManualClock tests drive wake-ups
 // through CheckExpiry's unconditional Broadcast. One timer is kept
 // armed at the soonest known expiry.
@@ -1061,19 +930,13 @@ func (cl *Cluster) anyWorkerHasMemLocked(need int) bool {
 	return false
 }
 
-// Complete stores a finished task's C blocks. A completion from a worker
-// whose assignment was revoked returns ErrStaleTask; a completion for a
-// job that failed meanwhile is accepted and discarded.
-func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	w := cl.reg.workers[id]
-	if w == nil {
-		return ErrUnknownWorker
-	}
-	cur, ok := w.inflight[t.key()]
-	if !ok || cur != t {
-		cl.letGoLocked(w, t)
+// completeLocked stores the C blocks of a task worker w finished. A
+// completion for an assignment the worker no longer holds in flight
+// (revoked, or requeued when the worker was declared dead) returns
+// ErrStaleTask; a completion for a job that failed meanwhile is
+// accepted and discarded.
+func (cl *Cluster) completeLocked(w *workerState, t *Task, blocks [][]float64) error {
+	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
 		return ErrStaleTask
 	}
 	j := cl.jobs[t.Job]
@@ -1095,9 +958,8 @@ func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
 	if j == nil || j.state != Running {
 		// The job failed or closed while the task was out, but the slot
 		// and memory this completion frees must still wake dispatchers
-		// blocked in NextTask — returning without a Broadcast strands
-		// them until some unrelated event happens to fire one.
-		cl.releaseLocked(j)
+		// blocked in Next — returning without a Broadcast strands them
+		// until some unrelated event happens to fire one.
 		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
@@ -1146,21 +1008,14 @@ func (cl *Cluster) Complete(id string, t *Task, blocks [][]float64) error {
 	return nil
 }
 
-// AckTask records that a worker finished computing a task whose C tiles
-// stay resident in its result cache (the single-flush result path): the
-// task leaves the in-flight set — freeing its slot — and its tiles turn
-// dirty until a flush manifest commits them into the job matrix. An ack
-// from a worker whose assignment was revoked returns ErrStaleTask.
-func (cl *Cluster) AckTask(id string, t *Task) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	w := cl.reg.workers[id]
-	if w == nil {
-		return ErrUnknownWorker
-	}
-	cur, ok := w.inflight[t.key()]
-	if !ok || cur != t {
-		cl.letGoLocked(w, t)
+// ackLocked records that worker w finished computing a task whose C
+// tiles stay resident in its result cache (the single-flush result
+// path): the task leaves the in-flight set — freeing its slot — and its
+// tiles turn dirty until a flush manifest commits them into the job
+// matrix. An ack for an assignment the worker no longer holds in flight
+// returns ErrStaleTask.
+func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
+	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
 		return ErrStaleTask
 	}
 	ch := t.Chunk
@@ -1175,8 +1030,7 @@ func (cl *Cluster) AckTask(id string, t *Task) error {
 	if j == nil || j.state != Running {
 		// Job failed or closed while the task was out; the worker's now
 		// untracked tiles will be skipped at flush time. The freed slot
-		// must still wake blocked dispatchers (see Complete).
-		cl.releaseLocked(j)
+		// must still wake blocked dispatchers (see completeLocked).
 		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
@@ -1203,12 +1057,7 @@ func (cl *Cluster) AckTask(id string, t *Task) error {
 	return nil
 }
 
-// CommitFlush is CommitFlushEpoch without an incarnation pin.
-func (cl *Cluster) CommitFlush(id string, ids []uint64, blocks [][]float64) error {
-	return cl.CommitFlushEpoch(id, 0, ids, blocks)
-}
-
-// CommitFlushEpoch applies one flush manifest from a worker: each id
+// commitFlushLocked applies one flush manifest from worker w: each id
 // names a resident C tile (engine.CBlockID) and each block carries its
 // final value. Commit is a copy, never an add — the worker continued
 // the tile's serial FMA chain in place, so the committed value is
@@ -1216,17 +1065,15 @@ func (cl *Cluster) CommitFlush(id string, ids []uint64, blocks [][]float64) erro
 // — the task was requeued after a presumed loss, or its job finished or
 // failed meanwhile — are skipped, not errors: a flush can legitimately
 // cross a requeue in flight. An empty manifest is a valid answer and
-// still clears the worker's flush-pending gate.
-func (cl *Cluster) CommitFlushEpoch(id string, epoch uint64, ids []uint64, blocks [][]float64) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	w := cl.reg.workers[id]
-	if w == nil || w.dead || (epoch != 0 && w.epoch != epoch) {
+// still clears the worker's flush-pending gate. A dead incarnation's
+// flush is refused (ErrUnknownWorker): its tiles were requeued.
+func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]float64) error {
+	if w.dead {
 		return ErrUnknownWorker
 	}
 	if len(ids) != len(blocks) {
 		return fmt.Errorf("cluster: flush manifest from %q has %d ids but %d blocks",
-			id, len(ids), len(blocks))
+			w.id, len(ids), len(blocks))
 	}
 	w.flushPending = false
 	w.lastSeen = cl.clock.Now()
@@ -1292,44 +1139,31 @@ func (cl *Cluster) CommitFlushEpoch(id string, epoch uint64, ids []uint64, block
 	return nil
 }
 
-// --- task data (transport API) -------------------------------------------
+// --- task data -----------------------------------------------------------
 
-// TaskChunk copies the task's C tile out of the job's matrix: the
-// downlink transfer. It returns the row-major block payloads and q, or
-// ErrStaleJob once the job's matrices are released.
-func (cl *Cluster) TaskChunk(t *Task) ([][]float64, int, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	j := cl.jobs[t.Job]
-	if j == nil {
-		return nil, 0, fmt.Errorf("cluster: unknown job %d", t.Job)
-	}
-	src := j.spec.result()
-	if src == nil {
-		return nil, 0, fmt.Errorf("cluster: chunk of task %d/%d: %w", t.Job, t.Seq, ErrStaleJob)
-	}
+// chunkLocked copies a dispatched task's C tile out of the job's matrix
+// into pooled blocks: the downlink transfer, row-major.
+func (cl *Cluster) chunkLocked(t *Task) [][]float64 {
+	src := cl.jobs[t.Job].spec.result()
 	ch := t.Chunk
-	q := src.Q
 	out := make([][]float64, ch.Rows*ch.Cols)
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			out[i*ch.Cols+jj] = cl.pool.GetCopy(src.Block(ch.I0+i, ch.J0+jj).Data)
 		}
 	}
-	return out, q, nil
+	return out
 }
 
-// TaskSet appends the k-th update set for the task to set: Rows A
+// setLocked appends the k-th update set for the task to set: Rows A
 // blocks and Cols B blocks. For matmul they are the job's own blocks,
-// by reference — read-only, and valid while the caller holds the task
-// (EngineFeed's hold keeps the job from being released under it). For
-// LU tasks (k is the panel stage) they are pooled copies, the A blocks
-// the negated L panel so the worker's generic C += A·B update computes
-// the trailing subtraction. Once the job's operands are released it
-// returns ErrStaleJob and appends nothing.
-func (cl *Cluster) TaskSet(t *Task, k int, set *engine.Set) error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
+// by reference — read-only, and valid while a session holds the task
+// (the hold keeps the job from being released under it). For LU tasks
+// (k is the panel stage) they are pooled copies, the A blocks the
+// negated L panel so the worker's generic C += A·B update computes the
+// trailing subtraction. Once the job's operands are released it returns
+// ErrStaleJob and appends nothing.
+func (cl *Cluster) setLocked(t *Task, k int, set *engine.Set) error {
 	j := cl.jobs[t.Job]
 	if j == nil {
 		return fmt.Errorf("cluster: unknown job %d", t.Job)
@@ -1364,17 +1198,6 @@ func (cl *Cluster) TaskSet(t *Task, k int, set *engine.Set) error {
 		}
 	}
 	return nil
-}
-
-// feedHold counts a task an EngineFeed session starts (delta +1) or
-// stops (delta −1) holding; letting go may release a terminal job.
-func (cl *Cluster) feedHold(t *Task, delta int) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if j := cl.jobs[t.Job]; j != nil {
-		j.feedHeld += delta
-		cl.releaseLocked(j)
-	}
 }
 
 func (cl *Cluster) taskQ(j *job) int {
@@ -1463,50 +1286,23 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 
 // releaseLocked drops what a terminal job no longer needs, so master
 // memory follows the jobs in flight rather than the jobs ever served.
-// The operands and the verify projection cache go once no live worker
-// incarnation holds one of the job's tasks (a revoked speculation loser
-// and the tasks of a failed job keep streaming sets until their holder
-// lets go); the result goes with them when nobody can ask for it
-// anymore (ForgetResult). The light record — id, state, error,
-// counters, comm totals — stays. Every path on which a worker lets go
-// of a task, or the submitter of the result, ends here.
-//
-// A task an EngineFeed session holds counts even when its incarnation
-// is dead: matmul Sets reference the job's own blocks (TaskSet), and a
-// session declared lost can still be writing one to its socket.
+// The operands and the verify projection cache go once no session holds
+// one of the job's tasks — a session holds a task from its dispatch
+// until it reports it or closes, dead incarnations included: matmul
+// Sets reference the job's own blocks, and a session declared lost, or
+// a revoked speculation loser, can still be writing one to its socket.
+// The result goes with them when nobody can ask for it anymore
+// (ForgetResult). The light record — id, state, error, counters, comm
+// totals — stays. Every path on which a session lets go of a task, or
+// the submitter of the result, ends here.
 func (cl *Cluster) releaseLocked(j *job) {
-	if j == nil || (j.state != Done && j.state != Failed) || j.feedHeld > 0 {
+	if j == nil || (j.state != Done && j.state != Failed) || j.held > 0 {
 		return
-	}
-	for _, w := range cl.reg.workers {
-		if w.dead {
-			continue
-		}
-		for _, t := range w.inflight {
-			if t.Job == j.id {
-				return
-			}
-		}
-		for _, t := range w.revoked {
-			if t.Job == j.id {
-				return
-			}
-		}
 	}
 	dropMatrix(&j.spec.A, j.spec.Pooled, cl.pool)
 	dropMatrix(&j.spec.B, j.spec.Pooled, cl.pool)
 	j.vcache = nil
 	if j.resultFree {
 		j.spec.recycle(cl.pool)
-	}
-}
-
-// letGoLocked retires a revoked copy whose holder has just reported it
-// (a stale completion or ack from a speculation loser): the job may now
-// be releasable.
-func (cl *Cluster) letGoLocked(w *workerState, t *Task) {
-	if w.revoked[t.key()] == t {
-		delete(w.revoked, t.key())
-		cl.releaseLocked(cl.jobs[t.Job])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 )
@@ -41,8 +42,8 @@ func waitStatus(t *testing.T, cl *Cluster, id JobID) Status {
 	}
 }
 
-// waitParked waits until NextTask callers have blocked in cond.Wait n
-// times in all, so a check that a pull does not return runs after the
+// waitParked waits until Session.Next callers have blocked in cond.Wait
+// n times in all, so a check that a pull does not return runs after the
 // dispatcher provably parked rather than after a guessed delay.
 func waitParked(t *testing.T, cl *Cluster, n int) {
 	t.Helper()
@@ -55,10 +56,65 @@ func waitParked(t *testing.T, cl *Cluster, n int) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("NextTask parked %d times, want %d", parks, n)
+			t.Fatalf("Next parked %d times, want %d", parks, n)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// join registers a worker and returns its session.
+func join(t *testing.T, cl *Cluster, id string, mem, slots int) *Session {
+	t.Helper()
+	s, err := cl.JoinWorker(id, mem, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// next is Session.Next for tests: the task behind the assignment it
+// dispatched.
+func next(s *Session) (*Task, error) {
+	as, err := s.Next()
+	if err != nil {
+		return nil, err
+	}
+	s.cl.mu.Lock()
+	defer s.cl.mu.Unlock()
+	return s.held[as.ID], nil
+}
+
+// pullTask runs next with a timeout so a scheduling bug cannot hang the
+// suite.
+func pullTask(t *testing.T, s *Session) *Task {
+	t.Helper()
+	type res struct {
+		tk  *Task
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		tk, err := next(s)
+		ch <- res{tk, err}
+	}()
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			t.Fatalf("Next(%s): %v", s.w.id, r.err)
+		}
+		return r.tk
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Next(%s): timed out", s.w.id)
+		return nil
+	}
+}
+
+// setOf materializes the k-th update set of any task, held or not: the
+// guard a released job's operands meet.
+func setOf(cl *Cluster, tk *Task, k int) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.setLocked(tk, k, &engine.Set{})
 }
 
 func blockedInputs(t *testing.T, nA, nAB, nB, q int, seed int64) (c, a, b *matrix.Blocked, ref *matrix.Dense) {
@@ -77,15 +133,11 @@ func blockedInputs(t *testing.T, nA, nAB, nB, q int, seed int64) (c, a, b *matri
 func TestRegistryHeartbeatExpiry(t *testing.T) {
 	cl, clk := manualCluster(Config{HeartbeatTimeout: 10 * time.Second})
 	defer cl.Close()
-	if err := cl.Join("w1", 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Join("w2", 100); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, cl, "w1", 100, 1)
+	w2 := join(t, cl, "w2", 100, 1)
 
 	clk.Advance(8 * time.Second)
-	if err := cl.Heartbeat("w1"); err != nil {
+	if err := w1.Heartbeat(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Second) // w2 silent for 13s, w1 for 5s
@@ -93,21 +145,19 @@ func TestRegistryHeartbeatExpiry(t *testing.T) {
 	if len(dead) != 1 || dead[0] != "w2" {
 		t.Fatalf("CheckExpiry = %v, want [w2]", dead)
 	}
-	if err := cl.Heartbeat("w2"); err == nil {
+	if err := w2.Heartbeat(); err == nil {
 		t.Fatal("heartbeat from dead worker succeeded")
 	}
-	if err := cl.Heartbeat("w1"); err != nil {
+	if err := w1.Heartbeat(); err != nil {
 		t.Fatalf("heartbeat from live worker failed: %v", err)
 	}
 	// Re-registering resurrects the id.
-	if err := cl.Join("w2", 50); err != nil {
-		t.Fatal(err)
-	}
+	join(t, cl, "w2", 50, 1)
 	if got := cl.ClusterStats(); got.WorkersAlive != 2 || got.WorkersLost != 1 {
 		t.Fatalf("stats = %+v, want 2 alive / 1 lost", got)
 	}
-	if err := cl.Heartbeat("nope"); err == nil {
-		t.Fatal("heartbeat from unregistered worker succeeded")
+	if err := w2.Heartbeat(); err == nil {
+		t.Fatal("heartbeat from the replaced incarnation succeeded")
 	}
 }
 
@@ -172,7 +222,7 @@ func TestLUJobMatchesSequentialFactor(t *testing.T) {
 // workers, one of which dies holding a task of the first job. After
 // heartbeat expiry the lost task is rescheduled and every job completes
 // with reference-exact results — no wall-clock sleeps, no sockets. The
-// test itself plays the dying worker through the same transport API the
+// test itself plays the dying worker through the same Session the
 // runners use, which pins the crash point exactly: mid-job, one task
 // assigned and never returned.
 func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
@@ -201,28 +251,23 @@ func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
 
 	// The doomed worker grabs a task first — while it is the only worker,
 	// so the assignment is guaranteed — and then goes silent.
-	if err := cl.Join("w-doomed", 64); err != nil {
-		t.Fatal(err)
-	}
-	doomedTask, err := cl.NextTask("w-doomed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := join(t, cl, "w-doomed", 64, 1)
+	doomedTask := pullTask(t, doomed)
 
-	survivors := []string{"w1", "w2", "w3"}
-	for _, id := range survivors {
-		j := make(chan struct{})
-		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: 64, Joined: j})
-		<-j
+	var survivors []*Session
+	for _, id := range []string{"w1", "w2", "w3"} {
+		s := join(t, cl, id, 64, 1)
+		survivors = append(survivors, s)
+		go s.serveLocal(0)
 	}
 
 	// The dead worker holds its task until failure detection notices the
 	// silence. Survivors prove their liveness, the clock jumps past the
 	// timeout, and expiry reschedules the lost task.
 	clk.Advance(31 * time.Second)
-	for _, id := range survivors {
-		if err := cl.Heartbeat(id); err != nil {
-			t.Fatalf("heartbeat %s: %v", id, err)
+	for _, s := range survivors {
+		if err := s.Heartbeat(); err != nil {
+			t.Fatalf("heartbeat %s: %v", s.w.id, err)
 		}
 	}
 	dead := cl.CheckExpiry()
@@ -230,10 +275,8 @@ func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
 		t.Fatalf("CheckExpiry = %v, want [w-doomed]", dead)
 	}
 	// A late result from the dead worker must be rejected, not stored.
-	if blocks, _, err := cl.TaskChunk(doomedTask); err == nil {
-		if err := cl.Complete("w-doomed", doomedTask, blocks); !errors.Is(err, ErrStaleTask) {
-			t.Fatalf("zombie Complete = %v, want ErrStaleTask", err)
-		}
+	if err := doomed.Complete(doomedTask.key(), nil); !errors.Is(err, ErrStaleTask) {
+		t.Fatalf("zombie Complete = %v, want ErrStaleTask", err)
 	}
 
 	for _, jid := range []JobID{j1, j2, j3} {
@@ -270,13 +313,9 @@ func TestTaskExceedsMaxAttemptsFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Join("w1", 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTask("w1"); err != nil {
-		t.Fatal(err)
-	}
-	cl.WorkerLost("w1") // requeue burns the task's only attempt
+	w1 := join(t, cl, "w1", 64, 1)
+	pullTask(t, w1)
+	w1.Lost() // requeue burns the task's only attempt
 	st := waitStatus(t, cl, id)
 	if st.State != Failed || st.Err == nil {
 		t.Fatalf("job state = %v (err %v), want failed", st.State, st.Err)
@@ -293,10 +332,8 @@ func TestChunkTooBigForFleetFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Join("tiny", 10); err != nil {
-		t.Fatal(err)
-	}
-	go cl.NextTask("tiny") // triggers dispatch; blocks until Close
+	tiny := join(t, cl, "tiny", 10, 1)
+	go tiny.Next() // triggers dispatch; blocks until Close
 	st := waitStatus(t, cl, id)
 	if st.State != Failed || st.Err == nil {
 		t.Fatalf("job state = %v (err %v), want failed with a memory error", st.State, st.Err)
@@ -318,24 +355,16 @@ func TestMultiSlotDispatch(t *testing.T) {
 	}
 	// Memory 20 holds two 8-block footprints but not three: even with 3
 	// slots the worker may hold only 2 chunks at once.
-	if _, err := cl.JoinWorker("multi", 20, 3); err != nil {
-		t.Fatal(err)
-	}
-	t1, err := cl.NextTask("multi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := cl.NextTask("multi")
-	if err != nil {
-		t.Fatal(err)
-	}
+	multi := join(t, cl, "multi", 20, 3)
+	t1 := pullTask(t, multi)
+	t2 := pullTask(t, multi)
 	if t1.Seq == t2.Seq {
 		t.Fatal("same task dispatched twice")
 	}
 	// Third pull must block on the memory budget.
 	got := make(chan *Task, 1)
 	go func() {
-		t3, err := cl.NextTask("multi")
+		t3, err := next(multi)
 		if err == nil {
 			got <- t3
 		}
@@ -354,11 +383,11 @@ func TestMultiSlotDispatch(t *testing.T) {
 			}
 		}
 	}
-	// Losing the worker requeues BOTH held chunks; the blocked NextTask
+	// Losing the worker requeues BOTH held chunks; the blocked Next
 	// wakes with an error and a fresh worker finishes the job.
-	cl.WorkerLost("multi")
+	multi.Lost()
 	if _, ok := <-got; ok {
-		t.Fatal("NextTask succeeded for a dead worker")
+		t.Fatal("Next succeeded for a dead worker")
 	}
 	st := cl.ClusterStats()
 	if st.Requeues != 2 {
@@ -381,15 +410,11 @@ func TestSlotCapBlocksPulls(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("solo", 1000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTask("solo"); err != nil {
-		t.Fatal(err)
-	}
+	solo := join(t, cl, "solo", 1000, 1)
+	pullTask(t, solo)
 	got := make(chan struct{})
 	go func() {
-		cl.NextTask("solo")
+		solo.Next()
 		close(got)
 	}()
 	waitParked(t, cl, 1)
@@ -402,53 +427,52 @@ func TestSlotCapBlocksPulls(t *testing.T) {
 	<-got
 }
 
-// TestStaleSessionCannotKillNewIncarnation pins the epoch contract: a
-// worker reconnects (same id, new incarnation) while its old transport
-// session is still tearing down; the old session's epoch-pinned calls
-// must neither pull tasks for the new incarnation nor declare it lost.
+// TestStaleSessionCannotKillNewIncarnation pins the incarnation
+// contract: a worker reconnects (same id, new incarnation) while its old
+// transport session is still tearing down; the old session must neither
+// pull tasks for the new incarnation, nor declare it lost, nor keep it
+// alive with its heartbeats.
 func TestStaleSessionCannotKillNewIncarnation(t *testing.T) {
-	cl, _ := manualCluster(Config{})
+	cl, clk := manualCluster(Config{})
 	defer cl.Close()
 	c, a, b, _ := blockedInputs(t, 16, 16, 16, 4, 23)
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := cl.JoinWorker("w", 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTaskEpoch("w", old); err != nil {
-		t.Fatal(err)
-	}
+	old := join(t, cl, "w", 64, 2)
+	pullTask(t, old)
 	// The worker reconnects before the old session finished dying.
-	cur, err := cl.JoinWorker("w", 64, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur == old {
+	cur := join(t, cl, "w", 64, 2)
+	if cur.w.epoch == old.w.epoch {
 		t.Fatal("re-join did not bump the epoch")
 	}
-	tk, err := cl.NextTaskEpoch("w", cur)
+	tk, err := next(cur)
 	if err != nil {
 		t.Fatalf("new incarnation cannot pull: %v", err)
 	}
 	// Stale session teardown: must be a no-op against the live worker.
-	cl.WorkerLostEpoch("w", old)
+	old.Lost()
 	for _, w := range cl.Workers() {
 		if w.ID == "w" && w.Dead {
-			t.Fatal("stale WorkerLostEpoch killed the new incarnation")
+			t.Fatal("stale Lost killed the new incarnation")
 		}
 	}
 	// A stale pull must be refused instead of stranding a task.
-	if _, err := cl.NextTaskEpoch("w", old); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("stale NextTaskEpoch = %v, want ErrUnknownWorker", err)
+	if _, err := old.Next(); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("stale Next = %v, want ErrUnknownWorker", err)
+	}
+	// A stale heartbeat must be refused and must not refresh the live
+	// incarnation's liveness.
+	clk.Advance(time.Second)
+	seen := snapshotWorker(t, cl, "w").LastSeen
+	if err := old.Heartbeat(); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("stale Heartbeat = %v, want ErrUnknownWorker", err)
+	}
+	if got := snapshotWorker(t, cl, "w").LastSeen; !got.Equal(seen) {
+		t.Fatalf("stale Heartbeat moved the live incarnation's lastSeen from %v to %v", seen, got)
 	}
 	// The live incarnation keeps working: complete its held task.
-	blocks, _, err := cl.TaskChunk(tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Complete("w", tk, blocks); err != nil {
+	if err := cur.Complete(tk.key(), refChunk(tk, c)); err != nil {
 		t.Fatalf("live incarnation's completion rejected: %v", err)
 	}
 }
@@ -460,20 +484,11 @@ func TestStaleCompletionRejected(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Join("w1", 64); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := cl.NextTask("w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, q, err := cl.TaskChunk(tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = q
-	cl.WorkerLost("w1")
-	if err := cl.Complete("w1", tk, blocks); !errors.Is(err, ErrStaleTask) {
+	w1 := join(t, cl, "w1", 64, 1)
+	tk := pullTask(t, w1)
+	blocks := refChunk(tk, c)
+	w1.Lost()
+	if err := w1.Complete(tk.key(), blocks); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("Complete after loss = %v, want ErrStaleTask", err)
 	}
 }
@@ -515,17 +530,10 @@ func TestRejoinRequeuesOldTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Join("w1", 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTask("w1"); err != nil {
-		t.Fatal(err)
-	}
+	pullTask(t, join(t, cl, "w1", 64, 1))
 	// The worker process restarts and re-registers under the same id: the
 	// old incarnation's task must come back to the pool.
-	if err := cl.Join("w1", 64); err != nil {
-		t.Fatal(err)
-	}
+	join(t, cl, "w1", 64, 1)
 	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: 64})
 	if st := waitStatus(t, cl, id); st.State != Done {
 		t.Fatalf("job state = %v", st.State)

@@ -9,8 +9,8 @@ import (
 )
 
 // TestKillWorkerWithDirtyCRequeuesExactly is the recovery oracle for the
-// single-flush result path, driven through the direct scheduler API so
-// the crash point is deterministic: a worker acks two tasks (their C
+// single-flush result path, driven through the worker's Session by
+// hand so the crash point is deterministic: a worker acks two tasks (their C
 // tiles stay resident and dirty, never flushed), holds a third in
 // flight, and dies. Exactly those three tasks — no more, no fewer —
 // must be requeued, a flush from the dead incarnation must be refused,
@@ -28,28 +28,16 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	}
 	// Slots 4 keeps the pipeline-generation flush rule (dirty ≥ slots)
 	// out of the way: the worker can turn two tasks dirty and still pull.
-	if _, err := cl.JoinWorker("doomed", 64, 4); err != nil {
+	doomed := join(t, cl, "doomed", 64, 4)
+	t1 := pullTask(t, doomed)
+	t2 := pullTask(t, doomed)
+	if err := doomed.Acked(t1.key()); err != nil {
 		t.Fatal(err)
 	}
-	t1, err := cl.NextTask("doomed")
-	if err != nil {
+	if err := doomed.Acked(t2.key()); err != nil {
 		t.Fatal(err)
 	}
-	t2, err := cl.NextTask("doomed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AckTask("doomed", t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AckTask("doomed", t2); err != nil {
-		t.Fatal(err)
-	}
-	t3, err := cl.NextTask("doomed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = t3
+	pullTask(t, doomed)
 	for _, w := range cl.Workers() {
 		if w.ID != "doomed" {
 			continue
@@ -65,7 +53,7 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 		t.Fatalf("fleet dirty blocks = %d, want 8", st.DirtyBlocks)
 	}
 
-	cl.WorkerLost("doomed")
+	doomed.Lost()
 	if st := cl.ClusterStats(); st.Requeues != 3 {
 		t.Fatalf("requeues = %d, want exactly 3 (two dirty + one in flight)", st.Requeues)
 	}
@@ -73,7 +61,7 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	// copy wins and the requeued recomputation starts from it.
 	bid := engine.CBlockID(uint32(t1.Job), t1.Chunk.I0, t1.Chunk.J0)
 	stale := [][]float64{make([]float64, 16)}
-	if err := cl.CommitFlush("doomed", []uint64{bid}, stale); !errors.Is(err, ErrUnknownWorker) {
+	if err := doomed.CommitFlush([]uint64{bid}, stale); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("flush from dead worker = %v, want ErrUnknownWorker", err)
 	}
 
@@ -112,19 +100,14 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("w", 64, 2); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := cl.NextTask("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AckTask("w", tk); err != nil {
+	w := join(t, cl, "w", 64, 2)
+	tk := pullTask(t, w)
+	if err := w.Acked(tk.key()); err != nil {
 		t.Fatal(err)
 	}
 	// A second ack of the same task is stale, and the job must not have
 	// finished on the ack alone.
-	if err := cl.AckTask("w", tk); !errors.Is(err, ErrStaleTask) {
+	if err := w.Acked(tk.key()); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("double ack = %v, want ErrStaleTask", err)
 	}
 	if st, _ := cl.JobStatus(id); st.State != Running {
@@ -146,7 +129,7 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 			blocks = append(blocks, blk)
 		}
 	}
-	if err := cl.CommitFlush("w", ids, blocks); err != nil {
+	if err := w.CommitFlush(ids, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitStatus(t, cl, id); st.State != Done {
@@ -169,7 +152,7 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 	}
 	// An id from a finished job is skipped silently — a flush may cross a
 	// job completion in flight.
-	if err := cl.CommitFlush("w", ids[:1], blocks[:1]); err != nil {
+	if err := w.CommitFlush(ids[:1], blocks[:1]); err != nil {
 		t.Fatalf("post-completion flush = %v, want skipped silently", err)
 	}
 	if st := cl.ClusterStats(); st.FlushedBlocks != 4 || st.DirtyBlocks != 0 {
@@ -180,7 +163,7 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 // TestCompleteDeadJobWakesBlockedDispatcher is the regression test for a
 // liveness strand: a completion arriving for a job that failed meanwhile
 // took an early return that freed the worker's slot and memory without
-// broadcasting, leaving a dispatcher blocked in NextTask asleep forever
+// broadcasting, leaving a dispatcher blocked in Next asleep forever
 // even though the freed memory made its next task fit.
 func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 1})
@@ -193,24 +176,15 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	}
 	// Worker w holds one 8-block chunk of job 1; with 10 advertised
 	// blocks nothing else fits until that task retires.
-	if _, err := cl.JoinWorker("w", 10, 2); err != nil {
-		t.Fatal(err)
-	}
-	t1, err := cl.NextTask("w")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := join(t, cl, "w", 10, 2)
+	t1 := pullTask(t, w)
 	if t1.Job != j1 {
 		t.Fatalf("first task from job %d, want %d", t1.Job, j1)
 	}
 	// Worker x holds another job-1 task; its loss will burn the task's
 	// only attempt and fail job 1.
-	if _, err := cl.JoinWorker("x", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTask("x"); err != nil {
-		t.Fatal(err)
-	}
+	x := join(t, cl, "x", 64, 1)
+	pullTask(t, x)
 	// Job 2: 2×2 blocks, µ=1 → footprint 1+1+1 = 3; 8+3 exceeds w's 10
 	// blocks, so w's second pull blocks on memory.
 	c2, a2, b2, _ := blockedInputs(t, 8, 8, 8, 4, 34)
@@ -219,7 +193,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	}
 	got := make(chan *Task, 1)
 	go func() {
-		tk, err := cl.NextTask("w")
+		tk, err := next(w)
 		if err == nil {
 			got <- tk
 		}
@@ -232,7 +206,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	default:
 	}
 
-	cl.WorkerLost("x") // burns job 1's only attempt
+	x.Lost() // burns job 1's only attempt
 	if st, _ := cl.JobStatus(j1); st.State != Failed {
 		t.Fatalf("job 1 state = %v, want failed", st.State)
 	}
@@ -247,7 +221,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = make([]float64, 16)
 	}
-	if err := cl.Complete("w", t1, blocks); err != nil {
+	if err := w.Complete(t1.key(), blocks); err != nil {
 		t.Fatalf("completion for dead job = %v, want accepted and discarded", err)
 	}
 	select {
@@ -265,16 +239,12 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 
 // TestEngineFeedLostUnblocksNext is the regression test for the feed
 // half of the same strand: a session reader declaring the worker lost
-// must unblock a feeder goroutine parked in EngineFeed.Next, or the
+// must unblock a feeder goroutine parked in Session.Next, or the
 // session never tears down.
 func TestEngineFeedLostUnblocksNext(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
-	epoch, err := cl.JoinWorker("w", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := NewEngineFeed(cl, "w", epoch)
+	feed := join(t, cl, "w", 64, 1)
 	ret := make(chan error, 1)
 	go func() {
 		// No jobs are queued, so Next parks on the condition variable.
@@ -296,7 +266,7 @@ func TestEngineFeedLostUnblocksNext(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Next still blocked after the incarnation was declared lost")
 	}
-	if err := feed.TakeNextErr(); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("TakeNextErr = %v, want the recorded ErrUnknownWorker", err)
+	if err := feed.Close(SessionReport{}); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("Close = %v, want the recorded ErrUnknownWorker", err)
 	}
 }

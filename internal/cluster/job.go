@@ -68,8 +68,8 @@ func (s JobState) String() string {
 
 // JobSpec describes one job. The cluster references the matrices from
 // SubmitJob until it releases the job (see Cluster.releaseLocked): the
-// operands once the job is terminal and no live worker still holds one
-// of its tasks, the result once nobody can ask for it anymore.
+// operands once the job is terminal and no worker session still holds
+// one of its tasks, the result once nobody can ask for it anymore.
 type JobSpec struct {
 	Kind JobKind
 	// MatMul operands: C is updated in place.
@@ -139,13 +139,6 @@ type Status struct {
 	Retained int
 }
 
-// taskKey identifies one task attempt globally.
-type taskKey struct {
-	job     JobID
-	seq     int
-	attempt int
-}
-
 // Task is one unit of work assigned to exactly one worker: a chunk of the
 // job's C grid plus Steps update sets streamed on demand. Workers treat it
 // uniformly for both job kinds (LU tasks are 1-step updates whose A
@@ -178,7 +171,11 @@ func (t *Task) updates() int64 {
 	return int64(t.Steps) * int64(t.Chunk.Rows) * int64(t.Chunk.Cols)
 }
 
-func (t *Task) key() taskKey { return taskKey{t.Job, t.Seq, t.Attempt} }
+// key identifies one task attempt globally: the wire (Job, Seq, Attempt)
+// triple a session's assignment carries.
+func (t *Task) key() engine.AssignID {
+	return engine.AssignID{A: uint32(t.Job), B: uint32(t.Seq), C: uint32(t.Attempt)}
+}
 
 // job is the dispatcher's record of one submitted job. Guarded by the
 // owning Cluster's mutex.
@@ -248,10 +245,10 @@ type job struct {
 	// resultFree marks a job whose result nobody can ask for anymore
 	// (ForgetResult): it goes with the operands at release.
 	resultFree bool
-	// feedHeld counts the job's tasks held by EngineFeed sessions, dead
+	// held counts the job's tasks held by worker sessions, dead
 	// incarnations included: a session may still be writing a Set that
 	// references the job's A/B blocks, so the operands outlive it.
-	feedHeld int
+	held int
 }
 
 func validateSpec(spec JobSpec) error {

@@ -70,15 +70,10 @@ func TestRecoverMidJobMatMul(t *testing.T) {
 	if err != nil || attached {
 		t.Fatalf("SubmitJobKeyed = %d, %v, %v", id, attached, err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, clA, "w1", 0, 1)
 	for i := 0; i < 2; i++ {
-		task, err := clA.NextTask("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := clA.Complete("w1", task, refChunk(task, refB)); err != nil {
+		task := pullTask(t, w1)
+		if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,20 +155,15 @@ func TestRecoverMidJobLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, clA, "w1", 0, 1)
 	for i := 0; i < 2; i++ {
-		task, err := clA.NextTask("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		task := pullTask(t, w1)
 		ch := task.Chunk
 		if task.Kind != LU || ch.Rows != 1 || ch.Cols != 1 {
 			t.Fatalf("unexpected LU task %+v", task)
 		}
 		val := trailingTileValue(m, ch.I0, ch.J0, task.K)
-		if err := clA.Complete("w1", task, [][]float64{val}); err != nil {
+		if err := w1.Complete(task.key(), [][]float64{val}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,14 +209,9 @@ func TestRecoverTwiceIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	task, err := clA.NextTask("w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clA.Complete("w1", task, refChunk(task, refB)); err != nil {
+	w1 := join(t, clA, "w1", 0, 1)
+	task := pullTask(t, w1)
+	if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
 		t.Fatal(err)
 	}
 	jnA.Close()
@@ -281,14 +266,9 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	task, err := clA.NextTask("w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clA.Complete("w1", task, refChunk(task, refB)); err != nil {
+	w1 := join(t, clA, "w1", 0, 1)
+	task := pullTask(t, w1)
+	if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
 		t.Fatal(err)
 	}
 	committed := task.Chunk.Blocks
@@ -384,13 +364,9 @@ func TestQuarantinePersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clA.NextTask("w1"); err != nil {
-		t.Fatal(err)
-	}
-	clA.WorkerLost("w1") // requeue → attempt 1 ≥ MaxAttempts → quarantine
+	w1 := join(t, clA, "w1", 0, 1)
+	pullTask(t, w1)
+	w1.Lost() // requeue → attempt 1 ≥ MaxAttempts → quarantine
 	st, err := clA.JobStatus(id)
 	if err != nil || st.State != Failed || !st.Quarantined {
 		t.Fatalf("status after poison = %+v, %v", st, err)
@@ -429,21 +405,15 @@ func TestRetryBackoffDelaysRequeue(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.NextTask("w1"); err != nil {
-		t.Fatal(err)
-	}
-	cl.WorkerLost("w1") // requeues with notBefore = now + 10s
-	if _, err := cl.JoinWorker("w2", 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, cl, "w1", 0, 1)
+	pullTask(t, w1)
+	w1.Lost() // requeues with notBefore = now + 10s
+	w2 := join(t, cl, "w2", 0, 1)
 	got := make(chan *Task, 1)
 	go func() {
-		task, err := cl.NextTask("w2")
+		task, err := next(w2)
 		if err != nil {
-			t.Errorf("NextTask(w2): %v", err)
+			t.Errorf("Next(w2): %v", err)
 		}
 		got <- task
 	}()
@@ -557,24 +527,19 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, clA, "w1", 0, 1)
 	// Commit one LU trailing tile and one matmul chunk, then crash,
 	// recover, and compact: the snapshot must capture the mid-stage LU
 	// state verbatim.
 	for i := 0; i < 2; i++ {
-		task, err := clA.NextTask("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		task := pullTask(t, w1)
 		var blocks [][]float64
 		if task.Kind == LU {
 			blocks = [][]float64{trailingTileValue(m, task.Chunk.I0, task.Chunk.J0, task.K)}
 		} else {
 			blocks = refChunk(task, refB)
 		}
-		if err := clA.Complete("w1", task, blocks); err != nil {
+		if err := w1.Complete(task.key(), blocks); err != nil {
 			t.Fatal(err)
 		}
 	}

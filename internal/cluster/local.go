@@ -24,44 +24,52 @@ type LocalWorkerConfig struct {
 // closes (returns nil) or the worker is declared dead (returns the
 // error). It is the in-process transport: the same engine worker the
 // TCP runtime runs, fed through an engine.Pipe by the same feeder the
-// TCP server runs — tasks pushed, sets pulled — minus the sockets and
-// the framing.
+// TCP server runs over the same Session — tasks pushed, sets pulled —
+// minus the sockets and the framing.
 func RunLocalWorker(cl *Cluster, cfg LocalWorkerConfig) error {
-	epoch, err := cl.JoinWorker(cfg.ID, cfg.Mem, 1)
+	sess, err := cl.JoinWorker(cfg.ID, cfg.Mem, 1)
 	if err != nil {
 		return err
 	}
 	if cfg.Joined != nil {
 		close(cfg.Joined)
 	}
-	feed := NewEngineFeed(cl, cfg.ID, epoch)
-	defer feed.Lost()
+	return sess.serveLocal(cfg.Cores)
+}
+
+// serveLocal runs the session over an in-process engine worker with the
+// given kernel parallelism, then closes it.
+func (s *Session) serveLocal(cores int) error {
+	cl := s.cl
 	master, worker := engine.Pipe()
-	feedErr := make(chan error, 1)
+	type fed struct {
+		stats engine.FeederStats
+		err   error
+	}
+	feedDone := make(chan fed, 1)
 	go func() {
-		fstats, err := engine.RunFeeder(master, feed, engine.FeederConfig{
-			Slots: 1, Pool: cl.pool, Mem: cfg.Mem,
+		fstats, err := engine.RunFeeder(master, s, engine.FeederConfig{
+			Slots: 1, Pool: cl.pool, Mem: s.w.mem,
 		})
-		cl.ReportCommEpoch(cfg.ID, epoch, fstats)
-		feedErr <- err
+		feedDone <- fed{fstats, err}
 	}()
-	_, err = engine.RunWorker(worker, engine.WorkerConfig{
-		StageCap: 1, Slots: 1, Cores: cfg.Cores,
+	_, err := engine.RunWorker(worker, engine.WorkerConfig{
+		StageCap: 1, Slots: 1, Cores: cores,
 		Pool: cl.pool,
 	})
 	// The worker's exit closed the pipe, so the feeder is done or about
 	// to be. Only then has the last Set been read, and the session's
 	// holds on its jobs' operands may go.
-	fe := <-feedErr
-	feed.Close()
+	fe := <-feedDone
+	schedErr := s.Close(SessionReport{Feeder: fe.stats})
 	if err != nil {
-		// Surface the scheduler's verdict (dead, replaced, a TaskSet or
-		// Complete failure, …) rather than the pipe closure it caused.
-		if schedErr := feed.TakeNextErr(); schedErr != nil {
+		// Surface the scheduler's verdict (dead, replaced, …) or the
+		// feeder's failure rather than the pipe closure it caused.
+		if schedErr != nil {
 			return schedErr
 		}
-		if fe != nil {
-			return fe
+		if fe.err != nil {
+			return fe.err
 		}
 	}
 	return err

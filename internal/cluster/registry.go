@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -38,8 +38,8 @@ type WorkerInfo struct {
 	FlushedBlocks int64 // C blocks committed via flush over the lifetime
 
 	// Wire-byte accounting from the transport's per-conn counters, as
-	// reported once per session through ReportWireEpoch: lifetime totals
-	// carry across reconnects, session counterparts cover only the
+	// reported once per session when it closes (Session.Close): lifetime
+	// totals carry across reconnects, session counterparts cover only the
 	// current incarnation.
 	WireBytesOut     int64 // master→worker frames
 	WireBytesIn      int64 // worker→master frames
@@ -99,12 +99,7 @@ type workerState struct {
 	slots    int // max concurrent tasks (≥ 1)
 	lastSeen time.Time
 	dead     bool
-	inflight map[taskKey]*Task
-	// revoked holds speculation losers: copies taken out of inflight when
-	// another copy of their seq won, which the worker is still computing
-	// (and streaming sets for) until it reports them. They pin their
-	// job's operands like in-flight tasks do.
-	revoked  map[taskKey]*Task
+	inflight map[engine.AssignID]*Task
 	done     int
 	sessions int
 	// lastAt remembers the coordinates of the worker's previous chunk
@@ -118,7 +113,7 @@ type workerState struct {
 	sessShipped int64
 	sessSkipped int64
 	sessSaved   int64
-	// Wire-byte totals (ReportWireEpoch): lifetime carries across
+	// Wire-byte totals (Session.Close): lifetime carries across
 	// incarnations, session counters reset on every (re)join.
 	wireOut     int64
 	wireIn      int64
@@ -126,10 +121,10 @@ type workerState struct {
 	sessWireIn  int64
 	// Result residency: tasks acked but not yet flush-committed, and the
 	// individual C tiles they hold (keyed by engine.CBlockID).
-	dirty      map[taskKey]*dirtyTask
+	dirty      map[engine.AssignID]*dirtyTask
 	dirtyTiles map[uint64]*dirtyTask
 	// flushPending marks that the dispatcher has been told to flush and
-	// no commit has arrived yet; it keeps nextTask from demanding a
+	// no commit has arrived yet; it keeps Next from demanding a
 	// second flush for the same quiescent state.
 	flushPending bool
 	// flushed counts C blocks committed via CommitFlush over the
@@ -173,9 +168,9 @@ func (r *registry) join(id string, mem, slots int, now time.Time) *workerState {
 	r.joins++
 	w := &workerState{
 		id: id, epoch: r.joins, mem: mem, slots: slots, lastSeen: now,
-		inflight:   make(map[taskKey]*Task),
+		inflight:   make(map[engine.AssignID]*Task),
 		sessions:   1,
-		dirty:      make(map[taskKey]*dirtyTask),
+		dirty:      make(map[engine.AssignID]*dirtyTask),
 		dirtyTiles: make(map[uint64]*dirtyTask),
 	}
 	if old := r.workers[id]; old != nil {
@@ -194,20 +189,6 @@ func (r *registry) join(id string, mem, slots int, now time.Time) *workerState {
 	}
 	r.workers[id] = w
 	return w
-}
-
-// heartbeat refreshes a worker's liveness. It fails for unknown or dead
-// workers so transports can tell the peer to re-register.
-func (r *registry) heartbeat(id string, now time.Time) error {
-	w := r.workers[id]
-	if w == nil {
-		return fmt.Errorf("cluster: heartbeat from unknown worker %q", id)
-	}
-	if w.dead {
-		return fmt.Errorf("cluster: heartbeat from worker %q already declared dead", id)
-	}
-	w.lastSeen = now
-	return nil
 }
 
 // expired returns the live workers whose last heartbeat is older than

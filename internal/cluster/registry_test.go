@@ -18,23 +18,25 @@ func snapshotWorker(t *testing.T, cl *Cluster, id string) WorkerInfo {
 	return WorkerInfo{}
 }
 
+// comm is a session report of delta-protocol accounting.
+func comm(shipped, skipped, saved int64) SessionReport {
+	return SessionReport{Feeder: engine.FeederStats{Comm: engine.CommStats{
+		BlocksShipped: shipped, BlocksSkipped: skipped, BytesSaved: saved,
+	}}}
+}
+
 // TestReconnectCommAccounting is the regression test for the status
 // denominators mmserve prints: lifetime comm totals accumulate exactly
 // once per reported session — a reconnect must neither reset them nor
-// double-count a late report from the replaced incarnation — while
+// double-count a late report from a replaced incarnation — while
 // session counters restart at zero with each incarnation (the caches
-// are cold) and reject stale-epoch reports entirely.
+// are cold) and reject a replaced incarnation's report entirely.
 func TestReconnectCommAccounting(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
 
-	e1, err := cl.JoinWorker("w", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.ReportCommEpoch("w", e1, engine.FeederStats{Comm: engine.CommStats{
-		BlocksShipped: 10, BlocksSkipped: 5, BytesSaved: 100,
-	}})
+	s1 := join(t, cl, "w", 64, 1)
+	s1.Close(comm(10, 5, 100))
 	wi := snapshotWorker(t, cl, "w")
 	if wi.BlocksShipped != 10 || wi.BlocksSkipped != 5 || wi.BytesSaved != 100 {
 		t.Fatalf("lifetime after first session = %d/%d/%d, want 10/5/100",
@@ -49,12 +51,9 @@ func TestReconnectCommAccounting(t *testing.T) {
 	}
 
 	// Reconnect: lifetime totals carry, session counters restart cold.
-	e2, err := cl.JoinWorker("w", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2 == e1 {
-		t.Fatalf("rejoin kept epoch %d; incarnations must be distinct", e2)
+	s2 := join(t, cl, "w", 64, 1)
+	if s2.w.epoch == s1.w.epoch {
+		t.Fatalf("rejoin kept epoch %d; incarnations must be distinct", s2.w.epoch)
 	}
 	wi = snapshotWorker(t, cl, "w")
 	if wi.Sessions != 2 {
@@ -69,13 +68,13 @@ func TestReconnectCommAccounting(t *testing.T) {
 			wi.SessBlocksShipped, wi.SessBlocksSkipped, wi.SessBytesSaved)
 	}
 
-	// The first incarnation's session drains late (its reader was still
-	// flushing accounting when the replacement joined). Its traffic is
-	// real — lifetime accumulates once — but it must not be attributed to
-	// the new incarnation's cold session.
-	cl.ReportCommEpoch("w", e1, engine.FeederStats{Comm: engine.CommStats{
-		BlocksShipped: 2, BlocksSkipped: 2, BytesSaved: 20,
-	}})
+	// The worker reconnects again while the second session is still
+	// tearing down, which then drains late (its reader was still flushing
+	// accounting when the replacement joined). Its traffic is real —
+	// lifetime accumulates once — but it must not be attributed to the
+	// new incarnation's cold session.
+	s3 := join(t, cl, "w", 64, 1)
+	s2.Close(comm(2, 2, 20))
 	wi = snapshotWorker(t, cl, "w")
 	if wi.BlocksShipped != 12 || wi.BlocksSkipped != 7 || wi.BytesSaved != 120 {
 		t.Fatalf("lifetime after stale report = %d/%d/%d, want 12/7/120 (counted once)",
@@ -90,9 +89,7 @@ func TestReconnectCommAccounting(t *testing.T) {
 	}
 
 	// A report from the live incarnation lands in both scopes.
-	cl.ReportCommEpoch("w", e2, engine.FeederStats{Comm: engine.CommStats{
-		BlocksShipped: 4, BlocksSkipped: 0, BytesSaved: 0,
-	}})
+	s3.Close(comm(4, 0, 0))
 	wi = snapshotWorker(t, cl, "w")
 	if wi.BlocksShipped != 16 || wi.BlocksSkipped != 7 {
 		t.Fatalf("lifetime after live report = %d/%d, want 16/7",

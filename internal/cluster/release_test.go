@@ -20,22 +20,22 @@ func retained(t *testing.T, cl *Cluster, id JobID) int {
 	return st.Retained
 }
 
-// completeAll drains the job's tasks through worker id with the
+// completeAll drains the job's tasks through session s with the
 // reference values, returning the last task served (for poking at the
-// task-data API afterwards).
-func completeAll(t *testing.T, cl *Cluster, worker string, id JobID, ref *matrix.Blocked) *Task {
+// set guard afterwards).
+func completeAll(t *testing.T, s *Session, id JobID, ref *matrix.Blocked) *Task {
 	t.Helper()
 	var last *Task
 	for {
-		st, err := cl.JobStatus(id)
+		st, err := s.cl.JobStatus(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.State == Done {
 			return last
 		}
-		last = pullTask(t, cl, worker)
-		if err := cl.Complete(worker, last, refChunk(last, ref)); err != nil {
+		last = pullTask(t, s)
+		if err := s.Complete(last.key(), refChunk(last, ref)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,8 +45,8 @@ func completeAll(t *testing.T, cl *Cluster, worker string, id JobID, ref *matrix
 // (SubmitJob → Wait → JobResult, what the bench's traced pass runs).
 // Operands and the verify cache go when the job finishes; the result
 // stays until ForgetResult says nobody will ask; the caller's matrices
-// are only un-referenced, never written or recycled; and the task-data
-// API answers a released job with the typed stale error.
+// are only un-referenced, never written or recycled; and a set request
+// meets a released job with the typed stale error.
 func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	cl, _ := manualCluster(Config{Verify: VerifyPolicy{Mode: VerifyAll}})
 	defer cl.Close()
@@ -60,10 +60,7 @@ func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("running job retains %d matrices, want 3", got)
 	}
-	if _, err := cl.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	last := completeAll(t, cl, "w1", id, refB)
+	last := completeAll(t, join(t, cl, "w1", 0, 1), id, refB)
 	if got := retained(t, cl, id); got != 1 {
 		t.Fatalf("finished job retains %d matrices, want 1 (the result)", got)
 	}
@@ -83,11 +80,14 @@ func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	if !a.Equal(aCopy, 0) {
 		t.Fatal("caller-owned operand was modified by the release")
 	}
-	if err := cl.TaskSet(last, 0, &engine.Set{}); !errors.Is(err, ErrStaleJob) {
-		t.Fatalf("TaskSet on released operands = %v, want ErrStaleJob", err)
+	// The stale error is the engine's revoked-assignment error, which
+	// RunFeeder answers with a filler set instead of ending the session.
+	err = setOf(cl, last, 0)
+	if !errors.Is(err, ErrStaleJob) {
+		t.Fatalf("set on released operands = %v, want ErrStaleJob", err)
 	}
-	if _, _, err := cl.TaskChunk(last); err != nil {
-		t.Fatalf("TaskChunk while the result is retained: %v", err)
+	if !errors.Is(err, engine.ErrStaleAssign) {
+		t.Fatalf("set on released operands = %v, want engine.ErrStaleAssign", err)
 	}
 
 	cl.ForgetResult(id)
@@ -96,16 +96,6 @@ func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	}
 	if _, err := cl.JobResult(id); err == nil {
 		t.Fatal("JobResult served a released result")
-	}
-	if _, _, err := cl.TaskChunk(last); !errors.Is(err, ErrStaleJob) {
-		t.Fatalf("TaskChunk on a released job = %v, want ErrStaleJob", err)
-	}
-	// The feed turns it into the engine's revoked-assignment error, which
-	// RunFeeder answers with a filler set instead of ending the session.
-	feed := NewEngineFeed(cl, "w1", 0)
-	feed.tasks[taskAssignID(last)] = last
-	if _, err := feed.Set(taskAssignID(last), 0); !errors.Is(err, engine.ErrStaleAssign) {
-		t.Fatalf("EngineFeed.Set on a released job = %v, want engine.ErrStaleAssign", err)
 	}
 	// The light record is lifetime-accurate.
 	if st := cl.Jobs(); len(st) != 1 || st[0].State != Done || st[0].TasksDone != 4 {
@@ -126,10 +116,7 @@ func TestKeyedJobKeepsResultForReattach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	completeAll(t, cl, "w1", id, matrix.Partition(ref, 4))
+	completeAll(t, join(t, cl, "w1", 0, 1), id, matrix.Partition(ref, 4))
 	cl.ForgetResult(id)
 	if got := retained(t, cl, id); got != 1 {
 		t.Fatalf("keyed job retains %d matrices after ForgetResult, want 1", got)
@@ -162,9 +149,9 @@ func pooledCopy(cl *Cluster, m *matrix.Blocked) *matrix.Blocked {
 }
 
 // TestFailedJobReleasesOnlyAfterHoldersLetGo: a job that fails while a
-// live worker still holds one of its tasks keeps its operands — the
-// worker streams sets for it until it reports — and releases them on
-// that report.
+// live worker's session still holds one of its tasks keeps its operands
+// — the worker streams sets for it until it reports — and releases them
+// on that report.
 func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 1})
 	defer cl.Close()
@@ -173,14 +160,13 @@ func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []string{"doomed", "holder"} {
-		if _, err := cl.JoinWorker(w, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pullTask(t, cl, "doomed")
-	held := pullTask(t, cl, "holder")
-	cl.WorkerLost("doomed") // MaxAttempts 1: the requeue quarantines the job
+	doomed := join(t, cl, "doomed", 0, 1)
+	holder := join(t, cl, "holder", 0, 1)
+	pullTask(t, doomed)
+	held := pullTask(t, holder)
+	// MaxAttempts 1: the requeue quarantines the job. The dead session
+	// lets go when it closes.
+	doomed.Close(SessionReport{})
 	if st := waitStatus(t, cl, id); st.State != Failed {
 		t.Fatalf("job = %+v, want failed", st)
 	}
@@ -188,10 +174,10 @@ func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("failed job retains %d matrices while a worker holds its task, want 3", got)
 	}
-	if err := cl.TaskSet(held, 1, &engine.Set{}); err != nil {
+	if _, err := holder.Set(held.key(), 1); err != nil {
 		t.Fatalf("holder's set request on the failed job: %v", err)
 	}
-	if err := cl.Complete("holder", held, refChunk(held, matrix.Partition(ref, 4))); err != nil {
+	if err := holder.Complete(held.key(), refChunk(held, matrix.Partition(ref, 4))); err != nil {
 		t.Fatal(err)
 	}
 	if got := retained(t, cl, id); got != 0 {
@@ -207,9 +193,7 @@ func TestCompactLogSkipsReleasedJobs(t *testing.T) {
 	dir := t.TempDir()
 	jnA, logA := openLog(t, dir)
 	clA, _ := manualCluster(Config{Log: logA})
-	if _, err := clA.JoinWorker("w1", 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	w1 := join(t, clA, "w1", 0, 1)
 	// One job after the other, so every pulled task belongs to the job
 	// being driven: an unkeyed one finished and forgotten, a keyed one
 	// finished, and a third left with one chunk committed and one task
@@ -228,14 +212,14 @@ func TestCompactLogSkipsReleasedJobs(t *testing.T) {
 		}
 		ids[n], refs[n] = id, ref
 		if n < 2 {
-			completeAll(t, clA, "w1", id, matrix.Partition(ref, 4))
+			completeAll(t, w1, id, matrix.Partition(ref, 4))
 			continue
 		}
-		task := pullTask(t, clA, "w1")
-		if err := clA.Complete("w1", task, refChunk(task, matrix.Partition(ref, 4))); err != nil {
+		task := pullTask(t, w1)
+		if err := w1.Complete(task.key(), refChunk(task, matrix.Partition(ref, 4))); err != nil {
 			t.Fatal(err)
 		}
-		pullTask(t, clA, "w1")
+		pullTask(t, w1)
 	}
 	gone, keyed, running := ids[0], ids[1], ids[2]
 	clA.ForgetResult(gone)
@@ -274,10 +258,7 @@ func TestCompactLogSkipsReleasedJobs(t *testing.T) {
 	if d := res.Assemble().MaxDiff(refs[1]); d != 0 {
 		t.Fatalf("keyed result after compaction differs by %g", d)
 	}
-	if _, err := clB.JoinWorker("w2", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	completeAll(t, clB, "w2", running, matrix.Partition(refs[2], 4))
+	completeAll(t, join(t, clB, "w2", 0, 1), running, matrix.Partition(refs[2], 4))
 	res, err = clB.JobResult(running)
 	if err != nil {
 		t.Fatal(err)
@@ -300,11 +281,7 @@ func TestFeedHoldOutlivesDeadIncarnation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch, err := cl.JoinWorker("held", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := NewEngineFeed(cl, "held", epoch)
+	feed := join(t, cl, "held", 0, 1)
 	as, err := feed.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -320,15 +297,12 @@ func TestFeedHoldOutlivesDeadIncarnation(t *testing.T) {
 		t.Fatal("a matmul set's A block is not the job's own")
 	}
 	feed.Lost()
-	if _, err := cl.JoinWorker("w2", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	completeAll(t, cl, "w2", id, matrix.Partition(ref, 4))
+	completeAll(t, join(t, cl, "w2", 0, 1), id, matrix.Partition(ref, 4))
 	cl.ForgetResult(id)
 	if got := retained(t, cl, id); got != 3 {
 		t.Fatalf("job retains %d matrices while a dead session holds its task, want 3", got)
 	}
-	feed.Close()
+	feed.Close(SessionReport{})
 	if got := retained(t, cl, id); got != 0 {
 		t.Fatalf("job retains %d matrices after the session let go, want 0", got)
 	}
@@ -340,17 +314,13 @@ func TestFeedHoldOutlivesDeadIncarnation(t *testing.T) {
 func TestNextAfterCloseTakesNoHold(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
-	epoch, err := cl.JoinWorker("late", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := NewEngineFeed(cl, "late", epoch)
+	feed := join(t, cl, "late", 0, 1)
 	next := make(chan error, 1)
 	go func() {
 		_, err := feed.Next()
 		next <- err
 	}()
-	feed.Close()
+	feed.Close(SessionReport{})
 	c, a, b, ref := blockedInputs(t, 4, 4, 4, 4, 61)
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
 	if err != nil {
@@ -359,11 +329,7 @@ func TestNextAfterCloseTakesNoHold(t *testing.T) {
 	if err := <-next; err == nil {
 		t.Fatal("Next after Close handed out an assignment")
 	}
-	cl.WorkerLost("late")
-	if _, err := cl.JoinWorker("w2", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	completeAll(t, cl, "w2", id, matrix.Partition(ref, 4))
+	completeAll(t, join(t, cl, "w2", 0, 1), id, matrix.Partition(ref, 4))
 	cl.ForgetResult(id)
 	if got := retained(t, cl, id); got != 0 {
 		t.Fatalf("job retains %d matrices: a Next that returned after Close kept a hold", got)
@@ -376,7 +342,7 @@ func TestNextAfterCloseTakesNoHold(t *testing.T) {
 func TestRunLocalWorkerWaitsForItsFeeder(t *testing.T) {
 	feeders := func() int {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "cluster.RunLocalWorker.func")
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "cluster.(*Session).serveLocal.func")
 	}
 	for i := 0; i < 20; i++ {
 		cl, _ := manualCluster(Config{})

@@ -61,31 +61,31 @@ type VerifyPolicy struct {
 	// SampleRate is the fraction of tasks verified under VerifySample,
 	// in [0, 1]; drawn per task from a seeded stream.
 	SampleRate float64
-	// Rounds is the number of independent Freivalds probes per tile; the
-	// false-accept rate of an adversarial corruption decays as 2⁻ᵏ.
-	// Default 2. (Single-element corruptions are caught by every probe.)
-	Rounds int
-	// Seed drives the probe signs and the sampling stream, so a failing
-	// run is reproducible. Default is a fixed arbitrary constant.
-	Seed uint64
-	// Tol is the per-element probe tolerance; 0 uses
-	// blas.DefaultVerifyTol.
-	Tol float64
 	// QuarantineStrikes is how many refused tasks quarantine a worker.
 	// Default 3.
 	QuarantineStrikes int
 }
 
+const (
+	// verifyRounds is the number of independent Freivalds probes per
+	// tile; the false-accept rate of an adversarial corruption decays as
+	// 2⁻ᵏ. (Single-element corruptions are caught by every probe.) Every
+	// probe runs at blas.DefaultVerifyTol.
+	verifyRounds = 2
+	// verifyPairs is how many fused probe pairs verifyRounds demand: the
+	// kernels evaluate rounds two at a time (the second round of a pair
+	// is nearly free — one extra register set on the same memory sweep),
+	// so an odd count is rounded up, never down.
+	verifyPairs = (verifyRounds + 1) / 2
+	// verifySeed drives the probe signs and the sampling stream, so a
+	// failing run is reproducible.
+	verifySeed = 0x5eedf00dcafe
+)
+
 // normalized fills the policy's defaults.
 func (p VerifyPolicy) normalized() VerifyPolicy {
-	if p.Rounds < 1 {
-		p.Rounds = 2
-	}
 	if p.QuarantineStrikes < 1 {
 		p.QuarantineStrikes = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 0x5eedf00dcafe
 	}
 	if p.SampleRate < 0 {
 		p.SampleRate = 0
@@ -118,7 +118,7 @@ type verifyScratch struct {
 //	sᵀ·cand·r == sᵀ·old·r + Σ_k (sᵀ·A_k)·(B_k·r)
 //
 // are computed once and shared: the ±1 probe vectors (fixed per job,
-// seeded from the policy seed and the job id), the left projections
+// seeded from verifySeed and the job id), the left projections
 // u = sᵀ·A(bi,k) — shared by every tile in block-row bi — the right
 // projections y = B(k,bj)·r — shared by every tile in block-column bj —
 // and the operand max-norms feeding the tolerance, scanned in the same
@@ -141,19 +141,13 @@ func vkey(round, i, j int) uint64 {
 	return uint64(round)<<40 | uint64(i)<<20 | uint64(j)
 }
 
-// verifyPairs is how many fused probe pairs the policy's Rounds demand:
-// the kernels evaluate rounds two at a time (the second round of a pair
-// is nearly free — one extra register set on the same memory sweep), so
-// an odd Rounds is rounded up, never down.
-func (cl *Cluster) verifyPairs() int { return (cl.verify.Rounds + 1) / 2 }
-
 // vcacheLocked returns the job's verification cache, building the probe
 // vectors on first use.
 func (cl *Cluster) vcacheLocked(j *job, q int) *verifyCache {
 	if j.vcache != nil {
 		return j.vcache
 	}
-	rounds := 2 * cl.verifyPairs()
+	rounds := 2 * verifyPairs
 	vc := &verifyCache{
 		s:  make([][]float64, rounds),
 		r:  make([][]float64, rounds),
@@ -162,7 +156,7 @@ func (cl *Cluster) vcacheLocked(j *job, q int) *verifyCache {
 		nA: make(map[uint64]float64),
 		nB: make(map[uint64]float64),
 	}
-	base := cl.verify.Seed ^ (uint64(j.id) * 0x9e3779b97f4a7c15)
+	base := verifySeed ^ (uint64(j.id) * 0x9e3779b97f4a7c15)
 	for round := range vc.r {
 		vc.s[round] = make([]float64, q)
 		vc.r[round] = make([]float64, q)
@@ -218,11 +212,8 @@ func (vc *verifyCache) yPairLocked(j *job, r0, k, bj, q int) (y1, y2 []float64) 
 // is accused.
 func (cl *Cluster) probeMatMulLocked(j *job, t *Task, bi, bj int, cand, old []float64, q int) bool {
 	vc := cl.vcacheLocked(j, q)
-	tol := cl.verify.Tol
-	if tol <= 0 {
-		tol = blas.DefaultVerifyTol
-	}
-	for p := 0; p < cl.verifyPairs(); p++ {
+	const tol = blas.DefaultVerifyTol
+	for p := 0; p < verifyPairs; p++ {
 		r0 := 2 * p
 		fC1, fC2 := blas.BilinearForms2(cand, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
 		fO1, fO2, maxO := blas.BilinearForms2Max(old, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
@@ -292,8 +283,8 @@ func growViews(s *[][]float64, n int) [][]float64 {
 
 // verifyTileLocked checks one candidate value for tile (bi, bj) of job
 // j against old + Σ_k A_k·B_k from the master-owned matrices (minus,
-// for LU trailing updates — TaskSet shipped the panel negated, but the
-// master matrix holds it plain). The "old" value is the master tile
+// for LU trailing updates — the session's Set shipped the panel
+// negated, but the master matrix holds it plain). The "old" value is the master tile
 // itself: commit is the only write, so it is exactly what the worker
 // started from. A probe failure escalates to the exact recompute and
 // the bit-for-bit comparison — an honest worker can never be refused,
@@ -335,7 +326,7 @@ func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64)
 		b = growViews(&cl.vfy.b, 1)
 		a[0] = j.spec.M.Block(bi, t.K).Data
 		b[0] = j.spec.M.Block(t.K, bj).Data
-		ok = cl.vfy.v.Check(cand, old, a, b, q, subtract, cl.verify.Rounds, cl.verify.Tol)
+		ok = cl.vfy.v.Check(cand, old, a, b, q, subtract, verifyRounds, blas.DefaultVerifyTol)
 	default:
 		cl.verifyChecks--
 		return true
@@ -382,7 +373,7 @@ func (cl *Cluster) verifyTaskLocked(j *job, t *Task, w *workerState, tile func(i
 	return true
 }
 
-// verifyFlushLocked is the verification pre-pass of CommitFlushEpoch:
+// verifyFlushLocked is the verification pre-pass of commitFlushLocked:
 // it runs BEFORE any tile of the manifest is committed, because commits
 // are per-task atomic — verifying mid-commit could land half a task,
 // and the requeued recompute would then double-apply the landed half.
@@ -462,21 +453,6 @@ func (cl *Cluster) quarantineWorkerLocked(w *workerState, reason string) {
 	cl.logWorkerQuarantineLocked(w.id, w.strikes, reason)
 	if !w.dead {
 		cl.loseWorkerLocked(w)
-	}
-}
-
-// ReportTransportFault records wire-level corruption (a payload CRC
-// mismatch) on a worker's connection. It marks the worker suspect —
-// which VerifySuspect mode reads — but costs no strike: a bad NIC or
-// path is a transport fault, and the reconnect/resend machinery owns
-// it. Compute faults are the CRC-clean tiles Freivalds refuses.
-func (cl *Cluster) ReportTransportFault(id string) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.transportFaults++
-	if w := cl.reg.workers[id]; w != nil {
-		w.transportFaults++
-		w.suspect = true
 	}
 }
 

@@ -126,17 +126,12 @@ func TestVerifyCorruptCompleteQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("evil", 64, 1); err != nil {
-		t.Fatal(err)
-	}
+	evil := join(t, cl, "evil", 64, 1)
 	for s := 1; s <= strikes; s++ {
-		tk, err := cl.NextTask("evil")
-		if err != nil {
-			t.Fatalf("strike %d: NextTask: %v", s, err)
-		}
+		tk := pullTask(t, evil)
 		blocks := honestTask(c, a, b, tk, 4)
 		blocks[0][3] = flipBit62(blocks[0][3])
-		if err := cl.Complete("evil", tk, blocks); err != nil {
+		if err := evil.Complete(tk.key(), blocks); err != nil {
 			t.Fatalf("strike %d: corrupted completion returned %v, want silent refusal", s, err)
 		}
 	}
@@ -154,8 +149,8 @@ func TestVerifyCorruptCompleteQuarantine(t *testing.T) {
 	if st.Requeues != strikes {
 		t.Fatalf("Requeues = %d, want %d (each refused task requeued)", st.Requeues, strikes)
 	}
-	if _, err := cl.NextTask("evil"); !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("NextTask after quarantine = %v, want ErrWorkerQuarantined", err)
+	if _, err := evil.Next(); !errors.Is(err, ErrWorkerQuarantined) {
+		t.Fatalf("Next after quarantine = %v, want ErrWorkerQuarantined", err)
 	}
 	if _, err := cl.JoinWorker("evil", 64, 1); !errors.Is(err, ErrWorkerQuarantined) {
 		t.Fatalf("rejoin after quarantine = %v, want ErrWorkerQuarantined", err)
@@ -210,14 +205,9 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Assemble()
-	if _, err := cl.JoinWorker("evil", 64, 2); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := cl.NextTask("evil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AckTask("evil", tk); err != nil {
+	evil := join(t, cl, "evil", 64, 2)
+	tk := pullTask(t, evil)
+	if err := evil.Acked(tk.key()); err != nil {
 		t.Fatal(err)
 	}
 	ch := tk.Chunk
@@ -229,7 +219,7 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 			ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+i, ch.J0+jj))
 		}
 	}
-	if err := cl.CommitFlush("evil", ids, blocks); err != nil {
+	if err := evil.CommitFlush(ids, blocks); err != nil {
 		t.Fatalf("corrupted flush returned %v, want silent refusal", err)
 	}
 	st := cl.ClusterStats()
@@ -250,7 +240,7 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 		}
 	}
 
-	cl.WorkerLost("evil")
+	evil.Lost()
 	go RunLocalWorker(cl, LocalWorkerConfig{ID: "honest", Mem: 64})
 	if st := waitStatus(t, cl, id); st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
@@ -279,23 +269,19 @@ func TestVerifySuspectModeGatesOnTransportFault(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.JoinWorker("w", 64, 1); err != nil {
-		t.Fatal(err)
-	}
+	w := join(t, cl, "w", 64, 1)
 	// Clean worker: even a corrupt completion sails through unchecked
 	// (that is the cost VerifySuspect accepts for zero overhead).
-	tk, err := cl.NextTask("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Complete("w", tk, honestTask(c, a, b, tk, 4)); err != nil {
+	tk := pullTask(t, w)
+	if err := w.Complete(tk.key(), honestTask(c, a, b, tk, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if st := cl.ClusterStats(); st.VerifyChecks != 0 {
 		t.Fatalf("clean worker was checked %d times under VerifySuspect", st.VerifyChecks)
 	}
-	// A transport fault marks suspicion without striking.
-	cl.ReportTransportFault("w")
+	// A transport fault ends the session and marks suspicion without
+	// striking.
+	w.Close(SessionReport{TransportFault: true})
 	st := cl.ClusterStats()
 	if st.TransportFaults != 1 || st.WorkersQuarantined != 0 {
 		t.Fatalf("transport fault: faults=%d quarantined=%d, want 1/0",
@@ -306,14 +292,13 @@ func TestVerifySuspectModeGatesOnTransportFault(t *testing.T) {
 			t.Fatalf("worker after transport fault = %+v, want suspect, 0 strikes, 1 fault", w)
 		}
 	}
-	// Suspect now: results are verified, and a corrupt one is refused.
-	tk, err = cl.NextTask("w")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Suspect now, across the reconnect: results are verified, and a
+	// corrupt one is refused.
+	w = join(t, cl, "w", 64, 1)
+	tk = pullTask(t, w)
 	blocks := honestTask(c, a, b, tk, 4)
 	blocks[0][0] = flipBit62(blocks[0][0])
-	if err := cl.Complete("w", tk, blocks); err != nil {
+	if err := w.Complete(tk.key(), blocks); err != nil {
 		t.Fatal(err)
 	}
 	st = cl.ClusterStats()
@@ -337,16 +322,11 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 	if _, err := clA.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clA.JoinWorker("evil", 64, 1); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := clA.NextTask("evil")
-	if err != nil {
-		t.Fatal(err)
-	}
+	evil := join(t, clA, "evil", 64, 1)
+	tk := pullTask(t, evil)
 	blocks := honestTask(c, a, b, tk, 4)
 	blocks[0][0] = flipBit62(blocks[0][0])
-	if err := clA.Complete("evil", tk, blocks); err != nil {
+	if err := evil.Complete(tk.key(), blocks); err != nil {
 		t.Fatal(err)
 	}
 	if st := clA.ClusterStats(); st.WorkersQuarantined != 1 {

@@ -242,6 +242,8 @@ func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 	return nil
 }
 
+func (f *testFeed) ObserveCompute(engine.AssignID, int64, int64) {}
+
 // requeue puts lost chunks back at the head of the FIFO.
 func (j *testJob) requeue(ch *sim.Chunk) { j.pending = append([]*sim.Chunk{ch}, j.pending...) }
 

@@ -7,18 +7,38 @@ import (
 
 // Feed is the scheduler behind a RunFeeder session: it produces
 // assignments for one worker, materializes their update sets, and
-// consumes their results. The cluster scheduler (internal/cluster) is
-// the production implementation; conformance tests script small fakes.
+// consumes their results. The production implementation is one worker
+// incarnation of the cluster scheduler (cluster.Session); conformance
+// tests script small fakes.
 //
 // Next blocks until an assignment is available. It returns ErrFeedDone
 // (possibly wrapped) for a clean shutdown — the feeder then drains the
 // worker's in-flight assignments and says Bye — and any other error to
 // sever the session immediately (the peer is expected to re-register).
+// It may also return ErrFlushWanted (possibly wrapped): the feed wants
+// the worker's dirty C blocks before it hands out more work. The feeder
+// sends Flush and calls Next again; the feed must not return
+// ErrFlushWanted again until the flush is committed (or the session is
+// lost), or the pair would spin.
 //
-// Complete may return ErrStaleResult (possibly wrapped) for a result
-// the feed no longer wants; the feeder drops it and frees the slot.
+// An assignment with C flags runs the resident result protocol: the
+// worker acknowledges completion with an empty Result, routed to Acked,
+// and the accumulated blocks arrive later in a FlushResult manifest,
+// routed to CommitFlush. A dense assignment's Result goes to Complete.
+// Complete and Acked may return ErrStaleResult (possibly wrapped) for a
+// result the feed no longer wants; the feeder drops it and frees the
+// slot. CommitFlush must tolerate IDs the feed no longer tracks (a job
+// that failed while the flush was in flight) by skipping them, and must
+// accept an empty manifest — the feeder always reports the flush
+// answer, because the feed gates dispatch on it.
+//
 // Set may return ErrStaleAssign (possibly wrapped) once the feed has let
 // go of a revoked assignment's operands; the feeder sends a filler set.
+//
+// ObserveCompute receives the worker-side compute timing carried on a
+// Result (updates block updates took elapsedNS kernel nanoseconds),
+// even for a result the feed then refuses as stale — a losing
+// speculative copy still measured this worker's real speed.
 //
 // Lost is called exactly once, as soon as the feeder knows the session
 // is over (connection death or drain), whatever the cause; the feed
@@ -28,41 +48,10 @@ type Feed interface {
 	Next() (*Assign, error)
 	Set(id AssignID, k int) (*Set, error)
 	Complete(id AssignID, blocks [][]float64) error
-	Lost()
-}
-
-// ResidentFeed is a Feed that runs the resident result protocol: its
-// assignments may carry C flags, in which case the worker acknowledges
-// completion with an empty Result (routed to Acked, not Complete) and
-// the accumulated blocks arrive later in a FlushResult manifest (routed
-// to CommitFlush).
-//
-// Next may additionally return ErrFlushWanted (possibly wrapped): the
-// feed wants the worker's dirty C blocks before it hands out more work.
-// The feeder sends Flush and calls Next again; the feed must not return
-// ErrFlushWanted again until the flush is committed (or the session is
-// lost), or the pair would spin.
-//
-// Acked may return ErrStaleResult like Complete. CommitFlush must
-// tolerate IDs the feed no longer tracks (a job that failed while the
-// flush was in flight) by skipping them, and must accept an empty
-// manifest — the feeder always reports the flush answer, because the
-// feed gates dispatch on it.
-type ResidentFeed interface {
-	Feed
 	Acked(id AssignID) error
 	CommitFlush(ids []uint64, blocks [][]float64) error
-}
-
-// TimingSink is an optional Feed extension: a feed implementing it
-// receives the worker-side compute timing carried on Result acks
-// (updates block updates took elapsedNS kernel nanoseconds). The
-// cluster feed implements it to drive the live speed estimator; the
-// feeder dispatches via type assertion so plain feeds are untouched.
-// Timing is observed even for results the feed later refuses as stale —
-// a losing speculative copy still measured this worker's real speed.
-type TimingSink interface {
 	ObserveCompute(id AssignID, updates, elapsedNS int64)
+	Lost()
 }
 
 // FeederConfig configures one RunFeeder session.
@@ -318,9 +307,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			}
 			oa := outq[idx]
 			if res.ComputeNS > 0 && res.Updates > 0 {
-				if ts, ok := feed.(TimingSink); ok {
-					ts.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
-				}
+				feed.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
 			}
 			if oa.resident {
 				// An empty acknowledgement: the tile's values stay dirty
@@ -329,11 +316,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 					return fstats, fmt.Errorf("engine: resident assignment acked with %d blocks, want 0",
 						len(res.Blocks))
 				}
-				rf, ok := feed.(ResidentFeed)
-				if !ok {
-					return fstats, fmt.Errorf("engine: resident assignment on a feed without resident results")
-				}
-				if err := rf.Acked(res.ID); err != nil && !errors.Is(err, ErrStaleResult) {
+				if err := feed.Acked(res.ID); err != nil && !errors.Is(err, ErrStaleResult) {
 					return fstats, err
 				}
 				dirtyNow += int64(oa.rows * oa.cols)
@@ -369,17 +352,13 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			<-sem // slot freed: the dispatcher may fetch the next assignment
 		case ev.flush != nil:
 			fr := ev.flush
-			rf, ok := feed.(ResidentFeed)
-			if !ok {
-				return fstats, fmt.Errorf("engine: flush result on a feed without resident results")
-			}
 			if len(fr.IDs) != len(fr.Blocks) {
 				return fstats, fmt.Errorf("engine: flush manifest has %d ids for %d blocks",
 					len(fr.IDs), len(fr.Blocks))
 			}
 			// Commit even an empty manifest: the feed gates dispatch on
 			// the flush answer, not just on the blocks in it.
-			if err := rf.CommitFlush(fr.IDs, fr.Blocks); err != nil {
+			if err := feed.CommitFlush(fr.IDs, fr.Blocks); err != nil {
 				return fstats, err
 			}
 			builder.Stats.CUp += int64(len(fr.IDs))

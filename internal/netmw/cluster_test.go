@@ -132,11 +132,18 @@ func TestClusterMessagesThroughFraming(t *testing.T) {
 
 func startCluster(t *testing.T) (*cluster.Cluster, *ClusterServer) {
 	t.Helper()
+	return startClusterWith(t, ClusterServerConfig{})
+}
+
+// startClusterWith is startCluster serving with cfg on a loopback port.
+func startClusterWith(t *testing.T, cfg ClusterServerConfig) (*cluster.Cluster, *ClusterServer) {
+	t.Helper()
 	checkGoroutines(t)
 	// A long heartbeat timeout keeps wall-clock expiry out of the test;
 	// failure detection here comes from connection drops.
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
-	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0"})
+	cfg.Addr = "127.0.0.1:0"
+	srv, err := ServeCluster(cl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +194,7 @@ func TestClusterTCPKillWorkerMidJob(t *testing.T) {
 	go func() { done <- subres{"lu", SubmitLUTCP(addr, m, 2, time.Minute)} }()
 
 	// Wait until the jobs are registered so the doomed worker has work.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := cl.ClusterStats()
-		if st.JobsRunning+st.JobsQueued+st.JobsDone >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("jobs never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, cl, "the jobs to arrive", jobsArrived(cl, 3))
 
 	doomed := make(chan error, 1)
 	go func() {
@@ -243,7 +240,8 @@ func TestClusterTCPKillWorkerMidJob(t *testing.T) {
 // TestClusterTCPWorkerReconnects drops a worker server-side between two
 // jobs and checks it re-registers under the same name and keeps serving.
 func TestClusterTCPWorkerReconnects(t *testing.T) {
-	cl, srv := startCluster(t)
+	ls := &links{}
+	cl, srv := startClusterWith(t, ClusterServerConfig{WrapTransport: ls.wrap})
 	addr := srv.Addr()
 
 	repCh := make(chan ClusterWorkerReport, 1)
@@ -263,9 +261,9 @@ func TestClusterTCPWorkerReconnects(t *testing.T) {
 		t.Fatalf("job 1: max |C - ref| = %g", d)
 	}
 
-	// Simulate a network blip: the server declares the worker lost, which
-	// drops its connection; the worker must come back under the same id.
-	cl.WorkerLost("phoenix")
+	// Simulate a network blip: the server drops the worker's connection,
+	// which declares it lost; the worker must come back under the same id.
+	ls.sever(t, "phoenix")
 
 	c2, a2, b2, ref2 := matmulInputs(t, 8, 8, 8, 4, 13)
 	if err := SubmitMatMulTCP(addr, c2, a2, b2, 2, time.Minute); err != nil {
@@ -322,17 +320,7 @@ func TestClusterTCPCloseMidTaskIsClean(t *testing.T) {
 	c, a, b, _ := matmulInputs(t, 32, 32, 32, 4, 41)
 	go SubmitMatMulTCP(addr, c, a, b, 2, time.Minute) // result intentionally abandoned
 	// Wait for the job so the worker has work in flight when we close.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := cl.ClusterStats()
-		if st.JobsRunning+st.JobsQueued >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, cl, "the job to arrive", jobsArrived(cl, 1))
 	wdone := make(chan error, 1)
 	go func() {
 		_, err := RunClusterWorker(ClusterWorkerConfig{

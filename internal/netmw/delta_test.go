@@ -23,17 +23,7 @@ func TestClusterKillWorkerWithWarmCache(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- SubmitMatMulTCP(addr, c, a, b, 2, time.Minute) }()
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := cl.ClusterStats()
-		if st.JobsRunning+st.JobsQueued+st.JobsDone >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, cl, "the job to arrive", jobsArrived(cl, 1))
 
 	// The worker completes two tasks (cache warm by the second), is
 	// killed when the third arrives, and reconnects under the same name.

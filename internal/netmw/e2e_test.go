@@ -78,17 +78,7 @@ func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
 
 	// Wait until the jobs are registered so the doomed worker is
 	// guaranteed to hold assignments when it dies.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := cl.ClusterStats()
-		if st.JobsRunning+st.JobsQueued+st.JobsDone >= len(mms)+len(lus) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("jobs never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, cl, "the jobs to arrive", jobsArrived(cl, len(mms)+len(lus)))
 
 	// The doomed worker joins first, alone, with 2 slots: when the kill
 	// hook fires it holds its computing task AND its prefetched one —

@@ -208,7 +208,7 @@ func TestClusterTCPCorruptWorkerQuarantine(t *testing.T) {
 			}
 		}
 	}
-	if err := cl.Join("corrupt", 256); !errors.Is(err, cluster.ErrWorkerQuarantined) {
+	if _, err := cl.JoinWorker("corrupt", 256, 1); !errors.Is(err, cluster.ErrWorkerQuarantined) {
 		t.Fatalf("rejoin of quarantined worker = %v, want ErrWorkerQuarantined", err)
 	}
 }
@@ -236,22 +236,13 @@ func TestDurableSubmitRetriesAcrossServerRestart(t *testing.T) {
 
 	// Wait until the job is accepted, then kill the server with no worker
 	// having served it: the client's pending round trip fails.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := cl1.ClusterStats()
-		if st.JobsRunning+st.JobsQueued >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCond(t, cl1, "the job to arrive", jobsArrived(cl1, 1))
 	cl1.Close()
 	srv1.Close()
 
 	// Restart on the same address. The listener may need a moment to
 	// rebind; the client keeps retrying meanwhile.
+	deadline := time.Now().Add(time.Minute)
 	var srv2 *ClusterServer
 	cl2 := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
 	defer cl2.Close()

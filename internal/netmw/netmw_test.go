@@ -38,11 +38,7 @@ func launch(t *testing.T, c, a, b *matrix.Blocked, n, mu int, wcfg ClusterWorker
 			exits <- exit{rep, err}
 		}()
 	}
-	for deadline := time.Now().Add(time.Minute); len(cl.Workers()) < n; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never joined")
-		}
-	}
+	waitCond(t, cl, "the workers to join", func() bool { return len(cl.Workers()) >= n })
 	if err := SubmitMatMulTCP(srv.Addr(), c, a, b, mu, time.Minute); err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestParkedSetPinsItsJobsOperands(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the parked worker never sent a by-reference set")
 	}
-	cl.WorkerLost("parked")
+	park.Transport.Close() // the connection drops: the parked session's worker is lost
 	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "healthy", Memory: 64})
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -191,11 +191,12 @@ func (s *ClusterServer) handle(conn net.Conn) {
 // feeder: the transport frames tasks/sets/results and consumes
 // heartbeats, engine.RunFeeder keeps up to the worker's advertised
 // Slots tasks in flight and routes set requests to the oldest
-// incomplete task, and cluster.EngineFeed (shared with the in-process
-// local worker) bridges to the scheduler. A connection error at any
-// point declares the worker lost, which requeues every task it held.
+// incomplete task, and the worker's cluster.Session (the same feed the
+// in-process local worker runs) is the scheduler. A connection error at
+// any point declares the incarnation lost, which requeues every task it
+// held; a reconnect replaces it, and this session can then act on the
+// worker no more.
 func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.Writer, ri RegisterInfo) {
-	id := ri.Name
 	slots := int(ri.Slots)
 	if slots < 1 {
 		slots = 1
@@ -203,50 +204,32 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	if s.cfg.MaxSlots > 0 && slots > s.cfg.MaxSlots {
 		slots = s.cfg.MaxSlots
 	}
-	// The epoch pins every cluster call of this session to this
-	// incarnation: once the worker re-registers (reconnect), a lingering
-	// old session can neither pull tasks for the new incarnation nor
-	// declare it lost during teardown.
-	epoch, err := s.cl.JoinWorker(id, int(ri.Mem), slots)
+	sess, err := s.cl.JoinWorker(ri.Name, int(ri.Mem), slots)
 	if err != nil {
 		return
 	}
-	feed := cluster.NewEngineFeed(s.cl, id, epoch)
-	// RunFeeder's reader calls feed.Lost the moment the connection dies;
-	// the deferred call covers feeder-side exits (protocol violations)
-	// and is a no-op once the incarnation is already gone. Close runs
-	// after RunFeeder has returned, when no Send can be reading a Set of
-	// this session anymore.
-	defer feed.Close()
-	defer feed.Lost()
-	tr := newServerTransport(conn, r, w, s.pool, func() error { return s.cl.Heartbeat(id) })
+	tr := newServerTransport(conn, r, w, s.pool, sess.Heartbeat)
 	var link engine.Transport = tr
 	if s.cfg.WrapTransport != nil {
-		link = s.cfg.WrapTransport(id, tr)
+		link = s.cfg.WrapTransport(ri.Name, tr)
 	}
 	began := time.Now()
-	fstats, ferr := engine.RunFeeder(link, feed, engine.FeederConfig{
+	fstats, ferr := engine.RunFeeder(link, sess, engine.FeederConfig{
 		Slots: slots, Pool: s.pool, Mem: int(ri.Mem),
 	})
-	// A checksum mismatch on this worker's bulk payloads is transport
-	// corruption, not a compute fault: record it against the connection
-	// (suspicion, not strikes) and let the reconnect/requeue machinery
-	// resend the work. Freivalds failures on CRC-clean tiles are what
-	// strike the worker.
-	if errors.Is(ferr, ErrPayloadCRC) {
-		s.cl.ReportTransportFault(id)
-	}
-	// Fold the session's delta accounting into the worker and job
-	// totals for the server's status output. The epoch pin keeps a stale
-	// session's exit report from landing on the session counters of the
-	// incarnation that replaced it (lifetime totals still accumulate —
-	// they are per worker name).
-	s.cl.ReportCommEpoch(id, epoch, fstats)
-	// Fold the connection's byte counters into the worker's wire totals
-	// and its bandwidth profile. One report per session, at teardown, so
-	// reconnects never double-count a byte.
+	// RunFeeder has returned, so no Send can be reading a Set of this
+	// session anymore: close it. One report per session, at teardown, so
+	// reconnects never double-count a byte. A checksum mismatch on this
+	// worker's bulk payloads is transport corruption, not a compute
+	// fault: it marks the worker suspect (no strike) and the
+	// reconnect/requeue machinery resends the work; Freivalds failures on
+	// CRC-clean tiles are what strike the worker.
 	ws := tr.Stats()
-	s.cl.ReportWireEpoch(id, epoch, ws.BytesOut, ws.BytesIn, time.Since(began))
+	sess.Close(cluster.SessionReport{
+		Feeder:  fstats,
+		WireOut: ws.BytesOut, WireIn: ws.BytesIn, Elapsed: time.Since(began),
+		TransportFault: errors.Is(ferr, ErrPayloadCRC),
+	})
 }
 
 // clientSession serves one MsgSubmit whose n-byte payload is still on

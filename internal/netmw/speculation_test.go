@@ -12,25 +12,6 @@ import (
 	"repro/internal/matrix"
 )
 
-// waitCond polls f until it returns true or the deadline passes; on
-// timeout it dumps the cluster state for post-mortem.
-func waitCond(t *testing.T, cl *cluster.Cluster, what string, f func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !f() {
-		if time.Now().After(deadline) {
-			st := cl.ClusterStats()
-			t.Logf("stats: %+v", st)
-			for _, w := range cl.Workers() {
-				t.Logf("worker %s: dead=%v inflight=%d done=%d dirty=%d profile=%+v",
-					w.ID, w.Dead, w.Inflight, w.Done, w.DirtyBlocks, w.Profile)
-			}
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // resultTap reports every Result a worker session delivers, before the
 // feeder sees it; seen may block, which parks the Result in Recv.
 type resultTap struct {
@@ -54,9 +35,11 @@ func (rt resultTap) Recv() (engine.Msg, error) {
 // every Result they send is parked in the server's Recv until hold
 // returns, so each is stuck holding one in-flight task. Only once both
 // are stuck does a fast worker join: it drains the rest of the grid and,
-// finding nothing fresh, duplicates the stuck tasks.
+// finding nothing fresh, duplicates the stuck tasks. The stragglers'
+// links can be severed; a Result parked when its link is cut dies with
+// the connection.
 func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
-	cl *cluster.Cluster, c *matrix.Blocked, ref *matrix.Dense, done chan error) {
+	cl *cluster.Cluster, ls *links, c *matrix.Blocked, ref *matrix.Dense, done chan error) {
 	checkGoroutines(t)
 	cl = cluster.New(cluster.Config{
 		HeartbeatTimeout: time.Hour,
@@ -73,18 +56,19 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 	mem := core.ChunkFootprint(2, 2, 1) - 1
 	var parking atomic.Bool
 	parked := make(chan string, 16)
+	ls = &links{}
 	srv, err := ServeCluster(cl, ClusterServerConfig{
 		Addr: "127.0.0.1:0",
 		WrapTransport: func(name string, tr engine.Transport) engine.Transport {
 			if name == "fast" {
 				return tr
 			}
-			return resultTap{tr, func(res *engine.Result) {
+			return ls.wrap(name, resultTap{tr, func(res *engine.Result) {
 				if parking.Load() {
 					parked <- name
 					hold(cl, res)
 				}
-			}}
+			}})
 		},
 	})
 	if err != nil {
@@ -127,21 +111,21 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 		}
 	}
 	go RunClusterWorker(ClusterWorkerConfig{Addr: addr, Name: "fast", Memory: mem})
-	return cl, c, ref, done
+	return cl, ls, c, ref, done
 }
 
 // TestClusterTCPSpeculationKillStraggler: the fast worker duplicates a
 // stuck straggler's chunk, and both stragglers are then killed while
-// the race is on. The duplicate must win, the dead incarnations' late
-// traffic must be refused through the stale-epoch paths, and the
-// assembled result must be bit-exact. The stragglers' results stay
-// parked until both are dead, so the window cannot close before a
-// duplicate is in flight.
+// the race is on: their connections are severed, so their parked
+// results die with the links. The duplicate must win and the assembled
+// result must be bit-exact. The stragglers' results stay parked until
+// both links are cut, so the window cannot close before a duplicate is
+// in flight.
 func TestClusterTCPSpeculationKillStraggler(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	unpark := func() { once.Do(func() { close(release) }) }
-	cl, c, ref, done := stragglerRace(t, func(*cluster.Cluster, *engine.Result) { <-release })
+	cl, ls, c, ref, done := stragglerRace(t, func(*cluster.Cluster, *engine.Result) { <-release })
 	t.Cleanup(unpark) // before the server's Close, which waits for the sessions
 
 	waitCond(t, cl, "speculative dispatch", func() bool {
@@ -150,11 +134,12 @@ func TestClusterTCPSpeculationKillStraggler(t *testing.T) {
 	// Kill both stragglers mid-race: the duplicated chunk's holder dies
 	// while the duplicate is computing (or just after it won), and the
 	// bystander straggler's chunk must be re-cut and recomputed.
-	// Everything the dead incarnations send from here on must bounce off
-	// the epoch checks.
-	cl.WorkerLost("slow1")
-	cl.WorkerLost("slow2")
+	ls.sever(t, "slow1")
+	ls.sever(t, "slow2")
 	unpark()
+	waitCond(t, cl, "both stragglers declared lost", func() bool {
+		return cl.ClusterStats().WorkersLost >= 2
+	})
 
 	if err := <-done; err != nil {
 		t.Fatalf("job failed: %v", err)
@@ -187,7 +172,7 @@ func TestClusterTCPSpeculationLoserOutlivesJob(t *testing.T) {
 	late, early := 0, 0
 	// A loser has not let go until the feeder hands its Result to the
 	// scheduler, after Recv returns. Until then the job is pinned.
-	cl, c, ref, done := stragglerRace(t, func(cl *cluster.Cluster, res *engine.Result) {
+	cl, _, c, ref, done := stragglerRace(t, func(cl *cluster.Cluster, res *engine.Result) {
 		jobDone, err := cl.Done(cluster.JobID(res.ID.A))
 		if err != nil {
 			return

@@ -195,11 +195,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	// Submit only once both workers have joined: a job one worker can
 	// finish alone would otherwise let the server close on the other
 	// mid-handshake, or before it has dialed at all.
-	for deadline := time.Now().Add(time.Minute); len(cl.Workers()) < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never joined")
-		}
-	}
+	waitCond(t, "the workers to join", func() bool { return len(cl.Workers()) >= 2 })
 	if err := SubmitMatMulTCP(svc.Addr(), c, a, b, 2, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +215,17 @@ func TestTCPRoundTrip(t *testing.T) {
 	}
 	if shipped == 0 {
 		t.Fatal("no transfer accounting")
+	}
+}
+
+// waitCond polls f until it returns true, failing the test after a
+// minute.
+func waitCond(t *testing.T, what string, f func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); !f(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

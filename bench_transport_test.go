@@ -221,7 +221,7 @@ func TestTransportPoolingAllocRatio(t *testing.T) {
 // zero-initialized C. The 512 distinct operand blocks all fit the
 // default worker cache, so the delta protocol ships each exactly once;
 // the zero C ships down as flags (CDown = 0) and each of the 256 C
-// tiles flushes up exactly once.
+// tiles flushes up exactly once (CUp, reported as flush-blocks/op).
 const mrR, mrT, mrS, mrQ = 16, 16, 16, 16
 
 // BenchmarkTransportDelta measures master egress of the max-reuse job
@@ -253,8 +253,8 @@ func BenchmarkTransportDelta(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(run.egress)/1e6, "egress-MB/op")
 		b.ReportMetric(run.comm.HitRate()*100, "%cache-hit")
-		b.ReportMetric(float64(run.comm.FlushBlocks), "flush-blocks/op")
-		b.ReportMetric(float64(run.comm.FlushBlocks*mrQ*mrQ*8)/1e6, "flush-MB/op")
+		b.ReportMetric(float64(run.comm.CUp), "flush-blocks/op")
+		b.ReportMetric(float64(run.comm.CUp*mrQ*mrQ*8)/1e6, "flush-MB/op")
 		b.ReportMetric(float64(run.comm.DirtyPeak), "dirty-peak")
 		pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
 		b.ReportMetric(measuredOverLowerBound(run, pr), "x-lower-bound")
@@ -274,10 +274,10 @@ func BenchmarkTransportDelta(b *testing.B) {
 //
 //	measured = Comm.BlocksShipped   (operand payloads actually sent)
 //	         + Comm.CDown           (C tiles shipped down with payload)
-//	         + Comm.CUp             (C tiles returned: dense results + flushes)
+//	         + Comm.CUp             (C tiles returned in flushes)
 //	bound    = √(27/(8m)) · updates (LowerBoundLoomisWhitney · |updates|)
 //
-// Skipped operand blocks (cache hits), CZero flags and CResident tiles
+// Skipped operand blocks (cache hits) and CZero flags
 // move no payload and do not count; every block that does carries q²
 // doubles, so block counts compare directly. m is the worker memory the
 // run effectively had: the default resident-cache budget (the bench
@@ -292,8 +292,8 @@ func measuredOverLowerBound(run transportRun, pr core.Problem) float64 {
 // TestResultPathLowerBound is the acceptance pin for the result path:
 // on the max-reuse configuration, the full data path — delta operand
 // sets plus resident single-flush results — must land within 4× of the
-// Loomis–Whitney lower bound (a dense result path sits at ~9×: every
-// chunk ships its C tiles down and back), with every C tile flushed
+// Loomis–Whitney lower bound (shipping every chunk's C tiles down and
+// back with each chunk would sit at ~9×), with every C tile flushed
 // exactly once, no C payload downlink (the zero C rides the CZero
 // flag), and a bit-exact result.
 func TestResultPathLowerBound(t *testing.T) {
@@ -314,7 +314,7 @@ func TestResultPathLowerBound(t *testing.T) {
 		}
 	}
 	pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
-	if fb := run.comm.FlushBlocks; fb != int64(pr.CBlocks()) {
+	if fb := run.comm.CUp; fb != int64(pr.CBlocks()) {
 		t.Fatalf("flushed %d blocks, want every C tile exactly once (%d)", fb, pr.CBlocks())
 	}
 	if cd := run.comm.CDown; cd != 0 {

@@ -256,8 +256,6 @@ func printWorkerStatus(workers []cluster.WorkerInfo) {
 		}
 		if wi.Quarantined {
 			line += " QUARANTINED"
-		} else if wi.Suspect {
-			line += " suspect"
 		}
 		fmt.Println(line)
 		shipped += wi.BlocksShipped

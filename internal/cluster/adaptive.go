@@ -81,9 +81,9 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 }
 
 // resolveSpeculationLocked runs when the first copy of a speculated seq
-// finishes (a session's Complete or Acked accepted the winner): every
-// other in-flight copy is revoked, so the losers' later completions,
-// acks and flushes all take the stale paths — ErrStaleTask there,
+// finishes (a session's Acked accepted the winner): every other
+// in-flight copy is revoked, so the losers' later acks and flushes all
+// take the stale paths — ErrStaleTask there,
 // skipped ids in CommitFlush — and the committed value is written
 // exactly once. A loser's session still holds its copy, and so the
 // job's operands, until it reports it.

@@ -175,7 +175,7 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 	}
 
 	// The fast copy finishes first and wins.
-	if err := fast.Complete(dup.key(), refChunk(dup, c)); err != nil {
+	if err := complete(fast, dup, refChunk(dup, c)); err != nil {
 		t.Fatalf("winner's completion rejected: %v", err)
 	}
 	if st := waitStatus(t, cl, id); st.State != Done {
@@ -196,7 +196,7 @@ func TestSpeculationWinnerRevokesLoser(t *testing.T) {
 
 	// The straggler finally reports: its copy was revoked when the winner
 	// committed, so the late completion must be refused as stale.
-	if err := slow.Complete(orig.key(), refChunk(orig, c)); !errors.Is(err, ErrStaleTask) {
+	if err := complete(slow, orig, refChunk(orig, c)); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("loser's completion = %v, want ErrStaleTask", err)
 	}
 	if got := retained(t, cl, id); got != 1 {

@@ -13,8 +13,8 @@
 //
 // A worker incarnation is one Session: JoinWorker registers the worker
 // and returns it, and it is the engine.Feed the transport's
-// engine.RunFeeder runs — Next pulls the incarnation's tasks, Set and
-// Complete/Acked/CommitFlush move the data, Heartbeat proves liveness,
+// engine.RunFeeder runs — Next pulls the incarnation's tasks, Set,
+// Acked and CommitFlush move the data, Heartbeat proves liveness,
 // Lost and Close end it. Every call is bound to the incarnation, so a
 // session whose worker was declared dead or replaced by a reconnect can
 // neither pull work for, nor commit into, nor kill its successor. The
@@ -62,6 +62,11 @@ var (
 	// verification past the strike threshold; the verdict is journaled,
 	// so it also refuses the worker after a master restart.
 	ErrWorkerQuarantined = errors.New("cluster: worker quarantined for corrupt results")
+	// ErrBeyondBlockIDs refuses a job whose C tiles cannot all be named
+	// by engine.CBlockID — a job number past its field, or a result grid
+	// side over 65536 blocks. Results come back only as tiles flushed
+	// under those IDs.
+	ErrBeyondBlockIDs = errors.New("cluster: job's C tiles do not fit the block ID space")
 )
 
 // RetryPolicy shapes the pause between a task's loss and its next
@@ -138,7 +143,7 @@ type Stats struct {
 	// budget (poison jobs); they are included in JobsFailed.
 	JobsQuarantined int
 	// DirtyBlocks counts C tiles resident on live workers awaiting a
-	// flush commit (the single-flush result path's in-flight state).
+	// flush commit.
 	DirtyBlocks int
 	// FlushedBlocks counts C tiles committed via flush manifests over
 	// the cluster's lifetime.
@@ -160,7 +165,7 @@ type Stats struct {
 	VerifyNS int64
 	// WorkersQuarantined counts workers parked for corrupt results;
 	// TransportFaults counts wire-level CRC faults reported against
-	// workers (suspicion only — no strikes).
+	// workers (counted only — no strikes).
 	WorkersQuarantined int
 	TransportFaults    int
 }
@@ -268,7 +273,8 @@ func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 // With a JobLog configured, the accept event (including the operand
 // matrices) is fsync'd before the job is admitted; an append failure
 // refuses the submission rather than accepting work that would not
-// survive a crash.
+// survive a crash. A job whose C tiles the block IDs cannot name is
+// refused before anything is journaled (ErrBeyondBlockIDs).
 func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached bool, err error) {
 	// A pooled spec that is not admitted has no other owner.
 	defer func() {
@@ -298,6 +304,9 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", cl.logErr)
 	}
 	id = cl.nextID
+	if res := spec.result(); engine.CBlockID(uint32(id), res.BR-1, res.BC-1) == 0 {
+		return 0, false, fmt.Errorf("%w: job %d, %dx%d blocks", ErrBeyondBlockIDs, id, res.BR, res.BC)
+	}
 	if cl.log != nil {
 		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul)); err != nil {
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
@@ -724,7 +733,7 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 		return nil, true
 	}
 	if len(w.inflight) >= w.slots {
-		return nil, false // every slot busy; an ack or Complete will wake us
+		return nil, false // every slot busy; an ack will wake us
 	}
 	held := 0
 	if w.mem > 0 {
@@ -930,98 +939,14 @@ func (cl *Cluster) anyWorkerHasMemLocked(need int) bool {
 	return false
 }
 
-// completeLocked stores the C blocks of a task worker w finished. A
-// completion for an assignment the worker no longer holds in flight
-// (revoked, or requeued when the worker was declared dead) returns
-// ErrStaleTask; a completion for a job that failed meanwhile is
-// accepted and discarded.
-func (cl *Cluster) completeLocked(w *workerState, t *Task, blocks [][]float64) error {
-	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
-		return ErrStaleTask
-	}
-	j := cl.jobs[t.Job]
-	ch := t.Chunk
-	q := cl.taskQ(j)
-	if len(blocks) != ch.Rows*ch.Cols {
-		return fmt.Errorf("cluster: task %d/%d returned %d blocks, want %d",
-			t.Job, t.Seq, len(blocks), ch.Rows*ch.Cols)
-	}
-	for _, b := range blocks {
-		if len(b) != q*q {
-			return fmt.Errorf("cluster: task %d/%d returned a %d-element block, want %d",
-				t.Job, t.Seq, len(b), q*q)
-		}
-	}
-	delete(w.inflight, t.key())
-	w.done++
-	w.lastSeen = cl.clock.Now()
-	if j == nil || j.state != Running {
-		// The job failed or closed while the task was out, but the slot
-		// and memory this completion frees must still wake dispatchers
-		// blocked in Next — returning without a Broadcast strands them
-		// until some unrelated event happens to fire one.
-		cl.promoteLocked()
-		cl.cond.Broadcast()
-		return nil
-	}
-	// Verification gate: the candidate tiles are checked against the
-	// master-owned operands before anything lands in the job matrix. A
-	// confirmed-corrupt task is refused wholesale — requeued and struck —
-	// and reads as accepted to the transport; the speculation latch is
-	// deliberately left alone, since a racing duplicate may yet deliver
-	// the honest value.
-	if cl.shouldVerifyLocked(w) &&
-		!cl.verifyTaskLocked(j, t, w, func(i, jj int) []float64 { return blocks[i*ch.Cols+jj] }) {
-		cl.requeueLocked(t, false)
-		cl.strikeLocked(w, fmt.Sprintf("task %d/%d failed result verification", t.Job, t.Seq))
-		cl.promoteLocked()
-		cl.cond.Broadcast()
-		return nil
-	}
-	// First copy of a speculated seq to finish: revoke the other copies
-	// before accounting, so the losers' late reports all read as stale.
-	cl.resolveSpeculationLocked(j, t)
-	dst := j.spec.result()
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			copy(dst.Block(ch.I0+i, ch.J0+jj).Data, blocks[i*ch.Cols+jj])
-		}
-	}
-	// The chunk's final values just landed in the job matrix: journal the
-	// commit before any state it can finish (stage advance, job done), so
-	// replay order matches live order.
-	cl.logChunkLocked(j, t)
-	j.inflight--
-	j.done++
-	if j.spec.Kind == LU {
-		j.stageLeft--
-		if j.stageLeft == 0 && len(j.pending) == 0 && j.inflight == 0 && j.dirty == 0 {
-			j.stage++
-			cl.advanceLULocked(j)
-		}
-	}
-	if j.finished() {
-		cl.finishJobLocked(j, Done, nil)
-	}
-	cl.promoteLocked()
-	cl.cond.Broadcast()
-	return nil
-}
-
 // ackLocked records that worker w finished computing a task whose C
-// tiles stay resident in its result cache (the single-flush result
-// path): the task leaves the in-flight set — freeing its slot — and its
-// tiles turn dirty until a flush manifest commits them into the job
-// matrix. An ack for an assignment the worker no longer holds in flight
-// returns ErrStaleTask.
+// tiles stay resident in its result cache: the task leaves the
+// in-flight set — freeing its slot — and its tiles turn dirty until a
+// flush manifest commits them into the job matrix. An ack for an
+// assignment the worker no longer holds in flight returns ErrStaleTask.
 func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
 		return ErrStaleTask
-	}
-	ch := t.Chunk
-	if engine.CBlockID(uint32(t.Job), ch.I0+ch.Rows-1, ch.J0+ch.Cols-1) == 0 {
-		return fmt.Errorf("cluster: task %d/%d acked resident but its tiles have no block IDs",
-			t.Job, t.Seq)
 	}
 	delete(w.inflight, t.key())
 	w.done++
@@ -1029,8 +954,10 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	j := cl.jobs[t.Job]
 	if j == nil || j.state != Running {
 		// Job failed or closed while the task was out; the worker's now
-		// untracked tiles will be skipped at flush time. The freed slot
-		// must still wake blocked dispatchers (see completeLocked).
+		// untracked tiles will be skipped at flush time. The slot and
+		// memory the ack frees must still wake dispatchers blocked in
+		// Next — returning without a Broadcast strands them until some
+		// unrelated event happens to fire one.
 		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
@@ -1042,6 +969,7 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	cl.resolveSpeculationLocked(j, t)
 	j.inflight--
 	j.dirty++
+	ch := t.Chunk
 	dt := &dirtyTask{task: t, left: ch.Rows * ch.Cols}
 	w.dirty[t.key()] = dt
 	for i := 0; i < ch.Rows; i++ {

@@ -109,6 +109,20 @@ func pullTask(t *testing.T, s *Session) *Task {
 	}
 }
 
+// complete retires a held task the way the worker does: it acks the
+// task, then flushes the task's tiles with the given values, row-major.
+func complete(s *Session, tk *Task, blocks [][]float64) error {
+	if err := s.Acked(tk.key()); err != nil {
+		return err
+	}
+	ch := tk.Chunk
+	ids := make([]uint64, 0, len(blocks))
+	for n := range blocks {
+		ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+n/ch.Cols, ch.J0+n%ch.Cols))
+	}
+	return s.CommitFlush(ids, blocks)
+}
+
 // setOf materializes the k-th update set of any task, held or not: the
 // guard a released job's operands meet.
 func setOf(cl *Cluster, tk *Task, k int) error {
@@ -275,7 +289,7 @@ func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
 		t.Fatalf("CheckExpiry = %v, want [w-doomed]", dead)
 	}
 	// A late result from the dead worker must be rejected, not stored.
-	if err := doomed.Complete(doomedTask.key(), nil); !errors.Is(err, ErrStaleTask) {
+	if err := complete(doomed, doomedTask, nil); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("zombie Complete = %v, want ErrStaleTask", err)
 	}
 
@@ -472,7 +486,7 @@ func TestStaleSessionCannotKillNewIncarnation(t *testing.T) {
 		t.Fatalf("stale Heartbeat moved the live incarnation's lastSeen from %v to %v", seen, got)
 	}
 	// The live incarnation keeps working: complete its held task.
-	if err := cur.Complete(tk.key(), refChunk(tk, c)); err != nil {
+	if err := complete(cur, tk, refChunk(tk, c)); err != nil {
 		t.Fatalf("live incarnation's completion rejected: %v", err)
 	}
 }
@@ -488,7 +502,7 @@ func TestStaleCompletionRejected(t *testing.T) {
 	tk := pullTask(t, w1)
 	blocks := refChunk(tk, c)
 	w1.Lost()
-	if err := w1.Complete(tk.key(), blocks); !errors.Is(err, ErrStaleTask) {
+	if err := complete(w1, tk, blocks); !errors.Is(err, ErrStaleTask) {
 		t.Fatalf("Complete after loss = %v, want ErrStaleTask", err)
 	}
 }

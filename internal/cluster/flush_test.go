@@ -161,10 +161,11 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 }
 
 // TestCompleteDeadJobWakesBlockedDispatcher is the regression test for a
-// liveness strand: a completion arriving for a job that failed meanwhile
-// took an early return that freed the worker's slot and memory without
+// liveness strand: an ack arriving for a job that failed meanwhile took
+// an early return that freed the worker's slot and memory without
 // broadcasting, leaving a dispatcher blocked in Next asleep forever
-// even though the freed memory made its next task fit.
+// even though the freed memory made its next task fit. The ack alone
+// must wake it: no flush follows, since the job's tiles are dead.
 func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 1})
 	defer cl.Close()
@@ -211,18 +212,14 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 		t.Fatalf("job 1 state = %v, want failed", st.State)
 	}
 	// Let the dispatcher absorb the loss broadcast, rescan (job 1 is
-	// dead, job 2 still does not fit) and park again, so the completion
-	// below is provably the only thing left to wake it.
+	// dead, job 2 still does not fit) and park again, so the ack below
+	// is provably the only thing left to wake it.
 	waitParked(t, cl, 2)
-	// w now completes its job-1 task. The job is dead, so the result is
-	// discarded — but the completion frees 8 blocks, and the blocked pull
-	// must wake and take the job-2 task.
-	blocks := make([][]float64, t1.Chunk.Rows*t1.Chunk.Cols)
-	for i := range blocks {
-		blocks[i] = make([]float64, 16)
-	}
-	if err := w.Complete(t1.key(), blocks); err != nil {
-		t.Fatalf("completion for dead job = %v, want accepted and discarded", err)
+	// w now acks its job-1 task. The job is dead, so its tiles will never
+	// commit — but the ack frees 8 blocks, and the blocked pull must wake
+	// and take the job-2 task.
+	if err := w.Acked(t1.key()); err != nil {
+		t.Fatalf("ack for dead job = %v, want accepted and discarded", err)
 	}
 	select {
 	case tk, ok := <-got:
@@ -233,7 +230,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 			t.Fatalf("woken pull got a task of failed job %d", j1)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("dispatcher still blocked after dead-job completion freed its memory")
+		t.Fatal("dispatcher still blocked after the dead-job ack freed its memory")
 	}
 }
 

@@ -13,7 +13,7 @@ package cluster
 //     LU stage-0 panel factorization), so the rebuilt task pool is
 //     identical to the live one.
 //   - chunk is appended when a chunk's result lands in the job matrix
-//     (Complete, or the final flush commit of an acked chunk). Replaying
+//     (the flush commit of the last of an acked chunk's tiles). Replaying
 //     it copies the committed tiles back and retires the matching
 //     pending task, so recovery requeues exactly the unfinished work.
 //     Chunks a worker computed but never committed are absent by

@@ -73,7 +73,7 @@ func TestRecoverMidJobMatMul(t *testing.T) {
 	w1 := join(t, clA, "w1", 0, 1)
 	for i := 0; i < 2; i++ {
 		task := pullTask(t, w1)
-		if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
+		if err := complete(w1, task, refChunk(task, refB)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestRecoverMidJobLU(t *testing.T) {
 			t.Fatalf("unexpected LU task %+v", task)
 		}
 		val := trailingTileValue(m, ch.I0, ch.J0, task.K)
-		if err := w1.Complete(task.key(), [][]float64{val}); err != nil {
+		if err := complete(w1, task, [][]float64{val}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestRecoverTwiceIdentical(t *testing.T) {
 	}
 	w1 := join(t, clA, "w1", 0, 1)
 	task := pullTask(t, w1)
-	if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
+	if err := complete(w1, task, refChunk(task, refB)); err != nil {
 		t.Fatal(err)
 	}
 	jnA.Close()
@@ -268,7 +268,7 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 	}
 	w1 := join(t, clA, "w1", 0, 1)
 	task := pullTask(t, w1)
-	if err := w1.Complete(task.key(), refChunk(task, refB)); err != nil {
+	if err := complete(w1, task, refChunk(task, refB)); err != nil {
 		t.Fatal(err)
 	}
 	committed := task.Chunk.Blocks
@@ -474,6 +474,52 @@ func TestSubmitRefusedWhenFsyncFails(t *testing.T) {
 	}
 }
 
+// countingLog is a JobLog that only counts appends.
+type countingLog struct{ appends int }
+
+func (l *countingLog) Append([]byte) error                   { l.appends++; return nil }
+func (l *countingLog) Replay(func([]byte, bool) error) error { return nil }
+func (l *countingLog) Compact([]byte) error                  { return nil }
+
+// TestSubmitRefusedBeyondBlockIDs: results come back only as tiles
+// flushed under engine.CBlockID, so a job whose last C tile has no ID —
+// a result grid side over 65536 blocks, or a job number past the ID's
+// 29-bit field — is refused with ErrBeyondBlockIDs before anything is
+// journaled.
+func TestSubmitRefusedBeyondBlockIDs(t *testing.T) {
+	log := &countingLog{}
+	cl, _ := manualCluster(Config{Log: log})
+	defer cl.Close()
+	// q = 1, so the 65537×1-block C costs a few MiB of block headers.
+	const side = 1<<16 + 1
+	tall := JobSpec{Kind: MatMul, Mu: 1,
+		C: matrix.NewBlocked(side, 1, 1), A: matrix.NewBlocked(side, 1, 1), B: matrix.NewBlocked(1, 1, 1)}
+	if _, err := cl.SubmitJob(tall); !errors.Is(err, ErrBeyondBlockIDs) {
+		t.Fatalf("submit of a %d-block-tall C = %v, want ErrBeyondBlockIDs", side, err)
+	}
+	if log.appends != 0 {
+		t.Fatalf("refused submit journaled %d records", log.appends)
+	}
+	// The last job number the field holds is admitted; the next is not.
+	small := func() JobSpec {
+		c, a, b, _ := blockedInputs(t, 8, 8, 8, 4, 71)
+		return JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}
+	}
+	const last = 1<<29 - 1
+	cl.mu.Lock()
+	cl.nextID = last
+	cl.mu.Unlock()
+	if id, err := cl.SubmitJob(small()); err != nil || id != last {
+		t.Fatalf("submit as job %d = %d, %v, want admitted", last, id, err)
+	}
+	if _, err := cl.SubmitJob(small()); !errors.Is(err, ErrBeyondBlockIDs) {
+		t.Fatalf("submit as job %d = %v, want ErrBeyondBlockIDs", last+1, err)
+	}
+	if log.appends != 1 || len(cl.Jobs()) != 1 {
+		t.Fatalf("%d records journaled, %d jobs admitted, want the one admitted job's only", log.appends, len(cl.Jobs()))
+	}
+}
+
 // TestDrainRejectsNewAcceptsResubmit: draining refuses fresh work but
 // keyed resubmits of accepted jobs still attach, and AwaitQuiesce
 // reports completion.
@@ -539,7 +585,7 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 		} else {
 			blocks = refChunk(task, refB)
 		}
-		if err := w1.Complete(task.key(), blocks); err != nil {
+		if err := complete(w1, task, blocks); err != nil {
 			t.Fatal(err)
 		}
 	}

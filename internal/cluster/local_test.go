@@ -55,7 +55,7 @@ func TestDemandCorrectness(t *testing.T) {
 		if done != st.TasksTotal || st.TasksDone != st.TasksTotal {
 			t.Fatalf("%+v: workers did %d tasks, job counts %d of %d", tc, done, st.TasksDone, st.TasksTotal)
 		}
-		if st.Comm.BlocksShipped == 0 || st.Comm.FlushBlocks != int64(tc.r*tc.s) {
+		if st.Comm.BlocksShipped == 0 || st.Comm.CUp != int64(tc.r*tc.s) {
 			t.Fatalf("%+v: comm %+v, want every C tile flushed once", tc, st.Comm)
 		}
 	}

@@ -53,13 +53,11 @@ type WorkerInfo struct {
 	// Result-integrity accounting. Strikes counts tasks refused after a
 	// confirmed verification failure; VerifyFailures counts the refused
 	// tiles; TransportFaults counts wire-CRC faults reported against the
-	// worker's connection (suspicion only, no strikes). Suspect marks a
-	// worker the VerifySuspect policy will always check; Quarantined
-	// marks a worker parked past the strike threshold.
+	// worker's connection (counted only, no strikes). Quarantined marks a
+	// worker parked past the strike threshold.
 	Strikes         int
 	VerifyFailures  int
 	TransportFaults int
-	Suspect         bool
 	Quarantined     bool
 }
 
@@ -135,7 +133,6 @@ type workerState struct {
 	strikes         int
 	verifyFails     int
 	transportFaults int
-	suspect         bool
 	quarantined     bool
 }
 
@@ -185,7 +182,6 @@ func (r *registry) join(id string, mem, slots int, now time.Time) *workerState {
 		w.strikes = old.strikes
 		w.verifyFails = old.verifyFails
 		w.transportFaults = old.transportFaults
-		w.suspect = old.suspect
 	}
 	r.workers[id] = w
 	return w
@@ -232,7 +228,6 @@ func (r *registry) snapshot() []WorkerInfo {
 			Strikes:         w.strikes,
 			VerifyFailures:  w.verifyFails,
 			TransportFaults: w.transportFaults,
-			Suspect:         w.suspect,
 			Quarantined:     w.quarantined,
 		})
 	}

@@ -35,7 +35,7 @@ func completeAll(t *testing.T, s *Session, id JobID, ref *matrix.Blocked) *Task 
 			return last
 		}
 		last = pullTask(t, s)
-		if err := s.Complete(last.key(), refChunk(last, ref)); err != nil {
+		if err := complete(s, last, refChunk(last, ref)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestFailedJobReleasesOnlyAfterHoldersLetGo(t *testing.T) {
 	if _, err := holder.Set(held.key(), 1); err != nil {
 		t.Fatalf("holder's set request on the failed job: %v", err)
 	}
-	if err := holder.Complete(held.key(), refChunk(held, matrix.Partition(ref, 4))); err != nil {
+	if err := complete(holder, held, refChunk(held, matrix.Partition(ref, 4))); err != nil {
 		t.Fatal(err)
 	}
 	if got := retained(t, cl, id); got != 0 {
@@ -216,7 +216,7 @@ func TestCompactLogSkipsReleasedJobs(t *testing.T) {
 			continue
 		}
 		task := pullTask(t, w1)
-		if err := w1.Complete(task.key(), refChunk(task, matrix.Partition(ref, 4))); err != nil {
+		if err := complete(w1, task, refChunk(task, matrix.Partition(ref, 4))); err != nil {
 			t.Fatal(err)
 		}
 		pullTask(t, w1)

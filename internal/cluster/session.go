@@ -10,16 +10,16 @@ import (
 // Session is one worker incarnation, as JoinWorker returns it, and the
 // engine.Feed its transport runs — the single bridge both cluster
 // transports share (the TCP server session and the in-process local
-// worker): Next pulls the incarnation's tasks, Set, Complete, Acked and
+// worker): Next pulls the incarnation's tasks, Set, Acked and
 // CommitFlush move their data, and Lost declares the incarnation dead,
 // requeuing whatever it held. Every call is bound to the incarnation:
 // once it is declared dead — lost, expired, quarantined, or replaced by
 // a reconnect under the same id — Next and CommitFlush refuse it
-// (ErrUnknownWorker), Complete and Acked read as stale, and Heartbeat
-// fails, so a session still tearing down cannot act on its successor.
+// (ErrUnknownWorker), Acked reads as stale, and Heartbeat fails, so a
+// session still tearing down cannot act on its successor.
 //
 // The session holds each task from the dispatch that hands it out until
-// Complete or Acked reports it, or until Close: while it does, the
+// Acked reports it, or until Close: while it does, the
 // task's job keeps its operands (see Cluster.releaseLocked), because
 // matmul Sets reference them. All of its state is guarded by the
 // cluster's mutex.
@@ -43,9 +43,9 @@ type SessionReport struct {
 	WireOut, WireIn int64
 	Elapsed         time.Duration
 	// TransportFault reports that the session ended on wire-level
-	// corruption (a payload CRC mismatch): the worker turns suspect,
-	// which VerifySuspect reads, but takes no strike — a bad NIC or path
-	// is a transport fault, and the reconnect/resend machinery owns it.
+	// corruption (a payload CRC mismatch): it is counted against the
+	// worker but takes no strike — a bad NIC or path is a transport
+	// fault, and the reconnect/resend machinery owns it.
 	TransportFault bool
 }
 
@@ -57,11 +57,8 @@ type SessionReport struct {
 // dispatch, and Next does not ask again until CommitFlush delivers the
 // manifest. Pulling a task counts as a heartbeat.
 //
-// Tasks whose tiles have representable block IDs go out resident: the
-// worker keeps the C tiles in its result cache and flushes each once,
-// and all-zero tiles ship as a flag instead of a payload. Tasks beyond
-// the ID space (huge jobs or coordinates) fall back to the dense
-// ship-and-return protocol, which is always correct.
+// The worker keeps the task's C tiles in its result cache and flushes
+// each once; all-zero tiles ship as a CZero flag instead of a payload.
 func (s *Session) Next() (*engine.Assign, error) {
 	cl := s.cl
 	cl.mu.Lock()
@@ -78,22 +75,17 @@ func (s *Session) Next() (*engine.Assign, error) {
 		ID: task.key(),
 		I0: ch.I0, J0: ch.J0,
 		Rows: ch.Rows, Cols: ch.Cols, Q: q, Steps: task.Steps,
-		Blocks: blocks, Owned: true,
+		Blocks: blocks[:0], Owned: true, // compacted in place below
+		CFlags: make([]byte, 0, len(blocks)),
 	}
-	if engine.CBlockID(uint32(task.Job), ch.I0+ch.Rows-1, ch.J0+ch.Cols-1) != 0 {
-		as.CJob = uint32(task.Job)
-		as.CFlags = make([]byte, 0, len(blocks))
-		kept := blocks[:0]
-		for _, blk := range blocks {
-			if engine.AllZeroBits(blk) {
-				as.CFlags = append(as.CFlags, engine.CZero)
-				cl.pool.Put(blk)
-				continue
-			}
-			as.CFlags = append(as.CFlags, engine.CShip)
-			kept = append(kept, blk)
+	for _, blk := range blocks {
+		if engine.AllZeroBits(blk) {
+			as.CFlags = append(as.CFlags, engine.CZero)
+			cl.pool.Put(blk)
+			continue
 		}
-		as.Blocks = kept
+		as.CFlags = append(as.CFlags, engine.CShip)
+		as.Blocks = append(as.Blocks, blk)
 	}
 	return as, nil
 }
@@ -172,19 +164,6 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	}
 	engine.StampIDs(set, uint32(task.Job), task.Chunk, kk)
 	return set, nil
-}
-
-// Complete retires a held assignment with its result blocks; a task the
-// scheduler already reassigned is reported stale (ErrStaleTask).
-func (s *Session) Complete(id engine.AssignID, blocks [][]float64) error {
-	s.cl.mu.Lock()
-	defer s.cl.mu.Unlock()
-	task := s.held[id]
-	if task == nil {
-		return ErrStaleTask
-	}
-	defer s.endHoldLocked(task)
-	return s.cl.completeLocked(s.w, task, blocks)
 }
 
 // Acked retires a held assignment whose result tiles stay resident on
@@ -284,7 +263,6 @@ func (s *Session) Close(rep SessionReport) error {
 	if rep.TransportFault {
 		cl.transportFaults++
 		cur.transportFaults++
-		cur.suspect = true
 	}
 	for jobNum, jc := range rep.Feeder.PerJob {
 		if j := cl.jobs[JobID(jobNum)]; j != nil {

@@ -6,8 +6,8 @@ package cluster
 // the values themselves are the update the task prescribed. Candidate C
 // tiles are checked with Freivalds probes against the master-owned
 // operands — O(rounds·steps·q²) per tile against the O(steps·q³)
-// recompute — before they are committed, on both result paths (dense
-// Complete and flush manifests). A probe failure escalates to the exact
+// recompute — as each flush manifest arrives, before any of it is
+// committed. A probe failure escalates to the exact
 // bit-for-bit recompute (the repository's bit-exactness invariant makes
 // EqualBits the honest-worker acid test); a confirmed corruption
 // refuses the task, requeues it through the ordinary loss machinery,
@@ -34,10 +34,6 @@ const (
 	VerifyAll
 	// VerifySample checks a seeded-random fraction of tasks (SampleRate).
 	VerifySample
-	// VerifySuspect checks only tasks from workers already under
-	// suspicion: a reported transport fault, a prior strike, or a prior
-	// verification failure.
-	VerifySuspect
 )
 
 func (m VerifyMode) String() string {
@@ -48,8 +44,6 @@ func (m VerifyMode) String() string {
 		return "all"
 	case VerifySample:
 		return "sample"
-	case VerifySuspect:
-		return "suspect"
 	default:
 		return fmt.Sprintf("VerifyMode(%d)", int(m))
 	}
@@ -258,16 +252,14 @@ func (cl *Cluster) sampleDrawLocked() float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
-// shouldVerifyLocked decides, per task, whether to verify the asking
-// worker's candidate tiles under the configured policy.
-func (cl *Cluster) shouldVerifyLocked(w *workerState) bool {
+// shouldVerifyLocked decides, per task, whether to verify its candidate
+// tiles under the configured policy.
+func (cl *Cluster) shouldVerifyLocked() bool {
 	switch cl.verify.Mode {
 	case VerifyAll:
 		return true
 	case VerifySample:
 		return cl.sampleDrawLocked() < cl.verify.SampleRate
-	case VerifySuspect:
-		return w.suspect || w.strikes > 0 || w.verifyFails > 0
 	default:
 		return false
 	}
@@ -357,22 +349,6 @@ func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64)
 	return ok
 }
 
-// verifyTaskLocked verifies every tile of a dense completion (tile
-// yields the candidate for chunk-local coordinates). False means some
-// tile was confirmed corrupt; the worker's failure counter is bumped.
-func (cl *Cluster) verifyTaskLocked(j *job, t *Task, w *workerState, tile func(i, jj int) []float64) bool {
-	ch := t.Chunk
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			if !cl.verifyTileLocked(j, t, ch.I0+i, ch.J0+jj, tile(i, jj)) {
-				w.verifyFails++
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // verifyFlushLocked is the verification pre-pass of commitFlushLocked:
 // it runs BEFORE any tile of the manifest is committed, because commits
 // are per-task atomic — verifying mid-commit could land half a task,
@@ -403,7 +379,7 @@ func (cl *Cluster) verifyFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		if j == nil || j.state != Running {
 			continue
 		}
-		if !cl.shouldVerifyLocked(w) {
+		if !cl.shouldVerifyLocked() {
 			continue
 		}
 		q := cl.taskQ(j)

@@ -110,7 +110,7 @@ func TestVerifyLUHonestJob(t *testing.T) {
 }
 
 // TestVerifyCorruptCompleteQuarantine drives a corrupt worker through
-// the dense completion path by hand: each corrupted task is refused
+// ack and flush by hand: each corrupted task is refused
 // (never committed), requeued, and struck; at the threshold the worker
 // is quarantined, refused further work and refused re-registration —
 // and an honest worker then finishes the job bit-exact.
@@ -131,7 +131,7 @@ func TestVerifyCorruptCompleteQuarantine(t *testing.T) {
 		tk := pullTask(t, evil)
 		blocks := honestTask(c, a, b, tk, 4)
 		blocks[0][3] = flipBit62(blocks[0][3])
-		if err := evil.Complete(tk.key(), blocks); err != nil {
+		if err := complete(evil, tk, blocks); err != nil {
 			t.Fatalf("strike %d: corrupted completion returned %v, want silent refusal", s, err)
 		}
 	}
@@ -255,14 +255,15 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 	}
 }
 
-// TestVerifySuspectModeGatesOnTransportFault pins the fault taxonomy:
-// under VerifySuspect a clean worker's results are not checked, a
-// reported wire-CRC fault costs no strike but marks the worker suspect,
-// and from then on its results are verified.
-func TestVerifySuspectModeGatesOnTransportFault(t *testing.T) {
+// TestTransportFaultTakesNoStrike pins the fault taxonomy: a session
+// that ends on a wire-CRC fault is counted against its worker but takes
+// no strike — the transport owns the fault, not the worker's compute —
+// and the count stays with the worker across the reconnect, which is
+// served like any other.
+func TestTransportFaultTakesNoStrike(t *testing.T) {
 	cl, _ := manualCluster(Config{
 		MaxAttempts: 10,
-		Verify:      VerifyPolicy{Mode: VerifySuspect},
+		Verify:      VerifyPolicy{Mode: VerifyAll, QuarantineStrikes: 1},
 	})
 	defer cl.Close()
 	c, a, b, _ := blockedInputs(t, 16, 16, 16, 4, 44)
@@ -270,40 +271,29 @@ func TestVerifySuspectModeGatesOnTransportFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := join(t, cl, "w", 64, 1)
-	// Clean worker: even a corrupt completion sails through unchecked
-	// (that is the cost VerifySuspect accepts for zero overhead).
-	tk := pullTask(t, w)
-	if err := w.Complete(tk.key(), honestTask(c, a, b, tk, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if st := cl.ClusterStats(); st.VerifyChecks != 0 {
-		t.Fatalf("clean worker was checked %d times under VerifySuspect", st.VerifyChecks)
-	}
-	// A transport fault ends the session and marks suspicion without
-	// striking.
+	pullTask(t, w)
 	w.Close(SessionReport{TransportFault: true})
 	st := cl.ClusterStats()
-	if st.TransportFaults != 1 || st.WorkersQuarantined != 0 {
-		t.Fatalf("transport fault: faults=%d quarantined=%d, want 1/0",
-			st.TransportFaults, st.WorkersQuarantined)
+	if st.TransportFaults != 1 || st.WorkersQuarantined != 0 || st.Requeues != 1 {
+		t.Fatalf("transport fault: faults=%d quarantined=%d requeues=%d, want 1/0/1",
+			st.TransportFaults, st.WorkersQuarantined, st.Requeues)
 	}
-	for _, w := range cl.Workers() {
-		if w.ID == "w" && (!w.Suspect || w.Strikes != 0 || w.TransportFaults != 1) {
-			t.Fatalf("worker after transport fault = %+v, want suspect, 0 strikes, 1 fault", w)
-		}
+	if wi := snapshotWorker(t, cl, "w"); wi.Strikes != 0 || wi.TransportFaults != 1 {
+		t.Fatalf("worker after transport fault = %+v, want 0 strikes, 1 fault", wi)
 	}
-	// Suspect now, across the reconnect: results are verified, and a
-	// corrupt one is refused.
+	// The reconnect keeps the count and is served: an honest result is
+	// verified and committed.
 	w = join(t, cl, "w", 64, 1)
-	tk = pullTask(t, w)
-	blocks := honestTask(c, a, b, tk, 4)
-	blocks[0][0] = flipBit62(blocks[0][0])
-	if err := w.Complete(tk.key(), blocks); err != nil {
+	tk := pullTask(t, w)
+	if err := complete(w, tk, honestTask(c, a, b, tk, 4)); err != nil {
 		t.Fatal(err)
 	}
-	st = cl.ClusterStats()
-	if st.VerifyChecks == 0 || st.VerifyFailures != 1 {
-		t.Fatalf("suspect worker: checks=%d failures=%d, want >0/1", st.VerifyChecks, st.VerifyFailures)
+	if st := cl.ClusterStats(); st.VerifyChecks == 0 || st.VerifyFailures != 0 || st.FlushedBlocks != int64(tk.Chunk.Blocks) {
+		t.Fatalf("after reconnect: checks=%d failures=%d flushed=%d, want >0/0/%d",
+			st.VerifyChecks, st.VerifyFailures, st.FlushedBlocks, tk.Chunk.Blocks)
+	}
+	if wi := snapshotWorker(t, cl, "w"); wi.Strikes != 0 || wi.TransportFaults != 1 || wi.Sessions != 2 {
+		t.Fatalf("worker after reconnect = %+v, want 0 strikes, 1 fault, 2 sessions", wi)
 	}
 }
 
@@ -326,7 +316,7 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 	tk := pullTask(t, evil)
 	blocks := honestTask(c, a, b, tk, 4)
 	blocks[0][0] = flipBit62(blocks[0][0])
-	if err := evil.Complete(tk.key(), blocks); err != nil {
+	if err := complete(evil, tk, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if st := clA.ClusterStats(); st.WorkersQuarantined != 1 {
@@ -378,11 +368,10 @@ func TestVerifySampleRate(t *testing.T) {
 		cl, _ := manualCluster(Config{
 			Verify: VerifyPolicy{Mode: VerifySample, SampleRate: tc.rate},
 		})
-		w := &workerState{}
 		cl.mu.Lock()
 		got := false
 		for i := 0; i < 32; i++ {
-			if cl.shouldVerifyLocked(w) {
+			if cl.shouldVerifyLocked() {
 				got = true
 			}
 		}

@@ -25,6 +25,8 @@ import (
 var fleets = []string{"channel", "tcp"}
 
 // buildInputs creates deterministic A, B, C and the expected C + A·B.
+// C's first tile is all zeros, so a flagged assignment carrying it
+// ships a CZero flag instead of its payload.
 func buildInputs(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) {
 	t.Helper()
 	ad := matrix.NewDense(r*q, tt*q)
@@ -33,6 +35,11 @@ func buildInputs(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) 
 	matrix.DeterministicFill(ad, 21)
 	matrix.DeterministicFill(bd, 22)
 	matrix.DeterministicFill(cd, 23)
+	for i := 0; i < q; i++ {
+		for j := 0; j < q; j++ {
+			cd.Set(i, j, 0)
+		}
+	}
 	ref := cd.Clone()
 	matrix.MulNaive(ref, ad, bd)
 	return matrix.Partition(ad, q), matrix.Partition(bd, q),
@@ -69,26 +76,26 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 
 // testJob is a scripted one-job scheduler behind the engine's Feed
 // interface: the job's µ-chunks in one FIFO shared by every worker
-// session (one testFeed each), requeued when a session is lost. With
-// resident set, tasks go out under the resident result protocol (zero
-// tiles as CZero flags, the rest CShip) and each session flushes once
-// the FIFO runs dry; otherwise tiles ship down and return dense. stale
-// marks revoked assignments whose operands the job let go of: Set
-// answers ErrStaleAssign, and the result is refused.
+// session (one testFeed each), requeued when a session is lost. Every
+// session flushes once the FIFO runs dry. With flagged set, tasks go
+// out with C flags (zero tiles as CZero, the rest CShip), as the
+// cluster sends them; otherwise without, which means every tile ships.
+// stale marks revoked assignments whose operands the job let go of: Set
+// answers ErrStaleAssign, and the acknowledgement is refused.
 type testJob struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	c, a, b  *matrix.Blocked
-	resident bool
-	chunks   []*sim.Chunk
-	pending  []*sim.Chunk
-	left     int // chunks not yet committed
-	stale    map[engine.AssignID]bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	c, a, b *matrix.Blocked
+	flagged bool
+	chunks  []*sim.Chunk
+	pending []*sim.Chunk
+	left    int // chunks not yet committed
+	stale   map[engine.AssignID]bool
 }
 
-func newTestJob(c, a, b *matrix.Blocked, mu int, resident bool) *testJob {
+func newTestJob(c, a, b *matrix.Blocked, mu int, flagged bool) *testJob {
 	_, chunks := homog.ChunkGrid(core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}, mu)
-	j := &testJob{c: c, a: a, b: b, resident: resident, chunks: chunks,
+	j := &testJob{c: c, a: a, b: b, flagged: flagged, chunks: chunks,
 		pending: append([]*sim.Chunk(nil), chunks...), left: len(chunks)}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -103,8 +110,7 @@ func (j *testJob) session() *testFeed {
 }
 
 // testFeed is one session's view of a testJob: the chunks it holds in
-// flight and, under the resident protocol, the acknowledged tiles its
-// worker holds dirty.
+// flight and the acknowledged tiles its worker holds dirty.
 type testFeed struct {
 	job          *testJob
 	held         map[engine.AssignID]*sim.Chunk
@@ -144,7 +150,7 @@ func (j *testJob) assign(ch *sim.Chunk) *engine.Assign {
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			src := j.c.Block(ch.I0+i, ch.J0+jj).Data
-			if j.resident {
+			if j.flagged {
 				if engine.AllZeroBits(src) {
 					as.CFlags = append(as.CFlags, engine.CZero)
 					continue
@@ -179,28 +185,6 @@ func (f *testFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	return set, nil
 }
 
-func (f *testFeed) Complete(id engine.AssignID, blocks [][]float64) error {
-	j := f.job
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	defer j.cond.Broadcast()
-	ch := f.held[id]
-	if ch == nil {
-		return engine.ErrStaleResult
-	}
-	delete(f.held, id)
-	j.left--
-	if j.stale[id] {
-		return engine.ErrStaleResult // retired, but the result never lands
-	}
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			copy(j.c.Block(ch.I0+i, ch.J0+jj).Data, blocks[i*ch.Cols+jj])
-		}
-	}
-	return nil
-}
-
 func (f *testFeed) Acked(id engine.AssignID) error {
 	j := f.job
 	j.mu.Lock()
@@ -211,6 +195,10 @@ func (f *testFeed) Acked(id engine.AssignID) error {
 		return engine.ErrStaleResult
 	}
 	delete(f.held, id)
+	if j.stale[id] {
+		j.left-- // retired, but its tiles never land
+		return engine.ErrStaleResult
+	}
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			f.dirty[engine.CBlockID(0, ch.I0+i, ch.J0+jj)] = ch
@@ -229,7 +217,7 @@ func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 	for n, id := range ids {
 		ch := f.dirty[id]
 		if ch == nil {
-			return fmt.Errorf("test feed: flushed C block %#x was not dirty", id)
+			continue // a revoked assignment's tile: refused at its ack
 		}
 		_, bi, bj, _ := engine.CBlockCoords(id)
 		copy(j.c.Block(bi, bj).Data, blocks[n])
@@ -276,14 +264,14 @@ func (f *testFeed) Lost() {
 // worker 0 is doomed: it runs alone until the hook severs it, and the
 // others start only then.
 func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
-	wcfg engine.WorkerConfig, mem int, pooled, resident bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, feedErr error) {
+	wcfg engine.WorkerConfig, mem int, pooled, flagged bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, feedErr error) {
 	t.Helper()
 	a, b, c, want := buildInputs(t, r, tt, s, q)
 	var pool *engine.BlockPool
 	if pooled {
 		pool = engine.NewBlockPool()
 	}
-	job := newTestJob(c, a, b, 2, resident)
+	job := newTestJob(c, a, b, 2, flagged)
 	reports = make([]engine.WorkerReport, workers)
 	feedErrs := make([]error, workers)
 	// In a kill case the healthy workers start only once the doomed one
@@ -319,12 +307,13 @@ func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
 
 // TestEngineConformance is the cross-transport table. Every case runs
 // on the channel pipe and on TCP framing and must produce the oracle
-// product bit for bit and the exact update count. Resident cases flush
-// every C tile exactly once; dense cases flush nothing. A kill case
-// loses worker 0 mid-job and must complete on the survivors: what the
-// doomed worker committed stays, what died with it — its assignment in
-// hand and, on the resident path, the tiles it held dirty — is
-// recomputed exactly once.
+// product bit for bit and the exact update count, and flush every C
+// tile exactly once. A kill case loses worker 0 mid-job and must
+// complete on the survivors: what the doomed worker committed stays,
+// what died with it — its assignment in hand and the tiles it held
+// dirty — is recomputed exactly once. The resident-* rows send C flags,
+// as the cluster does; the others send none, the form in which every
+// tile ships.
 func TestEngineConformance(t *testing.T) {
 	base := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1}
 	cases := []struct {
@@ -334,7 +323,7 @@ func TestEngineConformance(t *testing.T) {
 		mem         int // advertised worker memory in blocks; 0 = unadvertised
 		mod         func(*engine.WorkerConfig)
 		pooled      bool
-		resident    bool
+		flagged     bool
 	}{
 		{name: "lifecycle-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true},
 		{name: "lifecycle-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true,
@@ -358,15 +347,13 @@ func TestEngineConformance(t *testing.T) {
 			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
 		{name: "kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
 			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
-		// The single-flush result path: C tiles stay resident on the
-		// workers and come back once through flush manifests.
-		{name: "resident-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true, resident: true},
-		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, resident: true,
+		{name: "resident-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true, flagged: true},
+		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, flagged: true,
 			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
-		{name: "resident-prefetch", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, resident: true,
+		{name: "resident-prefetch", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, flagged: true,
 			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		{name: "resident-unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false, resident: true},
-		{name: "resident-kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, resident: true,
+		{name: "resident-unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false, flagged: true},
+		{name: "resident-kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, flagged: true,
 			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
 	}
 	for _, fl := range fleets {
@@ -377,7 +364,7 @@ func TestEngineConformance(t *testing.T) {
 					tc.mod(&wcfg)
 				}
 				c, want, reports, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q,
-					tc.workers, wcfg, tc.mem, tc.pooled, tc.resident)
+					tc.workers, wcfg, tc.mem, tc.pooled, tc.flagged)
 				if err != nil {
 					t.Fatalf("feeder: %v", err)
 				}
@@ -389,7 +376,7 @@ func TestEngineConformance(t *testing.T) {
 					updates += rep.Updates
 					flushed += rep.Flushed
 				}
-				if wcfg.FailAfter > 0 && tc.resident {
+				if wcfg.FailAfter > 0 {
 					// The doomed worker's one finished tile was still dirty:
 					// it died unflushed and was recomputed.
 					lost = reports[0].Updates
@@ -397,13 +384,9 @@ func TestEngineConformance(t *testing.T) {
 				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates-lost != want {
 					t.Fatalf("updates = %d (%d recomputed), want %d", updates, lost, want)
 				}
-				if tc.resident {
-					// Every C tile flows back exactly once, through a flush.
-					if want := int64(tc.r) * int64(tc.s); flushed != want {
-						t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
-					}
-				} else if flushed != 0 {
-					t.Fatalf("dense run flushed %d blocks", flushed)
+				// Every C tile flows back exactly once, through a flush.
+				if want := int64(tc.r) * int64(tc.s); flushed != want {
+					t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
 				}
 			})
 		}
@@ -411,23 +394,20 @@ func TestEngineConformance(t *testing.T) {
 }
 
 // TestEngineBitExactAcrossTransports pins the strongest invariant: the
-// channel run, the TCP run, the pooled and the unpooled run, with dense
-// per-chunk results or the resident single-flush path, all produce
+// channel run, the TCP run, the pooled and the unpooled run all produce
 // bit-identical floats (the engine fixes the accumulation order;
-// transports only move bytes, and a flush commits the same serial FMA
-// chain a dense result would have carried).
+// transports only move bytes, and a flush commits the serial FMA chain
+// the worker ran in place).
 func TestEngineBitExactAcrossTransports(t *testing.T) {
 	cfg := engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 2}
 	var results []*matrix.Dense
 	for _, fl := range fleets {
 		for _, pooled := range []bool{true, false} {
-			for _, resident := range []bool{false, true} {
-				c, _, _, err := runEngine(t, fl, 6, 4, 6, 4, 2, cfg, 0, pooled, resident)
-				if err != nil {
-					t.Fatalf("%s pooled=%v resident=%v: %v", fl, pooled, resident, err)
-				}
-				results = append(results, c.Assemble())
+			c, _, _, err := runEngine(t, fl, 6, 4, 6, 4, 2, cfg, 0, pooled, true)
+			if err != nil {
+				t.Fatalf("%s pooled=%v: %v", fl, pooled, err)
 			}
+			results = append(results, c.Assemble())
 		}
 	}
 	first := results[0]

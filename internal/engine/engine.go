@@ -12,12 +12,18 @@
 //     stages incoming update sets (StageCap), pipelines whole
 //     assignments (Slots), and shards each block-update sweep across
 //     Cores goroutines. Assignments are pushed to it; it requests each
-//     update set as a staging slot frees, and returns results
-//     unannounced.
+//     update set as a staging slot frees, and acknowledges each finished
+//     assignment unannounced.
 //   - RunFeeder is the master side of one worker session: it keeps up
 //     to Slots assignments in flight, pulling them from a Feed (the
 //     cluster scheduler), routes set requests to the oldest incomplete
-//     assignment, and retires results and flushes.
+//     assignment, and retires acknowledgements and flushes.
+//
+// There is one result protocol, the paper's maximum re-use scheme
+// (§4.1, §5): an assignment's C tiles go down once, stay in the
+// worker's result cache while the update sets stream past, and come
+// back once, in a FlushResult the master asks for with Flush. A finished
+// assignment is acknowledged with an empty Result.
 //
 // Messages carry q×q block payloads as [][]float64. Buffer ownership is
 // explicit: a message whose Owned flag is set hands its buffers to the
@@ -40,8 +46,9 @@ var (
 	// ErrFeedDone tells RunFeeder the feed has no more work ever (clean
 	// shutdown): drain the in-flight assignments, say goodbye, stop.
 	ErrFeedDone = errors.New("engine: feed finished")
-	// ErrStaleResult marks a completion the feed no longer wants (the
-	// assignment was revoked); the feeder drops it and frees the slot.
+	// ErrStaleResult marks an acknowledgement the feed no longer wants
+	// (the assignment was revoked); the feeder drops it and frees the
+	// slot.
 	ErrStaleResult = errors.New("engine: stale result")
 	// ErrStaleAssign is returned by Feed.Set for an assignment the feed
 	// revoked and whose operands it no longer holds. The worker is still
@@ -68,23 +75,23 @@ type Msg interface {
 	engineMsg()
 }
 
-// C-block flags of a resident-result Assign (Assign.CFlags). They say,
-// per tile block in row-major order, how the worker obtains the block's
-// initial value.
+// C-block flags of an Assign (Assign.CFlags). They say, per tile block
+// in row-major order, how the worker obtains the block's initial value.
+// The wire values never change; 1 is retired and refused.
 const (
 	// CShip: the initial value travels in Assign.Blocks.
 	CShip byte = 0
-	// CResident: the worker already holds the block dirty in its result
-	// cache (a previous chunk of the same job wrote it) and keeps
-	// accumulating in place. No payload.
-	CResident byte = 1
 	// CZero: the initial value is all zeros; the worker materializes a
 	// zeroed block locally. No payload.
 	CZero byte = 2
 )
 
 // Assign hands a worker one unit of work: a Rows×Cols tile of C (blocks
-// of q² coefficients, row-major) to be updated by Steps update sets.
+// of q² coefficients, row-major) to be updated by Steps update sets. The
+// worker accumulates the tile in its result cache under
+// CBlockID(ID.A, I0+i, J0+j) — ID.A is the job number — acknowledges
+// completion with an empty Result, and returns the blocks once, in a
+// FlushResult.
 type Assign struct {
 	ID         AssignID
 	I0, J0     int // tile position in C's block grid
@@ -98,17 +105,11 @@ type Assign struct {
 	// serializing transports may consume them as-is).
 	Owned bool
 
-	// CFlags, when non-empty, switches the assignment to the resident
-	// result protocol: it holds Rows·Cols per-block flags (CShip,
-	// CResident, CZero) and Blocks is COMPACTED — it carries only the
-	// CShip payloads, in row-major flag order. The worker accumulates
-	// the tile in its result cache under CBlockID(CJob, I0+i, J0+j) and
-	// acknowledges completion with an empty Result; the blocks travel
-	// up once, in a FlushResult. Empty CFlags is the legacy dense
-	// protocol: Blocks is the full tile and the Result returns it.
+	// CFlags holds Rows·Cols per-block flags (CShip, CZero), and Blocks
+	// is COMPACTED: it carries only the CShip payloads, in row-major flag
+	// order. Empty CFlags means every tile ships: Blocks is the full
+	// tile.
 	CFlags []byte
-	// CJob scopes the C block IDs.
-	CJob uint32
 }
 
 // Set carries the operand blocks of one inner step k: Rows blocks of
@@ -142,16 +143,17 @@ type Request struct{}
 // allocating one per update set.
 var RequestSet = &Request{}
 
-// Result returns a finished assignment's C blocks, plus the worker-side
-// compute timing for the assignment: Updates block updates took
-// ComputeNS wall nanoseconds of kernel time (including any configured
-// Spin, so an emulated slow worker reports itself slow). Zero timing
-// fields mean "not measured" — old peers and tests that build Results
-// by hand stay valid.
+// Result acknowledges a finished assignment, whose C tiles stay dirty in
+// the worker's result cache, and carries the worker-side compute timing
+// for it: Updates block updates took ComputeNS wall nanoseconds of
+// kernel time (including any configured Spin, so an emulated slow
+// worker reports itself slow). Zero timing fields mean "not measured".
+// Blocks is always empty — RunFeeder refuses a Result that carries any;
+// the field stays only for code that counts the payload of every
+// message type alike.
 type Result struct {
 	ID        AssignID
 	Blocks    [][]float64
-	Owned     bool
 	Updates   int64
 	ComputeNS int64
 }
@@ -164,9 +166,9 @@ type Flush struct{}
 // FlushResult returns a worker's accumulated C blocks: the manifest of
 // C block IDs (CBlockID) and the matching block payloads, sorted by ID.
 // The master commits each block by overwriting the destination tile —
-// the worker continued the exact ascending-k accumulation chain in
+// the worker ran the tile's exact ascending-k accumulation chain in
 // place, so overwrite-on-commit keeps results bit-identical to the
-// dense per-chunk protocol. An empty manifest is a valid answer ("I
+// sequential product. An empty manifest is a valid answer ("I
 // hold nothing dirty"). ComputeNS carries the worker's cumulative
 // kernel time for the session at flush, so a master that only hears
 // from a worker at flush boundaries still gets a speed signal.

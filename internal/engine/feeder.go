@@ -7,9 +7,9 @@ import (
 
 // Feed is the scheduler behind a RunFeeder session: it produces
 // assignments for one worker, materializes their update sets, and
-// consumes their results. The production implementation is one worker
-// incarnation of the cluster scheduler (cluster.Session); conformance
-// tests script small fakes.
+// consumes their acknowledgements and flushes. The production
+// implementation is one worker incarnation of the cluster scheduler
+// (cluster.Session); conformance tests script small fakes.
 //
 // Next blocks until an assignment is available. It returns ErrFeedDone
 // (possibly wrapped) for a clean shutdown — the feeder then drains the
@@ -21,23 +21,22 @@ import (
 // ErrFlushWanted again until the flush is committed (or the session is
 // lost), or the pair would spin.
 //
-// An assignment with C flags runs the resident result protocol: the
-// worker acknowledges completion with an empty Result, routed to Acked,
-// and the accumulated blocks arrive later in a FlushResult manifest,
-// routed to CommitFlush. A dense assignment's Result goes to Complete.
-// Complete and Acked may return ErrStaleResult (possibly wrapped) for a
-// result the feed no longer wants; the feeder drops it and frees the
-// slot. CommitFlush must tolerate IDs the feed no longer tracks (a job
-// that failed while the flush was in flight) by skipping them, and must
-// accept an empty manifest — the feeder always reports the flush
-// answer, because the feed gates dispatch on it.
+// The worker acknowledges a finished assignment with an empty Result,
+// routed to Acked, and its accumulated blocks arrive later in a
+// FlushResult manifest, routed to CommitFlush. Acked may return
+// ErrStaleResult (possibly wrapped) for an assignment the feed no longer
+// wants; the feeder drops it and frees the slot. CommitFlush must
+// tolerate IDs the feed no longer tracks (a job that failed while the
+// flush was in flight) by skipping them, and must accept an empty
+// manifest — the feeder always reports the flush answer, because the
+// feed gates dispatch on it.
 //
 // Set may return ErrStaleAssign (possibly wrapped) once the feed has let
 // go of a revoked assignment's operands; the feeder sends a filler set.
 //
 // ObserveCompute receives the worker-side compute timing carried on a
 // Result (updates block updates took elapsedNS kernel nanoseconds),
-// even for a result the feed then refuses as stale — a losing
+// even for an acknowledgement the feed then refuses as stale — a losing
 // speculative copy still measured this worker's real speed.
 //
 // Lost is called exactly once, as soon as the feeder knows the session
@@ -47,7 +46,6 @@ import (
 type Feed interface {
 	Next() (*Assign, error)
 	Set(id AssignID, k int) (*Set, error)
-	Complete(id AssignID, blocks [][]float64) error
 	Acked(id AssignID) error
 	CommitFlush(ids []uint64, blocks [][]float64) error
 	ObserveCompute(id AssignID, updates, elapsedNS int64)
@@ -60,8 +58,8 @@ type FeederConfig struct {
 	// so the next tile streams down while the current one computes.
 	// Minimum 1.
 	Slots int
-	// Pool receives the buffers of Owned results once Complete has
-	// consumed them; nil disables pooling.
+	// Pool receives the buffers of owned flush manifests once
+	// CommitFlush has consumed them; nil disables pooling.
 	Pool *BlockPool
 	// Mem is the worker's advertised memory in blocks; the resident
 	// cache is budgeted from it (CacheBudget). 0 = unadvertised.
@@ -77,21 +75,18 @@ type FeederStats struct {
 
 // outAssign is one assignment shipped to the worker and not yet
 // retired: the dispatcher appends, the event loop streams its sets in
-// oldest-incomplete-first order and retires it on its result. It copies
-// the metadata out of the Assign message because Send consumes the
-// message itself — a serializing transport (or the receiving worker, on
-// the in-process pipe) recycles it the moment it is delivered.
+// oldest-incomplete-first order and retires it on its acknowledgement.
+// It copies the metadata out of the Assign message because Send
+// consumes the message itself — a serializing transport (or the
+// receiving worker, on the in-process pipe) recycles it the moment it
+// is delivered.
 type outAssign struct {
 	id         AssignID
 	steps      int
 	rows, cols int
 	q          int
 	sent       int // update sets streamed so far
-	// resident marks an assignment sent with C flags: its Result is an
-	// empty acknowledgement and its blocks come back in a flush.
-	// shipped is how many C payload blocks its frame carried down.
-	resident bool
-	shipped  int
+	shipped    int // C payload blocks its frame carried down
 }
 
 // outqFootprint sums the in-flight assignments' chunk footprints — what
@@ -114,7 +109,7 @@ type feederEvent struct {
 // RunFeeder drives one worker session: a dispatcher goroutine keeps up
 // to Slots assignments in flight (pulled from the feed), the reader
 // surfaces worker frames, and the event loop routes set requests to the
-// oldest incomplete assignment and retires results — the paper's
+// oldest incomplete assignment and retires acknowledgements — the paper's
 // demand-driven staging discipline (§8.2), with the scheduler deciding
 // what each assignment is.
 //
@@ -226,8 +221,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			}
 			select {
 			case assigned <- &outAssign{id: as.ID, steps: as.Steps,
-				rows: as.Rows, cols: as.Cols, q: as.Q,
-				resident: len(as.CFlags) > 0, shipped: len(as.Blocks)}:
+				rows: as.Rows, cols: as.Cols, q: as.Q, shipped: len(as.Blocks)}:
 			case <-sessDone:
 				return
 			}
@@ -239,7 +233,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 	}()
 
 	// Event loop: route set requests to the oldest incomplete
-	// assignment, retire results, commit flushes.
+	// assignment, retire acknowledgements, commit flushes.
 	var outq []*outAssign
 	var dirtyNow int64
 	updatePerJob := func(job uint32, f func(*CommStats)) {
@@ -309,44 +303,18 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			if res.ComputeNS > 0 && res.Updates > 0 {
 				feed.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
 			}
-			if oa.resident {
-				// An empty acknowledgement: the tile's values stay dirty
-				// on the worker until a flush collects them.
-				if len(res.Blocks) != 0 {
-					return fstats, fmt.Errorf("engine: resident assignment acked with %d blocks, want 0",
-						len(res.Blocks))
-				}
-				if err := feed.Acked(res.ID); err != nil && !errors.Is(err, ErrStaleResult) {
-					return fstats, err
-				}
-				dirtyNow += int64(oa.rows * oa.cols)
-				if dirtyNow > builder.Stats.DirtyPeak {
-					builder.Stats.DirtyPeak = dirtyNow
-				}
-			} else {
-				if len(res.Blocks) != oa.rows*oa.cols {
-					return fstats, fmt.Errorf("engine: result has %d blocks, want %d",
-						len(res.Blocks), oa.rows*oa.cols)
-				}
-				for _, blk := range res.Blocks {
-					if len(blk) != oa.q*oa.q {
-						return fstats, fmt.Errorf("engine: result block has %d elements, want %d",
-							len(blk), oa.q*oa.q)
-					}
-				}
-				err := feed.Complete(res.ID, res.Blocks)
-				if err != nil && !errors.Is(err, ErrStaleResult) {
-					return fstats, err
-				}
-				builder.Stats.CUp += int64(oa.rows * oa.cols)
-				updatePerJob(res.ID.A, func(jc *CommStats) { jc.CUp += int64(oa.rows * oa.cols) })
+			// An empty acknowledgement: the tile's values stay dirty on
+			// the worker until a flush collects them.
+			if len(res.Blocks) != 0 {
+				return fstats, fmt.Errorf("engine: assignment acked with %d blocks, want 0", len(res.Blocks))
 			}
+			if err := feed.Acked(res.ID); err != nil && !errors.Is(err, ErrStaleResult) {
+				return fstats, err
+			}
+			dirtyNow += int64(oa.rows * oa.cols)
+			builder.Stats.DirtyPeak = max(builder.Stats.DirtyPeak, dirtyNow)
 			builder.Stats.CDown += int64(oa.shipped)
 			updatePerJob(res.ID.A, func(jc *CommStats) { jc.CDown += int64(oa.shipped) })
-			if res.Owned {
-				cfg.Pool.PutAll(res.Blocks)
-			}
-			res.Blocks = nil
 			cfg.Pool.PutResult(res)
 			outq = append(outq[:idx], outq[idx+1:]...)
 			<-sem // slot freed: the dispatcher may fetch the next assignment
@@ -362,10 +330,9 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 				return fstats, err
 			}
 			builder.Stats.CUp += int64(len(fr.IDs))
-			builder.Stats.FlushBlocks += int64(len(fr.IDs))
 			for _, id := range fr.IDs {
 				if job, _, _, ok := CBlockCoords(id); ok {
-					updatePerJob(job, func(jc *CommStats) { jc.CUp++; jc.FlushBlocks++ })
+					updatePerJob(job, func(jc *CommStats) { jc.CUp++ })
 				}
 			}
 			dirtyNow -= int64(len(fr.IDs))

@@ -124,12 +124,12 @@ func (p *BlockPool) GetAssign() *Assign {
 	a.Blocks = a.Blocks[:0]
 	a.Owned = false
 	a.CFlags = a.CFlags[:0]
-	a.CJob = 0
 	return a
 }
 
-// PutAssign recycles a consumed Assign. When its Blocks header migrated
-// into a Result, the caller must nil it first.
+// PutAssign recycles a consumed Assign. When its blocks live on
+// elsewhere (the worker's result cache), the caller must nil the Blocks
+// header first.
 func (p *BlockPool) PutAssign(a *Assign) {
 	if p == nil || a == nil {
 		return
@@ -144,13 +144,11 @@ func (p *BlockPool) GetResult() *Result {
 	}
 	r := resultPool.Get().(*Result)
 	r.Blocks = r.Blocks[:0]
-	r.Owned = false
 	r.Updates, r.ComputeNS = 0, 0
 	return r
 }
 
-// PutResult recycles a consumed Result; its buffers must already be
-// released (or handed off).
+// PutResult recycles a consumed Result.
 func (p *BlockPool) PutResult(r *Result) {
 	if p == nil || r == nil {
 		return

@@ -102,9 +102,10 @@ func BBlockID(job uint32, k, j int) uint64 {
 }
 
 // CBlockID returns the session-unique ID of C-result block (i, j) of
-// the given job, with the same out-of-range degradation as ABlockID.
-// A zero C ID downgrades the block to per-chunk dense results, never
-// corrupting which tile a flush lands in.
+// the given job, or 0 when the coordinates or the job number do not fit
+// the packed fields. Results travel only under these IDs, so the
+// cluster refuses at admission a job whose last C tile has none, and a
+// worker refuses an assignment that reaches past them.
 func CBlockID(job uint32, i, j int) uint64 {
 	if !idFieldsFit(job, i, j) {
 		return 0
@@ -152,7 +153,7 @@ func AllZeroBits(buf []float64) bool {
 // CommStats counts the block traffic of one master-side session (or
 // run): operand blocks that went over the wire versus blocks the delta
 // protocol skipped because the worker already held them, plus the C
-// tile round-trip the resident result protocol thins out.
+// tiles' one trip down and one trip up.
 type CommStats struct {
 	SetsSent      int64
 	BlocksShipped int64 // operand blocks whose payload was sent
@@ -160,16 +161,13 @@ type CommStats struct {
 	BytesSaved    int64 // payload bytes the skips avoided (8·q² each)
 
 	// The result path. CDown counts C blocks whose initial value was
-	// shipped down with payload (dense tiles, and CShip flags of
-	// resident assigns — CZero and CResident ship nothing). CUp counts C
-	// blocks returned with payload (dense per-chunk results, plus flush
-	// manifests); FlushBlocks is the flush-manifest subset of CUp.
-	// DirtyPeak is the high-water mark of C blocks held dirty
-	// (accumulated but unflushed) on the worker.
-	CDown       int64
-	CUp         int64
-	FlushBlocks int64
-	DirtyPeak   int64
+	// shipped down with payload (CShip; CZero ships nothing). CUp counts
+	// C blocks returned in flush manifests. DirtyPeak is the high-water
+	// mark of C blocks held dirty (accumulated but unflushed) on the
+	// worker.
+	CDown     int64
+	CUp       int64
+	DirtyPeak int64
 }
 
 // Add accumulates other into s (DirtyPeak takes the maximum — it is a
@@ -181,10 +179,7 @@ func (s *CommStats) Add(other CommStats) {
 	s.BytesSaved += other.BytesSaved
 	s.CDown += other.CDown
 	s.CUp += other.CUp
-	s.FlushBlocks += other.FlushBlocks
-	if other.DirtyPeak > s.DirtyPeak {
-		s.DirtyPeak = other.DirtyPeak
-	}
+	s.DirtyPeak = max(s.DirtyPeak, other.DirtyPeak)
 }
 
 // HitRate returns the fraction of operand blocks served from residency.
@@ -524,8 +519,8 @@ func (oc *opCache) release() {
 // dirty C blocks, keyed by CBlockID. Unlike the operand cache it has no
 // eviction policy — a dirty block can only leave by being flushed (the
 // master tracks exactly which blocks are dirty and sizes the memory
-// accounting accordingly). Blocks are always owned copies: the worker
-// accumulates into them across chunks.
+// accounting accordingly). Blocks are always owned: they are the tiles
+// the worker accumulated into.
 type resultCache struct {
 	m    map[uint64][]float64
 	pool *BlockPool
@@ -533,17 +528,6 @@ type resultCache struct {
 
 func newResultCache(pool *BlockPool) *resultCache {
 	return &resultCache{m: make(map[uint64][]float64), pool: pool}
-}
-
-// take removes and returns the dirty block for id, or nil. A taken
-// block is busy — it no longer flushes until re-inserted.
-func (rc *resultCache) take(id uint64) []float64 {
-	buf, ok := rc.m[id]
-	if !ok {
-		return nil
-	}
-	delete(rc.m, id)
-	return buf
 }
 
 // insert pins an owned buffer as the dirty block for id, releasing any

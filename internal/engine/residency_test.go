@@ -69,8 +69,8 @@ func TestCBlockIDRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Out-of-range fields degrade to the untracked sentinel (the task
-	// then falls back to dense per-chunk results, never a wrong tile).
+	// Out-of-range fields degrade to the untracked sentinel (the cluster
+	// refuses such a job at admission, never a wrong tile).
 	for _, id := range []uint64{
 		CBlockID(1<<29, 0, 0), CBlockID(0, 1<<16, 0), CBlockID(0, 0, 1<<16), CBlockID(0, -1, 0),
 	} {

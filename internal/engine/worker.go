@@ -47,8 +47,7 @@ type WorkerReport struct {
 	CacheHits  int64
 	BlocksIn   int64
 	BytesSaved int64
-	// Flushed counts C blocks returned through FlushResult manifests
-	// (the resident result protocol) instead of dense per-chunk results.
+	// Flushed counts C blocks returned through FlushResult manifests.
 	Flushed int64
 }
 
@@ -62,7 +61,8 @@ type WorkerReport struct {
 // transfers overlap compute exactly as the paper's µ²+4µ layout
 // reserves space for. Assignments are pushed by the master; the worker
 // requests each assignment's update sets, StageCap ahead and one more
-// as each is consumed, and sends each result unannounced.
+// as each is consumed, keeps the finished tile in its result cache and
+// acknowledges it unannounced; a Flush returns every dirty tile.
 func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 1
@@ -152,9 +152,8 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	// updates (its dirty tracking mirrors this map at chunk granularity).
 	rc := newResultCache(cfg.Pool)
 	defer rc.release()
-	// sessComputeNS accumulates kernel wall time across the session so
-	// flush acks carry a speed signal even when per-assignment Results
-	// are empty (resident protocol).
+	// sessComputeNS accumulates kernel wall time across the session, so
+	// a flush answer carries a speed signal too.
 	var sessComputeNS int64
 	doFlush := func() error {
 		ids, blocks := rc.drain()
@@ -181,16 +180,10 @@ assignments:
 			tr.Close() // vanish mid-job, still holding the assignment
 			return rep, ErrKilled
 		}
-		resident := len(as.CFlags) > 0
-		if resident {
-			// Expand the compacted tile against the result cache before
-			// any update applies: shipped blocks become owned, resident
-			// references leave the cache (they are busy until the chunk
-			// completes, so a mid-chunk flush cannot tear them), zero
-			// blocks materialize locally.
-			if err := materializeResident(as, rc, cfg.Pool); err != nil {
-				return fail(err)
-			}
+		// Expand the compacted tile before any update applies: shipped
+		// blocks become owned, zero blocks materialize locally.
+		if err := materializeTile(as, cfg.Pool); err != nil {
+			return fail(err)
 		}
 		updates0 := rep.Updates
 		var asNS int64
@@ -208,8 +201,8 @@ assignments:
 				select {
 				case <-flushes:
 					// A memory-pressure flush mid-chunk: only completed
-					// dirty blocks leave (this chunk's tile was taken out
-					// of the cache at materialization).
+					// dirty blocks leave (this chunk's tile enters the
+					// cache when the chunk completes).
 					if err := doFlush(); err != nil {
 						return fail(err)
 					}
@@ -254,25 +247,14 @@ assignments:
 		}
 
 		sessComputeNS += asNS
-		res := cfg.Pool.GetResult()
-		res.Updates, res.ComputeNS = rep.Updates-updates0, asNS
-		if resident {
-			// The finished tile stays resident: its blocks enter the
-			// result cache dirty, and the acknowledgement is an empty
-			// Result — the values travel once, in a later FlushResult.
-			idx := 0
-			for i := 0; i < as.Rows; i++ {
-				for j := 0; j < as.Cols; j++ {
-					rc.insert(CBlockID(as.CJob, as.I0+i, as.J0+j), as.Blocks[idx])
-					idx++
-				}
-			}
-			res.ID = as.ID
-		} else {
-			// The result takes over the assignment's blocks (and their
-			// header); the emptied Assign recycles immediately.
-			res.ID, res.Blocks, res.Owned = as.ID, as.Blocks, as.Owned
+		// The finished tile stays resident: its blocks enter the result
+		// cache dirty, and the acknowledgement is an empty Result — the
+		// values travel once, in a later FlushResult.
+		for idx, blk := range as.Blocks {
+			rc.insert(CBlockID(as.ID.A, as.I0+idx/as.Cols, as.J0+idx%as.Cols), blk)
 		}
+		res := cfg.Pool.GetResult()
+		res.ID, res.Updates, res.ComputeNS = as.ID, rep.Updates-updates0, asNS
 		as.Blocks = nil
 		cfg.Pool.PutAssign(as)
 		if err := tr.Send(res); err != nil {
@@ -291,27 +273,30 @@ assignments:
 	}
 }
 
-// materializeResident expands a resident-result assignment in place:
-// as.Blocks arrives compacted (only the CShip payloads, in row-major
-// flag order) and leaves as the full Rows×Cols tile, every block owned
-// by the worker. CShip payloads are adopted (copied first when the
-// transport shared them read-only), CResident blocks are taken out of
-// the result cache to keep accumulating in place, and CZero blocks are
-// materialized as local zeros. Strict validation: flag count, payload
-// count, flag values and ID range must all line up or the session dies.
-func materializeResident(as *Assign, rc *resultCache, pool *BlockPool) error {
+// materializeTile expands an assignment's tile in place: as.Blocks
+// arrives compacted (only the CShip payloads, in row-major flag order;
+// every block when CFlags is empty) and leaves as the full Rows×Cols
+// tile, every block owned by the worker. CShip payloads are adopted
+// (copied first when the transport shared them read-only) and CZero
+// blocks are materialized as local zeros. Strict validation: flag
+// count, payload count, flag values and ID range must all line up or
+// the session dies.
+func materializeTile(as *Assign, pool *BlockPool) error {
 	want := as.Rows * as.Cols
-	if len(as.CFlags) != want {
+	if len(as.CFlags) != 0 && len(as.CFlags) != want {
 		return fmt.Errorf("engine: assignment carries %d C flags for a %dx%d tile",
 			len(as.CFlags), as.Rows, as.Cols)
 	}
 	expanded := make([][]float64, 0, want)
 	ship := 0
-	for fi, f := range as.CFlags {
-		id := CBlockID(as.CJob, as.I0+fi/as.Cols, as.J0+fi%as.Cols)
-		if id == 0 {
-			return fmt.Errorf("engine: resident tile coordinates (%d,%d) overflow the block ID fields",
-				as.I0+fi/as.Cols, as.J0+fi%as.Cols)
+	for fi := 0; fi < want; fi++ {
+		if CBlockID(as.ID.A, as.I0+fi/as.Cols, as.J0+fi%as.Cols) == 0 {
+			return fmt.Errorf("engine: tile coordinates (%d,%d) of job %d overflow the block ID fields",
+				as.I0+fi/as.Cols, as.J0+fi%as.Cols, as.ID.A)
+		}
+		f := CShip
+		if len(as.CFlags) != 0 {
+			f = as.CFlags[fi]
 		}
 		switch f {
 		case CShip:
@@ -322,12 +307,6 @@ func materializeResident(as *Assign, rc *resultCache, pool *BlockPool) error {
 			ship++
 			if !as.Owned {
 				buf = pool.GetCopy(buf)
-			}
-			expanded = append(expanded, buf)
-		case CResident:
-			buf := rc.take(id)
-			if buf == nil {
-				return fmt.Errorf("engine: assignment references C block %#x not dirty in the result cache", id)
 			}
 			expanded = append(expanded, buf)
 		case CZero:

@@ -70,7 +70,7 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 
 // encodeAssignBody appends the C-flag tail of a task frame to a header:
 // the uint16 flag count, the flag bytes, then the payload doubles (the
-// shipped tiles — or, with no flags, the dense body) and the payload
+// shipped tiles — or, with no flags, every tile) and the payload
 // CRC covering header and tail alike.
 func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	out := appendCFlags(hdr, flags)
@@ -103,11 +103,6 @@ func frameOver(payload []byte, n int, pool *engine.BlockPool) *frameReader {
 	return f
 }
 
-// fixedQ answers a result header with a known block size.
-func fixedQ(q int) func([]byte, *engine.Result) (int, error) {
-	return func([]byte, *engine.Result) (int, error) { return q, nil }
-}
-
 // FuzzDecodeMsg drives every payload decoder of the wire protocol with
 // arbitrary bytes, selected by the first byte: malformed frames must
 // error, never panic and never allocate unboundedly. It covers the live
@@ -120,12 +115,12 @@ func fixedQ(q int) func([]byte, *engine.Result) (int, error) {
 func FuzzDecodeMsg(f *testing.F) {
 	pool := engine.NewBlockPool()
 	// Seed with one well-formed payload per decoder so the corpus starts
-	// on the happy paths. Task bodies carry the C-flag tail: count 0 is
-	// the dense body, a count matching the geometry flags each tile as
-	// shipped / resident / zero.
-	denseHdr := TaskHeader{Job: 1, Seq: 0, Attempt: 0, Steps: 2, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
+	// on the happy paths. Task bodies carry the C-flag tail: count 0
+	// ships every tile, a count matching the geometry flags each tile as
+	// shipped / zero.
+	unflaggedHdr := TaskHeader{Job: 1, Seq: 0, Attempt: 0, Steps: 2, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
 	jp := make([]byte, taskHeaderLen)
-	denseHdr.encode(jp)
+	unflaggedHdr.encode(jp)
 	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CZero}, nil)...))
@@ -134,9 +129,10 @@ func FuzzDecodeMsg(f *testing.F) {
 	tp := make([]byte, taskHeaderLen)
 	taskHdr.encode(tp)
 	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CResident}, nil)...))
-	// malformed flag tails: an unknown flag state, a count that disagrees
-	// with the geometry, and a shipped tile whose payload is missing
+	// malformed flag tails: the retired flag 1, an unknown flag state, a
+	// count that disagrees with the geometry, and a shipped tile whose
+	// payload is missing
+	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{1}, nil)...))
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{7}, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip, engine.CShip}, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip}, []float64{1, 2})...))
@@ -200,13 +196,11 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{4}, encodeSetPayload([]byte{0, 0, 1, 0}, 0, 8,
 		[]uint64{aid, bid}, []byte{1, 1}, 1, 1, []float64{1, 2})...))
 
-	// q-selector (q 2), the task result header, then one result block
-	// (CRC past the selector)
+	// a task result: the header and its CRC, nothing else
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
 	rp := make([]byte, taskResultHeaderLen)
 	trh.encode(rp)
-	flat := appendCRC(putFloats(append([]byte{1}, rp...), []float64{1, 2, 3, 4}), 1)
-	f.Add(append([]byte{7}, flat...))
+	f.Add(append([]byte{7}, appendCRC(append([]byte(nil), rp...), 0)...))
 
 	f.Add(append([]byte{5}, rp...))
 
@@ -251,7 +245,7 @@ func FuzzDecodeMsg(f *testing.F) {
 			return
 		}
 		sel, payload := data[0], data[1:]
-		// checkAssign validates a successful task decode: the dense body
+		// checkAssign validates a successful task decode: a flagless body
 		// must yield one block per tile, a flag tail exactly the shipped
 		// tiles.
 		checkAssign := func(as *engine.Assign, rows, cols int) {
@@ -345,19 +339,10 @@ func FuzzDecodeMsg(f *testing.F) {
 			var hdr JobDoneHeader
 			hdr.decode(payload)
 		case 7:
-			// the serverTransport MsgTaskResult path: the header then whole
-			// blocks of the q the session recorded for the task
-			if len(payload) < 1 {
-				return
-			}
-			q := int(payload[0]%8) + 1
-			if res, err := readTaskResult(frameOver(payload[1:], len(payload)-1, pool), fixedQ(q)); err == nil {
-				for _, blk := range res.Blocks {
-					if len(blk) != q*q {
-						t.Fatalf("result decode produced a %d-element block for q=%d", len(blk), q)
-					}
-				}
-				pool.PutAll(res.Blocks)
+			// the serverTransport MsgTaskResult path: the header and
+			// nothing else
+			if res, err := readTaskResult(frameOver(payload, len(payload), pool)); err == nil && len(res.Blocks) != 0 {
+				t.Fatalf("result decode produced %d blocks, want none", len(res.Blocks))
 			}
 		case 8:
 			// the serverTransport MsgFlushResult path: a successful decode
@@ -419,7 +404,7 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 		case 3:
 			hdr := make([]byte, taskResultHeaderLen)
 			(&TaskResultHeader{Job: 7, Seq: 1, Updates: 2, ComputeNS: 3}).encode(hdr)
-			payload = appendCRC(putFloats(hdr, []float64{1, 2, 3, 4, 5, 6, 7, 8}), 0)
+			payload = appendCRC(hdr, 0)
 		}
 		bit := int(pos) % (len(payload) * 8)
 		payload[bit/8] ^= 1 << (bit % 8)
@@ -435,7 +420,7 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 		case 2:
 			_, err = readTask(fr)
 		case 3:
-			_, err = readTaskResult(fr, fixedQ(2))
+			_, err = readTaskResult(fr)
 		}
 		if !errors.Is(err, ErrPayloadCRC) {
 			t.Fatalf("frame kind %d with bit %d flipped: err = %v, want ErrPayloadCRC", kind%4, bit, err)

@@ -136,9 +136,9 @@ func randBlocks(rng *rand.Rand, n, q int) [][]float64 {
 	return out
 }
 
-// TestGatheredFramesByteIdentical pins the wire: every block-carrying
-// frame — Set, Task, TaskResult, FlushResult — written from
-// block memory is byte for byte the frame the copying encoder produced,
+// TestGatheredFramesByteIdentical pins the wire: every checksummed
+// frame — Set, Task, FlushResult and the header-only TaskResult — written
+// from block memory is byte for byte the frame the copying encoder produced,
 // over TCP (writev) and over net.Pipe (the per-buffer fallback), at a
 // block size below and one above a socket buffer. And the blocks are
 // read only until Send returns: each case scribbles over every block it
@@ -161,14 +161,13 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				B:    [][]float64{nil, ab[2]},
 				BIDs: []uint64{engine.BBlockID(1, 7, 0), engine.BBlockID(1, 7, 1)},
 			}
-			dense := &engine.Assign{ID: engine.AssignID{A: 9, B: 2}, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: q, Steps: 3, Blocks: randBlocks(rng, 2, q)}
+			unflagged := &engine.Assign{ID: engine.AssignID{A: 9, B: 2}, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: q, Steps: 3, Blocks: randBlocks(rng, 2, q)}
 			task := &engine.Assign{
 				ID: engine.AssignID{A: 3, B: 5, C: 1}, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: q, Steps: 4,
-				CFlags: []byte{engine.CShip, engine.CZero, engine.CResident, engine.CShip},
+				CFlags: []byte{engine.CShip, engine.CZero, engine.CZero, engine.CShip},
 				Blocks: randBlocks(rng, 2, q),
 			}
-			result := &engine.Result{ID: engine.AssignID{A: 9, B: 2}, Blocks: randBlocks(rng, 2, q)}
-			taskResult := &engine.Result{ID: engine.AssignID{A: 3, B: 5, C: 1}, Updates: 16, ComputeNS: 12345, Blocks: randBlocks(rng, 4, q)}
+			result := &engine.Result{ID: engine.AssignID{A: 9, B: 2}}
 			ack := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99}
 			flush := &engine.FlushResult{
 				IDs:       []uint64{engine.CBlockID(3, 0, 0), engine.CBlockID(3, 0, 1), engine.CBlockID(3, 1, 1)},
@@ -177,14 +176,12 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 			}
 			emptyFlush := &engine.FlushResult{ComputeNS: 1}
 
-			denseHdr := make([]byte, taskHeaderLen)
-			(&TaskHeader{Job: 9, Seq: 2, Steps: 3, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: uint32(q)}).encode(denseHdr)
+			unflaggedHdr := make([]byte, taskHeaderLen)
+			(&TaskHeader{Job: 9, Seq: 2, Steps: 3, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: uint32(q)}).encode(unflaggedHdr)
 			taskHdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 3, Seq: 5, Attempt: 1, Steps: 4, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: uint32(q)}).encode(taskHdr)
 			resHdr := make([]byte, taskResultHeaderLen)
 			(&TaskResultHeader{Job: 9, Seq: 2}).encode(resHdr)
-			taskResHdr := make([]byte, taskResultHeaderLen)
-			(&TaskResultHeader{Job: 3, Seq: 5, Attempt: 1, Updates: 16, ComputeNS: 12345}).encode(taskResHdr)
 			ackHdr := make([]byte, taskResultHeaderLen)
 			(&TaskResultHeader{Job: 3, Seq: 6, Attempt: 1, Updates: 4, ComputeNS: 99}).encode(ackHdr)
 
@@ -197,10 +194,9 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				blocks [][]float64
 			}{
 				{"server Set", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, set, oldSetFrame(set), ab[:3]},
-				{"server dense Task", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, dense, oldAssignFrame(MsgTask, denseHdr, dense), dense.Blocks},
+				{"server Task without flags", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, unflagged, oldAssignFrame(MsgTask, unflaggedHdr, unflagged), unflagged.Blocks},
 				{"server Task", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, task, oldAssignFrame(MsgTask, taskHdr, task), task.Blocks},
-				{"cluster worker dense TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, result, oldResultFrame(MsgTaskResult, resHdr, result), result.Blocks},
-				{"cluster worker TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, taskResult, oldResultFrame(MsgTaskResult, taskResHdr, taskResult), taskResult.Blocks},
+				{"cluster worker header-only TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, result, oldResultFrame(MsgTaskResult, resHdr, result), nil},
 				{"cluster worker ack", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, ack, oldResultFrame(MsgTaskResult, ackHdr, ack), nil},
 				{"cluster worker FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, flush, oldFlushFrame(flush), flush.Blocks},
 				{"cluster worker empty FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, emptyFlush, oldFlushFrame(emptyFlush), nil},
@@ -279,8 +275,9 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 			blk[i] = float64(n + 1)
 		}
 	}
+	ids := []uint64{engine.CBlockID(1, 0, 0), engine.CBlockID(1, 0, 1), engine.CBlockID(1, 1, 0), engine.CBlockID(1, 1, 1)}
 	sent := make(chan error, 1)
-	go func() { sent <- tr.Send(&engine.Result{ID: engine.AssignID{A: 1}, Blocks: blocks, Owned: true}) }()
+	go func() { sent <- tr.Send(&engine.FlushResult{IDs: ids, Blocks: blocks, Owned: true}) }()
 	<-gate.entered
 	for i := 0; i < 16; i++ {
 		if got := pool.Get(q * q); inFlight[&got[0]] {
@@ -288,17 +285,18 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 		}
 	}
 	close(gate.open)
-	frame := make([]byte, msgHeaderLen+taskResultHeaderLen+4*8*q*q+4)
+	const head, prefix = 12, 12 // manifest count + compute time; per-block id + length
+	frame := make([]byte, msgHeaderLen+head+4*(prefix+8*q*q)+4)
 	if _, err := io.ReadFull(remote, frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
-	body := frame[msgHeaderLen+taskResultHeaderLen : len(frame)-4]
+	body := frame[msgHeaderLen+head : len(frame)-4]
 	for n := 0; n < 4; n++ {
 		var got [1]float64
-		getFloatsInto(got[:], body[n*8*q*q:])
+		getFloatsInto(got[:], body[n*(prefix+8*q*q)+prefix:])
 		if got[0] != float64(n+1) {
 			t.Fatalf("block %d arrived holding %g", n, got[0])
 		}

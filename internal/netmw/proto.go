@@ -54,14 +54,15 @@ const (
 	MsgRegister MsgType = 7
 	// MsgHeartbeat is a worker liveness beacon; empty payload.
 	MsgHeartbeat MsgType = 8
-	// MsgTask assigns one task: TaskHeader, a uint16 C-flag count (0 =
-	// dense: every tile's payload follows), then for the resident
-	// protocol Rows*Cols flag bytes (engine.CShip / CResident / CZero)
-	// and the payloads of exactly the CShip tiles in row-major flag
-	// order. The worker streams its update sets with MsgReq.
+	// MsgTask assigns one task: TaskHeader, a uint16 C-flag count, then
+	// that many flag bytes (engine.CShip = 0 or CZero = 2; 1 is retired
+	// and refused) and the payloads of exactly the CShip tiles in
+	// row-major flag order. Count 0 means every tile ships: all
+	// Rows*Cols payloads follow. The worker keeps the tile and streams
+	// its update sets with MsgReq.
 	MsgTask MsgType = 9
-	// MsgTaskResult returns a finished task: TaskResultHeader then the
-	// updated C blocks (none for a resident task's acknowledgement).
+	// MsgTaskResult acknowledges a finished task: TaskResultHeader and
+	// nothing else. The tile stays on the worker until a MsgFlush.
 	MsgTaskResult MsgType = 10
 	// MsgSubmit is a client job submission: JobHeader then the operand
 	// blocks (C, A, B for matmul; M for LU).
@@ -170,8 +171,8 @@ func (h *TaskHeader) decode(buf []byte) error {
 	return nil
 }
 
-// TaskResultHeader identifies the assignment a result answers, and
-// carries the worker-side compute timing for it (Updates block updates
+// TaskResultHeader identifies the assignment an acknowledgement answers,
+// and carries the worker-side compute timing for it (Updates block updates
 // took ComputeNS kernel nanoseconds; zero = unmeasured) — the live
 // speed estimator's per-task sample.
 type TaskResultHeader struct {

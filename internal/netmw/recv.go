@@ -10,8 +10,8 @@ import (
 	"repro/internal/engine"
 )
 
-// The receive side of every block-carrying frame — Set, Task,
-// TaskResult, FlushResult — mirrors the send side: the
+// The receive side of every checksummed frame — Set, Task, FlushResult
+// and the block-less TaskResult — mirrors the send side: the
 // frame's own bytes (header, manifest, flags, per-block prefixes) are
 // read into a small scratch and validated against the open geometry,
 // and each block is then read from the connection straight into a pool
@@ -250,7 +250,7 @@ func checkGeometry(rows, cols, q int) error {
 
 // readTask decodes a MsgTask frame: the task header, the uint16 C-flag
 // count, the flag bytes, then the payloads of exactly the CShip-flagged
-// tiles. Count 0 is the dense protocol: CFlags stays empty and every
+// tiles. Count 0 means every tile ships: CFlags stays empty and every
 // tile's payload follows. The geometry, the flags and the frame length
 // are all checked before a block is taken.
 func readTask(f *frameReader) (*engine.Assign, error) {
@@ -276,7 +276,6 @@ func readTaskInto(f *frameReader, as *engine.Assign) error {
 	as.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
 	as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
 	as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.Steps)
-	as.CJob = hdr.Job
 	if err := checkGeometry(as.Rows, as.Cols, as.Q); err != nil {
 		return err
 	}
@@ -297,7 +296,7 @@ func readTaskInto(f *frameReader, as *engine.Assign) error {
 			switch fl {
 			case engine.CShip:
 				ship++
-			case engine.CResident, engine.CZero:
+			case engine.CZero:
 			default:
 				return fmt.Errorf("netmw: assignment C flag %d has unknown state %d", i, fl)
 			}
@@ -320,44 +319,32 @@ func readTaskInto(f *frameReader, as *engine.Assign) error {
 
 // --- TaskResult -----------------------------------------------------------------
 
-// readTaskResult decodes a MsgTaskResult frame: the result header, which
-// decodeHdr unpacks into the result and answers with the block edge q
-// of the assignment it names, then whole q×q blocks to the end of the
-// frame.
-func readTaskResult(f *frameReader, decodeHdr func([]byte, *engine.Result) (int, error)) (*engine.Result, error) {
+// readTaskResult decodes a MsgTaskResult frame: an acknowledgement is
+// its header and nothing else before the checksum.
+func readTaskResult(f *frameReader) (*engine.Result, error) {
 	res := f.pool.GetResult()
-	err := readTaskResultInto(f, decodeHdr, res)
-	if err = f.end(err); err != nil {
-		f.pool.PutAll(res.Blocks)
-		res.Blocks = nil
+	if err := f.end(readTaskResultInto(f, res)); err != nil {
 		f.pool.PutResult(res)
 		return nil, err
 	}
-	res.Owned = true
 	return res, nil
 }
 
-func readTaskResultInto(f *frameReader, decodeHdr func([]byte, *engine.Result) (int, error), res *engine.Result) error {
+func readTaskResultInto(f *frameReader, res *engine.Result) error {
 	head, err := f.take(taskResultHeaderLen, "result header")
 	if err != nil {
 		return err
 	}
-	q, err := decodeHdr(head, res)
-	if err != nil {
-		return err
+	if f.body() != 0 {
+		return fmt.Errorf("netmw: task result carries %d payload bytes, want none", f.body())
 	}
-	if q < 1 || q > maxWireDim {
-		return fmt.Errorf("netmw: bad block size q=%d", q)
-	}
-	if uint64(f.body())%blockBytes(1, q) != 0 {
-		return fmt.Errorf("netmw: result payload %d bytes is not whole q=%d blocks", f.body(), q)
-	}
-	for f.body() > 0 {
-		blk, err := f.block(q * q)
-		if err != nil {
-			return err
-		}
-		res.Blocks = append(res.Blocks, blk)
+	var hdr TaskResultHeader
+	hdr.decode(head)
+	res.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
+	// Clamp to int64 so a hostile peer cannot smuggle negative timing
+	// into the estimator.
+	if hdr.Updates <= 1<<62 && hdr.ComputeNS <= 1<<62 {
+		res.Updates, res.ComputeNS = int64(hdr.Updates), int64(hdr.ComputeNS)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package netmw
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +36,7 @@ func blockFrameCases(q int) []blockFrameCase {
 		Blocks: randBlocks(rng, 3, q)}
 	taskHdr := make([]byte, taskHeaderLen)
 	(&TaskHeader{Job: 1, Seq: 4, Steps: 3, Rows: 2, Cols: 2, Q: uint32(q)}).encode(taskHdr)
-	res := &engine.Result{Blocks: randBlocks(rng, 3, q)}
+	res := &engine.Result{}
 	resHdr := make([]byte, taskResultHeaderLen)
 	(&TaskResultHeader{Job: 1, Seq: 4}).encode(resHdr)
 	flush := &engine.FlushResult{
@@ -60,7 +62,7 @@ func blockFrameCases(q int) []blockFrameCase {
 			return as.Blocks, nil
 		}},
 		{"TaskResult", body(oldResultFrame(MsgTaskResult, resHdr, res)), func(f *frameReader) ([][]float64, error) {
-			r, err := readTaskResult(f, fixedQ(q))
+			r, err := readTaskResult(f)
 			if err != nil {
 				return nil, err
 			}
@@ -134,6 +136,66 @@ func TestBlockFramesFollowArrival(t *testing.T) {
 		for _, blk := range blocks {
 			if blk != nil && len(blk) != q*q {
 				t.Fatalf("%s: decoded a %d-element block", tc.what, len(blk))
+			}
+		}
+	}
+}
+
+// TestResultFramesOnWire pins the one result protocol's frames: a
+// MsgTaskResult is its header and checksum, and one carrying payload
+// bytes is refused — or, corrupted, still classified as a checksum fault
+// first; a MsgTask refuses the retired C flag 1; and the flagless
+// MsgTask, in which every tile ships, still round-trips.
+func TestResultFramesOnWire(t *testing.T) {
+	pool := engine.NewBlockPool()
+	hdr := make([]byte, taskResultHeaderLen)
+	(&TaskResultHeader{Job: 3, Seq: 5, Attempt: 1, Updates: 16, ComputeNS: 99}).encode(hdr)
+	ack := appendCRC(append([]byte(nil), hdr...), 0)
+	res, err := readTaskResult(frameOver(ack, len(ack), pool))
+	if err != nil || res.ID != (engine.AssignID{A: 3, B: 5, C: 1}) || res.Updates != 16 || res.ComputeNS != 99 {
+		t.Fatalf("header-only result = %+v, %v", res, err)
+	}
+	carrying := appendCRC(putFloats(append([]byte(nil), hdr...), []float64{1, 2, 3, 4}), 0)
+	if _, err := readTaskResult(frameOver(carrying, len(carrying), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("result with payload bytes = %v, want refused as malformed", err)
+	}
+	carrying[taskResultHeaderLen+3] ^= 0x10
+	if _, err := readTaskResult(frameOver(carrying, len(carrying), pool)); !errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("corrupted result with payload bytes = %v, want ErrPayloadCRC", err)
+	}
+
+	th := make([]byte, taskHeaderLen)
+	(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 1, Q: 2}).encode(th)
+	retired := encodeAssignBody(th, []byte{1}, nil)
+	if _, err := readTask(frameOver(retired, len(retired), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("task with C flag 1 = %v, want refused as malformed", err)
+	}
+
+	local, remote := net.Pipe()
+	defer local.Close()
+	defer remote.Close()
+	server, worker := NewServerTransport(local, pool, nil), NewClusterWorkerTransport(remote, pool)
+	tiles := randBlocks(rand.New(rand.NewSource(3)), 2, 2)
+	sent := make(chan error, 1)
+	go func() {
+		sent <- server.Send(&engine.Assign{ID: engine.AssignID{A: 7, B: 1}, I0: 1, J0: 2, Rows: 1, Cols: 2, Q: 2, Steps: 1,
+			Blocks: [][]float64{append([]float64(nil), tiles[0]...), append([]float64(nil), tiles[1]...)}})
+	}()
+	m, err := worker.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	as := m.(*engine.Assign)
+	if as.ID != (engine.AssignID{A: 7, B: 1}) || as.I0 != 1 || as.J0 != 2 || len(as.CFlags) != 0 || len(as.Blocks) != 2 {
+		t.Fatalf("flagless task decoded as %+v", as)
+	}
+	for n, blk := range as.Blocks {
+		for e := range blk {
+			if blk[e] != tiles[n][e] {
+				t.Fatalf("tile %d element %d = %g, want %g", n, e, blk[e], tiles[n][e])
 			}
 		}
 	}

@@ -221,7 +221,7 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	// session anymore: close it. One report per session, at teardown, so
 	// reconnects never double-count a byte. A checksum mismatch on this
 	// worker's bulk payloads is transport corruption, not a compute
-	// fault: it marks the worker suspect (no strike) and the
+	// fault: it is counted against the worker (no strike) and the
 	// reconnect/requeue machinery resends the work; Freivalds failures on
 	// CRC-clean tiles are what strike the worker.
 	ws := tr.Stats()

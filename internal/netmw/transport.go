@@ -294,9 +294,9 @@ func capOnWire(cap int) uint32 {
 	return uint32(cap)
 }
 
-// cFlags lays out an assignment's result-residency tail prefix: the
-// uint16 flag count then the flag bytes. A nil/empty flag list is the
-// dense protocol (count 0, full payload follows).
+// cFlags lays out an assignment's C-flag tail prefix: the uint16 flag
+// count then the flag bytes. A nil/empty flag list means every tile
+// ships (count 0, full payload follows).
 func (f blockFrame) cFlags(flags []byte) {
 	f.u16(uint16(len(flags)))
 	f.bytes(flags...)
@@ -360,9 +360,9 @@ func (c *connIO) sendTask(m *engine.Assign) error {
 	return err
 }
 
-// sendTaskResult frames a result as MsgTaskResult: the header naming
-// the assignment and carrying the worker's timing, then the C blocks —
-// releasing owned blocks once written and recycling the message.
+// sendTaskResult frames an acknowledgement as MsgTaskResult: the header
+// naming the assignment and carrying the worker's timing, and no blocks
+// — the tile comes back in a flush. It recycles the message.
 func (c *connIO) sendTaskResult(m *engine.Result) error {
 	hdr := TaskResultHeader{
 		Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
@@ -370,11 +370,7 @@ func (c *connIO) sendTaskResult(m *engine.Result) error {
 	}
 	err := c.writeBlockFrame(MsgTaskResult, func(f blockFrame) {
 		hdr.encode(f.grow(taskResultHeaderLen))
-		f.blocks(m.Blocks)
 	})
-	if m.Owned {
-		c.pool.PutAll(m.Blocks)
-	}
 	if err == nil {
 		c.pool.PutResult(m)
 	}
@@ -384,8 +380,9 @@ func (c *connIO) sendTaskResult(m *engine.Result) error {
 // --- worker side -----------------------------------------------------------
 
 // clusterWorkerTransport is the worker end of a session: tasks are
-// pushed (MsgTask), update sets are pulled (MsgReq), results return as
-// MsgTaskResult carrying the (Job, Seq, Attempt) identity.
+// pushed (MsgTask), update sets are pulled (MsgReq), acknowledgements
+// return as MsgTaskResult carrying the (Job, Seq, Attempt) identity and
+// dirty tiles as MsgFlushResult.
 type clusterWorkerTransport struct {
 	*connIO
 	geom geomFIFO
@@ -462,9 +459,6 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 type serverTransport struct {
 	*connIO
 	onHeartbeat func() error
-
-	mu   sync.Mutex
-	geom map[engine.AssignID]int // in-flight assignment → q, for result decode
 }
 
 // NewServerTransport wraps the server side of one cluster worker
@@ -475,19 +469,12 @@ func NewServerTransport(conn net.Conn, pool *engine.BlockPool, onHeartbeat func(
 }
 
 func newServerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool, onHeartbeat func() error) *serverTransport {
-	return &serverTransport{
-		connIO:      newConnIO(conn, r, w, pool),
-		onHeartbeat: onHeartbeat,
-		geom:        make(map[engine.AssignID]int),
-	}
+	return &serverTransport{connIO: newConnIO(conn, r, w, pool), onHeartbeat: onHeartbeat}
 }
 
 func (t *serverTransport) Send(m engine.Msg) error {
 	switch m := m.(type) {
 	case *engine.Assign:
-		t.mu.Lock()
-		t.geom[m.ID] = m.Q
-		t.mu.Unlock()
 		return t.sendTask(m)
 	case *engine.Set:
 		return t.sendSet(m)
@@ -528,33 +515,11 @@ func (t *serverTransport) Recv() (engine.Msg, error) {
 			}
 			return engine.RequestSet, nil
 		case MsgTaskResult:
-			return readTaskResult(t.blockFrame(n), t.decodeTaskResultHdr)
+			return readTaskResult(t.blockFrame(n))
 		case MsgFlushResult:
 			return readFlushResult(t.blockFrame(n))
 		default:
 			return nil, fmt.Errorf("netmw: unexpected message %d from cluster worker", mt)
 		}
 	}
-}
-
-// decodeTaskResultHdr reads a MsgTaskResult header: the assignment it
-// answers, whose block size the session recorded when it sent the task,
-// and the worker's timing for it.
-func (t *serverTransport) decodeTaskResultHdr(head []byte, res *engine.Result) (int, error) {
-	var hdr TaskResultHeader
-	hdr.decode(head)
-	res.ID = engine.AssignID{A: hdr.Job, B: hdr.Seq, C: hdr.Attempt}
-	t.mu.Lock()
-	q, ok := t.geom[res.ID]
-	delete(t.geom, res.ID)
-	t.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("netmw: result for unknown assignment %v", res.ID)
-	}
-	// Clamp to int64 so a hostile peer cannot smuggle negative timing
-	// into the estimator.
-	if hdr.Updates <= 1<<62 && hdr.ComputeNS <= 1<<62 {
-		res.Updates, res.ComputeNS = int64(hdr.Updates), int64(hdr.ComputeNS)
-	}
-	return q, nil
 }

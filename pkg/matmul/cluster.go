@@ -221,8 +221,6 @@ const (
 	VerifyAll = cluster.VerifyAll
 	// VerifySample checks a seeded fraction (SampleRate) of tasks.
 	VerifySample = cluster.VerifySample
-	// VerifySuspect checks only workers already under suspicion.
-	VerifySuspect = cluster.VerifySuspect
 )
 
 // ErrClusterWorkerQuarantined: the worker was parked for corrupt

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race flake vet fmt loc bench bench-all clean
+.PHONY: all build test test-race flake runnames vet fmt loc bench bench-all clean
 
 all: build vet test
 
@@ -24,16 +24,23 @@ test-race:
 # tag: a block released twice panics and a block read after release
 # reads NaN poison, so a by-reference hand-off that frees too early
 # fails loudly instead of passing on recycled floats. Then the adaptive
-# policy and every test that asserts a dispatcher stays parked, 50
-# times over under the race detector. Last, the worker-session tests —
-# a stale incarnation acting on its successor, and the session hold
-# that is the only pin on a finished job's operands.
+# policy, the cutter every task comes from, the recovery of lost and
+# refused chunks and of pre-cut snapshots, and every test that asserts a
+# dispatcher stays parked, 50 times over under the race detector. Last,
+# the worker-session tests — a stale incarnation acting on its
+# successor, and the session hold that is the only pin on a finished
+# job's operands.
 flake:
 	$(GO) test -count 20 -run TestEngineConformance ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
-	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain' ./internal/cluster ./internal/sim
+	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt' ./internal/cluster ./internal/sim
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner' ./internal/cluster
+
+# runnames fails when a -run alternative here or in the CI workflow
+# names no test, so a renamed or moved test cannot drop out silently.
+runnames:
+	sh scripts/check-run-names.sh
 
 vet:
 	$(GO) vet ./...

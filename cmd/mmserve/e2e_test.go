@@ -318,3 +318,29 @@ func TestE2ESigtermDrainsRunningJob(t *testing.T) {
 		t.Fatalf("drain did not finish the running job:\n%s", out)
 	}
 }
+
+// TestServeFlagsRefused: serve flags that would otherwise be read as
+// something else — a non-positive chunk target (silently the 250 ms
+// default), a negative retry backoff (silently none) or backoff cap
+// (silently 16×) — are refused with a usage error before anything
+// listens.
+func TestServeFlagsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level e2e: skipped in -short")
+	}
+	bin := mmserveBinary(t)
+	for _, args := range [][]string{
+		{"-chunk-target", "0"},
+		{"-chunk-target", "-1s"},
+		{"-retry-backoff", "-1ms"},
+		{"-retry-backoff-max", "-1s"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("mmserve %v: %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), args[0]+" must be") {
+			t.Fatalf("mmserve %v did not name the flag:\n%s", args, out)
+		}
+	}
+}

@@ -91,8 +91,17 @@ func main() {
 		fatalUsage("-max-slots must be ≥ 0, got %d", *maxSlots)
 	}
 
+	if *chunkTarget <= 0 {
+		fatalUsage("-chunk-target must be positive, got %v", *chunkTarget)
+	}
 	if *specFactor < 0 {
 		fatalUsage("-spec-factor must be ≥ 0, got %g", *specFactor)
+	}
+	if *retryBackoff < 0 {
+		fatalUsage("-retry-backoff must be ≥ 0, got %v", *retryBackoff)
+	}
+	if *retryBackoffMax < 0 {
+		fatalUsage("-retry-backoff-max must be ≥ 0, got %v", *retryBackoffMax)
 	}
 	if *drainTimeout < 0 {
 		fatalUsage("-drain-timeout must be ≥ 0, got %v", *drainTimeout)
@@ -209,7 +218,8 @@ func main() {
 			if js.Err != nil {
 				msg = ": " + js.Err.Error()
 			}
-			fmt.Printf("mmserve: job %d QUARANTINED after %d/%d tasks%s\n",
+			// Tasks are cut at dispatch: the total is what was cut so far.
+			fmt.Printf("mmserve: job %d QUARANTINED after %d tasks done of %d cut%s\n",
 				js.ID, js.TasksDone, js.TasksTotal, msg)
 		}
 	}

@@ -48,7 +48,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 			if !ok {
 				continue
 			}
-			if w.mem > 0 && held+footprint(t) > w.mem {
+			if w.mem > 0 && held+footprint(t.Chunk.Rows, t.Chunk.Cols) > w.mem {
 				// A worthwhile duplicate that only memory blocks: report
 				// it so the dispatcher can demand a flush of this
 				// worker's resident results and retry.

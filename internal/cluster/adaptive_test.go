@@ -246,32 +246,39 @@ func TestSpeculationSkipsNearDoneHolder(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRecutOnLoss pins the loss path of cutter-backed jobs: a
-// lost worker's chunk region returns to the cutter and is re-carved —
-// possibly at a different µ for a different worker — and the job still
-// finishes bit-exact.
+// TestAdaptiveRecutOnLoss pins the loss path of a chunk sized for a
+// worker that is gone: the lost copy is requeued, and once no live
+// worker's memory can hold it, its region returns to the cutter and is
+// re-carved at the µ the survivor asks for — the job still finishes
+// bit-exact.
 func TestAdaptiveRecutOnLoss(t *testing.T) {
 	cl, _ := adaptiveCluster(AdaptiveConfig{})
 	defer cl.Close()
-	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 34)
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 34) // 4×4 blocks, T = 4
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1 := join(t, cl, "w1", 64, 1)
-	if tk := pullTask(t, w1); tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
-		t.Fatalf("unprofiled chunk %dx%d, want job µ=2", tk.Chunk.Rows, tk.Chunk.Cols)
+	w1.ObserveCompute(engine.AssignID{}, 100, int64(time.Second)) // µ = √(100/4) = 5
+	if tk := pullTask(t, w1); tk.Chunk.Rows != 4 || tk.Chunk.Cols != 4 {
+		t.Fatalf("fast worker's chunk %dx%d, want the whole 4x4 grid", tk.Chunk.Rows, tk.Chunk.Cols)
 	}
-	w1.Lost() // region goes back to the cutter
+	w1.Lost() // the 4x4 copy is requeued
 	if st := cl.ClusterStats(); st.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", st.Requeues)
 	}
-	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: 64})
-	if st := waitStatus(t, cl, id); st.State != Done {
+	// 8 blocks hold a 2x2 chunk and its staging set, not the 4x4 copy.
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: 8})
+	st := waitStatus(t, cl, id)
+	if st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
 	}
-	if d := c.Assemble().MaxDiff(ref); d > 1e-9 {
-		t.Fatalf("max |C - ref| = %g", d)
+	if st.TasksTotal != 4 || st.TasksDone != 4 {
+		t.Fatalf("tasks %d/%d, want the grid re-cut into four 2x2 chunks", st.TasksDone, st.TasksTotal)
+	}
+	if !c.Assemble().Equal(ref, 0) {
+		t.Fatal("re-cut product not bit-exact")
 	}
 }
 

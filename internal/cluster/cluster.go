@@ -114,8 +114,8 @@ type Config struct {
 	// Clock supplies time; nil uses the real clock.
 	Clock Clock
 	// Adaptive tunes the online-adaptive layer: profile-driven chunk
-	// shaping and speculative straggler re-dispatch. Zero value keeps
-	// the static FIFO+locality behavior.
+	// shaping and speculative straggler re-dispatch. Zero value cuts
+	// every chunk at its job's µ, clamped by the worker's memory.
 	Adaptive AdaptiveConfig
 	// Retry paces requeues after worker losses with capped exponential
 	// backoff. Zero value requeues immediately.
@@ -308,12 +308,12 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 		return 0, false, fmt.Errorf("%w: job %d, %dx%d blocks", ErrBeyondBlockIDs, id, res.BR, res.BC)
 	}
 	if cl.log != nil {
-		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul)); err != nil {
+		if err := cl.appendLogLocked(encodeAccepted(id, key, spec)); err != nil {
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
 		}
 	}
 	cl.nextID++
-	j := newJob(id, spec, cl.cfg.Adaptive.Enabled)
+	j := newJob(id, spec)
 	j.key = key
 	cl.jobs[id] = j
 	cl.order = append(cl.order, id)
@@ -605,20 +605,16 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 	cl.cond.Broadcast()
 }
 
-// requeueLocked returns a lost task to its job's pool. fromDirty
-// distinguishes tasks lost from a worker's result cache (acknowledged,
-// awaiting flush) from tasks lost in flight; the two decrement
-// different job counters. LU stage accounting is untouched in both
-// cases — stageLeft only decrements at commit, so the redispatched task
-// re-acks and re-commits through the same path.
-//
-// A lost copy whose speculative duplicate is still in flight on a live
-// worker is simply dropped: the surviving copy carries the work.
-// Adaptive matmul jobs return the lost region to the cutter instead of
-// requeuing the task as-is, so it is re-carved at a µ sized to whoever
-// asks next — a chunk cut for a big-memory worker must not wedge the
-// job once only small workers survive. Pre-cut jobs requeue a copy
-// with a fresh Attempt (never one a live duplicate may still hold).
+// requeueLocked returns a lost task to its job's pending pool as a copy
+// with a fresh Attempt, eligible once the retry policy's per-attempt
+// backoff has elapsed; MaxAttempts bounds the attempts per seq. The copy
+// leaves the shared pointer alone: the lost worker's transport goroutine
+// may still be reading the old Task, and the fresh attempt also makes
+// its late completion key stale. fromDirty distinguishes tasks lost from
+// a worker's result cache (acknowledged, awaiting flush) from tasks lost
+// in flight; the two decrement different job counters. A lost copy
+// whose speculative duplicate is still in flight on a live worker is
+// simply dropped: the surviving copy carries the work.
 func (cl *Cluster) requeueLocked(t *Task, fromDirty bool) {
 	j := cl.jobs[t.Job]
 	if j == nil || j.state != Running {
@@ -637,28 +633,6 @@ func (cl *Cluster) requeueLocked(t *Task, fromDirty bool) {
 	// Every copy of this seq is gone: lift the speculation latch so the
 	// re-dispatched work can be duplicated again if it straggles anew.
 	delete(j.specActive, t.Seq)
-	if j.cutter != nil && t.Kind == MatMul {
-		j.recuts++
-		if j.recuts > cl.cfg.MaxAttempts*j.cutter.TotalBlocks() {
-			cl.quarantineLocked(j, fmt.Errorf("cluster: job %d exhausted its re-cut budget (%d re-cuts)",
-				j.id, j.recuts))
-			return
-		}
-		if err := j.cutter.Free(t.Chunk.I0, t.Chunk.J0, t.Chunk.Rows, t.Chunk.Cols); err != nil {
-			cl.failJobLocked(j, err)
-			return
-		}
-		j.total--
-		// The cutter has no per-task attempt to scale by, so losses gate
-		// re-cutting at the base backoff, job-wide.
-		if d := cl.cfg.Retry.delay(1); d > 0 {
-			j.cutNotBefore = cl.clock.Now().Add(d)
-		}
-		return
-	}
-	// Requeue a copy rather than mutating the shared pointer: the lost
-	// worker's transport goroutine may still be reading the old Task, and
-	// the fresh attempt also makes its late completion key stale.
 	nt := *t
 	nt.Attempt = j.nextAttempt(t.Seq)
 	if nt.Attempt >= cl.cfg.MaxAttempts {
@@ -681,12 +655,12 @@ func (cl *Cluster) quarantineLocked(j *job, err error) {
 
 // --- dispatch ------------------------------------------------------------
 
-// footprint is the blocks a worker must hold to serve the task: the C
-// tile plus one staging update set — the memory contract of the paper's
+// footprint is the blocks a worker must hold to serve a rows×cols
+// chunk: the C tile plus one staging update set — the memory contract of the paper's
 // layouts, at the minimum staging depth (core.ChunkFootprint is the one
 // place that arithmetic lives).
-func footprint(t *Task) int {
-	return core.ChunkFootprint(t.Chunk.Rows, t.Chunk.Cols, 1)
+func footprint(rows, cols int) int {
+	return core.ChunkFootprint(rows, cols, 1)
 }
 
 // needFlushLocked reports whether the dispatcher should demand a flush
@@ -702,31 +676,24 @@ func (cl *Cluster) needFlushLocked(w *workerState) bool {
 	}
 	for _, dt := range w.dirty {
 		j := cl.jobs[dt.task.Job]
-		if j != nil && j.state == Running && len(j.pending) == 0 && j.inflight == 0 && j.dirty > 0 {
+		if j != nil && j.state == Running && j.dirty > 0 && j.drained() {
 			return true
 		}
 	}
 	return false
 }
 
-// takeLocked pops the next task that fits the asking worker's free slots
-// and advertised memory, scanning running jobs round-robin from the last
-// served position so concurrent jobs share the workers fairly. The
+// takeLocked picks the next task that fits the asking worker's free
+// slots and advertised memory, scanning running jobs round-robin from the
+// last served position so concurrent jobs share the workers fairly. The
 // memory budget covers everything the worker already holds — in-flight
 // footprints plus the C tiles parked in its result cache awaiting flush
-// — so pipelining never oversubscribes the advertised capacity. A head
-// task too big for every live worker fails its job immediately rather
-// than stalling it.
+// — so pipelining never oversubscribes the advertised capacity.
 //
 // The second result asks the caller to flush the worker's resident
 // results instead of dispatching: either a job is waiting only on this
 // worker's flush commits, or the worker's dirty tiles are what keeps
 // the next task from fitting its memory.
-//
-// Within the selected job the pick is locality-aware (the dispatch-time
-// companion of the max-reuse pre-cut order; see localPickLocked). A
-// locality pick that does not fit the worker's memory falls back to the
-// head task, preserving the head's fail-fast semantics.
 func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 	cl.promoteLocked()
 	if cl.needFlushLocked(w) {
@@ -738,7 +705,7 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 	held := 0
 	if w.mem > 0 {
 		for _, t := range w.inflight {
-			held += footprint(t)
+			held += footprint(t.Chunk.Rows, t.Chunk.Cols)
 		}
 		for _, dt := range w.dirty {
 			held += dt.task.Chunk.Blocks
@@ -753,72 +720,12 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 		if j.state != Running {
 			continue
 		}
-		if len(j.pending) > 0 {
-			head := -1 // first backoff-eligible task; the fail-fast anchor
-			for idx, t := range j.pending {
-				if t.notBefore.After(now) {
-					soonest = earlier(soonest, t.notBefore)
-					continue
-				}
-				head = idx
-				break
-			}
-			if head < 0 {
-				continue // every pending copy is cooling down
-			}
-			idx := cl.localPickLocked(j, w, now)
-			if idx < 0 {
-				idx = head
-			}
-			t := j.pending[idx]
-			if idx != head && w.mem > 0 && held+footprint(t) > w.mem {
-				idx = head
-				t = j.pending[head]
-			}
-			if w.mem > 0 && held+footprint(t) > w.mem {
-				if len(w.dirty) > 0 {
-					// Flushing the resident results frees their blocks; ask
-					// for that before writing the task off as unservable.
-					memBlocked = true
-					continue
-				}
-				if !cl.anyWorkerFitsLocked(t) {
-					cl.failJobLocked(j, fmt.Errorf(
-						"cluster: task %d/%d needs %d blocks but no live worker advertises that much memory",
-						t.Job, t.Seq, footprint(t)))
-				}
-				continue
-			}
-			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
+		t, blocked := cl.takeFromLocked(j, w, held, now, &soonest)
+		if t != nil {
 			cl.dispatchLocked(j, w, t, i)
 			return t, false
 		}
-		if j.cutter != nil && !j.cutter.Empty() {
-			if j.cutNotBefore.After(now) {
-				soonest = earlier(soonest, j.cutNotBefore)
-				continue // re-cut backoff after a loss
-			}
-			// Adaptive shaping: carve a chunk sized to this worker's
-			// measured speed and free memory out of the job's grid.
-			p, _ := cl.est.Profile(w.id)
-			mu := cl.cfg.Adaptive.ChunkSide(p, j.gridT, j.spec.Mu, w.mem, held)
-			if mu < 1 {
-				if len(w.dirty) > 0 {
-					memBlocked = true
-				} else if !cl.anyWorkerHasMemLocked(core.ChunkFootprint(1, 1, 1)) {
-					cl.failJobLocked(j, fmt.Errorf(
-						"cluster: job %d needs %d free blocks for a 1×1 chunk but no live worker has them",
-						j.id, core.ChunkFootprint(1, 1, 1)))
-				}
-				continue
-			}
-			t := j.cutTask(mu)
-			if t == nil {
-				continue
-			}
-			cl.dispatchLocked(j, w, t, i)
-			return t, false
-		}
+		memBlocked = memBlocked || blocked
 	}
 	cl.armBackoffWakeLocked(now, soonest)
 	if !memBlocked {
@@ -835,6 +742,64 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 	return nil, memBlocked
 }
 
+// takeFromLocked hands worker w, which already holds held blocks, its
+// next task of job j if one fits: the first lost copy past its backoff
+// from the pending pool, else a fresh chunk from the job's cutter — its
+// side from ChunkSide, its place from the tour rule, starting at w's
+// previous chunk of the job. A lost copy that no live worker's memory
+// can hold goes back to the cutter, to be re-cut at a side the
+// survivors hold. The flag reports work that only w's resident results
+// keep from fitting; soonest learns the earliest retry backoff still
+// running.
+func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Time, soonest *time.Time) (*Task, bool) {
+	fits := func(rows, cols int) bool {
+		return w.mem <= 0 || held+footprint(rows, cols) <= w.mem
+	}
+	for idx, t := range j.pending {
+		if t.notBefore.After(now) {
+			*soonest = earlier(*soonest, t.notBefore)
+			continue
+		}
+		ch := t.Chunk
+		switch {
+		case fits(ch.Rows, ch.Cols):
+			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
+			return t, false
+		case len(w.dirty) > 0:
+			return nil, true // flushing the resident results frees their blocks
+		case !cl.anyWorkerHasMemLocked(footprint(ch.Rows, ch.Cols)):
+			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
+			if err := j.handBack(t); err != nil {
+				cl.failJobLocked(j, err)
+				return nil, false
+			}
+		}
+		break // the copy waits for a worker that holds it
+	}
+	if j.cutter.Empty() {
+		return nil, false
+	}
+	p, _ := cl.est.Profile(w.id)
+	mu := cl.cfg.Adaptive.ChunkSide(p, j.steps(), j.spec.Mu, w.mem)
+	if mu < 1 {
+		if need := footprint(1, 1); !cl.anyWorkerHasMemLocked(need) {
+			cl.failJobLocked(j, fmt.Errorf(
+				"cluster: job %d needs %d blocks for a 1×1 chunk but no live worker advertises that much memory",
+				j.id, need))
+		}
+		return nil, false
+	}
+	var cur *[2]int
+	if at, ok := w.lastAt[j.id]; ok {
+		cur = &at
+	}
+	i0, j0, rows, cols, _ := j.cutter.Next(mu, cur)
+	if !fits(rows, cols) {
+		return nil, len(w.dirty) > 0
+	}
+	return j.cutTask(i0, j0, rows, cols), false
+}
+
 // dispatchLocked records the bookkeeping of handing task t of job j to
 // worker w from round-robin scan offset i.
 func (cl *Cluster) dispatchLocked(j *job, w *workerState, t *Task, i int) {
@@ -844,43 +809,6 @@ func (cl *Cluster) dispatchLocked(j *job, w *workerState, t *Task, i int) {
 	}
 	w.lastAt[t.Job] = [2]int{t.Chunk.I0, t.Chunk.J0}
 	cl.rr = (cl.rr + i + 1) % len(cl.order)
-}
-
-// localPickLocked returns the index into j.pending of the chunk that
-// best extends the worker's tour for this job: the nearest chunk in the
-// same block-row as its previous chunk (the A-row operands are already
-// resident, so the delta protocol skips them), then the nearest in the
-// same block-column (B resident), then the chunk at the smallest
-// Manhattan distance. Minimizing the stride keeps a worker sweeping the
-// grid in short steps, so consecutive chunks keep sharing operands even
-// when requeues and multi-job interleaving perturb the static order.
-// Tasks still cooling down under the retry backoff are ignored; -1
-// means none is eligible.
-func (cl *Cluster) localPickLocked(j *job, w *workerState, now time.Time) int {
-	last, lastOK := w.lastAt[j.id]
-	best, bestTier, bestDist := -1, 4, 0
-	for idx, t := range j.pending {
-		if t.notBefore.After(now) {
-			continue
-		}
-		if !lastOK {
-			return idx // no cursor yet: first eligible task
-		}
-		di, dj := absInt(t.Chunk.I0-last[0]), absInt(t.Chunk.J0-last[1])
-		var tier, dist int
-		switch {
-		case di == 0:
-			tier, dist = 0, dj
-		case dj == 0:
-			tier, dist = 1, di
-		default:
-			tier, dist = 2, di+dj
-		}
-		if tier < bestTier || (tier == bestTier && dist < bestDist) {
-			best, bestTier, bestDist = idx, tier, dist
-		}
-	}
-	return best
 }
 
 // earlier returns the earlier of two times, treating zero as unset.
@@ -913,19 +841,6 @@ func (cl *Cluster) armBackoffWakeLocked(now, soonest time.Time) {
 		cl.cond.Broadcast()
 		cl.mu.Unlock()
 	})
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// anyWorkerFitsLocked reports whether some live worker's advertised
-// memory can hold the task (workers advertising 0 are unconstrained).
-func (cl *Cluster) anyWorkerFitsLocked(t *Task) bool {
-	return cl.anyWorkerHasMemLocked(footprint(t))
 }
 
 // anyWorkerHasMemLocked reports whether some live worker advertises at
@@ -1003,13 +918,28 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		return fmt.Errorf("cluster: flush manifest from %q has %d ids but %d blocks",
 			w.id, len(ids), len(blocks))
 	}
+	// Validation and verification both precede any commit: per-task
+	// commits are atomic, and a refusal mid-loop would leave half a task
+	// committed — the requeued recompute would then apply the landed half
+	// twice. A malformed tile refuses the whole manifest; a refused task's
+	// tiles leave the dirty-tile tracking in the verification pass, so
+	// the commit loop below skips them (dt == nil).
+	for n, bid := range ids {
+		dt := w.dirtyTiles[bid]
+		if dt == nil {
+			continue
+		}
+		if jobNum, _, _, ok := engine.CBlockCoords(bid); !ok || JobID(jobNum) != dt.task.Job {
+			return fmt.Errorf("cluster: flush id %#x does not decode to a tile of job %d",
+				bid, dt.task.Job)
+		}
+		if q := cl.taskQ(cl.jobs[dt.task.Job]); len(blocks[n]) != q*q {
+			return fmt.Errorf("cluster: flush block for id %#x has %d elements, want %d",
+				bid, len(blocks[n]), q*q)
+		}
+	}
 	w.flushPending = false
 	w.lastSeen = cl.clock.Now()
-	// Verification pre-pass, BEFORE any commit: per-task commits are
-	// atomic, and a mid-loop refusal would leave half a task committed —
-	// the requeued recompute would then double-apply the landed half. A
-	// refused task's tiles leave the dirty-tile tracking here, so the
-	// commit loop below skips them (dt == nil).
 	if cl.verify.Mode != VerifyOff {
 		cl.verifyFlushLocked(w, ids, blocks)
 	}
@@ -1021,18 +951,8 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		t := dt.task
 		j := cl.jobs[t.Job]
 		if j != nil && j.state == Running {
-			jobNum, bi, bj, ok := engine.CBlockCoords(bid)
-			if !ok || JobID(jobNum) != t.Job {
-				return fmt.Errorf("cluster: flush id %#x does not decode to a tile of job %d",
-					bid, t.Job)
-			}
-			q := cl.taskQ(j)
-			if len(blocks[n]) != q*q {
-				return fmt.Errorf("cluster: flush block for id %#x has %d elements, want %d",
-					bid, len(blocks[n]), q*q)
-			}
-			dst := j.spec.result()
-			copy(dst.Block(bi, bj).Data, blocks[n])
+			_, bi, bj, _ := engine.CBlockCoords(bid)
+			copy(j.spec.result().Block(bi, bj).Data, blocks[n])
 		}
 		delete(w.dirtyTiles, bid)
 		dt.left--
@@ -1049,16 +969,7 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		cl.logChunkLocked(j, t)
 		j.dirty--
 		j.done++
-		if j.spec.Kind == LU {
-			j.stageLeft--
-			if j.stageLeft == 0 && len(j.pending) == 0 && j.inflight == 0 && j.dirty == 0 {
-				j.stage++
-				cl.advanceLULocked(j)
-			}
-		}
-		if j.finished() {
-			cl.finishJobLocked(j, Done, nil)
-		}
+		cl.settleLocked(j)
 	}
 	// Committed tiles freed worker memory and may have finished jobs or
 	// advanced LU stages; every blocked dispatcher must re-evaluate.
@@ -1150,7 +1061,7 @@ func (cl *Cluster) promoteLocked() {
 		j.state = Running
 		cl.running++
 		if j.spec.Kind == LU {
-			cl.advanceLULocked(j)
+			j.openStage()
 		}
 		if j.finished() {
 			cl.finishJobLocked(j, Done, nil)
@@ -1158,14 +1069,16 @@ func (cl *Cluster) promoteLocked() {
 	}
 }
 
-// advanceLULocked factors panels until trailing tasks appear or the
-// factorization completes (the last panel trails nothing).
-func (cl *Cluster) advanceLULocked(j *job) {
-	for j.stage < j.luBlocks && j.stageLeft == 0 {
-		j.factorStage()
-		if j.stageLeft == 0 {
-			j.stage = j.luBlocks // last panel factored; nothing trails
-		}
+// settleLocked runs after a chunk of j committed: an LU stage with
+// nothing left to cut, dispatch, compute or commit opens the next one,
+// and a job with nothing left at all is Done.
+func (cl *Cluster) settleLocked(j *job) {
+	if j.spec.Kind == LU && j.stage < j.luBlocks && j.drained() && j.dirty == 0 {
+		j.stage++
+		j.openStage()
+	}
+	if j.finished() {
+		cl.finishJobLocked(j, Done, nil)
 	}
 }
 

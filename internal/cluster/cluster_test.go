@@ -336,21 +336,123 @@ func TestTaskExceedsMaxAttemptsFailsJob(t *testing.T) {
 	}
 }
 
-func TestChunkTooBigForFleetFailsJob(t *testing.T) {
+// TestChunkClampedToWorkerMemory: a chunk side the asking worker cannot
+// hold is cut down to one it can — µ=8 on a worker advertising 10
+// blocks runs at µ=2 (2² + 2·2 ≤ 10) and finishes bit-exact — while a
+// job no live worker can hold even a 1×1 chunk of still fails.
+func TestChunkClampedToWorkerMemory(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
 	// C is 8×8 blocks and µ=8: one 64-block chunk plus a 16-block staging
 	// set, far beyond the only worker's 10 advertised blocks.
-	c, a, b, _ := blockedInputs(t, 32, 8, 32, 4, 12)
+	c, a, b, ref := blockedInputs(t, 32, 8, 32, 4, 12)
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := join(t, cl, "tiny", 10, 1)
-	go tiny.Next() // triggers dispatch; blocks until Close
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: 10})
 	st := waitStatus(t, cl, id)
+	if st.State != Done {
+		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+	}
+	if st.TasksTotal != 16 || st.TasksDone != 16 {
+		t.Fatalf("tasks %d/%d, want sixteen 2×2 chunks", st.TasksDone, st.TasksTotal)
+	}
+	if !c.Assemble().Equal(ref, 0) {
+		t.Fatal("memory-clamped product not bit-exact")
+	}
+
+	cl2, _ := manualCluster(Config{})
+	defer cl2.Close()
+	c, a, b, _ = blockedInputs(t, 8, 8, 8, 4, 13)
+	id, err = cl2.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 blocks cannot hold a 1×1 chunk and its staging set (3 blocks).
+	tiny := join(t, cl2, "tiny", 2, 1)
+	go tiny.Next() // triggers dispatch; blocks until Close
+	st = waitStatus(t, cl2, id)
 	if st.State != Failed || st.Err == nil {
 		t.Fatalf("job state = %v (err %v), want failed with a memory error", st.State, st.Err)
+	}
+}
+
+// TestLostChunkRecutForSmallSurvivor: a chunk lost with the only worker
+// that could hold it is not written off — its region goes back to the
+// cutter and is re-cut at a side the survivors hold. A µ=2 job loses its
+// 64-block worker mid-chunk, the only survivor advertises 3 blocks (a
+// 1×1 chunk and its staging set), and the job finishes bit-exact in
+// 1×1 chunks.
+func TestLostChunkRecutForSmallSurvivor(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 14) // 4×4 blocks
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := join(t, cl, "big", 64, 1)
+	tk := pullTask(t, big)
+	if tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
+		t.Fatalf("big worker's chunk is %dx%d, want 2x2", tk.Chunk.Rows, tk.Chunk.Cols)
+	}
+	if _, err := big.Set(tk.key(), 0); err != nil {
+		t.Fatal(err)
+	}
+	big.Lost()
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: 3})
+	st := waitStatus(t, cl, id)
+	if st.State != Done {
+		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+	}
+	if st.Requeues != 1 || st.TasksTotal != 16 || st.TasksDone != 16 {
+		t.Fatalf("requeues %d, tasks %d/%d; want the lost 2x2 chunk re-cut: 1 requeue, sixteen 1x1 chunks",
+			st.Requeues, st.TasksDone, st.TasksTotal)
+	}
+	if !c.Assemble().Equal(ref, 0) {
+		t.Fatal("product after the re-cut not bit-exact")
+	}
+}
+
+// TestLostLUChunkRecutForSmallSurvivor is the LU case: a trailing-update
+// chunk of µ=2 lost with the only big worker is re-cut for a 3-block
+// survivor, and the factorization ends bit-identical to a fresh run's.
+func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
+	const q, r = 8, 5
+	orig := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(orig, 15)
+	want := matrix.Partition(orig.Clone(), q)
+	if _, _, err := RunOneJob(JobSpec{Kind: LU, M: want, Mu: 2}, 1, LocalWorkerConfig{ID: "ref"}); err != nil {
+		t.Fatal(err)
+	}
+
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	m := matrix.Partition(orig.Clone(), q)
+	id, err := cl.SubmitJob(JobSpec{Kind: LU, M: m, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := join(t, cl, "big", 64, 1)
+	tk := pullTask(t, big)
+	if tk.Kind != LU || tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
+		t.Fatalf("big worker's task is a %v %dx%d chunk, want an LU 2x2", tk.Kind, tk.Chunk.Rows, tk.Chunk.Cols)
+	}
+	if _, err := big.Set(tk.key(), 0); err != nil {
+		t.Fatal(err)
+	}
+	big.Lost()
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: 3})
+	st := waitStatus(t, cl, id)
+	if st.State != Done {
+		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+	}
+	if st.Requeues != 1 {
+		t.Fatalf("requeues = %d, want 1", st.Requeues)
+	}
+	if !m.Assemble().Equal(want.Assemble(), 0) {
+		t.Fatal("LU after the re-cut is not bit-identical to a fresh run")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // TestKillWorkerWithDirtyCRequeuesExactly is the recovery oracle for the
@@ -265,5 +267,46 @@ func TestEngineFeedLostUnblocksNext(t *testing.T) {
 	}
 	if err := feed.Close(SessionReport{}); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("Close = %v, want the recorded ErrUnknownWorker", err)
+	}
+}
+
+// TestMalformedFlushCommitsNothing is the regression test for a
+// half-committed flush: a manifest whose second tile is short must be
+// refused before its first, well-formed tile lands. Committed, that tile
+// would already hold its final value when the refused task is requeued,
+// and the recompute — which starts from the master tile — would apply
+// the task's updates to it twice.
+func TestMalformedFlushCommitsNothing(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	// 2×2 blocks, µ=2 → a single chunk of 2×2 tiles.
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 35)
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float64(nil), c.Block(0, 0).Data...)
+	w := join(t, cl, "w", 64, 1)
+	tk := pullTask(t, w)
+	if err := w.Acked(tk.key()); err != nil {
+		t.Fatal(err)
+	}
+	good := matrix.Partition(ref, 4).Block(0, 0).Data
+	ids := []uint64{engine.CBlockID(uint32(tk.Job), 0, 0), engine.CBlockID(uint32(tk.Job), 0, 1)}
+	if err := w.CommitFlush(ids, [][]float64{good, make([]float64, 15)}); err == nil {
+		t.Fatal("a flush with a short tile was accepted")
+	}
+	if !blas.EqualBits(c.Block(0, 0).Data, before) {
+		t.Fatal("the refused flush committed its well-formed tile")
+	}
+	// The transport ends the session on the error; the task is requeued
+	// and a second worker recomputes it from the untouched master tiles.
+	w.Lost()
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: 64})
+	if st := waitStatus(t, cl, id); st.State != Done {
+		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+	}
+	if !c.Assemble().Equal(ref, 0) {
+		t.Fatal("product after the refused flush not bit-exact")
 	}
 }

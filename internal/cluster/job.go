@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/homog"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 )
@@ -78,9 +76,11 @@ type JobSpec struct {
 	M *matrix.Blocked
 	// Mu is the chunk side in blocks (the paper's µ); it bounds the
 	// per-worker in-flight state to one µ×µ C chunk, which is what makes
-	// recovery cheap. Dispatch only hands a chunk to workers whose
-	// advertised memory holds it plus one staging set (µ² + 2µ ≤ m); a
-	// chunk no live worker can hold fails the job. Required ≥ 1.
+	// recovery cheap. Each chunk is cut at dispatch, at the largest side
+	// up to Mu that the asking worker's advertised memory holds with one
+	// staging set (µ² + 2µ ≤ m); with adaptation enabled, a profiled
+	// worker's side comes from its speed instead (ChunkSide). A job no
+	// live worker can hold a 1×1 chunk of fails. Required ≥ 1.
 	Mu int
 	// Pooled says the matrices' blocks were taken from the cluster's
 	// BlockPool (the TCP server decodes submissions straight into them):
@@ -119,10 +119,14 @@ func dropMatrix(m **matrix.Blocked, pooled bool, pool *engine.BlockPool) {
 
 // Status is a point-in-time snapshot of a job.
 type Status struct {
-	ID         JobID
-	Kind       JobKind
-	State      JobState
-	TasksTotal int // for LU this grows as panel stages unlock
+	ID    JobID
+	Kind  JobKind
+	State JobState
+	// TasksTotal counts the chunks cut so far, for every job: tasks are
+	// carved at dispatch, so it grows until the grid is cut (one handed
+	// back for re-cutting drops out), and done/total is not a progress
+	// fraction before then.
+	TasksTotal int
 	TasksDone  int
 	Requeues   int // tasks re-dispatched after a worker loss
 	// Quarantined marks a Failed job that exhausted its retry budget (a
@@ -180,11 +184,16 @@ func (t *Task) key() engine.AssignID {
 // job is the dispatcher's record of one submitted job. Guarded by the
 // owning Cluster's mutex.
 type job struct {
-	id       JobID
-	spec     JobSpec
-	q        int // block edge; outlives the matrices
-	state    JobState
-	pending  []*Task // ready to assign (head is next)
+	id    JobID
+	spec  JobSpec
+	q     int // block edge; outlives the matrices
+	state JobState
+	// cutter holds the part of the job's C grid — for LU, of the current
+	// stage's trailing grid — not yet cut into tasks: every fresh task is
+	// carved from it at dispatch, sized and placed for the asking worker.
+	cutter *sim.Cutter
+	// pending holds lost copies awaiting redispatch (head is next).
+	pending  []*Task
 	inflight int
 	// dirty counts tasks acknowledged by their worker (the values live in
 	// its result cache) but not yet flush-committed into the job matrix.
@@ -197,25 +206,14 @@ type job struct {
 	err      error
 	doneCh   chan struct{} // closed on Done or Failed
 	nextSeq  int
-	// LU stage state
-	stage     int // current panel index k
-	stageLeft int // trailing tasks outstanding in the current stage
-	luBlocks  int // r, the block order of the LU matrix
+	// LU: stage is the panel whose trailing updates are being cut,
+	// luBlocks (r, the block order of the matrix) once all are factored.
+	stage    int
+	luBlocks int
 	// comm accumulates the job's delta-protocol accounting as worker
 	// sessions report it.
 	comm engine.CommStats
 
-	// Adaptive chunk shaping: cutter holds the uncut remainder of a
-	// matmul C grid — chunks are carved per worker at dispatch time
-	// instead of pre-cut at one global µ. gridT is the shared update
-	// depth (A's block columns). Pre-cut jobs (LU, adaptation off) leave
-	// cutter nil.
-	cutter *sim.Cutter
-	gridT  int
-	// recuts counts regions returned to the cutter after a loss; bounded
-	// by MaxAttempts per grid block so a flapping fleet cannot recompute
-	// forever.
-	recuts int
 	// attempts tracks the highest Attempt issued per Seq, so requeues and
 	// speculative duplicates never reuse a live copy's task key. Only
 	// populated for seqs that needed more than attempt 0.
@@ -234,10 +232,6 @@ type job struct {
 	// commit paths and during replay, it is what makes journal replay
 	// idempotent (a chunk record whose seq is here is skipped).
 	doneSeqs map[int]bool
-	// cutNotBefore gates re-cutting after a loss on an adaptive job (the
-	// cutter has no per-task identity to hang an attempt counter on, so
-	// the retry backoff applies at job level).
-	cutNotBefore time.Time
 	// vcache is the lazily built per-job Freivalds state (probe vectors,
 	// cached B·r products, operand norms); nil until the verification
 	// policy first touches the job, never journaled.
@@ -281,62 +275,64 @@ func validateSpec(spec JobSpec) error {
 	return nil
 }
 
-// newJob builds the job record and its initial task pool. With adaptive
-// chunk shaping, a matmul job keeps its C grid in a lazy cutter and
-// tasks are carved per worker at dispatch time; total then grows as
-// chunks are cut, like LU stages. Otherwise the grid is pre-cut at the
-// job's µ in the column-panel order of the maximum re-use algorithm
-// (Algorithm 1, homog.ChunkGrid).
-func newJob(id JobID, spec JobSpec, adaptive bool) *job {
-	j := &job{id: id, spec: spec, doneCh: make(chan struct{})}
-	switch spec.Kind {
-	case MatMul:
-		j.q = spec.C.Q
-		pr := core.Problem{R: spec.C.BR, S: spec.C.BC, T: spec.A.BC, Q: spec.A.Q}
-		if adaptive {
-			j.cutter = sim.NewCutter(pr.R, pr.S)
-			j.gridT = pr.T
-			return j
-		}
-		_, pool := homog.ChunkGrid(pr, spec.Mu)
-		for _, ch := range pool {
-			j.pending = append(j.pending, &Task{
-				Job: id, Seq: j.nextSeq, Kind: MatMul, Chunk: ch, Steps: pr.T,
-			})
-			j.nextSeq++
-		}
-		j.total = len(j.pending)
-	case LU:
-		j.q = spec.M.Q
-		j.luBlocks = spec.M.BR
-		// Stage 0 is opened by the caller (factorStage) once the job is
-		// admitted; total grows as stages unlock.
+// newJob builds the job record. A product's cutter covers its whole C
+// grid; an LU job's stays empty until promotion factors panel 0 and opens
+// the stage's trailing grid (openStage).
+func newJob(id JobID, spec JobSpec) *job {
+	res := spec.result()
+	j := &job{id: id, spec: spec, q: res.Q, doneCh: make(chan struct{})}
+	if spec.Kind == LU {
+		j.luBlocks = res.BR
+		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, nil)
+	} else {
+		j.cutter = sim.NewCutter(res.BR, res.BC)
 	}
 	return j
 }
 
-// cutTask carves a fresh chunk with side ≤ mu out of the job's cutter
-// and wraps it as a dispatchable task; nil when the grid is exhausted.
-func (j *job) cutTask(mu int) *Task {
-	if j.cutter == nil {
-		return nil
+// steps is the update depth of the job's tasks: A's block columns for a
+// product, one trailing update for LU.
+func (j *job) steps() int {
+	if j.spec.Kind == LU {
+		return 1
 	}
-	i0, j0, rows, cols, ok := j.cutter.Cut(mu)
-	if !ok {
-		return nil
-	}
+	return j.spec.A.BC
+}
+
+// newTask builds the task computing one chunk of the job's grid — for LU,
+// of the current stage's trailing grid.
+func (j *job) newTask(seq, i0, j0, rows, cols int) *Task {
+	steps := j.steps()
 	ch := &sim.Chunk{
-		ID: j.nextSeq, I0: i0, J0: j0,
+		ID: seq, I0: i0, J0: j0,
 		Rows: rows, Cols: cols, Blocks: rows * cols,
-		Steps: make([]sim.Step, j.gridT),
+		Steps: make([]sim.Step, steps),
 	}
-	for k := range ch.Steps {
-		ch.Steps[k] = sim.Step{Blocks: rows + cols, Updates: int64(rows) * int64(cols)}
+	for s := range ch.Steps {
+		ch.Steps[s] = sim.Step{Blocks: rows + cols, Updates: int64(rows) * int64(cols)}
 	}
-	t := &Task{Job: j.id, Seq: j.nextSeq, Kind: MatMul, Chunk: ch, Steps: j.gridT}
+	return &Task{Job: j.id, Seq: seq, Kind: j.spec.Kind, Chunk: ch, Steps: steps, K: j.stage}
+}
+
+// cutTask claims a chunk from the job's cutter and wraps it as a fresh
+// task.
+func (j *job) cutTask(i0, j0, rows, cols int) *Task {
+	j.cutter.Claim(i0, j0, rows, cols)
+	t := j.newTask(j.nextSeq, i0, j0, rows, cols)
 	j.nextSeq++
 	j.total++
 	return t
+}
+
+// handBack returns a pending copy's region to the cutter, to be re-cut
+// at a side some worker holds.
+func (j *job) handBack(t *Task) error {
+	ch := t.Chunk
+	if err := j.cutter.Free(ch.I0, ch.J0, ch.Rows, ch.Cols); err != nil {
+		return err
+	}
+	j.total--
+	return nil
 }
 
 // nextAttempt issues the next unused Attempt number for a seq, so a
@@ -351,18 +347,16 @@ func (j *job) nextAttempt(seq int) int {
 	return a
 }
 
-// factorStage factors panel k of an LU job on the master (the paper keeps
-// pivot work at the master; §7's right-looking scheme) and opens the
-// trailing-update tasks of the stage. It returns false when the
-// factorization is complete.
-func (j *job) factorStage() bool {
+// openStage factors panel k = j.stage of an LU job on the master (the
+// paper keeps pivot work at the master; §7's right-looking scheme) and
+// opens a cutter over the stage's trailing grid, whose chunks are the
+// 1-step tasks C(i,j) ← C(i,j) − L(i,k)·U(k,j). The last panel trails
+// nothing, which completes the factorization.
+func (j *job) openStage() {
 	m := j.spec.M
 	q := m.Q
 	k := j.stage
 	r := j.luBlocks
-	if k >= r {
-		return false
-	}
 	factorBlockLU(m.Block(k, k).Data, q)
 	for i := k + 1; i < r; i++ {
 		solveRightUpper(m.Block(i, k).Data, m.Block(k, k).Data, q)
@@ -371,46 +365,23 @@ func (j *job) factorStage() bool {
 		solveLeftUnitLower(m.Block(k, jj).Data, m.Block(k, k).Data, q)
 	}
 	if k == r-1 {
-		return false // last diagonal block: nothing trails
+		j.stage = r
+		return
 	}
-	// Chunk the (r-k-1)² trailing grid into µ×µ tiles; each tile is one
-	// 1-step task C(i,j) ← C(i,j) − L(i,k)·U(k,j).
-	side := j.spec.Mu
-	lo := k + 1
-	for i0 := lo; i0 < r; i0 += side {
-		rows := minInt(side, r-i0)
-		for j0 := lo; j0 < r; j0 += side {
-			cols := minInt(side, r-j0)
-			ch := &sim.Chunk{
-				ID: j.nextSeq, I0: i0, J0: j0,
-				Rows: rows, Cols: cols, Blocks: rows * cols,
-				Steps: []sim.Step{{Blocks: rows + cols, Updates: int64(rows) * int64(cols)}},
-			}
-			j.pending = append(j.pending, &Task{
-				Job: j.id, Seq: j.nextSeq, Kind: LU, Chunk: ch, Steps: 1, K: k,
-			})
-			j.nextSeq++
-			j.total++
-			j.stageLeft++
-		}
-	}
-	return true
+	j.cutter = sim.NewCutterFromRects(r, r, [][4]int{{k + 1, k + 1, r - k - 1, r - k - 1}})
 }
 
-// finished reports whether every task completed (including the flush
-// commits of acknowledged-but-dirty tasks) and, for LU, every stage was
-// factored.
+// drained reports that nothing of the job — for LU, of its current stage
+// — is left to cut, dispatch or compute: only flush commits of dirty
+// tasks can still be outstanding.
+func (j *job) drained() bool {
+	return j.cutter.Empty() && len(j.pending) == 0 && j.inflight == 0
+}
+
+// finished reports whether every task committed and, for LU, every
+// stage was factored.
 func (j *job) finished() bool {
-	if len(j.pending) > 0 || j.inflight > 0 || j.dirty > 0 {
-		return false
-	}
-	if j.cutter != nil && !j.cutter.Empty() {
-		return false
-	}
-	if j.spec.Kind == LU {
-		return j.stage >= j.luBlocks
-	}
-	return true
+	return j.drained() && j.dirty == 0 && (j.spec.Kind != LU || j.stage >= j.luBlocks)
 }
 
 func (j *job) status() Status {
@@ -426,11 +397,4 @@ func (j *job) status() Status {
 		}
 	}
 	return st
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

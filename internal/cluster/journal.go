@@ -9,16 +9,24 @@ package cluster
 //
 //   - accepted carries the job id, idempotency key and the operand
 //     matrices verbatim. Replaying it re-runs the same deterministic
-//     admission path as SubmitJob (max-reuse pre-cut or adaptive cutter,
-//     LU stage-0 panel factorization), so the rebuilt task pool is
-//     identical to the live one.
+//     admission path as SubmitJob (a cutter over the C grid; for LU,
+//     the stage-0 panel factorization at promotion). Its mode byte is
+//     written as 0 and ignored on read: every job is cut at dispatch.
 //   - chunk is appended when a chunk's result lands in the job matrix
 //     (the flush commit of the last of an acked chunk's tiles). Replaying
-//     it copies the committed tiles back and retires the matching
-//     pending task, so recovery requeues exactly the unfinished work.
-//     Chunks a worker computed but never committed are absent by
-//     construction — they rerun from the master-owned operands, which a
-//     dirty task never modified, so the recomputation is bit-exact.
+//     it copies the committed tiles back and retires the chunk: the
+//     pending copy with its seq if there is one (a snapshot's), else its
+//     region, claimed from the cutter — seqs depend on which worker asked
+//     first, coordinates do not. A pending copy that region overlaps was
+//     handed back to the cutter live (no worker could hold it; the
+//     hand-back is not journaled), so replay hands it back before the
+//     claim, and a region not then wholly free is refused as corrupt.
+//     Recovery thus cuts and requeues exactly
+//     the unfinished work, and an LU stage whose last chunk replays
+//     opens the next one just as the live commit did. Chunks a worker
+//     computed but never committed are absent by construction — they
+//     rerun from the master-owned operands, which a dirty task never
+//     modified, so the recomputation is bit-exact.
 //   - done records the terminal state (including quarantine).
 //   - quarantine records a worker parked for corrupt results, so the
 //     refusal to readmit it survives a master restart.
@@ -31,16 +39,25 @@ package cluster
 // compaction) is the whole job table serialized verbatim — counters,
 // pending task descriptors, cutter free rectangles, matrices — and is
 // applied without re-running admission, so an LU job's already-factored
-// panels are never factored twice. A terminal job's released operands
-// are written as absent, and a job whose result was released too is left
-// out altogether — nobody can ask for it, and a log that re-wrote every
-// job ever served would grow without bound.
+// panels are never factored twice. Three counter slots of the layout
+// are written as 0 and ignored on read: the LU stage's task count, the
+// re-cut count and the update depth (derived from the operands); each
+// pending task's panel and update depth are ignored on read too (they
+// are the job's current stage and depth), and a seq listed twice — a
+// speculative duplicate — loads as one copy. A snapshot without a
+// cutter — a pre-cut job's, or a mid-stage LU job's — loads with an
+// empty one, so its pending tasks are its only work. A
+// terminal job's released operands are written as absent, and a job
+// whose result was released too is left out altogether — nobody can ask
+// for it, and a log that re-wrote every job ever served would grow
+// without bound.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/matrix"
@@ -143,7 +160,7 @@ func (cl *Cluster) appendLogLocked(rec []byte) error {
 	return nil
 }
 
-func encodeAccepted(id JobID, key uint64, spec JobSpec, adaptive bool) []byte {
+func encodeAccepted(id JobID, key uint64, spec JobSpec) []byte {
 	// Sized up front: grown by append, the record of a job's operands
 	// left several times its own size in garbage per submit.
 	e := &recEnc{buf: make([]byte, 0, 32+matLen(spec.M)+matLen(spec.C)+matLen(spec.A)+matLen(spec.B))}
@@ -151,11 +168,7 @@ func encodeAccepted(id JobID, key uint64, spec JobSpec, adaptive bool) []byte {
 	e.u32(uint32(id))
 	e.u64(key)
 	e.u8(byte(spec.Kind))
-	if adaptive {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
+	e.u8(0) // mode: every job is cut at dispatch
 	e.u32(uint32(spec.Mu))
 	if spec.Kind == LU {
 		e.mat(spec.M)
@@ -316,7 +329,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		id := JobID(d.u32())
 		key := d.u64()
 		kind := JobKind(d.u8())
-		adaptive := d.u8() == 1
+		d.u8() // mode, ignored
 		mu := int(d.u32())
 		spec := JobSpec{Kind: kind, Mu: mu}
 		if kind == LU {
@@ -336,7 +349,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		if err := validateSpec(spec); err != nil {
 			return err
 		}
-		j := newJob(id, spec, adaptive)
+		j := newJob(id, spec)
 		j.key = key
 		cl.jobs[id] = j
 		cl.order = append(cl.order, id)
@@ -352,7 +365,8 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		cl.promoteLocked()
 	case evChunk:
 		id := JobID(d.u32())
-		seq, k := int(d.u32()), int(d.u32())
+		seq := int(d.u32())
+		d.u32() // the LU panel, the job's current stage
 		i0, j0 := int(d.u32()), int(d.u32())
 		rows, cols := int(d.u32()), int(d.u32())
 		if d.err != nil {
@@ -383,39 +397,12 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 			j.doneSeqs = make(map[int]bool)
 		}
 		j.doneSeqs[seq] = true
-		// Retire the matching pending task. Pre-cut and LU pools match by
-		// seq (deterministic across live run and replay); adaptive jobs
-		// re-claim the region from the cutter, since their seqs depend on
-		// which worker asked first.
-		matched := false
-		for idx, t := range j.pending {
-			if t.Seq == seq {
-				j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
-				matched = true
-				break
-			}
-		}
-		if !matched && j.cutter != nil {
-			j.cutter.Claim(i0, j0, rows, cols)
-			j.total++
-			if seq >= j.nextSeq {
-				j.nextSeq = seq + 1
-			}
-			matched = true
-		}
-		if !matched {
-			return fmt.Errorf("cluster: chunk record %d/%d matches no pending task", id, seq)
+		if err := j.retireReplayed(seq, i0, j0, rows, cols); err != nil {
+			return fmt.Errorf("cluster: chunk record %d/%d: %w", id, seq, err)
 		}
 		j.done++
-		if k >= 0 && j.spec.Kind == LU {
-			j.stageLeft--
-			if j.stageLeft == 0 && len(j.pending) == 0 && j.inflight == 0 && j.dirty == 0 {
-				j.stage++
-				cl.advanceLULocked(j)
-			}
-		}
-		if j.finished() {
-			cl.finishJobLocked(j, Done, nil)
+		cl.settleLocked(j)
+		if j.state == Done {
 			cl.promoteLocked()
 		}
 	case evDone:
@@ -452,6 +439,36 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 	default:
 		return fmt.Errorf("cluster: unknown journal record type %d", rec[0])
 	}
+	return nil
+}
+
+// retireReplayed retires a replayed chunk commit: the pending copy with
+// its seq, else its region, claimed from the cutter. A region no pending
+// seq owns was cut after the snapshot the pending pool came from; if it
+// overlaps a pending copy, that copy's region went back to the cutter
+// live (no worker could hold it), a hand-back the journal does not
+// record, so it is handed back here too before the claim. A region that
+// is then not wholly free was never cut: the record is corrupt.
+func (j *job) retireReplayed(seq, i0, j0, rows, cols int) error {
+	if idx := slices.IndexFunc(j.pending, func(t *Task) bool { return t.Seq == seq }); idx >= 0 {
+		j.pending = slices.Delete(j.pending, idx, idx+1)
+		return nil
+	}
+	kept := j.pending[:0]
+	for _, t := range j.pending {
+		ch := t.Chunk
+		if ch.I0 >= i0+rows || i0 >= ch.I0+ch.Rows || ch.J0 >= j0+cols || j0 >= ch.J0+ch.Cols {
+			kept = append(kept, t)
+		} else if err := j.handBack(t); err != nil {
+			return err
+		}
+	}
+	j.pending = kept
+	if got := j.cutter.Claim(i0, j0, rows, cols); got != rows*cols {
+		return fmt.Errorf("only %d of its %d blocks were left to cut", got, rows*cols)
+	}
+	j.total++
+	j.nextSeq = max(j.nextSeq, seq+1)
 	return nil
 }
 
@@ -500,10 +517,10 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 		e.u32(uint32(j.done))
 		e.u32(uint32(j.requeues))
 		e.u32(uint32(j.stage))
-		e.u32(uint32(j.stageLeft))
+		e.u32(0) // the stage's task count, unused
 		e.u32(uint32(j.luBlocks))
-		e.u32(uint32(j.recuts))
-		e.u32(uint32(j.gridT))
+		e.u32(0) // the re-cut count, unused
+		e.u32(0) // the update depth, derived from the operands
 		tasks := append([]*Task(nil), j.pending...)
 		for _, w := range cl.reg.workers {
 			if w.dead {
@@ -530,18 +547,14 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 			e.u32(uint32(t.Chunk.Cols))
 			e.u32(uint32(t.Steps))
 		}
-		if j.cutter == nil {
-			e.u8(0)
-		} else {
-			e.u8(1)
-			rects := j.cutter.Rects()
-			e.u32(uint32(len(rects)))
-			for _, r := range rects {
-				e.u32(uint32(r[0]))
-				e.u32(uint32(r[1]))
-				e.u32(uint32(r[2]))
-				e.u32(uint32(r[3]))
-			}
+		e.u8(1) // a cutter follows
+		rects := j.cutter.Rects()
+		e.u32(uint32(len(rects)))
+		for _, r := range rects {
+			e.u32(uint32(r[0]))
+			e.u32(uint32(r[1]))
+			e.u32(uint32(r[2]))
+			e.u32(uint32(r[3]))
 		}
 	}
 	// Quarantined-worker table (sorted for deterministic snapshots), so a
@@ -610,37 +623,33 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		j.done = int(d.u32())
 		j.requeues = int(d.u32())
 		j.stage = int(d.u32())
-		j.stageLeft = int(d.u32())
+		d.u32() // the stage's task count, unused
 		j.luBlocks = int(d.u32())
-		j.recuts = int(d.u32())
-		j.gridT = int(d.u32())
+		d.u32() // the re-cut count, unused
+		d.u32() // the update depth, derived from the operands
 		nt := int(d.u32())
 		for k := 0; k < nt; k++ {
 			seq := int(d.u32())
-			kk := int(d.u32())
+			d.u32() // the LU panel, the job's current stage
 			i0, j0 := int(d.u32()), int(d.u32())
 			rows, cols := int(d.u32()), int(d.u32())
-			steps := int(d.u32())
-			ch := &sim.Chunk{
-				ID: seq, I0: i0, J0: j0,
-				Rows: rows, Cols: cols, Blocks: rows * cols,
-				Steps: make([]sim.Step, steps),
+			d.u32() // the update depth, the job's
+			// A terminal job dispatches nothing (and its operands may be
+			// gone), and a seq in flight twice — a speculative duplicate —
+			// is one copy of the work.
+			terminal := j.state == Done || j.state == Failed
+			if !terminal && !slices.ContainsFunc(j.pending, func(t *Task) bool { return t.Seq == seq }) {
+				j.pending = append(j.pending, j.newTask(seq, i0, j0, rows, cols))
 			}
-			for s := range ch.Steps {
-				ch.Steps[s] = sim.Step{Blocks: rows + cols, Updates: int64(rows) * int64(cols)}
-			}
-			j.pending = append(j.pending, &Task{
-				Job: j.id, Seq: seq, Kind: j.spec.Kind, Chunk: ch, Steps: steps, K: kk,
-			})
 		}
+		var rects [][4]int
 		if d.u8() == 1 {
-			nr := int(d.u32())
-			rects := make([][4]int, nr)
-			for r := 0; r < nr; r++ {
+			rects = make([][4]int, d.u32())
+			for r := range rects {
 				rects[r] = [4]int{int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())}
 			}
-			j.cutter = sim.NewCutterFromRects(res.BR, res.BC, rects)
 		}
+		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, rects)
 		if d.err != nil {
 			return fmt.Errorf("cluster: snapshot job %d: %w", i, d.err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/store"
@@ -55,7 +56,7 @@ func assertNoDuplicateCommits(t *testing.T, dir string) []ChunkCommit {
 }
 
 // TestRecoverMidJobMatMul is the deterministic heart of the restart
-// story: a master accepts a pre-cut matmul job, two of four chunks
+// story: a master accepts a matmul job, two of its four chunks
 // commit, the process "crashes" (the journal just stops), and a fresh
 // cluster over the same directory resumes exactly the other two chunks
 // and finishes bit-exact against the naive oracle.
@@ -306,6 +307,110 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 	assertNoDuplicateCommits(t, dir)
 	clB.Close()
 	<-done
+}
+
+// TestRecoverHandedBackChunk pins replay across an unjournaled
+// hand-back: a snapshot folds in-flight chunk S into the pending pool,
+// S is then lost with only a 3-block survivor, so its region goes back
+// to the cutter and one 1×1 chunk of it is re-cut and committed under a
+// new seq. Recovering from the snapshot plus that record must hand S
+// back too — dispatching S again would add A·B onto the committed tile —
+// and the product must finish bit-exact.
+func TestRecoverHandedBackChunk(t *testing.T) {
+	dir := t.TempDir()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 17) // 2×2 blocks: S is the whole grid at µ=2
+	refB := matrix.Partition(ref, 4)
+	jnA, logA := openLog(t, dir)
+	clA, _ := manualCluster(Config{Log: logA})
+	id, err := clA.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := join(t, clA, "big", 64, 1)
+	if s := pullTask(t, big); s.Chunk.Rows != 2 || s.Chunk.Cols != 2 {
+		t.Fatalf("big worker's chunk is %dx%d, want 2x2", s.Chunk.Rows, s.Chunk.Cols)
+	}
+	if err := clA.CompactLog(); err != nil {
+		t.Fatal(err)
+	}
+	big.Lost()
+	small := join(t, clA, "small", 3, 1)
+	task := pullTask(t, small)
+	if task.Seq == 0 || task.Chunk.Rows != 1 || task.Chunk.Cols != 1 {
+		t.Fatalf("small worker's task is seq %d, %dx%d; want a re-cut 1x1", task.Seq, task.Chunk.Rows, task.Chunk.Cols)
+	}
+	if err := complete(small, task, refChunk(task, refB)); err != nil {
+		t.Fatal(err)
+	}
+	jnA.Close() // crash: the journal is the snapshot plus one chunk record
+
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	clB, _ := manualCluster(Config{Log: logB})
+	defer clB.Close()
+	rs, err := clB.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rs.Snapshots != 1 || rs.Chunks != 1 || rs.Resumed != 1 {
+		t.Fatalf("RecoveryStats = %+v, want one job resumed from the snapshot and one chunk", rs)
+	}
+	clB.mu.Lock()
+	j := clB.jobs[id]
+	pending, remaining := len(j.pending), j.cutter.Remaining()
+	clB.mu.Unlock()
+	if pending != 0 || remaining != 3 {
+		t.Fatalf("after recovery: %d pending copies, %d blocks to cut; want S handed back: 0 and 3", pending, remaining)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(clB, LocalWorkerConfig{ID: "w2"}) }()
+	if st := waitStatus(t, clB, id); st.State != Done {
+		t.Fatalf("job after recovery = %+v", st)
+	}
+	res, err := clB.JobResult(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Assemble().Equal(ref, 0) {
+		t.Fatal("product after recovering a handed-back chunk is not bit-exact")
+	}
+	assertNoDuplicateCommits(t, dir)
+	clB.Close()
+	<-done
+}
+
+// TestRecoverCorruptChunkRegion: a chunk record whose region is neither
+// a pending copy's nor left to cut is refused, not silently dropped.
+func TestRecoverCorruptChunkRegion(t *testing.T) {
+	dir := t.TempDir()
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 19)
+	refB := matrix.Partition(ref, 4)
+	jnA, logA := openLog(t, dir)
+	clA, _ := manualCluster(Config{Log: logA})
+	if _, err := clA.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err != nil {
+		t.Fatal(err)
+	}
+	w := join(t, clA, "w", 0, 1)
+	task := pullTask(t, w)
+	if err := complete(w, task, refChunk(task, refB)); err != nil {
+		t.Fatal(err)
+	}
+	// A second record for the same region under a fresh seq: that region
+	// was cut once already.
+	dup := *task
+	dup.Seq = 99
+	clA.mu.Lock()
+	clA.logChunkLocked(clA.jobs[task.Job], &dup)
+	clA.mu.Unlock()
+	jnA.Close()
+
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	clB, _ := manualCluster(Config{Log: logB})
+	defer clB.Close()
+	if _, err := clB.Recover(); err == nil {
+		t.Fatal("Recover accepted a chunk record over a region already cut")
+	}
 }
 
 // TestRecoverDoneJobServesResult: a client that lost its connection
@@ -655,10 +760,131 @@ func TestAcceptedRecordSizedUpFront(t *testing.T) {
 	luSpec := JobSpec{Kind: LU, M: mk(3, 3), Mu: 2}
 	released := JobSpec{Kind: MatMul, C: mk(3, 2), Mu: 2} // A and B dropped: written as 0×0
 	for _, spec := range []JobSpec{mm, luSpec, released} {
-		rec := encodeAccepted(7, 99, spec, false)
+		rec := encodeAccepted(7, 99, spec)
 		want := 32 + matLen(spec.M) + matLen(spec.C) + matLen(spec.A) + matLen(spec.B)
 		if cap(rec) != want || len(rec) > want {
 			t.Fatalf("%v record: len %d cap %d, want one buffer of cap %d", spec.Kind, len(rec), cap(rec), want)
 		}
 	}
+}
+
+// TestRecoverPreCutSnapshot pins compatibility with stores written
+// before every job was cut at dispatch: a hand-built snapshot in that
+// layout — a pre-cut matmul job and an LU job mid-stage, each with
+// pending tasks, the stage's task count and no cutter — recovers, and
+// both jobs finish bit-exact.
+func TestRecoverPreCutSnapshot(t *testing.T) {
+	// The matmul job: 4×4 blocks pre-cut at µ=2 in column-panel order,
+	// seq 0 (0,0), 1 (2,0), 2 (0,2), 3 (2,2); seqs 0 and 2 committed.
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 81)
+	refB := matrix.Partition(ref, 4)
+	for _, at := range [][2]int{{0, 0}, {0, 2}} {
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				copy(c.Block(at[0]+i, at[1]+j).Data, refB.Block(at[0]+i, at[1]+j).Data)
+			}
+		}
+	}
+	// The LU job: r = 4, µ=1. Panel 0 is factored and the stage's 3×3
+	// trailing tiles were seqs 0–8 in row-major order; 0–3 committed.
+	const q, r = 8, 4
+	orig := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(orig, 83)
+	want := matrix.Partition(orig.Clone(), q)
+	if _, _, err := RunOneJob(JobSpec{Kind: LU, M: want, Mu: 1}, 1, LocalWorkerConfig{ID: "ref"}); err != nil {
+		t.Fatal(err)
+	}
+	m := matrix.Partition(orig.Clone(), q)
+	factorBlockLU(m.Block(0, 0).Data, q)
+	for i := 1; i < r; i++ {
+		solveRightUpper(m.Block(i, 0).Data, m.Block(0, 0).Data, q)
+		solveLeftUnitLower(m.Block(0, i).Data, m.Block(0, 0).Data, q)
+	}
+	for seq := 0; seq < 4; seq++ {
+		i, j := 1+seq/3, 1+seq%3
+		neg := make([]float64, q*q)
+		for e, v := range m.Block(i, 0).Data {
+			neg[e] = -v
+		}
+		tile := make([]float64, q*q)
+		blas.RecomputeTile(tile, m.Block(i, j).Data, [][]float64{neg}, [][]float64{m.Block(0, j).Data}, q)
+		copy(m.Block(i, j).Data, tile)
+	}
+
+	e := &recEnc{}
+	e.u32(2) // next job id
+	e.u32(2) // jobs
+	job := func(id JobID, kind JobKind, mu int, mats ...*matrix.Blocked) {
+		e.u32(uint32(id))
+		e.u64(uint64(100 + id)) // key
+		e.u8(byte(kind))
+		e.u8(byte(Running))
+		e.u8(0) // not quarantined
+		e.u32(uint32(mu))
+		e.str("")
+		for _, mt := range mats {
+			e.mat(mt)
+		}
+	}
+	task := func(seq, k, i0, j0, rows, cols, steps int) {
+		for _, v := range []int{seq, k, i0, j0, rows, cols, steps} {
+			e.u32(uint32(v))
+		}
+	}
+	job(0, MatMul, 2, c, a, b)
+	// nextSeq, total, done, requeues, stage, stage tasks left, luBlocks,
+	// re-cuts, update depth (0: pre-cut jobs did not record one).
+	for _, v := range []int{4, 4, 2, 0, 0, 0, 0, 0, 0} {
+		e.u32(uint32(v))
+	}
+	e.u32(2)
+	task(1, 0, 2, 0, 2, 2, 4)
+	task(3, 0, 2, 2, 2, 2, 4)
+	e.u8(0) // no cutter
+	job(1, LU, 1, m)
+	for _, v := range []int{9, 9, 4, 0, 0, 5, r, 0, 0} {
+		e.u32(uint32(v))
+	}
+	e.u32(5)
+	for seq := 4; seq < 9; seq++ {
+		task(seq, 0, 1+seq/3, 1+seq%3, 1, 1, 1)
+	}
+	e.u8(0)  // no cutter
+	e.u32(0) // no quarantined workers
+
+	dir := t.TempDir()
+	jn, _ := openLog(t, dir)
+	if err := jn.Compact(e.buf); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	cl, _ := manualCluster(Config{Log: logB})
+	defer cl.Close()
+	rs, err := cl.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rs.Snapshots != 1 || rs.Resumed != 2 {
+		t.Fatalf("RecoveryStats = %+v, want both jobs resumed from the snapshot", rs)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(cl, LocalWorkerConfig{ID: "w"}) }()
+	for id := JobID(0); id < 2; id++ {
+		if st := waitStatus(t, cl, id); st.State != Done {
+			t.Fatalf("job %d after recovery = %+v", id, st)
+		}
+	}
+	for id, want := range []*matrix.Dense{ref, want.Assemble()} {
+		res, err := cl.JobResult(JobID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Assemble().Equal(want, 0) {
+			t.Fatalf("job %d from the pre-cut snapshot is not bit-exact", id)
+		}
+	}
+	cl.Close()
+	<-done
 }

@@ -3,10 +3,8 @@ package cluster
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/matrix"
-	"repro/internal/sim"
 )
 
 // oneJobInputs builds deterministic A, B, C and the oracle C + A·B.
@@ -86,8 +84,9 @@ func TestRunOneJobErrors(t *testing.T) {
 	if _, _, err := RunOneJob(JobSpec{Kind: MatMul, C: c, A: bad, B: b, Mu: 1}, 1, LocalWorkerConfig{}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	// A chunk no worker's memory holds fails the job instead of hanging.
-	if _, _, err := RunOneJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}, 1, LocalWorkerConfig{Mem: 3}); err == nil {
+	// A job no worker's memory holds a 1×1 chunk of fails instead of
+	// hanging.
+	if _, _, err := RunOneJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}, 1, LocalWorkerConfig{Mem: 2}); err == nil {
 		t.Fatal("a job no worker can hold reported success")
 	}
 }
@@ -104,51 +103,5 @@ func TestQuickRunOneJob(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPickChunkLocality pins the dispatch tour: the nearest chunk in
-// the same block-row as the worker's previous one first, then the
-// nearest in the same block-column, else the chunk at minimum
-// Manhattan distance; with no previous chunk, the first eligible one.
-// Chunks cooling down under the retry backoff are never picked.
-func TestPickChunkLocality(t *testing.T) {
-	cl := New(Config{})
-	now := time.Unix(100, 0)
-	mk := func(i0, j0 int) *Task { return &Task{Chunk: &sim.Chunk{I0: i0, J0: j0}} }
-	j := &job{pending: []*Task{mk(2, 0), mk(4, 0), mk(0, 2), mk(0, 0)}}
-	w := &workerState{}
-	pick := func(last ...int) int {
-		w.lastAt = nil
-		if len(last) == 2 {
-			w.lastAt = map[JobID][2]int{j.id: {last[0], last[1]}}
-		}
-		return cl.localPickLocked(j, w, now)
-	}
-	if got := pick(); got != 0 {
-		t.Fatalf("cold pick = %d, want head", got)
-	}
-	if got := pick(0, 4); got != 2 {
-		t.Fatalf("same-row pick = %d, want 2", got)
-	}
-	if got := pick(6, 2); got != 2 {
-		t.Fatalf("same-col pick = %d, want 2 (J0 match)", got)
-	}
-	// No row/column affinity anywhere: nearest by Manhattan distance.
-	// |Δ| from (6,6): idx0 = 4+6, idx1 = 2+6, idx2 = 6+4, idx3 = 6+6.
-	if got := pick(6, 6); got != 1 {
-		t.Fatalf("no-affinity pick = %d, want 1 (nearest Manhattan)", got)
-	}
-	// From (2,9) idx0 (2,0) is the only same-row chunk and must win over
-	// the closer-by-distance column matches.
-	if got := pick(2, 9); got != 0 {
-		t.Fatalf("row-over-distance pick = %d, want 0", got)
-	}
-	j.pending[0].notBefore = now.Add(time.Second)
-	if got := pick(); got != 1 {
-		t.Fatalf("cold pick with the head cooling down = %d, want 1", got)
-	}
-	if got := pick(2, 9); got != 2 {
-		t.Fatalf("same-row chunk cooling down: pick = %d, want 2 (nearest Manhattan)", got)
 	}
 }

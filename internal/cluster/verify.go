@@ -281,13 +281,10 @@ func growViews(s *[][]float64, n int) [][]float64 {
 // started from. A probe failure escalates to the exact recompute and
 // the bit-for-bit comparison — an honest worker can never be refused,
 // because every worker path is pinned to the same ascending-k FMA
-// chain. Malformed candidate sizes pass here; the commit paths already
-// reject them with a hard error.
+// chain. The candidate is well-formed: commitFlushLocked validated the
+// manifest first.
 func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64) bool {
 	q := cl.taskQ(j)
-	if len(cand) != q*q {
-		return true
-	}
 	var old []float64
 	var a, b [][]float64
 	subtract := false
@@ -382,13 +379,9 @@ func (cl *Cluster) verifyFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		if !cl.shouldVerifyLocked() {
 			continue
 		}
-		q := cl.taskQ(j)
 		bad := false
 		for _, n := range byTask[dt] {
-			_, bi, bj, ok := engine.CBlockCoords(ids[n])
-			if !ok || len(blocks[n]) != q*q {
-				continue // the commit loop's validation rejects these
-			}
+			_, bi, bj, _ := engine.CBlockCoords(ids[n])
 			if !cl.verifyTileLocked(j, t, bi, bj, blocks[n]) {
 				w.verifyFails++
 				bad = true

@@ -14,10 +14,12 @@ import (
 // fleet simulator (FleetConfig.Adaptive) take the same value and decide
 // through the same two rules, ChunkSide and StragglerGain.
 type AdaptiveConfig struct {
-	// Enabled turns on adaptive chunk shaping: a product's C grid stays
-	// in a lazy Cutter and each dispatch carves a chunk sized to the
-	// asking worker (ChunkSide). Off, every product is pre-cut at its
-	// global µ.
+	// Enabled turns on adaptation: ChunkSide sizes each fresh chunk from
+	// the asking worker's speed profile, and SpeculationFactor may arm
+	// straggler re-dispatch. Off, every chunk takes its job's µ, clamped
+	// by the worker's memory; the cluster carves chunks at dispatch
+	// either way, while the fleet simulator's baseline pre-cuts its queue
+	// at FleetConfig.Mu.
 	Enabled bool
 	// ChunkTarget is the wall time one adaptive chunk should take on its
 	// worker: µ is chosen so µ²·T updates ≈ speed·ChunkTarget. Larger
@@ -32,22 +34,23 @@ type AdaptiveConfig struct {
 	SpeculationFactor float64
 }
 
-// ChunkSide is the adaptive µ rule: the side of a fresh chunk for a
-// worker with profile p and mem blocks of advertised memory (0 =
-// unconstrained), held of them already taken, on a product of t update
-// steps. An unprofiled worker gets jobMu, the submit-time guess; a
-// profiled one gets √(speed·ChunkTarget/t), at least 1. Either way the
-// chunk plus one staging set must fit the free memory (µ² + 2µ ≤
-// mem−held). It returns 0 when even a 1×1 chunk does not fit.
-func (a AdaptiveConfig) ChunkSide(p stats.Profile, t, jobMu, mem, held int) int {
+// ChunkSide is the µ rule: the side of a fresh chunk for a worker with
+// profile p and mem blocks of advertised memory (0 = unconstrained), on
+// a product of t update steps. It is jobMu, the submit-time µ, unless
+// Enabled and the worker is profiled: then √(speed·ChunkTarget/t), at
+// least 1. Either way the chunk plus one staging set must fit the
+// worker's memory (µ² + 2µ ≤ mem); what the worker already holds is the
+// caller's to check on the chunk actually cut. It returns 0 when even a
+// 1×1 chunk does not fit.
+func (a AdaptiveConfig) ChunkSide(p stats.Profile, t, jobMu, mem int) int {
 	memMu := math.MaxInt
 	if mem > 0 {
-		if memMu = core.MaxChunkSide(mem-held, 1); memMu < 1 {
+		if memMu = core.MaxChunkSide(mem, 1); memMu < 1 {
 			return 0
 		}
 	}
 	mu := jobMu
-	if p.UpdatesPerSec > 0 && t > 0 {
+	if a.Enabled && p.UpdatesPerSec > 0 && t > 0 {
 		target := a.ChunkTarget
 		if target <= 0 {
 			target = 250 * time.Millisecond

@@ -13,34 +13,35 @@ func speed(updatesPerSec float64) stats.Profile {
 }
 
 // TestChunkSide pins the µ rule both the cluster and the fleet
-// simulator call: the job's µ while unprofiled, √(speed·target/T) once
-// profiled, clamped to what the free memory holds for the chunk plus one
-// staging set (µ² + 2µ ≤ mem − held), and 0 when not even 1×1 fits.
+// simulator call: the job's µ while off or unprofiled, √(speed·target/T)
+// once enabled and profiled, clamped to what the advertised memory holds
+// for the chunk plus one staging set (µ² + 2µ ≤ mem), and 0 when not
+// even 1×1 fits.
 func TestChunkSide(t *testing.T) {
-	a := AdaptiveConfig{ChunkTarget: time.Second}
+	a := AdaptiveConfig{Enabled: true, ChunkTarget: time.Second}
 	cases := []struct {
-		name            string
-		cfg             AdaptiveConfig
-		p               stats.Profile
-		t, jobMu        int
-		mem, held, want int
+		name      string
+		cfg       AdaptiveConfig
+		p         stats.Profile
+		t, jobMu  int
+		mem, want int
 	}{
 		{name: "unprofiled gets the job µ", cfg: a, t: 4, jobMu: 3, mem: 64, want: 3},
 		{name: "unprofiled job µ is memory-clamped", cfg: a, t: 4, jobMu: 9, mem: 24, want: 4},
+		{name: "off ignores the profile", cfg: AdaptiveConfig{ChunkTarget: time.Second}, p: speed(100), t: 4, jobMu: 2, mem: 100, want: 2},
+		{name: "off job µ is memory-clamped", p: speed(100), t: 4, jobMu: 8, mem: 10, want: 2},
 		{name: "sqrt rule", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 100, want: 5},
 		{name: "sqrt rule truncates", cfg: a, p: speed(99), t: 4, jobMu: 2, mem: 100, want: 4},
 		{name: "slow worker gets at least 1", cfg: a, p: speed(1), t: 4, jobMu: 2, mem: 100, want: 1},
-		{name: "default target is 250ms", p: speed(400), t: 4, jobMu: 2, want: 5},
+		{name: "default target is 250ms", cfg: AdaptiveConfig{Enabled: true}, p: speed(400), t: 4, jobMu: 2, want: 5},
 		{name: "memory clamps a fast worker", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 8, want: 2},
-		{name: "held blocks shrink the clamp", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 35, held: 11, want: 4},
-		{name: "1x1 fits exactly", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 13, held: 10, want: 1},
-		{name: "1x1 does not fit", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 12, held: 10, want: 0},
-		{name: "held past memory", cfg: a, t: 4, jobMu: 2, mem: 8, held: 9, want: 0},
-		{name: "memory 0 is unconstrained", cfg: a, p: speed(1e6), t: 4, jobMu: 2, held: 50, want: 500},
+		{name: "1x1 fits exactly", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 3, want: 1},
+		{name: "1x1 does not fit", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 2, want: 0},
+		{name: "memory 0 is unconstrained", cfg: a, p: speed(1e6), t: 4, jobMu: 2, want: 500},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.cfg.ChunkSide(tc.p, tc.t, tc.jobMu, tc.mem, tc.held); got != tc.want {
+			if got := tc.cfg.ChunkSide(tc.p, tc.t, tc.jobMu, tc.mem); got != tc.want {
 				t.Fatalf("ChunkSide = %d, want %d", got, tc.want)
 			}
 		})

@@ -10,19 +10,27 @@ type rect struct {
 
 // Cutter carves a rows×cols block grid into chunks lazily, so chunk
 // sides can be chosen per worker at dispatch time instead of globally
-// at submit time (the adaptive scheduler's per-worker µ). It is a
-// guillotine cutter over a free-rectangle list: Cut takes a µ×µ corner
-// (clipped to the rectangle) off the first free rectangle and splits
-// the remainder into a right strip and a bottom strip. The right strip
-// goes to the front of the list, so consecutive cuts sweep a block row
-// band left to right — the same row-major locality the max-reuse
-// static order provides, which keeps the delta protocol's A-row reuse
-// intact under adaptive sizing.
+// at submit time. It is a guillotine cutter over a free-rectangle list.
+// A chunk of side µ is placed on a free rectangle's µ-lattice — its
+// corner plus multiples of µ — and clipped to the rectangle, so edge
+// chunks are smaller; the rectangle is replaced, in place, by the strips
+// the cut leaves: right, left, above, below. At a fixed µ with no Free,
+// every rectangle's lattice is the grid's, and the chunks are exactly
+// the static µ×µ partition Algorithm 1 plans with.
 //
-// The produced chunks tile the grid exactly: no overlap, no gaps.
-// Free returns a previously cut region to the cutter (a task lost with
-// a dead worker re-enters the pool and is re-cut, possibly at a
-// different µ, for whoever asks next).
+// Where a chunk goes is the tour rule. Without a cursor it is the
+// corner of the first free rectangle: consecutive cuts sweep a block row
+// band left to right, the row-major locality of the max-reuse order.
+// With a cursor — the cell of the asking worker's previous chunk — it is
+// the lattice position that best extends that worker's tour: the
+// nearest one in the same block-row (the A operands are already
+// resident, so the delta protocol skips them), then the nearest in the
+// same block-column (B resident), then the one at the smallest Manhattan
+// distance; ties go to the smaller column, then the smaller row.
+//
+// The produced chunks tile the grid exactly: no overlap, no gaps. Free
+// returns a previously cut region (a lost chunk re-enters the pool and
+// is re-cut, possibly at a different µ, for whoever asks next).
 //
 // Cutter does no locking; the cluster scheduler drives it under its
 // own mutex and the fleet simulator is single-threaded.
@@ -48,34 +56,82 @@ func (c *Cutter) Empty() bool { return c.left == 0 }
 // Remaining returns the blocks not yet cut.
 func (c *Cutter) Remaining() int { return c.left }
 
-// TotalBlocks returns the size of the full grid.
-func (c *Cutter) TotalBlocks() int { return c.total }
+// Cut carves the next chunk with side at most mu, placed by the tour
+// rule from cur (nil = no cursor), and returns its placement. ok is
+// false when the grid is exhausted.
+func (c *Cutter) Cut(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
+	i0, j0, rows, cols, ok = c.Next(mu, cur)
+	if ok {
+		c.Claim(i0, j0, rows, cols)
+	}
+	return i0, j0, rows, cols, ok
+}
 
-// Cut carves the next chunk with side at most mu and returns its
-// placement. ok is false when the grid is exhausted. The cut clips to
-// the free rectangle it lands in, so edge chunks are smaller — exactly
-// like the static planners' edge handling.
-func (c *Cutter) Cut(mu int) (i0, j0, rows, cols int, ok bool) {
+// Next returns the chunk Cut(mu, cur) would carve, without carving it,
+// so a caller can check that the chunk fits before committing to it
+// with Claim.
+func (c *Cutter) Next(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
 	if mu < 1 || len(c.free) == 0 {
 		return 0, 0, 0, 0, false
 	}
 	r := c.free[0]
-	c.free = c.free[1:]
-	rows = min(mu, r.rows)
-	cols = min(mu, r.cols)
 	i0, j0 = r.i0, r.j0
-	// Split the remainder: right strip first (front of the list, so the
-	// next cut continues the same row band), then the bottom strip.
-	var splits []rect
-	if r.cols > cols {
-		splits = append(splits, rect{r.i0, r.j0 + cols, rows, r.cols - cols})
+	if cur != nil {
+		best := [4]int{3} // worse than any stop
+		for _, fr := range c.free {
+			if s := fr.stop(mu, cur[0], cur[1]); before(s, best) {
+				best, r = s, fr
+			}
+		}
+		i0, j0 = best[3], best[2]
 	}
-	if r.rows > rows {
-		splits = append(splits, rect{r.i0 + rows, r.j0, r.rows - rows, r.cols})
+	return i0, j0, min(mu, r.i0+r.rows-i0), min(mu, r.j0+r.cols-j0), true
+}
+
+// stop ranks the rectangle's best µ-lattice position for a tour at
+// (ci, cj) as {tier, distance, column, row}: tier 0 in the same
+// block-row, 1 in the same block-column, 2 elsewhere.
+func (r rect) stop(mu, ci, cj int) [4]int {
+	i := nearest(ci, r.i0, r.rows, mu)
+	j := nearest(cj, r.j0, r.cols, mu)
+	switch {
+	case i == ci:
+		return [4]int{0, abs(j - cj), j, i}
+	case j == cj:
+		return [4]int{1, abs(i - ci), j, i}
+	default:
+		return [4]int{2, abs(i-ci) + abs(j-cj), j, i}
 	}
-	c.free = append(splits, c.free...)
-	c.left -= rows * cols
-	return i0, j0, rows, cols, true
+}
+
+// before orders stops lexicographically.
+func before(a, b [4]int) bool {
+	for k := range a {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
+}
+
+// nearest returns the point of the lattice lo, lo+step, … below lo+size
+// closest to x, the lower one on a tie.
+func nearest(x, lo, size, step int) int {
+	p := lo
+	if x > lo {
+		p += min((x-lo)/step, (size-1)/step) * step
+	}
+	if q := p + step; q < lo+size && q-x < x-p {
+		p = q
+	}
+	return p
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Free returns a region to the pool (a lost chunk awaiting re-cut). It
@@ -93,13 +149,13 @@ func (c *Cutter) Free(i0, j0, rows, cols int) error {
 	return nil
 }
 
-// Claim removes one specific region from the free pool — the journal
-// replay path, where a chunk known to be committed must never be re-cut.
-// It returns the number of blocks actually claimed: the full region when
-// it was free, 0 when it was already cut (a second replay of the same
-// record), and a partial count when the region straddles cut and free
-// space (a crash between a commit and a Free). Free rectangles
-// overlapping the region are split into their remainder strips.
+// Claim removes one specific region from the free pool: the second half
+// of Cut, and the journal replay path, where a chunk known to be
+// committed must never be re-cut. It returns the number of blocks
+// actually claimed: the full region when it was free, 0 when it was
+// already cut (a second replay of the same record), and a partial count
+// when the region straddles cut and free space. Each free rectangle the
+// region overlaps is replaced, in place, by its remainder strips.
 func (c *Cutter) Claim(i0, j0, rows, cols int) int {
 	claimed := 0
 	out := c.free[:0:0]
@@ -113,17 +169,15 @@ func (c *Cutter) Claim(i0, j0, rows, cols int) int {
 			continue
 		}
 		claimed += (bi - ti) * (bj - tj)
-		if ti > r.i0 {
-			out = append(out, rect{r.i0, r.j0, ti - r.i0, r.cols})
-		}
-		if r.i0+r.rows > bi {
-			out = append(out, rect{bi, r.j0, r.i0 + r.rows - bi, r.cols})
-		}
-		if tj > r.j0 {
-			out = append(out, rect{ti, r.j0, bi - ti, tj - r.j0})
-		}
-		if r.j0+r.cols > bj {
-			out = append(out, rect{ti, bj, bi - ti, r.j0 + r.cols - bj})
+		for _, s := range []rect{
+			{ti, bj, bi - ti, r.j0 + r.cols - bj},  // right
+			{ti, r.j0, bi - ti, tj - r.j0},         // left
+			{r.i0, r.j0, ti - r.i0, r.cols},        // above
+			{bi, r.j0, r.i0 + r.rows - bi, r.cols}, // below
+		} {
+			if s.rows > 0 && s.cols > 0 {
+				out = append(out, s)
+			}
 		}
 	}
 	c.free = out
@@ -142,7 +196,8 @@ func (c *Cutter) Rects() [][4]int {
 }
 
 // NewCutterFromRects rebuilds a cutter over a rows×cols grid whose free
-// pool is exactly the given regions (the inverse of Rects).
+// pool is exactly the given regions (the inverse of Rects; no regions
+// is an empty cutter Free can refill).
 func NewCutterFromRects(rows, cols int, rects [][4]int) *Cutter {
 	c := &Cutter{total: rows * cols}
 	for _, r := range rects {

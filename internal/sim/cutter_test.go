@@ -1,8 +1,12 @@
-package sim
+package sim_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/homog"
+	"repro/internal/sim"
 )
 
 // TestCutterExactTiling pins the cutter's invariant: chunks of varying µ
@@ -12,11 +16,11 @@ func TestCutterExactTiling(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(20)
 		cols := 1 + rng.Intn(20)
-		c := NewCutter(rows, cols)
+		c := sim.NewCutter(rows, cols)
 		seen := make([]bool, rows*cols)
 		for !c.Empty() {
 			mu := 1 + rng.Intn(6)
-			i0, j0, r, cl, ok := c.Cut(mu)
+			i0, j0, r, cl, ok := c.Cut(mu, nil)
 			if !ok {
 				t.Fatalf("grid %dx%d: cut failed with %d blocks left", rows, cols, c.Remaining())
 			}
@@ -40,21 +44,21 @@ func TestCutterExactTiling(t *testing.T) {
 				t.Fatalf("grid %dx%d: block %d never cut", rows, cols, idx)
 			}
 		}
-		if _, _, _, _, ok := c.Cut(3); ok {
+		if _, _, _, _, ok := c.Cut(3, nil); ok {
 			t.Fatal("cut succeeded on an empty cutter")
 		}
 	}
 }
 
-// TestCutterRowBandLocality pins the dispatch order: uniform µ cuts
+// TestCutterRowBandLocality pins the cursor-free order: uniform µ cuts
 // sweep a row band left to right before descending, preserving A-row
 // operand reuse for consecutive chunks.
 func TestCutterRowBandLocality(t *testing.T) {
-	c := NewCutter(4, 6)
+	c := sim.NewCutter(4, 6)
 	type pos struct{ i0, j0 int }
 	var order []pos
 	for !c.Empty() {
-		i0, j0, _, _, ok := c.Cut(2)
+		i0, j0, _, _, ok := c.Cut(2, nil)
 		if !ok {
 			t.Fatal("cut failed")
 		}
@@ -74,8 +78,8 @@ func TestCutterRowBandLocality(t *testing.T) {
 // TestCutterFreeRecut pins the requeue path: a freed region is re-cut
 // (possibly at a different µ) and the tiling stays exact.
 func TestCutterFreeRecut(t *testing.T) {
-	c := NewCutter(6, 6)
-	i0, j0, r, cl, ok := c.Cut(4)
+	c := sim.NewCutter(6, 6)
+	i0, j0, r, cl, ok := c.Cut(4, nil)
 	if !ok {
 		t.Fatal("cut failed")
 	}
@@ -95,7 +99,7 @@ func TestCutterFreeRecut(t *testing.T) {
 	// Drain at µ=1: exactly 36 unit chunks, each block once.
 	seen := make(map[[2]int]bool)
 	for !c.Empty() {
-		i, j, rr, cc, ok := c.Cut(1)
+		i, j, rr, cc, ok := c.Cut(1, nil)
 		if !ok || rr != 1 || cc != 1 {
 			t.Fatalf("unit cut failed: %v %dx%d", ok, rr, cc)
 		}
@@ -106,5 +110,160 @@ func TestCutterFreeRecut(t *testing.T) {
 	}
 	if len(seen) != 36 {
 		t.Fatalf("drained %d blocks, want 36", len(seen))
+	}
+}
+
+// TestCutterTourLocality pins the tour rule: from the cursor — the
+// worker's previous chunk — the nearest chunk in the same block-row
+// first, then the nearest in the same block-column, else the chunk at
+// minimum Manhattan distance, ties to the smaller column and row; with
+// no cursor, the corner of the first free region.
+func TestCutterTourLocality(t *testing.T) {
+	// Four free 2×2 chunks of a 6×4 grid, listed in this order.
+	four := [][4]int{{2, 0, 2, 2}, {4, 0, 2, 2}, {0, 2, 2, 2}, {0, 0, 2, 2}}
+	for _, tc := range []struct {
+		name         string
+		rows, cols   int
+		free         [][4]int
+		mu           int
+		cur          *[2]int
+		wantI, wantJ int
+		wantR, wantC int
+	}{
+		{"no cursor takes the first region", 6, 4, four, 2, nil, 2, 0, 2, 2},
+		{"same row", 6, 4, four, 2, &[2]int{0, 4}, 0, 2, 2, 2},
+		{"same column", 6, 4, four, 2, &[2]int{6, 2}, 0, 2, 2, 2},
+		// |Δ| from (6,6): (2,0) 4+6, (4,0) 2+6, (0,2) 6+4, (0,0) 6+6.
+		{"nearest Manhattan", 6, 4, four, 2, &[2]int{6, 6}, 4, 0, 2, 2},
+		// (2,0) is the only same-row chunk and wins over closer columns.
+		{"row over distance", 6, 4, four, 2, &[2]int{2, 9}, 2, 0, 2, 2},
+		{"tie to the smaller column", 6, 4, four, 2, &[2]int{0, 1}, 0, 0, 2, 2},
+		// Inside one free region, on its µ-lattice: rows and columns 0, 2, 4.
+		{"lattice row, columns tie", 6, 6, nil, 2, &[2]int{2, 3}, 2, 2, 2, 2},
+		{"off the lattice", 6, 6, nil, 2, &[2]int{3, 5}, 2, 4, 2, 2},
+		{"edge chunk is clipped", 5, 5, nil, 2, &[2]int{4, 0}, 4, 0, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := sim.NewCutter(tc.rows, tc.cols)
+			if tc.free != nil {
+				c = sim.NewCutterFromRects(tc.rows, tc.cols, tc.free)
+			}
+			i0, j0, r, cl, ok := c.Next(tc.mu, tc.cur)
+			if !ok || i0 != tc.wantI || j0 != tc.wantJ || r != tc.wantR || cl != tc.wantC {
+				t.Fatalf("Next = (%d,%d) %dx%d %v, want (%d,%d) %dx%d",
+					i0, j0, r, cl, ok, tc.wantI, tc.wantJ, tc.wantR, tc.wantC)
+			}
+		})
+	}
+}
+
+// TestCutterTilesUnderToursAndFrees is the cutter's property test: over
+// random grids, µ values, cursors and Frees of cut chunks, every cut
+// lands on uncut blocks inside the grid, Next is what Cut then carves,
+// Remaining counts the uncut blocks, and once drained the chunks still
+// in hand tile the grid exactly.
+func TestCutterTilesUnderToursAndFrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+rng.Intn(16), 1+rng.Intn(16)
+		c := sim.NewCutter(rows, cols)
+		cover := make([]int, rows*cols)
+		uncut := rows * cols
+		var held [][4]int
+		mark := func(ch [4]int, d int) {
+			for i := ch[0]; i < ch[0]+ch[2]; i++ {
+				for j := ch[1]; j < ch[1]+ch[3]; j++ {
+					cover[i*cols+j] += d
+				}
+			}
+			uncut -= d * ch[2] * ch[3]
+		}
+		for step := 0; !c.Empty() || step < 40; step++ {
+			if c.Empty() || (len(held) > 0 && step < 40 && rng.Intn(4) == 0) {
+				if len(held) == 0 {
+					break
+				}
+				n := rng.Intn(len(held))
+				ch := held[n]
+				held = append(held[:n], held[n+1:]...)
+				if err := c.Free(ch[0], ch[1], ch[2], ch[3]); err != nil {
+					t.Fatal(err)
+				}
+				mark(ch, -1)
+				continue
+			}
+			mu := 1 + rng.Intn(5)
+			var cur *[2]int
+			if rng.Intn(4) > 0 {
+				cur = &[2]int{rng.Intn(rows), rng.Intn(cols)}
+			}
+			ni, nj, nr, nc, _ := c.Next(mu, cur)
+			i0, j0, r, cl, ok := c.Cut(mu, cur)
+			if !ok {
+				t.Fatalf("trial %d: cut failed with %d blocks uncut", trial, c.Remaining())
+			}
+			if [4]int{ni, nj, nr, nc} != [4]int{i0, j0, r, cl} {
+				t.Fatalf("trial %d: Next said (%d,%d) %dx%d, Cut carved (%d,%d) %dx%d",
+					trial, ni, nj, nr, nc, i0, j0, r, cl)
+			}
+			if r < 1 || cl < 1 || r > mu || cl > mu || i0 < 0 || j0 < 0 || i0+r > rows || j0+cl > cols {
+				t.Fatalf("trial %d: chunk (%d,%d) %dx%d at µ=%d escapes the %dx%d grid", trial, i0, j0, r, cl, mu, rows, cols)
+			}
+			ch := [4]int{i0, j0, r, cl}
+			mark(ch, 1)
+			for i := i0; i < i0+r; i++ {
+				for j := j0; j < j0+cl; j++ {
+					if cover[i*cols+j] != 1 {
+						t.Fatalf("trial %d: block (%d,%d) cut twice", trial, i, j)
+					}
+				}
+			}
+			held = append(held, ch)
+			if c.Remaining() != uncut {
+				t.Fatalf("trial %d: Remaining = %d, %d blocks uncut", trial, c.Remaining(), uncut)
+			}
+		}
+		for idx, n := range cover {
+			if n != 1 {
+				t.Fatalf("trial %d: block %d covered %d times after draining", trial, idx, n)
+			}
+		}
+	}
+}
+
+// TestCutterFixedMuIsChunkGrid: at one µ with no Free, whatever the
+// cursors, the cutter carves exactly homog.ChunkGrid's chunks — the
+// max-reuse partition of §5.
+func TestCutterFixedMuIsChunkGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols, mu := 1+rng.Intn(16), 1+rng.Intn(16), 1+rng.Intn(6)
+		_, pool := homog.ChunkGrid(core.Problem{R: rows, S: cols, T: 1, Q: 1}, mu)
+		want := make(map[[4]int]bool)
+		for _, ch := range pool {
+			want[[4]int{ch.I0, ch.J0, ch.Rows, ch.Cols}] = true
+		}
+		c := sim.NewCutter(rows, cols)
+		var cur *[2]int
+		got := 0
+		for !c.Empty() {
+			i0, j0, r, cl, _ := c.Cut(mu, cur)
+			if !want[[4]int{i0, j0, r, cl}] {
+				t.Fatalf("trial %d: %dx%d grid at µ=%d: chunk (%d,%d) %dx%d is not ChunkGrid's",
+					trial, rows, cols, mu, i0, j0, r, cl)
+			}
+			got++
+			switch rng.Intn(3) {
+			case 0:
+				cur = nil
+			case 1:
+				cur = &[2]int{i0, j0}
+			default:
+				cur = &[2]int{rng.Intn(rows), rng.Intn(cols)}
+			}
+		}
+		if got != len(want) {
+			t.Fatalf("trial %d: %d chunks, ChunkGrid has %d", trial, got, len(want))
+		}
 	}
 }

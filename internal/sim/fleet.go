@@ -180,7 +180,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	} else {
 		c := NewCutter(cfg.R, cfg.S) // row-band order = the locality tour
 		for !c.Empty() {
-			i0, j0, rows, cols, _ := c.Cut(cfg.Mu)
+			i0, j0, rows, cols, _ := c.Cut(cfg.Mu, nil)
 			queue = append(queue, newTask(i0, j0, rows, cols))
 		}
 	}
@@ -238,11 +238,11 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		}
 		if cfg.Adaptive.Enabled {
 			if !cutter.Empty() {
-				mu := cfg.Adaptive.ChunkSide(st.prof, cfg.T, cfg.Mu, st.cfg.Mem, 0)
+				mu := cfg.Adaptive.ChunkSide(st.prof, cfg.T, cfg.Mu, st.cfg.Mem)
 				if mu < 1 {
 					return
 				}
-				i0, j0, rows, cols, _ := cutter.Cut(mu)
+				i0, j0, rows, cols, _ := cutter.Cut(mu, nil)
 				dispatch(st, w, newTask(i0, j0, rows, cols), false)
 				return
 			}

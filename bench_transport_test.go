@@ -383,9 +383,9 @@ func BenchmarkTransportCodec(b *testing.B) {
 		run  func()
 	}{
 		{"encode-bulk", func() { encoded = netmw.EncodeFloats(encoded[:0], block) }},
-		{"encode-portable", func() { encoded = netmw.EncodeFloatsPortable(encoded[:0], block) }},
+		{"encode-portable", func() { encoded = matrix.AppendFloatsPortable(encoded[:0], block) }},
 		{"decode-bulk", func() { netmw.DecodeFloatsInto(dst, encoded) }},
-		{"decode-portable", func() { netmw.DecodeFloatsPortableInto(dst, encoded) }},
+		{"decode-portable", func() { matrix.DecodeFloatsPortableInto(dst, encoded) }},
 	}
 	encoded = netmw.EncodeFloats(encoded[:0], block) // prime for the decode arms
 	// 64 codec passes per benchmark iteration: `make bench` runs few

@@ -179,8 +179,9 @@ type Cluster struct {
 	clock   Clock
 	reg     *registry
 	jobs    map[JobID]*job
-	order   []JobID // submission order
-	rr      int     // round-robin scan start, for multi-job fairness
+	order   []JobID // submission order, every job ever accepted
+	live    []*job  // the Queued and Running jobs, in submission order (pruneLiveLocked)
+	rr      int     // round-robin scan start in live, for multi-job fairness
 	running int
 	nextID  JobID
 	closed  bool
@@ -211,8 +212,14 @@ type Cluster struct {
 	// Next does not stack a timer per blocked call.
 	wakeAt time.Time
 	// parks counts the times a Next caller blocked in cond.Wait, so a
-	// test can tell that a dispatcher has provably parked.
-	parks int
+	// test can tell that a dispatcher has provably parked; scanned counts
+	// the jobs promotion and dispatch examined, so a test can tell that
+	// they visit only live jobs.
+	parks, scanned int
+
+	// acceptRec and chunkRec are the record buffers of the two journal
+	// records that carry matrix tiles, reused across appends (recBuf).
+	acceptRec, chunkRec []byte
 
 	// verify is the normalized verification policy; vfy holds the reusable
 	// Freivalds state; quarantined records parked workers by id (worker
@@ -308,7 +315,7 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 		return 0, false, fmt.Errorf("%w: job %d, %dx%d blocks", ErrBeyondBlockIDs, id, res.BR, res.BC)
 	}
 	if cl.log != nil {
-		if err := cl.appendLogLocked(encodeAccepted(id, key, spec)); err != nil {
+		if err := cl.logAcceptedLocked(id, key, spec); err != nil {
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
 		}
 	}
@@ -317,6 +324,7 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 	j.key = key
 	cl.jobs[id] = j
 	cl.order = append(cl.order, id)
+	cl.live = append(cl.live, j)
 	if key != 0 {
 		cl.keys[key] = id
 	}
@@ -393,7 +401,7 @@ func (cl *Cluster) AwaitQuiesce(timeout time.Duration) bool {
 	defer cl.mu.Unlock()
 	for {
 		busy := false
-		for _, j := range cl.jobs {
+		for _, j := range cl.live {
 			if j.state == Queued || j.state == Running {
 				busy = true
 				break
@@ -695,6 +703,7 @@ func (cl *Cluster) needFlushLocked(w *workerState) bool {
 // worker's flush commits, or the worker's dirty tiles are what keeps
 // the next task from fitting its memory.
 func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
+	cl.pruneLiveLocked()
 	cl.promoteLocked()
 	if cl.needFlushLocked(w) {
 		return nil, true
@@ -714,9 +723,10 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 	memBlocked := false
 	now := cl.clock.Now()
 	var soonest time.Time // earliest backoff expiry among skipped work
-	n := len(cl.order)
+	n := len(cl.live)
 	for i := 0; i < n; i++ {
-		j := cl.jobs[cl.order[(cl.rr+i)%n]]
+		j := cl.live[(cl.rr+i)%n]
+		cl.scanned++
 		if j.state != Running {
 			continue
 		}
@@ -808,7 +818,7 @@ func (cl *Cluster) dispatchLocked(j *job, w *workerState, t *Task, i int) {
 		w.lastAt = make(map[JobID][2]int)
 	}
 	w.lastAt[t.Job] = [2]int{t.Chunk.I0, t.Chunk.J0}
-	cl.rr = (cl.rr + i + 1) % len(cl.order)
+	cl.rr = (cl.rr + i + 1) % len(cl.live)
 }
 
 // earlier returns the earlier of two times, treating zero as unset.
@@ -1050,8 +1060,8 @@ func (cl *Cluster) taskQ(j *job) int {
 
 // promoteLocked starts queued jobs while the MaxRunning gate allows.
 func (cl *Cluster) promoteLocked() {
-	for _, id := range cl.order {
-		j := cl.jobs[id]
+	for _, j := range cl.live {
+		cl.scanned++
 		if j.state != Queued {
 			continue
 		}
@@ -1066,6 +1076,30 @@ func (cl *Cluster) promoteLocked() {
 		if j.finished() {
 			cl.finishJobLocked(j, Done, nil)
 		}
+	}
+}
+
+// pruneLiveLocked drops the jobs that turned terminal from the live list,
+// keeping the round-robin start on the job it was on (or the next one, if
+// that job left). The live list is all promotion and dispatch look at, so
+// their cost follows the jobs in flight, not the jobs ever accepted. Only
+// the top of a dispatch decision prunes it: the scans below, which can
+// fail a job, never see the list move.
+func (cl *Cluster) pruneLiveLocked() {
+	kept := cl.live[:0]
+	for i, j := range cl.live {
+		if j.state == Done || j.state == Failed {
+			if i < cl.rr {
+				cl.rr--
+			}
+			continue
+		}
+		kept = append(kept, j)
+	}
+	clear(cl.live[len(kept):]) // a pruned job's matrices are not pinned here
+	cl.live = kept
+	if cl.rr >= len(kept) {
+		cl.rr = 0
 	}
 }
 

@@ -638,6 +638,64 @@ func TestMaxRunningQueuesJobs(t *testing.T) {
 	}
 }
 
+// TestDispatchScansOnlyLiveJobs: promotion and dispatch look at the jobs
+// in flight, not at every job ever accepted, so their cost does not grow
+// with the jobs served — and the scan still starts after the last job
+// served, also when a job leaves the live list between two dispatches.
+func TestDispatchScansOnlyLiveJobs(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	w := join(t, cl, "w", 0, 1)
+	submit := func(side int) JobID {
+		t.Helper()
+		c, a, b, _ := blockedInputs(t, side, side, side, 1, int64(side))
+		id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	dispatch := func() *Task {
+		t.Helper()
+		task, err := next(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := complete(w, task, [][]float64{{0}}); err != nil {
+			t.Fatal(err)
+		}
+		return task
+	}
+	for i := 0; i < 2000; i++ {
+		submit(1)
+		dispatch()
+	}
+	x, y, z := submit(2), submit(1), submit(2) // 4, 1 and 4 one-block tasks
+	cl.mu.Lock()
+	cl.scanned = 0
+	cl.mu.Unlock()
+	var got []JobID
+	got = append(got, dispatch().Job)
+	cl.mu.Lock()
+	scanned, live := cl.scanned, len(cl.live)
+	cl.mu.Unlock()
+	// The dispatch's scan and promotion, the ack's and the commit's
+	// promotion: each looks at every live job at most once.
+	if live != 3 || scanned > 4*live {
+		t.Fatalf("a task's dispatch, ack and commit after 2000 finished jobs examined %d jobs, %d live; want at most 4 per live job",
+			scanned, live)
+	}
+	for i := 1; i < 9; i++ {
+		got = append(got, dispatch().Job)
+	}
+	want := []JobID{x, y, z, x, z, x, z, x, z}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v (round-robin from the job after the last served)", got, want)
+		}
+	}
+}
+
 func TestRejoinRequeuesOldTasks(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()

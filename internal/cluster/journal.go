@@ -51,6 +51,15 @@ package cluster
 // whose result was released too is left out altogether — nobody can ask
 // for it, and a log that re-wrote every job ever served would grow
 // without bound.
+//
+// Records are little-endian throughout, and their floats are the one
+// encoding internal/matrix defines: a tile is one bulk append on
+// encode and one bulk copy on decode. Accept and chunk records — the
+// two that carry tiles, the accept record a job's operands — are built
+// in record buffers the cluster reuses under its mutex (recBuf), which
+// is why a JobLog may not keep rec past Append. The bytes are those the
+// per-element loop writes (journal_format_test.go keeps it as the
+// reference), so stores written before the bulk path replay unchanged.
 
 import (
 	"encoding/binary"
@@ -66,9 +75,12 @@ import (
 )
 
 // JobLog is the durable sink and replay source for job lifecycle
-// events. Append must be atomic-or-error and durable on nil return; the
-// snapshot flag on replay marks a record that resets all prior state.
-// *store.Journal is the production implementation (via NewStoreLog).
+// events. Append must be atomic-or-error and durable on nil return, and
+// rec is only valid until Append returns: the cluster builds its next
+// record in the same buffer, so an implementation that keeps the bytes
+// copies them. The snapshot flag on replay marks a record that resets
+// all prior state. *store.Journal is the production implementation (via
+// NewStoreLog).
 type JobLog interface {
 	Append(rec []byte) error
 	Replay(fn func(rec []byte, snapshot bool) error) error
@@ -160,10 +172,38 @@ func (cl *Cluster) appendLogLocked(rec []byte) error {
 	return nil
 }
 
-func encodeAccepted(id JobID, key uint64, spec JobSpec) []byte {
-	// Sized up front: grown by append, the record of a job's operands
-	// left several times its own size in garbage per submit.
-	e := &recEnc{buf: make([]byte, 0, 32+matLen(spec.M)+matLen(spec.C)+matLen(spec.A)+matLen(spec.B))}
+// recBuf returns buf emptied, with room for an n-byte record: the
+// buffer of one record kind, reused from append to append (a fresh
+// multi-MiB buffer per record costs its zeroing and its garbage, and
+// one grown by append leaves several times its size in garbage).
+func recBuf(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, 0, n)
+	}
+	return buf[:0]
+}
+
+// appendRecLocked appends rec, built in a recBuf, and keeps its buffer
+// in *keep for the next record of its kind while rec fills at least half
+// of it, so one oversized job's buffer is not retained for the life of
+// the master. The log does not retain rec (JobLog).
+func (cl *Cluster) appendRecLocked(keep *[]byte, rec []byte) error {
+	*keep = nil
+	if cap(rec) <= 2*len(rec) {
+		*keep = rec
+	}
+	return cl.appendLogLocked(rec)
+}
+
+// logAcceptedLocked records a job's admission, operands included.
+func (cl *Cluster) logAcceptedLocked(id JobID, key uint64, spec JobSpec) error {
+	n := 32 + matLen(spec.M) + matLen(spec.C) + matLen(spec.A) + matLen(spec.B)
+	return cl.appendRecLocked(&cl.acceptRec, encodeAccepted(recBuf(cl.acceptRec, n), id, key, spec))
+}
+
+// encodeAccepted appends the accept record of job id to buf.
+func encodeAccepted(buf []byte, id JobID, key uint64, spec JobSpec) []byte {
+	e := &recEnc{buf: buf}
 	e.u8(evAccepted)
 	e.u32(uint32(id))
 	e.u64(key)
@@ -192,7 +232,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	}
 	ch := t.Chunk
 	dst := j.spec.result()
-	e := &recEnc{buf: make([]byte, 0, 32+8*ch.Rows*ch.Cols*dst.Q*dst.Q)}
+	e := &recEnc{buf: recBuf(cl.chunkRec, 32+8*ch.Rows*ch.Cols*dst.Q*dst.Q)}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
 	e.u32(uint32(t.Seq))
@@ -206,7 +246,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 			e.floats(dst.Block(ch.I0+i, ch.J0+jj).Data)
 		}
 	}
-	cl.appendLogLocked(e.buf) //nolint:errcheck // latched in cl.logErr
+	cl.appendRecLocked(&cl.chunkRec, e.buf) //nolint:errcheck // latched in cl.logErr
 }
 
 func (cl *Cluster) logDoneLocked(j *job) {
@@ -353,6 +393,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		j.key = key
 		cl.jobs[id] = j
 		cl.order = append(cl.order, id)
+		cl.live = append(cl.live, j)
 		if key != 0 {
 			cl.keys[key] = id
 		}
@@ -585,6 +626,7 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 	}
 	cl.jobs = make(map[JobID]*job)
 	cl.order = nil
+	cl.live = nil
 	cl.keys = make(map[uint64]JobID)
 	cl.running = 0
 	cl.rr = 0
@@ -676,6 +718,8 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		}
 		if j.state == Done || j.state == Failed {
 			close(j.doneCh)
+		} else {
+			cl.live = append(cl.live, j)
 		}
 		rs.Jobs++
 	}
@@ -720,11 +764,7 @@ func (e *recEnc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *recEnc) floats(v []float64) {
-	for _, f := range v {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-	}
-}
+func (e *recEnc) floats(v []float64) { e.buf = matrix.AppendFloats(e.buf, v) }
 
 // matLen is the encoded length of m as mat writes it.
 func matLen(m *matrix.Blocked) int {
@@ -804,12 +844,8 @@ func (d *recDec) str() string {
 }
 
 func (d *recDec) readFloats(dst []float64) {
-	b := d.take(8 * len(dst))
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if b := d.take(8 * len(dst)); b != nil {
+		matrix.DecodeFloatsInto(dst, b)
 	}
 }
 

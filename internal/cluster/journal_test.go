@@ -746,25 +746,63 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	<-done
 }
 
-// TestAcceptedRecordSizedUpFront pins the journal's biggest record to
-// one buffer: grown by append, a job's operand record left several times
-// its own size in garbage per submit — about 40 MB for a 6 MiB record —
-// and a durable master spent its time collecting it.
-func TestAcceptedRecordSizedUpFront(t *testing.T) {
-	mk := func(br, bc int) *matrix.Blocked {
-		d := matrix.NewDense(br*16, bc*16)
-		matrix.DeterministicFill(d, int64(br+bc))
-		return matrix.Partition(d, 16)
+// TestRecordBuffersReused pins the journal's two tile-carrying records
+// to buffers the cluster reuses: a fresh multi-MiB buffer per record
+// cost a durable master its zeroing and its garbage. Journaling a second
+// accept record and a chunk record of the same shapes allocates nothing.
+// What is retained stays bounded: a buffer is kept only while it is at
+// most twice the record it just held, so one oversized job's buffer goes
+// with the next normal-sized record, and accept and chunk records never
+// share a buffer.
+func TestRecordBuffersReused(t *testing.T) {
+	cl, _ := manualCluster(Config{Log: &countingLog{}})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 61) // 4×4 blocks of q=4
+	spec := JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}
+	id, err := cl.SubmitJob(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mm := JobSpec{Kind: MatMul, C: mk(3, 2), A: mk(3, 4), B: mk(4, 2), Mu: 2}
-	luSpec := JobSpec{Kind: LU, M: mk(3, 3), Mu: 2}
-	released := JobSpec{Kind: MatMul, C: mk(3, 2), Mu: 2} // A and B dropped: written as 0×0
-	for _, spec := range []JobSpec{mm, luSpec, released} {
-		rec := encodeAccepted(7, 99, spec)
-		want := 32 + matLen(spec.M) + matLen(spec.C) + matLen(spec.A) + matLen(spec.B)
-		if cap(rec) != want || len(rec) > want {
-			t.Fatalf("%v record: len %d cap %d, want one buffer of cap %d", spec.Kind, len(rec), cap(rec), want)
+	w := join(t, cl, "w", 0, 1)
+	task := pullTask(t, w)
+	if err := complete(w, task, refChunk(task, matrix.Partition(ref, 4))); err != nil {
+		t.Fatal(err)
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	j := cl.jobs[id]
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
+			t.Fatal(err)
 		}
+		cl.logChunkLocked(j, task)
+	}); allocs != 0 {
+		t.Fatalf("journaling an accept and a chunk record of known shapes allocated %v times, want 0", allocs)
+	}
+
+	chunkBuf := &cl.chunkRec[:1][0]
+	c4, a4, b4, _ := blockedInputs(t, 64, 64, 64, 4, 62) // 16× the operand bytes
+	big := JobSpec{Kind: MatMul, C: c4, A: a4, B: b4, Mu: 2}
+	if err := cl.logAcceptedLocked(id+1, 0, big); err != nil {
+		t.Fatal(err)
+	}
+	if cap(cl.acceptRec) < 3*matLen(c4) {
+		t.Fatalf("the oversized record's buffer (cap %d) was not kept while it fit", cap(cl.acceptRec))
+	}
+	if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
+		t.Fatal(err)
+	}
+	if cl.acceptRec != nil {
+		t.Fatalf("a %d-byte record kept a buffer of cap %d", 3*matLen(c), cap(cl.acceptRec))
+	}
+	if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cl.acceptRec); n == 0 || cap(cl.acceptRec) > 2*n {
+		t.Fatalf("a normal record after the oversized one left a buffer of len %d cap %d", n, cap(cl.acceptRec))
+	}
+	if &cl.chunkRec[:1][0] != chunkBuf {
+		t.Fatal("accept records moved the chunk record buffer")
 	}
 }
 

@@ -1,4 +1,4 @@
-package netmw
+package matrix
 
 import (
 	"bytes"
@@ -8,14 +8,16 @@ import (
 )
 
 // TestFloatCodecEquivalence pins the bulk little-endian float path
-// bit-identical to the portable per-element loop — the loop is the wire
+// bit-identical to the portable per-element loop — the loop is the
 // format's definition, the bulk path is an optimization and may never
 // diverge from it. The property runs across sizes (empty through
 // several blocks), byte offsets (the decode source is arbitrarily
-// aligned inside a frame) and hostile bit patterns (NaN payloads,
-// signed zeros, infinities, subnormals), and covers the stream pair
-// (writeFloats/readFloats) the client hop moves matrices with. CI runs
-// it under the race detector alongside the engine conformance suite.
+// aligned inside a frame or record) and hostile bit patterns (NaN
+// payloads, signed zeros, infinities, subnormals), and covers the
+// stream pair (WriteFloats/ReadFloats) the client hop and the
+// out-of-core store move blocks with, and the memory view the wire's
+// gathered writes send. CI runs it under the race detector alongside the
+// engine conformance suite.
 func TestFloatCodecEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	special := []uint64{
@@ -37,9 +39,12 @@ func TestFloatCodecEquivalence(t *testing.T) {
 
 		// Stream equivalence: the same bytes out, the same bits back, and
 		// a short stream is an error on both paths.
-		want := putFloatsPortable(nil, fs)
+		want := AppendFloatsPortable(nil, fs)
+		if view, ok := FloatsView(fs); ok && !bytes.Equal(view, want) {
+			t.Fatalf("n=%d: the memory view differs from the portable definition", n)
+		}
 		var fastW, slowW bytes.Buffer
-		if err := writeFloats(&fastW, fs); err != nil {
+		if err := WriteFloats(&fastW, fs); err != nil {
 			t.Fatal(err)
 		}
 		if err := writeFloatsPortable(&slowW, fs); err != nil {
@@ -49,7 +54,7 @@ func TestFloatCodecEquivalence(t *testing.T) {
 			t.Fatalf("n=%d: streamed encodings differ from the portable definition", n)
 		}
 		sFast, sSlow := make([]float64, n), make([]float64, n)
-		if err := readFloats(bytes.NewReader(want), sFast); err != nil {
+		if err := ReadFloats(bytes.NewReader(want), sFast); err != nil {
 			t.Fatal(err)
 		}
 		if err := readFloatsPortable(bytes.NewReader(want), sSlow); err != nil {
@@ -61,7 +66,7 @@ func TestFloatCodecEquivalence(t *testing.T) {
 			}
 		}
 		if n > 0 {
-			if readFloats(bytes.NewReader(want[:len(want)-1]), sFast) == nil ||
+			if ReadFloats(bytes.NewReader(want[:len(want)-1]), sFast) == nil ||
 				readFloatsPortable(bytes.NewReader(want[:len(want)-1]), sSlow) == nil {
 				t.Fatalf("n=%d: short stream read without error", n)
 			}
@@ -72,8 +77,8 @@ func TestFloatCodecEquivalence(t *testing.T) {
 		for _, prefix := range []int{0, 1, 5, 13} {
 			pre := make([]byte, prefix)
 			rng.Read(pre)
-			fast := putFloats(append([]byte(nil), pre...), fs)
-			slow := putFloatsPortable(append([]byte(nil), pre...), fs)
+			fast := AppendFloats(append([]byte(nil), pre...), fs)
+			slow := AppendFloatsPortable(append([]byte(nil), pre...), fs)
 			if len(fast) != len(slow) {
 				t.Fatalf("n=%d prefix=%d: fast encodes %d bytes, portable %d", n, prefix, len(fast), len(slow))
 			}
@@ -87,8 +92,8 @@ func TestFloatCodecEquivalence(t *testing.T) {
 			// aligned) encoded bytes.
 			dFast := make([]float64, n)
 			dSlow := make([]float64, n)
-			getFloatsInto(dFast, fast[prefix:])
-			getFloatsPortableInto(dSlow, slow[prefix:])
+			DecodeFloatsInto(dFast, fast[prefix:])
+			DecodeFloatsPortableInto(dSlow, slow[prefix:])
 			for i := range dFast {
 				if math.Float64bits(dFast[i]) != math.Float64bits(dSlow[i]) {
 					t.Fatalf("n=%d prefix=%d: decoded element %d differs: %#x != %#x",
@@ -100,17 +105,5 @@ func TestFloatCodecEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestGetFloatsShort pins the bounds check of the getFloats wrapper.
-func TestGetFloatsShort(t *testing.T) {
-	buf := putFloats(nil, []float64{1, 2, 3})
-	if _, _, err := getFloats(buf, 4); err == nil {
-		t.Fatal("short float payload accepted")
-	}
-	fs, rest, err := getFloats(buf, 2)
-	if err != nil || len(fs) != 2 || len(rest) != 8 {
-		t.Fatalf("getFloats: fs=%v rest=%d err=%v", fs, len(rest), err)
 	}
 }

@@ -97,7 +97,7 @@ func TestClusterMessagesThroughFraming(t *testing.T) {
 	th := TaskHeader{Job: 1, Seq: 2, Attempt: 0, Steps: 4, Rows: 1, Cols: 1, Q: 2}
 	tp := make([]byte, taskHeaderLen)
 	th.encode(tp)
-	tp = putFloats(tp, []float64{1, 2, 3, 4})
+	tp = matrix.AppendFloats(tp, []float64{1, 2, 3, 4})
 	if err := writeMsg(&buf, MsgTask, tp); err != nil {
 		t.Fatal(err)
 	}

@@ -389,7 +389,7 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 		return fmt.Errorf("netmw: job %d answered with %d result bytes, want %d", hdr.Job, n, want)
 	}
 	staged := make([]float64, n/8)
-	if err := readFloats(conn, staged); err != nil {
+	if err := matrix.ReadFloats(conn, staged); err != nil {
 		return fmt.Errorf("netmw: submit read: %w", err)
 	}
 	for _, b := range sub.dst.Blocks {

@@ -1,71 +1,57 @@
 package netmw
 
 import (
-	"encoding/binary"
 	"io"
-	"math"
+	"slices"
+
+	"repro/internal/matrix"
 )
 
-// Float payloads are raw little-endian IEEE-754 doubles. Two
-// implementations exist: the portable per-element loop below (the wire
-// format's definition, always compiled so the equivalence property test
-// can pin the fast path against it), and a bulk reinterpretation for
-// little-endian architectures (floats_le.go) that moves whole blocks
-// with one copy — the fast wire path that makes encode/decode
-// bandwidth, not loop overhead, the limit. Big-endian builds fall back
-// to the loop (floats_generic.go). writeFloats/readFloats are the same
-// pair over a stream: the client hop never assembles a frame buffer.
+// Float payloads are raw little-endian IEEE-754 doubles, in the one
+// encoding internal/matrix defines for every float the repository frames
+// or persists.
 
-// putFloatsPortable appends the little-endian encoding of fs to buf,
-// one element at a time. This loop is the normative definition of the
-// float wire format.
-func putFloatsPortable(buf []byte, fs []float64) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, 8*len(fs))...)
-	for i, f := range fs {
-		binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(f))
+// EncodeFloats appends fs in wire encoding (matrix.AppendFloats).
+func EncodeFloats(buf []byte, fs []float64) []byte { return matrix.AppendFloats(buf, fs) }
+
+// DecodeFloatsInto decodes len(dst) doubles in wire encoding
+// (matrix.DecodeFloatsInto).
+func DecodeFloatsInto(dst []float64, buf []byte) { matrix.DecodeFloatsInto(dst, buf) }
+
+// blockArena holds the wire copies of one frame's blocks where a block's
+// memory is not its wire encoding. Where it is (matrix.FloatsView, every
+// little-endian build) the arena stays empty and a block's wire bytes
+// are its memory, so a gathered write points its iovec at the block
+// itself and a read lands straight in it.
+type blockArena struct{ buf []byte }
+
+// reset starts a frame. The slices wire hands out stay valid until the
+// next reset: growing the arena moves later copies, never earlier ones.
+func (a *blockArena) reset() { a.buf = a.buf[:0] }
+
+// wire returns blk's wire bytes.
+func (a *blockArena) wire(blk []float64) []byte {
+	if bs, ok := matrix.FloatsView(blk); ok {
+		return bs
 	}
-	return buf
+	off := len(a.buf)
+	a.buf = matrix.AppendFloats(a.buf, blk)
+	return a.buf[off:]
 }
 
-// getFloatsPortableInto decodes len(dst) doubles from buf into dst; the
-// caller has already checked that buf is long enough.
-func getFloatsPortableInto(dst []float64, buf []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+// read fills blk from r and returns the wire bytes it read (blk's memory,
+// or the arena's copy until the next use).
+func (a *blockArena) read(r io.Reader, blk []float64) ([]byte, error) {
+	bs, view := matrix.FloatsView(blk)
+	if !view {
+		a.buf = slices.Grow(a.buf[:0], 8*len(blk))[:8*len(blk)]
+		bs = a.buf
 	}
-}
-
-// writeFloatsPortable writes the little-endian encoding of fs to w.
-func writeFloatsPortable(w io.Writer, fs []float64) error {
-	_, err := w.Write(putFloatsPortable(nil, fs))
-	return err
-}
-
-// readFloatsPortable fills dst with len(dst) doubles read from r.
-func readFloatsPortable(r io.Reader, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+	if _, err := io.ReadFull(r, bs); err != nil {
+		return nil, err
 	}
-	getFloatsPortableInto(dst, buf)
-	return nil
+	if !view {
+		matrix.DecodeFloatsInto(blk, bs)
+	}
+	return bs, nil
 }
-
-// EncodeFloats, EncodeFloatsPortable, DecodeFloatsInto and
-// DecodeFloatsPortableInto expose the two codec paths for the
-// benchmark harness (BenchmarkTransportCodec tracks the bulk path's
-// speedup in BENCH_transport.json); production code uses the
-// unexported names.
-
-// EncodeFloats appends fs in wire encoding via the fast path.
-func EncodeFloats(buf []byte, fs []float64) []byte { return putFloats(buf, fs) }
-
-// EncodeFloatsPortable appends fs via the portable loop.
-func EncodeFloatsPortable(buf []byte, fs []float64) []byte { return putFloatsPortable(buf, fs) }
-
-// DecodeFloatsInto decodes len(dst) doubles via the fast path.
-func DecodeFloatsInto(dst []float64, buf []byte) { getFloatsInto(dst, buf) }
-
-// DecodeFloatsPortableInto decodes len(dst) doubles via the portable loop.
-func DecodeFloatsPortableInto(dst []float64, buf []byte) { getFloatsPortableInto(dst, buf) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // FuzzDecodeFrame throws arbitrary byte streams at the framing layer:
@@ -24,7 +25,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	writeMsg(&ok, MsgRegister, ri.encode())
 	f.Add(ok.Bytes())
 	ok.Reset()
-	writeMsg(&ok, MsgSet, putFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
+	writeMsg(&ok, MsgSet, matrix.AppendFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
 	f.Add(ok.Bytes())
 	// truncated header / truncated payload / hostile length prefix
 	f.Add([]byte{byte(MsgTask)})
@@ -65,7 +66,7 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 		out = append(out, w[:]...)
 		out = append(out, flags[i])
 	}
-	return appendCRC(putFloats(out, payload), len(prefix))
+	return appendCRC(matrix.AppendFloats(out, payload), len(prefix))
 }
 
 // encodeAssignBody appends the C-flag tail of a task frame to a header:
@@ -74,7 +75,7 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 // CRC covering header and tail alike.
 func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	out := appendCFlags(hdr, flags)
-	return appendCRC(putFloats(out, payload), 0)
+	return appendCRC(matrix.AppendFloats(out, payload), 0)
 }
 
 // encodeFlushPayload hand-builds a MsgFlushResult payload for seeds:
@@ -89,7 +90,7 @@ func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
 		out = append(out, w[:]...)
 		binary.LittleEndian.PutUint32(w[:4], uint32(len(blocks[i])))
 		out = append(out, w[:4]...)
-		out = putFloats(out, blocks[i])
+		out = matrix.AppendFloats(out, blocks[i])
 	}
 	return out
 }
@@ -144,14 +145,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	sp := make([]byte, jobHeaderLen)
 	sub.encode(sp)
 	for i := 0; i < 3; i++ {
-		sp = putFloats(sp, []float64{1, 2, 3, 4})
+		sp = matrix.AppendFloats(sp, []float64{1, 2, 3, 4})
 	}
 	f.Add(append([]byte{3}, sp...))
 
 	lu := JobHeader{Kind: WireLU, R: 2, T: 2, S: 2, Q: 1, Mu: 1}
 	lp := make([]byte, jobHeaderLen)
 	lu.encode(lp)
-	lp = putFloats(lp, []float64{1, 2, 3, 4})
+	lp = matrix.AppendFloats(lp, []float64{1, 2, 3, 4})
 	f.Add(append([]byte{3}, lp...))
 
 	// a keyed (idempotent) submission, and a header truncated inside the
@@ -160,7 +161,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	kp := make([]byte, jobHeaderLen)
 	keyed.encode(kp)
 	for i := 0; i < 3; i++ {
-		kp = putFloats(kp, []float64{1})
+		kp = matrix.AppendFloats(kp, []float64{1})
 	}
 	f.Add(append([]byte{3}, kp...))
 	f.Add(append([]byte{3}, kp[:jobHeaderLen-4]...))

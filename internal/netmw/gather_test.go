@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // The bulk frames as they were assembled before block payloads were sent
@@ -45,7 +46,7 @@ func oldFrame(t MsgType, fill func(buf []byte) []byte) []byte {
 
 func oldBlocks(buf []byte, blocks [][]float64) []byte {
 	for _, blk := range blocks {
-		buf = putFloats(buf, blk)
+		buf = matrix.AppendFloats(buf, blk)
 	}
 	return buf
 }
@@ -95,7 +96,7 @@ func oldFlushFrame(fr *engine.FlushResult) []byte {
 		for i, id := range fr.IDs {
 			buf = binary.LittleEndian.AppendUint64(buf, id)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.Blocks[i])))
-			buf = putFloats(buf, fr.Blocks[i])
+			buf = matrix.AppendFloats(buf, fr.Blocks[i])
 		}
 		return buf
 	})
@@ -296,7 +297,7 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 	body := frame[msgHeaderLen+head : len(frame)-4]
 	for n := 0; n < 4; n++ {
 		var got [1]float64
-		getFloatsInto(got[:], body[n*(prefix+8*q*q)+prefix:])
+		matrix.DecodeFloatsInto(got[:], body[n*(prefix+8*q*q)+prefix:])
 		if got[0] != float64(n+1) {
 			t.Fatalf("block %d arrived holding %g", n, got[0])
 		}

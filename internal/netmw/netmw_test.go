@@ -213,7 +213,7 @@ func TestMasterSurvivesShortResult(t *testing.T) {
 
 func TestFloatsRoundTrip(t *testing.T) {
 	in := []float64{0, 1, -2.5, 3.14159, -1e300}
-	buf := putFloats(nil, in)
+	buf := matrix.AppendFloats(nil, in)
 	out, rest, err := getFloats(buf, len(in))
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +228,18 @@ func TestFloatsRoundTrip(t *testing.T) {
 	}
 	if _, _, err := getFloats(buf, len(in)+1); err == nil {
 		t.Fatal("short payload accepted")
+	}
+}
+
+// TestGetFloatsShort pins the bounds check of the getFloats wrapper.
+func TestGetFloatsShort(t *testing.T) {
+	buf := matrix.AppendFloats(nil, []float64{1, 2, 3})
+	if _, _, err := getFloats(buf, 4); err == nil {
+		t.Fatal("short float payload accepted")
+	}
+	fs, rest, err := getFloats(buf, 2)
+	if err != nil || len(fs) != 2 || len(rest) != 8 {
+		t.Fatalf("getFloats: fs=%v rest=%d err=%v", fs, len(rest), err)
 	}
 }
 

@@ -42,7 +42,7 @@ func getFloats(buf []byte, n int) ([]float64, []byte, error) {
 		return nil, nil, fmt.Errorf("netmw: short float payload: have %d bytes, want %d", len(buf), 8*n)
 	}
 	fs := make([]float64, n)
-	getFloatsInto(fs, buf)
+	matrix.DecodeFloatsInto(fs, buf)
 	return fs, buf[8*n:], nil
 }
 
@@ -50,7 +50,7 @@ func getFloats(buf []byte, n int) ([]float64, []byte, error) {
 func encodeBlocked(buf []byte, m *matrix.Blocked) []byte {
 	for i := 0; i < m.BR; i++ {
 		for j := 0; j < m.BC; j++ {
-			buf = putFloats(buf, m.Block(i, j).Data)
+			buf = matrix.AppendFloats(buf, m.Block(i, j).Data)
 		}
 	}
 	return buf

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // blockFrameCase is one block-carrying frame's payload (CRC included,
@@ -155,7 +156,7 @@ func TestResultFramesOnWire(t *testing.T) {
 	if err != nil || res.ID != (engine.AssignID{A: 3, B: 5, C: 1}) || res.Updates != 16 || res.ComputeNS != 99 {
 		t.Fatalf("header-only result = %+v, %v", res, err)
 	}
-	carrying := appendCRC(putFloats(append([]byte(nil), hdr...), []float64{1, 2, 3, 4}), 0)
+	carrying := appendCRC(matrix.AppendFloats(append([]byte(nil), hdr...), []float64{1, 2, 3, 4}), 0)
 	if _, err := readTaskResult(frameOver(carrying, len(carrying), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
 		t.Fatalf("result with payload bytes = %v, want refused as malformed", err)
 	}

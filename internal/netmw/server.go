@@ -309,7 +309,7 @@ func blockedBytes(m *matrix.Blocked) int { return len(m.Blocks) * m.Q * m.Q * 8 
 // writeBlocked streams every block of m in row-major block order.
 func writeBlocked(w io.Writer, m *matrix.Blocked) error {
 	for _, b := range m.Blocks {
-		if err := writeFloats(w, b.Data); err != nil {
+		if err := matrix.WriteFloats(w, b.Data); err != nil {
 			return err
 		}
 	}
@@ -373,7 +373,7 @@ func readSubmission(r io.Reader, n int, pool *engine.BlockPool) (cluster.JobSpec
 			for j := 0; j < op.bc; j++ {
 				blk := &matrix.Block{I: i, J: j, Q: q, Data: pool.Get(q * q)}
 				m.Blocks = append(m.Blocks, blk) // grows with arrival, never ahead of it
-				if err := readFloats(r, blk.Data); err != nil {
+				if err := matrix.ReadFloats(r, blk.Data); err != nil {
 					return cluster.JobSpec{}, 0, err
 				}
 			}

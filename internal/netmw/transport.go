@@ -201,7 +201,7 @@ func (c *connIO) writeBlockFrame(t MsgType, fill func(f blockFrame)) error {
 	buf := append(c.wbuf, 0, 0, 0, 0)
 	c.wbuf = buf
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-msgHeaderLen+blockBytes))
-	c.warena.reset(blockBytes)
+	c.warena.reset()
 	iov := c.wiovec[:0]
 	var sum uint32
 	from := 0

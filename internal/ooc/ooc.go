@@ -12,9 +12,8 @@
 package ooc
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"io"
 	"os"
 
 	"repro/internal/blas"
@@ -131,22 +130,15 @@ func (s *Store) key(i, j int) int64 { return int64(i)*int64(s.BC) + int64(j) }
 func (s *Store) offset(key int64) int64 { return key * int64(s.Q) * int64(s.Q) * 8 }
 
 func (s *Store) readBlock(key int64, dst []float64) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := s.f.ReadAt(buf, s.offset(key)); err != nil {
+	r := io.NewSectionReader(s.f, s.offset(key), int64(8*len(dst)))
+	if err := matrix.ReadFloats(r, dst); err != nil {
 		return fmt.Errorf("ooc: read block %d: %w", key, err)
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return nil
 }
 
 func (s *Store) writeBlock(key int64, src []float64) error {
-	buf := make([]byte, 8*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	if _, err := s.f.WriteAt(buf, s.offset(key)); err != nil {
+	if err := matrix.WriteFloats(io.NewOffsetWriter(s.f, s.offset(key)), src); err != nil {
 		return fmt.Errorf("ooc: write block %d: %w", key, err)
 	}
 	return nil
@@ -245,7 +237,6 @@ func (s *Store) Update(i, j int, fn func(blk []float64)) error {
 // ToBlocked reads the whole store back into memory (for verification).
 func (s *Store) ToBlocked() (*matrix.Blocked, error) {
 	out := matrix.NewBlocked(s.BR, s.BC, s.Q)
-	buf := make([]float64, s.Q*s.Q)
 	if err := s.Flush(); err != nil {
 		return nil, err
 	}
@@ -253,10 +244,9 @@ func (s *Store) ToBlocked() (*matrix.Blocked, error) {
 		for j := 0; j < s.BC; j++ {
 			// bypass the cache for a consistent on-disk view of clean
 			// blocks; dirty ones were just flushed
-			if err := s.readBlock(s.key(i, j), buf); err != nil {
+			if err := s.readBlock(s.key(i, j), out.Block(i, j).Data); err != nil {
 				return nil, err
 			}
-			copy(out.Block(i, j).Data, buf)
 		}
 	}
 	return out, nil

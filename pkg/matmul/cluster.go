@@ -153,7 +153,9 @@ type (
 	// capped exponential backoff (ClusterConfig.Retry).
 	ClusterRetryPolicy = cluster.RetryPolicy
 	// ClusterJobLog is the durable sink for job lifecycle events
-	// (ClusterConfig.Log).
+	// (ClusterConfig.Log). The record passed to Append is valid only
+	// until Append returns: the cluster reuses its buffer, so a log that
+	// keeps the bytes copies them.
 	ClusterJobLog = cluster.JobLog
 	// ClusterRecoveryStats summarizes a (*Cluster).Recover replay.
 	ClusterRecoveryStats = cluster.RecoveryStats

@@ -17,7 +17,8 @@ test-race:
 
 # flake is the flake budget: the cross-transport conformance table many
 # times over (its kill cases must complete on the survivors whatever
-# the scheduler does with two cores), then the three packages whose
+# the scheduler does with two cores), with the pushed sets' cache budget
+# and the feeder's join of a parked Send, then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
 # that passes "most runs". Last, the same three under the poolcheck
@@ -29,13 +30,17 @@ test-race:
 # dispatcher stays parked, 50 times over under the race detector. Last,
 # the worker-session tests — a stale incarnation acting on its
 # successor, and the session hold that is the only pin on a finished
-# job's operands.
+# job's operands. Last, the netmw tests of the pushed-set schedule and
+# the client hop — rogue workers, the injected-fault harness, the parked
+# Send and the reused reply staging — 20 times over under the race
+# detector.
 flake:
-	$(GO) test -count 20 -run TestEngineConformance ./internal/engine
+	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt' ./internal/cluster ./internal/sim
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner' ./internal/cluster
+	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused' ./internal/netmw
 
 # runnames fails when a -run alternative here or in the CI workflow
 # names no test, so a renamed or moved test cannot drop out silently.

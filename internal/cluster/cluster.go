@@ -53,9 +53,9 @@ var (
 	// graceful shutdown; resubmitting an already-accepted idempotency key
 	// still attaches.
 	ErrDraining = errors.New("cluster: draining, not accepting new jobs")
-	// ErrStaleJob marks a set request for a job whose operands were
-	// already released. A session's hold keeps the operands of every task
-	// it holds, so a set it asks for never meets it; it is an
+	// ErrStaleJob marks a set for a job whose operands were already
+	// released. A session's hold keeps the operands of every task it
+	// holds, so a set it materializes never meets it; it is an
 	// engine.ErrStaleAssign, which the feeder answers with a filler set.
 	ErrStaleJob = fmt.Errorf("cluster: job matrices released: %w", engine.ErrStaleAssign)
 	// ErrWorkerQuarantined refuses a worker whose results failed

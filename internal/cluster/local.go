@@ -24,7 +24,7 @@ type LocalWorkerConfig struct {
 // closes (returns nil) or the worker is declared dead (returns the
 // error). It is the in-process transport: the same engine worker the
 // TCP runtime runs, fed through an engine.Pipe by the same feeder the
-// TCP server runs over the same Session — tasks pushed, sets pulled —
+// TCP server runs over the same Session — tasks and their sets pushed —
 // minus the sockets and the framing.
 func RunLocalWorker(cl *Cluster, cfg LocalWorkerConfig) error {
 	sess, err := cl.JoinWorker(cfg.ID, cfg.Mem, 1)

@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -279,8 +281,11 @@ func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
 	// assignment that severs it.
 	doomedGone := make(chan struct{})
 	var wg sync.WaitGroup
+	ends := make([][2]*tally, workers)
 	for w := 0; w < workers; w++ {
 		master, worker := feederPair(t, fleet, pool)
+		ends[w] = [2]*tally{{Transport: master}, {Transport: worker}}
+		master, worker = ends[w][0], ends[w][1]
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -302,13 +307,90 @@ func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
 		}()
 	}
 	wg.Wait()
+	for w, end := range ends {
+		checkPushSchedule(t, end[0].counts(), end[1].counts(), w == 0 && wcfg.FailAfter > 0)
+	}
 	return c, want, reports, errors.Join(feedErrs...)
+}
+
+// tally counts the messages one end of a session sends and receives.
+type tally struct {
+	engine.Transport
+	mu sync.Mutex
+	n  msgCounts
+}
+
+// msgCounts is one end's traffic: Tasks and the update sets they
+// announce, Sets, Results and Requests, sent or received.
+type msgCounts struct {
+	tasks, steps, sets, results, requests int
+}
+
+func (t *tally) count(m engine.Msg) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch m := m.(type) {
+	case *engine.Assign:
+		t.n.tasks++
+		t.n.steps += m.Steps
+	case *engine.Set:
+		t.n.sets++
+	case *engine.Result:
+		t.n.results++
+	case *engine.Request:
+		t.n.requests++
+	}
+}
+
+func (t *tally) counts() msgCounts {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
+
+// Send counts first: the transport may recycle the message.
+func (t *tally) Send(m engine.Msg) error {
+	t.count(m)
+	return t.Transport.Send(m)
+}
+
+func (t *tally) Recv() (engine.Msg, error) {
+	m, err := t.Transport.Recv()
+	if err == nil {
+		t.count(m)
+	}
+	return m, err
+}
+
+// checkPushSchedule pins one session's message schedule from both ends:
+// no Request ever, and per assignment one Task and Steps Sets down and
+// one TaskResult up, everything sent also received. A doomed session
+// dies mid-assignment, so there the sets only stay within the steps.
+func checkPushSchedule(t *testing.T, master, worker msgCounts, doomed bool) {
+	t.Helper()
+	if master.requests != 0 || worker.requests != 0 {
+		t.Errorf("the worker asked for sets: %d requests sent, %d received", worker.requests, master.requests)
+	}
+	if doomed {
+		if master.sets > master.steps {
+			t.Errorf("master pushed %d sets for %d announced steps", master.sets, master.steps)
+		}
+		return
+	}
+	if master.sets != master.steps || master.results != master.tasks {
+		t.Errorf("master sent %d tasks of %d steps in %d sets and received %d results",
+			master.tasks, master.steps, master.sets, master.results)
+	}
+	if worker.tasks != master.tasks || worker.sets != master.sets || worker.results != master.results {
+		t.Errorf("worker received %d tasks and %d sets and sent %d results; master sent %d and %d and received %d",
+			worker.tasks, worker.sets, worker.results, master.tasks, master.sets, master.results)
+	}
 }
 
 // TestEngineConformance is the cross-transport table. Every case runs
 // on the channel pipe and on TCP framing and must produce the oracle
-// product bit for bit and the exact update count, and flush every C
-// tile exactly once. A kill case loses worker 0 mid-job and must
+// product bit for bit and the exact update count, flush every C tile
+// exactly once, and keep the pushed schedule (checkPushSchedule). A kill case loses worker 0 mid-job and must
 // complete on the survivors: what the doomed worker committed stays,
 // what died with it — its assignment in hand and the tiles it held
 // dirty — is recomputed exactly once. The resident-* rows send C flags,
@@ -571,4 +653,168 @@ func TestFeederStaleSetKeepsSession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// capWatch checks every Set the master sends against the memory its
+// worker has left: mem less the chunk footprints of the assignments in
+// flight and the dirty C blocks. It learns both from the session's own
+// messages, a little ahead of the feeder (a result or flush is seen here
+// before the feeder takes it in), which only loosens the bound.
+type capWatch struct {
+	engine.Transport
+	mem       int
+	mu        sync.Mutex
+	open      map[engine.AssignID][2]int // footprint and tile blocks of each assignment in flight
+	footprint int
+	dirty     int
+	squeezed  int // sets sent while the worker held dirty tiles
+	err       error
+}
+
+func (w *capWatch) Send(m engine.Msg) error {
+	w.mu.Lock()
+	switch m := m.(type) {
+	case *engine.Assign:
+		fp := engine.InflightFootprint(m.Rows, m.Cols)
+		w.open[m.ID] = [2]int{fp, m.Rows * m.Cols}
+		w.footprint += fp
+	case *engine.Set:
+		if room := max(w.mem-w.footprint-w.dirty, 0); m.Cap > room && w.err == nil {
+			w.err = fmt.Errorf("set %d announces a %d-block cache, the worker has %d blocks left (%d in flight, %d dirty)",
+				m.K, m.Cap, room, w.footprint, w.dirty)
+		}
+		if w.dirty > 0 {
+			w.squeezed++
+		}
+	}
+	w.mu.Unlock()
+	return w.Transport.Send(m)
+}
+
+func (w *capWatch) Recv() (engine.Msg, error) {
+	m, err := w.Transport.Recv()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch m := m.(type) {
+	case *engine.Result:
+		o := w.open[m.ID]
+		delete(w.open, m.ID)
+		w.footprint -= o[0]
+		w.dirty += o[1]
+	case *engine.FlushResult:
+		w.dirty -= len(m.IDs)
+	}
+	return m, err
+}
+
+// TestSetCapLeavesRoomForDirtyTiles: the operand cache a Set announces
+// fits in the worker's advertised memory beside everything else it
+// holds — the in-flight chunks at the staging depth and the acked C
+// tiles still waiting for a flush. One worker, two slots, and memory for
+// three 2×2 footprints: the feed flushes only once its queue runs dry,
+// so the dirty tiles grow until they take the whole cache budget.
+func TestSetCapLeavesRoomForDirtyTiles(t *testing.T) {
+	const mem = 40
+	for _, fl := range fleets {
+		t.Run(fl, func(t *testing.T) {
+			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
+			pool := engine.NewBlockPool()
+			master, worker := feederPair(t, fl, pool)
+			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID][2]int)}
+			job := newTestJob(c, a, b, 2, true)
+			feederDone := make(chan error, 1)
+			go func() {
+				_, err := engine.RunFeeder(watch, job.session(), engine.FeederConfig{Slots: 2, Pool: pool, Mem: mem})
+				feederDone <- err
+			}()
+			if _, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 1, Pool: pool}); err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if err := <-feederDone; err != nil {
+				t.Fatalf("feeder: %v", err)
+			}
+			if !c.Equal(want, 0) {
+				t.Fatal("product not bit-exact")
+			}
+			watch.mu.Lock()
+			defer watch.mu.Unlock()
+			if watch.err != nil {
+				t.Fatal(watch.err)
+			}
+			if watch.squeezed == 0 {
+				t.Fatal("no set went out while tiles were dirty: the run never reached the budget it pins")
+			}
+		})
+	}
+}
+
+// parkSet parks the first Set sent through it until open is closed.
+type parkSet struct {
+	engine.Transport
+	once   sync.Once
+	parked chan struct{}
+	open   chan struct{}
+	back   atomic.Bool // the parked Send has returned
+}
+
+func (p *parkSet) Send(m engine.Msg) error {
+	park := false
+	if _, ok := m.(*engine.Set); ok {
+		p.once.Do(func() { park = true })
+	}
+	if !park {
+		return p.Transport.Send(m)
+	}
+	close(p.parked)
+	<-p.open
+	err := p.Transport.Send(m)
+	p.back.Store(true)
+	return err
+}
+
+// lostFeed says when the feeder declares its worker lost.
+type lostFeed struct {
+	engine.Feed
+	lost chan struct{}
+}
+
+func (f lostFeed) Lost() {
+	f.Feed.Lost()
+	close(f.lost)
+}
+
+// TestFeederJoinsParkedSend: RunFeeder does not return while its
+// dispatcher is still inside Send. Its caller lets go of the session's
+// operands once it returns (cluster.Session.Close), and a Send reads a
+// Set's blocks until it is back. Here the connection dies under a Set
+// parked in Send and the worker is declared lost; RunFeeder must still
+// wait for that Send.
+func TestFeederJoinsParkedSend(t *testing.T) {
+	a, b, c, _ := buildInputs(t, 4, 3, 4, 4)
+	master, worker := engine.Pipe()
+	park := &parkSet{Transport: master, parked: make(chan struct{}), open: make(chan struct{})}
+	feed := lostFeed{Feed: newTestJob(c, a, b, 2, false).session(), lost: make(chan struct{})}
+	returned := make(chan bool, 1)
+	go func() {
+		engine.RunFeeder(park, feed, engine.FeederConfig{Slots: 1})
+		returned <- park.back.Load()
+	}()
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1})
+	}()
+	<-park.parked
+	worker.Close() // the connection dies under the parked Send
+	<-feed.lost
+	select {
+	case <-returned:
+		t.Fatal("RunFeeder returned while its dispatcher was parked in Send")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(park.open)
+	if back := <-returned; !back {
+		t.Fatal("RunFeeder returned before the parked Send did")
+	}
+	<-workerDone
 }

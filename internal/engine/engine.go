@@ -11,13 +11,13 @@
 //   - RunWorker is the worker program: a reader/compute pipeline that
 //     stages incoming update sets (StageCap), pipelines whole
 //     assignments (Slots), and shards each block-update sweep across
-//     Cores goroutines. Assignments are pushed to it; it requests each
-//     update set as a staging slot frees, and acknowledges each finished
-//     assignment unannounced.
+//     Cores goroutines. Assignments and their update sets are pushed to
+//     it; it asks for nothing, and acknowledges each finished assignment
+//     unannounced.
 //   - RunFeeder is the master side of one worker session: it keeps up
 //     to Slots assignments in flight, pulling them from a Feed (the
-//     cluster scheduler), routes set requests to the oldest incomplete
-//     assignment, and retires acknowledgements and flushes.
+//     cluster scheduler), pushes each one's update sets right behind its
+//     Task, and retires acknowledgements and flushes.
 //
 // There is one result protocol, the paper's maximum re-use scheme
 // (§4.1, §5): an assignment's C tiles go down once, stay in the
@@ -61,6 +61,10 @@ var (
 	// feeder sends Flush instead of an assignment and retries Next once
 	// the flush manifest is committed.
 	ErrFlushWanted = errors.New("engine: flush wanted")
+	// ErrSetRequest ends a RunFeeder session whose worker asked for an
+	// update set: the master pushes every set, so the worker speaks the
+	// retired pull dialect and is severed (its task is requeued).
+	ErrSetRequest = errors.New("engine: protocol violation: the worker asked for an update set (sets are pushed)")
 )
 
 // AssignID names one assignment on the wire: the (Job, Seq, Attempt)
@@ -134,13 +138,14 @@ type Set struct {
 	Owned bool
 }
 
-// Request is a worker-to-master demand: serve me the next update set of
-// my oldest incomplete assignment as soon as the port is free.
+// Request is the retired worker-to-master demand for the next update
+// set. No session sends it any more — RunFeeder refuses it
+// (ErrSetRequest) — and the transports keep its frame only for the
+// bench's block round-trip replay, which drives them directly.
 type Request struct{}
 
 // RequestSet is the shared Request instance: a request carries nothing,
-// so every sender and every transport uses this one instead of
-// allocating one per update set.
+// so every sender and every transport uses this one.
 var RequestSet = &Request{}
 
 // Result acknowledges a finished assignment, whose C tiles stay dirty in
@@ -160,7 +165,9 @@ type Result struct {
 
 // Flush asks a worker to return every dirty C block it holds resident,
 // in one FlushResult. The master sends it when a job needs its results
-// (job end, or memory pressure on the worker).
+// (job end, or memory pressure on the worker). It queues behind the
+// update sets already pushed; the worker answers it between sets once
+// it has read it.
 type Flush struct{}
 
 // FlushResult returns a worker's accumulated C blocks: the manifest of

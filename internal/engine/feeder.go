@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Feed is the scheduler behind a RunFeeder session: it produces
@@ -21,6 +23,9 @@ import (
 // ErrFlushWanted again until the flush is committed (or the session is
 // lost), or the pair would spin.
 //
+// Next and Set are called from one goroutine, Acked, CommitFlush and
+// ObserveCompute from another, concurrently with it.
+//
 // The worker acknowledges a finished assignment with an empty Result,
 // routed to Acked, and its accumulated blocks arrive later in a
 // FlushResult manifest, routed to CommitFlush. Acked may return
@@ -33,6 +38,8 @@ import (
 //
 // Set may return ErrStaleAssign (possibly wrapped) once the feed has let
 // go of a revoked assignment's operands; the feeder sends a filler set.
+// Once Lost has been called, Set may fail outright: the session is over
+// and the feeder stops pushing.
 //
 // ObserveCompute receives the worker-side compute timing carried on a
 // Result (updates block updates took elapsedNS kernel nanoseconds),
@@ -73,77 +80,89 @@ type FeederStats struct {
 	PerJob map[uint32]CommStats
 }
 
-// outAssign is one assignment shipped to the worker and not yet
-// retired: the dispatcher appends, the event loop streams its sets in
-// oldest-incomplete-first order and retires it on its acknowledgement.
-// It copies the metadata out of the Assign message because Send
-// consumes the message itself — a serializing transport (or the
-// receiving worker, on the in-process pipe) recycles it the moment it
-// is delivered.
+// outAssign is one assignment pushed to the worker and not yet
+// acknowledged: Send consumes the Assign message itself, so what the
+// session needs of it is copied here.
 type outAssign struct {
 	id         AssignID
-	steps      int
 	rows, cols int
-	q          int
-	sent       int // update sets streamed so far
-	shipped    int // C payload blocks its frame carried down
+	comm       CommStats // C blocks shipped down and its sets' delta accounting
 }
 
-// outqFootprint sums the in-flight assignments' chunk footprints — what
-// CacheBudget subtracts from the worker's advertised memory.
-func outqFootprint(outq []*outAssign) int {
-	total := 0
-	for _, oa := range outq {
+// feeder is one RunFeeder session. Under mu, the dispatcher appends to
+// outq before it pushes an assignment and reads what the worker holds to
+// budget each set's cache; the event loop retires acknowledged
+// assignments and counts the dirty C blocks.
+type feeder struct {
+	tr   Transport
+	feed Feed
+	cfg  FeederConfig
+	sem  chan struct{} // one token per assignment in flight, Slots deep
+	done chan struct{} // closed when the session is over
+	lost chan struct{} // closed when the reader has ended, just before feed.Lost
+
+	mu    sync.Mutex
+	outq  []*outAssign
+	dirty int // C blocks acknowledged and not yet flushed
+}
+
+// held returns the worker memory outside its operand cache, in blocks:
+// the in-flight assignments' chunk footprints and the dirty C blocks,
+// which stay in the worker's result cache until a flush collects them.
+// It is what CacheBudget subtracts from the advertised memory.
+func (f *feeder) held() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	total := f.dirty
+	for _, oa := range f.outq {
 		total += InflightFootprint(oa.rows, oa.cols)
 	}
 	return total
 }
 
-// feederEvent is one worker message surfaced by the reader goroutine.
-type feederEvent struct {
-	req    bool
-	result *Result
-	flush  *FlushResult
-}
-
-// RunFeeder drives one worker session: a dispatcher goroutine keeps up
-// to Slots assignments in flight (pulled from the feed), the reader
-// surfaces worker frames, and the event loop routes set requests to the
-// oldest incomplete assignment and retires acknowledgements — the paper's
-// demand-driven staging discipline (§8.2), with the scheduler deciding
-// what each assignment is.
+// RunFeeder drives one worker session the way the paper's one-port
+// master does (§2.2, ODDOML §8.2): the worker's free slot is its only
+// demand, and the master streams everything the assignment needs. A
+// dispatcher goroutine — the session's only writer — keeps up to Slots
+// assignments in flight, pulled from the feed, and pushes each
+// assignment's update sets right behind its Task; the worker's staging
+// queue and the transport's back-pressure bound what it holds. The
+// reader surfaces worker frames and the event loop retires
+// acknowledgements and flushes. A worker that still asks for a set
+// (Request) speaks a retired dialect and is refused (ErrSetRequest).
 //
 // On a clean feed shutdown the worker's in-flight assignments drain
 // before Bye lands, so a pipelined worker sees a goodbye at an
 // assignment boundary, never a mid-task reset. Any transport error
-// declares the worker lost (feed.Lost requeues what it held).
+// declares the worker lost (feed.Lost requeues what it held). RunFeeder
+// returns only once its dispatcher has, so when it returns no Send can
+// still be reading a Set's blocks.
 //
 // Update sets the feed materializes are rewritten into deltas against
 // the session's mirror of the worker's resident operand cache (see
-// SetBuilder); the returned stats report the blocks skipped. A lost
-// session drops the mirror with it — the worker's next incarnation is a
-// new session and starts cold on both ends.
+// SetBuilder); a set's blocks are counted in the returned stats once
+// its assignment is acknowledged, because only then has the worker
+// resolved it. A lost session drops the mirror with it — the worker's
+// next incarnation is a new session and starts cold on both ends.
 func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, err error) {
-	slots := cfg.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	builder := SetBuilder{Mem: cfg.Mem}
-	defer func() {
-		fstats.Comm = builder.Stats
-		builder.Release()
-	}()
-
-	events := make(chan feederEvent, 16)
-	// On any session exit, drain until the reader closes the channel
-	// (Close right after unblocks it), so a peer that pipelined extra
-	// frames can't strand the reader on a full channel forever.
+	f := &feeder{tr: tr, feed: feed, cfg: cfg,
+		sem: make(chan struct{}, max(cfg.Slots, 1)), done: make(chan struct{}), lost: make(chan struct{})}
+	events := make(chan Msg, 16)
+	dispatched := make(chan error, 1)
+	// On any session exit: hang up, drain until the reader closes the
+	// channel, so a peer that pipelined extra frames can't strand the
+	// reader — whose exit calls feed.Lost, which unblocks a dispatcher
+	// waiting in Next — and then join the dispatcher.
 	defer func() {
 		tr.Close()
 		go func() {
 			for range events {
 			}
 		}()
+		close(f.done)
+		if derr := <-dispatched; err == nil {
+			err = derr
+		}
 	}()
 	go func() {
 		defer close(events)
@@ -151,211 +170,189 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 		// both requeues whatever the worker held and wakes the
 		// dispatcher goroutine out of a blocked feed.Next.
 		defer feed.Lost()
+		defer close(f.lost)
 		for {
 			m, err := tr.Recv()
 			if err != nil {
 				return
 			}
-			switch m := m.(type) {
-			case *Request:
-				events <- feederEvent{req: true}
-			case *Result:
-				events <- feederEvent{result: m}
-			case *FlushResult:
-				events <- feederEvent{flush: m}
+			switch m.(type) {
+			case *Request, *Result, *FlushResult:
+				events <- m
 			default:
 				tr.Close()
 				return
 			}
 		}
 	}()
-
-	// Dispatcher: fill the worker's slots. Each assignment is pushed to
-	// the assigned channel BEFORE its frame is sent, so by the time the
-	// worker reacts to it, the event loop can learn about it by
-	// draining the channel.
-	assigned := make(chan *outAssign, slots)
-	sem := make(chan struct{}, slots)
-	sessDone := make(chan struct{})
-	defer close(sessDone)
 	go func() {
-		for {
-			select {
-			case sem <- struct{}{}:
-			case <-sessDone:
-				return
-			}
-			as, err := feed.Next()
-			if errors.Is(err, ErrFlushWanted) {
-				// The feed wants the worker's dirty C blocks before more
-				// work: relay the flush and retry. The token goes back —
-				// no assignment went out — and the feed blocks the next
-				// Next until the commit lands, so the pair cannot spin.
-				if tr.Send(Flush{}) != nil {
-					tr.Close()
-					return
-				}
-				<-sem
-				continue
-			}
-			if errors.Is(err, ErrFeedDone) {
-				// Clean shutdown: let the worker's in-flight assignments
-				// drain (acquire every slot; the event loop releases one
-				// per retired assignment) so Bye lands at a boundary.
-				held := 1 // the token acquired at the top of this loop
-				for held < slots {
-					select {
-					case sem <- struct{}{}:
-						held++
-					case <-sessDone:
-						return
-					}
-				}
-				tr.Send(Bye{}) // the worker should not retry
-				tr.Close()
-				return
-			}
-			if err != nil {
-				tr.Close() // declared dead or replaced: the peer re-registers
-				return
-			}
-			select {
-			case assigned <- &outAssign{id: as.ID, steps: as.Steps,
-				rows: as.Rows, cols: as.Cols, q: as.Q, shipped: len(as.Blocks)}:
-			case <-sessDone:
-				return
-			}
-			if err := tr.Send(as); err != nil {
-				tr.Close()
-				return
-			}
-		}
+		err := f.dispatch()
+		tr.Close() // the writer is gone: so is the session
+		dispatched <- err
 	}()
 
-	// Event loop: route set requests to the oldest incomplete
-	// assignment, retire acknowledgements, commit flushes.
-	var outq []*outAssign
-	var dirtyNow int64
-	updatePerJob := func(job uint32, f func(*CommStats)) {
-		if fstats.PerJob == nil {
-			fstats.PerJob = make(map[uint32]CommStats)
-		}
-		jc := fstats.PerJob[job]
-		f(&jc)
-		fstats.PerJob[job] = jc
-	}
-	drainAssigned := func() {
-		for {
-			select {
-			case oa := <-assigned:
-				outq = append(outq, oa)
-			default:
-				return
+	// Event loop: retire acknowledgements, commit flushes.
+	fstats.PerJob = make(map[uint32]CommStats)
+	for m := range events {
+		switch m := m.(type) {
+		case *Request:
+			return fstats, ErrSetRequest
+		case *Result:
+			f.mu.Lock()
+			idx := slices.IndexFunc(f.outq, func(oa *outAssign) bool { return oa.id == m.ID })
+			var comm CommStats
+			if idx >= 0 {
+				oa := f.outq[idx]
+				f.outq = slices.Delete(f.outq, idx, idx+1)
+				// The tile stays on the worker, dirty, until a flush.
+				f.dirty += oa.rows * oa.cols
+				fstats.Comm.DirtyPeak = max(fstats.Comm.DirtyPeak, int64(f.dirty))
+				comm = oa.comm
 			}
-		}
-	}
-	for ev := range events {
-		drainAssigned()
-		switch {
-		case ev.req:
-			var cur *outAssign
-			for _, oa := range outq {
-				if oa.sent < oa.steps {
-					cur = oa
-					break
-				}
-			}
-			if cur == nil {
-				return fstats, fmt.Errorf("engine: protocol violation: set request with no sets left to stream")
-			}
-			set, err := feed.Set(cur.id, cur.sent)
-			if errors.Is(err, ErrStaleAssign) {
-				set, err = fillerSet(cur, cfg.Pool), nil
-			}
-			if err != nil {
-				return fstats, err
-			}
-			before := builder.Stats
-			set = builder.Filter(set, outqFootprint(outq), cfg.Pool)
-			updatePerJob(cur.id.A, func(jc *CommStats) {
-				jc.SetsSent += builder.Stats.SetsSent - before.SetsSent
-				jc.BlocksShipped += builder.Stats.BlocksShipped - before.BlocksShipped
-				jc.BlocksSkipped += builder.Stats.BlocksSkipped - before.BlocksSkipped
-				jc.BytesSaved += builder.Stats.BytesSaved - before.BytesSaved
-			})
-			if err := tr.Send(set); err != nil {
-				return fstats, err
-			}
-			cur.sent++
-		case ev.result != nil:
-			res := ev.result
-			idx := -1
-			for i, oa := range outq {
-				if oa.id == res.ID {
-					idx = i
-					break
-				}
-			}
+			f.mu.Unlock()
 			if idx < 0 {
 				return fstats, fmt.Errorf("engine: result for an assignment this session does not hold")
 			}
-			oa := outq[idx]
-			if res.ComputeNS > 0 && res.Updates > 0 {
-				feed.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
+			if m.ComputeNS > 0 && m.Updates > 0 {
+				feed.ObserveCompute(m.ID, m.Updates, m.ComputeNS)
 			}
 			// An empty acknowledgement: the tile's values stay dirty on
 			// the worker until a flush collects them.
-			if len(res.Blocks) != 0 {
-				return fstats, fmt.Errorf("engine: assignment acked with %d blocks, want 0", len(res.Blocks))
+			if len(m.Blocks) != 0 {
+				return fstats, fmt.Errorf("engine: assignment acked with %d blocks, want 0", len(m.Blocks))
 			}
-			if err := feed.Acked(res.ID); err != nil && !errors.Is(err, ErrStaleResult) {
+			if err := feed.Acked(m.ID); err != nil && !errors.Is(err, ErrStaleResult) {
 				return fstats, err
 			}
-			dirtyNow += int64(oa.rows * oa.cols)
-			builder.Stats.DirtyPeak = max(builder.Stats.DirtyPeak, dirtyNow)
-			builder.Stats.CDown += int64(oa.shipped)
-			updatePerJob(res.ID.A, func(jc *CommStats) { jc.CDown += int64(oa.shipped) })
-			cfg.Pool.PutResult(res)
-			outq = append(outq[:idx], outq[idx+1:]...)
-			<-sem // slot freed: the dispatcher may fetch the next assignment
-		case ev.flush != nil:
-			fr := ev.flush
-			if len(fr.IDs) != len(fr.Blocks) {
+			// The worker resolved every set of the assignment before it
+			// acknowledged: their accounting counts now.
+			fstats.Comm.Add(comm)
+			jc := fstats.PerJob[m.ID.A]
+			jc.Add(comm)
+			fstats.PerJob[m.ID.A] = jc
+			cfg.Pool.PutResult(m)
+			<-f.sem // slot freed: the dispatcher may fetch the next assignment
+		case *FlushResult:
+			if len(m.IDs) != len(m.Blocks) {
 				return fstats, fmt.Errorf("engine: flush manifest has %d ids for %d blocks",
-					len(fr.IDs), len(fr.Blocks))
+					len(m.IDs), len(m.Blocks))
 			}
 			// Commit even an empty manifest: the feed gates dispatch on
 			// the flush answer, not just on the blocks in it.
-			if err := feed.CommitFlush(fr.IDs, fr.Blocks); err != nil {
+			if err := feed.CommitFlush(m.IDs, m.Blocks); err != nil {
 				return fstats, err
 			}
-			builder.Stats.CUp += int64(len(fr.IDs))
-			for _, id := range fr.IDs {
+			fstats.Comm.CUp += int64(len(m.IDs))
+			for _, id := range m.IDs {
 				if job, _, _, ok := CBlockCoords(id); ok {
-					updatePerJob(job, func(jc *CommStats) { jc.CUp++ })
+					jc := fstats.PerJob[job]
+					jc.CUp++
+					fstats.PerJob[job] = jc
 				}
 			}
-			dirtyNow -= int64(len(fr.IDs))
-			if fr.Owned {
-				cfg.Pool.PutAll(fr.Blocks)
+			f.mu.Lock()
+			f.dirty -= len(m.IDs)
+			f.mu.Unlock()
+			if m.Owned {
+				cfg.Pool.PutAll(m.Blocks)
 			}
 		}
 	}
 	// events closed: the session ended (clean Bye drain or connection
 	// death); the reader already declared the worker lost, requeuing
-	// everything still in outq.
+	// everything still in flight.
 	return fstats, nil
 }
 
-// fillerSet builds the update set a revoked assignment is still owed
-// when its operands are gone (ErrStaleAssign): zeroed blocks of the
-// right shape under untracked IDs, so neither end's operand cache
+// dispatch is the session's writer: it fills the worker's slots with
+// assignments from the feed and pushes every update set of each right
+// behind its Task, in order, so the worker never asks for one. It
+// returns nil when the session ends on the transport or the feed's
+// verdict, and the feed's error when a set of a live session cannot be
+// materialized; the caller hangs up either way.
+func (f *feeder) dispatch() error {
+	builder := SetBuilder{Mem: f.cfg.Mem}
+	defer builder.Release()
+	for {
+		select {
+		case f.sem <- struct{}{}:
+		case <-f.done:
+			return nil
+		}
+		as, err := f.feed.Next()
+		if errors.Is(err, ErrFlushWanted) {
+			// The feed wants the worker's dirty C blocks before more
+			// work: relay the flush and retry. The token goes back — no
+			// assignment went out — and the feed blocks the next Next
+			// until the commit lands, so the pair cannot spin. The Flush
+			// queues behind the sets already pushed.
+			if f.tr.Send(Flush{}) != nil {
+				return nil
+			}
+			<-f.sem
+			continue
+		}
+		if errors.Is(err, ErrFeedDone) {
+			// Clean shutdown: let the worker's in-flight assignments
+			// drain (acquire every slot; the event loop releases one per
+			// retired assignment) so Bye lands at a boundary.
+			for held := 1; held < cap(f.sem); held++ {
+				select {
+				case f.sem <- struct{}{}:
+				case <-f.done:
+					return nil
+				}
+			}
+			f.tr.Send(Bye{}) // the worker should not retry
+			return nil
+		}
+		if err != nil {
+			return nil // declared dead or replaced: the peer re-registers
+		}
+		// The assignment is in flight before its frame leaves, so the
+		// event loop knows it by the time the worker can acknowledge it.
+		oa := &outAssign{id: as.ID, rows: as.Rows, cols: as.Cols, comm: CommStats{CDown: int64(len(as.Blocks))}}
+		steps, q := as.Steps, as.Q
+		f.mu.Lock()
+		f.outq = append(f.outq, oa)
+		f.mu.Unlock()
+		if f.tr.Send(as) != nil {
+			return nil
+		}
+		for k := 0; k < steps; k++ {
+			set, err := f.feed.Set(oa.id, k)
+			if errors.Is(err, ErrStaleAssign) {
+				set, err = fillerSet(oa, k, q, f.cfg.Pool), nil
+			}
+			if err != nil {
+				select {
+				case <-f.lost:
+					return nil // the feed let go of a lost session's assignments
+				default:
+					return err
+				}
+			}
+			builder.Stats = CommStats{}
+			set = builder.Filter(set, f.held(), f.cfg.Pool)
+			f.mu.Lock()
+			oa.comm.Add(builder.Stats)
+			f.mu.Unlock()
+			if f.tr.Send(set) != nil {
+				return nil
+			}
+		}
+	}
+}
+
+// fillerSet builds the k-th update set a revoked assignment is still
+// owed when its operands are gone (ErrStaleAssign): zeroed q×q blocks of
+// the right shape under untracked IDs, so neither end's operand cache
 // changes and the builder still announces the capacity both mirror.
-func fillerSet(oa *outAssign, pool *BlockPool) *Set {
+func fillerSet(oa *outAssign, k, q int, pool *BlockPool) *Set {
 	set := pool.GetSet()
-	set.K, set.Owned = oa.sent, true
+	set.K, set.Owned = k, true
 	zero := func() []float64 {
-		blk := pool.Get(oa.q * oa.q)
+		blk := pool.Get(q * q)
 		clear(blk)
 		return blk
 	}

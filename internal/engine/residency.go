@@ -37,16 +37,16 @@ const DefaultCacheBlocks = 1024
 const CacheStage = 2
 
 // CacheBudget returns the operand-cache capacity in blocks for a worker
-// advertising mem blocks of memory while holding assignments whose
-// summed chunk footprints (core.ChunkFootprint at CacheStage) total
-// inflight: the cache may use exactly the advertised memory beyond the
-// in-flight working set. mem ≤ 0 means unadvertised, which gets the
-// default budget.
-func CacheBudget(mem, inflight int) int {
+// advertising mem blocks of memory while it holds held blocks outside
+// the cache — the summed chunk footprints of its in-flight assignments
+// (core.ChunkFootprint at CacheStage) and its dirty C blocks: the cache
+// may use exactly the advertised memory beyond them. mem ≤ 0 means
+// unadvertised, which gets the default budget.
+func CacheBudget(mem, held int) int {
 	if mem <= 0 {
 		return DefaultCacheBlocks
 	}
-	c := mem - inflight
+	c := mem - held
 	if c < 0 {
 		c = 0
 	}
@@ -329,7 +329,7 @@ func (c *blockCache) release(pool *BlockPool) {
 // SetBuilder is the master side of the delta protocol for ONE worker
 // session: it owns the mirror of the worker's resident set and rewrites
 // fully-materialized Sets into deltas. It is not safe for concurrent
-// use; each session's event loop owns its builder.
+// use; each session's dispatcher owns its builder.
 type SetBuilder struct {
 	// Mem is the worker's advertised memory in blocks (0 = unknown,
 	// which budgets DefaultCacheBlocks).
@@ -356,10 +356,11 @@ func StampIDs(set *Set, job uint32, ch *sim.Chunk, k int) {
 // mirrored resident set: payloads of blocks the worker already holds
 // are dropped (owned ones released to the pool), newly shipped blocks
 // enter the mirror, and the Set's Cap announces the capacity the worker
-// must mirror — CacheBudget of the advertised memory minus inflight,
-// the summed footprint of the worker's in-flight assignments. Sets
-// without a manifest pass through as full sets, counted but untouched.
-func (sb *SetBuilder) Filter(set *Set, inflight int, pool *BlockPool) *Set {
+// must mirror — CacheBudget of the advertised memory minus held, what
+// the worker holds outside the cache (its in-flight footprints and dirty
+// C blocks). Sets without a manifest pass through as full sets, counted
+// but untouched.
+func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	sb.Stats.SetsSent++
 	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
 		set.AIDs = set.AIDs[:0]
@@ -371,7 +372,7 @@ func (sb *SetBuilder) Filter(set *Set, inflight int, pool *BlockPool) *Set {
 	if sb.mirror == nil {
 		sb.mirror = newBlockCache()
 	}
-	set.Cap = CacheBudget(sb.Mem, inflight)
+	set.Cap = CacheBudget(sb.Mem, held)
 	sb.filterHalf(set.A, set.AIDs, set.Owned, pool)
 	sb.filterHalf(set.B, set.BIDs, set.Owned, pool)
 	sb.mirror.evictTo(set.Cap, nil) // the mirror holds IDs only: nothing to free

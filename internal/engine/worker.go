@@ -11,7 +11,9 @@ import (
 // WorkerConfig configures one engine worker session.
 type WorkerConfig struct {
 	// StageCap is how many update sets the worker stages ahead of the
-	// compute (the paper's staging buffers; 1 or 2). Minimum 1.
+	// compute (the paper's staging buffers; 1 or 2). Minimum 1. The
+	// master pushes the sets; a full stage stops the reader, and the
+	// transport's back-pressure holds the rest at the master.
 	StageCap int
 	// Slots is how many assignments the worker pipelines: with ≥ 2 the
 	// next tile streams down while the current one computes (the §5
@@ -59,10 +61,10 @@ type WorkerReport struct {
 // incoming messages (assignments into a Slots-deep queue, update sets
 // into a StageCap-deep queue) while this goroutine computes, so
 // transfers overlap compute exactly as the paper's µ²+4µ layout
-// reserves space for. Assignments are pushed by the master; the worker
-// requests each assignment's update sets, StageCap ahead and one more
-// as each is consumed, keeps the finished tile in its result cache and
-// acknowledges it unannounced; a Flush returns every dirty tile.
+// reserves space for. Assignments and their update sets are pushed by
+// the master, in order; the worker keeps the finished tile in its
+// result cache and acknowledges it unannounced; a Flush returns every
+// dirty tile.
 func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 1
@@ -187,12 +189,6 @@ assignments:
 		}
 		updates0 := rep.Updates
 		var asNS int64
-		pre := min(cfg.StageCap, as.Steps)
-		for k := 0; k < pre; k++ {
-			if err := tr.Send(RequestSet); err != nil {
-				return fail(err)
-			}
-		}
 		for k := 0; k < as.Steps; k++ {
 			var set *Set
 			var ok bool
@@ -216,12 +212,6 @@ assignments:
 					return rep, err
 				default:
 					return rep, fmt.Errorf("engine: master hung up mid-assignment")
-				}
-			}
-			if k+pre < as.Steps {
-				// a staging slot just freed: request the next set
-				if err := tr.Send(RequestSet); err != nil {
-					return fail(err)
 				}
 			}
 			// Resolve the delta against the resident cache BEFORE the

@@ -1,7 +1,6 @@
 package netmw
 
 import (
-	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/blas"
@@ -21,7 +21,7 @@ type ClusterWorkerConfig struct {
 	Addr     string // mmserve address
 	Name     string // stable id, reused across reconnects
 	Memory   int    // advertised capacity in blocks
-	StageCap int    // update sets pre-requested per task (default 2)
+	StageCap int    // update sets staged ahead of the compute (default 2)
 	// Slots is how many tasks the worker pipelines: the server keeps up
 	// to Slots tasks in flight to this worker, so the next task's C tile
 	// streams down while the current one computes (default 1; 2 is the
@@ -80,7 +80,7 @@ var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 // RunClusterWorker joins an mmserve cluster, serves tasks until the
 // server says Bye, and reconnects (re-registering under the same name)
 // when the connection drops. Each session is a thin shell over the
-// engine: a TCP transport (tasks pushed, sets pulled, results
+// engine: a TCP transport (tasks and their sets pushed, results
 // unannounced) under engine.RunWorker, plus the registration handshake
 // and the heartbeat beacon.
 func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
@@ -348,16 +348,10 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(conn, hopBuf)
-	var raw [jobHeaderLen]byte
-	sub.hdr.encode(raw[:])
-	// A bufio.Writer's first error is sticky: Flush reports it.
-	writeMsgHeader(w, MsgSubmit, frame)
-	w.Write(raw[:])
-	for _, m := range sub.operands {
-		writeBlocked(w, m)
-	}
-	if err := w.Flush(); err != nil {
+	head := make([]byte, msgHeaderLen+jobHeaderLen)
+	putMsgHeader(head, MsgSubmit, frame)
+	sub.hdr.encode(head[msgHeaderLen:])
+	if err := writeGathered(conn, head, sub.operands...); err != nil {
 		return fmt.Errorf("netmw: submit write: %w", err)
 	}
 
@@ -388,7 +382,15 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 	if want := blockedBytes(sub.dst); n != want {
 		return fmt.Errorf("netmw: job %d answered with %d result bytes, want %d", hdr.Job, n, want)
 	}
-	staged := make([]float64, n/8)
+	sp, _ := replyStaging.Get().(*[]float64)
+	if sp == nil {
+		sp = new([]float64)
+	}
+	defer replyStaging.Put(sp)
+	if cap(*sp) < n/8 {
+		*sp = make([]float64, n/8)
+	}
+	staged := (*sp)[:n/8]
 	if err := matrix.ReadFloats(conn, staged); err != nil {
 		return fmt.Errorf("netmw: submit read: %w", err)
 	}
@@ -397,3 +399,8 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 	}
 	return nil
 }
+
+// replyStaging recycles the buffers replies are staged in (*[]float64):
+// a reply is read whole before any of it reaches dst, and a fresh
+// buffer per reply would be allocated and zeroed only to be overwritten.
+var replyStaging sync.Pool

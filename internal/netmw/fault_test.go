@@ -3,6 +3,7 @@ package netmw
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,12 +68,78 @@ func TestFaultPlanDeterministicAndCounted(t *testing.T) {
 	}
 }
 
+// faultSessions puts every worker session behind a FaultTransport on one
+// plan and remembers which sessions an injected drop killed, so a test
+// can tell when every worker is back in a session that will live.
+type faultSessions struct {
+	plan   *sim.FaultPlan
+	mu     sync.Mutex
+	latest map[string]*faultSession // each worker's newest session
+	drops  int                      // injected drops the sessions returned
+}
+
+type faultSession struct {
+	*FaultTransport
+	owner   *faultSessions
+	dropped bool // under owner.mu
+}
+
+func (s *faultSession) note(err error) error {
+	if errors.Is(err, errInjectedDrop) {
+		s.owner.mu.Lock()
+		s.dropped = true
+		s.owner.drops++
+		s.owner.mu.Unlock()
+	}
+	return err
+}
+
+func (s *faultSession) Send(m engine.Msg) error { return s.note(s.FaultTransport.Send(m)) }
+
+func (s *faultSession) Recv() (engine.Msg, error) {
+	m, err := s.FaultTransport.Recv()
+	return m, s.note(err)
+}
+
+// wrap is the server's WrapTransport.
+func (fs *faultSessions) wrap(name string, tr engine.Transport) engine.Transport {
+	s := &faultSession{FaultTransport: NewFaultTransport(tr, fs.plan), owner: fs}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.latest == nil {
+		fs.latest = make(map[string]*faultSession)
+	}
+	fs.latest[name] = s
+	return s
+}
+
+// settled reports, once the plan is stopped, whether every drop the plan
+// drew has taken its session down and each named worker has registered
+// a session since that no drop hit: none is left redialling, so each
+// gets its Bye at shutdown.
+func (fs *faultSessions) settled(names ...string) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.drops != fs.plan.Counts().Drops {
+		return false
+	}
+	for _, name := range names {
+		if s := fs.latest[name]; s == nil || s.dropped {
+			return false
+		}
+	}
+	return true
+}
+
 // TestClusterTCPSurvivesInjectedFaults is the wire-level fault harness:
 // every worker session runs behind a FaultTransport drawing from one
 // seeded plan (drops, delays, duplicated control messages), workers
 // redial with jittered backoff under the same names, and durable keyed
 // clients resubmit through master-visible errors. All jobs must still
 // finish bit-exact, with at least one injected drop actually exercised.
+// The plan stops before shutdown, and shutdown waits until every worker
+// is back in a live session: a drop at shutdown would leave its worker
+// redialling a closed server past the goroutine check.
 func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	checkGoroutines(t)
 	plan := sim.NewFaultPlan(sim.FaultConfig{
@@ -81,10 +148,11 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 		DelayProb: 0.02, MaxDelay: 200 * time.Microsecond,
 		DupProb: 0.05,
 	})
+	sessions := &faultSessions{plan: plan}
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
 	srv, err := ServeCluster(cl, ClusterServerConfig{
 		Addr:          "127.0.0.1:0",
-		WrapTransport: func(name string, tr engine.Transport) engine.Transport { return NewFaultTransport(tr, plan) },
+		WrapTransport: sessions.wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +161,8 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	defer cl.Close()
 	addr := srv.Addr()
 
-	for _, name := range []string{"f1", "f2", "f3"} {
+	names := []string{"f1", "f2", "f3"}
+	for _, name := range names {
 		go RunClusterWorker(ClusterWorkerConfig{
 			Addr: addr, Name: name, Memory: 256, Slots: 2,
 			Reconnect: 1000, Backoff: time.Millisecond, BackoffMax: 20 * time.Millisecond,
@@ -129,6 +198,10 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	if fc := plan.Counts(); fc.Drops == 0 {
 		t.Fatalf("fault plan injected nothing (%+v) — the harness did not bite", fc)
 	}
+	plan.Stop()
+	waitCond(t, cl, "every worker back in a session no drop hit", func() bool {
+		return sessions.settled(names...)
+	})
 }
 
 // TestClusterTCPCorruptWorkerQuarantine is the end-to-end result-

@@ -1,6 +1,7 @@
 package netmw
 
 import (
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,15 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 )
+
+// writeMsgHeader writes the frame header of an n-byte payload the caller
+// streams after it.
+func writeMsgHeader(w io.Writer, t MsgType, n int) error {
+	var hdr [msgHeaderLen]byte
+	putMsgHeader(hdr[:], t, n)
+	_, err := w.Write(hdr[:])
+	return err
+}
 
 // waitCond polls f until it returns true or the deadline passes; on
 // timeout it dumps the cluster state for post-mortem.

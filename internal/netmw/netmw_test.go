@@ -170,12 +170,13 @@ func TestWireNumbering(t *testing.T) {
 	}
 }
 
-// TestMasterSurvivesShortResult sends a malformed (3-byte) MsgTaskResult
-// frame from a hand-rolled worker: the server must sever that session —
-// declaring the worker lost, so its task is requeued — instead of
-// panicking on the undersized payload, and the job must still finish,
-// bit-exact, on a healthy worker.
-func TestMasterSurvivesShortResult(t *testing.T) {
+// rogueWorker registers a hand-rolled worker, takes its task and
+// answers it with one frame. Past the task's pushed update sets the
+// server must sever that session — declaring the worker lost, so its
+// task is requeued — and the job must still finish, bit-exact, on a
+// healthy worker.
+func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
+	t.Helper()
 	cl, srv := startCluster(t)
 	addr := srv.Addr()
 	c, a, b, ref := matmulInputs(t, 8, 8, 8, 4, 5)
@@ -187,17 +188,24 @@ func TestMasterSurvivesShortResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
 	if err := writeMsg(conn, MsgRegister, (&RegisterInfo{Name: "rogue", Mem: 64}).encode()); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := readMsg(conn); err != nil || mt != MsgTask {
 		t.Fatalf("rogue worker read %v, %v; want a task", mt, err)
 	}
-	if err := writeMsg(conn, MsgTaskResult, []byte{1, 2, 3}); err != nil {
+	if err := writeMsg(conn, reply, payload); err != nil {
 		t.Fatal(err)
 	}
-	if mt, _, err := readMsg(conn); err == nil {
-		t.Fatalf("server answered a 3-byte result with message %d; want the session severed", mt)
+	for {
+		mt, _, err := readMsg(conn)
+		if err != nil {
+			break
+		}
+		if mt != MsgSet {
+			t.Fatalf("server answered message %d with message %d; want the session severed", reply, mt)
+		}
 	}
 	waitCond(t, cl, "the rogue worker declared lost", func() bool {
 		return cl.ClusterStats().WorkersLost == 1
@@ -209,6 +217,21 @@ func TestMasterSurvivesShortResult(t *testing.T) {
 	if d := c.Assemble().MaxDiff(ref); d != 0 {
 		t.Fatalf("result differs by %g", d)
 	}
+}
+
+// TestMasterSurvivesShortResult: a malformed (3-byte) MsgTaskResult
+// severs its session instead of panicking the server on the undersized
+// payload.
+func TestMasterSurvivesShortResult(t *testing.T) {
+	rogueWorker(t, MsgTaskResult, []byte{1, 2, 3})
+}
+
+// TestPullDialectWorkerSevered: a worker of the retired pull dialect
+// asks for its task's first update set with MsgReq. The master pushes
+// every set, so the request is a protocol violation (engine.
+// ErrSetRequest): the session ends at once and the task is requeued.
+func TestPullDialectWorkerSevered(t *testing.T) {
+	rogueWorker(t, MsgReq, []byte{ReqSet})
 }
 
 func TestFloatsRoundTrip(t *testing.T) {

@@ -44,8 +44,10 @@ const (
 	// full (pre-delta) set is the degenerate case: every entry flagged,
 	// IDs 0.
 	MsgSet MsgType = 3
-	// MsgReq is a worker's request for the next update set: 1 byte,
-	// always ReqSet.
+	// MsgReq was a worker's request for the next update set: 1 byte,
+	// always ReqSet. The master pushes every set now and severs a
+	// worker that sends one (engine.ErrSetRequest); both transports
+	// still frame it for the bench's block round-trip replay only.
 	MsgReq MsgType = 5
 	// MsgBye tells a worker to shut down.
 	MsgBye MsgType = 6
@@ -58,8 +60,8 @@ const (
 	// that many flag bytes (engine.CShip = 0 or CZero = 2; 1 is retired
 	// and refused) and the payloads of exactly the CShip tiles in
 	// row-major flag order. Count 0 means every tile ships: all
-	// Rows*Cols payloads follow. The worker keeps the tile and streams
-	// its update sets with MsgReq.
+	// Rows*Cols payloads follow. The worker keeps the tile; the task's
+	// Steps update sets follow it, pushed by the master.
 	MsgTask MsgType = 9
 	// MsgTaskResult acknowledges a finished task: TaskResultHeader and
 	// nothing else. The tile stays on the worker until a MsgFlush.
@@ -292,14 +294,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // match its bytes — wire corruption, not a worker compute fault.
 var ErrPayloadCRC = errors.New("netmw: payload checksum mismatch")
 
-// writeMsgHeader writes the frame header of an n-byte payload the caller
-// streams after it.
-func writeMsgHeader(w io.Writer, t MsgType, n int) error {
-	var hdr [msgHeaderLen]byte
+// putMsgHeader lays the frame header of an n-byte payload into hdr's
+// first msgHeaderLen bytes.
+func putMsgHeader(hdr []byte, t MsgType, n int) {
 	hdr[0] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(n))
-	_, err := w.Write(hdr[:])
-	return err
+	binary.LittleEndian.PutUint32(hdr[1:msgHeaderLen], uint32(n))
 }
 
 // maxPayload bounds a single message to keep a corrupted length prefix

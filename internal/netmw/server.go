@@ -158,8 +158,9 @@ func (s *ClusterServer) expiryLoop() {
 	}
 }
 
-// hopBuf sizes the buffered IO of the client hop, both ends: blocks at
-// or above it (q ≥ 91) move straight between socket and block memory.
+// hopBuf sizes the server's read buffer of the client hop: submitted
+// blocks at or above it (q ≥ 91) move straight from the socket into
+// block memory.
 const hopBuf = 64 << 10
 
 // handle dispatches one connection by its first message, read unbuffered
@@ -183,15 +184,15 @@ func (s *ClusterServer) handle(conn net.Conn) {
 		}
 		s.workerSession(conn, r, bufio.NewWriterSize(conn, connBuf), ri)
 	case MsgSubmit:
-		s.clientSession(bufio.NewReaderSize(conn, hopBuf), bufio.NewWriterSize(conn, hopBuf), n)
+		s.clientSession(bufio.NewReaderSize(conn, hopBuf), conn, n)
 	}
 }
 
 // workerSession drives one registered worker through the engine's
 // feeder: the transport frames tasks/sets/results and consumes
 // heartbeats, engine.RunFeeder keeps up to the worker's advertised
-// Slots tasks in flight and routes set requests to the oldest
-// incomplete task, and the worker's cluster.Session (the same feed the
+// Slots tasks in flight and pushes each task's update sets behind it,
+// and the worker's cluster.Session (the same feed the
 // in-process local worker runs) is the scheduler. A connection error at
 // any point declares the incarnation lost, which requeues every task it
 // held; a reconnect replaces it, and this session can then act on the
@@ -233,19 +234,18 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 }
 
 // clientSession serves one MsgSubmit whose n-byte payload is still on
-// the wire: stream the operands in, run the job to completion, stream
-// the result blocks (or the error) out. A keyed submission is
+// the wire: stream the operands in from r, run the job to completion,
+// write the result blocks (or the error) to w. A keyed submission is
 // idempotent: when the key names an already-accepted job (including one
 // recovered from the journal after a restart) the session attaches to
 // it instead of starting a duplicate, and the reply carries the
 // canonical result held by the cluster, not this resubmission's.
-func (s *ClusterServer) clientSession(r io.Reader, w *bufio.Writer, n int) {
+func (s *ClusterServer) clientSession(r io.Reader, w io.Writer, n int) {
+	// A reply that cannot be written has no one left to read it: the
+	// client's own read fails and its retry policy takes over.
 	fail := func(job cluster.JobID, err error) {
 		msg := err.Error()
-		if writeJobDone(w, job, 1, len(msg)) == nil {
-			w.WriteString(msg)
-			w.Flush()
-		}
+		w.Write(append(jobDoneHead(job, 1, len(msg)), msg...))
 	}
 	body := &io.LimitedReader{R: r, N: int64(n)}
 	spec, key, err := readSubmission(body, n, s.pool)
@@ -287,33 +287,36 @@ func (s *ClusterServer) clientSession(r io.Reader, w *bufio.Writer, n int) {
 		}
 		return
 	}
-	if writeJobDone(w, id, 0, blockedBytes(res)) == nil && writeBlocked(w, res) == nil {
-		w.Flush()
-	}
+	writeGathered(w, jobDoneHead(id, 0, blockedBytes(res)), res)
 }
 
-// writeJobDone starts a MsgJobDone frame whose body — n bytes of result
-// blocks or error text — the caller streams after it.
-func writeJobDone(w io.Writer, job cluster.JobID, code uint32, n int) error {
-	if err := writeMsgHeader(w, MsgJobDone, jobDoneHeaderLen+n); err != nil {
-		return err
-	}
-	var hdr [jobDoneHeaderLen]byte
-	(&JobDoneHeader{Job: uint32(job), Code: code}).encode(hdr[:])
-	_, err := w.Write(hdr[:])
-	return err
+// jobDoneHead builds the head of a MsgJobDone frame — frame header and
+// JobDoneHeader — whose body, n bytes of result blocks or error text,
+// follows it.
+func jobDoneHead(job cluster.JobID, code uint32, n int) []byte {
+	head := make([]byte, msgHeaderLen+jobDoneHeaderLen)
+	putMsgHeader(head, MsgJobDone, jobDoneHeaderLen+n)
+	(&JobDoneHeader{Job: uint32(job), Code: code}).encode(head[msgHeaderLen:])
+	return head
 }
 
 func blockedBytes(m *matrix.Blocked) int { return len(m.Blocks) * m.Q * m.Q * 8 }
 
-// writeBlocked streams every block of m in row-major block order.
-func writeBlocked(w io.Writer, m *matrix.Blocked) error {
-	for _, b := range m.Blocks {
-		if err := matrix.WriteFloats(w, b.Data); err != nil {
-			return err
+// writeGathered writes head and then every block of each matrix, in
+// row-major block order, as one gathered write (writev on TCP): a
+// block's bytes are a view of its memory, or the arena's copy where
+// memory is not the wire format, so no payload is copied in user space
+// on little-endian builds.
+func writeGathered(w io.Writer, head []byte, ms ...*matrix.Blocked) error {
+	var arena blockArena
+	iov := net.Buffers{head}
+	for _, m := range ms {
+		for _, b := range m.Blocks {
+			iov = append(iov, arena.wire(b.Data))
 		}
 	}
-	return nil
+	_, err := iov.WriteTo(w)
+	return err
 }
 
 // readSubmission streams the n-byte payload of a MsgSubmit from r into a

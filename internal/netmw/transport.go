@@ -379,10 +379,11 @@ func (c *connIO) sendTaskResult(m *engine.Result) error {
 
 // --- worker side -----------------------------------------------------------
 
-// clusterWorkerTransport is the worker end of a session: tasks are
-// pushed (MsgTask), update sets are pulled (MsgReq), acknowledgements
+// clusterWorkerTransport is the worker end of a session: tasks (MsgTask)
+// and their update sets (MsgSet) are pushed to it, acknowledgements
 // return as MsgTaskResult carrying the (Job, Seq, Attempt) identity and
-// dirty tiles as MsgFlushResult.
+// dirty tiles as MsgFlushResult. It can still frame a MsgReq, which
+// only the bench's block round-trip replay sends.
 type clusterWorkerTransport struct {
 	*connIO
 	geom geomFIFO

@@ -71,10 +71,11 @@ type FaultCounts struct {
 // decisions from one rng stream, so a failing run is reproducible from
 // its seed alone. Safe for concurrent use.
 type FaultPlan struct {
-	mu     sync.Mutex
-	cfg    FaultConfig
-	rng    *rand.Rand
-	counts FaultCounts
+	mu      sync.Mutex
+	cfg     FaultConfig
+	rng     *rand.Rand
+	counts  FaultCounts
+	stopped bool
 }
 
 // NewFaultPlan builds a plan from cfg (rng seeded with cfg.Seed).
@@ -83,10 +84,14 @@ func NewFaultPlan(cfg FaultConfig) *FaultPlan {
 }
 
 // Next draws the decision for the next message. Drop wins over delay and
-// duplication — a killed connection delivers nothing.
+// duplication — a killed connection delivers nothing. After Stop every
+// decision is fault-free and uncounted.
 func (p *FaultPlan) Next() FaultDecision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.stopped {
+		return FaultDecision{}
+	}
 	p.counts.Messages++
 	var d FaultDecision
 	if p.cfg.DropProb > 0 && p.rng.Float64() < p.cfg.DropProb {
@@ -118,6 +123,16 @@ func (p *FaultPlan) Next() FaultDecision {
 		}
 	}
 	return d
+}
+
+// Stop ends the schedule for every transport sharing the plan, so a
+// harness can shut its system down without a fault it did not mean:
+// a connection killed at shutdown would leave its worker redialling a
+// server that is gone.
+func (p *FaultPlan) Stop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stopped = true
 }
 
 // CorruptionApplied records that a transport actually flipped a bit in

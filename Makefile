@@ -26,8 +26,10 @@ test-race:
 # reads NaN poison, so a by-reference hand-off that frees too early
 # fails loudly instead of passing on recycled floats. Then the adaptive
 # policy, the cutter every task comes from, the recovery of lost and
-# refused chunks and of pre-cut snapshots, and every test that asserts a
-# dispatcher stays parked, 50 times over under the race detector. Last,
+# refused chunks, of pre-cut and v0-layout snapshots and of every
+# crash point of a scripted run, the free-list check, and every test
+# that asserts a dispatcher stays parked, 50 times over under the race
+# detector. Last,
 # the worker-session tests — a stale incarnation acting on its
 # successor, and the session hold that is the only pin on a finished
 # job's operands. Last, the netmw tests of the pushed-set schedule and
@@ -38,7 +40,7 @@ flake:
 	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
-	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt' ./internal/cluster ./internal/sim
+	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster ./internal/sim
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner' ./internal/cluster
 	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused' ./internal/netmw
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/matrix"
 	"repro/internal/netmw"
+	"repro/internal/store"
 )
 
 // buildOnce compiles the mmserve binary (race-instrumented, so the e2e
@@ -236,18 +237,29 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 	}
 
 	// Zero duplicate task execution: every chunk commit surviving in the
-	// journal is a unique (job, seq).
+	// journal is a unique (job, seq), and no block is committed twice,
+	// under one seq or two.
 	chunks, _, err := cluster.ReplayChunkCommits(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[[2]int]bool)
+	blocks := make(map[[3]int]bool)
 	for _, ch := range chunks {
 		k := [2]int{int(ch.Job), ch.Seq}
 		if seen[k] {
 			t.Fatalf("chunk %d/%d committed twice across the restart", ch.Job, ch.Seq)
 		}
 		seen[k] = true
+		for i := ch.I0; i < ch.I0+ch.Rows; i++ {
+			for j := ch.J0; j < ch.J0+ch.Cols; j++ {
+				if b := [3]int{int(ch.Job), i, j}; blocks[b] {
+					t.Fatalf("block (%d, %d) of job %d committed twice across the restart", i, j, ch.Job)
+				} else {
+					blocks[b] = true
+				}
+			}
+		}
 	}
 
 	srv2.cmd.Process.Signal(syscall.SIGTERM)
@@ -256,6 +268,29 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 	case <-time.After(time.Minute):
 		srv2.cmd.Process.Kill()
 		t.Fatal("restarted master did not exit on SIGTERM")
+	}
+
+	// The whole journal — the restart's boot snapshot, which freed every
+	// block not committed before the kill, and the chunk records since,
+	// each a claim on blocks that must still be free — recovers all
+	// three jobs Done.
+	jn, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn.Close()
+	cl := cluster.New(cluster.Config{Log: cluster.NewStoreLog(jn)})
+	defer cl.Close()
+	if _, err := cl.Recover(); err != nil {
+		t.Fatalf("recovering the finished journal: %v", err)
+	}
+	if js := cl.Jobs(); len(js) != len(jobs) {
+		t.Fatalf("the finished journal holds %d jobs, want %d", len(js), len(jobs))
+	}
+	for _, js := range cl.Jobs() {
+		if js.State != cluster.Done {
+			t.Fatalf("job %d recovers from the finished journal %v (%v)", js.ID, js.State, js.Err)
+		}
 	}
 }
 
@@ -316,6 +351,83 @@ func TestE2ESigtermDrainsRunningJob(t *testing.T) {
 	}
 	if !strings.Contains(out, "1 jobs done, 0 failed") {
 		t.Fatalf("drain did not finish the running job:\n%s", out)
+	}
+}
+
+// mwworkerBinary compiles the mwworker binary (not race-instrumented:
+// it runs the kernel) once per test process.
+var workerOnce struct {
+	sync.Once
+	bin string
+	err error
+}
+
+func mwworkerBinary(t *testing.T) string {
+	t.Helper()
+	workerOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "mwworker-e2e-*")
+		if err != nil {
+			workerOnce.err = err
+			return
+		}
+		bin := filepath.Join(dir, "mwworker")
+		out, err := exec.Command("go", "build", "-o", bin, "../mwworker").CombinedOutput()
+		if err != nil {
+			workerOnce.err = fmt.Errorf("build: %v\n%s", err, out)
+			return
+		}
+		workerOnce.bin = bin
+	})
+	if workerOnce.err != nil {
+		t.Fatal(workerOnce.err)
+	}
+	return workerOnce.bin
+}
+
+// TestFreshBootsTightMemory is the paper's m = 8 cell on real
+// processes: ten fresh mmserve boots, each served by one mwworker that
+// advertises 1 MiB at q = 128 — 8 blocks — and each running one
+// n = 1024, µ = 1 product, which must be bit-exact against one
+// reference computed once.
+func TestFreshBootsTightMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level e2e: skipped in -short")
+	}
+	bin, worker := mmserveBinary(t), mwworkerBinary(t)
+	const n, q = 1024, 128
+	ad, bd, cd := matrix.NewDense(n, n), matrix.NewDense(n, n), matrix.NewDense(n, n)
+	matrix.DeterministicFill(ad, 41)
+	matrix.DeterministicFill(bd, 42)
+	matrix.DeterministicFill(cd, 43)
+	ref := cd.Clone()
+	matrix.MulNaive(ref, ad, bd)
+	a, b := matrix.Partition(ad, q), matrix.Partition(bd, q)
+	for boot := 0; boot < 10; boot++ {
+		srv := startServer(t, bin, "-addr", "127.0.0.1:0")
+		w := exec.Command(worker, "-addr", srv.addr, "-name", "m8", "-mem", "1", "-q", "128", "-cores", "1",
+			"-hb", "1s", "-reconnect", "0")
+		var wout strings.Builder
+		w.Stdout, w.Stderr = &wout, &wout
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		c := matrix.Partition(cd.Clone(), q)
+		err := netmw.SubmitMatMulTCP(srv.addr, c, a, b, 1, 2*time.Minute)
+		srv.cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-srv.done:
+		case <-time.After(time.Minute):
+			srv.cmd.Process.Kill()
+			t.Fatalf("boot %d: mmserve did not exit on SIGTERM", boot)
+		}
+		w.Process.Kill()
+		w.Wait()
+		if err != nil {
+			t.Fatalf("boot %d: submit: %v\nserver:\n%s\nworker:\n%s", boot, err, srv.output(), wout.String())
+		}
+		if d := c.Assemble().MaxDiff(ref); d != 0 {
+			t.Fatalf("boot %d: max |C - ref| = %g, want bit-exact", boot, d)
+		}
 	}
 }
 

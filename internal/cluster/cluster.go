@@ -322,15 +322,29 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 	cl.nextID++
 	j := newJob(id, spec)
 	j.key = key
-	cl.jobs[id] = j
-	cl.order = append(cl.order, id)
-	cl.live = append(cl.live, j)
-	if key != 0 {
-		cl.keys[key] = id
-	}
+	cl.addJobLocked(j)
 	cl.promoteLocked()
 	cl.cond.Broadcast()
 	return id, false, nil
+}
+
+// addJobLocked enters j into the job table — at admission, at its
+// replay and at a snapshot's load, so j may already be running or
+// terminal.
+func (cl *Cluster) addJobLocked(j *job) {
+	cl.jobs[j.id] = j
+	cl.order = append(cl.order, j.id)
+	if j.key != 0 {
+		cl.keys[j.key] = j.id
+	}
+	switch j.state {
+	case Done, Failed:
+		close(j.doneCh)
+		return
+	case Running:
+		cl.running++
+	}
+	cl.live = append(cl.live, j)
 }
 
 // JobResult returns the job's result matrix (C for matmul, the packed
@@ -1107,7 +1121,7 @@ func (cl *Cluster) pruneLiveLocked() {
 // nothing left to cut, dispatch, compute or commit opens the next one,
 // and a job with nothing left at all is Done.
 func (cl *Cluster) settleLocked(j *job) {
-	if j.spec.Kind == LU && j.stage < j.luBlocks && j.drained() && j.dirty == 0 {
+	if j.spec.Kind == LU && j.stage < j.spec.M.BR && j.drained() && j.dirty == 0 {
 		j.stage++
 		j.openStage()
 	}

@@ -191,6 +191,9 @@ type job struct {
 	// cutter holds the part of the job's C grid — for LU, of the current
 	// stage's trailing grid — not yet cut into tasks: every fresh task is
 	// carved from it at dispatch, sized and placed for the asking worker.
+	// With the tasks cut from it and not yet committed (pending, in
+	// flight, dirty) it is all of the job's uncommitted work, and it is
+	// what the journal persists of it (freeListLocked).
 	cutter *sim.Cutter
 	// pending holds lost copies awaiting redispatch (head is next).
 	pending  []*Task
@@ -199,17 +202,21 @@ type job struct {
 	// its result cache) but not yet flush-committed into the job matrix.
 	// The job is not finished — and an LU stage cannot advance — until
 	// every dirty task commits.
-	dirty    int
+	dirty int
+	// total counts the chunks cut so far, handed-back ones excepted;
+	// done the chunks committed. A snapshot's load restarts total at
+	// done: everything cut but uncommitted went back to the cutter.
 	total    int
 	done     int
 	requeues int
 	err      error
 	doneCh   chan struct{} // closed on Done or Failed
-	nextSeq  int
-	// LU: stage is the panel whose trailing updates are being cut,
-	// luBlocks (r, the block order of the matrix) once all are factored.
-	stage    int
-	luBlocks int
+	// nextSeq is the next task's seq, unique within the job across
+	// restarts: replay keeps it past every committed seq.
+	nextSeq int
+	// LU: stage is the panel whose trailing updates are being cut, the
+	// block order of the matrix once all are factored.
+	stage int
 	// comm accumulates the job's delta-protocol accounting as worker
 	// sessions report it.
 	comm engine.CommStats
@@ -228,10 +235,6 @@ type job struct {
 	// quarantined marks a Failed job that exhausted its retry budget — a
 	// poison job parked terminally rather than requeued forever.
 	quarantined bool
-	// doneSeqs records every committed chunk seq; populated on the live
-	// commit paths and during replay, it is what makes journal replay
-	// idempotent (a chunk record whose seq is here is skipped).
-	doneSeqs map[int]bool
 	// vcache is the lazily built per-job Freivalds state (probe vectors,
 	// cached B·r products, operand norms); nil until the verification
 	// policy first touches the job, never journaled.
@@ -282,7 +285,6 @@ func newJob(id JobID, spec JobSpec) *job {
 	res := spec.result()
 	j := &job{id: id, spec: spec, q: res.Q, doneCh: make(chan struct{})}
 	if spec.Kind == LU {
-		j.luBlocks = res.BR
 		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, nil)
 	} else {
 		j.cutter = sim.NewCutter(res.BR, res.BC)
@@ -356,7 +358,7 @@ func (j *job) openStage() {
 	m := j.spec.M
 	q := m.Q
 	k := j.stage
-	r := j.luBlocks
+	r := m.BR
 	factorBlockLU(m.Block(k, k).Data, q)
 	for i := k + 1; i < r; i++ {
 		solveRightUpper(m.Block(i, k).Data, m.Block(k, k).Data, q)
@@ -381,7 +383,7 @@ func (j *job) drained() bool {
 // finished reports whether every task committed and, for LU, every
 // stage was factored.
 func (j *job) finished() bool {
-	return j.drained() && j.dirty == 0 && (j.spec.Kind != LU || j.stage >= j.luBlocks)
+	return j.drained() && j.dirty == 0 && (j.spec.Kind != LU || j.stage >= j.spec.M.BR)
 }
 
 func (j *job) status() Status {

@@ -4,8 +4,14 @@ package cluster
 // they happen under the scheduler mutex, and Recover rebuilds the
 // scheduler's job state from a replay after a master crash.
 //
-// Three event kinds suffice because everything else the scheduler knows
-// is derivable:
+// The master owns C (the paper's centralized data): a block of a job's
+// result is committed once a flush commit has written its final value
+// into the master's matrix, and until then no task has modified it, so
+// an uncommitted block is recomputed bit-exact from the master-owned
+// operands. The durable truth of a job is therefore its matrices and
+// which blocks are committed, and its cutter is the one record of the
+// rest: every uncommitted block is in the cutter's free list or in a
+// task cut from it. The journal persists exactly that.
 //
 //   - accepted carries the job id, idempotency key and the operand
 //     matrices verbatim. Replaying it re-runs the same deterministic
@@ -14,43 +20,38 @@ package cluster
 //     written as 0 and ignored on read: every job is cut at dispatch.
 //   - chunk is appended when a chunk's result lands in the job matrix
 //     (the flush commit of the last of an acked chunk's tiles). Replaying
-//     it copies the committed tiles back and retires the chunk: the
-//     pending copy with its seq if there is one (a snapshot's), else its
-//     region, claimed from the cutter — seqs depend on which worker asked
-//     first, coordinates do not. A pending copy that region overlaps was
-//     handed back to the cutter live (no worker could hold it; the
-//     hand-back is not journaled), so replay hands it back before the
-//     claim, and a region not then wholly free is refused as corrupt.
-//     Recovery thus cuts and requeues exactly
-//     the unfinished work, and an LU stage whose last chunk replays
-//     opens the next one just as the live commit did. Chunks a worker
-//     computed but never committed are absent by construction — they
-//     rerun from the master-owned operands, which a dirty task never
-//     modified, so the recomputation is bit-exact.
+//     it is a pure region claim: the tiles are copied back and the
+//     region is claimed from the cutter, and a record that does not take
+//     every one of its blocks is refused as corrupt — they were committed
+//     already, or never cut. Its seq only keeps the seqs issued after a
+//     restart fresh. An LU stage whose last chunk replays opens the next
+//     one just as the live commit did.
 //   - done records the terminal state (including quarantine).
 //   - quarantine records a worker parked for corrupt results, so the
 //     refusal to readmit it survives a master restart.
 //
-// Replay is idempotent: jobs are keyed by id, committed chunks by seq
-// (j.doneSeqs), so replaying a journal twice — or a journal whose tail
-// segments predate a snapshot — converges to the same state.
+// Recover starts from the empty job table a snapshot record resets to
+// (resetJobsLocked), so replaying a journal twice is replaying it once.
 //
 // A snapshot record (written by CompactLog through the store's segment
-// compaction) is the whole job table serialized verbatim — counters,
-// pending task descriptors, cutter free rectangles, matrices — and is
-// applied without re-running admission, so an LU job's already-factored
-// panels are never factored twice. Three counter slots of the layout
-// are written as 0 and ignored on read: the LU stage's task count, the
-// re-cut count and the update depth (derived from the operands); each
-// pending task's panel and update depth are ignored on read too (they
-// are the job's current stage and depth), and a seq listed twice — a
-// speculative duplicate — loads as one copy. A snapshot without a
-// cutter — a pre-cut job's, or a mid-stage LU job's — loads with an
-// empty one, so its pending tasks are its only work. A
-// terminal job's released operands are written as absent, and a job
-// whose result was released too is left out altogether — nobody can ask
-// for it, and a log that re-wrote every job ever served would grow
-// without bound.
+// compaction) is the job table: per job its spec, state, matrices, seq
+// counter, commit and requeue counts, LU stage and one free list — the
+// cutter's free rectangles plus the region of every task cut but not
+// committed: pending, in flight or dirty (freeListLocked). Each seq's
+// region goes in once: a speculative duplicate is one seq in flight on
+// two workers, and a region freed twice would be cut twice. A snapshot
+// is applied without re-running admission, so an LU job's
+// already-factored panels are never factored twice, and every free list
+// passes the cutter's Check before anything is cut from it. A terminal
+// job's released operands are written as absent, and a job whose result
+// was released too is left out altogether — nobody can ask for it, and
+// a log that re-wrote every job ever served would grow without bound.
+//
+// Snapshots are versioned. A v1 record leads with snapshotV1; a record
+// without it is in the v0 layout, written before snapshots held free
+// lists — a seq-keyed task list, an optional cutter and unused counter
+// slots per job — and loads through one converter (v0Tail) into the
+// same free list.
 //
 // Records are little-endian throughout, and their floats are the one
 // encoding internal/matrix defines: a tile is one bulk append on
@@ -65,9 +66,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/matrix"
 	"repro/internal/sim"
@@ -108,6 +109,11 @@ const (
 	evWorkerQuarantine byte = 4
 )
 
+// snapshotV1 leads a v1 snapshot record. A v0 snapshot leads with its
+// next job id, which admission keeps below 2²⁹ (ErrBeyondBlockIDs),
+// so the top bit tells the two layouts apart.
+const snapshotV1 uint32 = 1<<31 | 1
+
 // RecoveryStats summarizes one Recover pass.
 type RecoveryStats struct {
 	Events    int // journal records applied
@@ -121,7 +127,7 @@ type RecoveryStats struct {
 
 // ChunkCommit is one committed chunk as recorded in the journal,
 // decoded by ReplayChunkCommits for offline inspection (tests assert
-// zero duplicate execution by checking (Job, Seq) uniqueness).
+// that no block — (Job, K, I, J) — is committed twice).
 type ChunkCommit struct {
 	Job                JobID
 	Seq, K             int
@@ -139,14 +145,11 @@ func ReplayChunkCommits(dir string) (chunks []ChunkCommit, done int, err error) 
 		switch rec[0] {
 		case evChunk:
 			d := &recDec{buf: rec[1:]}
-			id := JobID(d.u32())
-			seq, k := int(d.u32()), int(d.u32())
-			i0, j0 := int(d.u32()), int(d.u32())
-			rows, cols := int(d.u32()), int(d.u32())
+			c := d.chunkHead()
 			if d.err != nil {
 				return d.err
 			}
-			chunks = append(chunks, ChunkCommit{id, seq, k, i0, j0, rows, cols})
+			chunks = append(chunks, c)
 		case evDone:
 			done++
 		}
@@ -210,23 +213,13 @@ func encodeAccepted(buf []byte, id JobID, key uint64, spec JobSpec) []byte {
 	e.u8(byte(spec.Kind))
 	e.u8(0) // mode: every job is cut at dispatch
 	e.u32(uint32(spec.Mu))
-	if spec.Kind == LU {
-		e.mat(spec.M)
-	} else {
-		e.mat(spec.C)
-		e.mat(spec.A)
-		e.mat(spec.B)
-	}
+	e.mats(&spec)
 	return e.buf
 }
 
 // logChunkLocked records a committed chunk, reading the final tile
 // values out of the job matrix (they were just copied in).
 func (cl *Cluster) logChunkLocked(j *job, t *Task) {
-	if j.doneSeqs == nil {
-		j.doneSeqs = make(map[int]bool)
-	}
-	j.doneSeqs[t.Seq] = true
 	if cl.log == nil {
 		return
 	}
@@ -288,10 +281,11 @@ func (cl *Cluster) logWorkerQuarantineLocked(id string, strikes int, reason stri
 
 // Recover replays the configured JobLog and rebuilds the job table:
 // terminal jobs land with their results retrievable, unfinished jobs
-// re-enter the dispatch pool with exactly their uncommitted chunks
-// pending. Call it once, after New and before any worker joins or job
-// submits. With no log configured it is a no-op. Replay is idempotent —
-// a second Recover over the same journal leaves the state unchanged.
+// re-enter the dispatch pool with exactly their uncommitted blocks left
+// to cut. Call it once, after New and before any worker joins or job
+// submits. With no log configured it is a no-op. Replay starts from an
+// empty job table, so a second Recover over the same journal leaves the
+// state unchanged.
 func (cl *Cluster) Recover() (RecoveryStats, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -307,6 +301,7 @@ func (cl *Cluster) Recover() (RecoveryStats, error) {
 	// being read.
 	log := cl.log
 	cl.log = nil
+	cl.resetJobsLocked()
 	err := log.Replay(func(rec []byte, snapshot bool) error {
 		rs.Events++
 		if snapshot {
@@ -342,8 +337,8 @@ func (cl *Cluster) Recover() (RecoveryStats, error) {
 
 // CompactLog snapshots the whole job table into the journal and drops
 // the segments before it — the boot-time (or periodic) bound on replay
-// length. In-flight and dirty tasks are folded into the snapshot's
-// pending pool, so a snapshot taken mid-run loses no work.
+// length. The regions of tasks in flight and dirty are freed in the
+// snapshot, so one taken mid-run loses no work.
 func (cl *Cluster) CompactLog() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -359,6 +354,21 @@ func (cl *Cluster) CompactLog() error {
 	return nil
 }
 
+// resetJobsLocked empties the job table: the state Recover starts from
+// and a snapshot record resets to.
+func (cl *Cluster) resetJobsLocked() {
+	for _, j := range cl.live {
+		if j.state == Queued || j.state == Running {
+			close(j.doneCh)
+		}
+	}
+	cl.jobs = make(map[JobID]*job)
+	cl.order, cl.live = nil, nil
+	cl.keys = make(map[uint64]JobID)
+	cl.quarantined = make(map[string]quarantineInfo)
+	cl.nextID, cl.running, cl.rr = 0, 0, 0
+}
+
 func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 	if len(rec) == 0 {
 		return errors.New("cluster: empty journal record")
@@ -368,79 +378,52 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 	case evAccepted:
 		id := JobID(d.u32())
 		key := d.u64()
-		kind := JobKind(d.u8())
+		spec := JobSpec{Kind: JobKind(d.u8())}
 		d.u8() // mode, ignored
-		mu := int(d.u32())
-		spec := JobSpec{Kind: kind, Mu: mu}
-		if kind == LU {
-			spec.M = d.mat()
-		} else {
-			spec.C = d.mat()
-			spec.A = d.mat()
-			spec.B = d.mat()
-		}
+		spec.Mu = int(d.u32())
+		d.mats(&spec)
 		if d.err != nil {
 			return fmt.Errorf("cluster: accepted record: %w", d.err)
 		}
 		rs.Jobs++
 		if cl.jobs[id] != nil {
-			return nil // second replay of the same journal
+			return fmt.Errorf("cluster: job %d accepted twice", id)
 		}
 		if err := validateSpec(spec); err != nil {
 			return err
 		}
 		j := newJob(id, spec)
 		j.key = key
-		cl.jobs[id] = j
-		cl.order = append(cl.order, id)
-		cl.live = append(cl.live, j)
-		if key != 0 {
-			cl.keys[key] = id
-		}
-		if id >= cl.nextID {
-			cl.nextID = id + 1
-		}
+		cl.addJobLocked(j)
+		cl.nextID = max(cl.nextID, id+1)
 		// The same promotion gate as live admission: journal order is
 		// mutex order, so a job that ran live is promoted here by the
 		// time its chunk records replay.
 		cl.promoteLocked()
 	case evChunk:
-		id := JobID(d.u32())
-		seq := int(d.u32())
-		d.u32() // the LU panel, the job's current stage
-		i0, j0 := int(d.u32()), int(d.u32())
-		rows, cols := int(d.u32()), int(d.u32())
+		c := d.chunkHead()
 		if d.err != nil {
 			return fmt.Errorf("cluster: chunk record: %w", d.err)
 		}
-		j := cl.jobs[id]
+		j := cl.jobs[c.Job]
 		if j == nil {
-			return fmt.Errorf("cluster: chunk record for unknown job %d", id)
+			return fmt.Errorf("cluster: chunk record for unknown job %d", c.Job)
 		}
 		rs.Chunks++
-		if j.doneSeqs[seq] || j.state == Done || j.state == Failed {
-			d.skipFloats(rows * cols * cl.taskQ(j) * cl.taskQ(j))
-			return d.err // already applied (double replay) or job terminal
+		if c.Rows < 1 || c.Cols < 1 || j.cutter.Claim(c.I0, c.J0, c.Rows, c.Cols) != c.Rows*c.Cols {
+			return fmt.Errorf("cluster: chunk record %d/%d claims blocks not left to commit", c.Job, c.Seq)
 		}
 		dst := j.spec.result()
-		if i0 < 0 || j0 < 0 || rows < 1 || cols < 1 || i0+rows > dst.BR || j0+cols > dst.BC {
-			return fmt.Errorf("cluster: chunk record %d/%d out of the job grid", id, seq)
-		}
-		for i := 0; i < rows; i++ {
-			for jj := 0; jj < cols; jj++ {
-				d.readFloats(dst.Block(i0+i, j0+jj).Data)
+		for i := 0; i < c.Rows; i++ {
+			for jj := 0; jj < c.Cols; jj++ {
+				d.readFloats(dst.Block(c.I0+i, c.J0+jj).Data)
 			}
 		}
 		if d.err != nil {
-			return fmt.Errorf("cluster: chunk record %d/%d: %w", id, seq, d.err)
+			return fmt.Errorf("cluster: chunk record %d/%d: %w", c.Job, c.Seq, d.err)
 		}
-		if j.doneSeqs == nil {
-			j.doneSeqs = make(map[int]bool)
-		}
-		j.doneSeqs[seq] = true
-		if err := j.retireReplayed(seq, i0, j0, rows, cols); err != nil {
-			return fmt.Errorf("cluster: chunk record %d/%d: %w", id, seq, err)
-		}
+		j.nextSeq = max(j.nextSeq, c.Seq+1)
+		j.total++
 		j.done++
 		cl.settleLocked(j)
 		if j.state == Done {
@@ -462,7 +445,6 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 			return nil // finishJobLocked already fired off the chunk replay
 		}
 		j.quarantined = quarantined
-		j.pending = nil
 		var jerr error
 		if msg != "" {
 			jerr = errors.New(msg)
@@ -483,43 +465,10 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 	return nil
 }
 
-// retireReplayed retires a replayed chunk commit: the pending copy with
-// its seq, else its region, claimed from the cutter. A region no pending
-// seq owns was cut after the snapshot the pending pool came from; if it
-// overlaps a pending copy, that copy's region went back to the cutter
-// live (no worker could hold it), a hand-back the journal does not
-// record, so it is handed back here too before the claim. A region that
-// is then not wholly free was never cut: the record is corrupt.
-func (j *job) retireReplayed(seq, i0, j0, rows, cols int) error {
-	if idx := slices.IndexFunc(j.pending, func(t *Task) bool { return t.Seq == seq }); idx >= 0 {
-		j.pending = slices.Delete(j.pending, idx, idx+1)
-		return nil
-	}
-	kept := j.pending[:0]
-	for _, t := range j.pending {
-		ch := t.Chunk
-		if ch.I0 >= i0+rows || i0 >= ch.I0+ch.Rows || ch.J0 >= j0+cols || j0 >= ch.J0+ch.Cols {
-			kept = append(kept, t)
-		} else if err := j.handBack(t); err != nil {
-			return err
-		}
-	}
-	j.pending = kept
-	if got := j.cutter.Claim(i0, j0, rows, cols); got != rows*cols {
-		return fmt.Errorf("only %d of its %d blocks were left to cut", got, rows*cols)
-	}
-	j.total++
-	j.nextSeq = max(j.nextSeq, seq+1)
-	return nil
-}
-
 // --- snapshots ------------------------------------------------------------
 
-// encodeSnapshotLocked serializes the job table verbatim — no admission
-// re-run on load, so already-factored LU panels stay factored. Tasks in
-// flight or dirty on workers are folded into the pending pool: the
-// snapshot is what a crash right now should recover to, and those
-// chunks' commits have not landed.
+// encodeSnapshotLocked serializes the job table in the v1 layout — no
+// admission re-run on load, so already-factored LU panels stay factored.
 func (cl *Cluster) encodeSnapshotLocked() []byte {
 	var kept []*job
 	for _, id := range cl.order {
@@ -528,6 +477,7 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 		}
 	}
 	e := &recEnc{}
+	e.u32(snapshotV1)
 	e.u32(uint32(cl.nextID))
 	e.u32(uint32(len(kept)))
 	for _, j := range kept {
@@ -546,67 +496,23 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 			msg = j.err.Error()
 		}
 		e.str(msg)
-		if j.spec.Kind == LU {
-			e.mat(j.spec.M)
-		} else {
-			e.mat(j.spec.C)
-			e.mat(j.spec.A)
-			e.mat(j.spec.B)
-		}
+		e.mats(&j.spec)
 		e.u32(uint32(j.nextSeq))
-		e.u32(uint32(j.total))
 		e.u32(uint32(j.done))
 		e.u32(uint32(j.requeues))
 		e.u32(uint32(j.stage))
-		e.u32(0) // the stage's task count, unused
-		e.u32(uint32(j.luBlocks))
-		e.u32(0) // the re-cut count, unused
-		e.u32(0) // the update depth, derived from the operands
-		tasks := append([]*Task(nil), j.pending...)
-		for _, w := range cl.reg.workers {
-			if w.dead {
-				continue
-			}
-			for _, t := range w.inflight {
-				if t.Job == j.id {
-					tasks = append(tasks, t)
-				}
-			}
-			for _, dt := range w.dirty {
-				if dt.task.Job == j.id {
-					tasks = append(tasks, dt.task)
-				}
-			}
-		}
-		e.u32(uint32(len(tasks)))
-		for _, t := range tasks {
-			e.u32(uint32(t.Seq))
-			e.u32(uint32(t.K))
-			e.u32(uint32(t.Chunk.I0))
-			e.u32(uint32(t.Chunk.J0))
-			e.u32(uint32(t.Chunk.Rows))
-			e.u32(uint32(t.Chunk.Cols))
-			e.u32(uint32(t.Steps))
-		}
-		e.u8(1) // a cutter follows
-		rects := j.cutter.Rects()
+		rects := cl.freeListLocked(j)
 		e.u32(uint32(len(rects)))
 		for _, r := range rects {
-			e.u32(uint32(r[0]))
-			e.u32(uint32(r[1]))
-			e.u32(uint32(r[2]))
-			e.u32(uint32(r[3]))
+			for _, v := range r {
+				e.u32(uint32(v))
+			}
 		}
 	}
 	// Quarantined-worker table (sorted for deterministic snapshots), so a
 	// compacted journal still refuses the ids after a restart.
-	qids := make([]string, 0, len(cl.quarantined))
-	for id := range cl.quarantined {
-		qids = append(qids, id)
-	}
-	sort.Strings(qids)
-	e.u32(uint32(len(qids)))
-	for _, id := range qids {
+	e.u32(uint32(len(cl.quarantined)))
+	for _, id := range slices.Sorted(maps.Keys(cl.quarantined)) {
 		qi := cl.quarantined[id]
 		e.str(id)
 		e.u32(uint32(qi.strikes))
@@ -615,24 +521,52 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 	return e.buf
 }
 
-// applySnapshotLocked resets the job table to the snapshot. Counters
-// that track in-flight state (inflight, dirty) restart at zero — the
-// snapshot folded those tasks into pending.
-func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
-	for _, j := range cl.jobs {
-		if j.state == Queued || j.state == Running {
-			close(j.doneCh)
+// freeListLocked is j's uncommitted work as one free list: the cutter's
+// free rectangles, then the region of every task cut but not committed —
+// pending, in flight or dirty on a live worker — once per seq, in seq
+// order. A dirty task never modified master C, so its region is as free
+// as one never cut.
+func (cl *Cluster) freeListLocked(j *job) [][4]int {
+	cut := make(map[int]*sim.Chunk)
+	for _, t := range j.pending {
+		cut[t.Seq] = t.Chunk
+	}
+	for _, w := range cl.reg.workers {
+		if w.dead {
+			continue
+		}
+		for _, t := range w.inflight {
+			if t.Job == j.id {
+				cut[t.Seq] = t.Chunk
+			}
+		}
+		for _, dt := range w.dirty {
+			if dt.task.Job == j.id {
+				cut[dt.task.Seq] = dt.task.Chunk
+			}
 		}
 	}
-	cl.jobs = make(map[JobID]*job)
-	cl.order = nil
-	cl.live = nil
-	cl.keys = make(map[uint64]JobID)
-	cl.running = 0
-	cl.rr = 0
+	rects := j.cutter.Rects()
+	for _, seq := range slices.Sorted(maps.Keys(cut)) {
+		ch := cut[seq]
+		rects = append(rects, [4]int{ch.I0, ch.J0, ch.Rows, ch.Cols})
+	}
+	return rects
+}
 
+// applySnapshotLocked resets the job table to the snapshot, of either
+// layout. Every job's uncommitted work comes back as its cutter's free
+// list, checked before anything is cut from it, and nothing pending,
+// in flight or dirty: the cut count restarts at the commit count.
+func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
+	cl.resetJobsLocked()
 	d := &recDec{buf: rec}
-	cl.nextID = JobID(d.u32())
+	first := d.u32()
+	v1 := first == snapshotV1
+	if v1 {
+		first = d.u32()
+	}
+	cl.nextID = JobID(first)
 	n := int(d.u32())
 	for i := 0; i < n; i++ {
 		j := &job{doneCh: make(chan struct{})}
@@ -645,12 +579,16 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		if msg := d.str(); msg != "" {
 			j.err = errors.New(msg)
 		}
-		if j.spec.Kind == LU {
-			j.spec.M = d.mat()
+		d.mats(&j.spec)
+		var rects [][4]int
+		if v1 {
+			j.nextSeq = int(d.u32())
+			j.done = int(d.u32())
+			j.requeues = int(d.u32())
+			j.stage = int(d.u32())
+			rects = d.rects()
 		} else {
-			j.spec.C = d.mat()
-			j.spec.A = d.mat()
-			j.spec.B = d.mat()
+			rects = j.v0Tail(d)
 		}
 		res := j.spec.result()
 		if d.err == nil && res == nil {
@@ -660,75 +598,19 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 			return fmt.Errorf("cluster: snapshot job %d: %w", i, d.err)
 		}
 		j.q = res.Q
-		j.nextSeq = int(d.u32())
-		j.total = int(d.u32())
-		j.done = int(d.u32())
-		j.requeues = int(d.u32())
-		j.stage = int(d.u32())
-		d.u32() // the stage's task count, unused
-		j.luBlocks = int(d.u32())
-		d.u32() // the re-cut count, unused
-		d.u32() // the update depth, derived from the operands
-		nt := int(d.u32())
-		for k := 0; k < nt; k++ {
-			seq := int(d.u32())
-			d.u32() // the LU panel, the job's current stage
-			i0, j0 := int(d.u32()), int(d.u32())
-			rows, cols := int(d.u32()), int(d.u32())
-			d.u32() // the update depth, the job's
-			// A terminal job dispatches nothing (and its operands may be
-			// gone), and a seq in flight twice — a speculative duplicate —
-			// is one copy of the work.
-			terminal := j.state == Done || j.state == Failed
-			if !terminal && !slices.ContainsFunc(j.pending, func(t *Task) bool { return t.Seq == seq }) {
-				j.pending = append(j.pending, j.newTask(seq, i0, j0, rows, cols))
-			}
-		}
-		var rects [][4]int
-		if d.u8() == 1 {
-			rects = make([][4]int, d.u32())
-			for r := range rects {
-				rects[r] = [4]int{int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())}
-			}
-		}
+		j.total = j.done
 		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, rects)
-		if d.err != nil {
-			return fmt.Errorf("cluster: snapshot job %d: %w", i, d.err)
+		if err := j.cutter.Check(); err != nil {
+			return fmt.Errorf("cluster: snapshot job %d: %w", j.id, err)
 		}
-		// Committed seqs: every seq ever issued that is not pending again.
-		// (Abandoned cutter seqs land here too — harmless, they can never
-		// reappear in a later chunk record.)
-		pendingSeqs := make(map[int]bool, len(j.pending))
-		for _, t := range j.pending {
-			pendingSeqs[t.Seq] = true
-		}
-		j.doneSeqs = make(map[int]bool)
-		for s := 0; s < j.nextSeq; s++ {
-			if !pendingSeqs[s] {
-				j.doneSeqs[s] = true
-			}
-		}
-		cl.jobs[j.id] = j
-		cl.order = append(cl.order, j.id)
-		if j.key != 0 {
-			cl.keys[j.key] = j.id
-		}
-		if j.state == Running {
-			cl.running++
-		}
-		if j.state == Done || j.state == Failed {
-			close(j.doneCh)
-		} else {
-			cl.live = append(cl.live, j)
-		}
+		cl.addJobLocked(j)
 		rs.Jobs++
 	}
-	// Quarantined-worker table. Snapshots written before verification
+	// Quarantined-worker table. v0 snapshots written before verification
 	// existed end here; keep accepting them.
-	if d.err != nil || len(d.buf) == 0 {
+	if d.err != nil || (!v1 && len(d.buf) == 0) {
 		return d.err
 	}
-	cl.quarantined = make(map[string]quarantineInfo)
 	nq := int(d.u32())
 	for i := 0; i < nq; i++ {
 		id := d.str()
@@ -740,6 +622,37 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		cl.quarantined[id] = quarantineInfo{strikes: strikes, reason: reason}
 	}
 	return d.err
+}
+
+// v0Tail is the converter from the v0 snapshot layout: it reads the
+// rest of a job as that layout wrote it — nine counter slots, a
+// seq-keyed task list, an optional cutter — into j and returns the job's
+// free list: the cutter's rectangles, then the region of each distinct
+// listed seq, in seq order. The list holds a speculative duplicate
+// twice, and a pre-cut or mid-stage LU job has no cutter: its tasks are
+// all its work.
+func (j *job) v0Tail(d *recDec) [][4]int {
+	j.nextSeq = int(d.u32())
+	d.u32() // the cut count: the commit count on load
+	j.done = int(d.u32())
+	j.requeues = int(d.u32())
+	j.stage = int(d.u32())
+	d.take(16) // the stage's task count, the LU block order, the re-cut count, the update depth
+	cut := make(map[int][4]int)
+	for k := d.u32(); k > 0 && d.err == nil; k-- {
+		seq := int(d.u32())
+		d.u32() // the LU panel: the job's stage
+		cut[seq] = [4]int{int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())}
+		d.u32() // the update depth: the job's
+	}
+	var rects [][4]int
+	if d.u8() == 1 {
+		rects = d.rects()
+	}
+	for _, seq := range slices.Sorted(maps.Keys(cut)) {
+		rects = append(rects, cut[seq])
+	}
+	return rects
 }
 
 // --- record encoding ------------------------------------------------------
@@ -765,6 +678,17 @@ func (e *recEnc) str(s string) {
 }
 
 func (e *recEnc) floats(v []float64) { e.buf = matrix.AppendFloats(e.buf, v) }
+
+// mats writes the spec's matrices: M for LU, else C, A and B.
+func (e *recEnc) mats(s *JobSpec) {
+	if s.Kind == LU {
+		e.mat(s.M)
+		return
+	}
+	e.mat(s.C)
+	e.mat(s.A)
+	e.mat(s.B)
+}
 
 // matLen is the encoded length of m as mat writes it.
 func matLen(m *matrix.Blocked) int {
@@ -849,7 +773,36 @@ func (d *recDec) readFloats(dst []float64) {
 	}
 }
 
-func (d *recDec) skipFloats(n int) { d.take(8 * n) }
+// chunkHead decodes a chunk record's header, leaving d at its tiles.
+func (d *recDec) chunkHead() ChunkCommit {
+	return ChunkCommit{Job: JobID(d.u32()), Seq: int(d.u32()), K: int(d.u32()),
+		I0: int(d.u32()), J0: int(d.u32()), Rows: int(d.u32()), Cols: int(d.u32())}
+}
+
+// rects decodes a free list: its length, then {i0, j0, rows, cols} each.
+func (d *recDec) rects() [][4]int {
+	n := int(d.u32())
+	if len(d.buf) < 16*n {
+		d.err = errShortRecord
+		return nil
+	}
+	out := make([][4]int, n)
+	for k := range out {
+		out[k] = [4]int{int(d.u32()), int(d.u32()), int(d.u32()), int(d.u32())}
+	}
+	return out
+}
+
+// mats reads the matrices of a spec of kind s.Kind into s.
+func (d *recDec) mats(s *JobSpec) {
+	if s.Kind == LU {
+		s.M = d.mat()
+		return
+	}
+	s.C = d.mat()
+	s.A = d.mat()
+	s.B = d.mat()
+}
 
 // maxSnapshotDim bounds a decoded matrix dimension so a corrupt record
 // cannot provoke a giant allocation (matches netmw's wire guard scale).

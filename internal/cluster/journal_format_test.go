@@ -103,9 +103,95 @@ func refDone(id JobID) []byte {
 	return e.buf
 }
 
-// refSnapshot is cl's snapshot record; the caller holds cl.mu.
+// refSnapshot is cl's snapshot record in the v1 layout; the caller
+// holds cl.mu.
 func refSnapshot(cl *Cluster) []byte {
 	e := &refEnc{}
+	e.u32(snapshotV1)
+	refSnapshotBody(e, cl, func(j *job) {
+		for _, v := range []int{j.nextSeq, j.done, j.requeues, j.stage} {
+			e.u32(uint32(v))
+		}
+		rects := j.cutter.Rects()
+		seen := make(map[int]bool)
+		for _, t := range uncommittedTasks(cl, j) {
+			if !seen[t.Seq] {
+				seen[t.Seq] = true
+				rects = append(rects, [4]int{t.Chunk.I0, t.Chunk.J0, t.Chunk.Rows, t.Chunk.Cols})
+			}
+		}
+		e.u32(uint32(len(rects)))
+		for _, r := range rects {
+			for _, v := range r {
+				e.u32(uint32(v))
+			}
+		}
+	})
+	return e.buf
+}
+
+// refSnapshotV0 is cl's snapshot record in the v0 layout, written
+// before snapshots held free lists: nine counter slots (three of them
+// unused, and the LU block order), the task list — pending, then in
+// flight and dirty per live worker, a speculative duplicate listed
+// twice — and the cutter's free list.
+func refSnapshotV0(cl *Cluster) []byte {
+	e := &refEnc{}
+	refSnapshotBody(e, cl, func(j *job) {
+		luBlocks := 0
+		if j.spec.Kind == LU {
+			luBlocks = j.spec.M.BR
+		}
+		for _, v := range []int{j.nextSeq, j.total, j.done, j.requeues, j.stage, 0, luBlocks, 0, 0} {
+			e.u32(uint32(v))
+		}
+		tasks := uncommittedTasks(cl, j)
+		e.u32(uint32(len(tasks)))
+		for _, t := range tasks {
+			for _, v := range []int{t.Seq, t.K, t.Chunk.I0, t.Chunk.J0, t.Chunk.Rows, t.Chunk.Cols, t.Steps} {
+				e.u32(uint32(v))
+			}
+		}
+		e.u8(1)
+		rects := j.cutter.Rects()
+		e.u32(uint32(len(rects)))
+		for _, r := range rects {
+			for _, v := range r {
+				e.u32(uint32(v))
+			}
+		}
+	})
+	return e.buf
+}
+
+// uncommittedTasks lists j's tasks cut but not committed — pending, in
+// flight or dirty on a live worker — by seq (a seq in flight twice is
+// listed twice).
+func uncommittedTasks(cl *Cluster, j *job) []*Task {
+	tasks := append([]*Task(nil), j.pending...)
+	for _, w := range cl.reg.workers {
+		if w.dead {
+			continue
+		}
+		for _, t := range w.inflight {
+			if t.Job == j.id {
+				tasks = append(tasks, t)
+			}
+		}
+		for _, dt := range w.dirty {
+			if dt.task.Job == j.id {
+				tasks = append(tasks, dt.task)
+			}
+		}
+	}
+	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].Seq < tasks[b].Seq })
+	return tasks
+}
+
+// refSnapshotBody writes what both snapshot layouts share: the next job
+// id and, per job whose result is held, its head and matrices, then
+// tail(j); then the quarantined-worker table.
+func refSnapshotBody(e *refEnc, cl *Cluster, tail func(*job)) {
 	var kept []*job
 	for _, id := range cl.order {
 		if j := cl.jobs[id]; j.spec.result() != nil {
@@ -136,39 +222,7 @@ func refSnapshot(cl *Cluster) []byte {
 			e.mat(j.spec.A)
 			e.mat(j.spec.B)
 		}
-		for _, v := range []int{j.nextSeq, j.total, j.done, j.requeues, j.stage, 0, j.luBlocks, 0, 0} {
-			e.u32(uint32(v))
-		}
-		tasks := append([]*Task(nil), j.pending...)
-		for _, w := range cl.reg.workers {
-			if w.dead {
-				continue
-			}
-			for _, t := range w.inflight {
-				if t.Job == j.id {
-					tasks = append(tasks, t)
-				}
-			}
-			for _, dt := range w.dirty {
-				if dt.task.Job == j.id {
-					tasks = append(tasks, dt.task)
-				}
-			}
-		}
-		e.u32(uint32(len(tasks)))
-		for _, t := range tasks {
-			for _, v := range []int{t.Seq, t.K, t.Chunk.I0, t.Chunk.J0, t.Chunk.Rows, t.Chunk.Cols, t.Steps} {
-				e.u32(uint32(v))
-			}
-		}
-		e.u8(1)
-		rects := j.cutter.Rects()
-		e.u32(uint32(len(rects)))
-		for _, r := range rects {
-			for _, v := range r {
-				e.u32(uint32(v))
-			}
-		}
+		tail(j)
 	}
 	qids := make([]string, 0, len(cl.quarantined))
 	for id := range cl.quarantined {
@@ -181,7 +235,6 @@ func refSnapshot(cl *Cluster) []byte {
 		e.u32(uint32(cl.quarantined[id].strikes))
 		e.str(cl.quarantined[id].reason)
 	}
-	return e.buf
 }
 
 // randBlocked is a random br×bc-block matrix of q×q blocks; every bit
@@ -261,17 +314,6 @@ func TestAcceptedRecordMatchesReference(t *testing.T) {
 	}
 }
 
-// copyLog keeps a copy of every record appended through it.
-type copyLog struct {
-	JobLog
-	recs [][]byte
-}
-
-func (l *copyLog) Append(rec []byte) error {
-	l.recs = append(l.recs, bytes.Clone(rec))
-	return l.JobLog.Append(rec)
-}
-
 // TestJournalMatchesReference runs random matmul and LU jobs on a
 // journaled cluster, the records going through the reused buffers, and
 // pins the journal against the reference: replaying it yields exactly
@@ -284,7 +326,7 @@ func TestJournalMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		jn, log := openLog(t, dir)
-		clog := &copyLog{JobLog: log}
+		clog := &opLog{JobLog: log}
 		cl, _ := manualCluster(Config{Log: clog})
 		var want [][]byte
 		// tiles gives a task's final tile values, row-major.
@@ -343,8 +385,8 @@ func TestJournalMatchesReference(t *testing.T) {
 			held = pullTask(t, w)
 		}
 
-		if len(clog.recs) != len(want) {
-			t.Fatalf("seed %d: %d records appended, want %d", seed, len(clog.recs), len(want))
+		if len(clog.ops) != len(want) {
+			t.Fatalf("seed %d: %d records appended, want %d", seed, len(clog.ops), len(want))
 		}
 		var replayed [][]byte
 		if _, err := store.ReplayDir(dir, func(rec []byte, _ bool) error {
@@ -354,7 +396,7 @@ func TestJournalMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if !bytes.Equal(clog.recs[i], want[i]) || !bytes.Equal(replayed[i], want[i]) {
+			if !bytes.Equal(clog.ops[i].rec, want[i]) || !bytes.Equal(replayed[i], want[i]) {
 				t.Fatalf("seed %d: record %d (type %d) is not the reference's bytes", seed, i, want[i][0])
 			}
 		}
@@ -389,13 +431,19 @@ func TestJournalMatchesReference(t *testing.T) {
 		if len(snaps) != 1 || !bytes.Equal(snaps[0], wantSnap) {
 			t.Fatalf("seed %d: the snapshot is not the reference's bytes", seed)
 		}
-		snapDir := t.TempDir()
-		sjn, slog := openLog(t, snapDir)
-		if err := sjn.Compact(wantSnap); err != nil {
-			t.Fatal(err)
+		// So do the v0 layout's bytes of the same table.
+		cl.mu.Lock()
+		v0Snap := refSnapshotV0(cl)
+		cl.mu.Unlock()
+		for _, snap := range [][]byte{wantSnap, v0Snap} {
+			snapDir := t.TempDir()
+			sjn, slog := openLog(t, snapDir)
+			if err := sjn.Compact(snap); err != nil {
+				t.Fatal(err)
+			}
+			assertRecovers(t, slog, cl, true)
+			sjn.Close()
 		}
-		assertRecovers(t, slog, cl, true)
-		sjn.Close()
 		cl.Close()
 		jn.Close()
 	}

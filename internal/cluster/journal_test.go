@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/blas"
+	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/store"
@@ -35,24 +36,37 @@ func refChunk(t *Task, ref *matrix.Blocked) [][]float64 {
 	return out
 }
 
-// assertNoDuplicateCommits replays the journal and fails on any chunk
-// committed twice — the acceptance criterion's "zero duplicate task
-// execution" witness.
+// assertNoDuplicateCommits replays the journal and fails on any block
+// committed twice — the "zero duplicate task execution" witness. It
+// checks blocks, (job, LU stage, row, column), not seqs: one region
+// committed under two different seqs is a double apply too.
 func assertNoDuplicateCommits(t *testing.T, dir string) []ChunkCommit {
 	t.Helper()
 	chunks, _, err := ReplayChunkCommits(dir)
 	if err != nil {
 		t.Fatalf("ReplayChunkCommits: %v", err)
 	}
-	seen := make(map[[2]int]bool)
-	for _, c := range chunks {
-		k := [2]int{int(c.Job), c.Seq}
-		if seen[k] {
-			t.Fatalf("chunk %d/%d committed twice in the journal", c.Job, c.Seq)
-		}
-		seen[k] = true
-	}
+	assertBlocksCommittedOnce(t, chunks)
 	return chunks
+}
+
+// assertBlocksCommittedOnce fails on a block that two of the chunk
+// commits cover.
+func assertBlocksCommittedOnce(t *testing.T, chunks []ChunkCommit) {
+	t.Helper()
+	seen := make(map[[4]int]int)
+	for _, c := range chunks {
+		for i := c.I0; i < c.I0+c.Rows; i++ {
+			for j := c.J0; j < c.J0+c.Cols; j++ {
+				k := [4]int{int(c.Job), c.K, i, j}
+				if s, ok := seen[k]; ok {
+					t.Fatalf("block (%d, %d) of job %d, stage %d, committed twice: by seq %d and seq %d",
+						i, j, c.Job, c.K, s, c.Seq)
+				}
+				seen[k] = c.Seq
+			}
+		}
+	}
 }
 
 // TestRecoverMidJobMatMul is the deterministic heart of the restart
@@ -199,7 +213,8 @@ func TestRecoverMidJobLU(t *testing.T) {
 }
 
 // TestRecoverTwiceIdentical pins replay idempotence: a second Recover
-// over the same journal leaves the scheduler state untouched.
+// over the same journal leaves the scheduler state untouched — state,
+// commits, the blocks left to cut, pending copies and the next job id.
 func TestRecoverTwiceIdentical(t *testing.T) {
 	dir := t.TempDir()
 	c, a, b, ref := blockedInputs(t, 128, 128, 128, 32, 9)
@@ -232,7 +247,7 @@ func TestRecoverTwiceIdentical(t *testing.T) {
 		for _, pt := range j.pending {
 			seqs = append(seqs, pt.Seq)
 		}
-		return j.state, j.done, len(j.doneSeqs), seqs, clB.nextID
+		return j.state, j.done, j.cutter.Remaining(), seqs, clB.nextID
 	}
 	s1, d1, ds1, p1, n1 := snap()
 	rs2, err := clB.Recover()
@@ -379,8 +394,9 @@ func TestRecoverHandedBackChunk(t *testing.T) {
 	<-done
 }
 
-// TestRecoverCorruptChunkRegion: a chunk record whose region is neither
-// a pending copy's nor left to cut is refused, not silently dropped.
+// TestRecoverCorruptChunkRegion: a chunk record whose region is not
+// left to commit — here, one committed already under another seq — is
+// refused, not silently dropped.
 func TestRecoverCorruptChunkRegion(t *testing.T) {
 	dir := t.TempDir()
 	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 19)
@@ -924,5 +940,112 @@ func TestRecoverPreCutSnapshot(t *testing.T) {
 		}
 	}
 	cl.Close()
+	<-done
+}
+
+// TestRecoverRefusesBadFreeList: a v1 snapshot whose free list no run
+// of cuts and frees can leave — overlapping rectangles, a rectangle past
+// the grid — is refused before anything is cut from it, while the same
+// record with a sound list recovers.
+func TestRecoverRefusesBadFreeList(t *testing.T) {
+	c, a, b, _ := blockedInputs(t, 8, 8, 8, 4, 91) // 2×2 blocks
+	for _, tc := range []struct {
+		name  string
+		rects [][4]int
+		ok    bool
+	}{
+		{"sound", [][4]int{{0, 0, 1, 2}, {1, 0, 1, 2}}, true},
+		{"overlapping", [][4]int{{0, 0, 2, 2}, {1, 1, 1, 1}}, false},
+		{"outside the grid", [][4]int{{1, 1, 2, 1}}, false},
+	} {
+		e := &recEnc{}
+		e.u32(snapshotV1)
+		e.u32(1) // next job id
+		e.u32(1) // jobs
+		e.u32(0)
+		e.u64(7) // key
+		e.u8(byte(MatMul))
+		e.u8(byte(Running))
+		e.u8(0) // not quarantined
+		e.u32(2)
+		e.str("")
+		e.mats(&JobSpec{Kind: MatMul, C: c, A: a, B: b})
+		for _, v := range []int{0, 0, 0, 0} { // nextSeq, done, requeues, stage
+			e.u32(uint32(v))
+		}
+		e.u32(uint32(len(tc.rects)))
+		for _, r := range tc.rects {
+			for _, v := range r {
+				e.u32(uint32(v))
+			}
+		}
+		e.u32(0) // no quarantined workers
+		dir := t.TempDir()
+		jn, log := openLog(t, dir)
+		if err := jn.Compact(e.buf); err != nil {
+			t.Fatal(err)
+		}
+		cl, _ := manualCluster(Config{Log: log})
+		_, err := cl.Recover()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s free list %v: Recover = %v", tc.name, tc.rects, err)
+		}
+		cl.Close()
+		jn.Close()
+	}
+}
+
+// TestRecoverV0DuplicateSeq: a v0-layout snapshot taken while a
+// speculative duplicate was in flight lists the seq twice. The
+// converter frees its region once, and the recovered job commits every
+// block once and ends bit-exact.
+func TestRecoverV0DuplicateSeq(t *testing.T) {
+	cl, _ := adaptiveCluster(AdaptiveConfig{SpeculationFactor: 1.5})
+	defer cl.Close()
+	c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 93) // 2×2 blocks, T = 2
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := join(t, cl, "slow", 64, 1)
+	slow.ObserveCompute(engine.AssignID{}, 40, int64(time.Second)) // µ = √(40/2) ≥ 2: the whole grid
+	orig := pullTask(t, slow)
+	fast := join(t, cl, "fast", 64, 1)
+	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
+	if dup := pullTask(t, fast); dup.Seq != orig.Seq {
+		t.Fatalf("fast worker got seq %d, want a duplicate of %d", dup.Seq, orig.Seq)
+	}
+	cl.mu.Lock()
+	listed := len(uncommittedTasks(cl, cl.jobs[id]))
+	snap := refSnapshotV0(cl)
+	cl.mu.Unlock()
+	if listed != 2 {
+		t.Fatalf("the v0 layout lists %d tasks, want the seq twice", listed)
+	}
+
+	dir := t.TempDir()
+	jn, log := openLog(t, dir)
+	defer jn.Close()
+	if err := jn.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	rc, _ := manualCluster(Config{Log: log})
+	defer rc.Close()
+	if _, err := rc.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(rc, LocalWorkerConfig{ID: "w"}) }()
+	if st := waitStatus(t, rc, id); st.State != Done {
+		t.Fatalf("job after recovery = %+v", st)
+	}
+	res, err := rc.JobResult(id)
+	if err != nil || !res.Assemble().Equal(ref, 0) {
+		t.Fatalf("job from the v0 snapshot is not bit-exact (%v)", err)
+	}
+	if chunks := assertNoDuplicateCommits(t, dir); len(chunks) == 0 {
+		t.Fatal("no chunk committed after recovery")
+	}
+	rc.Close()
 	<-done
 }

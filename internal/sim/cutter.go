@@ -35,14 +35,14 @@ type rect struct {
 // Cutter does no locking; the cluster scheduler drives it under its
 // own mutex and the fleet simulator is single-threaded.
 type Cutter struct {
-	free  []rect
-	total int // blocks in the full grid
-	left  int // blocks not yet cut
+	free       []rect
+	rows, cols int // the grid
+	left       int // blocks not yet cut
 }
 
 // NewCutter builds a cutter over a rows×cols block grid.
 func NewCutter(rows, cols int) *Cutter {
-	c := &Cutter{total: rows * cols}
+	c := &Cutter{rows: rows, cols: cols}
 	if rows > 0 && cols > 0 {
 		c.free = []rect{{0, 0, rows, cols}}
 		c.left = rows * cols
@@ -141,8 +141,8 @@ func (c *Cutter) Free(i0, j0, rows, cols int) error {
 	if rows < 1 || cols < 1 {
 		return fmt.Errorf("sim: freeing empty region %dx%d", rows, cols)
 	}
-	if c.left+rows*cols > c.total {
-		return fmt.Errorf("sim: freeing %d blocks would exceed the %d-block grid", rows*cols, c.total)
+	if c.left+rows*cols > c.rows*c.cols {
+		return fmt.Errorf("sim: freeing %d blocks would exceed the %d-block grid", rows*cols, c.rows*c.cols)
 	}
 	c.free = append(c.free, rect{i0, j0, rows, cols})
 	c.left += rows * cols
@@ -197,12 +197,34 @@ func (c *Cutter) Rects() [][4]int {
 
 // NewCutterFromRects rebuilds a cutter over a rows×cols grid whose free
 // pool is exactly the given regions (the inverse of Rects; no regions
-// is an empty cutter Free can refill).
+// is an empty cutter Free can refill). Check tells whether they form
+// one.
 func NewCutterFromRects(rows, cols int, rects [][4]int) *Cutter {
-	c := &Cutter{total: rows * cols}
+	c := &Cutter{rows: rows, cols: cols}
 	for _, r := range rects {
 		c.free = append(c.free, rect{r[0], r[1], r[2], r[3]})
 		c.left += r[2] * r[3]
 	}
 	return c
+}
+
+// Check refuses a free pool that no sequence of cuts and frees leaves:
+// a rectangle empty or outside the grid, two rectangles that overlap, or
+// more free blocks than the grid holds. A pool rebuilt from a durable
+// record is checked before anything is cut from it.
+func (c *Cutter) Check() error {
+	if c.left > c.rows*c.cols {
+		return fmt.Errorf("sim: %d free blocks in a %d-block grid", c.left, c.rows*c.cols)
+	}
+	for n, r := range c.free {
+		if r.rows < 1 || r.cols < 1 || r.i0 < 0 || r.j0 < 0 || r.i0+r.rows > c.rows || r.j0+r.cols > c.cols {
+			return fmt.Errorf("sim: free region %v outside the %dx%d grid", r, c.rows, c.cols)
+		}
+		for _, o := range c.free[:n] {
+			if r.i0 < o.i0+o.rows && o.i0 < r.i0+r.rows && r.j0 < o.j0+o.cols && o.j0 < r.j0+r.cols {
+				return fmt.Errorf("sim: free regions %v and %v overlap", o, r)
+			}
+		}
+	}
+	return nil
 }

@@ -267,3 +267,32 @@ func TestCutterFixedMuIsChunkGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestCutterCheck pins the free-pool check a durable record's pool must
+// pass: disjoint rectangles inside the grid, no more blocks than it
+// holds. A pool a cutter reached by cuts and frees always passes.
+func TestCutterCheck(t *testing.T) {
+	c := sim.NewCutter(4, 5)
+	c.Cut(2, nil)
+	c.Cut(3, &[2]int{0, 0})
+	if err := c.Free(0, 0, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.NewCutterFromRects(4, 5, c.Rects()).Check(); err != nil {
+		t.Fatalf("a pool reached by cuts and frees: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		rects [][4]int
+	}{
+		{"outside the grid", [][4]int{{3, 3, 2, 2}}},
+		{"negative corner", [][4]int{{-1, 0, 1, 1}}},
+		{"empty", [][4]int{{0, 0, 0, 2}}},
+		{"overlapping", [][4]int{{0, 0, 2, 2}, {1, 1, 2, 2}}},
+		{"beyond the grid's area", [][4]int{{0, 0, 4, 5}, {0, 0, 4, 5}}},
+	} {
+		if err := sim.NewCutterFromRects(4, 5, tc.rects).Check(); err == nil {
+			t.Errorf("%s: %v passed the check", tc.name, tc.rects)
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/greedy"
 	"repro/internal/grid"
-	"repro/internal/hetalg"
 	"repro/internal/hetero"
 	"repro/internal/homog"
 	"repro/internal/lu"
@@ -574,7 +573,7 @@ func BenchmarkHeteroDemand(b *testing.B) {
 	var res core.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = hetalg.Run(pl, pr, hetalg.Options{IncludeCIO: true})
+		res, err = hetero.RunDemand(pl, pr, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

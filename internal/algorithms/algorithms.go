@@ -167,13 +167,7 @@ func Run(name Name, pl *platform.Platform, pr core.Problem, opt Options) (core.R
 	if err != nil {
 		return core.Result{}, fmt.Errorf("algorithms: %s: %w", name, err)
 	}
-	return core.Result{
-		Algorithm: string(name),
-		Makespan:  r.Makespan,
-		Enrolled:  r.Enrolled,
-		Blocks:    r.Blocks,
-		Updates:   r.Updates,
-	}, nil
+	return r.Core(string(name)), nil
 }
 
 // toledoChunks cuts C into ν×ν chunks; each chunk's inner dimension is

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/greedy"
 	"repro/internal/grid"
-	"repro/internal/hetalg"
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -407,7 +406,7 @@ func HetSweep(w io.Writer) error {
 			rate := float64(res.Updates) / res.Makespan
 			fmt.Fprintf(w, " %10.3f", rate/sol.Throughput)
 		}
-		dyn, err := hetalg.Run(pl, pr, hetalg.Options{IncludeCIO: true})
+		dyn, err := hetero.RunDemand(pl, pr, nil)
 		if err != nil {
 			return err
 		}

@@ -2,9 +2,45 @@ package expt
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestExperimentsGolden pins every number the deterministic experiments
+// print: the golden file is `mmexp`'s output for every id but fig11,
+// which times real runs.
+func TestExperimentsGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, e := range All() {
+		if e.ID == "fig11" {
+			continue
+		}
+		if got.Len() > 0 {
+			got.WriteString("\n")
+		}
+		fmt.Fprintf(&got, "=== %s — %s ===\n", e.ID, e.Title)
+		got.WriteString(runExpt(t, e.ID))
+	}
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("line %d differs from testdata/experiments.golden:\n got: %q\nwant: %q", i+1, g, w)
+		}
+	}
+}
 
 func runExpt(t *testing.T, id string) string {
 	t.Helper()

@@ -1,4 +1,4 @@
-package hetalg
+package hetero
 
 import (
 	"math"
@@ -7,25 +7,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
-	"repro/internal/hetero"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
-func mem(mu int) int { return mu*mu + 4*mu }
-
-func table2() *platform.Platform {
-	return platform.New(
-		platform.Worker{C: 2, W: 2, M: mem(6)},
-		platform.Worker{C: 3, W: 3, M: mem(18)},
-		platform.Worker{C: 5, W: 1, M: mem(10)},
-	)
-}
-
-func TestRunConservation(t *testing.T) {
+func TestRunDemandConservation(t *testing.T) {
 	pl := table2()
 	pr := core.Problem{R: 36, S: 36, T: 10, Q: 80}
-	res, err := Run(pl, pr, Options{IncludeCIO: true})
+	res, err := RunDemand(pl, pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,45 +34,52 @@ func TestRunConservation(t *testing.T) {
 	}
 }
 
-func TestSingleWorkerExactMakespan(t *testing.T) {
-	// one worker, µ=2, r=s=2, t=2, no C I/O: two update sets of 4 blocks
-	// each (2 rows + 2 cols), each enabling 4 updates.
+func TestRunDemandSingleWorkerExactMakespan(t *testing.T) {
+	// One worker, µ=2, r=s=2, t=2: one 2×2 chunk, two update sets of 4
+	// blocks (2 rows + 2 cols), each enabling 4 updates. C down [0,4]; AB1
+	// [4,8], compute [8,20]; AB2 holds the port until the one staging
+	// buffer frees, [8,20], compute [20,32]; C back [32,36].
 	pl := platform.New(platform.Worker{C: 1, W: 3, M: mem(2)})
 	pr := core.Problem{R: 2, S: 2, T: 2, Q: 8}
-	res, err := Run(pl, pr, Options{IncludeCIO: false})
+	res, err := RunDemand(pl, pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// AB1 [0,4], compute [4,16]; AB2 ends max(8,16)=16, compute [16,28].
-	if res.Makespan != 28 {
-		t.Fatalf("makespan %v, want 28", res.Makespan)
+	if res.Makespan != 36 {
+		t.Fatalf("makespan %v, want 36", res.Makespan)
 	}
-	if res.Blocks != 8 {
-		t.Fatalf("blocks %d, want 8", res.Blocks)
+	if res.Blocks != 16 { // 4 C down + 2×4 AB + 4 C back
+		t.Fatalf("blocks %d, want 16", res.Blocks)
 	}
 }
 
-func TestCIOAddsTraffic(t *testing.T) {
-	pl := table2()
-	pr := core.Problem{R: 18, S: 18, T: 4, Q: 80}
-	with, err := Run(pl, pr, Options{IncludeCIO: true})
+// TestRunDemandFirstSetKey pins when a chunk's first update set is
+// requested: when its C chunk arrives (sim.FirstToReceive, as for ODDOML
+// and OBMM), not at the worker's previous compute end, which comes before
+// that arrival. P1 (w=3) gets its C at [0,1] and P2 (w=1) at [1,2], both
+// before any update set; P1's set [2,4] computes [4,7], P2's [4,6]
+// computes [6,7], and the C chunks return [7,8] and [8,9]. Keyed at the
+// previous compute end (0), P1's set would have gone before P2's C and
+// the run would have ended at 8.
+func TestRunDemandFirstSetKey(t *testing.T) {
+	pl := platform.New(
+		platform.Worker{C: 1, W: 3, M: mem(1)},
+		platform.Worker{C: 1, W: 1, M: mem(1)},
+	)
+	res, err := RunDemand(pl, core.Problem{R: 1, S: 2, T: 1, Q: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Run(pl, pr, Options{IncludeCIO: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(without.Blocks < with.Blocks && without.Makespan <= with.Makespan) {
-		t.Fatalf("C I/O accounting wrong: %v vs %v", without, with)
+	if res.Makespan != 9 {
+		t.Fatalf("makespan %v, want 9", res.Makespan)
 	}
 }
 
-func TestTraceConsistent(t *testing.T) {
+func TestRunDemandTraceConsistent(t *testing.T) {
 	tr := &trace.Trace{}
 	pl := table2()
 	pr := core.Problem{R: 12, S: 12, T: 3, Q: 80}
-	res, err := Run(pl, pr, Options{IncludeCIO: true, Trace: tr})
+	res, err := RunDemand(pl, pr, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +88,15 @@ func TestTraceConsistent(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	if _, err := Run(platform.New(), core.Problem{R: 1, S: 1, T: 1, Q: 1}, Options{}); err == nil {
+func TestRunDemandErrors(t *testing.T) {
+	if _, err := RunDemand(platform.New(), core.Problem{R: 1, S: 1, T: 1, Q: 1}, nil); err == nil {
 		t.Fatal("empty platform accepted")
 	}
 	pl := platform.New(platform.Worker{C: 1, W: 1, M: 4})
-	if _, err := Run(pl, core.Problem{R: 1, S: 1, T: 1, Q: 1}, Options{}); err == nil {
+	if _, err := RunDemand(pl, core.Problem{R: 1, S: 1, T: 1, Q: 1}, nil); err == nil {
 		t.Fatal("µ=0 platform accepted")
 	}
-	if _, err := Run(table2(), core.Problem{}, Options{}); err == nil {
+	if _, err := RunDemand(table2(), core.Problem{}, nil); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }
@@ -115,7 +111,7 @@ func TestQuickDemandInvariants(t *testing.T) {
 		pr := core.Problem{
 			R: int(rRaw%15) + 1, S: int(sRaw%15) + 1, T: int(tRaw%4) + 1, Q: 8,
 		}
-		res, err := Run(pl, pr, Options{IncludeCIO: true})
+		res, err := RunDemand(pl, pr, nil)
 		if err != nil {
 			return false
 		}
@@ -133,14 +129,14 @@ func TestQuickDemandInvariants(t *testing.T) {
 // The dynamic baseline should be in the same ballpark as the static
 // incremental algorithms on the Table 2 platform (neither pathologically
 // slow nor impossibly fast).
-func TestComparableToStatic(t *testing.T) {
+func TestRunDemandComparableToStatic(t *testing.T) {
 	pl := table2()
 	pr := core.Problem{R: 36, S: 36, T: 10, Q: 80}
-	dyn, err := Run(pl, pr, Options{IncludeCIO: true})
+	dyn, err := RunDemand(pl, pr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stat, _, err := hetero.Run(pl, pr, hetero.Global, hetero.ExecOptions{IncludeCIO: true})
+	stat, _, err := Run(pl, pr, Global, ExecOptions{IncludeCIO: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/homog"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -21,13 +23,13 @@ type ExecOptions struct {
 }
 
 // Execute replays an allocation's selection sequence as the second phase of
-// §6.2: the first selection of a chunk ships the µ_i×µ_i C chunk to P_i,
-// each following selection ships one update set (µ_i A blocks + µ_i B
-// blocks, 2µ_i·c_i), and after the t-th update set of a chunk the chunk is
-// returned to the master. The master is a strict one-port: operations are
-// serialized in selection order, and an update-set communication to a
-// worker whose staging buffers are still busy completes only when the
-// worker becomes ready (the timing rule of Algorithm 3).
+// §6.2 on the one-port simulator: the first selection of a chunk ships the
+// µ_i×µ_i C chunk to P_i, each following selection ships one update set
+// (µ_i A blocks + µ_i B blocks, 2µ_i·c_i), and after the t-th update set of
+// a chunk the chunk is returned to the master. The master serializes the
+// operations in selection order, and each worker has one staging buffer, so
+// an update-set communication to a worker still computing completes only
+// when the worker becomes ready (the timing rule of Algorithm 3).
 func Execute(pl *platform.Platform, pr core.Problem, alloc *Allocation, opt ExecOptions) (core.Result, error) {
 	if alloc == nil {
 		return core.Result{}, fmt.Errorf("hetero: nil allocation")
@@ -36,20 +38,10 @@ func Execute(pl *platform.Platform, pr core.Problem, alloc *Allocation, opt Exec
 
 	// Enumerate each worker's chunks from its columns: panels of µ_i
 	// columns, each cut into ⌈r/µ_i⌉ chunks of µ_i (or ragged) rows.
-	type chunk struct{ rows, cols int }
-	chunkQueue := make([][]chunk, pl.P())
+	queues := make([][]*sim.Chunk, pl.P())
 	for w := 0; w < pl.P(); w++ {
-		cols := alloc.Panels[w].Columns
-		mu := mus[w]
-		if cols == 0 || mu == 0 {
-			continue
-		}
-		for c0 := 0; c0 < cols; c0 += mu {
-			cw := minInt(mu, cols-c0)
-			for r0 := 0; r0 < pr.R; r0 += mu {
-				rw := minInt(mu, pr.R-r0)
-				chunkQueue[w] = append(chunkQueue[w], chunk{rows: rw, cols: cw})
-			}
+		if cols := alloc.Panels[w].Columns; cols > 0 && mus[w] > 0 {
+			_, queues[w] = homog.ChunkGrid(core.Problem{R: pr.R, S: cols, T: pr.T}, mus[w])
 		}
 	}
 
@@ -58,8 +50,8 @@ func Execute(pl *platform.Platform, pr core.Problem, alloc *Allocation, opt Exec
 	// round-robin (the allocation phase stops on a column-count rounding
 	// boundary, so the raw sequence can be a few update sets short).
 	needed := make([]int, pl.P())
-	for w := range chunkQueue {
-		needed[w] = len(chunkQueue[w]) * pr.T
+	for w := range queues {
+		needed[w] = len(queues[w]) * pr.T
 	}
 	var seq []int
 	taken := make([]int, pl.P())
@@ -83,107 +75,54 @@ func Execute(pl *platform.Platform, pr core.Problem, alloc *Allocation, opt Exec
 		}
 	}
 
-	var (
-		port    float64 // one-port link availability
-		ready   = make([]float64, pl.P())
-		kDone   = make([]int, pl.P()) // update sets delivered in current chunk
-		curIdx  = make([]int, pl.P()) // current chunk index
-		blocks  int64
-		updates int64
-		res     core.Result
-	)
-	enrolled := make([]bool, pl.P())
-
-	lane := func(w int) string { return fmt.Sprintf("P%d", w+1) }
-
+	// Each selection is one SendAB, preceded by a SendC at a chunk's first
+	// selection (without C I/O, at the worker's first) and followed by a
+	// RecvC after its t-th.
+	var ops []sim.SeqOp
+	op := func(w int, k sim.OpKind) { ops = append(ops, sim.SeqOp{Worker: w, Kind: k}) }
+	sets := make([]int, pl.P()) // update sets sent for the worker's current chunk
 	for _, w := range seq {
-		if curIdx[w] >= len(chunkQueue[w]) {
-			continue // defensive; seq construction should prevent this
+		if sets[w] == 0 {
+			op(w, sim.SendC)
 		}
-		ck := chunkQueue[w][curIdx[w]]
-		wk := pl.Workers[w]
-		enrolled[w] = true
-
-		if kDone[w] == 0 && opt.IncludeCIO {
-			// Ship the C chunk down.
-			dur := float64(ck.rows*ck.cols) * wk.C
-			start := port
-			port = start + dur
-			blocks += int64(ck.rows * ck.cols)
-			opt.Trace.Add("M", trace.Comm, start, port, fmt.Sprintf("C→%s", lane(w)))
+		op(w, sim.SendAB)
+		if sets[w]++; opt.IncludeCIO && sets[w] == pr.T {
+			op(w, sim.RecvC)
+			sets[w] = 0
 		}
-
-		// One update set: µ_i B blocks + µ_i A blocks (clamped to the
-		// ragged chunk dimensions).
-		nb := int64(ck.cols + ck.rows)
-		dur := float64(nb) * wk.C
-		start := port
-		end := start + dur
-		if ready[w] > end {
-			// Staging buffers still in use: the transfer cannot complete
-			// before the worker drains them (Algorithm 3 timing rule).
-			end = ready[w]
-		}
-		opt.Trace.Add("M", trace.Comm, start, end, fmt.Sprintf("AB→%s", lane(w)))
-		port = end
-		blocks += nb
-
-		u := int64(ck.rows * ck.cols)
-		cstart := end
-		if ready[w] > cstart {
-			cstart = ready[w]
-		}
-		ready[w] = cstart + float64(u)*wk.W
-		updates += u
-		opt.Trace.Add(lane(w), trace.Compute, cstart, ready[w], fmt.Sprintf("upd k=%d", kDone[w]+1))
-
-		kDone[w]++
-		if kDone[w] == pr.T {
-			// Chunk complete: retrieve C.
-			if opt.IncludeCIO {
-				dur := float64(ck.rows*ck.cols) * wk.C
-				start := port
-				if ready[w] > start {
-					start = ready[w]
-				}
-				port = start + dur
-				blocks += int64(ck.rows * ck.cols)
-				opt.Trace.Add("M", trace.Comm, start, port, fmt.Sprintf("C←%s", lane(w)))
+	}
+	if !opt.IncludeCIO {
+		// A worker's chunks become one zero-block chunk holding all its
+		// update sets. It is retrieved at the end of the list, where the
+		// zero-length RecvC cannot hold the port.
+		for w, q := range queues {
+			if len(q) == 0 {
+				continue
 			}
-			kDone[w] = 0
-			curIdx[w]++
+			all := &sim.Chunk{}
+			for _, ch := range q {
+				all.Steps = append(all.Steps, ch.Steps...)
+			}
+			queues[w] = []*sim.Chunk{all}
+			op(w, sim.RecvC)
 		}
 	}
 
-	// Drain: all chunks must have been fully processed.
-	var makespan float64
-	for w := range ready {
-		if curIdx[w] < len(chunkQueue[w]) || kDone[w] != 0 {
-			return core.Result{}, fmt.Errorf("hetero: worker P%d has %d unfinished chunks (selection sequence too short)",
-				w+1, len(chunkQueue[w])-curIdx[w])
-		}
-		if ready[w] > makespan {
-			makespan = ready[w]
-		}
+	pol := sim.NewSequencePolicy("hetero-"+alloc.Rule.String(), ops)
+	res, err := sim.Run(sim.Input{
+		Platform: pl,
+		Configs:  make([]sim.WorkerConfig, pl.P()), // StageCap 1
+		Queues:   queues,
+		Policy:   pol,
+		Trace:    opt.Trace,
+	})
+	if err != nil {
+		return core.Result{}, fmt.Errorf("hetero: execution phase: %w", err)
 	}
-	if port > makespan {
-		makespan = port
+	if n := pol.Remaining(); n != 0 {
+		return core.Result{}, fmt.Errorf("hetero: execution phase left %d operations unplayed", n)
 	}
-
-	nEnrolled := 0
-	for _, e := range enrolled {
-		if e {
-			nEnrolled++
-		}
-	}
-	res = core.Result{
-		Algorithm: "hetero-" + alloc.Rule.String(),
-		Makespan:  makespan,
-		Enrolled:  nEnrolled,
-		Blocks:    blocks,
-		Updates:   updates,
-	}
-	return res, nil
+	return res.Core(pol.Name()), nil
 }
 
 // Run is the one-call driver: allocate then execute.
@@ -194,4 +133,59 @@ func Run(pl *platform.Platform, pr core.Problem, rule Rule, opt ExecOptions) (co
 	}
 	res, err := Execute(pl, pr, alloc, opt)
 	return res, alloc, err
+}
+
+// RunDemand runs the dynamic (demand-driven) baseline against which the
+// §6.2 static algorithms are compared: instead of pre-allocating column
+// panels through a selection simulation, the master hands each idle worker
+// the next free panel of µ_i block columns, which that worker walks
+// top-down in µ_i-row chunks, and serves every request first come, first
+// served (sim.FirstToReceive), one staging buffer per worker. The paper's
+// related-work section classifies such schedulers as the "dynamic
+// strategies [that] are outside the scope of this paper"; this one runs
+// under the same one-port model so the §8 comparison can include it.
+func RunDemand(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.Result, error) {
+	if err := pl.Validate(); err != nil {
+		return core.Result{}, err
+	}
+	if err := pr.Validate(); err != nil {
+		return core.Result{}, err
+	}
+	mus := pl.Mus()
+	if err := usable(mus); err != nil {
+		return core.Result{}, err
+	}
+	panel := make([][]*sim.Chunk, pl.P()) // the unsent rest of each worker's panel
+	free := 0                             // first block column no worker has taken
+	carve := func(w int, claim bool) *sim.Chunk {
+		p := panel[w]
+		if len(p) == 0 {
+			if mus[w] < 1 || free == pr.S {
+				return nil
+			}
+			_, p = homog.ChunkGrid(core.Problem{R: pr.R, S: min(mus[w], pr.S-free), T: pr.T}, mus[w])
+		}
+		if claim {
+			if len(panel[w]) == 0 {
+				free += p[0].Cols
+			}
+			panel[w] = p[1:]
+		}
+		return p[0]
+	}
+	const name = "hetero-demand"
+	res, err := sim.Run(sim.Input{
+		Platform: pl,
+		Configs:  make([]sim.WorkerConfig, pl.P()), // StageCap 1
+		Source:   carve,
+		Policy:   sim.NewDemandPolicy(name, sim.FirstToReceive),
+		Trace:    tr,
+	})
+	if err != nil {
+		return core.Result{}, fmt.Errorf("hetero: demand baseline: %w", err)
+	}
+	if res.Updates != pr.Updates() {
+		return core.Result{}, fmt.Errorf("hetero: demand baseline performed %d updates, want %d", res.Updates, pr.Updates())
+	}
+	return res.Core(name), nil
 }

@@ -20,8 +20,10 @@
 //     of workers for the next two communications.
 //
 // The allocation phase assigns whole µ_i-wide column panels to workers; the
-// execution phase then replays the selection sequence, adding the C-chunk
-// I/O that the ratio analysis neglects.
+// execution phase then replays the selection sequence on the one-port
+// simulator (internal/sim), adding the C-chunk I/O that the ratio analysis
+// neglects. RunDemand, the demand-driven baseline, runs on the same
+// simulator.
 package hetero
 
 import (
@@ -232,14 +234,8 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 		return nil, err
 	}
 	st := NewState(pl)
-	usable := false
-	for _, mu := range st.Mus {
-		if mu >= 1 {
-			usable = true
-		}
-	}
-	if !usable {
-		return nil, fmt.Errorf("hetero: no worker has memory for µ ≥ 1")
+	if err := usable(st.Mus); err != nil {
+		return nil, err
 	}
 
 	nbColumn := func() int {
@@ -345,9 +341,12 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 	return alloc, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// usable fails when no worker's memory holds a chunk of side µ ≥ 1.
+func usable(mus []int) error {
+	for _, mu := range mus {
+		if mu >= 1 {
+			return nil
+		}
 	}
-	return b
+	return fmt.Errorf("hetero: no worker has memory for µ ≥ 1")
 }

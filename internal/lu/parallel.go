@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -19,15 +20,16 @@ type ParallelResult struct {
 	PrologTime float64 // time spent in pivot/panel phases (sequential part)
 }
 
-// SimulateHomogeneous simulates the homogeneous parallel LU of §7.2 on a
-// one-port star: at each step k a single worker factors the pivot matrix
-// and updates both panels, then P = min{p, ⌈µw/3c⌉} workers update the
-// core in parallel, each receiving whole groups of µ core columns
-// (µ² horizontal-panel blocks, then 3µ blocks exchanged per core row).
+// SimulateHomogeneous simulates the homogeneous parallel LU of §7.2 on the
+// one-port simulator: at each step k worker P1 receives the pivot matrix
+// and both panels and factors and updates them while the port waits, then
+// P = min{p, ⌈µw/3c⌉} workers update the core in parallel, each receiving
+// whole groups of µ core columns (µ² horizontal-panel blocks, then 3µ
+// blocks exchanged per core row). The groups are list-scheduled
+// round-robin on the enrolled workers under one-port serialization of all
+// transfers, and step k+1 starts once every group of step k is done.
 //
-// r must be divisible by µ. The returned makespan uses list scheduling of
-// the column groups on the enrolled workers under one-port serialization
-// of all transfers.
+// r must be divisible by µ.
 func SimulateHomogeneous(pl *platform.Platform, r, mu int, tr *trace.Trace) (ParallelResult, error) {
 	if err := pl.Validate(); err != nil {
 		return ParallelResult{}, err
@@ -35,68 +37,62 @@ func SimulateHomogeneous(pl *platform.Platform, r, mu int, tr *trace.Trace) (Par
 	if !pl.IsHomogeneous() {
 		return ParallelResult{}, fmt.Errorf("lu: SimulateHomogeneous needs a homogeneous platform")
 	}
-	if r%mu != 0 {
-		return ParallelResult{}, fmt.Errorf("lu: r=%d not divisible by µ=%d", r, mu)
-	}
-	w0 := pl.Workers[0]
-	enroll := SelectP(pl.P(), mu, w0.C, w0.W)
 	steps, err := Steps(r, mu)
 	if err != nil {
 		return ParallelResult{}, err
 	}
+	w0 := pl.Workers[0]
+	res := ParallelResult{Enrolled: SelectP(pl.P(), mu, w0.C, w0.W)}
 
-	var res ParallelResult
-	res.Enrolled = enroll
-	now := 0.0
-	fm := float64(mu)
-	for _, st := range steps {
-		// Sequential prologue on worker 1: pivot + panels. The transfers
-		// and the compute are serialized (the paper's simple scheme).
-		prolog := (st.PivotComm+st.VPanelComm+st.HPanelComm)*w0.C +
-			(st.PivotWork+st.VPanelWork+st.HPanelWork)*w0.W
-		tr.Add("M", trace.Comm, now, now+(st.PivotComm+st.VPanelComm+st.HPanelComm)*w0.C,
-			fmt.Sprintf("k=%d pivot+panels", st.K))
-		tr.Add("P1", trace.Compute, now+(st.PivotComm+st.VPanelComm+st.HPanelComm)*w0.C, now+prolog,
-			fmt.Sprintf("k=%d pivot+panels", st.K))
-		now += prolog
-		res.PrologTime += prolog
-		res.Blocks += st.PivotComm + st.VPanelComm + st.HPanelComm
-		res.Work += st.PivotWork + st.VPanelWork + st.HPanelWork
-
-		// Core update: distribute the column groups.
-		groups := int(math.Round(st.CoreComm / (fm*fm + 3*(float64(r)-float64(st.K)*fm)*fm)))
-		if groups == 0 {
-			continue
+	// Every transfer is a one-step chunk without C blocks. Retrieving a
+	// worker's chunk before sending it the next makes that chunk's
+	// transfer wait for the worker's previous compute.
+	queues := make([][]*sim.Chunk, pl.P())
+	var ops []sim.SeqOp
+	held := make([]bool, pl.P()) // the worker's last chunk is not retrieved yet
+	recv := func(w int) {
+		if held[w] {
+			ops = append(ops, sim.SeqOp{Worker: w, Kind: sim.RecvC})
+			held[w] = false
 		}
-		rem := float64(r) - float64(st.K)*fm
-		commPerGroup := (fm*fm + 3*rem*fm) * w0.C
-		workPerGroup := rem * fm * fm * w0.W
-		port := now
-		free := make([]float64, enroll)
-		for i := range free {
-			free[i] = now
-		}
-		var stepEnd float64
-		for g := 0; g < groups; g++ {
-			w := g % enroll
-			// transfer serialized on the port; compute after transfer and
-			// after the worker's previous group
-			start := math.Max(port, free[w])
-			end := start + commPerGroup
-			tr.Add("M", trace.Comm, start, end, fmt.Sprintf("k=%d grp%d→P%d", st.K, g, w+1))
-			port = end
-			cend := end + workPerGroup
-			tr.Add(fmt.Sprintf("P%d", w+1), trace.Compute, end, cend, fmt.Sprintf("k=%d grp%d", st.K, g))
-			free[w] = cend
-			if cend > stepEnd {
-				stepEnd = cend
-			}
-		}
-		now = math.Max(stepEnd, port)
-		res.Blocks += st.CoreComm
-		res.Work += st.CoreWork
 	}
-	res.Makespan = now
+	send := func(w, blocks, updates int) {
+		recv(w)
+		queues[w] = append(queues[w], &sim.Chunk{Steps: []sim.Step{{Blocks: blocks, Updates: int64(updates)}}})
+		ops = append(ops, sim.SeqOp{Worker: w, Kind: sim.SendC}, sim.SeqOp{Worker: w, Kind: sim.SendAB})
+		held[w] = true
+	}
+	for _, st := range steps {
+		rem := r - st.K*mu // rows and columns right of and below the pivot
+		// Pivot and panels: 2µ² + 2µ·rem + 2µ·rem blocks, µ³ + µ²·rem/2 +
+		// µ²·rem/2 updates.
+		blocks, work := 2*mu*mu+4*mu*rem, mu*mu*mu+mu*mu*rem
+		res.PrologTime += float64(blocks)*w0.C + float64(work)*w0.W
+		send(0, blocks, work)
+		recv(0)
+		for g := 0; g < r/mu-st.K; g++ {
+			send(g%res.Enrolled, mu*mu+3*rem*mu, rem*mu*mu)
+		}
+		for w := range held {
+			recv(w)
+		}
+	}
+
+	pol := sim.NewSequencePolicy("lu", ops)
+	out, err := sim.Run(sim.Input{
+		Platform: pl,
+		Configs:  make([]sim.WorkerConfig, pl.P()), // StageCap 1
+		Queues:   queues,
+		Policy:   pol,
+		Trace:    tr,
+	})
+	if err != nil {
+		return ParallelResult{}, fmt.Errorf("lu: list schedule: %w", err)
+	}
+	if n := pol.Remaining(); n != 0 {
+		return ParallelResult{}, fmt.Errorf("lu: list schedule left %d operations unplayed", n)
+	}
+	res.Makespan, res.Blocks, res.Work = out.Makespan, float64(out.Blocks), float64(out.Updates)
 	return res, nil
 }
 

@@ -106,6 +106,50 @@ func TestAllWorkersDeadErrors(t *testing.T) {
 	}
 }
 
+// TestSourceCarvesOnClaim feeds failurePool's chunks through Input.Source
+// instead of Pool: a chunk is carved only when its SendC is picked, the
+// failure-free run matches pool mode, and a carved chunk lost to a crash
+// is requeued and finished by a survivor.
+func TestSourceCarvesOnClaim(t *testing.T) {
+	clean, failed := runFailureCase(t, []Failure{{Worker: 0, At: 10}})
+	for _, fs := range [][]Failure{nil, {{Worker: 0, At: 10}}} {
+		left, claims := failurePool(6, 2, 3), 0
+		res, err := Run(Input{
+			Platform: platform.Homogeneous(3, 1, 4, 100),
+			Configs:  []WorkerConfig{{StageCap: 2}, {StageCap: 2}, {StageCap: 2}},
+			Source: func(w int, claim bool) *Chunk {
+				if len(left) == 0 {
+					return nil
+				}
+				ch := left[0]
+				if claim {
+					left, claims = left[1:], claims+1
+				}
+				return ch
+			},
+			Policy:   NewDemandPolicy("fcfs", FirstToReceive),
+			Failures: fs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if claims != 6 || res.Chunks != 6 {
+			t.Fatalf("failures %v: %d claims, %d chunks, want 6", fs, claims, res.Chunks)
+		}
+		want := clean
+		if fs != nil {
+			want = failed
+		}
+		if fs == nil && (res.Makespan != want.Makespan || res.Blocks != want.Blocks) {
+			t.Fatalf("source run %+v differs from pool run %+v", res, want)
+		}
+		if res.Requeues != want.Requeues || res.Updates != want.Updates {
+			t.Fatalf("failures %v: %d requeues, %d updates, want %d and %d",
+				fs, res.Requeues, res.Updates, want.Requeues, want.Updates)
+		}
+	}
+}
+
 // TestFailureRequiresPoolMode checks static queues reject injection.
 func TestFailureRequiresPoolMode(t *testing.T) {
 	pl := platform.Homogeneous(1, 1, 4, 100)

@@ -1,14 +1,13 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SequencePolicy replays a fixed communication order (worker, kind)
 // regardless of timing: the master waits for each operation's precondition
 // in turn, exactly like the static programs of Algorithms 1 and 2. The
 // step index of SendAB operations is implied by progress and not matched.
+// A sequence that runs out while work remains, or whose next op is not a
+// legal candidate, picks -1, so Run fails instead of guessing.
 type SequencePolicy struct {
 	name string
 	ops  []SeqOp
@@ -32,10 +31,7 @@ func (p *SequencePolicy) Name() string { return p.name }
 // Pick implements Policy.
 func (p *SequencePolicy) Pick(now float64, cands []Candidate) int {
 	if p.pos >= len(p.ops) {
-		// Sequence exhausted but work remains: fall back to the first
-		// candidate so the simulation can drain (defensive; a correct
-		// sequence never hits this).
-		return 0
+		return -1
 	}
 	want := p.ops[p.pos]
 	for i, c := range cands {
@@ -44,11 +40,9 @@ func (p *SequencePolicy) Pick(now float64, cands []Candidate) int {
 			return i
 		}
 	}
-	// The wanted op is not legal yet — this cannot happen with the
-	// blocking-candidate model (every legal next op is always offered),
-	// so the sequence itself is inconsistent with the chunk state.
-	panic(fmt.Sprintf("sim: sequence policy %q wants %v for P%d but it is not a legal candidate",
-		p.name, want.Kind, want.Worker+1))
+	// Every legal next op is always offered, so the sequence itself is
+	// inconsistent with the chunk state.
+	return -1
 }
 
 // Remaining reports how many sequence entries were never consumed.

@@ -20,6 +20,12 @@
 // communication as a Candidate and the policy picks one. Static algorithms
 // (fixed communication orders such as Algorithm 1) use SequencePolicy;
 // demand-driven algorithms inspect the candidates' timing.
+//
+// Run is the repository's one model of the paper's one-port star. Each
+// caller only builds chunks, queues and a policy: the seven §8 algorithms
+// (internal/algorithms), the §6.2 execution phase and the demand-driven
+// heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
+// (internal/lu).
 package sim
 
 import (
@@ -27,6 +33,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
@@ -86,7 +93,7 @@ func (c *Chunk) TotalUpdates() int64 {
 
 // WorkerConfig sets the per-worker simulation parameters.
 type WorkerConfig struct {
-	StageCap int // max undelivered update sets held (1 = no overlap, 2 = double buffering)
+	StageCap int // max undelivered update sets held (1 = no overlap, 2 = double buffering; 0 counts as 1)
 }
 
 // Candidate is one legal next communication offered to the policy, with
@@ -104,7 +111,8 @@ type Candidate struct {
 	ComputeIdleAt float64
 	// ReadySince is when the worker became able to accept this
 	// operation: the instant it went idle (SendC), the instant a staging
-	// buffer freed (SendAB), or the instant the chunk finished
+	// buffer freed (SendAB; for a chunk's first StageCap sets, the
+	// instant its C chunk arrived), or the instant the chunk finished
 	// (RecvC). First-come-first-served demand policies key on it.
 	ReadySince float64
 }
@@ -136,6 +144,13 @@ type Input struct {
 	// (demand-driven) assignment leave Queues nil and set Pool.
 	Queues [][]*Chunk
 	Pool   []*Chunk
+	// Source, in pool mode, carves a chunk for an idle worker once the
+	// pool is empty. Source(w, false) peeks the chunk worker w would take
+	// next (nil: none for w) and is called whenever candidates are
+	// listed; Source(w, true) claims and returns it, and is called only
+	// when w's SendC is picked. A carved chunk lost to a failure goes to
+	// the pool tail like any other.
+	Source func(w int, claim bool) *Chunk
 	Policy Policy
 	Trace  *trace.Trace
 	// TwoPort switches the master to the bidirectional one-port model
@@ -164,6 +179,11 @@ type Result struct {
 	Chunks     int
 	Failures   int // workers lost to injected failures
 	Requeues   int // chunks requeued after a failure
+}
+
+// Core converts the result into the repository-wide result type.
+func (r Result) Core(algorithm string) core.Result {
+	return core.Result{Algorithm: algorithm, Makespan: r.Makespan, Enrolled: r.Enrolled, Blocks: r.Blocks, Updates: r.Updates}
 }
 
 type workerState struct {
@@ -211,8 +231,8 @@ func Run(in Input) (Result, error) {
 	if in.Policy == nil {
 		return Result{}, fmt.Errorf("sim: nil policy")
 	}
-	if in.Queues != nil && in.Pool != nil {
-		return Result{}, fmt.Errorf("sim: set either Queues or Pool, not both")
+	if in.Queues != nil && (in.Pool != nil || in.Source != nil) {
+		return Result{}, fmt.Errorf("sim: set either Queues or Pool/Source, not both")
 	}
 	if len(in.Failures) > 0 && in.Queues != nil {
 		return Result{}, fmt.Errorf("sim: failure injection requires Pool mode")
@@ -329,10 +349,15 @@ func Run(in Input) (Result, error) {
 				}
 			} else {
 				var next *Chunk
-				if st.queue != nil && len(st.queue) > 0 {
-					next = st.queue[0]
-				} else if st.queue == nil && len(pool) > 0 {
+				switch {
+				case st.queue != nil:
+					if len(st.queue) > 0 {
+						next = st.queue[0]
+					}
+				case len(pool) > 0:
 					next = pool[0]
+				case in.Source != nil:
+					next = in.Source(w, false)
 				}
 				if next != nil {
 					dur := float64(next.Blocks) * c
@@ -394,14 +419,19 @@ func Run(in Input) (Result, error) {
 
 		switch cd.Kind {
 		case SendC:
-			if st.queue != nil {
+			switch {
+			case st.queue != nil:
 				st.queue = st.queue[1:]
-			} else {
+			case len(pool) > 0:
 				if pool[0] != cd.Chunk {
 					// another worker claimed it in the same wave; re-resolve
 					return Result{}, fmt.Errorf("sim: pool head changed unexpectedly")
 				}
 				pool = pool[1:]
+			default:
+				cd.Chunk = in.Source(cd.Worker, true)
+				pending++
+				res.Chunks++
 			}
 			st.active = cd.Chunk
 			st.nextStep = 0

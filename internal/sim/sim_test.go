@@ -182,20 +182,25 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func TestSequencePolicyPanicsOnIllegalOp(t *testing.T) {
+// TestSequencePolicyRejectsBadSequences: a sequence that runs out while
+// work remains, and one whose next op is not a legal candidate, each make
+// Run fail.
+func TestSequencePolicyRejectsBadSequences(t *testing.T) {
 	pl := platform.Homogeneous(1, 1, 1, 100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for illegal sequence")
+	for name, ops := range map[string][]SeqOp{
+		"short":        {{0, SendC}, {0, SendAB}},
+		"out of order": {{0, RecvC}}, // RecvC before anything was sent
+	} {
+		_, err := Run(Input{
+			Platform: pl,
+			Configs:  []WorkerConfig{{1}},
+			Queues:   [][]*Chunk{{chunk(0, 1, 1, 1, 1)}},
+			Policy:   seq(ops...),
+		})
+		if err == nil {
+			t.Errorf("%s sequence accepted", name)
 		}
-	}()
-	Run(Input{
-		Platform: pl,
-		Configs:  []WorkerConfig{{1}},
-		Queues:   [][]*Chunk{{chunk(0, 1, 1, 1, 1)}},
-		// RecvC before anything was sent is illegal
-		Policy: seq(SeqOp{0, RecvC}),
-	})
+	}
 }
 
 func TestTraceRecording(t *testing.T) {

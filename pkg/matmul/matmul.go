@@ -13,7 +13,9 @@
 //     (Bounds), the bandwidth-centric steady state (SteadyState).
 //   - Scheduling/simulation: the seven comparison algorithms of the
 //     paper's experiments (Simulate), the heterogeneous incremental
-//     algorithms (SimulateHeterogeneous), and parallel LU (SimulateLU).
+//     algorithms (SimulateHeterogeneous) and their demand-driven baseline
+//     (SimulateHeterogeneousDemand), and parallel LU (SimulateLU), all
+//     run by one discrete-event simulator of the one-port model.
 //   - Execution: real products with real data movement, plus the real
 //     block LU factorization (FactorLU). MultiplyLocal runs one product
 //     on a one-job cluster of in-process workers; over TCP, a product is
@@ -37,7 +39,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/hetalg"
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -155,8 +156,10 @@ func SimulateAll(pl *Platform, pr Problem) ([]Result, error) {
 	return algorithms.RunAll(pl, pr)
 }
 
-// SimulateHeterogeneous runs the §6.2 incremental algorithm (allocation
-// phase then execution phase) on a heterogeneous platform.
+// SimulateHeterogeneous runs the §6.2 incremental algorithm on a
+// heterogeneous platform: the allocation phase, then its selection
+// sequence replayed with C I/O through the discrete-event simulator. A
+// non-nil tr records the Gantt chart.
 func SimulateHeterogeneous(pl *Platform, pr Problem, rule HeteroRule, tr *Trace) (Result, error) {
 	res, _, err := hetero.Run(pl, pr, rule, hetero.ExecOptions{IncludeCIO: true, Trace: tr})
 	return res, err
@@ -223,7 +226,9 @@ func MultiplyLocal(c, a, b *Blocked, cfg LocalConfig) (Result, error) {
 func FactorLU(a *Dense, panel int) error { return lu.Factor(a, panel) }
 
 // SimulateLU simulates the §7.2 homogeneous parallel LU factorization of
-// an r×r-block matrix with pivot size µ.
+// an r×r-block matrix with pivot size µ: each step's pivot and panels on
+// one worker, then its column groups list-scheduled on P = ⌈µw/3c⌉
+// workers, through the discrete-event simulator.
 func SimulateLU(pl *Platform, r, mu int, tr *Trace) (Result, error) {
 	res, err := lu.SimulateHomogeneous(pl, r, mu, tr)
 	if err != nil {
@@ -309,12 +314,13 @@ func maxInt(a, b int) int {
 }
 
 // SimulateHeterogeneousDemand runs the dynamic demand-driven scheduler on
-// a heterogeneous platform: idle workers grab the next µ_i-column panel
-// and update sets are served first-come first-served. It is the dynamic
+// a heterogeneous platform through the discrete-event simulator: idle
+// workers grab the next µ_i-column panel and walk it in µ_i-row chunks,
+// and every request is served first come, first served. It is the dynamic
 // baseline against which the §6.2 static algorithms are compared in the
 // hetsweep experiment.
 func SimulateHeterogeneousDemand(pl *Platform, pr Problem, tr *Trace) (Result, error) {
-	return hetalg.Run(pl, pr, hetalg.Options{IncludeCIO: true, Trace: tr})
+	return hetero.RunDemand(pl, pr, tr)
 }
 
 // Cannon computes C ← C + A·B on a g×g goroutine grid with Cannon's

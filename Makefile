@@ -21,27 +21,30 @@ test-race:
 # and the feeder's join of a parked Send, then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
-# that passes "most runs". Last, the same three under the poolcheck
+# that passes "most runs". Then the same three under the poolcheck
 # tag: a block released twice panics and a block read after release
 # reads NaN poison, so a by-reference hand-off that frees too early
-# fails loudly instead of passing on recycled floats. Then the adaptive
-# policy, the cutter every task comes from, the recovery of lost and
-# refused chunks, of pre-cut and v0-layout snapshots and of every
-# crash point of a scripted run, the free-list check, and every test
-# that asserts a dispatcher stays parked, 50 times over under the race
-# detector. Last,
-# the worker-session tests — a stale incarnation acting on its
-# successor, and the session hold that is the only pin on a finished
-# job's operands. Last, the netmw tests of the pushed-set schedule and
-# the client hop — rogue workers, the injected-fault harness, the parked
-# Send and the reused reply staging — 20 times over under the race
-# detector.
+# fails loudly instead of passing on recycled floats — and, 50 times
+# over, the LU stage panel a lost session's Set still references. Then
+# the adaptive policy, the cutter every task comes from, the recovery
+# of lost and refused chunks, of pre-cut and v0-layout snapshots and of
+# every crash point of a scripted run, the free-list check, and every
+# test that asserts a dispatcher stays parked, 50 times over under the
+# race detector. Then the worker-session tests — a stale incarnation
+# acting on its successor, the session hold that is the only pin on a
+# finished job's operands and on an LU stage's panel — with an LU job
+# failing on a zero pivot and refusing a corrupt tile, 50 times over
+# under the race detector. Last, the netmw tests of the pushed-set
+# schedule and the client hop — rogue workers, the injected-fault
+# harness, the parked Send and the reused reply staging — 20 times over
+# under the race detector.
 flake:
 	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
+	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestFleet|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster ./internal/sim
-	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner' ./internal/cluster
+	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
 	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused' ./internal/netmw
 
 # runnames fails when a -run alternative here or in the CI workflow

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
@@ -186,10 +185,10 @@ type Cluster struct {
 	nextID  JobID
 	closed  bool
 	requeue int
-	// pool recycles the block buffers sessions (Next, and Set for LU)
-	// copy out of the job matrices; the transports release them once
-	// serialized (or once applied, on the in-process path), so
-	// steady-state dispatch stops allocating per transfer.
+	// pool recycles the block buffers Next copies out of the job
+	// matrices, which the transports release once serialized (or once
+	// applied, on the in-process path), so steady-state dispatch stops
+	// allocating per transfer; and the negated LU panels (job.opA).
 	pool *engine.BlockPool
 	// est is the live per-worker speed/bandwidth estimator; it locks
 	// itself, so reporting paths need not hold cl.mu.
@@ -221,11 +220,12 @@ type Cluster struct {
 	// records that carry matrix tiles, reused across appends (recBuf).
 	acceptRec, chunkRec []byte
 
-	// verify is the normalized verification policy; vfy holds the reusable
-	// Freivalds state; quarantined records parked workers by id (worker
-	// records are replaced on rejoin, the verdict must not be).
+	// verify is the normalized verification policy; sample is the
+	// splitmix64 state of its sampling draws; quarantined records parked
+	// workers by id (worker records are replaced on rejoin, the verdict
+	// must not be).
 	verify          VerifyPolicy
-	vfy             verifyScratch
+	sample          uint64
 	quarantined     map[string]quarantineInfo
 	verifyChecks    int
 	verifyFails     int
@@ -257,8 +257,7 @@ func New(cfg Config) *Cluster {
 		verify:      cfg.Verify.normalized(),
 		quarantined: make(map[string]quarantineInfo),
 	}
-	cl.vfy.v = blas.NewTileVerifier(verifySeed)
-	cl.vfy.sample = verifySeed ^ 0xa5a5a5a55a5a5a5a
+	cl.sample = verifySeed ^ 0xa5a5a5a55a5a5a5a
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
@@ -1019,46 +1018,28 @@ func (cl *Cluster) chunkLocked(t *Task) [][]float64 {
 }
 
 // setLocked appends the k-th update set for the task to set: Rows A
-// blocks and Cols B blocks. For matmul they are the job's own blocks,
-// by reference — read-only, and valid while a session holds the task
-// (the hold keeps the job from being released under it). For LU tasks
-// (k is the panel stage) they are pooled copies, the A blocks the
-// negated L panel so the worker's generic C += A·B update computes the
-// trailing subtraction. Once the job's operands are released it returns
-// ErrStaleJob and appends nothing.
+// blocks and Cols B blocks of step t.K+k, the job's operands by
+// reference (opA, opB) — read-only, and valid while a session holds the
+// task (the hold keeps the job from being released under it). Once the
+// job's operands are released it returns ErrStaleJob and appends
+// nothing.
 func (cl *Cluster) setLocked(t *Task, k int, set *engine.Set) error {
 	j := cl.jobs[t.Job]
 	if j == nil {
 		return fmt.Errorf("cluster: unknown job %d", t.Job)
 	}
-	if (j.spec.Kind == MatMul && j.spec.A == nil) || (j.spec.Kind == LU && j.spec.M == nil) {
+	if j.spec.A == nil && j.spec.M == nil {
 		return fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
 	}
+	if k < 0 || k >= t.Steps {
+		return fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
+	}
 	ch := t.Chunk
-	switch j.spec.Kind {
-	case MatMul:
-		if k < 0 || k >= j.spec.A.BC {
-			return fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
-		}
-		for i := 0; i < ch.Rows; i++ {
-			set.A = append(set.A, j.spec.A.Block(ch.I0+i, k).Data)
-		}
-		for jj := 0; jj < ch.Cols; jj++ {
-			set.B = append(set.B, j.spec.B.Block(k, ch.J0+jj).Data)
-		}
-	case LU:
-		kk := t.K
-		for i := 0; i < ch.Rows; i++ {
-			src := j.spec.M.Block(ch.I0+i, kk).Data
-			buf := cl.pool.Get(len(src))
-			for e, v := range src {
-				buf[e] = -v
-			}
-			set.A = append(set.A, buf)
-		}
-		for jj := 0; jj < ch.Cols; jj++ {
-			set.B = append(set.B, cl.pool.GetCopy(j.spec.M.Block(kk, ch.J0+jj).Data))
-		}
+	for i := 0; i < ch.Rows; i++ {
+		set.A = append(set.A, j.opA(ch.I0+i, t.K+k, cl.pool))
+	}
+	for jj := 0; jj < ch.Cols; jj++ {
+		set.B = append(set.B, j.opB(t.K+k, ch.J0+jj))
 	}
 	return nil
 }
@@ -1085,7 +1066,10 @@ func (cl *Cluster) promoteLocked() {
 		j.state = Running
 		cl.running++
 		if j.spec.Kind == LU {
-			j.openStage()
+			if err := j.openStage(cl.pool); err != nil {
+				cl.finishJobLocked(j, Failed, err)
+				continue
+			}
 		}
 		if j.finished() {
 			cl.finishJobLocked(j, Done, nil)
@@ -1118,12 +1102,16 @@ func (cl *Cluster) pruneLiveLocked() {
 }
 
 // settleLocked runs after a chunk of j committed: an LU stage with
-// nothing left to cut, dispatch, compute or commit opens the next one,
-// and a job with nothing left at all is Done.
+// nothing left to cut, dispatch, compute or commit opens the next one —
+// or fails the job on a zero pivot — and a job with nothing left at all
+// is Done.
 func (cl *Cluster) settleLocked(j *job) {
 	if j.spec.Kind == LU && j.stage < j.spec.M.BR && j.drained() && j.dirty == 0 {
 		j.stage++
-		j.openStage()
+		if err := j.openStage(cl.pool); err != nil {
+			cl.finishJobLocked(j, Failed, err)
+			return
+		}
 	}
 	if j.finished() {
 		cl.finishJobLocked(j, Done, nil)
@@ -1177,19 +1165,20 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 // memory follows the jobs in flight rather than the jobs ever served.
 // The operands and the verify projection cache go once no session holds
 // one of the job's tasks — a session holds a task from its dispatch
-// until it reports it or closes, dead incarnations included: matmul
-// Sets reference the job's own blocks, and a session declared lost, or
-// a revoked speculation loser, can still be writing one to its socket.
-// The result goes with them when nobody can ask for it anymore
-// (ForgetResult). The light record — id, state, error, counters, comm
-// totals — stays. Every path on which a session lets go of a task, or
-// the submitter of the result, ends here.
+// until it reports it or closes, dead incarnations included: Sets
+// reference the job's operand blocks and LU panels, and a session
+// declared lost, or a revoked speculation loser, can still be writing
+// one to its socket. The result goes with them when nobody can ask for
+// it anymore (ForgetResult). The light record — id, state, error,
+// counters, comm totals — stays. Every path on which a session lets go
+// of a task, or the submitter of the result, ends here.
 func (cl *Cluster) releaseLocked(j *job) {
 	if j == nil || (j.state != Done && j.state != Failed) || j.held > 0 {
 		return
 	}
 	dropMatrix(&j.spec.A, j.spec.Pooled, cl.pool)
 	dropMatrix(&j.spec.B, j.spec.Pooled, cl.pool)
+	j.dropPanels(cl.pool)
 	j.vcache = nil
 	if j.resultFree {
 		j.spec.recycle(cl.pool)

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +134,18 @@ func setOf(cl *Cluster, tk *Task, k int) error {
 	return cl.setLocked(tk, k, &engine.Set{})
 }
 
+// luReference is what every cluster LU run must reproduce bit for bit
+// (sameMatrix): lu.Factor of orig with the block edge q as its panel,
+// partitioned into q-blocks.
+func luReference(t *testing.T, orig *matrix.Dense, q int) *matrix.Blocked {
+	t.Helper()
+	want := orig.Clone()
+	if err := lu.Factor(want, q); err != nil {
+		t.Fatal(err)
+	}
+	return matrix.Partition(want, q)
+}
+
 func blockedInputs(t *testing.T, nA, nAB, nB, q int, seed int64) (c, a, b *matrix.Blocked, ref *matrix.Dense) {
 	t.Helper()
 	ad := matrix.NewDense(nA, nAB)
@@ -198,36 +213,120 @@ func TestSingleMatMulJob(t *testing.T) {
 	}
 }
 
+// TestLUJobMatchesSequentialFactor pins the cluster's LU to lu.Factor
+// bit for bit: the master factors each panel with lu.Factor's kernels
+// and the workers' trailing updates run the same FMA chain as its
+// GemmSub, so no element may differ, whatever the block edge and µ.
 func TestLUJobMatchesSequentialFactor(t *testing.T) {
-	cl, _ := manualCluster(Config{})
-	defer cl.Close()
-	for _, id := range []string{"w1", "w2"} {
-		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: 64})
+	for _, sh := range []struct{ q, r int }{{7, 6}, {8, 5}, {16, 5}, {32, 4}, {64, 3}, {80, 3}} {
+		for mu := 1; mu <= 3; mu++ {
+			t.Run(fmt.Sprintf("q=%d/mu=%d", sh.q, mu), func(t *testing.T) {
+				cl, _ := manualCluster(Config{})
+				exited := make(chan error, 2)
+				for _, id := range []string{"w1", "w2"} {
+					go func() { exited <- RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: 64}) }()
+				}
+				defer func() { cl.Close(); <-exited; <-exited }()
+				n := sh.q * sh.r
+				orig := matrix.NewDense(n, n)
+				lu.DiagonallyDominant(orig, 7)
+				m := matrix.Partition(orig.Clone(), sh.q)
+				id, err := cl.SubmitJob(JobSpec{Kind: LU, M: m, Mu: mu})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := waitStatus(t, cl, id); st.State != Done {
+					t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+				}
+				if !sameMatrix(m, luReference(t, orig, sh.q)) {
+					t.Fatal("cluster LU is not bit-identical to lu.Factor")
+				}
+			})
+		}
 	}
-	const q, r = 8, 5
-	n := q * r
-	orig := matrix.NewDense(n, n)
-	lu.DiagonallyDominant(orig, 7)
-	m := matrix.Partition(orig.Clone(), q)
+}
 
-	id, err := cl.SubmitJob(JobSpec{Kind: LU, M: m, Mu: 2})
-	if err != nil {
-		t.Fatal(err)
+// exactLU builds M = L·U from small integers — L unit lower with
+// entries in {−1, 0, 1}, U upper with pivots in {1, 2} except a zero at
+// zeroCol — so unpivoted elimination runs in exact arithmetic and meets
+// an exactly zero pivot at column zeroCol.
+func exactLU(n, zeroCol int, seed int64) *matrix.Dense {
+	rng := rand.New(rand.NewSource(seed))
+	l, u := matrix.NewDense(n, n), matrix.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		l.Set(i, i, 1)
+		u.Set(i, i, float64(1+rng.Intn(2)))
+		for j := 0; j < i; j++ {
+			l.Set(i, j, float64(rng.Intn(3)-1))
+		}
+		for j := i + 1; j < n; j++ {
+			u.Set(i, j, float64(rng.Intn(3)-1))
+		}
 	}
-	st := waitStatus(t, cl, id)
-	if st.State != Done {
-		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
-	}
-	packed := m.Assemble()
-	if res := lu.Residual(orig, packed); res > 1e-8 {
-		t.Fatalf("LU residual %g", res)
-	}
-	want := orig.Clone()
-	if err := lu.Factor(want, q); err != nil {
-		t.Fatal(err)
-	}
-	if d := packed.MaxDiff(want); d > 1e-8 {
-		t.Fatalf("cluster LU differs from lu.Factor by %g", d)
+	u.Set(zeroCol, zeroCol, 0)
+	m := matrix.NewDense(n, n)
+	matrix.MulNaive(m, l, u)
+	return m
+}
+
+// TestLUJobZeroPivotFails: a zero pivot fails the job with the column
+// lu.Factor names — at promotion when it is in the first panel, when
+// its stage opens otherwise — and the failure is journaled, so a
+// recovered master reports it the same way.
+func TestLUJobZeroPivotFails(t *testing.T) {
+	const q, r = 8, 4
+	first := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(first, 5)
+	first.Set(0, 0, 0)
+	for _, tc := range []struct {
+		name      string
+		orig      *matrix.Dense
+		promotion bool // fails before any task is cut
+	}{
+		{"stage0", first, true},
+		{"stage1", exactLU(q*r, q, 9), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			luErr := lu.Factor(tc.orig.Clone(), q)
+			if luErr == nil {
+				t.Fatal("lu.Factor accepted the matrix")
+			}
+			wantMsg := strings.TrimPrefix(luErr.Error(), "lu: ")
+			dir := t.TempDir()
+			jn, log := openLog(t, dir)
+			cl, _ := manualCluster(Config{Log: log})
+			exited := make(chan error, 1)
+			go func() { exited <- RunLocalWorker(cl, LocalWorkerConfig{ID: "w", Mem: 64}) }()
+			id, err := cl.SubmitJob(JobSpec{Kind: LU, M: matrix.Partition(tc.orig.Clone(), q), Mu: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitStatus(t, cl, id)
+			if st.State != Failed || st.Err == nil || !strings.HasSuffix(st.Err.Error(), wantMsg) {
+				t.Fatalf("job ended %v (%v), want failed with %q", st.State, st.Err, wantMsg)
+			}
+			if (st.TasksTotal == 0) != tc.promotion {
+				t.Fatalf("job failed after cutting %d tasks, want failure at promotion %v", st.TasksTotal, tc.promotion)
+			}
+			cl.Close()
+			<-exited
+			jn.Close()
+
+			jnB, logB := openLog(t, dir)
+			defer jnB.Close()
+			clB, _ := manualCluster(Config{Log: logB})
+			defer clB.Close()
+			if rs, err := clB.Recover(); err != nil || rs.Failed != 1 {
+				t.Fatalf("Recover = %+v, %v; want the job failed", rs, err)
+			}
+			stB, err := clB.JobStatus(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stB.State != Failed || stB.Err == nil || stB.Err.Error() != st.Err.Error() {
+				t.Fatalf("recovered job %v (%v), want failed with %v", stB.State, stB.Err, st.Err)
+			}
+		})
 	}
 }
 
@@ -304,8 +403,8 @@ func TestConcurrentJobsSurviveWorkerCrash(t *testing.T) {
 	if d := c2.Assemble().MaxDiff(ref2); d > 1e-9 {
 		t.Fatalf("job 2: max |C - ref| = %g", d)
 	}
-	if res := lu.Residual(orig, m.Assemble()); res > 1e-8 {
-		t.Fatalf("job 3: LU residual %g", res)
+	if !sameMatrix(m, luReference(t, orig, q)) {
+		t.Fatal("job 3: LU is not bit-identical to lu.Factor")
 	}
 	st := cl.ClusterStats()
 	if st.WorkersLost != 1 {
@@ -417,15 +516,11 @@ func TestLostChunkRecutForSmallSurvivor(t *testing.T) {
 
 // TestLostLUChunkRecutForSmallSurvivor is the LU case: a trailing-update
 // chunk of µ=2 lost with the only big worker is re-cut for a 3-block
-// survivor, and the factorization ends bit-identical to a fresh run's.
+// survivor, and the factorization ends bit-identical to lu.Factor's.
 func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
 	const q, r = 8, 5
 	orig := matrix.NewDense(q*r, q*r)
 	lu.DiagonallyDominant(orig, 15)
-	want := matrix.Partition(orig.Clone(), q)
-	if _, _, err := RunOneJob(JobSpec{Kind: LU, M: want, Mu: 2}, 1, LocalWorkerConfig{ID: "ref"}); err != nil {
-		t.Fatal(err)
-	}
 
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
@@ -451,8 +546,8 @@ func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
 	if st.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", st.Requeues)
 	}
-	if !m.Assemble().Equal(want.Assemble(), 0) {
-		t.Fatal("LU after the re-cut is not bit-identical to a fresh run")
+	if !sameMatrix(m, luReference(t, orig, q)) {
+		t.Fatal("LU after the re-cut is not bit-identical to lu.Factor")
 	}
 }
 

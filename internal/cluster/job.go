@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/blas"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sim"
@@ -154,7 +155,7 @@ type Task struct {
 	Kind    JobKind
 	Chunk   *sim.Chunk
 	Steps   int // update sets to stream
-	K       int // LU: panel stage this task belongs to
+	K       int // first step of the task's update sets: the LU panel stage, 0 for a product
 
 	// started is when the current dispatch handed the task out, read
 	// under the cluster mutex by the straggler detector to estimate the
@@ -217,6 +218,11 @@ type job struct {
 	// LU: stage is the panel whose trailing updates are being cut, the
 	// block order of the matrix once all are factored.
 	stage int
+	// LU: panels maps a stage to its negated L panel −M(i,k), i > k, the
+	// A operand of the stage's update sets (opA). Each is built from
+	// pooled blocks on first use and goes back to the pool at a later
+	// openStage or at release, whichever first finds held == 0.
+	panels map[int][][]float64
 	// comm accumulates the job's delta-protocol accounting as worker
 	// sessions report it.
 	comm engine.CommStats
@@ -244,7 +250,7 @@ type job struct {
 	resultFree bool
 	// held counts the job's tasks held by worker sessions, dead
 	// incarnations included: a session may still be writing a Set that
-	// references the job's A/B blocks, so the operands outlive it.
+	// references the job's operand blocks (opA, opB), so they outlive it.
 	held int
 }
 
@@ -349,28 +355,89 @@ func (j *job) nextAttempt(seq int) int {
 	return a
 }
 
+// opA is the A operand block (i, k) of the job's update sets, k the
+// absolute step (Task.K plus the set's index): A's own block for a
+// product; for LU, block (i, k) of stage k's negated L panel, so the
+// worker's generic C += A·B update computes the trailing subtraction.
+// The panel is built from pool on first use, once per stage.
+func (j *job) opA(i, k int, pool *engine.BlockPool) []float64 {
+	if j.spec.Kind != LU {
+		return j.spec.A.Block(i, k).Data
+	}
+	p := j.panels[k]
+	if p == nil {
+		m := j.spec.M
+		p = make([][]float64, m.BR-k-1)
+		for n := range p {
+			src := m.Block(k+1+n, k).Data
+			p[n] = pool.Get(len(src))
+			for e, v := range src {
+				p[n][e] = -v
+			}
+		}
+		if j.panels == nil {
+			j.panels = make(map[int][][]float64)
+		}
+		j.panels[k] = p
+	}
+	return p[i-k-1]
+}
+
+// opB is the B operand block (k, jj) of the job's update sets: B's own
+// block for a product, M's U row block for LU. Both are final while a
+// task of step k exists: a stage's panels are never written again once
+// it opens.
+func (j *job) opB(k, jj int) []float64 {
+	if j.spec.Kind != LU {
+		return j.spec.B.Block(k, jj).Data
+	}
+	return j.spec.M.Block(k, jj).Data
+}
+
+// dropPanels returns every negated LU panel to the pool. Only call it
+// while no session holds a task of the job: a held task's Set may
+// still reference its panel.
+func (j *job) dropPanels(pool *engine.BlockPool) {
+	for _, p := range j.panels {
+		for _, b := range p {
+			pool.Put(b)
+		}
+	}
+	j.panels = nil
+}
+
 // openStage factors panel k = j.stage of an LU job on the master (the
-// paper keeps pivot work at the master; §7's right-looking scheme) and
-// opens a cutter over the stage's trailing grid, whose chunks are the
-// 1-step tasks C(i,j) ← C(i,j) − L(i,k)·U(k,j). The last panel trails
-// nothing, which completes the factorization.
-func (j *job) openStage() {
+// paper keeps pivot work at the master; §7's right-looking scheme) with
+// the kernels lu.Factor runs, and opens a cutter over the stage's
+// trailing grid, whose chunks are the 1-step tasks C(i,j) ← C(i,j) −
+// L(i,k)·U(k,j). The last panel trails nothing, which completes the
+// factorization. A zero pivot is an error naming its column as
+// lu.Factor does. The earlier stages' panels go back to the pool unless
+// a session still holds a task.
+func (j *job) openStage(pool *engine.BlockPool) error {
 	m := j.spec.M
 	q := m.Q
 	k := j.stage
 	r := m.BR
-	factorBlockLU(m.Block(k, k).Data, q)
+	if j.held == 0 {
+		j.dropPanels(pool)
+	}
+	piv := m.Block(k, k).Data
+	if bad := blas.Getf2(piv, q, q); bad >= 0 {
+		return fmt.Errorf("cluster: zero pivot at column %d", k*q+bad)
+	}
 	for i := k + 1; i < r; i++ {
-		solveRightUpper(m.Block(i, k).Data, m.Block(k, k).Data, q)
+		blas.TrsmUpperRight(q, q, piv, q, m.Block(i, k).Data, q)
 	}
 	for jj := k + 1; jj < r; jj++ {
-		solveLeftUnitLower(m.Block(k, jj).Data, m.Block(k, k).Data, q)
+		blas.TrsmLowerLeft(q, q, piv, q, m.Block(k, jj).Data, q)
 	}
 	if k == r-1 {
 		j.stage = r
-		return
+		return nil
 	}
 	j.cutter = sim.NewCutterFromRects(r, r, [][4]int{{k + 1, k + 1, r - k - 1, r - k - 1}})
+	return nil
 }
 
 // drained reports that nothing of the job — for LU, of its current stage

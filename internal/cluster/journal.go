@@ -25,7 +25,8 @@ package cluster
 //     every one of its blocks is refused as corrupt — they were committed
 //     already, or never cut. Its seq only keeps the seqs issued after a
 //     restart fresh. An LU stage whose last chunk replays opens the next
-//     one just as the live commit did.
+//     one — or fails the job on a zero pivot — just as the live commit
+//     did.
 //   - done records the terminal state (including quarantine).
 //   - quarantine records a worker parked for corrupt results, so the
 //     refusal to readmit it survives a master restart.
@@ -426,7 +427,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		j.total++
 		j.done++
 		cl.settleLocked(j)
-		if j.state == Done {
+		if j.state != Running {
 			cl.promoteLocked()
 		}
 	case evDone:

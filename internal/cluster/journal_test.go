@@ -136,20 +136,16 @@ func TestRecoverMidJobMatMul(t *testing.T) {
 }
 
 // trailingTileValue computes what a worker returns for a stage-k LU
-// trailing task tile: M(i,j) − M(i,k)·M(k,j) on the current panels.
+// trailing task tile: M(i,j) + (−M(i,k))·M(k,j) on the current panels,
+// through the update chain every worker path runs.
 func trailingTileValue(m *matrix.Blocked, i, j, k int) []float64 {
 	q := m.Q
-	out := append([]float64(nil), m.Block(i, j).Data...)
-	am, bm := m.Block(i, k).Data, m.Block(k, j).Data
-	for r := 0; r < q; r++ {
-		for c := 0; c < q; c++ {
-			s := 0.0
-			for x := 0; x < q; x++ {
-				s += am[r*q+x] * bm[x*q+c]
-			}
-			out[r*q+c] -= s
-		}
+	neg := make([]float64, q*q)
+	for e, v := range m.Block(i, k).Data {
+		neg[e] = -v
 	}
+	out := make([]float64, q*q)
+	blas.RecomputeTile(out, m.Block(i, j).Data, [][]float64{neg}, [][]float64{m.Block(k, j).Data}, q)
 	return out
 }
 
@@ -204,8 +200,8 @@ func TestRecoverMidJobLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := lu.Residual(orig, res.Assemble()); r > 1e-6 {
-		t.Fatalf("recovered LU residual = %g", r)
+	if !sameMatrix(res, luReference(t, orig, q)) {
+		t.Fatal("recovered LU is not bit-identical to lu.Factor")
 	}
 	assertNoDuplicateCommits(t, dir)
 	clB.Close()
@@ -748,8 +744,8 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := lu.Residual(orig, luRes.Assemble()); r > 1e-6 {
-		t.Fatalf("LU residual after snapshot recovery = %g", r)
+	if !sameMatrix(luRes, luReference(t, orig, q)) {
+		t.Fatal("LU after snapshot recovery is not bit-identical to lu.Factor")
 	}
 	mmRes, err := clC.JobResult(mmID)
 	if err != nil {
@@ -844,25 +840,16 @@ func TestRecoverPreCutSnapshot(t *testing.T) {
 	const q, r = 8, 4
 	orig := matrix.NewDense(q*r, q*r)
 	lu.DiagonallyDominant(orig, 83)
-	want := matrix.Partition(orig.Clone(), q)
-	if _, _, err := RunOneJob(JobSpec{Kind: LU, M: want, Mu: 1}, 1, LocalWorkerConfig{ID: "ref"}); err != nil {
-		t.Fatal(err)
-	}
 	m := matrix.Partition(orig.Clone(), q)
-	factorBlockLU(m.Block(0, 0).Data, q)
+	piv := m.Block(0, 0).Data
+	blas.Getf2(piv, q, q)
 	for i := 1; i < r; i++ {
-		solveRightUpper(m.Block(i, 0).Data, m.Block(0, 0).Data, q)
-		solveLeftUnitLower(m.Block(0, i).Data, m.Block(0, 0).Data, q)
+		blas.TrsmUpperRight(q, q, piv, q, m.Block(i, 0).Data, q)
+		blas.TrsmLowerLeft(q, q, piv, q, m.Block(0, i).Data, q)
 	}
 	for seq := 0; seq < 4; seq++ {
 		i, j := 1+seq/3, 1+seq%3
-		neg := make([]float64, q*q)
-		for e, v := range m.Block(i, 0).Data {
-			neg[e] = -v
-		}
-		tile := make([]float64, q*q)
-		blas.RecomputeTile(tile, m.Block(i, j).Data, [][]float64{neg}, [][]float64{m.Block(0, j).Data}, q)
-		copy(m.Block(i, j).Data, tile)
+		copy(m.Block(i, j).Data, trailingTileValue(m, i, j, 0))
 	}
 
 	e := &recEnc{}
@@ -930,12 +917,12 @@ func TestRecoverPreCutSnapshot(t *testing.T) {
 			t.Fatalf("job %d after recovery = %+v", id, st)
 		}
 	}
-	for id, want := range []*matrix.Dense{ref, want.Assemble()} {
+	for id, want := range []*matrix.Blocked{refB, luReference(t, orig, q)} {
 		res, err := cl.JobResult(JobID(id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Assemble().Equal(want, 0) {
+		if !sameMatrix(res, want) {
 			t.Fatalf("job %d from the pre-cut snapshot is not bit-exact", id)
 		}
 	}

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/lu"
 	"repro/internal/matrix"
 )
 
@@ -305,6 +307,74 @@ func TestFeedHoldOutlivesDeadIncarnation(t *testing.T) {
 	feed.Close(SessionReport{})
 	if got := retained(t, cl, id); got != 0 {
 		t.Fatalf("job retains %d matrices after the session let go, want 0", got)
+	}
+}
+
+// serveLU completes the LU tasks session s pulls with honest tiles,
+// asking for each one's Set first as a feeder would, until done says
+// the last task served was enough.
+func serveLU(t *testing.T, s *Session, m *matrix.Blocked, done func(*Task) bool) {
+	t.Helper()
+	for {
+		tk := pullTask(t, s)
+		if _, err := s.Set(tk.key(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := complete(s, tk, honestLUTask(m, tk)); err != nil {
+			t.Fatal(err)
+		}
+		if done(tk) {
+			return
+		}
+	}
+}
+
+// TestStagePanelOutlivesLostHolder: an LU Set references its stage's
+// negated L panel, a pooled buffer, so the panel must outlive the stage
+// for as long as a session holds a task of the job — here one declared
+// lost mid-stage-0 while a survivor moves the job on to stage 1. Under
+// the poolcheck tag a panel freed early reads as NaN poison.
+func TestStagePanelOutlivesLostHolder(t *testing.T) {
+	cl, _ := manualCluster(Config{})
+	defer cl.Close()
+	const q, r = 8, 4
+	orig := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(orig, 61)
+	want := luReference(t, orig, q)
+	m := matrix.Partition(orig.Clone(), q)
+	id, err := cl.SubmitJob(JobSpec{Kind: LU, M: m, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := join(t, cl, "lost", 64, 1)
+	tk := pullTask(t, lost)
+	set, err := lost.Set(tk.key(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tk.K != 0 || set.Owned {
+		t.Fatalf("task stage %d, set owned %v: want a stage-0 set referencing the panel", tk.K, set.Owned)
+	}
+	lost.Lost()
+
+	surv := join(t, cl, "survivor", 64, 1)
+	serveLU(t, surv, m, func(tk *Task) bool { return tk.K == 1 })
+	for n, blk := range set.A {
+		l := want.Block(tk.Chunk.I0+n, 0).Data
+		for e, v := range blk {
+			if math.Float64bits(v) != math.Float64bits(-l[e]) {
+				t.Fatalf("in stage 1 the lost session's A block %d holds %g at %d, want −L = %g",
+					n, v, e, -l[e])
+			}
+		}
+	}
+	lost.Close(SessionReport{})
+	serveLU(t, surv, m, func(*Task) bool {
+		st, err := cl.JobStatus(id)
+		return err != nil || st.State == Done
+	})
+	if !sameMatrix(m, want) {
+		t.Fatal("LU is not bit-identical to lu.Factor")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // The session holds each task from the dispatch that hands it out until
 // Acked reports it, or until Close: while it does, the
 // task's job keeps its operands (see Cluster.releaseLocked), because
-// matmul Sets reference them. All of its state is guarded by the
+// Sets reference them. All of its state is guarded by the
 // cluster's mutex.
 type Session struct {
 	cl *Cluster
@@ -133,14 +133,14 @@ func (s *Session) nextLocked() (*Task, error) {
 }
 
 // Set materializes the k-th update set of a held assignment, stamped
-// with the job-scoped block IDs the delta protocol tracks, in a Set
-// from the cluster's pool (its consumer recycles it there). A matmul
-// set is unowned: its blocks are the job's own, which the hold keeps
-// alive until the task is let go of. For LU tasks (pooled copies,
-// owned) the operands are the stage-t.K panels: those blocks are final
-// once the stage is factored (later stages only touch the trailing
-// submatrix), and the A-role IDs never collide with B-role IDs, so the
-// negated L panel caches as safely as a matmul operand.
+// with the job-scoped block IDs of step task.K+k that the delta
+// protocol tracks, in a Set from the cluster's pool (its consumer
+// recycles it there). The set is unowned: its blocks are the job's own
+// operands (for LU, the stage's negated L panel and M's U row), which
+// the hold keeps alive until the task is let go of. A stage's panels
+// are final once it opens (later stages only touch the trailing
+// submatrix), and the A-role IDs never collide with B-role IDs, so an
+// LU operand caches as safely as a matmul one.
 func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	cl := s.cl
 	set := cl.pool.GetSet()
@@ -157,12 +157,8 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 		cl.pool.PutSet(set)
 		return nil, err
 	}
-	set.K, set.Owned = k, task.Kind == LU
-	kk := k
-	if task.Kind == LU {
-		kk = task.K
-	}
-	engine.StampIDs(set, uint32(task.Job), task.Chunk, kk)
+	set.K = k
+	engine.StampIDs(set, uint32(task.Job), task.Chunk, task.K+k)
 	return set, nil
 }
 

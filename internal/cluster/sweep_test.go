@@ -153,7 +153,7 @@ func sweepConfig(log JobLog) Config {
 // the journal the crash leaves is rebuilt, recovered into a
 // fresh master and finished with a local worker: every job must end
 // Done and bit-exact — the product against MulNaive, the factorization
-// against an uninterrupted RunOneJob — and no block of a job's result
+// against lu.Factor — and no block of a job's result
 // (per LU stage) may be committed twice across the crash. Where the
 // product is partly committed, a chunk record over its whole grid — a
 // region straddling committed and uncommitted blocks — must be refused.
@@ -163,11 +163,7 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	const q, r = 4, 4
 	orig := matrix.NewDense(q*r, q*r)
 	lu.DiagonallyDominant(orig, 35)
-	refLU := matrix.Partition(orig.Clone(), q)
-	if _, _, err := RunOneJob(JobSpec{Kind: LU, M: refLU, Mu: 1}, 1, LocalWorkerConfig{ID: "ref"}); err != nil {
-		t.Fatal(err)
-	}
-	want := []*matrix.Dense{refC, refLU.Assemble()}
+	want := []*matrix.Blocked{matrix.Partition(refC, q), luReference(t, orig, q)}
 
 	jn, err := store.Open(t.TempDir(), noSync)
 	if err != nil {
@@ -263,7 +259,7 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	}
 	for id, w := range want {
 		res, err := cl.JobResult(JobID(id))
-		if err != nil || !res.Assemble().Equal(w, 0) {
+		if err != nil || !sameMatrix(res, w) {
 			t.Fatalf("scripted job %d is not bit-exact (%v)", id, err)
 		}
 	}
@@ -307,7 +303,7 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 				t.Fatalf("job %d ended %v (%v)", js.ID, st.State, st.Err)
 			}
 			res, err := rc.JobResult(js.ID)
-			if err != nil || !res.Assemble().Equal(want[js.ID], 0) {
+			if err != nil || !sameMatrix(res, want[js.ID]) {
 				t.Fatalf("job %d is not bit-exact after recovery (%v)", js.ID, err)
 			}
 		}

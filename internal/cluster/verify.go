@@ -98,16 +98,10 @@ type quarantineInfo struct {
 	reason  string
 }
 
-// verifyScratch is the cluster's reusable verification state.
-type verifyScratch struct {
-	v      *blas.TileVerifier
-	a, b   [][]float64 // operand views into the job matrices, reused
-	sample uint64      // splitmix64 state for the sampling draws
-}
-
-// verifyCache is the per-job half of the amortized matmul probe. A job's
-// operands are immutable while it runs (commit writes only C), so the
-// tile-independent halves of the two-sided bilinear probe
+// verifyCache is the per-job half of the amortized tile probe. An
+// operand block (opA, opB) is immutable once a task of its step exists —
+// commit writes only C, and an LU stage's panels are final once it
+// opens — so the tile-independent halves of the two-sided bilinear probe
 //
 //	sᵀ·cand·r == sᵀ·old·r + Σ_k (sᵀ·A_k)·(B_k·r)
 //
@@ -119,9 +113,9 @@ type verifyScratch struct {
 // sweeps. Amortized, the whole of A and B is read once per job per round
 // pair; each tile check then touches only the candidate and the old
 // tile, the two blocks no verifier can avoid reading. The cache is small
-// (grid² probe-length vectors) and dies with the job. LU jobs never
-// build one: their operand panels mutate between stages, so they stay on
-// the self-contained TileVerifier.Check.
+// (grid² probe-length vectors) and dies with the job. For LU, A(bi,k)
+// is stage k's negated L block and B(k,bj) its U row block: every
+// coordinate names one stage's final block, so the keys never go stale.
 type verifyCache struct {
 	s, r [][]float64          // per round: left/right ±1 probe vectors
 	u    map[uint64][]float64 // key(round,bi,k) → s_roundᵀ·A(bi,k)
@@ -164,12 +158,12 @@ func (cl *Cluster) vcacheLocked(j *job, q int) *verifyCache {
 // uPairLocked returns the cached left projections sᵀ·A(bi,k) for a round
 // pair, building both in one sweep over the block on a miss (the block's
 // max-norm is recorded from the same sweep).
-func (vc *verifyCache) uPairLocked(j *job, r0, bi, k, q int) (u1, u2 []float64) {
+func (vc *verifyCache) uPairLocked(j *job, pool *engine.BlockPool, r0, bi, k, q int) (u1, u2 []float64) {
 	k1, k2 := vkey(r0+1, bi, k), vkey(r0+2, bi, k)
 	u1, u2 = vc.u[k1], vc.u[k2]
 	if u1 == nil || u2 == nil {
 		u1, u2 = make([]float64, q), make([]float64, q)
-		mx := blas.VecMat2Max(u1, u2, j.spec.A.Block(bi, k).Data, vc.s[r0], vc.s[r0+1], q)
+		mx := blas.VecMat2Max(u1, u2, j.opA(bi, k, pool), vc.s[r0], vc.s[r0+1], q)
 		vc.u[k1], vc.u[k2] = u1, u2
 		vc.nA[vkey(0, bi, k)] = mx
 	}
@@ -183,15 +177,16 @@ func (vc *verifyCache) yPairLocked(j *job, r0, k, bj, q int) (y1, y2 []float64) 
 	y1, y2 = vc.y[k1], vc.y[k2]
 	if y1 == nil || y2 == nil {
 		y1, y2 = make([]float64, q), make([]float64, q)
-		mx := blas.MatVec2Max(y1, y2, j.spec.B.Block(k, bj).Data, vc.r[r0], vc.r[r0+1], q)
+		mx := blas.MatVec2Max(y1, y2, j.opB(k, bj), vc.r[r0], vc.r[r0+1], q)
 		vc.y[k1], vc.y[k2] = y1, y2
 		vc.nB[vkey(0, k, bj)] = mx
 	}
 	return y1, y2
 }
 
-// probeMatMulLocked is the amortized Freivalds probe for one matmul
-// tile: pairs of two-sided rounds sᵀ·cand·r vs sᵀ·old·r + Σ_k u_k·y_k
+// probeLocked is the amortized Freivalds probe for one tile: pairs of
+// two-sided rounds sᵀ·cand·r vs sᵀ·old·r + Σ_k u_k·y_k over the task's
+// steps
 // with every tile-independent term served from the job cache, so the
 // check's memory traffic is one sweep over the candidate and one over
 // the old tile. The residual limit is a scalar bound on the honest
@@ -204,7 +199,7 @@ func (vc *verifyCache) yPairLocked(j *job, r0, k, bj, q int) (y1, y2 []float64) 
 // Inf ≤ Inf must never read as acceptance. False probe verdicts are safe
 // either way: a refusal escalates to the exact recompute before anyone
 // is accused.
-func (cl *Cluster) probeMatMulLocked(j *job, t *Task, bi, bj int, cand, old []float64, q int) bool {
+func (cl *Cluster) probeLocked(j *job, t *Task, bi, bj int, cand, old []float64, q int) bool {
 	vc := cl.vcacheLocked(j, q)
 	const tol = blas.DefaultVerifyTol
 	for p := 0; p < verifyPairs; p++ {
@@ -212,8 +207,8 @@ func (cl *Cluster) probeMatMulLocked(j *job, t *Task, bi, bj int, cand, old []fl
 		fC1, fC2 := blas.BilinearForms2(cand, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
 		fO1, fO2, maxO := blas.BilinearForms2Max(old, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
 		ref1, ref2, mag := 0.0, 0.0, 0.0
-		for k := 0; k < t.Steps; k++ {
-			u1, u2 := vc.uPairLocked(j, r0, bi, k, q)
+		for k := t.K; k < t.K+t.Steps; k++ {
+			u1, u2 := vc.uPairLocked(j, cl.pool, r0, bi, k, q)
 			y1, y2 := vc.yPairLocked(j, r0, k, bj, q)
 			ref1 += blas.Dot(u1, y1, q)
 			ref2 += blas.Dot(u2, y2, q)
@@ -244,8 +239,8 @@ func (cl *Cluster) probeMatMulLocked(j *job, t *Task, bi, bj int, cand, old []fl
 // sampleDrawLocked returns the next uniform draw in [0, 1) from the
 // policy's seeded sampling stream.
 func (cl *Cluster) sampleDrawLocked() float64 {
-	cl.vfy.sample += 0x9e3779b97f4a7c15
-	z := cl.vfy.sample
+	cl.sample += 0x9e3779b97f4a7c15
+	z := cl.sample
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -265,77 +260,36 @@ func (cl *Cluster) shouldVerifyLocked() bool {
 	}
 }
 
-// growViews resizes a reusable slice of operand views.
-func growViews(s *[][]float64, n int) [][]float64 {
-	if cap(*s) < n {
-		*s = make([][]float64, n)
-	}
-	return (*s)[:n]
-}
-
 // verifyTileLocked checks one candidate value for tile (bi, bj) of job
-// j against old + Σ_k A_k·B_k from the master-owned matrices (minus,
-// for LU trailing updates — the session's Set shipped the panel
-// negated, but the master matrix holds it plain). The "old" value is the master tile
-// itself: commit is the only write, so it is exactly what the worker
-// started from. A probe failure escalates to the exact recompute and
-// the bit-for-bit comparison — an honest worker can never be refused,
-// because every worker path is pinned to the same ascending-k FMA
-// chain. The candidate is well-formed: commitFlushLocked validated the
-// manifest first.
+// j against old + Σ_k A_k·B_k over the task's steps, from the
+// master-owned operands (opA, opB; for an LU trailing update, the
+// stage's negated L panel and U row). The "old" value is the master
+// tile itself: commit is the only write, so it is exactly what the
+// worker started from. A probe failure escalates to the exact recompute
+// and the bit-for-bit comparison — an honest worker can never be
+// refused, because every worker path is pinned to the same ascending-k
+// FMA chain. The candidate is well-formed: commitFlushLocked validated
+// the manifest first.
 func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64) bool {
-	q := cl.taskQ(j)
-	var old []float64
-	var a, b [][]float64
-	subtract := false
-	var ok bool
+	q := j.q
+	old := j.spec.result().Block(bi, bj).Data
 	cl.verifyChecks++
 	began := time.Now()
-	switch j.spec.Kind {
-	case MatMul:
-		// Matmul probes ride the per-job cache (probe vectors, shared
-		// B·r products, operand norms); the exact operand views are only
-		// assembled if a probe fails and escalation needs them.
-		old = j.spec.C.Block(bi, bj).Data
-		ok = cl.probeMatMulLocked(j, t, bi, bj, cand, old, q)
-		if !ok {
-			a = growViews(&cl.vfy.a, t.Steps)
-			b = growViews(&cl.vfy.b, t.Steps)
-			for k := 0; k < t.Steps; k++ {
-				a[k] = j.spec.A.Block(bi, k).Data
-				b[k] = j.spec.B.Block(k, bj).Data
-			}
-		}
-	case LU:
-		// LU operand panels mutate between stages, so nothing is worth
-		// caching: the self-contained single-step Check is already cheap.
-		old = j.spec.M.Block(bi, bj).Data
-		subtract = true
-		a = growViews(&cl.vfy.a, 1)
-		b = growViews(&cl.vfy.b, 1)
-		a[0] = j.spec.M.Block(bi, t.K).Data
-		b[0] = j.spec.M.Block(t.K, bj).Data
-		ok = cl.vfy.v.Check(cand, old, a, b, q, subtract, verifyRounds, blas.DefaultVerifyTol)
-	default:
-		cl.verifyChecks--
-		return true
-	}
+	// The probe rides the per-job cache; the exact operand views are
+	// only assembled if it fails and escalation needs them.
+	ok := cl.probeLocked(j, t, bi, bj, cand, old, q)
 	if !ok {
 		// Escalation: replay the exact update chain the worker was
-		// supposed to run. For LU that chain consumed the negated panel,
-		// so negate into a pooled scratch first.
+		// supposed to run.
 		cl.tilesRecomputed++
-		ref := cl.pool.Get(q * q)
-		if subtract {
-			neg := cl.pool.Get(q * q)
-			for i, v := range a[0] {
-				neg[i] = -v
-			}
-			blas.RecomputeTile(ref, old, [][]float64{neg}, b, q)
-			cl.pool.Put(neg)
-		} else {
-			blas.RecomputeTile(ref, old, a, b, q)
+		a := make([][]float64, t.Steps)
+		b := make([][]float64, t.Steps)
+		for s := range a {
+			a[s] = j.opA(bi, t.K+s, cl.pool)
+			b[s] = j.opB(t.K+s, bj)
 		}
+		ref := cl.pool.Get(q * q)
+		blas.RecomputeTile(ref, old, a, b, q)
 		ok = blas.EqualBits(ref, cand)
 		cl.pool.Put(ref)
 	}

@@ -34,6 +34,20 @@ func honestTask(c, a, b *matrix.Blocked, tk *Task, q int) [][]float64 {
 	return out
 }
 
+// honestLUTask computes an LU task's candidate tiles as an honest
+// worker would: the master's trailing tiles updated by the stage's
+// negated L panel and U row.
+func honestLUTask(m *matrix.Blocked, tk *Task) [][]float64 {
+	ch := tk.Chunk
+	out := make([][]float64, 0, ch.Rows*ch.Cols)
+	for i := 0; i < ch.Rows; i++ {
+		for jj := 0; jj < ch.Cols; jj++ {
+			out = append(out, trailingTileValue(m, ch.I0+i, ch.J0+jj, tk.K))
+		}
+	}
+	return out
+}
+
 // flipBit62 corrupts one element the way a flaky FPU or DIMM would: a
 // high-exponent bit flip that the wire CRC can no longer see because it
 // happened before (or after) framing.
@@ -79,9 +93,10 @@ func TestVerifyAllHonestJob(t *testing.T) {
 	}
 }
 
-// TestVerifyLUHonestJob pins the LU verification arithmetic (subtract
-// semantics against the non-negated master panels): an honest LU job
-// under VerifyAll must finish with zero failures and zero escalations.
+// TestVerifyLUHonestJob pins the LU verification arithmetic (the probe
+// runs over the stage's negated L panel, the operand the worker got):
+// an honest LU job under VerifyAll must finish with zero failures and
+// zero escalations.
 func TestVerifyLUHonestJob(t *testing.T) {
 	cl, _ := manualCluster(Config{Verify: VerifyPolicy{Mode: VerifyAll}})
 	defer cl.Close()
@@ -106,6 +121,69 @@ func TestVerifyLUHonestJob(t *testing.T) {
 	if st.VerifyFailures != 0 || st.TilesRecomputed != 0 {
 		t.Fatalf("honest LU job: %d failures, %d recomputes, want 0/0",
 			st.VerifyFailures, st.TilesRecomputed)
+	}
+}
+
+// TestVerifyCorruptLUTileRefused: an LU trailing tile is checked by
+// the same amortized probe as a product tile, against the stage's
+// negated L panel and U row. A corrupt element anywhere in the tile —
+// a flipped exponent bit, an Inf or a NaN — refuses the task before
+// anything commits and strikes the worker, and the requeued task then
+// finishes the factorization bit-exact against lu.Factor.
+func TestVerifyCorruptLUTileRefused(t *testing.T) {
+	const q, r = 8, 4
+	orig := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(orig, 45)
+	want := luReference(t, orig, q)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tile []float64)
+	}{
+		{"bit62-first", func(tile []float64) { tile[0] = flipBit62(tile[0]) }},
+		{"bit62-diagonal", func(tile []float64) { tile[3*q+3] = flipBit62(tile[3*q+3]) }},
+		{"bit62-offdiagonal", func(tile []float64) { tile[2*q+5] = flipBit62(tile[2*q+5]) }},
+		{"bit62-last", func(tile []float64) { tile[q*q-1] = flipBit62(tile[q*q-1]) }},
+		{"inf", func(tile []float64) { tile[q+1] = math.Inf(1) }},
+		{"nan", func(tile []float64) { tile[q+1] = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, _ := manualCluster(Config{
+				MaxAttempts: 10,
+				Verify:      VerifyPolicy{Mode: VerifyAll, QuarantineStrikes: 3},
+			})
+			defer cl.Close()
+			m := matrix.Partition(orig.Clone(), q)
+			id, err := cl.SubmitJob(JobSpec{Kind: LU, M: m, Mu: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := m.Clone()
+			evil := join(t, cl, "evil", 64, 1)
+			tk := pullTask(t, evil)
+			blocks := honestLUTask(m, tk)
+			tc.corrupt(blocks[len(blocks)-1])
+			if err := complete(evil, tk, blocks); err != nil {
+				t.Fatalf("corrupted completion returned %v, want silent refusal", err)
+			}
+			st := cl.ClusterStats()
+			if st.VerifyFailures != 1 || st.FlushedBlocks != 0 {
+				t.Fatalf("failures/flushed = %d/%d, want 1/0", st.VerifyFailures, st.FlushedBlocks)
+			}
+			if wi := snapshotWorker(t, cl, "evil"); wi.Strikes != 1 {
+				t.Fatalf("evil worker strikes = %d, want 1", wi.Strikes)
+			}
+			if !sameMatrix(m, before) {
+				t.Fatal("master matrix changed under a refused task")
+			}
+			evil.Lost()
+			go RunLocalWorker(cl, LocalWorkerConfig{ID: "honest", Mem: 64})
+			if st := waitStatus(t, cl, id); st.State != Done {
+				t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+			}
+			if !sameMatrix(m, want) {
+				t.Fatal("LU after the refusal is not bit-identical to lu.Factor")
+			}
+		})
 	}
 }
 

@@ -225,8 +225,8 @@ func TestClusterTCPKillWorkerMidJob(t *testing.T) {
 	if d := c2.Assemble().MaxDiff(ref2); d > 1e-9 {
 		t.Fatalf("mm2: max |C - ref| = %g", d)
 	}
-	if res := lu.Residual(orig, m.Assemble()); res > 1e-8 {
-		t.Fatalf("lu: residual %g", res)
+	if !bitEqual(m, luFactored(t, orig, 4)) {
+		t.Fatal("lu: not bit-identical to lu.Factor")
 	}
 	st := cl.ClusterStats()
 	if st.WorkersLost < 1 {

@@ -124,10 +124,10 @@ func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
 			t.Fatalf("mm%d: max |C - ref| = %g", i, d)
 		}
 	}
-	// Every LU factorization reconstructs its input.
+	// Every LU factorization is lu.Factor's, bit for bit.
 	for i, l := range lus {
-		if res := lu.Residual(l.orig, l.m.Assemble()); res > 1e-8 {
-			t.Fatalf("lu%d: residual %g", i, res)
+		if !bitEqual(l.m, luFactored(t, l.orig, 4)) {
+			t.Fatalf("lu%d: not bit-identical to lu.Factor", i)
 		}
 	}
 

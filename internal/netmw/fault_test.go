@@ -192,8 +192,8 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	if d := c2.Assemble().MaxDiff(ref2); d != 0 {
 		t.Fatalf("mm2 under faults: max |C - ref| = %g", d)
 	}
-	if res := lu.Residual(orig, m.Assemble()); res > 1e-8 {
-		t.Fatalf("lu under faults: residual %g", res)
+	if !bitEqual(m, luFactored(t, orig, 4)) {
+		t.Fatal("lu under faults is not bit-identical to lu.Factor")
 	}
 	if fc := plan.Counts(); fc.Drops == 0 {
 		t.Fatalf("fault plan injected nothing (%+v) — the harness did not bite", fc)

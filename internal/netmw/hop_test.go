@@ -13,9 +13,21 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/store"
 )
+
+// luFactored is the bit pattern every LU job must end in: lu.Factor of
+// orig, with the block edge q as its panel, partitioned into q-blocks.
+func luFactored(t *testing.T, orig *matrix.Dense, q int) *matrix.Blocked {
+	t.Helper()
+	want := orig.Clone()
+	if err := lu.Factor(want, q); err != nil {
+		t.Fatal(err)
+	}
+	return matrix.Partition(want, q)
+}
 
 // bitEqual reports whether two blocked matrices hold the same bits.
 func bitEqual(x, y *matrix.Blocked) bool {

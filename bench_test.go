@@ -715,21 +715,22 @@ func BenchmarkClusterRecoverySim(b *testing.B) {
 	b.ReportMetric(ratio, "recovery-overhead")
 }
 
-// BenchmarkClusterFleetAdaptive is the simulator's churn-fleet scenario
-// (sim.ChurnFleet) as a pinned benchmark series: a 100-worker fleet in
-// three speed classes with 10% churn, run through the online-adaptive
-// rules and through the FIFO + fixed-µ baseline, each reported as its
-// makespan over the LP lower bound (vs-lp). The simulation is
-// deterministic, so these metrics are exact, not sampled.
+// BenchmarkClusterFleetAdaptive is the churn-fleet scenario
+// (cluster.ChurnFleet) as a pinned benchmark series: a 100-worker fleet
+// in three speed classes with 10% churn, driving the cluster scheduler
+// in virtual time (cluster.RunFleet) with the online-adaptive rules and
+// as the FIFO + fixed-µ baseline, each reported as its makespan over
+// the LP lower bound (vs-lp). The run is deterministic, so these
+// metrics are exact, not sampled.
 func BenchmarkClusterFleetAdaptive(b *testing.B) {
 	for _, mode := range []string{"adaptive", "baseline"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := sim.ChurnFleet(100, 120, 64, mode == "adaptive")
+			cfg := cluster.ChurnFleet(100, 120, 64, mode == "adaptive")
 			lb := cfg.LowerBound()
-			var res sim.FleetResult
+			var res cluster.FleetResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = sim.RunFleet(cfg)
+				res, err = cluster.RunFleet(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,8 +1,9 @@
 // Command mmsim simulates one scheduling algorithm on one platform and
 // problem, and optionally renders the Gantt chart. With -fleet it
-// instead runs the cluster's online-adaptive scheduling rules
-// (profile-driven chunk shaping + speculative straggler re-dispatch)
-// over a large heterogeneous fleet with churn, against the LP bound.
+// instead drives the cluster scheduler — with its online-adaptive
+// rules (profile-driven chunk shaping + speculative straggler
+// re-dispatch) or without — over a large scripted heterogeneous fleet
+// with churn, in virtual time, against the LP bound.
 package main
 
 import (
@@ -13,10 +14,10 @@ import (
 	"os"
 
 	"repro/internal/algorithms"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hetero"
 	"repro/internal/platform"
-	"repro/internal/sim"
 	"repro/internal/steady"
 	"repro/internal/trace"
 )
@@ -111,16 +112,17 @@ func main() {
 
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// runFleet runs the simulator's churn-fleet scenario (sim.ChurnFleet:
-// three speed classes, 10% churn) through the cluster's adaptive rules,
-// or through the FIFO + fixed-µ baseline, and reports the makespan
-// against the LP lower bound.
+// runFleet runs the churn-fleet scenario (cluster.ChurnFleet: three
+// speed classes, 10% churn) as one job on a cluster whose sessions are
+// the scripted workers (cluster.RunFleet), with the adaptive rules or
+// as the FIFO + fixed-µ baseline, and reports the makespan against the
+// LP lower bound.
 func runFleet(n, grid, depth int, baseline, gantt bool, svgPath string) {
-	cfg := sim.ChurnFleet(n, grid, depth, !baseline)
+	cfg := cluster.ChurnFleet(n, grid, depth, !baseline)
 	if gantt || svgPath != "" {
 		cfg.Trace = &trace.Trace{}
 	}
-	res, err := sim.RunFleet(cfg)
+	res, err := cluster.RunFleet(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,25 +1,36 @@
-package sim
+package cluster
 
 import (
 	"testing"
 
+	"repro/internal/matrix"
 	"repro/internal/trace"
 )
+
+// runFleetExact runs a fleet and fails unless the committed C is
+// bit-identical to matrix.MulNaive over the run's operands.
+func runFleetExact(t *testing.T, cfg FleetConfig) FleetResult {
+	t.Helper()
+	res, spec, err := runFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.NewDense(cfg.R, cfg.S)
+	matrix.MulNaive(want, spec.A.Assemble(), spec.B.Assemble())
+	if !spec.C.Assemble().Equal(want, 0) {
+		t.Fatal("committed C is not bit-identical to MulNaive")
+	}
+	return res
+}
 
 // TestFleetAdaptiveBeatsBaselineWithinLPBound pins the acceptance
 // criterion: on the 100-worker heterogeneous fleet with churn, adaptive
 // scheduling lands within 1.5× the LP lower bound and at least 25%
 // ahead of the FIFO + fixed-µ baseline.
 func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
-	base, err := RunFleet(ChurnFleet(100, 120, 64, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runFleetExact(t, ChurnFleet(100, 120, 64, false))
 	cfg := ChurnFleet(100, 120, 64, true)
-	adpt, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adpt := runFleetExact(t, cfg)
 
 	total := int64(cfg.R) * int64(cfg.S) * int64(cfg.T)
 	lb := cfg.LowerBound()
@@ -52,7 +63,7 @@ func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
 }
 
 // TestFleetDeterministic pins that identical configs replay identically
-// — the property every regression bisect on this simulator relies on.
+// — the property every regression bisect on a fleet run relies on.
 func TestFleetDeterministic(t *testing.T) {
 	a, err := RunFleet(ChurnFleet(100, 120, 64, true))
 	if err != nil {
@@ -68,31 +79,30 @@ func TestFleetDeterministic(t *testing.T) {
 }
 
 // TestFleetChurn200Race is the CI smoke scenario: 200 workers with
-// churn under the race detector (the estimator is the only shared
-// state; a data race here means the scheduler loop leaked one).
+// churn under the race detector (the driver is one goroutine; a data
+// race here means the scheduler started one of its own).
 func TestFleetChurn200Race(t *testing.T) {
-	res, err := RunFleet(ChurnFleet(200, 80, 32, true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFleetExact(t, ChurnFleet(200, 80, 32, true))
 	if want := int64(80) * 80 * 32; res.Updates != want {
 		t.Fatalf("committed %d updates, want %d", res.Updates, want)
 	}
 }
 
 // TestFleet500WorkersWithJoins stretches to the upper end of the scale
-// requirement, with a third of the fleet joining mid-job.
+// requirement, with a third of the fleet joining mid-job. It takes
+// seconds, and over half a minute under the race detector, so -short
+// skips it; TestFleetChurn200Race is the race smoke test of the fleet.
 func TestFleet500WorkersWithJoins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("500-worker fleet; TestFleetChurn200Race covers the race smoke")
+	}
 	cfg := ChurnFleet(500, 100, 32, true)
 	for i := range cfg.Workers {
 		if i%3 == 2 && i > 100 {
 			cfg.Workers[i].JoinAt = 1.5 // late-joining fast workers
 		}
 	}
-	res, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFleetExact(t, cfg)
 	if want := int64(100) * 100 * 32; res.Updates != want {
 		t.Fatalf("committed %d updates, want %d", res.Updates, want)
 	}
@@ -106,10 +116,7 @@ func TestFleetTraceRecordsSpeculation(t *testing.T) {
 	cfg := ChurnFleet(12, 24, 32, true)
 	cfg.Events = []FleetEvent{{At: 1, Worker: 2, Kind: FleetSlowdown, Factor: 0.02}}
 	cfg.Trace = tr
-	res, err := RunFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFleetExact(t, cfg)
 	if res.Speculations == 0 {
 		t.Fatal("scenario produced no speculation; the trace cannot cover Spec spans")
 	}
@@ -129,5 +136,32 @@ func TestFleetTraceRecordsSpeculation(t *testing.T) {
 	}
 	if svg := tr.SVG(trace.SVGOptions{}); len(svg) < 100 {
 		t.Fatalf("SVG render suspiciously small: %d bytes", len(svg))
+	}
+}
+
+// TestFleetRefusals pins every config RunFleet refuses, and that a
+// fleet whose every worker left ends in an error instead of a hang.
+func TestFleetRefusals(t *testing.T) {
+	edit := func(f func(*FleetConfig)) FleetConfig {
+		cfg := ChurnFleet(3, 6, 4, true)
+		f(&cfg)
+		return cfg
+	}
+	for name, cfg := range map[string]FleetConfig{
+		"no workers":      edit(func(c *FleetConfig) { c.Workers = nil }),
+		"bad problem":     edit(func(c *FleetConfig) { c.S = 0 }),
+		"bad µ":           edit(func(c *FleetConfig) { c.Mu = 0 }),
+		"zero speed":      edit(func(c *FleetConfig) { c.Workers[1].Speed = 0 }),
+		"negative link":   edit(func(c *FleetConfig) { c.Workers[2].Bandwidth = -1 }),
+		"event past end":  edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Worker: 3}} }),
+		"negative worker": edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Worker: -1}} }),
+		"zero slowdown":   edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Kind: FleetSlowdown}} }),
+		"every worker gone": edit(func(c *FleetConfig) {
+			c.Events = []FleetEvent{{At: 0.01, Worker: 0}, {At: 0.01, Worker: 1}, {At: 0.02, Worker: 2}}
+		}),
+	} {
+		if res, err := RunFleet(cfg); err == nil {
+			t.Errorf("%s: ran to %+v, want an error", name, res)
+		}
 	}
 }

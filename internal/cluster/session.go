@@ -60,10 +60,16 @@ type SessionReport struct {
 // The worker keeps the task's C tiles in its result cache and flushes
 // each once; all-zero tiles ship as a CZero flag instead of a payload.
 func (s *Session) Next() (*engine.Assign, error) {
+	return s.next(true)
+}
+
+// next is Next; without wait, it returns a nil assignment and a nil
+// error where Next would block.
+func (s *Session) next(wait bool) (*engine.Assign, error) {
 	cl := s.cl
 	cl.mu.Lock()
-	task, err := s.nextLocked()
-	if err != nil {
+	task, err := s.nextLocked(wait)
+	if task == nil {
 		cl.mu.Unlock()
 		return nil, err
 	}
@@ -91,8 +97,9 @@ func (s *Session) Next() (*engine.Assign, error) {
 }
 
 // nextLocked blocks until a task is dispatched to the incarnation — and
-// held — or Next must return an error instead.
-func (s *Session) nextLocked() (*Task, error) {
+// held — or Next must return an error instead. Without wait it returns
+// (nil, nil) instead of blocking.
+func (s *Session) nextLocked(wait bool) (*Task, error) {
 	cl, w := s.cl, s.w
 	for {
 		switch {
@@ -126,6 +133,9 @@ func (s *Session) nextLocked() (*Task, error) {
 			w.flushPending = true
 			w.lastSeen = cl.clock.Now()
 			return nil, engine.ErrFlushWanted
+		}
+		if !wait {
+			return nil, nil
 		}
 		cl.parks++
 		cl.cond.Wait()

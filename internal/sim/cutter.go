@@ -33,7 +33,7 @@ type rect struct {
 // is re-cut, possibly at a different µ, for whoever asks next).
 //
 // Cutter does no locking; the cluster scheduler drives it under its
-// own mutex and the fleet simulator is single-threaded.
+// own mutex.
 type Cutter struct {
 	free       []rect
 	rows, cols int // the grid

@@ -25,7 +25,9 @@
 // caller only builds chunks, queues and a policy: the seven §8 algorithms
 // (internal/algorithms), the §6.2 execution phase and the demand-driven
 // heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
-// (internal/lu).
+// (internal/lu). Besides Run, the package holds only the Cutter the
+// cluster carves its chunks with; fleet-scale runs drive the cluster
+// scheduler itself (cluster.RunFleet).
 package sim
 
 import (

@@ -38,8 +38,9 @@ test-race:
 # with an LU job failing on a zero pivot and refusing a corrupt tile,
 # 50 times over under the race detector. Last, the netmw tests of the pushed-set
 # schedule and the client hop — rogue workers, the injected-fault
-# harness, the parked Send and the reused reply staging — 20 times over
-# under the race detector.
+# harness, the parked Send and the reused reply staging — and the
+# limited-memory worker that must keep its row's A blocks, 20 times
+# over under the race detector.
 flake:
 	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
 	$(GO) test -race -count 5 -skip 'TestFleet' ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
@@ -48,7 +49,7 @@ flake:
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster ./internal/sim
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
-	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused' ./internal/netmw
+	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused|TestTightMemory' ./internal/netmw
 
 # runnames fails when a -run alternative here or in the CI workflow
 # names no test, so a renamed or moved test cannot drop out silently.

@@ -124,9 +124,9 @@ type Assign struct {
 // hold nil in place of blocks the worker already has resident — the
 // receiver resolves those from its operand cache. Cap announces the
 // resident-cache capacity the worker must mirror after processing this
-// set (the LRU on both ends evicts down to it in lock-step). A Set
-// whose manifest is empty is a full set: every operand has a payload,
-// exactly the pre-delta protocol.
+// set (both ends evict down to it in lock-step, by the same victim rule
+// over this Set's A manifest). A Set whose manifest is empty is a full
+// set: every operand has a payload, exactly the pre-delta protocol.
 type Set struct {
 	K          int
 	A, B       [][]float64

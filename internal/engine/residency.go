@@ -18,9 +18,10 @@ import (
 // the worker lacks. The worker pins received operands in a cache keyed
 // by block ID and resolves manifest references from it.
 //
-// Correctness rests on one invariant: both ends run the SAME
-// least-recently-used policy, with the SAME capacity (announced in
-// every Set), over the SAME sequence of Sets — per-connection FIFO
+// Correctness rests on one invariant: both ends run the SAME eviction
+// rule (blockCache.evictTo: a pure function of the recency list, the
+// capacity and the Set's manifest), with the SAME capacity (announced
+// in every Set), over the SAME sequence of Sets — per-connection FIFO
 // delivery makes the sequences identical, so the two caches can never
 // disagree about what is resident. A session starts empty on both
 // sides, which is what makes reconnect safe: a new incarnation gets a
@@ -191,7 +192,7 @@ func (s CommStats) HitRate() float64 {
 	return float64(s.BlocksSkipped) / float64(total)
 }
 
-// lruEntry is one resident block on the intrusive LRU list. The
+// lruEntry is one resident block on the intrusive recency list. The
 // master-side mirror stores nil buffers (it only needs the IDs); the
 // worker side stores the block and whether the cache owns it (pooled
 // TCP decode) or merely references it (the zero-copy in-process path).
@@ -206,9 +207,10 @@ type lruEntry struct {
 
 var lruEntryPool = sync.Pool{New: func() any { return new(lruEntry) }}
 
-// blockCache is the deterministic LRU both ends mirror. head is most
-// recently used; eviction pops the tail. Given the same operation
-// sequence and capacities, two blockCaches hold the same IDs in the
+// blockCache is the deterministic recency-ordered cache both ends
+// mirror. head is most recently used; evictTo picks its victims from
+// this order and the Set in hand. Given the same operation sequence,
+// capacities and manifests, two blockCaches hold the same IDs in the
 // same order — the protocol invariant. Caches themselves recycle
 // through a sync.Pool (sessions are born and die per connection) so a
 // reconnect-heavy server does not rebuild maps from scratch each time.
@@ -298,16 +300,34 @@ func (c *blockCache) insert(id uint64, buf []float64, owned bool, pool *BlockPoo
 	c.pushFront(e)
 }
 
-// evictTo drops least-recently-used entries until at most cap remain.
+// evictTo drops entries until at most cap remain, choosing victims
+// against aids, the A-role manifest of the Set in hand. A resident
+// block is hot when it is an A-role block of the same (job, block-row)
+// as one of aids: the cutter's tour keeps a worker on its block-row, so
+// its next chunk reads that row's A blocks again, in the same k order.
+// The victim is the least recently used block that is not hot; only
+// when every resident block is hot does the most recently used one go.
+// For the cyclic k scan of a row that does not fit, that is Belady's
+// choice: the row keeps its first cap blocks instead of losing each one
+// just before it is read again (plain LRU hits nothing there).
 // The owned buffers of the evicted entries are appended to freed and
 // returned: the caller decides when they go back to the pool (the
 // worker must not recycle a buffer the update in hand still reads).
-func (c *blockCache) evictTo(cap int, freed [][]float64) [][]float64 {
+func (c *blockCache) evictTo(cap int, aids []uint64, freed [][]float64) [][]float64 {
 	if cap < 0 {
 		cap = 0
 	}
+	scan := c.tail // every entry behind scan is hot
 	for len(c.m) > cap {
-		e := c.tail
+		for scan != nil && hotRow(scan.id, aids) {
+			scan = scan.prev
+		}
+		e := scan
+		if e == nil {
+			e = c.head
+		} else {
+			scan = scan.prev
+		}
 		c.unlink(e)
 		delete(c.m, e.id)
 		if e.owned {
@@ -319,10 +339,25 @@ func (c *blockCache) evictTo(cap int, freed [][]float64) [][]float64 {
 	return freed
 }
 
+// hotRow reports whether id is an A-role block ID of the same job and
+// block-row as one of aids (the role, job and row fields sit above the
+// column field, so one shift compares all three).
+func hotRow(id uint64, aids []uint64) bool {
+	if id&(blockIDRoleB|blockIDRoleC) != 0 {
+		return false
+	}
+	for _, a := range aids {
+		if a>>blockIDRowSh == id>>blockIDRowSh {
+			return true
+		}
+	}
+	return false
+}
+
 // release drains the cache (returning owned buffers to the pool) and
 // recycles it for the next session.
 func (c *blockCache) release(pool *BlockPool) {
-	pool.PutAll(c.evictTo(0, nil))
+	pool.PutAll(c.evictTo(0, nil, nil))
 	blockCachePool.Put(c)
 }
 
@@ -375,7 +410,7 @@ func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	set.Cap = CacheBudget(sb.Mem, held)
 	sb.filterHalf(set.A, set.AIDs, set.Owned, pool)
 	sb.filterHalf(set.B, set.BIDs, set.Owned, pool)
-	sb.mirror.evictTo(set.Cap, nil) // the mirror holds IDs only: nothing to free
+	sb.mirror.evictTo(set.Cap, set.AIDs, nil) // the mirror holds IDs only: nothing to free
 	return set
 }
 
@@ -453,7 +488,7 @@ func (oc *opCache) resolve(set *Set) (hits int64, err error) {
 		return hits, err
 	}
 	hits += h
-	oc.evicted = oc.cache.evictTo(set.Cap, oc.evicted)
+	oc.evicted = oc.cache.evictTo(set.Cap, set.AIDs, oc.evicted)
 	return hits, nil
 }
 

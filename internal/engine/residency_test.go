@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -272,6 +273,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 	const steps = 400
 	jobs := []uint32{1, 2, 9}
 	mems := []int{0, 6, 10, 16, 40}
+	allHot := 0 // Sets whose own A block went in their own resolve
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := NewBlockPool()
@@ -279,6 +281,13 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 		sb := &SetBuilder{Mem: mem}
 		oc := newOpCache(pool)
 		sessions := 1
+		// A row tour is the cutter's tier-0 move: 1×1 or 2×1 chunks
+		// marching along one block-row, each scanning k = 0..5 in order,
+		// so its own row's A blocks stay hot and the all-hot branch of
+		// the victim rule runs whenever the row outgrows the Cap.
+		var tour *sim.Chunk
+		var tourJob uint32
+		tourK := 0
 		for step := 0; step < steps; step++ {
 			if rng.Intn(10) == 0 {
 				// Reconnect: the session dies and both ends rebuild their
@@ -291,14 +300,32 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				sessions++
 				continue
 			}
-			job := jobs[rng.Intn(len(jobs))]
-			ch := &sim.Chunk{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1 + rng.Intn(2)}
-			if rng.Intn(20) == 0 {
-				// Out-of-range coordinates stamp to the untracked sentinel:
-				// those entries always ship and never enter either cache.
-				ch.I0 = 1 << 16
+			if tour == nil && rng.Intn(8) == 0 {
+				tour = &sim.Chunk{I0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1}
+				tourJob, tourK = jobs[rng.Intn(len(jobs))], 0
 			}
-			k := rng.Intn(6)
+			var job uint32
+			var ch *sim.Chunk
+			var k int
+			if tour != nil {
+				job, k = tourJob, tourK
+				ch = &sim.Chunk{I0: tour.I0, J0: tour.J0, Rows: tour.Rows, Cols: tour.Cols}
+				if tourK++; tourK == 6 {
+					tourK = 0
+					if tour.J0++; tour.J0 == 7 {
+						tour = nil
+					}
+				}
+			} else {
+				job = jobs[rng.Intn(len(jobs))]
+				ch = &sim.Chunk{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1 + rng.Intn(2)}
+				if rng.Intn(20) == 0 {
+					// Out-of-range coordinates stamp to the untracked sentinel:
+					// those entries always ship and never enter either cache.
+					ch.I0 = 1 << 16
+				}
+				k = rng.Intn(6)
+			}
 			set := pool.GetSet()
 			set.K = k
 			set.Owned = true
@@ -366,12 +393,24 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				t.Fatalf("seed %d step %d: worker holds %d blocks over the %d-block cap",
 					seed, step, len(ws), cap)
 			}
+			// A hot block is a victim only once nothing cold is left, so
+			// this Set's own A block missing from the cache means the
+			// all-hot branch ran.
+			for _, id := range set.AIDs {
+				if id != 0 && oc.cache.m[id] == nil {
+					allHot++
+					break
+				}
+			}
 		}
 		if sessions < 2 {
 			t.Fatalf("seed %d: random walk produced no reconnect; widen the op mix", seed)
 		}
 		sb.Release()
 		oc.release()
+	}
+	if allHot == 0 {
+		t.Fatal("no Set evicted its own A block: the all-hot branch never ran; widen the op mix")
 	}
 }
 
@@ -380,44 +419,123 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 // block count, resolve evicts blocks the Set it just returned still
 // points at. Their buffers must not reach the pool before the update
 // is applied — the reader goroutine's next decode takes them straight
-// back out and overwrites the operands under the kernel.
+// back out and overwrites the operands under the kernel. Under
+// -tags poolcheck a premature release also poisons them.
 func TestResolveKeepsEvictedOperandsUntilApplied(t *testing.T) {
 	pool := NewBlockPool()
 	oc := newOpCache(pool)
 	defer oc.release()
-	a, b := pool.Get(4), pool.Get(4)
-	for i := range a {
-		a[i], b[i] = 1, 2
+	// resolve ships A(0,k) and B(k,0), filled with av and bv, at cap.
+	resolve := func(k, cap int, av, bv float64) *Set {
+		t.Helper()
+		a, b := pool.Get(4), pool.Get(4)
+		for i := range a {
+			a[i], b[i] = av, bv
+		}
+		set := &Set{
+			A: [][]float64{a}, B: [][]float64{b},
+			AIDs: []uint64{ABlockID(0, 0, k)}, BIDs: []uint64{BBlockID(0, k, 0)},
+			Cap: cap, Owned: true,
+		}
+		if _, err := oc.resolve(set); err != nil {
+			t.Fatal(err)
+		}
+		return set
 	}
-	set := &Set{
-		A: [][]float64{a}, B: [][]float64{b},
-		AIDs: []uint64{ABlockID(0, 0, 0)}, BIDs: []uint64{BBlockID(0, 0, 0)},
-		Cap: 0, Owned: true,
+	// applied checks that set still reads av and bv after what the
+	// reader's decode of the next Set does while this one is being
+	// applied, then makes the next resolve, which is the release point.
+	applied := func(set *Set, av, bv float64) {
+		t.Helper()
+		for n := 0; n < 2; n++ {
+			next := pool.Get(4)
+			for i := range next {
+				next[i] = -1
+			}
+		}
+		for i := range set.A[0] {
+			if set.A[0][i] != av || set.B[0][i] != bv {
+				t.Fatalf("operands overwritten before the update was applied: A=%v B=%v", set.A[0], set.B[0])
+			}
+		}
+		if _, err := oc.resolve(&Set{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(oc.evicted) != 0 {
+			t.Fatalf("%d evicted buffers still held after the next resolve", len(oc.evicted))
+		}
 	}
-	if _, err := oc.resolve(set); err != nil {
-		t.Fatal(err)
-	}
+
+	set := resolve(0, 0, 1, 2)
 	if len(oc.cache.m) != 0 {
 		t.Fatalf("cache holds %d ids after resolving at Cap 0, want 0 (the mirror evicted them)", len(oc.cache.m))
 	}
-	// What the reader's decode of the next Set does while this one is
-	// being applied.
-	for n := 0; n < 2; n++ {
-		next := pool.Get(4)
-		for i := range next {
-			next[i] = -1
+	applied(set, 1, 2)
+
+	// The row rule can evict a block in the resolve that ships it: at
+	// Cap 1 the second Set of a row tour keeps A(0,0), drops the cold
+	// B(1,0), and then — every block left being hot — the most recent
+	// one, its own A(0,1).
+	resolve(0, 1, 3, 4)
+	set = resolve(1, 1, 5, 6)
+	if len(oc.cache.m) != 1 || oc.cache.m[ABlockID(0, 0, 0)] == nil {
+		t.Fatalf("cache holds %d ids after the row's second Set at Cap 1, want only A(0,0)", len(oc.cache.m))
+	}
+	applied(set, 5, 6)
+}
+
+// TestRowTourKeepsRowPrefix drives the cutter's tier-0 tour by hand:
+// two row tours of eight 1×1 chunks, each scanning k = 0..7, at Mem 16
+// with held 5, 10 and 12 (Caps 11, 6 and 4). A chunk reads 16 distinct
+// blocks, more than any of these Caps, so plain LRU evicts every A block
+// just before the next chunk of the row asks for it and hits nothing.
+// The row rule keeps the row's first min(cap, 8) A blocks: every chunk
+// after the first of its row hits exactly that many, and the worker
+// resolves every Set the master's mirror rewrote.
+func TestRowTourKeepsRowPrefix(t *testing.T) {
+	const q, depth = 2, 8
+	pool := NewBlockPool()
+	for _, held := range []int{5, 10, 12} {
+		sb := SetBuilder{Mem: 16}
+		oc := newOpCache(pool)
+		c := int64(min(CacheBudget(sb.Mem, held), depth))
+		var got, want []int64
+		for row := 0; row < 2; row++ {
+			for col := 0; col < 8; col++ {
+				ch := &sim.Chunk{I0: row, J0: col, Rows: 1, Cols: 1}
+				var hits int64
+				for k := 0; k < depth; k++ {
+					set := pool.GetSet()
+					set.K, set.Owned = k, true
+					set.A = append(set.A, pool.Get(q*q))
+					set.B = append(set.B, pool.Get(q*q))
+					StampIDs(set, 1, ch, k)
+					skipped := sb.Stats.BlocksSkipped
+					set = sb.Filter(set, held, pool)
+					h, err := oc.resolve(set)
+					if err != nil {
+						t.Fatalf("held %d chunk (%d,%d) k=%d: %v", held, row, col, k, err)
+					}
+					if h != sb.Stats.BlocksSkipped-skipped {
+						t.Fatalf("held %d chunk (%d,%d) k=%d: worker hit %d, master skipped %d",
+							held, row, col, k, h, sb.Stats.BlocksSkipped-skipped)
+					}
+					hits += h
+					releaseUncached(set, pool)
+					pool.PutSet(set)
+				}
+				got = append(got, hits)
+				if col == 0 {
+					want = append(want, 0)
+				} else {
+					want = append(want, c)
+				}
+			}
 		}
-	}
-	for i := range a {
-		if set.A[0][i] != 1 || set.B[0][i] != 2 {
-			t.Fatalf("operands overwritten before the update was applied: A=%v B=%v", set.A[0], set.B[0])
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("held %d (cap %d): hits per chunk %v, want %v", held, CacheBudget(sb.Mem, held), got, want)
 		}
-	}
-	// The next resolve is the release point.
-	if _, err := oc.resolve(&Set{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(oc.evicted) != 0 {
-		t.Fatalf("%d evicted buffers still held after the next resolve", len(oc.evicted))
+		sb.Release()
+		oc.release()
 	}
 }

@@ -143,7 +143,7 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	}
 
 	// The operand cache holds the session's resident A/B blocks, keyed
-	// by manifest ID, in exact mirror of the master's per-session LRU.
+	// by manifest ID, in exact mirror of the master's per-session cache.
 	// It lives and dies with the session: a reconnected incarnation is a
 	// new session and starts cold, matching the master's fresh mirror.
 	cache := newOpCache(cfg.Pool)

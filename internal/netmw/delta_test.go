@@ -3,6 +3,9 @@ package netmw
 import (
 	"testing"
 	"time"
+
+	"repro/internal/lu"
+	"repro/internal/matrix"
 )
 
 // TestClusterKillWorkerWithWarmCache is the delta protocol's recovery
@@ -144,5 +147,79 @@ func TestClusterDeltaSavesBytesMultiWorker(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no blocks skipped across the fleet on a reuse-heavy job")
+	}
+}
+
+// tightWorker serves a cluster as the paper's limited-memory worker: 16
+// blocks advertised with two tasks in flight, which leaves the operand
+// cache 4 to 6 blocks beside the two 1×1 chunk footprints and the dirty
+// C tiles. run submits the job; tightWorker then shuts the cluster down
+// and returns the worker's share of operand blocks served from its
+// cache, after checking that the worker's hits are exactly the blocks
+// the server's mirror skipped.
+func tightWorker(t *testing.T, run func(addr string) error) float64 {
+	t.Helper()
+	cl, srv := startCluster(t)
+	repCh := make(chan ClusterWorkerReport, 1)
+	go func() {
+		rep, _ := RunClusterWorker(ClusterWorkerConfig{
+			Addr: srv.Addr(), Name: "tight", Memory: 16, Slots: 2,
+		})
+		repCh <- rep
+	}()
+	if err := run(srv.Addr()); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	cl.Close()
+	srv.Close()
+	rep := <-repCh
+	for _, wi := range cl.Workers() {
+		if wi.ID != "tight" {
+			continue
+		}
+		if wi.BlocksSkipped != rep.CacheHits {
+			t.Fatalf("server skipped %d blocks, worker resolved %d hits — mirrors disagree",
+				wi.BlocksSkipped, rep.CacheHits)
+		}
+		return wi.CacheHitRate()
+	}
+	t.Fatal("worker missing from the registry snapshot")
+	return 0
+}
+
+// TestTightMemoryKeepsRow is the limited-memory regime end to end: n/q =
+// 8 at µ = 1, so every chunk reads 16 distinct blocks against a 4–6
+// block cache. The tour hands the worker the next chunk of its
+// block-row, and the victim rule keeps that row's first A blocks for it:
+// at least a quarter of the operand blocks come from the cache (plain
+// LRU served none), and C is bit-exact against the MulNaive oracle.
+func TestTightMemoryKeepsRow(t *testing.T) {
+	c, a, b, ref := matmulInputs(t, 32, 32, 32, 4, 41)
+	share := tightWorker(t, func(addr string) error {
+		return SubmitMatMulTCP(addr, c, a, b, 1, time.Minute)
+	})
+	got := c.Assemble()
+	for i := 0; i < got.Rows; i++ {
+		for j := 0; j < got.Cols; j++ {
+			if got.At(i, j) != ref.At(i, j) {
+				t.Fatalf("C(%d,%d) = %g, oracle %g (not bit-exact)", i, j, got.At(i, j), ref.At(i, j))
+			}
+		}
+	}
+	if share < 0.25 {
+		t.Fatalf("cache hit share %.3f, want ≥ 0.25 (the row's A blocks were evicted before reuse)", share)
+	}
+}
+
+// TestTightMemoryLU runs an LU job on the same tight worker: stage
+// panels go out under A- and B-role IDs through the same victim rule,
+// and the factorization must still be lu.Factor's, bit for bit.
+func TestTightMemoryLU(t *testing.T) {
+	orig := matrix.NewDense(32, 32)
+	lu.DiagonallyDominant(orig, 43)
+	m := matrix.Partition(orig.Clone(), 4)
+	tightWorker(t, func(addr string) error { return SubmitLUTCP(addr, m, 1, time.Minute) })
+	if !bitEqual(m, luFactored(t, orig, 4)) {
+		t.Fatal("lu at tight memory is not bit-identical to lu.Factor")
 	}
 }

@@ -25,7 +25,8 @@ test-race:
 # tag: a block released twice panics and a block read after release
 # reads NaN poison, so a by-reference hand-off that frees too early
 # fails loudly instead of passing on recycled floats — and, 50 times
-# over, the LU stage panel a lost session's Set still references. Then
+# over, the LU stage panel a lost session's Set still references and
+# the pool blocks a replay decodes recovered jobs into. Then
 # the adaptive policy, the cutter every task comes from, the recovery
 # of lost and refused chunks, of pre-cut and v0-layout snapshots and of
 # every crash point of a scripted run, the free-list check, and every
@@ -45,7 +46,7 @@ flake:
 	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
 	$(GO) test -race -count 5 -skip 'TestFleet' ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
-	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder' ./internal/cluster
+	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster ./internal/sim
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster

@@ -216,10 +216,6 @@ type Cluster struct {
 	// they visit only live jobs.
 	parks, scanned int
 
-	// acceptRec and chunkRec are the record buffers of the two journal
-	// records that carry matrix tiles, reused across appends (recBuf).
-	acceptRec, chunkRec []byte
-
 	// verify is the normalized verification policy; sample is the
 	// splitmix64 state of its sampling draws; quarantined records parked
 	// workers by id (worker records are replaced on rejoin, the verdict

@@ -55,13 +55,15 @@ package cluster
 // same free list.
 //
 // Records are little-endian throughout, and their floats are the one
-// encoding internal/matrix defines: a tile is one bulk append on
-// encode and one bulk copy on decode. Accept and chunk records — the
-// two that carry tiles, the accept record a job's operands — are built
-// in record buffers the cluster reuses under its mutex (recBuf), which
-// is why a JobLog may not keep rec past Append. The bytes are those the
-// per-element loop writes (journal_format_test.go keeps it as the
-// reference), so stores written before the bulk path replay unchanged.
+// encoding internal/matrix defines — on a little-endian build a block's
+// own memory. So a record is parts (recEnc): a few bytes of integer
+// fields between views of the job's blocks, which the store writes
+// straight from them (a big-endian build copies each block). The bytes
+// are those the per-element loop writes (journal_format_test.go keeps
+// it as the reference), so stores written before replay unchanged. A
+// replay decodes every matrix into blocks of the cluster's pool and
+// marks the job Pooled, so a recovered job is released as a submitted
+// one is.
 
 import (
 	"encoding/binary"
@@ -71,34 +73,40 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
 
 // JobLog is the durable sink and replay source for job lifecycle
-// events. Append must be atomic-or-error and durable on nil return, and
-// rec is only valid until Append returns: the cluster builds its next
-// record in the same buffer, so an implementation that keeps the bytes
-// copies them. The snapshot flag on replay marks a record that resets
-// all prior state. *store.Journal is the production implementation (via
-// NewStoreLog).
+// events. Append must be atomic-or-error and durable on nil return. The
+// snapshot flag on replay marks a record that resets all prior state.
+// *store.Journal is the production implementation (via NewStoreLog).
+//
+// A JobLog with gatherLog's methods is handed each record as parts,
+// views of live job blocks among them; any other, the parts joined.
+// Either way the bytes are valid only until the call returns.
 type JobLog interface {
 	Append(rec []byte) error
 	Replay(fn func(rec []byte, snapshot bool) error) error
 	Compact(snapshot []byte) error
 }
 
-// storeLog adapts *store.Journal to JobLog.
-type storeLog struct{ j *store.Journal }
+// gatherLog writes a record given as parts, each from where it lies.
+type gatherLog interface {
+	AppendV(parts ...[]byte) error
+	CompactV(parts ...[]byte) error
+}
+
+// storeLog adapts *store.Journal to JobLog and gatherLog.
+type storeLog struct{ *store.Journal }
 
 // NewStoreLog wraps a write-ahead journal as the cluster's JobLog.
 func NewStoreLog(j *store.Journal) JobLog { return storeLog{j} }
 
-func (s storeLog) Append(rec []byte) error   { return s.j.Append(rec) }
-func (s storeLog) Compact(snap []byte) error { return s.j.Compact(snap) }
 func (s storeLog) Replay(fn func(rec []byte, snapshot bool) error) error {
-	_, err := s.j.Replay(fn)
+	_, err := s.Journal.Replay(fn)
 	return err
 }
 
@@ -161,53 +169,41 @@ func ReplayChunkCommits(dir string) (chunks []ChunkCommit, done int, err error) 
 
 // --- emission (called under cl.mu) ----------------------------------------
 
-// appendLogLocked writes one event; on failure the log is latched
-// broken (cl.logErr) so no further admission happens against a journal
-// that cannot persist it, while in-memory jobs run to completion.
-func (cl *Cluster) appendLogLocked(rec []byte) error {
+// writeLogLocked appends a record given as parts, or with snapshot set
+// compacts the log to it: as parts to a gatherLog, joined to any other
+// JobLog. On failure the log is latched broken (cl.logErr) so no further
+// admission happens against a journal that cannot persist it, while
+// in-memory jobs run to completion.
+func (cl *Cluster) writeLogLocked(snapshot bool, parts [][]byte) error {
 	if cl.log == nil {
 		return cl.logErr
 	}
-	if err := cl.log.Append(rec); err != nil {
-		cl.logErr = err
-		cl.log = nil
-		return err
+	g, gathers := cl.log.(gatherLog)
+	var err error
+	switch {
+	case gathers && snapshot:
+		err = g.CompactV(parts...)
+	case gathers:
+		err = g.AppendV(parts...)
+	case snapshot:
+		err = cl.log.Compact(slices.Concat(parts...))
+	default:
+		err = cl.log.Append(slices.Concat(parts...))
 	}
-	return nil
-}
-
-// recBuf returns buf emptied, with room for an n-byte record: the
-// buffer of one record kind, reused from append to append (a fresh
-// multi-MiB buffer per record costs its zeroing and its garbage, and
-// one grown by append leaves several times its size in garbage).
-func recBuf(buf []byte, n int) []byte {
-	if cap(buf) < n {
-		return make([]byte, 0, n)
+	if err != nil {
+		cl.logErr, cl.log = err, nil
 	}
-	return buf[:0]
-}
-
-// appendRecLocked appends rec, built in a recBuf, and keeps its buffer
-// in *keep for the next record of its kind while rec fills at least half
-// of it, so one oversized job's buffer is not retained for the life of
-// the master. The log does not retain rec (JobLog).
-func (cl *Cluster) appendRecLocked(keep *[]byte, rec []byte) error {
-	*keep = nil
-	if cap(rec) <= 2*len(rec) {
-		*keep = rec
-	}
-	return cl.appendLogLocked(rec)
+	return err
 }
 
 // logAcceptedLocked records a job's admission, operands included.
 func (cl *Cluster) logAcceptedLocked(id JobID, key uint64, spec JobSpec) error {
-	n := 32 + matLen(spec.M) + matLen(spec.C) + matLen(spec.A) + matLen(spec.B)
-	return cl.appendRecLocked(&cl.acceptRec, encodeAccepted(recBuf(cl.acceptRec, n), id, key, spec))
+	return cl.writeLogLocked(false, encodeAccepted(id, key, spec))
 }
 
-// encodeAccepted appends the accept record of job id to buf.
-func encodeAccepted(buf []byte, id JobID, key uint64, spec JobSpec) []byte {
-	e := &recEnc{buf: buf}
+// encodeAccepted is the accept record of job id, as parts.
+func encodeAccepted(id JobID, key uint64, spec JobSpec) [][]byte {
+	e := &recEnc{}
 	e.u8(evAccepted)
 	e.u32(uint32(id))
 	e.u64(key)
@@ -215,7 +211,7 @@ func encodeAccepted(buf []byte, id JobID, key uint64, spec JobSpec) []byte {
 	e.u8(0) // mode: every job is cut at dispatch
 	e.u32(uint32(spec.Mu))
 	e.mats(&spec)
-	return e.buf
+	return e.record()
 }
 
 // logChunkLocked records a committed chunk, reading the final tile
@@ -226,7 +222,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	}
 	ch := t.Chunk
 	dst := j.spec.result()
-	e := &recEnc{buf: recBuf(cl.chunkRec, 32+8*ch.Rows*ch.Cols*dst.Q*dst.Q)}
+	e := &recEnc{}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
 	e.u32(uint32(t.Seq))
@@ -240,7 +236,7 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 			e.floats(dst.Block(ch.I0+i, ch.J0+jj).Data)
 		}
 	}
-	cl.appendRecLocked(&cl.chunkRec, e.buf) //nolint:errcheck // latched in cl.logErr
+	cl.writeLogLocked(false, e.record()) //nolint:errcheck // latched in cl.logErr
 }
 
 func (cl *Cluster) logDoneLocked(j *job) {
@@ -261,7 +257,7 @@ func (cl *Cluster) logDoneLocked(j *job) {
 		msg = j.err.Error()
 	}
 	e.str(msg)
-	cl.appendLogLocked(e.buf) //nolint:errcheck // latched in cl.logErr
+	cl.writeLogLocked(false, e.record()) //nolint:errcheck // latched in cl.logErr
 }
 
 // logWorkerQuarantineLocked records a worker quarantined for corrupt
@@ -275,7 +271,7 @@ func (cl *Cluster) logWorkerQuarantineLocked(id string, strikes int, reason stri
 	e.str(id)
 	e.u32(uint32(strikes))
 	e.str(reason)
-	cl.appendLogLocked(e.buf) //nolint:errcheck // latched in cl.logErr
+	cl.writeLogLocked(false, e.record()) //nolint:errcheck // latched in cl.logErr
 }
 
 // --- recovery -------------------------------------------------------------
@@ -346,13 +342,7 @@ func (cl *Cluster) CompactLog() error {
 	if cl.log == nil {
 		return cl.logErr
 	}
-	snap := cl.encodeSnapshotLocked()
-	if err := cl.log.Compact(snap); err != nil {
-		cl.logErr = err
-		cl.log = nil
-		return err
-	}
-	return nil
+	return cl.writeLogLocked(true, cl.encodeSnapshotLocked())
 }
 
 // resetJobsLocked empties the job table: the state Recover starts from
@@ -374,12 +364,12 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 	if len(rec) == 0 {
 		return errors.New("cluster: empty journal record")
 	}
-	d := &recDec{buf: rec[1:]}
+	d := &recDec{buf: rec[1:], pool: cl.pool}
 	switch rec[0] {
 	case evAccepted:
 		id := JobID(d.u32())
 		key := d.u64()
-		spec := JobSpec{Kind: JobKind(d.u8())}
+		spec := JobSpec{Kind: JobKind(d.u8()), Pooled: true}
 		d.u8() // mode, ignored
 		spec.Mu = int(d.u32())
 		d.mats(&spec)
@@ -469,8 +459,9 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 // --- snapshots ------------------------------------------------------------
 
 // encodeSnapshotLocked serializes the job table in the v1 layout — no
-// admission re-run on load, so already-factored LU panels stay factored.
-func (cl *Cluster) encodeSnapshotLocked() []byte {
+// admission re-run on load, so already-factored LU panels stay factored
+// — as parts.
+func (cl *Cluster) encodeSnapshotLocked() [][]byte {
 	var kept []*job
 	for _, id := range cl.order {
 		if j := cl.jobs[id]; j.spec.result() != nil {
@@ -519,7 +510,7 @@ func (cl *Cluster) encodeSnapshotLocked() []byte {
 		e.u32(uint32(qi.strikes))
 		e.str(qi.reason)
 	}
-	return e.buf
+	return e.record()
 }
 
 // freeListLocked is j's uncommitted work as one free list: the cutter's
@@ -561,7 +552,7 @@ func (cl *Cluster) freeListLocked(j *job) [][4]int {
 // in flight or dirty: the cut count restarts at the commit count.
 func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 	cl.resetJobsLocked()
-	d := &recDec{buf: rec}
+	d := &recDec{buf: rec, pool: cl.pool}
 	first := d.u32()
 	v1 := first == snapshotV1
 	if v1 {
@@ -570,7 +561,7 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 	cl.nextID = JobID(first)
 	n := int(d.u32())
 	for i := 0; i < n; i++ {
-		j := &job{doneCh: make(chan struct{})}
+		j := &job{doneCh: make(chan struct{}), spec: JobSpec{Pooled: true}}
 		j.id = JobID(d.u32())
 		j.key = d.u64()
 		j.spec.Kind = JobKind(d.u8())
@@ -658,7 +649,21 @@ func (j *job) v0Tail(d *recDec) [][4]int {
 
 // --- record encoding ------------------------------------------------------
 
-type recEnc struct{ buf []byte }
+// recEnc builds a record as parts: runs of its own bytes (the integer
+// fields; on a big-endian build the floats too) between views of the
+// blocks whose memory is their encoding (matrix.FloatsView).
+type recEnc struct {
+	buf   []byte // the record's bytes since its last part
+	parts [][]byte
+}
+
+// record returns the record's parts so far, its pending bytes included.
+func (e *recEnc) record() [][]byte {
+	if len(e.buf) > 0 {
+		e.parts, e.buf = append(e.parts, e.buf), nil
+	}
+	return e.parts
+}
 
 func (e *recEnc) u8(v byte) { e.buf = append(e.buf, v) }
 
@@ -678,7 +683,14 @@ func (e *recEnc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *recEnc) floats(v []float64) { e.buf = matrix.AppendFloats(e.buf, v) }
+// floats adds v's encoding: a view of v where there is one, else a copy.
+func (e *recEnc) floats(v []float64) {
+	if bs, ok := matrix.FloatsView(v); ok {
+		e.parts = append(e.record(), bs)
+	} else {
+		e.buf = matrix.AppendFloats(e.buf, v)
+	}
+}
 
 // mats writes the spec's matrices: M for LU, else C, A and B.
 func (e *recEnc) mats(s *JobSpec) {
@@ -691,14 +703,6 @@ func (e *recEnc) mats(s *JobSpec) {
 	e.mat(s.B)
 }
 
-// matLen is the encoded length of m as mat writes it.
-func matLen(m *matrix.Blocked) int {
-	if m == nil {
-		return 12
-	}
-	return 12 + 8*m.BR*m.BC*m.Q*m.Q
-}
-
 // mat writes a matrix; nil (a released operand) is written as the 0×0
 // matrix of q = 0, which no real matrix encodes to.
 func (e *recEnc) mat(m *matrix.Blocked) {
@@ -708,16 +712,17 @@ func (e *recEnc) mat(m *matrix.Blocked) {
 	e.u32(uint32(m.BR))
 	e.u32(uint32(m.BC))
 	e.u32(uint32(m.Q))
-	for i := 0; i < m.BR; i++ {
-		for j := 0; j < m.BC; j++ {
-			e.floats(m.Block(i, j).Data)
-		}
+	for _, b := range m.Blocks { // row-major
+		e.floats(b.Data)
 	}
 }
 
+// recDec reads a record. Its matrices are decoded into blocks of pool
+// (a nil pool allocates them).
 type recDec struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	pool *engine.BlockPool
 }
 
 var errShortRecord = errors.New("cluster: truncated journal record")
@@ -824,11 +829,10 @@ func (d *recDec) mat() *matrix.Blocked {
 		d.err = errShortRecord
 		return nil
 	}
-	m := matrix.NewBlocked(br, bc, q)
-	for i := 0; i < br; i++ {
-		for j := 0; j < bc; j++ {
-			d.readFloats(m.Block(i, j).Data)
-		}
+	m := &matrix.Blocked{BR: br, BC: bc, Q: q, Blocks: make([]*matrix.Block, br*bc)}
+	for n := range m.Blocks {
+		m.Blocks[n] = &matrix.Block{I: n / bc, J: n % bc, Q: q, Data: d.pool.Get(q * q)}
+		d.readFloats(m.Blocks[n].Data)
 	}
 	return m
 }

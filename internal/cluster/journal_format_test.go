@@ -290,8 +290,8 @@ func TestAcceptedRecordMatchesReference(t *testing.T) {
 		}
 		id, key := JobID(rng.Uint32()), rng.Uint64()
 		want := refAccepted(id, key, spec)
-		prefix := make([]byte, rng.Intn(9)) // a reused buffer's stale length is dropped
-		got := encodeAccepted(prefix[:0], id, key, spec)
+		rng.Intn(9) // the stale length of a since-deleted reused buffer: the specs stay those of earlier runs
+		got := bytes.Join(encodeAccepted(id, key, spec), nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("iter %d: %v accept record differs from the per-element reference", iter, spec.Kind)
 		}
@@ -315,138 +315,149 @@ func TestAcceptedRecordMatchesReference(t *testing.T) {
 }
 
 // TestJournalMatchesReference runs random matmul and LU jobs on a
-// journaled cluster, the records going through the reused buffers, and
-// pins the journal against the reference: replaying it yields exactly
-// the fresh reference encodes of the records, in order (so no record was
-// changed by the reuse of its buffer), a journal of the reference's
-// records recovers the same job table, and the snapshot is the
-// reference's bytes and recovers it too.
+// journaled cluster and pins the journal against the reference:
+// replaying it yields exactly the fresh reference encodes of the
+// records, in order, a journal of the reference's records recovers the
+// same job table, and the snapshot is the reference's bytes and
+// recovers it too. Each seed runs twice, through a log that takes
+// records as parts and through one handed them joined.
 func TestJournalMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		jn, log := openLog(t, dir)
-		clog := &opLog{JobLog: log}
-		cl, _ := manualCluster(Config{Log: clog})
-		var want [][]byte
-		// tiles gives a task's final tile values, row-major.
-		tiles := make(map[JobID]func(*Task) [][]float64)
-		for n := 0; n < 2+rng.Intn(3); n++ {
-			q := 1 + rng.Intn(4)
-			spec := JobSpec{Kind: MatMul, Mu: 1 + rng.Intn(3)}
-			var tilesOf func(*Task) [][]float64
-			if rng.Intn(2) == 0 {
-				r := 2 + rng.Intn(2)
-				orig := matrix.NewDense(r*q, r*q)
-				lu.DiagonallyDominant(orig, seed*10+int64(n))
-				spec.Kind, spec.M = LU, matrix.Partition(orig, q)
-				tilesOf = func(t *Task) [][]float64 {
-					var out [][]float64
-					for i := 0; i < t.Chunk.Rows; i++ {
-						for j := 0; j < t.Chunk.Cols; j++ {
-							out = append(out, trailingTileValue(spec.M, t.Chunk.I0+i, t.Chunk.J0+j, t.K))
-						}
-					}
-					return out
-				}
-			} else {
-				r, k, s := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3)
-				c, a, b, ref := blockedInputs(t, r*q, k*q, s*q, q, seed*10+int64(n))
-				spec.C, spec.A, spec.B = c, a, b
-				refB := matrix.Partition(ref, q)
-				tilesOf = func(t *Task) [][]float64 { return refChunk(t, refB) }
-			}
-			key := uint64(rng.Intn(2)) * (100 + uint64(n))
-			want = append(want, refAccepted(JobID(n), key, spec))
-			id, _, err := cl.SubmitJobKeyed(key, spec)
-			if err != nil || id != JobID(n) {
-				t.Fatalf("seed %d: submit = %d, %v", seed, id, err)
-			}
-			tiles[id] = tilesOf
+		for _, gather := range []bool{true, false} {
+			journalMatchesReference(t, seed, gather)
 		}
-		w := join(t, cl, "w", 0, 1)
-		held := pullTask(t, w)
-		for steps := rng.Intn(20); steps > 0; steps-- {
-			vals := tiles[held.Job](held)
-			if err := complete(w, held, vals); err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, refChunkRecord(held, vals))
-			if st, _ := cl.JobStatus(held.Job); st.State == Done {
-				want = append(want, refDone(held.Job))
-				if rng.Intn(2) == 0 {
-					cl.ForgetResult(held.Job) // an unkeyed job then leaves the snapshot
-				}
-			}
-			if cl.ClusterStats().JobsRunning == 0 {
-				held = nil
-				break
-			}
-			held = pullTask(t, w)
-		}
-
-		if len(clog.ops) != len(want) {
-			t.Fatalf("seed %d: %d records appended, want %d", seed, len(clog.ops), len(want))
-		}
-		var replayed [][]byte
-		if _, err := store.ReplayDir(dir, func(rec []byte, _ bool) error {
-			replayed = append(replayed, bytes.Clone(rec))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !bytes.Equal(clog.ops[i].rec, want[i]) || !bytes.Equal(replayed[i], want[i]) {
-				t.Fatalf("seed %d: record %d (type %d) is not the reference's bytes", seed, i, want[i][0])
-			}
-		}
-
-		// A journal the reference wrote recovers what the cluster holds.
-		refDir := t.TempDir()
-		rjn, rlog := openLog(t, refDir)
-		for _, rec := range want {
-			if err := rjn.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		assertRecovers(t, rlog, cl, false)
-		rjn.Close()
-
-		// The snapshot is the reference's bytes and recovers the same.
-		if err := cl.CompactLog(); err != nil {
-			t.Fatal(err)
-		}
-		cl.mu.Lock()
-		wantSnap := refSnapshot(cl)
-		cl.mu.Unlock()
-		var snaps [][]byte
-		if _, err := store.ReplayDir(dir, func(rec []byte, snap bool) error {
-			if snap {
-				snaps = append(snaps, bytes.Clone(rec))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(snaps) != 1 || !bytes.Equal(snaps[0], wantSnap) {
-			t.Fatalf("seed %d: the snapshot is not the reference's bytes", seed)
-		}
-		// So do the v0 layout's bytes of the same table.
-		cl.mu.Lock()
-		v0Snap := refSnapshotV0(cl)
-		cl.mu.Unlock()
-		for _, snap := range [][]byte{wantSnap, v0Snap} {
-			snapDir := t.TempDir()
-			sjn, slog := openLog(t, snapDir)
-			if err := sjn.Compact(snap); err != nil {
-				t.Fatal(err)
-			}
-			assertRecovers(t, slog, cl, true)
-			sjn.Close()
-		}
-		cl.Close()
-		jn.Close()
 	}
+}
+
+// journalMatchesReference is one seed's run of TestJournalMatchesReference.
+func journalMatchesReference(t *testing.T, seed int64, gather bool) {
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	jn, log := openLog(t, dir)
+	clog := &opLog{JobLog: log}
+	var cfgLog JobLog = clog
+	if gather {
+		cfgLog = gatherOpLog{clog}
+	}
+	cl, _ := manualCluster(Config{Log: cfgLog})
+	var want [][]byte
+	// tiles gives a task's final tile values, row-major.
+	tiles := make(map[JobID]func(*Task) [][]float64)
+	for n := 0; n < 2+rng.Intn(3); n++ {
+		q := 1 + rng.Intn(4)
+		spec := JobSpec{Kind: MatMul, Mu: 1 + rng.Intn(3)}
+		var tilesOf func(*Task) [][]float64
+		if rng.Intn(2) == 0 {
+			r := 2 + rng.Intn(2)
+			orig := matrix.NewDense(r*q, r*q)
+			lu.DiagonallyDominant(orig, seed*10+int64(n))
+			spec.Kind, spec.M = LU, matrix.Partition(orig, q)
+			tilesOf = func(t *Task) [][]float64 {
+				var out [][]float64
+				for i := 0; i < t.Chunk.Rows; i++ {
+					for j := 0; j < t.Chunk.Cols; j++ {
+						out = append(out, trailingTileValue(spec.M, t.Chunk.I0+i, t.Chunk.J0+j, t.K))
+					}
+				}
+				return out
+			}
+		} else {
+			r, k, s := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3)
+			c, a, b, ref := blockedInputs(t, r*q, k*q, s*q, q, seed*10+int64(n))
+			spec.C, spec.A, spec.B = c, a, b
+			refB := matrix.Partition(ref, q)
+			tilesOf = func(t *Task) [][]float64 { return refChunk(t, refB) }
+		}
+		key := uint64(rng.Intn(2)) * (100 + uint64(n))
+		want = append(want, refAccepted(JobID(n), key, spec))
+		id, _, err := cl.SubmitJobKeyed(key, spec)
+		if err != nil || id != JobID(n) {
+			t.Fatalf("seed %d: submit = %d, %v", seed, id, err)
+		}
+		tiles[id] = tilesOf
+	}
+	w := join(t, cl, "w", 0, 1)
+	held := pullTask(t, w)
+	for steps := rng.Intn(20); steps > 0; steps-- {
+		vals := tiles[held.Job](held)
+		if err := complete(w, held, vals); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, refChunkRecord(held, vals))
+		if st, _ := cl.JobStatus(held.Job); st.State == Done {
+			want = append(want, refDone(held.Job))
+			if rng.Intn(2) == 0 {
+				cl.ForgetResult(held.Job) // an unkeyed job then leaves the snapshot
+			}
+		}
+		if cl.ClusterStats().JobsRunning == 0 {
+			held = nil
+			break
+		}
+		held = pullTask(t, w)
+	}
+
+	if len(clog.ops) != len(want) {
+		t.Fatalf("seed %d: %d records appended, want %d", seed, len(clog.ops), len(want))
+	}
+	var replayed [][]byte
+	if _, err := store.ReplayDir(dir, func(rec []byte, _ bool) error {
+		replayed = append(replayed, bytes.Clone(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bytes.Equal(clog.ops[i].rec, want[i]) || !bytes.Equal(replayed[i], want[i]) {
+			t.Fatalf("seed %d: record %d (type %d) is not the reference's bytes", seed, i, want[i][0])
+		}
+	}
+
+	// A journal the reference wrote recovers what the cluster holds.
+	refDir := t.TempDir()
+	rjn, rlog := openLog(t, refDir)
+	for _, rec := range want {
+		if err := rjn.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertRecovers(t, rlog, cl, false)
+	rjn.Close()
+
+	// The snapshot is the reference's bytes and recovers the same.
+	if err := cl.CompactLog(); err != nil {
+		t.Fatal(err)
+	}
+	cl.mu.Lock()
+	wantSnap := refSnapshot(cl)
+	cl.mu.Unlock()
+	var snaps [][]byte
+	if _, err := store.ReplayDir(dir, func(rec []byte, snap bool) error {
+		if snap {
+			snaps = append(snaps, bytes.Clone(rec))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 || !bytes.Equal(snaps[0], wantSnap) {
+		t.Fatalf("seed %d: the snapshot is not the reference's bytes", seed)
+	}
+	// So do the v0 layout's bytes of the same table.
+	cl.mu.Lock()
+	v0Snap := refSnapshotV0(cl)
+	cl.mu.Unlock()
+	for _, snap := range [][]byte{wantSnap, v0Snap} {
+		snapDir := t.TempDir()
+		sjn, slog := openLog(t, snapDir)
+		if err := sjn.Compact(snap); err != nil {
+			t.Fatal(err)
+		}
+		assertRecovers(t, slog, cl, true)
+		sjn.Close()
+	}
+	cl.Close()
+	jn.Close()
 }
 
 // assertRecovers recovers a fresh cluster from log and checks that every

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -130,6 +135,69 @@ func TestRecoverMidJobMatMul(t *testing.T) {
 	chunks := assertNoDuplicateCommits(t, dir)
 	if len(chunks) != 4 {
 		t.Fatalf("journal has %d chunk commits, want 4", len(chunks))
+	}
+	clB.Close()
+	<-done
+}
+
+// TestRecoverTornAccept: a crash in the middle of writing an accept
+// record — here inside its A operand — leaves a torn tail. The journal
+// before it recovers, the torn job is absent as though never submitted,
+// and a resubmit under its key runs it afresh, bit-exact.
+func TestRecoverTornAccept(t *testing.T) {
+	dir := t.TempDir()
+	c0, a0, b0, ref0 := blockedInputs(t, 32, 32, 32, 8, 21)
+	c, a, b, ref := blockedInputs(t, 64, 64, 64, 16, 22)
+	jnA, logA := openLog(t, dir)
+	clA, _ := manualCluster(Config{Log: logA})
+	id0, err := clA.SubmitJob(JobSpec{Kind: MatMul, C: c0, A: a0, B: b0, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := clA.SubmitJobKeyed(7, JobSpec{Kind: MatMul, C: c.Clone(), A: a, B: b, Mu: 2}); err != nil {
+		t.Fatal(err)
+	}
+	clA.Close()
+	jnA.Close()
+	// The last record ends with B; cut halfway through A.
+	seg := filepath.Join(dir, "wal-00000001.log")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	operand := int64(12 + 8*64*64)
+	if err := os.Truncate(seg, fi.Size()-operand-operand/2); err != nil {
+		t.Fatal(err)
+	}
+
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	clB, _ := manualCluster(Config{Log: logB})
+	defer clB.Close()
+	rs, err := clB.Recover()
+	if err != nil || rs.Jobs != 1 || rs.Resumed != 1 {
+		t.Fatalf("Recover = %+v, %v; want the one job before the torn record", rs, err)
+	}
+	if st := clB.Jobs(); len(st) != 1 || st[0].ID != id0 {
+		t.Fatalf("recovered job table = %+v, want job %d alone", st, id0)
+	}
+	id, attached, err := clB.SubmitJobKeyed(7, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil || attached {
+		t.Fatalf("resubmit of the torn job's key = %d, %v, %v; want a fresh job", id, attached, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(clB, LocalWorkerConfig{ID: "w"}) }()
+	for jid, want := range map[JobID]*matrix.Dense{id0: ref0, id: ref} {
+		if st := waitStatus(t, clB, jid); st.State != Done {
+			t.Fatalf("job %d = %+v", jid, st)
+		}
+		res, err := clB.JobResult(jid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := res.Assemble().MaxDiff(want); diff != 0 {
+			t.Fatalf("job %d differs from the naive oracle by %g; want bit-exact", jid, diff)
+		}
 	}
 	clB.Close()
 	<-done
@@ -758,63 +826,67 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	<-done
 }
 
-// TestRecordBuffersReused pins the journal's two tile-carrying records
-// to buffers the cluster reuses: a fresh multi-MiB buffer per record
-// cost a durable master its zeroing and its garbage. Journaling a second
-// accept record and a chunk record of the same shapes allocates nothing.
-// What is retained stays bounded: a buffer is kept only while it is at
-// most twice the record it just held, so one oversized job's buffer goes
-// with the next normal-sized record, and accept and chunk records never
-// share a buffer.
-func TestRecordBuffersReused(t *testing.T) {
-	cl, _ := manualCluster(Config{Log: &countingLog{}})
+// TestTileRecordsGathered pins the journal's two tile-carrying records
+// to the job's own blocks: a record is header bytes and views of the
+// blocks, written straight from them, never a copy of its tiles. On a
+// store-backed cluster, admitting one n = 512, q = 128 job (6 MiB of
+// operands) and writing a chunk record for every block of its result
+// allocates less than 1 MiB in all, and the journal holds the
+// reference's bytes of each record.
+func TestTileRecordsGathered(t *testing.T) {
+	const n, q, mu = 512, 128, 2
+	dir := t.TempDir()
+	jn, log := openLog(t, dir)
+	defer jn.Close()
+	cl, _ := manualCluster(Config{Log: log})
 	defer cl.Close()
-	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 61) // 4×4 blocks of q=4
-	spec := JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}
+	rng := rand.New(rand.NewSource(61))
+	spec := JobSpec{Kind: MatMul, Mu: mu,
+		C: randBlocked(rng, n/q, n/q, q), A: randBlocked(rng, n/q, n/q, q), B: randBlocked(rng, n/q, n/q, q)}
+	var tasks []*Task
+	for i0 := 0; i0 < n/q; i0 += mu {
+		for j0 := 0; j0 < n/q; j0 += mu {
+			tasks = append(tasks, &Task{Seq: len(tasks), Chunk: &sim.Chunk{I0: i0, J0: j0, Rows: mu, Cols: mu}})
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	id, err := cl.SubmitJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := join(t, cl, "w", 0, 1)
-	task := pullTask(t, w)
-	if err := complete(w, task, refChunk(task, matrix.Partition(ref, 4))); err != nil {
-		t.Fatal(err)
-	}
 	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	j := cl.jobs[id]
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
-			t.Fatal(err)
-		}
-		cl.logChunkLocked(j, task)
-	}); allocs != 0 {
-		t.Fatalf("journaling an accept and a chunk record of known shapes allocated %v times, want 0", allocs)
+	for _, tk := range tasks {
+		tk.Job = id
+		cl.logChunkLocked(cl.jobs[id], tk)
+	}
+	cl.mu.Unlock()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("admitting a %d-byte job and journaling its chunks allocated %d bytes, want < 1 MiB",
+			3*8*n*n, got)
 	}
 
-	chunkBuf := &cl.chunkRec[:1][0]
-	c4, a4, b4, _ := blockedInputs(t, 64, 64, 64, 4, 62) // 16× the operand bytes
-	big := JobSpec{Kind: MatMul, C: c4, A: a4, B: b4, Mu: 2}
-	if err := cl.logAcceptedLocked(id+1, 0, big); err != nil {
+	want := [][]byte{refAccepted(id, 0, spec)}
+	for _, tk := range tasks {
+		want = append(want, refChunkRecord(tk, refChunk(tk, spec.C)))
+	}
+	var got [][]byte
+	if _, err := store.ReplayDir(dir, func(rec []byte, _ bool) error {
+		got = append(got, bytes.Clone(rec))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if cap(cl.acceptRec) < 3*matLen(c4) {
-		t.Fatalf("the oversized record's buffer (cap %d) was not kept while it fit", cap(cl.acceptRec))
+	if len(got) != len(want) {
+		t.Fatalf("journal holds %d records, want %d", len(got), len(want))
 	}
-	if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
-		t.Fatal(err)
-	}
-	if cl.acceptRec != nil {
-		t.Fatalf("a %d-byte record kept a buffer of cap %d", 3*matLen(c), cap(cl.acceptRec))
-	}
-	if err := cl.logAcceptedLocked(id, 0, spec); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cl.acceptRec); n == 0 || cap(cl.acceptRec) > 2*n {
-		t.Fatalf("a normal record after the oversized one left a buffer of len %d cap %d", n, cap(cl.acceptRec))
-	}
-	if &cl.chunkRec[:1][0] != chunkBuf {
-		t.Fatal("accept records moved the chunk record buffer")
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d (type %d) is not the reference's bytes", i, want[i][0])
+		}
 	}
 }
 
@@ -895,7 +967,7 @@ func TestRecoverPreCutSnapshot(t *testing.T) {
 
 	dir := t.TempDir()
 	jn, _ := openLog(t, dir)
-	if err := jn.Compact(e.buf); err != nil {
+	if err := jn.CompactV(e.record()...); err != nil {
 		t.Fatal(err)
 	}
 	jn.Close()
@@ -969,7 +1041,7 @@ func TestRecoverRefusesBadFreeList(t *testing.T) {
 		e.u32(0) // no quarantined workers
 		dir := t.TempDir()
 		jn, log := openLog(t, dir)
-		if err := jn.Compact(e.buf); err != nil {
+		if err := jn.CompactV(e.record()...); err != nil {
 			t.Fatal(err)
 		}
 		cl, _ := manualCluster(Config{Log: log})

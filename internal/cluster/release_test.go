@@ -150,6 +150,123 @@ func pooledCopy(cl *Cluster, m *matrix.Blocked) *matrix.Blocked {
 	return out
 }
 
+// TestRecoveredJobsPooled: a replay decodes every matrix of a matmul
+// and an LU job straight into blocks of the cluster's pool and marks
+// the job Pooled — replayed from events, with a chunk committed, or
+// loaded from a snapshot — so a recovered job is released as a
+// submitted one is. Run to the end and forgotten, both jobs give every
+// block back: under the poolcheck tag each reads as the poison a
+// released block is overwritten with, and a block released twice
+// panics.
+func TestRecoveredJobsPooled(t *testing.T) {
+	const q = 8
+	for _, fromSnapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		c, a, b, ref := blockedInputs(t, 4*q, 4*q, 4*q, q, 71)
+		refB := matrix.Partition(ref, q)
+		orig := matrix.NewDense(4*q, 4*q)
+		lu.DiagonallyDominant(orig, 72)
+		jnA, logA := openLog(t, dir)
+		clA, _ := manualCluster(Config{Log: logA})
+		mmID, err := clA.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		luID, err := clA.SubmitJob(JobSpec{Kind: LU, M: matrix.Partition(orig.Clone(), q), Mu: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// serveOne completes the next task of w with honest tiles, and
+		// releases the C blocks it was sent as a worker does; m is the LU
+		// job's matrix.
+		serveOne := func(w *Session, m *matrix.Blocked) {
+			as, err := w.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.cl.pool.PutAll(as.Blocks)
+			w.cl.mu.Lock()
+			tk := w.held[as.ID]
+			w.cl.mu.Unlock()
+			vals := refChunk(tk, refB)
+			if tk.Job == luID {
+				if _, err := w.Set(tk.key(), 0); err != nil {
+					t.Fatal(err)
+				}
+				vals = honestLUTask(m, tk)
+			}
+			if err := complete(w, tk, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := join(t, clA, "w", 0, 1)
+		m := jobLocked(clA, luID, func(j *job) *matrix.Blocked { return j.spec.M })
+		serveOne(w, m)
+		serveOne(w, m)
+		if fromSnapshot {
+			if err := clA.CompactLog(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jnA.Close() // crash
+
+		jnB, logB := openLog(t, dir)
+		clB, _ := manualCluster(Config{Log: logB})
+		if _, err := clB.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		var blocks [][]float64
+		for _, id := range []JobID{mmID, luID} {
+			jobLocked(clB, id, func(j *job) bool {
+				if !j.spec.Pooled {
+					t.Fatalf("snapshot %v: recovered job %d is not pooled", fromSnapshot, id)
+				}
+				for _, m := range []*matrix.Blocked{j.spec.C, j.spec.A, j.spec.B, j.spec.M} {
+					if m != nil {
+						for _, blk := range m.Blocks {
+							blocks = append(blocks, blk.Data)
+						}
+					}
+				}
+				return true
+			})
+		}
+		if len(blocks) != 4*16 {
+			t.Fatalf("snapshot %v: recovered %d blocks, want 64", fromSnapshot, len(blocks))
+		}
+
+		m = jobLocked(clB, luID, func(j *job) *matrix.Blocked { return j.spec.M })
+		w = join(t, clB, "w", 0, 1)
+		for clB.ClusterStats().JobsRunning > 0 {
+			serveOne(w, m)
+		}
+		mm, err := clB.JobResult(mmID)
+		if err != nil || mm.Assemble().MaxDiff(ref) != 0 {
+			t.Fatalf("snapshot %v: recovered product is not bit-exact (%v)", fromSnapshot, err)
+		}
+		if res, err := clB.JobResult(luID); err != nil || !sameMatrix(res, luReference(t, orig, q)) {
+			t.Fatalf("snapshot %v: recovered LU is not bit-identical to lu.Factor (%v)", fromSnapshot, err)
+		}
+		for _, id := range []JobID{mmID, luID} {
+			clB.ForgetResult(id)
+			if got := retained(t, clB, id); got != 0 {
+				t.Fatalf("snapshot %v: job %d retains %d matrices once forgotten", fromSnapshot, id, got)
+			}
+		}
+		if poolChecked {
+			for n, blk := range blocks {
+				for _, v := range blk {
+					if !math.IsNaN(v) {
+						t.Fatalf("snapshot %v: recovered block %d was not released to the pool", fromSnapshot, n)
+					}
+				}
+			}
+		}
+		clB.Close()
+		jnB.Close()
+	}
+}
+
 // TestFailedJobReleasesOnlyAfterHoldersLetGo: a job that fails while a
 // live worker's session still holds one of its tasks keeps its operands
 // — the worker streams sets for it until it reports — and releases them

@@ -42,6 +42,20 @@ func (l *opLog) Compact(snap []byte) error {
 	return l.JobLog.Compact(snap)
 }
 
+// gatherOpLog is an opLog over a log that takes records as parts
+// (gatherLog): it keeps each record joined and hands the parts on.
+type gatherOpLog struct{ *opLog }
+
+func (l gatherOpLog) AppendV(parts ...[]byte) error {
+	l.ops = append(l.ops, logOp{rec: bytes.Join(parts, nil)})
+	return l.JobLog.(gatherLog).AppendV(parts...)
+}
+
+func (l gatherOpLog) CompactV(parts ...[]byte) error {
+	l.ops = append(l.ops, logOp{rec: bytes.Join(parts, nil), snapshot: true})
+	return l.JobLog.(gatherLog).CompactV(parts...)
+}
+
 // noSync skips fsync: a crash point is cut out of the journal's bytes,
 // not out of the disk's write-back.
 var noSync = store.Options{Sync: func(*os.File) error { return nil }}

@@ -12,7 +12,8 @@
 //   - An Append that returned nil is durable: the frame was written and
 //     fsync'd before the call returned (group-commit batching is the
 //     caller's concern; the cluster batches naturally because one
-//     commit record covers a whole chunk of tiles).
+//     commit record covers a whole chunk of tiles). AppendV writes the
+//     frame of a record given as parts without joining them.
 //   - Replay yields exactly the durable record prefix, in append order.
 //     A torn tail — the crash hit mid-write — is detected by the frame
 //     CRC/length and silently dropped; Open truncates it so subsequent
@@ -134,55 +135,51 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
-// Size returns the total bytes across all segment files.
-func (j *Journal) Size() int64 {
-	seqs, err := j.segments()
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, s := range seqs {
-		if fi, err := os.Stat(j.segmentPath(s)); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
-
 // Append frames, writes and fsyncs one record. A nil error means the
 // record is durable.
-func (j *Journal) Append(rec []byte) error { return j.append(rec, flagData) }
+func (j *Journal) Append(rec []byte) error { return j.append(flagData, rec) }
 
-func (j *Journal) append(rec []byte, flag byte) error {
+// AppendV is Append of the record its parts make in order: one frame
+// whose length and CRC cover them all, each part written straight from
+// where it lies. The parts are not retained.
+func (j *Journal) AppendV(parts ...[]byte) error { return j.append(flagData, parts...) }
+
+func (j *Journal) append(flag byte, parts ...[]byte) error {
 	if j.closed {
 		return ErrClosed
 	}
-	if len(rec) > maxRecord {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d limit", len(rec), maxRecord)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxRecord {
+		return fmt.Errorf("store: record of %d bytes exceeds the %d limit", n, maxRecord)
 	}
 	if j.curSize >= j.opts.SegmentBytes {
 		if err := j.rotate(j.curSeq + 1); err != nil {
 			return err
 		}
 	}
-	// The header and the record go out as two writes straight from where
-	// they are: a record is never copied into a frame buffer (an accept
-	// record carries a job's operands). A crash between the writes leaves
-	// the torn tail Open already drops.
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rec)))
-	hdr[8] = flag
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.Update(0, crcTable, hdr[8:]), crcTable, rec))
+	// The header and each part go out as one write apiece: a record is
+	// never copied into a frame buffer (an accept record carries a job's
+	// operands). A crash between the writes leaves the torn tail Open
+	// already drops.
+	hdr := [frameHeaderLen]byte{8: flag}
+	crc := crc32.Update(0, crcTable, hdr[8:])
+	for _, p := range parts {
+		crc = crc32.Update(crc, crcTable, p)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:], crc)
 	if _, err := j.cur.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if _, err := j.cur.Write(rec); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	for _, p := range parts {
+		if _, err := j.cur.Write(p); err != nil {
+			return fmt.Errorf("store: append: %w", err)
+		}
 	}
-	j.curSize += int64(frameHeaderLen + len(rec))
+	j.curSize += int64(frameHeaderLen + n)
 	if !j.opts.NoSync {
 		if err := j.opts.Sync(j.cur); err != nil {
 			return fmt.Errorf("store: fsync: %w", err)
@@ -196,7 +193,10 @@ func (j *Journal) append(rec []byte, flag byte) error {
 // Appends continue into the new segment. Crash-safe: the snapshot is
 // durable before any old segment is deleted, and a replay that still
 // sees stale segments resets at the snapshot record.
-func (j *Journal) Compact(snapshot []byte) error {
+func (j *Journal) Compact(snapshot []byte) error { return j.CompactV(snapshot) }
+
+// CompactV is Compact of the snapshot its parts make, framed as AppendV.
+func (j *Journal) CompactV(parts ...[]byte) error {
 	if j.closed {
 		return ErrClosed
 	}
@@ -207,7 +207,7 @@ func (j *Journal) Compact(snapshot []byte) error {
 	if err := j.rotate(j.curSeq + 1); err != nil {
 		return err
 	}
-	if err := j.append(snapshot, flagSnapshot); err != nil {
+	if err := j.append(flagSnapshot, parts...); err != nil {
 		return err
 	}
 	for _, s := range old {

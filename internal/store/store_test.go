@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -110,6 +111,172 @@ func TestAppendSegmentsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(segment(2), oldFrame(snap, flagSnapshot)) {
 		t.Fatal("snapshot segment differs from the copying encoder's frame")
+	}
+}
+
+// splitParts cuts rec into a random number of parts at random points,
+// empty parts included.
+func splitParts(rng *rand.Rand, rec []byte) [][]byte {
+	var parts [][]byte
+	for len(rec) > 0 || rng.Intn(3) == 0 {
+		n := rng.Intn(len(rec) + 1)
+		if rng.Intn(4) == 0 {
+			n = 0
+		}
+		parts = append(parts, rec[:n])
+		rec = rec[n:]
+		if len(parts) > 12 {
+			parts = append(parts, rec)
+			break
+		}
+	}
+	return parts
+}
+
+// TestAppendVFramesJoinedParts: a record appended as parts, split at
+// random points with empty parts among them, lands as the frame Append
+// writes of the joined record, and a snapshot given as parts as the
+// frame Compact writes.
+func TestAppendVFramesJoinedParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 40; iter++ {
+		wdir, gdir := t.TempDir(), t.TempDir()
+		jw, err := Open(wdir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jg, err := Open(gdir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			rec := make([]byte, rng.Intn(3000))
+			rng.Read(rec)
+			werr, gerr := jw.Append(rec), jg.AppendV(splitParts(rng, rec)...)
+			if rng.Intn(4) == 0 {
+				werr, gerr = jw.Compact(rec), jg.CompactV(splitParts(rng, rec)...)
+				recs = recs[:0]
+			}
+			if werr != nil || gerr != nil {
+				t.Fatal(werr, gerr)
+			}
+			recs = append(recs, rec)
+		}
+		jw.Close()
+		jg.Close()
+		if got, _, _ := collect(t, gdir); !slices.EqualFunc(got, recs, bytes.Equal) {
+			t.Fatalf("iter %d: the gathered journal does not replay its records", iter)
+		}
+		wseqs, _ := segmentsIn(wdir)
+		gseqs, _ := segmentsIn(gdir)
+		if !slices.Equal(wseqs, gseqs) {
+			t.Fatalf("iter %d: segments %v from Append, %v from AppendV", iter, wseqs, gseqs)
+		}
+		for _, seq := range wseqs {
+			w, _ := os.ReadFile(filepath.Join(wdir, segmentName(seq)))
+			g, _ := os.ReadFile(filepath.Join(gdir, segmentName(seq)))
+			if !bytes.Equal(w, g) {
+				t.Fatalf("iter %d: segment %d differs between Append and AppendV", iter, seq)
+			}
+		}
+	}
+}
+
+// TestAppendVLimitsTheSum: the record-size limit applies to the parts'
+// sum, though no part is over it, and a refused record writes nothing:
+// the next one follows the record before it.
+func TestAppendVLimitsTheSum(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	part := make([]byte, 1<<20)
+	parts := make([][]byte, maxRecord/len(part)+1) // one view, many times
+	for i := range parts {
+		parts[i] = part
+	}
+	if err := j.AppendV(parts...); err == nil {
+		t.Fatal("a record of parts summing past the limit was appended")
+	}
+	if err := j.CompactV(parts...); err == nil {
+		t.Fatal("a snapshot of parts summing past the limit was written")
+	}
+	if err := j.AppendV([]byte("af"), []byte("ter")); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, st := collect(t, dir)
+	if len(recs) != 2 || string(recs[0]) != "before" || string(recs[1]) != "after" || st.Torn != 0 {
+		t.Fatalf("replayed %q, torn %d", recs, st.Torn)
+	}
+}
+
+// TestAppendVTornBetweenParts: a crash can stop a multi-part append at
+// any part boundary. Cut there, the segment replays exactly the records
+// before it, and Open truncates the torn tail so the next append
+// extends that prefix.
+func TestAppendVTornBetweenParts(t *testing.T) {
+	src := t.TempDir()
+	j, err := Open(src, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := [][]byte{[]byte("first"), []byte("second record")}
+	for _, rec := range prior {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts := [][]byte{[]byte("head"), {}, bytes.Repeat([]byte{7}, 100), []byte("x"), bytes.Repeat([]byte{9}, 40)}
+	if err := j.AppendV(parts...); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	full, err := os.ReadFile(filepath.Join(src, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame starts where the prior records end: its header, then
+	// each part, is one write.
+	start := len(full) - frameHeaderLen - len(bytes.Join(parts, nil))
+	cuts := []int{start, start + frameHeaderLen}
+	for _, p := range parts {
+		cuts = append(cuts, cuts[len(cuts)-1]+len(p))
+	}
+	for _, cut := range cuts[:len(cuts)-1] {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, st := collect(t, dir)
+		if len(recs) != len(prior) || st.Torn != cut-start {
+			t.Fatalf("cut at %d: replayed %d records, torn %d", cut, len(recs), st.Torn)
+		}
+		for i := range prior {
+			if !bytes.Equal(recs[i], prior[i]) {
+				t.Fatalf("cut at %d: record %d = %q", cut, i, recs[i])
+			}
+		}
+		j2, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j2.AppendV([]byte("res"), []byte("umed")); err != nil {
+			t.Fatal(err)
+		}
+		j2.Close()
+		recs, _, st = collect(t, dir)
+		if st.Torn != 0 || len(recs) != len(prior)+1 || string(recs[len(prior)]) != "resumed" {
+			t.Fatalf("cut at %d: after reopen replayed %d records, torn %d", cut, len(recs), st.Torn)
+		}
+	}
+	if recs, _, _ := collect(t, src); len(recs) != 3 || !bytes.Equal(recs[2], bytes.Join(parts, nil)) {
+		t.Fatal("the whole segment does not replay the gathered record")
 	}
 }
 
@@ -456,7 +623,7 @@ func FuzzReplaySegment(f *testing.F) {
 		for i, r := range recs {
 			var aerr error
 			if snaps[i] {
-				aerr = j.append(r, flagSnapshot)
+				aerr = j.append(flagSnapshot, r)
 			} else {
 				aerr = j.Append(r)
 			}

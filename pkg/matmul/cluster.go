@@ -153,9 +153,11 @@ type (
 	// capped exponential backoff (ClusterConfig.Retry).
 	ClusterRetryPolicy = cluster.RetryPolicy
 	// ClusterJobLog is the durable sink for job lifecycle events
-	// (ClusterConfig.Log). The record passed to Append is valid only
-	// until Append returns: the cluster reuses its buffer, so a log that
-	// keeps the bytes copies them.
+	// (ClusterConfig.Log). The bytes passed to Append and Compact are
+	// valid only until the call returns, so a log that keeps them copies
+	// them. A log that also has AppendV and CompactV, as the
+	// ClusterJournal's does, is handed each record as parts — views of
+	// the job's own blocks — and writes them without joining them.
 	ClusterJobLog = cluster.JobLog
 	// ClusterRecoveryStats summarizes a (*Cluster).Recover replay.
 	ClusterRecoveryStats = cluster.RecoveryStats

@@ -31,10 +31,11 @@ test-race:
 # of lost and refused chunks, of pre-cut and v0-layout snapshots and of
 # every crash point of a scripted run, the free-list check, and every
 # test that asserts a dispatcher stays parked, 50 times over under the
-# race detector. Then the fleet runs, once under the race detector
-# (the repeated lines skip them): they drive the scheduler from one
-# goroutine in virtual time, so a repeat replays the same run. Then the worker-session tests — a stale
-# incarnation acting on its successor, the session hold that is the
+# race detector. Then the fleet runs (package internal/fleet), once
+# under the race detector: they drive the scheduler from one goroutine
+# in virtual time, so a repeat replays the same run. Then the
+# worker-session tests — a stale incarnation acting on its successor,
+# the non-blocking TryNext's answers, the session hold that is the
 # only pin on a finished job's operands and on an LU stage's panel —
 # with an LU job failing on a zero pivot and refusing a corrupt tile,
 # 50 times over under the race detector. Last, the netmw tests of the pushed-set
@@ -44,12 +45,12 @@ test-race:
 # over under the race detector.
 flake:
 	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
-	$(GO) test -race -count 5 -skip 'TestFleet' ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
+	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster ./internal/sim
-	$(GO) test -race -count 1 -run 'TestFleet' ./internal/cluster
-	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
+	$(GO) test -race -count 1 -run 'TestFleet' ./internal/fleet
+	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestTryNextContract|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
 	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused|TestTightMemory' ./internal/netmw
 
 # runnames fails when a -run alternative here or in the CI workflow

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/fleet"
 	"repro/internal/greedy"
 	"repro/internal/grid"
 	"repro/internal/hetero"
@@ -716,21 +717,21 @@ func BenchmarkClusterRecoverySim(b *testing.B) {
 }
 
 // BenchmarkClusterFleetAdaptive is the churn-fleet scenario
-// (cluster.ChurnFleet) as a pinned benchmark series: a 100-worker fleet
-// in three speed classes with 10% churn, driving the cluster scheduler
-// in virtual time (cluster.RunFleet) with the online-adaptive rules and
+// (fleet.Churn) as a pinned benchmark series: a 100-worker fleet in
+// three speed classes with 10% churn, driving the cluster scheduler in
+// virtual time (fleet.Run) with the online-adaptive rules and
 // as the FIFO + fixed-µ baseline, each reported as its makespan over
 // the LP lower bound (vs-lp). The run is deterministic, so these
 // metrics are exact, not sampled.
 func BenchmarkClusterFleetAdaptive(b *testing.B) {
 	for _, mode := range []string{"adaptive", "baseline"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := cluster.ChurnFleet(100, 120, 64, mode == "adaptive")
+			cfg := fleet.Churn(100, 120, 64, mode == "adaptive")
 			lb := cfg.LowerBound()
-			var res cluster.FleetResult
+			var res fleet.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = cluster.RunFleet(cfg)
+				res, err = fleet.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

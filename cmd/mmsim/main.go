@@ -14,8 +14,8 @@ import (
 	"os"
 
 	"repro/internal/algorithms"
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/hetero"
 	"repro/internal/platform"
 	"repro/internal/steady"
@@ -112,17 +112,17 @@ func main() {
 
 func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// runFleet runs the churn-fleet scenario (cluster.ChurnFleet: three
-// speed classes, 10% churn) as one job on a cluster whose sessions are
-// the scripted workers (cluster.RunFleet), with the adaptive rules or
+// runFleet runs the churn-fleet scenario (fleet.Churn: three speed
+// classes, 10% churn) as one job on a cluster whose sessions are the
+// scripted workers (fleet.Run), with the adaptive rules or
 // as the FIFO + fixed-µ baseline, and reports the makespan against the
 // LP lower bound.
 func runFleet(n, grid, depth int, baseline, gantt bool, svgPath string) {
-	cfg := cluster.ChurnFleet(n, grid, depth, !baseline)
+	cfg := fleet.Churn(n, grid, depth, !baseline)
 	if gantt || svgPath != "" {
 		cfg.Trace = &trace.Trace{}
 	}
-	res, err := cluster.RunFleet(cfg)
+	res, err := fleet.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

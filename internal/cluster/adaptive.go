@@ -11,7 +11,7 @@ import (
 // AdaptiveConfig tunes online-adaptive scheduling: per-worker chunk
 // shaping from live speed profiles and speculative re-dispatch of
 // straggling chunks, decided by two rules, ChunkSide and StragglerGain.
-// A fleet run (FleetConfig.Adaptive) hands it to the cluster it drives.
+// A fleet run (fleet.Config.Adaptive) hands it to the cluster it drives.
 type AdaptiveConfig struct {
 	// Enabled turns on adaptation: ChunkSide sizes each fresh chunk from
 	// the asking worker's speed profile, and SpeculationFactor may arm

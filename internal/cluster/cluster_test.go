@@ -87,29 +87,38 @@ func next(s *Session) (*Task, error) {
 	return s.held[as.ID], nil
 }
 
-// pullTask runs next with a timeout so a scheduling bug cannot hang the
-// suite.
-func pullTask(t *testing.T, s *Session) *Task {
+// guarded runs one pull under a timeout, so a pull that blocks fails
+// the test instead of hanging it.
+func guarded[T any](t *testing.T, pull func() (T, error)) (T, error) {
 	t.Helper()
 	type res struct {
-		tk  *Task
+		v   T
 		err error
 	}
 	ch := make(chan res, 1)
 	go func() {
-		tk, err := next(s)
-		ch <- res{tk, err}
+		v, err := pull()
+		ch <- res{v, err}
 	}()
 	select {
 	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("Next(%s): %v", s.w.id, r.err)
-		}
-		return r.tk
+		return r.v, r.err
 	case <-time.After(10 * time.Second):
-		t.Fatalf("Next(%s): timed out", s.w.id)
-		return nil
+		t.Fatal("pull blocked")
+		var zero T
+		return zero, nil
 	}
+}
+
+// pullTask runs next with a timeout so a scheduling bug cannot hang the
+// suite.
+func pullTask(t *testing.T, s *Session) *Task {
+	t.Helper()
+	tk, err := guarded(t, func() (*Task, error) { return next(s) })
+	if err != nil {
+		t.Fatalf("Next(%s): %v", s.w.id, err)
+	}
+	return tk
 }
 
 // complete retires a held task the way the worker does: it acks the
@@ -124,6 +133,16 @@ func complete(s *Session, tk *Task, blocks [][]float64) error {
 		ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+n/ch.Cols, ch.J0+n%ch.Cols))
 	}
 	return s.CommitFlush(ids, blocks)
+}
+
+// tileIDs is the flush manifest of a computed assignment: its tiles' C
+// block IDs, row-major.
+func tileIDs(as *engine.Assign) []uint64 {
+	ids := make([]uint64, len(as.Blocks))
+	for n := range ids {
+		ids[n] = engine.CBlockID(as.ID.A, as.I0+n/as.Cols, as.J0+n%as.Cols)
+	}
+	return ids
 }
 
 // setOf materializes the k-th update set of any task, held or not: the

@@ -63,8 +63,14 @@ func (s *Session) Next() (*engine.Assign, error) {
 	return s.next(true)
 }
 
-// next is Next; without wait, it returns a nil assignment and a nil
-// error where Next would block.
+// TryNext is Next without the wait: where Next would block it returns
+// a nil assignment and a nil error, counting no park and taking no
+// hold. Every other answer, engine.ErrFlushWanted included, is Next's.
+func (s *Session) TryNext() (*engine.Assign, error) {
+	return s.next(false)
+}
+
+// next is Next, or TryNext without wait.
 func (s *Session) next(wait bool) (*engine.Assign, error) {
 	cl := s.cl
 	cl.mu.Lock()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blas"
 	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -99,42 +98,30 @@ func chunkCommits(t *testing.T, ops []logOp) []ChunkCommit {
 	return out
 }
 
-// workerTiles is what a worker computes for a held task: each tile's
-// update chain over the task's sets, from the master's current C — bit
-// for bit, the tiles a real worker would flush.
-func workerTiles(t *testing.T, s *Session, tk *Task) [][]float64 {
+// dispatch pulls s's next assignment with TryNext: the script knows
+// when work is ready, so nothing dispatchable fails the test.
+func dispatch(t *testing.T, s *Session) *engine.Assign {
 	t.Helper()
-	sets := make([]*engine.Set, tk.Steps)
-	for k := range sets {
-		set, err := s.Set(tk.key(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets[k] = set
+	as, err := s.TryNext()
+	if as == nil {
+		t.Fatalf("TryNext(%s) = %v, want an assignment", s.w.id, err)
 	}
-	s.cl.mu.Lock()
-	res := s.cl.jobs[tk.Job].spec.result()
-	s.cl.mu.Unlock()
-	ch := tk.Chunk
-	var out [][]float64
-	for i := 0; i < ch.Rows; i++ {
-		for j := 0; j < ch.Cols; j++ {
-			as, bs := make([][]float64, len(sets)), make([][]float64, len(sets))
-			for k, set := range sets {
-				as[k], bs[k] = set.A[i], set.B[j]
-			}
-			tile := make([]float64, res.Q*res.Q)
-			blas.RecomputeTile(tile, res.Block(ch.I0+i, ch.J0+j).Data, as, bs, res.Q)
-			out = append(out, tile)
-		}
-	}
-	return out
+	return as
 }
 
-// finishTask acks a held task and flushes its tiles, and only its.
-func finishTask(t *testing.T, s *Session, tk *Task) {
+// finishTask computes a dispatched assignment as the in-process worker
+// does (engine.RunAssign over the session's sets, recycling into the
+// cluster's pool), acks it and flushes its tiles, and only its.
+func finishTask(t *testing.T, s *Session, as *engine.Assign) {
 	t.Helper()
-	if err := complete(s, tk, workerTiles(t, s, tk)); err != nil {
+	err := engine.RunAssign(as, s, s.cl.pool)
+	if err == nil {
+		err = s.Acked(as.ID)
+	}
+	if err == nil {
+		err = s.CommitFlush(tileIDs(as), as.Blocks)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,44 +185,44 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	}
 	finishJob := func(s *Session, id JobID) {
 		for jobLocked(cl, id, func(j *job) JobState { return j.state }) != Done {
-			finishTask(t, s, pullTask(t, s))
+			finishTask(t, s, dispatch(t, s))
 		}
 	}
 
 	// In-flight loss: the 2×2 chunk is requeued as a copy.
 	lost := join(t, cl, "a", 64, 1)
-	pullTask(t, lost)
+	dispatch(t, lost)
 	lost.Lost()
 	// Hand-back: the survivor holds a 1×1 chunk and its staging set, not
 	// the 2×2 copy, so the copy's region goes back to the cutter.
 	small := join(t, cl, "s", 3, 1)
-	finishTask(t, small, pullTask(t, small))
+	finishTask(t, small, dispatch(t, small))
 	if n := jobLocked(cl, mm, func(j *job) int { return len(j.pending) }); n != 0 {
 		t.Fatalf("the lost 2x2 copy is still pending (%d copies), want it handed back", n)
 	}
-	finishTask(t, small, pullTask(t, small))
+	finishTask(t, small, dispatch(t, small))
 	small.Close(SessionReport{})
 	// A slow worker takes the rest of the grid at µ = √(20/4) = 2; it
 	// acks its first chunk, which turns dirty, and a fast idle worker
 	// duplicates its biggest in-flight chunk.
 	slow := join(t, cl, "b", 0, 16)
 	slow.ObserveCompute(engine.AssignID{}, 20, int64(time.Second))
-	var held []*Task
+	var held []*engine.Assign
 	for !drained(mm) {
-		held = append(held, pullTask(t, slow))
+		held = append(held, dispatch(t, slow))
 	}
 	if len(held) < 3 {
 		t.Fatalf("the slow worker holds %d chunks, want at least 3", len(held))
 	}
-	if err := slow.Acked(held[0].key()); err != nil {
+	if err := slow.Acked(held[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	fast := join(t, cl, "f", 0, 1)
 	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
-	dup := pullTask(t, fast)
-	if st := cl.ClusterStats(); st.Speculations != 1 || dup.Seq == held[0].Seq {
+	dup := dispatch(t, fast)
+	if st := cl.ClusterStats(); st.Speculations != 1 || dup.ID.B == held[0].ID.B {
 		t.Fatalf("fast worker got seq %d after %d speculations, want a duplicate of an in-flight chunk",
-			dup.Seq, st.Speculations)
+			dup.ID.B, st.Speculations)
 	}
 	if err := cl.CompactLog(); err != nil {
 		t.Fatal(err)
@@ -243,9 +230,9 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	// The duplicate wins; the slow worker commits one more chunk and dies
 	// with its dirty one and the rest in flight.
 	finishTask(t, fast, dup)
-	for _, tk := range held[1:] {
-		if tk.Seq != dup.Seq {
-			finishTask(t, slow, tk)
+	for _, as := range held[1:] {
+		if as.ID.B != dup.ID.B {
+			finishTask(t, slow, as)
 			break
 		}
 	}
@@ -256,8 +243,8 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	// The LU job: a chunk dirty and one in flight at a compaction
 	// mid-stage, then a dirty-tile loss.
 	lw := join(t, cl, "l", 0, 2)
-	l1, l2 := pullTask(t, lw), pullTask(t, lw)
-	if err := lw.Acked(l1.key()); err != nil {
+	l1, l2 := dispatch(t, lw), dispatch(t, lw)
+	if err := lw.Acked(l1.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.CompactLog(); err != nil {

@@ -263,6 +263,25 @@ assignments:
 	}
 }
 
+// RunAssign runs one assignment the way RunWorker does on one core,
+// without a transport: materializeTile, then applySet for each of the
+// Steps update sets feed.Set hands out, in order, recycling each into
+// pool — the same validation and arithmetic. On success as.Blocks is
+// the finished Rows×Cols tile, row-major, owned by the caller.
+func RunAssign(as *Assign, feed Feed, pool *BlockPool) error {
+	err := materializeTile(as, pool)
+	var updates int64
+	for k := 0; k < as.Steps && err == nil; k++ {
+		var set *Set
+		if set, err = feed.Set(as.ID, k); err == nil {
+			err = applySet(as, set, WorkerConfig{Pool: pool}, &updates)
+			releaseUncached(set, pool)
+			pool.PutSet(set)
+		}
+	}
+	return err
+}
+
 // materializeTile expands an assignment's tile in place: as.Blocks
 // arrives compacted (only the CShip payloads, in row-major flag order;
 // every block when CFlags is empty) and leaves as the full Rows×Cols

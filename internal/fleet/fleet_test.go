@@ -1,4 +1,4 @@
-package cluster
+package fleet
 
 import (
 	"testing"
@@ -7,11 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// runFleetExact runs a fleet and fails unless the committed C is
+// runExact runs a fleet and fails unless the committed C is
 // bit-identical to matrix.MulNaive over the run's operands.
-func runFleetExact(t *testing.T, cfg FleetConfig) FleetResult {
+func runExact(t *testing.T, cfg Config) Result {
 	t.Helper()
-	res, spec, err := runFleet(cfg)
+	res, spec, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +28,9 @@ func runFleetExact(t *testing.T, cfg FleetConfig) FleetResult {
 // scheduling lands within 1.5× the LP lower bound and at least 25%
 // ahead of the FIFO + fixed-µ baseline.
 func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
-	base := runFleetExact(t, ChurnFleet(100, 120, 64, false))
-	cfg := ChurnFleet(100, 120, 64, true)
-	adpt := runFleetExact(t, cfg)
+	base := runExact(t, Churn(100, 120, 64, false))
+	cfg := Churn(100, 120, 64, true)
+	adpt := runExact(t, cfg)
 
 	total := int64(cfg.R) * int64(cfg.S) * int64(cfg.T)
 	lb := cfg.LowerBound()
@@ -65,11 +65,11 @@ func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
 // TestFleetDeterministic pins that identical configs replay identically
 // — the property every regression bisect on a fleet run relies on.
 func TestFleetDeterministic(t *testing.T) {
-	a, err := RunFleet(ChurnFleet(100, 120, 64, true))
+	a, err := Run(Churn(100, 120, 64, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFleet(ChurnFleet(100, 120, 64, true))
+	b, err := Run(Churn(100, 120, 64, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFleetDeterministic(t *testing.T) {
 // churn under the race detector (the driver is one goroutine; a data
 // race here means the scheduler started one of its own).
 func TestFleetChurn200Race(t *testing.T) {
-	res := runFleetExact(t, ChurnFleet(200, 80, 32, true))
+	res := runExact(t, Churn(200, 80, 32, true))
 	if want := int64(80) * 80 * 32; res.Updates != want {
 		t.Fatalf("committed %d updates, want %d", res.Updates, want)
 	}
@@ -96,13 +96,13 @@ func TestFleet500WorkersWithJoins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("500-worker fleet; TestFleetChurn200Race covers the race smoke")
 	}
-	cfg := ChurnFleet(500, 100, 32, true)
+	cfg := Churn(500, 100, 32, true)
 	for i := range cfg.Workers {
 		if i%3 == 2 && i > 100 {
 			cfg.Workers[i].JoinAt = 1.5 // late-joining fast workers
 		}
 	}
-	res := runFleetExact(t, cfg)
+	res := runExact(t, cfg)
 	if want := int64(100) * 100 * 32; res.Updates != want {
 		t.Fatalf("committed %d updates, want %d", res.Updates, want)
 	}
@@ -113,10 +113,10 @@ func TestFleet500WorkersWithJoins(t *testing.T) {
 // speculative duplicates appear as Spec spans.
 func TestFleetTraceRecordsSpeculation(t *testing.T) {
 	tr := &trace.Trace{}
-	cfg := ChurnFleet(12, 24, 32, true)
-	cfg.Events = []FleetEvent{{At: 1, Worker: 2, Kind: FleetSlowdown, Factor: 0.02}}
+	cfg := Churn(12, 24, 32, true)
+	cfg.Events = []Event{{At: 1, Worker: 2, Kind: Slowdown, Factor: 0.02}}
 	cfg.Trace = tr
-	res := runFleetExact(t, cfg)
+	res := runExact(t, cfg)
 	if res.Speculations == 0 {
 		t.Fatal("scenario produced no speculation; the trace cannot cover Spec spans")
 	}
@@ -139,28 +139,28 @@ func TestFleetTraceRecordsSpeculation(t *testing.T) {
 	}
 }
 
-// TestFleetRefusals pins every config RunFleet refuses, and that a
+// TestFleetRefusals pins every config Run refuses, and that a
 // fleet whose every worker left ends in an error instead of a hang.
 func TestFleetRefusals(t *testing.T) {
-	edit := func(f func(*FleetConfig)) FleetConfig {
-		cfg := ChurnFleet(3, 6, 4, true)
+	edit := func(f func(*Config)) Config {
+		cfg := Churn(3, 6, 4, true)
 		f(&cfg)
 		return cfg
 	}
-	for name, cfg := range map[string]FleetConfig{
-		"no workers":      edit(func(c *FleetConfig) { c.Workers = nil }),
-		"bad problem":     edit(func(c *FleetConfig) { c.S = 0 }),
-		"bad µ":           edit(func(c *FleetConfig) { c.Mu = 0 }),
-		"zero speed":      edit(func(c *FleetConfig) { c.Workers[1].Speed = 0 }),
-		"negative link":   edit(func(c *FleetConfig) { c.Workers[2].Bandwidth = -1 }),
-		"event past end":  edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Worker: 3}} }),
-		"negative worker": edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Worker: -1}} }),
-		"zero slowdown":   edit(func(c *FleetConfig) { c.Events = []FleetEvent{{At: 1, Kind: FleetSlowdown}} }),
-		"every worker gone": edit(func(c *FleetConfig) {
-			c.Events = []FleetEvent{{At: 0.01, Worker: 0}, {At: 0.01, Worker: 1}, {At: 0.02, Worker: 2}}
+	for name, cfg := range map[string]Config{
+		"no workers":      edit(func(c *Config) { c.Workers = nil }),
+		"bad problem":     edit(func(c *Config) { c.S = 0 }),
+		"bad µ":           edit(func(c *Config) { c.Mu = 0 }),
+		"zero speed":      edit(func(c *Config) { c.Workers[1].Speed = 0 }),
+		"negative link":   edit(func(c *Config) { c.Workers[2].Bandwidth = -1 }),
+		"event past end":  edit(func(c *Config) { c.Events = []Event{{At: 1, Worker: 3}} }),
+		"negative worker": edit(func(c *Config) { c.Events = []Event{{At: 1, Worker: -1}} }),
+		"zero slowdown":   edit(func(c *Config) { c.Events = []Event{{At: 1, Kind: Slowdown}} }),
+		"every worker gone": edit(func(c *Config) {
+			c.Events = []Event{{At: 0.01, Worker: 0}, {At: 0.01, Worker: 1}, {At: 0.02, Worker: 2}}
 		}),
 	} {
-		if res, err := RunFleet(cfg); err == nil {
+		if res, err := Run(cfg); err == nil {
 			t.Errorf("%s: ran to %+v, want an error", name, res)
 		}
 	}

@@ -27,7 +27,7 @@
 // heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
 // (internal/lu). Besides Run, the package holds only the Cutter the
 // cluster carves its chunks with; fleet-scale runs drive the cluster
-// scheduler itself (cluster.RunFleet).
+// scheduler itself (fleet.Run, package internal/fleet).
 package sim
 
 import (

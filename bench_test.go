@@ -683,37 +683,34 @@ func BenchmarkClusterMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRecoverySim prices failure recovery in the modeled
-// engine: the makespan ratio of a run that loses one of four workers
-// mid-execution against the failure-free run.
+// BenchmarkClusterRecoverySim prices failure recovery on the cluster
+// scheduler itself, driven in virtual time by fleet.Run: four
+// UTK-calibrated workers (q = 80, 512 MiB) each on its own link compute
+// a 32×64×32-block product at µ = 8, and one worker leaves at half the
+// clean makespan. It reports the makespan ratio of that run against
+// the clean one and the chunk copies the leave requeued. The run is
+// deterministic, so both are exact.
 func BenchmarkClusterRecoverySim(b *testing.B) {
-	pl := utk(80, 512, 4)
-	pr := core.MustProblem(8000, 8000, 16000, 80)
-	mu := platform.MuOverlap(pl.Workers[0].M)
-	_, pool := homog.ChunkGrid(pr, mu)
-	configs := make([]sim.WorkerConfig, pl.P())
-	for i := range configs {
-		configs[i] = sim.WorkerConfig{StageCap: 2}
-	}
-	run := func(fails []sim.Failure) sim.Result {
-		cp := append([]*sim.Chunk(nil), pool...)
-		res, err := sim.Run(sim.Input{
-			Platform: pl, Configs: configs, Pool: cp,
-			Policy:   sim.NewDemandPolicy("fcfs", sim.FirstToReceive),
-			Failures: fails,
-		})
+	c, w := platform.UTKCalibration().BlockCosts(80)
+	wk := fleet.Worker{Speed: 1 / w, Bandwidth: 1 / c, Mem: platform.MemoryBlocks(512<<20, 80)}
+	cfg := fleet.Config{Workers: []fleet.Worker{wk, wk, wk, wk}, R: 32, S: 64, T: 32, Mu: 8}
+	var ratio float64
+	var requeues int
+	for i := 0; i < b.N; i++ {
+		clean, err := fleet.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		clean := run(nil)
-		failed := run([]sim.Failure{{Worker: 1, At: clean.Makespan / 2}})
-		ratio = failed.Makespan / clean.Makespan
+		lossy := cfg
+		lossy.Events = []fleet.Event{{At: clean.Makespan / 2, Worker: 1, Kind: fleet.Leave}}
+		failed, err := fleet.Run(lossy)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio, requeues = failed.Makespan/clean.Makespan, failed.Requeues
 	}
 	b.ReportMetric(ratio, "recovery-overhead")
+	b.ReportMetric(float64(requeues), "requeues")
 }
 
 // BenchmarkClusterFleetAdaptive is the churn-fleet scenario

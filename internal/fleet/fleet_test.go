@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
@@ -59,6 +60,29 @@ func TestFleetAdaptiveBeatsBaselineWithinLPBound(t *testing.T) {
 	}
 	if adpt.Requeues == 0 {
 		t.Fatal("leave churn produced no requeues")
+	}
+}
+
+// TestFleetOneLeaveRecovers is the recovery run BenchmarkClusterRecoverySim
+// prices: four UTK-calibrated workers, one of which leaves at half the
+// clean makespan. The scheduler requeues exactly the chunk the leaver
+// was computing, the survivors commit the clean run's chunks, and the
+// run ends later than the clean one with C bit-exact.
+func TestFleetOneLeaveRecovers(t *testing.T) {
+	c, w := platform.UTKCalibration().BlockCosts(80)
+	wk := Worker{Speed: 1 / w, Bandwidth: 1 / c, Mem: platform.MemoryBlocks(512<<20, 80)}
+	cfg := Config{Workers: []Worker{wk, wk, wk, wk}, R: 32, S: 64, T: 32, Mu: 8}
+	clean := runExact(t, cfg)
+	cfg.Events = []Event{{At: clean.Makespan / 2, Worker: 1, Kind: Leave}}
+	failed := runExact(t, cfg)
+	if failed.Requeues != 1 {
+		t.Fatalf("requeues = %d, want 1 (the leaver's chunk)", failed.Requeues)
+	}
+	if failed.Chunks != clean.Chunks {
+		t.Fatalf("chunks = %d, want the clean run's %d", failed.Chunks, clean.Chunks)
+	}
+	if failed.Makespan <= clean.Makespan {
+		t.Fatalf("failed makespan %g not above clean %g", failed.Makespan, clean.Makespan)
 	}
 }
 

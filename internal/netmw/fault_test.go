@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/sim"
 )
 
 // TestBackoffDelayShape pins the reconnect backoff: doubling from the
@@ -43,11 +42,11 @@ func TestBackoffDelayShape(t *testing.T) {
 // TestFaultPlanDeterministicAndCounted: two plans with one seed draw the
 // same schedule; the counters record what was injected.
 func TestFaultPlanDeterministicAndCounted(t *testing.T) {
-	cfg := sim.FaultConfig{
+	cfg := FaultConfig{
 		Seed: 42, DropProb: 0.2, DelayProb: 0.3, MaxDelay: time.Millisecond,
-		DupProb: 0.3, SyncFailEvery: 3,
+		DupProb: 0.3,
 	}
-	p1, p2 := sim.NewFaultPlan(cfg), sim.NewFaultPlan(cfg)
+	p1, p2 := NewFaultPlan(cfg), NewFaultPlan(cfg)
 	for i := 0; i < 500; i++ {
 		if d1, d2 := p1.Next(), p2.Next(); d1 != d2 {
 			t.Fatalf("decision %d diverged: %+v vs %+v", i, d1, d2)
@@ -57,22 +56,13 @@ func TestFaultPlanDeterministicAndCounted(t *testing.T) {
 	if c.Messages != 500 || c.Drops == 0 || c.Delays == 0 || c.Dups == 0 {
 		t.Fatalf("counts = %+v, want every fault kind represented", c)
 	}
-	fails := 0
-	for i := 0; i < 9; i++ {
-		if p1.SyncErr() != nil {
-			fails++
-		}
-	}
-	if fails != 3 {
-		t.Fatalf("SyncErr failed %d of 9 calls, want every 3rd", fails)
-	}
 }
 
 // faultSessions puts every worker session behind a FaultTransport on one
 // plan and remembers which sessions an injected drop killed, so a test
 // can tell when every worker is back in a session that will live.
 type faultSessions struct {
-	plan   *sim.FaultPlan
+	plan   *FaultPlan
 	mu     sync.Mutex
 	latest map[string]*faultSession // each worker's newest session
 	drops  int                      // injected drops the sessions returned
@@ -142,7 +132,7 @@ func (fs *faultSessions) settled(names ...string) bool {
 // redialling a closed server past the goroutine check.
 func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	checkGoroutines(t)
-	plan := sim.NewFaultPlan(sim.FaultConfig{
+	plan := NewFaultPlan(FaultConfig{
 		Seed:      7,
 		DropProb:  0.004, // ~1 kill per few hundred messages: several per run
 		DelayProb: 0.02, MaxDelay: 200 * time.Microsecond,
@@ -215,7 +205,7 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 func TestClusterTCPCorruptWorkerQuarantine(t *testing.T) {
 	checkGoroutines(t)
 	const strikes = 2
-	plan := sim.NewFaultPlan(sim.FaultConfig{Seed: 9, CorruptResultProb: 1.0})
+	plan := NewFaultPlan(FaultConfig{Seed: 9, CorruptResultProb: 1.0})
 	cl := cluster.New(cluster.Config{
 		HeartbeatTimeout: time.Hour,
 		MaxAttempts:      50,

@@ -26,8 +26,9 @@
 // (internal/algorithms), the §6.2 execution phase and the demand-driven
 // heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
 // (internal/lu). Besides Run, the package holds only the Cutter the
-// cluster carves its chunks with; fleet-scale runs drive the cluster
-// scheduler itself (fleet.Run, package internal/fleet).
+// cluster carves its chunks with. It models no failures: worker loss,
+// requeue and fleet-scale runs drive the cluster scheduler itself
+// (fleet.Run, package internal/fleet).
 package sim
 
 import (
@@ -127,31 +128,19 @@ type Policy interface {
 	Pick(now float64, cands []Candidate) int
 }
 
-// Failure schedules the crash of one worker at simulated time At, for
-// the failure-injection mode: the worker accepts no further work and any
-// chunk it holds that has not been fully retrieved is lost and requeued
-// at the tail of the pool. The master notices a failure the next time its
-// port clock reaches At — or mid-transfer, when it picks a communication
-// with the failed worker that would complete after At.
-type Failure struct {
-	Worker int
-	At     float64
-}
-
 // Input bundles everything a simulation run needs.
 type Input struct {
 	Platform *platform.Platform
 	Configs  []WorkerConfig // per worker; len must equal Platform.P()
-	// Queues[w] is the static chunk queue of worker w. For pool-based
-	// (demand-driven) assignment leave Queues nil and set Pool.
+	// At most one of Queues, Pool and Source supplies the chunks.
+	// Queues[w] is the static chunk queue of worker w. Pool is one queue
+	// every idle worker draws from (demand-driven assignment). Source
+	// carves a chunk for an idle worker: Source(w, false) peeks the chunk
+	// worker w would take next (nil: none for w) and is called whenever
+	// candidates are listed; Source(w, true) claims and returns it, and
+	// is called only when w's SendC is picked.
 	Queues [][]*Chunk
 	Pool   []*Chunk
-	// Source, in pool mode, carves a chunk for an idle worker once the
-	// pool is empty. Source(w, false) peeks the chunk worker w would take
-	// next (nil: none for w) and is called whenever candidates are
-	// listed; Source(w, true) claims and returns it, and is called only
-	// when w's SendC is picked. A carved chunk lost to a failure goes to
-	// the pool tail like any other.
 	Source func(w int, claim bool) *Chunk
 	Policy Policy
 	Trace  *trace.Trace
@@ -161,16 +150,9 @@ type Input struct {
 	// the unidirectional model; this switch exists for the ablation
 	// benchmark.
 	TwoPort bool
-	// Failures is the deterministic failure-injection schedule. It
-	// requires Pool mode: recovery reassigns lost chunks through the
-	// demand-driven pool, which a static queue cannot express.
-	Failures []Failure
 }
 
-// Result reports the outcome of one simulated execution. With failure
-// injection, Blocks and Updates count all traffic and work including what
-// a crash later discarded, so comparing against the failure-free run
-// prices the recovery overhead.
+// Result reports the outcome of one simulated execution.
 type Result struct {
 	Makespan   float64
 	Blocks     int64 // total blocks through the master port
@@ -179,8 +161,6 @@ type Result struct {
 	PortBusy   float64 // time the port spent transferring
 	WorkerBusy []float64
 	Chunks     int
-	Failures   int // workers lost to injected failures
-	Requeues   int // chunks requeued after a failure
 }
 
 // Core converts the result into the repository-wide result type.
@@ -190,7 +170,6 @@ func (r Result) Core(algorithm string) core.Result {
 
 type workerState struct {
 	cfg       WorkerConfig
-	queue     []*Chunk // static queue (nil for pool mode)
 	active    *Chunk
 	nextStep  int       // next step to deliver for the active chunk
 	arrive    []float64 // arrival times of delivered steps (current chunk)
@@ -233,16 +212,9 @@ func Run(in Input) (Result, error) {
 	if in.Policy == nil {
 		return Result{}, fmt.Errorf("sim: nil policy")
 	}
-	if in.Queues != nil && (in.Pool != nil || in.Source != nil) {
-		return Result{}, fmt.Errorf("sim: set either Queues or Pool/Source, not both")
-	}
-	if len(in.Failures) > 0 && in.Queues != nil {
-		return Result{}, fmt.Errorf("sim: failure injection requires Pool mode")
-	}
-	for _, f := range in.Failures {
-		if f.Worker < 0 || f.Worker >= pl.P() {
-			return Result{}, fmt.Errorf("sim: failure references worker %d of %d", f.Worker+1, pl.P())
-		}
+	source, err := in.source()
+	if err != nil {
+		return Result{}, err
 	}
 
 	ws := make([]*workerState, pl.P())
@@ -251,74 +223,21 @@ func Run(in Input) (Result, error) {
 		if ws[i].cfg.StageCap < 1 {
 			ws[i].cfg.StageCap = 1
 		}
-		if in.Queues != nil {
-			ws[i].queue = in.Queues[i]
-		}
 	}
-	pool := in.Pool
 
 	var (
-		port    float64 // send port (and receive port unless TwoPort)
-		rport   float64 // receive port when TwoPort
-		res     Result
-		pending = 0
+		port  float64 // send port (and receive port unless TwoPort)
+		rport float64 // receive port when TwoPort
+		res   Result
 	)
-	if in.Queues != nil {
-		for _, q := range in.Queues {
-			pending += len(q)
-		}
-	} else {
-		pending = len(pool)
-	}
 	res.WorkerBusy = make([]float64, pl.P())
-	res.Chunks = pending
 
 	lane := func(w int) string { return fmt.Sprintf("P%d", w+1) }
 
-	fails := append([]Failure(nil), in.Failures...)
-	sort.Slice(fails, func(a, b int) bool { return fails[a].At < fails[b].At })
-	applied := make([]bool, len(fails))
-	dead := make([]bool, pl.P())
-	// applyFail kills a worker: it accepts no further communications and
-	// its unreturned chunk, if any, goes back to the pool tail.
-	applyFail := func(i int) {
-		f := fails[i]
-		applied[i] = true
-		if dead[f.Worker] {
-			return
-		}
-		dead[f.Worker] = true
-		res.Failures++
-		st := ws[f.Worker]
-		if st.active != nil {
-			pool = append(pool, st.active)
-			st.active = nil
-			res.Requeues++
-		}
-	}
-	nextFail := func() int {
-		for i := range fails {
-			if !applied[i] {
-				return i // fails is sorted by At
-			}
-		}
-		return -1
-	}
-
 	for {
-		// Failures whose time has come take effect before anything else.
-		for i := range fails {
-			if !applied[i] && fails[i].At <= port {
-				applyFail(i)
-			}
-		}
-
 		// Enumerate candidates.
 		var cands []Candidate
 		for w, st := range ws {
-			if dead[w] {
-				continue
-			}
 			c := pl.Workers[w].C
 			idle := st.chunkDoneAt()
 			if st.active != nil {
@@ -349,39 +268,18 @@ func Run(in Input) (Result, error) {
 						ReadySince: st.chunkDoneAt(),
 					})
 				}
-			} else {
-				var next *Chunk
-				switch {
-				case st.queue != nil:
-					if len(st.queue) > 0 {
-						next = st.queue[0]
-					}
-				case len(pool) > 0:
-					next = pool[0]
-				case in.Source != nil:
-					next = in.Source(w, false)
-				}
-				if next != nil {
-					dur := float64(next.Blocks) * c
-					cands = append(cands, Candidate{
-						Worker: w, Kind: SendC, Chunk: next,
-						Start: port, End: port + dur, ComputeIdleAt: idle,
-						ReadySince: st.idleSince,
-					})
-				}
+			} else if next := source(w, false); next != nil {
+				dur := float64(next.Blocks) * c
+				cands = append(cands, Candidate{
+					Worker: w, Kind: SendC, Chunk: next,
+					Start: port, End: port + dur, ComputeIdleAt: idle,
+					ReadySince: st.idleSince,
+				})
 			}
 		}
+		// A worker holding a chunk always has a candidate, so an empty
+		// list means every claimed chunk came back.
 		if len(cands) == 0 {
-			// With work outstanding and failures still scheduled, the
-			// engine idles forward to the next crash (which frees its
-			// chunk back into the pool for the survivors).
-			if nf := nextFail(); nf >= 0 && pending > 0 {
-				if fails[nf].At > port {
-					port = fails[nf].At
-				}
-				applyFail(nf)
-				continue
-			}
 			break
 		}
 		sort.Slice(cands, func(a, b int) bool {
@@ -399,51 +297,21 @@ func Run(in Input) (Result, error) {
 			return Result{}, fmt.Errorf("sim: policy %q picked invalid candidate %d of %d", in.Policy.Name(), pick, len(cands))
 		}
 		cd := cands[pick]
-		// A failure striking the transfer's worker before the transfer
-		// completes aborts it mid-flight: the port is released at the
-		// crash instant and the worker's chunk is lost.
-		aborted := false
-		for i := range fails {
-			if !applied[i] && fails[i].Worker == cd.Worker && fails[i].At < cd.End {
-				if fails[i].At > port {
-					port = fails[i].At
-				}
-				applyFail(i)
-				aborted = true
-				break // fails is sorted: this is the earliest strike
-			}
-		}
-		if aborted {
-			continue
-		}
 		st := ws[cd.Worker]
 		wk := pl.Workers[cd.Worker]
 
 		switch cd.Kind {
 		case SendC:
-			switch {
-			case st.queue != nil:
-				st.queue = st.queue[1:]
-			case len(pool) > 0:
-				if pool[0] != cd.Chunk {
-					// another worker claimed it in the same wave; re-resolve
-					return Result{}, fmt.Errorf("sim: pool head changed unexpectedly")
-				}
-				pool = pool[1:]
-			default:
-				cd.Chunk = in.Source(cd.Worker, true)
-				pending++
-				res.Chunks++
-			}
-			st.active = cd.Chunk
+			st.active = source(cd.Worker, true)
 			st.nextStep = 0
 			st.arrive = st.arrive[:0]
 			st.compEnd = st.compEnd[:0]
 			st.enrolled = true
 			st.chunkAt = cd.End
-			res.Blocks += int64(cd.Chunk.Blocks)
+			res.Chunks++
+			res.Blocks += int64(st.active.Blocks)
 			res.PortBusy += cd.End - cd.Start
-			in.Trace.Add("M", trace.Comm, cd.Start, cd.End, fmt.Sprintf("C#%d→%s", cd.Chunk.ID, lane(cd.Worker)))
+			in.Trace.Add("M", trace.Comm, cd.Start, cd.End, fmt.Sprintf("C#%d→%s", st.active.ID, lane(cd.Worker)))
 			port = cd.End
 
 		case SendAB:
@@ -477,13 +345,9 @@ func Run(in Input) (Result, error) {
 			}
 			st.active = nil
 			st.idleSince = cd.End
-			pending--
 		}
 	}
 
-	if pending != 0 {
-		return Result{}, fmt.Errorf("sim: %d chunks never completed", pending)
-	}
 	res.Makespan = math.Max(port, rport)
 	for w, st := range ws {
 		res.WorkerBusy[w] = st.busy
@@ -495,4 +359,35 @@ func Run(in Input) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// source returns the input's chunk supply as one Source: a static
+// queue, or the shared pool, hands out its head.
+func (in Input) source() (func(w int, claim bool) *Chunk, error) {
+	if in.Source != nil && (in.Queues != nil || in.Pool != nil) || in.Queues != nil && in.Pool != nil {
+		return nil, fmt.Errorf("sim: set one of Queues, Pool and Source, not several")
+	}
+	switch {
+	case in.Source != nil:
+		return in.Source, nil
+	case in.Queues != nil:
+		queues := append([][]*Chunk(nil), in.Queues...)
+		return func(w int, claim bool) *Chunk { return head(&queues[w], claim) }, nil
+	default:
+		pool := in.Pool
+		return func(_ int, claim bool) *Chunk { return head(&pool, claim) }, nil
+	}
+}
+
+// head returns the first chunk of *q (nil when it is empty) and, on
+// claim, removes it.
+func head(q *[]*Chunk, claim bool) *Chunk {
+	if len(*q) == 0 {
+		return nil
+	}
+	ch := (*q)[0]
+	if claim {
+		*q = (*q)[1:]
+	}
+	return ch
 }

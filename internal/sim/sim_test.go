@@ -161,6 +161,48 @@ func TestPoolModeDrainsAllChunks(t *testing.T) {
 	}
 }
 
+// TestSourceCarvesOnClaim feeds a pool's chunks through Input.Source
+// instead: a chunk is carved only when its SendC is picked, and the run
+// matches the Pool run of the same chunks.
+func TestSourceCarvesOnClaim(t *testing.T) {
+	pool := func() []*Chunk {
+		var p []*Chunk
+		for i := 0; i < 6; i++ {
+			p = append(p, chunk(i, 2, 3, 2, 2))
+		}
+		return p
+	}
+	run := func(in Input) Result {
+		t.Helper()
+		in.Platform = platform.Homogeneous(3, 1, 4, 100)
+		in.Configs = []WorkerConfig{{StageCap: 2}, {StageCap: 2}, {StageCap: 2}}
+		in.Policy = NewDemandPolicy("fcfs", FirstToReceive)
+		res, err := Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(Input{Pool: pool()})
+	left, claims := pool(), 0
+	res := run(Input{Source: func(w int, claim bool) *Chunk {
+		if len(left) == 0 {
+			return nil
+		}
+		ch := left[0]
+		if claim {
+			left, claims = left[1:], claims+1
+		}
+		return ch
+	}})
+	if claims != 6 || res.Chunks != 6 {
+		t.Fatalf("%d claims, %d chunks, want 6", claims, res.Chunks)
+	}
+	if res.Makespan != want.Makespan || res.Blocks != want.Blocks || res.Updates != want.Updates || res.Chunks != want.Chunks {
+		t.Fatalf("source run %+v differs from pool run %+v", res, want)
+	}
+}
+
 func TestInputValidation(t *testing.T) {
 	pl := platform.Homogeneous(1, 1, 1, 100)
 	if _, err := Run(Input{}); err == nil {
@@ -172,13 +214,14 @@ func TestInputValidation(t *testing.T) {
 	if _, err := Run(Input{Platform: pl, Configs: []WorkerConfig{{1}}}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	if _, err := Run(Input{
-		Platform: pl, Configs: []WorkerConfig{{1}},
-		Policy: seq(),
-		Queues: [][]*Chunk{{}},
-		Pool:   []*Chunk{chunk(0, 1, 1, 1, 1)},
-	}); err == nil {
-		t.Fatal("both queues and pool accepted")
+	for name, in := range map[string]Input{
+		"queues and pool": {Queues: [][]*Chunk{{}}, Pool: []*Chunk{chunk(0, 1, 1, 1, 1)}},
+		"pool and source": {Pool: []*Chunk{chunk(0, 1, 1, 1, 1)}, Source: func(int, bool) *Chunk { return nil }},
+	} {
+		in.Platform, in.Configs, in.Policy = pl, []WorkerConfig{{1}}, seq()
+		if _, err := Run(in); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ test-race:
 
 # flake is the flake budget: the cross-transport conformance table many
 # times over (its kill cases must complete on the survivors whatever
-# the scheduler does with two cores), with the pushed sets' cache budget
-# and the feeder's join of a parked Send, then the three packages whose
+# the scheduler does with two cores), with the pushed sets' cache budget,
+# the feeder's join of a parked Send and its commit of a flush that
+# reached it before the worker hung up, then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
 # that passes "most runs". Then the same three under the poolcheck
@@ -44,7 +45,7 @@ test-race:
 # limited-memory worker that must keep its row's A blocks, 20 times
 # over under the race detector.
 flake:
-	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend' ./internal/engine
+	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend|TestFeederCommitsFlushBeforeLost' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster

@@ -93,7 +93,7 @@ func BenchmarkServeRecovery(b *testing.B) {
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jn, err := store.Open(dir, store.Options{NoSync: true})
+		jn, err := store.Open(dir, store.Options{Sync: func(*os.File) error { return nil }})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -109,24 +109,6 @@ func BenchmarkMaxReuseCount(b *testing.B) {
 	b.ReportMetric(bounds.LowerBoundLoomisWhitney(10000), "ccr-lower-bound")
 }
 
-func BenchmarkMaxReuseExec(b *testing.B) {
-	q := 16
-	pr := core.Problem{R: 8, S: 8, T: 4, Q: q}
-	ad := matrix.NewDense(pr.R*q, pr.T*q)
-	bd := matrix.NewDense(pr.T*q, pr.S*q)
-	matrix.DeterministicFill(ad, 1)
-	matrix.DeterministicFill(bd, 2)
-	a := matrix.Partition(ad, q)
-	bb := matrix.Partition(bd, q)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := matrix.NewBlocked(pr.R, pr.S, q)
-		if _, err := bounds.ExecMaxReuse(c, a, bb, 21); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Table 1 / Table 2 ----------------------------------------------------
 
 func BenchmarkTab1SteadyState(b *testing.B) {

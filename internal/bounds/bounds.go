@@ -4,8 +4,8 @@
 // It provides
 //
 //   - the maximum re-use algorithm of §4.1 (one A buffer, µ B buffers, µ²
-//     C buffers with 1 + µ + µ² ≤ m), both as an exact communication
-//     counter and as a real executor over block matrices;
+//     C buffers with 1 + µ + µ² ≤ m) as an exact communication counter
+//     (ooc.MultiplyMaxReuse executes the same loop over real blocks);
 //   - its communication-to-computation ratio CCR = 2/t + 2/µ and the
 //     asymptotic value 2/√m;
 //   - the lower bound CCR_opt = √(27/(8m)) obtained from the
@@ -18,21 +18,15 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/blas"
 	"repro/internal/core"
-	"repro/internal/matrix"
 	"repro/internal/platform"
 )
-
-// Mu returns the µ of the maximum re-use layout for m buffers (largest µ
-// with 1 + µ + µ² ≤ m).
-func Mu(m int) int { return platform.MuSingle(m) }
 
 // CCRMaxReuse returns the block-level communication-to-computation ratio of
 // the maximum re-use algorithm, CCR = 2/t + 2/µ (§4.2), for a memory of m
 // buffers and inner dimension t.
 func CCRMaxReuse(m, t int) float64 {
-	mu := Mu(m)
+	mu := platform.MuSingle(m)
 	if mu == 0 || t == 0 {
 		return math.Inf(1)
 	}
@@ -41,7 +35,7 @@ func CCRMaxReuse(m, t int) float64 {
 
 // CCRMaxReuseAsymptotic returns the t → ∞ limit 2/µ ≈ 2/√m = √(32/(8m)).
 func CCRMaxReuseAsymptotic(m int) float64 {
-	mu := Mu(m)
+	mu := platform.MuSingle(m)
 	if mu == 0 {
 		return math.Inf(1)
 	}
@@ -147,18 +141,19 @@ func (s Stats) CCR() float64 {
 // CountMaxReuse computes the exact communication counts of the maximum
 // re-use algorithm on an r×s×t problem with m buffers without touching any
 // data. Ragged chunks (when µ does not divide r or s) are handled by
-// clamping the chunk to the matrix border, exactly as ExecMaxReuse does.
+// clamping the chunk to the matrix border, exactly as
+// ooc.MultiplyMaxReuse does.
 func CountMaxReuse(pr core.Problem, m int) (Stats, error) {
-	mu := Mu(m)
+	mu := platform.MuSingle(m)
 	if mu < 1 {
 		return Stats{}, fmt.Errorf("bounds: memory m=%d too small (need 1+µ+µ² ≤ m with µ ≥ 1)", m)
 	}
 	var st Stats
 	st.Mu = mu
 	for i0 := 0; i0 < pr.R; i0 += mu {
-		mi := minInt(mu, pr.R-i0)
+		mi := min(mu, pr.R-i0)
 		for j0 := 0; j0 < pr.S; j0 += mu {
-			mj := minInt(mu, pr.S-j0)
+			mj := min(mu, pr.S-j0)
 			st.Chunks++
 			st.SentC += int64(mi * mj)
 			st.RecvC += int64(mi * mj)
@@ -171,118 +166,4 @@ func CountMaxReuse(pr core.Problem, m int) (Stats, error) {
 		}
 	}
 	return st, nil
-}
-
-// ExecMaxReuse runs the maximum re-use algorithm for real on block
-// matrices: a is r×t, b is t×s and c is r×s blocks of size q. It simulates
-// the master/worker split of §4 on a single worker with m buffers — the
-// "worker memory" is an explicit buffer pool and the algorithm faults if it
-// ever exceeds m resident blocks — and returns the same Stats as
-// CountMaxReuse. On return c holds C + A·B.
-func ExecMaxReuse(c, a, b *matrix.Blocked, m int) (Stats, error) {
-	if a.BR != c.BR || b.BC != c.BC || a.BC != b.BR || a.Q != b.Q || a.Q != c.Q {
-		return Stats{}, fmt.Errorf("bounds: shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.BR, c.BC, a.BR, a.BC, b.BR, b.BC)
-	}
-	pr := core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: a.Q}
-	mu := Mu(m)
-	if mu < 1 {
-		return Stats{}, fmt.Errorf("bounds: memory m=%d too small", m)
-	}
-	var st Stats
-	st.Mu = mu
-	q := a.Q
-
-	// Worker-resident storage. Residency is tracked exactly so the memory
-	// invariant (resident ≤ m) can be asserted by tests.
-	resident := 0
-	bump := func(n int) error {
-		resident += n
-		if resident > st.PeakStore {
-			st.PeakStore = resident
-		}
-		if resident > m {
-			return fmt.Errorf("bounds: memory overflow, %d resident > m=%d", resident, m)
-		}
-		return nil
-	}
-
-	for i0 := 0; i0 < pr.R; i0 += mu {
-		mi := minInt(mu, pr.R-i0)
-		for j0 := 0; j0 < pr.S; j0 += mu {
-			mj := minInt(mu, pr.S-j0)
-			st.Chunks++
-
-			// Outer loop: load the µ×µ chunk of C onto the worker.
-			cChunk := make([][]float64, mi*mj)
-			for i := 0; i < mi; i++ {
-				for j := 0; j < mj; j++ {
-					blk := c.Block(i0+i, j0+j)
-					buf := make([]float64, q*q) // worker-side copy: data travels
-					copy(buf, blk.Data)
-					cChunk[i*mj+j] = buf
-					st.SentC++
-					if err := bump(1); err != nil {
-						return st, err
-					}
-				}
-			}
-
-			// Inner loop over k: a row of µ B blocks, then µ A blocks in
-			// sequence, each combined with the B row (Figure 6).
-			bRow := make([][]float64, mj)
-			for k := 0; k < pr.T; k++ {
-				for j := 0; j < mj; j++ {
-					if bRow[j] == nil {
-						if err := bump(1); err != nil {
-							return st, err
-						}
-						bRow[j] = make([]float64, q*q)
-					}
-					copy(bRow[j], b.Block(k, j0+j).Data)
-					st.SentB++
-				}
-				aBuf := make([]float64, q*q)
-				aHeld := false
-				for i := 0; i < mi; i++ {
-					copy(aBuf, a.Block(i0+i, k).Data)
-					st.SentA++
-					if !aHeld {
-						aHeld = true
-						if err := bump(1); err != nil {
-							return st, err
-						}
-					}
-					for j := 0; j < mj; j++ {
-						blas.BlockUpdate(cChunk[i*mj+j], aBuf, bRow[j], q)
-						st.Updates++
-					}
-				}
-				if aHeld {
-					resident-- // A buffer reused across k; count once per k
-				}
-			}
-			resident -= mj // release B row buffers
-
-			// Return the chunk to the master.
-			for i := 0; i < mi; i++ {
-				for j := 0; j < mj; j++ {
-					copy(c.Block(i0+i, j0+j).Data, cChunk[i*mj+j])
-					st.RecvC++
-					resident--
-				}
-			}
-		}
-	}
-	if resident != 0 {
-		return st, fmt.Errorf("bounds: internal accounting error, %d blocks leaked", resident)
-	}
-	return st, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

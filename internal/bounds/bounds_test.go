@@ -2,17 +2,20 @@ package bounds
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/ooc"
+	"repro/internal/platform"
 )
 
 func TestMuFigure5(t *testing.T) {
 	// Figure 5 of the paper: m = 21 ⇒ µ = 4 (1 A + 4 B + 16 C buffers).
-	if got := Mu(21); got != 4 {
-		t.Fatalf("Mu(21) = %d, want 4", got)
+	if got := platform.MuSingle(21); got != 4 {
+		t.Fatalf("MuSingle(21) = %d, want 4", got)
 	}
 }
 
@@ -136,77 +139,47 @@ func TestCountMaxReuseTooSmall(t *testing.T) {
 	}
 }
 
-func mulRef(c, a, b *matrix.Blocked) *matrix.Blocked {
-	cd := c.Assemble()
-	matrix.MulNaive(cd, a.Assemble(), b.Assemble())
-	return matrix.Partition(cd, c.Q)
-}
-
-func TestExecMaxReuseCorrect(t *testing.T) {
-	for _, tc := range []struct{ r, s, tt, q, m int }{
-		{8, 8, 5, 4, 21},  // divisible by µ=4
-		{5, 7, 3, 4, 21},  // ragged
-		{1, 1, 1, 4, 3},   // µ=1 minimal memory
-		{6, 2, 4, 2, 7},   // µ=2
-		{3, 9, 2, 8, 157}, // µ=11 > matrix: single chunk
+// TestCountMatchesOutOfCore pins the counter to the loop that runs:
+// ooc.MultiplyMaxReuse with the C cache at m, the A cache at one block
+// and the B cache at µ performs exactly the I/O CountMaxReuse predicts —
+// A misses are SentA, B misses SentB, C misses SentC and C write-backs
+// RecvC — on divisible and ragged shapes alike.
+func TestCountMatchesOutOfCore(t *testing.T) {
+	for _, tc := range []struct{ r, tt, s, m int }{
+		{7, 4, 9, 21}, // µ = 4, ragged both ways
+		{8, 5, 8, 21}, // µ = 4, divisible
+		{5, 3, 7, 7},  // µ = 2, ragged
+		{6, 2, 6, 13}, // µ = 3
+		{3, 3, 3, 3},  // µ = 1
 	} {
-		ad := matrix.NewDense(tc.r*tc.q, tc.tt*tc.q)
-		bd := matrix.NewDense(tc.tt*tc.q, tc.s*tc.q)
-		cd := matrix.NewDense(tc.r*tc.q, tc.s*tc.q)
-		matrix.DeterministicFill(ad, 1)
-		matrix.DeterministicFill(bd, 2)
-		matrix.DeterministicFill(cd, 3)
-		a := matrix.Partition(ad, tc.q)
-		b := matrix.Partition(bd, tc.q)
-		c := matrix.Partition(cd, tc.q)
-		want := mulRef(c, a, b)
-
-		st, err := ExecMaxReuse(c, a, b, tc.m)
+		const q = 2
+		want, err := CountMaxReuse(core.Problem{R: tc.r, S: tc.s, T: tc.tt, Q: q}, tc.m)
 		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
+			t.Fatal(err)
 		}
-		if !c.Equal(want, 1e-9) {
-			t.Fatalf("%+v: wrong product", tc)
+		dir := t.TempDir()
+		store := func(name string, br, bc, m int, seed int64) *ooc.Store {
+			d := matrix.NewDense(br*q, bc*q)
+			matrix.DeterministicFill(d, seed)
+			st, err := ooc.FromBlocked(filepath.Join(dir, name), matrix.Partition(d, q), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			return st
 		}
-		if st.PeakStore > tc.m {
-			t.Fatalf("%+v: peak %d > m %d", tc, st.PeakStore, tc.m)
+		a := store("a.bin", tc.r, tc.tt, 1, 1)
+		b := store("b.bin", tc.tt, tc.s, platform.MuSingle(tc.m), 2)
+		c := store("c.bin", tc.r, tc.s, tc.m, 3)
+		cs, err := ooc.MultiplyMaxReuse(c, a, b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.Updates != int64(tc.r*tc.s*tc.tt) {
-			t.Fatalf("%+v: updates %d", tc, st.Updates)
+		got := [4]int64{a.Stats().Misses, b.Stats().Misses, cs.Misses, cs.WriteBacks}
+		if got != [4]int64{want.SentA, want.SentB, want.SentC, want.RecvC} {
+			t.Errorf("%+v: out-of-core A/B/C misses and C write-backs %v, counted %d %d %d %d",
+				tc, got, want.SentA, want.SentB, want.SentC, want.RecvC)
 		}
-	}
-}
-
-func TestExecMatchesCount(t *testing.T) {
-	pr := core.Problem{R: 7, S: 9, T: 4, Q: 2}
-	ad := matrix.NewDense(pr.R*pr.Q, pr.T*pr.Q)
-	bd := matrix.NewDense(pr.T*pr.Q, pr.S*pr.Q)
-	cd := matrix.NewDense(pr.R*pr.Q, pr.S*pr.Q)
-	matrix.DeterministicFill(ad, 4)
-	matrix.DeterministicFill(bd, 5)
-	a := matrix.Partition(ad, pr.Q)
-	b := matrix.Partition(bd, pr.Q)
-	c := matrix.Partition(cd, pr.Q)
-
-	want, err := CountMaxReuse(pr, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ExecMaxReuse(c, a, b, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("exec stats %+v != count stats %+v", got, want)
-	}
-}
-
-func TestExecMaxReuseShapeMismatch(t *testing.T) {
-	a := matrix.NewBlocked(2, 2, 2)
-	b := matrix.NewBlocked(3, 2, 2)
-	c := matrix.NewBlocked(2, 2, 2)
-	if _, err := ExecMaxReuse(c, a, b, 21); err == nil {
-		t.Fatal("shape mismatch accepted")
 	}
 }
 

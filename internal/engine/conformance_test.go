@@ -818,3 +818,77 @@ func TestFeederJoinsParkedSend(t *testing.T) {
 	}
 	<-workerDone
 }
+
+// orderFeed asks for one flush, then waits for the session to end, and
+// records the order in which the feeder commits and declares it lost.
+type orderFeed struct {
+	mu     sync.Mutex
+	events []string
+	asked  bool
+	lost   chan struct{}
+}
+
+func (f *orderFeed) Next() (*engine.Assign, error) {
+	if !f.asked { // Next is called from the dispatcher only
+		f.asked = true
+		return nil, engine.ErrFlushWanted
+	}
+	<-f.lost
+	return nil, errors.New("worker lost")
+}
+
+func (f *orderFeed) Set(engine.AssignID, int) (*engine.Set, error) {
+	return nil, errors.New("no assignment was handed out")
+}
+
+func (f *orderFeed) Acked(engine.AssignID) error { return errors.New("no assignment was handed out") }
+
+func (f *orderFeed) CommitFlush([]uint64, [][]float64) error {
+	f.record("commit")
+	return nil
+}
+
+func (f *orderFeed) ObserveCompute(engine.AssignID, int64, int64) {}
+
+func (f *orderFeed) Lost() {
+	f.record("lost")
+	close(f.lost)
+}
+
+func (f *orderFeed) record(ev string) {
+	f.mu.Lock()
+	f.events = append(f.events, ev)
+	f.mu.Unlock()
+}
+
+// TestFeederCommitsFlushBeforeLost: a worker answers a Flush and hangs
+// up at once. The flush reached the master, so the feeder must commit
+// it before it declares the worker lost — otherwise Lost requeues the
+// tiles the flush carries and their values are dropped.
+func TestFeederCommitsFlushBeforeLost(t *testing.T) {
+	for run := 0; run < 500; run++ {
+		master, worker := engine.Pipe()
+		feed := &orderFeed{lost: make(chan struct{})}
+		returned := make(chan error, 1)
+		go func() {
+			_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: 1})
+			returned <- err
+		}()
+		if m, err := worker.Recv(); err != nil {
+			t.Fatal(err)
+		} else if _, ok := m.(engine.Flush); !ok {
+			t.Fatalf("worker got %T, want Flush", m)
+		}
+		fr := &engine.FlushResult{IDs: []uint64{engine.CBlockID(1, 0, 0)}, Blocks: [][]float64{{1, 2, 3, 4}}}
+		if err := worker.Send(fr); err != nil {
+			t.Fatal(err)
+		}
+		worker.Close()
+		if err := <-returned; err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(feed.events); got != "[commit lost]" {
+			t.Fatalf("run %d: feed saw %s, want [commit lost]", run, got)
+		}
+	}
+}

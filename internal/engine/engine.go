@@ -176,14 +176,12 @@ type Flush struct{}
 // the worker ran the tile's exact ascending-k accumulation chain in
 // place, so overwrite-on-commit keeps results bit-identical to the
 // sequential product. An empty manifest is a valid answer ("I
-// hold nothing dirty"). ComputeNS carries the worker's cumulative
-// kernel time for the session at flush, so a master that only hears
-// from a worker at flush boundaries still gets a speed signal.
+// hold nothing dirty"). The worker's speed signal travels on each
+// Result, not here.
 type FlushResult struct {
-	IDs       []uint64
-	Blocks    [][]float64
-	Owned     bool
-	ComputeNS int64
+	IDs    []uint64
+	Blocks [][]float64
+	Owned  bool
 }
 
 // Bye tells a worker to shut down cleanly.

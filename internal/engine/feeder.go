@@ -46,8 +46,9 @@ import (
 // even for an acknowledgement the feed then refuses as stale — a losing
 // speculative copy still measured this worker's real speed.
 //
-// Lost is called exactly once, as soon as the feeder knows the session
-// is over (connection death or drain), whatever the cause; the feed
+// Lost is called exactly once, when the session is over (connection
+// death or drain), whatever the cause, and only after every frame the
+// feeder read has been retired through Acked or CommitFlush; the feed
 // uses it to requeue whatever the worker still held. Calls to Next may
 // still be blocked when Lost fires — Lost must unblock them.
 type Feed interface {
@@ -91,8 +92,8 @@ type outAssign struct {
 
 // feeder is one RunFeeder session. Under mu, the dispatcher appends to
 // outq before it pushes an assignment and reads what the worker holds to
-// budget each set's cache; the event loop retires acknowledged
-// assignments and counts the dirty C blocks.
+// budget each set's cache; the reader retires acknowledged assignments
+// and counts the dirty C blocks.
 type feeder struct {
 	tr   Transport
 	feed Feed
@@ -127,14 +128,17 @@ func (f *feeder) held() int {
 // assignments in flight, pulled from the feed, and pushes each
 // assignment's update sets right behind its Task; the worker's staging
 // queue and the transport's back-pressure bound what it holds. The
-// reader surfaces worker frames and the event loop retires
-// acknowledgements and flushes. A worker that still asks for a set
-// (Request) speaks a retired dialect and is refused (ErrSetRequest).
+// caller's goroutine is the session's only reader: it retires each
+// acknowledgement and flush as soon as it reads it. A worker that still
+// asks for a set (Request) speaks a retired dialect and is refused
+// (ErrSetRequest).
 //
 // On a clean feed shutdown the worker's in-flight assignments drain
 // before Bye lands, so a pipelined worker sees a goodbye at an
 // assignment boundary, never a mid-task reset. Any transport error
-// declares the worker lost (feed.Lost requeues what it held). RunFeeder
+// declares the worker lost (feed.Lost requeues what it held), but only
+// after the last frame read from it has been retired, so a flush that
+// reached the master is committed, never requeued. RunFeeder
 // returns only once its dispatcher has, so when it returns no Send can
 // still be reading a Set's blocks.
 //
@@ -147,53 +151,33 @@ func (f *feeder) held() int {
 func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, err error) {
 	f := &feeder{tr: tr, feed: feed, cfg: cfg,
 		sem: make(chan struct{}, max(cfg.Slots, 1)), done: make(chan struct{}), lost: make(chan struct{})}
-	events := make(chan Msg, 16)
 	dispatched := make(chan error, 1)
-	// On any session exit: hang up, drain until the reader closes the
-	// channel, so a peer that pipelined extra frames can't strand the
-	// reader — whose exit calls feed.Lost, which unblocks a dispatcher
-	// waiting in Next — and then join the dispatcher.
-	defer func() {
-		tr.Close()
-		go func() {
-			for range events {
-			}
-		}()
-		close(f.done)
-		if derr := <-dispatched; err == nil {
-			err = derr
-		}
-	}()
-	go func() {
-		defer close(events)
-		// A dead transport is a lost worker, declared immediately: this
-		// both requeues whatever the worker held and wakes the
-		// dispatcher goroutine out of a blocked feed.Next.
-		defer feed.Lost()
-		defer close(f.lost)
-		for {
-			m, err := tr.Recv()
-			if err != nil {
-				return
-			}
-			switch m.(type) {
-			case *Request, *Result, *FlushResult:
-				events <- m
-			default:
-				tr.Close()
-				return
-			}
-		}
-	}()
 	go func() {
 		err := f.dispatch()
 		tr.Close() // the writer is gone: so is the session
 		dispatched <- err
 	}()
+	// On any session exit: hang up, then declare the worker lost. Every
+	// frame read has been retired by now, so Lost requeues only what the
+	// worker still held; it also wakes a dispatcher blocked in Next,
+	// which is joined last.
+	defer func() {
+		tr.Close()
+		close(f.lost)
+		feed.Lost()
+		close(f.done)
+		if derr := <-dispatched; err == nil {
+			err = derr
+		}
+	}()
 
-	// Event loop: retire acknowledgements, commit flushes.
+	// The reader: retire acknowledgements, commit flushes.
 	fstats.PerJob = make(map[uint32]CommStats)
-	for m := range events {
+	for {
+		m, rerr := tr.Recv()
+		if rerr != nil {
+			return fstats, nil // a clean Bye drain or connection death
+		}
 		switch m := m.(type) {
 		case *Request:
 			return fstats, ErrSetRequest
@@ -256,12 +240,10 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			if m.Owned {
 				cfg.Pool.PutAll(m.Blocks)
 			}
+		default:
+			return fstats, nil // a frame no worker sends: hang up
 		}
 	}
-	// events closed: the session ended (clean Bye drain or connection
-	// death); the reader already declared the worker lost, requeuing
-	// everything still in flight.
-	return fstats, nil
 }
 
 // dispatch is the session's writer: it fills the worker's slots with
@@ -294,7 +276,7 @@ func (f *feeder) dispatch() error {
 		}
 		if errors.Is(err, ErrFeedDone) {
 			// Clean shutdown: let the worker's in-flight assignments
-			// drain (acquire every slot; the event loop releases one per
+			// drain (acquire every slot; the reader releases one per
 			// retired assignment) so Bye lands at a boundary.
 			for held := 1; held < cap(f.sem); held++ {
 				select {
@@ -310,7 +292,7 @@ func (f *feeder) dispatch() error {
 			return nil // declared dead or replaced: the peer re-registers
 		}
 		// The assignment is in flight before its frame leaves, so the
-		// event loop knows it by the time the worker can acknowledge it.
+		// reader knows it by the time the worker can acknowledge it.
 		oa := &outAssign{id: as.ID, rows: as.Rows, cols: as.Cols, comm: CommStats{CDown: int64(len(as.Blocks))}}
 		steps, q := as.Steps, as.Q
 		f.mu.Lock()

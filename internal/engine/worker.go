@@ -43,11 +43,9 @@ type WorkerReport struct {
 	Assignments int
 	Updates     int64
 	// CacheHits counts operand blocks served from the worker's resident
-	// cache instead of the wire; BlocksIn counts operand blocks that
-	// arrived with payload. BytesSaved is the payload volume the hits
+	// cache instead of the wire; BytesSaved is the payload volume they
 	// avoided (8·q² per block).
 	CacheHits  int64
-	BlocksIn   int64
 	BytesSaved int64
 	// Flushed counts C blocks returned through FlushResult manifests.
 	Flushed int64
@@ -154,13 +152,10 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	// updates (its dirty tracking mirrors this map at chunk granularity).
 	rc := newResultCache(cfg.Pool)
 	defer rc.release()
-	// sessComputeNS accumulates kernel wall time across the session, so
-	// a flush answer carries a speed signal too.
-	var sessComputeNS int64
 	doFlush := func() error {
 		ids, blocks := rc.drain()
 		rep.Flushed += int64(len(ids))
-		return tr.Send(&FlushResult{IDs: ids, Blocks: blocks, Owned: true, ComputeNS: sessComputeNS})
+		return tr.Send(&FlushResult{IDs: ids, Blocks: blocks, Owned: true})
 	}
 
 assignments:
@@ -225,7 +220,6 @@ assignments:
 				return fail(err)
 			}
 			rep.CacheHits += hits
-			rep.BlocksIn += int64(len(set.A)+len(set.B)) - hits
 			rep.BytesSaved += hits * int64(as.Q) * int64(as.Q) * 8
 			t0 := time.Now()
 			if err := applySet(as, set, cfg, &rep.Updates); err != nil {
@@ -236,7 +230,6 @@ assignments:
 			cfg.Pool.PutSet(set)
 		}
 
-		sessComputeNS += asNS
 		// The finished tile stays resident: its blocks enter the result
 		// cache dirty, and the acknowledgement is an empty Result — the
 		// values travel once, in a later FlushResult.

@@ -127,7 +127,7 @@ func CCR(w io.Writer) error {
 	fmt.Fprintln(w, "§4 — communication-to-computation ratios (blocks per block update)")
 	fmt.Fprintln(w, "      m    µ    CCR(maxreuse)  √(27/8m)   √(27/32m)  √(1/8m)   gap to LW")
 	for _, m := range []int{21, 57, 100, 500, 1000, 5000, 10000, 50000} {
-		mu := bounds.Mu(m)
+		mu := platform.MuSingle(m)
 		alg := bounds.CCRMaxReuseAsymptotic(m)
 		lw := bounds.LowerBoundLoomisWhitney(m)
 		fmt.Fprintf(w, "%7d %4d %14.5f %10.5f %10.5f %9.5f %9.3fx\n",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -93,6 +94,61 @@ func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
 		out = matrix.AppendFloats(out, blocks[i])
 	}
 	return out
+}
+
+// flushSeed is one flush manifest FuzzDecodeMsg starts from, with the
+// error its decode must end in ("" = it decodes).
+type flushSeed struct {
+	what    string
+	payload []byte
+	want    string
+}
+
+// flushSeeds are CRC-sealed so they reach the structural checks: a
+// well-formed manifest, then a count overrunning the bytes, a malformed
+// (non-C) tile id, a zero element count, trailing garbage after the
+// last block — and one whose CRC itself is stale (corrupted body).
+func flushSeeds() []flushSeed {
+	cid, aid := engine.CBlockID(1, 0, 0), engine.ABlockID(0, 0, 0)
+	blk := [][]float64{{1, 2, 3, 4}}
+	stale := appendCRC(encodeFlushPayload(1, []uint64{cid}, blk), 0)
+	stale[4] ^= 0x01
+	return []flushSeed{
+		{"well-formed", appendCRC(encodeFlushPayload(1, []uint64{cid}, blk), 0), ""},
+		{"count overrun", appendCRC(encodeFlushPayload(3, []uint64{cid}, blk), 0),
+			"netmw: flush result block prefix truncated (0 of 12 bytes)"},
+		{"non-C id", appendCRC(encodeFlushPayload(1, []uint64{aid}, blk), 0),
+			fmt.Sprintf("netmw: flush result block 0 has malformed tile id %#x", aid)},
+		{"zero count", appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{}}), 0),
+			"netmw: flush result block 0 declares 0 elements"},
+		{"trailing byte", appendCRC(append(encodeFlushPayload(1, []uint64{cid}, blk), 0xee), 0),
+			"netmw: flush result has 1 trailing bytes"},
+		{"stale CRC", stale, ErrPayloadCRC.Error()},
+	}
+}
+
+// TestFlushSeedsReachTheirChecks pins where each flush seed of
+// FuzzDecodeMsg stops, so a header change cannot refuse them all at
+// the header again and leave the checks they were written for unfuzzed.
+func TestFlushSeedsReachTheirChecks(t *testing.T) {
+	pool := engine.NewBlockPool()
+	for _, seed := range flushSeeds() {
+		fr, err := readFlushResult(frameOver(seed.payload, len(seed.payload), pool))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != seed.want {
+			t.Errorf("%s: decode error %q, want %q", seed.what, got, seed.want)
+			continue
+		}
+		if err == nil {
+			if len(fr.IDs) != 1 || fr.IDs[0] != engine.CBlockID(1, 0, 0) || len(fr.Blocks[0]) != 4 || fr.Blocks[0][3] != 4 {
+				t.Errorf("%s: decoded %v %v", seed.what, fr.IDs, fr.Blocks)
+			}
+			pool.PutAll(fr.Blocks)
+		}
+	}
 }
 
 // frameOver streams payload as the body of a frame declaring n payload
@@ -210,19 +266,9 @@ func FuzzDecodeMsg(f *testing.F) {
 	jd.encode(dp)
 	f.Add(append([]byte{6}, dp...))
 
-	// flush manifests, CRC-sealed so they reach the structural checks: a
-	// well-formed one, then a count overrunning the bytes, a malformed
-	// (non-C) tile id, a zero element count, trailing garbage after the
-	// last block — and one whose CRC itself is stale (corrupted body)
-	cid := engine.CBlockID(1, 0, 0)
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(3, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{engine.ABlockID(0, 0, 0)}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(append(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0xee), 0)...))
-	stale := appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)
-	stale[4] ^= 0x01
-	f.Add(append([]byte{8}, stale...))
+	for _, seed := range flushSeeds() {
+		f.Add(append([]byte{8}, seed.payload...))
+	}
 
 	// hostile geometry: a job header declaring a huge matrix with no data
 	evil := JobHeader{Kind: WireMatMul, R: 1 << 30, T: 1 << 30, S: 1 << 30, Q: 1 << 30, Mu: 1}

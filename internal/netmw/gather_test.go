@@ -92,7 +92,6 @@ func oldResultFrame(t MsgType, hdr []byte, m *engine.Result) []byte {
 func oldFlushFrame(fr *engine.FlushResult) []byte {
 	return oldFrame(MsgFlushResult, func(buf []byte) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.IDs)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(fr.ComputeNS))
 		for i, id := range fr.IDs {
 			buf = binary.LittleEndian.AppendUint64(buf, id)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.Blocks[i])))
@@ -171,11 +170,10 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 			result := &engine.Result{ID: engine.AssignID{A: 9, B: 2}}
 			ack := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99}
 			flush := &engine.FlushResult{
-				IDs:       []uint64{engine.CBlockID(3, 0, 0), engine.CBlockID(3, 0, 1), engine.CBlockID(3, 1, 1)},
-				Blocks:    randBlocks(rng, 3, q),
-				ComputeNS: 777,
+				IDs:    []uint64{engine.CBlockID(3, 0, 0), engine.CBlockID(3, 0, 1), engine.CBlockID(3, 1, 1)},
+				Blocks: randBlocks(rng, 3, q),
 			}
-			emptyFlush := &engine.FlushResult{ComputeNS: 1}
+			emptyFlush := &engine.FlushResult{}
 
 			unflaggedHdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 9, Seq: 2, Steps: 3, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: uint32(q)}).encode(unflaggedHdr)
@@ -286,7 +284,7 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 		}
 	}
 	close(gate.open)
-	const head, prefix = 12, 12 // manifest count + compute time; per-block id + length
+	const head, prefix = 4, 12 // manifest count; per-block id + length
 	frame := make([]byte, msgHeaderLen+head+4*(prefix+8*q*q)+4)
 	if _, err := io.ReadFull(remote, frame); err != nil {
 		t.Fatal(err)

@@ -428,7 +428,7 @@ func TestClusterTCPRetainsOnlyJobsInFlight(t *testing.T) {
 // TestSetRequestForReleasedJobKeepsSession: a worker declared dead by
 // heartbeat expiry while its connection lives keeps streaming sets for
 // its task. The job finishes on a healthy worker and is released under
-// it; its next set request must be answered (a filler) so it runs the
+// it; the sets it is still owed must go out (as fillers) so it runs the
 // doomed task to the end, instead of the session dying mid-assignment on
 // a nil matrix or a protocol error.
 func TestSetRequestForReleasedJobKeepsSession(t *testing.T) {
@@ -446,7 +446,8 @@ func TestSetRequestForReleasedJobKeepsSession(t *testing.T) {
 	go func() { done <- SubmitMatMulTCP(addr, c, a, b, 2, time.Minute) }()
 
 	// 10 ms per block update: 40 ms per set, 320 ms per task. StageCap 1
-	// makes it ask for each set only after applying the previous one.
+	// stages one pushed set at a time, so the master's next Set waits on
+	// the worker applying the previous one.
 	slowRep := make(chan ClusterWorkerReport, 1)
 	go func() {
 		rep, _ := RunClusterWorker(ClusterWorkerConfig{

@@ -75,9 +75,8 @@ const (
 	// MsgFlush asks the worker to drain its resident result cache; empty
 	// payload. The worker answers with MsgFlushResult.
 	MsgFlush MsgType = 13
-	// MsgFlushResult carries a flush manifest: uint32 block count, a
-	// uint64 session-cumulative compute-nanoseconds counter, then per
-	// block a uint64 C-tile ID (engine.CBlockID), a uint32 element
+	// MsgFlushResult carries a flush manifest: uint32 block count, then
+	// per block a uint64 C-tile ID (engine.CBlockID), a uint32 element
 	// count and the raw little-endian doubles. An empty manifest (count
 	// 0) is a valid answer.
 	MsgFlushResult MsgType = 14

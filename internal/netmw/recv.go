@@ -366,17 +366,13 @@ func readFlushResult(f *frameReader) (*engine.FlushResult, error) {
 }
 
 func readFlushInto(f *frameReader, fr *engine.FlushResult) error {
-	head, err := f.take(12, "flush result header")
+	head, err := f.take(4, "flush result header")
 	if err != nil {
 		return err
 	}
 	count := int(binary.LittleEndian.Uint32(head))
-	fr.ComputeNS = int64(binary.LittleEndian.Uint64(head[4:]))
 	if count > maxWireDim*maxWireDim {
 		return fmt.Errorf("netmw: flush result declares %d blocks", count)
-	}
-	if fr.ComputeNS < 0 {
-		return errors.New("netmw: flush result declares negative compute time")
 	}
 	for i := 0; i < count; i++ {
 		p, err := f.take(12, "flush result block prefix")

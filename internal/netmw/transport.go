@@ -31,7 +31,7 @@ type connIO struct {
 	w    *bufio.Writer
 	pool *engine.BlockPool
 
-	wmu      sync.Mutex  // serializes writers (dispatcher/event loop/heartbeat)
+	wmu      sync.Mutex  // serializes writers (dispatcher or worker loop, heartbeat)
 	wbuf     []byte      // frame scratch (header + payload), reused under wmu
 	wcuts    []blockCut  // where a block frame's blocks splice into wbuf, under wmu
 	warena   blockArena  // wire copies of blocks where memory is not the wire format, under wmu
@@ -320,7 +320,6 @@ func (c *connIO) sendFlushResult(fr *engine.FlushResult) error {
 	}
 	err := c.writeBlockFrame(MsgFlushResult, func(f blockFrame) {
 		f.u32(uint32(len(fr.IDs)))
-		f.u64(uint64(fr.ComputeNS))
 		for i, id := range fr.IDs {
 			f.u64(id)
 			f.u32(uint32(len(fr.Blocks[i])))

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/platform"
 )
 
 // Store is a disk-backed blocked matrix with an m-block LRU cache.
@@ -262,10 +263,7 @@ func MultiplyMaxReuse(c, a, b *Store) (Stats, error) {
 	if a.BR != c.BR || b.BC != c.BC || a.BC != b.BR || a.Q != b.Q || a.Q != c.Q {
 		return Stats{}, fmt.Errorf("ooc: shape mismatch")
 	}
-	mu := 0
-	for 1+(mu+1)+(mu+1)*(mu+1) <= c.capacity {
-		mu++
-	}
+	mu := platform.MuSingle(c.capacity)
 	if mu < 1 {
 		return Stats{}, fmt.Errorf("ooc: C cache of %d blocks too small (need 1+µ+µ² ≤ m)", c.capacity)
 	}
@@ -273,9 +271,9 @@ func MultiplyMaxReuse(c, a, b *Store) (Stats, error) {
 	aBuf := make([]float64, q*q)
 	bBuf := make([]float64, q*q)
 	for i0 := 0; i0 < c.BR; i0 += mu {
-		mi := minInt(mu, c.BR-i0)
+		mi := min(mu, c.BR-i0)
 		for j0 := 0; j0 < c.BC; j0 += mu {
-			mj := minInt(mu, c.BC-j0)
+			mj := min(mu, c.BC-j0)
 			for k := 0; k < a.BC; k++ {
 				for i := 0; i < mi; i++ {
 					if err := a.Read(i0+i, k, aBuf); err != nil {
@@ -300,11 +298,4 @@ func MultiplyMaxReuse(c, a, b *Store) (Stats, error) {
 		return c.stats, err
 	}
 	return c.stats, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

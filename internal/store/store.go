@@ -61,11 +61,9 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment file once the current one
 	// exceeds this size. Default 64 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-append fsync (benchmarks only; a crash may
-	// lose acknowledged records).
-	NoSync bool
-	// Sync overrides the fsync call — the fault-injection hook. Nil uses
-	// (*os.File).Sync.
+	// Sync overrides the fsync call — the fault-injection hook; one that
+	// returns nil skips fsync (tests and benchmarks only: a crash may
+	// lose acknowledged records). Nil uses (*os.File).Sync.
 	Sync func(*os.File) error
 }
 
@@ -180,10 +178,8 @@ func (j *Journal) append(flag byte, parts ...[]byte) error {
 		}
 	}
 	j.curSize += int64(frameHeaderLen + n)
-	if !j.opts.NoSync {
-		if err := j.opts.Sync(j.cur); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
-		}
+	if err := j.opts.Sync(j.cur); err != nil {
+		return fmt.Errorf("store: fsync: %w", err)
 	}
 	return nil
 }
@@ -305,10 +301,7 @@ func (j *Journal) Close() error {
 	if j.cur == nil {
 		return nil
 	}
-	var err error
-	if !j.opts.NoSync {
-		err = j.opts.Sync(j.cur)
-	}
+	err := j.opts.Sync(j.cur)
 	if cerr := j.cur.Close(); err == nil {
 		err = cerr
 	}
@@ -318,10 +311,8 @@ func (j *Journal) Close() error {
 // rotate fsyncs and closes the current segment and opens segment seq.
 func (j *Journal) rotate(seq int) error {
 	if j.cur != nil {
-		if !j.opts.NoSync {
-			if err := j.opts.Sync(j.cur); err != nil {
-				return fmt.Errorf("store: fsync on rotate: %w", err)
-			}
+		if err := j.opts.Sync(j.cur); err != nil {
+			return fmt.Errorf("store: fsync on rotate: %w", err)
 		}
 		if err := j.cur.Close(); err != nil {
 			return err

@@ -71,12 +71,15 @@ func oldFrame(rec []byte, flag byte) []byte {
 	return frame
 }
 
+// noSync skips fsync, for tests that do not crash the machine.
+var noSync = Options{Sync: func(*os.File) error { return nil }}
+
 // TestAppendSegmentsByteIdentical pins the segment format across the
 // in-place append: data and snapshot records of every size land as the
 // bytes the copying encoder wrote.
 func TestAppendSegmentsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, noSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +144,11 @@ func TestAppendVFramesJoinedParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 40; iter++ {
 		wdir, gdir := t.TempDir(), t.TempDir()
-		jw, err := Open(wdir, Options{NoSync: true})
+		jw, err := Open(wdir, noSync)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jg, err := Open(gdir, Options{NoSync: true})
+		jg, err := Open(gdir, noSync)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +191,7 @@ func TestAppendVFramesJoinedParts(t *testing.T) {
 // the next one follows the record before it.
 func TestAppendVLimitsTheSum(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{NoSync: true})
+	j, err := Open(dir, noSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,7 @@ func TestAppendVLimitsTheSum(t *testing.T) {
 // extends that prefix.
 func TestAppendVTornBetweenParts(t *testing.T) {
 	src := t.TempDir()
-	j, err := Open(src, Options{NoSync: true})
+	j, err := Open(src, noSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +265,7 @@ func TestAppendVTornBetweenParts(t *testing.T) {
 				t.Fatalf("cut at %d: record %d = %q", cut, i, recs[i])
 			}
 		}
-		j2, err := Open(dir, Options{NoSync: true})
+		j2, err := Open(dir, noSync)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,7 +619,7 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		// Round-trip: re-append the recovered records and replay again.
 		dir2 := t.TempDir()
-		j, err := Open(dir2, Options{NoSync: true})
+		j, err := Open(dir2, noSync)
 		if err != nil {
 			t.Fatal(err)
 		}

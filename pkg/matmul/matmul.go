@@ -135,7 +135,7 @@ type BoundSet struct {
 // Bounds returns the §4 bounds for m buffers.
 func Bounds(m int) BoundSet {
 	return BoundSet{
-		Mu:            bounds.Mu(m),
+		Mu:            platform.MuSingle(m),
 		MaxReuseCCR:   bounds.CCRMaxReuseAsymptotic(m),
 		LoomisWhitney: bounds.LowerBoundLoomisWhitney(m),
 		ToledoLemma:   bounds.LowerBoundToledoLemma(m),

@@ -44,11 +44,11 @@ func copyBlocked(dst, src *matrix.Blocked) {
 	}
 }
 
-// byteCounter is implemented by the netmw transports: bytes written to
-// the peer, i.e. the measured master egress when asserted on the
-// server-side transport.
-type byteCounter interface {
-	BytesOut() int64
+// wireCounter is implemented by the netmw transports: WireStats.BytesOut
+// is the bytes written to the peer, i.e. the measured master egress when
+// asserted on the server-side transport.
+type wireCounter interface {
+	Stats() netmw.WireStats
 }
 
 // transportRun is one full multiply through a one-job cluster over
@@ -119,7 +119,7 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 	fstats := <-fed
 	sess.Close(cluster.SessionReport{Feeder: fstats})
 	wg.Wait()
-	return transportRun{comm: fstats.Comm, egress: srv.(byteCounter).BytesOut()}
+	return transportRun{comm: fstats.Comm, egress: srv.(wireCounter).Stats().BytesOut}
 }
 
 // BenchmarkTransport measures the steady-state TCP path of a worker
@@ -252,7 +252,8 @@ func BenchmarkTransportDelta(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(run.egress)/1e6, "egress-MB/op")
-		b.ReportMetric(run.comm.HitRate()*100, "%cache-hit")
+		hits := run.comm.BlocksSkipped
+		b.ReportMetric(float64(hits)*100/float64(max(hits+run.comm.BlocksShipped, 1)), "%cache-hit")
 		b.ReportMetric(float64(run.comm.CUp), "flush-blocks/op")
 		b.ReportMetric(float64(run.comm.CUp*mrQ*mrQ*8)/1e6, "flush-MB/op")
 		b.ReportMetric(float64(run.comm.DirtyPeak), "dirty-peak")
@@ -314,8 +315,8 @@ func TestResultPathLowerBound(t *testing.T) {
 		}
 	}
 	pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
-	if fb := run.comm.CUp; fb != int64(pr.CBlocks()) {
-		t.Fatalf("flushed %d blocks, want every C tile exactly once (%d)", fb, pr.CBlocks())
+	if fb := run.comm.CUp; fb != int64(pr.R*pr.S) {
+		t.Fatalf("flushed %d blocks, want every C tile exactly once (%d)", fb, pr.R*pr.S)
 	}
 	if cd := run.comm.CDown; cd != 0 {
 		t.Fatalf("shipped %d C payloads down; a zero C must ride the CZero flag", cd)

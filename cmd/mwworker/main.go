@@ -26,7 +26,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7071", "mmserve address")
 	memMB := flag.Int("mem", 64, "memory budget in MiB to advertise")
 	q := flag.Int("q", 64, "block size used to convert the budget to blocks")
-	stage := flag.Int("stage", 2, "staging update sets (1 = no overlap, 2 = double buffering)")
 	cores := flag.Int("cores", 0, "kernel goroutines per block-update sweep (0 = one per core)")
 	slots := flag.Int("slots", 2, "tasks pipelined concurrently (1 disables task prefetch)")
 	// Accepted and ignored: serving an mmserve scheduler is the only mode.
@@ -48,9 +47,6 @@ func main() {
 	}
 	if *q < 1 {
 		fatalUsage("-q must be ≥ 1, got %d", *q)
-	}
-	if *stage < 1 || *stage > 2 {
-		fatalUsage("-stage must be 1 or 2, got %d", *stage)
 	}
 	if *cores < 0 {
 		fatalUsage("-cores must be ≥ 0, got %d", *cores)
@@ -84,8 +80,7 @@ func main() {
 		wn = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	rep, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
-		Addr: *addr, Name: wn, Memory: m, StageCap: *stage,
-		Slots: *slots, Cores: *cores,
+		Addr: *addr, Name: wn, Memory: m, Slots: *slots, Cores: *cores,
 		HeartbeatEvery: *hbEvery, Reconnect: *reconnect, Backoff: *backoff,
 	})
 	if err != nil {

@@ -214,7 +214,9 @@ func TestToledoChunksCoverInnerDim(t *testing.T) {
 	pool := toledoChunks(pr, 3)
 	var updates int64
 	for _, ch := range pool {
-		updates += ch.TotalUpdates()
+		for _, st := range ch.Steps {
+			updates += st.Updates
+		}
 	}
 	if updates != pr.Updates() {
 		t.Fatalf("Toledo chunks cover %d updates, want %d", updates, pr.Updates())

@@ -5,7 +5,7 @@
 //
 // The kernels operate on row-major float64 slices. The hot path is a
 // Goto-style packed GEMM (pack.go, microkernel.go, dispatch.go): A is
-// packed into MR-row panels, B into NR-column panels, and a
+// packed into mr-row panels, B into nr-column panels, and a
 // register-blocked micro-kernel — AVX2+FMA assembly on amd64, a
 // math.FMA fallback elsewhere — streams the packed panels. Gemm below
 // is the sequential reference all packed and parallel kernels are
@@ -183,30 +183,4 @@ func TrsmUpperRight(m, n int, u []float64, lda int, b []float64, ldb int) {
 			}
 		}
 	}
-}
-
-// LUCombine multiplies the unit-lower and upper factors packed in lu (as
-// produced by Getf2) and writes L·U into out, both n×n with the given
-// leading dimensions. Used by tests to verify factorizations.
-func LUCombine(lu []float64, n, lda int, out []float64, ldo int) {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			kmax := min(i, j+1) // L(i,k) nonzero for k<=i; treat k==i via unit diag
-			for k := 0; k < kmax; k++ {
-				s += lu[i*lda+k] * lu[k*lda+j]
-			}
-			if i <= j {
-				s += lu[i*lda+j] // unit diagonal of L times U(i,j)
-			}
-			out[i*ldo+j] = s
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -130,6 +130,25 @@ func diagDominant(n int, seed uint64) []float64 {
 	return a
 }
 
+// luCombine multiplies the unit-lower and upper factors packed in lu (as
+// produced by Getf2) and writes L·U into out, both n×n with the given
+// leading dimensions.
+func luCombine(lu []float64, n, lda int, out []float64, ldo int) {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			kmax := min(i, j+1) // L(i,k) nonzero for k<=i; treat k==i via unit diag
+			for k := 0; k < kmax; k++ {
+				s += lu[i*lda+k] * lu[k*lda+j]
+			}
+			if i <= j {
+				s += lu[i*lda+j] // unit diagonal of L times U(i,j)
+			}
+			out[i*ldo+j] = s
+		}
+	}
+}
+
 func TestGetf2Reconstructs(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 17, 32} {
 		orig := diagDominant(n, uint64(n))
@@ -138,7 +157,7 @@ func TestGetf2Reconstructs(t *testing.T) {
 			t.Fatalf("n=%d: unexpected zero pivot at %d", n, bad)
 		}
 		prod := make([]float64, n*n)
-		LUCombine(a, n, n, prod, n)
+		luCombine(a, n, n, prod, n)
 		if d := maxDiff(prod, orig); d > 1e-9 {
 			t.Fatalf("n=%d: |LU - A| = %g", n, d)
 		}
@@ -241,7 +260,7 @@ func TestQuickGetf2(t *testing.T) {
 			return false
 		}
 		prod := make([]float64, n*n)
-		LUCombine(a, n, n, prod, n)
+		luCombine(a, n, n, prod, n)
 		return maxDiff(prod, orig) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -39,18 +39,6 @@ func GemmBlocked(m, n, k int, a []float64, lda int, b []float64, ldb int, c []fl
 	gemmPacked(m, n, k, a, lda, b, ldb, c, ldc, packPool, false)
 }
 
-// GemmPacked computes C ← C + A·B with the packed register-blocked
-// kernel unconditionally, drawing packing arenas from pool (nil means
-// allocate). It is the explicit entry for callers that manage their own
-// arenas; GemmBlocked is the size-dispatched form.
-func GemmPacked(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, pool *PackPool) {
-	gemmCheckDims("GemmPacked", m, n, k, lda, ldb, ldc)
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	gemmPacked(m, n, k, a, lda, b, ldb, c, ldc, pool, false)
-}
-
 // GemmSub computes C ← C − A·B through the same dispatched kernels as
 // GemmBlocked: packing negates A on the fly (an exact sign flip), so the
 // subtraction costs no extra pass and no scratch matrix. It is the panel

@@ -12,8 +12,8 @@ import (
 // CPUID alone.
 func withKernel(k kernel, f func()) {
 	old := kern
-	kern, MR, NR = k, k.mr, k.nr
-	defer func() { kern, MR, NR = old, old.mr, old.nr }()
+	kern = k
+	defer func() { kern = old }()
 	f()
 }
 
@@ -82,8 +82,8 @@ func TestMicroKernelAsmMatchesGo(t *testing.T) {
 // and divides mcBlock, and the portable kernel is always available.
 func TestKernelSelection(t *testing.T) {
 	ks := supportedKernels()
-	if kern != ks[0] || MR != kern.mr || NR != kern.nr || KernelName() != kern.name {
-		t.Fatalf("selected %+v (MR=%d NR=%d), want the head of %+v", kern, MR, NR, ks)
+	if kern != ks[0] || KernelName() != kern.name {
+		t.Fatalf("selected %+v, want the head of %+v", kern, ks)
 	}
 	if ks[len(ks)-1] != goKernel {
 		t.Fatalf("portable kernel missing from %+v", ks)

@@ -56,9 +56,6 @@ const (
 // supported kernel in turn; production code never writes it.
 var kern = supportedKernels()[0]
 
-// MR×NR is the selected kernel's register tile.
-var MR, NR = kern.mr, kern.nr
-
 // KernelName identifies the selected micro-kernel, for benchmark records
 // and the worker and server exit lines.
 func KernelName() string { return kern.name }

@@ -64,12 +64,12 @@ func testPackedGemmBitExact(t *testing.T) {
 		}
 
 		packed := append([]float64(nil), c0...)
-		GemmPacked(m, n, k, a, lda, b, ldb, packed, ldc, packPool)
-		check("GemmPacked", packed)
+		gemmPacked(m, n, k, a, lda, b, ldb, packed, ldc, packPool, false)
+		check("gemmPacked", packed)
 
 		unpooled := append([]float64(nil), c0...)
-		GemmPacked(m, n, k, a, lda, b, ldb, unpooled, ldc, nil)
-		check("GemmPacked(nil pool)", unpooled)
+		gemmPacked(m, n, k, a, lda, b, ldb, unpooled, ldc, nil, false)
+		check("gemmPacked(nil pool)", unpooled)
 
 		dispatched := append([]float64(nil), c0...)
 		GemmBlocked(m, n, k, a, lda, b, ldb, dispatched, ldc)

@@ -32,7 +32,8 @@ func testParallelGemmMatchesOracle(t *testing.T) {
 	}
 	// Dimensions straddle the selected kernel's micro-tile (mr/nr), the
 	// packed-path dispatch cutoff and the kc slab edges.
-	dims := []int{1, 3, MR - 1, MR + 1, NR, NR + 1, 63, 64, 65, 2*64 + 17, kcBlock + MR + 1}
+	mr, nr := kern.mr, kern.nr
+	dims := []int{1, 3, mr - 1, mr + 1, nr, nr + 1, 63, 64, 65, 2*64 + 17, kcBlock + mr + 1}
 	for trial := 0; trial < 60; trial++ {
 		m := dims[rng.Intn(len(dims))]
 		n := dims[rng.Intn(len(dims))]

@@ -48,22 +48,6 @@ func SignVec(r []float64, seed uint64) {
 	}
 }
 
-// MaxAbs returns max_i |m_i| (0 for an empty slice). NaN elements are
-// skipped by the comparison; non-finite magnitudes are the caller's
-// problem (the verification paths reject tolerances they cannot bound).
-func MaxAbs(m []float64) float64 {
-	mx := 0.0
-	for _, v := range m {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // MatVec2Max computes y1 = M·x1 and y2 = M·x2 for a q×q row-major block
 // in one sweep, returning max|M| from the same pass — the right-side
 // cache builder (y = B·r) plus the operand norm for the tolerance.

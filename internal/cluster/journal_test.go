@@ -311,7 +311,7 @@ func TestRecoverTwiceIdentical(t *testing.T) {
 		for _, pt := range j.pending {
 			seqs = append(seqs, pt.Seq)
 		}
-		return j.state, j.done, j.cutter.Remaining(), seqs, clB.nextID
+		return j.state, j.done, freeBlocks(j.cutter), seqs, clB.nextID
 	}
 	s1, d1, ds1, p1, n1 := snap()
 	rs2, err := clB.Recover()
@@ -366,7 +366,7 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 		t.Fatalf("RecoveryStats = %+v", rs)
 	}
 	clB.mu.Lock()
-	remaining := clB.jobs[id].cutter.Remaining()
+	remaining := freeBlocks(clB.jobs[id].cutter)
 	clB.mu.Unlock()
 	if want := 16 - committed; remaining != want {
 		t.Fatalf("cutter has %d blocks free after recovery, want %d", remaining, want)
@@ -436,7 +436,7 @@ func TestRecoverHandedBackChunk(t *testing.T) {
 	}
 	clB.mu.Lock()
 	j := clB.jobs[id]
-	pending, remaining := len(j.pending), j.cutter.Remaining()
+	pending, remaining := len(j.pending), freeBlocks(j.cutter)
 	clB.mu.Unlock()
 	if pending != 0 || remaining != 3 {
 		t.Fatalf("after recovery: %d pending copies, %d blocks to cut; want S handed back: 0 and 3", pending, remaining)
@@ -1107,4 +1107,13 @@ func TestRecoverV0DuplicateSeq(t *testing.T) {
 	}
 	rc.Close()
 	<-done
+}
+
+// freeBlocks counts the blocks left on a job's cutter free list.
+func freeBlocks(c *sim.Cutter) int {
+	n := 0
+	for _, r := range c.Rects() {
+		n += r[2] * r[3]
+	}
+	return n
 }

@@ -57,15 +57,6 @@ func (p Problem) Updates() int64 {
 	return int64(p.R) * int64(p.S) * int64(p.T)
 }
 
-// CBlocks returns the number of C blocks r·s.
-func (p Problem) CBlocks() int64 { return int64(p.R) * int64(p.S) }
-
-// ABlocks and BBlocks return the operand block counts.
-func (p Problem) ABlocks() int64 { return int64(p.R) * int64(p.T) }
-
-// BBlocks returns t·s.
-func (p Problem) BBlocks() int64 { return int64(p.T) * int64(p.S) }
-
 // Flops returns the floating-point operation count 2·q³·r·s·t of the
 // product (one multiply and one add per coefficient update).
 func (p Problem) Flops() float64 {
@@ -129,9 +120,6 @@ type Result struct {
 	Blocks    int64   // blocks sent plus received by the master
 	Updates   int64   // block updates performed
 }
-
-// CommVolume returns the master-side communication volume in blocks.
-func (r Result) CommVolume() int64 { return r.Blocks }
 
 // CCR returns the communication-to-computation ratio in block units
 // (blocks transferred per block update), the figure of merit of §4.

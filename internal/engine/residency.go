@@ -183,15 +183,6 @@ func (s *CommStats) Add(other CommStats) {
 	s.DirtyPeak = max(s.DirtyPeak, other.DirtyPeak)
 }
 
-// HitRate returns the fraction of operand blocks served from residency.
-func (s CommStats) HitRate() float64 {
-	total := s.BlocksShipped + s.BlocksSkipped
-	if total == 0 {
-		return 0
-	}
-	return float64(s.BlocksSkipped) / float64(total)
-}
-
 // lruEntry is one resident block on the intrusive recency list. The
 // master-side mirror stores nil buffers (it only needs the IDs); the
 // worker side stores the block and whether the cache owns it (pooled

@@ -61,14 +61,6 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// utkPlatform is the §8.1 testbed: 1 master + 8 workers, 100 Mb/s
-// switched Ethernet, 3.2 GHz dual Xeons, with the memory budget the
-// paper's harness imposes.
-func utkPlatform(q, memMB, workers int) *platform.Platform {
-	c, w := platform.UTKCalibration().BlockCosts(q)
-	return platform.Homogeneous(workers, c, w, platform.MemoryBlocks(int64(memMB)<<20, q))
-}
-
 // Prop1 sweeps small instances and reports the alternating greedy
 // makespan against the exhaustive optimum (§3, Proposition 1).
 func Prop1(w io.Writer) error {
@@ -224,18 +216,9 @@ func indent(s, pre string) string {
 	return out
 }
 
-// fig10Shapes are the three matrix shapes of Figure 10.
-func fig10Shapes() []core.Problem {
-	return []core.Problem{
-		core.MustProblem(8000, 8000, 64000, 80),
-		core.MustProblem(16000, 16000, 128000, 80),
-		core.MustProblem(8000, 64000, 64000, 80),
-	}
-}
-
 // Fig10 runs the seven algorithms on the paper's three shapes.
 func Fig10(w io.Writer) error {
-	pl := utkPlatform(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	fmt.Fprintln(w, "Figure 10 — simulated makespan (s) of the seven algorithms, 8 workers, 512 MB, q=80")
 	fmt.Fprintf(w, "  %-8s", "algo")
 	for _, sh := range workload.PaperShapes() {
@@ -245,7 +228,11 @@ func Fig10(w io.Writer) error {
 	for _, name := range algorithms.All() {
 		fmt.Fprintf(w, "  %-8s", name)
 		var enrolled int
-		for _, pr := range fig10Shapes() {
+		for _, sh := range workload.PaperShapes() {
+			pr, err := sh.Problem(80)
+			if err != nil {
+				return err
+			}
 			r, err := algorithms.Run(name, pl, pr, algorithms.Options{})
 			if err != nil {
 				return err
@@ -301,7 +288,7 @@ func Fig12(w io.Writer) error {
 	for _, name := range algorithms.All() {
 		var ms [2]float64
 		for i, q := range []int{40, 80} {
-			pl := utkPlatform(q, 512, 8)
+			pl := workload.UTK(q, 512, 8)
 			pr := core.MustProblem(8000, 8000, 64000, q)
 			r, err := algorithms.Run(name, pl, pr, algorithms.Options{})
 			if err != nil {
@@ -318,7 +305,7 @@ func Fig12(w io.Writer) error {
 // Fig13 sweeps the worker memory budget (132–512 MB).
 func Fig13(w io.Writer) error {
 	pr := core.MustProblem(16000, 16000, 64000, 80)
-	mems := []int{132, 192, 256, 384, 512}
+	mems := workload.MemorySweep()
 	fmt.Fprintln(w, "Figure 13 — impact of the worker memory size (16000x16000 by 16000x64000, q=80)")
 	fmt.Fprintf(w, "  %-8s", "algo")
 	for _, m := range mems {
@@ -329,7 +316,7 @@ func Fig13(w io.Writer) error {
 		fmt.Fprintf(w, "  %-8s", name)
 		var eLow, eHigh int
 		for i, m := range mems {
-			r, err := algorithms.Run(name, utkPlatform(80, m, 8), pr, algorithms.Options{})
+			r, err := algorithms.Run(name, workload.UTK(80, m, 8), pr, algorithms.Options{})
 			if err != nil {
 				return err
 			}
@@ -435,7 +422,7 @@ func Grid(w io.Writer) error {
 		}
 		cannonMs, _ := grid.CannonCost(g, model)
 		sg := float64(grid.ScatterGatherBlocks(rb)) * c
-		pl := utkPlatform(q, 512, 8)
+		pl := workload.UTK(q, 512, 8)
 		pr := core.Problem{R: rb, S: rb, T: rb, Q: q}
 		res, err := algorithms.Run(algorithms.HoLM, pl, pr, algorithms.Options{})
 		if err != nil {

@@ -209,17 +209,6 @@ type Panel struct {
 	Updates int64 // block updates performed
 }
 
-// Enrolled returns how many workers own at least one column.
-func (a *Allocation) Enrolled() int {
-	n := 0
-	for _, p := range a.Panels {
-		if p.Columns > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Allocate runs the first phase of §6.2 for problem pr on platform pl:
 // selections are simulated until every one of the s block columns of C has
 // been allocated. Worker P_i earns one block column after being selected

@@ -114,7 +114,9 @@ func TestChunkGridCoverage(t *testing.T) {
 		if len(ch.Steps) != pr.T {
 			t.Fatalf("chunk %d has %d steps, want %d", ch.ID, len(ch.Steps), pr.T)
 		}
-		updates += ch.TotalUpdates()
+		for _, st := range ch.Steps {
+			updates += st.Updates
+		}
 	}
 	for i := range covered {
 		for j := range covered[i] {

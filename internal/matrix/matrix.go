@@ -44,17 +44,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Fill sets every element to f(i, j). It is used by tests and examples to
-// build deterministic inputs without pulling in math/rand state.
-func (m *Dense) Fill(f func(i, j int) float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] = f(i, j)
-		}
-	}
-}
-
 // Equal reports whether m and n have the same shape and elements within tol.
 func (m *Dense) Equal(n *Dense, tol float64) bool {
 	if m.Rows != n.Rows || m.Cols != n.Cols {
@@ -114,13 +103,6 @@ func (b *Block) Clone() *Block {
 	return nb
 }
 
-// Bytes returns the size of the block payload in bytes (8 bytes per
-// coefficient), matching the transfer-size accounting used to calibrate the
-// per-block communication cost c = q²·τ_c.
-func (b *Block) Bytes() int {
-	return 8 * b.Q * b.Q
-}
-
 // Blocked is a matrix partitioned into BR×BC square blocks of size Q
 // (Figure 1). The underlying data is owned by the blocks, which makes
 // per-block sends in the runtimes copy-free.
@@ -150,12 +132,6 @@ func (m *Blocked) Block(i, j int) *Block {
 		panic(fmt.Sprintf("matrix: block (%d,%d) out of %dx%d", i, j, m.BR, m.BC))
 	}
 	return m.Blocks[i*m.BC+j]
-}
-
-// SetBlock replaces the block at (i, j) with b (retagging its coordinates).
-func (m *Blocked) SetBlock(i, j int, b *Block) {
-	b.I, b.J = i, j
-	m.Blocks[i*m.BC+j] = b
 }
 
 // Rows and Cols report the element dimensions of the blocked matrix.

@@ -39,9 +39,18 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// fill sets every element of m to f(i, j).
+func fill(m *Dense, f func(i, j int) float64) {
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			m.Set(i, j, f(i, j))
+		}
+	}
+}
+
 func TestFillAndEqual(t *testing.T) {
 	m := NewDense(3, 3)
-	m.Fill(func(i, j int) float64 { return float64(i*3 + j) })
+	fill(m, func(i, j int) float64 { return float64(i*3 + j) })
 	n := m.Clone()
 	if !m.Equal(n, 0) {
 		t.Fatal("clone not equal")
@@ -89,7 +98,7 @@ func TestPartitionAssembleRoundTrip(t *testing.T) {
 
 func TestPartitionBlockContents(t *testing.T) {
 	d := NewDense(4, 6)
-	d.Fill(func(i, j int) float64 { return float64(i*10 + j) })
+	fill(d, func(i, j int) float64 { return float64(i*10 + j) })
 	blk := Partition(d, 2)
 	b := blk.Block(1, 2) // rows 2-3, cols 4-5
 	want := []float64{24, 25, 34, 35}
@@ -112,25 +121,10 @@ func TestPartitionPanicsOnIndivisible(t *testing.T) {
 	Partition(NewDense(5, 4), 2)
 }
 
-func TestBlockedSetBlockRetags(t *testing.T) {
-	m := NewBlocked(2, 2, 3)
-	b := NewBlock(9, 9, 3)
-	m.SetBlock(1, 0, b)
-	if got := m.Block(1, 0); got.I != 1 || got.J != 0 {
-		t.Fatalf("SetBlock did not retag: %+v", got)
-	}
-}
-
 func TestBlockedDims(t *testing.T) {
 	m := NewBlocked(3, 4, 5)
 	if m.Rows() != 15 || m.Cols() != 20 {
 		t.Fatalf("dims %dx%d, want 15x20", m.Rows(), m.Cols())
-	}
-}
-
-func TestBlockBytes(t *testing.T) {
-	if got := NewBlock(0, 0, 80).Bytes(); got != 8*80*80 {
-		t.Fatalf("Bytes = %d, want %d", got, 8*80*80)
 	}
 }
 
@@ -155,8 +149,8 @@ func TestMulNaiveKnown(t *testing.T) {
 	a := NewDense(2, 3)
 	b := NewDense(3, 2)
 	c := NewDense(2, 2)
-	a.Fill(func(i, j int) float64 { return float64(i*3 + j + 1) }) // 1..6
-	b.Fill(func(i, j int) float64 { return float64(i*2 + j + 1) }) // 1..6
+	fill(a, func(i, j int) float64 { return float64(i*3 + j + 1) }) // 1..6
+	fill(b, func(i, j int) float64 { return float64(i*2 + j + 1) }) // 1..6
 	c.Set(0, 0, 100)
 	MulNaive(c, a, b)
 	// [1 2 3; 4 5 6] * [1 2; 3 4; 5 6] = [22 28; 49 64]

@@ -191,7 +191,7 @@ func TestClusterTCPKillWorkerMidJob(t *testing.T) {
 	done := make(chan subres, 3)
 	go func() { done <- subres{"mm1", SubmitMatMulTCP(addr, c1, a1, b1, 2, time.Minute)} }()
 	go func() { done <- subres{"mm2", SubmitMatMulTCP(addr, c2, a2, b2, 2, time.Minute)} }()
-	go func() { done <- subres{"lu", SubmitLUTCP(addr, m, 2, time.Minute)} }()
+	go func() { done <- subres{"lu", luSubmission(m, 2, 0).roundTrip(addr, time.Minute)} }()
 
 	// Wait until the jobs are registered so the doomed worker has work.
 	waitCond(t, cl, "the jobs to arrive", jobsArrived(cl, 3))

@@ -281,12 +281,6 @@ func SubmitMatMulTCP(addr string, c, a, b *matrix.Blocked, mu int, timeout time.
 	return matMulSubmission(c, a, b, mu, 0).roundTrip(addr, timeout)
 }
 
-// SubmitLUTCP submits an in-place LU factorization of m to an mmserve
-// cluster and blocks until it completes.
-func SubmitLUTCP(addr string, m *matrix.Blocked, mu int, timeout time.Duration) error {
-	return luSubmission(m, mu, 0).roundTrip(addr, timeout)
-}
-
 // submitKey returns key, or a fresh random nonzero key when key is 0.
 func submitKey(key uint64) uint64 {
 	for key == 0 {

@@ -218,7 +218,7 @@ func TestTightMemoryLU(t *testing.T) {
 	orig := matrix.NewDense(32, 32)
 	lu.DiagonallyDominant(orig, 43)
 	m := matrix.Partition(orig.Clone(), 4)
-	tightWorker(t, func(addr string) error { return SubmitLUTCP(addr, m, 1, time.Minute) })
+	tightWorker(t, func(addr string) error { return luSubmission(m, 1, 0).roundTrip(addr, time.Minute) })
 	if !bitEqual(m, luFactored(t, orig, 4)) {
 		t.Fatal("lu at tight memory is not bit-identical to lu.Factor")
 	}

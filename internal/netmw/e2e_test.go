@@ -70,7 +70,7 @@ func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
 		subs.Add(1)
 		go func(i int) {
 			defer subs.Done()
-			if err := SubmitLUTCP(addr, lus[i].m, 2, time.Minute); err != nil {
+			if err := luSubmission(lus[i].m, 2, 0).roundTrip(addr, time.Minute); err != nil {
 				errs <- fmt.Errorf("lu%d: %w", i, err)
 			}
 		}(i)

@@ -86,11 +86,6 @@ func (c *connIO) writeFrame(t MsgType, fill func(buf []byte) []byte) error {
 	return c.w.Flush()
 }
 
-// BytesOut reports the bytes this transport has written to its peer —
-// the measured egress the communication benchmarks compare against the
-// §4 lower bound.
-func (c *connIO) BytesOut() int64 { return c.bytesOut.Load() }
-
 // Stats snapshots the connection's byte counters. This is the single
 // accessor the bandwidth estimator and the status page both read.
 func (c *connIO) Stats() WireStats {

@@ -53,23 +53,10 @@ func NewCutter(rows, cols int) *Cutter {
 // Empty reports whether the whole grid has been cut.
 func (c *Cutter) Empty() bool { return c.left == 0 }
 
-// Remaining returns the blocks not yet cut.
-func (c *Cutter) Remaining() int { return c.left }
-
-// Cut carves the next chunk with side at most mu, placed by the tour
-// rule from cur (nil = no cursor), and returns its placement. ok is
-// false when the grid is exhausted.
-func (c *Cutter) Cut(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
-	i0, j0, rows, cols, ok = c.Next(mu, cur)
-	if ok {
-		c.Claim(i0, j0, rows, cols)
-	}
-	return i0, j0, rows, cols, ok
-}
-
-// Next returns the chunk Cut(mu, cur) would carve, without carving it,
-// so a caller can check that the chunk fits before committing to it
-// with Claim.
+// Next returns the chunk with side at most mu that the tour rule places
+// from cur (nil = no cursor), without carving it, so a caller can check
+// that the chunk fits before committing to it with Claim. ok is false
+// when the grid is exhausted.
 func (c *Cutter) Next(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
 	if mu < 1 || len(c.free) == 0 {
 		return 0, 0, 0, 0, false
@@ -149,9 +136,9 @@ func (c *Cutter) Free(i0, j0, rows, cols int) error {
 	return nil
 }
 
-// Claim removes one specific region from the free pool: the second half
-// of Cut, and the journal replay path, where a chunk known to be
-// committed must never be re-cut. It returns the number of blocks
+// Claim removes one specific region from the free pool: the chunk Next
+// placed, or, on the journal replay path, a chunk known to be committed,
+// which must never be re-cut. It returns the number of blocks
 // actually claimed: the full region when it was free, 0 when it was
 // already cut (a second replay of the same record), and a partial count
 // when the region straddles cut and free space. Each free rectangle the

@@ -9,6 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
+// cut carves the chunk Next places and claims it.
+func cut(c *sim.Cutter, mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
+	i0, j0, rows, cols, ok = c.Next(mu, cur)
+	if ok {
+		c.Claim(i0, j0, rows, cols)
+	}
+	return i0, j0, rows, cols, ok
+}
+
+// freeBlocks counts the blocks left on the cutter's free list.
+func freeBlocks(c *sim.Cutter) int {
+	n := 0
+	for _, r := range c.Rects() {
+		n += r[2] * r[3]
+	}
+	return n
+}
+
 // TestCutterExactTiling pins the cutter's invariant: chunks of varying µ
 // tile the grid exactly — every block covered once, no overlap, no gap.
 func TestCutterExactTiling(t *testing.T) {
@@ -20,9 +38,9 @@ func TestCutterExactTiling(t *testing.T) {
 		seen := make([]bool, rows*cols)
 		for !c.Empty() {
 			mu := 1 + rng.Intn(6)
-			i0, j0, r, cl, ok := c.Cut(mu, nil)
+			i0, j0, r, cl, ok := cut(c, mu, nil)
 			if !ok {
-				t.Fatalf("grid %dx%d: cut failed with %d blocks left", rows, cols, c.Remaining())
+				t.Fatalf("grid %dx%d: cut failed with %d blocks left", rows, cols, freeBlocks(c))
 			}
 			if r > mu || cl > mu || r < 1 || cl < 1 {
 				t.Fatalf("cut %dx%d exceeds µ=%d", r, cl, mu)
@@ -44,7 +62,7 @@ func TestCutterExactTiling(t *testing.T) {
 				t.Fatalf("grid %dx%d: block %d never cut", rows, cols, idx)
 			}
 		}
-		if _, _, _, _, ok := c.Cut(3, nil); ok {
+		if _, _, _, _, ok := cut(c, 3, nil); ok {
 			t.Fatal("cut succeeded on an empty cutter")
 		}
 	}
@@ -58,7 +76,7 @@ func TestCutterRowBandLocality(t *testing.T) {
 	type pos struct{ i0, j0 int }
 	var order []pos
 	for !c.Empty() {
-		i0, j0, _, _, ok := c.Cut(2, nil)
+		i0, j0, _, _, ok := cut(c, 2, nil)
 		if !ok {
 			t.Fatal("cut failed")
 		}
@@ -79,18 +97,18 @@ func TestCutterRowBandLocality(t *testing.T) {
 // (possibly at a different µ) and the tiling stays exact.
 func TestCutterFreeRecut(t *testing.T) {
 	c := sim.NewCutter(6, 6)
-	i0, j0, r, cl, ok := c.Cut(4, nil)
+	i0, j0, r, cl, ok := cut(c, 4, nil)
 	if !ok {
 		t.Fatal("cut failed")
 	}
-	if c.Remaining() != 36-r*cl {
-		t.Fatalf("remaining = %d", c.Remaining())
+	if freeBlocks(c) != 36-r*cl {
+		t.Fatalf("remaining = %d", freeBlocks(c))
 	}
 	if err := c.Free(i0, j0, r, cl); err != nil {
 		t.Fatal(err)
 	}
-	if c.Remaining() != 36 {
-		t.Fatalf("remaining after free = %d", c.Remaining())
+	if freeBlocks(c) != 36 {
+		t.Fatalf("remaining after free = %d", freeBlocks(c))
 	}
 	// Over-freeing must be refused.
 	if err := c.Free(0, 0, 10, 10); err == nil {
@@ -99,7 +117,7 @@ func TestCutterFreeRecut(t *testing.T) {
 	// Drain at µ=1: exactly 36 unit chunks, each block once.
 	seen := make(map[[2]int]bool)
 	for !c.Empty() {
-		i, j, rr, cc, ok := c.Cut(1, nil)
+		i, j, rr, cc, ok := cut(c, 1, nil)
 		if !ok || rr != 1 || cc != 1 {
 			t.Fatalf("unit cut failed: %v %dx%d", ok, rr, cc)
 		}
@@ -159,9 +177,9 @@ func TestCutterTourLocality(t *testing.T) {
 
 // TestCutterTilesUnderToursAndFrees is the cutter's property test: over
 // random grids, µ values, cursors and Frees of cut chunks, every cut
-// lands on uncut blocks inside the grid, Next is what Cut then carves,
-// Remaining counts the uncut blocks, and once drained the chunks still
-// in hand tile the grid exactly.
+// lands on uncut blocks inside the grid, Next is what a Claim then
+// carves, the free list holds exactly the uncut blocks, and once
+// drained the chunks still in hand tile the grid exactly.
 func TestCutterTilesUnderToursAndFrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -198,12 +216,12 @@ func TestCutterTilesUnderToursAndFrees(t *testing.T) {
 				cur = &[2]int{rng.Intn(rows), rng.Intn(cols)}
 			}
 			ni, nj, nr, nc, _ := c.Next(mu, cur)
-			i0, j0, r, cl, ok := c.Cut(mu, cur)
+			i0, j0, r, cl, ok := cut(c, mu, cur)
 			if !ok {
-				t.Fatalf("trial %d: cut failed with %d blocks uncut", trial, c.Remaining())
+				t.Fatalf("trial %d: cut failed with %d blocks uncut", trial, freeBlocks(c))
 			}
 			if [4]int{ni, nj, nr, nc} != [4]int{i0, j0, r, cl} {
-				t.Fatalf("trial %d: Next said (%d,%d) %dx%d, Cut carved (%d,%d) %dx%d",
+				t.Fatalf("trial %d: Next said (%d,%d) %dx%d, Claim carved (%d,%d) %dx%d",
 					trial, ni, nj, nr, nc, i0, j0, r, cl)
 			}
 			if r < 1 || cl < 1 || r > mu || cl > mu || i0 < 0 || j0 < 0 || i0+r > rows || j0+cl > cols {
@@ -219,8 +237,8 @@ func TestCutterTilesUnderToursAndFrees(t *testing.T) {
 				}
 			}
 			held = append(held, ch)
-			if c.Remaining() != uncut {
-				t.Fatalf("trial %d: Remaining = %d, %d blocks uncut", trial, c.Remaining(), uncut)
+			if freeBlocks(c) != uncut {
+				t.Fatalf("trial %d: free list holds %d blocks, %d uncut", trial, freeBlocks(c), uncut)
 			}
 		}
 		for idx, n := range cover {
@@ -247,7 +265,7 @@ func TestCutterFixedMuIsChunkGrid(t *testing.T) {
 		var cur *[2]int
 		got := 0
 		for !c.Empty() {
-			i0, j0, r, cl, _ := c.Cut(mu, cur)
+			i0, j0, r, cl, _ := cut(c, mu, cur)
 			if !want[[4]int{i0, j0, r, cl}] {
 				t.Fatalf("trial %d: %dx%d grid at µ=%d: chunk (%d,%d) %dx%d is not ChunkGrid's",
 					trial, rows, cols, mu, i0, j0, r, cl)
@@ -273,8 +291,8 @@ func TestCutterFixedMuIsChunkGrid(t *testing.T) {
 // holds. A pool a cutter reached by cuts and frees always passes.
 func TestCutterCheck(t *testing.T) {
 	c := sim.NewCutter(4, 5)
-	c.Cut(2, nil)
-	c.Cut(3, &[2]int{0, 0})
+	cut(c, 2, nil)
+	cut(c, 3, &[2]int{0, 0})
 	if err := c.Free(0, 0, 2, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -85,15 +85,6 @@ type Chunk struct {
 	Steps  []Step
 }
 
-// TotalUpdates sums the chunk's update counts.
-func (c *Chunk) TotalUpdates() int64 {
-	var u int64
-	for _, s := range c.Steps {
-		u += s.Updates
-	}
-	return u
-}
-
 // WorkerConfig sets the per-worker simulation parameters.
 type WorkerConfig struct {
 	StageCap int // max undelivered update sets held (1 = no overlap, 2 = double buffering; 0 counts as 1)

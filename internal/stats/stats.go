@@ -66,14 +66,6 @@ func MaxGap(xs []float64) float64 {
 	return (s.Max - s.Min) / s.Min
 }
 
-// CV returns the coefficient of variation (std/mean).
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Std / s.Mean
-}
-
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g std=%.3g min=%.6g max=%.6g", s.N, s.Mean, s.Std, s.Min, s.Max)
 }

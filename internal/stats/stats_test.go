@@ -54,16 +54,6 @@ func TestMaxGap(t *testing.T) {
 	}
 }
 
-func TestCV(t *testing.T) {
-	s := Summary{Mean: 4, Std: 1}
-	if s.CV() != 0.25 {
-		t.Fatalf("CV %v", s.CV())
-	}
-	if (Summary{}).CV() != 0 {
-		t.Fatal("zero-mean CV")
-	}
-}
-
 func TestString(t *testing.T) {
 	if str := Summarize([]float64{1, 2}).String(); !strings.Contains(str, "n=2") {
 		t.Fatalf("%q", str)

@@ -44,17 +44,6 @@ type Solution struct {
 	PortUsed   float64 // Σ y_i c_i ≤ 1
 }
 
-// Enrolled returns the number of workers with a positive share.
-func (s Solution) Enrolled() int {
-	n := 0
-	for _, sh := range s.Shares {
-		if sh.X > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Solve computes the bandwidth-centric solution for the platform, using
 // µ_i from the overlapped layout of each worker's memory (µ_i² + 4µ_i ≤
 // m_i). Workers whose memory cannot hold even µ = 1 are skipped.

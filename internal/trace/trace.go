@@ -17,8 +17,6 @@ const (
 	Comm Kind = iota
 	// Compute is a worker computation span.
 	Compute
-	// Idle marks explicit idle time (rendered as gaps, usually omitted).
-	Idle
 	// Spec is a speculative (duplicate) computation span: work racing a
 	// straggler's in-flight copy, rendered distinctly so re-dispatch
 	// decisions can be audited on the chart.
@@ -134,26 +132,6 @@ func (t *Trace) ASCII(width int) string {
 	return b.String()
 }
 
-// CSV renders the spans as comma-separated rows (lane, kind, start, end,
-// label) for external plotting.
-func (t *Trace) CSV() string {
-	var b strings.Builder
-	b.WriteString("lane,kind,start,end,label\n")
-	for _, s := range t.Spans {
-		kind := "comm"
-		switch s.Kind {
-		case Compute:
-			kind = "compute"
-		case Idle:
-			kind = "idle"
-		case Spec:
-			kind = "spec"
-		}
-		fmt.Fprintf(&b, "%s,%s,%.9g,%.9g,%s\n", s.Lane, kind, s.Start, s.End, strings.ReplaceAll(s.Label, ",", ";"))
-	}
-	return b.String()
-}
-
 // BusyTime returns the total busy time of a lane.
 func (t *Trace) BusyTime(lane string) float64 {
 	var b float64
@@ -163,13 +141,4 @@ func (t *Trace) BusyTime(lane string) float64 {
 		}
 	}
 	return b
-}
-
-// Utilization returns BusyTime(lane) / Makespan().
-func (t *Trace) Utilization(lane string) float64 {
-	ms := t.Makespan()
-	if ms == 0 {
-		return 0
-	}
-	return t.BusyTime(lane) / ms
 }

@@ -66,34 +66,16 @@ func TestASCIIRendering(t *testing.T) {
 	_ = sample().ASCII(1)
 }
 
-func TestCSV(t *testing.T) {
-	s := sample().CSV()
-	if !strings.HasPrefix(s, "lane,kind,start,end,label\n") {
-		t.Fatalf("header missing:\n%s", s)
-	}
-	if !strings.Contains(s, "M,comm,0,2,C→P1") {
-		t.Fatalf("row missing:\n%s", s)
-	}
-	if strings.Count(s, "\n") != 5 {
-		t.Fatalf("want 5 lines, got:\n%s", s)
-	}
-	tr := &Trace{}
-	tr.Add("M", Comm, 0, 1, "a,b")
-	if !strings.Contains(tr.CSV(), "a;b") {
-		t.Fatal("comma in label not escaped")
-	}
-}
-
 func TestBusyAndUtilization(t *testing.T) {
 	tr := sample()
 	if tr.BusyTime("M") != 3 {
 		t.Fatalf("BusyTime(M) = %v", tr.BusyTime("M"))
 	}
-	if tr.Utilization("P2") != 0.7 {
-		t.Fatalf("Utilization(P2) = %v", tr.Utilization("P2"))
+	if tr.BusyTime("P2") != 0.7*tr.Makespan() {
+		t.Fatalf("BusyTime(P2) = %v of makespan %v", tr.BusyTime("P2"), tr.Makespan())
 	}
-	if (&Trace{}).Utilization("M") != 0 {
-		t.Fatal("empty trace utilization")
+	if (&Trace{}).BusyTime("M") != 0 {
+		t.Fatal("empty trace busy time")
 	}
 }
 

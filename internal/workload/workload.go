@@ -1,11 +1,9 @@
 // Package workload generates the problem instances and platform suites
-// used by the experiments: the paper's matrix shapes (§8.3), memory
-// sweeps, heterogeneity sweeps, and deterministic random instance streams
-// for property-style comparisons.
+// used by the experiments: the paper's matrix shapes (§8.3), its §8.1
+// platform and Figure 13 memory sweep, and the heterogeneity sweeps.
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
@@ -69,30 +67,4 @@ func HeterogeneitySweep() []HeterogeneityLevel {
 func (h HeterogeneityLevel) Platform(seed int64, workers int, meanC, meanW float64, meanM int) *platform.Platform {
 	rng := rand.New(rand.NewSource(seed))
 	return platform.RandomHeterogeneous(rng, workers, meanC, meanW, meanM, h.HC, h.HW, h.HM)
-}
-
-// InstanceStream yields deterministic pseudo-random problems within the
-// given block-count limits, for fuzz-style comparisons between schedulers.
-type InstanceStream struct {
-	rng              *rand.Rand
-	maxR, maxS, maxT int
-	q                int
-}
-
-// NewInstanceStream builds a stream; limits must be ≥ 1.
-func NewInstanceStream(seed int64, maxR, maxS, maxT, q int) (*InstanceStream, error) {
-	if maxR < 1 || maxS < 1 || maxT < 1 || q < 1 {
-		return nil, fmt.Errorf("workload: invalid limits r≤%d s≤%d t≤%d q=%d", maxR, maxS, maxT, q)
-	}
-	return &InstanceStream{rng: rand.New(rand.NewSource(seed)), maxR: maxR, maxS: maxS, maxT: maxT, q: q}, nil
-}
-
-// Next returns the next problem of the stream.
-func (s *InstanceStream) Next() core.Problem {
-	return core.Problem{
-		R: 1 + s.rng.Intn(s.maxR),
-		S: 1 + s.rng.Intn(s.maxS),
-		T: 1 + s.rng.Intn(s.maxT),
-		Q: s.q,
-	}
 }

@@ -72,27 +72,3 @@ func TestHeterogeneitySweep(t *testing.T) {
 		}
 	}
 }
-
-func TestInstanceStream(t *testing.T) {
-	s, err := NewInstanceStream(1, 5, 6, 7, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		pr := s.Next()
-		if pr.R < 1 || pr.R > 5 || pr.S < 1 || pr.S > 6 || pr.T < 1 || pr.T > 7 || pr.Q != 8 {
-			t.Fatalf("instance %d out of bounds: %+v", i, pr)
-		}
-	}
-	// deterministic
-	s1, _ := NewInstanceStream(9, 3, 3, 3, 4)
-	s2, _ := NewInstanceStream(9, 3, 3, 3, 4)
-	for i := 0; i < 20; i++ {
-		if s1.Next() != s2.Next() {
-			t.Fatal("stream not deterministic")
-		}
-	}
-	if _, err := NewInstanceStream(1, 0, 1, 1, 1); err == nil {
-		t.Fatal("invalid limits accepted")
-	}
-}

@@ -7,42 +7,39 @@
 // workers with heterogeneous link costs c_i, compute costs w_i and memory
 // capacities m_i (in q×q blocks), under the one-port communication model.
 //
-// Four layers are exposed:
+// Three layers are exposed; a godoc Example or an examples/ program
+// calls each of their functions:
 //
-//   - Analysis: memory layouts (Mu*), communication lower bounds
-//     (Bounds), the bandwidth-centric steady state (SteadyState).
-//   - Scheduling/simulation: the seven comparison algorithms of the
-//     paper's experiments (Simulate), the heterogeneous incremental
-//     algorithms (SimulateHeterogeneous) and their demand-driven baseline
-//     (SimulateHeterogeneousDemand), and parallel LU (SimulateLU), all
-//     run by one discrete-event simulator of the one-port model.
-//   - Execution: real products with real data movement, plus the real
-//     block LU factorization (FactorLU). MultiplyLocal runs one product
-//     on a one-job cluster of in-process workers; over TCP, a product is
-//     a job submitted to a served cluster (ServeClusterTCP,
-//     WorkClusterTCP, SubmitMatMulTCP).
+//   - Analysis and simulation: the overlapped memory layout (MuOverlap),
+//     the §4 communication lower bounds (Bounds), the bandwidth-centric
+//     steady state (SteadyStateThroughput), and the discrete-event
+//     simulator of the one-port model running the seven comparison
+//     algorithms of §8 (Simulate, SimulateAll), the heterogeneous
+//     incremental algorithms of §6.2 (SimulateHeterogeneous) and
+//     parallel LU (SimulateLU).
+//   - Execution: real products with real data movement (MultiplyLocal,
+//     one job on a cluster of in-process workers) and the real block LU
+//     factorization (FactorLU).
 //   - Service: the long-running fault-tolerant multi-job scheduler
-//     (NewCluster, SubmitJob, JobStatus) with heartbeat failure
-//     detection, served in-process or over TCP (ServeClusterTCP).
+//     (NewCluster, SubmitMatMul, RunClusterWorkerLocal) with heartbeat
+//     failure detection and optional result verification
+//     (ClusterVerifyPolicy), served over TCP (ServeClusterTCP,
+//     WorkClusterTCP, SubmitMatMulTCP).
 //
 // See DESIGN.md for the paper-to-module map, including the cluster
 // layer, and for how the reproduced tables and figures are regenerated.
 package matmul
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/algorithms"
-	"repro/internal/blas"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/ooc"
 	"repro/internal/platform"
 	"repro/internal/steady"
 	"repro/internal/trace"
@@ -111,16 +108,9 @@ func UTKCalibration() Calibration { return platform.UTKCalibration() }
 // MemoryBlocks converts a byte budget into q×q block buffers.
 func MemoryBlocks(bytes int64, q int) int { return platform.MemoryBlocks(bytes, q) }
 
-// MuSingle, MuOverlap and MuNoOverlap are the paper's memory layouts:
-// 1+µ+µ² ≤ m (§4.1 maximum re-use), µ²+4µ ≤ m (§5 overlapped) and
-// µ²+2µ ≤ m (DDOML).
-func MuSingle(m int) int { return platform.MuSingle(m) }
-
-// MuOverlap returns the µ of the overlapped layout (µ² + 4µ ≤ m).
+// MuOverlap returns the µ of the paper's overlapped memory layout
+// (µ² + 4µ ≤ m, §5).
 func MuOverlap(m int) int { return platform.MuOverlap(m) }
-
-// MuNoOverlap returns the µ of the non-overlapped layout (µ² + 2µ ≤ m).
-func MuNoOverlap(m int) int { return platform.MuNoOverlap(m) }
 
 // BoundSet collects the communication-to-computation bounds of §4 for a
 // memory of m blocks.
@@ -250,84 +240,3 @@ func DeterministicFill(d *Dense, seed int64) { matrix.DeterministicFill(d, seed)
 // MulReference computes C ← C + A·B with the naive oracle, for
 // verification.
 func MulReference(c, a, b *Dense) { matrix.MulNaive(c, a, b) }
-
-// KernelName identifies the GEMM micro-kernel the host runs, picked
-// once at start-up from CPUID: "avx512-8x16" when the AVX-512 assembly
-// kernel passed its runtime gate, else "avx2fma-4x8" for the AVX2+FMA
-// one, else "go-fma-4x8", the portable fused-multiply-add fallback. All
-// three produce bit-identical results; the name is for benchmark
-// records and operational visibility.
-func KernelName() string { return blas.KernelName() }
-
-// MulParallel computes C ← C + A·B with the multi-core packed kernel:
-// the register-blocked packed GEMM with its A panels sharded across
-// cores goroutines (0 = one per available core). Results are
-// bit-identical to the single-threaded kernel at every core count.
-func MulParallel(c, a, b *Dense, cores int) error {
-	if a.Rows != c.Rows || b.Cols != c.Cols || a.Cols != b.Rows {
-		return fmt.Errorf("matmul: shape mismatch C %dx%d, A %dx%d, B %dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	blas.ParallelGemm(c.Rows, c.Cols, a.Cols, a.Data, a.Cols, b.Data, b.Cols, c.Data, c.Cols, cores)
-	return nil
-}
-
-// OutOfCoreConfig configures MultiplyOutOfCore.
-type OutOfCoreConfig struct {
-	Dir    string // directory for the backing files (required)
-	CacheC int    // C-store cache in blocks (determines µ via 1+µ+µ² ≤ m)
-	CacheA int    // A-store cache in blocks (≥ 1; 2 suffices)
-	CacheB int    // B-store cache in blocks (≥ µ recommended)
-}
-
-// MultiplyOutOfCore computes C ← C + A·B with all three operands staged
-// on disk and only the configured number of blocks in memory, using the
-// §4.1 maximum re-use loop: the out-of-core face of the paper's
-// memory-bounded analysis (§9 relates the two). It returns the updated C.
-func MultiplyOutOfCore(c, a, b *Blocked, cfg OutOfCoreConfig) (*Blocked, error) {
-	sa, err := ooc.FromBlocked(cfg.Dir+"/ooc-a.bin", a, maxInt(cfg.CacheA, 2))
-	if err != nil {
-		return nil, err
-	}
-	defer sa.Close()
-	sb, err := ooc.FromBlocked(cfg.Dir+"/ooc-b.bin", b, maxInt(cfg.CacheB, 2))
-	if err != nil {
-		return nil, err
-	}
-	defer sb.Close()
-	sc, err := ooc.FromBlocked(cfg.Dir+"/ooc-c.bin", c, maxInt(cfg.CacheC, 3))
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	if _, err := ooc.MultiplyMaxReuse(sc, sa, sb); err != nil {
-		return nil, err
-	}
-	return sc.ToBlocked()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SimulateHeterogeneousDemand runs the dynamic demand-driven scheduler on
-// a heterogeneous platform through the discrete-event simulator: idle
-// workers grab the next µ_i-column panel and walk it in µ_i-row chunks,
-// and every request is served first come, first served. It is the dynamic
-// baseline against which the §6.2 static algorithms are compared in the
-// hetsweep experiment.
-func SimulateHeterogeneousDemand(pl *Platform, pr Problem, tr *Trace) (Result, error) {
-	return hetero.RunDemand(pl, pr, tr)
-}
-
-// Cannon computes C ← C + A·B on a g×g goroutine grid with Cannon's
-// algorithm — the pre-distributed 2D-grid baseline of the paper's
-// introduction. All operands must be n×n with n divisible by g.
-func Cannon(c, a, b *Dense, g int) error { return grid.Cannon(c, a, b, g) }
-
-// OuterProduct computes C ← C + A·B with the ScaLAPACK outer-product
-// algorithm on a g×g goroutine grid.
-func OuterProduct(c, a, b *Dense, g int) error { return grid.OuterProduct(c, a, b, g) }

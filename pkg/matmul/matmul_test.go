@@ -36,8 +36,9 @@ func TestBounds(t *testing.T) {
 }
 
 func TestMus(t *testing.T) {
-	if MuSingle(21) != 4 || MuOverlap(21) != 3 || MuNoOverlap(8) != 2 {
-		t.Fatal("µ helpers wrong")
+	// µ² + 4µ ≤ m: 21 blocks hold µ = 3, and 32 is the least m for µ = 4.
+	if MuOverlap(21) != 3 || MuOverlap(31) != 3 || MuOverlap(32) != 4 {
+		t.Fatal("overlapped layout µ wrong")
 	}
 }
 
@@ -188,7 +189,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			workers <- WorkClusterTCP(svc.Addr(), ClusterWorkerOptions{
-				Name: fmt.Sprintf("w%d", i), MemoryBlocks: 100, StageCap: 2,
+				Name: fmt.Sprintf("w%d", i), MemoryBlocks: 100,
 			})
 		}()
 	}
@@ -226,56 +227,5 @@ func waitCond(t *testing.T, what string, f func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-}
-
-func TestMultiplyOutOfCore(t *testing.T) {
-	a, b, c, want := buildBlocked(t, 5, 3, 6, 4)
-	got, err := MultiplyOutOfCore(c, a, b, OutOfCoreConfig{
-		Dir: t.TempDir(), CacheC: 7, CacheA: 2, CacheB: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 1e-9) {
-		t.Fatal("wrong out-of-core product")
-	}
-}
-
-func TestSimulateHeterogeneousDemand(t *testing.T) {
-	pl := NewPlatform(
-		Worker{C: 2, W: 2, M: 60},
-		Worker{C: 3, W: 3, M: 396},
-		Worker{C: 5, W: 1, M: 140},
-	)
-	pr := Problem{R: 24, S: 24, T: 5, Q: 80}
-	res, err := SimulateHeterogeneousDemand(pl, pr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updates != pr.Updates() {
-		t.Fatalf("lost work: %d updates", res.Updates)
-	}
-}
-
-func TestGridBaselines(t *testing.T) {
-	n := 24
-	a := NewDense(n, n)
-	b := NewDense(n, n)
-	c1 := NewDense(n, n)
-	DeterministicFill(a, 1)
-	DeterministicFill(b, 2)
-	DeterministicFill(c1, 3)
-	want := c1.Clone()
-	MulReference(want, a, b)
-	c2 := c1.Clone()
-	if err := Cannon(c1, a, b, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := OuterProduct(c2, a, b, 3); err != nil {
-		t.Fatal(err)
-	}
-	if c1.MaxDiff(want) > 1e-10 || c2.MaxDiff(want) > 1e-10 {
-		t.Fatal("grid baselines disagree with the reference")
 	}
 }

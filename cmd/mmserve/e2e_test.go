@@ -21,36 +21,60 @@ import (
 	"repro/internal/store"
 )
 
-// buildOnce compiles the mmserve binary (race-instrumented, so the e2e
-// exercises the server's concurrency under the detector) once per test
-// process.
-var buildOnce struct {
+// binDir holds the binaries the e2e tests build, removed when the test
+// process exits.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "mmserve-e2e-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// builtBinary is one binary compiled at most once per test process.
+type builtBinary struct {
 	sync.Once
 	bin string
 	err error
 }
 
-func mmserveBinary(t *testing.T) string {
+// path compiles go build args into binDir/name on first use and returns
+// the binary.
+func (b *builtBinary) path(t *testing.T, name string, args ...string) string {
 	t.Helper()
-	buildOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "mmserve-e2e-*")
+	b.Do(func() {
+		bin := filepath.Join(binDir, name)
+		out, err := exec.Command("go", append([]string{"build", "-o", bin}, args...)...).CombinedOutput()
 		if err != nil {
-			buildOnce.err = err
+			b.err = fmt.Errorf("build %s: %v\n%s", name, err, out)
 			return
 		}
-		bin := filepath.Join(dir, "mmserve")
-		out, err := exec.Command("go", "build", "-race", "-o", bin, ".").CombinedOutput()
-		if err != nil {
-			buildOnce.err = fmt.Errorf("build: %v\n%s", err, out)
-			return
-		}
-		buildOnce.bin = bin
+		b.bin = bin
 	})
-	if buildOnce.err != nil {
-		t.Fatal(buildOnce.err)
+	if b.err != nil {
+		t.Fatal(b.err)
 	}
-	return buildOnce.bin
+	return b.bin
 }
+
+var raceMMServe, plainMMServe, plainMWWorker builtBinary
+
+// mmserveBinary is mmserve race-instrumented, so the e2e tests exercise
+// the server's concurrency under the detector.
+func mmserveBinary(t *testing.T) string { return raceMMServe.path(t, "mmserve-race", "-race", ".") }
+
+// mmservePlainBinary is mmserve without the detector, for tests that
+// boot the server many times.
+func mmservePlainBinary(t *testing.T) string { return plainMMServe.path(t, "mmserve", ".") }
+
+// mwworkerBinary is mwworker, not race-instrumented: it runs the kernel.
+func mwworkerBinary(t *testing.T) string { return plainMWWorker.path(t, "mwworker", "../mwworker") }
 
 // checkGoroutines fails the test when goroutines it started — the
 // in-process workers and clients, the server's output reader — outlive
@@ -355,46 +379,17 @@ func TestE2ESigtermDrainsRunningJob(t *testing.T) {
 	}
 }
 
-// mwworkerBinary compiles the mwworker binary (not race-instrumented:
-// it runs the kernel) once per test process.
-var workerOnce struct {
-	sync.Once
-	bin string
-	err error
-}
-
-func mwworkerBinary(t *testing.T) string {
-	t.Helper()
-	workerOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "mwworker-e2e-*")
-		if err != nil {
-			workerOnce.err = err
-			return
-		}
-		bin := filepath.Join(dir, "mwworker")
-		out, err := exec.Command("go", "build", "-o", bin, "../mwworker").CombinedOutput()
-		if err != nil {
-			workerOnce.err = fmt.Errorf("build: %v\n%s", err, out)
-			return
-		}
-		workerOnce.bin = bin
-	})
-	if workerOnce.err != nil {
-		t.Fatal(workerOnce.err)
-	}
-	return workerOnce.bin
-}
-
 // TestFreshBootsTightMemory is the paper's m = 8 cell on real
 // processes: ten fresh mmserve boots, each served by one mwworker that
 // advertises 1 MiB at q = 128 — 8 blocks — and each running one
 // n = 1024, µ = 1 product, which must be bit-exact against one
-// reference computed once.
+// reference computed once. The first boot runs the race-instrumented
+// server, the other nine the plain one.
 func TestFreshBootsTightMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level e2e: skipped in -short")
 	}
-	bin, worker := mmserveBinary(t), mwworkerBinary(t)
+	raced, plain, worker := mmserveBinary(t), mmservePlainBinary(t), mwworkerBinary(t)
 	const n, q = 1024, 128
 	ad, bd, cd := matrix.NewDense(n, n), matrix.NewDense(n, n), matrix.NewDense(n, n)
 	matrix.DeterministicFill(ad, 41)
@@ -407,6 +402,10 @@ func TestFreshBootsTightMemory(t *testing.T) {
 	blas.GemmBlocked(n, n, n, ad.Data, n, bd.Data, n, ref.Data, n)
 	a, b := matrix.Partition(ad, q), matrix.Partition(bd, q)
 	for boot := 0; boot < 10; boot++ {
+		bin := plain
+		if boot == 0 {
+			bin = raced
+		}
 		srv := startServer(t, bin, "-addr", "127.0.0.1:0")
 		w := exec.Command(worker, "-addr", srv.addr, "-name", "m8", "-mem", "1", "-q", "128", "-cores", "1",
 			"-hb", "1s", "-reconnect", "0")

@@ -115,9 +115,8 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 			if j == nil || j.state != Running {
 				continue
 			}
-			ch := t.Chunk
 			q := int64(j.q)
-			blocks := int64(ch.Blocks + t.Steps*(ch.Rows+ch.Cols)) // C tile and update sets
+			blocks := int64(t.Rows*t.Cols + t.Steps*(t.Rows+t.Cols)) // C tile and update sets
 			gain, ok := ad.StragglerGain(hp, my, float64(t.updates()), float64(blocks*q*q*8),
 				now.Sub(t.started).Seconds())
 			// At most one duplicate per seq; the attempt budget is peeked
@@ -125,7 +124,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 			if !ok || j.specActive[t.Seq] || j.attempts[t.Seq]+1 >= cl.cfg.MaxAttempts {
 				continue
 			}
-			if w.mem > 0 && held+footprint(t.Chunk.Rows, t.Chunk.Cols) > w.mem {
+			if w.mem > 0 && held+footprint(t.Rows, t.Cols) > w.mem {
 				// A worthwhile duplicate that only memory blocks: report
 				// it so the dispatcher can demand a flush of this
 				// worker's resident results and retry.
@@ -153,7 +152,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 	if w.lastAt == nil {
 		w.lastAt = make(map[JobID][2]int)
 	}
-	w.lastAt[nt.Job] = [2]int{nt.Chunk.I0, nt.Chunk.J0}
+	w.lastAt[nt.Job] = [2]int{nt.I0, nt.J0}
 	return &nt, false
 }
 

@@ -723,10 +723,10 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 	held := 0
 	if w.mem > 0 {
 		for _, t := range w.inflight {
-			held += footprint(t.Chunk.Rows, t.Chunk.Cols)
+			held += footprint(t.Rows, t.Cols)
 		}
 		for _, dt := range w.dirty {
-			held += dt.task.Chunk.Blocks
+			held += dt.task.Rows * dt.task.Cols
 		}
 	}
 	memBlocked := false
@@ -779,14 +779,13 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 			*soonest = earlier(*soonest, t.notBefore)
 			continue
 		}
-		ch := t.Chunk
 		switch {
-		case fits(ch.Rows, ch.Cols):
+		case fits(t.Rows, t.Cols):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			return t, false
 		case len(w.dirty) > 0:
 			return nil, true // flushing the resident results frees their blocks
-		case !cl.anyWorkerHasMemLocked(footprint(ch.Rows, ch.Cols)):
+		case !cl.anyWorkerHasMemLocked(footprint(t.Rows, t.Cols)):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			if err := j.handBack(t); err != nil {
 				cl.failJobLocked(j, err)
@@ -826,7 +825,7 @@ func (cl *Cluster) dispatchLocked(j *job, w *workerState, t *Task, i int) {
 	if w.lastAt == nil {
 		w.lastAt = make(map[JobID][2]int)
 	}
-	w.lastAt[t.Job] = [2]int{t.Chunk.I0, t.Chunk.J0}
+	w.lastAt[t.Job] = [2]int{t.I0, t.J0}
 	cl.rr = (cl.rr + i + 1) % len(cl.live)
 }
 
@@ -903,13 +902,10 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	cl.resolveSpeculationLocked(j, t)
 	j.inflight--
 	j.dirty++
-	ch := t.Chunk
-	dt := &dirtyTask{task: t, left: ch.Rows * ch.Cols}
+	dt := &dirtyTask{task: t, left: t.Rows * t.Cols}
 	w.dirty[t.key()] = dt
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			w.dirtyTiles[engine.CBlockID(uint32(t.Job), ch.I0+i, ch.J0+jj)] = dt
-		}
+	for id := range t.tiles {
+		w.dirtyTiles[id] = dt
 	}
 	// The ack frees a slot and (once flushed) memory; dispatchers blocked
 	// on either must re-evaluate, and so must a dispatcher that now needs
@@ -979,7 +975,7 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 			continue
 		}
 		delete(w.dirty, t.key())
-		w.flushed += int64(t.Chunk.Blocks)
+		w.flushed += int64(t.Rows * t.Cols)
 		if j == nil || j.state != Running {
 			continue
 		}
@@ -1003,11 +999,10 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 // into pooled blocks: the downlink transfer, row-major.
 func (cl *Cluster) chunkLocked(t *Task) [][]float64 {
 	src := cl.jobs[t.Job].spec.result()
-	ch := t.Chunk
-	out := make([][]float64, ch.Rows*ch.Cols)
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			out[i*ch.Cols+jj] = cl.pool.GetCopy(src.Block(ch.I0+i, ch.J0+jj).Data)
+	out := make([][]float64, 0, t.Rows*t.Cols)
+	for i := t.I0; i < t.I0+t.Rows; i++ {
+		for jj := t.J0; jj < t.J0+t.Cols; jj++ {
+			out = append(out, cl.pool.GetCopy(src.Block(i, jj).Data))
 		}
 	}
 	return out
@@ -1030,12 +1025,11 @@ func (cl *Cluster) setLocked(t *Task, k int, set *engine.Set) error {
 	if k < 0 || k >= t.Steps {
 		return fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
 	}
-	ch := t.Chunk
-	for i := 0; i < ch.Rows; i++ {
-		set.A = append(set.A, j.opA(ch.I0+i, t.K+k, cl.pool))
+	for i := t.I0; i < t.I0+t.Rows; i++ {
+		set.A = append(set.A, j.opA(i, t.K+k, cl.pool))
 	}
-	for jj := 0; jj < ch.Cols; jj++ {
-		set.B = append(set.B, j.opB(t.K+k, ch.J0+jj))
+	for jj := t.J0; jj < t.J0+t.Cols; jj++ {
+		set.B = append(set.B, j.opB(t.K+k, jj))
 	}
 	return nil
 }
@@ -1144,11 +1138,8 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 				continue
 			}
 			delete(w.dirty, k)
-			ch := dt.task.Chunk
-			for i := 0; i < ch.Rows; i++ {
-				for jj := 0; jj < ch.Cols; jj++ {
-					delete(w.dirtyTiles, engine.CBlockID(uint32(j.id), ch.I0+i, ch.J0+jj))
-				}
+			for id := range dt.task.tiles {
+				delete(w.dirtyTiles, id)
 			}
 		}
 	}

@@ -550,8 +550,8 @@ func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
 	}
 	big := join(t, cl, "big", 64, 1)
 	tk := pullTask(t, big)
-	if tk.Kind != LU || tk.Chunk.Rows != 2 || tk.Chunk.Cols != 2 {
-		t.Fatalf("big worker's task is a %v %dx%d chunk, want an LU 2x2", tk.Kind, tk.Chunk.Rows, tk.Chunk.Cols)
+	if tk.Job != id || tk.Rows != 2 || tk.Cols != 2 {
+		t.Fatalf("big worker's task is job %d's %dx%d chunk, want job %d's 2x2", tk.Job, tk.Rows, tk.Cols, id)
 	}
 	if _, err := big.Set(tk.key(), 0); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package sim
+package cluster
 
 import "fmt"
 
@@ -8,7 +8,7 @@ type rect struct {
 	rows, cols int
 }
 
-// Cutter carves a rows×cols block grid into chunks lazily, so chunk
+// cutter carves a rows×cols block grid into chunks lazily, so chunk
 // sides can be chosen per worker at dispatch time instead of globally
 // at submit time. It is a guillotine cutter over a free-rectangle list.
 // A chunk of side µ is placed on a free rectangle's µ-lattice — its
@@ -32,17 +32,17 @@ type rect struct {
 // returns a previously cut region (a lost chunk re-enters the pool and
 // is re-cut, possibly at a different µ, for whoever asks next).
 //
-// Cutter does no locking; the cluster scheduler drives it under its
+// A cutter does no locking; the cluster scheduler drives it under its
 // own mutex.
-type Cutter struct {
+type cutter struct {
 	free       []rect
 	rows, cols int // the grid
 	left       int // blocks not yet cut
 }
 
-// NewCutter builds a cutter over a rows×cols block grid.
-func NewCutter(rows, cols int) *Cutter {
-	c := &Cutter{rows: rows, cols: cols}
+// newCutter builds a cutter over a rows×cols block grid.
+func newCutter(rows, cols int) *cutter {
+	c := &cutter{rows: rows, cols: cols}
 	if rows > 0 && cols > 0 {
 		c.free = []rect{{0, 0, rows, cols}}
 		c.left = rows * cols
@@ -51,13 +51,13 @@ func NewCutter(rows, cols int) *Cutter {
 }
 
 // Empty reports whether the whole grid has been cut.
-func (c *Cutter) Empty() bool { return c.left == 0 }
+func (c *cutter) Empty() bool { return c.left == 0 }
 
 // Next returns the chunk with side at most mu that the tour rule places
 // from cur (nil = no cursor), without carving it, so a caller can check
 // that the chunk fits before committing to it with Claim. ok is false
 // when the grid is exhausted.
-func (c *Cutter) Next(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
+func (c *cutter) Next(mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
 	if mu < 1 || len(c.free) == 0 {
 		return 0, 0, 0, 0, false
 	}
@@ -124,12 +124,12 @@ func abs(v int) int {
 // Free returns a region to the pool (a lost chunk awaiting re-cut). It
 // goes to the back of the list: fresh forward progress stays at the
 // front, requeued regions fill in behind.
-func (c *Cutter) Free(i0, j0, rows, cols int) error {
+func (c *cutter) Free(i0, j0, rows, cols int) error {
 	if rows < 1 || cols < 1 {
-		return fmt.Errorf("sim: freeing empty region %dx%d", rows, cols)
+		return fmt.Errorf("cluster: freeing empty region %dx%d", rows, cols)
 	}
 	if c.left+rows*cols > c.rows*c.cols {
-		return fmt.Errorf("sim: freeing %d blocks would exceed the %d-block grid", rows*cols, c.rows*c.cols)
+		return fmt.Errorf("cluster: freeing %d blocks would exceed the %d-block grid", rows*cols, c.rows*c.cols)
 	}
 	c.free = append(c.free, rect{i0, j0, rows, cols})
 	c.left += rows * cols
@@ -143,7 +143,7 @@ func (c *Cutter) Free(i0, j0, rows, cols int) error {
 // already cut (a second replay of the same record), and a partial count
 // when the region straddles cut and free space. Each free rectangle the
 // region overlaps is replaced, in place, by its remainder strips.
-func (c *Cutter) Claim(i0, j0, rows, cols int) int {
+func (c *cutter) Claim(i0, j0, rows, cols int) int {
 	claimed := 0
 	out := c.free[:0:0]
 	for _, r := range c.free {
@@ -174,7 +174,7 @@ func (c *Cutter) Claim(i0, j0, rows, cols int) int {
 
 // Rects exports the free regions as {i0, j0, rows, cols} tuples — the
 // cutter's snapshot form for the durable control plane.
-func (c *Cutter) Rects() [][4]int {
+func (c *cutter) Rects() [][4]int {
 	out := make([][4]int, len(c.free))
 	for i, r := range c.free {
 		out[i] = [4]int{r.i0, r.j0, r.rows, r.cols}
@@ -182,12 +182,12 @@ func (c *Cutter) Rects() [][4]int {
 	return out
 }
 
-// NewCutterFromRects rebuilds a cutter over a rows×cols grid whose free
+// newCutterFromRects rebuilds a cutter over a rows×cols grid whose free
 // pool is exactly the given regions (the inverse of Rects; no regions
 // is an empty cutter Free can refill). Check tells whether they form
 // one.
-func NewCutterFromRects(rows, cols int, rects [][4]int) *Cutter {
-	c := &Cutter{rows: rows, cols: cols}
+func newCutterFromRects(rows, cols int, rects [][4]int) *cutter {
+	c := &cutter{rows: rows, cols: cols}
 	for _, r := range rects {
 		c.free = append(c.free, rect{r[0], r[1], r[2], r[3]})
 		c.left += r[2] * r[3]
@@ -199,17 +199,17 @@ func NewCutterFromRects(rows, cols int, rects [][4]int) *Cutter {
 // a rectangle empty or outside the grid, two rectangles that overlap, or
 // more free blocks than the grid holds. A pool rebuilt from a durable
 // record is checked before anything is cut from it.
-func (c *Cutter) Check() error {
+func (c *cutter) Check() error {
 	if c.left > c.rows*c.cols {
-		return fmt.Errorf("sim: %d free blocks in a %d-block grid", c.left, c.rows*c.cols)
+		return fmt.Errorf("cluster: %d free blocks in a %d-block grid", c.left, c.rows*c.cols)
 	}
 	for n, r := range c.free {
 		if r.rows < 1 || r.cols < 1 || r.i0 < 0 || r.j0 < 0 || r.i0+r.rows > c.rows || r.j0+r.cols > c.cols {
-			return fmt.Errorf("sim: free region %v outside the %dx%d grid", r, c.rows, c.cols)
+			return fmt.Errorf("cluster: free region %v outside the %dx%d grid", r, c.rows, c.cols)
 		}
 		for _, o := range c.free[:n] {
 			if r.i0 < o.i0+o.rows && o.i0 < r.i0+r.rows && r.j0 < o.j0+o.cols && o.j0 < r.j0+r.cols {
-				return fmt.Errorf("sim: free regions %v and %v overlap", o, r)
+				return fmt.Errorf("cluster: free regions %v and %v overlap", o, r)
 			}
 		}
 	}

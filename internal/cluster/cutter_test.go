@@ -1,4 +1,4 @@
-package sim_test
+package cluster
 
 import (
 	"math/rand"
@@ -6,11 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/homog"
-	"repro/internal/sim"
 )
 
 // cut carves the chunk Next places and claims it.
-func cut(c *sim.Cutter, mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
+func cut(c *cutter, mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
 	i0, j0, rows, cols, ok = c.Next(mu, cur)
 	if ok {
 		c.Claim(i0, j0, rows, cols)
@@ -19,7 +18,7 @@ func cut(c *sim.Cutter, mu int, cur *[2]int) (i0, j0, rows, cols int, ok bool) {
 }
 
 // freeBlocks counts the blocks left on the cutter's free list.
-func freeBlocks(c *sim.Cutter) int {
+func freeBlocks(c *cutter) int {
 	n := 0
 	for _, r := range c.Rects() {
 		n += r[2] * r[3]
@@ -34,7 +33,7 @@ func TestCutterExactTiling(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(20)
 		cols := 1 + rng.Intn(20)
-		c := sim.NewCutter(rows, cols)
+		c := newCutter(rows, cols)
 		seen := make([]bool, rows*cols)
 		for !c.Empty() {
 			mu := 1 + rng.Intn(6)
@@ -72,7 +71,7 @@ func TestCutterExactTiling(t *testing.T) {
 // sweep a row band left to right before descending, preserving A-row
 // operand reuse for consecutive chunks.
 func TestCutterRowBandLocality(t *testing.T) {
-	c := sim.NewCutter(4, 6)
+	c := newCutter(4, 6)
 	type pos struct{ i0, j0 int }
 	var order []pos
 	for !c.Empty() {
@@ -96,7 +95,7 @@ func TestCutterRowBandLocality(t *testing.T) {
 // TestCutterFreeRecut pins the requeue path: a freed region is re-cut
 // (possibly at a different µ) and the tiling stays exact.
 func TestCutterFreeRecut(t *testing.T) {
-	c := sim.NewCutter(6, 6)
+	c := newCutter(6, 6)
 	i0, j0, r, cl, ok := cut(c, 4, nil)
 	if !ok {
 		t.Fatal("cut failed")
@@ -162,9 +161,9 @@ func TestCutterTourLocality(t *testing.T) {
 		{"edge chunk is clipped", 5, 5, nil, 2, &[2]int{4, 0}, 4, 0, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := sim.NewCutter(tc.rows, tc.cols)
+			c := newCutter(tc.rows, tc.cols)
 			if tc.free != nil {
-				c = sim.NewCutterFromRects(tc.rows, tc.cols, tc.free)
+				c = newCutterFromRects(tc.rows, tc.cols, tc.free)
 			}
 			i0, j0, r, cl, ok := c.Next(tc.mu, tc.cur)
 			if !ok || i0 != tc.wantI || j0 != tc.wantJ || r != tc.wantR || cl != tc.wantC {
@@ -184,7 +183,7 @@ func TestCutterTilesUnderToursAndFrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		rows, cols := 1+rng.Intn(16), 1+rng.Intn(16)
-		c := sim.NewCutter(rows, cols)
+		c := newCutter(rows, cols)
 		cover := make([]int, rows*cols)
 		uncut := rows * cols
 		var held [][4]int
@@ -261,7 +260,7 @@ func TestCutterFixedMuIsChunkGrid(t *testing.T) {
 		for _, ch := range pool {
 			want[[4]int{ch.I0, ch.J0, ch.Rows, ch.Cols}] = true
 		}
-		c := sim.NewCutter(rows, cols)
+		c := newCutter(rows, cols)
 		var cur *[2]int
 		got := 0
 		for !c.Empty() {
@@ -290,13 +289,13 @@ func TestCutterFixedMuIsChunkGrid(t *testing.T) {
 // pass: disjoint rectangles inside the grid, no more blocks than it
 // holds. A pool a cutter reached by cuts and frees always passes.
 func TestCutterCheck(t *testing.T) {
-	c := sim.NewCutter(4, 5)
+	c := newCutter(4, 5)
 	cut(c, 2, nil)
 	cut(c, 3, &[2]int{0, 0})
 	if err := c.Free(0, 0, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.NewCutterFromRects(4, 5, c.Rects()).Check(); err != nil {
+	if err := newCutterFromRects(4, 5, c.Rects()).Check(); err != nil {
 		t.Fatalf("a pool reached by cuts and frees: %v", err)
 	}
 	for _, tc := range []struct {
@@ -309,7 +308,7 @@ func TestCutterCheck(t *testing.T) {
 		{"overlapping", [][4]int{{0, 0, 2, 2}, {1, 1, 2, 2}}},
 		{"beyond the grid's area", [][4]int{{0, 0, 4, 5}, {0, 0, 4, 5}}},
 	} {
-		if err := sim.NewCutterFromRects(4, 5, tc.rects).Check(); err == nil {
+		if err := newCutterFromRects(4, 5, tc.rects).Check(); err == nil {
 			t.Errorf("%s: %v passed the check", tc.name, tc.rects)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/blas"
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/sim"
 )
 
 // JobID names one submitted job.
@@ -144,6 +143,12 @@ type Status struct {
 	Retained int
 }
 
+// Chunk is a region of a job's C grid — for LU, of a stage's trailing
+// grid: Rows×Cols blocks from block (I0, J0).
+type Chunk struct {
+	I0, J0, Rows, Cols int
+}
+
 // Task is one unit of work assigned to exactly one worker: a chunk of the
 // job's C grid plus Steps update sets streamed on demand. Workers treat it
 // uniformly for both job kinds (LU tasks are 1-step updates whose A
@@ -152,10 +157,9 @@ type Task struct {
 	Job     JobID
 	Seq     int // unique within the job
 	Attempt int // bumped on every requeue and speculative duplicate
-	Kind    JobKind
-	Chunk   *sim.Chunk
-	Steps   int // update sets to stream
-	K       int // first step of the task's update sets: the LU panel stage, 0 for a product
+	Chunk
+	Steps int // update sets to stream
+	K     int // first step of the task's update sets: the LU panel stage, 0 for a product
 
 	// started is when the current dispatch handed the task out, read
 	// under the cluster mutex by the straggler detector to estimate the
@@ -173,7 +177,19 @@ type Task struct {
 // updates is the total block-update work the task represents — the unit
 // the speed estimator measures in.
 func (t *Task) updates() int64 {
-	return int64(t.Steps) * int64(t.Chunk.Rows) * int64(t.Chunk.Cols)
+	return int64(t.Steps) * int64(t.Rows) * int64(t.Cols)
+}
+
+// tiles yields the job-scoped ID (engine.CBlockID) of each of the task's
+// C tiles, row-major.
+func (t *Task) tiles(yield func(uint64) bool) {
+	for i := t.I0; i < t.I0+t.Rows; i++ {
+		for jj := t.J0; jj < t.J0+t.Cols; jj++ {
+			if !yield(engine.CBlockID(uint32(t.Job), i, jj)) {
+				return
+			}
+		}
+	}
 }
 
 // key identifies one task attempt globally: the wire (Job, Seq, Attempt)
@@ -195,7 +211,7 @@ type job struct {
 	// With the tasks cut from it and not yet committed (pending, in
 	// flight, dirty) it is all of the job's uncommitted work, and it is
 	// what the journal persists of it (freeListLocked).
-	cutter *sim.Cutter
+	cutter *cutter
 	// pending holds lost copies awaiting redispatch (head is next).
 	pending  []*Task
 	inflight int
@@ -291,9 +307,9 @@ func newJob(id JobID, spec JobSpec) *job {
 	res := spec.result()
 	j := &job{id: id, spec: spec, q: res.Q, doneCh: make(chan struct{})}
 	if spec.Kind == LU {
-		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, nil)
+		j.cutter = newCutterFromRects(res.BR, res.BC, nil)
 	} else {
-		j.cutter = sim.NewCutter(res.BR, res.BC)
+		j.cutter = newCutter(res.BR, res.BC)
 	}
 	return j
 }
@@ -307,26 +323,11 @@ func (j *job) steps() int {
 	return j.spec.A.BC
 }
 
-// newTask builds the task computing one chunk of the job's grid — for LU,
-// of the current stage's trailing grid.
-func (j *job) newTask(seq, i0, j0, rows, cols int) *Task {
-	steps := j.steps()
-	ch := &sim.Chunk{
-		ID: seq, I0: i0, J0: j0,
-		Rows: rows, Cols: cols, Blocks: rows * cols,
-		Steps: make([]sim.Step, steps),
-	}
-	for s := range ch.Steps {
-		ch.Steps[s] = sim.Step{Blocks: rows + cols, Updates: int64(rows) * int64(cols)}
-	}
-	return &Task{Job: j.id, Seq: seq, Kind: j.spec.Kind, Chunk: ch, Steps: steps, K: j.stage}
-}
-
-// cutTask claims a chunk from the job's cutter and wraps it as a fresh
-// task.
+// cutTask claims a chunk from the job's cutter — for LU, from the
+// current stage's trailing grid — and wraps it as a fresh task.
 func (j *job) cutTask(i0, j0, rows, cols int) *Task {
 	j.cutter.Claim(i0, j0, rows, cols)
-	t := j.newTask(j.nextSeq, i0, j0, rows, cols)
+	t := &Task{Job: j.id, Seq: j.nextSeq, Chunk: Chunk{i0, j0, rows, cols}, Steps: j.steps(), K: j.stage}
 	j.nextSeq++
 	j.total++
 	return t
@@ -335,8 +336,7 @@ func (j *job) cutTask(i0, j0, rows, cols int) *Task {
 // handBack returns a pending copy's region to the cutter, to be re-cut
 // at a side some worker holds.
 func (j *job) handBack(t *Task) error {
-	ch := t.Chunk
-	if err := j.cutter.Free(ch.I0, ch.J0, ch.Rows, ch.Cols); err != nil {
+	if err := j.cutter.Free(t.I0, t.J0, t.Rows, t.Cols); err != nil {
 		return err
 	}
 	j.total--
@@ -436,7 +436,7 @@ func (j *job) openStage(pool *engine.BlockPool) error {
 		j.stage = r
 		return nil
 	}
-	j.cutter = sim.NewCutterFromRects(r, r, [][4]int{{k + 1, k + 1, r - k - 1, r - k - 1}})
+	j.cutter = newCutterFromRects(r, r, [][4]int{{k + 1, k + 1, r - k - 1, r - k - 1}})
 	return nil
 }
 

@@ -75,7 +75,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/matrix"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -220,20 +219,19 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	if cl.log == nil {
 		return
 	}
-	ch := t.Chunk
 	dst := j.spec.result()
 	e := &recEnc{}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
 	e.u32(uint32(t.Seq))
 	e.u32(uint32(t.K))
-	e.u32(uint32(ch.I0))
-	e.u32(uint32(ch.J0))
-	e.u32(uint32(ch.Rows))
-	e.u32(uint32(ch.Cols))
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			e.floats(dst.Block(ch.I0+i, ch.J0+jj).Data)
+	e.u32(uint32(t.I0))
+	e.u32(uint32(t.J0))
+	e.u32(uint32(t.Rows))
+	e.u32(uint32(t.Cols))
+	for i := t.I0; i < t.I0+t.Rows; i++ {
+		for jj := t.J0; jj < t.J0+t.Cols; jj++ {
+			e.floats(dst.Block(i, jj).Data)
 		}
 	}
 	cl.writeLogLocked(false, e.record()) //nolint:errcheck // latched in cl.logErr
@@ -519,7 +517,7 @@ func (cl *Cluster) encodeSnapshotLocked() [][]byte {
 // order. A dirty task never modified master C, so its region is as free
 // as one never cut.
 func (cl *Cluster) freeListLocked(j *job) [][4]int {
-	cut := make(map[int]*sim.Chunk)
+	cut := make(map[int]Chunk)
 	for _, t := range j.pending {
 		cut[t.Seq] = t.Chunk
 	}
@@ -591,7 +589,7 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		}
 		j.q = res.Q
 		j.total = j.done
-		j.cutter = sim.NewCutterFromRects(res.BR, res.BC, rects)
+		j.cutter = newCutterFromRects(res.BR, res.BC, rects)
 		if err := j.cutter.Check(); err != nil {
 			return fmt.Errorf("cluster: snapshot job %d: %w", j.id, err)
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -237,11 +236,10 @@ func TestRecoverMidJobLU(t *testing.T) {
 	w1 := join(t, clA, "w1", 0, 1)
 	for i := 0; i < 2; i++ {
 		task := pullTask(t, w1)
-		ch := task.Chunk
-		if task.Kind != LU || ch.Rows != 1 || ch.Cols != 1 {
+		if task.Job != id || task.Rows != 1 || task.Cols != 1 {
 			t.Fatalf("unexpected LU task %+v", task)
 		}
-		val := trailingTileValue(m, ch.I0, ch.J0, task.K)
+		val := trailingTileValue(m, task.I0, task.J0, task.K)
 		if err := complete(w1, task, [][]float64{val}); err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +349,7 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 	if err := complete(w1, task, refChunk(task, refB)); err != nil {
 		t.Fatal(err)
 	}
-	committed := task.Chunk.Blocks
+	committed := task.Rows * task.Cols
 	jnA.Close()
 
 	jnB, logB := openLog(t, dir)
@@ -765,7 +763,7 @@ func TestCompactLogBoundsReplay(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		task := pullTask(t, w1)
 		var blocks [][]float64
-		if task.Kind == LU {
+		if task.Job == luID {
 			blocks = [][]float64{trailingTileValue(m, task.Chunk.I0, task.Chunk.J0, task.K)}
 		} else {
 			blocks = refChunk(task, refB)
@@ -846,7 +844,7 @@ func TestTileRecordsGathered(t *testing.T) {
 	var tasks []*Task
 	for i0 := 0; i0 < n/q; i0 += mu {
 		for j0 := 0; j0 < n/q; j0 += mu {
-			tasks = append(tasks, &Task{Seq: len(tasks), Chunk: &sim.Chunk{I0: i0, J0: j0, Rows: mu, Cols: mu}})
+			tasks = append(tasks, &Task{Seq: len(tasks), Chunk: Chunk{i0, j0, mu, mu}})
 		}
 	}
 
@@ -1107,13 +1105,4 @@ func TestRecoverV0DuplicateSeq(t *testing.T) {
 	}
 	rc.Close()
 	<-done
-}
-
-// freeBlocks counts the blocks left on a job's cutter free list.
-func freeBlocks(c *sim.Cutter) int {
-	n := 0
-	for _, r := range c.Rects() {
-		n += r[2] * r[3]
-	}
-	return n
 }

@@ -82,11 +82,10 @@ func (s *Session) next(wait bool) (*engine.Assign, error) {
 	blocks := cl.chunkLocked(task)
 	q := cl.jobs[task.Job].q
 	cl.mu.Unlock()
-	ch := task.Chunk
 	as := &engine.Assign{
 		ID: task.key(),
-		I0: ch.I0, J0: ch.J0,
-		Rows: ch.Rows, Cols: ch.Cols, Q: q, Steps: task.Steps,
+		I0: task.I0, J0: task.J0,
+		Rows: task.Rows, Cols: task.Cols, Q: q, Steps: task.Steps,
 		Blocks: blocks[:0], Owned: true, // compacted in place below
 		CFlags: make([]byte, 0, len(blocks)),
 	}
@@ -174,7 +173,7 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 		return nil, err
 	}
 	set.K = k
-	engine.StampIDs(set, uint32(task.Job), task.Chunk, task.K+k)
+	engine.StampIDs(set, uint32(task.Job), task.I0, task.J0, task.K+k)
 	return set, nil
 }
 

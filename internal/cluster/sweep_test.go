@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -318,7 +317,7 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	for i := range zeros {
 		zeros[i] = make([]float64, q*q)
 	}
-	whole := refChunkRecord(&Task{Job: mm, Seq: 1 << 20, Chunk: &sim.Chunk{Rows: 4, Cols: 4}}, zeros)
+	whole := refChunkRecord(&Task{Job: mm, Seq: 1 << 20, Chunk: Chunk{Rows: 4, Cols: 4}}, zeros)
 
 	for k := 0; k <= len(ops); k++ {
 		var straddle bool

@@ -345,11 +345,8 @@ func (cl *Cluster) verifyFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		if !bad {
 			continue
 		}
-		ch := t.Chunk
-		for i := 0; i < ch.Rows; i++ {
-			for jj := 0; jj < ch.Cols; jj++ {
-				delete(w.dirtyTiles, engine.CBlockID(uint32(t.Job), ch.I0+i, ch.J0+jj))
-			}
+		for id := range t.tiles {
+			delete(w.dirtyTiles, id)
 		}
 		delete(w.dirty, t.key())
 		cl.requeueLocked(t, true)

@@ -366,9 +366,9 @@ func TestTransportFaultTakesNoStrike(t *testing.T) {
 	if err := complete(w, tk, honestTask(c, a, b, tk, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if st := cl.ClusterStats(); st.VerifyChecks == 0 || st.VerifyFailures != 0 || st.FlushedBlocks != int64(tk.Chunk.Blocks) {
+	if st := cl.ClusterStats(); st.VerifyChecks == 0 || st.VerifyFailures != 0 || st.FlushedBlocks != int64(tk.Rows*tk.Cols) {
 		t.Fatalf("after reconnect: checks=%d failures=%d flushed=%d, want >0/0/%d",
-			st.VerifyChecks, st.VerifyFailures, st.FlushedBlocks, tk.Chunk.Blocks)
+			st.VerifyChecks, st.VerifyFailures, st.FlushedBlocks, tk.Rows*tk.Cols)
 	}
 	if wi := snapshotWorker(t, cl, "w"); wi.Strikes != 0 || wi.TransportFaults != 1 || wi.Sessions != 2 {
 		t.Fatalf("worker after reconnect = %+v, want 0 strikes, 1 fault, 2 sessions", wi)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -11,14 +12,18 @@ import (
 // TestRunAssignMatchesRunWorker: RunAssign computes an assignment's tile
 // bit for bit as RunWorker does over the channel pipe. The job is one
 // 2×2 assignment whose C tile mixes a CZero block (buildInputs zeroes
-// the first) with CShip ones; RunWorker runs it on one core and sharded.
+// the first) with CShip ones; RunWorker runs it on one core and sharded,
+// with and without Spin, and RunAssign never spins.
 func TestRunAssignMatchesRunWorker(t *testing.T) {
 	const r, tt, s, q = 2, 3, 2, 4
-	for _, cores := range []int{1, 4} {
-		wcfg := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: cores}
+	for _, run := range []struct {
+		cores int
+		spin  time.Duration
+	}{{1, 0}, {4, 0}, {1, time.Microsecond}, {4, time.Microsecond}} {
+		wcfg := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: run.cores, Spin: run.spin}
 		c, _, _, err := runEngine(t, "channel", r, tt, s, q, 1, wcfg, 0, true, true)
 		if err != nil {
-			t.Fatalf("cores %d: %v", cores, err)
+			t.Fatalf("cores %d spin %v: %v", run.cores, run.spin, err)
 		}
 		a, b, c2, _ := buildInputs(t, r, tt, s, q)
 		feed := newTestJob(c2, a, b, 2, true).session()
@@ -38,7 +43,8 @@ func TestRunAssignMatchesRunWorker(t *testing.T) {
 			want := c.Block(as.I0+n/as.Cols, as.J0+n%as.Cols).Data
 			for e := range blk {
 				if blk[e] != want[e] {
-					t.Fatalf("cores %d: tile %d element %d = %g, RunWorker computed %g", cores, n, e, blk[e], want[e])
+					t.Fatalf("cores %d spin %v: tile %d element %d = %g, RunWorker computed %g",
+						run.cores, run.spin, n, e, blk[e], want[e])
 				}
 			}
 		}
@@ -46,14 +52,15 @@ func TestRunAssignMatchesRunWorker(t *testing.T) {
 }
 
 // setFeed is a Feed that hands out, for every step, an update set of a
-// A blocks and b B blocks of q×q zeros; RunAssign calls nothing else.
+// A blocks and b B blocks of q×q zeros, each untracked (ID 0);
+// RunAssign calls nothing else.
 type setFeed struct {
 	engine.Feed
 	a, b, q int
 }
 
 func (f setFeed) Set(_ engine.AssignID, k int) (*engine.Set, error) {
-	set := &engine.Set{K: k}
+	set := &engine.Set{K: k, AIDs: make([]uint64, f.a), BIDs: make([]uint64, f.b)}
 	for range f.a {
 		set.A = append(set.A, make([]float64, f.q*f.q))
 	}

@@ -16,12 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/homog"
 	"repro/internal/matrix"
 	"repro/internal/netmw"
-	"repro/internal/sim"
 )
 
 var fleets = []string{"channel", "tcp"}
@@ -89,35 +86,44 @@ type testJob struct {
 	cond    *sync.Cond
 	c, a, b *matrix.Blocked
 	flagged bool
-	chunks  []*sim.Chunk
-	pending []*sim.Chunk
+	chunks  []*chunk
+	pending []*chunk
 	left    int // chunks not yet committed
 	stale   map[engine.AssignID]bool
 }
 
+// chunk is one region of the job's C grid: Rows×Cols blocks from block
+// (I0, J0), numbered ID in the order the job hands them out.
+type chunk struct{ ID, I0, J0, Rows, Cols int }
+
 func newTestJob(c, a, b *matrix.Blocked, mu int, flagged bool) *testJob {
-	_, chunks := homog.ChunkGrid(core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}, mu)
+	var chunks []*chunk
+	for j0 := 0; j0 < c.BC; j0 += mu {
+		for i0 := 0; i0 < c.BR; i0 += mu {
+			chunks = append(chunks, &chunk{len(chunks), i0, j0, min(mu, c.BR-i0), min(mu, c.BC-j0)})
+		}
+	}
 	j := &testJob{c: c, a: a, b: b, flagged: flagged, chunks: chunks,
-		pending: append([]*sim.Chunk(nil), chunks...), left: len(chunks)}
+		pending: append([]*chunk(nil), chunks...), left: len(chunks)}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
-func chunkID(ch *sim.Chunk) engine.AssignID { return engine.AssignID{B: uint32(ch.ID)} }
+func chunkID(ch *chunk) engine.AssignID { return engine.AssignID{B: uint32(ch.ID)} }
 
 // session opens one worker session's feed.
 func (j *testJob) session() *testFeed {
-	return &testFeed{job: j, held: make(map[engine.AssignID]*sim.Chunk),
-		dirty: make(map[uint64]*sim.Chunk), flushLeft: make(map[*sim.Chunk]int)}
+	return &testFeed{job: j, held: make(map[engine.AssignID]*chunk),
+		dirty: make(map[uint64]*chunk), flushLeft: make(map[*chunk]int)}
 }
 
 // testFeed is one session's view of a testJob: the chunks it holds in
 // flight and the acknowledged tiles its worker holds dirty.
 type testFeed struct {
 	job          *testJob
-	held         map[engine.AssignID]*sim.Chunk
-	dirty        map[uint64]*sim.Chunk // C block ID → chunk, acked and unflushed
-	flushLeft    map[*sim.Chunk]int    // dirty tiles per acked chunk
+	held         map[engine.AssignID]*chunk
+	dirty        map[uint64]*chunk // C block ID → chunk, acked and unflushed
+	flushLeft    map[*chunk]int    // dirty tiles per acked chunk
 	flushPending bool
 	lost         bool
 }
@@ -146,9 +152,9 @@ func (f *testFeed) Next() (*engine.Assign, error) {
 }
 
 // assign copies a chunk's C tile into an owned Assign.
-func (j *testJob) assign(ch *sim.Chunk) *engine.Assign {
+func (j *testJob) assign(ch *chunk) *engine.Assign {
 	as := &engine.Assign{ID: chunkID(ch), I0: ch.I0, J0: ch.J0,
-		Rows: ch.Rows, Cols: ch.Cols, Q: j.c.Q, Steps: len(ch.Steps), Owned: true}
+		Rows: ch.Rows, Cols: ch.Cols, Q: j.c.Q, Steps: j.a.BC, Owned: true}
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			src := j.c.Block(ch.I0+i, ch.J0+jj).Data
@@ -183,7 +189,7 @@ func (f *testFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	for jj := 0; jj < ch.Cols; jj++ {
 		set.B = append(set.B, j.b.Block(k, ch.J0+jj).Data)
 	}
-	engine.StampIDs(set, 0, ch, k)
+	engine.StampIDs(set, 0, ch.I0, ch.J0, k)
 	return set, nil
 }
 
@@ -235,7 +241,7 @@ func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 func (f *testFeed) ObserveCompute(engine.AssignID, int64, int64) {}
 
 // requeue puts lost chunks back at the head of the FIFO.
-func (j *testJob) requeue(ch *sim.Chunk) { j.pending = append([]*sim.Chunk{ch}, j.pending...) }
+func (j *testJob) requeue(ch *chunk) { j.pending = append([]*chunk{ch}, j.pending...) }
 
 // Lost requeues everything the session held: its chunks in flight and
 // the chunks whose tiles died dirty in its worker's result cache.

@@ -119,14 +119,14 @@ type Assign struct {
 // Set carries the operand blocks of one inner step k: Rows blocks of
 // A(·,k) then Cols blocks of B(k,·), the maximum re-use update set.
 //
-// With the delta protocol, AIDs/BIDs carry the manifest of block IDs
-// (see ABlockID/BBlockID; ID 0 marks an untracked entry) and A/B may
-// hold nil in place of blocks the worker already has resident — the
-// receiver resolves those from its operand cache. Cap announces the
-// resident-cache capacity the worker must mirror after processing this
-// set (both ends evict down to it in lock-step, by the same victim rule
-// over this Set's A manifest). A Set whose manifest is empty is a full
-// set: every operand has a payload, exactly the pre-delta protocol.
+// AIDs/BIDs carry the delta protocol's manifest, one block ID per
+// operand (see ABlockID/BBlockID; ID 0 marks an untracked entry, which
+// always carries its payload), and A/B may hold nil in place of blocks
+// the worker already has resident — the receiver resolves those from
+// its operand cache. Cap announces the resident-cache capacity the
+// worker must mirror after processing this set (both ends evict down to
+// it in lock-step, by the same victim rule over this Set's A manifest).
+// A worker refuses a Set whose manifest does not match its operands.
 type Set struct {
 	K          int
 	A, B       [][]float64

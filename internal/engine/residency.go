@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Operand residency: the delta-Set protocol that makes operand movement
@@ -365,16 +364,17 @@ type SetBuilder struct {
 	mirror *blockCache
 }
 
-// StampIDs fills a Set's manifest for a chunk's k-th update set: A-role
-// IDs for rows I0..I0+Rows-1 at column k, B-role IDs for row k at
-// columns J0..J0+Cols-1 (an LU task's sets are its stage's panels, so
-// its k is the stage).
-func StampIDs(set *Set, job uint32, ch *sim.Chunk, k int) {
-	for i := 0; i < ch.Rows; i++ {
-		set.AIDs = append(set.AIDs, ABlockID(job, ch.I0+i, k))
+// StampIDs fills a Set's manifest for the k-th update set of the chunk
+// whose top-left block is (i0, j0): A-role IDs for rows i0.. at column
+// k, B-role IDs for row k at columns j0.., one per operand the Set
+// already holds (an LU task's sets are its stage's panels, so its k is
+// the stage).
+func StampIDs(set *Set, job uint32, i0, j0, k int) {
+	for i := range set.A {
+		set.AIDs = append(set.AIDs, ABlockID(job, i0+i, k))
 	}
-	for j := 0; j < ch.Cols; j++ {
-		set.BIDs = append(set.BIDs, BBlockID(job, k, ch.J0+j))
+	for j := range set.B {
+		set.BIDs = append(set.BIDs, BBlockID(job, k, j0+j))
 	}
 }
 
@@ -384,17 +384,10 @@ func StampIDs(set *Set, job uint32, ch *sim.Chunk, k int) {
 // enter the mirror, and the Set's Cap announces the capacity the worker
 // must mirror — CacheBudget of the advertised memory minus held, what
 // the worker holds outside the cache (its in-flight footprints and dirty
-// C blocks). Sets without a manifest pass through as full sets, counted
-// but untouched.
+// C blocks). The Set carries one ID per operand (StampIDs); an ID of 0
+// is untracked and always ships.
 func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	sb.Stats.SetsSent++
-	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
-		set.AIDs = set.AIDs[:0]
-		set.BIDs = set.BIDs[:0]
-		set.Cap = 0
-		sb.Stats.BlocksShipped += int64(len(set.A) + len(set.B))
-		return set
-	}
 	if sb.mirror == nil {
 		sb.mirror = newBlockCache()
 	}
@@ -455,17 +448,13 @@ func newOpCache(pool *BlockPool) *opCache {
 // manifest references are filled from residency, and the cache is then
 // evicted down to the announced capacity — IDs at once, in lock-step
 // with the master's mirror; buffers only at the next resolve, after
-// the caller has applied this Set (see evicted). Sets without a
-// manifest pass through untouched (the caller releases them after
-// applying, as before). It returns the number of blocks served from
+// the caller has applied this Set (see evicted). A Set without one ID
+// per operand is refused. It returns the number of blocks served from
 // the cache.
 func (oc *opCache) resolve(set *Set) (hits int64, err error) {
 	// The previous Set has been applied by now: its evictions are free.
 	oc.pool.PutAll(oc.evicted)
 	oc.evicted = oc.evicted[:0]
-	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
-		return 0, nil
-	}
 	if len(set.AIDs) != len(set.A) || len(set.BIDs) != len(set.B) {
 		return 0, fmt.Errorf("engine: set %d manifest has %d+%d ids for %d+%d operands",
 			set.K, len(set.AIDs), len(set.BIDs), len(set.A), len(set.B))
@@ -506,17 +495,11 @@ func (oc *opCache) resolveHalf(blocks [][]float64, ids []uint64, owned bool) (hi
 }
 
 // releaseUncached returns the Set's buffers that did NOT enter the
-// cache to the pool after the update is applied: with a manifest, every
-// tracked shipped block is cache-owned (released on eviction), so only
-// untracked (ID 0) payloads are the consumer's to free; without a
-// manifest the whole Set is, exactly as before the delta protocol.
+// cache to the pool after the update is applied: every tracked shipped
+// block is cache-owned (released on eviction), so only untracked (ID 0)
+// payloads are the consumer's to free.
 func releaseUncached(set *Set, pool *BlockPool) {
 	if !set.Owned {
-		return
-	}
-	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
-		pool.PutAll(set.A)
-		pool.PutAll(set.B)
 		return
 	}
 	for i, id := range set.AIDs {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestBlockIDsDistinct pins the ID packing: A-role and B-role never
@@ -122,7 +120,7 @@ func TestMirroredLRU(t *testing.T) {
 		oc := newOpCache(pool)
 		// Random 2x2 chunks over an 8x8 grid, 200 sets.
 		for step := 0; step < 200; step++ {
-			ch := &sim.Chunk{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 2, Cols: 2}
+			ch := &region{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 2, Cols: 2}
 			k := rng.Intn(6)
 			set := pool.GetSet()
 			set.K = k
@@ -133,7 +131,7 @@ func TestMirroredLRU(t *testing.T) {
 			for j := 0; j < ch.Cols; j++ {
 				set.B = append(set.B, pool.Get(q*q))
 			}
-			StampIDs(set, 3, ch, k)
+			StampIDs(set, 3, ch.I0, ch.J0, k)
 			set = sb.Filter(set, InflightFootprint(ch.Rows, ch.Cols), pool)
 			if _, err := oc.resolve(set); err != nil {
 				t.Fatalf("mem=%d step %d: worker could not resolve the master's delta: %v", mem, step, err)
@@ -189,7 +187,6 @@ func TestMirrorCapacityZero(t *testing.T) {
 	pool := NewBlockPool()
 	sb := SetBuilder{Mem: 1} // below any footprint → budget 0
 	oc := newOpCache(pool)
-	ch := &sim.Chunk{I0: 0, J0: 0, Rows: 2, Cols: 2}
 	for k := 0; k < 5; k++ {
 		set := pool.GetSet()
 		set.Owned = true
@@ -200,7 +197,7 @@ func TestMirrorCapacityZero(t *testing.T) {
 				set.B = append(set.B, pool.Get(4))
 			}
 		}
-		StampIDs(set, 0, ch, k)
+		StampIDs(set, 0, 0, 0, k)
 		set = sb.Filter(set, InflightFootprint(2, 2), pool)
 		if set.Cap != 0 {
 			t.Fatalf("cap = %d, want 0", set.Cap)
@@ -241,6 +238,10 @@ func TestResolveRejectsUnknownReference(t *testing.T) {
 		t.Fatal("unknown cache reference resolved")
 	}
 }
+
+// region is a chunk's place in the C block grid: Rows×Cols blocks from
+// block (I0, J0).
+type region struct{ I0, J0, Rows, Cols int }
 
 // lruIDs walks a blockCache's recency list head (most recent) to tail,
 // checking the intrusive list and the map agree on membership.
@@ -285,7 +286,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 		// marching along one block-row, each scanning k = 0..5 in order,
 		// so its own row's A blocks stay hot and the all-hot branch of
 		// the victim rule runs whenever the row outgrows the Cap.
-		var tour *sim.Chunk
+		var tour *region
 		var tourJob uint32
 		tourK := 0
 		for step := 0; step < steps; step++ {
@@ -301,15 +302,15 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				continue
 			}
 			if tour == nil && rng.Intn(8) == 0 {
-				tour = &sim.Chunk{I0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1}
+				tour = &region{I0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1}
 				tourJob, tourK = jobs[rng.Intn(len(jobs))], 0
 			}
 			var job uint32
-			var ch *sim.Chunk
+			var ch *region
 			var k int
 			if tour != nil {
 				job, k = tourJob, tourK
-				ch = &sim.Chunk{I0: tour.I0, J0: tour.J0, Rows: tour.Rows, Cols: tour.Cols}
+				ch = &region{I0: tour.I0, J0: tour.J0, Rows: tour.Rows, Cols: tour.Cols}
 				if tourK++; tourK == 6 {
 					tourK = 0
 					if tour.J0++; tour.J0 == 7 {
@@ -318,7 +319,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				}
 			} else {
 				job = jobs[rng.Intn(len(jobs))]
-				ch = &sim.Chunk{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1 + rng.Intn(2)}
+				ch = &region{I0: rng.Intn(7), J0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1 + rng.Intn(2)}
 				if rng.Intn(20) == 0 {
 					// Out-of-range coordinates stamp to the untracked sentinel:
 					// those entries always ship and never enter either cache.
@@ -335,7 +336,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 			for j := 0; j < ch.Cols; j++ {
 				set.B = append(set.B, pool.Get(q*q))
 			}
-			StampIDs(set, job, ch, k)
+			StampIDs(set, job, ch.I0, ch.J0, k)
 			// Stamp every payload with its ID so a resolved reference that
 			// came back with the wrong buffer is caught by content.
 			for i, id := range set.AIDs {
@@ -458,7 +459,7 @@ func TestResolveKeepsEvictedOperandsUntilApplied(t *testing.T) {
 				t.Fatalf("operands overwritten before the update was applied: A=%v B=%v", set.A[0], set.B[0])
 			}
 		}
-		if _, err := oc.resolve(&Set{}); err != nil {
+		if _, err := oc.resolve(&Set{Cap: 8}); err != nil { // an empty Set that evicts nothing
 			t.Fatal(err)
 		}
 		if len(oc.evicted) != 0 {
@@ -502,14 +503,13 @@ func TestRowTourKeepsRowPrefix(t *testing.T) {
 		var got, want []int64
 		for row := 0; row < 2; row++ {
 			for col := 0; col < 8; col++ {
-				ch := &sim.Chunk{I0: row, J0: col, Rows: 1, Cols: 1}
 				var hits int64
 				for k := 0; k < depth; k++ {
 					set := pool.GetSet()
 					set.K, set.Owned = k, true
 					set.A = append(set.A, pool.Get(q*q))
 					set.B = append(set.B, pool.Get(q*q))
-					StampIDs(set, 1, ch, k)
+					StampIDs(set, 1, row, col, k)
 					skipped := sb.Stats.BlocksSkipped
 					set = sb.Filter(set, held, pool)
 					h, err := oc.resolve(set)

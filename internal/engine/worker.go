@@ -24,8 +24,8 @@ type WorkerConfig struct {
 	// bit-identical at any value.
 	Cores int
 	// Spin adds artificial per-block-update busy-wait so tests can
-	// emulate slower processors deterministically. Spinning forces the
-	// sequential kernel.
+	// emulate slower processors deterministically. It runs after the
+	// kernel, whichever one Cores picks, and leaves results unchanged.
 	Spin time.Duration
 
 	// Pool receives the buffers of Owned messages once they are
@@ -329,37 +329,27 @@ func materializeTile(as *Assign, pool *BlockPool) error {
 }
 
 // applySet applies one update set to the resident tile: the sharded
-// kernel when Cores > 1, the sequential per-block loop otherwise (or
-// when spinning — the spin emulates a slower sequential processor).
-// Both paths produce bit-identical results.
+// kernel when Cores > 1, the sequential chunk kernel otherwise (the two
+// are bit-identical), then busy-waits Spin per block update, so an
+// emulated slower processor reports its extra time in ComputeNS.
 func applySet(as *Assign, set *Set, cfg WorkerConfig, updates *int64) error {
 	rows, cols, q := as.Rows, as.Cols, as.Q
 	if len(set.A) != rows || len(set.B) != cols {
 		return fmt.Errorf("engine: set %d has %dx%d operands, want %dx%d",
 			set.K, len(set.A), len(set.B), rows, cols)
 	}
-	if cfg.Cores > 1 && cfg.Spin == 0 {
+	if cfg.Cores > 1 {
 		blas.ParallelUpdateChunk(as.Blocks, set.A, set.B, rows, cols, q, cfg.Cores)
-		*updates += int64(rows) * int64(cols)
-		return nil
-	}
-	if cfg.Spin == 0 {
+	} else {
 		// Chunk-level kernel: each Ai/Bj operand is packed once into
 		// pooled arenas (blas.PackPool) and reused across the whole
 		// rows×cols sweep, so the steady-state compute path performs no
 		// per-update packing or allocation.
 		blas.UpdateChunk(as.Blocks, set.A, set.B, rows, cols, q)
-		*updates += int64(rows) * int64(cols)
-		return nil
 	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			blas.BlockUpdate(as.Blocks[i*cols+j], set.A[i], set.B[j], q)
-			*updates++
-			if cfg.Spin > 0 {
-				spinFor(cfg.Spin)
-			}
-		}
+	*updates += int64(rows) * int64(cols)
+	if cfg.Spin > 0 {
+		spinFor(time.Duration(rows*cols) * cfg.Spin)
 	}
 	return nil
 }

@@ -32,10 +32,11 @@ type ClusterWorkerConfig struct {
 	// block loop. 0 means one shard per core (GOMAXPROCS) — a worker
 	// process owns its machine. Results are bit-identical at any value.
 	Cores int
-	// Spin adds a deterministic busy-wait per block update (see
-	// engine.WorkerConfig.Spin): it emulates a slower processor so
-	// heterogeneity — and the straggler handling it provokes — can be
-	// reproduced on a single machine. Results stay bit-identical.
+	// Spin adds a deterministic busy-wait per block update after the
+	// kernel Cores picks (see engine.WorkerConfig.Spin): it emulates a
+	// slower processor so heterogeneity — and the straggler handling it
+	// provokes — can be reproduced on a single machine. Results stay
+	// bit-identical.
 	Spin time.Duration
 	// HeartbeatEvery is the liveness beacon cadence. 0 disables beacons,
 	// which is only safe against a server whose expiry sweeps are off or

@@ -25,10 +25,9 @@
 // caller only builds chunks, queues and a policy: the seven §8 algorithms
 // (internal/algorithms), the §6.2 execution phase and the demand-driven
 // heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
-// (internal/lu). Besides Run, the package holds only the Cutter the
-// cluster carves its chunks with. It models no failures: worker loss,
-// requeue and fleet-scale runs drive the cluster scheduler itself
-// (fleet.Run, package internal/fleet).
+// (internal/lu). It models no failures: worker loss, requeue and
+// fleet-scale runs drive the cluster scheduler itself (fleet.Run,
+// package internal/fleet).
 package sim
 
 import (
@@ -74,8 +73,8 @@ type Step struct {
 }
 
 // Chunk is a unit of C assigned to one worker. I0/J0/Rows/Cols locate it
-// in the block grid of C so that real runtimes can move actual data; the
-// simulator itself only uses Blocks and Steps.
+// in the block grid of C for the algorithms that plan it; the simulator
+// itself only uses Blocks and Steps.
 type Chunk struct {
 	ID     int
 	I0, J0 int // top-left block coordinates in C

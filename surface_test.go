@@ -67,6 +67,27 @@ func TestNoDeadSurface(t *testing.T) {
 	}
 }
 
+// TestLiveStackImportsNoSimulator pins the layering: the packages that
+// serve real jobs carve, dispatch and compute chunks with their own
+// types, so none of them links the one-port simulator or its Gantt
+// renderer.
+func TestLiveStackImportsNoSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lists the dependencies of four packages")
+	}
+	for _, root := range []string{"./internal/engine", "./internal/cluster", "./internal/netmw", "./cmd/mwworker"} {
+		deps, err := goList(".", nil, "-deps", root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range deps {
+			if p.ImportPath == "repro/internal/sim" || p.ImportPath == "repro/internal/trace" {
+				t.Errorf("%s links %s", root, p.ImportPath)
+			}
+		}
+	}
+}
+
 // TestDeadSurfaceFixture runs the checker on a module that plants one
 // dead function, method and field next to surface that must not be
 // reported.

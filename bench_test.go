@@ -28,22 +28,8 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/steady"
+	"repro/internal/workload"
 )
-
-// utk builds the §8.1 platform.
-func utk(q, memMB, workers int) *platform.Platform {
-	c, w := platform.UTKCalibration().BlockCosts(q)
-	return platform.Homogeneous(workers, c, w, platform.MemoryBlocks(int64(memMB)<<20, q))
-}
-
-func table2() *platform.Platform {
-	mem := func(mu int) int { return mu*mu + 4*mu }
-	return platform.New(
-		platform.Worker{C: 2, W: 2, M: mem(6)},
-		platform.Worker{C: 3, W: 3, M: mem(18)},
-		platform.Worker{C: 5, W: 1, M: mem(10)},
-	)
-}
 
 // --- Proposition 1 -------------------------------------------------------
 
@@ -129,7 +115,7 @@ func BenchmarkTab1SteadyState(b *testing.B) {
 }
 
 func BenchmarkTab2(b *testing.B) {
-	pl := table2()
+	pl := workload.Table2()
 	for _, rule := range []hetero.Rule{hetero.Global, hetero.Local, hetero.TwoStep} {
 		b.Run(rule.String(), func(b *testing.B) {
 			var ratio float64
@@ -148,7 +134,7 @@ func BenchmarkTab2(b *testing.B) {
 // --- Figure 10 -------------------------------------------------------------
 
 func BenchmarkFig10(b *testing.B) {
-	pl := utk(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	shapes := map[string]core.Problem{
 		"8kx8kx64k":    core.MustProblem(8000, 8000, 64000, 80),
 		"16kx16kx128k": core.MustProblem(16000, 16000, 128000, 80),
@@ -196,7 +182,7 @@ func BenchmarkFig11RealRuntime(b *testing.B) {
 
 func BenchmarkFig12(b *testing.B) {
 	for _, q := range []int{40, 80} {
-		pl := utk(q, 512, 8)
+		pl := workload.UTK(q, 512, 8)
 		pr := core.MustProblem(8000, 8000, 64000, q)
 		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
 			var r core.Result
@@ -217,7 +203,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	pr := core.MustProblem(16000, 16000, 64000, 80)
 	for _, mem := range []int{132, 256, 512} {
-		pl := utk(80, mem, 8)
+		pl := workload.UTK(80, mem, 8)
 		b.Run(fmt.Sprintf("mem%dMB", mem), func(b *testing.B) {
 			var r core.Result
 			for i := 0; i < b.N; i++ {
@@ -262,7 +248,7 @@ func BenchmarkLUFactorReal(b *testing.B) {
 }
 
 func BenchmarkLUSimulated(b *testing.B) {
-	pl := utk(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	var r lu.ParallelResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -278,7 +264,7 @@ func BenchmarkLUSimulated(b *testing.B) {
 // --- heterogeneous sweep -------------------------------------------------------
 
 func BenchmarkHetero(b *testing.B) {
-	pl := table2()
+	pl := workload.Table2()
 	pr := core.Problem{R: 36, S: 36, T: 12, Q: 80}
 	for _, rule := range []hetero.Rule{hetero.Global, hetero.Local, hetero.TwoStep} {
 		b.Run(rule.String(), func(b *testing.B) {
@@ -300,7 +286,7 @@ func BenchmarkHetero(b *testing.B) {
 // BenchmarkAblationTwoPort compares the unidirectional one-port master
 // against the bidirectional variant on the same HoLM schedule.
 func BenchmarkAblationTwoPort(b *testing.B) {
-	pl := utk(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	pr := core.MustProblem(8000, 8000, 64000, 80)
 	sel, err := homog.Select(pl, pr)
 	if err != nil {
@@ -337,7 +323,7 @@ func BenchmarkAblationTwoPort(b *testing.B) {
 // BenchmarkAblationLayout compares the three memory layouts (overlapped
 // µ²+4µ, non-overlapped µ²+2µ, Toledo m/3) on the same memory budget.
 func BenchmarkAblationLayout(b *testing.B) {
-	pl := utk(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	pr := core.MustProblem(8000, 8000, 64000, 80)
 	m := pl.Workers[0].M
 	layouts := []struct {
@@ -369,7 +355,7 @@ func BenchmarkAblationLayout(b *testing.B) {
 // BenchmarkAblationSelection is resource selection on vs off: HoLM versus
 // the same static order over all workers (ORROML).
 func BenchmarkAblationSelection(b *testing.B) {
-	pl := utk(80, 512, 8)
+	pl := workload.UTK(80, 512, 8)
 	pr := core.MustProblem(8000, 8000, 64000, 80)
 	for _, alg := range []algorithms.Name{algorithms.HoLM, algorithms.ORROML} {
 		b.Run(string(alg), func(b *testing.B) {
@@ -390,7 +376,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 // BenchmarkAblationLookahead compares selection lookahead depth: local
 // (0), global (history), two-step (pairs).
 func BenchmarkAblationLookahead(b *testing.B) {
-	pl := table2()
+	pl := workload.Table2()
 	for _, rule := range []hetero.Rule{hetero.Local, hetero.Global, hetero.TwoStep} {
 		b.Run(rule.String(), func(b *testing.B) {
 			var ratio float64
@@ -548,22 +534,6 @@ func BenchmarkGridOuterProductReal(b *testing.B) {
 	}
 }
 
-// --- dynamic heterogeneous baseline ---------------------------------------------
-
-func BenchmarkHeteroDemand(b *testing.B) {
-	pl := table2()
-	pr := core.Problem{R: 36, S: 36, T: 12, Q: 80}
-	var res core.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hetero.RunDemand(pl, pr, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Makespan, "makespan")
-}
-
 // --- out-of-core (§9 relation) ------------------------------------------------
 
 func BenchmarkOutOfCoreMaxReuse(b *testing.B) {
@@ -602,7 +572,7 @@ func BenchmarkOutOfCoreMaxReuse(b *testing.B) {
 // --- lookahead depth (generalized §6.2.1) ----------------------------------------
 
 func BenchmarkLookaheadDepth(b *testing.B) {
-	pl := table2()
+	pl := workload.Table2()
 	for _, k := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			var ratio float64

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/greedy"
 	"repro/internal/grid"
 	"repro/internal/hetero"
@@ -155,12 +156,7 @@ func Tab1(w io.Writer) error {
 
 // Tab2 reproduces the worked example of §6.2 (Table 2, Figures 7-8).
 func Tab2(w io.Writer) error {
-	mem := func(mu int) int { return mu*mu + 4*mu }
-	pl := platform.New(
-		platform.Worker{C: 2, W: 2, M: mem(6)},
-		platform.Worker{C: 3, W: 3, M: mem(18)},
-		platform.Worker{C: 5, W: 1, M: mem(10)},
-	)
+	pl := workload.Table2()
 	fmt.Fprintln(w, "Table 2 — incremental resource selection on P1(2,2,µ6) P2(3,3,µ18) P3(5,1,µ10)")
 	for _, rule := range []hetero.Rule{hetero.Global, hetero.Local, hetero.TwoStep} {
 		st := hetero.NewState(pl)
@@ -372,12 +368,13 @@ func LU(w io.Writer) error {
 // HetSweep is the heterogeneous study the paper announces for its final
 // version: the impact of the degree of heterogeneity in speed, bandwidth
 // and memory on the global/local algorithms, against the steady-state
-// upper bound.
+// upper bound. Its dynamic column is the repository's own scheduler, the
+// one mmserve serves with, on the same one-port star (fleet.RunOnePort).
 func HetSweep(w io.Writer) error {
 	pr := core.Problem{R: 40, S: 40, T: 40, Q: 80}
 	cBase, wBase := platform.UTKCalibration().BlockCosts(80)
 	fmt.Fprintln(w, "Heterogeneity sweep — 8 workers, ratio of achieved throughput to steady-state bound")
-	fmt.Fprintf(w, "  %-14s %10s %10s %10s %10s\n", "heterogeneity", "global", "local", "two-step", "demand")
+	fmt.Fprintf(w, "  %-14s %10s %10s %10s %10s\n", "heterogeneity", "global", "local", "two-step", "cluster")
 	for _, h := range workload.HeterogeneitySweep() {
 		pl := h.Platform(42, 8, cBase, wBase, 800)
 		sol, err := steady.Solve(pl)
@@ -393,7 +390,7 @@ func HetSweep(w io.Writer) error {
 			rate := float64(res.Updates) / res.Makespan
 			fmt.Fprintf(w, " %10.3f", rate/sol.Throughput)
 		}
-		dyn, err := hetero.RunDemand(pl, pr, nil)
+		dyn, err := fleet.RunOnePort(pl, pr, nil)
 		if err != nil {
 			return err
 		}

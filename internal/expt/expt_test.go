@@ -155,7 +155,7 @@ func TestGridExperiment(t *testing.T) {
 
 func TestHetSweep(t *testing.T) {
 	out := runExpt(t, "hetsweep")
-	if !strings.Contains(out, "homogeneous") || !strings.Contains(out, "demand") {
+	if !strings.Contains(out, "homogeneous") || !strings.Contains(out, "cluster") {
 		t.Fatalf("hetsweep:\n%s", out)
 	}
 }

@@ -1,23 +1,29 @@
 // Package fleet drives the cluster scheduler, through its public API,
-// over a scripted commodity fleet: hundreds of heterogeneous workers,
-// each behind its own link (a switched network — the master NIC is not
-// the bottleneck), with churn injected mid-job. Every worker is a real
-// cluster.Session, every decision the scheduler's own and every tile
-// engine.RunAssign's; only the timing is scripted, in virtual time, from
-// each worker's speed, bandwidth and latency.
+// in virtual time. Every worker is a real cluster.Session, every
+// decision the scheduler's own and every tile engine.RunAssign's; only
+// the timing is scripted. Run times a commodity fleet: hundreds of
+// heterogeneous workers, each behind its own link (a switched network —
+// the master NIC is not the bottleneck), with churn injected mid-job.
+// RunOnePort times the paper's one-port star through sim.Run instead:
+// the heterogeneity sweep's demand-driven baseline.
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
+	"repro/internal/platform"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -126,6 +132,14 @@ func run(cfg Config) (Result, cluster.JobSpec, error) {
 	if err != nil {
 		return Result{}, cluster.JobSpec{}, err
 	}
+	return drive(cfg, func(r *runner) error { return r.loop(events) })
+}
+
+// drive submits cfg's product — A and B deterministically filled,
+// q = 1 — as one job of chunk side cfg.Mu to a cluster on a ManualClock,
+// with one scripted worker per cfg.Workers, none joined yet, and runs
+// body, which must bring the job to Done.
+func drive(cfg Config, body func(*runner) error) (Result, cluster.JobSpec, error) {
 	r := &runner{cfg: cfg, clk: cluster.NewManualClock(time.Unix(0, 0)), pool: engine.NewBlockPool()}
 	for i, w := range cfg.Workers {
 		r.ws = append(r.ws, &worker{cfg: w, name: fmt.Sprintf("w%03d", i), lane: fmt.Sprintf("P%d", i+1), factor: 1})
@@ -140,7 +154,7 @@ func run(cfg Config) (Result, cluster.JobSpec, error) {
 	id, err := r.cl.SubmitJob(spec)
 	if err == nil {
 		r.done, _ = r.cl.Done(id)
-		err = r.loop(events)
+		err = body(r)
 	}
 	if err != nil {
 		return Result{}, cluster.JobSpec{}, err
@@ -153,6 +167,68 @@ func run(cfg Config) (Result, cluster.JobSpec, error) {
 	r.res.Chunks, r.res.Requeues = st.TasksDone, cs.Requeues
 	r.res.Speculations, r.res.SpecWins = cs.Speculations, cs.SpecWins
 	return r.res, spec, nil
+}
+
+// RunOnePort runs pr as one job of the cluster scheduler on the paper's
+// one-port star pl (§2.2): the chunks and their order are the
+// scheduler's own, sim.Run times them first come first served, one
+// staging buffer per worker. The job is Run's product at µ = max µᵢ;
+// each worker with µᵢ ≥ 1 joins with memory for one µᵢ×µᵢ chunk and one
+// staged set, so the scheduler's clamp cuts the paper's µᵢ. A worker's
+// first peek after sim retrieved its chunk acks it, answers the flush
+// demand and takes the next task, which sim sees until it sends it.
+func RunOnePort(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.Result, error) {
+	res, _, err := runOnePort(pl, pr, tr)
+	return res, err
+}
+
+// runOnePort is RunOnePort; it also returns the job's spec.
+func runOnePort(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.Result, cluster.JobSpec, error) {
+	if err := errors.Join(pl.Validate(), pr.Validate()); err != nil {
+		return core.Result{}, cluster.JobSpec{}, err
+	}
+	mus := pl.Mus()
+	cfg := Config{Workers: make([]Worker, pl.P()), R: pr.R, S: pr.S, T: pr.T, Mu: slices.Max(mus)}
+	for i, wk := range pl.Workers {
+		cfg.Workers[i] = Worker{Speed: 1 / wk.W, Bandwidth: 1 / wk.C, Mem: core.ChunkFootprint(mus[i], mus[i], 1)}
+	}
+	var res sim.Result
+	_, spec, err := drive(cfg, func(r *runner) (err error) {
+		for i, w := range r.ws {
+			if mus[i] >= 1 && err == nil {
+				w.sess, err = r.cl.JoinWorker(w.name, w.cfg.Mem, 1)
+			}
+		}
+		offer := make([]*sim.Chunk, pl.P()) // each worker's task, from the peek that took it to its retrieval
+		sent := make([]bool, pl.P())
+		source := func(i int, claim bool) *sim.Chunk {
+			w := r.ws[i]
+			if claim {
+				sent[i] = true
+				return offer[i]
+			}
+			if sent[i] { // sim retrieved it
+				offer[i], sent[i] = nil, false
+				err = cmp.Or(err, r.complete(w))
+			}
+			if offer[i] == nil && w.sess != nil && err == nil {
+				if err = r.dispatch(w); w.cp != nil {
+					as := w.cp.as
+					offer[i] = &sim.Chunk{ID: int(as.ID.B), I0: as.I0, J0: as.J0, Rows: as.Rows, Cols: as.Cols, Blocks: as.Rows * as.Cols,
+						Steps: slices.Repeat([]sim.Step{{Blocks: as.Rows + as.Cols, Updates: int64(as.Rows) * int64(as.Cols)}}, as.Steps)}
+				}
+			}
+			return offer[i]
+		}
+		var serr error
+		res, serr = sim.Run(sim.Input{Platform: pl, Configs: slices.Repeat([]sim.WorkerConfig{{StageCap: 1}}, pl.P()),
+			Source: source, Policy: sim.NewDemandPolicy("cluster", sim.FirstToReceive), Trace: tr})
+		return cmp.Or(err, serr)
+	})
+	if err != nil {
+		return core.Result{}, cluster.JobSpec{}, err
+	}
+	return res.Core("cluster"), spec, nil
 }
 
 // events checks the config and returns its joins and churn as one

@@ -134,58 +134,3 @@ func Run(pl *platform.Platform, pr core.Problem, rule Rule, opt ExecOptions) (co
 	res, err := Execute(pl, pr, alloc, opt)
 	return res, alloc, err
 }
-
-// RunDemand runs the dynamic (demand-driven) baseline against which the
-// §6.2 static algorithms are compared: instead of pre-allocating column
-// panels through a selection simulation, the master hands each idle worker
-// the next free panel of µ_i block columns, which that worker walks
-// top-down in µ_i-row chunks, and serves every request first come, first
-// served (sim.FirstToReceive), one staging buffer per worker. The paper's
-// related-work section classifies such schedulers as the "dynamic
-// strategies [that] are outside the scope of this paper"; this one runs
-// under the same one-port model so the §8 comparison can include it.
-func RunDemand(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.Result, error) {
-	if err := pl.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := pr.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	mus := pl.Mus()
-	if err := usable(mus); err != nil {
-		return core.Result{}, err
-	}
-	panel := make([][]*sim.Chunk, pl.P()) // the unsent rest of each worker's panel
-	free := 0                             // first block column no worker has taken
-	carve := func(w int, claim bool) *sim.Chunk {
-		p := panel[w]
-		if len(p) == 0 {
-			if mus[w] < 1 || free == pr.S {
-				return nil
-			}
-			_, p = homog.ChunkGrid(core.Problem{R: pr.R, S: min(mus[w], pr.S-free), T: pr.T}, mus[w])
-		}
-		if claim {
-			if len(panel[w]) == 0 {
-				free += p[0].Cols
-			}
-			panel[w] = p[1:]
-		}
-		return p[0]
-	}
-	const name = "hetero-demand"
-	res, err := sim.Run(sim.Input{
-		Platform: pl,
-		Configs:  make([]sim.WorkerConfig, pl.P()), // StageCap 1
-		Source:   carve,
-		Policy:   sim.NewDemandPolicy(name, sim.FirstToReceive),
-		Trace:    tr,
-	})
-	if err != nil {
-		return core.Result{}, fmt.Errorf("hetero: demand baseline: %w", err)
-	}
-	if res.Updates != pr.Updates() {
-		return core.Result{}, fmt.Errorf("hetero: demand baseline performed %d updates, want %d", res.Updates, pr.Updates())
-	}
-	return res.Core(name), nil
-}

@@ -22,13 +22,14 @@
 // The allocation phase assigns whole µ_i-wide column panels to workers; the
 // execution phase then replays the selection sequence on the one-port
 // simulator (internal/sim), adding the C-chunk I/O that the ratio analysis
-// neglects. RunDemand, the demand-driven baseline, runs on the same
-// simulator.
+// neglects. The demand-driven baseline they are compared against is the
+// cluster scheduler itself, on the same simulator (fleet.RunOnePort).
 package hetero
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -126,28 +127,12 @@ func (s *State) apply(pl *platform.Platform, i int) {
 // worker. Two-step ahead commits two selections and returns the first.
 func (s *State) Step(pl *platform.Platform, rule Rule) int {
 	switch rule {
-	case Global:
-		best, bestScore := -1, math.Inf(-1)
-		for i := range pl.Workers {
-			if s.Mus[i] < 1 {
-				continue
-			}
-			if sc := s.globalScore(pl, i); sc > bestScore {
-				best, bestScore = i, sc
-			}
+	case Global, Local:
+		score := s.globalScore
+		if rule == Local {
+			score = s.localScore
 		}
-		s.apply(pl, best)
-		return best
-	case Local:
-		best, bestScore := -1, math.Inf(-1)
-		for i := range pl.Workers {
-			if s.Mus[i] < 1 {
-				continue
-			}
-			if sc := s.localScore(pl, i); sc > bestScore {
-				best, bestScore = i, sc
-			}
-		}
+		best := s.argmax(pl, score)
 		s.apply(pl, best)
 		return best
 	case TwoStep:
@@ -178,15 +163,29 @@ func (s *State) Step(pl *platform.Platform, rule Rule) int {
 	}
 }
 
+// argmax returns the usable worker (µ_i ≥ 1) of highest score, ties to
+// the lower index.
+func (s *State) argmax(pl *platform.Platform, score func(*platform.Platform, int) float64) int {
+	best, bestScore := -1, math.Inf(-1)
+	for i := range pl.Workers {
+		if s.Mus[i] < 1 {
+			continue
+		}
+		if sc := score(pl, i); sc > bestScore {
+			best, bestScore = i, sc
+		}
+	}
+	return best
+}
+
 func (s *State) shallowClone() *State {
-	c := &State{
+	return &State{
 		Mus:            s.Mus, // immutable
 		CompletionTime: s.CompletionTime,
 		TotalWork:      s.TotalWork,
 		Ready:          append([]float64(nil), s.Ready...),
 		NbBlock:        append([]int64(nil), s.NbBlock...),
 	}
-	return c
 }
 
 // Allocation is the result of the first phase: which worker owns each
@@ -223,8 +222,8 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 		return nil, err
 	}
 	st := NewState(pl)
-	if err := usable(st.Mus); err != nil {
-		return nil, err
+	if slices.Max(st.Mus) < 1 {
+		return nil, fmt.Errorf("hetero: no worker has memory for µ ≥ 1")
 	}
 
 	nbColumn := func() int {
@@ -243,11 +242,10 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 	// Safety bound: the total number of update-set communications needed
 	// if the slowest-enrolling worker did everything.
 	maxSteps := 0
-	for i, mu := range st.Mus {
+	for _, mu := range st.Mus {
 		if mu < 1 {
 			continue
 		}
-		_ = i
 		chunksPerPanel := (pr.R + mu - 1) / mu
 		panels := (pr.S + mu - 1) / mu
 		maxSteps += panels * chunksPerPanel * pr.T
@@ -296,19 +294,9 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 	// Any residual columns (when the loop above exits on nb-column rounding)
 	// go to the worker with the best local score, preserving termination.
 	for j := 0; j < pr.S; j++ {
-		if alloc.Columns[j] >= 0 {
-			continue
+		if alloc.Columns[j] < 0 {
+			alloc.Columns[j] = st.argmax(pl, st.localScore)
 		}
-		best, bestScore := -1, math.Inf(-1)
-		for i := range pl.Workers {
-			if st.Mus[i] < 1 {
-				continue
-			}
-			if sc := st.localScore(pl, i); sc > bestScore {
-				best, bestScore = i, sc
-			}
-		}
-		alloc.Columns[j] = best
 	}
 
 	alloc.Panels = make([]Panel, pl.P())
@@ -328,14 +316,4 @@ func Allocate(pl *platform.Platform, pr core.Problem, rule Rule) (*Allocation, e
 		p.Updates = int64(p.Columns) * int64(pr.R) * int64(pr.T)
 	}
 	return alloc, nil
-}
-
-// usable fails when no worker's memory holds a chunk of side µ ≥ 1.
-func usable(mus []int) error {
-	for _, mu := range mus {
-		if mu >= 1 {
-			return nil
-		}
-	}
-	return fmt.Errorf("hetero: no worker has memory for µ ≥ 1")
 }

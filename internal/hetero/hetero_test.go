@@ -10,23 +10,13 @@ import (
 	"repro/internal/platform"
 	"repro/internal/steady"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
-
-func mem(mu int) int { return mu*mu + 4*mu }
-
-// table2 is the worked example of §6.2 (Table 2): µ1=6, µ2=18, µ3=10.
-func table2() *platform.Platform {
-	return platform.New(
-		platform.Worker{C: 2, W: 2, M: mem(6)},
-		platform.Worker{C: 3, W: 3, M: mem(18)},
-		platform.Worker{C: 5, W: 1, M: mem(10)},
-	)
-}
 
 // TestTable2GlobalFirstSteps replays the paper's step-by-step trace of the
 // global selection algorithm (§6.2.1).
 func TestTable2GlobalFirstSteps(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	st := NewState(pl)
 	if got := st.Mus; got[0] != 6 || got[1] != 18 || got[2] != 10 {
 		t.Fatalf("µ = %v, want [6 18 10]", got)
@@ -76,7 +66,7 @@ func TestTable2GlobalFirstSteps(t *testing.T) {
 // consecutive communications, one to P2 followed by 12 ones alternating
 // between P1 and P3".
 func TestTable2GlobalPattern(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	st := NewState(pl)
 	for i := 0; i < 13; i++ {
 		st.Step(pl, Global)
@@ -104,7 +94,7 @@ func TestTable2GlobalPattern(t *testing.T) {
 // the same first 13 decisions, then picks P1 where global picks P2, and P2
 // at the 15th decision (Figure 8).
 func TestTable2LocalDivergesAt14(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	g := NewState(pl)
 	l := NewState(pl)
 	for i := 0; i < 13; i++ {
@@ -127,7 +117,7 @@ func TestTable2LocalDivergesAt14(t *testing.T) {
 // TestTable2AsymptoticRatios pins the paper's reported ratios: global
 // 1.17, local 1.21, two-step-ahead 1.30, steady-state upper bound 1.39.
 func TestTable2AsymptoticRatios(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	run := func(rule Rule) float64 {
 		st := NewState(pl)
 		for i := 0; i < 20000; i++ {
@@ -160,7 +150,7 @@ func TestTable2AsymptoticRatios(t *testing.T) {
 }
 
 func TestAllocateCoversAllColumns(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	pr := core.Problem{R: 36, S: 36, T: 10, Q: 80}
 	for _, rule := range []Rule{Global, Local, TwoStep} {
 		alloc, err := Allocate(pl, pr, rule)
@@ -186,7 +176,7 @@ func TestAllocateCoversAllColumns(t *testing.T) {
 }
 
 func TestExecuteConservation(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	pr := core.Problem{R: 36, S: 36, T: 10, Q: 80}
 	for _, rule := range []Rule{Global, Local, TwoStep} {
 		res, alloc, err := Run(pl, pr, rule, ExecOptions{IncludeCIO: true})
@@ -214,7 +204,7 @@ func TestExecuteConservation(t *testing.T) {
 }
 
 func TestExecuteWithoutCIO(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	pr := core.Problem{R: 36, S: 36, T: 10, Q: 80}
 	with, _, err := Run(pl, pr, Global, ExecOptions{IncludeCIO: true})
 	if err != nil {
@@ -233,7 +223,7 @@ func TestExecuteWithoutCIO(t *testing.T) {
 }
 
 func TestExecuteTrace(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	pr := core.Problem{R: 18, S: 18, T: 4, Q: 80}
 	tr := &trace.Trace{}
 	res, _, err := Run(pl, pr, Global, ExecOptions{IncludeCIO: true, Trace: tr})
@@ -256,7 +246,7 @@ func TestAllocateErrors(t *testing.T) {
 	if _, err := Allocate(pl, core.Problem{R: 1, S: 1, T: 1, Q: 1}, Global); err == nil {
 		t.Fatal("µ=0 platform accepted")
 	}
-	if _, err := Allocate(table2(), core.Problem{}, Global); err == nil {
+	if _, err := Allocate(workload.Table2(), core.Problem{}, Global); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }
@@ -295,7 +285,7 @@ func TestQuickRulesInvariants(t *testing.T) {
 // rule and checks that deeper horizons do not degrade the asymptotic
 // ratio on the Table 2 platform.
 func TestLookaheadGeneralizesTwoStep(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	a := NewState(pl)
 	b := NewState(pl)
 	for i := 0; i < 200; i++ {
@@ -311,7 +301,7 @@ func TestLookaheadGeneralizesTwoStep(t *testing.T) {
 }
 
 func TestLookaheadDepthImproves(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	ratio := func(k, steps int) float64 {
 		st := NewState(pl)
 		for i := 0; i < steps; i++ {
@@ -335,7 +325,7 @@ func TestLookaheadDepthImproves(t *testing.T) {
 }
 
 func TestLookaheadFloorsAtOne(t *testing.T) {
-	pl := table2()
+	pl := workload.Table2()
 	st := NewState(pl)
 	// k < 1 is clamped; the call must still commit a selection
 	if w := st.StepLookahead(pl, 0); w < 0 || w > 2 {

@@ -102,7 +102,8 @@ func Select(pl *platform.Platform, pr core.Problem) (Selection, error) {
 
 // ChunkGrid cuts the r×s block grid of C into side×side chunks (ragged at
 // the borders) and returns them indexed by [panel][rowChunk], plus a flat
-// row-major pool ordering for demand-driven algorithms.
+// panel-major pool for demand-driven algorithms: down each column panel,
+// panels left to right, so chunk (1,0) comes before chunk (0,1).
 func ChunkGrid(pr core.Problem, side int) (grid [][]*sim.Chunk, pool []*sim.Chunk) {
 	id := 0
 	for j0 := 0; j0 < pr.S; j0 += side {

@@ -97,6 +97,10 @@ func TestChunkGridCoverage(t *testing.T) {
 	if len(pool) != 6 { // 2 panels × ceil(7/3)=3 row chunks
 		t.Fatalf("%d chunks, want 6", len(pool))
 	}
+	// The pool is panel-major: down the first column panel first.
+	if p := pool[1]; p.I0 != 3 || p.J0 != 0 {
+		t.Fatalf("pool[1] at (%d,%d), want (3,0)", p.I0, p.J0)
+	}
 	covered := make([][]bool, pr.R)
 	for i := range covered {
 		covered[i] = make([]bool, pr.S)

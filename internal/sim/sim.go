@@ -23,11 +23,12 @@
 //
 // Run is the repository's one model of the paper's one-port star. Each
 // caller only builds chunks, queues and a policy: the seven §8 algorithms
-// (internal/algorithms), the §6.2 execution phase and the demand-driven
-// heterogeneous baseline (internal/hetero), and §7.2's LU list schedule
-// (internal/lu). It models no failures: worker loss, requeue and
-// fleet-scale runs drive the cluster scheduler itself (fleet.Run,
-// package internal/fleet).
+// (internal/algorithms), the §6.2 execution phase (internal/hetero),
+// §7.2's LU list schedule (internal/lu), and the demand-driven
+// heterogeneous baseline, whose chunks the cluster scheduler itself
+// hands out (fleet.RunOnePort, package internal/fleet). It models no
+// failures: worker loss, requeue and fleet-scale runs drive the cluster
+// scheduler in fleet.Run.
 package sim
 
 import (
@@ -128,7 +129,9 @@ type Input struct {
 	// carves a chunk for an idle worker: Source(w, false) peeks the chunk
 	// worker w would take next (nil: none for w) and is called whenever
 	// candidates are listed; Source(w, true) claims and returns it, and
-	// is called only when w's SendC is picked.
+	// is called only when w's SendC is picked. A supply may commit a
+	// chunk to w at its first peek, provided every later peek returns
+	// that same chunk until the claim.
 	Queues [][]*Chunk
 	Pool   []*Chunk
 	Source func(w int, claim bool) *Chunk

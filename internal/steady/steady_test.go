@@ -7,10 +7,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
-// mem returns the smallest memory giving exactly µ under the overlapped
-// layout (µ² + 4µ ≤ m).
 // enrolled counts the workers with a positive share.
 func enrolled(sol Solution) int {
 	n := 0
@@ -22,6 +21,8 @@ func enrolled(sol Solution) int {
 	return n
 }
 
+// mem returns the smallest memory giving exactly µ under the overlapped
+// layout (µ² + 4µ ≤ m).
 func mem(mu int) int { return mu*mu + 4*mu }
 
 // table1 is the platform of Table 1 of the paper: the bandwidth-centric
@@ -31,15 +32,6 @@ func table1() *platform.Platform {
 	return platform.New(
 		platform.Worker{C: 1, W: 2, M: mem(2)},
 		platform.Worker{C: 20, W: 40, M: mem(2)},
-	)
-}
-
-// table2 is the platform of Table 2 (µ1=6, µ2=18, µ3=10).
-func table2() *platform.Platform {
-	return platform.New(
-		platform.Worker{C: 2, W: 2, M: mem(6)},
-		platform.Worker{C: 3, W: 3, M: mem(18)},
-		platform.Worker{C: 5, W: 1, M: mem(10)},
 	)
 }
 
@@ -78,7 +70,7 @@ func TestTable1Infeasible(t *testing.T) {
 }
 
 func TestTable2Throughput(t *testing.T) {
-	sol, err := Solve(table2())
+	sol, err := Solve(workload.Table2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +95,7 @@ func TestTable2Throughput(t *testing.T) {
 }
 
 func TestTable2EnrollmentOrder(t *testing.T) {
-	sol, err := Solve(table2())
+	sol, err := Solve(workload.Table2())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,18 @@ func UTK(q, memMB, workers int) *platform.Platform {
 	return platform.Homogeneous(workers, c, w, platform.MemoryBlocks(int64(memMB)<<20, q))
 }
 
+// Table2 builds the worked example of §6.2 (Table 2): P1(c=2, w=2),
+// P2(3, 3) and P3(5, 1), with the memories that give µ = 6, 18 and 10
+// under the overlapped layout (µ² + 4µ blocks).
+func Table2() *platform.Platform {
+	m := func(mu int) int { return core.ChunkFootprint(mu, mu, 2) }
+	return platform.New(
+		platform.Worker{C: 2, W: 2, M: m(6)},
+		platform.Worker{C: 3, W: 3, M: m(18)},
+		platform.Worker{C: 5, W: 1, M: m(10)},
+	)
+}
+
 // HeterogeneityLevel describes one point of the heterogeneity sweep the
 // paper announces for its final version: independent spreads for link
 // bandwidth, compute speed and memory.

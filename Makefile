@@ -17,9 +17,10 @@ test-race:
 
 # flake is the flake budget: the cross-transport conformance table many
 # times over (its kill cases must complete on the survivors whatever
-# the scheduler does with two cores), with the pushed sets' cache budget,
-# the feeder's join of a parked Send and its commit of a flush that
-# reached it before the worker hung up, then the three packages whose
+# the scheduler does with two cores, computing nothing twice), with the
+# pushed sets' cache budget beside a tile on its way home, the feeder's
+# join of a parked Send and its commit of a tile the worker sent home
+# unasked just before it hung up, then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
 # that passes "most runs". Then the same three under the poolcheck

@@ -90,21 +90,20 @@ func (a AdaptiveConfig) StragglerGain(holder, idle stats.Profile, updates, trans
 // live profiles and the task's dispatch timestamp), the one a duplicate
 // saves the most time on, equal gains going to the lowest (Job, Seq),
 // then the lowest holder id, so the choice does not follow map order.
-// At most one duplicate per seq, within the attempt budget; the first
+// At most one duplicate per seq, within the attempt budget and w's
+// memory; the first
 // finished copy wins and revokes the others (resolveSpeculationLocked).
-// Returns the duplicate to dispatch, or nil; the flag reports a
-// worthwhile duplicate that only w's memory blocks.
-func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
+// Returns the duplicate to dispatch, or nil.
+func (cl *Cluster) speculateLocked(w *workerState, held int) *Task {
 	ad := cl.cfg.Adaptive
 	if !ad.Enabled || ad.SpeculationFactor <= 0 {
-		return nil, false
+		return nil
 	}
 	my, _ := cl.est.Profile(w.id)
 	now := cl.clock.Now()
 	var best *Task
 	var bestGain float64
 	var bestHolder string
-	memBlocked := false
 	for _, h := range cl.reg.workers {
 		if h == w || h.dead || len(h.inflight) == 0 {
 			continue
@@ -119,16 +118,10 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 			blocks := int64(t.Rows*t.Cols + t.Steps*(t.Rows+t.Cols)) // C tile and update sets
 			gain, ok := ad.StragglerGain(hp, my, float64(t.updates()), float64(blocks*q*q*8),
 				now.Sub(t.started).Seconds())
-			// At most one duplicate per seq; the attempt budget is peeked
-			// without consuming a number.
-			if !ok || j.specActive[t.Seq] || j.attempts[t.Seq]+1 >= cl.cfg.MaxAttempts {
-				continue
-			}
-			if w.mem > 0 && held+footprint(t.Rows, t.Cols) > w.mem {
-				// A worthwhile duplicate that only memory blocks: report
-				// it so the dispatcher can demand a flush of this
-				// worker's resident results and retry.
-				memBlocked = true
+			// At most one duplicate per seq, and one that fits w; the
+			// attempt budget is peeked without consuming a number.
+			if !ok || j.specActive[t.Seq] || j.attempts[t.Seq]+1 >= cl.cfg.MaxAttempts ||
+				w.mem > 0 && held+footprint(t.Rows, t.Cols) > w.mem {
 				continue
 			}
 			if best == nil || gain > bestGain || gain == bestGain && specTieBefore(t, h.id, best, bestHolder) {
@@ -137,7 +130,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 		}
 	}
 	if best == nil {
-		return nil, memBlocked
+		return nil
 	}
 	j := cl.jobs[best.Job]
 	nt := *best
@@ -153,7 +146,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) (*Task, bool) {
 		w.lastAt = make(map[JobID][2]int)
 	}
 	w.lastAt[nt.Job] = [2]int{nt.I0, nt.J0}
-	return &nt, false
+	return &nt
 }
 
 // specTieBefore orders two speculation candidates of equal gain: the
@@ -170,7 +163,7 @@ func specTieBefore(t *Task, holder string, best *Task, bestHolder string) bool {
 
 // resolveSpeculationLocked runs when the first copy of a speculated seq
 // finishes (a session's Acked accepted the winner): every other
-// in-flight copy is revoked, so the losers' later acks and flushes all
+// in-flight copy is revoked, so the losers' later acks and tiles all
 // take the stale paths — ErrStaleTask there,
 // skipped ids in CommitFlush — and the committed value is written
 // exactly once. A loser's session still holds its copy, and so the

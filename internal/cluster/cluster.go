@@ -141,8 +141,8 @@ type Stats struct {
 	// JobsQuarantined counts the Failed jobs that exhausted their retry
 	// budget (poison jobs); they are included in JobsFailed.
 	JobsQuarantined int
-	// DirtyBlocks counts C tiles resident on live workers awaiting a
-	// flush commit.
+	// DirtyBlocks counts C tiles live workers have acknowledged and not
+	// yet committed.
 	DirtyBlocks int
 	// FlushedBlocks counts C tiles committed via flush manifests over
 	// the cluster's lifetime.
@@ -610,10 +610,10 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 		delete(w.inflight, k)
 		cl.requeueLocked(t, false)
 	}
-	// C tiles the dead worker had acknowledged but not flushed died with
-	// its result cache; requeue exactly those tasks so the lost updates
-	// are recomputed from the master-owned matrices (which a dirty task
-	// never modified — commit is the only write).
+	// C tiles the dead worker had acknowledged but whose FlushResult
+	// never landed died with it; requeue exactly those tasks so the lost
+	// updates are recomputed from the master-owned matrices (which a
+	// dirty task never modified — commit is the only write).
 	for k, dt := range w.dirty {
 		delete(w.dirty, k)
 		cl.requeueLocked(dt.task, true)
@@ -627,8 +627,8 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 // backoff has elapsed; MaxAttempts bounds the attempts per seq. The copy
 // leaves the shared pointer alone: the lost worker's transport goroutine
 // may still be reading the old Task, and the fresh attempt also makes
-// its late completion key stale. fromDirty distinguishes tasks lost from
-// a worker's result cache (acknowledged, awaiting flush) from tasks lost
+// its late completion key stale. fromDirty distinguishes tasks lost
+// between their acknowledgement and their tile's commit from tasks lost
 // in flight; the two decrement different job counters. A lost copy
 // whose speculative duplicate is still in flight on a live worker is
 // simply dropped: the surviving copy carries the work.
@@ -680,45 +680,20 @@ func footprint(rows, cols int) int {
 	return core.ChunkFootprint(rows, cols, 1)
 }
 
-// needFlushLocked reports whether the dispatcher should demand a flush
-// of the worker's resident results instead of handing out more work:
-// either the worker has accumulated a full pipeline generation of
-// unflushed tasks (bounding what a crash can lose — and what a requeue
-// must recompute — to roughly slots+inflight tasks), or some job is
-// waiting only on this worker's flush commits to finish or to open its
-// next LU stage.
-func (cl *Cluster) needFlushLocked(w *workerState) bool {
-	if len(w.dirty) >= w.slots {
-		return true
-	}
-	for _, dt := range w.dirty {
-		j := cl.jobs[dt.task.Job]
-		if j != nil && j.state == Running && j.dirty > 0 && j.drained() {
-			return true
-		}
-	}
-	return false
-}
-
 // takeLocked picks the next task that fits the asking worker's free
 // slots and advertised memory, scanning running jobs round-robin from the
 // last served position so concurrent jobs share the workers fairly. The
 // memory budget covers everything the worker already holds — in-flight
-// footprints plus the C tiles parked in its result cache awaiting flush
-// — so pipelining never oversubscribes the advertised capacity.
-//
-// The second result asks the caller to flush the worker's resident
-// results instead of dispatching: either a job is waiting only on this
-// worker's flush commits, or the worker's dirty tiles are what keeps
-// the next task from fitting its memory.
-func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
+// footprints plus the acknowledged C tiles still on their way home — so
+// pipelining never oversubscribes the advertised capacity. A worker
+// whose own dirty tiles keep its next task from fitting gets nothing:
+// their commit, right behind the acknowledgement, frees the room and
+// wakes it.
+func (cl *Cluster) takeLocked(w *workerState) *Task {
 	cl.pruneLiveLocked()
 	cl.promoteLocked()
-	if cl.needFlushLocked(w) {
-		return nil, true
-	}
 	if len(w.inflight) >= w.slots {
-		return nil, false // every slot busy; an ack will wake us
+		return nil // every slot busy; an ack will wake us
 	}
 	held := 0
 	if w.mem > 0 {
@@ -729,7 +704,6 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 			held += dt.task.Rows * dt.task.Cols
 		}
 	}
-	memBlocked := false
 	now := cl.clock.Now()
 	var soonest time.Time // earliest backoff expiry among skipped work
 	n := len(cl.live)
@@ -739,26 +713,20 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 		if j.state != Running {
 			continue
 		}
-		t, blocked := cl.takeFromLocked(j, w, held, now, &soonest)
-		if t != nil {
+		if t := cl.takeFromLocked(j, w, held, now, &soonest); t != nil {
 			cl.dispatchLocked(j, w, t, i)
-			return t, false
+			return t
 		}
-		memBlocked = memBlocked || blocked
 	}
 	cl.armBackoffWakeLocked(now, soonest)
-	if !memBlocked {
-		// Nothing fresh fits this worker; consider duplicating a
-		// straggling in-flight task onto it (first finished copy wins).
-		t, specBlocked := cl.speculateLocked(w, held)
-		if t != nil {
-			return t, false
-		}
-		// A duplicate worth dispatching exists but this worker's resident
-		// results crowd it out: flushing them frees the blocks.
-		memBlocked = specBlocked && len(w.dirty) > 0
+	if len(w.dirty) > 0 {
+		// Fresh work goes before duplicates, and the commit on its way
+		// may free the room for some: wait for it.
+		return nil
 	}
-	return nil, memBlocked
+	// Nothing fresh fits this worker; consider duplicating a straggling
+	// in-flight task onto it (first finished copy wins).
+	return cl.speculateLocked(w, held)
 }
 
 // takeFromLocked hands worker w, which already holds held blocks, its
@@ -767,10 +735,10 @@ func (cl *Cluster) takeLocked(w *workerState) (*Task, bool) {
 // side from ChunkSide, its place from the tour rule, starting at w's
 // previous chunk of the job. A lost copy that no live worker's memory
 // can hold goes back to the cutter, to be re-cut at a side the
-// survivors hold. The flag reports work that only w's resident results
-// keep from fitting; soonest learns the earliest retry backoff still
+// survivors hold; one that only w's dirty tiles keep from fitting waits
+// for their commit. soonest learns the earliest retry backoff still
 // running.
-func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Time, soonest *time.Time) (*Task, bool) {
+func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Time, soonest *time.Time) *Task {
 	fits := func(rows, cols int) bool {
 		return w.mem <= 0 || held+footprint(rows, cols) <= w.mem
 	}
@@ -782,20 +750,20 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 		switch {
 		case fits(t.Rows, t.Cols):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
-			return t, false
+			return t
 		case len(w.dirty) > 0:
-			return nil, true // flushing the resident results frees their blocks
+			return nil // committing the dirty tiles frees their blocks
 		case !cl.anyWorkerHasMemLocked(footprint(t.Rows, t.Cols)):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			if err := j.handBack(t); err != nil {
 				cl.failJobLocked(j, err)
-				return nil, false
+				return nil
 			}
 		}
 		break // the copy waits for a worker that holds it
 	}
 	if j.cutter.Empty() {
-		return nil, false
+		return nil
 	}
 	p, _ := cl.est.Profile(w.id)
 	mu := cl.cfg.Adaptive.ChunkSide(p, j.steps(), j.spec.Mu, w.mem)
@@ -805,7 +773,7 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 				"cluster: job %d needs %d blocks for a 1×1 chunk but no live worker advertises that much memory",
 				j.id, need))
 		}
-		return nil, false
+		return nil
 	}
 	var cur *[2]int
 	if at, ok := w.lastAt[j.id]; ok {
@@ -813,9 +781,9 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 	}
 	i0, j0, rows, cols, _ := j.cutter.Next(mu, cur)
 	if !fits(rows, cols) {
-		return nil, len(w.dirty) > 0
+		return nil
 	}
-	return j.cutTask(i0, j0, rows, cols), false
+	return j.cutTask(i0, j0, rows, cols)
 }
 
 // dispatchLocked records the bookkeeping of handing task t of job j to
@@ -873,9 +841,9 @@ func (cl *Cluster) anyWorkerHasMemLocked(need int) bool {
 }
 
 // ackLocked records that worker w finished computing a task whose C
-// tiles stay resident in its result cache: the task leaves the
-// in-flight set — freeing its slot — and its tiles turn dirty until a
-// flush manifest commits them into the job matrix. An ack for an
+// tiles follow the acknowledgement: the task leaves the in-flight set —
+// freeing its slot — and its tiles turn dirty until their flush
+// manifest commits them into the job matrix. An ack for an
 // assignment the worker no longer holds in flight returns ErrStaleTask.
 func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
@@ -887,7 +855,7 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	j := cl.jobs[t.Job]
 	if j == nil || j.state != Running {
 		// Job failed or closed while the task was out; the worker's now
-		// untracked tiles will be skipped at flush time. The slot and
+		// untracked tiles will be skipped at commit time. The slot and
 		// memory the ack frees must still wake dispatchers blocked in
 		// Next — returning without a Broadcast strands them until some
 		// unrelated event happens to fire one.
@@ -896,9 +864,9 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 		return nil
 	}
 	// A speculated seq resolves at the first ack: the loser's own ack
-	// will find its copy revoked (ErrStaleTask), and the tiles it
-	// inserted into its result cache are skipped at flush time because
-	// they were never registered in its dirty-tile map.
+	// will find its copy revoked (ErrStaleTask), and the tiles it sends
+	// home are skipped at commit time because they were never
+	// registered in its dirty-tile map.
 	cl.resolveSpeculationLocked(j, t)
 	j.inflight--
 	j.dirty++
@@ -907,24 +875,22 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	for id := range t.tiles {
 		w.dirtyTiles[id] = dt
 	}
-	// The ack frees a slot and (once flushed) memory; dispatchers blocked
-	// on either must re-evaluate, and so must a dispatcher that now needs
-	// to demand this worker's flush.
+	// The ack frees a slot and (once committed) memory; dispatchers
+	// blocked on either must re-evaluate.
 	cl.promoteLocked()
 	cl.cond.Broadcast()
 	return nil
 }
 
 // commitFlushLocked applies one flush manifest from worker w: each id
-// names a resident C tile (engine.CBlockID) and each block carries its
-// final value. Commit is a copy, never an add — the worker continued
+// names a C tile of an acknowledged task (engine.CBlockID) and each
+// block carries its final value. Commit is a copy, never an add — the worker continued
 // the tile's serial FMA chain in place, so the committed value is
 // bit-exact with the sequential order. IDs the cluster no longer tracks
 // — the task was requeued after a presumed loss, or its job finished or
 // failed meanwhile — are skipped, not errors: a flush can legitimately
-// cross a requeue in flight. An empty manifest is a valid answer and
-// still clears the worker's flush-pending gate. A dead incarnation's
-// flush is refused (ErrUnknownWorker): its tiles were requeued.
+// cross a requeue in flight. A dead incarnation's flush is refused
+// (ErrUnknownWorker): its tiles were requeued.
 func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]float64) error {
 	if w.dead {
 		return ErrUnknownWorker
@@ -953,7 +919,6 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 				bid, len(blocks[n]), q*q)
 		}
 	}
-	w.flushPending = false
 	w.lastSeen = cl.clock.Now()
 	if cl.verify.Mode != VerifyOff {
 		cl.verifyFlushLocked(w, ids, blocks)

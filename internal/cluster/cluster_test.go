@@ -135,16 +135,6 @@ func complete(s *Session, tk *Task, blocks [][]float64) error {
 	return s.CommitFlush(ids, blocks)
 }
 
-// tileIDs is the flush manifest of a computed assignment: its tiles' C
-// block IDs, row-major.
-func tileIDs(as *engine.Assign) []uint64 {
-	ids := make([]uint64, len(as.Blocks))
-	for n := range ids {
-		ids[n] = engine.CBlockID(as.ID.A, as.I0+n/as.Cols, as.J0+n%as.Cols)
-	}
-	return ids
-}
-
 // setOf materializes the k-th update set of any task, held or not: the
 // guard a released job's operands meet.
 func setOf(cl *Cluster, tk *Task, k int) error {

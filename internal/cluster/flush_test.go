@@ -12,9 +12,9 @@ import (
 
 // TestKillWorkerWithDirtyCRequeuesExactly is the recovery oracle for the
 // single-flush result path, driven through the worker's Session by
-// hand so the crash point is deterministic: a worker acks two tasks (their C
-// tiles stay resident and dirty, never flushed), holds a third in
-// flight, and dies. Exactly those three tasks — no more, no fewer —
+// hand so the crash point is deterministic: a worker acks two tasks
+// (their C tiles dirty: it dies before their FlushResults land), holds
+// a third in flight, and dies. Exactly those three tasks — no more, no fewer —
 // must be requeued, a flush from the dead incarnation must be refused,
 // and a healthy worker must then recompute the affected updates to a
 // bit-exact finish, since the master's C blocks were never touched by
@@ -28,8 +28,8 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Slots 4 keeps the pipeline-generation flush rule (dirty ≥ slots)
-	// out of the way: the worker can turn two tasks dirty and still pull.
+	// Slots 4 and memory 64: the worker can turn two tasks dirty and
+	// still pull a third.
 	doomed := join(t, cl, "doomed", 64, 4)
 	t1 := pullTask(t, doomed)
 	t2 := pullTask(t, doomed)
@@ -89,7 +89,7 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	}
 }
 
-// TestAckCommitFlushLifecycle drives one task through the resident
+// TestAckCommitFlushLifecycle drives one task through the result
 // lifecycle by hand: ack leaves the job unfinished (the tile is dirty,
 // not done), the flush commit copies — not adds — the worker's final
 // value into the job matrix, and only the commit retires the task.

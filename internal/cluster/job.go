@@ -215,8 +215,8 @@ type job struct {
 	// pending holds lost copies awaiting redispatch (head is next).
 	pending  []*Task
 	inflight int
-	// dirty counts tasks acknowledged by their worker (the values live in
-	// its result cache) but not yet flush-committed into the job matrix.
+	// dirty counts tasks acknowledged by their worker (the values follow
+	// the acknowledgement) but not yet flush-committed into the job matrix.
 	// The job is not finished — and an LU stage cannot advance — until
 	// every dirty task commits.
 	dirty int

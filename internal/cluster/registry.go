@@ -33,8 +33,8 @@ type WorkerInfo struct {
 	SessBlocksSkipped int64
 	SessBytesSaved    int64
 
-	// Result-residency accounting.
-	DirtyBlocks   int   // C blocks acked on the worker, not yet flushed
+	// Result accounting.
+	DirtyBlocks   int   // C blocks acked by the worker, not yet committed
 	FlushedBlocks int64 // C blocks committed via flush over the lifetime
 
 	// Wire-byte accounting from the transport's per-conn counters, as
@@ -81,8 +81,8 @@ func (wi WorkerInfo) SessionCacheHitRate() float64 {
 	return float64(wi.SessBlocksSkipped) / float64(total)
 }
 
-// dirtyTask tracks one acknowledged task whose C tiles are resident on
-// the worker awaiting flush. left counts tiles not yet committed.
+// dirtyTask tracks one acknowledged task whose C tiles have not all
+// committed yet. left counts tiles not yet committed.
 type dirtyTask struct {
 	task *Task
 	left int
@@ -117,14 +117,10 @@ type workerState struct {
 	wireIn      int64
 	sessWireOut int64
 	sessWireIn  int64
-	// Result residency: tasks acked but not yet flush-committed, and the
-	// individual C tiles they hold (keyed by engine.CBlockID).
+	// Dirty results: tasks acked whose tiles have not yet committed, and
+	// those C tiles (keyed by engine.CBlockID).
 	dirty      map[engine.AssignID]*dirtyTask
 	dirtyTiles map[uint64]*dirtyTask
-	// flushPending marks that the dispatcher has been told to flush and
-	// no commit has arrived yet; it keeps Next from demanding a
-	// second flush for the same quiescent state.
-	flushPending bool
 	// flushed counts C blocks committed via CommitFlush over the
 	// worker's lifetime (carried across incarnations).
 	flushed int64
@@ -136,8 +132,8 @@ type workerState struct {
 	quarantined     bool
 }
 
-// dirtyBlocks returns the number of C tiles resident on the worker
-// awaiting flush.
+// dirtyBlocks returns the number of the worker's acknowledged C tiles
+// not yet committed.
 func (w *workerState) dirtyBlocks() int { return len(w.dirtyTiles) }
 
 // registry is the membership table: join/leave plus heartbeat-based

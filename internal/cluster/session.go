@@ -52,20 +52,18 @@ type SessionReport struct {
 // Next pulls this incarnation's next task, blocking until one is
 // available, and takes the session's hold on it in the same critical
 // section that dispatches it. A closed cluster is the clean end of the
-// feed (engine.ErrFeedDone); engine.ErrFlushWanted (with a nil
-// assignment) asks for the worker's resident results before more
-// dispatch, and Next does not ask again until CommitFlush delivers the
-// manifest. Pulling a task counts as a heartbeat.
+// feed (engine.ErrFeedDone). Pulling a task counts as a heartbeat.
 //
-// The worker keeps the task's C tiles in its result cache and flushes
-// each once; all-zero tiles ship as a CZero flag instead of a payload.
+// The worker sends the task's C tiles home once, right behind its
+// acknowledgement; all-zero tiles ship down as a CZero flag instead of
+// a payload.
 func (s *Session) Next() (*engine.Assign, error) {
 	return s.next(true)
 }
 
 // TryNext is Next without the wait: where Next would block it returns
 // a nil assignment and a nil error, counting no park and taking no
-// hold. Every other answer, engine.ErrFlushWanted included, is Next's.
+// hold. Every other answer is Next's.
 func (s *Session) TryNext() (*engine.Assign, error) {
 	return s.next(false)
 }
@@ -117,8 +115,7 @@ func (s *Session) nextLocked(wait bool) (*Task, error) {
 			s.nextErr = ErrUnknownWorker
 			return nil, s.nextErr
 		}
-		t, flush := cl.takeLocked(w)
-		if t != nil {
+		if t := cl.takeLocked(w); t != nil {
 			t.started = cl.clock.Now()
 			w.inflight[t.key()] = t
 			w.lastSeen = t.started
@@ -133,11 +130,6 @@ func (s *Session) nextLocked(wait bool) (*Task, error) {
 				cl.cond.Broadcast()
 			}
 			return t, nil
-		}
-		if flush && !w.flushPending {
-			w.flushPending = true
-			w.lastSeen = cl.clock.Now()
-			return nil, engine.ErrFlushWanted
 		}
 		if !wait {
 			return nil, nil
@@ -177,9 +169,9 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	return set, nil
 }
 
-// Acked retires a held assignment whose result tiles stay resident on
-// the worker: the task leaves the in-flight set and its tiles turn
-// dirty until a flush commits them. A task the scheduler already
+// Acked retires a held assignment whose result tiles follow the
+// acknowledgement: the task leaves the in-flight set and its tiles turn
+// dirty until CommitFlush commits them. A task the scheduler already
 // reassigned is reported stale (ErrStaleTask).
 func (s *Session) Acked(id engine.AssignID) error {
 	s.cl.mu.Lock()
@@ -192,9 +184,9 @@ func (s *Session) Acked(id engine.AssignID) error {
 	return s.cl.ackLocked(s.w, task)
 }
 
-// CommitFlush applies one flush manifest from the worker; ids the
-// scheduler no longer tracks are skipped (the flush may have crossed a
-// requeue in flight).
+// CommitFlush applies one flush manifest from the worker — the tile of
+// an assignment it has acknowledged; ids the scheduler no longer tracks
+// are skipped (the tile may have crossed a requeue in flight).
 func (s *Session) CommitFlush(ids []uint64, blocks [][]float64) error {
 	s.cl.mu.Lock()
 	defer s.cl.mu.Unlock()

@@ -9,9 +9,8 @@ import (
 
 // TestTryNextContract pins Session.TryNext, Next without the wait:
 // (nil, nil) where Next would block, counting no park and taking no
-// hold; one engine.ErrFlushWanted per flush demand, then (nil, nil)
-// until CommitFlush; and, for a closed cluster, a lost incarnation and
-// a quarantined one, exactly Next's answer.
+// hold; and, for a closed cluster, a lost incarnation and a
+// quarantined one, exactly Next's answer.
 func TestTryNextContract(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 10,
 		Verify: VerifyPolicy{Mode: VerifyAll, QuarantineStrikes: 1}})
@@ -63,14 +62,7 @@ func TestTryNextContract(t *testing.T) {
 	if err := s.Acked(first.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The acked tile fills the one slot's result cache: the scheduler
-	// demands it once, and waits for it.
-	if as, err := guarded(t, s.TryNext); as != nil || !errors.Is(err, engine.ErrFlushWanted) {
-		t.Fatalf("TryNext with a full result cache = (%v, %v), want ErrFlushWanted", as, err)
-	}
-	idle("flush demanded")
-	idle("flush still demanded")
-	if err := s.CommitFlush(tileIDs(first), first.Blocks); err != nil {
+	if err := s.CommitFlush(first.TileIDs(), first.Blocks); err != nil {
 		t.Fatal(err)
 	}
 	// A corrupt tile is refused at flush, and the one strike quarantines.
@@ -79,7 +71,7 @@ func TestTryNextContract(t *testing.T) {
 	if err := s.Acked(bad.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitFlush(tileIDs(bad), bad.Blocks); err != nil {
+	if err := s.CommitFlush(bad.TileIDs(), bad.Blocks); err != nil {
 		t.Fatal(err)
 	}
 	answers(s, ErrWorkerQuarantined)

@@ -118,7 +118,7 @@ func finishTask(t *testing.T, s *Session, as *engine.Assign) {
 		err = s.Acked(as.ID)
 	}
 	if err == nil {
-		err = s.CommitFlush(tileIDs(as), as.Blocks)
+		err = s.CommitFlush(as.TileIDs(), as.Blocks)
 	}
 	if err != nil {
 		t.Fatal(err)

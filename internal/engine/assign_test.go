@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +49,97 @@ func TestRunAssignMatchesRunWorker(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWorkerSendsTileBehindResult: RunWorker sends each finished tile
+// home unasked. A scripted master over engine.Pipe pushes a job's
+// assignments one at a time, each with its update sets, and sends
+// nothing else until its Bye. Per assignment it must receive the
+// Result, then a FlushResult carrying the tile's CBlockIDs row-major and
+// blocks bit-exact with RunAssign's tile of the same assignment.
+func TestWorkerSendsTileBehindResult(t *testing.T) {
+	const r, tt, s, q = 5, 3, 3, 4 // µ = 2 leaves ragged chunks
+	a, b, c, _ := buildInputs(t, r, tt, s, q)
+	job := newTestJob(c, a, b, 2, true)
+	feed := job.session()
+	master, worker := engine.Pipe()
+	defer master.Close()
+	type outcome struct {
+		rep engine.WorkerReport
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rep, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1})
+		done <- outcome{rep, err}
+	}()
+	recv := func() engine.Msg {
+		t.Helper()
+		got := make(chan engine.Msg, 1)
+		go func() {
+			m, _ := master.Recv()
+			got <- m
+		}()
+		select {
+		case m := <-got:
+			return m
+		case <-time.After(5 * time.Second):
+			t.Fatal("the worker sent nothing within 5s")
+			return nil
+		}
+	}
+	var builder engine.SetBuilder
+	for _, ch := range job.chunks {
+		feed.held[chunkID(ch)] = ch
+		ref := job.assign(ch)
+		if err := engine.RunAssign(ref, feed, engine.NewBlockPool()); err != nil {
+			t.Fatal(err)
+		}
+		as := job.assign(ch)
+		id, steps := as.ID, as.Steps
+		if err := master.Send(as); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < steps; k++ {
+			set, err := feed.Set(id, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := master.Send(builder.Filter(set, 0, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res, ok := recv().(*engine.Result); !ok || res.ID != id {
+			t.Fatalf("chunk %d: got %#v, want the Result of %v", ch.ID, res, id)
+		}
+		fr, ok := recv().(*engine.FlushResult)
+		if !ok {
+			t.Fatalf("chunk %d: the Result was not followed by a FlushResult", ch.ID)
+		}
+		var ids []uint64
+		for n := 0; n < ch.Rows*ch.Cols; n++ {
+			ids = append(ids, engine.CBlockID(id.A, ch.I0+n/ch.Cols, ch.J0+n%ch.Cols))
+		}
+		if !slices.Equal(fr.IDs, ids) || len(fr.Blocks) != len(ids) {
+			t.Fatalf("chunk %d: FlushResult carries ids %x and %d blocks, want %x", ch.ID, fr.IDs, len(fr.Blocks), ids)
+		}
+		for n, blk := range fr.Blocks {
+			if !slices.Equal(blk, ref.Blocks[n]) {
+				t.Fatalf("chunk %d: tile block %d differs from RunAssign's", ch.ID, n)
+			}
+		}
+	}
+	if err := master.Send(engine.Bye{}); err != nil {
+		t.Fatal(err)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if want := int64(r * s); out.rep.Flushed != want || out.rep.Assignments != len(job.chunks) {
+		t.Fatalf("worker reports %d assignments and %d blocks sent home, want %d and %d",
+			out.rep.Assignments, out.rep.Flushed, len(job.chunks), want)
 	}
 }
 

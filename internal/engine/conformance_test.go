@@ -75,8 +75,8 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 
 // testJob is a scripted one-job scheduler behind the engine's Feed
 // interface: the job's µ-chunks in one FIFO shared by every worker
-// session (one testFeed each), requeued when a session is lost. Every
-// session flushes once the FIFO runs dry. With flagged set, tasks go
+// session (one testFeed each), requeued when a session is lost. With
+// flagged set, tasks go
 // out with C flags (zero tiles as CZero, the rest CShip), as the
 // cluster sends them; otherwise without, which means every tile ships.
 // stale marks revoked assignments whose operands the job let go of: Set
@@ -118,14 +118,13 @@ func (j *testJob) session() *testFeed {
 }
 
 // testFeed is one session's view of a testJob: the chunks it holds in
-// flight and the acknowledged tiles its worker holds dirty.
+// flight and the acknowledged tiles not yet committed.
 type testFeed struct {
-	job          *testJob
-	held         map[engine.AssignID]*chunk
-	dirty        map[uint64]*chunk // C block ID → chunk, acked and unflushed
-	flushLeft    map[*chunk]int    // dirty tiles per acked chunk
-	flushPending bool
-	lost         bool
+	job       *testJob
+	held      map[engine.AssignID]*chunk
+	dirty     map[uint64]*chunk // C block ID → chunk, acked and uncommitted
+	flushLeft map[*chunk]int    // dirty tiles per acked chunk
+	lost      bool
 }
 
 func (f *testFeed) Next() (*engine.Assign, error) {
@@ -143,9 +142,6 @@ func (f *testFeed) Next() (*engine.Assign, error) {
 			j.pending = j.pending[1:]
 			f.held[chunkID(ch)] = ch
 			return j.assign(ch), nil
-		case len(f.dirty) > 0 && !f.flushPending:
-			f.flushPending = true
-			return nil, engine.ErrFlushWanted
 		}
 		j.cond.Wait()
 	}
@@ -221,7 +217,6 @@ func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer j.cond.Broadcast()
-	f.flushPending = false
 	for n, id := range ids {
 		ch := f.dirty[id]
 		if ch == nil {
@@ -244,7 +239,7 @@ func (f *testFeed) ObserveCompute(engine.AssignID, int64, int64) {}
 func (j *testJob) requeue(ch *chunk) { j.pending = append([]*chunk{ch}, j.pending...) }
 
 // Lost requeues everything the session held: its chunks in flight and
-// the chunks whose tiles died dirty in its worker's result cache.
+// the acknowledged chunks whose tiles never arrived.
 func (f *testFeed) Lost() {
 	j := f.job
 	j.mu.Lock()
@@ -395,13 +390,14 @@ func checkPushSchedule(t *testing.T, master, worker msgCounts, doomed bool) {
 
 // TestEngineConformance is the cross-transport table. Every case runs
 // on the channel pipe and on TCP framing and must produce the oracle
-// product bit for bit and the exact update count, flush every C tile
-// exactly once, and keep the pushed schedule (checkPushSchedule). A kill case loses worker 0 mid-job and must
-// complete on the survivors: what the doomed worker committed stays,
-// what died with it — its assignment in hand and the tiles it held
-// dirty — is recomputed exactly once. The resident-* rows send C flags,
-// as the cluster does; the others send none, the form in which every
-// tile ships.
+// product bit for bit and the exact update count, send every C tile
+// home exactly once, and keep the pushed schedule (checkPushSchedule).
+// A kill case loses worker 0 mid-job and must complete on the
+// survivors: the tile the doomed worker finished went home behind its
+// acknowledgement and stays, and only the assignment in its hand dies
+// with it, before any update of it applied — so nothing is computed
+// twice. The resident-* rows send C flags, as the cluster does; the
+// others send none, the form in which every tile ships.
 func TestEngineConformance(t *testing.T) {
 	base := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1}
 	cases := []struct {
@@ -459,20 +455,15 @@ func TestEngineConformance(t *testing.T) {
 				if !c.Equal(want, 0) {
 					t.Fatal("product not bit-exact")
 				}
-				var updates, flushed, lost int64
+				var updates, flushed int64
 				for _, rep := range reports {
 					updates += rep.Updates
 					flushed += rep.Flushed
 				}
-				if wcfg.FailAfter > 0 {
-					// The doomed worker's one finished tile was still dirty:
-					// it died unflushed and was recomputed.
-					lost = reports[0].Updates
+				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates != want {
+					t.Fatalf("updates = %d, want %d: work was computed twice or lost", updates, want)
 				}
-				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates-lost != want {
-					t.Fatalf("updates = %d (%d recomputed), want %d", updates, lost, want)
-				}
-				// Every C tile flows back exactly once, through a flush.
+				// Every C tile flows back exactly once, behind its ack.
 				if want := int64(tc.r) * int64(tc.s); flushed != want {
 					t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
 				}
@@ -484,7 +475,7 @@ func TestEngineConformance(t *testing.T) {
 // TestEngineBitExactAcrossTransports pins the strongest invariant: the
 // channel run, the TCP run, the pooled and the unpooled run all produce
 // bit-identical floats (the engine fixes the accumulation order;
-// transports only move bytes, and a flush commits the serial FMA chain
+// transports only move bytes, and a commit copies the serial FMA chain
 // the worker ran in place).
 func TestEngineBitExactAcrossTransports(t *testing.T) {
 	cfg := engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 2}
@@ -665,7 +656,11 @@ func TestFeederStaleSetKeepsSession(t *testing.T) {
 // worker has left: mem less the chunk footprints of the assignments in
 // flight and the dirty C blocks. It learns both from the session's own
 // messages, a little ahead of the feeder (a result or flush is seen here
-// before the feeder takes it in), which only loosens the bound.
+// before the feeder takes it in), which only loosens the bound. It
+// holds the first FlushResult back from the feeder until a Set has gone
+// out beside the dirty tile it carries: a tile goes home right behind
+// its acknowledgement, so without the hold the window is too short to
+// hit.
 type capWatch struct {
 	engine.Transport
 	mem       int
@@ -673,7 +668,9 @@ type capWatch struct {
 	open      map[engine.AssignID][2]int // footprint and tile blocks of each assignment in flight
 	footprint int
 	dirty     int
-	squeezed  int // sets sent while the worker held dirty tiles
+	squeezed  int           // sets sent while the worker held dirty tiles
+	squeeze   chan struct{} // closed by the first such set
+	hold      sync.Once     // the first FlushResult waits for squeeze
 	err       error
 }
 
@@ -690,6 +687,9 @@ func (w *capWatch) Send(m engine.Msg) error {
 				m.K, m.Cap, room, w.footprint, w.dirty)
 		}
 		if w.dirty > 0 {
+			if w.squeezed == 0 {
+				close(w.squeeze)
+			}
 			w.squeezed++
 		}
 	}
@@ -699,6 +699,14 @@ func (w *capWatch) Send(m engine.Msg) error {
 
 func (w *capWatch) Recv() (engine.Msg, error) {
 	m, err := w.Transport.Recv()
+	if _, ok := m.(*engine.FlushResult); ok {
+		w.hold.Do(func() {
+			select {
+			case <-w.squeeze:
+			case <-time.After(10 * time.Second): // the check below reports it
+			}
+		})
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	switch m := m.(type) {
@@ -716,9 +724,9 @@ func (w *capWatch) Recv() (engine.Msg, error) {
 // TestSetCapLeavesRoomForDirtyTiles: the operand cache a Set announces
 // fits in the worker's advertised memory beside everything else it
 // holds — the in-flight chunks at the staging depth and the acked C
-// tiles still waiting for a flush. One worker, two slots, and memory for
-// three 2×2 footprints: the feed flushes only once its queue runs dry,
-// so the dirty tiles grow until they take the whole cache budget.
+// tiles whose FlushResult the master has not yet read. One worker, two
+// slots, and memory for three 2×2 footprints; capWatch holds the first
+// tile back until a Set has gone out beside it.
 func TestSetCapLeavesRoomForDirtyTiles(t *testing.T) {
 	const mem = 40
 	for _, fl := range fleets {
@@ -726,7 +734,8 @@ func TestSetCapLeavesRoomForDirtyTiles(t *testing.T) {
 			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
 			pool := engine.NewBlockPool()
 			master, worker := feederPair(t, fl, pool)
-			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID][2]int)}
+			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID][2]int),
+				squeeze: make(chan struct{})}
 			job := newTestJob(c, a, b, 2, true)
 			feederDone := make(chan error, 1)
 			go func() {
@@ -825,20 +834,15 @@ func TestFeederJoinsParkedSend(t *testing.T) {
 	<-workerDone
 }
 
-// orderFeed asks for one flush, then waits for the session to end, and
+// orderFeed hands out nothing, waits for the session to end, and
 // records the order in which the feeder commits and declares it lost.
 type orderFeed struct {
 	mu     sync.Mutex
 	events []string
-	asked  bool
 	lost   chan struct{}
 }
 
 func (f *orderFeed) Next() (*engine.Assign, error) {
-	if !f.asked { // Next is called from the dispatcher only
-		f.asked = true
-		return nil, engine.ErrFlushWanted
-	}
 	<-f.lost
 	return nil, errors.New("worker lost")
 }
@@ -867,10 +871,11 @@ func (f *orderFeed) record(ev string) {
 	f.mu.Unlock()
 }
 
-// TestFeederCommitsFlushBeforeLost: a worker answers a Flush and hangs
-// up at once. The flush reached the master, so the feeder must commit
-// it before it declares the worker lost — otherwise Lost requeues the
-// tiles the flush carries and their values are dropped.
+// TestFeederCommitsFlushBeforeLost: a worker sends a tile home, unasked,
+// and hangs up at once. The tile reached the master, so the feeder must
+// commit it before it declares the worker lost — otherwise Lost
+// requeues the tiles the FlushResult carries and their values are
+// dropped.
 func TestFeederCommitsFlushBeforeLost(t *testing.T) {
 	for run := 0; run < 500; run++ {
 		master, worker := engine.Pipe()
@@ -880,11 +885,6 @@ func TestFeederCommitsFlushBeforeLost(t *testing.T) {
 			_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: 1})
 			returned <- err
 		}()
-		if m, err := worker.Recv(); err != nil {
-			t.Fatal(err)
-		} else if _, ok := m.(engine.Flush); !ok {
-			t.Fatalf("worker got %T, want Flush", m)
-		}
 		fr := &engine.FlushResult{IDs: []uint64{engine.CBlockID(1, 0, 0)}, Blocks: [][]float64{{1, 2, 3, 4}}}
 		if err := worker.Send(fr); err != nil {
 			t.Fatal(err)

@@ -17,13 +17,14 @@
 //   - RunFeeder is the master side of one worker session: it keeps up
 //     to Slots assignments in flight, pulling them from a Feed (the
 //     cluster scheduler), pushes each one's update sets right behind its
-//     Task, and retires acknowledgements and flushes.
+//     Task, and retires acknowledgements and the tiles behind them.
 //
 // There is one result protocol, the paper's maximum re-use scheme
-// (§4.1, §5): an assignment's C tiles go down once, stay in the
-// worker's result cache while the update sets stream past, and come
-// back once, in a FlushResult the master asks for with Flush. A finished
-// assignment is acknowledged with an empty Result.
+// (§4.1, §5): an assignment's C tiles go down once, stay on the worker
+// while the update sets stream past, and come back once, as soon as the
+// last set is applied. A finished assignment is acknowledged with an
+// empty Result, and its tile follows right behind it in a FlushResult,
+// unasked.
 //
 // Messages carry q×q block payloads as [][]float64. Buffer ownership is
 // explicit: a message whose Owned flag is set hands its buffers to the
@@ -56,11 +57,6 @@ var (
 	// the doomed assignment runs to its end, its result is refused as
 	// stale, and the session lives on.
 	ErrStaleAssign = errors.New("engine: stale assignment")
-	// ErrFlushWanted is returned by Feed.Next when the feed has no task to
-	// hand out until the worker flushes its accumulated C blocks: the
-	// feeder sends Flush instead of an assignment and retries Next once
-	// the flush manifest is committed.
-	ErrFlushWanted = errors.New("engine: flush wanted")
 	// ErrSetRequest ends a RunFeeder session whose worker asked for an
 	// update set: the master pushes every set, so the worker speaks the
 	// retired pull dialect and is severed (its task is requeued).
@@ -74,7 +70,7 @@ type AssignID struct {
 }
 
 // Msg is one engine protocol message. Concrete types: *Assign, *Set,
-// *Request, *Result, Bye.
+// *Request, *Result, *FlushResult, Bye.
 type Msg interface {
 	engineMsg()
 }
@@ -92,10 +88,10 @@ const (
 
 // Assign hands a worker one unit of work: a Rows×Cols tile of C (blocks
 // of q² coefficients, row-major) to be updated by Steps update sets. The
-// worker accumulates the tile in its result cache under
-// CBlockID(ID.A, I0+i, J0+j) — ID.A is the job number — acknowledges
-// completion with an empty Result, and returns the blocks once, in a
-// FlushResult.
+// worker accumulates the tile in place, acknowledges completion with an
+// empty Result, and returns the blocks once, right behind it, in a
+// FlushResult under CBlockID(ID.A, I0+i, J0+j) — ID.A is the job
+// number.
 type Assign struct {
 	ID         AssignID
 	I0, J0     int // tile position in C's block grid
@@ -114,6 +110,16 @@ type Assign struct {
 	// order. Empty CFlags means every tile ships: Blocks is the full
 	// tile.
 	CFlags []byte
+}
+
+// TileIDs returns the C block IDs of the assignment's Rows×Cols tile,
+// row-major: the manifest of the FlushResult that returns it.
+func (as *Assign) TileIDs() []uint64 {
+	ids := make([]uint64, as.Rows*as.Cols)
+	for n := range ids {
+		ids[n] = CBlockID(as.ID.A, as.I0+n/as.Cols, as.J0+n%as.Cols)
+	}
+	return ids
 }
 
 // Set carries the operand blocks of one inner step k: Rows blocks of
@@ -148,8 +154,8 @@ type Request struct{}
 // so every sender and every transport uses this one.
 var RequestSet = &Request{}
 
-// Result acknowledges a finished assignment, whose C tiles stay dirty in
-// the worker's result cache, and carries the worker-side compute timing
+// Result acknowledges a finished assignment, whose C tiles follow it in
+// a FlushResult, and carries the worker-side compute timing
 // for it: Updates block updates took ComputeNS wall nanoseconds of
 // kernel time (including any configured Spin, so an emulated slow
 // worker reports itself slow). Zero timing fields mean "not measured".
@@ -163,21 +169,13 @@ type Result struct {
 	ComputeNS int64
 }
 
-// Flush asks a worker to return every dirty C block it holds resident,
-// in one FlushResult. The master sends it when a job needs its results
-// (job end, or memory pressure on the worker). It queues behind the
-// update sets already pushed; the worker answers it between sets once
-// it has read it.
-type Flush struct{}
-
-// FlushResult returns a worker's accumulated C blocks: the manifest of
-// C block IDs (CBlockID) and the matching block payloads, sorted by ID.
-// The master commits each block by overwriting the destination tile —
-// the worker ran the tile's exact ascending-k accumulation chain in
-// place, so overwrite-on-commit keeps results bit-identical to the
-// sequential product. An empty manifest is a valid answer ("I
-// hold nothing dirty"). The worker's speed signal travels on each
-// Result, not here.
+// FlushResult returns one finished assignment's C tile, right behind
+// its Result: the manifest of C block IDs (CBlockID), row-major over
+// the tile, and the matching block payloads. The master commits each
+// block by overwriting the destination tile — the worker ran the tile's
+// exact ascending-k accumulation chain in place, so overwrite-on-commit
+// keeps results bit-identical to the sequential product. The worker's
+// speed signal travels on each Result, not here.
 type FlushResult struct {
 	IDs    []uint64
 	Blocks [][]float64
@@ -192,7 +190,6 @@ func (*Set) engineMsg()         {}
 func (*Request) engineMsg()     {}
 func (*Result) engineMsg()      {}
 func (Bye) engineMsg()          {}
-func (Flush) engineMsg()        {}
 func (*FlushResult) engineMsg() {}
 
 // Transport moves engine messages between one master-side endpoint and

@@ -9,32 +9,25 @@ import (
 
 // Feed is the scheduler behind a RunFeeder session: it produces
 // assignments for one worker, materializes their update sets, and
-// consumes their acknowledgements and flushes. The production
-// implementation is one worker incarnation of the cluster scheduler
-// (cluster.Session); conformance tests script small fakes.
+// consumes their acknowledgements and the tiles that follow them. The
+// production implementation is one worker incarnation of the cluster
+// scheduler (cluster.Session); conformance tests script small fakes.
 //
 // Next blocks until an assignment is available. It returns ErrFeedDone
 // (possibly wrapped) for a clean shutdown — the feeder then drains the
 // worker's in-flight assignments and says Bye — and any other error to
 // sever the session immediately (the peer is expected to re-register).
-// It may also return ErrFlushWanted (possibly wrapped): the feed wants
-// the worker's dirty C blocks before it hands out more work. The feeder
-// sends Flush and calls Next again; the feed must not return
-// ErrFlushWanted again until the flush is committed (or the session is
-// lost), or the pair would spin.
 //
 // Next and Set are called from one goroutine, Acked, CommitFlush and
 // ObserveCompute from another, concurrently with it.
 //
 // The worker acknowledges a finished assignment with an empty Result,
-// routed to Acked, and its accumulated blocks arrive later in a
-// FlushResult manifest, routed to CommitFlush. Acked may return
-// ErrStaleResult (possibly wrapped) for an assignment the feed no longer
-// wants; the feeder drops it and frees the slot. CommitFlush must
-// tolerate IDs the feed no longer tracks (a job that failed while the
-// flush was in flight) by skipping them, and must accept an empty
-// manifest — the feeder always reports the flush answer, because the
-// feed gates dispatch on it.
+// routed to Acked, and sends its tile right behind it in a FlushResult
+// manifest, routed to CommitFlush. Acked may return ErrStaleResult
+// (possibly wrapped) for an assignment the feed no longer wants; the
+// feeder drops it and frees the slot. CommitFlush must tolerate IDs the
+// feed no longer tracks (a refused copy's tile, or a job that failed
+// while the tile was in flight) by skipping them.
 //
 // Set may return ErrStaleAssign (possibly wrapped) once the feed has let
 // go of a revoked assignment's operands; the feeder sends a filler set.
@@ -104,13 +97,13 @@ type feeder struct {
 
 	mu    sync.Mutex
 	outq  []*outAssign
-	dirty int // C blocks acknowledged and not yet flushed
+	dirty int // C blocks acknowledged and not yet read back
 }
 
 // held returns the worker memory outside its operand cache, in blocks:
 // the in-flight assignments' chunk footprints and the dirty C blocks,
-// which stay in the worker's result cache until a flush collects them.
-// It is what CacheBudget subtracts from the advertised memory.
+// acknowledged tiles whose FlushResult the reader has not yet read. It
+// is what CacheBudget subtracts from the advertised memory.
 func (f *feeder) held() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -129,15 +122,15 @@ func (f *feeder) held() int {
 // assignment's update sets right behind its Task; the worker's staging
 // queue and the transport's back-pressure bound what it holds. The
 // caller's goroutine is the session's only reader: it retires each
-// acknowledgement and flush as soon as it reads it. A worker that still
-// asks for a set (Request) speaks a retired dialect and is refused
-// (ErrSetRequest).
+// acknowledgement and each tile behind it as soon as it reads them. A
+// worker that still asks for a set (Request) speaks a retired dialect
+// and is refused (ErrSetRequest).
 //
 // On a clean feed shutdown the worker's in-flight assignments drain
 // before Bye lands, so a pipelined worker sees a goodbye at an
 // assignment boundary, never a mid-task reset. Any transport error
 // declares the worker lost (feed.Lost requeues what it held), but only
-// after the last frame read from it has been retired, so a flush that
+// after the last frame read from it has been retired, so a tile that
 // reached the master is committed, never requeued. RunFeeder
 // returns only once its dispatcher has, so when it returns no Send can
 // still be reading a Set's blocks.
@@ -171,7 +164,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 		}
 	}()
 
-	// The reader: retire acknowledgements, commit flushes.
+	// The reader: retire acknowledgements, commit the tiles behind them.
 	fstats.PerJob = make(map[uint32]CommStats)
 	for {
 		m, rerr := tr.Recv()
@@ -188,7 +181,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			if idx >= 0 {
 				oa := f.outq[idx]
 				f.outq = slices.Delete(f.outq, idx, idx+1)
-				// The tile stays on the worker, dirty, until a flush.
+				// The tile is dirty until its FlushResult is read.
 				f.dirty += oa.rows * oa.cols
 				fstats.Comm.DirtyPeak = max(fstats.Comm.DirtyPeak, int64(f.dirty))
 				comm = oa.comm
@@ -200,8 +193,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 			if m.ComputeNS > 0 && m.Updates > 0 {
 				feed.ObserveCompute(m.ID, m.Updates, m.ComputeNS)
 			}
-			// An empty acknowledgement: the tile's values stay dirty on
-			// the worker until a flush collects them.
+			// An empty acknowledgement: the tile's values follow it.
 			if len(m.Blocks) != 0 {
 				return fstats, fmt.Errorf("engine: assignment acked with %d blocks, want 0", len(m.Blocks))
 			}
@@ -221,8 +213,6 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 				return fstats, fmt.Errorf("engine: flush manifest has %d ids for %d blocks",
 					len(m.IDs), len(m.Blocks))
 			}
-			// Commit even an empty manifest: the feed gates dispatch on
-			// the flush answer, not just on the blocks in it.
 			if err := feed.CommitFlush(m.IDs, m.Blocks); err != nil {
 				return fstats, err
 			}
@@ -262,18 +252,6 @@ func (f *feeder) dispatch() error {
 			return nil
 		}
 		as, err := f.feed.Next()
-		if errors.Is(err, ErrFlushWanted) {
-			// The feed wants the worker's dirty C blocks before more
-			// work: relay the flush and retry. The token goes back — no
-			// assignment went out — and the feed blocks the next Next
-			// until the commit lands, so the pair cannot spin. The Flush
-			// queues behind the sets already pushed.
-			if f.tr.Send(Flush{}) != nil {
-				return nil
-			}
-			<-f.sem
-			continue
-		}
 		if errors.Is(err, ErrFeedDone) {
 			// Clean shutdown: let the worker's in-flight assignments
 			// drain (acquire every slot; the reader releases one per

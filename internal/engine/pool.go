@@ -128,8 +128,8 @@ func (p *BlockPool) GetAssign() *Assign {
 }
 
 // PutAssign recycles a consumed Assign. When its blocks live on
-// elsewhere (the worker's result cache), the caller must nil the Blocks
-// header first.
+// elsewhere (a worker's finished tile, on its way home), the caller
+// must nil the Blocks header first.
 func (p *BlockPool) PutAssign(a *Assign) {
 	if p == nil || a == nil {
 		return

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -163,8 +162,8 @@ type CommStats struct {
 	// The result path. CDown counts C blocks whose initial value was
 	// shipped down with payload (CShip; CZero ships nothing). CUp counts
 	// C blocks returned in flush manifests. DirtyPeak is the high-water
-	// mark of C blocks held dirty (accumulated but unflushed) on the
-	// worker.
+	// mark of C blocks held dirty (acknowledged, their FlushResult not
+	// yet read) on the worker.
 	CDown     int64
 	CUp       int64
 	DirtyPeak int64
@@ -522,61 +521,6 @@ func (oc *opCache) release() {
 	if oc.cache != nil {
 		oc.cache.release(oc.pool)
 		oc.cache = nil
-	}
-}
-
-// resultCache is the worker side of the result residency: the session's
-// dirty C blocks, keyed by CBlockID. Unlike the operand cache it has no
-// eviction policy — a dirty block can only leave by being flushed (the
-// master tracks exactly which blocks are dirty and sizes the memory
-// accounting accordingly). Blocks are always owned: they are the tiles
-// the worker accumulated into.
-type resultCache struct {
-	m    map[uint64][]float64
-	pool *BlockPool
-}
-
-func newResultCache(pool *BlockPool) *resultCache {
-	return &resultCache{m: make(map[uint64][]float64), pool: pool}
-}
-
-// insert pins an owned buffer as the dirty block for id, releasing any
-// previous buffer (re-assignment of a tile the master believed flushed
-// — must not leak even if it never happens on the live paths).
-func (rc *resultCache) insert(id uint64, buf []float64) {
-	if old, ok := rc.m[id]; ok {
-		rc.pool.Put(old)
-	}
-	rc.m[id] = buf
-}
-
-// drain removes every dirty block, returning IDs sorted ascending with
-// the blocks in matching order. Sorting makes the flush manifest
-// deterministic (tests, and the master's sequential commit loop walks
-// tiles in block order).
-func (rc *resultCache) drain() (ids []uint64, blocks [][]float64) {
-	if len(rc.m) == 0 {
-		return nil, nil
-	}
-	ids = make([]uint64, 0, len(rc.m))
-	for id := range rc.m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	blocks = make([][]float64, len(ids))
-	for i, id := range ids {
-		blocks[i] = rc.m[id]
-		delete(rc.m, id)
-	}
-	return ids, blocks
-}
-
-// release returns every dirty block to the pool (session death with
-// unflushed results — the master recomputes them).
-func (rc *resultCache) release() {
-	for id, buf := range rc.m {
-		rc.pool.Put(buf)
-		delete(rc.m, id)
 	}
 }
 

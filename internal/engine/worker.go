@@ -60,9 +60,10 @@ type WorkerReport struct {
 // into a StageCap-deep queue) while this goroutine computes, so
 // transfers overlap compute exactly as the paper's µ²+4µ layout
 // reserves space for. Assignments and their update sets are pushed by
-// the master, in order; the worker keeps the finished tile in its
-// result cache and acknowledges it unannounced; a Flush returns every
-// dirty tile.
+// the master, in order; the worker acknowledges each finished
+// assignment unannounced and sends its tile home right behind the
+// acknowledgement, as a FlushResult (the paper's maximum re-use scheme,
+// §4.1: a chunk leaves once its last update set is applied).
 func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 1
@@ -76,10 +77,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	// The reader's hand is the last staging slot: with a StageCap-1 deep
 	// channel, at most StageCap sets are resident ahead of the compute.
 	sets := make(chan *Set, cfg.StageCap-1)
-	// Flush requests bypass the assignment queue: the compute loop
-	// answers them between chunks and between update sets, so a master
-	// under memory pressure is never stuck behind staged work.
-	flushes := make(chan struct{}, 1)
 	readErr := make(chan error, 1)
 	// Every queue send also selects on quit so a session that ends while
 	// the reader holds an undeliverable message (connection death with
@@ -105,12 +102,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 			switch m := m.(type) {
 			case Bye:
 				return
-			case Flush:
-				select {
-				case flushes <- struct{}{}:
-				case <-quit:
-					return
-				}
 			case *Assign:
 				stepsSeen += int64(m.Steps)
 				select {
@@ -146,33 +137,8 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	// new session and starts cold, matching the master's fresh mirror.
 	cache := newOpCache(cfg.Pool)
 	defer cache.release()
-	// The result cache holds the session's dirty C blocks — tiles whose
-	// chunks are done but whose values have not been flushed. A session
-	// dying here loses them; the master recomputes exactly the affected
-	// updates (its dirty tracking mirrors this map at chunk granularity).
-	rc := newResultCache(cfg.Pool)
-	defer rc.release()
-	doFlush := func() error {
-		ids, blocks := rc.drain()
-		rep.Flushed += int64(len(ids))
-		return tr.Send(&FlushResult{IDs: ids, Blocks: blocks, Owned: true})
-	}
 
-assignments:
-	for {
-		var as *Assign
-		select {
-		case <-flushes:
-			if err := doFlush(); err != nil {
-				return fail(err)
-			}
-			continue
-		case a, ok := <-assigns:
-			if !ok {
-				break assignments
-			}
-			as = a
-		}
+	for as := range assigns {
 		if cfg.FailAfter > 0 && rep.Assignments >= cfg.FailAfter {
 			tr.Close() // vanish mid-job, still holding the assignment
 			return rep, ErrKilled
@@ -185,22 +151,7 @@ assignments:
 		updates0 := rep.Updates
 		var asNS int64
 		for k := 0; k < as.Steps; k++ {
-			var set *Set
-			var ok bool
-		waitSet:
-			for {
-				select {
-				case <-flushes:
-					// A memory-pressure flush mid-chunk: only completed
-					// dirty blocks leave (this chunk's tile enters the
-					// cache when the chunk completes).
-					if err := doFlush(); err != nil {
-						return fail(err)
-					}
-				case set, ok = <-sets:
-					break waitSet
-				}
-			}
+			set, ok := <-sets
 			if !ok {
 				select {
 				case err := <-readErr:
@@ -230,17 +181,20 @@ assignments:
 			cfg.Pool.PutSet(set)
 		}
 
-		// The finished tile stays resident: its blocks enter the result
-		// cache dirty, and the acknowledgement is an empty Result — the
-		// values travel once, in a later FlushResult.
-		for idx, blk := range as.Blocks {
-			rc.insert(CBlockID(as.ID.A, as.I0+idx/as.Cols, as.J0+idx%as.Cols), blk)
-		}
+		// The finished tile goes home right behind its acknowledgement:
+		// the master commits only tiles it has seen acknowledged, so the
+		// Result goes first and the FlushResult, carrying the tile's
+		// blocks under their row-major CBlockIDs, follows it.
 		res := cfg.Pool.GetResult()
 		res.ID, res.Updates, res.ComputeNS = as.ID, rep.Updates-updates0, asNS
+		if err := tr.Send(res); err != nil {
+			return fail(err)
+		}
+		flush := &FlushResult{IDs: as.TileIDs(), Blocks: as.Blocks, Owned: true}
+		rep.Flushed += int64(len(flush.IDs))
 		as.Blocks = nil
 		cfg.Pool.PutAssign(as)
-		if err := tr.Send(res); err != nil {
+		if err := tr.Send(flush); err != nil {
 			return fail(err)
 		}
 		rep.Assignments++

@@ -101,7 +101,6 @@ type worker struct {
 	sess       *cluster.Session // nil before it joins and once it left
 	factor     float64
 	cp         *chunkCopy // computing
-	dirty      *chunkCopy // acknowledged, resident until the flush demand
 }
 
 // runner is one Run in progress.
@@ -175,8 +174,8 @@ func drive(cfg Config, body func(*runner) error) (Result, cluster.JobSpec, error
 // staging buffer per worker. The job is Run's product at µ = max µᵢ;
 // each worker with µᵢ ≥ 1 joins with memory for one µᵢ×µᵢ chunk and one
 // staged set, so the scheduler's clamp cuts the paper's µᵢ. A worker's
-// first peek after sim retrieved its chunk acks it, answers the flush
-// demand and takes the next task, which sim sees until it sends it.
+// first peek after sim retrieved its chunk acks and commits it and takes
+// the next task, which sim sees until it sends it.
 func RunOnePort(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.Result, error) {
 	res, _, err := runOnePort(pl, pr, tr)
 	return res, err
@@ -322,7 +321,7 @@ func (r *runner) apply(ev Event) error {
 			r.spans(w, c, r.now, fmt.Sprintf("#%d lost", c.as.ID.B))
 		}
 		w.sess.Close(cluster.SessionReport{})
-		w.sess, w.cp, w.dirty = nil, nil, nil
+		w.sess, w.cp = nil, nil
 	case ev.Kind == Slowdown:
 		old := w.factor
 		w.factor = ev.Factor
@@ -336,28 +335,11 @@ func (r *runner) apply(ev Event) error {
 }
 
 // dispatch asks the scheduler for w's next task without blocking
-// (TryNext), answering a flush demand with w's resident tile first,
-// and starts the copy it hands out: the tile computed by
+// (TryNext) and starts the copy it hands out: the tile computed by
 // engine.RunAssign from the session's update sets, its transfer and
 // compute timed from w's link and speed.
 func (r *runner) dispatch(w *worker) error {
 	as, err := w.sess.TryNext()
-	if errors.Is(err, engine.ErrFlushWanted) {
-		d := w.dirty
-		if d == nil {
-			return fmt.Errorf("fleet: flush demanded of %s, which holds no resident tile", w.name)
-		}
-		ids := make([]uint64, len(d.as.Blocks))
-		for n := range ids {
-			ids[n] = engine.CBlockID(d.as.ID.A, d.as.I0+n/d.as.Cols, d.as.J0+n%d.as.Cols)
-		}
-		if err := w.sess.CommitFlush(ids, d.as.Blocks); err != nil {
-			return err
-		}
-		r.res.Updates += d.updates
-		w.dirty = nil
-		as, err = w.sess.TryNext()
-	}
 	if as == nil || err != nil {
 		return err
 	}
@@ -377,23 +359,24 @@ func (r *runner) dispatch(w *worker) error {
 }
 
 // complete reports w's copy finished: its compute timing feeds w's
-// profile, then the ack either leaves the tile resident until the
-// flush demand or finds the copy revoked — a duplicate won — and the
-// work wasted.
+// profile, then the ack either lets the tile commit right behind it, as
+// a worker sends it home, or finds the copy revoked — a duplicate won —
+// and the work wasted.
 func (r *runner) complete(w *worker) error {
 	c := w.cp
 	w.cp = nil
 	r.spans(w, c, c.compEnd, fmt.Sprintf("#%d %dx%d", c.as.ID.B, c.as.Rows, c.as.Cols))
 	w.sess.ObserveCompute(c.as.ID, c.updates, int64(secsToDur(c.compEnd-c.commEnd)))
 	err := w.sess.Acked(c.as.ID)
-	switch {
-	case err == nil:
-		w.dirty = c
-	case errors.Is(err, cluster.ErrStaleTask):
+	if errors.Is(err, cluster.ErrStaleTask) {
 		r.res.WastedUpdates += c.updates
-		err = nil
+		return nil
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	r.res.Updates += c.updates
+	return w.sess.CommitFlush(c.as.TileIDs(), c.as.Blocks)
 }
 
 // spans traces copy c on w's lane up to end: its transfer, then its

@@ -152,7 +152,7 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 		return 0, false, fmt.Errorf("netmw: dial %s: %w", cfg.Addr, err)
 	}
 	defer conn.Close()
-	tr := newClusterWorkerTransport(conn, nil, nil, pool)
+	tr := newClusterWorkerTransport(conn, pool)
 
 	ri := RegisterInfo{Name: cfg.Name, Mem: uint32(cfg.Memory), Slots: uint16(cfg.Slots)}
 	if err := tr.sendRegister(ri); err != nil {

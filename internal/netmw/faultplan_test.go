@@ -149,7 +149,7 @@ func (p *FaultPlan) Counts() FaultCounts {
 // (skipping one message of a framed stream would desynchronize the
 // protocol in a way no real network does). Duplication is only honored
 // for messages whose delivery twice is semantically possible and
-// ownership-free — requests, flush commands and byes; assignments, sets
+// ownership-free — requests and byes; assignments, sets
 // and results hand buffer ownership to the receiver, so replaying the
 // same value twice would be a use-after-transfer, and a real sender
 // never emits them twice on one live connection anyway.
@@ -179,7 +179,7 @@ func (t *FaultTransport) apply(m engine.Msg) (d FaultDecision, err error) {
 	}
 	if d.Dup {
 		switch m.(type) {
-		case *engine.Request, engine.Flush, engine.Bye:
+		case *engine.Request, engine.Bye:
 		default:
 			d.Dup = false
 		}

@@ -124,8 +124,9 @@ func TestDistributedPipelined(t *testing.T) {
 
 // TestWireNumbering pins the wire encoding: every message type keeps its
 // number, MsgReq's payload byte is 1, and the numbers of the retired
-// single-job frames (1 = hello, 2 = job, 4 = result) stay unused — a
-// frame carrying one is refused by both ends of a worker session.
+// frames — the single-job dialect's (1 = hello, 2 = job, 4 = result)
+// and the master's flush demand (13) — stay unused: a frame carrying
+// one is refused by both ends of a worker session.
 func TestWireNumbering(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -141,7 +142,6 @@ func TestWireNumbering(t *testing.T) {
 		{"MsgTaskResult", MsgTaskResult, 10},
 		{"MsgSubmit", MsgSubmit, 11},
 		{"MsgJobDone", MsgJobDone, 12},
-		{"MsgFlush", MsgFlush, 13},
 		{"MsgFlushResult", MsgFlushResult, 14},
 	} {
 		if byte(tc.got) != tc.want {
@@ -151,7 +151,7 @@ func TestWireNumbering(t *testing.T) {
 	if ReqSet != 1 {
 		t.Errorf("ReqSet = %d on the wire, want 1", ReqSet)
 	}
-	for _, retired := range []MsgType{1, 2, 4} {
+	for _, retired := range []MsgType{1, 2, 4, 13} {
 		for _, end := range []string{"server", "worker"} {
 			local, remote := net.Pipe()
 			go writeMsg(remote, retired, []byte{0, 0, 0, 0})

@@ -29,9 +29,11 @@ import (
 type MsgType byte
 
 // Protocol message types. The numbers are the wire encoding and never
-// change. 1, 2 and 4 are reserved: they were the frames of a retired
-// single-job dialect (hello, job, result) and are never reused, so a
-// peer still speaking it fails on its first frame instead of being
+// change. 1, 2, 4 and 13 are reserved: 1, 2 and 4 were the frames of a
+// retired single-job dialect (hello, job, result), and 13 was the
+// master's demand for a worker's finished tiles (flush), which a worker
+// now sends home unasked. They are never reused, so a peer still
+// speaking either dialect fails on such a frame instead of being
 // misread.
 const (
 	// MsgSet carries one delta update set: uint32 k, uint32 cache
@@ -64,7 +66,7 @@ const (
 	// Steps update sets follow it, pushed by the master.
 	MsgTask MsgType = 9
 	// MsgTaskResult acknowledges a finished task: TaskResultHeader and
-	// nothing else. The tile stays on the worker until a MsgFlush.
+	// nothing else. The task's tile follows it in a MsgFlushResult.
 	MsgTaskResult MsgType = 10
 	// MsgSubmit is a client job submission: JobHeader then the operand
 	// blocks (C, A, B for matmul; M for LU).
@@ -72,13 +74,10 @@ const (
 	// MsgJobDone answers a submission: JobDoneHeader, then either the
 	// result blocks (Code 0) or an error string.
 	MsgJobDone MsgType = 12
-	// MsgFlush asks the worker to drain its resident result cache; empty
-	// payload. The worker answers with MsgFlushResult.
-	MsgFlush MsgType = 13
-	// MsgFlushResult carries a flush manifest: uint32 block count, then
-	// per block a uint64 C-tile ID (engine.CBlockID), a uint32 element
-	// count and the raw little-endian doubles. An empty manifest (count
-	// 0) is a valid answer.
+	// MsgFlushResult carries one finished task's tile, right behind its
+	// MsgTaskResult: uint32 block count, then per block a uint64 C-tile
+	// ID (engine.CBlockID), a uint32 element count and the raw
+	// little-endian doubles.
 	MsgFlushResult MsgType = 14
 )
 

@@ -21,9 +21,10 @@ import (
 // is accumulated over exactly the bytes read, and a message is delivered
 // only once it matches.
 
-// connBuf sizes a worker connection's buffered IO, both directions. It
-// is smaller than a block of q ≥ 46, so block payloads bypass it; only
-// control frames and the frame bytes around blocks pass through.
+// connBuf sizes a worker connection's read buffer (writes go straight
+// to the connection, one frame per write). It is smaller than a block
+// of q ≥ 46, so block payloads bypass it; only control frames and the
+// frame bytes around blocks pass through.
 const connBuf = 16 << 10
 
 // frameReader streams the payload of one block-carrying frame.

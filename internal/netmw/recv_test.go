@@ -100,7 +100,7 @@ func TestBlockFramesFollowArrival(t *testing.T) {
 		for cut := 0; cut < len(tc.payload); cut += 61 {
 			prefix := tc.payload[:cut]
 			var err error
-			got := allocatedBy(func() {
+			got := leastAllocatedBy(func() {
 				unpooled := &frameReader{r: bytes.NewReader(prefix)}
 				unpooled.start(len(tc.payload))
 				_, err = tc.decode(unpooled)

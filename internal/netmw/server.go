@@ -182,7 +182,7 @@ func (s *ClusterServer) handle(conn net.Conn) {
 		if err := ri.decode(payload); err != nil {
 			return
 		}
-		s.workerSession(conn, r, bufio.NewWriterSize(conn, connBuf), ri)
+		s.workerSession(conn, r, ri)
 	case MsgSubmit:
 		s.clientSession(bufio.NewReaderSize(conn, hopBuf), conn, n)
 	}
@@ -197,7 +197,7 @@ func (s *ClusterServer) handle(conn net.Conn) {
 // any point declares the incarnation lost, which requeues every task it
 // held; a reconnect replaces it, and this session can then act on the
 // worker no more.
-func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.Writer, ri RegisterInfo) {
+func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, ri RegisterInfo) {
 	slots := int(ri.Slots)
 	if slots < 1 {
 		slots = 1
@@ -209,7 +209,7 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 	if err != nil {
 		return
 	}
-	tr := newServerTransport(conn, r, w, s.pool, sess.Heartbeat)
+	tr := newServerTransport(conn, r, s.pool, sess.Heartbeat)
 	var link engine.Transport = tr
 	if s.cfg.WrapTransport != nil {
 		link = s.cfg.WrapTransport(ri.Name, tr)

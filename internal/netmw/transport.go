@@ -28,7 +28,6 @@ import (
 type connIO struct {
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
 	pool *engine.BlockPool
 
 	wmu      sync.Mutex  // serializes writers (dispatcher or worker loop, heartbeat)
@@ -53,22 +52,19 @@ type WireStats struct {
 	BytesIn  int64 // ingress: frames read from the peer
 }
 
-func newConnIO(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *connIO {
+func newConnIO(conn net.Conn, r *bufio.Reader, pool *engine.BlockPool) *connIO {
 	if r == nil {
 		r = bufio.NewReaderSize(conn, connBuf)
 	}
-	if w == nil {
-		w = bufio.NewWriterSize(conn, connBuf)
-	}
-	c := &connIO{conn: conn, r: r, w: w, pool: pool}
+	c := &connIO{conn: conn, r: r, pool: pool}
 	c.rframe.r, c.rframe.pool = r, pool
 	return c
 }
 
-// writeFrame frames and flushes one message built by fill, which
+// writeFrame frames and writes one message built by fill, which
 // appends the payload to the reused scratch buffer. The 5-byte frame
-// header is built in the same buffer, so one Write moves the whole
-// frame and nothing escapes per message.
+// header is built in the same buffer, so one Write to the connection
+// moves the whole frame and nothing escapes per message.
 func (c *connIO) writeFrame(t MsgType, fill func(buf []byte) []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -79,11 +75,9 @@ func (c *connIO) writeFrame(t MsgType, fill func(buf []byte) []byte) error {
 	}
 	c.wbuf = buf
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-	if _, err := c.w.Write(buf); err != nil {
-		return err
-	}
-	c.bytesOut.Add(int64(len(buf)))
-	return c.w.Flush()
+	n, err := c.conn.Write(buf)
+	c.bytesOut.Add(int64(n))
+	return err
 }
 
 // Stats snapshots the connection's byte counters. This is the single
@@ -216,9 +210,6 @@ func (c *connIO) writeBlockFrame(t MsgType, fill func(f blockFrame)) error {
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:], sum)
 	iov = append(iov, buf[from:])
 	c.wiovec = iov
-	if err := c.w.Flush(); err != nil { // order against bufio frames
-		return err
-	}
 	// WriteTo consumes the vector it is called on (a writev per syscall
 	// batch on TCP): it advances wsend, a field so that the call
 	// allocates nothing, while wiovec keeps the backing array for reuse.
@@ -376,8 +367,8 @@ func (c *connIO) sendTaskResult(m *engine.Result) error {
 // clusterWorkerTransport is the worker end of a session: tasks (MsgTask)
 // and their update sets (MsgSet) are pushed to it, acknowledgements
 // return as MsgTaskResult carrying the (Job, Seq, Attempt) identity and
-// dirty tiles as MsgFlushResult. It can still frame a MsgReq, which
-// only the bench's block round-trip replay sends.
+// each task's tile, right behind it, as MsgFlushResult. It can still
+// frame a MsgReq, which only the bench's block round-trip replay sends.
 type clusterWorkerTransport struct {
 	*connIO
 	geom geomFIFO
@@ -386,11 +377,11 @@ type clusterWorkerTransport struct {
 // NewClusterWorkerTransport wraps the worker side of a connection to a
 // cluster server (post-registration). pool may be nil.
 func NewClusterWorkerTransport(conn net.Conn, pool *engine.BlockPool) engine.Transport {
-	return newClusterWorkerTransport(conn, nil, nil, pool)
+	return newClusterWorkerTransport(conn, pool)
 }
 
-func newClusterWorkerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *clusterWorkerTransport {
-	return &clusterWorkerTransport{connIO: newConnIO(conn, r, w, pool)}
+func newClusterWorkerTransport(conn net.Conn, pool *engine.BlockPool) *clusterWorkerTransport {
+	return &clusterWorkerTransport{connIO: newConnIO(conn, nil, pool)}
 }
 
 // sendRegister announces the worker before the engine starts.
@@ -429,9 +420,6 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 	case MsgBye:
 		_, err := t.readFrame(n)
 		return engine.Bye{}, err
-	case MsgFlush:
-		_, err := t.readFrame(n)
-		return engine.Flush{}, err
 	case MsgTask:
 		as, err := readTask(t.blockFrame(n))
 		if err != nil {
@@ -460,11 +448,11 @@ type serverTransport struct {
 // connection (post-registration). onHeartbeat consumes MsgHeartbeat
 // frames; returning an error severs the connection. pool may be nil.
 func NewServerTransport(conn net.Conn, pool *engine.BlockPool, onHeartbeat func() error) engine.Transport {
-	return newServerTransport(conn, nil, nil, pool, onHeartbeat)
+	return newServerTransport(conn, nil, pool, onHeartbeat)
 }
 
-func newServerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool, onHeartbeat func() error) *serverTransport {
-	return &serverTransport{connIO: newConnIO(conn, r, w, pool), onHeartbeat: onHeartbeat}
+func newServerTransport(conn net.Conn, r *bufio.Reader, pool *engine.BlockPool, onHeartbeat func() error) *serverTransport {
+	return &serverTransport{connIO: newConnIO(conn, r, pool), onHeartbeat: onHeartbeat}
 }
 
 func (t *serverTransport) Send(m engine.Msg) error {
@@ -473,8 +461,6 @@ func (t *serverTransport) Send(m engine.Msg) error {
 		return t.sendTask(m)
 	case *engine.Set:
 		return t.sendSet(m)
-	case engine.Flush:
-		return t.writeFrame(MsgFlush, nil)
 	case engine.Bye:
 		return t.writeFrame(MsgBye, nil)
 	default:

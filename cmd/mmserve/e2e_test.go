@@ -436,9 +436,8 @@ func TestFreshBootsTightMemory(t *testing.T) {
 
 // TestServeFlagsRefused: serve flags that would otherwise be read as
 // something else — a non-positive chunk target (silently the 250 ms
-// default), a negative retry backoff (silently none) or backoff cap
-// (silently 16×) — are refused with a usage error before anything
-// listens.
+// default) or a negative retry backoff (silently none) — are refused
+// with a usage error before anything listens.
 func TestServeFlagsRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level e2e: skipped in -short")
@@ -448,7 +447,6 @@ func TestServeFlagsRefused(t *testing.T) {
 		{"-chunk-target", "0"},
 		{"-chunk-target", "-1s"},
 		{"-retry-backoff", "-1ms"},
-		{"-retry-backoff-max", "-1s"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {

@@ -44,16 +44,12 @@ func main() {
 	hbTimeout := flag.Duration("hb-timeout", 10*time.Second, "declare a worker dead after this much heartbeat silence")
 	expiryEvery := flag.Duration("expiry-every", 2*time.Second, "heartbeat-expiry sweep cadence")
 	maxAttempts := flag.Int("max-attempts", 5, "dispatch attempts per task before its job fails")
-	maxRunning := flag.Int("max-running", 0, "jobs dispatched concurrently (0 = unlimited)")
-	maxSlots := flag.Int("max-slots", 0, "clamp on the per-worker task-pipelining depth workers may advertise (0 = no clamp)")
 	adaptive := flag.Bool("adaptive", false, "profile-driven chunk shaping: size each worker's chunks to its measured speed")
 	chunkTarget := flag.Duration("chunk-target", 250*time.Millisecond, "adaptive: target wall time per chunk")
 	specFactor := flag.Float64("spec-factor", 0, "adaptive: duplicate a straggler's chunk when its ETA exceeds this factor × an idle worker's (0 = off)")
 	storeDir := flag.String("store", "", "journal directory for the durable control plane (empty = in-memory only, no crash safety)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, wait this long for running jobs to finish before exiting anyway")
-	retryBackoff := flag.Duration("retry-backoff", 500*time.Millisecond, "base delay before re-dispatching a task lost with its worker (doubles per attempt)")
-	retryBackoffMax := flag.Duration("retry-backoff-max", 0, "cap on the per-task retry delay (0 = 16× -retry-backoff)")
-	verifySample := flag.Float64("verify-sample", 0, "serve: Freivalds-check only this fraction of tasks (0 = every task when -verify is on, 1 = every task)")
+	retryBackoff := flag.Duration("retry-backoff", 500*time.Millisecond, "base delay before re-dispatching a task lost with its worker (doubles per attempt, up to 16×)")
 	quarStrikes := flag.Int("quarantine-strikes", 3, "serve: refused tasks before a worker is quarantined for corrupt results")
 
 	submit := flag.Bool("submit", false, "act as a client: submit one job and wait for the result")
@@ -84,13 +80,6 @@ func main() {
 	if *maxAttempts < 1 {
 		fatalUsage("-max-attempts must be ≥ 1, got %d", *maxAttempts)
 	}
-	if *maxRunning < 0 {
-		fatalUsage("-max-running must be ≥ 0, got %d", *maxRunning)
-	}
-	if *maxSlots < 0 {
-		fatalUsage("-max-slots must be ≥ 0, got %d", *maxSlots)
-	}
-
 	if *chunkTarget <= 0 {
 		fatalUsage("-chunk-target must be positive, got %v", *chunkTarget)
 	}
@@ -100,34 +89,21 @@ func main() {
 	if *retryBackoff < 0 {
 		fatalUsage("-retry-backoff must be ≥ 0, got %v", *retryBackoff)
 	}
-	if *retryBackoffMax < 0 {
-		fatalUsage("-retry-backoff-max must be ≥ 0, got %v", *retryBackoffMax)
-	}
 	if *drainTimeout < 0 {
 		fatalUsage("-drain-timeout must be ≥ 0, got %v", *drainTimeout)
-	}
-	if *verifySample < 0 || *verifySample > 1 {
-		fatalUsage("-verify-sample must be in [0, 1], got %g", *verifySample)
 	}
 	if *quarStrikes < 1 {
 		fatalUsage("-quarantine-strikes must be ≥ 1, got %d", *quarStrikes)
 	}
-	vp := cluster.VerifyPolicy{QuarantineStrikes: *quarStrikes}
-	switch {
-	case !*verify:
-		vp.Mode = cluster.VerifyOff
-	case *verifySample > 0 && *verifySample < 1:
-		vp.Mode = cluster.VerifySample
-		vp.SampleRate = *verifySample
-	default:
+	vp := cluster.VerifyPolicy{Mode: cluster.VerifyOff, QuarantineStrikes: *quarStrikes}
+	if *verify {
 		vp.Mode = cluster.VerifyAll
 	}
 
 	cfg := cluster.Config{
 		HeartbeatTimeout: *hbTimeout,
 		MaxAttempts:      *maxAttempts,
-		MaxRunning:       *maxRunning,
-		Retry:            cluster.RetryPolicy{Backoff: *retryBackoff, MaxBackoff: *retryBackoffMax},
+		Retry:            cluster.RetryPolicy{Backoff: *retryBackoff},
 		Verify:           vp,
 		Adaptive: cluster.AdaptiveConfig{
 			Enabled:           *adaptive,
@@ -165,7 +141,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	srv, err := netmw.ServeCluster(cl, netmw.ClusterServerConfig{Addr: *addr, ExpiryEvery: *expiryEvery, MaxSlots: *maxSlots})
+	srv, err := netmw.ServeCluster(cl, netmw.ClusterServerConfig{Addr: *addr, ExpiryEvery: *expiryEvery})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmserve: %v\n", err)
 		os.Exit(1)

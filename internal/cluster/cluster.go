@@ -27,6 +27,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,11 +53,6 @@ var (
 	// graceful shutdown; resubmitting an already-accepted idempotency key
 	// still attaches.
 	ErrDraining = errors.New("cluster: draining, not accepting new jobs")
-	// ErrStaleJob marks a set for a job whose operands were already
-	// released. A session's hold keeps the operands of every task it
-	// holds, so a set it materializes never meets it; it is an
-	// engine.ErrStaleAssign, which the feeder answers with a filler set.
-	ErrStaleJob = fmt.Errorf("cluster: job matrices released: %w", engine.ErrStaleAssign)
 	// ErrWorkerQuarantined refuses a worker whose results failed
 	// verification past the strike threshold; the verdict is journaled,
 	// so it also refuses the worker after a master restart.
@@ -74,10 +70,9 @@ var (
 type RetryPolicy struct {
 	// Backoff is the pause before a requeued task is eligible again,
 	// doubled per attempt (attempt 1 waits Backoff, attempt 2 twice
-	// that, …). 0 = requeued tasks are immediately eligible.
+	// that, …) up to 16× Backoff. 0 = requeued tasks are immediately
+	// eligible.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling; 0 caps at 16× Backoff.
-	MaxBackoff time.Duration
 }
 
 // delay returns the eligibility pause for the attempt-th requeue.
@@ -85,18 +80,7 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
-	cap := p.MaxBackoff
-	if cap <= 0 {
-		cap = 16 * p.Backoff
-	}
-	d := p.Backoff
-	for i := 1; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return p.Backoff << min(max(attempt-1, 0), 4)
 }
 
 // Config tunes a Cluster.
@@ -107,9 +91,6 @@ type Config struct {
 	// MaxAttempts bounds how many times one task may be dispatched before
 	// its job fails (each worker loss costs one attempt). Default 5.
 	MaxAttempts int
-	// MaxRunning caps the jobs dispatched concurrently; further jobs queue
-	// FIFO. 0 means unlimited.
-	MaxRunning int
 	// Clock supplies time; nil uses the real clock.
 	Clock Clock
 	// Adaptive tunes the online-adaptive layer: profile-driven chunk
@@ -134,8 +115,6 @@ type Stats struct {
 	WorkersAlive int
 	WorkersLost  int // cumulative
 	Requeues     int // cumulative tasks re-dispatched after a loss
-	JobsQueued   int
-	JobsRunning  int
 	JobsDone     int
 	JobsFailed   int
 	// JobsQuarantined counts the Failed jobs that exhausted their retry
@@ -179,9 +158,8 @@ type Cluster struct {
 	reg     *registry
 	jobs    map[JobID]*job
 	order   []JobID // submission order, every job ever accepted
-	live    []*job  // the Queued and Running jobs, in submission order (pruneLiveLocked)
+	live    []*job  // the Running jobs, in submission order (pruneLiveLocked)
 	rr      int     // round-robin scan start in live, for multi-job fairness
-	running int
 	nextID  JobID
 	closed  bool
 	requeue int
@@ -212,16 +190,14 @@ type Cluster struct {
 	wakeAt time.Time
 	// parks counts the times a Next caller blocked in cond.Wait, so a
 	// test can tell that a dispatcher has provably parked; scanned counts
-	// the jobs promotion and dispatch examined, so a test can tell that
-	// they visit only live jobs.
+	// the jobs dispatch examined, so a test can tell that it visits only
+	// live jobs.
 	parks, scanned int
 
-	// verify is the normalized verification policy; sample is the
-	// splitmix64 state of its sampling draws; quarantined records parked
-	// workers by id (worker records are replaced on rejoin, the verdict
-	// must not be).
+	// verify is the normalized verification policy; quarantined records
+	// parked workers by id (worker records are replaced on rejoin, the
+	// verdict must not be).
 	verify          VerifyPolicy
-	sample          uint64
 	quarantined     map[string]quarantineInfo
 	verifyChecks    int
 	verifyFails     int
@@ -253,7 +229,6 @@ func New(cfg Config) *Cluster {
 		verify:      cfg.Verify.normalized(),
 		quarantined: make(map[string]quarantineInfo),
 	}
-	cl.sample = verifySeed ^ 0xa5a5a5a55a5a5a5a
 	cl.cond = sync.NewCond(&cl.mu)
 	return cl
 }
@@ -318,7 +293,7 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 	j := newJob(id, spec)
 	j.key = key
 	cl.addJobLocked(j)
-	cl.promoteLocked()
+	cl.startLocked(j)
 	cl.cond.Broadcast()
 	return id, false, nil
 }
@@ -332,12 +307,9 @@ func (cl *Cluster) addJobLocked(j *job) {
 	if j.key != 0 {
 		cl.keys[j.key] = j.id
 	}
-	switch j.state {
-	case Done, Failed:
+	if j.state != Running {
 		close(j.doneCh)
 		return
-	case Running:
-		cl.running++
 	}
 	cl.live = append(cl.live, j)
 }
@@ -345,7 +317,7 @@ func (cl *Cluster) addJobLocked(j *job) {
 // JobResult returns the job's result matrix (C for matmul, the packed
 // L\U for LU) once it is Done — the read side of idempotent resubmit: a
 // client that attached to an already-finished job fetches the result it
-// missed. Running or Queued jobs return an error, as do Failed ones
+// missed. Running jobs return an error, as do Failed ones
 // (with the failure cause).
 func (cl *Cluster) JobResult(id JobID) (*matrix.Blocked, error) {
 	cl.mu.Lock()
@@ -395,7 +367,7 @@ func (cl *Cluster) Drain() {
 	cl.mu.Unlock()
 }
 
-// AwaitQuiesce blocks until no job is Queued or Running, or the timeout
+// AwaitQuiesce blocks until no job is Running, or the timeout
 // elapses; it reports whether the cluster quiesced. Combine with Drain
 // for a bounded graceful shutdown.
 func (cl *Cluster) AwaitQuiesce(timeout time.Duration) bool {
@@ -409,14 +381,7 @@ func (cl *Cluster) AwaitQuiesce(timeout time.Duration) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	for {
-		busy := false
-		for _, j := range cl.live {
-			if j.state == Queued || j.state == Running {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if !slices.ContainsFunc(cl.live, func(j *job) bool { return j.state == Running }) {
 			return true
 		}
 		if cl.closed || !time.Now().Before(deadline) {
@@ -509,10 +474,6 @@ func (cl *Cluster) ClusterStats() Stats {
 	}
 	for _, j := range cl.jobs {
 		switch j.state {
-		case Queued:
-			st.JobsQueued++
-		case Running:
-			st.JobsRunning++
 		case Done:
 			st.JobsDone++
 		case Failed:
@@ -546,7 +507,7 @@ func (cl *Cluster) Close() {
 	cl.log = nil
 	for _, id := range cl.order {
 		j := cl.jobs[id]
-		if j.state == Queued || j.state == Running {
+		if j.state == Running {
 			j.pending = nil
 			cl.finishJobLocked(j, Failed, ErrClosed)
 		}
@@ -691,7 +652,6 @@ func footprint(rows, cols int) int {
 // wakes it.
 func (cl *Cluster) takeLocked(w *workerState) *Task {
 	cl.pruneLiveLocked()
-	cl.promoteLocked()
 	if len(w.inflight) >= w.slots {
 		return nil // every slot busy; an ack will wake us
 	}
@@ -859,7 +819,6 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 		// memory the ack frees must still wake dispatchers blocked in
 		// Next — returning without a Broadcast strands them until some
 		// unrelated event happens to fire one.
-		cl.promoteLocked()
 		cl.cond.Broadcast()
 		return nil
 	}
@@ -877,7 +836,6 @@ func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
 	}
 	// The ack frees a slot and (once committed) memory; dispatchers
 	// blocked on either must re-evaluate.
-	cl.promoteLocked()
 	cl.cond.Broadcast()
 	return nil
 }
@@ -920,7 +878,7 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		}
 	}
 	w.lastSeen = cl.clock.Now()
-	if cl.verify.Mode != VerifyOff {
+	if cl.verify.Mode == VerifyAll {
 		cl.verifyFlushLocked(w, ids, blocks)
 	}
 	for n, bid := range ids {
@@ -953,7 +911,6 @@ func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 	}
 	// Committed tiles freed worker memory and may have finished jobs or
 	// advanced LU stages; every blocked dispatcher must re-evaluate.
-	cl.promoteLocked()
 	cl.cond.Broadcast()
 	return nil
 }
@@ -976,16 +933,16 @@ func (cl *Cluster) chunkLocked(t *Task) [][]float64 {
 // setLocked appends the k-th update set for the task to set: Rows A
 // blocks and Cols B blocks of step t.K+k, the job's operands by
 // reference (opA, opB) — read-only, and valid while a session holds the
-// task (the hold keeps the job from being released under it). Once the
-// job's operands are released it returns ErrStaleJob and appends
-// nothing.
+// task (the hold keeps the job from being released under it), so a
+// session never asks for a released job's set; one that does gets an
+// error and appends nothing.
 func (cl *Cluster) setLocked(t *Task, k int, set *engine.Set) error {
 	j := cl.jobs[t.Job]
 	if j == nil {
 		return fmt.Errorf("cluster: unknown job %d", t.Job)
 	}
 	if j.spec.A == nil && j.spec.M == nil {
-		return fmt.Errorf("cluster: set %d of task %d/%d: %w", k, t.Job, t.Seq, ErrStaleJob)
+		return fmt.Errorf("cluster: set %d of task %d/%d: job matrices released", k, t.Job, t.Seq)
 	}
 	if k < 0 || k >= t.Steps {
 		return fmt.Errorf("cluster: set %d out of range for job %d", k, t.Job)
@@ -1008,34 +965,25 @@ func (cl *Cluster) taskQ(j *job) int {
 
 // --- internal state transitions ------------------------------------------
 
-// promoteLocked starts queued jobs while the MaxRunning gate allows.
-func (cl *Cluster) promoteLocked() {
-	for _, j := range cl.live {
-		cl.scanned++
-		if j.state != Queued {
-			continue
+// startLocked opens an admitted job for dispatch: an LU job's stage 0
+// is factored — a zero pivot fails the job — and a job with nothing to
+// do is Done at once.
+func (cl *Cluster) startLocked(j *job) {
+	if j.spec.Kind == LU {
+		if err := j.openStage(cl.pool); err != nil {
+			cl.finishJobLocked(j, Failed, err)
+			return
 		}
-		if cl.cfg.MaxRunning > 0 && cl.running >= cl.cfg.MaxRunning {
-			break
-		}
-		j.state = Running
-		cl.running++
-		if j.spec.Kind == LU {
-			if err := j.openStage(cl.pool); err != nil {
-				cl.finishJobLocked(j, Failed, err)
-				continue
-			}
-		}
-		if j.finished() {
-			cl.finishJobLocked(j, Done, nil)
-		}
+	}
+	if j.finished() {
+		cl.finishJobLocked(j, Done, nil)
 	}
 }
 
 // pruneLiveLocked drops the jobs that turned terminal from the live list,
 // keeping the round-robin start on the job it was on (or the next one, if
-// that job left). The live list is all promotion and dispatch look at, so
-// their cost follows the jobs in flight, not the jobs ever accepted. Only
+// that job left). The live list is all dispatch looks at, so its cost
+// follows the jobs in flight, not the jobs ever accepted. Only
 // the top of a dispatch decision prunes it: the scans below, which can
 // fail a job, never see the list move.
 func (cl *Cluster) pruneLiveLocked() {
@@ -1076,16 +1024,12 @@ func (cl *Cluster) settleLocked(j *job) {
 func (cl *Cluster) failJobLocked(j *job, err error) {
 	j.pending = nil
 	cl.finishJobLocked(j, Failed, err)
-	cl.promoteLocked()
 	cl.cond.Broadcast()
 }
 
 func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
-	if j.state == Done || j.state == Failed {
+	if j.state != Running {
 		return
-	}
-	if j.state == Running {
-		cl.running--
 	}
 	j.state = state
 	j.err = err

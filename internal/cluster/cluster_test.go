@@ -65,6 +65,12 @@ func waitParked(t *testing.T, cl *Cluster, n int) {
 	}
 }
 
+// allTerminal reports that every job the cluster holds is Done or Failed.
+func allTerminal(cl *Cluster) bool {
+	st := cl.ClusterStats()
+	return st.JobsDone+st.JobsFailed == len(cl.Jobs())
+}
+
 // join registers a worker and returns its session.
 func join(t *testing.T, cl *Cluster, id string, mem, slots int) *Session {
 	t.Helper()
@@ -713,38 +719,9 @@ func TestStaleCompletionRejected(t *testing.T) {
 	}
 }
 
-func TestMaxRunningQueuesJobs(t *testing.T) {
-	cl, _ := manualCluster(Config{MaxRunning: 1})
-	defer cl.Close()
-	c1, a1, b1, _ := blockedInputs(t, 8, 8, 8, 4, 7)
-	c2, a2, b2, _ := blockedInputs(t, 8, 8, 8, 4, 8)
-	j1, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c1, A: a1, B: b1, Mu: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c2, A: a2, B: b2, Mu: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := cl.JobStatus(j1); st.State != Running {
-		t.Fatalf("job 1 state = %v, want running", st.State)
-	}
-	if st, _ := cl.JobStatus(j2); st.State != Queued {
-		t.Fatalf("job 2 state = %v, want queued", st.State)
-	}
-	// Draining job 1 promotes job 2.
-	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w1", Mem: 64})
-	if st := waitStatus(t, cl, j1); st.State != Done {
-		t.Fatalf("job 1 = %v", st.State)
-	}
-	if st := waitStatus(t, cl, j2); st.State != Done {
-		t.Fatalf("job 2 = %v", st.State)
-	}
-}
-
-// TestDispatchScansOnlyLiveJobs: promotion and dispatch look at the jobs
-// in flight, not at every job ever accepted, so their cost does not grow
-// with the jobs served — and the scan still starts after the last job
+// TestDispatchScansOnlyLiveJobs: dispatch looks at the jobs in flight,
+// not at every job ever accepted, so its cost does not grow with the
+// jobs served — and the scan still starts after the last job
 // served, also when a job leaves the live list between two dispatches.
 func TestDispatchScansOnlyLiveJobs(t *testing.T) {
 	cl, _ := manualCluster(Config{})
@@ -783,10 +760,10 @@ func TestDispatchScansOnlyLiveJobs(t *testing.T) {
 	cl.mu.Lock()
 	scanned, live := cl.scanned, len(cl.live)
 	cl.mu.Unlock()
-	// The dispatch's scan and promotion, the ack's and the commit's
-	// promotion: each looks at every live job at most once.
-	if live != 3 || scanned > 4*live {
-		t.Fatalf("a task's dispatch, ack and commit after 2000 finished jobs examined %d jobs, %d live; want at most 4 per live job",
+	// The dispatch's scan looks at every live job at most once; the ack
+	// and the commit look at none.
+	if live != 3 || scanned > live {
+		t.Fatalf("a task's dispatch, ack and commit after 2000 finished jobs examined %d jobs, %d live; want at most one per live job",
 			scanned, live)
 	}
 	for i := 1; i < 9; i++ {

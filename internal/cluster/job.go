@@ -34,14 +34,14 @@ func (k JobKind) String() string {
 	}
 }
 
-// JobState is a job's position in its lifecycle.
+// JobState is a job's position in its lifecycle. Its values are the
+// state bytes of the journal's snapshot and done records.
 type JobState int
 
 const (
-	// Queued jobs are admitted but not yet dispatched (MaxRunning gate).
-	Queued JobState = iota
-	// Running jobs have tasks eligible for dispatch.
-	Running
+	// Running jobs have tasks eligible for dispatch: every admitted job
+	// runs.
+	Running JobState = iota + 1
 	// Done jobs completed; their result is in the spec's matrices.
 	Done
 	// Failed jobs gave up (a task exceeded MaxAttempts, or the cluster
@@ -51,8 +51,6 @@ const (
 
 func (s JobState) String() string {
 	switch s {
-	case Queued:
-		return "queued"
 	case Running:
 		return "running"
 	case Done:
@@ -300,12 +298,12 @@ func validateSpec(spec JobSpec) error {
 	return nil
 }
 
-// newJob builds the job record. A product's cutter covers its whole C
-// grid; an LU job's stays empty until promotion factors panel 0 and opens
-// the stage's trailing grid (openStage).
+// newJob builds the Running job record. A product's cutter covers its
+// whole C grid; an LU job's stays empty until startLocked factors panel 0
+// and opens the stage's trailing grid (openStage).
 func newJob(id JobID, spec JobSpec) *job {
 	res := spec.result()
-	j := &job{id: id, spec: spec, q: res.Q, doneCh: make(chan struct{})}
+	j := &job{id: id, spec: spec, q: res.Q, state: Running, doneCh: make(chan struct{})}
 	if spec.Kind == LU {
 		j.cutter = newCutterFromRects(res.BR, res.BC, nil)
 	} else {

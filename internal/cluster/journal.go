@@ -16,7 +16,7 @@ package cluster
 //   - accepted carries the job id, idempotency key and the operand
 //     matrices verbatim. Replaying it re-runs the same deterministic
 //     admission path as SubmitJob (a cutter over the C grid; for LU,
-//     the stage-0 panel factorization at promotion). Its mode byte is
+//     the stage-0 panel factorization). Its mode byte is
 //     written as 0 and ignored on read: every job is cut at dispatch.
 //   - chunk is appended when a chunk's result lands in the job matrix
 //     (the flush commit of the last of an acked chunk's tiles). Replaying
@@ -43,7 +43,10 @@ package cluster
 // two workers, and a region freed twice would be cut twice. A snapshot
 // is applied without re-running admission, so an LU job's
 // already-factored panels are never factored twice, and every free list
-// passes the cutter's Check before anything is cut from it. A terminal
+// passes the cutter's Check before anything is cut from it. The one
+// exception is a job whose state byte is 0: a master that capped the
+// jobs it ran had admitted it but not started it, so it starts on load
+// as it would have at admission. A terminal
 // job's released operands are written as absent, and a job whose result
 // was released too is left out altogether — nobody can ask for it, and
 // a log that re-wrote every job ever served would grow without bound.
@@ -347,7 +350,7 @@ func (cl *Cluster) CompactLog() error {
 // and a snapshot record resets to.
 func (cl *Cluster) resetJobsLocked() {
 	for _, j := range cl.live {
-		if j.state == Queued || j.state == Running {
+		if j.state == Running {
 			close(j.doneCh)
 		}
 	}
@@ -355,7 +358,7 @@ func (cl *Cluster) resetJobsLocked() {
 	cl.order, cl.live = nil, nil
 	cl.keys = make(map[uint64]JobID)
 	cl.quarantined = make(map[string]quarantineInfo)
-	cl.nextID, cl.running, cl.rr = 0, 0, 0
+	cl.nextID, cl.rr = 0, 0
 }
 
 func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
@@ -385,10 +388,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		j.key = key
 		cl.addJobLocked(j)
 		cl.nextID = max(cl.nextID, id+1)
-		// The same promotion gate as live admission: journal order is
-		// mutex order, so a job that ran live is promoted here by the
-		// time its chunk records replay.
-		cl.promoteLocked()
+		cl.startLocked(j)
 	case evChunk:
 		c := d.chunkHead()
 		if d.err != nil {
@@ -415,9 +415,6 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		j.total++
 		j.done++
 		cl.settleLocked(j)
-		if j.state != Running {
-			cl.promoteLocked()
-		}
 	case evDone:
 		id := JobID(d.u32())
 		state := JobState(d.u8())
@@ -439,7 +436,6 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 			jerr = errors.New(msg)
 		}
 		cl.finishJobLocked(j, state, jerr)
-		cl.promoteLocked()
 	case evWorkerQuarantine:
 		id := d.str()
 		strikes := int(d.u32())
@@ -563,7 +559,12 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		j.id = JobID(d.u32())
 		j.key = d.u64()
 		j.spec.Kind = JobKind(d.u8())
+		// State 0: admitted but not started; it starts on load.
 		j.state = JobState(d.u8())
+		unstarted := j.state == 0
+		if unstarted {
+			j.state = Running
+		}
 		j.quarantined = d.u8() == 1
 		j.spec.Mu = int(d.u32())
 		if msg := d.str(); msg != "" {
@@ -594,6 +595,9 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 			return fmt.Errorf("cluster: snapshot job %d: %w", j.id, err)
 		}
 		cl.addJobLocked(j)
+		if unstarted {
+			cl.startLocked(j)
+		}
 		rs.Jobs++
 	}
 	// Quarantined-worker table. v0 snapshots written before verification

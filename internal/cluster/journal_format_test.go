@@ -390,7 +390,7 @@ func journalMatchesReference(t *testing.T, seed int64, gather bool) {
 				cl.ForgetResult(held.Job) // an unkeyed job then leaves the snapshot
 			}
 		}
-		if cl.ClusterStats().JobsRunning == 0 {
+		if allTerminal(cl) {
 			held = nil
 			break
 		}

@@ -623,14 +623,10 @@ func TestRetryPolicyDelays(t *testing.T) {
 	for _, tc := range []struct {
 		attempt int
 		want    time.Duration
-	}{{1, time.Second}, {2, 2 * time.Second}, {3, 4 * time.Second}, {5, 16 * time.Second}, {9, 16 * time.Second}} {
+	}{{1, time.Second}, {2, 2 * time.Second}, {3, 4 * time.Second}, {4, 8 * time.Second}, {5, 16 * time.Second}, {9, 16 * time.Second}} {
 		if got := p.delay(tc.attempt); got != tc.want {
 			t.Fatalf("delay(%d) = %v, want %v", tc.attempt, got, tc.want)
 		}
-	}
-	capped := RetryPolicy{Backoff: time.Second, MaxBackoff: 3 * time.Second}
-	if got := capped.delay(4); got != 3*time.Second {
-		t.Fatalf("capped delay(4) = %v, want 3s", got)
 	}
 	if got := (RetryPolicy{}).delay(7); got != 0 {
 		t.Fatalf("zero policy delay = %v, want 0", got)
@@ -994,6 +990,66 @@ func TestRecoverPreCutSnapshot(t *testing.T) {
 		}
 		if !sameMatrix(res, want) {
 			t.Fatalf("job %d from the pre-cut snapshot is not bit-exact", id)
+		}
+	}
+	cl.Close()
+	<-done
+}
+
+// TestRecoverQueuedSnapshot pins compatibility with stores written by a
+// master that capped the jobs it ran: a snapshot holding a matmul and an
+// LU job it had admitted but not started — state byte 0, nothing cut,
+// the LU job's first panel not factored — recovers, and both jobs run
+// and finish bit-exact.
+func TestRecoverQueuedSnapshot(t *testing.T) {
+	c, a, b, ref := blockedInputs(t, 16, 16, 16, 4, 91)
+	const q, r = 4, 4
+	orig := matrix.NewDense(q*r, q*r)
+	lu.DiagonallyDominant(orig, 93)
+	src, _ := manualCluster(Config{})
+	src.mu.Lock()
+	for id, spec := range []JobSpec{
+		{Kind: MatMul, C: c, A: a, B: b, Mu: 2},
+		{Kind: LU, M: matrix.Partition(orig.Clone(), q), Mu: 1},
+	} {
+		j := newJob(JobID(id), spec)
+		j.state = 0 // admitted, not started
+		src.jobs[j.id] = j
+		src.order = append(src.order, j.id)
+	}
+	src.nextID = 2
+	snap := refSnapshot(src)
+	src.mu.Unlock()
+
+	dir := t.TempDir()
+	jn, _ := openLog(t, dir)
+	if err := jn.Compact(snap); err != nil {
+		t.Fatal(err)
+	}
+	jn.Close()
+	jnB, logB := openLog(t, dir)
+	defer jnB.Close()
+	cl, _ := manualCluster(Config{Log: logB})
+	defer cl.Close()
+	rs, err := cl.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rs.Snapshots != 1 || rs.Resumed != 2 {
+		t.Fatalf("RecoveryStats = %+v, want both jobs resumed from the snapshot", rs)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(cl, LocalWorkerConfig{ID: "w"}) }()
+	for id, want := range []*matrix.Blocked{matrix.Partition(ref, q), luReference(t, orig, q)} {
+		if st := waitStatus(t, cl, JobID(id)); st.State != Done {
+			t.Fatalf("job %d after recovery = %+v", id, st)
+		}
+		res, err := cl.JobResult(JobID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMatrix(res, want) {
+			t.Fatalf("job %d from the queued snapshot is not bit-exact", id)
 		}
 	}
 	cl.Close()

@@ -31,20 +31,16 @@ type WorkerInfo struct {
 	// lifetime denominator).
 	SessBlocksShipped int64
 	SessBlocksSkipped int64
-	SessBytesSaved    int64
 
 	// Result accounting.
 	DirtyBlocks   int   // C blocks acked by the worker, not yet committed
 	FlushedBlocks int64 // C blocks committed via flush over the lifetime
 
 	// Wire-byte accounting from the transport's per-conn counters, as
-	// reported once per session when it closes (Session.Close): lifetime
-	// totals carry across reconnects, session counterparts cover only the
-	// current incarnation.
-	WireBytesOut     int64 // master→worker frames
-	WireBytesIn      int64 // worker→master frames
-	SessWireBytesOut int64
-	SessWireBytesIn  int64
+	// reported once per session when it closes (Session.Close); the
+	// totals carry across reconnects.
+	WireBytesOut int64 // master→worker frames
+	WireBytesIn  int64 // worker→master frames
 
 	// Profile is the worker's live speed/bandwidth estimate; zero-valued
 	// (ComputeSamples == 0) until the first timing sample lands.
@@ -110,13 +106,9 @@ type workerState struct {
 	// Current-incarnation totals; reset to zero on every (re)join.
 	sessShipped int64
 	sessSkipped int64
-	sessSaved   int64
-	// Wire-byte totals (Session.Close): lifetime carries across
-	// incarnations, session counters reset on every (re)join.
-	wireOut     int64
-	wireIn      int64
-	sessWireOut int64
-	sessWireIn  int64
+	// Wire-byte totals (Session.Close), carried across incarnations.
+	wireOut int64
+	wireIn  int64
 	// Dirty results: tasks acked whose tiles have not yet committed, and
 	// those C tiles (keyed by engine.CBlockID).
 	dirty      map[engine.AssignID]*dirtyTask
@@ -217,10 +209,8 @@ func (r *registry) snapshot() []WorkerInfo {
 			BlocksShipped: w.blocksShipped, BlocksSkipped: w.blocksSkipped,
 			BytesSaved:        w.bytesSaved,
 			SessBlocksShipped: w.sessShipped, SessBlocksSkipped: w.sessSkipped,
-			SessBytesSaved: w.sessSaved,
-			DirtyBlocks:    w.dirtyBlocks(), FlushedBlocks: w.flushed,
+			DirtyBlocks: w.dirtyBlocks(), FlushedBlocks: w.flushed,
 			WireBytesOut: w.wireOut, WireBytesIn: w.wireIn,
-			SessWireBytesOut: w.sessWireOut, SessWireBytesIn: w.sessWireIn,
 			Strikes:         w.strikes,
 			VerifyFailures:  w.verifyFails,
 			TransportFaults: w.transportFaults,

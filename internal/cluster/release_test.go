@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 )
@@ -82,14 +80,11 @@ func TestFinishedJobReleasesOperandsKeepsResult(t *testing.T) {
 	if !a.Equal(aCopy, 0) {
 		t.Fatal("caller-owned operand was modified by the release")
 	}
-	// The stale error is the engine's revoked-assignment error, which
-	// RunFeeder answers with a filler set instead of ending the session.
-	err = setOf(cl, last, 0)
-	if !errors.Is(err, ErrStaleJob) {
-		t.Fatalf("set on released operands = %v, want ErrStaleJob", err)
-	}
-	if !errors.Is(err, engine.ErrStaleAssign) {
-		t.Fatalf("set on released operands = %v, want engine.ErrStaleAssign", err)
+	// A session's hold keeps the operands of every task it holds, so no
+	// session asks for these; a set on them is an error, which would end
+	// the session.
+	if err := setOf(cl, last, 0); err == nil {
+		t.Fatal("set on released operands succeeded, want an error")
 	}
 
 	cl.ForgetResult(id)
@@ -237,7 +232,7 @@ func TestRecoveredJobsPooled(t *testing.T) {
 
 		m = jobLocked(clB, luID, func(j *job) *matrix.Blocked { return j.spec.M })
 		w = join(t, clB, "w", 0, 1)
-		for clB.ClusterStats().JobsRunning > 0 {
+		for !allTerminal(clB) {
 			serveOne(w, m)
 		}
 		mm, err := clB.JobResult(mmID)

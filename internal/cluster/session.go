@@ -259,9 +259,6 @@ func (s *Session) Close(rep SessionReport) error {
 	if live {
 		cur.sessShipped += comm.BlocksShipped
 		cur.sessSkipped += comm.BlocksSkipped
-		cur.sessSaved += comm.BytesSaved
-		cur.sessWireOut += rep.WireOut
-		cur.sessWireIn += rep.WireIn
 	}
 	if rep.TransportFault {
 		cl.transportFaults++

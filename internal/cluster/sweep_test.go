@@ -133,10 +133,10 @@ func jobLocked[T any](cl *Cluster, id JobID, f func(*job) T) T {
 }
 
 // sweepConfig is the configuration of both the scripted master and every
-// master recovered from its journal: one job running at a time, adaptive
-// chunk sides and speculation.
+// master recovered from its journal: adaptive chunk sides and
+// speculation.
 func sweepConfig(log JobLog) Config {
-	return Config{Log: log, MaxRunning: 1, Adaptive: AdaptiveConfig{
+	return Config{Log: log, Adaptive: AdaptiveConfig{
 		Enabled: true, ChunkTarget: time.Second, SpeculationFactor: 1.5,
 	}}
 }
@@ -172,10 +172,6 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	rec := &opLog{JobLog: NewStoreLog(jn)}
 	cl, _ := manualCluster(sweepConfig(rec))
 	mm, _, err := cl.SubmitJobKeyed(1, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	luj, _, err := cl.SubmitJobKeyed(2, JobSpec{Kind: LU, M: matrix.Partition(orig.Clone(), q), Mu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +235,13 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	fresh := join(t, cl, "c", 0, 1)
 	finishJob(fresh, mm)
 
-	// The LU job: a chunk dirty and one in flight at a compaction
-	// mid-stage, then a dirty-tile loss.
+	// The LU job, submitted once the product is done so that every
+	// dispatch above sees one running job: a chunk dirty and one in
+	// flight at a compaction mid-stage, then a dirty-tile loss.
+	luj, _, err := cl.SubmitJobKeyed(2, JobSpec{Kind: LU, M: matrix.Partition(orig.Clone(), q), Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lw := join(t, cl, "l", 0, 2)
 	l1, l2 := dispatch(t, lw), dispatch(t, lw)
 	if err := lw.Acked(l1.ID); err != nil {

@@ -32,8 +32,6 @@ const (
 	VerifyOff VerifyMode = iota
 	// VerifyAll checks every task's tiles.
 	VerifyAll
-	// VerifySample checks a seeded-random fraction of tasks (SampleRate).
-	VerifySample
 )
 
 func (m VerifyMode) String() string {
@@ -42,8 +40,6 @@ func (m VerifyMode) String() string {
 		return "off"
 	case VerifyAll:
 		return "all"
-	case VerifySample:
-		return "sample"
 	default:
 		return fmt.Sprintf("VerifyMode(%d)", int(m))
 	}
@@ -52,9 +48,6 @@ func (m VerifyMode) String() string {
 // VerifyPolicy tunes result verification and worker quarantine.
 type VerifyPolicy struct {
 	Mode VerifyMode
-	// SampleRate is the fraction of tasks verified under VerifySample,
-	// in [0, 1]; drawn per task from a seeded stream.
-	SampleRate float64
 	// QuarantineStrikes is how many refused tasks quarantine a worker.
 	// Default 3.
 	QuarantineStrikes int
@@ -71,8 +64,8 @@ const (
 	// is nearly free — one extra register set on the same memory sweep),
 	// so an odd count is rounded up, never down.
 	verifyPairs = (verifyRounds + 1) / 2
-	// verifySeed drives the probe signs and the sampling stream, so a
-	// failing run is reproducible.
+	// verifySeed drives the probe signs, so a failing run is
+	// reproducible.
 	verifySeed = 0x5eedf00dcafe
 )
 
@@ -80,12 +73,6 @@ const (
 func (p VerifyPolicy) normalized() VerifyPolicy {
 	if p.QuarantineStrikes < 1 {
 		p.QuarantineStrikes = 3
-	}
-	if p.SampleRate < 0 {
-		p.SampleRate = 0
-	}
-	if p.SampleRate > 1 {
-		p.SampleRate = 1
 	}
 	return p
 }
@@ -236,30 +223,6 @@ func (cl *Cluster) probeLocked(j *job, t *Task, bi, bj int, cand, old []float64,
 	return true
 }
 
-// sampleDrawLocked returns the next uniform draw in [0, 1) from the
-// policy's seeded sampling stream.
-func (cl *Cluster) sampleDrawLocked() float64 {
-	cl.sample += 0x9e3779b97f4a7c15
-	z := cl.sample
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
-}
-
-// shouldVerifyLocked decides, per task, whether to verify its candidate
-// tiles under the configured policy.
-func (cl *Cluster) shouldVerifyLocked() bool {
-	switch cl.verify.Mode {
-	case VerifyAll:
-		return true
-	case VerifySample:
-		return cl.sampleDrawLocked() < cl.verify.SampleRate
-	default:
-		return false
-	}
-}
-
 // verifyTileLocked checks one candidate value for tile (bi, bj) of job
 // j against old + Σ_k A_k·B_k over the task's steps, from the
 // master-owned operands (opA, opB; for an LU trailing update, the
@@ -328,9 +291,6 @@ func (cl *Cluster) verifyFlushLocked(w *workerState, ids []uint64, blocks [][]fl
 		t := dt.task
 		j := cl.jobs[t.Job]
 		if j == nil || j.state != Running {
-			continue
-		}
-		if !cl.shouldVerifyLocked() {
 			continue
 		}
 		bad := false

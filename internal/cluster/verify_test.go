@@ -435,28 +435,3 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 		t.Fatalf("QuarantinedWorkers after compaction = %+v", qs)
 	}
 }
-
-// TestVerifySampleRate sanity-checks the seeded sampling draw: rate 0
-// never verifies, rate 1 always does.
-func TestVerifySampleRate(t *testing.T) {
-	for _, tc := range []struct {
-		rate float64
-		want bool
-	}{{0, false}, {1, true}} {
-		cl, _ := manualCluster(Config{
-			Verify: VerifyPolicy{Mode: VerifySample, SampleRate: tc.rate},
-		})
-		cl.mu.Lock()
-		got := false
-		for i := 0; i < 32; i++ {
-			if cl.shouldVerifyLocked() {
-				got = true
-			}
-		}
-		cl.mu.Unlock()
-		if got != tc.want {
-			t.Fatalf("rate %g: verified=%v, want %v", tc.rate, got, tc.want)
-		}
-		cl.Close()
-	}
-}

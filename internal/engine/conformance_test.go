@@ -79,8 +79,6 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 // flagged set, tasks go
 // out with C flags (zero tiles as CZero, the rest CShip), as the
 // cluster sends them; otherwise without, which means every tile ships.
-// stale marks revoked assignments whose operands the job let go of: Set
-// answers ErrStaleAssign, and the acknowledgement is refused.
 type testJob struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -89,7 +87,6 @@ type testJob struct {
 	chunks  []*chunk
 	pending []*chunk
 	left    int // chunks not yet committed
-	stale   map[engine.AssignID]bool
 }
 
 // chunk is one region of the job's C grid: Rows×Cols blocks from block
@@ -175,9 +172,6 @@ func (f *testFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	if ch == nil {
 		return nil, fmt.Errorf("test feed: set for unknown assignment %v", id)
 	}
-	if j.stale[id] {
-		return nil, fmt.Errorf("test feed: %v: %w", id, engine.ErrStaleAssign)
-	}
 	set := &engine.Set{K: k}
 	for i := 0; i < ch.Rows; i++ {
 		set.A = append(set.A, j.a.Block(ch.I0+i, k).Data)
@@ -199,10 +193,6 @@ func (f *testFeed) Acked(id engine.AssignID) error {
 		return engine.ErrStaleResult
 	}
 	delete(f.held, id)
-	if j.stale[id] {
-		j.left-- // retired, but its tiles never land
-		return engine.ErrStaleResult
-	}
 	for i := 0; i < ch.Rows; i++ {
 		for jj := 0; jj < ch.Cols; jj++ {
 			f.dirty[engine.CBlockID(0, ch.I0+i, ch.J0+jj)] = ch
@@ -220,7 +210,7 @@ func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
 	for n, id := range ids {
 		ch := f.dirty[id]
 		if ch == nil {
-			continue // a revoked assignment's tile: refused at its ack
+			continue // an id the feed does not track: skipped, as Feed asks
 		}
 		_, bi, bj, _ := engine.CBlockCoords(id)
 		copy(j.c.Block(bi, bj).Data, blocks[n])
@@ -597,58 +587,6 @@ func TestFeederConformance(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFeederStaleSetKeepsSession: a set request for an assignment whose
-// operands the feed has let go of (ErrStaleAssign) is answered with a
-// filler set instead of ending the session — the worker runs the doomed
-// assignment to its end, the result is refused as stale, every other
-// tile is bit-exact and the session still ends with a clean Bye.
-func TestFeederStaleSetKeepsSession(t *testing.T) {
-	for _, fl := range fleets {
-		t.Run(fl, func(t *testing.T) {
-			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
-			orig := c.Clone()
-			pool := engine.NewBlockPool()
-			master, worker := feederPair(t, fl, pool)
-			job := newTestJob(c, a, b, 2, false)
-			revoked := job.chunks[1]
-			job.stale = map[engine.AssignID]bool{chunkID(revoked): true}
-			feederDone := make(chan error, 1)
-			go func() {
-				// Mem 13 with two 2×2 tiles in flight announces Cap 0, so a
-				// filler that skipped the builder would desync the caches.
-				_, err := engine.RunFeeder(master, job.session(), engine.FeederConfig{Slots: 2, Pool: pool, Mem: 13})
-				feederDone <- err
-			}()
-			rep, err := engine.RunWorker(worker, engine.WorkerConfig{
-				StageCap: 2, Slots: 2, Cores: 1, Pool: pool,
-			})
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-			if err := <-feederDone; err != nil {
-				t.Fatalf("feeder: %v", err)
-			}
-			if rep.Assignments != len(job.chunks) {
-				t.Fatalf("worker served %d assignments, want %d", rep.Assignments, len(job.chunks))
-			}
-			for i := 0; i < c.BR; i++ {
-				for j := 0; j < c.BC; j++ {
-					ref := want
-					if i >= revoked.I0 && i < revoked.I0+revoked.Rows && j >= revoked.J0 && j < revoked.J0+revoked.Cols {
-						ref = orig // the stale result never landed
-					}
-					got, exp := c.Block(i, j).Data, ref.Block(i, j).Data
-					for e := range got {
-						if got[e] != exp[e] {
-							t.Fatalf("tile (%d,%d) element %d = %g, want %g", i, j, e, got[e], exp[e])
-						}
-					}
-				}
-			}
-		})
 	}
 }
 

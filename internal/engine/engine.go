@@ -51,12 +51,6 @@ var (
 	// (the assignment was revoked); the feeder drops it and frees the
 	// slot.
 	ErrStaleResult = errors.New("engine: stale result")
-	// ErrStaleAssign is returned by Feed.Set for an assignment the feed
-	// revoked and whose operands it no longer holds. The worker is still
-	// owed a set, so the feeder answers with a filler of the right shape:
-	// the doomed assignment runs to its end, its result is refused as
-	// stale, and the session lives on.
-	ErrStaleAssign = errors.New("engine: stale assignment")
 	// ErrSetRequest ends a RunFeeder session whose worker asked for an
 	// update set: the master pushes every set, so the worker speaks the
 	// retired pull dialect and is severed (its task is requeued).

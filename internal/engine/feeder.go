@@ -29,10 +29,10 @@ import (
 // feed no longer tracks (a refused copy's tile, or a job that failed
 // while the tile was in flight) by skipping them.
 //
-// Set may return ErrStaleAssign (possibly wrapped) once the feed has let
-// go of a revoked assignment's operands; the feeder sends a filler set.
-// Once Lost has been called, Set may fail outright: the session is over
-// and the feeder stops pushing.
+// A Set error ends the session. A feed keeps an assignment's operands
+// until Acked or Lost retires it, so a live session's Set finds them;
+// once Lost has been called, Set may fail outright and the feeder stops
+// pushing.
 //
 // ObserveCompute receives the worker-side compute timing carried on a
 // Result (updates block updates took elapsedNS kernel nanoseconds),
@@ -272,7 +272,7 @@ func (f *feeder) dispatch() error {
 		// The assignment is in flight before its frame leaves, so the
 		// reader knows it by the time the worker can acknowledge it.
 		oa := &outAssign{id: as.ID, rows: as.Rows, cols: as.Cols, comm: CommStats{CDown: int64(len(as.Blocks))}}
-		steps, q := as.Steps, as.Q
+		steps := as.Steps
 		f.mu.Lock()
 		f.outq = append(f.outq, oa)
 		f.mu.Unlock()
@@ -281,9 +281,6 @@ func (f *feeder) dispatch() error {
 		}
 		for k := 0; k < steps; k++ {
 			set, err := f.feed.Set(oa.id, k)
-			if errors.Is(err, ErrStaleAssign) {
-				set, err = fillerSet(oa, k, q, f.cfg.Pool), nil
-			}
 			if err != nil {
 				select {
 				case <-f.lost:
@@ -302,25 +299,4 @@ func (f *feeder) dispatch() error {
 			}
 		}
 	}
-}
-
-// fillerSet builds the k-th update set a revoked assignment is still
-// owed when its operands are gone (ErrStaleAssign): zeroed q×q blocks of
-// the right shape under untracked IDs, so neither end's operand cache
-// changes and the builder still announces the capacity both mirror.
-func fillerSet(oa *outAssign, k, q int, pool *BlockPool) *Set {
-	set := pool.GetSet()
-	set.K, set.Owned = k, true
-	zero := func() []float64 {
-		blk := pool.Get(q * q)
-		clear(blk)
-		return blk
-	}
-	for i := 0; i < oa.rows; i++ {
-		set.A, set.AIDs = append(set.A, zero()), append(set.AIDs, 0)
-	}
-	for j := 0; j < oa.cols; j++ {
-		set.B, set.BIDs = append(set.B, zero()), append(set.BIDs, 0)
-	}
-	return set
 }

@@ -12,15 +12,14 @@ func Pipe() (master, worker Transport) {
 	down := make(chan Msg) // master → worker
 	up := make(chan Msg)   // worker → master
 	done := make(chan struct{})
-	shared := &pipeShared{down: down, up: up, done: done}
+	shared := &pipeShared{done: done}
 	return &pipeEnd{shared: shared, send: down, recv: up},
 		&pipeEnd{shared: shared, send: up, recv: down}
 }
 
 type pipeShared struct {
-	down, up chan Msg
-	done     chan struct{}
-	once     sync.Once
+	done chan struct{}
+	once sync.Once
 }
 
 type pipeEnd struct {

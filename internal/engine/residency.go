@@ -154,7 +154,6 @@ func AllZeroBits(buf []float64) bool {
 // protocol skipped because the worker already held them, plus the C
 // tiles' one trip down and one trip up.
 type CommStats struct {
-	SetsSent      int64
 	BlocksShipped int64 // operand blocks whose payload was sent
 	BlocksSkipped int64 // operand blocks served from the worker's cache
 	BytesSaved    int64 // payload bytes the skips avoided (8·q² each)
@@ -172,7 +171,6 @@ type CommStats struct {
 // Add accumulates other into s (DirtyPeak takes the maximum — it is a
 // high-water mark, not a volume).
 func (s *CommStats) Add(other CommStats) {
-	s.SetsSent += other.SetsSent
 	s.BlocksShipped += other.BlocksShipped
 	s.BlocksSkipped += other.BlocksSkipped
 	s.BytesSaved += other.BytesSaved
@@ -386,7 +384,6 @@ func StampIDs(set *Set, job uint32, i0, j0, k int) {
 // C blocks). The Set carries one ID per operand (StampIDs); an ID of 0
 // is untracked and always ships.
 func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
-	sb.Stats.SetsSent++
 	if sb.mirror == nil {
 		sb.mirror = newBlockCache()
 	}

@@ -55,7 +55,6 @@ type ClusterWorkerConfig struct {
 	Backoff time.Duration
 	// BackoffMax caps the doubling; 0 means 16× Backoff.
 	BackoffMax time.Duration
-	Timeout    time.Duration // dial timeout
 
 	// failAfterTasks is a test hook: the worker drops its connection
 	// without warning once it has completed this many tasks (0 = never) —
@@ -75,6 +74,9 @@ type ClusterWorkerReport struct {
 	BytesSaved int64
 }
 
+// workerDialTimeout bounds each connection attempt of a cluster worker.
+const workerDialTimeout = 2 * time.Minute
+
 // errSessionKilled reports the failAfterTasks test hook firing.
 var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 
@@ -93,9 +95,6 @@ func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	}
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 2 * time.Minute
 	}
 	var rep ClusterWorkerReport
 	pool := engine.NewBlockPool()
@@ -147,7 +146,7 @@ func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Dur
 // clusterSession runs one connection lifetime. clean reports a deliberate
 // Bye from the server (no reconnect wanted).
 func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *ClusterWorkerReport) (tasks int, clean bool, err error) {
-	conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.Timeout)
+	conn, err := net.DialTimeout("tcp", cfg.Addr, workerDialTimeout)
 	if err != nil {
 		return 0, false, fmt.Errorf("netmw: dial %s: %w", cfg.Addr, err)
 	}

@@ -22,7 +22,7 @@ import (
 func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
 	checkGoroutines(t)
 	cl := cluster.New(cluster.Config{HeartbeatTimeout: time.Hour})
-	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0", MaxSlots: 4})
+	srv, err := ServeCluster(cl, ClusterServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,10 +439,11 @@ func TestClusterTCPRetainsOnlyJobsInFlight(t *testing.T) {
 
 // TestSetRequestForReleasedJobKeepsSession: a worker declared dead by
 // heartbeat expiry while its connection lives keeps streaming sets for
-// its task. The job finishes on a healthy worker and is released under
-// it; the sets it is still owed must go out (as fillers) so it runs the
-// doomed task to the end, instead of the session dying mid-assignment on
-// a nil matrix or a protocol error.
+// its task. The job finishes on a healthy worker while the dead
+// session still holds the task, and that hold keeps the job's operands:
+// the sets it is still owed go out, so it runs the doomed task to the
+// end, instead of the session dying mid-assignment on a nil matrix or a
+// protocol error.
 func TestSetRequestForReleasedJobKeepsSession(t *testing.T) {
 	checkGoroutines(t)
 	clk := cluster.NewManualClock(time.Unix(0, 0))

@@ -12,7 +12,7 @@ import (
 )
 
 func TestWorkerDialError(t *testing.T) {
-	if _, err := RunClusterWorker(ClusterWorkerConfig{Addr: "127.0.0.1:1", Name: "w", Timeout: 200 * time.Millisecond}); err == nil {
+	if _, err := RunClusterWorker(ClusterWorkerConfig{Addr: "127.0.0.1:1", Name: "w"}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }

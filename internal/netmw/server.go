@@ -21,9 +21,6 @@ type ClusterServerConfig struct {
 	// them (connection drops still trigger immediate recovery, which is
 	// what deterministic tests rely on).
 	ExpiryEvery time.Duration
-	// MaxSlots clamps the per-worker pipelining depth a worker may
-	// advertise at registration; 0 means no clamp.
-	MaxSlots int
 	// WrapTransport, when set, wraps every worker session's transport —
 	// the fault-injection seam. The wrapper sees the same engine messages
 	// the feeder exchanges with the worker, keyed by the worker's
@@ -198,13 +195,7 @@ func (s *ClusterServer) handle(conn net.Conn) {
 // held; a reconnect replaces it, and this session can then act on the
 // worker no more.
 func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, ri RegisterInfo) {
-	slots := int(ri.Slots)
-	if slots < 1 {
-		slots = 1
-	}
-	if s.cfg.MaxSlots > 0 && slots > s.cfg.MaxSlots {
-		slots = s.cfg.MaxSlots
-	}
+	slots := int(ri.Slots) // JoinWorker and RunFeeder read 0 as 1
 	sess, err := s.cl.JoinWorker(ri.Name, int(ri.Mem), slots)
 	if err != nil {
 		return

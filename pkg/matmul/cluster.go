@@ -15,7 +15,7 @@ import (
 type (
 	// Cluster is the multi-job scheduler service.
 	Cluster = cluster.Cluster
-	// ClusterConfig tunes failure detection and job admission.
+	// ClusterConfig tunes failure detection, retries and verification.
 	ClusterConfig = cluster.Config
 	// ClusterJobSpec describes one job (kind, operands, chunk side µ).
 	ClusterJobSpec = cluster.JobSpec

@@ -200,7 +200,7 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 		go netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
 			Addr: addr, Name: fmt.Sprintf("e%d", i), Memory: 512, Cores: 1,
 			Spin: time.Millisecond, HeartbeatEvery: 50 * time.Millisecond,
-			Reconnect: 2000, Backoff: 2 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
+			Reconnect: 2000, Backoff: 2 * time.Millisecond,
 		})
 	}
 
@@ -214,7 +214,7 @@ func TestE2EKillMasterMidJob(t *testing.T) {
 		jobs[i] = jobIn{c, a, b, ref}
 	}
 	opts := netmw.SubmitOptions{
-		Retries: 500, Backoff: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
+		Retries: 500, Backoff: 5 * time.Millisecond,
 		Timeout: time.Minute,
 	}
 	errs := make(chan error, len(jobs))

@@ -33,7 +33,7 @@ func main() {
 	name := flag.String("name", "", "stable worker name (default host:pid)")
 	hbEvery := flag.Duration("hb", 2*time.Second, "heartbeat cadence")
 	reconnect := flag.Int("reconnect", 10, "reconnect attempts after a connection loss")
-	backoff := flag.Duration("backoff", time.Second, "pause between reconnect attempts")
+	backoff := flag.Duration("backoff", time.Second, "base pause between reconnect attempts (doubles per failed session, up to 16×)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -153,6 +154,55 @@ func BenchmarkTile(b *testing.B) {
 				k.run(kcBlock, ap, bp, c, k.nr)
 			}
 			b.ReportMetric(2*float64(k.mr*k.nr*kcBlock)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflops")
+		})
+	}
+}
+
+// BenchmarkProbe prices one tile's Freivalds check — the default two
+// rounds, one fused pair — at 8 steps, operands hot. cached is the
+// verifying master's form: the operand projections are built once per
+// job, so a tile costs the Dots of the cached vectors and ProbeAccepts'
+// sweeps over the candidate and the old tile. uncached is
+// TileVerifier.Check, which projects every operand block afresh.
+// ns/op is per tile.
+func BenchmarkProbe(b *testing.B) {
+	const steps = 8
+	for _, q := range []int{64, 128, 256} {
+		cand, old, as, bs := randTile(rand.New(rand.NewSource(int64(q))), q, steps, false)
+		b.Run(fmt.Sprintf("cached/q%d", q), func(b *testing.B) {
+			vec := make([][]float64, 4+4*steps)
+			for i := range vec {
+				vec[i] = make([]float64, q)
+			}
+			s1, r1, s2, r2 := vec[0], vec[1], vec[2], vec[3]
+			for i, x := range vec[:4] {
+				SignVec(x, uint64(i))
+			}
+			u1, u2, y1, y2 := vec[4:4+steps], vec[4+steps:4+2*steps], vec[4+2*steps:4+3*steps], vec[4+3*steps:]
+			norm := make([]float64, steps)
+			for k := range norm {
+				norm[k] = VecMat2Max(u1[k], u2[k], as[k], s1, s2, q) * MatVec2Max(y1[k], y2[k], bs[k], r1, r2, q)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ref1, ref2, mag := 0.0, 0.0, 0.0
+				for k := range norm {
+					ref1 += Dot(u1[k], y1[k], q)
+					ref2 += Dot(u2[k], y2[k], q)
+					mag += norm[k]
+				}
+				if !ProbeAccepts(cand, old, s1, r1, s2, r2, ref1, ref2, mag, q, DefaultVerifyTol) {
+					b.Fatal("cached probe refused an honest tile")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("uncached/q%d", q), func(b *testing.B) {
+			v := NewTileVerifier(1)
+			for i := 0; i < b.N; i++ {
+				if !v.Check(cand, old, as, bs, q, false, 2, 0) {
+					b.Fatal("TileVerifier refused an honest tile")
+				}
+			}
 		})
 	}
 }

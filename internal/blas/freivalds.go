@@ -7,182 +7,74 @@ import "math"
 // A worker that computed cand = old + Σ_k A_k·B_k (the chunk protocol's
 // per-tile contract: one ascending-k FMA chain over the task's update
 // sets) can be checked in O(rounds·steps·q²) instead of the O(steps·q³)
-// recompute: for a random probe vector r ∈ {−1,+1}^q,
+// recompute: for random ±1 probe vectors s and r,
 //
-//	cand·r  ==  old·r + Σ_k A_k·(B_k·r)
+//	sᵀ·cand·r  ==  sᵀ·old·r + Σ_k (sᵀ·A_k)·(B_k·r)
 //
 // holds exactly in real arithmetic iff the tile is correct, and a wrong
-// tile survives one probe with probability ≤ 1/2 (Freivalds 1979), so k
-// independent rounds drive the false-accept rate below 2⁻ᵏ. In floating
-// point the two sides are evaluated by different association orders, so
-// equality is relaxed to a tolerance scaled by the magnitude the
-// accumulations actually moved through (computed by running the same
-// products over absolute values); an honest tile is never rejected
-// because the bound dominates the worst-case rounding drift, while a
-// corrupted coefficient large enough to matter shifts lhs−rhs by the
-// corruption itself. Borderline verdicts escalate to RecomputeTile,
-// which re-runs the exact chain and compares bit-for-bit.
+// tile survives one round with probability ≤ 1/2 (Freivalds 1979), so k
+// independent rounds drive the false-accept rate below 2⁻ᵏ. Rounds run
+// in fused pairs (probe.go), and ProbeAccepts is the one acceptance
+// rule. Borderline verdicts escalate to RecomputeTile, which re-runs
+// the exact chain and compares bit-for-bit.
+//
+// TileVerifier is the same probe without the verifying master's per-job
+// cache: every Check projects each operand block afresh.
 type TileVerifier struct {
-	state uint64
-	// Scratch vectors, grown to the largest q seen (length q each).
-	r, y, lhs, rhs, mag, magy []float64
+	seed uint64 // the next probe vector's seed
 }
 
 // NewTileVerifier builds a verifier whose probe vectors derive from
 // seed. The stream is deterministic: the same seed and call sequence
 // draws the same probes, so tests pin exact accept/reject behavior.
 func NewTileVerifier(seed uint64) *TileVerifier {
-	return &TileVerifier{state: seed}
+	return &TileVerifier{seed: seed}
 }
 
-// next is a splitmix64 step: cheap, stateful, and good enough to make
-// probe signs unpredictable to any fixed corruption pattern.
-func (v *TileVerifier) next() uint64 {
-	v.state += 0x9e3779b97f4a7c15
-	z := v.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (v *TileVerifier) grow(q int) {
-	if len(v.r) >= q {
-		return
-	}
-	v.r = make([]float64, q)
-	v.y = make([]float64, q)
-	v.lhs = make([]float64, q)
-	v.rhs = make([]float64, q)
-	v.mag = make([]float64, q)
-	v.magy = make([]float64, q)
-}
-
-// DefaultVerifyTol is the per-element acceptance tolerance: the probe
-// residual |lhs−rhs| must stay within tol·(1+magnitude). Accumulation
-// chains of length steps·q drift by at most ~steps·q·ε relative to the
-// magnitude flowed through, so 1e-9 clears any plausible tile size by
-// orders of magnitude while still catching every corruption that could
-// move a double's value detectably.
+// DefaultVerifyTol is the relative acceptance tolerance of ProbeAccepts'
+// residual limit. The limit bounds the honest rounding drift by orders
+// of magnitude, so 1e-9 never refuses an honest tile of any plausible
+// size while still catching every corruption that moves a double's
+// value detectably.
 const DefaultVerifyTol = 1e-9
 
 // Check verifies cand against the update old + Σ_k a[k]·b[k] (all q×q
 // row-major blocks; subtract flips the sign of the a-products, the LU
 // trailing-update case where the worker received the negated panel).
-// It runs rounds independent ±1 probes and reports whether every probe
-// accepted. tol ≤ 0 uses DefaultVerifyTol.
+// It runs rounds probe rounds, rounded up to whole pairs, each pair on
+// freshly drawn vectors, and reports whether every pair accepted. tol
+// ≤ 0 uses DefaultVerifyTol.
 func (v *TileVerifier) Check(cand, old []float64, a, b [][]float64, q int, subtract bool, rounds int, tol float64) bool {
-	if rounds < 1 {
-		rounds = 1
-	}
 	if tol <= 0 {
 		tol = DefaultVerifyTol
 	}
-	v.grow(q)
-	// The magnitude bound is probe-independent (|r_i| = 1): run the same
-	// matrix-vector products over absolute values against the all-ones
-	// vector, once per Check.
-	mag, magy := v.mag[:q], v.magy[:q]
-	for i := 0; i < q; i++ {
-		s := 0.0
-		for j := 0; j < q; j++ {
-			s += abs(cand[i*q+j]) + abs(old[i*q+j])
-		}
-		mag[i] = s
+	vec := make([][]float64, 8)
+	for i := range vec {
+		vec[i] = make([]float64, q)
 	}
-	for k := range a {
-		ak, bk := a[k], b[k]
-		for i := 0; i < q; i++ {
-			s := 0.0
-			for j := 0; j < q; j++ {
-				s += abs(bk[i*q+j])
-			}
-			magy[i] = s
+	s1, r1, s2, r2, u1, u2, y1, y2 := vec[0], vec[1], vec[2], vec[3], vec[4], vec[5], vec[6], vec[7]
+	for p := 0; p < max(1, (rounds+1)/2); p++ {
+		for _, x := range vec[:4] {
+			SignVec(x, v.seed)
+			v.seed++
 		}
-		for i := 0; i < q; i++ {
-			s := 0.0
-			for j := 0; j < q; j++ {
-				s += abs(ak[i*q+j]) * magy[j]
-			}
-			mag[i] += s
-		}
-	}
-	for round := 0; round < rounds; round++ {
-		if !v.probe(cand, old, a, b, q, subtract, tol, mag) {
-			return false
-		}
-	}
-	return true
-}
-
-// probe runs one ±1 Freivalds round against the precomputed magnitude
-// bound.
-func (v *TileVerifier) probe(cand, old []float64, a, b [][]float64, q int, subtract bool, tol float64, mag []float64) bool {
-	r, y, lhs, rhs := v.r[:q], v.y[:q], v.lhs[:q], v.rhs[:q]
-	var bits uint64
-	for i := 0; i < q; i++ {
-		if i%64 == 0 {
-			bits = v.next()
-		}
-		if bits&1 == 0 {
-			r[i] = 1
-		} else {
-			r[i] = -1
-		}
-		bits >>= 1
-	}
-	for i := 0; i < q; i++ {
-		sl, sr := 0.0, 0.0
-		row := i * q
-		for j := 0; j < q; j++ {
-			sl += cand[row+j] * r[j]
-			sr += old[row+j] * r[j]
-		}
-		lhs[i] = sl
-		rhs[i] = sr
-	}
-	for k := range a {
-		ak, bk := a[k], b[k]
-		for i := 0; i < q; i++ {
-			s := 0.0
-			row := i * q
-			for j := 0; j < q; j++ {
-				s += bk[row+j] * r[j]
-			}
-			y[i] = s
-		}
-		for i := 0; i < q; i++ {
-			s := 0.0
-			row := i * q
-			for j := 0; j < q; j++ {
-				s += ak[row+j] * y[j]
-			}
+		ref1, ref2, mag := 0.0, 0.0, 0.0
+		for k := range a {
+			nA := VecMat2Max(u1, u2, a[k], s1, s2, q)
+			nB := MatVec2Max(y1, y2, b[k], r1, r2, q)
+			d1, d2 := Dot(u1, y1, q), Dot(u2, y2, q)
 			if subtract {
-				rhs[i] -= s
-			} else {
-				rhs[i] += s
+				d1, d2 = -d1, -d2
 			}
+			ref1 += d1
+			ref2 += d2
+			mag += nA * nB
 		}
-	}
-	for i := 0; i < q; i++ {
-		lim := tol * (1 + mag[i])
-		if math.IsInf(lim, 0) || math.IsNaN(lim) {
-			// An unbounded tolerance (Inf/NaN smuggled into the candidate
-			// or overflowed operands) must refuse, not accept: an Inf
-			// residual satisfies d ≤ +Inf.
+		if !ProbeAccepts(cand, old, s1, r1, s2, r2, ref1, ref2, mag, q, tol) {
 			return false
-		}
-		if d := abs(lhs[i] - rhs[i]); !(d <= lim) {
-			return false // NaN residuals land here too
 		}
 	}
 	return true
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // RecomputeTile is the exact escalation path: it replays the tile's

@@ -2,16 +2,12 @@ package blas
 
 import "math"
 
-// Building blocks for amortized Freivalds verification. TileVerifier.Check
-// is self-contained — it regenerates probe vectors and magnitude bounds on
-// every call — which is the right shape for one-off checks (LU trailing
-// updates, tests) but far too much memory traffic when a whole job is
-// verified tile by tile: the probe is memory-bound (2 flops per 8-byte
-// element read), while the worker's compute kernel is an O(q³)/O(q²)
-// compute-bound SIMD routine, so verification overhead is decided by how
-// few bytes the verifier touches per tile, not by its flop count.
+// The two-sided Freivalds probe and its one acceptance rule. The probe
+// is memory-bound (2 flops per 8-byte element read), while the worker's
+// compute kernel is an O(q³)/O(q²) compute-bound SIMD routine, so
+// verification overhead is decided by how few bytes the verifier
+// touches per tile, not by its flop count.
 //
-// The two-sided bilinear probe gets the per-tile traffic to the floor.
 // With left and right ±1 probe vectors s and r,
 //
 //	sᵀ·cand·r  ==  sᵀ·old·r + Σ_k (sᵀ·A_k)·(B_k·r)
@@ -22,10 +18,10 @@ import "math"
 // A verifying master caches them per job, reducing each tile check to one
 // sweep over the candidate and one over the old tile — the two blocks
 // that cannot be skipped — plus O(steps·q) dot products of cached
-// vectors. These kernels compute both probe rounds of a pair in a single
-// sweep (the second round costs a register set, not a second pass) and
-// fold the max-magnitude scan for the acceptance tolerance into the same
-// pass.
+// vectors; TileVerifier builds them afresh per check. These kernels
+// compute both probe rounds of a pair in a single sweep (the second
+// round costs a register set, not a second pass) and fold the
+// max-magnitude scan for the acceptance tolerance into the same pass.
 
 // SignVec fills r with ±1 signs drawn from a splitmix64 stream seeded by
 // seed: deterministic, so a failing probe is reproducible from the seed.
@@ -208,4 +204,29 @@ func Dot(x, y []float64, q int) float64 {
 		s += x[i] * y[i]
 	}
 	return s
+}
+
+// ProbeAccepts is the acceptance rule of one fused pair of two-sided
+// rounds: it evaluates sᵢᵀ·cand·rᵢ and sᵢᵀ·old·rᵢ for both rounds and
+// accepts when each residual against refᵢ = Σ_k (sᵢᵀ·A_k)·(B_k·rᵢ)
+// stays within tol·(1 + q²·(2·‖old‖ + (q+1)·mag)), where mag =
+// Σ_k ‖A_k‖·‖B_k‖ over max-norms. Every intermediate the two evaluation
+// orders flow through is bounded by q²·max-norm products, so the limit
+// dominates the drift of any honest chain by orders of magnitude while
+// staying far below the smallest value-moving corruption of an element.
+// The candidate needs no magnitude scan of its own: an honest candidate
+// is bounded elementwise by ‖old‖ + q·mag, which the 2·‖old‖ and q+1
+// terms cover, and a dishonest one large enough to exceed the bound
+// blows the residual. A non-finite candidate makes the residual Inf or
+// NaN, which fails the compare; a non-finite limit (old or an operand
+// holds an Inf or NaN, or the norms overflow) refuses outright, since
+// Inf ≤ Inf must never read as acceptance.
+func ProbeAccepts(cand, old, s1, r1, s2, r2 []float64, ref1, ref2, mag float64, q int, tol float64) bool {
+	fC1, fC2 := BilinearForms2(cand, s1, r1, s2, r2, q)
+	fO1, fO2, maxO := BilinearForms2Max(old, s1, r1, s2, r2, q)
+	lim := tol * (1 + float64(q)*float64(q)*(2*maxO+float64(q+1)*mag))
+	if math.IsInf(lim, 0) || math.IsNaN(lim) {
+		return false
+	}
+	return math.Abs(fC1-fO1-ref1) <= lim && math.Abs(fC2-fO2-ref2) <= lim
 }

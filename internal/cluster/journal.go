@@ -423,6 +423,9 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		if d.err != nil {
 			return fmt.Errorf("cluster: done record: %w", d.err)
 		}
+		if state != Done && state != Failed {
+			return fmt.Errorf("cluster: done record for job %d: state byte %d", id, state)
+		}
 		j := cl.jobs[id]
 		if j == nil {
 			return fmt.Errorf("cluster: done record for unknown job %d", id)
@@ -562,8 +565,12 @@ func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 		// State 0: admitted but not started; it starts on load.
 		j.state = JobState(d.u8())
 		unstarted := j.state == 0
-		if unstarted {
+		switch j.state {
+		case 0:
 			j.state = Running
+		case Running, Done, Failed:
+		default:
+			return fmt.Errorf("cluster: snapshot job %d: state byte %d", j.id, j.state)
 		}
 		j.quarantined = d.u8() == 1
 		j.spec.Mu = int(d.u32())

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -1054,6 +1055,70 @@ func TestRecoverQueuedSnapshot(t *testing.T) {
 	}
 	cl.Close()
 	<-done
+}
+
+// TestRecoverRefusesBadStateByte: a snapshot job whose state byte is
+// not 0 (admitted, not started), Running, Done or Failed, and a done
+// record whose state is not Done or Failed, are refused with an error
+// naming the job and the byte. Loaded, the first would be a job that
+// never runs and whose Wait returns at once; the second would leave
+// the job Running with its done channel closed, to be closed again by
+// the next finish.
+func TestRecoverRefusesBadStateByte(t *testing.T) {
+	c, a, b, _ := blockedInputs(t, 8, 8, 8, 4, 91)
+	snapshot := func(state JobState) []byte {
+		src, _ := manualCluster(Config{})
+		defer src.Close()
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		j := newJob(0, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+		j.state = state
+		src.jobs[j.id] = j
+		src.order = append(src.order, j.id)
+		src.nextID = 1
+		return refSnapshot(src)
+	}
+	done := func(state JobState) []byte {
+		e := &refEnc{}
+		e.u8(evDone)
+		e.u32(0) // job id
+		e.u8(byte(state))
+		e.u8(0) // not quarantined
+		e.str("")
+		return e.buf
+	}
+	for _, tc := range []struct {
+		name string
+		snap []byte
+		done []byte // appended after the snapshot when set
+		want string // the refusal; "" recovers
+	}{
+		{"snapshot byte 4", snapshot(4), nil, "snapshot job 0: state byte 4"},
+		{"done byte 1", snapshot(Running), done(Running), "done record for job 0: state byte 1"},
+		{"done byte 4", snapshot(Running), done(4), "done record for job 0: state byte 4"},
+		{"done byte 2", snapshot(Running), done(Done), ""},
+	} {
+		dir := t.TempDir()
+		jn, log := openLog(t, dir)
+		if err := jn.Compact(tc.snap); err != nil {
+			t.Fatal(err)
+		}
+		if tc.done != nil {
+			if err := jn.Append(tc.done); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl, _ := manualCluster(Config{Log: log})
+		_, err := cl.Recover()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Recover = %v, want recovered", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Recover = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		cl.Close()
+		jn.Close()
+	}
 }
 
 // TestRecoverRefusesBadFreeList: a v1 snapshot whose free list no run

@@ -17,7 +17,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/blas"
@@ -172,27 +171,16 @@ func (vc *verifyCache) yPairLocked(j *job, r0, k, bj, q int) (y1, y2 []float64) 
 }
 
 // probeLocked is the amortized Freivalds probe for one tile: pairs of
-// two-sided rounds sᵀ·cand·r vs sᵀ·old·r + Σ_k u_k·y_k over the task's
-// steps
-// with every tile-independent term served from the job cache, so the
-// check's memory traffic is one sweep over the candidate and one over
-// the old tile. The residual limit is a scalar bound on the honest
-// rounding drift: every intermediate the two evaluation orders flow
-// through is bounded by q²·max-norm products, so tol·(1 + q²·(2·‖old‖ +
-// (q+1)·Σ_k ‖A_k‖·‖B_k‖)) dominates the drift of any honest chain by
-// orders of magnitude while staying far below the smallest value-moving
-// corruption of a committed element. A non-finite limit (the candidate
-// smuggled in an Inf/NaN, or the operands overflowed) refuses outright —
-// Inf ≤ Inf must never read as acceptance. False probe verdicts are safe
+// two-sided rounds over the task's steps, with every tile-independent
+// term served from the job cache and the verdict from
+// blas.ProbeAccepts, so the check's memory traffic is one sweep over the
+// candidate and one over the old tile. False probe verdicts are safe
 // either way: a refusal escalates to the exact recompute before anyone
 // is accused.
 func (cl *Cluster) probeLocked(j *job, t *Task, bi, bj int, cand, old []float64, q int) bool {
 	vc := cl.vcacheLocked(j, q)
-	const tol = blas.DefaultVerifyTol
 	for p := 0; p < verifyPairs; p++ {
 		r0 := 2 * p
-		fC1, fC2 := blas.BilinearForms2(cand, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
-		fO1, fO2, maxO := blas.BilinearForms2Max(old, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], q)
 		ref1, ref2, mag := 0.0, 0.0, 0.0
 		for k := t.K; k < t.K+t.Steps; k++ {
 			u1, u2 := vc.uPairLocked(j, cl.pool, r0, bi, k, q)
@@ -201,22 +189,7 @@ func (cl *Cluster) probeLocked(j *job, t *Task, bi, bj int, cand, old []float64,
 			ref2 += blas.Dot(u2, y2, q)
 			mag += vc.nA[vkey(0, bi, k)] * vc.nB[vkey(0, k, bj)]
 		}
-		// The candidate needs no magnitude scan of its own: an honest
-		// candidate is bounded elementwise by maxO + q·mag, so 2·maxO +
-		// (q+1)·mag covers both sides' intermediates, and a dishonest
-		// candidate large enough to exceed the bound blows the residual.
-		lim := tol * (1 + float64(q)*float64(q)*(2*maxO+float64(q+1)*mag))
-		if math.IsInf(lim, 0) || math.IsNaN(lim) {
-			return false
-		}
-		d1, d2 := fC1-fO1-ref1, fC2-fO2-ref2
-		if d1 < 0 {
-			d1 = -d1
-		}
-		if d2 < 0 {
-			d2 = -d2
-		}
-		if !(d1 <= lim) || !(d2 <= lim) {
+		if !blas.ProbeAccepts(cand, old, vc.s[r0], vc.r[r0], vc.s[r0+1], vc.r[r0+1], ref1, ref2, mag, q, blas.DefaultVerifyTol) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/blas"
@@ -90,6 +91,52 @@ func TestVerifyAllHonestJob(t *testing.T) {
 		if w.Strikes != 0 || w.Quarantined {
 			t.Fatalf("honest worker %q: strikes=%d quarantined=%v", w.ID, w.Strikes, w.Quarantined)
 		}
+	}
+}
+
+// TestVerifyAllMagnitudeSpread: a product whose every operand block is
+// scaled by its own 2^e, e uniform in [−60, 60], runs under VerifyAll
+// without one probe refusal — an honest worker is never sent to the
+// recompute however far apart its terms' magnitudes are — and ends
+// bit-exact against MulNaive.
+func TestVerifyAllMagnitudeSpread(t *testing.T) {
+	const q = 8
+	rng := rand.New(rand.NewSource(48))
+	var ms [3]*matrix.Blocked
+	for i, shape := range [][2]int{{32, 40}, {32, 24}, {24, 40}} { // C, A, B
+		d := matrix.NewDense(shape[0], shape[1])
+		matrix.DeterministicFill(d, int64(51+i))
+		ms[i] = matrix.Partition(d, q)
+		for _, blk := range ms[i].Blocks {
+			f := math.Ldexp(1, rng.Intn(121)-60)
+			for k := range blk.Data {
+				blk.Data[k] *= f
+			}
+		}
+	}
+	c, a, b := ms[0], ms[1], ms[2]
+	ref := c.Assemble()
+	matrix.MulNaive(ref, a.Assemble(), b.Assemble())
+
+	cl, _ := manualCluster(Config{Verify: VerifyPolicy{Mode: VerifyAll}})
+	defer cl.Close()
+	for _, id := range []string{"w1", "w2"} {
+		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: 64})
+	}
+	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, cl, id); st.State != Done {
+		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
+	}
+	if d := c.Assemble().MaxDiff(ref); d != 0 {
+		t.Fatalf("max |C - ref| = %g, want bit-exact", d)
+	}
+	st := cl.ClusterStats()
+	if st.VerifyChecks == 0 || st.TilesRecomputed != 0 || st.VerifyFailures != 0 {
+		t.Fatalf("spread job: %d checks, %d recomputes, %d failures; want >0/0/0",
+			st.VerifyChecks, st.TilesRecomputed, st.VerifyFailures)
 	}
 }
 

@@ -50,11 +50,9 @@ type ClusterWorkerConfig struct {
 	// Backoff is the base pause before the first reconnect attempt. The
 	// pause doubles per consecutive failed session and carries full jitter
 	// (uniform in [d/2, d]), so a fleet of workers dropped by the same
-	// master crash does not dial back in lockstep. Progress resets the
-	// sequence to the base.
+	// master crash does not dial back in lockstep. The doubling stops at
+	// 16× Backoff; progress resets the sequence to the base.
 	Backoff time.Duration
-	// BackoffMax caps the doubling; 0 means 16× Backoff.
-	BackoffMax time.Duration
 
 	// failAfterTasks is a test hook: the worker drops its connection
 	// without warning once it has completed this many tasks (0 = never) —
@@ -116,30 +114,21 @@ func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 		}
 		left--
 		attempt++
-		if d := backoffDelay(cfg.Backoff, cfg.BackoffMax, attempt, rng); d > 0 {
+		if d := backoffDelay(cfg.Backoff, attempt, rng); d > 0 {
 			time.Sleep(d)
 		}
 	}
 }
 
 // backoffDelay computes the pause before reconnect attempt n (1-based):
-// base·2ⁿ⁻¹ capped at max (16× base when max is 0), with full jitter —
-// uniform in [d/2, d] — so simultaneously-dropped workers spread their
-// redials instead of thundering back together.
-func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
+// base·2ⁿ⁻¹ capped at 16× base, the cluster's requeue rule, with full
+// jitter — uniform in [d/2, d] — so simultaneously-dropped workers
+// spread their redials instead of thundering back together.
+func backoffDelay(base time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	if base <= 0 || attempt < 1 {
 		return 0
 	}
-	if max <= 0 {
-		max = 16 * base
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
+	d := base << min(attempt-1, 4)
 	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
 }
 
@@ -210,9 +199,8 @@ type SubmitOptions struct {
 	// not retried, only transport failures.
 	Retries int
 	// Backoff is the base pause between attempts, doubling per consecutive
-	// failure with full jitter, capped at BackoffMax (0 → 16× Backoff).
-	Backoff    time.Duration
-	BackoffMax time.Duration
+	// failure with full jitter, capped at 16× Backoff.
+	Backoff time.Duration
 	// Timeout bounds each attempt's dial and round trip (default 2m).
 	Timeout time.Duration
 }
@@ -317,7 +305,7 @@ func (sub *submission) durable(addr string, opts SubmitOptions) error {
 		if attempt >= opts.Retries {
 			return err
 		}
-		if d := backoffDelay(opts.Backoff, opts.BackoffMax, attempt+1, rng); d > 0 {
+		if d := backoffDelay(opts.Backoff, attempt+1, rng); d > 0 {
 			time.Sleep(d)
 		}
 	}

@@ -14,27 +14,22 @@ import (
 )
 
 // TestBackoffDelayShape pins the reconnect backoff: doubling from the
-// base, capped, and fully jittered within [d/2, d].
+// base, capped at 16× base, and fully jittered within [d/2, d].
 func TestBackoffDelayShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := 100 * time.Millisecond
 	for attempt, want := range map[int]time.Duration{
-		1: base, 2: 2 * base, 3: 4 * base,
-		5: 16 * base, 9: 16 * base, // default cap = 16× base
+		1: base, 2: 2 * base, 3: 4 * base, 4: 8 * base,
+		5: 16 * base, 9: 16 * base, // the cap: 16× base
 	} {
 		for i := 0; i < 50; i++ {
-			d := backoffDelay(base, 0, attempt, rng)
+			d := backoffDelay(base, attempt, rng)
 			if d < want/2 || d > want {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, want/2, want)
 			}
 		}
 	}
-	for i := 0; i < 50; i++ {
-		if d := backoffDelay(base, 300*time.Millisecond, 4, rng); d > 300*time.Millisecond {
-			t.Fatalf("capped delay %v exceeds max", d)
-		}
-	}
-	if d := backoffDelay(0, 0, 3, rng); d != 0 {
+	if d := backoffDelay(0, 3, rng); d != 0 {
 		t.Fatalf("zero base gave %v", d)
 	}
 }
@@ -155,7 +150,7 @@ func TestClusterTCPSurvivesInjectedFaults(t *testing.T) {
 	for _, name := range names {
 		go RunClusterWorker(ClusterWorkerConfig{
 			Addr: addr, Name: name, Memory: 256, Slots: 2,
-			Reconnect: 1000, Backoff: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+			Reconnect: 1000, Backoff: time.Millisecond,
 		})
 	}
 
@@ -230,7 +225,7 @@ func TestClusterTCPCorruptWorkerQuarantine(t *testing.T) {
 	for _, name := range []string{"corrupt", "h1", "h2"} {
 		go RunClusterWorker(ClusterWorkerConfig{
 			Addr: addr, Name: name, Memory: 256, Slots: 2,
-			Reconnect: 50, Backoff: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+			Reconnect: 50, Backoff: time.Millisecond,
 		})
 	}
 

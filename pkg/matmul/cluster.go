@@ -80,10 +80,9 @@ type ClusterWorkerOptions struct {
 	HeartbeatEvery time.Duration // liveness beacon cadence (0 disables)
 	Reconnect      int           // reconnect budget after connection loss
 	// Backoff is the base pause between reconnect attempts; it doubles
-	// per consecutive failure with full jitter, capped at BackoffMax
-	// (0 caps at 16× Backoff), and resets once a session makes progress.
-	Backoff    time.Duration
-	BackoffMax time.Duration
+	// per consecutive failure with full jitter, capped at 16× Backoff,
+	// and resets once a session makes progress.
+	Backoff time.Duration
 }
 
 // WorkClusterTCP runs one TCP cluster worker against a ServeClusterTCP
@@ -94,7 +93,7 @@ func WorkClusterTCP(addr string, opts ClusterWorkerOptions) error {
 		Addr: addr, Name: opts.Name, Memory: opts.MemoryBlocks,
 		Slots: opts.Slots, Cores: opts.Cores,
 		HeartbeatEvery: opts.HeartbeatEvery,
-		Reconnect:      opts.Reconnect, Backoff: opts.Backoff, BackoffMax: opts.BackoffMax,
+		Reconnect:      opts.Reconnect, Backoff: opts.Backoff,
 	})
 	return err
 }

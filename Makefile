@@ -18,9 +18,10 @@ test-race:
 # flake is the flake budget: the cross-transport conformance table many
 # times over (its kill cases must complete on the survivors whatever
 # the scheduler does with two cores, computing nothing twice), with the
-# pushed sets' cache budget beside a tile on its way home, the feeder's
-# join of a parked Send and its commit of a tile the worker sent home
-# unasked just before it hung up, then the three packages whose
+# pushed sets' cache budget beside every chunk in flight, a worker cut
+# off inside its result frame, the feeder's join of a parked Send and
+# its commit of a tile the worker sent home unasked just before it hung
+# up, then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
 # that passes "most runs". Then the same three under the poolcheck
@@ -47,7 +48,7 @@ test-race:
 # limited-memory worker that must keep its row's A blocks, 20 times
 # over under the race detector.
 flake:
-	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForDirtyTiles|TestFeederJoinsParkedSend|TestFeederCommitsFlushBeforeLost' ./internal/engine
+	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForInflight|TestCutInsideResultFrame|TestFeederJoinsParkedSend|TestFeederCommitsResultBeforeLost' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster
@@ -83,8 +84,7 @@ loc:
 # the TCP engine path to BENCH_transport.json — steady-state allocs/op
 # + MB/s (pooled vs unpooled block buffers) plus the max-reuse
 # delta/flush series from BenchmarkTransportDelta: egress-MB/op,
-# %cache-hit, flush-blocks/op, flush-MB/op, the dirty-block high-water
-# mark and x-lower-bound (measured communication over the §4
+# %cache-hit, flush-blocks/op, flush-MB/op and x-lower-bound (measured communication over the §4
 # Loomis–Whitney bound) — and the durable control plane's boot-time
 # replay cost (recovery-ms, jobs-replayed, journal-MB,
 # replay-events/s from BenchmarkServeRecovery) and the Freivalds

@@ -106,20 +106,20 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 		})
 	}()
 	srv := netmw.NewServerTransport(<-accepted, pool, sess.Heartbeat)
-	fed := make(chan engine.FeederStats, 1)
+	fed := make(chan engine.CommStats, 1)
 	go func() {
-		fstats, _ := engine.RunFeeder(srv, sess, engine.FeederConfig{Slots: 2, Pool: pool})
-		fed <- fstats
+		comm, _ := engine.RunFeeder(srv, sess, engine.FeederConfig{Slots: 2, Pool: pool})
+		fed <- comm
 	}()
 	st, err := cl.Wait(id)
 	if err != nil || st.State != cluster.Done {
 		tb.Fatalf("job ended %v: %v", st.State, err)
 	}
 	cl.Close() // the feed's clean end: the feeder says Bye
-	fstats := <-fed
-	sess.Close(cluster.SessionReport{Feeder: fstats})
+	comm := <-fed
+	sess.Close(cluster.SessionReport{Comm: comm})
 	wg.Wait()
-	return transportRun{comm: fstats.Comm, egress: srv.(wireCounter).Stats().BytesOut}
+	return transportRun{comm: comm, egress: srv.(wireCounter).Stats().BytesOut}
 }
 
 // BenchmarkTransport measures the steady-state TCP path of a worker
@@ -227,8 +227,8 @@ const mrR, mrT, mrS, mrQ = 16, 16, 16, 16
 // BenchmarkTransportDelta measures master egress of the max-reuse job
 // over loopback TCP on the data path every job runs: delta operand sets
 // plus resident single-flush results. It reports egress-MB/op, the
-// operand cache hit rate, the result-path series (flush-blocks/op,
-// flush-MB/op and the dirty-block high-water mark) and the measured
+// operand cache hit rate, the result-path series (flush-blocks/op and
+// flush-MB/op) and the measured
 // communication volume as a multiple of the §4 Loomis–Whitney lower
 // bound (x-lower-bound) — the numbers BENCH_transport.json tracks
 // across PRs.
@@ -256,7 +256,6 @@ func BenchmarkTransportDelta(b *testing.B) {
 		b.ReportMetric(float64(hits)*100/float64(max(hits+run.comm.BlocksShipped, 1)), "%cache-hit")
 		b.ReportMetric(float64(run.comm.CUp), "flush-blocks/op")
 		b.ReportMetric(float64(run.comm.CUp*mrQ*mrQ*8)/1e6, "flush-MB/op")
-		b.ReportMetric(float64(run.comm.DirtyPeak), "dirty-peak")
 		pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
 		b.ReportMetric(measuredOverLowerBound(run, pr), "x-lower-bound")
 		got := work.Assemble()
@@ -275,7 +274,7 @@ func BenchmarkTransportDelta(b *testing.B) {
 //
 //	measured = Comm.BlocksShipped   (operand payloads actually sent)
 //	         + Comm.CDown           (C tiles shipped down with payload)
-//	         + Comm.CUp             (C tiles returned in flushes)
+//	         + Comm.CUp             (C tiles returned in results)
 //	bound    = √(27/(8m)) · updates (LowerBoundLoomisWhitney · |updates|)
 //
 // Skipped operand blocks (cache hits) and CZero flags
@@ -322,8 +321,8 @@ func TestResultPathLowerBound(t *testing.T) {
 		t.Fatalf("shipped %d C payloads down; a zero C must ride the CZero flag", cd)
 	}
 	x := measuredOverLowerBound(run, pr)
-	t.Logf("max-reuse: measured/lower-bound = %.2fx (shipped %d, C down %d, C up %d, dirty peak %d)",
-		x, run.comm.BlocksShipped, run.comm.CDown, run.comm.CUp, run.comm.DirtyPeak)
+	t.Logf("max-reuse: measured/lower-bound = %.2fx (shipped %d, C down %d, C up %d)",
+		x, run.comm.BlocksShipped, run.comm.CDown, run.comm.CUp)
 	if x >= 4 {
 		t.Fatalf("measured communication is %.2fx the lower bound, want < 4x", x)
 	}

@@ -209,12 +209,11 @@ func main() {
 // protocol's hit rate (lifetime, with the current session's rate
 // alongside when the worker has reconnected — lifetime denominators
 // carry across sessions, so the two diverge), the payload bytes kept
-// off the wire, the C tiles the worker flushed versus any still dirty
-// at shutdown, the transport's per-conn byte counters, and the speed /
+// off the wire, the C tiles committed from the worker's results, the
+// transport's per-conn byte counters, and the speed /
 // bandwidth estimate the adaptive planner sized its chunks from.
 func printWorkerStatus(workers []cluster.WorkerInfo) {
 	var shipped, skipped, saved, flushed int64
-	var dirty int
 	for _, wi := range workers {
 		state := "alive"
 		if wi.Dead {
@@ -231,9 +230,6 @@ func printWorkerStatus(workers []cluster.WorkerInfo) {
 		if wi.Profile.ComputeSamples > 0 || wi.Profile.CommSamples > 0 {
 			line += fmt.Sprintf(" profile[%s]", wi.Profile)
 		}
-		if wi.DirtyBlocks > 0 {
-			line += fmt.Sprintf(" DIRTY=%d", wi.DirtyBlocks)
-		}
 		if wi.TransportFaults > 0 {
 			line += fmt.Sprintf(" crc-faults=%d", wi.TransportFaults)
 		}
@@ -248,15 +244,13 @@ func printWorkerStatus(workers []cluster.WorkerInfo) {
 		skipped += wi.BlocksSkipped
 		saved += wi.BytesSaved
 		flushed += wi.FlushedBlocks
-		dirty += wi.DirtyBlocks
 	}
 	if total := shipped + skipped; total > 0 {
 		fmt.Printf("mmserve: fleet total: %d of %d operand blocks served from worker caches (%.1f%%), %s not re-sent\n",
 			skipped, total, 100*float64(skipped)/float64(total), humanBytes(saved))
 	}
-	if flushed > 0 || dirty > 0 {
-		fmt.Printf("mmserve: fleet results: %d C tiles committed via flush, %d left dirty\n",
-			flushed, dirty)
+	if flushed > 0 {
+		fmt.Printf("mmserve: fleet results: %d C tiles committed\n", flushed)
 	}
 }
 

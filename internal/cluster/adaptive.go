@@ -162,10 +162,9 @@ func specTieBefore(t *Task, holder string, best *Task, bestHolder string) bool {
 }
 
 // resolveSpeculationLocked runs when the first copy of a speculated seq
-// finishes (a session's Acked accepted the winner): every other
-// in-flight copy is revoked, so the losers' later acks and tiles all
-// take the stale paths — ErrStaleTask there,
-// skipped ids in CommitFlush — and the committed value is written
+// commits (a session's Commit accepted the winner): every other
+// in-flight copy is revoked, so the losers' later Results take the
+// stale path — ErrStaleTask — and the committed value is written
 // exactly once. A loser's session still holds its copy, and so the
 // job's operands, until it reports it.
 func (cl *Cluster) resolveSpeculationLocked(j *job, winner *Task) {

@@ -122,8 +122,8 @@ func TestAdaptiveMuShaping(t *testing.T) {
 // at the scheduler level: a profiled-slow holder keeps the only chunk,
 // a profiled-fast idle worker receives a speculative duplicate (same
 // seq, fresh attempt), the first completion wins, and the loser's late
-// completion is refused as stale — the dirty-value guarantee that the
-// committed result is written exactly once. The job's operands outlive
+// completion is refused as stale — the guarantee that the committed
+// result is written exactly once. The job's operands outlive
 // the win: the loser streams sets until it reports, and only then are
 // they released.
 func TestSpeculationWinnerRevokesLoser(t *testing.T) {

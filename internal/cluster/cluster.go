@@ -13,8 +13,8 @@
 //
 // A worker incarnation is one Session: JoinWorker registers the worker
 // and returns it, and it is the engine.Feed the transport's
-// engine.RunFeeder runs — Next pulls the incarnation's tasks, Set,
-// Acked and CommitFlush move the data, Heartbeat proves liveness,
+// engine.RunFeeder runs — Next pulls the incarnation's tasks, Set and
+// Commit move the data, Heartbeat proves liveness,
 // Lost and Close end it. Every call is bound to the incarnation, so a
 // session whose worker was declared dead or replaced by a reconnect can
 // neither pull work for, nor commit into, nor kill its successor. The
@@ -59,8 +59,7 @@ var (
 	ErrWorkerQuarantined = errors.New("cluster: worker quarantined for corrupt results")
 	// ErrBeyondBlockIDs refuses a job whose C tiles cannot all be named
 	// by engine.CBlockID — a job number past its field, or a result grid
-	// side over 65536 blocks. Results come back only as tiles flushed
-	// under those IDs.
+	// side over 65536 blocks.
 	ErrBeyondBlockIDs = errors.New("cluster: job's C tiles do not fit the block ID space")
 )
 
@@ -120,10 +119,7 @@ type Stats struct {
 	// JobsQuarantined counts the Failed jobs that exhausted their retry
 	// budget (poison jobs); they are included in JobsFailed.
 	JobsQuarantined int
-	// DirtyBlocks counts C tiles live workers have acknowledged and not
-	// yet committed.
-	DirtyBlocks int
-	// FlushedBlocks counts C tiles committed via flush manifests over
+	// FlushedBlocks counts C tiles committed from workers' Results over
 	// the cluster's lifetime.
 	FlushedBlocks int64
 	// Speculations counts straggler duplicates dispatched; SpecWins
@@ -485,9 +481,6 @@ func (cl *Cluster) ClusterStats() Stats {
 	}
 	for _, w := range cl.reg.workers {
 		st.FlushedBlocks += w.flushed
-		if !w.dead {
-			st.DirtyBlocks += w.dirtyBlocks()
-		}
 	}
 	return st
 }
@@ -569,17 +562,8 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 	cl.reg.lost++
 	for k, t := range w.inflight {
 		delete(w.inflight, k)
-		cl.requeueLocked(t, false)
+		cl.requeueLocked(t)
 	}
-	// C tiles the dead worker had acknowledged but whose FlushResult
-	// never landed died with it; requeue exactly those tasks so the lost
-	// updates are recomputed from the master-owned matrices (which a
-	// dirty task never modified — commit is the only write).
-	for k, dt := range w.dirty {
-		delete(w.dirty, k)
-		cl.requeueLocked(dt.task, true)
-	}
-	w.dirtyTiles = make(map[uint64]*dirtyTask)
 	cl.cond.Broadcast()
 }
 
@@ -588,24 +572,19 @@ func (cl *Cluster) loseWorkerLocked(w *workerState) {
 // backoff has elapsed; MaxAttempts bounds the attempts per seq. The copy
 // leaves the shared pointer alone: the lost worker's transport goroutine
 // may still be reading the old Task, and the fresh attempt also makes
-// its late completion key stale. fromDirty distinguishes tasks lost
-// between their acknowledgement and their tile's commit from tasks lost
-// in flight; the two decrement different job counters. A lost copy
-// whose speculative duplicate is still in flight on a live worker is
-// simply dropped: the surviving copy carries the work.
-func (cl *Cluster) requeueLocked(t *Task, fromDirty bool) {
+// its late completion key stale. The master's C tiles are untouched
+// until a commit, so the copy recomputes from them. A lost copy whose
+// speculative duplicate is still in flight on a live worker is simply
+// dropped: the surviving copy carries the work.
+func (cl *Cluster) requeueLocked(t *Task) {
 	j := cl.jobs[t.Job]
 	if j == nil || j.state != Running {
 		return
 	}
-	if fromDirty {
-		j.dirty--
-	} else {
-		j.inflight--
-	}
+	j.inflight--
 	cl.requeue++
 	j.requeues++
-	if !fromDirty && cl.otherCopyInflightLocked(t) {
+	if cl.otherCopyInflightLocked(t) {
 		return
 	}
 	// Every copy of this seq is gone: lift the speculation latch so the
@@ -644,24 +623,18 @@ func footprint(rows, cols int) int {
 // takeLocked picks the next task that fits the asking worker's free
 // slots and advertised memory, scanning running jobs round-robin from the
 // last served position so concurrent jobs share the workers fairly. The
-// memory budget covers everything the worker already holds — in-flight
-// footprints plus the acknowledged C tiles still on their way home — so
-// pipelining never oversubscribes the advertised capacity. A worker
-// whose own dirty tiles keep its next task from fitting gets nothing:
-// their commit, right behind the acknowledgement, frees the room and
-// wakes it.
+// memory budget covers everything the worker already holds — its
+// in-flight footprints — so pipelining never oversubscribes the
+// advertised capacity.
 func (cl *Cluster) takeLocked(w *workerState) *Task {
 	cl.pruneLiveLocked()
 	if len(w.inflight) >= w.slots {
-		return nil // every slot busy; an ack will wake us
+		return nil // every slot busy; a commit will wake us
 	}
 	held := 0
 	if w.mem > 0 {
 		for _, t := range w.inflight {
 			held += footprint(t.Rows, t.Cols)
-		}
-		for _, dt := range w.dirty {
-			held += dt.task.Rows * dt.task.Cols
 		}
 	}
 	now := cl.clock.Now()
@@ -679,11 +652,6 @@ func (cl *Cluster) takeLocked(w *workerState) *Task {
 		}
 	}
 	cl.armBackoffWakeLocked(now, soonest)
-	if len(w.dirty) > 0 {
-		// Fresh work goes before duplicates, and the commit on its way
-		// may free the room for some: wait for it.
-		return nil
-	}
 	// Nothing fresh fits this worker; consider duplicating a straggling
 	// in-flight task onto it (first finished copy wins).
 	return cl.speculateLocked(w, held)
@@ -695,8 +663,7 @@ func (cl *Cluster) takeLocked(w *workerState) *Task {
 // side from ChunkSide, its place from the tour rule, starting at w's
 // previous chunk of the job. A lost copy that no live worker's memory
 // can hold goes back to the cutter, to be re-cut at a side the
-// survivors hold; one that only w's dirty tiles keep from fitting waits
-// for their commit. soonest learns the earliest retry backoff still
+// survivors hold. soonest learns the earliest retry backoff still
 // running.
 func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Time, soonest *time.Time) *Task {
 	fits := func(rows, cols int) bool {
@@ -711,8 +678,6 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 		case fits(t.Rows, t.Cols):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			return t
-		case len(w.dirty) > 0:
-			return nil // committing the dirty tiles frees their blocks
 		case !cl.anyWorkerHasMemLocked(footprint(t.Rows, t.Cols)):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			if err := j.handBack(t); err != nil {
@@ -800,118 +765,62 @@ func (cl *Cluster) anyWorkerHasMemLocked(need int) bool {
 	return false
 }
 
-// ackLocked records that worker w finished computing a task whose C
-// tiles follow the acknowledgement: the task leaves the in-flight set —
-// freeing its slot — and its tiles turn dirty until their flush
-// manifest commits them into the job matrix. An ack for an
-// assignment the worker no longer holds in flight returns ErrStaleTask.
-func (cl *Cluster) ackLocked(w *workerState, t *Task) error {
+// commitLocked retires task t, which worker w reports finished with
+// its tile, blocks (Rows×Cols blocks, row-major): the task leaves the
+// in-flight set, freeing its slot and memory, and its tile is checked
+// and committed into the job matrix — or, refused by verification,
+// committed not at all and the task requeued. Commit is a copy, never
+// an add: the worker continued each block's serial FMA chain in place,
+// so the committed value is bit-exact with the sequential order. A task
+// the worker no longer holds in flight — revoked by a speculative
+// duplicate's win, or requeued when the worker was declared dead —
+// returns ErrStaleTask, and a malformed tile an error that leaves the
+// task in flight, for the session's loss to requeue.
+func (cl *Cluster) commitLocked(w *workerState, t *Task, blocks [][]float64) error {
 	if cur, ok := w.inflight[t.key()]; !ok || cur != t {
 		return ErrStaleTask
+	}
+	j := cl.jobs[t.Job]
+	if len(blocks) != t.Rows*t.Cols {
+		return fmt.Errorf("cluster: task %d/%d result carries %d blocks for a %dx%d tile",
+			t.Job, t.Seq, len(blocks), t.Rows, t.Cols)
+	}
+	for _, blk := range blocks {
+		if q := cl.taskQ(j); len(blk) != q*q {
+			return fmt.Errorf("cluster: task %d/%d result block has %d elements, want %d",
+				t.Job, t.Seq, len(blk), q*q)
+		}
 	}
 	delete(w.inflight, t.key())
 	w.done++
 	w.lastSeen = cl.clock.Now()
-	j := cl.jobs[t.Job]
+	// The freed slot and memory — and a finished job or a new LU stage —
+	// must wake every dispatcher blocked in Next, whatever happens below.
+	defer cl.cond.Broadcast()
 	if j == nil || j.state != Running {
-		// Job failed or closed while the task was out; the worker's now
-		// untracked tiles will be skipped at commit time. The slot and
-		// memory the ack frees must still wake dispatchers blocked in
-		// Next — returning without a Broadcast strands them until some
-		// unrelated event happens to fire one.
-		cl.cond.Broadcast()
+		return nil // the job failed or closed while the task was out
+	}
+	// Verification precedes any commit: a task's tiles commit together
+	// or not at all, so a refused task recomputes from untouched tiles.
+	if cl.verify.Mode == VerifyAll && !cl.verifyTaskLocked(j, t, blocks) {
+		w.verifyFails++
+		cl.requeueLocked(t)
+		cl.strikeLocked(w, fmt.Sprintf("task %d/%d failed result verification", t.Job, t.Seq))
 		return nil
 	}
-	// A speculated seq resolves at the first ack: the loser's own ack
-	// will find its copy revoked (ErrStaleTask), and the tiles it sends
-	// home are skipped at commit time because they were never
-	// registered in its dirty-tile map.
+	// A speculated seq resolves at its first commit: the loser's Result
+	// will find its copy revoked (ErrStaleTask).
 	cl.resolveSpeculationLocked(j, t)
 	j.inflight--
-	j.dirty++
-	dt := &dirtyTask{task: t, left: t.Rows * t.Cols}
-	w.dirty[t.key()] = dt
-	for id := range t.tiles {
-		w.dirtyTiles[id] = dt
+	res := j.spec.result()
+	for n, blk := range blocks {
+		copy(res.Block(t.I0+n/t.Cols, t.J0+n%t.Cols).Data, blk)
 	}
-	// The ack frees a slot and (once committed) memory; dispatchers
-	// blocked on either must re-evaluate.
-	cl.cond.Broadcast()
-	return nil
-}
-
-// commitFlushLocked applies one flush manifest from worker w: each id
-// names a C tile of an acknowledged task (engine.CBlockID) and each
-// block carries its final value. Commit is a copy, never an add — the worker continued
-// the tile's serial FMA chain in place, so the committed value is
-// bit-exact with the sequential order. IDs the cluster no longer tracks
-// — the task was requeued after a presumed loss, or its job finished or
-// failed meanwhile — are skipped, not errors: a flush can legitimately
-// cross a requeue in flight. A dead incarnation's flush is refused
-// (ErrUnknownWorker): its tiles were requeued.
-func (cl *Cluster) commitFlushLocked(w *workerState, ids []uint64, blocks [][]float64) error {
-	if w.dead {
-		return ErrUnknownWorker
-	}
-	if len(ids) != len(blocks) {
-		return fmt.Errorf("cluster: flush manifest from %q has %d ids but %d blocks",
-			w.id, len(ids), len(blocks))
-	}
-	// Validation and verification both precede any commit: per-task
-	// commits are atomic, and a refusal mid-loop would leave half a task
-	// committed — the requeued recompute would then apply the landed half
-	// twice. A malformed tile refuses the whole manifest; a refused task's
-	// tiles leave the dirty-tile tracking in the verification pass, so
-	// the commit loop below skips them (dt == nil).
-	for n, bid := range ids {
-		dt := w.dirtyTiles[bid]
-		if dt == nil {
-			continue
-		}
-		if jobNum, _, _, ok := engine.CBlockCoords(bid); !ok || JobID(jobNum) != dt.task.Job {
-			return fmt.Errorf("cluster: flush id %#x does not decode to a tile of job %d",
-				bid, dt.task.Job)
-		}
-		if q := cl.taskQ(cl.jobs[dt.task.Job]); len(blocks[n]) != q*q {
-			return fmt.Errorf("cluster: flush block for id %#x has %d elements, want %d",
-				bid, len(blocks[n]), q*q)
-		}
-	}
-	w.lastSeen = cl.clock.Now()
-	if cl.verify.Mode == VerifyAll {
-		cl.verifyFlushLocked(w, ids, blocks)
-	}
-	for n, bid := range ids {
-		dt := w.dirtyTiles[bid]
-		if dt == nil {
-			continue // requeued or job finished meanwhile; the master copy wins
-		}
-		t := dt.task
-		j := cl.jobs[t.Job]
-		if j != nil && j.state == Running {
-			_, bi, bj, _ := engine.CBlockCoords(bid)
-			copy(j.spec.result().Block(bi, bj).Data, blocks[n])
-		}
-		delete(w.dirtyTiles, bid)
-		dt.left--
-		if dt.left > 0 {
-			continue
-		}
-		delete(w.dirty, t.key())
-		w.flushed += int64(t.Rows * t.Cols)
-		if j == nil || j.state != Running {
-			continue
-		}
-		// Every tile of the chunk has now committed into the job matrix;
-		// journal the chunk from the authoritative copy just written.
-		cl.logChunkLocked(j, t)
-		j.dirty--
-		j.done++
-		cl.settleLocked(j)
-	}
-	// Committed tiles freed worker memory and may have finished jobs or
-	// advanced LU stages; every blocked dispatcher must re-evaluate.
-	cl.cond.Broadcast()
+	w.flushed += int64(len(blocks))
+	// Journal the chunk from the authoritative copy just written.
+	cl.logChunkLocked(j, t)
+	j.done++
+	cl.settleLocked(j)
 	return nil
 }
 
@@ -1009,7 +918,7 @@ func (cl *Cluster) pruneLiveLocked() {
 // or fails the job on a zero pivot — and a job with nothing left at all
 // is Done.
 func (cl *Cluster) settleLocked(j *job) {
-	if j.spec.Kind == LU && j.stage < j.spec.M.BR && j.drained() && j.dirty == 0 {
+	if j.spec.Kind == LU && j.stage < j.spec.M.BR && j.drained() {
 		j.stage++
 		if err := j.openStage(cl.pool); err != nil {
 			cl.finishJobLocked(j, Failed, err)
@@ -1036,23 +945,9 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 	cl.logDoneLocked(j)
 	// The locality cursors for this job are dead weight now; drop them
 	// so long-lived workers don't accumulate one entry per job forever.
-	// Resident tiles still parked on workers for this job can never
-	// commit anymore — drop their tracking too, so they stop counting
-	// against worker memory and gating flush decisions (the flush itself
-	// skips the now-unknown ids).
 	for _, w := range cl.reg.workers {
 		delete(w.lastAt, j.id)
-		for k, dt := range w.dirty {
-			if dt.task.Job != j.id {
-				continue
-			}
-			delete(w.dirty, k)
-			for id := range dt.task.tiles {
-				delete(w.dirtyTiles, id)
-			}
-		}
 	}
-	j.dirty = 0
 	close(j.doneCh)
 	cl.releaseLocked(j)
 }

@@ -127,18 +127,10 @@ func pullTask(t *testing.T, s *Session) *Task {
 	return tk
 }
 
-// complete retires a held task the way the worker does: it acks the
-// task, then flushes the task's tiles with the given values, row-major.
+// complete retires a held task the way the worker does: one Result
+// carrying the task's tile with the given values, row-major.
 func complete(s *Session, tk *Task, blocks [][]float64) error {
-	if err := s.Acked(tk.key()); err != nil {
-		return err
-	}
-	ch := tk.Chunk
-	ids := make([]uint64, 0, len(blocks))
-	for n := range blocks {
-		ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+n/ch.Cols, ch.J0+n%ch.Cols))
-	}
-	return s.CommitFlush(ids, blocks)
+	return s.Commit(&engine.Result{ID: tk.key(), Blocks: blocks}, engine.CommStats{})
 }
 
 // setOf materializes the k-th update set of any task, held or not: the

@@ -6,20 +6,18 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
-// TestKillWorkerWithDirtyCRequeuesExactly is the recovery oracle for the
-// single-flush result path, driven through the worker's Session by
-// hand so the crash point is deterministic: a worker acks two tasks
-// (their C tiles dirty: it dies before their FlushResults land), holds
-// a third in flight, and dies. Exactly those three tasks — no more, no fewer —
-// must be requeued, a flush from the dead incarnation must be refused,
-// and a healthy worker must then recompute the affected updates to a
-// bit-exact finish, since the master's C blocks were never touched by
-// an uncommitted ack.
-func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
+// TestKillWorkerRequeuesExactly is the recovery oracle for the result
+// path, driven through the worker's Session by hand so the crash point
+// is deterministic: a worker commits one task's Result, holds two more
+// in flight, and dies. Exactly those two tasks — no more, no fewer —
+// must be requeued, a Result from the dead incarnation must be refused
+// and commit nothing, and a healthy worker must then recompute the
+// affected updates to a bit-exact finish, every tile committed once:
+// the master's C blocks are only ever written by a commit.
+func TestKillWorkerRequeuesExactly(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
 	// 4×4 blocks, µ=2 → four chunks of 2×2 tiles.
@@ -28,43 +26,31 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Slots 4 and memory 64: the worker can turn two tasks dirty and
-	// still pull a third.
 	doomed := join(t, cl, "doomed", 64, 4)
-	t1 := pullTask(t, doomed)
-	t2 := pullTask(t, doomed)
-	if err := doomed.Acked(t1.key()); err != nil {
-		t.Fatal(err)
-	}
-	if err := doomed.Acked(t2.key()); err != nil {
-		t.Fatal(err)
-	}
+	t1, t2 := pullTask(t, doomed), pullTask(t, doomed)
 	pullTask(t, doomed)
-	for _, w := range cl.Workers() {
-		if w.ID != "doomed" {
-			continue
-		}
-		if w.DirtyBlocks != 8 {
-			t.Fatalf("dirty blocks = %d, want 8 (two acked 2x2-tile chunks)", w.DirtyBlocks)
-		}
-		if w.Inflight != 1 {
-			t.Fatalf("inflight = %d, want 1", w.Inflight)
-		}
+	if err := complete(doomed, t1, honestTask(c, a, b, t1, 4)); err != nil {
+		t.Fatal(err)
 	}
-	if st := cl.ClusterStats(); st.DirtyBlocks != 8 {
-		t.Fatalf("fleet dirty blocks = %d, want 8", st.DirtyBlocks)
+	for _, w := range cl.Workers() {
+		if w.ID == "doomed" && (w.Inflight != 2 || w.FlushedBlocks != 4) {
+			t.Fatalf("in flight %d, committed blocks %d; want 2 and 4 (one 2x2 tile)", w.Inflight, w.FlushedBlocks)
+		}
 	}
 
 	doomed.Lost()
-	if st := cl.ClusterStats(); st.Requeues != 3 {
-		t.Fatalf("requeues = %d, want exactly 3 (two dirty + one in flight)", st.Requeues)
+	if st := cl.ClusterStats(); st.Requeues != 2 {
+		t.Fatalf("requeues = %d, want exactly 2 (the tasks in flight)", st.Requeues)
 	}
-	// A flush racing the loss must be refused, not committed: the master
-	// copy wins and the requeued recomputation starts from it.
-	bid := engine.CBlockID(uint32(t1.Job), t1.Chunk.I0, t1.Chunk.J0)
-	stale := [][]float64{make([]float64, 16)}
-	if err := doomed.CommitFlush([]uint64{bid}, stale); !errors.Is(err, ErrUnknownWorker) {
-		t.Fatalf("flush from dead worker = %v, want ErrUnknownWorker", err)
+	// A Result racing the loss must be refused, not committed: the
+	// master copy wins and the requeued recomputation starts from it.
+	before := append([]float64(nil), c.Block(t2.I0, t2.J0).Data...)
+	junk := [][]float64{make([]float64, 16), make([]float64, 16), make([]float64, 16), make([]float64, 16)}
+	if err := complete(doomed, t2, junk); !errors.Is(err, ErrStaleTask) {
+		t.Fatalf("result from dead worker = %v, want ErrStaleTask", err)
+	}
+	if !blas.EqualBits(c.Block(t2.I0, t2.J0).Data, before) {
+		t.Fatal("the dead worker's Result was committed")
 	}
 
 	go RunLocalWorker(cl, LocalWorkerConfig{ID: "healer", Mem: 64})
@@ -75,24 +61,20 @@ func TestKillWorkerWithDirtyCRequeuesExactly(t *testing.T) {
 	for i := 0; i < got.Rows; i++ {
 		for j := 0; j < got.Cols; j++ {
 			if got.At(i, j) != ref.At(i, j) {
-				t.Fatalf("C(%d,%d) = %g, oracle %g (not bit-exact after dirty-C recovery)",
+				t.Fatalf("C(%d,%d) = %g, oracle %g (not bit-exact after recovery)",
 					i, j, got.At(i, j), ref.At(i, j))
 			}
 		}
 	}
-	st := cl.ClusterStats()
-	if st.FlushedBlocks == 0 {
-		t.Fatal("healer committed no flushed blocks; the resident path did not run")
-	}
-	if st.DirtyBlocks != 0 {
-		t.Fatalf("fleet dirty blocks = %d after completion, want 0", st.DirtyBlocks)
+	if st := cl.ClusterStats(); st.FlushedBlocks != 16 {
+		t.Fatalf("committed blocks = %d, want every one of the 16 tiles once", st.FlushedBlocks)
 	}
 }
 
 // TestAckCommitFlushLifecycle drives one task through the result
-// lifecycle by hand: ack leaves the job unfinished (the tile is dirty,
-// not done), the flush commit copies — not adds — the worker's final
-// value into the job matrix, and only the commit retires the task.
+// lifecycle by hand: pulling it leaves the job unfinished, its Result
+// commits by copying — not adding — the worker's final value into the
+// job matrix and retires the task, and a second Result for it is stale.
 func TestAckCommitFlushLifecycle(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
@@ -104,41 +86,30 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 	}
 	w := join(t, cl, "w", 64, 2)
 	tk := pullTask(t, w)
-	if err := w.Acked(tk.key()); err != nil {
-		t.Fatal(err)
-	}
-	// A second ack of the same task is stale, and the job must not have
-	// finished on the ack alone.
-	if err := w.Acked(tk.key()); !errors.Is(err, ErrStaleTask) {
-		t.Fatalf("double ack = %v, want ErrStaleTask", err)
-	}
 	if st, _ := cl.JobStatus(id); st.State != Running {
-		t.Fatalf("job state after ack = %v, want still running", st.State)
+		t.Fatalf("job state before the result = %v, want still running", st.State)
 	}
 
 	ch := tk.Chunk
-	var ids []uint64
 	var blocks [][]float64
 	mark := 0.0
-	for i := 0; i < ch.Rows; i++ {
-		for j := 0; j < ch.Cols; j++ {
-			ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+i, ch.J0+j))
-			blk := make([]float64, 16)
-			for n := range blk {
-				mark++
-				blk[n] = mark
-			}
-			blocks = append(blocks, blk)
+	for i := 0; i < ch.Rows*ch.Cols; i++ {
+		blk := make([]float64, 16)
+		for n := range blk {
+			mark++
+			blk[n] = mark
 		}
+		blocks = append(blocks, blk)
 	}
-	if err := w.CommitFlush(ids, blocks); err != nil {
+	if err := complete(w, tk, blocks); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitStatus(t, cl, id); st.State != Done {
-		t.Fatalf("job state after flush = %v (err %v), want done", st.State, st.Err)
+		t.Fatalf("job state after the result = %v (err %v), want done", st.State, st.Err)
 	}
-	// Commit is copy semantics: the job matrix holds exactly the flushed
-	// values, not the flushed values added onto the shipped tile.
+	// Commit is copy semantics: the job matrix holds exactly the
+	// returned values, not the returned values added onto the shipped
+	// tile.
 	n := 0
 	for i := 0; i < ch.Rows; i++ {
 		for j := 0; j < ch.Cols; j++ {
@@ -152,22 +123,20 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 			}
 		}
 	}
-	// An id from a finished job is skipped silently — a flush may cross a
-	// job completion in flight.
-	if err := w.CommitFlush(ids[:1], blocks[:1]); err != nil {
-		t.Fatalf("post-completion flush = %v, want skipped silently", err)
+	if err := complete(w, tk, blocks); !errors.Is(err, ErrStaleTask) {
+		t.Fatalf("second result = %v, want ErrStaleTask", err)
 	}
-	if st := cl.ClusterStats(); st.FlushedBlocks != 4 || st.DirtyBlocks != 0 {
-		t.Fatalf("flushed/dirty = %d/%d, want 4/0", st.FlushedBlocks, st.DirtyBlocks)
+	if st := cl.ClusterStats(); st.FlushedBlocks != 4 {
+		t.Fatalf("committed blocks = %d, want 4", st.FlushedBlocks)
 	}
 }
 
 // TestCompleteDeadJobWakesBlockedDispatcher is the regression test for a
-// liveness strand: an ack arriving for a job that failed meanwhile took
-// an early return that freed the worker's slot and memory without
+// liveness strand: a result arriving for a job that failed meanwhile
+// took an early return that freed the worker's slot and memory without
 // broadcasting, leaving a dispatcher blocked in Next asleep forever
-// even though the freed memory made its next task fit. The ack alone
-// must wake it: no flush follows, since the job's tiles are dead.
+// even though the freed memory made its next task fit. The result must
+// wake it, though the job's tiles are dead.
 func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 1})
 	defer cl.Close()
@@ -214,14 +183,15 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 		t.Fatalf("job 1 state = %v, want failed", st.State)
 	}
 	// Let the dispatcher absorb the loss broadcast, rescan (job 1 is
-	// dead, job 2 still does not fit) and park again, so the ack below
-	// is provably the only thing left to wake it.
+	// dead, job 2 still does not fit) and park again, so the result
+	// below is provably the only thing left to wake it.
 	waitParked(t, cl, 2)
-	// w now acks its job-1 task. The job is dead, so its tiles will never
-	// commit — but the ack frees 8 blocks, and the blocked pull must wake
-	// and take the job-2 task.
-	if err := w.Acked(t1.key()); err != nil {
-		t.Fatalf("ack for dead job = %v, want accepted and discarded", err)
+	// w now reports its job-1 task. The job is dead, so its tiles will
+	// never commit — but the result frees 8 blocks, and the blocked pull
+	// must wake and take the job-2 task.
+	dead := [][]float64{make([]float64, 16), make([]float64, 16), make([]float64, 16), make([]float64, 16)}
+	if err := complete(w, t1, dead); err != nil {
+		t.Fatalf("result for dead job = %v, want accepted and discarded", err)
 	}
 	select {
 	case tk, ok := <-got:
@@ -232,7 +202,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 			t.Fatalf("woken pull got a task of failed job %d", j1)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("dispatcher still blocked after the dead-job ack freed its memory")
+		t.Fatal("dispatcher still blocked after the dead-job result freed its memory")
 	}
 }
 
@@ -271,8 +241,8 @@ func TestEngineFeedLostUnblocksNext(t *testing.T) {
 }
 
 // TestMalformedFlushCommitsNothing is the regression test for a
-// half-committed flush: a manifest whose second tile is short must be
-// refused before its first, well-formed tile lands. Committed, that tile
+// half-committed tile: a Result whose second block is short must be
+// refused before its first, well-formed block lands. Committed, that tile
 // would already hold its final value when the refused task is requeued,
 // and the recompute — which starts from the master tile — would apply
 // the task's updates to it twice.
@@ -288,16 +258,12 @@ func TestMalformedFlushCommitsNothing(t *testing.T) {
 	before := append([]float64(nil), c.Block(0, 0).Data...)
 	w := join(t, cl, "w", 64, 1)
 	tk := pullTask(t, w)
-	if err := w.Acked(tk.key()); err != nil {
-		t.Fatal(err)
-	}
 	good := matrix.Partition(ref, 4).Block(0, 0).Data
-	ids := []uint64{engine.CBlockID(uint32(tk.Job), 0, 0), engine.CBlockID(uint32(tk.Job), 0, 1)}
-	if err := w.CommitFlush(ids, [][]float64{good, make([]float64, 15)}); err == nil {
-		t.Fatal("a flush with a short tile was accepted")
+	if err := complete(w, tk, [][]float64{good, make([]float64, 15), good, good}); err == nil {
+		t.Fatal("a result with a short block was accepted")
 	}
 	if !blas.EqualBits(c.Block(0, 0).Data, before) {
-		t.Fatal("the refused flush committed its well-formed tile")
+		t.Fatal("the refused result committed its well-formed block")
 	}
 	// The transport ends the session on the error; the task is requeued
 	// and a second worker recomputes it from the untouched master tiles.
@@ -307,6 +273,6 @@ func TestMalformedFlushCommitsNothing(t *testing.T) {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
 	}
 	if !c.Assemble().Equal(ref, 0) {
-		t.Fatal("product after the refused flush not bit-exact")
+		t.Fatal("product after the refused result not bit-exact")
 	}
 }

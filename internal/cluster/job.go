@@ -133,8 +133,9 @@ type Status struct {
 	Err         error
 	// Comm is the job's delta-protocol accounting: operand blocks that
 	// went over the wire versus blocks served from worker-resident
-	// caches. Sessions report on exit, so in-flight work is not yet
-	// counted.
+	// caches, and its C blocks down and up. A task counts when its
+	// Result reaches the master, so a finished job's count is complete
+	// and a lost task's traffic is not in it.
 	Comm engine.CommStats
 	// Retained counts the matrices (operands and result) the cluster
 	// still references for the job; 0 once it is fully released.
@@ -178,18 +179,6 @@ func (t *Task) updates() int64 {
 	return int64(t.Steps) * int64(t.Rows) * int64(t.Cols)
 }
 
-// tiles yields the job-scoped ID (engine.CBlockID) of each of the task's
-// C tiles, row-major.
-func (t *Task) tiles(yield func(uint64) bool) {
-	for i := t.I0; i < t.I0+t.Rows; i++ {
-		for jj := t.J0; jj < t.J0+t.Cols; jj++ {
-			if !yield(engine.CBlockID(uint32(t.Job), i, jj)) {
-				return
-			}
-		}
-	}
-}
-
 // key identifies one task attempt globally: the wire (Job, Seq, Attempt)
 // triple a session's assignment carries.
 func (t *Task) key() engine.AssignID {
@@ -206,18 +195,13 @@ type job struct {
 	// cutter holds the part of the job's C grid — for LU, of the current
 	// stage's trailing grid — not yet cut into tasks: every fresh task is
 	// carved from it at dispatch, sized and placed for the asking worker.
-	// With the tasks cut from it and not yet committed (pending, in
-	// flight, dirty) it is all of the job's uncommitted work, and it is
+	// With the tasks cut from it and not yet committed (pending or in
+	// flight) it is all of the job's uncommitted work, and it is
 	// what the journal persists of it (freeListLocked).
 	cutter *cutter
 	// pending holds lost copies awaiting redispatch (head is next).
 	pending  []*Task
 	inflight int
-	// dirty counts tasks acknowledged by their worker (the values follow
-	// the acknowledgement) but not yet flush-committed into the job matrix.
-	// The job is not finished — and an LU stage cannot advance — until
-	// every dirty task commits.
-	dirty int
 	// total counts the chunks cut so far, handed-back ones excepted;
 	// done the chunks committed. A snapshot's load restarts total at
 	// done: everything cut but uncommitted went back to the cutter.
@@ -237,8 +221,8 @@ type job struct {
 	// pooled blocks on first use and goes back to the pool at a later
 	// openStage or at release, whichever first finds held == 0.
 	panels map[int][][]float64
-	// comm accumulates the job's delta-protocol accounting as worker
-	// sessions report it.
+	// comm accumulates the job's delta-protocol accounting, one task's
+	// at each Commit.
 	comm engine.CommStats
 
 	// attempts tracks the highest Attempt issued per Seq, so requeues and
@@ -439,8 +423,7 @@ func (j *job) openStage(pool *engine.BlockPool) error {
 }
 
 // drained reports that nothing of the job — for LU, of its current stage
-// — is left to cut, dispatch or compute: only flush commits of dirty
-// tasks can still be outstanding.
+// — is left to cut, dispatch, compute or commit.
 func (j *job) drained() bool {
 	return j.cutter.Empty() && len(j.pending) == 0 && j.inflight == 0
 }
@@ -448,7 +431,7 @@ func (j *job) drained() bool {
 // finished reports whether every task committed and, for LU, every
 // stage was factored.
 func (j *job) finished() bool {
-	return j.drained() && j.dirty == 0 && (j.spec.Kind != LU || j.stage >= j.spec.M.BR)
+	return j.drained() && (j.spec.Kind != LU || j.stage >= j.spec.M.BR)
 }
 
 func (j *job) status() Status {

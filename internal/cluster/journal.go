@@ -19,7 +19,7 @@ package cluster
 //     the stage-0 panel factorization). Its mode byte is
 //     written as 0 and ignored on read: every job is cut at dispatch.
 //   - chunk is appended when a chunk's result lands in the job matrix
-//     (the flush commit of the last of an acked chunk's tiles). Replaying
+//     (the commit of its worker's Result). Replaying
 //     it is a pure region claim: the tiles are copied back and the
 //     region is claimed from the cutter, and a record that does not take
 //     every one of its blocks is refused as corrupt — they were committed
@@ -38,7 +38,7 @@ package cluster
 // compaction) is the job table: per job its spec, state, matrices, seq
 // counter, commit and requeue counts, LU stage and one free list — the
 // cutter's free rectangles plus the region of every task cut but not
-// committed: pending, in flight or dirty (freeListLocked). Each seq's
+// committed: pending or in flight (freeListLocked). Each seq's
 // region goes in once: a speculative duplicate is one seq in flight on
 // two workers, and a region freed twice would be cut twice. A snapshot
 // is applied without re-running admission, so an LU job's
@@ -335,8 +335,8 @@ func (cl *Cluster) Recover() (RecoveryStats, error) {
 
 // CompactLog snapshots the whole job table into the journal and drops
 // the segments before it — the boot-time (or periodic) bound on replay
-// length. The regions of tasks in flight and dirty are freed in the
-// snapshot, so one taken mid-run loses no work.
+// length. The regions of tasks in flight are freed in the snapshot, so
+// one taken mid-run loses no work.
 func (cl *Cluster) CompactLog() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -512,9 +512,9 @@ func (cl *Cluster) encodeSnapshotLocked() [][]byte {
 
 // freeListLocked is j's uncommitted work as one free list: the cutter's
 // free rectangles, then the region of every task cut but not committed —
-// pending, in flight or dirty on a live worker — once per seq, in seq
-// order. A dirty task never modified master C, so its region is as free
-// as one never cut.
+// pending or in flight on a live worker — once per seq, in seq order. A
+// task in flight has not modified master C, so its region is as free as
+// one never cut.
 func (cl *Cluster) freeListLocked(j *job) [][4]int {
 	cut := make(map[int]Chunk)
 	for _, t := range j.pending {
@@ -529,11 +529,6 @@ func (cl *Cluster) freeListLocked(j *job) [][4]int {
 				cut[t.Seq] = t.Chunk
 			}
 		}
-		for _, dt := range w.dirty {
-			if dt.task.Job == j.id {
-				cut[dt.task.Seq] = dt.task.Chunk
-			}
-		}
 	}
 	rects := j.cutter.Rects()
 	for _, seq := range slices.Sorted(maps.Keys(cut)) {
@@ -545,8 +540,8 @@ func (cl *Cluster) freeListLocked(j *job) [][4]int {
 
 // applySnapshotLocked resets the job table to the snapshot, of either
 // layout. Every job's uncommitted work comes back as its cutter's free
-// list, checked before anything is cut from it, and nothing pending,
-// in flight or dirty: the cut count restarts at the commit count.
+// list, checked before anything is cut from it, and nothing pending or
+// in flight: the cut count restarts at the commit count.
 func (cl *Cluster) applySnapshotLocked(rec []byte, rs *RecoveryStats) error {
 	cl.resetJobsLocked()
 	d := &recDec{buf: rec, pool: cl.pool}

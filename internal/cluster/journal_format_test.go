@@ -133,8 +133,8 @@ func refSnapshot(cl *Cluster) []byte {
 // refSnapshotV0 is cl's snapshot record in the v0 layout, written
 // before snapshots held free lists: nine counter slots (three of them
 // unused, and the LU block order), the task list — pending, then in
-// flight and dirty per live worker, a speculative duplicate listed
-// twice — and the cutter's free list.
+// flight per live worker, a speculative duplicate listed twice — and
+// the cutter's free list.
 func refSnapshotV0(cl *Cluster) []byte {
 	e := &refEnc{}
 	refSnapshotBody(e, cl, func(j *job) {
@@ -164,9 +164,9 @@ func refSnapshotV0(cl *Cluster) []byte {
 	return e.buf
 }
 
-// uncommittedTasks lists j's tasks cut but not committed — pending, in
-// flight or dirty on a live worker — by seq (a seq in flight twice is
-// listed twice).
+// uncommittedTasks lists j's tasks cut but not committed — pending or
+// in flight on a live worker — by seq (a seq in flight twice is listed
+// twice).
 func uncommittedTasks(cl *Cluster, j *job) []*Task {
 	tasks := append([]*Task(nil), j.pending...)
 	for _, w := range cl.reg.workers {
@@ -176,11 +176,6 @@ func uncommittedTasks(cl *Cluster, j *job) []*Task {
 		for _, t := range w.inflight {
 			if t.Job == j.id {
 				tasks = append(tasks, t)
-			}
-		}
-		for _, dt := range w.dirty {
-			if dt.task.Job == j.id {
-				tasks = append(tasks, dt.task)
 			}
 		}
 	}

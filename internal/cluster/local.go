@@ -43,7 +43,7 @@ func (s *Session) serveLocal(cores int) error {
 	cl := s.cl
 	master, worker := engine.Pipe()
 	type fed struct {
-		stats engine.FeederStats
+		stats engine.CommStats
 		err   error
 	}
 	feedDone := make(chan fed, 1)
@@ -61,7 +61,7 @@ func (s *Session) serveLocal(cores int) error {
 	// to be. Only then has the last Set been read, and the session's
 	// holds on its jobs' operands may go.
 	fe := <-feedDone
-	schedErr := s.Close(SessionReport{Feeder: fe.stats})
+	schedErr := s.Close(SessionReport{Comm: fe.stats})
 	if err != nil {
 		// Surface the scheduler's verdict (dead, replaced, …) or the
 		// feeder's failure rather than the pipe closure it caused.

@@ -32,9 +32,9 @@ type WorkerInfo struct {
 	SessBlocksShipped int64
 	SessBlocksSkipped int64
 
-	// Result accounting.
-	DirtyBlocks   int   // C blocks acked by the worker, not yet committed
-	FlushedBlocks int64 // C blocks committed via flush over the lifetime
+	// FlushedBlocks counts the worker's C blocks committed over its
+	// lifetime.
+	FlushedBlocks int64
 
 	// Wire-byte accounting from the transport's per-conn counters, as
 	// reported once per session when it closes (Session.Close); the
@@ -77,13 +77,6 @@ func (wi WorkerInfo) SessionCacheHitRate() float64 {
 	return float64(wi.SessBlocksSkipped) / float64(total)
 }
 
-// dirtyTask tracks one acknowledged task whose C tiles have not all
-// committed yet. left counts tiles not yet committed.
-type dirtyTask struct {
-	task *Task
-	left int
-}
-
 // workerState is the registry's live record of one worker. All access is
 // guarded by the owning Cluster's mutex.
 type workerState struct {
@@ -109,12 +102,8 @@ type workerState struct {
 	// Wire-byte totals (Session.Close), carried across incarnations.
 	wireOut int64
 	wireIn  int64
-	// Dirty results: tasks acked whose tiles have not yet committed, and
-	// those C tiles (keyed by engine.CBlockID).
-	dirty      map[engine.AssignID]*dirtyTask
-	dirtyTiles map[uint64]*dirtyTask
-	// flushed counts C blocks committed via CommitFlush over the
-	// worker's lifetime (carried across incarnations).
+	// flushed counts C blocks committed from the worker's Results over
+	// its lifetime (carried across incarnations).
 	flushed int64
 	// Result-integrity state, carried across incarnations — a corrupt
 	// worker must not launder its strikes by reconnecting.
@@ -123,10 +112,6 @@ type workerState struct {
 	transportFaults int
 	quarantined     bool
 }
-
-// dirtyBlocks returns the number of the worker's acknowledged C tiles
-// not yet committed.
-func (w *workerState) dirtyBlocks() int { return len(w.dirtyTiles) }
 
 // registry is the membership table: join/leave plus heartbeat-based
 // failure detection. It does no locking of its own — every method is
@@ -153,10 +138,8 @@ func (r *registry) join(id string, mem, slots int, now time.Time) *workerState {
 	r.joins++
 	w := &workerState{
 		id: id, epoch: r.joins, mem: mem, slots: slots, lastSeen: now,
-		inflight:   make(map[engine.AssignID]*Task),
-		sessions:   1,
-		dirty:      make(map[engine.AssignID]*dirtyTask),
-		dirtyTiles: make(map[uint64]*dirtyTask),
+		inflight: make(map[engine.AssignID]*Task),
+		sessions: 1,
 	}
 	if old := r.workers[id]; old != nil {
 		w.blocksShipped = old.blocksShipped
@@ -209,8 +192,8 @@ func (r *registry) snapshot() []WorkerInfo {
 			BlocksShipped: w.blocksShipped, BlocksSkipped: w.blocksSkipped,
 			BytesSaved:        w.bytesSaved,
 			SessBlocksShipped: w.sessShipped, SessBlocksSkipped: w.sessSkipped,
-			DirtyBlocks: w.dirtyBlocks(), FlushedBlocks: w.flushed,
-			WireBytesOut: w.wireOut, WireBytesIn: w.wireIn,
+			FlushedBlocks: w.flushed,
+			WireBytesOut:  w.wireOut, WireBytesIn: w.wireIn,
 			Strikes:         w.strikes,
 			VerifyFailures:  w.verifyFails,
 			TransportFaults: w.transportFaults,

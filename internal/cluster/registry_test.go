@@ -20,9 +20,9 @@ func snapshotWorker(t *testing.T, cl *Cluster, id string) WorkerInfo {
 
 // comm is a session report of delta-protocol accounting.
 func comm(shipped, skipped, saved int64) SessionReport {
-	return SessionReport{Feeder: engine.FeederStats{Comm: engine.CommStats{
+	return SessionReport{Comm: engine.CommStats{
 		BlocksShipped: shipped, BlocksSkipped: skipped, BytesSaved: saved,
-	}}}
+	}}
 }
 
 // TestReconnectCommAccounting is the regression test for the status

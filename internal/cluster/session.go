@@ -10,16 +10,16 @@ import (
 // Session is one worker incarnation, as JoinWorker returns it, and the
 // engine.Feed its transport runs — the single bridge both cluster
 // transports share (the TCP server session and the in-process local
-// worker): Next pulls the incarnation's tasks, Set, Acked and
-// CommitFlush move their data, and Lost declares the incarnation dead,
-// requeuing whatever it held. Every call is bound to the incarnation:
-// once it is declared dead — lost, expired, quarantined, or replaced by
-// a reconnect under the same id — Next and CommitFlush refuse it
-// (ErrUnknownWorker), Acked reads as stale, and Heartbeat fails, so a
-// session still tearing down cannot act on its successor.
+// worker): Next pulls the incarnation's tasks, Set and Commit move
+// their data, and Lost declares the incarnation dead, requeuing
+// whatever it held. Every call is bound to the incarnation: once it is
+// declared dead — lost, expired, quarantined, or replaced by a
+// reconnect under the same id — Next refuses it (ErrUnknownWorker),
+// Commit reads as stale, and Heartbeat fails, so a session still
+// tearing down cannot act on its successor.
 //
 // The session holds each task from the dispatch that hands it out until
-// Acked reports it, or until Close: while it does, the
+// Commit reports it, or until Close: while it does, the
 // task's job keeps its operands (see Cluster.releaseLocked), because
 // Sets reference them. All of its state is guarded by the
 // cluster's mutex.
@@ -34,10 +34,10 @@ type Session struct {
 }
 
 // SessionReport is a finished session's accounting, folded into the
-// worker's and its jobs' records when the session closes.
+// worker's records when the session closes.
 type SessionReport struct {
-	// Feeder is RunFeeder's delta-protocol accounting.
-	Feeder engine.FeederStats
+	// Comm is RunFeeder's delta-protocol accounting.
+	Comm engine.CommStats
 	// WireOut and WireIn are the connection's master→worker and
 	// worker→master bytes over Elapsed (zero for in-process sessions).
 	WireOut, WireIn int64
@@ -54,9 +54,9 @@ type SessionReport struct {
 // section that dispatches it. A closed cluster is the clean end of the
 // feed (engine.ErrFeedDone). Pulling a task counts as a heartbeat.
 //
-// The worker sends the task's C tiles home once, right behind its
-// acknowledgement; all-zero tiles ship down as a CZero flag instead of
-// a payload.
+// The worker sends the task's C tiles home once, in the Result that
+// reports it finished; all-zero tiles ship down as a CZero flag instead
+// of a payload.
 func (s *Session) Next() (*engine.Assign, error) {
 	return s.next(true)
 }
@@ -169,28 +169,28 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	return set, nil
 }
 
-// Acked retires a held assignment whose result tiles follow the
-// acknowledgement: the task leaves the in-flight set and its tiles turn
-// dirty until CommitFlush commits them. A task the scheduler already
-// reassigned is reported stale (ErrStaleTask).
-func (s *Session) Acked(id engine.AssignID) error {
-	s.cl.mu.Lock()
-	defer s.cl.mu.Unlock()
-	task := s.held[id]
+// Commit retires a held assignment with the Result the worker sent
+// for it: its compute timing feeds the worker's profile, comm — the
+// assignment's traffic — goes to its job's totals, and, in one critical
+// section, the tile is verified and committed or refused and the task
+// requeued (see commitLocked). A task the scheduler already reassigned
+// is reported stale (ErrStaleTask).
+func (s *Session) Commit(res *engine.Result, comm engine.CommStats) error {
+	if res.ComputeNS > 0 && res.Updates > 0 {
+		s.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
+	}
+	cl := s.cl
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if j := cl.jobs[JobID(res.ID.A)]; j != nil {
+		j.comm.Add(comm)
+	}
+	task := s.held[res.ID]
 	if task == nil {
 		return ErrStaleTask
 	}
 	defer s.endHoldLocked(task)
-	return s.cl.ackLocked(s.w, task)
-}
-
-// CommitFlush applies one flush manifest from the worker — the tile of
-// an assignment it has acknowledged; ids the scheduler no longer tracks
-// are skipped (the tile may have crossed a requeue in flight).
-func (s *Session) CommitFlush(ids []uint64, blocks [][]float64) error {
-	s.cl.mu.Lock()
-	defer s.cl.mu.Unlock()
-	return s.cl.commitFlushLocked(s.w, ids, blocks)
+	return cl.commitLocked(s.w, task, res.Blocks)
 }
 
 // ObserveCompute folds one task's worker-side compute timing into the
@@ -250,7 +250,7 @@ func (s *Session) Close(rep SessionReport) error {
 	}
 	cur := cl.reg.workers[s.w.id]
 	live := cur == s.w
-	comm := rep.Feeder.Comm
+	comm := rep.Comm
 	cur.blocksShipped += comm.BlocksShipped
 	cur.blocksSkipped += comm.BlocksSkipped
 	cur.bytesSaved += comm.BytesSaved
@@ -263,11 +263,6 @@ func (s *Session) Close(rep SessionReport) error {
 	if rep.TransportFault {
 		cl.transportFaults++
 		cur.transportFaults++
-	}
-	for jobNum, jc := range rep.Feeder.PerJob {
-		if j := cl.jobs[JobID(jobNum)]; j != nil {
-			j.comm.Add(jc)
-		}
 	}
 	cl.est.ObserveTransfer(s.w.id, s.w.epoch, rep.WireOut+rep.WireIn, rep.Elapsed)
 	for _, task := range s.held {

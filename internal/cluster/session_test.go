@@ -59,19 +59,13 @@ func TestTryNextContract(t *testing.T) {
 	}
 	first := dispatched()
 	idle("slot busy")
-	if err := s.Acked(first.ID); err != nil {
+	if err := s.Commit(&engine.Result{ID: first.ID, Blocks: first.Blocks}, engine.CommStats{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitFlush(first.TileIDs(), first.Blocks); err != nil {
-		t.Fatal(err)
-	}
-	// A corrupt tile is refused at flush, and the one strike quarantines.
+	// A corrupt tile is refused at commit, and the one strike quarantines.
 	bad := dispatched()
 	bad.Blocks[0][1] = flipBit62(bad.Blocks[0][1])
-	if err := s.Acked(bad.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitFlush(bad.TileIDs(), bad.Blocks); err != nil {
+	if err := s.Commit(&engine.Result{ID: bad.ID, Blocks: bad.Blocks}, engine.CommStats{}); err != nil {
 		t.Fatal(err)
 	}
 	answers(s, ErrWorkerQuarantined)

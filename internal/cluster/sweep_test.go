@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -110,15 +111,12 @@ func dispatch(t *testing.T, s *Session) *engine.Assign {
 
 // finishTask computes a dispatched assignment as the in-process worker
 // does (engine.RunAssign over the session's sets, recycling into the
-// cluster's pool), acks it and flushes its tiles, and only its.
+// cluster's pool) and commits its Result, and only its.
 func finishTask(t *testing.T, s *Session, as *engine.Assign) {
 	t.Helper()
 	err := engine.RunAssign(as, s, s.cl.pool)
 	if err == nil {
-		err = s.Acked(as.ID)
-	}
-	if err == nil {
-		err = s.CommitFlush(as.TileIDs(), as.Blocks)
+		err = s.Commit(&engine.Result{ID: as.ID, Blocks: as.Blocks}, engine.CommStats{})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +143,8 @@ func sweepConfig(log JobLog) Config {
 // scripted run and recovers. The script runs a matmul job, then an LU
 // job, on a real store, through every path that leaves uncommitted work
 // behind: an in-flight loss, a hand-back (no survivor can hold the lost
-// copy), a speculative duplicate, a dirty-tile loss, and a CompactLog
-// taken while chunks are in flight — one of them twice — and dirty, once
-// per job. Every append and compaction is recorded. Then, for every
+// copy), a speculative duplicate, and a CompactLog taken while chunks
+// are in flight — one of them twice — once per job. Every append and compaction is recorded. Then, for every
 // record boundary, for a torn tail inside every record and for a crash
 // between a compaction's snapshot and its deletion of the old segments,
 // the journal the crash leaves is rebuilt, recovered into a
@@ -197,9 +194,8 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	}
 	finishTask(t, small, dispatch(t, small))
 	small.Close(SessionReport{})
-	// A slow worker takes the rest of the grid at µ = √(20/4) = 2; it
-	// acks its first chunk, which turns dirty, and a fast idle worker
-	// duplicates its biggest in-flight chunk.
+	// A slow worker takes the rest of the grid at µ = √(20/4) = 2, and a
+	// fast idle worker duplicates one of its in-flight chunks.
 	slow := join(t, cl, "b", 0, 16)
 	slow.ObserveCompute(engine.AssignID{}, 20, int64(time.Second))
 	var held []*engine.Assign
@@ -209,13 +205,10 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	if len(held) < 3 {
 		t.Fatalf("the slow worker holds %d chunks, want at least 3", len(held))
 	}
-	if err := slow.Acked(held[0].ID); err != nil {
-		t.Fatal(err)
-	}
 	fast := join(t, cl, "f", 0, 1)
 	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
 	dup := dispatch(t, fast)
-	if st := cl.ClusterStats(); st.Speculations != 1 || dup.ID.B == held[0].ID.B {
+	if st := cl.ClusterStats(); st.Speculations != 1 || !slices.ContainsFunc(held, func(as *engine.Assign) bool { return as.ID.B == dup.ID.B }) {
 		t.Fatalf("fast worker got seq %d after %d speculations, want a duplicate of an in-flight chunk",
 			dup.ID.B, st.Speculations)
 	}
@@ -223,9 +216,9 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The duplicate wins; the slow worker commits one more chunk and dies
-	// with its dirty one and the rest in flight.
+	// with the rest in flight.
 	finishTask(t, fast, dup)
-	for _, as := range held[1:] {
+	for _, as := range held {
 		if as.ID.B != dup.ID.B {
 			finishTask(t, slow, as)
 			break
@@ -236,17 +229,14 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	finishJob(fresh, mm)
 
 	// The LU job, submitted once the product is done so that every
-	// dispatch above sees one running job: a chunk dirty and one in
-	// flight at a compaction mid-stage, then a dirty-tile loss.
+	// dispatch above sees one running job: two chunks in flight at a
+	// compaction mid-stage, then a loss with one of them.
 	luj, _, err := cl.SubmitJobKeyed(2, JobSpec{Kind: LU, M: matrix.Partition(orig.Clone(), q), Mu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lw := join(t, cl, "l", 0, 2)
-	l1, l2 := dispatch(t, lw), dispatch(t, lw)
-	if err := lw.Acked(l1.ID); err != nil {
-		t.Fatal(err)
-	}
+	_, l2 := dispatch(t, lw), dispatch(t, lw)
 	if err := cl.CompactLog(); err != nil {
 		t.Fatal(err)
 	}

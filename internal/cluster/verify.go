@@ -6,7 +6,7 @@ package cluster
 // the values themselves are the update the task prescribed. Candidate C
 // tiles are checked with Freivalds probes against the master-owned
 // operands — O(rounds·steps·q²) per tile against the O(steps·q³)
-// recompute — as each flush manifest arrives, before any of it is
+// recompute — as each task's Result arrives, before any of it is
 // committed. A probe failure escalates to the exact
 // bit-for-bit recompute (the repository's bit-exactness invariant makes
 // EqualBits the honest-worker acid test); a confirmed corruption
@@ -204,8 +204,8 @@ func (cl *Cluster) probeLocked(j *job, t *Task, bi, bj int, cand, old []float64,
 // worker started from. A probe failure escalates to the exact recompute
 // and the bit-for-bit comparison — an honest worker can never be
 // refused, because every worker path is pinned to the same ascending-k
-// FMA chain. The candidate is well-formed: commitFlushLocked validated
-// the manifest first.
+// FMA chain. The candidate is well-formed: commitLocked validated the
+// result first.
 func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64) bool {
 	q := j.q
 	old := j.spec.result().Block(bi, bj).Data
@@ -236,55 +236,16 @@ func (cl *Cluster) verifyTileLocked(j *job, t *Task, bi, bj int, cand []float64)
 	return ok
 }
 
-// verifyFlushLocked is the verification pre-pass of commitFlushLocked:
-// it runs BEFORE any tile of the manifest is committed, because commits
-// are per-task atomic — verifying mid-commit could land half a task,
-// and the requeued recompute would then double-apply the landed half.
-// Tiles are grouped by owning task; a task with a confirmed-corrupt
-// tile is refused wholesale — its tiles leave the dirty-tile tracking
-// (so the commit loop skips them), the task requeues through the
-// ordinary dirty-loss path, and the worker is struck. A quarantine
-// fired mid-pass drains the worker entirely; the rest of the manifest
-// is then already requeued, so the pass stops.
-func (cl *Cluster) verifyFlushLocked(w *workerState, ids []uint64, blocks [][]float64) {
-	byTask := make(map[*dirtyTask][]int)
-	order := make([]*dirtyTask, 0, 4)
-	for n, bid := range ids {
-		if dt := w.dirtyTiles[bid]; dt != nil {
-			if byTask[dt] == nil {
-				order = append(order, dt)
-			}
-			byTask[dt] = append(byTask[dt], n)
+// verifyTaskLocked checks every tile of task t's result, blocks
+// (row-major), before any of it is committed, and reports whether all
+// pass; it stops at the first confirmed-corrupt tile.
+func (cl *Cluster) verifyTaskLocked(j *job, t *Task, blocks [][]float64) bool {
+	for n, blk := range blocks {
+		if !cl.verifyTileLocked(j, t, t.I0+n/t.Cols, t.J0+n%t.Cols, blk) {
+			return false
 		}
 	}
-	for _, dt := range order {
-		if w.dead {
-			return
-		}
-		t := dt.task
-		j := cl.jobs[t.Job]
-		if j == nil || j.state != Running {
-			continue
-		}
-		bad := false
-		for _, n := range byTask[dt] {
-			_, bi, bj, _ := engine.CBlockCoords(ids[n])
-			if !cl.verifyTileLocked(j, t, bi, bj, blocks[n]) {
-				w.verifyFails++
-				bad = true
-				break
-			}
-		}
-		if !bad {
-			continue
-		}
-		for id := range t.tiles {
-			delete(w.dirtyTiles, id)
-		}
-		delete(w.dirty, t.key())
-		cl.requeueLocked(t, true)
-		cl.strikeLocked(w, fmt.Sprintf("task %d/%d failed result verification at flush", t.Job, t.Seq))
-	}
+	return true
 }
 
 // strikeLocked records one refused task against the worker and
@@ -298,8 +259,8 @@ func (cl *Cluster) strikeLocked(w *workerState, reason string) {
 
 // quarantineWorkerLocked parks a worker terminally: journaled first (so
 // the verdict survives a restart), recorded by id (rejoin refusal),
-// then drained exactly like a dead worker — its in-flight and dirty
-// tasks requeue onto the survivors.
+// then drained exactly like a dead worker — its in-flight tasks requeue
+// onto the survivors.
 func (cl *Cluster) quarantineWorkerLocked(w *workerState, reason string) {
 	w.quarantined = true
 	cl.quarantined[w.id] = quarantineInfo{strikes: w.strikes, reason: reason}

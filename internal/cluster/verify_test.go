@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/blas"
-	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 )
@@ -315,9 +314,9 @@ func TestVerifyCorruptCompleteQuarantine(t *testing.T) {
 }
 
 // TestVerifyCorruptFlushRefused covers the resident-result path: a
-// corrupted tile inside a flush manifest refuses the whole owning task
-// before anything commits (per-task commits are atomic), requeues it,
-// and strikes the worker; the master matrix is untouched.
+// corrupted tile inside a task's Result refuses the whole task before
+// anything commits (per-task commits are atomic), requeues it, and
+// strikes the worker; the master matrix is untouched.
 func TestVerifyCorruptFlushRefused(t *testing.T) {
 	cl, _ := manualCluster(Config{
 		MaxAttempts: 10,
@@ -332,20 +331,10 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 	before := c.Assemble()
 	evil := join(t, cl, "evil", 64, 2)
 	tk := pullTask(t, evil)
-	if err := evil.Acked(tk.key()); err != nil {
-		t.Fatal(err)
-	}
-	ch := tk.Chunk
 	blocks := honestTask(c, a, b, tk, 4)
 	blocks[len(blocks)-1][0] = flipBit62(blocks[len(blocks)-1][0])
-	var ids []uint64
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			ids = append(ids, engine.CBlockID(uint32(tk.Job), ch.I0+i, ch.J0+jj))
-		}
-	}
-	if err := evil.CommitFlush(ids, blocks); err != nil {
-		t.Fatalf("corrupted flush returned %v, want silent refusal", err)
+	if err := complete(evil, tk, blocks); err != nil {
+		t.Fatalf("corrupted result returned %v, want silent refusal", err)
 	}
 	st := cl.ClusterStats()
 	if st.VerifyFailures != 1 || st.FlushedBlocks != 0 {
@@ -360,8 +349,8 @@ func TestVerifyCorruptFlushRefused(t *testing.T) {
 		t.Fatalf("master C changed by %g under a refused flush", d)
 	}
 	for _, w := range cl.Workers() {
-		if w.ID == "evil" && (w.Strikes != 1 || w.DirtyBlocks != 0) {
-			t.Fatalf("evil worker = strikes %d dirty %d, want 1/0", w.Strikes, w.DirtyBlocks)
+		if w.ID == "evil" && (w.Strikes != 1 || w.Inflight != 0) {
+			t.Fatalf("evil worker = strikes %d in flight %d, want 1/0", w.Strikes, w.Inflight)
 		}
 	}
 

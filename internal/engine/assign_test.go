@@ -53,11 +53,12 @@ func TestRunAssignMatchesRunWorker(t *testing.T) {
 }
 
 // TestWorkerSendsTileBehindResult: RunWorker sends each finished tile
-// home unasked. A scripted master over engine.Pipe pushes a job's
-// assignments one at a time, each with its update sets, and sends
-// nothing else until its Bye. Per assignment it must receive the
-// Result, then a FlushResult carrying the tile's CBlockIDs row-major and
-// blocks bit-exact with RunAssign's tile of the same assignment.
+// home unasked, behind the result header in the same message. A
+// scripted master over engine.Pipe pushes a job's assignments one at a
+// time, each with its update sets, and sends nothing else until its
+// Bye. Per assignment it must receive exactly one message, the Result,
+// carrying the tile row-major, bit-exact with RunAssign's tile of the
+// same assignment.
 func TestWorkerSendsTileBehindResult(t *testing.T) {
 	const r, tt, s, q = 5, 3, 3, 4 // µ = 2 leaves ragged chunks
 	a, b, c, _ := buildInputs(t, r, tt, s, q)
@@ -110,21 +111,14 @@ func TestWorkerSendsTileBehindResult(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if res, ok := recv().(*engine.Result); !ok || res.ID != id {
+		res, ok := recv().(*engine.Result)
+		if !ok || res.ID != id {
 			t.Fatalf("chunk %d: got %#v, want the Result of %v", ch.ID, res, id)
 		}
-		fr, ok := recv().(*engine.FlushResult)
-		if !ok {
-			t.Fatalf("chunk %d: the Result was not followed by a FlushResult", ch.ID)
+		if len(res.Blocks) != ch.Rows*ch.Cols {
+			t.Fatalf("chunk %d: the Result carries %d tile blocks, want %d", ch.ID, len(res.Blocks), ch.Rows*ch.Cols)
 		}
-		var ids []uint64
-		for n := 0; n < ch.Rows*ch.Cols; n++ {
-			ids = append(ids, engine.CBlockID(id.A, ch.I0+n/ch.Cols, ch.J0+n%ch.Cols))
-		}
-		if !slices.Equal(fr.IDs, ids) || len(fr.Blocks) != len(ids) {
-			t.Fatalf("chunk %d: FlushResult carries ids %x and %d blocks, want %x", ch.ID, fr.IDs, len(fr.Blocks), ids)
-		}
-		for n, blk := range fr.Blocks {
+		for n, blk := range res.Blocks {
 			if !slices.Equal(blk, ref.Blocks[n]) {
 				t.Fatalf("chunk %d: tile block %d differs from RunAssign's", ch.ID, n)
 			}

@@ -52,6 +52,13 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 	if fleet == "channel" {
 		return engine.Pipe()
 	}
+	return tcpPair(t, pool, nil)
+}
+
+// tcpPair builds one feeder/worker transport pair over a loopback TCP
+// connection; wrap, when set, wraps the worker's end of it.
+func tcpPair(t *testing.T, pool *engine.BlockPool, wrap func(net.Conn) net.Conn) (master, worker engine.Transport) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +75,9 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wrap != nil {
+		conn = wrap(conn)
+	}
 	worker = netmw.NewClusterWorkerTransport(conn, pool)
 	master = netmw.NewServerTransport(<-accepted, pool, func() error { return nil })
 	return master, worker
@@ -80,13 +90,14 @@ func feederPair(t *testing.T, fleet string, pool *engine.BlockPool) (master, wor
 // out with C flags (zero tiles as CZero, the rest CShip), as the
 // cluster sends them; otherwise without, which means every tile ships.
 type testJob struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	c, a, b *matrix.Blocked
-	flagged bool
-	chunks  []*chunk
-	pending []*chunk
-	left    int // chunks not yet committed
+	mu       sync.Mutex
+	cond     *sync.Cond
+	c, a, b  *matrix.Blocked
+	flagged  bool
+	chunks   []*chunk
+	pending  []*chunk
+	left     int // chunks not yet committed
+	requeues int // chunks a lost session handed back
 }
 
 // chunk is one region of the job's C grid: Rows×Cols blocks from block
@@ -110,18 +121,16 @@ func chunkID(ch *chunk) engine.AssignID { return engine.AssignID{B: uint32(ch.ID
 
 // session opens one worker session's feed.
 func (j *testJob) session() *testFeed {
-	return &testFeed{job: j, held: make(map[engine.AssignID]*chunk),
-		dirty: make(map[uint64]*chunk), flushLeft: make(map[*chunk]int)}
+	return &testFeed{job: j, held: make(map[engine.AssignID]*chunk)}
 }
 
 // testFeed is one session's view of a testJob: the chunks it holds in
-// flight and the acknowledged tiles not yet committed.
+// flight.
 type testFeed struct {
-	job       *testJob
-	held      map[engine.AssignID]*chunk
-	dirty     map[uint64]*chunk // C block ID → chunk, acked and uncommitted
-	flushLeft map[*chunk]int    // dirty tiles per acked chunk
-	lost      bool
+	job     *testJob
+	held    map[engine.AssignID]*chunk
+	commits int
+	lost    bool
 }
 
 func (f *testFeed) Next() (*engine.Assign, error) {
@@ -183,53 +192,34 @@ func (f *testFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
 	return set, nil
 }
 
-func (f *testFeed) Acked(id engine.AssignID) error {
+func (f *testFeed) Commit(res *engine.Result, _ engine.CommStats) error {
 	j := f.job
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer j.cond.Broadcast()
-	ch := f.held[id]
+	ch := f.held[res.ID]
 	if ch == nil {
 		return engine.ErrStaleResult
 	}
-	delete(f.held, id)
-	for i := 0; i < ch.Rows; i++ {
-		for jj := 0; jj < ch.Cols; jj++ {
-			f.dirty[engine.CBlockID(0, ch.I0+i, ch.J0+jj)] = ch
-		}
+	if len(res.Blocks) != ch.Rows*ch.Cols {
+		return fmt.Errorf("test feed: chunk %d result carries %d blocks", ch.ID, len(res.Blocks))
 	}
-	f.flushLeft[ch] = ch.Rows * ch.Cols
+	delete(f.held, res.ID)
+	for n, blk := range res.Blocks {
+		copy(j.c.Block(ch.I0+n/ch.Cols, ch.J0+n%ch.Cols).Data, blk)
+	}
+	j.left--
+	f.commits++
 	return nil
 }
-
-func (f *testFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
-	j := f.job
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	defer j.cond.Broadcast()
-	for n, id := range ids {
-		ch := f.dirty[id]
-		if ch == nil {
-			continue // an id the feed does not track: skipped, as Feed asks
-		}
-		_, bi, bj, _ := engine.CBlockCoords(id)
-		copy(j.c.Block(bi, bj).Data, blocks[n])
-		delete(f.dirty, id)
-		if f.flushLeft[ch]--; f.flushLeft[ch] == 0 {
-			delete(f.flushLeft, ch)
-			j.left--
-		}
-	}
-	return nil
-}
-
-func (f *testFeed) ObserveCompute(engine.AssignID, int64, int64) {}
 
 // requeue puts lost chunks back at the head of the FIFO.
-func (j *testJob) requeue(ch *chunk) { j.pending = append([]*chunk{ch}, j.pending...) }
+func (j *testJob) requeue(ch *chunk) {
+	j.pending = append([]*chunk{ch}, j.pending...)
+	j.requeues++
+}
 
-// Lost requeues everything the session held: its chunks in flight and
-// the acknowledged chunks whose tiles never arrived.
+// Lost requeues everything the session held: its chunks in flight.
 func (f *testFeed) Lost() {
 	j := f.job
 	j.mu.Lock()
@@ -243,11 +233,6 @@ func (f *testFeed) Lost() {
 		delete(f.held, id)
 		j.requeue(ch)
 	}
-	for ch := range f.flushLeft {
-		j.requeue(ch)
-	}
-	clear(f.flushLeft)
-	clear(f.dirty)
 }
 
 // runEngine drives one full multiply of a testJob through one RunFeeder
@@ -355,7 +340,7 @@ func (t *tally) Recv() (engine.Msg, error) {
 
 // checkPushSchedule pins one session's message schedule from both ends:
 // no Request ever, and per assignment one Task and Steps Sets down and
-// one TaskResult up, everything sent also received. A doomed session
+// one Result — the tile with it — up, everything sent also received. A doomed session
 // dies mid-assignment, so there the sets only stay within the steps.
 func checkPushSchedule(t *testing.T, master, worker msgCounts, doomed bool) {
 	t.Helper()
@@ -383,10 +368,9 @@ func checkPushSchedule(t *testing.T, master, worker msgCounts, doomed bool) {
 // product bit for bit and the exact update count, send every C tile
 // home exactly once, and keep the pushed schedule (checkPushSchedule).
 // A kill case loses worker 0 mid-job and must complete on the
-// survivors: the tile the doomed worker finished went home behind its
-// acknowledgement and stays, and only the assignment in its hand dies
-// with it, before any update of it applied — so nothing is computed
-// twice. The resident-* rows send C flags, as the cluster does; the
+// survivors: the tile the doomed worker finished went home in its
+// Result and stays, and only the assignment in its hand dies with it,
+// before any update of it applied — so nothing is computed twice. The resident-* rows send C flags, as the cluster does; the
 // others send none, the form in which every tile ships.
 func TestEngineConformance(t *testing.T) {
 	base := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1}
@@ -453,7 +437,7 @@ func TestEngineConformance(t *testing.T) {
 				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates != want {
 					t.Fatalf("updates = %d, want %d: work was computed twice or lost", updates, want)
 				}
-				// Every C tile flows back exactly once, behind its ack.
+				// Every C tile flows back exactly once, in its Result.
 				if want := int64(tc.r) * int64(tc.s); flushed != want {
 					t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
 				}
@@ -592,23 +576,20 @@ func TestFeederConformance(t *testing.T) {
 
 // capWatch checks every Set the master sends against the memory its
 // worker has left: mem less the chunk footprints of the assignments in
-// flight and the dirty C blocks. It learns both from the session's own
-// messages, a little ahead of the feeder (a result or flush is seen here
-// before the feeder takes it in), which only loosens the bound. It
-// holds the first FlushResult back from the feeder until a Set has gone
-// out beside the dirty tile it carries: a tile goes home right behind
-// its acknowledgement, so without the hold the window is too short to
-// hit.
+// flight. It learns them from the session's own messages, a little
+// ahead of the feeder (a Result is seen here before the feeder takes it
+// in), which only loosens the bound. It holds the first Result back
+// from the feeder until a Set has gone out while two assignments were
+// in flight, so the run reaches the budget it pins.
 type capWatch struct {
 	engine.Transport
 	mem       int
 	mu        sync.Mutex
-	open      map[engine.AssignID][2]int // footprint and tile blocks of each assignment in flight
+	open      map[engine.AssignID]int // footprint of each assignment in flight
 	footprint int
-	dirty     int
-	squeezed  int           // sets sent while the worker held dirty tiles
+	squeezed  int           // sets sent with two assignments in flight
 	squeeze   chan struct{} // closed by the first such set
-	hold      sync.Once     // the first FlushResult waits for squeeze
+	hold      sync.Once     // the first Result waits for squeeze
 	err       error
 }
 
@@ -617,14 +598,14 @@ func (w *capWatch) Send(m engine.Msg) error {
 	switch m := m.(type) {
 	case *engine.Assign:
 		fp := engine.InflightFootprint(m.Rows, m.Cols)
-		w.open[m.ID] = [2]int{fp, m.Rows * m.Cols}
+		w.open[m.ID] = fp
 		w.footprint += fp
 	case *engine.Set:
-		if room := max(w.mem-w.footprint-w.dirty, 0); m.Cap > room && w.err == nil {
-			w.err = fmt.Errorf("set %d announces a %d-block cache, the worker has %d blocks left (%d in flight, %d dirty)",
-				m.K, m.Cap, room, w.footprint, w.dirty)
+		if room := max(w.mem-w.footprint, 0); m.Cap > room && w.err == nil {
+			w.err = fmt.Errorf("set %d announces a %d-block cache, the worker has %d blocks left (%d in flight)",
+				m.K, m.Cap, room, w.footprint)
 		}
-		if w.dirty > 0 {
+		if len(w.open) > 1 {
 			if w.squeezed == 0 {
 				close(w.squeeze)
 			}
@@ -637,42 +618,37 @@ func (w *capWatch) Send(m engine.Msg) error {
 
 func (w *capWatch) Recv() (engine.Msg, error) {
 	m, err := w.Transport.Recv()
-	if _, ok := m.(*engine.FlushResult); ok {
-		w.hold.Do(func() {
-			select {
-			case <-w.squeeze:
-			case <-time.After(10 * time.Second): // the check below reports it
-			}
-		})
+	res, ok := m.(*engine.Result)
+	if !ok {
+		return m, err
 	}
+	w.hold.Do(func() {
+		select {
+		case <-w.squeeze:
+		case <-time.After(10 * time.Second): // the check below reports it
+		}
+	})
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	switch m := m.(type) {
-	case *engine.Result:
-		o := w.open[m.ID]
-		delete(w.open, m.ID)
-		w.footprint -= o[0]
-		w.dirty += o[1]
-	case *engine.FlushResult:
-		w.dirty -= len(m.IDs)
-	}
+	w.footprint -= w.open[res.ID]
+	delete(w.open, res.ID)
 	return m, err
 }
 
-// TestSetCapLeavesRoomForDirtyTiles: the operand cache a Set announces
-// fits in the worker's advertised memory beside everything else it
-// holds — the in-flight chunks at the staging depth and the acked C
-// tiles whose FlushResult the master has not yet read. One worker, two
-// slots, and memory for three 2×2 footprints; capWatch holds the first
-// tile back until a Set has gone out beside it.
-func TestSetCapLeavesRoomForDirtyTiles(t *testing.T) {
+// TestSetCapLeavesRoomForInflight: the operand cache a Set announces
+// fits in the worker's advertised memory beside the chunks it holds in
+// flight, each at the staging depth — all of them, not just the one
+// the Set belongs to. One worker, two slots, and memory for three 2×2
+// footprints; capWatch holds the first Result back until a Set has gone
+// out beside two assignments.
+func TestSetCapLeavesRoomForInflight(t *testing.T) {
 	const mem = 40
 	for _, fl := range fleets {
 		t.Run(fl, func(t *testing.T) {
 			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
 			pool := engine.NewBlockPool()
 			master, worker := feederPair(t, fl, pool)
-			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID][2]int),
+			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID]int),
 				squeeze: make(chan struct{})}
 			job := newTestJob(c, a, b, 2, true)
 			feederDone := make(chan error, 1)
@@ -695,9 +671,81 @@ func TestSetCapLeavesRoomForDirtyTiles(t *testing.T) {
 				t.Fatal(watch.err)
 			}
 			if watch.squeezed == 0 {
-				t.Fatal("no set went out while tiles were dirty: the run never reached the budget it pins")
+				t.Fatal("no set went out beside two assignments: the run never reached the budget it pins")
 			}
 		})
+	}
+}
+
+// cutConn passes the first left bytes written to it through, then
+// severs the connection: a worker that dies part way into a frame.
+type cutConn struct {
+	net.Conn
+	left int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if len(p) <= c.left {
+		c.left -= len(p)
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:c.left])
+	c.left = 0
+	c.Conn.Close()
+	return n, net.ErrClosed
+}
+
+// TestCutInsideResultFrame: a worker dies part way into its first
+// task's result frame — after the frame and result headers and half of
+// the tile's first block. The master must commit nothing of the torn
+// frame and requeue the task, and a second worker must recompute it
+// exactly once: C bit-exact, and r·t·s updates plus exactly the torn
+// task's.
+func TestCutInsideResultFrame(t *testing.T) {
+	const r, tt, s, q = 6, 4, 6, 4
+	a, b, c, want := buildInputs(t, r, tt, s, q)
+	pool := engine.NewBlockPool()
+	job := newTestJob(c, a, b, 2, true)
+	// Frame header, result header, block count and size, half a block.
+	const cut = 5 + 28 + 8 + q*q*8/2
+	master, worker := tcpPair(t, pool, func(conn net.Conn) net.Conn { return &cutConn{Conn: conn, left: cut} })
+	doomed := job.session()
+	feederDone := make(chan error, 1)
+	go func() {
+		_, err := engine.RunFeeder(master, doomed, engine.FeederConfig{Slots: 1, Pool: pool})
+		feederDone <- err
+	}()
+	torn, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1, Pool: pool})
+	if err == nil || torn.Assignments != 0 || torn.Updates != 2*2*tt {
+		t.Fatalf("doomed worker: %d assignments sent, %d updates, err %v; want 0, %d and a write error",
+			torn.Assignments, torn.Updates, err, 2*2*tt)
+	}
+	if err := <-feederDone; err != nil {
+		t.Fatalf("doomed feeder: %v", err)
+	}
+	if doomed.commits != 0 || job.requeues != 1 {
+		t.Fatalf("the torn session committed %d results and handed back %d chunks, want 0 and 1",
+			doomed.commits, job.requeues)
+	}
+
+	master, worker = tcpPair(t, pool, nil)
+	go func() {
+		_, err := engine.RunFeeder(master, job.session(), engine.FeederConfig{Slots: 1, Pool: pool})
+		feederDone <- err
+	}()
+	healer, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1, Pool: pool})
+	if err != nil {
+		t.Fatalf("healthy worker: %v", err)
+	}
+	if err := <-feederDone; err != nil {
+		t.Fatalf("healthy feeder: %v", err)
+	}
+	if !c.Equal(want, 0) {
+		t.Fatal("product not bit-exact")
+	}
+	if got, want := torn.Updates+healer.Updates, int64(r*tt*s)+torn.Updates; got != want || job.requeues != 1 {
+		t.Fatalf("%d updates and %d requeues, want %d and 1: the torn task was not recomputed exactly once",
+			got, job.requeues, want)
 	}
 }
 
@@ -772,31 +820,37 @@ func TestFeederJoinsParkedSend(t *testing.T) {
 	<-workerDone
 }
 
-// orderFeed hands out nothing, waits for the session to end, and
-// records the order in which the feeder commits and declares it lost.
+// orderFeed hands out one assignment, then waits for the session to
+// end, and records the order in which the feeder commits and declares
+// it lost.
 type orderFeed struct {
 	mu     sync.Mutex
 	events []string
+	handed bool
 	lost   chan struct{}
 }
 
 func (f *orderFeed) Next() (*engine.Assign, error) {
+	f.mu.Lock()
+	first := !f.handed
+	f.handed = true
+	f.mu.Unlock()
+	if first {
+		return &engine.Assign{ID: engine.AssignID{A: 1}, Rows: 1, Cols: 1, Q: 2,
+			Blocks: [][]float64{make([]float64, 4)}, Owned: true}, nil
+	}
 	<-f.lost
 	return nil, errors.New("worker lost")
 }
 
 func (f *orderFeed) Set(engine.AssignID, int) (*engine.Set, error) {
-	return nil, errors.New("no assignment was handed out")
+	return nil, errors.New("the assignment has no steps")
 }
 
-func (f *orderFeed) Acked(engine.AssignID) error { return errors.New("no assignment was handed out") }
-
-func (f *orderFeed) CommitFlush([]uint64, [][]float64) error {
+func (f *orderFeed) Commit(*engine.Result, engine.CommStats) error {
 	f.record("commit")
 	return nil
 }
-
-func (f *orderFeed) ObserveCompute(engine.AssignID, int64, int64) {}
 
 func (f *orderFeed) Lost() {
 	f.record("lost")
@@ -809,12 +863,12 @@ func (f *orderFeed) record(ev string) {
 	f.mu.Unlock()
 }
 
-// TestFeederCommitsFlushBeforeLost: a worker sends a tile home, unasked,
-// and hangs up at once. The tile reached the master, so the feeder must
-// commit it before it declares the worker lost — otherwise Lost
-// requeues the tiles the FlushResult carries and their values are
-// dropped.
-func TestFeederCommitsFlushBeforeLost(t *testing.T) {
+// TestFeederCommitsResultBeforeLost: a worker sends a finished
+// assignment's Result, tile and all, and hangs up at once. The tile
+// reached the master, so the feeder must commit it before it declares
+// the worker lost — otherwise Lost requeues the assignment and the tile
+// is dropped.
+func TestFeederCommitsResultBeforeLost(t *testing.T) {
 	for run := 0; run < 500; run++ {
 		master, worker := engine.Pipe()
 		feed := &orderFeed{lost: make(chan struct{})}
@@ -823,8 +877,12 @@ func TestFeederCommitsFlushBeforeLost(t *testing.T) {
 			_, err := engine.RunFeeder(master, feed, engine.FeederConfig{Slots: 1})
 			returned <- err
 		}()
-		fr := &engine.FlushResult{IDs: []uint64{engine.CBlockID(1, 0, 0)}, Blocks: [][]float64{{1, 2, 3, 4}}}
-		if err := worker.Send(fr); err != nil {
+		m, err := worker.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &engine.Result{ID: m.(*engine.Assign).ID, Blocks: [][]float64{{1, 2, 3, 4}}}
+		if err := worker.Send(res); err != nil {
 			t.Fatal(err)
 		}
 		worker.Close()

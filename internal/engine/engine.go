@@ -17,14 +17,13 @@
 //   - RunFeeder is the master side of one worker session: it keeps up
 //     to Slots assignments in flight, pulling them from a Feed (the
 //     cluster scheduler), pushes each one's update sets right behind its
-//     Task, and retires acknowledgements and the tiles behind them.
+//     Task, and commits each finished assignment's tile as it arrives.
 //
 // There is one result protocol, the paper's maximum re-use scheme
 // (§4.1, §5): an assignment's C tiles go down once, stay on the worker
 // while the update sets stream past, and come back once, as soon as the
-// last set is applied. A finished assignment is acknowledged with an
-// empty Result, and its tile follows right behind it in a FlushResult,
-// unasked.
+// last set is applied: a finished assignment is one Result, which
+// acknowledges it and carries its tile, unasked.
 //
 // Messages carry q×q block payloads as [][]float64. Buffer ownership is
 // explicit: a message whose Owned flag is set hands its buffers to the
@@ -64,7 +63,8 @@ type AssignID struct {
 }
 
 // Msg is one engine protocol message. Concrete types: *Assign, *Set,
-// *Request, *Result, *FlushResult, Bye.
+// *Request, *Result, Bye (and the retired *FlushResult, which nothing
+// sends).
 type Msg interface {
 	engineMsg()
 }
@@ -82,10 +82,8 @@ const (
 
 // Assign hands a worker one unit of work: a Rows×Cols tile of C (blocks
 // of q² coefficients, row-major) to be updated by Steps update sets. The
-// worker accumulates the tile in place, acknowledges completion with an
-// empty Result, and returns the blocks once, right behind it, in a
-// FlushResult under CBlockID(ID.A, I0+i, J0+j) — ID.A is the job
-// number.
+// worker accumulates the tile in place and returns it once, in the
+// Result that reports the assignment finished. ID.A is the job number.
 type Assign struct {
 	ID         AssignID
 	I0, J0     int // tile position in C's block grid
@@ -104,16 +102,6 @@ type Assign struct {
 	// order. Empty CFlags means every tile ships: Blocks is the full
 	// tile.
 	CFlags []byte
-}
-
-// TileIDs returns the C block IDs of the assignment's Rows×Cols tile,
-// row-major: the manifest of the FlushResult that returns it.
-func (as *Assign) TileIDs() []uint64 {
-	ids := make([]uint64, as.Rows*as.Cols)
-	for n := range ids {
-		ids[n] = CBlockID(as.ID.A, as.I0+n/as.Cols, as.J0+n%as.Cols)
-	}
-	return ids
 }
 
 // Set carries the operand blocks of one inner step k: Rows blocks of
@@ -148,14 +136,16 @@ type Request struct{}
 // so every sender and every transport uses this one.
 var RequestSet = &Request{}
 
-// Result acknowledges a finished assignment, whose C tiles follow it in
-// a FlushResult, and carries the worker-side compute timing
-// for it: Updates block updates took ComputeNS wall nanoseconds of
-// kernel time (including any configured Spin, so an emulated slow
-// worker reports itself slow). Zero timing fields mean "not measured".
-// Blocks is always empty — RunFeeder refuses a Result that carries any;
-// the field stays only for code that counts the payload of every
-// message type alike.
+// Result is a finished assignment's one message home: it names the
+// assignment, carries the worker-side compute timing for it — Updates
+// block updates took ComputeNS wall nanoseconds of kernel time,
+// including any configured Spin, so an emulated slow worker reports
+// itself slow; zero means "not measured" — and brings the finished
+// Rows×Cols tile back in Blocks, row-major, owned by the receiver. The
+// master commits the tile by overwriting its copy: the worker ran each
+// block's exact ascending-k accumulation chain in place, so
+// overwrite-on-commit keeps results bit-identical to the sequential
+// product.
 type Result struct {
 	ID        AssignID
 	Blocks    [][]float64
@@ -163,17 +153,12 @@ type Result struct {
 	ComputeNS int64
 }
 
-// FlushResult returns one finished assignment's C tile, right behind
-// its Result: the manifest of C block IDs (CBlockID), row-major over
-// the tile, and the matching block payloads. The master commits each
-// block by overwriting the destination tile — the worker ran the tile's
-// exact ascending-k accumulation chain in place, so overwrite-on-commit
-// keeps results bit-identical to the sequential product. The worker's
-// speed signal travels on each Result, not here.
+// FlushResult is the retired stand-alone tile message: a Result carries
+// its tile now, and no transport sends or decodes one. The type stays
+// only while the benchmark's tracer still names it.
 type FlushResult struct {
 	IDs    []uint64
 	Blocks [][]float64
-	Owned  bool
 }
 
 // Bye tells a worker to shut down cleanly.

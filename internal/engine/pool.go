@@ -148,10 +148,12 @@ func (p *BlockPool) GetResult() *Result {
 	return r
 }
 
-// PutResult recycles a consumed Result.
+// PutResult recycles a consumed Result; its tile blocks are the
+// caller's to release first.
 func (p *BlockPool) PutResult(r *Result) {
 	if p == nil || r == nil {
 		return
 	}
+	clear(r.Blocks) // the recycled header must not pin the tile
 	resultPool.Put(r)
 }

@@ -38,8 +38,8 @@ const CacheStage = 2
 // CacheBudget returns the operand-cache capacity in blocks for a worker
 // advertising mem blocks of memory while it holds held blocks outside
 // the cache — the summed chunk footprints of its in-flight assignments
-// (core.ChunkFootprint at CacheStage) and its dirty C blocks: the cache
-// may use exactly the advertised memory beyond them. mem ≤ 0 means
+// (core.ChunkFootprint at CacheStage): the cache may use exactly the
+// advertised memory beyond them. mem ≤ 0 means
 // unadvertised, which gets the default budget.
 func CacheBudget(mem, held int) int {
 	if mem <= 0 {
@@ -102,9 +102,9 @@ func BBlockID(job uint32, k, j int) uint64 {
 
 // CBlockID returns the session-unique ID of C-result block (i, j) of
 // the given job, or 0 when the coordinates or the job number do not fit
-// the packed fields. Results travel only under these IDs, so the
-// cluster refuses at admission a job whose last C tile has none, and a
-// worker refuses an assignment that reaches past them.
+// the packed fields. The cluster refuses at admission a job whose last
+// C tile has none, and a worker refuses an assignment that reaches past
+// them.
 func CBlockID(job uint32, i, j int) uint64 {
 	if !idFieldsFit(job, i, j) {
 		return 0
@@ -116,8 +116,7 @@ func CBlockID(job uint32, i, j int) uint64 {
 }
 
 // CBlockCoords unpacks a C-role block ID back into (job, i, j). ok is
-// false for IDs that are not well-formed C-role IDs — flush manifests
-// carrying anything else are wire corruption.
+// false for IDs that are not well-formed C-role IDs.
 func CBlockCoords(id uint64) (job uint32, i, j int, ok bool) {
 	job = uint32(id >> blockIDJobSh & jobMask)
 	i = int(id >> blockIDRowSh & coordMask)
@@ -137,7 +136,7 @@ func idFieldsFit(job uint32, row, col int) bool {
 }
 
 // AllZeroBits reports whether every coefficient of a block is bitwise
-// +0.0 — the one initial value the flush protocol can announce with a
+// +0.0 — the one initial value the result protocol can announce with a
 // flag instead of a payload without risking a bit-exactness drift
 // (copying a −0.0 or denormal through CZero would not round-trip).
 func AllZeroBits(buf []float64) bool {
@@ -160,23 +159,18 @@ type CommStats struct {
 
 	// The result path. CDown counts C blocks whose initial value was
 	// shipped down with payload (CShip; CZero ships nothing). CUp counts
-	// C blocks returned in flush manifests. DirtyPeak is the high-water
-	// mark of C blocks held dirty (acknowledged, their FlushResult not
-	// yet read) on the worker.
-	CDown     int64
-	CUp       int64
-	DirtyPeak int64
+	// C blocks returned in Results.
+	CDown int64
+	CUp   int64
 }
 
-// Add accumulates other into s (DirtyPeak takes the maximum — it is a
-// high-water mark, not a volume).
+// Add accumulates other into s.
 func (s *CommStats) Add(other CommStats) {
 	s.BlocksShipped += other.BlocksShipped
 	s.BlocksSkipped += other.BlocksSkipped
 	s.BytesSaved += other.BytesSaved
 	s.CDown += other.CDown
 	s.CUp += other.CUp
-	s.DirtyPeak = max(s.DirtyPeak, other.DirtyPeak)
 }
 
 // lruEntry is one resident block on the intrusive recency list. The
@@ -380,8 +374,7 @@ func StampIDs(set *Set, job uint32, i0, j0, k int) {
 // are dropped (owned ones released to the pool), newly shipped blocks
 // enter the mirror, and the Set's Cap announces the capacity the worker
 // must mirror — CacheBudget of the advertised memory minus held, what
-// the worker holds outside the cache (its in-flight footprints and dirty
-// C blocks). The Set carries one ID per operand (StampIDs); an ID of 0
+// the worker holds outside the cache (its in-flight footprints). The Set carries one ID per operand (StampIDs); an ID of 0
 // is untracked and always ships.
 func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	if sb.mirror == nil {

@@ -47,7 +47,7 @@ type WorkerReport struct {
 	// avoided (8·q² per block).
 	CacheHits  int64
 	BytesSaved int64
-	// Flushed counts C blocks returned through FlushResult manifests.
+	// Flushed counts C blocks sent home in Results.
 	Flushed int64
 }
 
@@ -60,10 +60,10 @@ type WorkerReport struct {
 // into a StageCap-deep queue) while this goroutine computes, so
 // transfers overlap compute exactly as the paper's µ²+4µ layout
 // reserves space for. Assignments and their update sets are pushed by
-// the master, in order; the worker acknowledges each finished
-// assignment unannounced and sends its tile home right behind the
-// acknowledgement, as a FlushResult (the paper's maximum re-use scheme,
-// §4.1: a chunk leaves once its last update set is applied).
+// the master, in order; the worker sends each finished assignment's
+// tile home unannounced, in the Result that reports it finished (the
+// paper's maximum re-use scheme, §4.1: a chunk leaves once its last
+// update set is applied).
 func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 1
@@ -181,20 +181,15 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 			cfg.Pool.PutSet(set)
 		}
 
-		// The finished tile goes home right behind its acknowledgement:
-		// the master commits only tiles it has seen acknowledged, so the
-		// Result goes first and the FlushResult, carrying the tile's
-		// blocks under their row-major CBlockIDs, follows it.
+		// The finished tile goes home in the Result, one message per
+		// assignment.
 		res := cfg.Pool.GetResult()
 		res.ID, res.Updates, res.ComputeNS = as.ID, rep.Updates-updates0, asNS
-		if err := tr.Send(res); err != nil {
-			return fail(err)
-		}
-		flush := &FlushResult{IDs: as.TileIDs(), Blocks: as.Blocks, Owned: true}
-		rep.Flushed += int64(len(flush.IDs))
+		res.Blocks = append(res.Blocks, as.Blocks...)
+		rep.Flushed += int64(len(res.Blocks))
 		as.Blocks = nil
 		cfg.Pool.PutAssign(as)
-		if err := tr.Send(flush); err != nil {
+		if err := tr.Send(res); err != nil {
 			return fail(err)
 		}
 		rep.Assignments++

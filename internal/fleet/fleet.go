@@ -358,25 +358,24 @@ func (r *runner) dispatch(w *worker) error {
 	return nil
 }
 
-// complete reports w's copy finished: its compute timing feeds w's
-// profile, then the ack either lets the tile commit right behind it, as
-// a worker sends it home, or finds the copy revoked — a duplicate won —
-// and the work wasted.
+// complete reports w's copy finished: its Result — compute timing and
+// tile — either commits, as a worker's does, or finds the copy revoked
+// — a duplicate won — and the work wasted.
 func (r *runner) complete(w *worker) error {
 	c := w.cp
 	w.cp = nil
 	r.spans(w, c, c.compEnd, fmt.Sprintf("#%d %dx%d", c.as.ID.B, c.as.Rows, c.as.Cols))
-	w.sess.ObserveCompute(c.as.ID, c.updates, int64(secsToDur(c.compEnd-c.commEnd)))
-	err := w.sess.Acked(c.as.ID)
+	res := &engine.Result{ID: c.as.ID, Blocks: c.as.Blocks,
+		Updates: c.updates, ComputeNS: int64(secsToDur(c.compEnd - c.commEnd))}
+	err := w.sess.Commit(res, engine.CommStats{})
 	if errors.Is(err, cluster.ErrStaleTask) {
 		r.res.WastedUpdates += c.updates
 		return nil
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		r.res.Updates += c.updates
 	}
-	r.res.Updates += c.updates
-	return w.sess.CommitFlush(c.as.TileIDs(), c.as.Blocks)
+	return err
 }
 
 // spans traces copy c on w's lane up to end: its transfer, then its

@@ -13,7 +13,7 @@ import (
 // --- proto round-trips ----------------------------------------------------
 
 func TestRegisterInfoRoundTrip(t *testing.T) {
-	in := RegisterInfo{Name: "worker-α-7", Mem: 123456, Slots: 4}
+	in := RegisterInfo{Name: "worker-α-7", Mem: 123456, Slots: 4, Version: ProtocolVersion}
 	var out RegisterInfo
 	if err := out.decode(in.encode()); err != nil {
 		t.Fatal(err)
@@ -21,12 +21,17 @@ func TestRegisterInfoRoundTrip(t *testing.T) {
 	if out != in {
 		t.Fatalf("round trip %+v != %+v", out, in)
 	}
+	// A registration from a build that predates the version field ends
+	// at the name: it decodes, as version 0.
+	unversioned := in.encode()[:registerFixedLen+len(in.Name)]
+	if err := out.decode(unversioned); err != nil || out.Version != 0 || out.Name != in.Name {
+		t.Fatalf("unversioned registration decoded as %+v, %v; want version 0", out, err)
+	}
 	var short RegisterInfo
 	if err := short.decode([]byte{1, 2}); err == nil {
 		t.Fatal("short register payload accepted")
 	}
-	trunc := in.encode()
-	if err := short.decode(trunc[:len(trunc)-1]); err == nil {
+	if err := short.decode(unversioned[:len(unversioned)-1]); err == nil {
 		t.Fatal("truncated register name accepted")
 	}
 }
@@ -87,7 +92,7 @@ func TestJobHeadersRoundTrip(t *testing.T) {
 // writeMsg/readMsg to check framing, including the empty heartbeat.
 func TestClusterMessagesThroughFraming(t *testing.T) {
 	var buf bytes.Buffer
-	ri := RegisterInfo{Name: "w1", Mem: 9}
+	ri := RegisterInfo{Name: "w1", Mem: 9, Version: ProtocolVersion}
 	if err := writeMsg(&buf, MsgRegister, ri.encode()); err != nil {
 		t.Fatal(err)
 	}

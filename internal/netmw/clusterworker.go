@@ -80,10 +80,11 @@ var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 
 // RunClusterWorker joins an mmserve cluster, serves tasks until the
 // server says Bye, and reconnects (re-registering under the same name)
-// when the connection drops. Each session is a thin shell over the
-// engine: a TCP transport (tasks and their sets pushed, results
-// unannounced) under engine.RunWorker, plus the registration handshake
-// and the heartbeat beacon.
+// when the connection drops. A master that refuses the worker's
+// protocol version ends it at once with ErrProtocolVersion. Each
+// session is a thin shell over the engine: a TCP transport (tasks and
+// their sets pushed, results unannounced) under engine.RunWorker, plus
+// the registration handshake and the heartbeat beacon.
 func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	if cfg.Name == "" {
 		return ClusterWorkerReport{}, fmt.Errorf("netmw: cluster worker needs a name")
@@ -104,6 +105,9 @@ func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 		tasks, clean, err := clusterSession(cfg, pool, &rep)
 		if clean {
 			return rep, nil
+		}
+		if errors.Is(err, ErrProtocolVersion) {
+			return rep, err // no redial speaks another version
 		}
 		if tasks > 0 {
 			left = cfg.Reconnect // made progress: fresh retry budget
@@ -142,7 +146,7 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 	defer conn.Close()
 	tr := newClusterWorkerTransport(conn, pool)
 
-	ri := RegisterInfo{Name: cfg.Name, Mem: uint32(cfg.Memory), Slots: uint16(cfg.Slots)}
+	ri := RegisterInfo{Name: cfg.Name, Mem: uint32(cfg.Memory), Slots: uint16(cfg.Slots), Version: ProtocolVersion}
 	if err := tr.sendRegister(ri); err != nil {
 		return 0, false, err
 	}
@@ -330,10 +334,7 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	head := make([]byte, msgHeaderLen+jobHeaderLen)
-	putMsgHeader(head, MsgSubmit, frame)
-	sub.hdr.encode(head[msgHeaderLen:])
-	if err := writeGathered(conn, head, sub.operands...); err != nil {
+	if err := sub.send(conn, frame); err != nil {
 		return fmt.Errorf("netmw: submit write: %w", err)
 	}
 
@@ -380,6 +381,16 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 		staged = staged[copy(b.Data, staged):]
 	}
 	return nil
+}
+
+// send writes the submission's MsgSubmit frame, whose payload is
+// frame bytes (frameLen), to w: the header, then the operands straight
+// from their blocks.
+func (sub *submission) send(w io.Writer, frame int) error {
+	head := make([]byte, msgHeaderLen+jobHeaderLen)
+	putMsgHeader(head, MsgSubmit, frame)
+	sub.hdr.encode(head[msgHeaderLen:])
+	return writeGathered(w, head, sub.operands...)
 }
 
 // replyStaging recycles the buffers replies are staged in (*[]float64):

@@ -1,9 +1,11 @@
 package netmw
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 )
@@ -61,13 +63,9 @@ func TestClusterKillWorkerWithWarmCache(t *testing.T) {
 			st.WorkersLost, st.Requeues)
 	}
 	// The result path is resident end to end: every C tile that landed in
-	// the master came through a flush commit, and a finished job leaves no
-	// tile stranded dirty on any incarnation.
+	// the master came home in a worker's Result.
 	if st.FlushedBlocks == 0 {
-		t.Fatal("no flushed blocks recorded; results did not travel the resident path")
-	}
-	if st.DirtyBlocks != 0 {
-		t.Fatalf("fleet dirty blocks = %d after completion, want 0", st.DirtyBlocks)
+		t.Fatal("no committed blocks recorded; results did not travel the resident path")
 	}
 
 	// Shut down cleanly and inspect the worker's lifetime report: the
@@ -152,8 +150,8 @@ func TestClusterDeltaSavesBytesMultiWorker(t *testing.T) {
 
 // tightWorker serves a cluster as the paper's limited-memory worker: 16
 // blocks advertised with two tasks in flight, which leaves the operand
-// cache 4 to 6 blocks beside the two 1×1 chunk footprints and the dirty
-// C tiles. run submits the job; tightWorker then shuts the cluster down
+// cache 6 to 11 blocks beside the one or two 1×1 chunk footprints. run
+// submits the job; tightWorker then shuts the cluster down
 // and returns the worker's share of operand blocks served from its
 // cache, after checking that the worker's hits are exactly the blocks
 // the server's mirror skipped.
@@ -188,7 +186,7 @@ func tightWorker(t *testing.T, run func(addr string) error) float64 {
 }
 
 // TestTightMemoryKeepsRow is the limited-memory regime end to end: n/q =
-// 8 at µ = 1, so every chunk reads 16 distinct blocks against a 4–6
+// 8 at µ = 1, so every chunk reads 16 distinct blocks against a 6–11
 // block cache. The tour hands the worker the next chunk of its
 // block-row, and the victim rule keeps that row's first A blocks for it:
 // at least a quarter of the operand blocks come from the cache (plain
@@ -221,5 +219,82 @@ func TestTightMemoryLU(t *testing.T) {
 	tightWorker(t, func(addr string) error { return luSubmission(m, 1, 0).roundTrip(addr, time.Minute) })
 	if !bitEqual(m, luFactored(t, orig, 4)) {
 		t.Fatal("lu at tight memory is not bit-identical to lu.Factor")
+	}
+}
+
+// commTap counts, on the master's side of every worker session, the
+// traffic a job's tasks carry: operand blocks shipped and skipped in
+// the Sets sent, C payloads in the Tasks sent and tile blocks in the
+// Results received.
+type commTap struct {
+	engine.Transport
+	mu  *sync.Mutex
+	sum *engine.CommStats
+}
+
+func (c commTap) Send(m engine.Msg) error {
+	c.mu.Lock()
+	switch m := m.(type) {
+	case *engine.Assign:
+		c.sum.CDown += int64(len(m.Blocks))
+	case *engine.Set:
+		for _, half := range [][][]float64{m.A, m.B} {
+			for _, blk := range half {
+				if blk == nil {
+					c.sum.BlocksSkipped++
+				} else {
+					c.sum.BlocksShipped++
+				}
+			}
+		}
+	}
+	c.mu.Unlock()
+	return c.Transport.Send(m)
+}
+
+func (c commTap) Recv() (engine.Msg, error) {
+	m, err := c.Transport.Recv()
+	if res, ok := m.(*engine.Result); ok {
+		c.mu.Lock()
+		c.sum.CUp += int64(len(res.Blocks))
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+// TestJobCommCountsAtCommit: a finished job's Status.Comm counts every
+// task's traffic by the time the job is done — with both of its workers
+// still connected, not only once their sessions close: shipped and
+// skipped operand blocks and the C blocks down and up equal what went
+// over the wire for it.
+func TestJobCommCountsAtCommit(t *testing.T) {
+	var mu sync.Mutex
+	var wire engine.CommStats
+	cl, srv := startClusterWith(t, ClusterServerConfig{
+		WrapTransport: func(_ string, tr engine.Transport) engine.Transport {
+			return commTap{Transport: tr, mu: &mu, sum: &wire}
+		},
+	})
+	for _, name := range []string{"w1", "w2"} {
+		go RunClusterWorker(ClusterWorkerConfig{Addr: srv.Addr(), Name: name, Memory: 64, Slots: 2})
+	}
+	waitCond(t, cl, "both workers", func() bool { return len(cl.Workers()) == 2 })
+	c, a, b, ref := matmulInputs(t, 16, 32, 16, 4, 78)
+	if err := SubmitMatMulTCP(srv.Addr(), c, a, b, 2, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Assemble().MaxDiff(ref); d != 0 {
+		t.Fatalf("result differs by %g", d)
+	}
+	if alive := cl.ClusterStats().WorkersAlive; alive != 2 {
+		t.Fatalf("%d workers connected, want both", alive)
+	}
+	got := cl.Jobs()[0].Comm
+	mu.Lock()
+	want := wire
+	mu.Unlock()
+	if got.BlocksShipped != want.BlocksShipped || got.BlocksSkipped != want.BlocksSkipped ||
+		got.CDown != want.CDown || got.CUp != want.CUp || got.CUp != 16 {
+		t.Fatalf("job comm %+v, the wire carried %+v (16 C tiles up)", got, want)
 	}
 }

@@ -32,7 +32,7 @@ func TestExpiryRequeuesFrozenMultiSlotWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	ri := RegisterInfo{Name: "frozen", Mem: 64, Slots: 2}
+	ri := RegisterInfo{Name: "frozen", Mem: 64, Slots: 2, Version: ProtocolVersion}
 	w := bufio.NewWriter(conn)
 	if err := writeMsg(w, MsgRegister, ri.encode()); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ type FaultConfig struct {
 	// DupProb asks for a message to be delivered twice (the transport
 	// only honors it for messages that are safe to duplicate).
 	DupProb float64
-	// CorruptResultProb flips bits in a FlushResult's block data — the
+	// CorruptResultProb flips bits in a Result's tile — the
 	// lying-worker fault: the corruption happens after wire decode, so
 	// checksums pass and only algorithmic verification can catch it.
 	CorruptResultProb float64
@@ -37,7 +37,7 @@ type FaultDecision struct {
 	Dup   bool
 	Delay time.Duration
 	// CorruptResult asks the transport to flip a bit in the message's
-	// result payload (only honored on a FlushResult). CorruptPick seeds
+	// result payload (only honored on a Result). CorruptPick seeds
 	// which block and element the transport targets, so the flip itself
 	// is deterministic too.
 	CorruptResult bool
@@ -137,7 +137,8 @@ func (p *FaultPlan) Counts() FaultCounts {
 // FaultTransport wraps an engine.Transport with a seeded fault schedule
 // (FaultPlan): messages may be delayed, the connection may be killed
 // at any message boundary, ownership-free messages may be delivered
-// twice, and a received FlushResult may have a bit flipped. It is the
+// twice, and a received Result may have a bit flipped in its tile. It
+// is the
 // harness behind the recovery and result-integrity tests, and injects
 // only the faults they ask for — plugged into a cluster server via
 // ClusterServerConfig.WrapTransport, it subjects the master↔worker
@@ -204,8 +205,8 @@ func (t *FaultTransport) Send(m engine.Msg) error {
 
 // Recv applies drop/delay to the incoming side (duplication would have
 // to re-deliver a buffer the caller already owns, so it is send-only).
-// A result-corruption verdict flips a bit in a FlushResult payload
-// after decode: the wire CRC has already passed, so the flip
+// A result-corruption verdict flips a bit in a Result's tile after
+// decode: the wire CRC has already passed, so the flip
 // models a worker whose compute (or RAM) lies — exactly the fault class
 // Freivalds verification, not checksumming, must catch.
 func (t *FaultTransport) Recv() (engine.Msg, error) {
@@ -217,7 +218,7 @@ func (t *FaultTransport) Recv() (engine.Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r, ok := m.(*engine.FlushResult); ok && d.CorruptResult && corruptBlocks(r.Blocks, d.CorruptPick) {
+	if r, ok := m.(*engine.Result); ok && d.CorruptResult && corruptBlocks(r.Blocks, d.CorruptPick) {
 		t.plan.resultFlipped()
 	}
 	return m, nil

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/engine"
@@ -79,25 +78,20 @@ func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	return appendCRC(matrix.AppendFloats(out, payload), 0)
 }
 
-// encodeFlushPayload hand-builds a MsgFlushResult payload for seeds:
-// the uint32 block count, then per block a uint64 tile id, a uint32
-// element count and the raw doubles.
-func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
-	var w [8]byte
-	binary.LittleEndian.PutUint32(w[:4], count)
-	out := append([]byte(nil), w[:4]...)
-	for i, id := range ids {
-		binary.LittleEndian.PutUint64(w[:], id)
-		out = append(out, w[:]...)
-		binary.LittleEndian.PutUint32(w[:4], uint32(len(blocks[i])))
-		out = append(out, w[:4]...)
-		out = matrix.AppendFloats(out, blocks[i])
-	}
-	return out
+// encodeResultPayload hand-builds a MsgTaskResult payload for seeds:
+// the header of job 1, seq 2, then the uint32 block count, the uint32
+// element count per block and the blocks' doubles.
+func encodeResultPayload(count, n uint32, blocks [][]float64) []byte {
+	out := make([]byte, taskResultHeaderLen)
+	(&TaskResultHeader{Job: 1, Seq: 2, Updates: 3, ComputeNS: 4}).encode(out)
+	out = binary.LittleEndian.AppendUint32(out, count)
+	out = binary.LittleEndian.AppendUint32(out, n)
+	return oldBlocks(out, blocks)
 }
 
-// flushSeed is one flush manifest FuzzDecodeMsg starts from, with the
-// error its decode must end in ("" = it decodes).
+// flushSeed is one task result — a tile on its way home — that
+// FuzzDecodeMsg starts from, with the error its decode must end in
+// ("" = it decodes).
 type flushSeed struct {
 	what    string
 	payload []byte
@@ -105,35 +99,37 @@ type flushSeed struct {
 }
 
 // flushSeeds are CRC-sealed so they reach the structural checks: a
-// well-formed manifest, then a count overrunning the bytes, a malformed
-// (non-C) tile id, a zero element count, trailing garbage after the
-// last block — and one whose CRC itself is stale (corrupted body).
+// well-formed result, a header-only acknowledgement of the retired
+// two-frame dialect, then a count overrunning the bytes, a zero element
+// count, a count past the wire's bound, trailing garbage after the last
+// block — and one whose CRC itself is stale (corrupted body).
 func flushSeeds() []flushSeed {
-	cid, aid := engine.CBlockID(1, 0, 0), engine.ABlockID(0, 0, 0)
 	blk := [][]float64{{1, 2, 3, 4}}
-	stale := appendCRC(encodeFlushPayload(1, []uint64{cid}, blk), 0)
+	stale := appendCRC(encodeResultPayload(1, 4, blk), 0)
 	stale[4] ^= 0x01
 	return []flushSeed{
-		{"well-formed", appendCRC(encodeFlushPayload(1, []uint64{cid}, blk), 0), ""},
-		{"count overrun", appendCRC(encodeFlushPayload(3, []uint64{cid}, blk), 0),
-			"netmw: flush result block prefix truncated (0 of 12 bytes)"},
-		{"non-C id", appendCRC(encodeFlushPayload(1, []uint64{aid}, blk), 0),
-			fmt.Sprintf("netmw: flush result block 0 has malformed tile id %#x", aid)},
-		{"zero count", appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{}}), 0),
-			"netmw: flush result block 0 declares 0 elements"},
-		{"trailing byte", appendCRC(append(encodeFlushPayload(1, []uint64{cid}, blk), 0xee), 0),
-			"netmw: flush result has 1 trailing bytes"},
+		{"well-formed", appendCRC(encodeResultPayload(1, 4, blk), 0), ""},
+		{"header-only ack", appendCRC(encodeResultPayload(1, 4, nil)[:taskResultHeaderLen], 0),
+			"netmw: result header truncated (28 of 36 bytes)"},
+		{"count overrun", appendCRC(encodeResultPayload(3, 4, blk), 0),
+			"netmw: task result payload is 32 bytes for 3 blocks of 4 elements"},
+		{"zero element count", appendCRC(encodeResultPayload(1, 0, nil), 0),
+			"netmw: task result declares 1 blocks of 0 elements"},
+		{"count past the bound", appendCRC(encodeResultPayload(1<<31, 4, blk), 0),
+			"netmw: task result declares 2147483648 blocks of 4 elements"},
+		{"trailing byte", appendCRC(append(encodeResultPayload(1, 4, blk), 0xee), 0),
+			"netmw: task result payload is 33 bytes for 1 blocks of 4 elements"},
 		{"stale CRC", stale, ErrPayloadCRC.Error()},
 	}
 }
 
-// TestFlushSeedsReachTheirChecks pins where each flush seed of
+// TestFlushSeedsReachTheirChecks pins where each task-result seed of
 // FuzzDecodeMsg stops, so a header change cannot refuse them all at
 // the header again and leave the checks they were written for unfuzzed.
 func TestFlushSeedsReachTheirChecks(t *testing.T) {
 	pool := engine.NewBlockPool()
 	for _, seed := range flushSeeds() {
-		fr, err := readFlushResult(frameOver(seed.payload, len(seed.payload), pool))
+		res, err := readTaskResult(frameOver(seed.payload, len(seed.payload), pool))
 		got := ""
 		if err != nil {
 			got = err.Error()
@@ -143,10 +139,10 @@ func TestFlushSeedsReachTheirChecks(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			if len(fr.IDs) != 1 || fr.IDs[0] != engine.CBlockID(1, 0, 0) || len(fr.Blocks[0]) != 4 || fr.Blocks[0][3] != 4 {
-				t.Errorf("%s: decoded %v %v", seed.what, fr.IDs, fr.Blocks)
+			if res.ID != (engine.AssignID{A: 1, B: 2}) || res.Updates != 3 || len(res.Blocks) != 1 || len(res.Blocks[0]) != 4 || res.Blocks[0][3] != 4 {
+				t.Errorf("%s: decoded %+v", seed.what, res)
 			}
-			pool.PutAll(fr.Blocks)
+			pool.PutAll(res.Blocks)
 		}
 	}
 }
@@ -164,9 +160,8 @@ func frameOver(payload []byte, n int, pool *engine.BlockPool) *frameReader {
 // arbitrary bytes, selected by the first byte: malformed frames must
 // error, never panic and never allocate unboundedly. It covers the live
 // transport decode paths — the streaming worker-side decoders (tasks,
-// update sets via the geometry FIFO, flush requests have no payload),
-// the server-side task-result and flush-manifest decoders, the
-// registration and job-submission ones, and the client-side job-done
+// update sets via the geometry FIFO), the server-side task-result
+// decoder, the registration and job-submission ones, and the client-side job-done
 // headers. Block frames are streamed over a bytes.Reader with the
 // payload's length declared.
 func FuzzDecodeMsg(f *testing.F) {
@@ -194,7 +189,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip, engine.CShip}, []float64{1, 2, 3, 4})...))
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip}, []float64{1, 2})...))
 
-	ri := RegisterInfo{Name: "worker-1", Mem: 128, Slots: 4}
+	ri := RegisterInfo{Name: "worker-1", Mem: 128, Slots: 4, Version: ProtocolVersion}
 	f.Add(append([]byte{2}, ri.encode()...))
 
 	sub := JobHeader{Kind: WireMatMul, R: 1, T: 1, S: 1, Q: 2, Mu: 1}
@@ -253,12 +248,10 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{4}, encodeSetPayload([]byte{0, 0, 1, 0}, 0, 8,
 		[]uint64{aid, bid}, []byte{1, 1}, 1, 1, []float64{1, 2})...))
 
-	// a task result: the header and its CRC, nothing else
+	// a bare task-result header
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
 	rp := make([]byte, taskResultHeaderLen)
 	trh.encode(rp)
-	f.Add(append([]byte{7}, appendCRC(append([]byte(nil), rp...), 0)...))
-
 	f.Add(append([]byte{5}, rp...))
 
 	jd := JobDoneHeader{Job: 7, Code: 0}
@@ -267,7 +260,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{6}, dp...))
 
 	for _, seed := range flushSeeds() {
-		f.Add(append([]byte{8}, seed.payload...))
+		f.Add(append([]byte{7}, seed.payload...))
 	}
 
 	// hostile geometry: a job header declaring a huge matrix with no data
@@ -313,7 +306,7 @@ func FuzzDecodeMsg(f *testing.F) {
 					len(as.Blocks), want, rows, cols, len(as.CFlags))
 			}
 		}
-		switch sel % 9 {
+		switch sel % 8 {
 		case 0, 1:
 			// the clusterWorkerTransport MsgTask path: header + flagged
 			// block body
@@ -386,38 +379,35 @@ func FuzzDecodeMsg(f *testing.F) {
 			var hdr JobDoneHeader
 			hdr.decode(payload)
 		case 7:
-			// the serverTransport MsgTaskResult path: the header and
-			// nothing else
-			if res, err := readTaskResult(frameOver(payload, len(payload), pool)); err == nil && len(res.Blocks) != 0 {
-				t.Fatalf("result decode produced %d blocks, want none", len(res.Blocks))
-			}
-		case 8:
-			// the serverTransport MsgFlushResult path: a successful decode
-			// must carry a well-formed C-tile id and a plausible payload for
-			// every block it returns.
-			fr, err := readFlushResult(frameOver(payload, len(payload), pool))
+			// the serverTransport MsgTaskResult path: a successful decode
+			// returns exactly the blocks it declares, each of the declared
+			// size.
+			res, err := readTaskResult(frameOver(payload, len(payload), pool))
 			if err != nil {
 				return
 			}
-			if len(fr.IDs) != len(fr.Blocks) {
-				t.Fatalf("flush decode produced %d ids but %d blocks", len(fr.IDs), len(fr.Blocks))
+			if len(payload) < taskResultHeaderLen+8 {
+				t.Fatalf("result decode accepted a %d-byte payload", len(payload))
 			}
-			for i, id := range fr.IDs {
-				if _, _, _, ok := engine.CBlockCoords(id); !ok {
-					t.Fatalf("flush decode accepted malformed tile id %#x", id)
-				}
-				if len(fr.Blocks[i]) < 1 {
-					t.Fatal("flush decode accepted an empty block")
+			count := binary.LittleEndian.Uint32(payload[taskResultHeaderLen:])
+			n := binary.LittleEndian.Uint32(payload[taskResultHeaderLen+4:])
+			if len(res.Blocks) != int(count) {
+				t.Fatalf("result decode produced %d blocks, declared %d", len(res.Blocks), count)
+			}
+			for _, blk := range res.Blocks {
+				if len(blk) != int(n) {
+					t.Fatalf("result decode produced a %d-element block, declared %d", len(blk), n)
 				}
 			}
-			pool.PutAll(fr.Blocks)
+			pool.PutAll(res.Blocks)
 		}
 	})
 }
 
 // FuzzPayloadCRCRejectsBitFlips pins the checksum's whole point: flip
 // any single bit of a well-formed, CRC-sealed block frame — MsgSet,
-// MsgFlushResult, MsgTask or MsgTaskResult; header, manifest, flags, body or
+// MsgTask or MsgTaskResult, with and without a tile; header, manifest,
+// flags, body or
 // the checksum field itself — and the streaming decoder must reject it
 // as ErrPayloadCRC (CRC32C detects every 1-bit error), without
 // panicking and with every block it took back in the pool. A flip that
@@ -442,16 +432,13 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 				[]uint64{0, engine.BBlockID(1, 3, 0)}, []byte{1, 1}, 1, 1,
 				[]float64{1, 2, 3, 4, 5, 6, 7, 8})
 		case 1:
-			cid := engine.CBlockID(1, 0, 0)
-			payload = appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)
+			payload = appendCRC(encodeResultPayload(1, 4, [][]float64{{1, 2, 3, 4}}), 0)
 		case 2:
 			hdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 2, Q: 2}).encode(hdr)
 			payload = encodeAssignBody(hdr, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})
 		case 3:
-			hdr := make([]byte, taskResultHeaderLen)
-			(&TaskResultHeader{Job: 7, Seq: 1, Updates: 2, ComputeNS: 3}).encode(hdr)
-			payload = appendCRC(hdr, 0)
+			payload = appendCRC(encodeResultPayload(0, 0, nil), 0)
 		}
 		bit := int(pos) % (len(payload) * 8)
 		payload[bit/8] ^= 1 << (bit % 8)
@@ -462,12 +449,10 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 			var g geomFIFO
 			g.push(1, 1, 2, 1)
 			_, err = readSet(fr, &g)
-		case 1:
-			_, err = readFlushResult(fr)
+		case 1, 3:
+			_, err = readTaskResult(fr)
 		case 2:
 			_, err = readTask(fr)
-		case 3:
-			_, err = readTaskResult(fr)
 		}
 		if !errors.Is(err, ErrPayloadCRC) {
 			t.Fatalf("frame kind %d with bit %d flipped: err = %v, want ErrPayloadCRC", kind%4, bit, err)

@@ -83,21 +83,14 @@ func oldAssignFrame(t MsgType, hdr []byte, m *engine.Assign) []byte {
 	})
 }
 
-func oldResultFrame(t MsgType, hdr []byte, m *engine.Result) []byte {
-	return oldFrame(t, func(buf []byte) []byte {
-		return oldBlocks(append(buf, hdr...), m.Blocks)
-	})
-}
-
-func oldFlushFrame(fr *engine.FlushResult) []byte {
-	return oldFrame(MsgFlushResult, func(buf []byte) []byte {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.IDs)))
-		for i, id := range fr.IDs {
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fr.Blocks[i])))
-			buf = matrix.AppendFloats(buf, fr.Blocks[i])
+func oldResultFrame(hdr []byte, m *engine.Result) []byte {
+	return oldFrame(MsgTaskResult, func(buf []byte) []byte {
+		n := 0
+		if len(m.Blocks) > 0 {
+			n = len(m.Blocks[0])
 		}
-		return buf
+		buf = binary.LittleEndian.AppendUint32(append(buf, hdr...), uint32(len(m.Blocks)))
+		return oldBlocks(binary.LittleEndian.AppendUint32(buf, uint32(n)), m.Blocks)
 	})
 }
 
@@ -137,7 +130,7 @@ func randBlocks(rng *rand.Rand, n, q int) [][]float64 {
 }
 
 // TestGatheredFramesByteIdentical pins the wire: every checksummed
-// frame — Set, Task, FlushResult and the header-only TaskResult — written
+// frame — Set, Task, and TaskResult with and without a tile — written
 // from block memory is byte for byte the frame the copying encoder produced,
 // over TCP (writev) and over net.Pipe (the per-buffer fallback), at a
 // block size below and one above a socket buffer. And the blocks are
@@ -167,22 +160,18 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				CFlags: []byte{engine.CShip, engine.CZero, engine.CZero, engine.CShip},
 				Blocks: randBlocks(rng, 2, q),
 			}
-			result := &engine.Result{ID: engine.AssignID{A: 9, B: 2}}
-			ack := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99}
-			flush := &engine.FlushResult{
-				IDs:    []uint64{engine.CBlockID(3, 0, 0), engine.CBlockID(3, 0, 1), engine.CBlockID(3, 1, 1)},
-				Blocks: randBlocks(rng, 3, q),
-			}
-			emptyFlush := &engine.FlushResult{}
+			empty := &engine.Result{ID: engine.AssignID{A: 9, B: 2}}
+			result := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99,
+				Blocks: randBlocks(rng, 3, q)}
 
 			unflaggedHdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 9, Seq: 2, Steps: 3, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: uint32(q)}).encode(unflaggedHdr)
 			taskHdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 3, Seq: 5, Attempt: 1, Steps: 4, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: uint32(q)}).encode(taskHdr)
+			emptyHdr := make([]byte, taskResultHeaderLen)
+			(&TaskResultHeader{Job: 9, Seq: 2}).encode(emptyHdr)
 			resHdr := make([]byte, taskResultHeaderLen)
-			(&TaskResultHeader{Job: 9, Seq: 2}).encode(resHdr)
-			ackHdr := make([]byte, taskResultHeaderLen)
-			(&TaskResultHeader{Job: 3, Seq: 6, Attempt: 1, Updates: 4, ComputeNS: 99}).encode(ackHdr)
+			(&TaskResultHeader{Job: 3, Seq: 6, Attempt: 1, Updates: 4, ComputeNS: 99}).encode(resHdr)
 
 			pool := engine.NewBlockPool()
 			cases := []struct {
@@ -195,10 +184,8 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				{"server Set", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, set, oldSetFrame(set), ab[:3]},
 				{"server Task without flags", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, unflagged, oldAssignFrame(MsgTask, unflaggedHdr, unflagged), unflagged.Blocks},
 				{"server Task", func(c net.Conn) engine.Transport { return NewServerTransport(c, pool, nil) }, task, oldAssignFrame(MsgTask, taskHdr, task), task.Blocks},
-				{"cluster worker header-only TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, result, oldResultFrame(MsgTaskResult, resHdr, result), nil},
-				{"cluster worker ack", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, ack, oldResultFrame(MsgTaskResult, ackHdr, ack), nil},
-				{"cluster worker FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, flush, oldFlushFrame(flush), flush.Blocks},
-				{"cluster worker empty FlushResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, emptyFlush, oldFlushFrame(emptyFlush), nil},
+				{"cluster worker tileless TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, empty, oldResultFrame(emptyHdr, empty), nil},
+				{"cluster worker TaskResult", func(c net.Conn) engine.Transport { return NewClusterWorkerTransport(c, pool) }, result, oldResultFrame(resHdr, result), result.Blocks},
 			}
 			for _, tc := range cases {
 				local, remote := pair(t)
@@ -274,9 +261,8 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 			blk[i] = float64(n + 1)
 		}
 	}
-	ids := []uint64{engine.CBlockID(1, 0, 0), engine.CBlockID(1, 0, 1), engine.CBlockID(1, 1, 0), engine.CBlockID(1, 1, 1)}
 	sent := make(chan error, 1)
-	go func() { sent <- tr.Send(&engine.FlushResult{IDs: ids, Blocks: blocks, Owned: true}) }()
+	go func() { sent <- tr.Send(&engine.Result{ID: engine.AssignID{A: 1}, Blocks: blocks}) }()
 	<-gate.entered
 	for i := 0; i < 16; i++ {
 		if got := pool.Get(q * q); inFlight[&got[0]] {
@@ -284,8 +270,8 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 		}
 	}
 	close(gate.open)
-	const head, prefix = 4, 12 // manifest count; per-block id + length
-	frame := make([]byte, msgHeaderLen+head+4*(prefix+8*q*q)+4)
+	const head = taskResultHeaderLen + 8 // result header, block count and size
+	frame := make([]byte, msgHeaderLen+head+4*8*q*q+4)
 	if _, err := io.ReadFull(remote, frame); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +281,7 @@ func TestOwnedBlocksReleasedAfterWrite(t *testing.T) {
 	body := frame[msgHeaderLen+head : len(frame)-4]
 	for n := 0; n < 4; n++ {
 		var got [1]float64
-		matrix.DecodeFloatsInto(got[:], body[n*(prefix+8*q*q)+prefix:])
+		matrix.DecodeFloatsInto(got[:], body[n*8*q*q:])
 		if got[0] != float64(n+1) {
 			t.Fatalf("block %d arrived holding %g", n, got[0])
 		}

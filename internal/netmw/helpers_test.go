@@ -30,8 +30,8 @@ func waitCond(t *testing.T, cl *cluster.Cluster, what string, f func() bool) {
 			st := cl.ClusterStats()
 			t.Logf("stats: %+v", st)
 			for _, w := range cl.Workers() {
-				t.Logf("worker %s: dead=%v inflight=%d done=%d dirty=%d profile=%+v",
-					w.ID, w.Dead, w.Inflight, w.Done, w.DirtyBlocks, w.Profile)
+				t.Logf("worker %s: dead=%v inflight=%d done=%d profile=%+v",
+					w.ID, w.Dead, w.Inflight, w.Done, w.Profile)
 			}
 			t.Fatalf("timed out waiting for %s", what)
 		}

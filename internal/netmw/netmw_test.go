@@ -124,9 +124,10 @@ func TestDistributedPipelined(t *testing.T) {
 
 // TestWireNumbering pins the wire encoding: every message type keeps its
 // number, MsgReq's payload byte is 1, and the numbers of the retired
-// frames — the single-job dialect's (1 = hello, 2 = job, 4 = result)
-// and the master's flush demand (13) — stay unused: a frame carrying
-// one is refused by both ends of a worker session.
+// frames — the single-job dialect's (1 = hello, 2 = job, 4 = result),
+// the master's flush demand (13) and the tile sent behind its
+// acknowledgement (14) — stay unused: a frame carrying one is refused
+// by both ends of a worker session.
 func TestWireNumbering(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -142,7 +143,6 @@ func TestWireNumbering(t *testing.T) {
 		{"MsgTaskResult", MsgTaskResult, 10},
 		{"MsgSubmit", MsgSubmit, 11},
 		{"MsgJobDone", MsgJobDone, 12},
-		{"MsgFlushResult", MsgFlushResult, 14},
 	} {
 		if byte(tc.got) != tc.want {
 			t.Errorf("%s = %d on the wire, want %d", tc.name, tc.got, tc.want)
@@ -151,7 +151,7 @@ func TestWireNumbering(t *testing.T) {
 	if ReqSet != 1 {
 		t.Errorf("ReqSet = %d on the wire, want 1", ReqSet)
 	}
-	for _, retired := range []MsgType{1, 2, 4, 13} {
+	for _, retired := range []MsgType{1, 2, 4, 13, 14} {
 		for _, end := range []string{"server", "worker"} {
 			local, remote := net.Pipe()
 			go writeMsg(remote, retired, []byte{0, 0, 0, 0})
@@ -189,7 +189,7 @@ func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(time.Minute))
-	if err := writeMsg(conn, MsgRegister, (&RegisterInfo{Name: "rogue", Mem: 64}).encode()); err != nil {
+	if err := writeMsg(conn, MsgRegister, (&RegisterInfo{Name: "rogue", Mem: 64, Version: ProtocolVersion}).encode()); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := readMsg(conn); err != nil || mt != MsgTask {

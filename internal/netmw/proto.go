@@ -29,12 +29,13 @@ import (
 type MsgType byte
 
 // Protocol message types. The numbers are the wire encoding and never
-// change. 1, 2, 4 and 13 are reserved: 1, 2 and 4 were the frames of a
-// retired single-job dialect (hello, job, result), and 13 was the
-// master's demand for a worker's finished tiles (flush), which a worker
-// now sends home unasked. They are never reused, so a peer still
-// speaking either dialect fails on such a frame instead of being
-// misread.
+// change. 1, 2, 4, 13 and 14 are reserved: 1, 2 and 4 were the frames
+// of a retired single-job dialect (hello, job, result), 13 was the
+// master's demand for a worker's finished tiles (flush), and 14 the
+// tile a worker sent home behind its acknowledgement (flush result),
+// which the task result now carries itself. They are never reused, so
+// a peer still speaking a retired dialect fails on such a frame instead
+// of being misread.
 const (
 	// MsgSet carries one delta update set: uint32 k, uint32 cache
 	// capacity, uint16 A-entry and B-entry counts (which must match the
@@ -51,7 +52,10 @@ const (
 	// worker that sends one (engine.ErrSetRequest); both transports
 	// still frame it for the bench's block round-trip replay only.
 	MsgReq MsgType = 5
-	// MsgBye tells a worker to shut down.
+	// MsgBye tells a worker to shut down: an empty payload at a clean
+	// end; at registration, the master's refusal of the worker's
+	// protocol version — uint32 master ProtocolVersion, then the reason
+	// as UTF-8 bytes.
 	MsgBye MsgType = 6
 	// MsgRegister is sent by a worker on connect (and on every
 	// reconnect): RegisterInfo payload.
@@ -65,8 +69,10 @@ const (
 	// Rows*Cols payloads follow. The worker keeps the tile; the task's
 	// Steps update sets follow it, pushed by the master.
 	MsgTask MsgType = 9
-	// MsgTaskResult acknowledges a finished task: TaskResultHeader and
-	// nothing else. The task's tile follows it in a MsgFlushResult.
+	// MsgTaskResult is a finished task's one message home: the
+	// TaskResultHeader, a uint32 block count, a uint32 element count per
+	// block, then the task's Rows×Cols tile, row-major, as raw
+	// little-endian doubles.
 	MsgTaskResult MsgType = 10
 	// MsgSubmit is a client job submission: JobHeader then the operand
 	// blocks (C, A, B for matmul; M for LU).
@@ -74,12 +80,37 @@ const (
 	// MsgJobDone answers a submission: JobDoneHeader, then either the
 	// result blocks (Code 0) or an error string.
 	MsgJobDone MsgType = 12
-	// MsgFlushResult carries one finished task's tile, right behind its
-	// MsgTaskResult: uint32 block count, then per block a uint64 C-tile
-	// ID (engine.CBlockID), a uint32 element count and the raw
-	// little-endian doubles.
-	MsgFlushResult MsgType = 14
 )
+
+// ProtocolVersion is the version of the worker protocol — the frames a
+// worker and the master exchange — this build speaks. A worker sends it
+// in its registration and the master refuses any other (or none), so a
+// frame change fails at join instead of hanging an older peer. Bump it
+// with every change to those frames.
+const ProtocolVersion uint32 = 1
+
+// ErrProtocolVersion refuses a worker whose protocol version is not the
+// master's.
+var ErrProtocolVersion = errors.New("netmw: protocol version mismatch")
+
+// refusalFrame is the Bye frame that refuses a registration: its
+// payload is the master's ProtocolVersion, then the reason.
+func refusalFrame(reason string) []byte {
+	buf := make([]byte, msgHeaderLen, msgHeaderLen+4+len(reason))
+	putMsgHeader(buf, MsgBye, 4+len(reason))
+	buf = binary.LittleEndian.AppendUint32(buf, ProtocolVersion)
+	return append(buf, reason...)
+}
+
+// refusal is the error a worker reads in a refusing Bye's payload: an
+// ErrProtocolVersion naming both versions.
+func refusal(payload []byte) error {
+	if len(payload) < 4 {
+		return fmt.Errorf("%w: refused at join (%d-byte reason)", ErrProtocolVersion, len(payload))
+	}
+	return fmt.Errorf("%w: this worker speaks version %d, the master %d: %s",
+		ErrProtocolVersion, ProtocolVersion, binary.LittleEndian.Uint32(payload), payload[4:])
+}
 
 // ReqSet is MsgReq's one payload byte.
 const ReqSet byte = 1
@@ -96,17 +127,21 @@ type RegisterInfo struct {
 	Name  string // stable worker id, reused across reconnects
 	Mem   uint32 // advertised capacity in q×q blocks
 	Slots uint16 // concurrent tasks the worker pipelines (0 means 1)
+	// Version is the worker's ProtocolVersion, a uint32 after the name;
+	// a registration without one, from a build that predates it,
+	// decodes as 0.
+	Version uint32
 }
 
 const registerFixedLen = 8 // Mem(4) + Slots(2) + name length(2)
 
 func (r *RegisterInfo) encode() []byte {
-	buf := make([]byte, registerFixedLen+len(r.Name))
+	buf := make([]byte, registerFixedLen+len(r.Name), registerFixedLen+len(r.Name)+4)
 	binary.LittleEndian.PutUint32(buf[0:], r.Mem)
 	binary.LittleEndian.PutUint16(buf[4:], r.Slots)
 	binary.LittleEndian.PutUint16(buf[6:], uint16(len(r.Name)))
 	copy(buf[registerFixedLen:], r.Name)
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, r.Version)
 }
 
 func (r *RegisterInfo) decode(buf []byte) error {
@@ -120,6 +155,10 @@ func (r *RegisterInfo) decode(buf []byte) error {
 		return fmt.Errorf("netmw: register name truncated (%d of %d bytes)", len(buf)-registerFixedLen, n)
 	}
 	r.Name = string(buf[registerFixedLen : registerFixedLen+n])
+	r.Version = 0
+	if rest := buf[registerFixedLen+n:]; len(rest) >= 4 {
+		r.Version = binary.LittleEndian.Uint32(rest)
+	}
 	return nil
 }
 
@@ -278,7 +317,7 @@ func (h *JobDoneHeader) decode(buf []byte) error {
 }
 
 // Bulk float payloads — tasks (MsgTask), update sets (MsgSet) and
-// results (MsgTaskResult/MsgFlushResult) — carry
+// results (MsgTaskResult) — carry
 // a trailing 4-byte little-endian CRC32C over the rest of the payload.
 // The checksum classifies faults: a CRC mismatch is transport corruption
 // (the connection is severed and the work resent), while a CRC-clean

@@ -10,8 +10,8 @@ import (
 	"repro/internal/engine"
 )
 
-// The receive side of every checksummed frame — Set, Task, FlushResult
-// and the block-less TaskResult — mirrors the send side: the
+// The receive side of every checksummed frame — Set, Task and
+// TaskResult — mirrors the send side: the
 // frame's own bytes (header, manifest, flags, per-block prefixes) are
 // read into a small scratch and validated against the open geometry,
 // and each block is then read from the connection straight into a pool
@@ -320,11 +320,13 @@ func readTaskInto(f *frameReader, as *engine.Assign) error {
 
 // --- TaskResult -----------------------------------------------------------------
 
-// readTaskResult decodes a MsgTaskResult frame: an acknowledgement is
-// its header and nothing else before the checksum.
+// readTaskResult decodes a MsgTaskResult frame: the header, the tile's
+// block count and block size — plausible, and consuming the frame
+// exactly, before a block is taken — then the tile.
 func readTaskResult(f *frameReader) (*engine.Result, error) {
 	res := f.pool.GetResult()
 	if err := f.end(readTaskResultInto(f, res)); err != nil {
+		f.pool.PutAll(res.Blocks)
 		f.pool.PutResult(res)
 		return nil, err
 	}
@@ -332,12 +334,9 @@ func readTaskResult(f *frameReader) (*engine.Result, error) {
 }
 
 func readTaskResultInto(f *frameReader, res *engine.Result) error {
-	head, err := f.take(taskResultHeaderLen, "result header")
+	head, err := f.take(taskResultHeaderLen+8, "result header")
 	if err != nil {
 		return err
-	}
-	if f.body() != 0 {
-		return fmt.Errorf("netmw: task result carries %d payload bytes, want none", f.body())
 	}
 	var hdr TaskResultHeader
 	hdr.decode(head)
@@ -347,56 +346,21 @@ func readTaskResultInto(f *frameReader, res *engine.Result) error {
 	if hdr.Updates <= 1<<62 && hdr.ComputeNS <= 1<<62 {
 		res.Updates, res.ComputeNS = int64(hdr.Updates), int64(hdr.ComputeNS)
 	}
-	return nil
-}
-
-// --- FlushResult ----------------------------------------------------------------
-
-// readFlushResult decodes a MsgFlushResult with strict validation: every
-// ID must be a well-formed C-tile ID and every element count plausible
-// and inside the frame before its block is taken, and the declared
-// count must consume the frame exactly.
-func readFlushResult(f *frameReader) (*engine.FlushResult, error) {
-	fr := &engine.FlushResult{Owned: true}
-	err := readFlushInto(f, fr)
-	if err = f.end(err); err != nil {
-		f.pool.PutAll(fr.Blocks)
-		return nil, err
+	count := int(binary.LittleEndian.Uint32(head[taskResultHeaderLen:]))
+	n := int(binary.LittleEndian.Uint32(head[taskResultHeaderLen+4:]))
+	if count > maxWireDim*maxWireDim || n > maxWireDim*maxWireDim || count > 0 && n < 1 {
+		return fmt.Errorf("netmw: task result declares %d blocks of %d elements", count, n)
 	}
-	return fr, nil
-}
-
-func readFlushInto(f *frameReader, fr *engine.FlushResult) error {
-	head, err := f.take(4, "flush result header")
-	if err != nil {
-		return err
-	}
-	count := int(binary.LittleEndian.Uint32(head))
-	if count > maxWireDim*maxWireDim {
-		return fmt.Errorf("netmw: flush result declares %d blocks", count)
+	if uint64(f.body()) != uint64(count)*uint64(n)*8 {
+		return fmt.Errorf("netmw: task result payload is %d bytes for %d blocks of %d elements",
+			f.body(), count, n)
 	}
 	for i := 0; i < count; i++ {
-		p, err := f.take(12, "flush result block prefix")
-		if err != nil {
-			return err
-		}
-		id := binary.LittleEndian.Uint64(p)
-		n := int(binary.LittleEndian.Uint32(p[8:]))
-		if _, _, _, ok := engine.CBlockCoords(id); !ok {
-			return fmt.Errorf("netmw: flush result block %d has malformed tile id %#x", i, id)
-		}
-		if n < 1 || n > maxWireDim*maxWireDim {
-			return fmt.Errorf("netmw: flush result block %d declares %d elements", i, n)
-		}
 		blk, err := f.block(n)
 		if err != nil {
 			return err
 		}
-		fr.IDs = append(fr.IDs, id)
-		fr.Blocks = append(fr.Blocks, blk)
-	}
-	if f.body() != 0 {
-		return fmt.Errorf("netmw: flush result has %d trailing bytes", f.body())
+		res.Blocks = append(res.Blocks, blk)
 	}
 	return nil
 }

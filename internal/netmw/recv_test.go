@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/matrix"
 )
 
 // blockFrameCase is one block-carrying frame's payload (CRC included,
@@ -37,13 +36,9 @@ func blockFrameCases(q int) []blockFrameCase {
 		Blocks: randBlocks(rng, 3, q)}
 	taskHdr := make([]byte, taskHeaderLen)
 	(&TaskHeader{Job: 1, Seq: 4, Steps: 3, Rows: 2, Cols: 2, Q: uint32(q)}).encode(taskHdr)
-	res := &engine.Result{}
+	res := &engine.Result{Blocks: randBlocks(rng, 3, q)}
 	resHdr := make([]byte, taskResultHeaderLen)
 	(&TaskResultHeader{Job: 1, Seq: 4}).encode(resHdr)
-	flush := &engine.FlushResult{
-		IDs:    []uint64{engine.CBlockID(1, 0, 0), engine.CBlockID(1, 0, 1), engine.CBlockID(1, 1, 0)},
-		Blocks: randBlocks(rng, 3, q),
-	}
 	body := func(frame []byte) []byte { return frame[msgHeaderLen:] }
 	return []blockFrameCase{
 		{"Set", body(oldSetFrame(set)), func(f *frameReader) ([][]float64, error) {
@@ -62,26 +57,19 @@ func blockFrameCases(q int) []blockFrameCase {
 			}
 			return as.Blocks, nil
 		}},
-		{"TaskResult", body(oldResultFrame(MsgTaskResult, resHdr, res)), func(f *frameReader) ([][]float64, error) {
+		{"TaskResult", body(oldResultFrame(resHdr, res)), func(f *frameReader) ([][]float64, error) {
 			r, err := readTaskResult(f)
 			if err != nil {
 				return nil, err
 			}
 			return r.Blocks, nil
 		}},
-		{"FlushResult", body(oldFlushFrame(flush)), func(f *frameReader) ([][]float64, error) {
-			fr, err := readFlushResult(f)
-			if err != nil {
-				return nil, err
-			}
-			return fr.Blocks, nil
-		}},
 	}
 }
 
 // TestBlockFramesFollowArrival is TestReadSubmissionFollowsArrival for
-// the worker-link frames: every prefix of a Set, Task, TaskResult and
-// FlushResult frame that declares its full length must fail, taking
+// the worker-link frames: every prefix of a Set, Task and TaskResult
+// frame that declares its full length must fail, taking
 // at most one block beyond the bytes that arrived, and handing every
 // block it took back to the pool; the same prefix declared as a whole
 // frame must fail too; the whole frame decodes to the sent blocks.
@@ -143,26 +131,37 @@ func TestBlockFramesFollowArrival(t *testing.T) {
 }
 
 // TestResultFramesOnWire pins the one result protocol's frames: a
-// MsgTaskResult is its header and checksum, and one carrying payload
-// bytes is refused — or, corrupted, still classified as a checksum fault
-// first; a MsgTask refuses the retired C flag 1; and the flagless
-// MsgTask, in which every tile ships, still round-trips.
+// MsgTaskResult is its header, the tile's block count and size, the
+// tile and the checksum; one whose declared tile disagrees with its
+// payload is refused — or, corrupted, still classified as a checksum
+// fault first — and so is the header-only acknowledgement of the
+// retired two-frame dialect; a MsgTask refuses the retired C flag 1;
+// and the flagless MsgTask, in which every tile ships, still
+// round-trips.
 func TestResultFramesOnWire(t *testing.T) {
 	pool := engine.NewBlockPool()
 	hdr := make([]byte, taskResultHeaderLen)
 	(&TaskResultHeader{Job: 3, Seq: 5, Attempt: 1, Updates: 16, ComputeNS: 99}).encode(hdr)
+	tile := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	whole := oldResultFrame(hdr, &engine.Result{Blocks: tile})[msgHeaderLen:]
+	res, err := readTaskResult(frameOver(whole, len(whole), pool))
+	if err != nil || res.ID != (engine.AssignID{A: 3, B: 5, C: 1}) || res.Updates != 16 || res.ComputeNS != 99 ||
+		len(res.Blocks) != 2 || res.Blocks[1][3] != 8 {
+		t.Fatalf("result = %+v, %v", res, err)
+	}
 	ack := appendCRC(append([]byte(nil), hdr...), 0)
-	res, err := readTaskResult(frameOver(ack, len(ack), pool))
-	if err != nil || res.ID != (engine.AssignID{A: 3, B: 5, C: 1}) || res.Updates != 16 || res.ComputeNS != 99 {
-		t.Fatalf("header-only result = %+v, %v", res, err)
+	if _, err := readTaskResult(frameOver(ack, len(ack), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("header-only result = %v, want refused as malformed", err)
 	}
-	carrying := appendCRC(matrix.AppendFloats(append([]byte(nil), hdr...), []float64{1, 2, 3, 4}), 0)
-	if _, err := readTaskResult(frameOver(carrying, len(carrying), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
-		t.Fatalf("result with payload bytes = %v, want refused as malformed", err)
+	short := append([]byte(nil), whole...)
+	short[taskResultHeaderLen] = 3 // three blocks declared, two carried
+	short = appendCRC(short[:len(short)-4], 0)
+	if _, err := readTaskResult(frameOver(short, len(short), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("result declaring more blocks than it carries = %v, want refused as malformed", err)
 	}
-	carrying[taskResultHeaderLen+3] ^= 0x10
-	if _, err := readTaskResult(frameOver(carrying, len(carrying), pool)); !errors.Is(err, ErrPayloadCRC) {
-		t.Fatalf("corrupted result with payload bytes = %v, want ErrPayloadCRC", err)
+	short[taskResultHeaderLen+3] ^= 0x10
+	if _, err := readTaskResult(frameOver(short, len(short), pool)); !errors.Is(err, ErrPayloadCRC) {
+		t.Fatalf("corrupted malformed result = %v, want ErrPayloadCRC", err)
 	}
 
 	th := make([]byte, taskHeaderLen)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"time"
@@ -179,6 +180,15 @@ func (s *ClusterServer) handle(conn net.Conn) {
 		if err := ri.decode(payload); err != nil {
 			return
 		}
+		if ri.Version != ProtocolVersion {
+			// Refused at join, not hung mid-task: the Bye names the
+			// master's version, and a worker too old to read it still
+			// takes it as a goodbye and stops dialling.
+			reason := fmt.Sprintf("worker %q speaks protocol version %d, this master %d", ri.Name, ri.Version, ProtocolVersion)
+			log.Printf("netmw: refused: %v: %s", ErrProtocolVersion, reason)
+			conn.Write(refusalFrame(reason))
+			return
+		}
 		s.workerSession(conn, r, ri)
 	case MsgSubmit:
 		s.clientSession(bufio.NewReaderSize(conn, hopBuf), conn, n)
@@ -206,7 +216,7 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, ri Registe
 		link = s.cfg.WrapTransport(ri.Name, tr)
 	}
 	began := time.Now()
-	fstats, ferr := engine.RunFeeder(link, sess, engine.FeederConfig{
+	comm, ferr := engine.RunFeeder(link, sess, engine.FeederConfig{
 		Slots: slots, Pool: s.pool, Mem: int(ri.Mem),
 	})
 	// RunFeeder has returned, so no Send can be reading a Set of this
@@ -218,7 +228,7 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, ri Registe
 	// CRC-clean tiles are what strike the worker.
 	ws := tr.Stats()
 	sess.Close(cluster.SessionReport{
-		Feeder:  fstats,
+		Comm:    comm,
 		WireOut: ws.BytesOut, WireIn: ws.BytesIn, Elapsed: time.Since(began),
 		TransportFault: errors.Is(ferr, ErrPayloadCRC),
 	})

@@ -164,7 +164,7 @@ func (f blockFrame) blocks(blks [][]float64) {
 }
 
 // writeBlockFrame frames and writes one message that carries block
-// payloads — every bulk frame: Set, Task, TaskResult, FlushResult —
+// payloads — every bulk frame: Set, Task, TaskResult —
 // with a gathered write (net.Buffers → writev on TCP). fill lays the
 // frame out; the frame's own bytes and each block go out as separate
 // iovecs, and on little-endian builds a block's iovec is a view of the
@@ -297,27 +297,6 @@ func checkCFlagsOnWire(flags []byte) error {
 	return nil
 }
 
-// sendFlushResult frames a flush manifest — uint32 block count, then
-// per block a uint64 tile ID, a uint32 element count and the raw
-// doubles — releasing owned buffers once written.
-func (c *connIO) sendFlushResult(fr *engine.FlushResult) error {
-	if len(fr.IDs) != len(fr.Blocks) {
-		return fmt.Errorf("netmw: flush manifest has %d ids but %d blocks", len(fr.IDs), len(fr.Blocks))
-	}
-	err := c.writeBlockFrame(MsgFlushResult, func(f blockFrame) {
-		f.u32(uint32(len(fr.IDs)))
-		for i, id := range fr.IDs {
-			f.u64(id)
-			f.u32(uint32(len(fr.Blocks[i])))
-			f.block(fr.Blocks[i])
-		}
-	})
-	if fr.Owned {
-		c.pool.PutAll(fr.Blocks)
-	}
-	return err
-}
-
 // sendTask frames an assignment as MsgTask: the task header, the C-flag
 // tail prefix, then the shipped C tiles — releasing owned tiles once
 // written and recycling the message. C tiles are mutable job state,
@@ -345,17 +324,26 @@ func (c *connIO) sendTask(m *engine.Assign) error {
 	return err
 }
 
-// sendTaskResult frames an acknowledgement as MsgTaskResult: the header
-// naming the assignment and carrying the worker's timing, and no blocks
-// — the tile comes back in a flush. It recycles the message.
+// sendTaskResult frames a finished task as MsgTaskResult: the header
+// naming the assignment and carrying the worker's timing, the tile's
+// block count and block size, then the tile — releasing the tile once
+// written and recycling the message.
 func (c *connIO) sendTaskResult(m *engine.Result) error {
 	hdr := TaskResultHeader{
 		Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
 		Updates: uint64(m.Updates), ComputeNS: uint64(m.ComputeNS),
 	}
+	n := 0
+	if len(m.Blocks) > 0 {
+		n = len(m.Blocks[0])
+	}
 	err := c.writeBlockFrame(MsgTaskResult, func(f blockFrame) {
 		hdr.encode(f.grow(taskResultHeaderLen))
+		f.u32(uint32(len(m.Blocks)))
+		f.u32(uint32(n))
+		f.blocks(m.Blocks)
 	})
+	c.pool.PutAll(m.Blocks)
 	if err == nil {
 		c.pool.PutResult(m)
 	}
@@ -365,10 +353,10 @@ func (c *connIO) sendTaskResult(m *engine.Result) error {
 // --- worker side -----------------------------------------------------------
 
 // clusterWorkerTransport is the worker end of a session: tasks (MsgTask)
-// and their update sets (MsgSet) are pushed to it, acknowledgements
-// return as MsgTaskResult carrying the (Job, Seq, Attempt) identity and
-// each task's tile, right behind it, as MsgFlushResult. It can still
-// frame a MsgReq, which only the bench's block round-trip replay sends.
+// and their update sets (MsgSet) are pushed to it, and each finished
+// task goes home as one MsgTaskResult carrying the (Job, Seq, Attempt)
+// identity and the tile. It can still frame a MsgReq, which only the
+// bench's block round-trip replay sends.
 type clusterWorkerTransport struct {
 	*connIO
 	geom geomFIFO
@@ -404,8 +392,6 @@ func (t *clusterWorkerTransport) Send(m engine.Msg) error {
 		})
 	case *engine.Result:
 		return t.sendTaskResult(m)
-	case *engine.FlushResult:
-		return t.sendFlushResult(m)
 	default:
 		return fmt.Errorf("netmw: cluster worker transport cannot send %T", m)
 	}
@@ -418,8 +404,11 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 	}
 	switch mt {
 	case MsgBye:
-		_, err := t.readFrame(n)
-		return engine.Bye{}, err
+		payload, err := t.readFrame(n)
+		if err != nil || len(payload) == 0 {
+			return engine.Bye{}, err
+		}
+		return nil, refusal(payload)
 	case MsgTask:
 		as, err := readTask(t.blockFrame(n))
 		if err != nil {
@@ -497,8 +486,6 @@ func (t *serverTransport) Recv() (engine.Msg, error) {
 			return engine.RequestSet, nil
 		case MsgTaskResult:
 			return readTaskResult(t.blockFrame(n))
-		case MsgFlushResult:
-			return readFlushResult(t.blockFrame(n))
 		default:
 			return nil, fmt.Errorf("netmw: unexpected message %d from cluster worker", mt)
 		}

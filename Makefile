@@ -18,7 +18,8 @@ test-race:
 # flake is the flake budget: the cross-transport conformance table many
 # times over (its kill cases must complete on the survivors whatever
 # the scheduler does with two cores, computing nothing twice), with the
-# pushed sets' cache budget beside every chunk in flight, a worker cut
+# pushed sets' cache budget beside every chunk in flight, every worker
+# of real cluster jobs holding no more blocks than it advertises, a worker cut
 # off inside its result frame, the feeder's join of a parked Send and
 # its commit of a tile the worker sent home unasked just before it hung
 # up, then the three packages whose
@@ -35,7 +36,8 @@ test-race:
 # snapshots and of every crash point of a scripted run, the free-list
 # check, and every
 # test that asserts a dispatcher stays parked, 50 times over under the
-# race detector. Then the fleet runs (package internal/fleet), once
+# race detector, and the block ledger's cluster jobs 20 times over
+# under it. Then the fleet runs (package internal/fleet), once
 # under the race detector: they drive the scheduler from one goroutine
 # in virtual time, so a repeat replays the same run. Then the
 # worker-session tests — a stale incarnation acting on its successor,
@@ -43,19 +45,21 @@ test-race:
 # only pin on a finished job's operands and on an LU stage's panel —
 # with an LU job failing on a zero pivot and refusing a corrupt tile,
 # 50 times over under the race detector. Last, the netmw tests of the pushed-set
-# schedule and the client hop — rogue workers, the injected-fault
+# schedule and the client hop — rogue workers (one with a corrupt
+# result checksum), the injected-fault
 # harness, the parked Send and the reused reply staging — and the
 # limited-memory worker that must keep its row's A blocks, 20 times
 # over under the race detector.
 flake:
-	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForInflight|TestCutInsideResultFrame|TestFeederJoinsParkedSend|TestFeederCommitsResultBeforeLost' ./internal/engine
+	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForInflight|TestWorkerHoldsAdvertisedMemory|TestCutInsideResultFrame|TestFeederJoinsParkedSend|TestFeederCommitsResultBeforeLost' ./internal/engine
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster
 	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverQueuedSnapshot|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster
+	$(GO) test -race -count 20 -run 'TestWorkerHoldsAdvertisedMemory' ./internal/engine
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/fleet
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestTryNextContract|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
-	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused|TestTightMemory' ./internal/netmw
+	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestResultCRCFaultCounted|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused|TestTightMemory' ./internal/netmw
 
 # runnames fails when a -run alternative here or in the CI workflow
 # names no test, so a renamed or moved test cannot drop out silently.

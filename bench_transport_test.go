@@ -102,7 +102,7 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, p
 	go func() {
 		defer wg.Done()
 		engine.RunWorker(netmw.NewClusterWorkerTransport(wconn, pool), engine.WorkerConfig{
-			StageCap: 2, Slots: 2, Cores: 1, Pool: pool,
+			Slots: 2, Cores: 1, Pool: pool,
 		})
 	}()
 	srv := netmw.NewServerTransport(<-accepted, pool, sess.Heartbeat)
@@ -281,9 +281,9 @@ func BenchmarkTransportDelta(b *testing.B) {
 // move no payload and do not count; every block that does carries q²
 // doubles, so block counts compare directly. m is the worker memory the
 // run effectively had: the default resident-cache budget (the bench
-// worker advertises no memory) plus a µ-chunk's in-flight footprint.
+// worker advertises no memory) plus the Ledger of one µ-chunk.
 func measuredOverLowerBound(run transportRun, pr core.Problem) float64 {
-	mem := engine.DefaultCacheBlocks + engine.InflightFootprint(transportMu, transportMu)
+	mem := engine.DefaultCacheBlocks + engine.Ledger{}.Add(transportMu, transportMu).Blocks()
 	bound := bounds.LowerBoundLoomisWhitney(mem) * float64(pr.Updates())
 	measured := float64(run.comm.BlocksShipped + run.comm.CDown + run.comm.CUp)
 	return measured / bound

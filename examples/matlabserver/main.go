@@ -38,9 +38,7 @@ func main() {
 	c := matmul.Partition(cd, q)
 
 	m := matmul.MemoryBlocks(memMB<<20, q)
-	mu := matmul.MuOverlap(m)
-	fmt.Printf("offloading %dx%d product to %d workers (m=%d blocks, µ=%d)\n",
-		n, n, workers, m, mu)
+	fmt.Printf("offloading %dx%d product to %d workers (m=%d blocks)\n", n, n, workers, m)
 
 	start := time.Now()
 	res, err := matmul.MultiplyLocal(c, a, b, matmul.LocalConfig{

@@ -4,7 +4,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
@@ -35,14 +35,14 @@ type AdaptiveConfig struct {
 // profile p and mem blocks of advertised memory (0 = unconstrained), on
 // a product of t update steps. It is jobMu, the submit-time µ, unless
 // Enabled and the worker is profiled: then √(speed·ChunkTarget/t), at
-// least 1. Either way the chunk plus one staging set must fit the
-// worker's memory (µ² + 2µ ≤ mem); what the worker already holds is the
-// caller's to check on the chunk actually cut. It returns 0 when even a
-// 1×1 chunk does not fit.
+// least 1. Either way the chunk alone must fit the worker's memory
+// (engine.MaxSide); what the worker already holds is the caller's to
+// check on the chunk actually cut. It returns 0 when even a 1×1 chunk
+// does not fit.
 func (a AdaptiveConfig) ChunkSide(p stats.Profile, t, jobMu, mem int) int {
 	memMu := math.MaxInt
 	if mem > 0 {
-		if memMu = core.MaxChunkSide(mem, 1); memMu < 1 {
+		if memMu = engine.MaxSide(mem); memMu < 1 {
 			return 0
 		}
 	}
@@ -94,7 +94,7 @@ func (a AdaptiveConfig) StragglerGain(holder, idle stats.Profile, updates, trans
 // memory; the first
 // finished copy wins and revokes the others (resolveSpeculationLocked).
 // Returns the duplicate to dispatch, or nil.
-func (cl *Cluster) speculateLocked(w *workerState, held int) *Task {
+func (cl *Cluster) speculateLocked(w *workerState, held engine.Ledger) *Task {
 	ad := cl.cfg.Adaptive
 	if !ad.Enabled || ad.SpeculationFactor <= 0 {
 		return nil
@@ -121,7 +121,7 @@ func (cl *Cluster) speculateLocked(w *workerState, held int) *Task {
 			// At most one duplicate per seq, and one that fits w; the
 			// attempt budget is peeked without consuming a number.
 			if !ok || j.specActive[t.Seq] || j.attempts[t.Seq]+1 >= cl.cfg.MaxAttempts ||
-				w.mem > 0 && held+footprint(t.Rows, t.Cols) > w.mem {
+				!w.fits(held.Add(t.Rows, t.Cols)) {
 				continue
 			}
 			if best == nil || gain > bestGain || gain == bestGain && specTieBefore(t, h.id, best, bestHolder) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/stats"
 )
@@ -94,7 +93,7 @@ func TestAdaptiveMuShaping(t *testing.T) {
 		{name: "unprofiled falls back to job µ", mem: 64, wantR: 2, wantC: 2},
 		{name: "fast worker gets a wide chunk", mem: 100, updates: 100, wantR: 5, wantC: 5},
 		{name: "slow worker gets a unit chunk", mem: 64, updates: 4, wantR: 1, wantC: 1},
-		{name: "memory clamps a fast worker", mem: 8, updates: 100, wantR: 2, wantC: 2},
+		{name: "memory clamps a fast worker", mem: 16, updates: 100, wantR: 2, wantC: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,8 +253,8 @@ func TestAdaptiveRecutOnLoss(t *testing.T) {
 	if st := cl.ClusterStats(); st.Requeues != 1 {
 		t.Fatalf("requeues = %d, want 1", st.Requeues)
 	}
-	// 8 blocks hold a 2x2 chunk and its staging set, not the 4x4 copy.
-	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: 8})
+	// The Ledger of a 2x2 chunk (16 blocks) holds it, not the 4x4 copy.
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "w2", Mem: engine.Ledger{}.Add(2, 2).Blocks()})
 	st := waitStatus(t, cl, id)
 	if st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
@@ -272,13 +271,13 @@ func TestAdaptiveRecutOnLoss(t *testing.T) {
 // workers: profiles form from live timings, chunks are carved per
 // worker, and the assembled result still matches the naive reference
 // exactly (the adaptation layer must never touch numerics). Memory for
-// a 4×4 chunk and its staging set, no more, keeps a fast worker from
-// taking the whole 6×6 grid in one chunk.
+// the Ledger of a 4×4 chunk, no more, keeps a fast worker from taking
+// the whole 6×6 grid in one chunk.
 func TestAdaptiveJobBitExact(t *testing.T) {
 	cl, _ := adaptiveCluster(AdaptiveConfig{SpeculationFactor: 2})
 	defer cl.Close()
 	for _, id := range []string{"w1", "w2", "w3"} {
-		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: core.ChunkFootprint(4, 4, 1)})
+		go RunLocalWorker(cl, LocalWorkerConfig{ID: id, Mem: engine.Ledger{}.Add(4, 4).Blocks()})
 	}
 	c, a, b, ref := blockedInputs(t, 24, 16, 24, 4, 35)
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
@@ -302,9 +301,9 @@ func speed(updatesPerSec float64) stats.Profile {
 }
 
 // TestChunkSide pins the µ rule the cluster calls: the job's µ while off or unprofiled, √(speed·target/T)
-// once enabled and profiled, clamped to what the advertised memory holds
-// for the chunk plus one staging set (µ² + 2µ ≤ mem), and 0 when not
-// even 1×1 fits.
+// once enabled and profiled, clamped to the chunk the advertised memory
+// holds under the engine's Ledger (µ² + 6µ ≤ mem), and 0 when not even
+// 1×1 fits.
 func TestChunkSide(t *testing.T) {
 	a := AdaptiveConfig{Enabled: true, ChunkTarget: time.Second}
 	cases := []struct {
@@ -315,16 +314,16 @@ func TestChunkSide(t *testing.T) {
 		mem, want int
 	}{
 		{name: "unprofiled gets the job µ", cfg: a, t: 4, jobMu: 3, mem: 64, want: 3},
-		{name: "unprofiled job µ is memory-clamped", cfg: a, t: 4, jobMu: 9, mem: 24, want: 4},
+		{name: "unprofiled job µ is memory-clamped", cfg: a, t: 4, jobMu: 9, mem: 40, want: 4},
 		{name: "off ignores the profile", cfg: AdaptiveConfig{ChunkTarget: time.Second}, p: speed(100), t: 4, jobMu: 2, mem: 100, want: 2},
-		{name: "off job µ is memory-clamped", p: speed(100), t: 4, jobMu: 8, mem: 10, want: 2},
+		{name: "off job µ is memory-clamped", p: speed(100), t: 4, jobMu: 8, mem: 16, want: 2},
 		{name: "sqrt rule", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 100, want: 5},
 		{name: "sqrt rule truncates", cfg: a, p: speed(99), t: 4, jobMu: 2, mem: 100, want: 4},
 		{name: "slow worker gets at least 1", cfg: a, p: speed(1), t: 4, jobMu: 2, mem: 100, want: 1},
 		{name: "default target is 250ms", cfg: AdaptiveConfig{Enabled: true}, p: speed(400), t: 4, jobMu: 2, want: 5},
-		{name: "memory clamps a fast worker", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 8, want: 2},
-		{name: "1x1 fits exactly", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 3, want: 1},
-		{name: "1x1 does not fit", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 2, want: 0},
+		{name: "memory clamps a fast worker", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 16, want: 2},
+		{name: "1x1 fits exactly", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 7, want: 1},
+		{name: "1x1 does not fit", cfg: a, p: speed(100), t: 4, jobMu: 2, mem: 6, want: 0},
 		{name: "memory 0 is unconstrained", cfg: a, p: speed(1e6), t: 4, jobMu: 2, want: 500},
 	}
 	for _, tc := range cases {

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 	"repro/internal/stats"
@@ -612,30 +611,20 @@ func (cl *Cluster) quarantineLocked(j *job, err error) {
 
 // --- dispatch ------------------------------------------------------------
 
-// footprint is the blocks a worker must hold to serve a rows×cols
-// chunk: the C tile plus one staging update set — the memory contract of the paper's
-// layouts, at the minimum staging depth (core.ChunkFootprint is the one
-// place that arithmetic lives).
-func footprint(rows, cols int) int {
-	return core.ChunkFootprint(rows, cols, 1)
-}
-
 // takeLocked picks the next task that fits the asking worker's free
 // slots and advertised memory, scanning running jobs round-robin from the
 // last served position so concurrent jobs share the workers fairly. The
-// memory budget covers everything the worker already holds — its
-// in-flight footprints — so pipelining never oversubscribes the
-// advertised capacity.
+// memory budget is the worker's engine.Ledger with the new task in
+// flight beside the ones it holds, so pipelining never oversubscribes
+// the advertised capacity.
 func (cl *Cluster) takeLocked(w *workerState) *Task {
 	cl.pruneLiveLocked()
 	if len(w.inflight) >= w.slots {
 		return nil // every slot busy; a commit will wake us
 	}
-	held := 0
-	if w.mem > 0 {
-		for _, t := range w.inflight {
-			held += footprint(t.Rows, t.Cols)
-		}
+	var held engine.Ledger
+	for _, t := range w.inflight {
+		held = held.Add(t.Rows, t.Cols)
 	}
 	now := cl.clock.Now()
 	var soonest time.Time // earliest backoff expiry among skipped work
@@ -657,7 +646,7 @@ func (cl *Cluster) takeLocked(w *workerState) *Task {
 	return cl.speculateLocked(w, held)
 }
 
-// takeFromLocked hands worker w, which already holds held blocks, its
+// takeFromLocked hands worker w, whose in-flight tasks are held, its
 // next task of job j if one fits: the first lost copy past its backoff
 // from the pending pool, else a fresh chunk from the job's cutter — its
 // side from ChunkSide, its place from the tour rule, starting at w's
@@ -665,10 +654,8 @@ func (cl *Cluster) takeLocked(w *workerState) *Task {
 // can hold goes back to the cutter, to be re-cut at a side the
 // survivors hold. soonest learns the earliest retry backoff still
 // running.
-func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Time, soonest *time.Time) *Task {
-	fits := func(rows, cols int) bool {
-		return w.mem <= 0 || held+footprint(rows, cols) <= w.mem
-	}
+func (cl *Cluster) takeFromLocked(j *job, w *workerState, held engine.Ledger, now time.Time, soonest *time.Time) *Task {
+	fits := func(rows, cols int) bool { return w.fits(held.Add(rows, cols)) }
 	for idx, t := range j.pending {
 		if t.notBefore.After(now) {
 			*soonest = earlier(*soonest, t.notBefore)
@@ -678,7 +665,7 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 		case fits(t.Rows, t.Cols):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			return t
-		case !cl.anyWorkerHasMemLocked(footprint(t.Rows, t.Cols)):
+		case !cl.anyWorkerHoldsLocked(t.Rows, t.Cols):
 			j.pending = append(j.pending[:idx], j.pending[idx+1:]...)
 			if err := j.handBack(t); err != nil {
 				cl.failJobLocked(j, err)
@@ -693,10 +680,10 @@ func (cl *Cluster) takeFromLocked(j *job, w *workerState, held int, now time.Tim
 	p, _ := cl.est.Profile(w.id)
 	mu := cl.cfg.Adaptive.ChunkSide(p, j.steps(), j.spec.Mu, w.mem)
 	if mu < 1 {
-		if need := footprint(1, 1); !cl.anyWorkerHasMemLocked(need) {
+		if !cl.anyWorkerHoldsLocked(1, 1) {
 			cl.failJobLocked(j, fmt.Errorf(
 				"cluster: job %d needs %d blocks for a 1×1 chunk but no live worker advertises that much memory",
-				j.id, need))
+				j.id, engine.Ledger{}.Add(1, 1).Blocks()))
 		}
 		return nil
 	}
@@ -754,11 +741,16 @@ func (cl *Cluster) armBackoffWakeLocked(now, soonest time.Time) {
 	})
 }
 
-// anyWorkerHasMemLocked reports whether some live worker advertises at
-// least need blocks (workers advertising 0 are unconstrained).
-func (cl *Cluster) anyWorkerHasMemLocked(need int) bool {
+// fits reports whether w's advertised memory holds everything l counts
+// (a worker advertising 0 is unconstrained).
+func (w *workerState) fits(l engine.Ledger) bool { return w.mem <= 0 || l.Blocks() <= w.mem }
+
+// anyWorkerHoldsLocked reports whether some live worker could hold a
+// rows×cols task with nothing else in flight.
+func (cl *Cluster) anyWorkerHoldsLocked(rows, cols int) bool {
+	alone := engine.Ledger{}.Add(rows, cols)
 	for _, w := range cl.reg.workers {
-		if !w.dead && (w.mem <= 0 || w.mem >= need) {
+		if !w.dead && w.fits(alone) {
 			return true
 		}
 	}

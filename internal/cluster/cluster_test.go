@@ -449,8 +449,9 @@ func TestTaskExceedsMaxAttemptsFailsJob(t *testing.T) {
 func TestChunkClampedToWorkerMemory(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
-	// C is 8×8 blocks and µ=8: one 64-block chunk plus a 16-block staging
-	// set, far beyond the only worker's 10 advertised blocks.
+	// C is 8×8 blocks and µ=8: one 64-block chunk plus its staged sets,
+	// far beyond the only worker's 10 advertised blocks, which hold the
+	// Ledger of a 1×1 chunk (7 blocks) but not of a 2×2 one (16).
 	c, a, b, ref := blockedInputs(t, 32, 8, 32, 4, 12)
 	id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 8})
 	if err != nil {
@@ -461,8 +462,8 @@ func TestChunkClampedToWorkerMemory(t *testing.T) {
 	if st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
 	}
-	if st.TasksTotal != 16 || st.TasksDone != 16 {
-		t.Fatalf("tasks %d/%d, want sixteen 2×2 chunks", st.TasksDone, st.TasksTotal)
+	if st.TasksTotal != 64 || st.TasksDone != 64 {
+		t.Fatalf("tasks %d/%d, want sixty-four 1×1 chunks", st.TasksDone, st.TasksTotal)
 	}
 	if !c.Assemble().Equal(ref, 0) {
 		t.Fatal("memory-clamped product not bit-exact")
@@ -475,7 +476,7 @@ func TestChunkClampedToWorkerMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 blocks cannot hold a 1×1 chunk and its staging set (3 blocks).
+	// 2 blocks cannot hold the Ledger of a 1×1 chunk (7 blocks).
 	tiny := join(t, cl2, "tiny", 2, 1)
 	go tiny.Next() // triggers dispatch; blocks until Close
 	st = waitStatus(t, cl2, id)
@@ -487,9 +488,8 @@ func TestChunkClampedToWorkerMemory(t *testing.T) {
 // TestLostChunkRecutForSmallSurvivor: a chunk lost with the only worker
 // that could hold it is not written off — its region goes back to the
 // cutter and is re-cut at a side the survivors hold. A µ=2 job loses its
-// 64-block worker mid-chunk, the only survivor advertises 3 blocks (a
-// 1×1 chunk and its staging set), and the job finishes bit-exact in
-// 1×1 chunks.
+// 64-block worker mid-chunk, the only survivor advertises the Ledger of
+// a 1×1 chunk (7 blocks), and the job finishes bit-exact in 1×1 chunks.
 func TestLostChunkRecutForSmallSurvivor(t *testing.T) {
 	cl, _ := manualCluster(Config{})
 	defer cl.Close()
@@ -507,7 +507,7 @@ func TestLostChunkRecutForSmallSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	big.Lost()
-	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: 3})
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: engine.Ledger{}.Add(1, 1).Blocks()})
 	st := waitStatus(t, cl, id)
 	if st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)
@@ -522,7 +522,7 @@ func TestLostChunkRecutForSmallSurvivor(t *testing.T) {
 }
 
 // TestLostLUChunkRecutForSmallSurvivor is the LU case: a trailing-update
-// chunk of µ=2 lost with the only big worker is re-cut for a 3-block
+// chunk of µ=2 lost with the only big worker is re-cut for a 7-block
 // survivor, and the factorization ends bit-identical to lu.Factor's.
 func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
 	const q, r = 8, 5
@@ -545,7 +545,7 @@ func TestLostLUChunkRecutForSmallSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	big.Lost()
-	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: 3})
+	go RunLocalWorker(cl, LocalWorkerConfig{ID: "small", Mem: engine.Ledger{}.Add(1, 1).Blocks()})
 	st := waitStatus(t, cl, id)
 	if st.State != Done {
 		t.Fatalf("job state = %v (err %v), want done", st.State, st.Err)

@@ -140,15 +140,15 @@ func TestAckCommitFlushLifecycle(t *testing.T) {
 func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	cl, _ := manualCluster(Config{MaxAttempts: 1})
 	defer cl.Close()
-	// Job 1: 4×4 blocks, µ=2 → chunks with footprint 2·2+2+2 = 8.
+	// Job 1: 4×4 blocks, µ=2 → 2×2 chunks, whose Ledger is 4 + 3·4 = 16.
 	c1, a1, b1, _ := blockedInputs(t, 16, 16, 16, 4, 33)
 	j1, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c1, A: a1, B: b1, Mu: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker w holds one 8-block chunk of job 1; with 10 advertised
-	// blocks nothing else fits until that task retires.
-	w := join(t, cl, "w", 10, 2)
+	// Worker w holds one chunk of job 1; with 16 advertised blocks
+	// nothing else fits until that task retires.
+	w := join(t, cl, "w", 16, 2)
 	t1 := pullTask(t, w)
 	if t1.Job != j1 {
 		t.Fatalf("first task from job %d, want %d", t1.Job, j1)
@@ -157,8 +157,9 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	// only attempt and fail job 1.
 	x := join(t, cl, "x", 64, 1)
 	pullTask(t, x)
-	// Job 2: 2×2 blocks, µ=1 → footprint 1+1+1 = 3; 8+3 exceeds w's 10
-	// blocks, so w's second pull blocks on memory.
+	// Job 2: 2×2 blocks, µ=1 → 1×1 chunks; beside a 2×2 one the Ledger
+	// is 5 + 3·4 = 17, past w's 16 blocks, so w's second pull blocks on
+	// memory.
 	c2, a2, b2, _ := blockedInputs(t, 8, 8, 8, 4, 34)
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c2, A: a2, B: b2, Mu: 1}); err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestCompleteDeadJobWakesBlockedDispatcher(t *testing.T) {
 	// below is provably the only thing left to wake it.
 	waitParked(t, cl, 2)
 	// w now reports its job-1 task. The job is dead, so its tiles will
-	// never commit — but the result frees 8 blocks, and the blocked pull
+	// never commit — but the result frees its memory, and the blocked pull
 	// must wake and take the job-2 task.
 	dead := [][]float64{make([]float64, 16), make([]float64, 16), make([]float64, 16), make([]float64, 16)}
 	if err := complete(w, t1, dead); err != nil {

@@ -389,7 +389,7 @@ func TestRecoverAdaptiveCutterJob(t *testing.T) {
 
 // TestRecoverHandedBackChunk pins replay across an unjournaled
 // hand-back: a snapshot folds in-flight chunk S into the pending pool,
-// S is then lost with only a 3-block survivor, so its region goes back
+// S is then lost with only a 7-block survivor, so its region goes back
 // to the cutter and one 1×1 chunk of it is re-cut and committed under a
 // new seq. Recovering from the snapshot plus that record must hand S
 // back too — dispatching S again would add A·B onto the committed tile —
@@ -412,7 +412,7 @@ func TestRecoverHandedBackChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	big.Lost()
-	small := join(t, clA, "small", 3, 1)
+	small := join(t, clA, "small", 7, 1)
 	task := pullTask(t, small)
 	if task.Seq == 0 || task.Chunk.Rows != 1 || task.Chunk.Cols != 1 {
 		t.Fatalf("small worker's task is seq %d, %dx%d; want a re-cut 1x1", task.Seq, task.Chunk.Rows, task.Chunk.Cols)

@@ -53,10 +53,7 @@ func (s *Session) serveLocal(cores int) error {
 		})
 		feedDone <- fed{fstats, err}
 	}()
-	_, err := engine.RunWorker(worker, engine.WorkerConfig{
-		StageCap: 1, Slots: 1, Cores: cores,
-		Pool: cl.pool,
-	})
+	_, err := engine.RunWorker(worker, engine.WorkerConfig{Slots: 1, Cores: cores, Pool: cl.pool})
 	// The worker's exit closed the pipe, so the feeder is done or about
 	// to be. Only then has the last Set been read, and the session's
 	// holds on its jobs' operands may go.

@@ -185,9 +185,10 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	lost := join(t, cl, "a", 64, 1)
 	dispatch(t, lost)
 	lost.Lost()
-	// Hand-back: the survivor holds a 1×1 chunk and its staging set, not
-	// the 2×2 copy, so the copy's region goes back to the cutter.
-	small := join(t, cl, "s", 3, 1)
+	// Hand-back: the survivor holds the Ledger of a 1×1 chunk (7
+	// blocks), not the 2×2 copy's, so the copy's region goes back to the
+	// cutter.
+	small := join(t, cl, "s", 7, 1)
 	finishTask(t, small, dispatch(t, small))
 	if n := jobLocked(cl, mm, func(j *job) int { return len(j.pending) }); n != 0 {
 		t.Fatalf("the lost 2x2 copy is still pending (%d copies), want it handed back", n)

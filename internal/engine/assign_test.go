@@ -21,8 +21,8 @@ func TestRunAssignMatchesRunWorker(t *testing.T) {
 		cores int
 		spin  time.Duration
 	}{{1, 0}, {4, 0}, {1, time.Microsecond}, {4, time.Microsecond}} {
-		wcfg := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: run.cores, Spin: run.spin}
-		c, _, _, err := runEngine(t, "channel", r, tt, s, q, 1, wcfg, 0, true, true)
+		wcfg := engine.WorkerConfig{Slots: 1, Cores: run.cores, Spin: run.spin}
+		c, _, _, _, err := runEngine(t, "channel", r, tt, s, q, 1, wcfg, 0, true, true)
 		if err != nil {
 			t.Fatalf("cores %d spin %v: %v", run.cores, run.spin, err)
 		}
@@ -72,7 +72,7 @@ func TestWorkerSendsTileBehindResult(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		rep, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1})
+		rep, err := engine.RunWorker(worker, engine.WorkerConfig{Slots: 1, Cores: 1})
 		done <- outcome{rep, err}
 	}()
 	recv := func() engine.Msg {
@@ -91,6 +91,7 @@ func TestWorkerSendsTileBehindResult(t *testing.T) {
 		}
 	}
 	var builder engine.SetBuilder
+	tiles := 0
 	for _, ch := range job.chunks {
 		feed.held[chunkID(ch)] = ch
 		ref := job.assign(ch)
@@ -118,6 +119,7 @@ func TestWorkerSendsTileBehindResult(t *testing.T) {
 		if len(res.Blocks) != ch.Rows*ch.Cols {
 			t.Fatalf("chunk %d: the Result carries %d tile blocks, want %d", ch.ID, len(res.Blocks), ch.Rows*ch.Cols)
 		}
+		tiles += len(res.Blocks)
 		for n, blk := range res.Blocks {
 			if !slices.Equal(blk, ref.Blocks[n]) {
 				t.Fatalf("chunk %d: tile block %d differs from RunAssign's", ch.ID, n)
@@ -131,9 +133,9 @@ func TestWorkerSendsTileBehindResult(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if want := int64(r * s); out.rep.Flushed != want || out.rep.Assignments != len(job.chunks) {
-		t.Fatalf("worker reports %d assignments and %d blocks sent home, want %d and %d",
-			out.rep.Assignments, out.rep.Flushed, len(job.chunks), want)
+	if tiles != r*s || out.rep.Assignments != len(job.chunks) {
+		t.Fatalf("worker reports %d assignments and its Results carried %d blocks, want %d and %d",
+			out.rep.Assignments, tiles, len(job.chunks), r*s)
 	}
 }
 

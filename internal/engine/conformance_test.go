@@ -240,9 +240,10 @@ func (f *testFeed) Lost() {
 // Every session's feeder keeps the worker's Slots in flight; mem > 0 is
 // the memory every worker advertises, in blocks. With FailAfter set,
 // worker 0 is doomed: it runs alone until the hook severs it, and the
-// others start only then.
+// others start only then. tiles counts the C blocks the Results brought
+// home.
 func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
-	wcfg engine.WorkerConfig, mem int, pooled, flagged bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, feedErr error) {
+	wcfg engine.WorkerConfig, mem int, pooled, flagged bool) (c, want *matrix.Blocked, reports []engine.WorkerReport, tiles int, feedErr error) {
 	t.Helper()
 	a, b, c, want := buildInputs(t, r, tt, s, q)
 	var pool *engine.BlockPool
@@ -285,8 +286,9 @@ func runEngine(t *testing.T, fleet string, r, tt, s, q int, workers int,
 	wg.Wait()
 	for w, end := range ends {
 		checkPushSchedule(t, end[0].counts(), end[1].counts(), w == 0 && wcfg.FailAfter > 0)
+		tiles += end[0].counts().tiles
 	}
-	return c, want, reports, errors.Join(feedErrs...)
+	return c, want, reports, tiles, errors.Join(feedErrs...)
 }
 
 // tally counts the messages one end of a session sends and receives.
@@ -297,9 +299,10 @@ type tally struct {
 }
 
 // msgCounts is one end's traffic: Tasks and the update sets they
-// announce, Sets, Results and Requests, sent or received.
+// announce, Sets, Results and the C blocks they carry, and Requests,
+// sent or received.
 type msgCounts struct {
-	tasks, steps, sets, results, requests int
+	tasks, steps, sets, results, tiles, requests int
 }
 
 func (t *tally) count(m engine.Msg) {
@@ -313,6 +316,7 @@ func (t *tally) count(m engine.Msg) {
 		t.n.sets++
 	case *engine.Result:
 		t.n.results++
+		t.n.tiles += len(m.Blocks)
 	case *engine.Request:
 		t.n.requests++
 	}
@@ -373,7 +377,7 @@ func checkPushSchedule(t *testing.T, master, worker msgCounts, doomed bool) {
 // before any update of it applied — so nothing is computed twice. The resident-* rows send C flags, as the cluster does; the
 // others send none, the form in which every tile ships.
 func TestEngineConformance(t *testing.T) {
-	base := engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1}
+	base := engine.WorkerConfig{Slots: 1, Cores: 1}
 	cases := []struct {
 		name        string
 		r, tt, s, q int
@@ -384,32 +388,29 @@ func TestEngineConformance(t *testing.T) {
 		flagged     bool
 	}{
 		{name: "lifecycle-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true},
-		{name: "lifecycle-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
-		{name: "ordering-staged-sets", r: 5, tt: 6, s: 5, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
+		{name: "lifecycle-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true},
+		{name: "ordering-staged-sets", r: 5, tt: 6, s: 5, q: 4, workers: 2, pooled: true},
 		{name: "prefetch-double-buffer", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
 		{name: "prefetch-single-worker-drains-pool", r: 5, tt: 2, s: 7, q: 4, workers: 1, pooled: true,
 			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
 		{name: "multicore-kernel", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Cores = 4; c.Slots = 2; c.StageCap = 2 }},
+			mod: func(c *engine.WorkerConfig) { c.Cores = 4; c.Slots = 2 }},
 		{name: "ragged-chunks", r: 5, tt: 2, s: 7, q: 4, workers: 2, pooled: true},
 		{name: "more-workers-than-chunks", r: 2, tt: 2, s: 2, q: 4, workers: 5, pooled: true},
 		{name: "unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
-		// Memory just above one 2×2 footprint (12 blocks at the cache
-		// staging depth) with two tiles in flight: the announced cache
-		// capacity drops to 0, below every Set's own four tracked blocks.
-		{name: "tight-memory-two-slots", r: 6, tt: 4, s: 6, q: 4, workers: 2, mem: 13, pooled: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
+		// Memory just above the Ledger of one 2×2 chunk (16 blocks) with
+		// two tiles in flight: the announced cache capacity drops to 0,
+		// below every Set's own four tracked blocks.
+		{name: "tight-memory-two-slots", r: 6, tt: 4, s: 6, q: 4, workers: 2, mem: 17, pooled: true,
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
 		{name: "kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true,
 			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
 		{name: "resident-single-worker", r: 4, tt: 3, s: 4, q: 4, workers: 1, pooled: true, flagged: true},
-		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, flagged: true,
-			mod: func(c *engine.WorkerConfig) { c.StageCap = 2 }},
+		{name: "resident-three-workers", r: 6, tt: 4, s: 9, q: 4, workers: 3, pooled: true, flagged: true},
 		{name: "resident-prefetch", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, flagged: true,
-			mod: func(c *engine.WorkerConfig) { c.Slots = 2; c.StageCap = 2 }},
+			mod: func(c *engine.WorkerConfig) { c.Slots = 2 }},
 		{name: "resident-unpooled", r: 4, tt: 3, s: 4, q: 4, workers: 2, pooled: false, flagged: true},
 		{name: "resident-kill-mid-chunk", r: 6, tt: 4, s: 6, q: 4, workers: 2, pooled: true, flagged: true,
 			mod: func(c *engine.WorkerConfig) { c.FailAfter = 1 }},
@@ -421,7 +422,7 @@ func TestEngineConformance(t *testing.T) {
 				if tc.mod != nil {
 					tc.mod(&wcfg)
 				}
-				c, want, reports, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q,
+				c, want, reports, tiles, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q,
 					tc.workers, wcfg, tc.mem, tc.pooled, tc.flagged)
 				if err != nil {
 					t.Fatalf("feeder: %v", err)
@@ -429,17 +430,16 @@ func TestEngineConformance(t *testing.T) {
 				if !c.Equal(want, 0) {
 					t.Fatal("product not bit-exact")
 				}
-				var updates, flushed int64
+				var updates int64
 				for _, rep := range reports {
 					updates += rep.Updates
-					flushed += rep.Flushed
 				}
 				if want := int64(tc.r) * int64(tc.tt) * int64(tc.s); updates != want {
 					t.Fatalf("updates = %d, want %d: work was computed twice or lost", updates, want)
 				}
 				// Every C tile flows back exactly once, in its Result.
-				if want := int64(tc.r) * int64(tc.s); flushed != want {
-					t.Fatalf("flushed = %d blocks, want every C tile once (%d)", flushed, want)
+				if want := tc.r * tc.s; tiles != want {
+					t.Fatalf("Results carried %d C blocks, want every C tile once (%d)", tiles, want)
 				}
 			})
 		}
@@ -452,11 +452,11 @@ func TestEngineConformance(t *testing.T) {
 // transports only move bytes, and a commit copies the serial FMA chain
 // the worker ran in place).
 func TestEngineBitExactAcrossTransports(t *testing.T) {
-	cfg := engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 2}
+	cfg := engine.WorkerConfig{Slots: 2, Cores: 2}
 	var results []*matrix.Dense
 	for _, fl := range fleets {
 		for _, pooled := range []bool{true, false} {
-			c, _, _, err := runEngine(t, fl, 6, 4, 6, 4, 2, cfg, 0, pooled, true)
+			c, _, _, _, err := runEngine(t, fl, 6, 4, 6, 4, 2, cfg, 0, pooled, true)
 			if err != nil {
 				t.Fatalf("%s pooled=%v: %v", fl, pooled, err)
 			}
@@ -482,16 +482,16 @@ func TestEngineBitExactAcrossTransports(t *testing.T) {
 func TestDemandPipelined(t *testing.T) {
 	for _, fl := range fleets {
 		t.Run(fl, func(t *testing.T) {
-			for _, tc := range []struct{ r, tt, s, q, workers, stage, cores int }{
-				{4, 4, 4, 8, 1, 1, 1}, // single worker drains the pool alone
-				{4, 4, 4, 8, 2, 2, 2}, // multi-core kernels
-				{7, 3, 5, 4, 3, 2, 4}, // ragged chunks
-				{6, 6, 6, 4, 2, 1, 0},
-				{2, 2, 2, 8, 4, 2, 3}, // more workers than chunks
-				{8, 5, 8, 4, 2, 2, 2},
+			for _, tc := range []struct{ r, tt, s, q, workers, cores int }{
+				{4, 4, 4, 8, 1, 1}, // single worker drains the pool alone
+				{4, 4, 4, 8, 2, 2}, // multi-core kernels
+				{7, 3, 5, 4, 3, 4}, // ragged chunks
+				{6, 6, 6, 4, 2, 0},
+				{2, 2, 2, 8, 4, 3}, // more workers than chunks
+				{8, 5, 8, 4, 2, 2},
 			} {
-				wcfg := engine.WorkerConfig{StageCap: tc.stage, Slots: 2, Cores: tc.cores}
-				c, want, reports, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q, tc.workers, wcfg, 0, true, false)
+				wcfg := engine.WorkerConfig{Slots: 2, Cores: tc.cores}
+				c, want, reports, _, err := runEngine(t, fl, tc.r, tc.tt, tc.s, tc.q, tc.workers, wcfg, 0, true, false)
 				if err != nil {
 					t.Fatalf("%+v: feeder: %v", tc, err)
 				}
@@ -516,13 +516,13 @@ func TestDemandPipelined(t *testing.T) {
 func TestPrefetchMatchesUnprefetched(t *testing.T) {
 	for _, fl := range fleets {
 		t.Run(fl, func(t *testing.T) {
-			c1, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
-				engine.WorkerConfig{StageCap: 2, Slots: 1, Cores: 1}, 0, true, false)
+			c1, _, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
+				engine.WorkerConfig{Slots: 1, Cores: 1}, 0, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c2, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
-				engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 4}, 0, true, false)
+			c2, _, _, _, err := runEngine(t, fl, 6, 4, 6, 8, 3,
+				engine.WorkerConfig{Slots: 2, Cores: 4}, 0, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -555,7 +555,7 @@ func TestFeederConformance(t *testing.T) {
 					feederDone <- err
 				}()
 				rep, err := engine.RunWorker(worker, engine.WorkerConfig{
-					StageCap: 2, Slots: slots, Cores: 2, Pool: pool,
+					Slots: slots, Cores: 2, Pool: pool,
 				})
 				if err != nil {
 					t.Fatalf("worker: %v", err)
@@ -575,7 +575,7 @@ func TestFeederConformance(t *testing.T) {
 }
 
 // capWatch checks every Set the master sends against the memory its
-// worker has left: mem less the chunk footprints of the assignments in
+// worker has left: mem less the engine.Ledger of the assignments in
 // flight. It learns them from the session's own messages, a little
 // ahead of the feeder (a Result is seen here before the feeder takes it
 // in), which only loosens the bound. It holds the first Result back
@@ -583,27 +583,28 @@ func TestFeederConformance(t *testing.T) {
 // in flight, so the run reaches the budget it pins.
 type capWatch struct {
 	engine.Transport
-	mem       int
-	mu        sync.Mutex
-	open      map[engine.AssignID]int // footprint of each assignment in flight
-	footprint int
-	squeezed  int           // sets sent with two assignments in flight
-	squeeze   chan struct{} // closed by the first such set
-	hold      sync.Once     // the first Result waits for squeeze
-	err       error
+	mem      int
+	mu       sync.Mutex
+	open     map[engine.AssignID][2]int // shape of each assignment in flight
+	squeezed int                        // sets sent with two assignments in flight
+	squeeze  chan struct{}              // closed by the first such set
+	hold     sync.Once                  // the first Result waits for squeeze
+	err      error
 }
 
 func (w *capWatch) Send(m engine.Msg) error {
 	w.mu.Lock()
 	switch m := m.(type) {
 	case *engine.Assign:
-		fp := engine.InflightFootprint(m.Rows, m.Cols)
-		w.open[m.ID] = fp
-		w.footprint += fp
+		w.open[m.ID] = [2]int{m.Rows, m.Cols}
 	case *engine.Set:
-		if room := max(w.mem-w.footprint, 0); m.Cap > room && w.err == nil {
+		var held engine.Ledger
+		for _, sh := range w.open {
+			held = held.Add(sh[0], sh[1])
+		}
+		if room := max(w.mem-held.Blocks(), 0); m.Cap > room && w.err == nil {
 			w.err = fmt.Errorf("set %d announces a %d-block cache, the worker has %d blocks left (%d in flight)",
-				m.K, m.Cap, room, w.footprint)
+				m.K, m.Cap, room, held.Blocks())
 		}
 		if len(w.open) > 1 {
 			if w.squeezed == 0 {
@@ -630,25 +631,24 @@ func (w *capWatch) Recv() (engine.Msg, error) {
 	})
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.footprint -= w.open[res.ID]
 	delete(w.open, res.ID)
 	return m, err
 }
 
 // TestSetCapLeavesRoomForInflight: the operand cache a Set announces
-// fits in the worker's advertised memory beside the chunks it holds in
-// flight, each at the staging depth — all of them, not just the one
-// the Set belongs to. One worker, two slots, and memory for three 2×2
-// footprints; capWatch holds the first Result back until a Set has gone
-// out beside two assignments.
+// fits in the worker's advertised memory beside its Ledger — every chunk
+// in flight, not just the one the Set belongs to, and the staged sets.
+// One worker, two slots, and memory for the Ledger of two 2×2 chunks
+// (20 blocks) and an 8-block cache; capWatch holds the first Result back
+// until a Set has gone out beside two assignments.
 func TestSetCapLeavesRoomForInflight(t *testing.T) {
-	const mem = 40
+	const mem = 28
 	for _, fl := range fleets {
 		t.Run(fl, func(t *testing.T) {
 			a, b, c, want := buildInputs(t, 6, 4, 6, 4)
 			pool := engine.NewBlockPool()
 			master, worker := feederPair(t, fl, pool)
-			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID]int),
+			watch := &capWatch{Transport: master, mem: mem, open: make(map[engine.AssignID][2]int),
 				squeeze: make(chan struct{})}
 			job := newTestJob(c, a, b, 2, true)
 			feederDone := make(chan error, 1)
@@ -656,7 +656,7 @@ func TestSetCapLeavesRoomForInflight(t *testing.T) {
 				_, err := engine.RunFeeder(watch, job.session(), engine.FeederConfig{Slots: 2, Pool: pool, Mem: mem})
 				feederDone <- err
 			}()
-			if _, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 2, Slots: 2, Cores: 1, Pool: pool}); err != nil {
+			if _, err := engine.RunWorker(worker, engine.WorkerConfig{Slots: 2, Cores: 1, Pool: pool}); err != nil {
 				t.Fatalf("worker: %v", err)
 			}
 			if err := <-feederDone; err != nil {
@@ -715,7 +715,7 @@ func TestCutInsideResultFrame(t *testing.T) {
 		_, err := engine.RunFeeder(master, doomed, engine.FeederConfig{Slots: 1, Pool: pool})
 		feederDone <- err
 	}()
-	torn, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1, Pool: pool})
+	torn, err := engine.RunWorker(worker, engine.WorkerConfig{Slots: 1, Cores: 1, Pool: pool})
 	if err == nil || torn.Assignments != 0 || torn.Updates != 2*2*tt {
 		t.Fatalf("doomed worker: %d assignments sent, %d updates, err %v; want 0, %d and a write error",
 			torn.Assignments, torn.Updates, err, 2*2*tt)
@@ -733,7 +733,7 @@ func TestCutInsideResultFrame(t *testing.T) {
 		_, err := engine.RunFeeder(master, job.session(), engine.FeederConfig{Slots: 1, Pool: pool})
 		feederDone <- err
 	}()
-	healer, err := engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1, Pool: pool})
+	healer, err := engine.RunWorker(worker, engine.WorkerConfig{Slots: 1, Cores: 1, Pool: pool})
 	if err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
@@ -803,7 +803,7 @@ func TestFeederJoinsParkedSend(t *testing.T) {
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)
-		engine.RunWorker(worker, engine.WorkerConfig{StageCap: 1, Slots: 1, Cores: 1})
+		engine.RunWorker(worker, engine.WorkerConfig{Slots: 1, Cores: 1})
 	}()
 	<-park.parked
 	worker.Close() // the connection dies under the parked Send

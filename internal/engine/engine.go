@@ -9,7 +9,7 @@
 // The engine has two roles:
 //
 //   - RunWorker is the worker program: a reader/compute pipeline that
-//     stages incoming update sets (StageCap), pipelines whole
+//     stages incoming update sets (StageDepth), pipelines whole
 //     assignments (Slots), and shards each block-update sweep across
 //     Cores goroutines. Assignments and their update sets are pushed to
 //     it; it asks for nothing, and acknowledges each finished assignment

@@ -87,17 +87,25 @@ type feeder struct {
 	outq []*outAssign
 }
 
-// held returns the worker memory outside its operand cache, in blocks:
-// the in-flight assignments' chunk footprints. It is what CacheBudget
-// subtracts from the advertised memory.
+// held returns what CacheBudget subtracts from the advertised memory:
+// the Ledger of the in-flight assignments, each free slot counted as a
+// tile as large as the largest in flight, since the next assignment's
+// tile may reach the worker before the first Set that shrinks its cache.
 func (f *feeder) held() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	total := 0
+	var l Ledger
+	var big *outAssign // the largest tile in flight
 	for _, oa := range f.outq {
-		total += InflightFootprint(oa.rows, oa.cols)
+		l = l.Add(oa.rows, oa.cols)
+		if big == nil || oa.rows*oa.cols > big.rows*big.cols {
+			big = oa
+		}
 	}
-	return total
+	for free := cap(f.sem) - len(f.outq); big != nil && free > 0; free-- {
+		l = l.Add(big.rows, big.cols)
+	}
+	return l.Blocks()
 }
 
 // RunFeeder drives one worker session the way the paper's one-port
@@ -121,13 +129,11 @@ func (f *feeder) held() int {
 // returns only once its dispatcher has, so when it returns no Send can
 // still be reading a Set's blocks.
 //
-// Update sets the feed materializes are rewritten into deltas against
-// the session's mirror of the worker's resident operand cache (see
-// SetBuilder); a set's blocks are counted — in the returned totals and
-// in the comm handed to Commit — once its assignment's Result arrives,
-// because only then has the worker resolved it. A lost session drops
-// the mirror with it — the worker's next incarnation is a new session
-// and starts cold on both ends.
+// Update sets are rewritten into deltas against the session's mirror of
+// the worker's operand cache (SetBuilder) and counted — in the returned
+// totals and in the comm handed to Commit — once their assignment's
+// Result arrives, when the worker has resolved them. A lost session's
+// mirror goes with it: the next incarnation starts cold on both ends.
 func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (total CommStats, err error) {
 	f := &feeder{tr: tr, feed: feed, cfg: cfg,
 		sem: make(chan struct{}, max(cfg.Slots, 1)), done: make(chan struct{}), lost: make(chan struct{})}

@@ -11,8 +11,7 @@ import "sync"
 func Pipe() (master, worker Transport) {
 	down := make(chan Msg) // master → worker
 	up := make(chan Msg)   // worker → master
-	done := make(chan struct{})
-	shared := &pipeShared{done: done}
+	shared := &pipeShared{done: make(chan struct{})}
 	return &pipeEnd{shared: shared, send: down, recv: up},
 		&pipeEnd{shared: shared, send: up, recv: down}
 }

@@ -96,13 +96,7 @@ func (p *BlockPool) GetSet() *Set {
 		return new(Set)
 	}
 	s := setPool.Get().(*Set)
-	s.K = 0
-	s.Cap = 0
-	s.Owned = false
-	s.A = s.A[:0]
-	s.B = s.B[:0]
-	s.AIDs = s.AIDs[:0]
-	s.BIDs = s.BIDs[:0]
+	*s = Set{A: s.A[:0], B: s.B[:0], AIDs: s.AIDs[:0], BIDs: s.BIDs[:0]}
 	return s
 }
 
@@ -115,15 +109,13 @@ func (p *BlockPool) PutSet(s *Set) {
 	setPool.Put(s)
 }
 
-// GetAssign returns an Assign whose Blocks header has length 0.
+// GetAssign returns a zero Assign, its Blocks and CFlags capacity kept.
 func (p *BlockPool) GetAssign() *Assign {
 	if p == nil {
 		return new(Assign)
 	}
 	a := assignPool.Get().(*Assign)
-	a.Blocks = a.Blocks[:0]
-	a.Owned = false
-	a.CFlags = a.CFlags[:0]
+	*a = Assign{Blocks: a.Blocks[:0], CFlags: a.CFlags[:0]}
 	return a
 }
 
@@ -143,8 +135,7 @@ func (p *BlockPool) GetResult() *Result {
 		return new(Result)
 	}
 	r := resultPool.Get().(*Result)
-	r.Blocks = r.Blocks[:0]
-	r.Updates, r.ComputeNS = 0, 0
+	*r = Result{Blocks: r.Blocks[:0]}
 	return r
 }
 

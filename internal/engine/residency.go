@@ -30,26 +30,43 @@ import (
 // that advertise no memory bound (the in-process runtime, tests).
 const DefaultCacheBlocks = 1024
 
-// CacheStage is the staging depth assumed when budgeting the resident
-// cache against a worker's advertised memory: the deepest staging any
-// runtime uses (the §5 overlapped µ²+4µ layout).
-const CacheStage = 2
+// StageDepth is how many update sets every worker stages ahead of the
+// one it applies: a full stage stops its reader, and the transport's
+// back-pressure holds the rest at the master.
+const StageDepth = 2
+
+// Ledger counts the blocks a live worker holds outside its operand
+// cache: every in-flight tile whole, plus StageDepth+1 update sets (the
+// one applied and the staged lookahead) of the widest assignment, once
+// per worker, since it feeds one assignment at a time. It is the one
+// statement of the paper's limited memory — m blocks, no more — that the
+// cluster's dispatch gate and µ cap, the feeder's cache budget and the
+// fleet's planned memory count through. The zero Ledger holds nothing.
+type Ledger struct{ tiles, widest int }
+
+// Add returns the ledger with one more rows×cols assignment in flight.
+func (l Ledger) Add(rows, cols int) Ledger {
+	l.tiles += rows * cols
+	l.widest = max(l.widest, rows+cols)
+	return l
+}
+
+// Blocks returns the blocks the ledger counts.
+func (l Ledger) Blocks() int { return l.tiles + (StageDepth+1)*l.widest }
+
+// MaxSide returns the largest µ ≥ 0 whose µ×µ chunk alone fits mem
+// blocks: Ledger{}.Add(µ, µ).Blocks() = µ² + 2(StageDepth+1)µ ≤ mem.
+func MaxSide(mem int) int { return core.MaxChunkSide(mem, StageDepth+1) }
 
 // CacheBudget returns the operand-cache capacity in blocks for a worker
-// advertising mem blocks of memory while it holds held blocks outside
-// the cache — the summed chunk footprints of its in-flight assignments
-// (core.ChunkFootprint at CacheStage): the cache may use exactly the
-// advertised memory beyond them. mem ≤ 0 means
+// advertising mem blocks while it holds held blocks outside the cache (a
+// Ledger's Blocks): exactly the memory beyond them. mem ≤ 0 means
 // unadvertised, which gets the default budget.
 func CacheBudget(mem, held int) int {
 	if mem <= 0 {
 		return DefaultCacheBlocks
 	}
-	c := mem - held
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return max(mem-held, 0)
 }
 
 // Block IDs name operand and result blocks within one session. An ID
@@ -204,10 +221,6 @@ var blockCachePool = sync.Pool{
 	New: func() any { return &blockCache{m: make(map[uint64]*lruEntry)} },
 }
 
-func newBlockCache() *blockCache {
-	return blockCachePool.Get().(*blockCache)
-}
-
 func (c *blockCache) unlink(e *lruEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -233,46 +246,26 @@ func (c *blockCache) pushFront(e *lruEntry) {
 	}
 }
 
-// touch marks id as most recently used, returning whether it was
-// resident.
-func (c *blockCache) touch(id uint64) bool {
+// use marks id as most recently used and returns its entry, or nil
+// when it is not resident.
+func (c *blockCache) use(id uint64) *lruEntry {
 	e := c.m[id]
-	if e == nil {
-		return false
-	}
-	if c.head != e {
+	if e != nil && c.head != e {
 		c.unlink(e)
 		c.pushFront(e)
 	}
-	return true
-}
-
-// get returns the resident buffer for id (touching it), or nil.
-func (c *blockCache) get(id uint64) []float64 {
-	e := c.m[id]
-	if e == nil {
-		return nil
-	}
-	if c.head != e {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e.buf
+	return e
 }
 
 // insert pins a block as most recently used. Re-inserting an ID that is
 // already resident replaces its buffer, releasing the old one if owned
 // (that only happens if the peer's mirror drifted, but it must not leak).
 func (c *blockCache) insert(id uint64, buf []float64, owned bool, pool *BlockPool) {
-	if e := c.m[id]; e != nil {
+	if e := c.use(id); e != nil {
 		if e.owned {
 			pool.Put(e.buf)
 		}
 		e.buf, e.owned = buf, owned
-		if c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
 		return
 	}
 	e := lruEntryPool.Get().(*lruEntry)
@@ -373,12 +366,13 @@ func StampIDs(set *Set, job uint32, i0, j0, k int) {
 // mirrored resident set: payloads of blocks the worker already holds
 // are dropped (owned ones released to the pool), newly shipped blocks
 // enter the mirror, and the Set's Cap announces the capacity the worker
-// must mirror — CacheBudget of the advertised memory minus held, what
-// the worker holds outside the cache (its in-flight footprints). The Set carries one ID per operand (StampIDs); an ID of 0
-// is untracked and always ships.
+// must mirror — CacheBudget of the advertised memory minus held, the
+// Ledger of what the worker holds outside the cache. The Set carries
+// one ID per operand (StampIDs); an ID of 0 is untracked and always
+// ships.
 func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	if sb.mirror == nil {
-		sb.mirror = newBlockCache()
+		sb.mirror = blockCachePool.Get().(*blockCache)
 	}
 	set.Cap = CacheBudget(sb.Mem, held)
 	sb.filterHalf(set.A, set.AIDs, set.Owned, pool)
@@ -401,7 +395,7 @@ func (sb *SetBuilder) filterHalf(blocks [][]float64, ids []uint64, owned bool, p
 			sb.Stats.BlocksShipped++
 			continue
 		}
-		if sb.mirror.touch(id) {
+		if sb.mirror.use(id) != nil {
 			sb.Stats.BlocksSkipped++
 			sb.Stats.BytesSaved += int64(len(blocks[i])) * 8
 			if owned {
@@ -420,30 +414,24 @@ func (sb *SetBuilder) filterHalf(blocks [][]float64, ids []uint64, owned bool, p
 type opCache struct {
 	cache *blockCache
 	pool  *BlockPool
-	// evicted holds the buffers the last resolve evicted. The Set that
-	// resolve returned may still point at them (whenever Cap is below
-	// the Set's own tracked-block count), so they go back to the pool
-	// only once that Set has been applied: at the next resolve, or at
-	// session end.
+	// evicted holds the buffers the last resolve evicted: its Set may
+	// still point at them (whenever Cap is below the Set's own tracked
+	// blocks), so they go back to the pool once it is applied.
 	evicted [][]float64
 }
 
 func newOpCache(pool *BlockPool) *opCache {
-	return &opCache{cache: newBlockCache(), pool: pool}
+	return &opCache{cache: blockCachePool.Get().(*blockCache), pool: pool}
 }
 
 // resolve applies a delta Set against the cache: shipped blocks are
 // pinned (transferring ownership to the cache when the Set owns them),
 // manifest references are filled from residency, and the cache is then
 // evicted down to the announced capacity — IDs at once, in lock-step
-// with the master's mirror; buffers only at the next resolve, after
-// the caller has applied this Set (see evicted). A Set without one ID
-// per operand is refused. It returns the number of blocks served from
-// the cache.
+// with the master's mirror; buffers once the caller has applied this
+// Set (putEvicted). A Set without one ID per operand is refused. It
+// returns the number of blocks served from the cache.
 func (oc *opCache) resolve(set *Set) (hits int64, err error) {
-	// The previous Set has been applied by now: its evictions are free.
-	oc.pool.PutAll(oc.evicted)
-	oc.evicted = oc.evicted[:0]
 	if len(set.AIDs) != len(set.A) || len(set.BIDs) != len(set.B) {
 		return 0, fmt.Errorf("engine: set %d manifest has %d+%d ids for %d+%d operands",
 			set.K, len(set.AIDs), len(set.BIDs), len(set.A), len(set.B))
@@ -473,14 +461,21 @@ func (oc *opCache) resolveHalf(blocks [][]float64, ids []uint64, owned bool) (hi
 			oc.cache.insert(id, blocks[i], owned, oc.pool)
 			continue
 		}
-		buf := oc.cache.get(id)
-		if buf == nil {
+		e := oc.cache.use(id)
+		if e == nil {
 			return hits, fmt.Errorf("engine: set references block %#x not resident in the operand cache", id)
 		}
-		blocks[i] = buf
+		blocks[i] = e.buf
 		hits++
 	}
 	return hits, nil
+}
+
+// putEvicted returns the buffers the last resolve evicted to the pool,
+// once the Set it resolved has been applied.
+func (oc *opCache) putEvicted() {
+	oc.pool.PutAll(oc.evicted)
+	oc.evicted = oc.evicted[:0]
 }
 
 // releaseUncached returns the Set's buffers that did NOT enter the
@@ -506,17 +501,10 @@ func releaseUncached(set *Set, pool *BlockPool) {
 // release drains every resident block and recycles the cache (session
 // end).
 func (oc *opCache) release() {
-	oc.pool.PutAll(oc.evicted)
+	oc.putEvicted()
 	oc.evicted = nil
 	if oc.cache != nil {
 		oc.cache.release(oc.pool)
 		oc.cache = nil
 	}
-}
-
-// InflightFootprint sums the chunk footprints of a worker's in-flight
-// assignments at the cache staging depth — the term CacheBudget
-// subtracts from the advertised memory.
-func InflightFootprint(rows, cols int) int {
-	return core.ChunkFootprint(rows, cols, CacheStage)
 }

@@ -132,7 +132,7 @@ func TestMirroredLRU(t *testing.T) {
 				set.B = append(set.B, pool.Get(q*q))
 			}
 			StampIDs(set, 3, ch.I0, ch.J0, k)
-			set = sb.Filter(set, InflightFootprint(ch.Rows, ch.Cols), pool)
+			set = sb.Filter(set, Ledger{}.Add(ch.Rows, ch.Cols).Blocks(), pool)
 			if _, err := oc.resolve(set); err != nil {
 				t.Fatalf("mem=%d step %d: worker could not resolve the master's delta: %v", mem, step, err)
 			}
@@ -146,6 +146,7 @@ func TestMirroredLRU(t *testing.T) {
 					t.Fatalf("mem=%d step %d: B[%d] unresolved", mem, step, j)
 				}
 			}
+			oc.putEvicted()
 			releaseUncached(set, pool)
 			pool.PutSet(set)
 		}
@@ -162,22 +163,46 @@ func TestMirroredLRU(t *testing.T) {
 }
 
 // TestCacheBudget pins the sizing rule: advertised memory minus the
-// in-flight chunk footprint, floored at zero, with the default budget
+// Ledger of what is in flight, floored at zero, with the default budget
 // for unadvertised workers.
 func TestCacheBudget(t *testing.T) {
 	if got := CacheBudget(0, 99); got != DefaultCacheBlocks {
 		t.Fatalf("CacheBudget(0, 99) = %d, want default %d", got, DefaultCacheBlocks)
 	}
-	// µ=4 chunk at the overlapped staging depth: 4·4 + 2·(4+4) = 32.
-	fp := InflightFootprint(4, 4)
-	if fp != 32 {
-		t.Fatalf("InflightFootprint(4,4) = %d, want 32", fp)
+	// A µ=4 chunk and three sets of 4+4 blocks: 16 + 3·8 = 40.
+	held := Ledger{}.Add(4, 4).Blocks()
+	if held != 40 {
+		t.Fatalf("Ledger of a 4x4 chunk = %d, want 40", held)
 	}
-	if got := CacheBudget(100, fp); got != 68 {
-		t.Fatalf("CacheBudget(100, 32) = %d, want 68", got)
+	if got := CacheBudget(100, held); got != 60 {
+		t.Fatalf("CacheBudget(100, 40) = %d, want 60", got)
 	}
-	if got := CacheBudget(10, fp); got != 0 {
-		t.Fatalf("CacheBudget(10, 32) = %d, want 0", got)
+	if got := CacheBudget(10, held); got != 0 {
+		t.Fatalf("CacheBudget(10, 40) = %d, want 0", got)
+	}
+}
+
+// TestLedger pins the one count of worker memory: every tile whole,
+// the sets of the widest assignment once, and MaxSide the largest µ×µ
+// chunk it fits in m blocks.
+func TestLedger(t *testing.T) {
+	if got := (Ledger{}).Blocks(); got != 0 {
+		t.Fatalf("empty ledger = %d blocks, want 0", got)
+	}
+	// Tiles 4 + 2, sets three times the wider 2+2: 6 + 12.
+	if got := (Ledger{}).Add(2, 2).Add(1, 2).Blocks(); got != 18 {
+		t.Fatalf("ledger of 2x2 and 1x2 = %d blocks, want 18", got)
+	}
+	for _, tc := range []struct{ m, mu int }{{6, 0}, {7, 1}, {15, 1}, {16, 2}, {27, 3}, {112, 8}, {1024, 29}} {
+		if got := MaxSide(tc.m); got != tc.mu {
+			t.Fatalf("MaxSide(%d) = %d, want %d", tc.m, got, tc.mu)
+		}
+	}
+	for m := 0; m < 2000; m++ {
+		mu := MaxSide(m)
+		if mu > 0 && (Ledger{}).Add(mu, mu).Blocks() > m || (Ledger{}).Add(mu+1, mu+1).Blocks() <= m {
+			t.Fatalf("MaxSide(%d) = %d is not the largest µ×µ chunk the ledger fits", m, mu)
+		}
 	}
 }
 
@@ -198,7 +223,7 @@ func TestMirrorCapacityZero(t *testing.T) {
 			}
 		}
 		StampIDs(set, 0, 0, 0, k)
-		set = sb.Filter(set, InflightFootprint(2, 2), pool)
+		set = sb.Filter(set, Ledger{}.Add(2, 2).Blocks(), pool)
 		if set.Cap != 0 {
 			t.Fatalf("cap = %d, want 0", set.Cap)
 		}
@@ -210,6 +235,7 @@ func TestMirrorCapacityZero(t *testing.T) {
 		if _, err := oc.resolve(set); err != nil {
 			t.Fatal(err)
 		}
+		oc.putEvicted()
 		releaseUncached(set, pool)
 		pool.PutSet(set)
 	}
@@ -351,7 +377,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 			}
 			// A varying inflight footprint varies the announced Cap, so the
 			// eviction horizon moves while blocks are already resident.
-			inflight := InflightFootprint(1+rng.Intn(2), 1+rng.Intn(2))
+			inflight := Ledger{}.Add(1+rng.Intn(2), 1+rng.Intn(2)).Blocks()
 			set = sb.Filter(set, inflight, pool)
 			if _, err := oc.resolve(set); err != nil {
 				t.Fatalf("seed %d step %d (mem %d): resolve: %v", seed, step, mem, err)
@@ -367,6 +393,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 						seed, step, id, blocks[i][0])
 				}
 			}
+			oc.putEvicted()
 			releaseUncached(set, pool)
 			pool.PutSet(set)
 
@@ -445,7 +472,8 @@ func TestResolveKeepsEvictedOperandsUntilApplied(t *testing.T) {
 	}
 	// applied checks that set still reads av and bv after what the
 	// reader's decode of the next Set does while this one is being
-	// applied, then makes the next resolve, which is the release point.
+	// applied, then returns the evicted buffers, as the worker does once
+	// the update is done.
 	applied := func(set *Set, av, bv float64) {
 		t.Helper()
 		for n := 0; n < 2; n++ {
@@ -459,11 +487,9 @@ func TestResolveKeepsEvictedOperandsUntilApplied(t *testing.T) {
 				t.Fatalf("operands overwritten before the update was applied: A=%v B=%v", set.A[0], set.B[0])
 			}
 		}
-		if _, err := oc.resolve(&Set{Cap: 8}); err != nil { // an empty Set that evicts nothing
-			t.Fatal(err)
-		}
+		oc.putEvicted()
 		if len(oc.evicted) != 0 {
-			t.Fatalf("%d evicted buffers still held after the next resolve", len(oc.evicted))
+			t.Fatalf("%d evicted buffers still held after the update", len(oc.evicted))
 		}
 	}
 
@@ -521,6 +547,7 @@ func TestRowTourKeepsRowPrefix(t *testing.T) {
 							held, row, col, k, h, sb.Stats.BlocksSkipped-skipped)
 					}
 					hits += h
+					oc.putEvicted()
 					releaseUncached(set, pool)
 					pool.PutSet(set)
 				}

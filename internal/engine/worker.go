@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blas"
@@ -10,11 +11,6 @@ import (
 
 // WorkerConfig configures one engine worker session.
 type WorkerConfig struct {
-	// StageCap is how many update sets the worker stages ahead of the
-	// compute (the paper's staging buffers; 1 or 2). Minimum 1. The
-	// master pushes the sets; a full stage stops the reader, and the
-	// transport's back-pressure holds the rest at the master.
-	StageCap int
 	// Slots is how many assignments the worker pipelines: with ≥ 2 the
 	// next tile streams down while the current one computes (the §5
 	// overlapped layout made real). Minimum 1.
@@ -47,8 +43,10 @@ type WorkerReport struct {
 	// avoided (8·q² per block).
 	CacheHits  int64
 	BytesSaved int64
-	// Flushed counts C blocks sent home in Results.
-	Flushed int64
+	// PeakBlocks is the most blocks the worker held at once — in-flight
+	// tiles, sets not yet applied, the operand cache and its evicted
+	// buffers not yet returned: what the master keeps within its memory.
+	PeakBlocks int
 }
 
 // RunWorker executes the worker side of the protocol until the master
@@ -56,27 +54,31 @@ type WorkerReport struct {
 // and closes the transport on the way out.
 //
 // The session is a two-stage pipeline: a reader goroutine stages
-// incoming messages (assignments into a Slots-deep queue, update sets
-// into a StageCap-deep queue) while this goroutine computes, so
-// transfers overlap compute exactly as the paper's µ²+4µ layout
-// reserves space for. Assignments and their update sets are pushed by
-// the master, in order; the worker sends each finished assignment's
-// tile home unannounced, in the Result that reports it finished (the
-// paper's maximum re-use scheme, §4.1: a chunk leaves once its last
-// update set is applied).
-func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
-	if cfg.StageCap < 1 {
-		cfg.StageCap = 1
-	}
+// incoming messages (assignments into a Slots-deep queue, StageDepth
+// update sets ahead of the one applied) while this goroutine computes,
+// so transfers overlap compute; the master's Ledger counts that
+// staging. Assignments and their update sets are pushed by the master,
+// in order; the worker sends each finished assignment's tile home
+// unannounced, in the Result that reports it finished (the paper's
+// maximum re-use scheme, §4.1: a chunk leaves once its last update set
+// is applied).
+func RunWorker(tr Transport, cfg WorkerConfig) (rep WorkerReport, err error) {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	var rep WorkerReport
+	// The reader adds the blocks that arrive, the compute what it returns.
+	var held, peak atomic.Int64
+	hold := func(n int) {
+		v := held.Add(int64(n))
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+	}
+	defer func() { rep.PeakBlocks = int(peak.Load()) }()
 
 	assigns := make(chan *Assign, cfg.Slots)
-	// The reader's hand is the last staging slot: with a StageCap-1 deep
-	// channel, at most StageCap sets are resident ahead of the compute.
-	sets := make(chan *Set, cfg.StageCap-1)
+	// The reader's hand is the last staging slot: with a StageDepth-1
+	// deep channel, at most StageDepth sets wait ahead of the compute.
+	sets := make(chan *Set, StageDepth-1)
 	readErr := make(chan error, 1)
 	// Every queue send also selects on quit so a session that ends while
 	// the reader holds an undeliverable message (connection death with
@@ -104,6 +106,7 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 				return
 			case *Assign:
 				stepsSeen += int64(m.Steps)
+				hold(m.Rows * m.Cols)
 				select {
 				case assigns <- m:
 				case <-quit:
@@ -115,6 +118,7 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 					return
 				}
 				setsSeen++
+				hold(payloads(m.A) + payloads(m.B))
 				select {
 				case sets <- m:
 				case <-quit:
@@ -165,7 +169,8 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 			// manifest references fill in from residency, and the cache
 			// evicts to the announced capacity in lock-step with the
 			// master's mirror. Evicted buffers stay out of the pool until
-			// the next resolve, so the update below may still read them.
+			// the update below, which may still read them, is done.
+			staged, resident := payloads(set.A)+payloads(set.B), len(cache.cache.m)
 			hits, err := cache.resolve(set)
 			if err != nil {
 				return fail(err)
@@ -177,8 +182,11 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 				return fail(err)
 			}
 			asNS += time.Since(t0).Nanoseconds()
+			cache.putEvicted()
 			releaseUncached(set, cfg.Pool)
 			cfg.Pool.PutSet(set)
+			// Every payload the set brought is in the cache now, or gone.
+			hold(len(cache.cache.m) - resident - staged)
 		}
 
 		// The finished tile goes home in the Result, one message per
@@ -186,12 +194,12 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 		res := cfg.Pool.GetResult()
 		res.ID, res.Updates, res.ComputeNS = as.ID, rep.Updates-updates0, asNS
 		res.Blocks = append(res.Blocks, as.Blocks...)
-		rep.Flushed += int64(len(res.Blocks))
 		as.Blocks = nil
-		cfg.Pool.PutAssign(as)
 		if err := tr.Send(res); err != nil {
 			return fail(err)
 		}
+		hold(-as.Rows * as.Cols)
+		cfg.Pool.PutAssign(as)
 		rep.Assignments++
 	}
 	// assigns closed: clean Bye, or reader error. Either way the session
@@ -262,9 +270,7 @@ func materializeTile(as *Assign, pool *BlockPool) error {
 			expanded = append(expanded, buf)
 		case CZero:
 			buf := pool.Get(as.Q * as.Q)
-			for i := range buf {
-				buf[i] = 0
-			}
+			clear(buf)
 			expanded = append(expanded, buf)
 		default:
 			return fmt.Errorf("engine: unknown C flag %d", f)
@@ -301,6 +307,16 @@ func applySet(as *Assign, set *Set, cfg WorkerConfig, updates *int64) error {
 		spinFor(time.Duration(rows*cols) * cfg.Spin)
 	}
 	return nil
+}
+
+// payloads counts the blocks of bs with a payload (nil: a cache hit).
+func payloads(bs [][]float64) (n int) {
+	for _, b := range bs {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // spinFor busy-waits to emulate extra compute cost deterministically

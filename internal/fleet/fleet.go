@@ -189,7 +189,7 @@ func runOnePort(pl *platform.Platform, pr core.Problem, tr *trace.Trace) (core.R
 	mus := pl.Mus()
 	cfg := Config{Workers: make([]Worker, pl.P()), R: pr.R, S: pr.S, T: pr.T, Mu: slices.Max(mus)}
 	for i, wk := range pl.Workers {
-		cfg.Workers[i] = Worker{Speed: 1 / wk.W, Bandwidth: 1 / wk.C, Mem: core.ChunkFootprint(mus[i], mus[i], 1)}
+		cfg.Workers[i] = Worker{Speed: 1 / wk.W, Bandwidth: 1 / wk.C, Mem: engine.Ledger{}.Add(mus[i], mus[i]).Blocks()}
 	}
 	var res sim.Result
 	_, spec, err := drive(cfg, func(r *runner) (err error) {
@@ -396,8 +396,8 @@ func secsToDur(s float64) time.Duration { return time.Duration(s * 1e9) }
 // Churn builds the pinned heterogeneous-fleet scenario: n workers in
 // three speed classes (100/400/1600 updates/s, interleaved by index, a
 // 16× spread end to end) behind class-proportional links fast enough
-// that the fleet is compute-bound in aggregate, 80 blocks of memory
-// each (µ ≤ 8), and 10% churn — half the churned workers throttle to a
+// that the fleet is compute-bound in aggregate, memory for one 8×8
+// chunk each (µ ≤ 8), and 10% churn — half the churned workers throttle to a
 // tenth of their speed at t = 4 s (stragglers, from the fast class), half
 // leave at t = 6 s (from the medium class) — over a grid×grid-block C
 // updated in depth steps. The baseline runs one global µ sized to the
@@ -415,7 +415,7 @@ func Churn(n, grid, depth int, adaptive bool) Config {
 		case 2:
 			speed, bw = 1600, 20000
 		}
-		cfg.Workers[i] = Worker{Speed: speed, Bandwidth: bw, Latency: 0.005, Mem: 80}
+		cfg.Workers[i] = Worker{Speed: speed, Bandwidth: bw, Latency: 0.005, Mem: engine.Ledger{}.Add(8, 8).Blocks()}
 	}
 	for k := 0; k < n/10; k++ {
 		if k%2 == 0 {

@@ -329,7 +329,7 @@ func TestClusterTCPCloseMidTaskIsClean(t *testing.T) {
 	wdone := make(chan error, 1)
 	go func() {
 		_, err := RunClusterWorker(ClusterWorkerConfig{
-			Addr: addr, Name: "busy", Memory: 256, Slots: 2, StageCap: 2,
+			Addr: addr, Name: "busy", Memory: 256, Slots: 2,
 			Spin: time.Millisecond, Reconnect: 3, Backoff: 50 * time.Millisecond,
 		})
 		wdone <- err

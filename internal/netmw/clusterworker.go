@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -21,12 +22,12 @@ type ClusterWorkerConfig struct {
 	Addr     string // mmserve address
 	Name     string // stable id, reused across reconnects
 	Memory   int    // advertised capacity in blocks
-	StageCap int    // update sets staged ahead of the compute (default 2)
+	StageCap int    // 0 or engine.StageDepth, the one staging depth; others are refused
 	// Slots is how many tasks the worker pipelines: the server keeps up
 	// to Slots tasks in flight to this worker, so the next task's C tile
 	// streams down while the current one computes (default 1; 2 is the
-	// double-buffered pipeline). The server's dispatch keeps the summed
-	// footprint within the advertised Memory.
+	// double-buffered pipeline). The server's dispatch keeps the
+	// worker's block ledger within the advertised Memory.
 	Slots int
 	// Cores is the kernel parallelism: goroutines sharding each update's
 	// block loop. 0 means one shard per core (GOMAXPROCS) — a worker
@@ -70,6 +71,9 @@ type ClusterWorkerReport struct {
 	// payload volume those hits avoided.
 	CacheHits  int64
 	BytesSaved int64
+	// PeakBlocks is the most blocks one session held at once
+	// (engine.WorkerReport.PeakBlocks), to read against Memory.
+	PeakBlocks int
 }
 
 // workerDialTimeout bounds each connection attempt of a cluster worker.
@@ -89,8 +93,8 @@ func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	if cfg.Name == "" {
 		return ClusterWorkerReport{}, fmt.Errorf("netmw: cluster worker needs a name")
 	}
-	if cfg.StageCap < 1 {
-		cfg.StageCap = 2
+	if cfg.StageCap != 0 && cfg.StageCap != engine.StageDepth {
+		return ClusterWorkerReport{}, fmt.Errorf("netmw: StageCap %d: every worker stages %d update sets", cfg.StageCap, engine.StageDepth)
 	}
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
@@ -171,7 +175,7 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 	}
 
 	wrep, err := engine.RunWorker(tr, engine.WorkerConfig{
-		StageCap: cfg.StageCap, Slots: cfg.Slots,
+		Slots:     cfg.Slots,
 		Cores:     blas.DefaultWorkers(cfg.Cores),
 		Spin:      cfg.Spin,
 		Pool:      pool,
@@ -181,6 +185,7 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 	rep.Updates += wrep.Updates
 	rep.CacheHits += wrep.CacheHits
 	rep.BytesSaved += wrep.BytesSaved
+	rep.PeakBlocks = max(rep.PeakBlocks, wrep.PeakBlocks)
 	if err == nil {
 		return wrep.Assignments, true, nil
 	}
@@ -303,7 +308,7 @@ func (sub *submission) durable(addr string, opts SubmitOptions) error {
 			return nil
 		}
 		var rejected *errJobRejected
-		if errors.As(err, &rejected) {
+		if errors.As(err, &rejected) || errors.Is(err, ErrProtocolVersion) {
 			return err // the server answered: retrying cannot change it
 		}
 		if attempt >= opts.Retries {
@@ -359,6 +364,9 @@ func (sub *submission) roundTrip(addr string, timeout time.Duration) error {
 		msg, err := readPayload(conn, n)
 		if err != nil {
 			return fmt.Errorf("netmw: submit read: %w", err)
+		}
+		if hdr.Code == codeVersion { // the master's reason names both versions
+			return fmt.Errorf("%w: %s", ErrProtocolVersion, strings.TrimPrefix(string(msg), ErrProtocolVersion.Error()+": "))
 		}
 		return fmt.Errorf("netmw: job %d failed: %w", hdr.Job, &errJobRejected{msg: string(msg)})
 	}

@@ -122,7 +122,7 @@ func TestClusterDeltaSavesBytesMultiWorker(t *testing.T) {
 
 	for _, name := range []string{"dw1", "dw2"} {
 		go RunClusterWorker(ClusterWorkerConfig{
-			Addr: addr, Name: name, Memory: 128, Slots: 2, StageCap: 2,
+			Addr: addr, Name: name, Memory: 128, Slots: 2,
 			HeartbeatEvery: 50 * time.Millisecond,
 		})
 	}

@@ -105,7 +105,7 @@ func TestE2EMultiSlotPipelinedCluster(t *testing.T) {
 			defer workers.Done()
 			reports[i], _ = RunClusterWorker(ClusterWorkerConfig{
 				Addr: addr, Name: fmt.Sprintf("w%d", i), Memory: 256,
-				Slots: 2, Cores: 2, StageCap: 2,
+				Slots: 2, Cores: 2,
 				HeartbeatEvery: 50 * time.Millisecond,
 				Reconnect:      5, Backoff: 10 * time.Millisecond,
 			})

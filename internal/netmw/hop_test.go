@@ -458,13 +458,13 @@ func TestSetRequestForReleasedJobKeepsSession(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- SubmitMatMulTCP(addr, c, a, b, 2, time.Minute) }()
 
-	// 10 ms per block update: 40 ms per set, 320 ms per task. StageCap 1
-	// stages one pushed set at a time, so the master's next Set waits on
-	// the worker applying the previous one.
+	// 10 ms per block update: 40 ms per set, 320 ms per task. A full
+	// stage stops the worker's reader, so the master's later Sets wait on
+	// the worker applying the earlier ones.
 	slowRep := make(chan ClusterWorkerReport, 1)
 	go func() {
 		rep, _ := RunClusterWorker(ClusterWorkerConfig{
-			Addr: addr, Name: "slow", Memory: 64, StageCap: 1, Spin: 10 * time.Millisecond,
+			Addr: addr, Name: "slow", Memory: 64, Spin: 10 * time.Millisecond,
 		})
 		slowRep <- rep
 	}()

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
@@ -78,7 +80,7 @@ func checkProduct(t *testing.T, c, a *matrix.Blocked, want *matrix.Dense, st clu
 
 func TestDistributedSingleWorker(t *testing.T) {
 	c, a, b, want := matmulInputs(t, 32, 24, 32, 8, 11)
-	st, reps := launch(t, c, a, b, 1, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2})
+	st, reps := launch(t, c, a, b, 1, 2, ClusterWorkerConfig{Memory: 100})
 	checkProduct(t, c, a, want, st, reps)
 	if st.Comm.BlocksShipped == 0 {
 		t.Fatal("no blocks accounted")
@@ -87,7 +89,7 @@ func TestDistributedSingleWorker(t *testing.T) {
 
 func TestDistributedThreeWorkers(t *testing.T) {
 	c, a, b, want := matmulInputs(t, 24, 16, 36, 4, 11)
-	st, reps := launch(t, c, a, b, 3, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2})
+	st, reps := launch(t, c, a, b, 3, 2, ClusterWorkerConfig{Memory: 100})
 	checkProduct(t, c, a, want, st, reps)
 	for i, rep := range reps {
 		if rep.Sessions != 1 {
@@ -100,7 +102,7 @@ func TestDistributedThreeWorkers(t *testing.T) {
 // chunks at the edges; every C tile is still updated by exactly one task.
 func TestDistributedRaggedNoOverlap(t *testing.T) {
 	c, a, b, want := matmulInputs(t, 20, 8, 28, 4, 11)
-	st, reps := launch(t, c, a, b, 2, 3, ClusterWorkerConfig{Memory: 100, StageCap: 1})
+	st, reps := launch(t, c, a, b, 2, 3, ClusterWorkerConfig{Memory: 100})
 	checkProduct(t, c, a, want, st, reps)
 }
 
@@ -111,14 +113,14 @@ func TestDistributedRaggedNoOverlap(t *testing.T) {
 // sequential kernel).
 func TestDistributedPipelined(t *testing.T) {
 	c, a, b, want := matmulInputs(t, 24, 16, 36, 4, 11)
-	st, reps := launch(t, c, a, b, 2, 2, ClusterWorkerConfig{Memory: 100, StageCap: 2, Slots: 2, Cores: 4})
+	st, reps := launch(t, c, a, b, 2, 2, ClusterWorkerConfig{Memory: 100, Slots: 2, Cores: 4})
 	checkProduct(t, c, a, want, st, reps)
 	if st.Comm.BlocksShipped == 0 {
 		t.Fatal("no blocks accounted")
 	}
 	// A single pipelining worker drains the whole grid alone.
 	c, a, b, want = matmulInputs(t, 20, 8, 28, 4, 13)
-	st, reps = launch(t, c, a, b, 1, 3, ClusterWorkerConfig{Memory: 100, StageCap: 1, Slots: 2, Cores: 2})
+	st, reps = launch(t, c, a, b, 1, 3, ClusterWorkerConfig{Memory: 100, Slots: 2, Cores: 2})
 	checkProduct(t, c, a, want, st, reps)
 }
 
@@ -177,6 +179,19 @@ func TestWireNumbering(t *testing.T) {
 // healthy worker.
 func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
 	t.Helper()
+	rogueAnswer(t, func([]byte) []byte {
+		frame := make([]byte, msgHeaderLen, msgHeaderLen+len(payload))
+		putMsgHeader(frame, reply, len(payload))
+		return append(frame, payload...)
+	})
+}
+
+// rogueAnswer registers a worker that answers its first task with the
+// frame answer builds from the task's payload, then checks the master
+// severs that session and a healthy worker finishes the product
+// bit-exact. It returns the cluster, for the caller's own checks.
+func rogueAnswer(t *testing.T, answer func(task []byte) []byte) *cluster.Cluster {
+	t.Helper()
 	cl, srv := startCluster(t)
 	addr := srv.Addr()
 	c, a, b, ref := matmulInputs(t, 8, 8, 8, 4, 5)
@@ -192,10 +207,11 @@ func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
 	if err := writeMsg(conn, MsgRegister, (&RegisterInfo{Name: "rogue", Mem: 64, Version: ProtocolVersion}).encode()); err != nil {
 		t.Fatal(err)
 	}
-	if mt, _, err := readMsg(conn); err != nil || mt != MsgTask {
+	mt, task, err := readMsg(conn)
+	if err != nil || mt != MsgTask {
 		t.Fatalf("rogue worker read %v, %v; want a task", mt, err)
 	}
-	if err := writeMsg(conn, reply, payload); err != nil {
+	if _, err := conn.Write(answer(task)); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -204,7 +220,7 @@ func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
 			break
 		}
 		if mt != MsgSet {
-			t.Fatalf("server answered message %d with message %d; want the session severed", reply, mt)
+			t.Fatalf("server answered the rogue frame with message %d; want the session severed", mt)
 		}
 	}
 	waitCond(t, cl, "the rogue worker declared lost", func() bool {
@@ -216,6 +232,56 @@ func rogueWorker(t *testing.T, reply MsgType, payload []byte) {
 	}
 	if d := c.Assemble().MaxDiff(ref); d != 0 {
 		t.Fatalf("result differs by %g", d)
+	}
+	return cl
+}
+
+// TestResultCRCFaultCounted: a worker answers its task with a
+// well-formed result frame whose checksum is flipped. The master counts
+// one transport fault against it, strikes it not, requeues the task,
+// and a healthy worker finishes the product bit-exact.
+func TestResultCRCFaultCounted(t *testing.T) {
+	cl := rogueAnswer(t, func(task []byte) []byte {
+		var h TaskHeader
+		if err := h.decode(task); err != nil {
+			t.Fatal(err)
+		}
+		res := &engine.Result{ID: engine.AssignID{A: h.Job, B: h.Seq, C: h.Attempt}}
+		for range h.Rows * h.Cols {
+			res.Blocks = append(res.Blocks, make([]float64, h.Q*h.Q))
+		}
+		out := &frameConn{}
+		if err := newClusterWorkerTransport(out, nil).Send(res); err != nil {
+			t.Fatal(err)
+		}
+		frame := out.out.Bytes()
+		frame[len(frame)-1] ^= 1 // the last byte of the trailing CRC32C
+		return frame
+	})
+	st := cl.ClusterStats()
+	if st.TransportFaults != 1 || st.Requeues != 1 {
+		t.Fatalf("transport faults %d, requeues %d; want 1 and 1", st.TransportFaults, st.Requeues)
+	}
+	for _, w := range cl.Workers() {
+		if w.ID == "rogue" && (w.TransportFaults != 1 || w.Strikes != 0) {
+			t.Fatalf("rogue worker: %d transport faults, %d strikes; want 1 and none", w.TransportFaults, w.Strikes)
+		}
+	}
+}
+
+// TestStageCapIsTheOneDepth: a worker configured with a staging depth
+// other than engine.StageDepth is refused before it dials, naming the
+// one depth; 0 and engine.StageDepth itself are accepted.
+func TestStageCapIsTheOneDepth(t *testing.T) {
+	_, err := RunClusterWorker(ClusterWorkerConfig{Addr: "127.0.0.1:1", Name: "w", StageCap: 1})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stages %d update sets", engine.StageDepth)) {
+		t.Fatalf("StageCap 1: %v, want a refusal naming depth %d", err, engine.StageDepth)
+	}
+	for _, depth := range []int{0, engine.StageDepth} {
+		_, err := RunClusterWorker(ClusterWorkerConfig{Addr: "127.0.0.1:1", Name: "w", StageCap: depth})
+		if err == nil || !strings.Contains(err.Error(), "dial") {
+			t.Fatalf("StageCap %d: %v, want it accepted (and the dial to fail)", depth, err)
+		}
 	}
 }
 

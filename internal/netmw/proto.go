@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // MsgType tags a protocol message.
@@ -82,15 +83,17 @@ const (
 	MsgJobDone MsgType = 12
 )
 
-// ProtocolVersion is the version of the worker protocol — the frames a
-// worker and the master exchange — this build speaks. A worker sends it
-// in its registration and the master refuses any other (or none), so a
-// frame change fails at join instead of hanging an older peer. Bump it
-// with every change to those frames.
-const ProtocolVersion uint32 = 1
+// ProtocolVersion is the version of the wire protocol this build speaks.
+// A worker registers with it and a client leads every submit header with
+// it; the master refuses any other (or none), so a change fails at join
+// or at submit instead of hanging an older peer or running a job on
+// misread operands. Bump it with every change to the frames, or to what
+// a worker holds under the master's cache budget (version 2: evicted
+// buffers go back right after the update that reads them).
+const ProtocolVersion uint32 = 2
 
-// ErrProtocolVersion refuses a worker whose protocol version is not the
-// master's.
+// ErrProtocolVersion refuses a worker or a submission whose protocol
+// version is not the master's.
 var ErrProtocolVersion = errors.New("netmw: protocol version mismatch")
 
 // refusalFrame is the Bye frame that refuses a registration: its
@@ -182,31 +185,24 @@ type TaskHeader struct {
 
 const taskHeaderLen = 9 * 4
 
+// words lists the header's fields in wire order.
+func (h *TaskHeader) words() [9]*uint32 {
+	return [9]*uint32{&h.Job, &h.Seq, &h.Attempt, &h.Steps, &h.I0, &h.J0, &h.Rows, &h.Cols, &h.Q}
+}
+
 func (h *TaskHeader) encode(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:], h.Job)
-	binary.LittleEndian.PutUint32(buf[4:], h.Seq)
-	binary.LittleEndian.PutUint32(buf[8:], h.Attempt)
-	binary.LittleEndian.PutUint32(buf[12:], h.Steps)
-	binary.LittleEndian.PutUint32(buf[16:], h.I0)
-	binary.LittleEndian.PutUint32(buf[20:], h.J0)
-	binary.LittleEndian.PutUint32(buf[24:], h.Rows)
-	binary.LittleEndian.PutUint32(buf[28:], h.Cols)
-	binary.LittleEndian.PutUint32(buf[32:], h.Q)
+	for i, w := range h.words() {
+		binary.LittleEndian.PutUint32(buf[4*i:], *w)
+	}
 }
 
 func (h *TaskHeader) decode(buf []byte) error {
 	if len(buf) < taskHeaderLen {
 		return fmt.Errorf("netmw: short task header (%d bytes)", len(buf))
 	}
-	h.Job = binary.LittleEndian.Uint32(buf[0:])
-	h.Seq = binary.LittleEndian.Uint32(buf[4:])
-	h.Attempt = binary.LittleEndian.Uint32(buf[8:])
-	h.Steps = binary.LittleEndian.Uint32(buf[12:])
-	h.I0 = binary.LittleEndian.Uint32(buf[16:])
-	h.J0 = binary.LittleEndian.Uint32(buf[20:])
-	h.Rows = binary.LittleEndian.Uint32(buf[24:])
-	h.Cols = binary.LittleEndian.Uint32(buf[28:])
-	h.Q = binary.LittleEndian.Uint32(buf[32:])
+	for i, w := range h.words() {
+		*w = binary.LittleEndian.Uint32(buf[4*i:])
+	}
 	return nil
 }
 
@@ -256,6 +252,8 @@ const (
 // a resubmission carrying the key of an already-accepted job attaches to
 // that job (and its journaled state across a master restart) instead of
 // starting a duplicate. Key 0 means unkeyed — every submission is fresh.
+// On the wire it leads with the sender's ProtocolVersion, which decode
+// checks (a header from before the version leads with its Kind: 0 or 1).
 type JobHeader struct {
 	Kind uint32
 	R    uint32
@@ -266,41 +264,46 @@ type JobHeader struct {
 	Key  uint64
 }
 
-const jobHeaderLen = 6*4 + 8
+const jobHeaderLen = 7*4 + 8
+
+// words lists the header's uint32 fields in wire order, after the
+// version and before the key.
+func (h *JobHeader) words() [6]*uint32 { return [6]*uint32{&h.Kind, &h.R, &h.T, &h.S, &h.Q, &h.Mu} }
 
 func (h *JobHeader) encode(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:], h.Kind)
-	binary.LittleEndian.PutUint32(buf[4:], h.R)
-	binary.LittleEndian.PutUint32(buf[8:], h.T)
-	binary.LittleEndian.PutUint32(buf[12:], h.S)
-	binary.LittleEndian.PutUint32(buf[16:], h.Q)
-	binary.LittleEndian.PutUint32(buf[20:], h.Mu)
-	binary.LittleEndian.PutUint64(buf[24:], h.Key)
+	binary.LittleEndian.PutUint32(buf, ProtocolVersion)
+	for i, w := range h.words() {
+		binary.LittleEndian.PutUint32(buf[4+4*i:], *w)
+	}
+	binary.LittleEndian.PutUint64(buf[28:], h.Key)
 }
 
 func (h *JobHeader) decode(buf []byte) error {
 	if len(buf) < jobHeaderLen {
 		return fmt.Errorf("netmw: short job header (%d bytes)", len(buf))
 	}
-	h.Kind = binary.LittleEndian.Uint32(buf[0:])
-	h.R = binary.LittleEndian.Uint32(buf[4:])
-	h.T = binary.LittleEndian.Uint32(buf[8:])
-	h.S = binary.LittleEndian.Uint32(buf[12:])
-	h.Q = binary.LittleEndian.Uint32(buf[16:])
-	h.Mu = binary.LittleEndian.Uint32(buf[20:])
-	h.Key = binary.LittleEndian.Uint64(buf[24:])
+	if v := binary.LittleEndian.Uint32(buf); v != ProtocolVersion {
+		return fmt.Errorf("%w: the submission speaks version %d, this master %d", ErrProtocolVersion, v, ProtocolVersion)
+	}
+	for i, w := range h.words() {
+		*w = binary.LittleEndian.Uint32(buf[4+4*i:])
+	}
+	h.Key = binary.LittleEndian.Uint64(buf[28:])
 	return nil
 }
 
 // JobDoneHeader answers a submission. Code 0 means success and the result
 // blocks follow; any other code is an error whose message follows as
-// UTF-8 bytes.
+// UTF-8 bytes: codeVersion for another protocol version, else 1.
 type JobDoneHeader struct {
 	Job  uint32
 	Code uint32
 }
 
-const jobDoneHeaderLen = 2 * 4
+const (
+	jobDoneHeaderLen = 2 * 4
+	codeVersion      = 2 // the JobDone code refusing a submission's protocol version
+)
 
 func (h *JobDoneHeader) encode(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[0:], h.Job)
@@ -367,38 +370,15 @@ func readMsgHeader(r io.Reader, hdr *[msgHeaderLen]byte) (MsgType, int, error) {
 	return MsgType(hdr[0]), int(n32), nil
 }
 
-// readPayload reads an n-byte payload with bounded-step growth.
+// readPayload reads an n-byte payload with bounded-step growth: each
+// step reads at most readStep bytes into a buffer grown by append's
+// amortized doubling, so it only ever reaches a small multiple of the
+// bytes the peer has actually delivered, each read once into place.
 func readPayload(r io.Reader, n int) ([]byte, error) {
-	first := n
-	if first > readStep {
-		first = readStep
-	}
-	payload := make([]byte, first)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	// Grow by doubling, reading each byte exactly once into its final
-	// position: the buffer only ever reaches ~2× the bytes the peer has
-	// actually delivered.
-	for len(payload) < n {
-		chunk := n - len(payload)
-		if chunk > readStep {
-			chunk = readStep
-		}
-		off := len(payload)
-		if cap(payload) < off+chunk {
-			newCap := 2 * cap(payload)
-			if newCap < off+chunk {
-				newCap = off + chunk
-			}
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, off, newCap)
-			copy(grown, payload)
-			payload = grown
-		}
-		payload = payload[:off+chunk]
+	payload := make([]byte, 0, min(n, readStep))
+	for off := 0; off < n; off = len(payload) {
+		step := min(n-off, readStep)
+		payload = slices.Grow(payload, step)[:off+step]
 		if _, err := io.ReadFull(r, payload[off:]); err != nil {
 			return nil, err
 		}

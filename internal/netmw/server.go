@@ -216,21 +216,21 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, ri Registe
 		link = s.cfg.WrapTransport(ri.Name, tr)
 	}
 	began := time.Now()
-	comm, ferr := engine.RunFeeder(link, sess, engine.FeederConfig{
+	comm, _ := engine.RunFeeder(link, sess, engine.FeederConfig{ // however it ended, Close retires the session
 		Slots: slots, Pool: s.pool, Mem: int(ri.Mem),
 	})
 	// RunFeeder has returned, so no Send can be reading a Set of this
 	// session anymore: close it. One report per session, at teardown, so
 	// reconnects never double-count a byte. A checksum mismatch on this
-	// worker's bulk payloads is transport corruption, not a compute
-	// fault: it is counted against the worker (no strike) and the
-	// reconnect/requeue machinery resends the work; Freivalds failures on
+	// worker's result frames ends the session as transport corruption,
+	// not a compute fault: it is counted against the worker (no strike)
+	// and the requeue machinery resends the work; Freivalds failures on
 	// CRC-clean tiles are what strike the worker.
 	ws := tr.Stats()
 	sess.Close(cluster.SessionReport{
 		Comm:    comm,
 		WireOut: ws.BytesOut, WireIn: ws.BytesIn, Elapsed: time.Since(began),
-		TransportFault: errors.Is(ferr, ErrPayloadCRC),
+		TransportFault: tr.crcFault.Load(),
 	})
 }
 
@@ -245,8 +245,11 @@ func (s *ClusterServer) clientSession(r io.Reader, w io.Writer, n int) {
 	// A reply that cannot be written has no one left to read it: the
 	// client's own read fails and its retry policy takes over.
 	fail := func(job cluster.JobID, err error) {
-		msg := err.Error()
-		w.Write(append(jobDoneHead(job, 1, len(msg)), msg...))
+		msg, code := err.Error(), uint32(1)
+		if errors.Is(err, ErrProtocolVersion) {
+			code = codeVersion
+		}
+		w.Write(append(jobDoneHead(job, code, len(msg)), msg...))
 	}
 	body := &io.LimitedReader{R: r, N: int64(n)}
 	spec, key, err := readSubmission(body, n, s.pool)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/matrix"
 )
@@ -50,10 +49,10 @@ func stragglerRace(t *testing.T, hold func(*cluster.Cluster, *engine.Result)) (
 			SpeculationFactor: 1.05,
 		},
 	})
-	// Every worker advertises room for a 1×1 chunk and its staging set,
-	// not a 2×2 one: adaptive shaping would otherwise hand the fast
-	// worker the whole remaining grid in a few chunks.
-	mem := core.ChunkFootprint(2, 2, 1) - 1
+	// Every worker advertises room for 1×1 chunks, not the Ledger of a
+	// 2×2 one: adaptive shaping would otherwise hand the fast worker the
+	// whole remaining grid in a few chunks.
+	mem := engine.Ledger{}.Add(2, 2).Blocks() - 1
 	var parking atomic.Bool
 	parked := make(chan string, 16)
 	ls = &links{}

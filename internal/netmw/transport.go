@@ -3,6 +3,7 @@ package netmw
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -431,6 +432,9 @@ func (t *clusterWorkerTransport) Recv() (engine.Msg, error) {
 type serverTransport struct {
 	*connIO
 	onHeartbeat func() error
+	// crcFault is set once a result frame fails its checksum: the
+	// session ends on transport corruption, not a compute fault.
+	crcFault atomic.Bool
 }
 
 // NewServerTransport wraps the server side of one cluster worker
@@ -485,7 +489,11 @@ func (t *serverTransport) Recv() (engine.Msg, error) {
 			}
 			return engine.RequestSet, nil
 		case MsgTaskResult:
-			return readTaskResult(t.blockFrame(n))
+			m, err := readTaskResult(t.blockFrame(n))
+			if errors.Is(err, ErrPayloadCRC) {
+				t.crcFault.Store(true)
+			}
+			return m, err
 		default:
 			return nil, fmt.Errorf("netmw: unexpected message %d from cluster worker", mt)
 		}

@@ -12,6 +12,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +22,8 @@ import (
 )
 
 // TestRegisterRefusesOtherVersions: a registration without a protocol
-// version (a build that predates it), with version 0 or with a version
-// from the future is refused at join within a second: the master
+// version (a build that predates it), with version 0, with the version
+// before this one or with a version from the future is refused at join within a second: the master
 // answers with a Bye naming its own version and hangs up, and the
 // worker never joins.
 func TestRegisterRefusesOtherVersions(t *testing.T) {
@@ -34,7 +35,8 @@ func TestRegisterRefusesOtherVersions(t *testing.T) {
 	}{
 		{"no version", ri.encode()[:registerFixedLen+len(ri.Name)]},
 		{"version 0", ri.encode()},
-		{"version 2", (&RegisterInfo{Name: "other", Mem: 64, Slots: 1, Version: ProtocolVersion + 1}).encode()},
+		{"an earlier version", (&RegisterInfo{Name: "other", Mem: 64, Slots: 1, Version: ProtocolVersion - 1}).encode()},
+		{"a later version", (&RegisterInfo{Name: "other", Mem: 64, Slots: 1, Version: ProtocolVersion + 1}).encode()},
 	} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
@@ -96,6 +98,86 @@ func TestRunClusterWorkerRefusedByOtherVersion(t *testing.T) {
 	}
 	if ri := <-refused; ri.Version != ProtocolVersion {
 		t.Fatalf("the worker registered with version %d, want %d", ri.Version, ProtocolVersion)
+	}
+}
+
+// TestSubmitRefusesOtherVersions: a submission whose header leads with
+// another protocol version — a client from before the version existed,
+// whose header leads with its job kind, or one from the future — gets a
+// JobDone error naming both versions, with the refusal code, and no job
+// is accepted from its misread operands.
+func TestSubmitRefusesOtherVersions(t *testing.T) {
+	cl, srv := startCluster(t)
+	c, a, b, _ := matmulInputs(t, 4, 4, 4, 2, 3)
+	operands := oldSubmitPayload(JobHeader{}, c, a, b)[jobHeaderLen:]
+	var old []byte // kind, R, T, S, Q, µ, then the 8-byte key
+	for _, v := range []uint32{WireMatMul, 2, 2, 2, 2, 1} {
+		old = binary.LittleEndian.AppendUint32(old, v)
+	}
+	old = append(binary.LittleEndian.AppendUint64(old, 0), operands...)
+	later := oldSubmitPayload(JobHeader{Kind: WireMatMul, R: 2, T: 2, S: 2, Q: 2, Mu: 1}, c, a, b)
+	binary.LittleEndian.PutUint32(later, ProtocolVersion+1)
+	for _, tc := range []struct {
+		what    string
+		version uint32 // what the master reads as the version
+		payload []byte
+	}{
+		{"a header without a version", WireMatMul, old},
+		{"a later version", ProtocolVersion + 1, later},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeMsg(conn, MsgSubmit, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		mt, resp, err := readMsg(conn)
+		conn.Close()
+		var hdr JobDoneHeader
+		if err != nil || mt != MsgJobDone || hdr.decode(resp) != nil || hdr.Code != codeVersion {
+			t.Fatalf("%s: the master answered %d %q, %v; want a JobDone with code %d", tc.what, mt, resp, err, codeVersion)
+		}
+		if want := fmt.Sprintf("version %d, this master %d", tc.version, ProtocolVersion); !strings.Contains(string(resp), want) {
+			t.Fatalf("%s: refusal %q does not name both versions (%q)", tc.what, resp[jobDoneHeaderLen:], want)
+		}
+	}
+	if js := cl.Jobs(); len(js) != 0 {
+		t.Fatalf("refused submissions became jobs: %+v", js)
+	}
+}
+
+// TestSubmitReturnsErrProtocolVersion: a master that refuses the
+// submission's protocol version ends a durable submit at once with
+// ErrProtocolVersion, whatever its retry budget.
+func TestSubmitReturnsErrProtocolVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var attempts atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			attempts.Add(1)
+			readMsg(conn)
+			msg := "netmw: protocol version mismatch: the submission speaks version 2, this master 3"
+			conn.Write(append(jobDoneHead(0, codeVersion, len(msg)), msg...))
+			conn.Close()
+		}
+	}()
+	c, a, b, _ := matmulInputs(t, 4, 4, 4, 2, 3)
+	err = SubmitMatMulDurable(ln.Addr().String(), c, a, b, 1, SubmitOptions{Retries: 5, Backoff: time.Millisecond})
+	if !errors.Is(err, ErrProtocolVersion) || attempts.Load() != 1 {
+		t.Fatalf("submit = %v after %d attempts, want ErrProtocolVersion after 1", err, attempts.Load())
+	}
+	if !strings.Contains(err.Error(), "version 2, this master 3") {
+		t.Fatalf("error %q does not name both versions", err)
 	}
 }
 

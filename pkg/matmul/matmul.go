@@ -37,6 +37,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -169,7 +170,7 @@ func SteadyStateThroughput(pl *Platform) (rho float64, feasible bool, err error)
 // LocalConfig configures MultiplyLocal.
 type LocalConfig struct {
 	Workers int
-	Mu      int // chunk side; 0 derives it from Memory via MuOverlap
+	Mu      int // chunk side; 0 takes the largest a worker's Memory holds
 	// Memory is each worker's advertised capacity in blocks: it derives
 	// µ when Mu is 0 and caps what the scheduler hands a worker (0 =
 	// unconstrained).
@@ -187,7 +188,7 @@ type LocalConfig struct {
 func MultiplyLocal(c, a, b *Blocked, cfg LocalConfig) (Result, error) {
 	mu := cfg.Mu
 	if mu == 0 {
-		mu = platform.MuOverlap(cfg.Memory)
+		mu = engine.MaxSide(cfg.Memory)
 	}
 	start := time.Now()
 	st, workers, err := cluster.RunOneJob(

@@ -141,7 +141,8 @@ func TestMultiplyLocal(t *testing.T) {
 
 func TestMultiplyLocalMemoryDerivesMu(t *testing.T) {
 	a, b, c, want := buildBlocked(t, 4, 2, 4, 8)
-	// Memory 21 blocks → µ = 3 via MuOverlap
+	// Memory 21 blocks → µ = 2, the largest chunk a worker's ledger holds
+	// (µ² + 6µ ≤ 21)
 	if _, err := MultiplyLocal(c, a, b, LocalConfig{Workers: 2, Memory: 21}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race flake runnames vet fmt loc bench bench-all clean
+.PHONY: all build test test-race flake runnames compat vet fmt loc bench bench-all clean
 
 all: build vet test
 
@@ -22,7 +22,8 @@ test-race:
 # of real cluster jobs holding no more blocks than it advertises, a worker cut
 # off inside its result frame, the feeder's join of a parked Send and
 # its commit of a tile the worker sent home unasked just before it hung
-# up, then the three packages whose
+# up, and a TCP worker that allocates no block buffer after its first
+# job (its blocks leave at each job's end), then the three packages whose
 # tests run goroutine fleets over real sockets, repeatedly under the
 # race detector, with the journal beside them. A failure here is a test
 # that passes "most runs". Then the same three under the poolcheck
@@ -33,11 +34,13 @@ test-race:
 # the pool blocks a replay decodes recovered jobs into. Then
 # the adaptive policy, the cutter every task comes from, the recovery
 # of lost and refused chunks, of pre-cut, unstarted-job and v0-layout
-# snapshots and of every crash point of a scripted run, the free-list
-# check, and every
+# snapshots and of every crash point of a scripted run (a task computed
+# while its job's accept record is written among them), an accept whose
+# append fails with a task in flight, the drop of released jobs only,
+# jobs numbered past the block-ID fields, the free-list check, and every
 # test that asserts a dispatcher stays parked, 50 times over under the
-# race detector, and the block ledger's cluster jobs 20 times over
-# under it. Then the fleet runs (package internal/fleet), once
+# race detector, and the block ledger's cluster jobs and the mirrored
+# caches' job ends 20 times over under it. Then the fleet runs (package internal/fleet), once
 # under the race detector: they drive the scheduler from one goroutine
 # in virtual time, so a repeat replays the same run. Then the
 # worker-session tests — a stale incarnation acting on its successor,
@@ -51,15 +54,25 @@ test-race:
 # limited-memory worker that must keep its row's A blocks, 20 times
 # over under the race detector.
 flake:
-	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForInflight|TestWorkerHoldsAdvertisedMemory|TestCutInsideResultFrame|TestFeederJoinsParkedSend|TestFeederCommitsResultBeforeLost' ./internal/engine
+	$(GO) test -count 20 -run 'TestEngineConformance|TestSetCapLeavesRoomForInflight|TestWorkerHoldsAdvertisedMemory|TestCutInsideResultFrame|TestFeederJoinsParkedSend|TestFeederCommitsResultBeforeLost|TestWorkerReusesBlocksAcrossJobs' ./internal/engine ./internal/netmw
 	$(GO) test -race -count 5 ./internal/engine ./internal/netmw ./internal/cluster ./internal/store
 	$(GO) test -tags poolcheck -count 3 ./internal/engine ./internal/netmw ./internal/cluster
 	$(GO) test -tags poolcheck -count 50 -run 'TestStagePanelOutlivesLostHolder|TestRecoveredJobsPooled' ./internal/cluster
-	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverQueuedSnapshot|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq' ./internal/cluster
-	$(GO) test -race -count 20 -run 'TestWorkerHoldsAdvertisedMemory' ./internal/engine
+	$(GO) test -race -count 50 -run 'TestAdaptive|TestSpeculation|TestEngineFeedLost|TestCompleteDeadJob|TestMultiSlotDispatch|TestSlotCap|TestChunkSide|TestStragglerGain|TestCutter|TestChunkClamped|TestLost|TestMalformedFlush|TestRecoverPreCut|TestRecoverQueuedSnapshot|TestRecoverHandedBack|TestRecoverCorrupt|TestRecoverCrashPointSweep|TestRecoverRefusesBadFreeList|TestRecoverV0DuplicateSeq|TestSubmitRefusedWhenFsyncFails|TestDropNamesOnlyReleasedJobs|TestJobsPastBlockIDFieldsRun' ./internal/cluster
+	$(GO) test -race -count 20 -run 'TestWorkerHoldsAdvertisedMemory|TestMirroredCachesNeverDiverge' ./internal/engine
 	$(GO) test -race -count 1 -run 'TestFleet' ./internal/fleet
 	$(GO) test -race -count 50 -run 'TestStale|TestRejoin|TestFeedHold|TestNextAfterClose|TestTryNextContract|TestFailedJobReleases|TestFinishedJobReleases|TestSpeculationWinner|TestLUJobZeroPivotFails|TestStagePanelOutlivesLostHolder|TestVerifyCorruptLUTileRefused' ./internal/cluster
 	$(GO) test -race -count 20 -run 'TestPullDialectWorkerSevered|TestMasterSurvivesShortResult|TestResultCRCFaultCounted|TestClusterTCPSurvivesInjectedFaults|TestParkedSetPinsItsJobsOperands|TestReplyStagingReused|TestTightMemory' ./internal/netmw
+
+# compat builds mwworker and an mmserve -submit client from REV
+# (default: the last commit before HEAD that touched the wire,
+# internal/netmw/proto.go) into .bench_build/compat and runs them
+# against this build's mmserve: each must be refused, naming the
+# protocol version, within 1 s, and this build's own fleet must still
+# finish a matmul and an LU submit bit-exact. It needs git history, so
+# CI runs it and tier-1 does not.
+compat:
+	REV=$(REV) sh scripts/compat.sh
 
 # runnames fails when a -run alternative here or in the CI workflow
 # names no test, so a renamed or moved test cannot drop out silently.

@@ -91,5 +91,5 @@ func main() {
 		wn, rep.Tasks, rep.Updates, rep.Sessions, blas.KernelName())
 	fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
 		rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
-	fmt.Printf("mwworker: memory: peak %d of %d advertised blocks held\n", rep.PeakBlocks, m)
+	fmt.Printf("mwworker: memory: peak %d of %d advertised blocks held, %d block buffers allocated\n", rep.PeakBlocks, m, rep.FreshBlocks)
 }

@@ -56,10 +56,6 @@ var (
 	// verification past the strike threshold; the verdict is journaled,
 	// so it also refuses the worker after a master restart.
 	ErrWorkerQuarantined = errors.New("cluster: worker quarantined for corrupt results")
-	// ErrBeyondBlockIDs refuses a job whose C tiles cannot all be named
-	// by engine.CBlockID — a job number past its field, or a result grid
-	// side over 65536 blocks.
-	ErrBeyondBlockIDs = errors.New("cluster: job's C tiles do not fit the block ID space")
 )
 
 // RetryPolicy shapes the pause between a task's loss and its next
@@ -171,9 +167,11 @@ type Cluster struct {
 
 	// log is the durable event sink (nil = memory-only); logErr latches
 	// the first append failure, after which new submissions are refused
-	// rather than accepted without durability.
-	log    JobLog
-	logErr error
+	// rather than accepted without durability. accepting counts the
+	// accept records being appended outside the mutex (acceptLocked).
+	log       JobLog
+	logErr    error
+	accepting int
 	// keys maps client idempotency keys to their jobs, so resubmitting
 	// an accepted key attaches instead of double-running.
 	keys map[uint64]JobID
@@ -184,10 +182,11 @@ type Cluster struct {
 	// Next does not stack a timer per blocked call.
 	wakeAt time.Time
 	// parks counts the times a Next caller blocked in cond.Wait, so a
-	// test can tell that a dispatcher has provably parked; scanned counts
+	// test can tell that a dispatcher has provably parked; acceptWaits the
+	// times a commit waited for its job's accept record; scanned counts
 	// the jobs dispatch examined, so a test can tell that it visits only
 	// live jobs.
-	parks, scanned int
+	parks, acceptWaits, scanned int
 
 	// verify is the normalized verification policy; quarantined records
 	// parked workers by id (worker records are replaced on rejoin, the
@@ -242,15 +241,16 @@ func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 // resubmits the same key and lands on the same job, before or after a
 // master restart. Key 0 means unkeyed.
 //
-// With a JobLog configured, the accept event (including the operand
-// matrices) is fsync'd before the job is admitted; an append failure
-// refuses the submission rather than accepting work that would not
-// survive a crash. A job whose C tiles the block IDs cannot name is
-// refused before anything is journaled (ErrBeyondBlockIDs).
+// With a JobLog configured, SubmitJobKeyed returns only once the accept
+// event (including the operand matrices) is durable, but a product's
+// tasks are dispatched while it is written (acceptLocked); an append
+// failure fails the job and refuses the submission rather than
+// accepting work that would not survive a crash.
 func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached bool, err error) {
+	admitted := false
 	// A pooled spec that is not admitted has no other owner.
 	defer func() {
-		if err != nil || attached {
+		if !admitted {
 			spec.recycle(cl.pool)
 		}
 	}()
@@ -275,22 +275,70 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (id JobID, attached 
 	if cl.logErr != nil {
 		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", cl.logErr)
 	}
-	id = cl.nextID
-	if res := spec.result(); engine.CBlockID(uint32(id), res.BR-1, res.BC-1) == 0 {
-		return 0, false, fmt.Errorf("%w: job %d, %dx%d blocks", ErrBeyondBlockIDs, id, res.BR, res.BC)
-	}
-	if cl.log != nil {
-		if err := cl.logAcceptedLocked(id, key, spec); err != nil {
-			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
-		}
-	}
-	cl.nextID++
-	j := newJob(id, spec)
+	j := newJob(cl.nextID, spec)
 	j.key = key
+	cl.nextID++
 	cl.addJobLocked(j)
-	cl.startLocked(j)
-	cl.cond.Broadcast()
-	return id, false, nil
+	admitted = true
+	defer cl.cond.Broadcast()
+	if cl.log == nil {
+		cl.startLocked(j)
+		return j.id, false, nil
+	}
+	if err := cl.acceptLocked(j); err != nil {
+		return 0, false, err
+	}
+	return j.id, false, nil
+}
+
+// acceptLocked appends admitted job j's accept record with cl.mu
+// released, and returns once it is durable or has failed. A product
+// starts first, so its first tasks go out while the record is written;
+// an LU job starts after, since stage 0's factorization rewrites the M
+// the record carries. Until the record is durable the job's operands
+// are held as a session holds them (releaseLocked waits), its commits
+// wait (awaitAcceptLocked), its done record is deferred (logDoneLocked)
+// and no compaction runs (CompactLog), so no record of the job precedes
+// its accept record in the log. A failed append fails the job and
+// latches the log broken: nothing more of the job is journaled, and
+// its in-flight results are dropped as stale.
+func (cl *Cluster) acceptLocked(j *job) error {
+	log := cl.log
+	rec := encodeAccepted(j.id, j.key, j.spec)
+	j.accepting = true
+	j.held++
+	cl.accepting++
+	if j.spec.Kind != LU {
+		cl.startLocked(j)
+		cl.cond.Broadcast()
+	}
+	cl.mu.Unlock()
+	err := writeLog(log, false, rec)
+	cl.mu.Lock()
+	j.accepting = false
+	j.held--
+	cl.accepting--
+	switch {
+	case err != nil:
+		cl.latchLocked(err)
+		err = fmt.Errorf("cluster: persisting accept: %w", err)
+		j.resultFree = true // the refused client asks for nothing
+		cl.failJobLocked(j, err)
+	case j.state == Running && j.spec.Kind == LU:
+		cl.startLocked(j)
+	case j.state != Running:
+		cl.logDoneLocked(j) // the job ended while its record was written
+	}
+	cl.releaseLocked(j)
+	return err
+}
+
+// awaitAcceptLocked waits until job id's accept record is durable.
+func (cl *Cluster) awaitAcceptLocked(id JobID) {
+	for j := cl.jobs[id]; j != nil && j.accepting; {
+		cl.acceptWaits++
+		cl.cond.Wait()
+	}
 }
 
 // addJobLocked enters j into the job table — at admission, at its
@@ -951,10 +999,13 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 // until it reports it or closes, dead incarnations included: Sets
 // reference the job's operand blocks and LU panels, and a session
 // declared lost, or a revoked speculation loser, can still be writing
-// one to its socket. The result goes with them when nobody can ask for
-// it anymore (ForgetResult). The light record — id, state, error,
-// counters, comm totals — stays. Every path on which a session lets go
-// of a task, or the submitter of the result, ends here.
+// one to its socket (the accept record's append holds them the same
+// way). The job is then released: each session's next assignment tells
+// its worker to drop the job's cached blocks (Session.dropLocked). The
+// result goes with them when nobody can ask for it anymore
+// (ForgetResult). The light record — id, state, error, counters, comm
+// totals — stays. Every path on which a session lets go of a task, or
+// the submitter of the result, ends here.
 func (cl *Cluster) releaseLocked(j *job) {
 	if j == nil || (j.state != Done && j.state != Failed) || j.held > 0 {
 		return
@@ -963,6 +1014,7 @@ func (cl *Cluster) releaseLocked(j *job) {
 	dropMatrix(&j.spec.B, j.spec.Pooled, cl.pool)
 	j.dropPanels(cl.pool)
 	j.vcache = nil
+	j.released = true
 	if j.resultFree {
 		j.spec.recycle(cl.pool)
 	}

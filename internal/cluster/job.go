@@ -249,7 +249,12 @@ type job struct {
 	// held counts the job's tasks held by worker sessions, dead
 	// incarnations included: a session may still be writing a Set that
 	// references the job's operand blocks (opA, opB), so they outlive it.
+	// The append of the job's accept record counts as one more.
 	held int
+	// accepting marks a job whose accept record is being appended
+	// (Cluster.acceptLocked); released marks one whose operands are gone,
+	// so the workers may drop their cached blocks of it.
+	accepting, released bool
 }
 
 func validateSpec(spec JobSpec) error {

@@ -1,8 +1,10 @@
 package cluster
 
 // The durable control plane: job lifecycle events stream to a JobLog as
-// they happen under the scheduler mutex, and Recover rebuilds the
-// scheduler's job state from a replay after a master crash.
+// they happen — under the scheduler mutex, but for the accept record,
+// which is written beside the job's first tasks (acceptLocked) — and
+// Recover rebuilds the scheduler's job state from a replay after a
+// master crash. No record of a job precedes its accept record.
 //
 // The master owns C (the paper's centralized data): a block of a job's
 // result is committed once a flush commit has written its final value
@@ -121,8 +123,8 @@ const (
 )
 
 // snapshotV1 leads a v1 snapshot record. A v0 snapshot leads with its
-// next job id, which admission keeps below 2²⁹ (ErrBeyondBlockIDs),
-// so the top bit tells the two layouts apart.
+// next job id, which the builds that wrote v0 kept below 2²⁹ at
+// admission, so the top bit tells the two layouts apart.
 const snapshotV1 uint32 = 1<<31 | 1
 
 // RecoveryStats summarizes one Recover pass.
@@ -172,35 +174,44 @@ func ReplayChunkCommits(dir string) (chunks []ChunkCommit, done int, err error) 
 // --- emission (called under cl.mu) ----------------------------------------
 
 // writeLogLocked appends a record given as parts, or with snapshot set
-// compacts the log to it: as parts to a gatherLog, joined to any other
-// JobLog. On failure the log is latched broken (cl.logErr) so no further
-// admission happens against a journal that cannot persist it, while
-// in-memory jobs run to completion.
+// compacts the log to it (writeLog). On failure the log is latched
+// broken.
 func (cl *Cluster) writeLogLocked(snapshot bool, parts [][]byte) error {
 	if cl.log == nil {
 		return cl.logErr
 	}
-	g, gathers := cl.log.(gatherLog)
-	var err error
-	switch {
-	case gathers && snapshot:
-		err = g.CompactV(parts...)
-	case gathers:
-		err = g.AppendV(parts...)
-	case snapshot:
-		err = cl.log.Compact(slices.Concat(parts...))
-	default:
-		err = cl.log.Append(slices.Concat(parts...))
-	}
+	err := writeLog(cl.log, snapshot, parts)
 	if err != nil {
-		cl.logErr, cl.log = err, nil
+		cl.latchLocked(err)
 	}
 	return err
 }
 
-// logAcceptedLocked records a job's admission, operands included.
-func (cl *Cluster) logAcceptedLocked(id JobID, key uint64, spec JobSpec) error {
-	return cl.writeLogLocked(false, encodeAccepted(id, key, spec))
+// writeLog appends a record given as parts to log, or with snapshot set
+// compacts log to it: as parts to a gatherLog, joined to any other
+// JobLog.
+func writeLog(log JobLog, snapshot bool, parts [][]byte) error {
+	g, gathers := log.(gatherLog)
+	switch {
+	case gathers && snapshot:
+		return g.CompactV(parts...)
+	case gathers:
+		return g.AppendV(parts...)
+	case snapshot:
+		return log.Compact(slices.Concat(parts...))
+	default:
+		return log.Append(slices.Concat(parts...))
+	}
+}
+
+// latchLocked latches the log broken on its first failure (cl.logErr),
+// so no further admission happens against a journal that cannot persist
+// it, while in-memory jobs run to completion.
+func (cl *Cluster) latchLocked(err error) {
+	if cl.logErr == nil {
+		cl.logErr = err
+	}
+	cl.log = nil
 }
 
 // encodeAccepted is the accept record of job id, as parts.
@@ -240,8 +251,10 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	cl.writeLogLocked(false, e.record()) //nolint:errcheck // latched in cl.logErr
 }
 
+// logDoneLocked records a job's terminal state — once its accept record
+// is durable: acceptLocked writes the record of a job that ended before.
 func (cl *Cluster) logDoneLocked(j *job) {
-	if cl.log == nil {
+	if cl.log == nil || j.accepting {
 		return
 	}
 	e := &recEnc{}
@@ -336,10 +349,15 @@ func (cl *Cluster) Recover() (RecoveryStats, error) {
 // CompactLog snapshots the whole job table into the journal and drops
 // the segments before it — the boot-time (or periodic) bound on replay
 // length. The regions of tasks in flight are freed in the snapshot, so
-// one taken mid-run loses no work.
+// one taken mid-run loses no work. It waits for the accept records
+// being appended: a snapshot must not hold a job whose record could
+// still land after it, in a segment it drops.
 func (cl *Cluster) CompactLog() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	for cl.accepting > 0 {
+		cl.cond.Wait()
+	}
 	if cl.log == nil {
 		return cl.logErr
 	}

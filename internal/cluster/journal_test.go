@@ -636,6 +636,10 @@ func TestRetryPolicyDelays(t *testing.T) {
 
 // TestSubmitRefusedWhenFsyncFails: an accept that cannot be persisted
 // is refused, and the broken log latches so later submits fail too.
+// The accept record is written beside the job's first tasks, so the
+// append may fail with a task already computed and reported: the job
+// fails with the append's error, the report is dropped as stale (no
+// chunk record is written, C is untouched) and the job's matrices go.
 func TestSubmitRefusedWhenFsyncFails(t *testing.T) {
 	boom := errors.New("disk gone")
 	jn, err := store.Open(t.TempDir(), store.Options{Sync: func(*os.File) error { return boom }})
@@ -652,6 +656,59 @@ func TestSubmitRefusedWhenFsyncFails(t *testing.T) {
 	if _, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}); err == nil {
 		t.Fatal("submit after log breakage succeeded")
 	}
+
+	// A task in flight when the append fails.
+	jn2, err := store.Open(t.TempDir(), store.Options{Sync: func(*os.File) error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jn2.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	log := &opLog{JobLog: NewStoreLog(jn2)}
+	log.gate = func([]byte) {
+		log.gate = nil
+		close(entered)
+		<-release
+	}
+	cl2, _ := manualCluster(Config{Log: log})
+	defer cl2.Close()
+	c, a, b, _ = blockedInputs(t, 64, 64, 64, 32, 23)
+	before := c.Clone()
+	refused := make(chan error, 1)
+	go func() {
+		_, err := cl2.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+		refused <- err
+	}()
+	<-entered
+	w := join(t, cl2, "w", 0, 1)
+	as := dispatch(t, w)
+	if err := engine.RunAssign(as, w, cl2.pool); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- w.Commit(&engine.Result{ID: as.ID, Blocks: as.Blocks}, engine.CommStats{}) }()
+	for deadline := time.Now().Add(10 * time.Second); jobLocked(cl2, 0, func(*job) int { return cl2.acceptWaits }) == 0; time.Sleep(100 * time.Microsecond) {
+		if len(committed) > 0 || time.Now().After(deadline) {
+			t.Fatal("the commit did not wait for the accept record")
+		}
+	}
+	close(release)
+	if err := <-refused; !errors.Is(err, boom) {
+		t.Fatalf("submit whose append failed with a task in flight = %v, want wrapped %v", err, boom)
+	}
+	if err := <-committed; err != nil && !errors.Is(err, ErrStaleTask) {
+		t.Fatalf("report of the failed job's task = %v, want it dropped", err)
+	}
+	st, err := cl2.JobStatus(0)
+	if err != nil || st.State != Failed || !errors.Is(st.Err, boom) || st.TasksDone != 0 || st.Retained != 0 {
+		t.Fatalf("job whose accept failed: %+v, %v; want Failed with the append's error, nothing committed or retained", st, err)
+	}
+	if len(log.ops) != 1 || log.ops[0].rec[0] != evAccepted {
+		t.Fatalf("%d records reached the log, want the accept record alone", len(log.ops))
+	}
+	if !sameMatrix(c, before) {
+		t.Fatal("the dropped report wrote into C")
+	}
 }
 
 // countingLog is a JobLog that only counts appends.
@@ -661,42 +718,42 @@ func (l *countingLog) Append([]byte) error                   { l.appends++; retu
 func (l *countingLog) Replay(func([]byte, bool) error) error { return nil }
 func (l *countingLog) Compact([]byte) error                  { return nil }
 
-// TestSubmitRefusedBeyondBlockIDs: results come back only as tiles
-// flushed under engine.CBlockID, so a job whose last C tile has no ID —
-// a result grid side over 65536 blocks, or a job number past the ID's
-// 29-bit field — is refused with ErrBeyondBlockIDs before anything is
-// journaled.
-func TestSubmitRefusedBeyondBlockIDs(t *testing.T) {
+// TestJobsPastBlockIDFieldsRun: no block ID names a result tile, so a
+// job whose number is past the operand IDs' 29-bit field is admitted
+// and runs bit-exact like any other: its operands stamp to the
+// untracked ID 0, always ship and never enter a cache, and the drop of
+// a released job that number names nothing.
+func TestJobsPastBlockIDFieldsRun(t *testing.T) {
 	log := &countingLog{}
 	cl, _ := manualCluster(Config{Log: log})
 	defer cl.Close()
-	// q = 1, so the 65537×1-block C costs a few MiB of block headers.
-	const side = 1<<16 + 1
-	tall := JobSpec{Kind: MatMul, Mu: 1,
-		C: matrix.NewBlocked(side, 1, 1), A: matrix.NewBlocked(side, 1, 1), B: matrix.NewBlocked(1, 1, 1)}
-	if _, err := cl.SubmitJob(tall); !errors.Is(err, ErrBeyondBlockIDs) {
-		t.Fatalf("submit of a %d-block-tall C = %v, want ErrBeyondBlockIDs", side, err)
-	}
-	if log.appends != 0 {
-		t.Fatalf("refused submit journaled %d records", log.appends)
-	}
-	// The last job number the field holds is admitted; the next is not.
-	small := func() JobSpec {
-		c, a, b, _ := blockedInputs(t, 8, 8, 8, 4, 71)
-		return JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2}
-	}
+	done := make(chan error, 1)
+	go func() { done <- RunLocalWorker(cl, LocalWorkerConfig{ID: "w"}) }()
 	const last = 1<<29 - 1
 	cl.mu.Lock()
 	cl.nextID = last
 	cl.mu.Unlock()
-	if id, err := cl.SubmitJob(small()); err != nil || id != last {
-		t.Fatalf("submit as job %d = %d, %v, want admitted", last, id, err)
+	for _, want := range []JobID{last, last + 1, last + 2} {
+		c, a, b, ref := blockedInputs(t, 8, 8, 8, 4, 71)
+		id, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 1})
+		if err != nil || id != want {
+			t.Fatalf("submit as job %d = %d, %v, want admitted", want, id, err)
+		}
+		st := waitStatus(t, cl, id)
+		if st.State != Done || !sameMatrix(c, matrix.Partition(ref, 4)) {
+			t.Fatalf("job %d ended %v (%v), or not bit-exact", id, st.State, st.Err)
+		}
+		if tracked := id <= last; (st.Comm.BlocksSkipped > 0) != tracked {
+			t.Fatalf("job %d served %d operand blocks from the cache, want hits only for a tracked job",
+				id, st.Comm.BlocksSkipped)
+		}
 	}
-	if _, err := cl.SubmitJob(small()); !errors.Is(err, ErrBeyondBlockIDs) {
-		t.Fatalf("submit as job %d = %v, want ErrBeyondBlockIDs", last+1, err)
+	if log.appends < 3*(1+4+1) {
+		t.Fatalf("%d records journaled, want every job's accept, chunks and done", log.appends)
 	}
-	if log.appends != 1 || len(cl.Jobs()) != 1 {
-		t.Fatalf("%d records journaled, %d jobs admitted, want the one admitted job's only", log.appends, len(cl.Jobs()))
+	cl.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

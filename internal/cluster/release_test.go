@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/lu"
 	"repro/internal/matrix"
 )
@@ -543,5 +548,81 @@ func TestRunLocalWorkerWaitsForItsFeeder(t *testing.T) {
 		if n := feeders(); n != 0 {
 			t.Fatalf("run %d: %d feeder goroutines outlived RunLocalWorker", i, n)
 		}
+	}
+}
+
+// TestDropNamesOnlyReleasedJobs: a session's next assignment tells its
+// worker to drop a job's blocks only once the job is released — never
+// while the job runs beside another, nor while this session still holds
+// a task of it, here a speculation loser that outlives its job. The
+// drop then rides the next assignment of every session that was sent
+// the job's blocks, once.
+func TestDropNamesOnlyReleasedJobs(t *testing.T) {
+	cl, _ := manualCluster(sweepConfig(nil))
+	defer cl.Close()
+	c, a, b, _ := blockedInputs(t, 16, 16, 16, 4, 81)
+	first, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drops []string // every non-empty Drop, as "session: jobs"
+	next := func(s *Session) *engine.Assign {
+		as := dispatch(t, s)
+		if len(as.Drop) > 0 {
+			drops = append(drops, fmt.Sprintf("%s: %v", s.w.id, as.Drop))
+		}
+		return as
+	}
+	// A slow worker takes the whole grid; a fast idle one duplicates one
+	// of its chunks and wins, so the slow copy is a loser it still holds.
+	slow := join(t, cl, "slow", 0, 16)
+	slow.ObserveCompute(engine.AssignID{}, 20, int64(time.Second))
+	var held []*engine.Assign
+	for !jobLocked(cl, first, func(j *job) bool { return j.cutter.Empty() && len(j.pending) == 0 }) {
+		held = append(held, next(slow))
+	}
+	fast := join(t, cl, "fast", engine.Ledger{}.Add(2, 2).Blocks(), 1) // cut at µ ≤ 2
+	fast.ObserveCompute(engine.AssignID{}, 8000, int64(time.Second))
+	dup := next(fast)
+	finishTask(t, fast, dup)
+	var loser *engine.Assign
+	for _, as := range held {
+		if as.ID.B == dup.ID.B {
+			loser = as
+			continue
+		}
+		finishTask(t, slow, as)
+	}
+	if st, _ := cl.JobStatus(first); st.State != Done || loser == nil {
+		t.Fatalf("first job %v with loser %v, want Done with a loser held", st.State, loser)
+	}
+
+	// A second job runs while the loser is still held: nobody drops the
+	// first job yet, and nobody ever drops the second while it runs.
+	c2, a2, b2, _ := blockedInputs(t, 32, 32, 32, 4, 82)
+	second, err := cl.SubmitJob(JobSpec{Kind: MatMul, C: c2, A: a2, B: b2, Mu: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishTask(t, fast, next(fast))
+	finishTask(t, slow, next(slow))
+	if len(drops) != 0 {
+		t.Fatalf("drops %v while the first job's loser is held", drops)
+	}
+	// The loser reports: its job is released, and each session's next
+	// assignment — of the second job — drops it, once.
+	if err := slow.Commit(&engine.Result{ID: loser.ID, Blocks: loser.Blocks}, engine.CommStats{}); !errors.Is(err, ErrStaleTask) {
+		t.Fatalf("loser's commit = %v, want ErrStaleTask", err)
+	}
+	for range 2 {
+		finishTask(t, fast, next(fast))
+		finishTask(t, slow, next(slow))
+	}
+	want := []string{fmt.Sprintf("fast: [%d]", first), fmt.Sprintf("slow: [%d]", first)}
+	if !slices.Equal(drops, want) {
+		t.Fatalf("drops %v, want %v", drops, want)
+	}
+	if st, _ := cl.JobStatus(second); st.State != Running {
+		t.Fatalf("second job %v, want it still running", st.State)
 	}
 }

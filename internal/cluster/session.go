@@ -28,6 +28,9 @@ type Session struct {
 	w  *workerState
 	// held maps the assignments the session holds to their tasks.
 	held map[engine.AssignID]*Task
+	// shipped lists the jobs whose operands the session may have sent
+	// its worker and not yet told it to drop.
+	shipped []JobID
 	// nextErr is the scheduler's verdict when Next ended the session
 	// uncleanly (declared dead, quarantined); Close returns it.
 	nextErr error
@@ -79,6 +82,7 @@ func (s *Session) next(wait bool) (*engine.Assign, error) {
 	}
 	blocks := cl.chunkLocked(task)
 	q := cl.jobs[task.Job].q
+	drop := s.dropLocked(task.Job)
 	cl.mu.Unlock()
 	as := &engine.Assign{
 		ID: task.key(),
@@ -86,6 +90,7 @@ func (s *Session) next(wait bool) (*engine.Assign, error) {
 		Rows: task.Rows, Cols: task.Cols, Q: q, Steps: task.Steps,
 		Blocks: blocks[:0], Owned: true, // compacted in place below
 		CFlags: make([]byte, 0, len(blocks)),
+		Drop:   drop,
 	}
 	for _, blk := range blocks {
 		if engine.AllZeroBits(blk) {
@@ -97,6 +102,25 @@ func (s *Session) next(wait bool) (*engine.Assign, error) {
 		as.Blocks = append(as.Blocks, blk)
 	}
 	return as, nil
+}
+
+// dropLocked returns the jobs the session's worker may still cache
+// blocks of and that the cluster has released since, and records that
+// it now ships blocks of job next. A released job is terminal and held
+// by no session, so the worker finishes every task of it before the
+// assignment that carries the drop.
+func (s *Session) dropLocked(next JobID) []uint32 {
+	var drop []uint32
+	kept := s.shipped[:0]
+	for _, id := range s.shipped {
+		if j := s.cl.jobs[id]; j == nil || j.released {
+			drop = append(drop, uint32(id))
+		} else if id != next {
+			kept = append(kept, id)
+		}
+	}
+	s.shipped = append(kept, next)
+	return drop
 }
 
 // nextLocked blocks until a task is dispatched to the incarnation — and
@@ -174,7 +198,8 @@ func (s *Session) Set(id engine.AssignID, k int) (*engine.Set, error) {
 // assignment's traffic — goes to its job's totals, and, in one critical
 // section, the tile is verified and committed or refused and the task
 // requeued (see commitLocked). A task the scheduler already reassigned
-// is reported stale (ErrStaleTask).
+// is reported stale (ErrStaleTask). A commit waits for its job's
+// accept record to be durable, so no chunk record precedes it.
 func (s *Session) Commit(res *engine.Result, comm engine.CommStats) error {
 	if res.ComputeNS > 0 && res.Updates > 0 {
 		s.ObserveCompute(res.ID, res.Updates, res.ComputeNS)
@@ -190,6 +215,7 @@ func (s *Session) Commit(res *engine.Result, comm engine.CommStats) error {
 		return ErrStaleTask
 	}
 	defer s.endHoldLocked(task)
+	cl.awaitAcceptLocked(task.Job)
 	return cl.commitLocked(s.w, task, res.Blocks)
 }
 

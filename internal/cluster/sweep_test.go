@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -25,13 +26,18 @@ type logOp struct {
 }
 
 // opLog keeps a copy of every append and compaction through it, in
-// order.
+// order. gate, when set, runs before an append is recorded and written,
+// so a test can hold one.
 type opLog struct {
 	JobLog
-	ops []logOp
+	ops  []logOp
+	gate func(rec []byte)
 }
 
 func (l *opLog) Append(rec []byte) error {
+	if l.gate != nil {
+		l.gate(rec)
+	}
 	l.ops = append(l.ops, logOp{rec: bytes.Clone(rec)})
 	return l.JobLog.Append(rec)
 }
@@ -144,16 +150,10 @@ func sweepConfig(log JobLog) Config {
 // job, on a real store, through every path that leaves uncommitted work
 // behind: an in-flight loss, a hand-back (no survivor can hold the lost
 // copy), a speculative duplicate, and a CompactLog taken while chunks
-// are in flight — one of them twice — once per job. Every append and compaction is recorded. Then, for every
-// record boundary, for a torn tail inside every record and for a crash
-// between a compaction's snapshot and its deletion of the old segments,
-// the journal the crash leaves is rebuilt, recovered into a
-// fresh master and finished with a local worker: every job must end
-// Done and bit-exact — the product against MulNaive, the factorization
-// against lu.Factor — and no block of a job's result
-// (per LU stage) may be committed twice across the crash. Where the
-// product is partly committed, a chunk record over its whole grid — a
-// region straddling committed and uncommitted blocks — must be refused.
+// are in flight — one of them twice — once per job. Every append and
+// compaction is recorded, no chunk or done record of a job may precede
+// its accept record, and sweepCrashPoints recovers from every crash
+// point.
 func TestRecoverCrashPointSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	c, a, b, refC := blockedInputs(t, 16, 16, 16, 4, 34) // 4×4 blocks, T = 4
@@ -258,7 +258,102 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 	cl.Close()
 	jn.Close()
 	ops := rec.ops
+	assertAcceptFirst(t, ops)
+	sweepCrashPoints(t, rng, ops, want, mm)
+}
 
+// TestRecoverAcceptBesideFirstTaskSweep crashes the master at every
+// point of a run whose first task is dispatched, computed and reported
+// while its job's accept record is still being written: the commit
+// waits for the record, so no chunk record precedes it, and the crash
+// points before the record's fsync lose the task with the job. A fresh
+// worker finishes the job, and sweepCrashPoints recovers from every
+// crash point.
+func TestRecoverAcceptBesideFirstTaskSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	c, a, b, refC := blockedInputs(t, 16, 16, 16, 4, 36) // 4×4 blocks, T = 4
+	want := []*matrix.Blocked{matrix.Partition(refC, 4)}
+
+	jn, err := store.Open(t.TempDir(), noSync)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &opLog{JobLog: NewStoreLog(jn)}
+	cl, _ := manualCluster(sweepConfig(rec))
+	// Hold the accept record's append while a worker takes a task,
+	// computes it and reports it.
+	entered, release := make(chan struct{}), make(chan struct{})
+	rec.gate = func([]byte) {
+		rec.gate = nil
+		close(entered)
+		<-release
+	}
+	type submitted struct {
+		id  JobID
+		err error
+	}
+	accepted := make(chan submitted, 1)
+	go func() {
+		id, _, err := cl.SubmitJobKeyed(1, JobSpec{Kind: MatMul, C: c, A: a, B: b, Mu: 2})
+		accepted <- submitted{id, err}
+	}()
+	<-entered
+	early := join(t, cl, "e", 0, 1)
+	eas := dispatch(t, early)
+	if err := engine.RunAssign(eas, early, cl.pool); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- early.Commit(&engine.Result{ID: eas.ID, Blocks: eas.Blocks}, engine.CommStats{}) }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if waits := jobLocked(cl, 0, func(*job) int { return cl.acceptWaits }); waits > 0 {
+			break
+		}
+		if len(committed) > 0 || time.Now().After(deadline) {
+			t.Fatal("the commit did not wait for the accept record")
+		}
+	}
+	close(release)
+	sub := <-accepted
+	if sub.err != nil {
+		t.Fatal(sub.err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	early.Close(SessionReport{})
+	mm := sub.id
+	fresh := join(t, cl, "c", 0, 1)
+	for jobLocked(cl, mm, func(j *job) JobState { return j.state }) != Done {
+		finishTask(t, fresh, dispatch(t, fresh))
+	}
+	res, err := cl.JobResult(mm)
+	if err != nil || !sameMatrix(res, want[mm]) {
+		t.Fatalf("scripted job is not bit-exact (%v)", err)
+	}
+	cl.Close()
+	jn.Close()
+	ops := rec.ops
+	assertAcceptFirst(t, ops)
+	if ops[0].snapshot || ops[0].rec[0] != evAccepted || ops[1].rec[0] != evChunk {
+		t.Fatal("the early task's chunk record does not follow the accept record")
+	}
+	sweepCrashPoints(t, rng, ops, want, mm)
+}
+
+// sweepCrashPoints rebuilds the journal a master crashing while it
+// wrote ops leaves — at every record boundary, at a torn tail inside
+// every record and between a compaction's snapshot and its deletion of
+// the old segments — recovers it into a fresh master and finishes it
+// with a local worker: every job must end Done and bit-exact against
+// want (indexed by job ID), and no block of a job's result (per LU
+// stage) may be committed twice across the crash. Where the product mm
+// (4×4 blocks of side 4) is partly committed, a chunk record over its
+// whole grid — a region straddling committed and uncommitted blocks —
+// must be refused.
+func sweepCrashPoints(t *testing.T, rng *rand.Rand, ops []logOp, want []*matrix.Blocked, mm JobID) {
+	t.Helper()
+	const q = 4
 	recoverAt := func(t *testing.T, done []logOp, build func(dir string)) (straddle bool) {
 		dir := t.TempDir()
 		build(dir)
@@ -347,6 +442,27 @@ func TestRecoverCrashPointSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("stale%02d", k), func(t *testing.T) {
 				recoverAt(t, ops[:k+1], func(dir string) { crashIn(t, dir, ops[:k+1], 0) })
 			})
+		}
+	}
+}
+
+// assertAcceptFirst fails the test if a chunk or done record among ops
+// precedes its job's accept record.
+func assertAcceptFirst(t *testing.T, ops []logOp) {
+	t.Helper()
+	seen := make(map[JobID]bool)
+	for n, op := range ops {
+		if op.snapshot {
+			continue
+		}
+		id := JobID(binary.LittleEndian.Uint32(op.rec[1:]))
+		switch op.rec[0] {
+		case evAccepted:
+			seen[id] = true
+		case evChunk, evDone:
+			if !seen[id] {
+				t.Fatalf("record %d (type %d) of job %d precedes its accept record", n, op.rec[0], id)
+			}
 		}
 	}
 }

@@ -102,6 +102,13 @@ type Assign struct {
 	// order. Empty CFlags means every tile ships: Blocks is the full
 	// tile.
 	CFlags []byte
+
+	// Drop names the released jobs whose operand blocks both ends of the
+	// session forget before this assignment: the master's mirror as it
+	// sends it, the worker's cache before it applies the assignment's
+	// first set. The master names a job only once no task of it is in
+	// flight on the session, so a drop never costs a hit.
+	Drop []uint32
 }
 
 // Set carries the operand blocks of one inner step k: Rows blocks of

@@ -234,6 +234,9 @@ func (f *feeder) dispatch() error {
 		f.mu.Lock()
 		f.outq = append(f.outq, oa)
 		f.mu.Unlock()
+		// The worker drops the released jobs before this assignment's
+		// first set, after every earlier one: so does the mirror.
+		builder.Drop(as.Drop)
 		if f.tr.Send(as) != nil {
 			return nil
 		}

@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // BlockPool recycles the []float64 block buffers that dominate the
 // runtimes' steady-state traffic. Buffers are segregated by length
@@ -28,6 +31,8 @@ type BlockPool struct {
 	// out of the size-class pools.
 	headers sync.Pool
 	check   poolCheck // empty without the poolcheck tag
+	// fresh counts the buffers Get allocated because none was free.
+	fresh atomic.Int64
 }
 
 // NewBlockPool builds an empty pool; size classes appear on first use.
@@ -46,7 +51,17 @@ func (p *BlockPool) Get(n int) []float64 {
 	if b := p.take(n); b != nil {
 		return b
 	}
+	p.fresh.Add(1)
 	return make([]float64, n)
+}
+
+// Fresh returns how many buffers the pool has allocated rather than
+// reused: in a steady state it stops growing.
+func (p *BlockPool) Fresh() int64 {
+	if p == nil {
+		return 0
+	}
+	return p.fresh.Load()
 }
 
 // GetCopy returns a pooled buffer holding a copy of src.
@@ -109,13 +124,14 @@ func (p *BlockPool) PutSet(s *Set) {
 	setPool.Put(s)
 }
 
-// GetAssign returns a zero Assign, its Blocks and CFlags capacity kept.
+// GetAssign returns a zero Assign, its Blocks, CFlags and Drop capacity
+// kept.
 func (p *BlockPool) GetAssign() *Assign {
 	if p == nil {
 		return new(Assign)
 	}
 	a := assignPool.Get().(*Assign)
-	*a = Assign{Blocks: a.Blocks[:0], CFlags: a.CFlags[:0]}
+	*a = Assign{Blocks: a.Blocks[:0], CFlags: a.CFlags[:0], Drop: a.Drop[:0]}
 	return a
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -24,7 +25,9 @@ import (
 // disagree about what is resident. A session starts empty on both
 // sides, which is what makes reconnect safe: a new incarnation gets a
 // new session, so a worker that comes back after a kill is re-fed from
-// scratch.
+// scratch. A released job's blocks leave both ends at the same point of
+// that sequence too — before the assignment whose Drop names the job
+// (blockCache.dropJobs) — so they never wait for capacity pressure.
 
 // DefaultCacheBlocks is the resident-cache capacity used for workers
 // that advertise no memory bound (the in-process runtime, tests).
@@ -117,11 +120,11 @@ func BBlockID(job uint32, k, j int) uint64 {
 		uint64(j)
 }
 
-// CBlockID returns the session-unique ID of C-result block (i, j) of
-// the given job, or 0 when the coordinates or the job number do not fit
-// the packed fields. The cluster refuses at admission a job whose last
-// C tile has none, and a worker refuses an assignment that reaches past
-// them.
+// CBlockID returns the ID of C-result block (i, j) of the given job,
+// or 0 when the coordinates or the job number do not fit the packed
+// fields. No C block ID is on the wire or in the commit path since a
+// task's tile rides its Result; the scheme stays for the benchmark's
+// tracer, which names tiles by it (CBlockCoords).
 func CBlockID(job uint32, i, j int) uint64 {
 	if !idFieldsFit(job, i, j) {
 		return 0
@@ -302,14 +305,35 @@ func (c *blockCache) evictTo(cap int, aids []uint64, freed [][]float64) [][]floa
 		} else {
 			scan = scan.prev
 		}
-		c.unlink(e)
-		delete(c.m, e.id)
-		if e.owned {
-			freed = append(freed, e.buf)
-		}
-		e.buf = nil
-		lruEntryPool.Put(e)
+		freed = c.remove(e, freed)
 	}
+	return freed
+}
+
+// dropJobs drops every entry of the listed jobs, keeping the recency
+// order of the rest, and appends the owned buffers to freed. A job
+// number past the ID field names no tracked block, so it drops nothing.
+func (c *blockCache) dropJobs(jobs []uint32, freed [][]float64) [][]float64 {
+	for e := c.head; e != nil; {
+		next := e.next
+		if slices.Contains(jobs, uint32(e.id>>blockIDJobSh&jobMask)) {
+			freed = c.remove(e, freed)
+		}
+		e = next
+	}
+	return freed
+}
+
+// remove unlinks and forgets entry e, appending its buffer to freed
+// when the cache owns it.
+func (c *blockCache) remove(e *lruEntry, freed [][]float64) [][]float64 {
+	c.unlink(e)
+	delete(c.m, e.id)
+	if e.owned {
+		freed = append(freed, e.buf)
+	}
+	e.buf = nil
+	lruEntryPool.Put(e)
 	return freed
 }
 
@@ -379,6 +403,14 @@ func (sb *SetBuilder) Filter(set *Set, held int, pool *BlockPool) *Set {
 	sb.filterHalf(set.B, set.BIDs, set.Owned, pool)
 	sb.mirror.evictTo(set.Cap, set.AIDs, nil) // the mirror holds IDs only: nothing to free
 	return set
+}
+
+// Drop forgets the listed jobs' blocks in the mirror: the master's half
+// of an Assign's Drop, done as the assignment is sent.
+func (sb *SetBuilder) Drop(jobs []uint32) {
+	if sb.mirror != nil && len(jobs) > 0 {
+		sb.mirror.dropJobs(jobs, nil) // the mirror holds IDs only: nothing to free
+	}
 }
 
 // Release recycles the builder's mirror at session end.
@@ -469,6 +501,17 @@ func (oc *opCache) resolveHalf(blocks [][]float64, ids []uint64, owned bool) (hi
 		hits++
 	}
 	return hits, nil
+}
+
+// drop forgets the listed jobs' blocks, in lock-step with the master's
+// SetBuilder.Drop, and returns their buffers to the pool at once: it
+// runs between assignments, when no Set in hand reads them. It returns
+// how many blocks left the cache.
+func (oc *opCache) drop(jobs []uint32) int {
+	n := len(oc.cache.m)
+	oc.evicted = oc.cache.dropJobs(jobs, oc.evicted)
+	oc.putEvicted()
+	return n - len(oc.cache.m)
 }
 
 // putEvicted returns the buffers the last resolve evicted to the pool,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -292,16 +293,28 @@ func lruIDs(t *testing.T, c *blockCache) []uint64 {
 // in the same recency order after every step — under capacity pressure
 // that forces evictions, inflight footprints that shrink the announced
 // Cap mid-session, untracked (ID 0) entries, multi-job interleaving in
-// one session, and reconnects that reset both ends together. Any drift
-// is caught at the step it happens, with the op sequence reproducible
-// from the seed.
+// one session, job ends, and reconnects that reset both ends together.
+// A job that ends is replaced by a new job number, and both ends drop
+// its blocks at the next task boundary — unless a task of it is still
+// streaming (a speculation loser that outlives its job), which keeps
+// them until it is done. A drop must leave the other jobs' blocks
+// resident in the same order (it never costs a hit), and a drop of a
+// job number past the ID field must drop nothing. Any drift is caught
+// at the step it happens, with the op sequence reproducible from the
+// seed.
 func TestMirroredCachesNeverDiverge(t *testing.T) {
 	const q = 2
 	const steps = 400
-	jobs := []uint32{1, 2, 9}
 	mems := []int{0, 6, 10, 16, 40}
-	allHot := 0 // Sets whose own A block went in their own resolve
+	allHot := 0       // Sets whose own A block went in their own resolve
+	freedByDrops := 0 // blocks job ends took out of the worker's cache
+	loserSteps := 0   // Sets of a task whose job had already ended
+	jobOf := func(id uint64) uint32 { return uint32(id >> blockIDJobSh & jobMask) }
 	for seed := int64(1); seed <= 3; seed++ {
+		jobs := []uint32{1, 2, 9}
+		nextJob := uint32(10)
+		var ended []uint32 // ended jobs whose blocks have not been dropped yet
+		tourStops := false // the tour's job ended: it stops after its chunk
 		rng := rand.New(rand.NewSource(seed))
 		pool := NewBlockPool()
 		mem := mems[rng.Intn(len(mems))]
@@ -325,7 +338,45 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				sb = &SetBuilder{Mem: mem}
 				oc = newOpCache(pool)
 				sessions++
+				ended, tour, tourStops = nil, nil, false // the new session shipped none of their blocks
 				continue
+			}
+			if rng.Intn(20) == 0 {
+				// A job ends and a new one takes its place in the mix. A
+				// task of it in flight streams on to its end.
+				i := rng.Intn(len(jobs))
+				ended = append(ended, jobs[i])
+				if tour != nil && tourJob == jobs[i] {
+					if tourK == 0 {
+						tour = nil
+					} else {
+						tourStops = true
+					}
+				}
+				jobs[i] = nextJob
+				nextJob++
+			}
+			if len(ended) > 0 && (tour == nil || tourK == 0) {
+				// A task boundary: both ends drop every ended job (and a
+				// job number past the ID field, which names none of them).
+				drop := append(slices.Clone(ended), uint32(jobMask)+1+jobs[0])
+				before := lruIDs(t, oc.cache)
+				sb.Drop(drop)
+				freedByDrops += oc.drop(drop)
+				var want []uint64
+				for _, id := range before {
+					if !slices.Contains(ended, jobOf(id)) {
+						want = append(want, id)
+					}
+				}
+				if ms, ws := lruIDs(t, sb.mirrorCache()), lruIDs(t, oc.cache); !slices.Equal(ws, want) || !slices.Equal(ms, want) {
+					t.Fatalf("seed %d step %d: dropping jobs %v left master %#x, worker %#x, want %#x",
+						seed, step, ended, ms, ws, want)
+				}
+				ended = nil
+			}
+			if tour != nil && slices.Contains(ended, tourJob) {
+				loserSteps++
 			}
 			if tour == nil && rng.Intn(8) == 0 {
 				tour = &region{I0: rng.Intn(7), Rows: 1 + rng.Intn(2), Cols: 1}
@@ -339,8 +390,8 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 				ch = &region{I0: tour.I0, J0: tour.J0, Rows: tour.Rows, Cols: tour.Cols}
 				if tourK++; tourK == 6 {
 					tourK = 0
-					if tour.J0++; tour.J0 == 7 {
-						tour = nil
+					if tour.J0++; tour.J0 == 7 || tourStops {
+						tour, tourStops = nil, false
 					}
 				}
 			} else {
@@ -440,6 +491,18 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 	if allHot == 0 {
 		t.Fatal("no Set evicted its own A block: the all-hot branch never ran; widen the op mix")
 	}
+	if freedByDrops == 0 || loserSteps == 0 {
+		t.Fatalf("job ends freed %d blocks and %d Sets streamed past their job's end; widen the op mix",
+			freedByDrops, loserSteps)
+	}
+}
+
+// mirrorCache returns the builder's mirror, empty until its first Set.
+func (sb *SetBuilder) mirrorCache() *blockCache {
+	if sb.mirror == nil {
+		sb.mirror = blockCachePool.Get().(*blockCache)
+	}
+	return sb.mirror
 }
 
 // TestResolveKeepsEvictedOperandsUntilApplied is the tight-memory

@@ -79,6 +79,10 @@ func RunWorker(tr Transport, cfg WorkerConfig) (rep WorkerReport, err error) {
 	// The reader's hand is the last staging slot: with a StageDepth-1
 	// deep channel, at most StageDepth sets wait ahead of the compute.
 	sets := make(chan *Set, StageDepth-1)
+	// dropped tells the reader that the compute has dropped the jobs an
+	// assignment's Drop names: the reader waits for it before it reads
+	// on, so the next sets' payloads land in the buffers the drop freed.
+	dropped := make(chan struct{}, 1)
 	readErr := make(chan error, 1)
 	// Every queue send also selects on quit so a session that ends while
 	// the reader holds an undeliverable message (connection death with
@@ -111,6 +115,13 @@ func RunWorker(tr Transport, cfg WorkerConfig) (rep WorkerReport, err error) {
 				case assigns <- m:
 				case <-quit:
 					return
+				}
+				if len(m.Drop) > 0 {
+					select {
+					case <-dropped:
+					case <-quit:
+						return
+					}
 				}
 			case *Set:
 				if setsSeen == stepsSeen {
@@ -146,6 +157,13 @@ func RunWorker(tr Transport, cfg WorkerConfig) (rep WorkerReport, err error) {
 		if cfg.FailAfter > 0 && rep.Assignments >= cfg.FailAfter {
 			tr.Close() // vanish mid-job, still holding the assignment
 			return rep, ErrKilled
+		}
+		// Every set before this assignment has been applied and none of
+		// its own: the point in the stream where the master's mirror
+		// dropped the released jobs it names.
+		if len(as.Drop) > 0 {
+			hold(-cache.drop(as.Drop))
+			dropped <- struct{}{}
 		}
 		// Expand the compacted tile before any update applies: shipped
 		// blocks become owned, zero blocks materialize locally.
@@ -238,8 +256,8 @@ func RunAssign(as *Assign, feed Feed, pool *BlockPool) error {
 // tile, every block owned by the worker. CShip payloads are adopted
 // (copied first when the transport shared them read-only) and CZero
 // blocks are materialized as local zeros. Strict validation: flag
-// count, payload count, flag values and ID range must all line up or
-// the session dies.
+// count, payload count and flag values must all line up or the session
+// dies.
 func materializeTile(as *Assign, pool *BlockPool) error {
 	want := as.Rows * as.Cols
 	if len(as.CFlags) != 0 && len(as.CFlags) != want {
@@ -249,10 +267,6 @@ func materializeTile(as *Assign, pool *BlockPool) error {
 	expanded := make([][]float64, 0, want)
 	ship := 0
 	for fi := 0; fi < want; fi++ {
-		if CBlockID(as.ID.A, as.I0+fi/as.Cols, as.J0+fi%as.Cols) == 0 {
-			return fmt.Errorf("engine: tile coordinates (%d,%d) of job %d overflow the block ID fields",
-				as.I0+fi/as.Cols, as.J0+fi%as.Cols, as.ID.A)
-		}
 		f := CShip
 		if len(as.CFlags) != 0 {
 			f = as.CFlags[fi]

@@ -59,6 +59,9 @@ type ClusterWorkerConfig struct {
 	// without warning once it has completed this many tasks (0 = never) —
 	// the kill-a-worker-mid-job scenario.
 	failAfterTasks int
+	// pool is a test hook: the block pool every session uses (nil = a
+	// fresh one), so a test can read its allocations between jobs.
+	pool *engine.BlockPool
 }
 
 // ClusterWorkerReport summarizes a cluster worker's lifetime.
@@ -74,6 +77,9 @@ type ClusterWorkerReport struct {
 	// PeakBlocks is the most blocks one session held at once
 	// (engine.WorkerReport.PeakBlocks), to read against Memory.
 	PeakBlocks int
+	// FreshBlocks counts the block buffers the worker allocated rather
+	// than reused (engine.BlockPool.Fresh), across all sessions.
+	FreshBlocks int64
 }
 
 // workerDialTimeout bounds each connection attempt of a cluster worker.
@@ -89,7 +95,7 @@ var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 // session is a thin shell over the engine: a TCP transport (tasks and
 // their sets pushed, results unannounced) under engine.RunWorker, plus
 // the registration handshake and the heartbeat beacon.
-func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
+func RunClusterWorker(cfg ClusterWorkerConfig) (rep ClusterWorkerReport, err error) {
 	if cfg.Name == "" {
 		return ClusterWorkerReport{}, fmt.Errorf("netmw: cluster worker needs a name")
 	}
@@ -99,8 +105,11 @@ func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	var rep ClusterWorkerReport
-	pool := engine.NewBlockPool()
+	pool := cfg.pool
+	if pool == nil {
+		pool = engine.NewBlockPool()
+	}
+	defer func() { rep.FreshBlocks = pool.Fresh() }()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	left := cfg.Reconnect
 	attempt := 0

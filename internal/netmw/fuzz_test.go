@@ -69,12 +69,13 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 	return appendCRC(matrix.AppendFloats(out, payload), len(prefix))
 }
 
-// encodeAssignBody appends the C-flag tail of a task frame to a header:
-// the uint16 flag count, the flag bytes, then the payload doubles (the
-// shipped tiles — or, with no flags, every tile) and the payload
-// CRC covering header and tail alike.
-func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
-	out := appendCFlags(hdr, flags)
+// encodeAssignBody appends the tail of a task frame to a header: the
+// uint16 drop count and the dropped job numbers, the uint16 flag count,
+// the flag bytes, then the payload doubles (the shipped tiles — or,
+// with no flags, every tile) and the payload CRC covering header and
+// tail alike.
+func encodeAssignBody(hdr []byte, drops []uint32, flags []byte, payload []float64) []byte {
+	out := appendCFlags(appendDrops(hdr, drops), flags)
 	return appendCRC(matrix.AppendFloats(out, payload), 0)
 }
 
@@ -173,21 +174,26 @@ func FuzzDecodeMsg(f *testing.F) {
 	unflaggedHdr := TaskHeader{Job: 1, Seq: 0, Attempt: 0, Steps: 2, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
 	jp := make([]byte, taskHeaderLen)
 	unflaggedHdr.encode(jp)
-	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CZero}, nil)...))
+	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, nil, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []byte{engine.CZero}, nil)...))
 
 	taskHdr := TaskHeader{Job: 1, Seq: 2, Attempt: 0, Steps: 1, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
 	tp := make([]byte, taskHeaderLen)
 	taskHdr.encode(tp)
-	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, nil, []float64{1, 2, 3, 4})...))
 	// malformed flag tails: the retired flag 1, an unknown flag state, a
 	// count that disagrees with the geometry, and a shipped tile whose
 	// payload is missing
-	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{1}, nil)...))
-	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{7}, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip, engine.CShip}, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip}, []float64{1, 2})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []byte{1}, nil)...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []byte{7}, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []byte{engine.CShip, engine.CShip}, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []byte{engine.CShip}, []float64{1, 2})...))
+	// drop lists: two released jobs, the one job number past the block
+	// ID fields, and a count the frame is too short to carry
+	f.Add(append([]byte{1}, encodeAssignBody(tp, []uint32{3, 9}, []byte{engine.CZero}, nil)...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, []uint32{1 << 31}, nil, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, appendCRC(binary.LittleEndian.AppendUint16(bytes.Clone(tp), 500), 0)...))
 
 	ri := RegisterInfo{Name: "worker-1", Mem: 128, Slots: 4, Version: ProtocolVersion}
 	f.Add(append([]byte{2}, ri.encode()...))
@@ -285,10 +291,19 @@ func FuzzDecodeMsg(f *testing.F) {
 			return
 		}
 		sel, payload := data[0], data[1:]
-		// checkAssign validates a successful task decode: a flagless body
-		// must yield one block per tile, a flag tail exactly the shipped
-		// tiles.
+		// checkAssign validates a successful task decode: the drop list
+		// is the one the body declares, and a flagless body must yield
+		// one block per tile, a flag tail exactly the shipped tiles.
 		checkAssign := func(as *engine.Assign, rows, cols int) {
+			ndrop := int(binary.LittleEndian.Uint16(payload[taskHeaderLen:]))
+			if len(as.Drop) != ndrop {
+				t.Fatalf("assignment decode kept %d dropped jobs, the body declares %d", len(as.Drop), ndrop)
+			}
+			for i, job := range as.Drop {
+				if want := binary.LittleEndian.Uint32(payload[taskHeaderLen+2+4*i:]); job != want {
+					t.Fatalf("dropped job %d decoded as %d, sent %d", i, job, want)
+				}
+			}
 			want := rows * cols
 			if len(as.CFlags) != 0 {
 				want = 0
@@ -436,7 +451,7 @@ func FuzzPayloadCRCRejectsBitFlips(f *testing.F) {
 		case 2:
 			hdr := make([]byte, taskHeaderLen)
 			(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 2, Q: 2}).encode(hdr)
-			payload = encodeAssignBody(hdr, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})
+			payload = encodeAssignBody(hdr, nil, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})
 		case 3:
 			payload = appendCRC(encodeResultPayload(0, 0, nil), 0)
 		}

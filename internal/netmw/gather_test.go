@@ -26,6 +26,16 @@ func appendCRC(buf []byte, start int) []byte {
 	return append(buf, sum[:]...)
 }
 
+// appendDrops appends an assignment's drop list: the uint16 count then
+// the uint32 job numbers.
+func appendDrops(buf []byte, drops []uint32) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(drops)))
+	for _, job := range drops {
+		buf = binary.LittleEndian.AppendUint32(buf, job)
+	}
+	return buf
+}
+
 // appendCFlags appends an assignment's result-residency tail prefix:
 // the uint16 flag count then the flag bytes.
 func appendCFlags(buf []byte, flags []byte) []byte {
@@ -79,7 +89,7 @@ func oldSetFrame(set *engine.Set) []byte {
 
 func oldAssignFrame(t MsgType, hdr []byte, m *engine.Assign) []byte {
 	return oldFrame(t, func(buf []byte) []byte {
-		return oldBlocks(appendCFlags(append(buf, hdr...), m.CFlags), m.Blocks)
+		return oldBlocks(appendCFlags(appendDrops(append(buf, hdr...), m.Drop), m.CFlags), m.Blocks)
 	})
 }
 
@@ -159,6 +169,7 @@ func TestGatheredFramesByteIdentical(t *testing.T) {
 				ID: engine.AssignID{A: 3, B: 5, C: 1}, I0: 1, J0: 0, Rows: 2, Cols: 2, Q: q, Steps: 4,
 				CFlags: []byte{engine.CShip, engine.CZero, engine.CZero, engine.CShip},
 				Blocks: randBlocks(rng, 2, q),
+				Drop:   []uint32{1, 2},
 			}
 			empty := &engine.Result{ID: engine.AssignID{A: 9, B: 2}}
 			result := &engine.Result{ID: engine.AssignID{A: 3, B: 6, C: 1}, Updates: 4, ComputeNS: 99,

@@ -63,10 +63,12 @@ const (
 	MsgRegister MsgType = 7
 	// MsgHeartbeat is a worker liveness beacon; empty payload.
 	MsgHeartbeat MsgType = 8
-	// MsgTask assigns one task: TaskHeader, a uint16 C-flag count, then
-	// that many flag bytes (engine.CShip = 0 or CZero = 2; 1 is retired
-	// and refused) and the payloads of exactly the CShip tiles in
-	// row-major flag order. Count 0 means every tile ships: all
+	// MsgTask assigns one task: TaskHeader; a uint16 drop count, then
+	// that many uint32 job numbers (engine.Assign.Drop: released jobs
+	// whose blocks the worker drops before the task); a uint16 C-flag
+	// count, then that many flag bytes (engine.CShip = 0 or CZero = 2; 1
+	// is retired and refused) and the payloads of exactly the CShip tiles
+	// in row-major flag order. Flag count 0 means every tile ships: all
 	// Rows*Cols payloads follow. The worker keeps the tile; the task's
 	// Steps update sets follow it, pushed by the master.
 	MsgTask MsgType = 9
@@ -89,8 +91,9 @@ const (
 // or at submit instead of hanging an older peer or running a job on
 // misread operands. Bump it with every change to the frames, or to what
 // a worker holds under the master's cache budget (version 2: evicted
-// buffers go back right after the update that reads them).
-const ProtocolVersion uint32 = 2
+// buffers go back right after the update that reads them; version 3: a
+// task names the released jobs whose blocks both ends drop).
+const ProtocolVersion uint32 = 3
 
 // ErrProtocolVersion refuses a worker or a submission whose protocol
 // version is not the master's.

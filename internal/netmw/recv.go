@@ -249,10 +249,11 @@ func checkGeometry(rows, cols, q int) error {
 	return nil
 }
 
-// readTask decodes a MsgTask frame: the task header, the uint16 C-flag
-// count, the flag bytes, then the payloads of exactly the CShip-flagged
-// tiles. Count 0 means every tile ships: CFlags stays empty and every
-// tile's payload follows. The geometry, the flags and the frame length
+// readTask decodes a MsgTask frame: the task header, the uint16 drop
+// count and the dropped job numbers, the uint16 C-flag count, the flag
+// bytes, then the payloads of exactly the CShip-flagged tiles. Flag
+// count 0 means every tile ships: CFlags stays empty and every tile's
+// payload follows. The geometry, the flags and the frame length
 // are all checked before a block is taken.
 func readTask(f *frameReader) (*engine.Assign, error) {
 	as := f.pool.GetAssign()
@@ -283,8 +284,16 @@ func readTaskInto(f *frameReader, as *engine.Assign) error {
 	if as.Steps < 0 || as.Steps > maxWireDim {
 		return fmt.Errorf("netmw: implausible step count %d", as.Steps)
 	}
+	ndrop := int(binary.LittleEndian.Uint16(head[taskHeaderLen:]))
+	drops, err := f.take(4*ndrop+2, "assignment drop list")
+	if err != nil {
+		return err
+	}
+	for i := 0; i < ndrop; i++ {
+		as.Drop = append(as.Drop, binary.LittleEndian.Uint32(drops[4*i:]))
+	}
 	ship := as.Rows * as.Cols
-	if nflags := int(binary.LittleEndian.Uint16(head[taskHeaderLen:])); nflags != 0 {
+	if nflags := int(binary.LittleEndian.Uint16(drops[4*ndrop:])); nflags != 0 {
 		if nflags != ship {
 			return fmt.Errorf("netmw: assignment carries %d C flags for a %dx%d tile", nflags, as.Rows, as.Cols)
 		}

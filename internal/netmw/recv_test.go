@@ -166,7 +166,7 @@ func TestResultFramesOnWire(t *testing.T) {
 
 	th := make([]byte, taskHeaderLen)
 	(&TaskHeader{Job: 1, Seq: 2, Steps: 1, Rows: 1, Cols: 1, Q: 2}).encode(th)
-	retired := encodeAssignBody(th, []byte{1}, nil)
+	retired := encodeAssignBody(th, nil, []byte{1}, nil)
 	if _, err := readTask(frameOver(retired, len(retired), pool)); err == nil || errors.Is(err, ErrPayloadCRC) {
 		t.Fatalf("task with C flag 1 = %v, want refused as malformed", err)
 	}

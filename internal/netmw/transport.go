@@ -298,13 +298,16 @@ func checkCFlagsOnWire(flags []byte) error {
 	return nil
 }
 
-// sendTask frames an assignment as MsgTask: the task header, the C-flag
-// tail prefix, then the shipped C tiles — releasing owned tiles once
-// written and recycling the message. C tiles are mutable job state,
-// read here and not after Send returns.
+// sendTask frames an assignment as MsgTask: the task header, the drop
+// list, the C-flag tail prefix, then the shipped C tiles — releasing
+// owned tiles once written and recycling the message. C tiles are
+// mutable job state, read here and not after Send returns.
 func (c *connIO) sendTask(m *engine.Assign) error {
 	if err := checkCFlagsOnWire(m.CFlags); err != nil {
 		return err
+	}
+	if len(m.Drop) > int(^uint16(0)) {
+		return fmt.Errorf("netmw: %d dropped jobs do not fit the wire", len(m.Drop))
 	}
 	hdr := TaskHeader{
 		Job: m.ID.A, Seq: m.ID.B, Attempt: m.ID.C,
@@ -313,6 +316,10 @@ func (c *connIO) sendTask(m *engine.Assign) error {
 	}
 	err := c.writeBlockFrame(MsgTask, func(f blockFrame) {
 		hdr.encode(f.grow(taskHeaderLen))
+		f.u16(uint16(len(m.Drop)))
+		for _, job := range m.Drop {
+			f.u32(job)
+		}
 		f.cFlags(m.CFlags)
 		f.blocks(m.Blocks)
 	})

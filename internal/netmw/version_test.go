@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -223,7 +224,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 	record("Heartbeat", func(c *frameConn) error { return worker(c).sendHeartbeat() })
 	record("Task", func(c *frameConn) error {
 		return server(c).Send(&engine.Assign{ID: engine.AssignID{A: 3, B: 5, C: 1}, I0: 2, J0: 4, Rows: 1, Cols: 2, Q: 2, Steps: 1,
-			CFlags: []byte{engine.CShip, engine.CZero}, Blocks: [][]float64{{1, 2, 3, 4}}})
+			CFlags: []byte{engine.CShip, engine.CZero}, Blocks: [][]float64{{1, 2, 3, 4}}, Drop: []uint32{1, 2}})
 	})
 	record("Set", func(c *frameConn) error {
 		return server(c).Send(&engine.Set{K: 0, Cap: 9,
@@ -354,7 +355,8 @@ func decodeGolden(t *testing.T, frames map[string][]byte) {
 	as, _ := m.(*engine.Assign)
 	if err != nil || as == nil || as.ID != (engine.AssignID{A: 3, B: 5, C: 1}) || as.I0 != 2 || as.J0 != 4 ||
 		as.Rows != 1 || as.Cols != 2 || as.Q != 2 || as.Steps != 1 ||
-		!bytes.Equal(as.CFlags, []byte{engine.CShip, engine.CZero}) || len(as.Blocks) != 1 || as.Blocks[0][3] != 4 {
+		!bytes.Equal(as.CFlags, []byte{engine.CShip, engine.CZero}) || len(as.Blocks) != 1 || as.Blocks[0][3] != 4 ||
+		!slices.Equal(as.Drop, []uint32{1, 2}) {
 		t.Errorf("Task decodes as %+v, %v", m, err)
 	}
 	m, err = wk.Recv()

@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // Frame layout: u32 payload length, u32 CRC-32C over (flag byte ‖
@@ -76,12 +77,15 @@ type ReplayStats struct {
 }
 
 // Journal is an append-only record log over segment files in one
-// directory. Append is safe for one writer; Replay may run on a live
-// directory (a concurrent reader sees a valid prefix).
+// directory. Its appends, compactions and Close are safe for concurrent
+// use: each runs whole, one at a time, so a record's frame is never
+// interleaved with another's. Replay may run on a live directory (a
+// concurrent reader sees a valid prefix).
 type Journal struct {
 	dir  string
 	opts Options
 
+	mu      sync.Mutex // serializes appends, compactions and Close
 	cur     *os.File
 	curSeq  int
 	curSize int64
@@ -135,13 +139,18 @@ func Open(dir string, opts Options) (*Journal, error) {
 
 // Append frames, writes and fsyncs one record. A nil error means the
 // record is durable.
-func (j *Journal) Append(rec []byte) error { return j.append(flagData, rec) }
+func (j *Journal) Append(rec []byte) error { return j.AppendV(rec) }
 
 // AppendV is Append of the record its parts make in order: one frame
 // whose length and CRC cover them all, each part written straight from
 // where it lies. The parts are not retained.
-func (j *Journal) AppendV(parts ...[]byte) error { return j.append(flagData, parts...) }
+func (j *Journal) AppendV(parts ...[]byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.append(flagData, parts...)
+}
 
+// append writes one frame; the caller holds j.mu.
 func (j *Journal) append(flag byte, parts ...[]byte) error {
 	if j.closed {
 		return ErrClosed
@@ -193,6 +202,8 @@ func (j *Journal) Compact(snapshot []byte) error { return j.CompactV(snapshot) }
 
 // CompactV is Compact of the snapshot its parts make, framed as AppendV.
 func (j *Journal) CompactV(parts ...[]byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
@@ -294,6 +305,8 @@ func decodeFrame(buf []byte) (rec []byte, flag byte, n int, ok bool) {
 
 // Close fsyncs and closes the current segment.
 func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}

@@ -312,6 +312,51 @@ func TestSegmentRotationPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppendsStayWhole: appends from several goroutines at
+// once — a cluster writes an accept record outside its lock beside the
+// chunk records it writes under it — each land as one whole frame,
+// across segment rotations, and each writer's records keep their order.
+func TestConcurrentAppendsStayWhole(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{SegmentBytes: 4 << 10, Sync: noSync.Sync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 4, 50
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			for i := 0; i < each; i++ {
+				body := bytes.Repeat([]byte{byte('a' + w)}, 100+i)
+				errs <- j.AppendV([]byte(fmt.Sprintf("%d:%03d:", w, i)), body)
+			}
+		}()
+	}
+	for range writers * each {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _ := collect(t, dir)
+	if len(recs) != writers*each {
+		t.Fatalf("replayed %d records, want %d", len(recs), writers*each)
+	}
+	next := make([]int, writers)
+	for _, r := range recs {
+		var w, i int
+		if _, err := fmt.Sscanf(string(r[:6]), "%d:%03d:", &w, &i); err != nil || w >= writers || i != next[w] {
+			t.Fatalf("record %.8q out of order or malformed (%v)", r, err)
+		}
+		next[w]++
+		if want := bytes.Repeat([]byte{byte('a' + w)}, 100+i); !bytes.Equal(r[6:], want) {
+			t.Fatalf("record %d:%d interleaved with another", w, i)
+		}
+	}
+}
+
 func TestTornTailDroppedAndTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})
